@@ -208,9 +208,8 @@ func BenchmarkFlashCrowdScale(b *testing.B) {
 }
 
 // BenchmarkFlashCrowd10k is the paper-scale ×100 point: a 10k-instance
-// flash crowd against the same 8-provider pool. Skipped under -short
-// (CI runs the quick scale points; run the full sweep locally via
-// scripts/bench.sh).
+// flash crowd against the same 8-provider pool, about two minutes of
+// wall clock. Skipped under -short; scripts/bench.sh always runs it.
 func BenchmarkFlashCrowd10k(b *testing.B) {
 	if testing.Short() {
 		b.Skip("skipping 10k flash crowd in -short mode")

@@ -44,7 +44,9 @@ type MetaService struct {
 	// locality-aware, exactly as in ProviderSet: rings spread across
 	// failure domains and gets probe the reader's nearest live copy
 	// first.
-	topo    cluster.Topology
+	topo cluster.Topology
+	// rings[s] is the replica ring of primary slot s (replicaRings).
+	rings   [][]cluster.NodeID
 	nextRef atomic.Uint64
 
 	shards [metaShards]metaShard
@@ -87,6 +89,7 @@ func NewMetaService(providers []cluster.NodeID) *MetaService {
 	m := &MetaService{
 		providers: providers,
 		replicas:  1,
+		rings:     replicaRings(providers, 1, cluster.Topology{}),
 		pending:   make(map[NodeRef]bool),
 		repairs:   make(map[NodeRef][]cluster.NodeID),
 		voids:     make(map[NodeRef][]cluster.NodeID),
@@ -110,11 +113,15 @@ func (m *MetaService) SetReplication(r int) {
 		panic("blob: metadata replication degree out of range")
 	}
 	m.replicas = r
+	m.rings = replicaRings(m.providers, r, m.topo)
 }
 
 // SetTopology makes replicated placement and reads locality-aware.
 // Call before any traffic.
-func (m *MetaService) SetTopology(t cluster.Topology) { m.topo = t }
+func (m *MetaService) SetTopology(t cluster.Topology) {
+	m.topo = t
+	m.rings = replicaRings(m.providers, m.replicas, t)
+}
 
 // ReplicationDegree returns the configured metadata replication degree.
 func (m *MetaService) ReplicationDegree() int { return m.replicas }
@@ -147,56 +154,11 @@ func (m *MetaService) primarySlot(ref NodeRef) int {
 }
 
 // Replicas returns the metadata providers responsible for a ref,
-// primary first — the same ring walk as ProviderSet.Replicas: plain
-// consecutive ring without a topology, failure-domain spread (fresh
-// zones, then fresh racks, then remainder) with one.
+// primary first: the precomputed ring of the ref's primary slot, built
+// by the same walk as the chunk tier's (replicaRings). The slice is
+// shared by every ref of that slot; callers must not modify it.
 func (m *MetaService) Replicas(ref NodeRef) []cluster.NodeID {
-	n := len(m.providers)
-	first := m.primarySlot(ref)
-	out := make([]cluster.NodeID, 0, m.replicas)
-	if !m.topo.Enabled() || m.replicas == 1 {
-		for i := 0; i < m.replicas; i++ {
-			out = append(out, m.providers[(first+i)%n])
-		}
-		return out
-	}
-	usedZones := make([]int, 0, m.replicas)
-	usedRacks := make([]int, 0, m.replicas)
-	taken := make([]bool, n)
-	for pass := 0; pass < 3 && len(out) < m.replicas; pass++ {
-		for i := 0; i < n && len(out) < m.replicas; i++ {
-			slot := (first + i) % n
-			if taken[slot] {
-				continue
-			}
-			nd := m.providers[slot]
-			if pass == 0 && containsInt(usedZones, m.topo.Zone(nd)) {
-				continue
-			}
-			if pass == 1 && containsInt(usedRacks, m.topo.Rack(nd)) {
-				continue
-			}
-			taken[slot] = true
-			usedZones = append(usedZones, m.topo.Zone(nd))
-			usedRacks = append(usedRacks, m.topo.Rack(nd))
-			out = append(out, nd)
-		}
-	}
-	return out
-}
-
-// orderByLocality stably reorders a location list so the reader's
-// nearest copies come first (see ProviderSet.orderByLocality).
-func (m *MetaService) orderByLocality(reader cluster.NodeID, locs []cluster.NodeID) {
-	if !m.topo.Enabled() || len(locs) < 2 {
-		return
-	}
-	for i := 1; i < len(locs); i++ {
-		ti := m.topo.Tier(reader, locs[i])
-		for j := i; j > 0 && m.topo.Tier(reader, locs[j-1]) > ti; j-- {
-			locs[j-1], locs[j] = locs[j], locs[j-1]
-		}
-	}
+	return m.rings[m.primarySlot(ref)]
 }
 
 // locationsLocked returns the nodes holding a ref's copies in failover
@@ -251,8 +213,7 @@ func (m *MetaService) substitutes(ref NodeRef, ring []cluster.NodeID, n int) []c
 // batches can overlap their probes). ok is false when every copy is
 // down, which counts as a failed get.
 func (m *MetaService) pickReplica(reader cluster.NodeID, ref NodeRef) (prov cluster.NodeID, probes int, ok bool) {
-	locs := m.locations(ref)
-	m.orderByLocality(reader, locs)
+	locs := nearestFirst(m.topo, reader, m.locations(ref))
 	prov = -1
 	failover := false
 	for i, r := range locs {

@@ -29,7 +29,9 @@ type ProviderSet struct {
 	// first, then racks), and Get probes the reader's nearest live
 	// copy first. The zero topology keeps the flat ring behavior
 	// byte-identical to a set without the topology machinery.
-	topo    cluster.Topology
+	topo cluster.Topology
+	// rings[s] is the replica ring of primary slot s (replicaRings).
+	rings   [][]cluster.NodeID
 	nextKey atomic.Uint64
 
 	// mu guards the chunk/dedup/refcount maps. It is a RWMutex so the
@@ -103,6 +105,7 @@ func NewProviderSet(nodes []cluster.NodeID, replicas int) *ProviderSet {
 	return &ProviderSet{
 		nodes:    nodes,
 		replicas: replicas,
+		rings:    replicaRings(nodes, replicas, cluster.Topology{}),
 		chunks:   make(map[ChunkKey]Payload),
 		byPrint:  make(map[uint64]ChunkKey),
 		printOf:  make(map[ChunkKey]uint64),
@@ -125,7 +128,10 @@ func (ps *ProviderSet) EnableDedup() { ps.dedup = true }
 // field). Call it right after construction, before any chunk traffic:
 // placement must not change under stored chunks, or their ring walks
 // would resolve to different replicas than the ones holding the data.
-func (ps *ProviderSet) SetTopology(t cluster.Topology) { ps.topo = t }
+func (ps *ProviderSet) SetTopology(t cluster.Topology) {
+	ps.topo = t
+	ps.rings = replicaRings(ps.nodes, ps.replicas, t)
+}
 
 // TierReads returns the chunk reads served per locality tier, indexed
 // by cluster.Tier — the distribution topology-aware selection shifts
@@ -217,72 +223,11 @@ func (ps *ProviderSet) primarySlot(key ChunkKey) int {
 }
 
 // Replicas returns the provider nodes responsible for a key, primary
-// first. Without a topology the ring is walked consecutively (§3.1.3
-// round-robin striping). With one, the walk spreads the copies across
-// failure domains: the first pass only takes nodes in zones no earlier
-// replica occupies, the second pass fresh racks, and the final pass
-// fills any remainder in plain ring order — so a chunk at replication
-// degree z survives z-1 zone losses, and the degenerate single-domain
-// topology reproduces the flat ring walk exactly.
+// first: the precomputed ring of the key's primary slot (see
+// replicaRings for the walk). The slice is shared by every key of that
+// slot; callers must not modify it.
 func (ps *ProviderSet) Replicas(key ChunkKey) []cluster.NodeID {
-	n := len(ps.nodes)
-	first := ps.primarySlot(key)
-	out := make([]cluster.NodeID, 0, ps.replicas)
-	if !ps.topo.Enabled() || ps.replicas == 1 {
-		for i := 0; i < ps.replicas; i++ {
-			out = append(out, ps.nodes[(first+i)%n])
-		}
-		return out
-	}
-	usedZones := make([]int, 0, ps.replicas)
-	usedRacks := make([]int, 0, ps.replicas)
-	taken := make([]bool, n)
-	for pass := 0; pass < 3 && len(out) < ps.replicas; pass++ {
-		for i := 0; i < n && len(out) < ps.replicas; i++ {
-			slot := (first + i) % n
-			if taken[slot] {
-				continue
-			}
-			nd := ps.nodes[slot]
-			if pass == 0 && containsInt(usedZones, ps.topo.Zone(nd)) {
-				continue
-			}
-			if pass == 1 && containsInt(usedRacks, ps.topo.Rack(nd)) {
-				continue
-			}
-			taken[slot] = true
-			usedZones = append(usedZones, ps.topo.Zone(nd))
-			usedRacks = append(usedRacks, ps.topo.Rack(nd))
-			out = append(out, nd)
-		}
-	}
-	return out
-}
-
-func containsInt(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
-// orderByLocality stably reorders a location list so the reader's
-// nearest copies come first; within a tier the existing failover order
-// is preserved. A disabled topology leaves the order untouched. The
-// sort is an adjacent-swap insertion sort: location lists are a
-// handful of entries, and adjacent swaps keep it stable.
-func (ps *ProviderSet) orderByLocality(reader cluster.NodeID, locs []cluster.NodeID) {
-	if !ps.topo.Enabled() || len(locs) < 2 {
-		return
-	}
-	for i := 1; i < len(locs); i++ {
-		ti := ps.topo.Tier(reader, locs[i])
-		for j := i; j > 0 && ps.topo.Tier(reader, locs[j-1]) > ti; j-- {
-			locs[j-1], locs[j] = locs[j], locs[j-1]
-		}
-	}
+	return ps.rings[ps.primarySlot(key)]
 }
 
 // Kill marks a provider as failed: it stops serving reads and accepting
@@ -630,8 +575,8 @@ func (ps *ProviderSet) Get(ctx *cluster.Ctx, key ChunkKey) (Payload, error) {
 	}
 	p, ok := ps.chunks[key]
 	// Fast path for the fault-free common case: with no voids or
-	// repair locations anywhere, the location set IS the ring, and the
-	// hot read path keeps its single slice allocation.
+	// repair locations anywhere, the location set IS the shared ring,
+	// and the hot read path allocates nothing for it.
 	var locs []cluster.NodeID
 	if len(ps.voids) == 0 && len(ps.repairs) == 0 {
 		ps.mu.RUnlock()
@@ -646,7 +591,7 @@ func (ps *ProviderSet) Get(ctx *cluster.Ctx, key ChunkKey) (Payload, error) {
 	// Nearest live copy first: reorder the failover list by the
 	// reader's locality tier (a no-op on the flat topology), keeping
 	// the existing order within each tier.
-	ps.orderByLocality(ctx.Node(), locs)
+	locs = nearestFirst(ps.topo, ctx.Node(), locs)
 	prov := cluster.NodeID(-1)
 	probes, failover := 0, false
 	for i, r := range locs {

@@ -1,6 +1,7 @@
 package blob
 
 import (
+	"slices"
 	"testing"
 
 	"blobvfs/internal/cluster"
@@ -84,26 +85,59 @@ func TestReplicasSingleDomainMatchesFlat(t *testing.T) {
 	}
 }
 
-// TestOrderByLocality: the reader's nearest copies come first and ties
-// keep their failover order (the sort is stable).
-func TestOrderByLocality(t *testing.T) {
-	ps := NewProviderSet(allNodes(9), 3)
-	ps.SetTopology(topo3z())
+// TestNearestFirst: the reader's nearest copies come first, ties keep
+// their failover order (the sort is stable), and the input — which may
+// be a ring shared by every key of its slot — is never written to.
+func TestNearestFirst(t *testing.T) {
 	// Reader in zone 1; list arrives remote-first.
 	locs := []cluster.NodeID{0, 6, 4, 3, 8}
-	ps.orderByLocality(4, locs)
-	want := []cluster.NodeID{4, 3, 0, 6, 8}
-	for i := range want {
-		if locs[i] != want[i] {
-			t.Fatalf("orderByLocality = %v, want %v", locs, want)
-		}
+	got := nearestFirst(topo3z(), 4, locs)
+	if want := []cluster.NodeID{4, 3, 0, 6, 8}; !slices.Equal(got, want) {
+		t.Fatalf("nearestFirst = %v, want %v", got, want)
+	}
+	if want := []cluster.NodeID{0, 6, 4, 3, 8}; !slices.Equal(locs, want) {
+		t.Fatalf("nearestFirst wrote to its input: %v", locs)
+	}
+	// Already nearest-first: the same slice comes back, no copy.
+	if again := nearestFirst(topo3z(), 4, got); &again[0] != &got[0] {
+		t.Fatal("nearestFirst copied an ordered list")
 	}
 	// Disabled topology: untouched.
-	flat := NewProviderSet(allNodes(9), 3)
 	locs = []cluster.NodeID{7, 2, 5}
-	flat.orderByLocality(4, locs)
-	if locs[0] != 7 || locs[1] != 2 || locs[2] != 5 {
-		t.Fatalf("flat orderByLocality reordered: %v", locs)
+	if got := nearestFirst(cluster.Topology{}, 4, locs); !slices.Equal(got, []cluster.NodeID{7, 2, 5}) {
+		t.Fatalf("flat nearestFirst reordered: %v", got)
+	}
+}
+
+// TestReplicasSharedRingSurvivesReads: Replicas hands out one shared
+// ring per primary slot; a read that reorders by locality must leave it
+// as placement computed it, for the next key of the slot.
+func TestReplicasSharedRingSurvivesReads(t *testing.T) {
+	fab := cluster.NewSim(cluster.DefaultConfig(9))
+	ps := NewProviderSet(allNodes(9), 3)
+	ps.SetTopology(topo3z())
+	fab.Run(func(ctx *cluster.Ctx) {
+		for i := 0; i < 18; i++ {
+			key := ps.AllocKey()
+			before := slices.Clone(ps.Replicas(key))
+			if err := ps.Put(ctx, key, Payload{Size: 1024, Tag: uint64(100 + i)}); err != nil {
+				t.Fatal(err)
+			}
+			// Every node reads: most reorder the ring to their own zone.
+			for reader := 0; reader < 9; reader++ {
+				ctx.Wait(ctx.Go("read", cluster.NodeID(reader), func(cc *cluster.Ctx) {
+					if _, err := ps.Get(cc, key); err != nil {
+						t.Error(err)
+					}
+				}))
+			}
+			if after := ps.Replicas(key); !slices.Equal(before, after) {
+				t.Fatalf("key %d: ring %v became %v after reads", key, before, after)
+			}
+		}
+	})
+	if tr := ps.TierReads(); tr[cluster.TierRemote] != 0 {
+		t.Fatalf("TierReads = %v: with one replica per zone no read should leave the reader's zone", tr)
 	}
 }
 

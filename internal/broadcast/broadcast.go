@@ -88,8 +88,8 @@ func childRanks(i, n int) []int {
 // the bulk broadcast there is no store-and-forward persistence: each
 // hop is a plain RPC, so the whole dissemination costs O(log n) RPC
 // latencies of depth. This is the primitive the p2p chunk-sharing
-// layer piggybacks its cohort-membership and chunk-location digests
-// on. It returns once every target has received the message.
+// layer disseminates cohort membership with. It returns once every
+// target has received the message.
 func Control(ctx *cluster.Ctx, src cluster.NodeID, targets []cluster.NodeID, bytes int64) {
 	order := append([]cluster.NodeID{src}, targets...)
 	n := len(order)

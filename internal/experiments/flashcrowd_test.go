@@ -100,3 +100,33 @@ func TestFlashCrowdDeterministic(t *testing.T) {
 		t.Errorf("flash crowd not deterministic:\n  %+v\n  %+v", a, b)
 	}
 }
+
+// TestFlashCrowdScalesFlat pins the flat scale curve: with pull-on-miss
+// locations every member does its own O(chunks) control RPCs and nobody
+// is told what the others did, so an 8× larger crowd costs 8× the
+// simulator events and 8× the bytes. The cohort-wide digest flood this
+// replaced grew both per instance (steps 2.1k → 5.7k between these two
+// sizes).
+func TestFlashCrowdScalesFlat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1024-instance flash crowd skipped in -short mode")
+	}
+	p := Quick()
+	perInstance := func(n int) (steps, trafficMB float64) {
+		pt := RunFlashCrowd(p, FlashCrowdConfig{Instances: n, Providers: 8, Sharing: true})
+		if pt.Booted != n {
+			t.Fatalf("%d of %d instances booted", pt.Booted, n)
+		}
+		return float64(pt.Steps) / float64(n), pt.TrafficGB * 1e3 / float64(n)
+	}
+	steps128, mb128 := perInstance(128)
+	steps1k, mb1k := perInstance(1024)
+	if r := steps1k / steps128; r > 1.1 {
+		t.Errorf("sim steps per instance grew %.2f× from 128 to 1024 instances (%.0f → %.0f), want <= 1.1×",
+			r, steps128, steps1k)
+	}
+	if r := mb1k / mb128; r > 1.1 {
+		t.Errorf("traffic per instance grew %.2f× from 128 to 1024 instances (%.1f → %.1f MB), want <= 1.1×",
+			r, mb128, mb1k)
+	}
+}

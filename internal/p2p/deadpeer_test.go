@@ -10,9 +10,8 @@ import (
 
 // TestLocateNeverSelectsDeadPeer: randomized member deaths against an
 // announcing cohort. The tracker must retract every location record a
-// dead member held, Locate must never return a dead uploader — neither
-// from the live map nor from a stale digest — and a dead member's own
-// announcements must be ignored.
+// dead member held, Locate must never return a dead uploader, and a
+// dead member's own announcements must be ignored.
 func TestLocateNeverSelectsDeadPeer(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		rng := sim.NewRNG(int64(9000 + trial))
@@ -24,8 +23,7 @@ func TestLocateNeverSelectsDeadPeer(t *testing.T) {
 		for i := range members {
 			members[i] = cluster.NodeID(i + 1)
 		}
-		// A tiny digest threshold so stale digests are actually in play.
-		reg := NewRegistry(tracker, Config{AnnounceBytes: 24, DigestEvery: 4, MaxUploads: 4})
+		reg := NewRegistry(tracker, DefaultConfig())
 		lv := cluster.NewLiveness(nMembers + 1)
 		reg.SetLiveness(lv)
 		lv.OnChange(reg.NodeChanged)
@@ -107,6 +105,122 @@ func TestLocateNeverSelectsDeadPeer(t *testing.T) {
 			if !found {
 				t.Fatalf("revived member %d could not re-announce", revived)
 			}
+		})
+	}
+}
+
+// simCohort registers members 1..n of a sim fabric (node 0 is the
+// tracker) with a liveness registry attached, and runs fn inside the
+// simulation.
+func simCohort(t *testing.T, n int, fn func(ctx *cluster.Ctx, reg *Registry, co *Cohort, lv *cluster.Liveness)) {
+	t.Helper()
+	fab := cluster.NewSim(cluster.DefaultConfig(n + 1))
+	reg := NewRegistry(0, DefaultConfig())
+	lv := cluster.NewLiveness(n + 1)
+	reg.SetLiveness(lv)
+	lv.OnChange(reg.NodeChanged)
+	members := make([]cluster.NodeID, n)
+	for i := range members {
+		members[i] = cluster.NodeID(i + 1)
+	}
+	fab.Run(func(ctx *cluster.Ctx) {
+		fn(ctx, reg, reg.Register(ctx, 1, members), lv)
+	})
+}
+
+// on runs fn as an activity on node and waits for it.
+func on(ctx *cluster.Ctx, node cluster.NodeID, fn func(cc *cluster.Ctx)) {
+	ctx.Wait(ctx.Go("test", node, fn))
+}
+
+// withdrawals are the three ways a location record leaves the tracker,
+// each run from an activity on the holder, node 1. The death is
+// followed by a revival, so that what keeps the node from being picked
+// afterwards is the dropped record and not pickLocked's liveness check.
+var withdrawals = []struct {
+	name string
+	do   func(cc *cluster.Ctx, reg *Registry, co *Cohort, lv *cluster.Liveness, key blob.ChunkKey)
+}{
+	{"death", func(cc *cluster.Ctx, _ *Registry, _ *Cohort, lv *cluster.Liveness, _ blob.ChunkKey) {
+		lv.Kill(cc, 1)
+		lv.Revive(cc, 1)
+	}},
+	{"retract", func(cc *cluster.Ctx, _ *Registry, co *Cohort, _ *cluster.Liveness, key blob.ChunkKey) {
+		co.Retract(cc, []blob.ChunkKey{key})
+	}},
+	{"reclaim", func(cc *cluster.Ctx, reg *Registry, _ *Cohort, _ *cluster.Liveness, key blob.ChunkKey) {
+		reg.ChunksReclaimed(cc, []blob.ChunkKey{key})
+	}},
+}
+
+// TestLocateAfterWithdrawalNeverReturnsHolder: members keep no location
+// state, so a record withdrawn at the tracker — by the holder's death,
+// its Retract, or the collector reclaiming the chunk — is gone for
+// every Locate issued afterwards, with nothing left to converge.
+func TestLocateAfterWithdrawalNeverReturnsHolder(t *testing.T) {
+	const key = blob.ChunkKey(7)
+	for _, w := range withdrawals {
+		t.Run(w.name, func(t *testing.T) {
+			simCohort(t, 3, func(ctx *cluster.Ctx, reg *Registry, co *Cohort, lv *cluster.Liveness) {
+				on(ctx, 1, func(cc *cluster.Ctx) { co.Announce(cc, []blob.ChunkKey{key}) })
+				// Member 2 has seen node 1 serve the chunk: the old
+				// protocol would have left that in its digest.
+				on(ctx, 2, func(cc *cluster.Ctx) {
+					peer, release, ok := co.Locate(cc, key)
+					if !ok || peer != 1 {
+						t.Fatalf("Locate before withdrawal = (%d, %v), want node 1", peer, ok)
+					}
+					release()
+				})
+				on(ctx, 1, func(cc *cluster.Ctx) { w.do(cc, reg, co, lv, key) })
+				for _, m := range []cluster.NodeID{2, 3} {
+					on(ctx, m, func(cc *cluster.Ctx) {
+						if peer, _, ok := co.Locate(cc, key); ok {
+							t.Errorf("Locate from %d after %s returned withdrawn holder %d", m, w.name, peer)
+						}
+					})
+				}
+			})
+		})
+	}
+}
+
+// TestWithdrawalDuringAnnounceStaysUnpublished: a (member, chunk) pair
+// withdrawn while its announce RPC is in flight — phase 1 reserved it,
+// phase 2 has not run — must not be published when the RPC lands.
+func TestWithdrawalDuringAnnounceStaysUnpublished(t *testing.T) {
+	const key, other = blob.ChunkKey(7), blob.ChunkKey(8)
+	for _, w := range withdrawals {
+		t.Run(w.name, func(t *testing.T) {
+			simCohort(t, 2, func(ctx *cluster.Ctx, reg *Registry, co *Cohort, lv *cluster.Liveness) {
+				announce := ctx.Go("announce", 1, func(cc *cluster.Ctx) {
+					co.Announce(cc, []blob.ChunkKey{key, other})
+				})
+				// Half a round trip in: the pair is reserved, not published.
+				on(ctx, 1, func(cc *cluster.Ctx) {
+					cc.Sleep(cc.Fabric().Config().RTT / 2)
+					if !co.held[key][1] || len(co.holders[key]) != 0 {
+						t.Fatalf("mid-RPC: reserved = %v, holders = %v; want reserved and unpublished",
+							co.held[key][1], co.holders[key])
+					}
+					w.do(cc, reg, co, lv, key)
+				})
+				ctx.Wait(announce)
+				on(ctx, 2, func(cc *cluster.Ctx) {
+					if peer, _, ok := co.Locate(cc, key); ok {
+						t.Errorf("Locate returned %d for a pair withdrawn (%s) mid-announce", peer, w.name)
+					}
+					// The rest of the batch is published, unless its
+					// member died: a death withdraws all it holds.
+					_, release, ok := co.Locate(cc, other)
+					if ok {
+						release()
+					}
+					if ok == (w.name == "death") {
+						t.Errorf("Locate(other) ok = %v after %s", ok, w.name)
+					}
+				})
+			})
 		})
 	}
 }

@@ -20,10 +20,15 @@
 //   - Members announce freshly mirrored chunks with one small RPC to
 //     the tracker. Announcements are deduplicated per (member, chunk),
 //     so a chunk fetched twice concurrently is only recorded once.
-//   - Every Config.DigestEvery fresh announcements the tracker pushes
-//     the accumulated location delta to all members along the binomial
-//     tree of the broadcast package (Control). Lookups that hit the
-//     local digest cost nothing; only digest misses pay a tracker RPC.
+//   - Members keep no location state. Every Locate pays one 32+32-byte
+//     RPC to the tracker and is answered from its live map, so a record
+//     withdrawn by a death, a Retract or the garbage collector is gone
+//     for the very next lookup and nothing has to converge. Control
+//     traffic is O(members × chunks). (An earlier protocol pushed a
+//     location digest to the whole cohort every 64 announcements so
+//     that lookups could be answered locally; at 512 members that cost
+//     420 k control RPCs to save 44.5 k lookups and made the crowd
+//     quadratic. docs/p2p.md has the measurement.)
 //   - Locate picks the least-loaded holder (all nodes are equidistant
 //     behind the non-blocking switch, so "nearest" degenerates to
 //     least-loaded) and reserves one of its Config.MaxUploads upload

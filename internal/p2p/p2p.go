@@ -2,7 +2,6 @@ package p2p
 
 import (
 	"slices"
-	"sort"
 	"sync"
 
 	"blobvfs/internal/blob"
@@ -14,10 +13,6 @@ import (
 type Config struct {
 	// AnnounceBytes is the wire size of one chunk-location record.
 	AnnounceBytes int64
-	// DigestEvery pushes the accumulated location delta to all members
-	// (via the broadcast tree) after this many fresh announcements.
-	// 0 disables digests: every lookup then queries the tracker.
-	DigestEvery int
 	// MaxUploads caps a member's concurrent uploads to siblings; a
 	// saturated holder is skipped. 0 means unlimited.
 	MaxUploads int
@@ -25,21 +20,24 @@ type Config struct {
 
 // DefaultConfig returns the calibrated protocol constants.
 func DefaultConfig() Config {
-	return Config{AnnounceBytes: 24, DigestEvery: 64, MaxUploads: 4}
+	return Config{AnnounceBytes: 24, MaxUploads: 4}
 }
 
 // Stats aggregates a cohort's protocol counters.
 type Stats struct {
-	Announced    int64 // chunk locations accepted by the tracker
-	Duplicates   int64 // announcements dropped by (member, chunk) dedup
-	Retracted    int64 // locations withdrawn (local copy diverged)
-	Reclaimed    int64 // locations dropped because GC freed the chunk
-	DeadDropped  int64 // locations dropped because their holder died
-	PeerHits     int64 // Locate calls answered with a peer
-	DigestHits   int64 // ... of which served from the local digest
-	Misses       int64 // fell back to providers: no sibling holds it
-	Saturated    int64 // fell back: every holder at MaxUploads
-	DigestPushes int64 // location deltas broadcast to the cohort
+	Announced   int64 // chunk locations accepted by the tracker
+	Duplicates  int64 // announcements dropped by (member, chunk) dedup
+	Retracted   int64 // locations withdrawn (local copy diverged)
+	Reclaimed   int64 // locations dropped because GC freed the chunk
+	DeadDropped int64 // locations dropped because their holder died
+	PeerHits    int64 // Locate calls answered with a peer
+	Misses      int64 // fell back to providers: no sibling holds it
+	Saturated   int64 // fell back: every holder at MaxUploads
+	// DigestHits and DigestPushes counted the cohort-wide location
+	// digest, which is gone (members keep no location state; see
+	// doc.go). Both always read 0; the fields stay because the repo's
+	// benchmark (bench/simrun.go) reads them.
+	DigestHits, DigestPushes int64
 
 	// TierHits breaks PeerHits down by the locality tier between the
 	// requester and the chosen uploader (indexed by cluster.Tier).
@@ -88,62 +86,44 @@ func (r *Registry) peerAlive(n cluster.NodeID) bool {
 // NodeChanged is the cluster liveness hook: wire it with
 // Liveness.OnChange. A death retracts every location record the dead
 // member held across all cohorts — the tracker must never steer a
-// reader to a dead uploader — and pushes the withdrawal to the
-// members along the control tree. A revival needs no tracker action:
-// the records are already gone, and the peer re-announces whatever it
-// still mirrors on its next fetches (the (member, chunk) dedup pairs
-// were cleared with the records).
-func (r *Registry) NodeChanged(ctx *cluster.Ctx, node cluster.NodeID, alive bool) {
+// reader to a dead uploader. The drop is tracker-local: members keep no
+// location state, so there is nobody to inform. A revival needs no
+// tracker action: the records are already gone, and the peer
+// re-announces whatever it still mirrors on its next fetches (the
+// (member, chunk) dedup pairs were cleared with the records).
+func (r *Registry) NodeChanged(_ *cluster.Ctx, node cluster.NodeID, alive bool) {
 	if alive {
 		return
 	}
+	r.eachCohort(func(co *Cohort) { co.dropDeadMember(node) })
+}
+
+// eachCohort runs fn on every cohort, in map order. That order is
+// unobservable as long as fn only edits the cohort's own tracker-local
+// state and charges nothing to the fabric, which holds for both
+// callers now that record drops are not broadcast (anything that
+// charges RPCs per cohort would have to sort by image first: the
+// determinism convention).
+func (r *Registry) eachCohort(fn func(*Cohort)) {
 	r.mu.RLock()
-	cohorts := make([]*Cohort, 0, len(r.cohorts))
+	defer r.mu.RUnlock()
 	for _, co := range r.cohorts {
-		cohorts = append(cohorts, co)
-	}
-	r.mu.RUnlock()
-	// The per-cohort retraction broadcasts charge RPCs, so their order
-	// must not come from map iteration (determinism convention).
-	sort.Slice(cohorts, func(i, j int) bool { return cohorts[i].image < cohorts[j].image })
-	for _, co := range cohorts {
-		co.dropDeadMember(ctx, node)
+		fn(co)
 	}
 }
 
 // dropDeadMember withdraws every location record node holds in the
-// cohort and informs the surviving members.
-func (co *Cohort) dropDeadMember(ctx *cluster.Ctx, node cluster.NodeID) {
+// cohort, published or still reserved by an announce in flight.
+func (co *Cohort) dropDeadMember(node cluster.NodeID) {
 	co.mu.Lock()
-	dropped := 0
-	for pair := range co.held {
-		if pair.node != node {
+	defer co.mu.Unlock()
+	for key, who := range co.held {
+		if !who[node] {
 			continue
 		}
-		delete(co.held, pair)
-		co.holders[pair.key] = removeNode(co.holders[pair.key], node)
-		co.digest[pair.key] = removeNode(co.digest[pair.key], node)
-		dropped++
-	}
-	for i := 0; i < len(co.pending); {
-		if co.pending[i].node == node {
-			co.pending = append(co.pending[:i], co.pending[i+1:]...)
-		} else {
-			i++
-		}
-	}
-	co.stats.DeadDropped += int64(dropped)
-	var targets []cluster.NodeID
-	if dropped > 0 {
-		for _, m := range co.order {
-			if m != node && co.reg.peerAlive(m) {
-				targets = append(targets, m)
-			}
-		}
-	}
-	co.mu.Unlock()
-	if dropped > 0 {
-		co.reg.fromTracker(ctx, targets, int64(dropped)*co.reg.cfg.AnnounceBytes)
+		delete(who, node)
+		co.holders[key] = removeNode(co.holders[key], node)
+		co.stats.DeadDropped++
 	}
 }
 
@@ -174,8 +154,7 @@ func (r *Registry) Register(ctx *cluster.Ctx, image blob.ID, members []cluster.N
 			image:   image,
 			members: make(map[cluster.NodeID]bool),
 			holders: make(map[blob.ChunkKey][]cluster.NodeID),
-			held:    make(map[holderPair]bool),
-			digest:  make(map[blob.ChunkKey][]cluster.NodeID),
+			held:    make(map[blob.ChunkKey]map[cluster.NodeID]bool),
 			uploads: make(map[cluster.NodeID]int),
 		}
 		r.cohorts[image] = co
@@ -212,61 +191,29 @@ func (r *Registry) Cohort(image blob.ID) *Cohort {
 // collector reports the chunk keys it released, and the tracker drops
 // every location record for them across all cohorts — a reclaimed
 // chunk must not be offered to siblings anymore. The drop is
-// tracker-local (the registry state lives on the tracker node); each
-// affected cohort's members are informed along the control broadcast
-// tree so their digests converge. A Locate in flight during the drop
-// can still steer a reader to a stale holder; the reader's provider
-// fall-back (blob.Client.getChunk) absorbs exactly that race.
-func (r *Registry) ChunksReclaimed(ctx *cluster.Ctx, keys []blob.ChunkKey) {
-	r.mu.RLock()
-	cohorts := make([]*Cohort, 0, len(r.cohorts))
-	for _, co := range r.cohorts {
-		cohorts = append(cohorts, co)
-	}
-	r.mu.RUnlock()
-	for _, co := range cohorts {
-		co.dropReclaimed(ctx, keys)
-	}
+// tracker-local (the registry state lives on the tracker node, and
+// members keep no location state to converge), so it charges nothing.
+// A Locate in flight during the drop can still steer a reader to a
+// stale holder; the reader's provider fall-back (blob.Client.getChunk)
+// absorbs exactly that race.
+func (r *Registry) ChunksReclaimed(_ *cluster.Ctx, keys []blob.ChunkKey) {
+	r.eachCohort(func(co *Cohort) { co.dropReclaimed(keys) })
 }
 
 // dropReclaimed removes every location record of the given keys from
-// the cohort and pushes the withdrawal to the members.
-func (co *Cohort) dropReclaimed(ctx *cluster.Ctx, keys []blob.ChunkKey) {
+// the cohort. Dropping a key's held set also cancels the phase-1
+// reservations of announces still in flight: their phase 2 finds the
+// pair gone and leaves the freed chunk unpublished. The cost is O(keys),
+// whatever the cohort size.
+func (co *Cohort) dropReclaimed(keys []blob.ChunkKey) {
 	co.mu.Lock()
-	dropped := 0
+	defer co.mu.Unlock()
 	for _, key := range keys {
-		any := len(co.holders[key]) > 0 || len(co.digest[key]) > 0
-		// Clearing held pairs for every member also cancels phase-1
-		// announce reservations still in flight: their phase 2 finds
-		// the pair gone and leaves the freed chunk unpublished.
-		for m := range co.members {
-			if pair := (holderPair{m, key}); co.held[pair] {
-				delete(co.held, pair)
-				any = true
-			}
+		if len(co.held[key]) > 0 {
+			co.stats.Reclaimed++
 		}
-		if !any {
-			continue
-		}
+		delete(co.held, key)
 		delete(co.holders, key)
-		delete(co.digest, key)
-		for i := 0; i < len(co.pending); {
-			if co.pending[i].key == key {
-				co.pending = append(co.pending[:i], co.pending[i+1:]...)
-			} else {
-				i++
-			}
-		}
-		co.stats.Reclaimed++
-		dropped++
-	}
-	var targets []cluster.NodeID
-	if dropped > 0 {
-		targets = append(targets, co.order...)
-	}
-	co.mu.Unlock()
-	if dropped > 0 {
-		co.reg.fromTracker(ctx, targets, int64(dropped)*co.reg.cfg.AnnounceBytes)
 	}
 }
 
@@ -286,12 +233,6 @@ func (r *Registry) fromTracker(ctx *cluster.Ctx, targets []cluster.NodeID, bytes
 	ctx.Wait(t)
 }
 
-// holderPair identifies one (member, chunk) location record.
-type holderPair struct {
-	node cluster.NodeID
-	key  blob.ChunkKey
-}
-
 // Cohort is the sharing state of one deployed image. It implements
 // blob.ChunkSharer; the member identity of every call is the calling
 // activity's node.
@@ -303,9 +244,10 @@ type Cohort struct {
 	members map[cluster.NodeID]bool
 	order   []cluster.NodeID // deterministic member iteration
 	holders map[blob.ChunkKey][]cluster.NodeID
-	held    map[holderPair]bool
-	digest  map[blob.ChunkKey][]cluster.NodeID // as of the last push
-	pending []holderPair                       // announced since then
+	// held is the (member, chunk) dedup set, by chunk: every published
+	// record plus the phase-1 reservations of announces whose RPC is
+	// still in flight.
+	held    map[blob.ChunkKey]map[cluster.NodeID]bool
 	uploads map[cluster.NodeID]int
 	stats   Stats
 }
@@ -335,8 +277,7 @@ func (co *Cohort) Stats() Stats {
 // all-duplicate announcement costs nothing. The new locations become
 // visible to Locate only after the RPC completes: a sibling cannot be
 // steered to a holder before the announcement could physically have
-// reached the tracker. Crossing the digest threshold triggers an
-// asynchronous location-delta broadcast.
+// reached the tracker.
 func (co *Cohort) Announce(ctx *cluster.Ctx, keys []blob.ChunkKey) {
 	member := ctx.Node()
 	if !co.reg.peerAlive(member) {
@@ -349,18 +290,22 @@ func (co *Cohort) Announce(ctx *cluster.Ctx, keys []blob.ChunkKey) {
 	}
 	// Phase 1: reserve the fresh pairs (exact dedup against concurrent
 	// announcers) without publishing them yet.
-	var fresh []holderPair
+	var fresh []blob.ChunkKey
 	for _, key := range keys {
 		if key == 0 {
 			continue // sparse chunks have no payload to share
 		}
-		pair := holderPair{member, key}
-		if co.held[pair] {
+		who := co.held[key]
+		if who[member] {
 			co.stats.Duplicates++
 			continue
 		}
-		co.held[pair] = true
-		fresh = append(fresh, pair)
+		if who == nil {
+			who = make(map[cluster.NodeID]bool)
+			co.held[key] = who
+		}
+		who[member] = true
+		fresh = append(fresh, key)
 	}
 	co.mu.Unlock()
 	if len(fresh) == 0 {
@@ -370,50 +315,18 @@ func (co *Cohort) Announce(ctx *cluster.Ctx, keys []blob.ChunkKey) {
 	ctx.RPC(co.reg.tracker, int64(len(fresh))*co.reg.cfg.AnnounceBytes, 16)
 
 	// Phase 2: the announcement has reached the tracker; publish the
-	// locations. A pair retracted while the RPC was in flight (held
-	// entry gone again) stays unpublished.
+	// locations. A pair retracted or reclaimed, or whose member died,
+	// while the RPC was in flight (held entry gone again) stays
+	// unpublished.
 	co.mu.Lock()
-	digests := co.reg.cfg.DigestEvery > 0
-	for _, pair := range fresh {
-		if !co.held[pair] {
+	for _, key := range fresh {
+		if !co.held[key][member] {
 			continue
 		}
-		co.holders[pair.key] = append(co.holders[pair.key], pair.node)
-		// pending feeds the digest broadcast; with digests disabled it
-		// would only accumulate, so don't collect it at all.
-		if digests {
-			co.pending = append(co.pending, pair)
-		}
+		co.holders[key] = append(co.holders[key], member)
 		co.stats.Announced++
 	}
-	var delta []holderPair
-	var pushTargets []cluster.NodeID
-	if digests && len(co.pending) >= co.reg.cfg.DigestEvery {
-		delta = co.pending
-		co.pending = nil
-		pushTargets = append(pushTargets, co.order...)
-		co.stats.DigestPushes++
-	}
 	co.mu.Unlock()
-
-	if len(delta) > 0 {
-		// The delta rides the broadcast tree in the background; the
-		// announcer does not wait for the fan-out, and members' local
-		// digests only incorporate it once the broadcast has delivered
-		// it (pairs retracted in the meantime are dropped).
-		reg := co.reg
-		pushBytes := int64(len(delta)) * reg.cfg.AnnounceBytes
-		ctx.Go("p2p-digest", reg.tracker, func(cc *cluster.Ctx) {
-			broadcast.Control(cc, reg.tracker, pushTargets, pushBytes)
-			co.mu.Lock()
-			for _, pair := range delta {
-				if co.held[pair] && !containsNode(co.digest[pair.key], pair.node) {
-					co.digest[pair.key] = append(co.digest[pair.key], pair.node)
-				}
-			}
-			co.mu.Unlock()
-		})
-	}
 }
 
 // Retract implements blob.ChunkSharer: ctx.Node() withdraws itself as
@@ -424,19 +337,12 @@ func (co *Cohort) Retract(ctx *cluster.Ctx, keys []blob.ChunkKey) {
 	co.mu.Lock()
 	dropped := 0
 	for _, key := range keys {
-		pair := holderPair{member, key}
-		if !co.held[pair] {
+		who := co.held[key]
+		if !who[member] {
 			continue
 		}
-		delete(co.held, pair)
+		delete(who, member)
 		co.holders[key] = removeNode(co.holders[key], member)
-		co.digest[key] = removeNode(co.digest[key], member)
-		for i, p := range co.pending {
-			if p == pair {
-				co.pending = append(co.pending[:i], co.pending[i+1:]...)
-				break
-			}
-		}
 		co.stats.Retracted++
 		dropped++
 	}
@@ -448,26 +354,22 @@ func (co *Cohort) Retract(ctx *cluster.Ctx, keys []blob.ChunkKey) {
 
 // Locate implements blob.ChunkSharer: it returns the least-loaded
 // cohort peer holding the chunk, reserving one of its upload slots.
-// The local digest is consulted first at zero cost; a digest miss pays
-// one small RPC to query the tracker's live map. ok=false sends the
-// caller to the providers (nobody has the chunk, or every holder is
-// at its upload cap).
+// Every lookup pays one small RPC to query the tracker's live map —
+// members keep no location state of their own — so the answer is never
+// staler than that round trip. ok=false sends the caller to the
+// providers (nobody has the chunk, or every holder is at its upload
+// cap).
 func (co *Cohort) Locate(ctx *cluster.Ctx, key blob.ChunkKey) (cluster.NodeID, func(), bool) {
 	req := ctx.Node()
 	co.mu.Lock()
-	if !co.members[req] {
-		co.mu.Unlock()
+	member := co.members[req]
+	co.mu.Unlock()
+	if !member {
 		return 0, nil, false
 	}
-	peer, any, found := co.pickLocked(co.digest[key], req)
-	if found {
-		co.stats.DigestHits++
-	} else {
-		co.mu.Unlock()
-		ctx.RPC(co.reg.tracker, 32, 32)
-		co.mu.Lock()
-		peer, any, found = co.pickLocked(co.holders[key], req)
-	}
+	ctx.RPC(co.reg.tracker, 32, 32)
+	co.mu.Lock()
+	peer, any, found := co.pickLocked(co.holders[key], req)
 	if !found {
 		if any {
 			co.stats.Saturated++
@@ -527,10 +429,6 @@ func (co *Cohort) pickLocked(holders []cluster.NodeID, req cluster.NodeID) (best
 		}
 	}
 	return best, any, found
-}
-
-func containsNode(nodes []cluster.NodeID, n cluster.NodeID) bool {
-	return slices.Contains(nodes, n)
 }
 
 // removeNode deletes the first occurrence of n, in place.

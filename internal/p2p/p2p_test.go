@@ -222,9 +222,7 @@ func TestCohortRegistryRace(t *testing.T) {
 	for i := range nodes {
 		nodes[i] = cluster.NodeID(i)
 	}
-	cfg := DefaultConfig()
-	cfg.DigestEvery = 4 // force frequent digest pushes
-	reg := NewRegistry(members, cfg)
+	reg := NewRegistry(members, DefaultConfig())
 	var co *Cohort
 	fab.Run(func(ctx *cluster.Ctx) { co = reg.Register(ctx, 1, nodes) })
 

@@ -3,6 +3,7 @@ package flownet
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"blobvfs/internal/sim"
 )
@@ -18,6 +19,10 @@ type Link struct {
 	residual   float64
 	unassigned int
 	mark       int // generation marker for the dirty-link collection pass
+	// Net.crossScr[crossOff:crossOff+crossLen] lists, during a fill, the
+	// component's flows that traverse this link in n.flows insertion
+	// order.
+	crossOff, crossLen int
 
 	// TotalBytes accumulates all bytes ever carried by this link.
 	TotalBytes float64
@@ -73,6 +78,7 @@ type Net struct {
 	// churn of a large simulation allocates nothing.
 	scratchLinks []*Link
 	scratchFlows []*Flow
+	crossScr     []*Flow // the per-link crossing lists of one fill, back to back
 	finishedScr  []*Flow
 	freeFlows    []*Flow
 
@@ -260,6 +266,17 @@ func (n *Net) recomputeDirty() {
 
 // fill performs progressive filling over the given flows and links,
 // which must form a union of whole components.
+//
+// A bottleneck freezes the unassigned flows that cross it, so each link
+// first gets the list of flows crossing it (a window of crossScr), and
+// a freeze walks that list instead of scanning every flow of the
+// component for the few that qualify. The lists are filled by one pass
+// over flows in their given (insertion) order, so a walk meets exactly
+// the flows the scan met, in the same order, and subtracts the same
+// shares from the same links in the same sequence: every rate is
+// bit-equal to the scan's (fillReference in the tests is that scan). A
+// flow naming a link twice sits in its list twice; the second visit
+// finds it assigned and skips it.
 func (n *Net) fill(flows []*Flow, links []*Link) {
 	for _, f := range flows {
 		f.assigned = false
@@ -269,9 +286,26 @@ func (n *Net) fill(flows []*Flow, links []*Link) {
 		l.residual = l.capacity
 		l.unassigned = 0
 	}
+	total := 0
 	for _, f := range flows {
 		for _, l := range f.links {
 			l.unassigned++
+		}
+		total += len(f.links)
+	}
+	// Carve the arena into one window per link: unassigned is the
+	// link's crossing count at this point.
+	cross := slices.Grow(n.crossScr[:0], total)[:total]
+	n.crossScr = cross
+	off := 0
+	for _, l := range links {
+		l.crossOff, l.crossLen = off, 0
+		off += l.unassigned
+	}
+	for _, f := range flows {
+		for _, l := range f.links {
+			cross[l.crossOff+l.crossLen] = f
+			l.crossLen++
 		}
 	}
 	unassigned := len(flows)
@@ -296,18 +330,8 @@ func (n *Net) fill(flows []*Flow, links []*Link) {
 		}
 		// Freeze every unassigned flow crossing the bottleneck at the
 		// fair share and charge it along each of the flow's links.
-		for _, f := range flows {
+		for _, f := range cross[bottleneck.crossOff : bottleneck.crossOff+bottleneck.crossLen] {
 			if f.assigned {
-				continue
-			}
-			crosses := false
-			for _, l := range f.links {
-				if l == bottleneck {
-					crosses = true
-					break
-				}
-			}
-			if !crosses {
 				continue
 			}
 			f.rate = share

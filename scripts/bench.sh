@@ -20,10 +20,6 @@
 # BENCH_scale.json — instances vs ns/op and allocs/op across
 # 256/1k/10k, the curve that shows the simulator itself scales.
 #
-# BENCH_SHORT=1 adds -short to the run: BenchmarkFlashCrowd10k skips
-# itself, so CI charts the quick scale points (256/1k) while a local
-# run produces the full sweep including the 10k point.
-#
 # Usage: scripts/bench.sh [output-file] [json-file] [multisnap-json-file] [metaoutage-json-file] [export-json-file] [scale-json-file]
 set -eu
 
@@ -40,13 +36,9 @@ go test -run '^$' \
 
 # The 10k point runs in its own invocation, once and at -cpu 1: the
 # simulation is deterministic, so the -cpu 8 rerun of the main sweep
-# adds nothing here and would double a ~20-minute benchmark.
-# BENCH_SHORT=1 (CI) skips it; the scale trajectory then carries the
-# quick points only.
-if [ "${BENCH_SHORT:-0}" != "1" ]; then
-  go test -run '^$' -bench 'BenchmarkFlashCrowd10k' \
-    -benchmem -count=1 -cpu 1 -timeout 120m . | tee -a "$out"
-fi
+# would only repeat a two-minute benchmark.
+go test -run '^$' -bench 'BenchmarkFlashCrowd10k' \
+  -benchmem -count=1 -cpu 1 -timeout 15m . | tee -a "$out"
 
 go run ./cmd/benchjson -in "$out" -family flashcrowd -out "$json"
 go run ./cmd/benchjson -in "$out" -family multisnapshot -out "$msjson"
