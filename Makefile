@@ -3,7 +3,7 @@
 # green pipeline — except the staticcheck job, which needs the tool
 # installed (see the staticcheck target below).
 
-.PHONY: build test race check fmt vet bench fuzz examples staticcheck
+.PHONY: build test race check fmt vet bench bench-check fuzz examples staticcheck
 
 build:
 	go build ./...
@@ -47,6 +47,12 @@ staticcheck:
 # two runs with `benchstat old.txt new.txt`.
 bench:
 	sh scripts/bench.sh
+
+# bench-check vets and tests the benchmark harness. bench/ is a module
+# of its own (blobvfs/bench), so the root's `go vet ./...` and
+# `go test ./...` never compile it.
+bench-check:
+	cd bench && go vet ./... && go test ./...
 
 fuzz:
 	go test -run '^$$' -fuzz FuzzBuildVersion -fuzztime 20s ./internal/blob

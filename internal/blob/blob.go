@@ -26,6 +26,17 @@ type Payload struct {
 // Real reports whether the payload carries actual bytes.
 func (p Payload) Real() bool { return p.Data != nil }
 
+// CopyTo fills dst with the payload's bytes from offset at on, and
+// with zeros where it has none: past the end of a payload shorter than
+// its chunk, and everywhere for a synthetic one.
+func (p Payload) CopyTo(dst []byte, at int64) {
+	n := 0
+	if at < int64(len(p.Data)) {
+		n = copy(dst, p.Data[at:])
+	}
+	clear(dst[n:])
+}
+
 // RealPayload wraps bytes as a payload.
 func RealPayload(data []byte) Payload {
 	return Payload{Size: int32(len(data)), Data: data}

@@ -702,23 +702,7 @@ func (c *Client) ReadAt(ctx *cluster.Ctx, id ID, v Version, buf []byte, off int6
 		cstart := fc.Index * cs
 		from := max(off, cstart)
 		to := min(end, cstart+cs)
-		dst := buf[from-off : to-off]
-		if fc.Payload.Real() {
-			src := fc.Payload.Data
-			inChunk := from - cstart
-			for i := range dst {
-				j := inChunk + int64(i)
-				if j < int64(len(src)) {
-					dst[i] = src[j]
-				} else {
-					dst[i] = 0
-				}
-			}
-		} else {
-			for i := range dst {
-				dst[i] = 0
-			}
-		}
+		fc.Payload.CopyTo(buf[from-off:to-off], from-cstart)
 	}
 	return nil
 }

@@ -147,6 +147,12 @@ func (ps *ProviderSet) TierReads() [cluster.NumTiers]int64 {
 // fingerprint derives a content identity for a payload: an FNV-1a
 // hash of real bytes, or the (size, tag) pair for synthetic payloads.
 // Tag 0 synthetic payloads are never deduplicated (no identity).
+//
+// The byte loop is deliberate. internal/sync moved its checksums to a
+// hardware CRC-32C, but those detect damage; this is an identity — two
+// chunks with one fingerprint are stored as one — and needs all of its
+// 64 bits. A faster 64-bit hash would be welcome, with a benchmark
+// workload that runs WithDedup on real bytes to show it; none does.
 func fingerprint(p Payload) (uint64, bool) {
 	if p.Real() {
 		const offset64, prime64 = 14695981039346656037, 1099511628211

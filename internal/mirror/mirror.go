@@ -567,17 +567,7 @@ func (im *Image) fetchChunks(ctx *cluster.Ctx, lo, hi int64, mode fetchMode) err
 		}
 		if im.local != nil {
 			cstart := fc.Index * cs
-			dst := im.local[cstart : cstart+int64(clen)]
-			for i := int32(0); i < clen; i++ {
-				if i >= st.DirtyLo && i < st.DirtyHi {
-					continue // local modification wins
-				}
-				if fc.Payload.Real() && int(i) < len(fc.Payload.Data) {
-					dst[i] = fc.Payload.Data[i]
-				} else {
-					dst[i] = 0
-				}
-			}
+			mergeFetched(im.local[cstart:cstart+int64(clen)], fc.Payload, st.DirtyLo, st.DirtyHi)
 		}
 		st.MirLo, st.MirHi = 0, clen
 		im.stats.RemoteChunkFetches++
@@ -618,6 +608,17 @@ func (im *Image) fetchChunks(ctx *cluster.Ctx, lo, hi int64, mode fetchMode) err
 		}
 	}
 	return nil
+}
+
+// mergeFetched fills dst, one chunk of the local mirror, from the
+// fetched payload around the chunk's dirty range [dirtyLo,dirtyHi),
+// which it leaves alone: local modification wins.
+func mergeFetched(dst []byte, p blob.Payload, dirtyLo, dirtyHi int32) {
+	if dirtyHi <= dirtyLo { // clean
+		dirtyLo, dirtyHi = 0, 0
+	}
+	p.CopyTo(dst[:dirtyLo], 0)
+	p.CopyTo(dst[dirtyHi:], int64(dirtyHi))
 }
 
 // AccessOrder returns the chunk indices this image fetched on demand,

@@ -20,7 +20,7 @@ type testRig struct {
 	base    []byte
 }
 
-func newRig(t *testing.T, nodes int, size int64, chunkSize int) *testRig {
+func newRig(t testing.TB, nodes int, size int64, chunkSize int) *testRig {
 	t.Helper()
 	fab := cluster.NewLive(nodes)
 	provs := make([]cluster.NodeID, nodes)

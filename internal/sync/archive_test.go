@@ -2,9 +2,15 @@ package sync
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
+	"math/rand"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"testing/iotest"
 
 	"blobvfs/internal/blob"
 )
@@ -13,21 +19,26 @@ import (
 // tests that need the bytes without a fabric.
 func encodeArchive(a *Archive) []byte {
 	var buf bytes.Buffer
-	aw := newArchiveWriter(&buf)
-	aw.writeHeader(a.Header)
-	aw.writeSection(sectionVersions, encodeVersions(a.Versions))
-	aw.writeSection(sectionNodes, encodeNodes(a.Nodes))
-	aw.writeSection(sectionChunks, encodeChunks(a.Chunks))
-	if _, err := aw.finish(); err != nil {
-		panic(err)
-	}
+	writeArchive(&buf, a)
 	return buf.Bytes()
 }
 
+func writeArchive(buf *bytes.Buffer, a *Archive) {
+	aw := newArchiveWriter(buf)
+	aw.writeHeader(a.Header)
+	aw.writeSection(sectionVersions, encodeVersions(a.Versions))
+	aw.writeSection(sectionNodes, encodeNodes(a.Nodes))
+	aw.writeChunks(a.Chunks)
+	if _, err := aw.finish(); err != nil {
+		panic(err)
+	}
+}
+
+func chunkRecord(key blob.ChunkKey, p blob.Payload) ChunkRecord {
+	return ChunkRecord{Key: key, Payload: p, Digest: payloadDigest(p)}
+}
+
 func sampleArchive() *Archive {
-	data := []byte("delta payload bytes")
-	real := blob.RealPayload(data)
-	synth := blob.SyntheticPayload(4096, 77)
 	return &Archive{
 		Header: Header{
 			SourceUUID: 0xA11CE,
@@ -48,25 +59,81 @@ func sampleArchive() *Archive {
 			{Ref: 102, Node: blob.TreeNode{Lo: 0, Hi: 1, Chunk: 201}},
 		},
 		Chunks: []ChunkRecord{
-			{Key: 201, Payload: real, Digest: payloadDigest(real)},
-			{Key: 202, Payload: synth, Digest: payloadDigest(synth)},
+			chunkRecord(201, blob.RealPayload([]byte("delta payload bytes"))),
+			chunkRecord(202, blob.SyntheticPayload(4096, 77)),
+			// Zero bytes, but real: Data must come back non-nil.
+			chunkRecord(203, blob.RealPayload([]byte{})),
 		},
 	}
 }
 
+// slabArchive carries real payloads that do not pack into the
+// decoder's slabs: two that leave a slab's tail unused, and one larger
+// than a slab.
+func slabArchive() *Archive {
+	a := sampleArchive()
+	a.Header.ChunkSize = 8 << 20
+	a.Header.ImageSize = 16 << 20
+	rng := rand.New(rand.NewSource(15))
+	for i, size := range []int{3 << 20, 3 << 20, slabSize + 1<<20, 100} {
+		data := make([]byte, size)
+		rng.Read(data)
+		a.Chunks = append(a.Chunks, chunkRecord(blob.ChunkKey(300+i), blob.RealPayload(data)))
+	}
+	return a
+}
+
 func TestArchiveRoundTrip(t *testing.T) {
+	for name, a := range map[string]*Archive{"sample": sampleArchive(), "slabs": slabArchive()} {
+		raw := encodeArchive(a)
+		got, err := DecodeArchive(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got.Size != int64(len(raw)) {
+			t.Fatalf("%s: Size = %d, want %d", name, got.Size, len(raw))
+		}
+		got.Size = 0
+		// DeepEqual tells a nil Data from an empty one.
+		if !reflect.DeepEqual(got, a) {
+			t.Fatalf("%s: round trip mismatch:\n got %+v\nwant %+v", name, got, a)
+		}
+	}
+}
+
+// TestDecodeFromAwkwardReaders decodes through readers that deliver
+// the stream one byte at a time, or its last bytes together with
+// io.EOF: the decoder must not depend on how Read slices the archive.
+func TestDecodeFromAwkwardReaders(t *testing.T) {
 	a := sampleArchive()
 	raw := encodeArchive(a)
-	got, err := DecodeArchive(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
+	a.Size = int64(len(raw))
+	for name, wrap := range map[string]func(io.Reader) io.Reader{
+		"one byte": iotest.OneByteReader,
+		"data+EOF": iotest.DataErrReader,
+		"half":     iotest.HalfReader,
+	} {
+		got, err := DecodeArchive(wrap(bytes.NewReader(raw)))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, a) {
+			t.Fatalf("%s: mismatch:\n got %+v\nwant %+v", name, got, a)
+		}
 	}
-	if got.Size != int64(len(raw)) {
-		t.Fatalf("Size = %d, want %d", got.Size, len(raw))
-	}
-	got.Size = 0
-	if !reflect.DeepEqual(got, a) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, a)
+}
+
+// TestDecodeReaderError cuts the stream at every offset with a reader
+// error that is not io.EOF — mid-header, mid-payload, and after the
+// last byte, where the decoder looks for the end of the stream.
+func TestDecodeReaderError(t *testing.T) {
+	raw := encodeArchive(sampleArchive())
+	boom := errors.New("link down")
+	for n := 0; n <= len(raw); n++ {
+		src := io.MultiReader(bytes.NewReader(raw[:n]), iotest.ErrReader(boom))
+		if _, err := DecodeArchive(src); !errors.Is(err, ErrArchiveCorrupt) {
+			t.Fatalf("reader error after %d of %d bytes: err = %v, want ErrArchiveCorrupt", n, len(raw), err)
+		}
 	}
 }
 
@@ -82,10 +149,12 @@ func TestDecodeRejectsEveryTruncation(t *testing.T) {
 func TestDecodeRejectsEveryBitFlip(t *testing.T) {
 	raw := encodeArchive(sampleArchive())
 	for off := 0; off < len(raw); off++ {
-		mut := append([]byte(nil), raw...)
-		mut[off] ^= 0x40
-		if _, err := DecodeArchive(bytes.NewReader(mut)); !errors.Is(err, ErrArchiveCorrupt) {
-			t.Fatalf("bit flip at offset %d: err = %v, want ErrArchiveCorrupt", off, err)
+		for bit := 0; bit < 8; bit++ {
+			mut := append([]byte(nil), raw...)
+			mut[off] ^= 1 << bit
+			if _, err := DecodeArchive(bytes.NewReader(mut)); !errors.Is(err, ErrArchiveCorrupt) {
+				t.Fatalf("flip of bit %d at offset %d: err = %v, want ErrArchiveCorrupt", bit, off, err)
+			}
 		}
 	}
 }
@@ -95,6 +164,178 @@ func TestDecodeRejectsTrailingGarbage(t *testing.T) {
 	raw = append(raw, 0xEE)
 	if _, err := DecodeArchive(bytes.NewReader(raw)); !errors.Is(err, ErrArchiveCorrupt) {
 		t.Fatalf("err = %v, want ErrArchiveCorrupt", err)
+	}
+}
+
+// TestDecodeRejectsFormatV1: the version is read before the header
+// checksum, so a v1 stream is named for what it is.
+func TestDecodeRejectsFormatV1(t *testing.T) {
+	raw := encodeArchive(sampleArchive())
+	binary.LittleEndian.PutUint32(raw[len(magic):], 1)
+	_, err := DecodeArchive(bytes.NewReader(raw))
+	if !errors.Is(err, ErrArchiveCorrupt) || !strings.Contains(err.Error(), "unsupported format version 1") {
+		t.Fatalf("err = %v, want ErrArchiveCorrupt naming format version 1", err)
+	}
+}
+
+// TestDecodeChecksHeaderBeforeSections: a header that fails the
+// geometry check is rejected with nothing past it read, so its chunk
+// size never bounds a record.
+func TestDecodeChecksHeaderBeforeSections(t *testing.T) {
+	for name, mutate := range map[string]func(*Header){
+		"no chunk size":  func(h *Header) { h.ChunkSize = 0 },
+		"negative size":  func(h *Header) { h.ImageSize = -1 },
+		"empty range":    func(h *Header) { h.To = h.From },
+		"negative base":  func(h *Header) { h.From = -1 },
+		"span too small": func(h *Header) { h.Span = 1 },
+	} {
+		a := sampleArchive()
+		mutate(&a.Header)
+		src := bytes.NewReader(encodeArchive(a))
+		_, err := DecodeArchive(src)
+		if !errors.Is(err, ErrArchiveCorrupt) {
+			t.Errorf("%s: err = %v, want ErrArchiveCorrupt", name, err)
+		}
+		if read := int(src.Size()) - src.Len(); read != headerLen+8 {
+			t.Errorf("%s: decoder read %d bytes, want the %d of the header", name, read, headerLen+8)
+		}
+	}
+}
+
+// TestDecodeRejectsSectionWithoutCount: a section too short for its
+// own record count.
+func TestDecodeRejectsSectionWithoutCount(t *testing.T) {
+	for length := 0; length < 4; length++ {
+		var buf bytes.Buffer
+		aw := newArchiveWriter(&buf)
+		aw.writeHeader(sampleArchive().Header)
+		aw.writeSection(sectionVersions, make([]byte, length))
+		if _, err := DecodeArchive(&buf); !errors.Is(err, ErrArchiveCorrupt) {
+			t.Errorf("versions section of %d bytes: err = %v, want ErrArchiveCorrupt", length, err)
+		}
+	}
+}
+
+// TestDecodeRejectsOversizedChunk: every checksum of these archives is
+// right; only the comparison with the header's chunk size rejects them.
+func TestDecodeRejectsOversizedChunk(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		payload blob.Payload
+		ok      bool
+	}{
+		{"real, one chunk long", blob.RealPayload(make([]byte, 4096)), true},
+		{"real, one byte over", blob.RealPayload(make([]byte, 4097)), false},
+		{"synthetic, one chunk long", blob.SyntheticPayload(4096, 9), true},
+		{"synthetic, one byte over", blob.SyntheticPayload(4097, 9), false},
+	} {
+		a := sampleArchive()
+		a.Chunks = append(a.Chunks, chunkRecord(204, tc.payload))
+		_, err := DecodeArchive(bytes.NewReader(encodeArchive(a)))
+		if tc.ok && err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		if !tc.ok && !errors.Is(err, ErrArchiveCorrupt) {
+			t.Errorf("%s: err = %v, want ErrArchiveCorrupt", tc.name, err)
+		}
+	}
+}
+
+// TestDecodeLyingLengthsAllocateLittle feeds the decoder short streams
+// whose declared lengths promise a gigabyte. Memory must follow the
+// bytes received, not the promise.
+func TestDecodeLyingLengthsAllocateLittle(t *testing.T) {
+	a := sampleArchive()
+	prefix := func(h Header, upTo uint32) *archiveWriter {
+		aw := newArchiveWriter(new(bytes.Buffer))
+		aw.writeHeader(h)
+		if upTo > sectionVersions {
+			aw.writeSection(sectionVersions, encodeVersions(a.Versions))
+		}
+		if upTo > sectionNodes {
+			aw.writeSection(sectionNodes, encodeNodes(a.Nodes))
+		}
+		return aw
+	}
+	// open begins a section of the largest admissible length, holding
+	// as many records as fit, and cuts the stream after extra.
+	open := func(aw *archiveWriter, kind uint32, recLen int, extra []byte) []byte {
+		aw.beginSection(kind, maxSectionLen)
+		var count [4]byte
+		binary.LittleEndian.PutUint32(count[:], uint32((maxSectionLen-4)/recLen))
+		aw.write(count[:])
+		aw.write(extra)
+		return aw.w.(*bytes.Buffer).Bytes()
+	}
+	chunkRec := func(size uint32) []byte {
+		rec := make([]byte, chunkRecLen)
+		binary.LittleEndian.PutUint64(rec[0:], 1) // key
+		binary.LittleEndian.PutUint32(rec[8:], size)
+		rec[20] = 1 // real
+		return rec
+	}
+	huge := a.Header
+	huge.ChunkSize, huge.ImageSize, huge.Span = 1<<30, 1<<30, 1
+
+	for name, raw := range map[string][]byte{
+		"versions": open(prefix(a.Header, sectionVersions), sectionVersions, versionRecLen, nil),
+		"nodes":    open(prefix(a.Header, sectionNodes), sectionNodes, nodeRecLen, nil),
+		"chunks":   open(prefix(a.Header, sectionChunks), sectionChunks, chunkRecLen, chunkRec(4096)),
+		// One chunk of half a gigabyte, admitted by the header.
+		"huge chunk": open(prefix(huge, sectionChunks), sectionChunks, maxSectionLen/2, chunkRec(1<<29)),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeArchive(bytes.NewReader(raw))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrArchiveCorrupt) {
+			t.Errorf("%s: err = %v, want ErrArchiveCorrupt", name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 8<<20 {
+			t.Errorf("%s: a %d-byte stream made the decoder allocate %d bytes", name, len(raw), got)
+		}
+	}
+}
+
+// benchArchive is the live-io benchmark's full archive: a 64 MiB image
+// of real 256 KiB chunks.
+func benchArchive() *Archive {
+	const chunk, n = 256 << 10, 256
+	a := &Archive{
+		Header:   Header{SourceUUID: 1, Image: 1, To: 1, Seq: 1, ChunkSize: chunk, ImageSize: chunk * n, Span: n},
+		Versions: []VersionRecord{{Version: 1, Root: 1}},
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < n; i++ {
+		data := make([]byte, chunk)
+		rng.Read(data)
+		a.Chunks = append(a.Chunks, chunkRecord(blob.ChunkKey(i+1), blob.RealPayload(data)))
+	}
+	return a
+}
+
+func BenchmarkArchiveEncode(b *testing.B) {
+	a := benchArchive()
+	var buf bytes.Buffer
+	writeArchive(&buf, a) // sizes the buffer: the timed writes do not grow it
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		writeArchive(&buf, a)
+	}
+}
+
+func BenchmarkArchiveDecode(b *testing.B) {
+	raw := encodeArchive(benchArchive())
+	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeArchive(bytes.NewReader(raw)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -172,7 +172,9 @@ func Export(ctx *cluster.Ctx, sys *blob.System, t *Tracker, w io.Writer, id blob
 
 	// The chunk payloads are fetched only now, after the header and
 	// tree sections are on the wire — mid-stream, which is exactly the
-	// window the pins protect against a concurrent GC.
+	// window the pins protect against a concurrent GC. All of them are
+	// in hand before the first goes out, because the section's length
+	// precedes its body.
 	chunks := make([]ChunkRecord, 0, len(keys))
 	for _, key := range keys {
 		p, err := sys.Providers.Get(ctx, key)
@@ -182,7 +184,7 @@ func Export(ctx *cluster.Ctx, sys *blob.System, t *Tracker, w io.Writer, id blob
 		chunks = append(chunks, ChunkRecord{Key: key, Payload: p, Digest: payloadDigest(p)})
 		stats.ChunkBytes += int64(p.Size)
 	}
-	aw.writeSection(sectionChunks, encodeChunks(chunks))
+	aw.writeChunks(chunks)
 
 	n, err := aw.finish()
 	if err != nil {

@@ -219,22 +219,10 @@ func Import(ctx *cluster.Ctx, sys *blob.System, t *Tracker, src io.Reader) (Impo
 }
 
 // validateSemantics checks the decoded archive's internal consistency
-// beyond the codec's structural checks: geometry, version-range
+// beyond the codec's checks of structure and header: version-range
 // contiguity, and that live versions carry roots.
 func validateSemantics(a *Archive) error {
 	h := a.Header
-	if h.ChunkSize <= 0 || h.ImageSize < 0 || h.From < 0 || h.To <= h.From {
-		return corrupt("header geometry/range (size %d, chunk %d, range (%d,%d])",
-			h.ImageSize, h.ChunkSize, h.From, h.To)
-	}
-	chunks := (h.ImageSize + int64(h.ChunkSize) - 1) / int64(h.ChunkSize)
-	span := int64(1)
-	for span < chunks {
-		span <<= 1
-	}
-	if h.Span != span {
-		return corrupt("header span %d, geometry implies %d", h.Span, span)
-	}
 	if len(a.Versions) != int(h.To-h.From) {
 		return corrupt("%d version records for range (%d,%d]", len(a.Versions), h.From, h.To)
 	}

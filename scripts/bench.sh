@@ -36,9 +36,13 @@ go test -run '^$' \
 
 # The 10k point runs in its own invocation, once and at -cpu 1: the
 # simulation is deterministic, so the -cpu 8 rerun of the main sweep
-# would only repeat a two-minute benchmark.
-go test -run '^$' -bench 'BenchmarkFlashCrowd10k' \
-  -benchmem -count=1 -cpu 1 -timeout 15m . | tee -a "$out"
+# would only repeat a two-minute benchmark. The layer microbenchmarks
+# of the real-byte path ride along (MB/s of the sync codec over a
+# 64 MiB archive and of a cold read through the mirror): they are
+# single-threaded copies and checksums.
+go test -run '^$' \
+  -bench 'BenchmarkFlashCrowd10k|BenchmarkArchiveEncode|BenchmarkArchiveDecode|BenchmarkMirrorColdRead' \
+  -benchmem -count=1 -cpu 1 -timeout 15m . ./internal/sync ./internal/mirror | tee -a "$out"
 
 go run ./cmd/benchjson -in "$out" -family flashcrowd -out "$json"
 go run ./cmd/benchjson -in "$out" -family multisnapshot -out "$msjson"

@@ -76,6 +76,11 @@ func TestImportTypedErrors(t *testing.T) {
 				want:    blobvfs.ErrArchiveCorrupt,
 			},
 			{
+				name:    "chunk records larger than the chunk size",
+				archive: halveChunkSize(full.Bytes()),
+				want:    blobvfs.ErrArchiveCorrupt,
+			},
+			{
 				name: "sequence gap",
 				prep: func(t *testing.T, ctx *blobvfs.Ctx, down *blobvfs.Repo) blobvfs.ImageID {
 					ist, err := down.Import(ctx, bytes.NewReader(full.Bytes()))

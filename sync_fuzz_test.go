@@ -2,6 +2,8 @@ package blobvfs_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"reflect"
 	"testing"
 
@@ -52,6 +54,21 @@ func buildSyncSeeds(f *testing.F) (full, delta []byte) {
 		}
 	})
 	return fullBuf.Bytes(), deltaBuf.Bytes()
+}
+
+// halveChunkSize rewrites a valid archive's header to half the chunk
+// size (and the span that goes with it) and re-seals the two checksums
+// that cover the header, so all that is wrong with the result is that
+// its chunk records are larger than the chunk size it declares.
+func halveChunkSize(archive []byte) []byte {
+	const chunkSizeAt, spanAt, headerSumAt = 40, 52, 60 // see docs/sync.md
+	a := append([]byte(nil), archive...)
+	le, table := binary.LittleEndian, crc32.MakeTable(crc32.Castagnoli)
+	le.PutUint32(a[chunkSizeAt:], le.Uint32(a[chunkSizeAt:])/2)
+	le.PutUint64(a[spanAt:], le.Uint64(a[spanAt:])*2)
+	le.PutUint64(a[headerSumAt:], uint64(crc32.Checksum(a[:headerSumAt], table)))
+	le.PutUint64(a[len(a)-8:], uint64(crc32.Checksum(a[:len(a)-8], table)))
+	return a
 }
 
 // repoState captures everything an import may mutate: stored chunks
@@ -106,6 +123,7 @@ func FuzzImportArchive(f *testing.F) {
 	f.Add(full[:len(full)/2])
 	f.Add(append([]byte(nil), []byte("BVFSYNC1")...))
 	f.Add([]byte{})
+	f.Add(halveChunkSize(full))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fab := blobvfs.NewLiveCluster(2)
