@@ -3,7 +3,7 @@
 # green pipeline — except the staticcheck job, which needs the tool
 # installed (see the staticcheck target below).
 
-.PHONY: build test race check fmt vet bench bench-check fuzz examples staticcheck
+.PHONY: build test race check fmt vet bench bench-check rebaseline fuzz examples staticcheck
 
 build:
 	go build ./...
@@ -53,6 +53,13 @@ bench:
 # `go test ./...` never compile it.
 bench-check:
 	cd bench && go vet ./... && go test ./...
+
+# rebaseline rewrites the versioned goldens of the -quick scenario
+# tables (internal/experiments/testdata/golden). Run it when a change
+# moves a pinned number on purpose, and put the before/after with its
+# reason in CHANGES.md.
+rebaseline:
+	go test ./internal/experiments -run TestGoldenTables -update
 
 fuzz:
 	go test -run '^$$' -fuzz FuzzBuildVersion -fuzztime 20s ./internal/blob

@@ -8,9 +8,8 @@
 //     with the flat and aware interconnect byte counts and the
 //     reduction factor topology awareness achieved.
 //   - family multisnapshot → BENCH_multisnapshot.json: the
-//     multisnapshot write-path benchmark lines, plus a multisnapshot
-//     summary with the unbatched and batched write RPCs per commit
-//     round, the reduction factor, and both arms' ns/op.
+//     multisnapshot write-path benchmark lines (write RPCs per commit
+//     round, ns/op).
 //   - family metaoutage → BENCH_metaoutage.json: the metadata-outage
 //     benchmark lines, plus a meta_outage summary with both arms'
 //     completion times, the outage delta, and the metadata failover,
@@ -56,18 +55,6 @@ type crossZone struct {
 	ReductionX     float64 `json:"reduction_x"`
 	FlatProvReads  float64 `json:"flat_provider_reads"`
 	AwareProvReads float64 `json:"aware_provider_reads"`
-}
-
-// multisnapshot is the headline summary of the write-path batching:
-// provider write RPCs (chunk Puts + metadata Puts) per commit round in
-// the unbatched and batched arms, the reduction factor, and both arms'
-// wall-clock ns/op (cpu=1 rows; the simulation is deterministic).
-type multisnapshot struct {
-	UnbatchedWriteRPCs float64 `json:"unbatched_write_rpcs"`
-	BatchedWriteRPCs   float64 `json:"batched_write_rpcs"`
-	ReductionX         float64 `json:"reduction_x"`
-	UnbatchedNsOp      float64 `json:"unbatched_ns_op"`
-	BatchedNsOp        float64 `json:"batched_ns_op"`
 }
 
 // exportSummary is the headline summary of the differential-sync
@@ -169,12 +156,11 @@ func main() {
 	}
 
 	doc := struct {
-		Benchmarks    map[string]benchLine `json:"benchmarks"`
-		CrossZone     *crossZone           `json:"cross_zone,omitempty"`
-		Multisnapshot *multisnapshot       `json:"multisnapshot,omitempty"`
-		MetaOutage    *metaOutage          `json:"meta_outage,omitempty"`
-		Export        *exportSummary       `json:"export,omitempty"`
-		Scale         *scaleSummary        `json:"scale,omitempty"`
+		Benchmarks map[string]benchLine `json:"benchmarks"`
+		CrossZone  *crossZone           `json:"cross_zone,omitempty"`
+		MetaOutage *metaOutage          `json:"meta_outage,omitempty"`
+		Export     *exportSummary       `json:"export,omitempty"`
+		Scale      *scaleSummary        `json:"scale,omitempty"`
 	}{Benchmarks: benches}
 
 	// Summary benchmark names are unsuffixed on the cpu=1 run (go test
@@ -192,20 +178,6 @@ func main() {
 			cz.ReductionX = cz.FlatBytes / cz.AwareBytes
 		}
 		doc.CrossZone = cz
-	}
-	unb, okU := benches["BenchmarkMultisnapshot1024/unbatched"]
-	bat, okB := benches["BenchmarkMultisnapshot1024/batched"]
-	if okU && okB {
-		ms := &multisnapshot{
-			UnbatchedWriteRPCs: unb.Metrics["write-RPCs/round"],
-			BatchedWriteRPCs:   bat.Metrics["write-RPCs/round"],
-			UnbatchedNsOp:      unb.Metrics["ns/op"],
-			BatchedNsOp:        bat.Metrics["ns/op"],
-		}
-		if ms.BatchedWriteRPCs > 0 {
-			ms.ReductionX = ms.UnbatchedWriteRPCs / ms.BatchedWriteRPCs
-		}
-		doc.Multisnapshot = ms
 	}
 	if exp, ok := benches["BenchmarkExportImport"]; ok {
 		doc.Export = &exportSummary{

@@ -14,8 +14,8 @@
 // fail mid-deployment (healthy baseline row included), crosszone the
 // flash crowd spread over 3 availability zones with flat vs
 // topology-aware policy (docs/topology.md), multisnap the concurrent
-// commit of all instances against a small provider pool with the
-// unbatched vs batched write path (docs/perf.md), metaoutage the flash
+// commit of all instances against a small provider pool, with its
+// provider write RPCs per round (docs/perf.md), metaoutage the flash
 // crowd with replicated metadata (WithMetaReplicas) while -kill
 // metadata providers and one compute rack fail mid-run, against a
 // healthy baseline at the same replication (docs/faults.md), sync the
@@ -182,14 +182,8 @@ func main() {
 		return []*metrics.Table{experiments.MetaOutageTable([]experiments.MetaOutagePoint{healthy, outage})}
 	}
 	multisnap := func() []*metrics.Table {
-		var pts []experiments.MultisnapshotPoint
-		for _, batched := range []bool{false, true} {
-			pts = append(pts, experiments.RunMultisnapshot(p, experiments.MultisnapshotConfig{
-				Instances: multiN,
-				Batched:   batched,
-			}))
-		}
-		return []*metrics.Table{experiments.MultisnapshotTable(pts)}
+		pt := experiments.RunMultisnapshot(p, experiments.MultisnapshotConfig{Instances: multiN})
+		return []*metrics.Table{experiments.MultisnapshotTable(pt)}
 	}
 	syncScenario := func() []*metrics.Table {
 		pt := experiments.RunSync(p, experiments.SyncConfig{})

@@ -58,14 +58,6 @@ type Client struct {
 	sys    *System
 	sharer ChunkSharer // optional p2p chunk source (see sharing.go)
 
-	// writeBatching switches WriteChunks to the batched commit path:
-	// chunk payloads grouped into one provider RPC per provider per
-	// round (ProviderSet.PutBatch), the shadowed tree built with
-	// level-order batched fetches of the old nodes (BuildVersionBatched)
-	// overlapped with the chunk publish. Off by default — the unbatched
-	// path's costs are pinned byte-identically by the figure scenarios.
-	writeBatching bool
-
 	nodeCache [nodeCacheShards]nodeCacheShard
 
 	infoMu sync.RWMutex
@@ -73,8 +65,10 @@ type Client struct {
 
 	// Singleflight groups (flight.go): concurrent cold misses on the
 	// same tree node, blob info, or whole-image prefetch share one
-	// fetch instead of each paying the RPC.
-	nodeFlights *flightGroup[NodeRef, TreeNode]
+	// fetch instead of each paying the RPC. A node flight carries no
+	// value: its leader fills the node cache before it finishes the
+	// flight, and leader and followers alike read the node from there.
+	nodeFlights *flightGroup[NodeRef, struct{}]
 	infoFlights *flightGroup[ID, Info]
 	prefFlights *flightGroup[extentKey, struct{}]
 
@@ -86,7 +80,7 @@ func NewClient(sys *System) *Client {
 	c := &Client{
 		sys:         sys,
 		infos:       make(map[ID]Info),
-		nodeFlights: newFlightGroup[NodeRef, TreeNode](),
+		nodeFlights: newFlightGroup[NodeRef, struct{}](),
 		infoFlights: newFlightGroup[ID, Info](),
 		prefFlights: newFlightGroup[extentKey, struct{}](),
 		extents:     newExtentCache(),
@@ -146,106 +140,102 @@ func (c *Client) Info(ctx *cluster.Ctx, id ID) (Info, error) {
 		})
 }
 
-// getNode fetches a metadata node through the cache. Concurrent cold
-// misses on the same ref are coalesced into one RPC.
-func (c *Client) getNode(ctx *cluster.Ctx, ref NodeRef) (TreeNode, error) {
-	if n, ok := c.cachedNode(ref); ok {
-		return n, nil
-	}
-	return c.nodeFlights.do(ctx, ref,
-		func() (TreeNode, bool) { return c.cachedNode(ref) },
-		func() (TreeNode, error) {
-			n, err := c.sys.Meta.Get(ctx, ref)
-			if err == nil {
-				c.storeNode(ref, n)
-			}
-			return n, err
-		})
-}
-
-// getNodes resolves a batch of refs through the cache: cached refs are
-// free, refs another activity is already fetching are joined, and the
-// remaining cold refs go to the metadata service as one GetBatch (one
-// RPC per distinct home provider). The result is aligned with refs;
-// missing refs produce the same not-found error Get reports.
-func (c *Client) getNodes(ctx *cluster.Ctx, refs []NodeRef) ([]TreeNode, error) {
-	out := make([]TreeNode, len(refs))
-	var missIdx []int
+// getNodes resolves a batch of refs through the cache into out
+// (len(out) == len(refs)): cached refs are free, refs another activity
+// is already fetching are joined, and the remaining cold refs go to the
+// metadata service as one GetBatch (one RPC per distinct home
+// provider) under one flight. Missing refs produce the same not-found
+// error Get reports; the refs that were found are still filled in.
+func (c *Client) getNodes(ctx *cluster.Ctx, refs []NodeRef, out []TreeNode) error {
+	cold := 0
 	for i, ref := range refs {
-		if n, ok := c.cachedNode(ref); ok {
-			out[i] = n
-		} else {
-			missIdx = append(missIdx, i)
+		n, ok := c.cachedNode(ref)
+		if !ok {
+			n = TreeNode{} // out is reused: an invalid entry marks a cold ref
+			cold++
 		}
+		out[i] = n
 	}
-	if len(missIdx) == 0 {
-		return out, nil
+	if cold == 0 {
+		return nil
 	}
 
-	// Partition the misses under one group-lock acquisition: flights
-	// this call will lead (mine) vs flights led by another activity
-	// (theirs, joined through their gates after our own batch is out).
+	// Partition the cold refs under one group-lock acquisition: the ones
+	// this call leads (mine, one flight for all of them) and the ones
+	// another activity leads, joined through its gate after our own
+	// batch is out. direct says every ref so far is cold and led here —
+	// a descent into an unseen subtree — so that refs and out can go to
+	// the service as they are, with no copy or scratch beside them.
+	var theirs []*cluster.Gate
 	var mine []NodeRef
-	var mineIdx []int
-	var mineFlights []*flight[TreeNode]
-	var theirIdx []int
-	var theirGates []*cluster.Gate
-	var theirs []*flight[TreeNode]
+	direct := cold == len(refs)
+	if !direct {
+		mine = make([]NodeRef, 0, cold)
+	}
+	var f *flight[struct{}]
 	c.nodeFlights.mu.Lock()
-	for _, i := range missIdx {
-		ref := refs[i]
+	for i, ref := range refs {
+		if out[i].valid() {
+			continue
+		}
+		lead := false
 		if n, ok := c.cachedNode(ref); ok {
 			out[i] = n
-			continue
+		} else if of, ok := c.nodeFlights.flights[ref]; ok {
+			theirs = append(theirs, of.follow())
+		} else {
+			if f == nil {
+				f = &flight[struct{}]{}
+			}
+			c.nodeFlights.flights[ref] = f
+			lead = true
 		}
-		if f, ok := c.nodeFlights.flights[ref]; ok {
-			theirIdx = append(theirIdx, i)
-			theirGates = append(theirGates, f.follow())
-			theirs = append(theirs, f)
-			continue
+		switch {
+		case lead && !direct:
+			mine = append(mine, ref)
+		case !lead && direct:
+			// Not all ours after all; the refs before this one were.
+			direct = false
+			mine = append(make([]NodeRef, 0, cold), refs[:i]...)
 		}
-		f := &flight[TreeNode]{}
-		c.nodeFlights.flights[ref] = f
-		mine = append(mine, ref)
-		mineIdx = append(mineIdx, i)
-		mineFlights = append(mineFlights, f)
 	}
 	c.nodeFlights.mu.Unlock()
 
-	var firstErr error
-	if len(mine) > 0 {
-		nodes := make([]TreeNode, len(mine))
+	if f != nil {
+		nodes := out
+		if direct {
+			mine = refs
+		} else {
+			nodes = make([]TreeNode, len(mine))
+		}
+		// Only the refs the service actually misses fail, below: a
+		// present ref — possibly a subtree shared with a live version —
+		// is not lost with a sibling that lost a GC race.
 		err := c.sys.Meta.GetBatchInto(ctx, mine, nodes)
 		for j, ref := range mine {
-			f := mineFlights[j]
-			if err != nil && !nodes[j].valid() {
-				// Only the refs the service actually misses fail; a
-				// flight for a present ref — possibly a subtree shared
-				// with a live version — must not be poisoned by a
-				// sibling lost to a GC race.
-				f.err = notFound("metadata node", ref)
-				if firstErr == nil {
-					firstErr = f.err
-				}
-				continue
+			if err == nil || nodes[j].valid() {
+				c.storeNode(ref, nodes[j])
 			}
-			f.val = nodes[j]
-			c.storeNode(ref, nodes[j])
-			out[mineIdx[j]] = nodes[j]
 		}
-		c.nodeFlights.finishAll(ctx, mine, mineFlights)
+		c.nodeFlights.finish(ctx, mine, f)
 	}
-	for j, f := range theirs {
-		theirGates[j].Wait(ctx)
-		if f.err != nil {
-			if firstErr == nil {
-				firstErr = f.err
-			}
+	for _, gate := range theirs {
+		gate.Wait(ctx)
+	}
+	// Every ref still cold was in a flight, led here or joined, that has
+	// finished: it is in the cache now, or its service missed it.
+	var firstErr error
+	for i, ref := range refs {
+		if out[i].valid() {
 			continue
 		}
-		out[theirIdx[j]] = f.val
+		n, ok := c.cachedNode(ref)
+		if !ok && firstErr == nil {
+			firstErr = notFound("metadata node", ref)
+		}
+		out[i] = n
 	}
-	return out, firstErr
+	return firstErr
 }
 
 // cacheNew primes the cache with nodes this client just created.
@@ -258,9 +248,10 @@ func (c *Client) cacheNew(nodes []NewNode) {
 // pendingAllocator returns a node-ref allocator that registers every
 // ref as pending (exempt from GC sweeps while the version is in
 // flight) and a done function that clears the marks once the version
-// is published or the operation abandoned.
-func (c *Client) pendingAllocator() (alloc func() NodeRef, done func()) {
-	var refs []NodeRef
+// is published or the operation abandoned. n is how many refs the
+// caller expects to allocate at most.
+func (c *Client) pendingAllocator(n int) (alloc func() NodeRef, done func()) {
+	refs := make([]NodeRef, 0, n)
 	alloc = func() NodeRef {
 		r := c.sys.Meta.AllocPendingRef()
 		refs = append(refs, r)
@@ -271,17 +262,23 @@ func (c *Client) pendingAllocator() (alloc func() NodeRef, done func()) {
 }
 
 // boundGetter adapts the client's caches to the segment-tree getter
-// interfaces; CollectLeaves detects the BatchGetter side and descends
-// level by level, one batched metadata round per level.
+// interfaces; CollectLeaves detects the BatchGetter side and, like
+// BuildVersion, descends level by level, one batched metadata round
+// per level.
 type boundGetter struct {
 	c   *Client
 	ctx *cluster.Ctx
 }
 
-func (g boundGetter) GetNode(ref NodeRef) (TreeNode, error) { return g.c.getNode(g.ctx, ref) }
+// GetNode is a GetNodes round of a single ref.
+func (g boundGetter) GetNode(ref NodeRef) (TreeNode, error) {
+	var out [1]TreeNode
+	err := g.c.getNodes(g.ctx, []NodeRef{ref}, out[:])
+	return out[0], err
+}
 
-func (g boundGetter) GetNodes(refs []NodeRef) ([]TreeNode, error) {
-	return g.c.getNodes(g.ctx, refs)
+func (g boundGetter) GetNodes(refs []NodeRef, out []TreeNode) error {
+	return g.c.getNodes(g.ctx, refs, out)
 }
 
 // Create registers a new blob of the given size and chunk size. The
@@ -315,10 +312,6 @@ func (c *Client) Retire(ctx *cluster.Ctx, id ID, v Version) error {
 	return c.sys.VM.Retire(ctx, id, v)
 }
 
-// SetWriteBatching toggles the batched commit path (see the
-// writeBatching field). Flip it before issuing writes.
-func (c *Client) SetWriteBatching(on bool) { c.writeBatching = on }
-
 // ChunkWrite names a chunk index and its new payload for WriteChunks.
 type ChunkWrite struct {
 	Index   int64
@@ -326,10 +319,11 @@ type ChunkWrite struct {
 }
 
 // WriteChunks is the COMMIT data path: it stores the given chunk
-// payloads on the providers (bounded-parallel), builds the shadowed
-// segment tree against base, and publishes the result as the blob's
-// next version in total order. base is the version whose unmodified
-// content the snapshot shares; base 0 builds over an empty tree.
+// payloads on the providers (one batched RPC per provider), builds the
+// shadowed segment tree against base while they transfer, and
+// publishes the result as the blob's next version in total order. base
+// is the version whose unmodified content the snapshot shares; base 0
+// builds over an empty tree.
 func (c *Client) WriteChunks(ctx *cluster.Ctx, id ID, base Version, writes []ChunkWrite) (Version, error) {
 	v, _, err := c.WriteChunksKeyed(ctx, id, base, writes)
 	return v, err
@@ -368,56 +362,29 @@ func (c *Client) WriteChunksKeyed(ctx *cluster.Ctx, id ID, base Version, writes 
 	// garbage-collection sweep from reclaiming them in that window.
 	dirty := make([]DirtyLeaf, len(sorted))
 	keys := make([]ChunkKey, len(sorted))
-	for i := range sorted {
+	puts := make([]ChunkPut, len(sorted))
+	keyOf := make(map[int64]ChunkKey, len(sorted))
+	for i, w := range sorted {
 		keys[i] = c.sys.Providers.AllocPendingKey()
-		dirty[i] = DirtyLeaf{Index: sorted[i].Index, Chunk: keys[i]}
+		dirty[i] = DirtyLeaf{Index: w.Index, Chunk: keys[i]}
+		puts[i] = ChunkPut{Key: keys[i], Payload: w.Payload}
+		keyOf[w.Index] = keys[i]
 	}
 	defer c.sys.Providers.ClearPending(keys)
 
-	// On the batched path the whole round goes to the providers as one
-	// PutBatch — one RPC per distinct provider — running as its own
-	// activity so the transfer overlaps the metadata build of phase 2.
-	// The unbatched path pushes every chunk as an individual Put and
-	// completes before any metadata work, as the figure scenarios pin.
-	var pub cluster.Task
+	// The whole round goes to the providers as one PutBatch — one RPC
+	// per distinct provider — running as its own activity so the
+	// transfer overlaps the metadata build of phase 2.
 	var pubErr error
-	joined := false
-	if c.writeBatching {
-		puts := make([]ChunkPut, len(sorted))
-		for i := range sorted {
-			puts[i] = ChunkPut{Key: keys[i], Payload: sorted[i].Payload}
-		}
-		pub = ctx.Go("put-chunks", ctx.Node(), func(cc *cluster.Ctx) {
-			pubErr = c.sys.Providers.PutBatch(cc, puts)
-		})
-		defer func() {
-			// Error unwinds must not leave the publish activity running
-			// against keys whose pending marks are about to clear.
-			if !joined {
-				ctx.WaitAll([]cluster.Task{pub})
-			}
-		}()
-	} else {
-		putErrs := make([]error, len(sorted))
-		c.forEachParallel(ctx, "put-chunk", len(sorted), func(cc *cluster.Ctx, i int) {
-			putErrs[i] = c.sys.Providers.Put(cc, keys[i], sorted[i].Payload)
-		})
-		if err := firstError(putErrs); err != nil {
-			return 0, nil, err
-		}
-		// The writer holds the full content of every chunk it just
-		// pushed, so it can serve siblings as an alternate source from
-		// now on.
-		if c.sharer != nil {
-			c.sharer.Announce(ctx, keys)
-		}
-	}
-	keyOf := make(map[int64]ChunkKey, len(sorted))
-	for i := range sorted {
-		keyOf[sorted[i].Index] = keys[i]
-	}
+	pub := []cluster.Task{ctx.Go("put-chunks", ctx.Node(), func(cc *cluster.Ctx) {
+		pubErr = c.sys.Providers.PutBatch(cc, puts)
+	})}
+	// Error unwinds must not leave the publish activity running against
+	// keys whose pending marks are about to clear (joining twice is
+	// harmless).
+	defer ctx.WaitAll(pub)
 
-	// Phase 2: ticket, shadowed metadata, publication. The base version
+	// Phase 2: shadowed metadata, ticket, publication. The base version
 	// is pinned for the duration of the build so a concurrent retention
 	// sweep cannot retire it (and the garbage collector cannot reclaim
 	// the subtrees the new version is about to share).
@@ -427,42 +394,36 @@ func (c *Client) WriteChunksKeyed(ctx *cluster.Ctx, id ID, base Version, writes 
 			return 0, nil, err
 		}
 		defer c.sys.VM.Unpin(id, base)
-	}
-	ticket, err := c.sys.VM.Ticket(ctx, id)
-	if err != nil {
-		return 0, nil, err
-	}
-	if base > 0 {
 		oldRoot, err = c.sys.VM.Root(ctx, id, base)
 		if err != nil {
 			return 0, nil, err
 		}
 	}
 	// The new tree nodes are pending for the same reason as the keys.
-	alloc, done := c.pendingAllocator()
+	alloc, done := c.pendingAllocator(pathNodes(inf.Span, len(dirty)))
 	defer done()
-	var root NodeRef
-	var created []NewNode
-	if c.writeBatching {
-		root, created, err = BuildVersionBatched(boundGetter{c, ctx}, oldRoot, inf.Span, dirty, alloc)
-	} else {
-		root, created, err = BuildVersion(boundGetter{c, ctx}, oldRoot, inf.Span, dirty, alloc)
-	}
+	root, created, err := BuildVersion(boundGetter{c, ctx}, oldRoot, inf.Span, dirty, alloc)
 	if err != nil {
 		return 0, nil, err
 	}
-	if pub != nil {
-		// Join the chunk publish before the version becomes visible: a
-		// published snapshot must never reference in-flight chunks, and
-		// the cohort announcement must wait for the content to exist.
-		ctx.WaitAll([]cluster.Task{pub})
-		joined = true
-		if pubErr != nil {
-			return 0, nil, pubErr
-		}
-		if c.sharer != nil {
-			c.sharer.Announce(ctx, keys)
-		}
+	// Join the chunk publish before the version becomes visible: a
+	// published snapshot must never reference in-flight chunks, and the
+	// cohort announcement must wait for the content to exist.
+	ctx.WaitAll(pub)
+	if pubErr != nil {
+		return 0, nil, pubErr
+	}
+	// The writer holds the full content of every chunk it just pushed,
+	// so it can serve siblings as an alternate source from now on.
+	if c.sharer != nil {
+		c.sharer.Announce(ctx, keys)
+	}
+	// The ticket is drawn only now, when nothing but the manager itself
+	// can still fail: a ticket that is never published stalls the blob's
+	// version sequence for every later writer.
+	ticket, err := c.sys.VM.Ticket(ctx, id)
+	if err != nil {
+		return 0, nil, err
 	}
 	c.sys.Meta.PutBatch(ctx, created)
 	c.cacheNew(created)
@@ -494,7 +455,7 @@ func (c *Client) Clone(ctx *cluster.Ctx, id ID, v Version) (ID, error) {
 	if err != nil {
 		return 0, err
 	}
-	alloc, done := c.pendingAllocator()
+	alloc, done := c.pendingAllocator(1)
 	defer done()
 	root, created, err := CloneRoot(boundGetter{c, ctx}, srcRoot, inf.Span, alloc)
 	if err != nil {
@@ -550,15 +511,9 @@ func (c *Client) resolveLeaves(ctx *cluster.Ctx, id ID, v Version, span, lo, hi 
 // descent, and skipping the per-ref bookkeeping (a flight struct and a
 // cache insert per node) keeps the prefetch allocation-light. Inner
 // nodes a later partial descent might want simply refetch.
-type leanGetter struct {
-	c   *Client
-	ctx *cluster.Ctx
-}
+type leanGetter struct{ boundGetter }
 
-func (g leanGetter) GetNode(ref NodeRef) (TreeNode, error) { return g.c.getNode(g.ctx, ref) }
-
-func (g leanGetter) GetNodes(refs []NodeRef) ([]TreeNode, error) {
-	out := make([]TreeNode, len(refs))
+func (g leanGetter) GetNodes(refs []NodeRef, out []TreeNode) error {
 	var missIdx []int
 	var misses []NodeRef
 	for i, ref := range refs {
@@ -570,24 +525,21 @@ func (g leanGetter) GetNodes(refs []NodeRef) ([]TreeNode, error) {
 		}
 	}
 	if len(misses) == 0 {
-		return out, nil
+		return nil
 	}
 	if len(misses) == len(refs) {
 		// Nothing cached (the normal case mid-prefetch): resolve
-		// straight into the aligned result, one allocation per level.
-		if err := g.c.sys.Meta.GetBatchInto(g.ctx, refs, out); err != nil {
-			return nil, err
-		}
-		return out, nil
+		// straight into the aligned result.
+		return g.c.sys.Meta.GetBatchInto(g.ctx, refs, out)
 	}
 	nodes, err := g.c.sys.Meta.GetBatch(g.ctx, misses)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for j, i := range missIdx {
 		out[i] = nodes[j]
 	}
-	return out, nil
+	return nil
 }
 
 // PrefetchExtents resolves the complete chunk map of snapshot (id, v)
@@ -614,7 +566,7 @@ func (c *Client) PrefetchExtents(ctx *cluster.Ctx, id ID, v Version) error {
 		if err != nil {
 			return struct{}{}, err
 		}
-		leaves, err := CollectLeaves(leanGetter{c, ctx}, root, inf.Span, 0, inf.Chunks())
+		leaves, err := CollectLeaves(leanGetter{boundGetter{c, ctx}}, root, inf.Span, 0, inf.Chunks())
 		if err != nil {
 			return struct{}{}, err
 		}
@@ -661,7 +613,7 @@ func (c *Client) FetchChunks(ctx *cluster.Ctx, id ID, v Version, lo, hi int64) (
 		}
 	}
 	fetchErrs := make([]error, len(fetchIdx))
-	c.forEachParallel(ctx, "get-chunk", len(fetchIdx), func(cc *cluster.Ctx, j int) {
+	forEachParallel(ctx, "get-chunk", len(fetchIdx), func(cc *cluster.Ctx, j int) {
 		i := fetchIdx[j]
 		p, err := c.getChunk(cc, out[i].Key)
 		fetchErrs[j] = err
@@ -811,7 +763,7 @@ func firstError(errs []error) error {
 // forEachParallel runs fn(i) for i in [0,n) with at most clientParallel
 // concurrent activities on the caller's node. Work is striped across
 // workers (worker w handles w, w+P, ...), which is deterministic.
-func (c *Client) forEachParallel(ctx *cluster.Ctx, name string, n int, fn func(cc *cluster.Ctx, i int)) {
+func forEachParallel(ctx *cluster.Ctx, name string, n int, fn func(cc *cluster.Ctx, i int)) {
 	if n == 0 {
 		return
 	}

@@ -9,6 +9,11 @@ import (
 	"blobvfs/internal/sim"
 )
 
+// putOne stores one chunk: a PutBatch round of a single element.
+func putOne(ctx *cluster.Ctx, ps *ProviderSet, key ChunkKey, p Payload) error {
+	return ps.PutBatch(ctx, []ChunkPut{{Key: key, Payload: p}})
+}
+
 // Chaos/property tests for the failure-resilience layer: randomized
 // fault plans are thrown at the provider set and the collector, and
 // the invariants that make "handles node failure" a real property are
@@ -46,7 +51,7 @@ func TestFailoverNoLostChunksProperty(t *testing.T) {
 				keys := make([]ChunkKey, nChunks)
 				for i := range keys {
 					keys[i] = ps.AllocKey()
-					if err := ps.Put(ctx, keys[i], SyntheticPayload(4096, uint64(i+1))); err != nil {
+					if err := putOne(ctx, ps, keys[i], SyntheticPayload(4096, uint64(i+1))); err != nil {
 						t.Fatalf("put %d: %v", i, err)
 					}
 				}
@@ -62,7 +67,7 @@ func TestFailoverNoLostChunksProperty(t *testing.T) {
 						lv.Revive(ctx, victim)
 					}
 					k := ps.AllocKey()
-					if err := ps.Put(ctx, k, SyntheticPayload(4096, uint64(1000+step))); err != nil {
+					if err := putOne(ctx, ps, k, SyntheticPayload(4096, uint64(1000+step))); err != nil {
 						t.Fatalf("step %d: degraded put: %v", step, err)
 					}
 					keys = append(keys, k)
@@ -92,7 +97,7 @@ func TestFailoverCounters(t *testing.T) {
 	ps := NewProviderSet(nodes, 2)
 	fab.Run(func(ctx *cluster.Ctx) {
 		key := ps.AllocKey()
-		if err := ps.Put(ctx, key, SyntheticPayload(1024, 7)); err != nil {
+		if err := putOne(ctx, ps, key, SyntheticPayload(1024, 7)); err != nil {
 			t.Fatal(err)
 		}
 		ring := ps.Replicas(key)
@@ -156,7 +161,7 @@ func TestDegradedPutWritesAroundFailure(t *testing.T) {
 		// Primary down at write time: the writer pushes the second copy
 		// to a substitute outside the ring.
 		ps.Kill(ring[0])
-		if err := ps.Put(ctx, key, SyntheticPayload(2048, 3)); err != nil {
+		if err := putOne(ctx, ps, key, SyntheticPayload(2048, 3)); err != nil {
 			t.Fatal(err)
 		}
 		locs := ps.LiveLocations(key)
@@ -209,7 +214,7 @@ func TestDedupUnderFailure(t *testing.T) {
 			ps.Kill(n)
 		}
 		k1 := ps.AllocKey()
-		if err := ps.Put(ctx, k1, payload); !errors.Is(err, ErrNoReplica) {
+		if err := putOne(ctx, ps, k1, payload); !errors.Is(err, ErrNoReplica) {
 			t.Fatalf("put with all providers dead = %v, want ErrNoReplica", err)
 		}
 		for _, n := range nodes {
@@ -218,7 +223,7 @@ func TestDedupUnderFailure(t *testing.T) {
 		// The same content stored after the outage must become a real
 		// canonical chunk, not an alias to the failed key.
 		k2 := ps.AllocKey()
-		if err := ps.Put(ctx, k2, payload); err != nil {
+		if err := putOne(ctx, ps, k2, payload); err != nil {
 			t.Fatal(err)
 		}
 		if ps.DedupHits.Load() != 0 {
@@ -237,7 +242,7 @@ func TestDedupUnderFailure(t *testing.T) {
 			}
 		}
 		ps.Kill(ps.Replicas(k3)[0])
-		if err := ps.Put(ctx, k3, payload); err != nil {
+		if err := putOne(ctx, ps, k3, payload); err != nil {
 			t.Fatalf("aliasing put with its ring dead = %v, want success via canonical holder", err)
 		}
 		if ps.DedupHits.Load() != 1 {

@@ -78,36 +78,22 @@ func (g *flightGroup[K, V]) do(ctx *cluster.Ctx, key K, recheck func() (V, bool)
 	g.mu.Unlock()
 
 	f.val, f.err = fetch()
-	g.finish(ctx, key, f)
+	g.finish(ctx, []K{key}, f)
 	return f.val, f.err
 }
 
-// finish completes a led flight: it is removed from the map and its
-// followers (if any) released. The flight's val/err must be set
-// before the call.
-func (g *flightGroup[K, V]) finish(ctx *cluster.Ctx, key K, f *flight[V]) {
+// finish completes a led flight: it is removed from the map — from
+// under every key its leader registered it for — and its followers (if
+// any) released. The flight's err, and whatever else its followers
+// read, must be set before the call.
+func (g *flightGroup[K, V]) finish(ctx *cluster.Ctx, keys []K, f *flight[V]) {
 	g.mu.Lock()
-	delete(g.flights, key)
+	for _, key := range keys {
+		delete(g.flights, key)
+	}
 	gate := f.gate
 	g.mu.Unlock()
 	if gate != nil {
-		gate.Open(ctx)
-	}
-}
-
-// finishAll is finish for a batch of led flights under one lock
-// acquisition.
-func (g *flightGroup[K, V]) finishAll(ctx *cluster.Ctx, keys []K, fs []*flight[V]) {
-	var gates []*cluster.Gate
-	g.mu.Lock()
-	for i, key := range keys {
-		delete(g.flights, key)
-		if fs[i].gate != nil {
-			gates = append(gates, fs[i].gate)
-		}
-	}
-	g.mu.Unlock()
-	for _, gate := range gates {
 		gate.Open(ctx)
 	}
 }

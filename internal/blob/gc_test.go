@@ -244,7 +244,7 @@ func TestReleaseIdempotent(t *testing.T) {
 	fab, sys := liveSystem(2, 1)
 	fab.Run(func(ctx *cluster.Ctx) {
 		key := sys.Providers.AllocKey()
-		if err := sys.Providers.Put(ctx, key, RealPayload(pattern(100, 1))); err != nil {
+		if err := putOne(ctx, sys.Providers, key, RealPayload(pattern(100, 1))); err != nil {
 			t.Fatal(err)
 		}
 		if rc := sys.Providers.RefCount(key); rc != 1 {

@@ -322,8 +322,14 @@ func (m *MetaService) GetBatchInto(ctx *cluster.Ctx, refs []NodeRef, out []TreeN
 		// Legacy single-home layout: per-ring-position request counts
 		// (refs map to providers by modulo, so the position IS the
 		// provider) — one small slice instead of a map per descent
-		// level — charged unconditionally, liveness ignored.
-		counts := make([]int64, len(m.providers))
+		// level, on the stack for pools of up to 128 providers (every
+		// commit makes one such round per tree level) — charged
+		// unconditionally, liveness ignored.
+		var inline [128]int64
+		counts := inline[:]
+		if len(m.providers) > len(inline) {
+			counts = make([]int64, len(m.providers))
+		}
 		for _, ref := range refs {
 			counts[uint64(ref)%uint64(len(m.providers))]++
 		}

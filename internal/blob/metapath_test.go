@@ -16,19 +16,21 @@ type batchMapStore struct {
 	fetched int // refs resolved through GetNodes
 }
 
-func (b *batchMapStore) GetNodes(refs []NodeRef) ([]TreeNode, error) {
+func (b *batchMapStore) GetNodes(refs []NodeRef, out []TreeNode) error {
 	b.rounds++
 	b.fetched += len(refs)
-	out := make([]TreeNode, len(refs))
 	for i, ref := range refs {
 		n, ok := b.nodes[ref]
 		if !ok {
-			return nil, notFound("node", ref)
+			return notFound("node", ref)
 		}
 		out[i] = n
 	}
-	return out, nil
+	return nil
 }
+
+// batch returns the store as a BatchGetter with fresh counters.
+func (m *mapStore) batch() *batchMapStore { return &batchMapStore{mapStore: m} }
 
 // TestCollectLeavesBatchEquivalence: the level-order batched descent
 // must produce exactly the node-by-node result, over full and partial
@@ -42,7 +44,7 @@ func TestCollectLeavesBatchEquivalence(t *testing.T) {
 	}
 	root := buildFull(t, m, span, keys)
 	// Shadow a second version over a few scattered chunks.
-	root2, created, err := BuildVersion(m, root, span, []DirtyLeaf{
+	root2, created, err := BuildVersion(m.batch(), root, span, []DirtyLeaf{
 		{Index: 3, Chunk: 9003}, {Index: 31, Chunk: 9031}, {Index: 32, Chunk: 9032}, {Index: 63, Chunk: 9063},
 	}, m.alloc)
 	if err != nil {
@@ -62,7 +64,7 @@ func TestCollectLeavesBatchEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("plain CollectLeaves[%d,%d): %v", tc.lo, tc.hi, err)
 		}
-		bm := &batchMapStore{mapStore: m}
+		bm := m.batch()
 		batched, err := CollectLeaves(bm, tc.root, span, tc.lo, tc.hi)
 		if err != nil {
 			t.Fatalf("batched CollectLeaves[%d,%d): %v", tc.lo, tc.hi, err)
@@ -198,6 +200,67 @@ func TestClientColdFetchSingleflight(t *testing.T) {
 	if herd != serial {
 		t.Errorf("concurrent cold fetch resolved %d nodes, serial resolved %d — duplicate RPCs leaked", herd, serial)
 	}
+}
+
+// TestFollowersOfABatchFlightReadTheCache: a node flight carries no
+// value, so whoever joins one — a single GetNode or another getNodes —
+// must take the node from the cache its leader filled. The batch here
+// also misses one ref: its followers get that ref's own not-found
+// error, and the refs beside it still resolve. The sim fabric makes the
+// interleaving deterministic: the followers start while the leader's
+// RPC is in flight.
+func TestFollowersOfABatchFlightReadTheCache(t *testing.T) {
+	fab := cluster.NewSim(cluster.DefaultConfig(2))
+	sys := NewSystem([]cluster.NodeID{0, 1}, 0, 1)
+	fab.Run(func(ctx *cluster.Ctx) {
+		nodes := []NewNode{
+			{Ref: 1, Node: TreeNode{Lo: 0, Hi: 1, Chunk: 101}},
+			{Ref: 2, Node: TreeNode{Lo: 1, Hi: 2, Chunk: 102}},
+			{Ref: 4, Node: TreeNode{Lo: 3, Hi: 4, Chunk: 104}},
+		}
+		sys.Meta.PutBatch(ctx, nodes)
+		const missing = NodeRef(3)
+		c := NewClient(sys)
+		refs := []NodeRef{1, 2, missing}
+		leader := ctx.Go("leader", 1, func(cc *cluster.Ctx) {
+			out := make([]TreeNode, len(refs))
+			if err := c.getNodes(cc, refs, out); !errors.Is(err, ErrNotFound) {
+				t.Errorf("leader: %v, want not-found for ref %d", err, missing)
+			}
+			if out[0] != nodes[0].Node || out[1] != nodes[1].Node {
+				t.Errorf("leader: found refs not filled in beside the missing one: %+v", out)
+			}
+		})
+		single := ctx.Go("single", 1, func(cc *cluster.Ctx) {
+			cc.Sleep(1e-6)
+			if n, err := (boundGetter{c, cc}).GetNode(1); err != nil || n != nodes[0].Node {
+				t.Errorf("GetNode joined the batch flight: (%+v, %v), want %+v", n, err, nodes[0].Node)
+			}
+		})
+		lost := ctx.Go("lost", 1, func(cc *cluster.Ctx) {
+			cc.Sleep(1e-6)
+			if _, err := (boundGetter{c, cc}).GetNode(missing); !errors.Is(err, ErrNotFound) {
+				t.Errorf("GetNode joined the flight that missed its ref: %v, want not-found", err)
+			}
+		})
+		batch := ctx.Go("batch", 1, func(cc *cluster.Ctx) {
+			cc.Sleep(1e-6)
+			// Ref 4 is cold and nobody's: this call leads it, then joins
+			// the leader's flight for the other two.
+			out := make([]TreeNode, 3)
+			err := c.getNodes(cc, []NodeRef{4, 2, 1}, out)
+			if err != nil || out[0] != nodes[2].Node || out[1] != nodes[1].Node || out[2] != nodes[0].Node {
+				t.Errorf("getNodes joined the batch flight: (%+v, %v)", out, err)
+			}
+		})
+		gets0 := sys.Meta.NodesServed.Load()
+		ctx.WaitAll([]cluster.Task{leader, single, lost, batch})
+		// Refs 1 and 2 were resolved once, by the leader's round, and
+		// ref 4 once.
+		if served := sys.Meta.NodesServed.Load() - gets0; served != 3 {
+			t.Errorf("service resolved %d nodes, want 3 (each ref once)", served)
+		}
+	})
 }
 
 // TestExtentCacheSkipsDescent: a repeated FetchChunks over the same

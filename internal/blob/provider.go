@@ -37,7 +37,7 @@ type ProviderSet struct {
 	// mu guards the chunk/dedup/refcount maps. It is a RWMutex so the
 	// hot fetch path (Get/Peek: two map lookups) runs under a shared
 	// lock and the 16-way parallel fetchers of every client in a
-	// deployment stop serializing here; writers (Put, Release) take the
+	// deployment stop serializing here; writers (PutBatch, Release) take the
 	// exclusive side. Liveness flags and per-provider read counters are
 	// atomics preallocated per node, off the lock entirely.
 	mu       sync.RWMutex
@@ -67,9 +67,8 @@ type ProviderSet struct {
 	// ReclaimedBytes count chunk payloads physically freed by Release.
 	Reads, Writes, DedupHits  atomic.Int64
 	Reclaimed, ReclaimedBytes atomic.Int64
-	// PutRPCs counts the provider-bound RPCs the write path issued
-	// (after batching): one per replica per chunk through Put, one per
-	// distinct provider per round through PutBatch. Writes/PutRPCs is
+	// PutRPCs counts the provider-bound RPCs the write path issued: one
+	// per distinct provider per PutBatch round. Writes/PutRPCs is
 	// therefore the write-side batching factor, the twin of the
 	// metadata service's Gets/NodesServed.
 	PutRPCs atomic.Int64
@@ -256,116 +255,6 @@ func (ps *ProviderSet) isAlive(node cluster.NodeID) bool {
 	return ok && a.Load()
 }
 
-// Put stores a payload under key on all replicas, charging the chunk
-// transfer to each living replica and an asynchronous local-disk write
-// there (BlobSeer acknowledges once the data is in the provider's
-// write-back buffer; see paper §5.3). A ring replica that is down
-// takes no copy — the writer records it as a void and pushes the
-// missing copy to a live substitute instead (writing around the
-// failure), so the chunk is born at full replication degree whenever
-// enough providers are up. Returns an error if no copy could be
-// placed anywhere. Under deduplication, a payload whose content
-// fingerprint is already stored becomes an alias of the existing
-// chunk: the transfer is still charged (the client pushed the bytes)
-// but the disk write and the second copy are skipped.
-func (ps *ProviderSet) Put(ctx *cluster.Ctx, key ChunkKey, p Payload) error {
-	dup, registered := false, false
-	var canonical ChunkKey
-	var fprint uint64
-	if ps.dedup {
-		if fp, ok := fingerprint(p); ok {
-			ps.mu.Lock()
-			if existing, hit := ps.byPrint[fp]; hit {
-				dup = true
-				canonical = existing
-			} else {
-				ps.byPrint[fp] = key
-				ps.printOf[key] = fp
-				registered, fprint = true, fp
-			}
-			ps.mu.Unlock()
-		}
-	}
-	stored := 0
-	var deadRing []cluster.NodeID
-	ring := ps.Replicas(key)
-	for _, prov := range ring {
-		if !ps.isAlive(prov) {
-			deadRing = append(deadRing, prov)
-			continue
-		}
-		ctx.RPC(prov, int64(p.Size)+32, 16)
-		ps.countPutRPC(prov)
-		if !dup {
-			ctx.DiskWriteAsync(prov, int64(p.Size))
-		}
-		stored++
-	}
-	// Write around dead replicas: push their copies to live providers
-	// outside the ring. For an aliased (dup) payload the content
-	// already lives on its canonical chunk's providers, so the alias
-	// needs no substitutes of its own — but if its entire ring is
-	// dead, the transfer goes to the canonical chunk's first live
-	// holder (the node that detects the duplicate) so the zero-copy
-	// alias still succeeds.
-	var subs []cluster.NodeID
-	if stored == 0 && dup {
-		ps.mu.RLock()
-		canonLocs := ps.locationsLocked(canonical)
-		ps.mu.RUnlock()
-		for _, n := range canonLocs {
-			if ps.isAlive(n) {
-				ctx.RPC(n, int64(p.Size)+32, 16)
-				ps.countPutRPC(n)
-				stored++
-				break
-			}
-		}
-	}
-	if len(deadRing) > 0 && !dup {
-		subs = ps.substitutes(key, ring, len(deadRing))
-		for _, s := range subs {
-			ctx.RPC(s, int64(p.Size)+32, 16)
-			ps.countPutRPC(s)
-			ctx.DiskWriteAsync(s, int64(p.Size))
-			stored++
-		}
-	}
-	if stored == 0 {
-		// Nothing could take a copy (or, for an alias, even record the
-		// reference). Unregister the fingerprint claimed above: a later
-		// identical write must not alias to this never-stored chunk.
-		if registered {
-			ps.mu.Lock()
-			if ps.byPrint[fprint] == key {
-				delete(ps.byPrint, fprint)
-			}
-			delete(ps.printOf, key)
-			ps.mu.Unlock()
-		}
-		return fmt.Errorf("blob: chunk %d: %w", key, ErrNoReplica)
-	}
-	ps.mu.Lock()
-	if dup {
-		ps.aliases[key] = canonical
-		ps.refs[canonical]++
-		ps.DedupHits.Add(1)
-	} else {
-		ps.chunks[key] = p
-		ps.refs[key]++
-		if len(deadRing) > 0 {
-			ps.voids[key] = deadRing
-			if len(subs) > 0 {
-				ps.repairs[key] = subs
-			}
-		}
-	}
-	ps.retained[key] = true
-	ps.mu.Unlock()
-	ps.Writes.Add(1)
-	return nil
-}
-
 // countPutRPC records one provider-bound write RPC.
 func (ps *ProviderSet) countPutRPC(prov cluster.NodeID) {
 	ps.PutRPCs.Add(1)
@@ -374,9 +263,8 @@ func (ps *ProviderSet) countPutRPC(prov cluster.NodeID) {
 	}
 }
 
-// NodePutRPCs returns a copy of the per-provider write-RPC counters —
-// the distribution the batched commit path flattens to one RPC per
-// provider per round.
+// NodePutRPCs returns a copy of the per-provider write-RPC counters:
+// one RPC per provider per commit round.
 func (ps *ProviderSet) NodePutRPCs() map[cluster.NodeID]int64 {
 	out := make(map[cluster.NodeID]int64, len(ps.writesBy))
 	for n, w := range ps.writesBy {
@@ -393,29 +281,45 @@ type ChunkPut struct {
 	Payload Payload
 }
 
-// PutBatch stores a whole commit round of chunks with Put's exact
-// per-key semantics — replica placement, write-around of dead ring
-// replicas, deduplication — but charges the network per provider
-// instead of per chunk: every payload bound for one provider travels
-// in a single RPC (the write-side twin of MetaService.PutBatch), and
-// with deduplication enabled the round's fingerprint lookups are
-// decided under one lock acquisition, so an identical payload later in
-// the batch aliases to its first occurrence without a second lookup.
-// All providers receive their share concurrently, so the round's
-// transfer time stays that of the slowest provider, as with the
-// unbatched parallel puts. Keys that could not be placed anywhere
-// fail with ErrNoReplica (first error returned); the rest of the
-// round commits regardless, exactly as independent Puts would.
+// PutBatch stores a whole commit round of chunks, every key on all of
+// its replicas, and charges the network per provider instead of per
+// chunk: every payload bound for one provider travels in a single RPC
+// (the write-side twin of MetaService.PutBatch), followed by an
+// asynchronous local-disk write there (BlobSeer acknowledges once the
+// data is in the provider's write-back buffer; see paper §5.3). The
+// shares go out over at most clientParallel concurrent activities, the
+// client's connection pool: up to that many providers all receive
+// theirs at once and the round takes as long as its slowest provider,
+// while a pool of a hundred aggregated disks is served sixteen at a
+// time instead of holding a simulated process per provider per
+// committing instance.
+//
+// A ring replica that is down takes no copy — the writer records it as
+// a void and pushes the missing copy to a live substitute instead
+// (writing around the failure), so the chunk is born at full
+// replication degree whenever enough providers are up. Under
+// deduplication, a payload whose content fingerprint is already stored
+// becomes an alias of the existing chunk: the transfer is still charged
+// (the client pushed the bytes) but the disk write and the second copy
+// are skipped. The round's fingerprints are looked up under one lock
+// acquisition, so an identical payload later in the batch aliases to
+// its first occurrence. Keys that could not be placed anywhere fail
+// with ErrNoReplica (first error returned); the rest of the round
+// commits regardless.
 func (ps *ProviderSet) PutBatch(ctx *cluster.Ctx, puts []ChunkPut) error {
 	if len(puts) == 0 {
 		return nil
 	}
 	n := len(puts)
-	dup := make([]bool, n)
-	canonical := make([]ChunkKey, n)
-	registered := make([]bool, n)
-	fprints := make([]uint64, n)
+	// Dedup decisions, nil with deduplication off.
+	type dedupDecision struct {
+		canonical  ChunkKey // the stored chunk puts[i] duplicates, if any
+		fprint     uint64
+		registered bool // puts[i] is the first holder of fprint, claimed here
+	}
+	var dd []dedupDecision
 	if ps.dedup {
+		dd = make([]dedupDecision, n)
 		ps.mu.Lock()
 		for i, pt := range puts {
 			fp, ok := fingerprint(pt.Payload)
@@ -423,22 +327,24 @@ func (ps *ProviderSet) PutBatch(ctx *cluster.Ctx, puts []ChunkPut) error {
 				continue
 			}
 			if existing, hit := ps.byPrint[fp]; hit {
-				dup[i], canonical[i] = true, existing
+				dd[i].canonical = existing
 			} else {
 				ps.byPrint[fp] = pt.Key
 				ps.printOf[pt.Key] = fp
-				registered[i], fprints[i] = true, fp
+				dd[i].fprint, dd[i].registered = fp, true
 			}
 		}
 		ps.mu.Unlock()
 	}
+	dup := func(i int) bool { return dd != nil && dd[i].canonical != 0 }
 
 	// Placement pass: accumulate each provider's share of the round.
 	bytesTo := make(map[cluster.NodeID]int64)
 	diskTo := make(map[cluster.NodeID]int64)
 	stored := make([]int, n)
-	deadRings := make([][]cluster.NodeID, n)
-	subsOf := make([][]cluster.NodeID, n)
+	// Dead ring members and their substitutes, per put; allocated when
+	// the first dead member shows up.
+	var deadRings, subsOf [][]cluster.NodeID
 	charge := func(prov cluster.NodeID, p Payload, disk bool) {
 		bytesTo[prov] += int64(p.Size) + 32
 		if disk {
@@ -447,17 +353,29 @@ func (ps *ProviderSet) PutBatch(ctx *cluster.Ctx, puts []ChunkPut) error {
 	}
 	for i, pt := range puts {
 		ring := ps.Replicas(pt.Key)
+		dead := 0
 		for _, prov := range ring {
 			if !ps.isAlive(prov) {
+				if deadRings == nil {
+					deadRings, subsOf = make([][]cluster.NodeID, n), make([][]cluster.NodeID, n)
+				}
 				deadRings[i] = append(deadRings[i], prov)
+				dead++
 				continue
 			}
-			charge(prov, pt.Payload, !dup[i])
+			charge(prov, pt.Payload, !dup(i))
 			stored[i]++
 		}
-		if stored[i] == 0 && dup[i] {
+		// Write around dead replicas: push their copies to live
+		// providers outside the ring. For an aliased (dup) payload the
+		// content already lives on its canonical chunk's providers, so
+		// the alias needs no substitutes of its own — but if its entire
+		// ring is dead, the transfer goes to the canonical chunk's first
+		// live holder (the node that detects the duplicate) so the
+		// zero-copy alias still succeeds.
+		if stored[i] == 0 && dup(i) {
 			ps.mu.RLock()
-			canonLocs := ps.locationsLocked(canonical[i])
+			canonLocs := ps.locationsLocked(dd[i].canonical)
 			ps.mu.RUnlock()
 			for _, nd := range canonLocs {
 				if ps.isAlive(nd) {
@@ -467,8 +385,8 @@ func (ps *ProviderSet) PutBatch(ctx *cluster.Ctx, puts []ChunkPut) error {
 				}
 			}
 		}
-		if len(deadRings[i]) > 0 && !dup[i] {
-			subsOf[i] = ps.substitutes(pt.Key, ring, len(deadRings[i]))
+		if dead > 0 && !dup(i) {
+			subsOf[i] = ps.substitutes(pt.Key, ring, dead)
 			for _, s := range subsOf[i] {
 				charge(s, pt.Payload, true)
 				stored[i]++
@@ -476,36 +394,34 @@ func (ps *ProviderSet) PutBatch(ctx *cluster.Ctx, puts []ChunkPut) error {
 		}
 	}
 
-	// One RPC per distinct provider carries its whole share, all
-	// providers transferring concurrently (as the unbatched 16-way
-	// parallel puts did), spawned in ring order for determinism.
-	tasks := make([]cluster.Task, 0, len(bytesTo))
+	// One RPC per distinct provider carries its whole share, the
+	// providers taken in ring order so the run is deterministic.
+	targets := make([]cluster.NodeID, 0, len(bytesTo))
 	for _, prov := range ps.nodes {
-		b, ok := bytesTo[prov]
-		if !ok {
-			continue
+		if _, ok := bytesTo[prov]; ok {
+			targets = append(targets, prov)
+			ps.countPutRPC(prov)
 		}
-		prov, d := prov, diskTo[prov]
-		ps.countPutRPC(prov)
-		tasks = append(tasks, ctx.Go("put-batch", ctx.Node(), func(cc *cluster.Ctx) {
-			cc.RPC(prov, b, 16)
-			if d > 0 {
-				cc.DiskWriteAsync(prov, d)
-			}
-		}))
 	}
-	ctx.WaitAll(tasks)
+	forEachParallel(ctx, "put-batch", len(targets), func(cc *cluster.Ctx, t int) {
+		prov := targets[t]
+		cc.RPC(prov, bytesTo[prov], 16)
+		if d := diskTo[prov]; d > 0 {
+			cc.DiskWriteAsync(prov, d)
+		}
+	})
 
 	var firstErr error
 	ps.mu.Lock()
 	for i, pt := range puts {
 		if stored[i] == 0 {
-			// Nothing could take a copy; unregister the fingerprint
-			// claimed above so a later identical write does not alias to
-			// this never-stored chunk.
-			if registered[i] {
-				if ps.byPrint[fprints[i]] == pt.Key {
-					delete(ps.byPrint, fprints[i])
+			// Nothing could take a copy (or, for an alias, even record
+			// the reference). Unregister the fingerprint claimed above:
+			// a later identical write must not alias to this
+			// never-stored chunk.
+			if dd != nil && dd[i].registered {
+				if ps.byPrint[dd[i].fprint] == pt.Key {
+					delete(ps.byPrint, dd[i].fprint)
 				}
 				delete(ps.printOf, pt.Key)
 			}
@@ -514,14 +430,14 @@ func (ps *ProviderSet) PutBatch(ctx *cluster.Ctx, puts []ChunkPut) error {
 			}
 			continue
 		}
-		if dup[i] {
-			ps.aliases[pt.Key] = canonical[i]
-			ps.refs[canonical[i]]++
+		if dup(i) {
+			ps.aliases[pt.Key] = dd[i].canonical
+			ps.refs[dd[i].canonical]++
 			ps.DedupHits.Add(1)
 		} else {
 			ps.chunks[pt.Key] = pt.Payload
 			ps.refs[pt.Key]++
-			if len(deadRings[i]) > 0 {
+			if deadRings != nil && len(deadRings[i]) > 0 {
 				ps.voids[pt.Key] = deadRings[i]
 				if len(subsOf[i]) > 0 {
 					ps.repairs[pt.Key] = subsOf[i]

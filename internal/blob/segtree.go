@@ -1,6 +1,9 @@
 package blob
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // This file holds the pure segment-tree algorithms: collecting the
 // leaves that cover a chunk range, and building the O(D·log C) new
@@ -15,14 +18,14 @@ type Getter interface {
 }
 
 // BatchGetter is a Getter that can resolve many references in one
-// round. CollectLeaves uses it to fetch a whole tree level at once —
-// depth rounds of metadata access instead of one round per node. The
-// result is aligned with refs (result[i] resolves refs[i]); a ref that
-// cannot be resolved makes GetNodes return the same error GetNode
-// would.
+// round. CollectLeaves and BuildVersion use it to fetch a whole tree
+// level at once — depth rounds of metadata access instead of one round
+// per node. GetNodes fills out, which the caller sizes to len(refs) and
+// may reuse from level to level (out[i] resolves refs[i]); a ref that
+// cannot be resolved makes it return the same error GetNode would.
 type BatchGetter interface {
 	Getter
-	GetNodes(refs []NodeRef) ([]TreeNode, error)
+	GetNodes(refs []NodeRef, out []TreeNode) error
 }
 
 // GetterFunc adapts a function to the Getter interface.
@@ -87,9 +90,11 @@ func CollectLeaves(g Getter, root NodeRef, span, lo, hi int64) ([]LeafEntry, err
 			for _, fr := range frontier {
 				refs = append(refs, fr.ref)
 			}
-			var err error
-			nodes, err = bg.GetNodes(refs)
-			if err != nil {
+			if cap(nodes) < len(refs) {
+				nodes = make([]TreeNode, len(refs))
+			}
+			nodes = nodes[:len(refs)]
+			if err := bg.GetNodes(refs, nodes); err != nil {
 				return nil, err
 			}
 		}
@@ -142,58 +147,136 @@ type NewNode struct {
 // alloc must return fresh unique refs. The returned slice lists every
 // created node (the last entry is the new root). dirty must be sorted
 // by index, without duplicates, all within [0,span).
-func BuildVersion(g Getter, oldRoot NodeRef, span int64, dirty []DirtyLeaf, alloc func() NodeRef) (NodeRef, []NewNode, error) {
+//
+// Two passes. discover walks the old tree top-down, one GetNodes round
+// per level — the write-side twin of CollectLeaves' frontier descent,
+// depth rounds of metadata access instead of one round trip per shared
+// inner node — and records every position whose range holds a dirty
+// index as a frame. emit then runs in memory over the frames,
+// allocating refs in pre-order and listing created nodes in
+// post-order. That order is part of the contract: refs map to metadata
+// providers by ref % providers, so another order would move every
+// stored tree. referenceBuildVersion (segtree_ref_test.go) states the
+// same result recursively; FuzzBuildVersion holds the two equal.
+func BuildVersion(g BatchGetter, oldRoot NodeRef, span int64, dirty []DirtyLeaf, alloc func() NodeRef) (NodeRef, []NewNode, error) {
 	if len(dirty) == 0 {
 		return oldRoot, nil, nil
 	}
 	if err := validateDirty(span, dirty); err != nil {
 		return 0, nil, err
 	}
-	var created []NewNode
-	// rebuild returns the ref of the subtree for [nlo,nhi) in the new
-	// version, given the dirty leaves di[lo:hi) falling in that range.
-	var rebuild func(oldRef NodeRef, nlo, nhi int64, d []DirtyLeaf) (NodeRef, error)
-	rebuild = func(oldRef NodeRef, nlo, nhi int64, d []DirtyLeaf) (NodeRef, error) {
-		if len(d) == 0 {
-			return oldRef, nil // share the old subtree unchanged
-		}
-		ref := alloc()
-		if nhi-nlo == 1 {
-			created = append(created, NewNode{Ref: ref, Node: TreeNode{Lo: nlo, Hi: nhi, Chunk: d[0].Chunk}})
-			return ref, nil
-		}
-		mid := (nlo + nhi) / 2
-		var oldLeft, oldRight NodeRef
-		if oldRef != 0 {
-			old, err := g.GetNode(oldRef)
-			if err != nil {
-				return 0, err
-			}
-			if old.Leaf() {
-				return 0, fmt.Errorf("blob: leaf %d at inner range [%d,%d): %w", oldRef, nlo, nhi, ErrCorruptTree)
-			}
-			oldLeft, oldRight = old.Left, old.Right
-		}
-		split := 0
-		for split < len(d) && d[split].Index < mid {
-			split++
-		}
-		left, err := rebuild(oldLeft, nlo, mid, d[:split])
-		if err != nil {
-			return 0, err
-		}
-		right, err := rebuild(oldRight, mid, nhi, d[split:])
-		if err != nil {
-			return 0, err
-		}
-		created = append(created, NewNode{Ref: ref, Node: TreeNode{Lo: nlo, Hi: nhi, Left: left, Right: right}})
-		return ref, nil
-	}
-	root, err := rebuild(oldRoot, 0, span, dirty)
-	if err != nil {
+	b := versionBuild{dirty: dirty, alloc: alloc}
+	if err := b.discover(g, oldRoot, span); err != nil {
 		return 0, nil, err
 	}
-	return root, created, nil
+	b.created = make([]NewNode, 0, len(b.frames))
+	root := b.emit(0)
+	return root, b.created, nil
+}
+
+// buildFrame is one position of the new tree: a range that holds at
+// least one dirty index. Frame 0 is the root, so 0 in lf/rf means the
+// side is clean and left/right hold the old child it shares.
+type buildFrame struct {
+	nlo, nhi    int64
+	dlo, dhi    int32   // dirty[dlo:dhi] falls in [nlo,nhi)
+	left, right NodeRef // old children; before its level is walked, left is the frame's own old subtree
+	lf, rf      int32   // frames of the dirty sides
+}
+
+type versionBuild struct {
+	dirty   []DirtyLeaf
+	alloc   func() NodeRef
+	frames  []buildFrame
+	created []NewNode
+}
+
+// pathNodes bounds the nodes on k distinct root-to-leaf paths of a
+// tree over span leaves: level l holds at most 2^l of them and no
+// level more than k.
+func pathNodes(span int64, k int) int {
+	depth := bits.Len64(uint64(span - 1))
+	top := min(bits.Len(uint(k-1)), depth) // levels narrower than k
+	return k*(depth-top+1) + (1<<top - 1)
+}
+
+// discover is the top-down pass. The frames of one level are
+// contiguous in b.frames, so the level being walked is frames[lo:hi]
+// and the children it appends are the next one.
+func (b *versionBuild) discover(g BatchGetter, oldRoot NodeRef, span int64) error {
+	k := len(b.dirty)
+	b.frames = make([]buildFrame, 1, pathNodes(span, k))
+	b.frames[0] = buildFrame{nlo: 0, nhi: span, dhi: int32(k), left: oldRoot}
+	// One ref list and one result buffer serve every level: no level
+	// holds more than k frames.
+	refs := make([]NodeRef, 0, k)
+	nodes := make([]TreeNode, k)
+	for lo, hi := 0, 1; lo < hi; lo, hi = hi, len(b.frames) {
+		refs = refs[:0]
+		for _, fr := range b.frames[lo:hi] {
+			if fr.nhi-fr.nlo > 1 && fr.left != 0 {
+				refs = append(refs, fr.left)
+			}
+		}
+		if len(refs) > 0 {
+			if err := g.GetNodes(refs, nodes[:len(refs)]); err != nil {
+				return err
+			}
+		}
+		fetched := 0
+		for i := lo; i < hi; i++ {
+			fr := b.frames[i]
+			if fr.nhi-fr.nlo == 1 {
+				continue
+			}
+			var oldLeft, oldRight NodeRef
+			if fr.left != 0 {
+				old := nodes[fetched]
+				fetched++
+				if old.Leaf() {
+					return fmt.Errorf("blob: leaf %d at inner range [%d,%d): %w", fr.left, fr.nlo, fr.nhi, ErrCorruptTree)
+				}
+				oldLeft, oldRight = old.Left, old.Right
+			}
+			mid := (fr.nlo + fr.nhi) / 2
+			split := fr.dlo
+			for split < fr.dhi && b.dirty[split].Index < mid {
+				split++
+			}
+			fr.left, fr.right = oldLeft, oldRight
+			if split > fr.dlo {
+				fr.lf = int32(len(b.frames))
+				b.frames = append(b.frames, buildFrame{nlo: fr.nlo, nhi: mid, dlo: fr.dlo, dhi: split, left: oldLeft})
+			}
+			if split < fr.dhi {
+				fr.rf = int32(len(b.frames))
+				b.frames = append(b.frames, buildFrame{nlo: mid, nhi: fr.nhi, dlo: split, dhi: fr.dhi, left: oldRight})
+			}
+			b.frames[i] = fr
+		}
+	}
+	return nil
+}
+
+// emit is the in-memory pass: it returns the ref of frame fi's subtree
+// in the new version, allocating on the way down and listing created
+// nodes on the way up.
+func (b *versionBuild) emit(fi int32) NodeRef {
+	fr := &b.frames[fi]
+	ref := b.alloc()
+	if fr.nhi-fr.nlo == 1 {
+		b.created = append(b.created, NewNode{Ref: ref, Node: TreeNode{Lo: fr.nlo, Hi: fr.nhi, Chunk: b.dirty[fr.dlo].Chunk}})
+		return ref
+	}
+	left, right := fr.left, fr.right
+	if fr.lf != 0 {
+		left = b.emit(fr.lf)
+	}
+	if fr.rf != 0 {
+		right = b.emit(fr.rf)
+	}
+	b.created = append(b.created, NewNode{Ref: ref, Node: TreeNode{Lo: fr.nlo, Hi: fr.nhi, Left: left, Right: right}})
+	return ref
 }
 
 // validateDirty checks the BuildVersion precondition: every dirty index
@@ -208,75 +291,6 @@ func validateDirty(span int64, dirty []DirtyLeaf) error {
 		}
 	}
 	return nil
-}
-
-// BuildVersionBatched is BuildVersion over a BatchGetter: the old-tree
-// nodes on dirty root-to-leaf paths are prefetched level by level — one
-// GetNodes round per level, the write-side twin of CollectLeaves'
-// frontier descent — and the rebuild then runs against the prefetched
-// nodes. Building a shadowed version therefore costs depth rounds of
-// metadata access instead of one round trip per shared inner node. The
-// result (new root, created nodes and their order, allocation order) is
-// identical to BuildVersion's.
-func BuildVersionBatched(g BatchGetter, oldRoot NodeRef, span int64, dirty []DirtyLeaf, alloc func() NodeRef) (NodeRef, []NewNode, error) {
-	if len(dirty) == 0 {
-		return oldRoot, nil, nil
-	}
-	if err := validateDirty(span, dirty); err != nil {
-		return 0, nil, err
-	}
-	// Level-order prefetch of exactly the old nodes the rebuild will
-	// read: an inner node is on a dirty path iff its range holds a dirty
-	// index; leaves and sparse subtrees need no fetch.
-	type frame struct {
-		ref      NodeRef
-		nlo, nhi int64
-		d        []DirtyLeaf
-	}
-	prefetched := make(map[NodeRef]TreeNode)
-	var frontier, next []frame
-	if oldRoot != 0 && span > 1 {
-		frontier = append(frontier, frame{oldRoot, 0, span, dirty})
-	}
-	var refs []NodeRef
-	for len(frontier) > 0 {
-		refs = refs[:0]
-		for _, fr := range frontier {
-			refs = append(refs, fr.ref)
-		}
-		nodes, err := g.GetNodes(refs)
-		if err != nil {
-			return 0, nil, err
-		}
-		next = next[:0]
-		for fi, fr := range frontier {
-			n := nodes[fi]
-			prefetched[fr.ref] = n
-			if n.Leaf() {
-				// A leaf at an inner range is corruption; the rebuild
-				// below reports it with BuildVersion's exact error.
-				continue
-			}
-			mid := (fr.nlo + fr.nhi) / 2
-			split := 0
-			for split < len(fr.d) && fr.d[split].Index < mid {
-				split++
-			}
-			if left := fr.d[:split]; n.Left != 0 && len(left) > 0 && mid-fr.nlo > 1 {
-				next = append(next, frame{n.Left, fr.nlo, mid, left})
-			}
-			if right := fr.d[split:]; n.Right != 0 && len(right) > 0 && fr.nhi-mid > 1 {
-				next = append(next, frame{n.Right, mid, fr.nhi, right})
-			}
-		}
-		frontier, next = next, frontier
-	}
-	return BuildVersion(GetterFunc(func(ref NodeRef) (TreeNode, error) {
-		if n, ok := prefetched[ref]; ok {
-			return n, nil
-		}
-		return g.GetNode(ref)
-	}), oldRoot, span, dirty, alloc)
 }
 
 // CloneRoot builds the single new node that makes blob B version 1 an

@@ -40,29 +40,29 @@ func applyFuzzVersions(t *testing.T, span int64, data []byte) (NodeRef, []ChunkK
 			nextKey++
 			dirty = append(dirty, DirtyLeaf{Index: i, Chunk: nextKey})
 		}
-		// The batched build must be bit-identical to the plain one:
-		// same root, same created nodes in the same order, same refs.
-		// Run it first against a snapshot of the allocator counter so
-		// both builds allocate from the same state.
+		// The build must equal the recursive reference exactly: same
+		// root, same created nodes in the same order, same refs. The
+		// reference runs first against a snapshot of the allocator
+		// counter so both builds allocate from the same state.
 		next0 := m.next
-		bRoot, bCreated, bErr := BuildVersionBatched(&batchMapStore{mapStore: m}, root, span, dirty, m.alloc)
+		refRoot, refCreated, refErr := referenceBuildVersion(m, root, span, dirty, m.alloc)
 		m.next = next0
-		newRoot, created, err := BuildVersion(m, root, span, dirty, m.alloc)
+		newRoot, created, err := BuildVersion(m.batch(), root, span, dirty, m.alloc)
 		if err != nil {
 			t.Fatalf("BuildVersion(span=%d, %d dirty): %v", span, len(dirty), err)
 		}
-		if bErr != nil {
-			t.Fatalf("BuildVersionBatched(span=%d, %d dirty): %v", span, len(dirty), bErr)
+		if refErr != nil {
+			t.Fatalf("referenceBuildVersion(span=%d, %d dirty): %v", span, len(dirty), refErr)
 		}
-		if bRoot != newRoot {
-			t.Fatalf("batched root %d != plain root %d", bRoot, newRoot)
+		if newRoot != refRoot {
+			t.Fatalf("root %d != reference root %d", newRoot, refRoot)
 		}
-		if len(bCreated) != len(created) {
-			t.Fatalf("batched created %d nodes, plain %d", len(bCreated), len(created))
+		if len(created) != len(refCreated) {
+			t.Fatalf("created %d nodes, reference %d", len(created), len(refCreated))
 		}
 		for i := range created {
-			if bCreated[i] != created[i] {
-				t.Fatalf("created[%d]: batched %+v, plain %+v", i, bCreated[i], created[i])
+			if created[i] != refCreated[i] {
+				t.Fatalf("created[%d]: %+v, reference %+v", i, created[i], refCreated[i])
 			}
 		}
 		if len(dirty) == 0 {
@@ -70,6 +70,9 @@ func applyFuzzVersions(t *testing.T, span int64, data []byte) (NodeRef, []ChunkK
 				t.Fatalf("empty dirty set must share the old tree unchanged")
 			}
 			continue
+		}
+		if bound := pathNodes(span, len(dirty)); len(created) > bound {
+			t.Fatalf("created %d nodes for %d dirty of span %d, pathNodes reserves %d", len(created), len(dirty), span, bound)
 		}
 		if created[len(created)-1].Ref != newRoot {
 			t.Fatalf("last created node %d is not the root %d", created[len(created)-1].Ref, newRoot)

@@ -42,7 +42,7 @@ func buildFull(t *testing.T, m *mapStore, span int64, keys []ChunkKey) NodeRef {
 	for i, k := range keys {
 		dirty[i] = DirtyLeaf{Index: int64(i), Chunk: k}
 	}
-	root, created, err := BuildVersion(m, 0, span, dirty, m.alloc)
+	root, created, err := BuildVersion(m.batch(), 0, span, dirty, m.alloc)
 	if err != nil {
 		t.Fatalf("BuildVersion: %v", err)
 	}
@@ -90,7 +90,7 @@ func TestBuildAndCollectFullTree(t *testing.T) {
 func TestCollectSubrangeAndSparse(t *testing.T) {
 	m := newMapStore()
 	// Only chunk 2 written in a span of 8.
-	root, created, err := BuildVersion(m, 0, 8, []DirtyLeaf{{Index: 2, Chunk: 42}}, m.alloc)
+	root, created, err := BuildVersion(m.batch(), 0, 8, []DirtyLeaf{{Index: 2, Chunk: 42}}, m.alloc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,16 +144,16 @@ func TestCollectLeavesRangeValidation(t *testing.T) {
 
 func TestBuildVersionValidation(t *testing.T) {
 	m := newMapStore()
-	if _, _, err := BuildVersion(m, 0, 4, []DirtyLeaf{{Index: 4, Chunk: 1}}, m.alloc); err == nil {
+	if _, _, err := BuildVersion(m.batch(), 0, 4, []DirtyLeaf{{Index: 4, Chunk: 1}}, m.alloc); err == nil {
 		t.Error("out-of-span dirty index accepted")
 	}
-	if _, _, err := BuildVersion(m, 0, 4, []DirtyLeaf{{Index: 1, Chunk: 1}, {Index: 1, Chunk: 2}}, m.alloc); err == nil {
+	if _, _, err := BuildVersion(m.batch(), 0, 4, []DirtyLeaf{{Index: 1, Chunk: 1}, {Index: 1, Chunk: 2}}, m.alloc); err == nil {
 		t.Error("duplicate dirty index accepted")
 	}
-	if _, _, err := BuildVersion(m, 0, 4, []DirtyLeaf{{Index: 2, Chunk: 1}, {Index: 1, Chunk: 2}}, m.alloc); err == nil {
+	if _, _, err := BuildVersion(m.batch(), 0, 4, []DirtyLeaf{{Index: 2, Chunk: 1}, {Index: 1, Chunk: 2}}, m.alloc); err == nil {
 		t.Error("unsorted dirty indices accepted")
 	}
-	root, created, err := BuildVersion(m, 77, 4, nil, m.alloc)
+	root, created, err := BuildVersion(m.batch(), 77, 4, nil, m.alloc)
 	if err != nil || root != 77 || created != nil {
 		t.Errorf("empty dirty set: got (%d,%v,%v), want (77,nil,nil)", root, created, err)
 	}
@@ -167,7 +167,7 @@ func TestFig3Shadowing(t *testing.T) {
 	rootA := buildFull(t, m, 4, []ChunkKey{1, 2, 3, 4})
 	before := len(m.nodes)
 
-	rootA2, created, err := BuildVersion(m, rootA, 4, []DirtyLeaf{{Index: 1, Chunk: 22}}, m.alloc)
+	rootA2, created, err := BuildVersion(m.batch(), rootA, 4, []DirtyLeaf{{Index: 1, Chunk: 22}}, m.alloc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,12 +250,12 @@ func TestCloneThenDivergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.commit(created)
-	rootB2, created, err := BuildVersion(m, rootB1, 4, []DirtyLeaf{{Index: 1, Chunk: 22}, {Index: 2, Chunk: 33}}, m.alloc)
+	rootB2, created, err := BuildVersion(m.batch(), rootB1, 4, []DirtyLeaf{{Index: 1, Chunk: 22}, {Index: 2, Chunk: 33}}, m.alloc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.commit(created)
-	rootB3, created, err := BuildVersion(m, rootB2, 4, []DirtyLeaf{{Index: 3, Chunk: 44}}, m.alloc)
+	rootB3, created, err := BuildVersion(m.batch(), rootB2, 4, []DirtyLeaf{{Index: 3, Chunk: 44}}, m.alloc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestTreeMatchesFlatModel(t *testing.T) {
 				newCur[idx] = nextKey
 			}
 			sortDirty(dirty)
-			newRoot, created, err := BuildVersion(m, root, span, dirty, m.alloc)
+			newRoot, created, err := BuildVersion(m.batch(), root, span, dirty, m.alloc)
 			if err != nil {
 				return false
 			}
@@ -361,11 +361,71 @@ func TestMetadataSharingIsLogarithmic(t *testing.T) {
 		keys[i] = ChunkKey(i + 1)
 	}
 	root := buildFull(t, m, span, keys)
-	_, created, err := BuildVersion(m, root, span, []DirtyLeaf{{Index: 4096, Chunk: 99999}}, m.alloc)
+	_, created, err := BuildVersion(m.batch(), root, span, []DirtyLeaf{{Index: 4096, Chunk: 99999}}, m.alloc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(created) != 14 { // log2(8192)+1 path nodes
 		t.Fatalf("single-chunk commit created %d nodes, want 14", len(created))
+	}
+}
+
+// batchOnly is a BatchGetter whose single-node side must never be
+// called.
+type batchOnly struct {
+	*batchMapStore
+	t *testing.T
+}
+
+func (b batchOnly) GetNode(ref NodeRef) (TreeNode, error) {
+	b.t.Errorf("GetNode(%d): the build left the batched path", ref)
+	return b.batchMapStore.GetNode(ref)
+}
+
+// TestBuildVersionRoundsAndReference: a 64-chunk commit on a 2 GiB
+// image (8192 leaves, depth 13) reads the old tree in at most one
+// GetNodes round per inner level and never one node at a time, sizes
+// its frame list within the bound it reserves, and produces exactly the
+// recursive reference's result, refs included.
+func TestBuildVersionRoundsAndReference(t *testing.T) {
+	m := newMapStore()
+	const span, depth = 8192, 13
+	keys := make([]ChunkKey, span)
+	for i := range keys {
+		keys[i] = ChunkKey(i + 1)
+	}
+	root := buildFull(t, m, span, keys)
+	dirty := make([]DirtyLeaf, 64)
+	for i := range dirty {
+		// Clustered and scattered indices, sorted: 0,1,2,3, 128,129,...
+		dirty[i] = DirtyLeaf{Index: int64(i/4)*128 + int64(i%4)*int64(1+i/16), Chunk: ChunkKey(100000 + i)}
+	}
+	next0 := m.next
+	refRoot, refCreated, err := referenceBuildVersion(m, root, span, dirty, m.alloc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.next = next0
+	g := batchOnly{m.batch(), t}
+	gotRoot, created, err := BuildVersion(g, root, span, dirty, m.alloc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.rounds > depth {
+		t.Errorf("%d GetNodes rounds for a depth-%d tree", g.rounds, depth)
+	}
+	if want := len(created) - len(dirty); g.fetched != want {
+		t.Errorf("fetched %d old nodes, want the %d inner nodes on dirty paths", g.fetched, want)
+	}
+	if bound := pathNodes(span, len(dirty)); len(created) > bound {
+		t.Errorf("created %d nodes, more than the %d pathNodes reserves", len(created), bound)
+	}
+	if gotRoot != refRoot || len(created) != len(refCreated) {
+		t.Fatalf("root %d with %d nodes, reference root %d with %d", gotRoot, len(created), refRoot, len(refCreated))
+	}
+	for i := range created {
+		if created[i] != refCreated[i] {
+			t.Fatalf("created[%d]: %+v, reference %+v", i, created[i], refCreated[i])
+		}
 	}
 }

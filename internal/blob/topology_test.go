@@ -120,7 +120,7 @@ func TestReplicasSharedRingSurvivesReads(t *testing.T) {
 		for i := 0; i < 18; i++ {
 			key := ps.AllocKey()
 			before := slices.Clone(ps.Replicas(key))
-			if err := ps.Put(ctx, key, Payload{Size: 1024, Tag: uint64(100 + i)}); err != nil {
+			if err := putOne(ctx, ps, key, Payload{Size: 1024, Tag: uint64(100 + i)}); err != nil {
 				t.Fatal(err)
 			}
 			// Every node reads: most reorder the ring to their own zone.
@@ -150,7 +150,7 @@ func TestGetPrefersNearestReplicaAndCountsTiers(t *testing.T) {
 	ps.SetTopology(topo3z())
 	fab.Run(func(ctx *cluster.Ctx) {
 		key := ps.AllocKey()
-		if err := ps.Put(ctx, key, SyntheticPayload(4096, 1)); err != nil {
+		if err := putOne(ctx, ps, key, SyntheticPayload(4096, 1)); err != nil {
 			t.Fatal(err)
 		}
 		locs := ps.Replicas(key)

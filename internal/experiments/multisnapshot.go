@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"blobvfs"
 	"blobvfs/internal/cluster"
 	"blobvfs/internal/metrics"
 	"blobvfs/internal/middleware"
@@ -14,15 +13,13 @@ import (
 // This file implements the multisnapshot write-path scenario: the
 // paper's §5.3 workload (every instance commits a local diff at the
 // same instant) run against a small dedicated provider pool, measured
-// on the axis the write-path overhaul moves — provider write RPCs per
-// commit round. The unbatched path pushes every dirty chunk as an
-// individual provider Put and walks the old metadata tree one GetNode
-// at a time; the batched path groups a commit's chunk publishes by
-// target provider (one RPC per provider per round, mirroring the
-// metadata service's PutBatch) and prefetches the dirty tree paths
-// level by level. Bytes, versions and metadata are identical either
-// way; only the round-trip count changes, which is why the scenario
-// reports RPC counts rather than times as its headline.
+// on the axis the write path is designed around — provider write RPCs
+// per commit round. A commit groups its chunk publishes by target
+// provider (one RPC per provider per round, mirroring the metadata
+// service's PutBatch) and fetches the dirty tree paths level by level,
+// so a round costs instances × providers chunk-put RPCs however many
+// chunks each instance dirtied; the scenario reports RPC counts beside
+// the times for that reason.
 
 // MultisnapshotConfig parameterizes one multisnapshot run.
 type MultisnapshotConfig struct {
@@ -36,9 +33,6 @@ type MultisnapshotConfig struct {
 	// DiffBytes overrides the per-instance local modification size per
 	// round (default Params.SnapshotDiff).
 	DiffBytes int64
-	// Batched selects the batched write path (WithBatchedCommit) and
-	// the orchestrator's pipelined lifecycle epilogue.
-	Batched bool
 }
 
 // MultisnapshotPoint reports one run. RPC counts are per commit round,
@@ -48,14 +42,12 @@ type MultisnapshotPoint struct {
 	Instances int
 	Providers int
 	Rounds    int
-	Batched   bool
 
 	ChunkWrites  float64 // logical chunk writes published per round
 	ChunkPutRPCs float64 // provider chunk-put RPCs per round
 	MetaPutRPCs  float64 // metadata-put RPCs per round (after batching)
-	WriteRPCs    float64 // ChunkPutRPCs + MetaPutRPCs — the gated quantity
+	WriteRPCs    float64 // ChunkPutRPCs + MetaPutRPCs
 
-	AvgTime    float64 // mean per-instance snapshot time, last round (s)
 	Completion float64 // last round's snapshot-all completion (s)
 }
 
@@ -78,12 +70,7 @@ func RunMultisnapshot(p Params, mc MultisnapshotConfig) MultisnapshotPoint {
 	if mc.DiffBytes > 0 {
 		diff = mc.DiffBytes
 	}
-	var extra []blobvfs.Option
-	if mc.Batched {
-		extra = append(extra, blobvfs.WithBatchedCommit())
-	}
-	sp := newSmallPool(p, mc.Instances, mc.Providers, false, p2p.Config{}, cluster.Topology{}, extra...)
-	sp.Orch.Pipeline = mc.Batched
+	sp := newSmallPool(p, mc.Instances, mc.Providers, false, p2p.Config{}, cluster.Topology{})
 
 	writes0 := sp.Sys.Providers.Writes.Load()
 	puts0 := sp.Sys.Providers.PutRPCs.Load()
@@ -142,48 +129,32 @@ func RunMultisnapshot(p Params, mc MultisnapshotConfig) MultisnapshotPoint {
 		Instances:    mc.Instances,
 		Providers:    mc.Providers,
 		Rounds:       mc.Rounds,
-		Batched:      mc.Batched,
 		ChunkWrites:  float64(sp.Sys.Providers.Writes.Load()-writes0) / rounds,
 		ChunkPutRPCs: float64(sp.Sys.Providers.PutRPCs.Load()-puts0) / rounds,
 		MetaPutRPCs:  float64(sp.Sys.Meta.Puts.Load()-metaPuts0) / rounds,
-		AvgTime:      metrics.Summarize(snap.Times).Mean,
 		Completion:   snap.Completion,
 	}
 	pt.WriteRPCs = pt.ChunkPutRPCs + pt.MetaPutRPCs
 	return pt
 }
 
-// MultisnapshotTable renders an unbatched/batched comparison with the
-// write-RPC reduction factor.
-func MultisnapshotTable(points []MultisnapshotPoint) *metrics.Table {
+// MultisnapshotTable renders a run's write-RPC cost per commit round.
+func MultisnapshotTable(pt MultisnapshotPoint) *metrics.Table {
 	t := &metrics.Table{
 		Title: "Multisnapshot write path: provider write RPCs per commit round",
 		Columns: []string{
-			"instances", "providers", "batched", "chunk writes",
+			"instances", "providers", "chunk writes",
 			"chunk-put RPCs", "meta-put RPCs", "write RPCs", "completion (s)",
 		},
 	}
-	var base float64
-	for _, pt := range points {
-		batched := "off"
-		if pt.Batched {
-			batched = "on"
-		}
-		t.AddRow(
-			itoa(pt.Instances),
-			itoa(pt.Providers),
-			batched,
-			fmt.Sprintf("%.0f", pt.ChunkWrites),
-			fmt.Sprintf("%.0f", pt.ChunkPutRPCs),
-			fmt.Sprintf("%.0f", pt.MetaPutRPCs),
-			fmt.Sprintf("%.0f", pt.WriteRPCs),
-			ftoa(pt.Completion),
-		)
-		if !pt.Batched {
-			base = pt.WriteRPCs
-		} else if base > 0 && pt.WriteRPCs > 0 {
-			t.AddRow("", "", "reduction", "", "", "", fmt.Sprintf("%.1fx", base/pt.WriteRPCs), "")
-		}
-	}
+	t.AddRow(
+		itoa(pt.Instances),
+		itoa(pt.Providers),
+		fmt.Sprintf("%.0f", pt.ChunkWrites),
+		fmt.Sprintf("%.0f", pt.ChunkPutRPCs),
+		fmt.Sprintf("%.0f", pt.MetaPutRPCs),
+		fmt.Sprintf("%.0f", pt.WriteRPCs),
+		ftoa(pt.Completion),
+	)
 	return t
 }

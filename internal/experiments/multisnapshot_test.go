@@ -3,7 +3,6 @@ package experiments
 import (
 	"testing"
 
-	"blobvfs"
 	"blobvfs/internal/cluster"
 	"blobvfs/internal/middleware"
 	"blobvfs/internal/p2p"
@@ -13,15 +12,13 @@ import (
 // herdCommit provisions n instances over a dedicated provider pool,
 // dirties each with one round of §5.3 writes, and commits them all
 // concurrently (first snapshot, so CLONE+COMMIT). It returns the pool
-// for counter inspection.
-func herdCommit(t *testing.T, p Params, instances, providers int, batched bool) *smallPool {
+// for counter inspection and the most simulated processes that were
+// alive at once during the commit round, sampled every 50 µs of
+// virtual time.
+func herdCommit(t *testing.T, p Params, instances, providers int) (*smallPool, int) {
 	t.Helper()
-	var extra []blobvfs.Option
-	if batched {
-		extra = append(extra, blobvfs.WithBatchedCommit())
-	}
-	sp := newSmallPool(p, instances, providers, false, p2p.Config{}, cluster.Topology{}, extra...)
-	sp.Orch.Pipeline = batched
+	sp := newSmallPool(p, instances, providers, false, p2p.Config{}, cluster.Topology{})
+	peak := 0
 	sp.Fab.Run(func(ctx *cluster.Ctx) {
 		insts := make([]*middleware.Instance, instances)
 		errs := make([]error, instances)
@@ -47,89 +44,75 @@ func herdCommit(t *testing.T, p Params, instances, providers int, batched bool) 
 				t.Fatal(err)
 			}
 		}
-		if _, err := sp.Orch.SnapshotAll(ctx, insts); err != nil {
+		committed := false
+		sampler := ctx.Go("sampler", ctx.Node(), func(cc *cluster.Ctx) {
+			for !committed {
+				peak = max(peak, sp.Fab.Env().Procs())
+				cc.Sleep(50e-6)
+			}
+		})
+		_, err := sp.Orch.SnapshotAll(ctx, insts)
+		committed = true
+		ctx.WaitAll([]cluster.Task{sampler})
+		if err != nil {
 			t.Fatal(err)
 		}
 	})
-	return sp
+	return sp, peak
 }
 
 // TestHerdCommitPerProviderRPCs pins the write-side RPC accounting of a
-// 64-instance concurrent commit round against a 4-node provider pool.
-// Batched: every instance pays exactly one chunk-put RPC per provider
-// it stores on — with a diff spanning the whole ring, that is one RPC
-// per provider per instance, evenly spread. Unbatched: one RPC per
-// chunk write. Metadata puts are already batched (one per provider per
-// PutBatch) and must be identical in both arms.
+// concurrent commit round: every instance pays exactly one chunk-put
+// RPC per provider it stores on, however many chunks it dirtied, and
+// never keeps more than clientParallel (16) of them in flight.
 func TestHerdCommitPerProviderRPCs(t *testing.T) {
-	p := Quick()
-	const instances, providers = 64, 4
-
-	plain := herdCommit(t, p, instances, providers, false)
-	batched := herdCommit(t, p, instances, providers, true)
-
-	// Unbatched: exactly one provider RPC per logical chunk write.
-	plainWrites := plain.Sys.Providers.Writes.Load()
-	plainPuts := plain.Sys.Providers.PutRPCs.Load()
-	if plainPuts != plainWrites {
-		t.Fatalf("unbatched: %d put RPCs for %d chunk writes, want equal", plainPuts, plainWrites)
-	}
-
-	// Both arms commit the identical content: same chunk writes, same
-	// metadata put RPCs (the metadata path was already batched).
-	if bw := batched.Sys.Providers.Writes.Load(); bw != plainWrites {
-		t.Fatalf("batched committed %d chunk writes, unbatched %d", bw, plainWrites)
-	}
-	if bm, pm := batched.Sys.Meta.Puts.Load(), plain.Sys.Meta.Puts.Load(); bm != pm {
-		t.Fatalf("meta-put RPCs diverged: batched %d, unbatched %d", bm, pm)
-	}
-
-	// Batched: one chunk-put RPC per provider per commit (the base
-	// upload, before any instance, is also one batch → one RPC per
-	// provider). Each instance's diff spans every ring member, so the
-	// per-provider counts are exactly commits+1 each.
-	per := batched.Sys.Providers.NodePutRPCs()
-	if len(per) != providers {
-		t.Fatalf("batched puts landed on %d providers, want %d", len(per), providers)
-	}
-	var total int64
-	for node, n := range per {
-		if n != instances+1 {
-			t.Fatalf("provider %d served %d put RPCs, want %d (one per commit plus the base upload)", node, n, instances+1)
+	// perProvider checks that every provider served exactly one put RPC
+	// per commit plus one for the base upload (itself one batch). Each
+	// instance's diff spans every ring member — a commit's keys are
+	// consecutive and there are at least as many as providers — so the
+	// counts are even.
+	perProvider := func(t *testing.T, sp *smallPool, instances, providers int) {
+		t.Helper()
+		per := sp.Sys.Providers.NodePutRPCs()
+		if len(per) != providers {
+			t.Fatalf("puts landed on %d providers, want %d", len(per), providers)
 		}
-		total += n
-	}
-	if got := batched.Sys.Providers.PutRPCs.Load(); got != total {
-		t.Fatalf("PutRPCs total %d != per-provider sum %d", got, total)
+		var total int64
+		for node, n := range per {
+			if n != int64(instances)+1 {
+				t.Fatalf("provider %d served %d put RPCs, want %d (one per commit plus the base upload)", node, n, instances+1)
+			}
+			total += n
+		}
+		if got := sp.Sys.Providers.PutRPCs.Load(); got != total {
+			t.Fatalf("PutRPCs total %d != per-provider sum %d", got, total)
+		}
+		if writes := sp.Sys.Providers.Writes.Load(); total*2 >= writes {
+			t.Fatalf("%d put RPCs for %d chunk writes: the round was not batched", total, writes)
+		}
 	}
 
-	// The headline: the batched arm's chunk-put RPCs collapse from one
-	// per chunk to one per provider per commit.
-	if batchedPuts := batched.Sys.Providers.PutRPCs.Load(); batchedPuts*2 >= plainPuts {
-		t.Fatalf("batching saved too little: %d vs %d put RPCs", batchedPuts, plainPuts)
-	}
-}
+	t.Run("4 providers", func(t *testing.T) {
+		const instances, providers = 64, 4
+		sp, _ := herdCommit(t, Quick(), instances, providers)
+		perProvider(t, sp, instances, providers)
+	})
 
-// TestMultisnapshotBatchedArmsAgree runs the scenario end to end and
-// checks the two arms publish identical logical content (same chunk
-// writes per round) while the batched arm cuts write RPCs.
-func TestMultisnapshotBatchedArmsAgree(t *testing.T) {
-	p := Quick()
-	cfg := MultisnapshotConfig{Instances: 16, Providers: 4, Rounds: 2}
-	plain := RunMultisnapshot(p, cfg)
-	cfg.Batched = true
-	batched := RunMultisnapshot(p, cfg)
-
-	if plain.ChunkWrites != batched.ChunkWrites {
-		t.Fatalf("chunk writes diverged: unbatched %.0f, batched %.0f", plain.ChunkWrites, batched.ChunkWrites)
-	}
-	if plain.MetaPutRPCs != batched.MetaPutRPCs {
-		t.Fatalf("meta-put RPCs diverged: unbatched %.0f, batched %.0f", plain.MetaPutRPCs, batched.MetaPutRPCs)
-	}
-	if plain.ChunkPutRPCs != plain.ChunkWrites {
-		t.Fatalf("unbatched chunk-put RPCs %.0f != chunk writes %.0f", plain.ChunkPutRPCs, plain.ChunkWrites)
-	}
-	if batched.WriteRPCs >= plain.WriteRPCs {
-		t.Fatalf("batched write RPCs %.0f not below unbatched %.0f", batched.WriteRPCs, plain.WriteRPCs)
-	}
+	// A pool wider than the client's connection pool: still one RPC per
+	// provider per commit, but served sixteen at a time. Alive at the
+	// peak are the root activity and the sampler, and per instance its
+	// snapshot, its clone, its put-chunks and the put-batch activities.
+	t.Run("32 providers", func(t *testing.T) {
+		const instances, providers = 4, 32
+		p := Quick()
+		p.SnapshotDiff = 16 << 20 // 64 dirty chunks: every commit reaches all 32 providers
+		sp, peak := herdCommit(t, p, instances, providers)
+		perProvider(t, sp, instances, providers)
+		if limit := 2 + instances*(3+16); peak > limit {
+			t.Fatalf("%d processes alive at the peak of the round, want at most %d (16 put-batch activities per commit)", peak, limit)
+		}
+		if peak <= 2+instances*3 {
+			t.Fatalf("peak of %d processes: the sampler never saw a put-batch activity", peak)
+		}
+	})
 }

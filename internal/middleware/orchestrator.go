@@ -87,22 +87,17 @@ type Orchestrator struct {
 	// hypervisor of instance i is launched (models staggered launch
 	// and hypervisor initialization; §3.1.3).
 	StartJitter func(i int) float64
-	// Retention, when KeepLast > 0, retires old snapshot versions after
-	// every SnapshotAll round (backend permitting).
+	// Retention, when KeepLast > 0, retires old snapshot versions in
+	// every SnapshotAll round (backend permitting): each instance
+	// retires its own lineage's versions on its own node as soon as its
+	// snapshot completes, so a fast instance's lifecycle work proceeds
+	// while slow instances are still publishing chunks. A blob's "last
+	// K" is per instance, so this needs no barrier.
 	Retention RetentionPolicy
-	// Pipeline overlaps the commit pipeline across instances: each
-	// instance's retention runs on its own node as soon as its snapshot
-	// completes, instead of behind the round's global barrier, so a
-	// fast instance's lifecycle work proceeds while slow instances are
-	// still publishing chunks. The single garbage-collection cycle
-	// still runs after every instance finished (a blob's "last K" is
-	// per instance, so per-instance retirement needs no barrier, but
-	// reclaiming shared chunks does). Off by default: the barrier
-	// ordering is what the existing scenarios measure.
-	Pipeline bool
 	// Collector, when set, runs one garbage-collection cycle after each
-	// SnapshotAll round's retention, reclaiming the storage the retired
-	// versions held exclusively.
+	// SnapshotAll round, reclaiming the storage the retired versions
+	// held exclusively. It reclaims shared chunks, so unlike retention
+	// it runs behind the round's barrier, after every instance finished.
 	Collector *blob.Collector
 }
 
@@ -179,7 +174,7 @@ func (o *Orchestrator) SnapshotAll(ctx *cluster.Ctx, instances []*Instance) (*Sn
 			t0 := cc.Now()
 			errs[k] = o.Backend.Snapshot(cc, inst.Index, inst.Node, inst.Disk)
 			res.Times[k] = cc.Now() - t0
-			if o.Pipeline && errs[k] == nil && vr != nil {
+			if errs[k] == nil && vr != nil {
 				retired[k], errs[k] = vr.RetireOld(cc, inst.Disk, o.Retention.KeepLast)
 			}
 		}))
@@ -188,23 +183,6 @@ func (o *Orchestrator) SnapshotAll(ctx *cluster.Ctx, instances []*Instance) (*Sn
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
-		}
-	}
-	// Lifecycle epilogue: retention retires versions that fell out of
-	// the keep-last-K window, and the collector reclaims what they held
-	// exclusively. With Pipeline each instance already retired its own
-	// versions inline above; otherwise both run after every instance's
-	// snapshot completed, so the "last K" of each blob is well defined
-	// for the round. (Per-instance retirement is safe to pipeline: a
-	// lineage is private to its instance. The collector is not — it
-	// reclaims shared chunks — so it always runs behind the barrier.)
-	if vr != nil && !o.Pipeline {
-		for k, inst := range instances {
-			n, err := vr.RetireOld(ctx, inst.Disk, o.Retention.KeepLast)
-			if err != nil {
-				return nil, err
-			}
-			retired[k] = n
 		}
 	}
 	for _, n := range retired {

@@ -339,3 +339,55 @@ func TestSyntheticCommitTagsDistinctPerChunk(t *testing.T) {
 		}
 	})
 }
+
+// TestSyntheticForkTagsDistinctPerInstance: two instances fork from one
+// base snapshot and each commits its own modification of the same four
+// chunks. The payloads are different content, so under deduplication
+// they must be stored as eight chunks. The tag therefore has to carry
+// the identity the publish lands on (each instance's clone), not the
+// fork source's, which both instances share: the clone of a forking
+// Snapshot overlaps the capture of the payloads, and a tag stamped at
+// capture time names the source.
+func TestSyntheticForkTagsDistinctPerInstance(t *testing.T) {
+	fab := cluster.NewSim(cluster.DefaultConfig(2))
+	sys := blob.NewSystem([]cluster.NodeID{0, 1}, 0, 1)
+	sys.Providers.EnableDedup()
+	fab.Run(func(ctx *cluster.Ctx) {
+		c := blob.NewClient(sys)
+		id, err := c.Create(ctx, 16<<10, 4<<10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := c.WriteFull(ctx, id, 0, uint64(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits0 := sys.Providers.DedupHits.Load()
+		chunks0 := sys.Providers.ChunkCount()
+		var tasks []cluster.Task
+		for node := cluster.NodeID(0); node < 2; node++ {
+			mod := NewModule(node, blob.NewClient(sys), DefaultConfig())
+			tasks = append(tasks, ctx.Go("instance", node, func(cc *cluster.Ctx) {
+				im, err := mod.Open(cc, id, v, false)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if err := im.Write(cc, 0, 16<<10); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, _, err := im.Snapshot(cc, true); err != nil {
+					t.Error(err)
+				}
+			}))
+		}
+		ctx.WaitAll(tasks)
+		if hits := sys.Providers.DedupHits.Load() - hits0; hits != 0 {
+			t.Fatalf("%d chunks of one instance aliased onto the other's (both stamped the fork source's identity)", hits)
+		}
+		if got := sys.Providers.ChunkCount() - chunks0; got != 8 {
+			t.Fatalf("stored %d new chunks, want 8 distinct", got)
+		}
+	})
+}

@@ -30,12 +30,6 @@ type Config struct {
 	FetchRetries int
 	// RetryDelay is the backoff between fetch retries in seconds.
 	RetryDelay float64
-	// BatchedCommit overlaps the CLONE of a forking Snapshot with the
-	// commit's local prepare phase (gap fill and payload capture). It
-	// is set together with the client's write batching (one provider
-	// RPC per provider per commit round); both default off — the
-	// unbatched commit costs are pinned by the figure scenarios.
-	BatchedCommit bool
 }
 
 // DefaultConfig returns the calibrated FUSE crossing cost, with
@@ -712,14 +706,8 @@ func (im *Image) Clone(ctx *cluster.Ctx) error {
 // the committed chunks are announced by the write path: after COMMIT
 // the local copy equals the published snapshot.
 func (im *Image) Commit(ctx *cluster.Ctx) (blob.Version, error) {
-	plan, err := im.prepareCommit(ctx)
-	if err != nil {
-		return 0, err
-	}
-	if plan == nil {
-		return im.Version(), nil
-	}
-	return im.publishCommit(ctx, plan)
+	_, v, err := im.Snapshot(ctx, false)
+	return v, err
 }
 
 // commitPlan carries a prepared commit between its two phases: the
@@ -733,7 +721,9 @@ type commitPlan struct {
 // full content, then capture their payloads and open the publish window
 // (mark them publishing). A nil plan means nothing was dirty. Every
 // fabric operation it performs reads; it never publishes, so it can
-// safely overlap a concurrent Clone (Snapshot's pipelined mode).
+// safely overlap a concurrent Clone (a forking Snapshot). For the same
+// reason it stamps nothing with the image's identity, which the Clone
+// is changing: a synthetic payload gets its tag in publishCommit.
 func (im *Image) prepareCommit(ctx *cluster.Ctx) (*commitPlan, error) {
 	im.mu.Lock()
 	if !im.open {
@@ -776,21 +766,14 @@ func (im *Image) prepareCommit(ctx *cluster.Ctx) (*commitPlan, error) {
 	cs := int64(im.info.ChunkSize)
 	writes := make([]blob.ChunkWrite, 0, len(dirtyIdx))
 	im.mu.Lock()
-	id, base := im.blobID, im.version
 	for _, ci := range dirtyIdx {
 		clen := im.chunkLen(ci)
-		var payload blob.Payload
+		payload := blob.SyntheticPayload(clen, 0)
 		if im.local != nil {
 			cstart := ci * cs
 			data := make([]byte, clen)
 			copy(data, im.local[cstart:cstart+int64(clen)])
 			payload = blob.RealPayload(data)
-		} else {
-			// The tag stands in for the chunk's content identity, so it
-			// must differ per chunk: blob, target version and chunk
-			// index mixed (a tag without the index would alias every
-			// synthetic chunk of the round under deduplication).
-			payload = blob.SyntheticPayload(clen, uint64(id)<<44|(uint64(base)+1)<<24|uint64(ci))
 		}
 		writes = append(writes, blob.ChunkWrite{Index: ci, Payload: payload})
 		im.stats.CommittedBytes += int64(clen)
@@ -808,7 +791,20 @@ func (im *Image) prepareCommit(ctx *cluster.Ctx) (*commitPlan, error) {
 func (im *Image) publishCommit(ctx *cluster.Ctx, plan *commitPlan) (blob.Version, error) {
 	im.mu.Lock()
 	id, base := im.blobID, im.version
+	synthetic := im.local == nil
 	im.mu.Unlock()
+	if synthetic {
+		// A synthetic payload's tag stands in for its content identity:
+		// the blob and version the publish lands on (after a fork, the
+		// clone's) and the chunk index, mixed. Without the index every
+		// synthetic chunk of the round would alias under deduplication;
+		// with the fork source's identity, chunk ci of every instance
+		// forking from one base.
+		for i := range plan.writes {
+			w := &plan.writes[i]
+			w.Payload.Tag = uint64(id)<<44 | (uint64(base)+1)<<24 | uint64(w.Index)
+		}
+	}
 	v, keyOf, err := im.mod.client.WriteChunksKeyed(ctx, id, base, plan.writes)
 	if err != nil {
 		im.closeWindow(plan.dirtyIdx)
@@ -883,42 +879,32 @@ func (im *Image) pinVersion(id blob.ID, v blob.Version) error {
 // Snapshot is the CLONE+COMMIT sequence as one primitive: with fork the
 // image first redirects to a fresh clone of the mirrored snapshot, then
 // commits its local modifications; without fork it is Commit. It
-// returns the blob and version now mirrored. When the module runs with
-// Config.BatchedCommit, the forking form pipelines the two phases: the
-// clone's metadata round trips overlap the commit's local prepare
-// phase (gap fill and payload capture), and the publish then lands on
-// the clone — the paper's multisnapshot pattern with the serial
-// per-instance latency folded away.
+// returns the blob and version now mirrored. The clone's metadata round
+// trips overlap the commit's local prepare phase (gap fill and payload
+// capture), and the publish then lands on the clone — the paper's
+// multisnapshot pattern with the serial per-instance latency folded
+// away.
 func (im *Image) Snapshot(ctx *cluster.Ctx, fork bool) (blob.ID, blob.Version, error) {
-	if fork && im.mod.cfg.BatchedCommit {
-		var cloneErr error
-		ct := ctx.Go("clone", ctx.Node(), func(cc *cluster.Ctx) { cloneErr = im.Clone(cc) })
-		plan, prepErr := im.prepareCommit(ctx)
-		ctx.WaitAll([]cluster.Task{ct})
-		if cloneErr != nil {
-			if plan != nil {
-				im.closeWindow(plan.dirtyIdx)
-			}
-			return 0, 0, cloneErr
-		}
-		if prepErr != nil {
-			return 0, 0, prepErr
-		}
-		if plan == nil {
-			return im.BlobID(), im.Version(), nil
-		}
-		v, err := im.publishCommit(ctx, plan)
-		if err != nil {
-			return 0, 0, err
-		}
-		return im.BlobID(), v, nil
-	}
+	var clone []cluster.Task
+	var cloneErr error
 	if fork {
-		if err := im.Clone(ctx); err != nil {
-			return 0, 0, err
-		}
+		clone = append(clone, ctx.Go("clone", ctx.Node(), func(cc *cluster.Ctx) { cloneErr = im.Clone(cc) }))
 	}
-	v, err := im.Commit(ctx)
+	plan, err := im.prepareCommit(ctx)
+	ctx.WaitAll(clone)
+	if cloneErr != nil {
+		if plan != nil {
+			im.closeWindow(plan.dirtyIdx)
+		}
+		return 0, 0, cloneErr
+	}
+	if err != nil {
+		return 0, 0, err
+	}
+	if plan == nil {
+		return im.BlobID(), im.Version(), nil
+	}
+	v, err := im.publishCommit(ctx, plan)
 	if err != nil {
 		return 0, 0, err
 	}

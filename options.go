@@ -21,7 +21,6 @@ type config struct {
 	p2p          *P2PConfig
 	retainLast   int // 0 disables the repo-level retention default
 	dedup        bool
-	batched      bool
 	faults       []FaultEvent
 	topo         Topology
 	syncUUID     uint64 // 0 auto-assigns a process-unique identity
@@ -115,21 +114,6 @@ func WithExtentCacheCap(n int) Option {
 // identical chunk payloads are stored once and aliased.
 func WithDedup() Option {
 	return func(c *config) { c.dedup = true }
-}
-
-// WithBatchedCommit turns on the batched multisnapshot write path:
-// a commit groups its chunk publishes by target provider (one RPC per
-// provider per round instead of one per chunk), resolves metadata tree
-// nodes level-by-level in batched reads, and — when Repo.Snapshot is
-// asked to fork — overlaps the CLONE with the commit's local prepare
-// work. The committed bytes, versions, and metadata are identical to
-// the unbatched path; only the fabric round-trip count changes.
-// Deliberately opt-in so existing scenarios stay byte-identical.
-func WithBatchedCommit() Option {
-	return func(c *config) {
-		c.batched = true
-		c.mirror.BatchedCommit = true
-	}
 }
 
 // WithTopology makes the repository topology-aware: chunk placement

@@ -175,13 +175,7 @@ func (r *Repo) checkOpen() error {
 // share a client: its metadata caches would physically span machines
 // and under-charge the modeled RPCs. Caching is per node, and lives in
 // the per-node modules (see module).
-func (r *Repo) client() *blob.Client {
-	c := blob.NewClient(r.sys)
-	if r.cfg.batched {
-		c.SetWriteBatching(true)
-	}
-	return c
-}
+func (r *Repo) client() *blob.Client { return blob.NewClient(r.sys) }
 
 // module returns (creating on first use) the mirroring module of a
 // node. Each module owns a blob client, hence its own metadata cache —
@@ -195,9 +189,6 @@ func (r *Repo) module(node NodeID) *mirror.Module {
 		c := blob.NewClient(r.sys)
 		if r.cfg.extentCap > 0 {
 			c.SetExtentCacheCap(r.cfg.extentCap)
-		}
-		if r.cfg.batched {
-			c.SetWriteBatching(true)
 		}
 		m = mirror.NewModule(node, c, r.cfg.mirror)
 		if r.cohort != nil {

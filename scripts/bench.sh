@@ -9,9 +9,8 @@
 # BENCH_flashcrowd.json — provider reads, cross-zone bytes (flat vs
 # topology-aware, with the reduction factor) and ns/op — and the
 # multisnapshot write path into BENCH_multisnapshot.json — provider
-# write RPCs per commit round, unbatched vs batched, with the
-# reduction factor and ns/op — and the metadata-outage family into
-# BENCH_metaoutage.json — flash-crowd completion healthy vs with half
+# write RPCs per commit round and ns/op — and the metadata-outage family
+# into BENCH_metaoutage.json — flash-crowd completion healthy vs with half
 # the metadata providers and a compute rack down, with the failover,
 # re-replication and failed-descent counts — and the differential-sync
 # family into BENCH_export.json — average delta vs full-image bytes
