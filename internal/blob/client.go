@@ -143,9 +143,9 @@ func (c *Client) Info(ctx *cluster.Ctx, id ID) (Info, error) {
 // getNodes resolves a batch of refs through the cache into out
 // (len(out) == len(refs)): cached refs are free, refs another activity
 // is already fetching are joined, and the remaining cold refs go to the
-// metadata service as one GetBatch (one RPC per distinct home
-// provider) under one flight. Missing refs produce the same not-found
-// error Get reports; the refs that were found are still filled in.
+// metadata service as one GetBatchInto (one RPC per distinct home
+// provider) under one flight. Missing refs produce a not-found error;
+// the refs that were found are still filled in.
 func (c *Client) getNodes(ctx *cluster.Ctx, refs []NodeRef, out []TreeNode) error {
 	cold := 0
 	for i, ref := range refs {
@@ -261,24 +261,16 @@ func (c *Client) pendingAllocator(n int) (alloc func() NodeRef, done func()) {
 	return alloc, done
 }
 
-// boundGetter adapts the client's caches to the segment-tree getter
-// interfaces; CollectLeaves detects the BatchGetter side and, like
-// BuildVersion, descends level by level, one batched metadata round
-// per level.
+// boundGetter adapts the client's caches to the segment-tree Getter:
+// CollectLeaves, BuildVersion and CloneRoot descend level by level,
+// one batched metadata round per level.
 type boundGetter struct {
 	c   *Client
 	ctx *cluster.Ctx
 }
 
-// GetNode is a GetNodes round of a single ref.
-func (g boundGetter) GetNode(ref NodeRef) (TreeNode, error) {
-	var out [1]TreeNode
-	err := g.c.getNodes(g.ctx, []NodeRef{ref}, out[:])
-	return out[0], err
-}
-
-func (g boundGetter) GetNodes(refs []NodeRef, out []TreeNode) error {
-	return g.c.getNodes(g.ctx, refs, out)
+func (b boundGetter) GetNodes(refs []NodeRef, out []TreeNode) error {
+	return b.c.getNodes(b.ctx, refs, out)
 }
 
 // Create registers a new blob of the given size and chunk size. The
@@ -504,7 +496,7 @@ func (c *Client) resolveLeaves(ctx *cluster.Ctx, id ID, v Version, span, lo, hi 
 }
 
 // leanGetter is the bulk-prefetch variant of boundGetter: cache hits
-// are shared, but cold refs go straight to GetBatch without
+// are shared, but cold refs go straight to GetBatchInto without
 // singleflight registration and without node-cache insertion. A
 // whole-image prefetch resolves every node exactly once into the
 // extent cache — that interval map is the durable product of the
@@ -532,8 +524,8 @@ func (g leanGetter) GetNodes(refs []NodeRef, out []TreeNode) error {
 		// straight into the aligned result.
 		return g.c.sys.Meta.GetBatchInto(g.ctx, refs, out)
 	}
-	nodes, err := g.c.sys.Meta.GetBatch(g.ctx, misses)
-	if err != nil {
+	nodes := make([]TreeNode, len(misses))
+	if err := g.c.sys.Meta.GetBatchInto(g.ctx, misses, nodes); err != nil {
 		return err
 	}
 	for j, i := range missIdx {

@@ -10,7 +10,13 @@
 //   - providers (provider.go): store chunk payloads on the compute
 //     nodes' local disks, with optional replication;
 //   - metadata providers (meta.go): a distributed store of immutable
-//     segment-tree nodes;
+//     segment-tree nodes, read through one batched get;
+//   - the placement core both of those embed (replicaset.go, rings in
+//     ring.go): replica rings, liveness, failover picks, degraded puts
+//     and the repair sweep, once for chunks and tree nodes alike;
+//   - the segment-tree algorithms (segtree.go): one level-order walk
+//     under CollectLeaves and WalkReachable, and the version builder;
+//   - the collector (gc.go): mark through WalkReachable, then sweep;
 //   - the version manager (vmanager.go): assigns version numbers and
 //     publishes snapshots in total order per blob;
 //   - the client (client.go): striped reads, atomic multi-chunk writes

@@ -3,6 +3,7 @@ package blob
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"blobvfs/internal/cluster"
@@ -310,6 +311,55 @@ func TestGCNeverReclaimsReachableDuringFailover(t *testing.T) {
 					t.Fatalf("step %d: live version %d unreadable after GC+failover: %v", step, live, err)
 				}
 			}
+		}
+	})
+}
+
+// TestDegreeOneSweepDoesNoWork: at replication degree 1 no copy can
+// ever be created — a key has its one copy or none — so a repair sweep
+// returns before listing a single key: it creates nothing, allocates
+// nothing, and a key's live locations are simply its ring while the
+// ring's one member is up.
+func TestDegreeOneSweepDoesNoWork(t *testing.T) {
+	fab := cluster.NewSim(cluster.DefaultConfig(5))
+	nodes := []cluster.NodeID{1, 2, 3, 4}
+	ps := NewProviderSet(nodes, 1)
+	lv := cluster.NewLiveness(5)
+	lv.OnChange(ps.NodeChanged)
+	fab.Run(func(ctx *cluster.Ctx) {
+		keys := make([]ChunkKey, 64)
+		for i := range keys {
+			keys[i] = ps.AllocKey()
+			if err := putOne(ctx, ps, keys[i], SyntheticPayload(4096, uint64(i+1))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const victim = cluster.NodeID(2)
+		checkLocations := func(when string, dead cluster.NodeID) {
+			for _, k := range keys {
+				var want []cluster.NodeID
+				for _, n := range ps.Replicas(k) {
+					if n != dead {
+						want = append(want, n)
+					}
+				}
+				if got := ps.LiveLocations(k); !slices.Equal(got, want) {
+					t.Fatalf("%s: chunk %d live at %v, want its ring minus the dead node %v", when, k, got, want)
+				}
+			}
+		}
+		lv.Kill(ctx, victim)
+		if created := ps.ReReplicate(ctx); created != 0 {
+			t.Fatalf("degree-1 sweep created %d copies", created)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { ps.ReReplicate(ctx) }); allocs != 0 {
+			t.Errorf("degree-1 sweep allocates %.0f times: it listed the stored keys", allocs)
+		}
+		checkLocations("after the kill", victim)
+		lv.Revive(ctx, victim)
+		checkLocations("after the revive", -1)
+		if n := ps.Rereplicated.Load(); n != 0 {
+			t.Fatalf("Rereplicated = %d at degree 1", n)
 		}
 	})
 }

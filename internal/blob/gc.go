@@ -29,9 +29,11 @@ import (
 //     in flight.
 //   - Mark. The live snapshot roots (published, not retired, plus
 //     anything pinned) are fetched from the version manager, and their
-//     trees are walked through the metadata service. Shared subtrees
-//     are visited once: shadowing means most of a version's tree
-//     belongs to its ancestors.
+//     trees are walked through the metadata service, all of them as
+//     one level-order frontier (WalkReachable), so a cycle costs tree
+//     depth rounds of batched gets. Shared subtrees are visited once:
+//     shadowing means most of a version's tree belongs to its
+//     ancestors.
 //   - Sweep. Unmarked tree nodes at or below the watermark are dropped
 //     from the metadata providers; unmarked chunk keys give up their
 //     content reference, and chunks whose reference count reaches zero
@@ -120,24 +122,22 @@ func (g *Collector) Collect(ctx *cluster.Ctx) (GCReport, error) {
 	roots := g.sys.VM.LiveRoots(ctx)
 	rep := GCReport{LiveVersions: len(roots)}
 
+	// Mark: every live root descends in one frontier, a batched
+	// metadata round per tree level.
 	liveNodes := make(map[NodeRef]bool)
 	liveChunks := make(map[ChunkKey]bool)
-	getter := GetterFunc(func(ref NodeRef) (TreeNode, error) {
-		return g.sys.Meta.Get(ctx, ref)
-	})
-	for _, lr := range roots {
-		err := WalkReachable(getter, lr.Root, lr.Span,
-			func(ref NodeRef) bool {
-				if liveNodes[ref] {
-					return false // shared subtree already marked
-				}
-				liveNodes[ref] = true
-				return true
-			},
-			func(key ChunkKey) { liveChunks[key] = true })
-		if err != nil {
-			return rep, err
-		}
+	err := WalkReachable(g.sys.Meta.Getter(ctx), roots,
+		func(ref NodeRef) bool {
+			if liveNodes[ref] {
+				return false // shared subtree already marked
+			}
+			liveNodes[ref] = true
+			return true
+		},
+		nil,
+		func(key ChunkKey) { liveChunks[key] = true })
+	if err != nil {
+		return rep, err
 	}
 	rep.MarkedNodes = len(liveNodes)
 	rep.MarkedChunks = len(liveChunks)

@@ -77,9 +77,7 @@ func checkLiveVersions(t *testing.T, ctx *cluster.Ctx, c *Client, blobs []*propB
 			if err != nil {
 				t.Fatal(err)
 			}
-			leaves, err := CollectLeaves(GetterFunc(func(ref NodeRef) (TreeNode, error) {
-				return c.sys.Meta.Get(ctx, ref)
-			}), root, inf.Span, 0, pb.chunks)
+			leaves, err := CollectLeaves(c.sys.Meta.Getter(ctx), root, inf.Span, 0, pb.chunks)
 			if err != nil {
 				t.Fatalf("live version %d@%d tree walk: %v (GC freed shared metadata?)", pb.id, v, err)
 			}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"blobvfs/internal/cluster"
+	"blobvfs/internal/sim"
 )
 
 // TestRetireUnpublishesFromLatest: a retired version disappears from
@@ -277,4 +278,131 @@ func TestCollectorSkipsOverlappingCycle(t *testing.T) {
 		}
 	})
 	gc.running.Store(false)
+}
+
+// peekGetter reads tree nodes straight out of the metadata store, at
+// no cost: what the recursive reference walker marks through.
+type peekGetter struct{ m *MetaService }
+
+func (g peekGetter) GetNode(ref NodeRef) (TreeNode, error) {
+	n, ok := g.m.peek(ref)
+	if !ok {
+		return TreeNode{}, notFound("metadata node", ref)
+	}
+	return n, nil
+}
+
+// TestGCMarkRounds: the mark phase descends every live root as one
+// frontier, so a cycle pays a batched round per tree level — at most
+// depth × providers service operations — while serving each marked
+// node exactly once; and it marks and frees exactly what the
+// recursive reference walker computes. (When the mark phase read one
+// node per RPC, Gets rose by MarkedNodes.)
+func TestGCMarkRounds(t *testing.T) {
+	const (
+		providers = 8
+		chunkSize = 256 << 10
+		chunks    = 8192 // a 2 GiB base
+		levels    = 14   // log2(8192) inner levels plus the leaves
+		snapshots = 20
+		dirty     = 48
+	)
+	fab := cluster.NewSim(cluster.DefaultConfig(providers + 1))
+	provs := make([]cluster.NodeID, providers)
+	for i := range provs {
+		provs[i] = cluster.NodeID(i + 1)
+	}
+	sys := NewSystem(provs, 0, 1)
+	fab.Run(func(ctx *cluster.Ctx) {
+		c := NewClient(sys)
+		base, err := c.Create(ctx, chunks*chunkSize, chunkSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		writes := make([]ChunkWrite, chunks)
+		for i := range writes {
+			writes[i] = ChunkWrite{Index: int64(i), Payload: SyntheticPayload(chunkSize, 0)}
+		}
+		v1, err := c.WriteChunks(ctx, base, 0, writes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Every snapshot is a clone of the base with its own scattered
+		// diff, as instances of one image produce them; a few get a
+		// second version. Retiring some makes their diffs garbage.
+		rng := sim.NewRNG(17)
+		for s := 0; s < snapshots; s++ {
+			id, err := c.Clone(ctx, base, v1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v := Version(1)
+			for round := 0; round <= s%2; round++ {
+				diff := make([]ChunkWrite, dirty)
+				for k, ci := range rng.Perm(chunks)[:dirty] {
+					diff[k] = ChunkWrite{Index: int64(ci), Payload: SyntheticPayload(chunkSize, 0)}
+				}
+				if v, err = c.WriteChunks(ctx, id, v, diff); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if s%5 == 4 {
+				if _, err := sys.VM.RetireUpTo(ctx, id, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+
+		// What the reference marks, walking root after root.
+		roots := sys.VM.LiveRoots(ctx)
+		if len(roots) < 17 {
+			t.Fatalf("%d live roots, want the base and at least 16 snapshots", len(roots))
+		}
+		wantNodes := make(map[NodeRef]bool)
+		wantChunks := make(map[ChunkKey]bool)
+		for _, lr := range roots {
+			err := referenceWalkReachable(peekGetter{sys.Meta}, lr.Root, lr.Span,
+				func(ref NodeRef) bool {
+					if wantNodes[ref] {
+						return false
+					}
+					wantNodes[ref] = true
+					return true
+				},
+				func(key ChunkKey) { wantChunks[key] = true })
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		wantFreed := 0
+		for _, key := range sys.Providers.RetainedKeys(sys.Providers.KeyWatermark()) {
+			if !wantChunks[key] {
+				wantFreed++
+			}
+		}
+		if wantFreed == 0 {
+			t.Fatal("the retired snapshots left no garbage; the test would not see a wrong sweep")
+		}
+
+		gets0, served0 := sys.Meta.Gets.Load(), sys.Meta.NodesServed.Load()
+		rep, err := NewCollector(sys).Collect(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gets, served := sys.Meta.Gets.Load()-gets0, sys.Meta.NodesServed.Load()-served0
+		if gets > levels*providers {
+			t.Errorf("mark paid %d metadata operations for %d nodes, want at most %d levels × %d providers",
+				gets, rep.MarkedNodes, levels, providers)
+		}
+		if served != int64(rep.MarkedNodes) {
+			t.Errorf("mark was served %d nodes for %d marked", served, rep.MarkedNodes)
+		}
+		if rep.MarkedNodes != len(wantNodes) || rep.MarkedChunks != len(wantChunks) {
+			t.Errorf("marked %d nodes and %d chunks, reference %d and %d",
+				rep.MarkedNodes, rep.MarkedChunks, len(wantNodes), len(wantChunks))
+		}
+		if rep.FreedChunks != int64(wantFreed) {
+			t.Errorf("freed %d chunks, reference %d", rep.FreedChunks, wantFreed)
+		}
+	})
 }

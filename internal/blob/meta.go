@@ -32,21 +32,15 @@ type metaShard struct {
 // home provider and the control plane is assumed fault-free — the
 // pre-replication layout, kept byte-identical for every recorded
 // scenario. SetReplication(r) switches each ref to an r-replica ring
-// over the providers, mirroring the chunk plane: writes fan out to
+// over the providers through the same placement core as the chunk
+// plane (the embedded replicaSet, replicaset.go): writes fan out to
 // every live ring member and write around dead ones (voids +
 // substitutes), reads probe the nearest live replica first and fail
-// over down the ring, and a liveness-driven repair sweep
-// (metarepair.go) restores the degree after every transition.
+// over down the ring, and a liveness-driven repair sweep restores the
+// degree after every transition. The degraded-placement records stay
+// empty, and the sweep does nothing, at degree 1.
 type MetaService struct {
-	providers []cluster.NodeID
-	replicas  int
-	// topo, when enabled, makes replicated placement and reads
-	// locality-aware, exactly as in ProviderSet: rings spread across
-	// failure domains and gets probe the reader's nearest live copy
-	// first.
-	topo cluster.Topology
-	// rings[s] is the replica ring of primary slot s (replicaRings).
-	rings   [][]cluster.NodeID
+	replicaSet[NodeRef]
 	nextRef atomic.Uint64
 
 	shards [metaShards]metaShard
@@ -54,28 +48,15 @@ type MetaService struct {
 	pendMu  sync.Mutex
 	pending map[NodeRef]bool // refs of in-flight, unpublished versions
 
-	// repMu guards the degraded-placement bookkeeping. repairs holds
-	// substitute copies created by degraded puts or repair sweeps;
-	// voids lists ring replicas that never received their copy (down
-	// at put time) — not locations until a sweep backfills them. Both
-	// stay empty at replication degree 1.
-	repMu   sync.RWMutex
-	repairs map[NodeRef][]cluster.NodeID
-	voids   map[NodeRef][]cluster.NodeID
-
-	alive map[cluster.NodeID]*atomic.Bool // provider liveness flags
-
 	// Puts and Gets count service operations (after batching);
-	// NodesServed counts individual tree nodes returned by Get/GetBatch
+	// NodesServed counts individual tree nodes returned by GetBatchInto
 	// (so Gets/NodesServed exposes the batching factor); Freed counts
 	// tree nodes reclaimed by garbage-collection sweeps.
 	Puts, Gets, NodesServed, Freed atomic.Int64
-	// Failovers counts gets a dead replica pushed onto a surviving
-	// one; FailedGets counts gets that found no live copy (the failed
-	// descents a metadata outage is judged by); Rereplicated counts
-	// tree-node copies restored by repair sweeps. All three stay zero
-	// at replication degree 1.
-	Failovers, FailedGets, Rereplicated atomic.Int64
+	// FailedGets counts gets that found no live copy (the failed
+	// descents a metadata outage is judged by). It and the replica
+	// set's Failovers and Rereplicated stay zero at degree 1.
+	FailedGets atomic.Int64
 	// tierGets counts replicated gets by the locality tier of the
 	// replica that served them (meaningful only with a topology).
 	tierGets [cluster.NumTiers]atomic.Int64
@@ -86,22 +67,10 @@ func NewMetaService(providers []cluster.NodeID) *MetaService {
 	if len(providers) == 0 {
 		panic("blob: metadata service needs at least one provider")
 	}
-	m := &MetaService{
-		providers: providers,
-		replicas:  1,
-		rings:     replicaRings(providers, 1, cluster.Topology{}),
-		pending:   make(map[NodeRef]bool),
-		repairs:   make(map[NodeRef][]cluster.NodeID),
-		voids:     make(map[NodeRef][]cluster.NodeID),
-		alive:     make(map[cluster.NodeID]*atomic.Bool, len(providers)),
-	}
+	m := &MetaService{pending: make(map[NodeRef]bool)}
+	m.init(m, "meta-rereplicate", providers, 1)
 	for i := range m.shards {
 		m.shards[i].nodes = make(map[NodeRef]TreeNode)
-	}
-	for _, n := range providers {
-		a := &atomic.Bool{}
-		a.Store(true)
-		m.alive[n] = a
 	}
 	return m
 }
@@ -109,18 +78,10 @@ func NewMetaService(providers []cluster.NodeID) *MetaService {
 // SetReplication sets the metadata replication degree. Call before any
 // traffic; degree 1 is the legacy single-home layout.
 func (m *MetaService) SetReplication(r int) {
-	if r < 1 || r > len(m.providers) {
+	if r < 1 || r > len(m.nodes) {
 		panic("blob: metadata replication degree out of range")
 	}
-	m.replicas = r
-	m.rings = replicaRings(m.providers, r, m.topo)
-}
-
-// SetTopology makes replicated placement and reads locality-aware.
-// Call before any traffic.
-func (m *MetaService) SetTopology(t cluster.Topology) {
-	m.topo = t
-	m.rings = replicaRings(m.providers, m.replicas, t)
+	m.setDegree(r)
 }
 
 // ReplicationDegree returns the configured metadata replication degree.
@@ -143,126 +104,44 @@ func (m *MetaService) shard(ref NodeRef) *metaShard {
 // Home returns the metadata provider primarily responsible for a
 // reference (the first ring member at any replication degree).
 func (m *MetaService) Home(ref NodeRef) cluster.NodeID {
-	return m.providers[uint64(ref)%uint64(len(m.providers))]
+	return m.nodes[m.primarySlot(ref)]
 }
 
-// primarySlot returns the index into m.providers of a ref's primary
-// replica; the ring walks of Replicas, ReReplicate and substitutes all
-// start here.
-func (m *MetaService) primarySlot(ref NodeRef) int {
-	return int(uint64(ref) % uint64(len(m.providers)))
-}
-
-// Replicas returns the metadata providers responsible for a ref,
-// primary first: the precomputed ring of the ref's primary slot, built
-// by the same walk as the chunk tier's (replicaRings). The slice is
-// shared by every ref of that slot; callers must not modify it.
-func (m *MetaService) Replicas(ref NodeRef) []cluster.NodeID {
-	return m.rings[m.primarySlot(ref)]
-}
-
-// locationsLocked returns the nodes holding a ref's copies in failover
-// order: ring replicas that actually stored it (minus voids), then the
-// substitute locations degraded puts and repair sweeps created. The
-// caller holds m.repMu (either side).
-func (m *MetaService) locationsLocked(ref NodeRef) []cluster.NodeID {
-	ring := m.Replicas(ref)
-	voids := m.voids[ref]
-	out := make([]cluster.NodeID, 0, len(ring)+len(m.repairs[ref]))
-	for _, r := range ring {
-		if !containsProvider(voids, r) {
-			out = append(out, r)
+// storedKeys, copyBytes and chargeCopy are the metadata tier's side of
+// a repair sweep (replicaTier): every stored ref is a candidate, and
+// since tree nodes live in provider memory a copy is one small RPC
+// from the source — no disk legs, unlike chunk repair.
+func (m *MetaService) storedKeys() []NodeRef {
+	refs := make([]NodeRef, 0, m.NodeCount())
+	for i := range m.shards {
+		sh := &m.shards[i]
+		sh.mu.RLock()
+		for ref := range sh.nodes {
+			refs = append(refs, ref)
 		}
+		sh.mu.RUnlock()
 	}
-	return append(out, m.repairs[ref]...)
+	return refs
 }
 
-// locations is locationsLocked taking the lock itself, with a fast
-// path for the fault-free common case (no voids or repairs anywhere:
-// the location set IS the ring).
-func (m *MetaService) locations(ref NodeRef) []cluster.NodeID {
-	m.repMu.RLock()
-	if len(m.voids) == 0 && len(m.repairs) == 0 {
-		m.repMu.RUnlock()
-		return m.Replicas(ref)
-	}
-	locs := m.locationsLocked(ref)
-	m.repMu.RUnlock()
-	return locs
+func (m *MetaService) copyBytes(NodeRef) int32 { return treeNodeWire }
+
+func (m *MetaService) chargeCopy(cc *cluster.Ctx, src, _ cluster.NodeID, bytes int32) {
+	cc.RPC(src, 16, int64(bytes))
 }
 
-// substitutes picks n live providers outside ref's ring, walking the
-// provider list from the ref's primary slot (deterministic). Fewer
-// than n may be returned when not enough providers are up.
-func (m *MetaService) substitutes(ref NodeRef, ring []cluster.NodeID, n int) []cluster.NodeID {
-	first := m.primarySlot(ref)
-	var out []cluster.NodeID
-	for i := 0; i < len(m.providers) && len(out) < n; i++ {
-		cand := m.providers[(first+i)%len(m.providers)]
-		if m.isAlive(cand) && !containsProvider(ring, cand) {
-			out = append(out, cand)
-		}
-	}
-	return out
-}
-
-// pickReplica chooses the replica that serves a get: locations in
-// failover order, nearest first when a topology is set, skipping dead
-// holders. Each dead holder probed costs the reader a timed-out
-// request (the probes return value; callers charge the wait so
-// batches can overlap their probes). ok is false when every copy is
-// down, which counts as a failed get.
+// pickReplica chooses the replica that serves a get (replicaSet.pick
+// over the ref's locations) and counts it: by the locality tier of the
+// replica that serves it, or as a failed get when every copy is down.
+// Callers charge the probes, so batches can overlap them.
 func (m *MetaService) pickReplica(reader cluster.NodeID, ref NodeRef) (prov cluster.NodeID, probes int, ok bool) {
-	locs := nearestFirst(m.topo, reader, m.locations(ref))
-	prov = -1
-	failover := false
-	for i, r := range locs {
-		if m.isAlive(r) {
-			prov, failover = r, i > 0
-			break
-		}
-		probes++
-	}
-	if prov < 0 {
+	prov, probes, ok = m.pick(reader, m.locations(ref))
+	if ok {
+		m.tierGets[m.topo.Tier(reader, prov)].Add(1)
+	} else {
 		m.FailedGets.Add(1)
-		return -1, probes, false
 	}
-	if failover {
-		m.Failovers.Add(1)
-	}
-	m.tierGets[m.topo.Tier(reader, prov)].Add(1)
-	return prov, probes, true
-}
-
-// Get fetches one tree node, charging a small RPC to the replica that
-// serves it. At replication degree 1 that is always the home provider
-// (the legacy fault-free layout, liveness ignored); otherwise the
-// nearest live replica serves, dead ones cost a probe each, and a ref
-// with every copy down fails with ErrNoReplica.
-func (m *MetaService) Get(ctx *cluster.Ctx, ref NodeRef) (TreeNode, error) {
-	prov := m.Home(ref)
-	if m.replicas > 1 {
-		p, probes, ok := m.pickReplica(ctx.Node(), ref)
-		if probes > 0 {
-			cfg := ctx.Fabric().Config()
-			ctx.Sleep(float64(probes) * (cfg.RTT + cfg.ReqOverhead))
-		}
-		if !ok {
-			return TreeNode{}, fmt.Errorf("blob: metadata node %d: %w", ref, ErrNoReplica)
-		}
-		prov = p
-	}
-	ctx.RPC(prov, 16, treeNodeWire)
-	m.Gets.Add(1)
-	sh := m.shard(ref)
-	sh.mu.RLock()
-	n, ok := sh.nodes[ref]
-	sh.mu.RUnlock()
-	if !ok {
-		return TreeNode{}, notFound("metadata node", ref)
-	}
-	m.NodesServed.Add(1)
-	return n, nil
+	return prov, probes, ok
 }
 
 // MissingNodesError reports how many refs of a batched metadata get
@@ -270,12 +149,15 @@ func (m *MetaService) Get(ctx *cluster.Ctx, ref NodeRef) (TreeNode, error) {
 // replication, refs whose every copy was down. It unwraps to a
 // *NotFoundError for the first failing ref (and through it to
 // ErrNotFound), so existing errors.Is and errors.As checks keep
-// matching.
+// matching, and also to ErrNoReplica when an outage — not an absent
+// node — cost the batch a ref.
 type MissingNodesError struct {
 	// Missing is the number of refs the batch could not serve.
 	Missing int
 	// First is the first failing ref, in batch order.
 	First NodeRef
+
+	noReplica bool // some ref had every copy down
 }
 
 // Error renders the count and the first failing ref.
@@ -283,32 +165,28 @@ func (e *MissingNodesError) Error() string {
 	return fmt.Sprintf("blob: batched metadata get missing %d node(s), first ref %d: not found", e.Missing, e.First)
 }
 
-// Unwrap yields the first failing ref's *NotFoundError.
-func (e *MissingNodesError) Unwrap() error {
-	return &NotFoundError{Kind: "metadata node", What: e.First}
+// Unwrap yields the first failing ref's *NotFoundError, and
+// ErrNoReplica beside it when a ref was lost to dead replicas.
+func (e *MissingNodesError) Unwrap() []error {
+	errs := []error{&NotFoundError{Kind: "metadata node", What: e.First}}
+	if e.noReplica {
+		errs = append(errs, ErrNoReplica)
+	}
+	return errs
 }
 
-// GetBatch fetches many tree nodes at once, grouping the refs by
-// serving provider and charging one RPC per distinct provider — the
-// read-side twin of PutBatch, and what turns a client's level-order
-// tree descent into depth rounds instead of node-count round trips.
-// The result is aligned with refs; a ref with no stored node fails
-// the batch with a *MissingNodesError (the full round is still
-// charged — the providers did the lookups).
-func (m *MetaService) GetBatch(ctx *cluster.Ctx, refs []NodeRef) ([]TreeNode, error) {
-	if len(refs) == 0 {
-		return nil, nil
-	}
-	out := make([]TreeNode, len(refs))
-	if err := m.GetBatchInto(ctx, refs, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// GetBatchInto is GetBatch resolving into a caller-provided slice
-// (len(out) must be len(refs)), so tight descent loops can reuse one
-// buffer per level instead of allocating twice.
+// GetBatchInto is the metadata read path, the only one: it fetches the
+// tree nodes of refs into the caller's out (len(out) must be
+// len(refs); tight descent loops reuse one buffer per level), grouping
+// the refs by serving provider and charging one RPC per distinct
+// provider — the read-side twin of PutBatch, and what turns a
+// level-order tree descent into depth rounds instead of node-count
+// round trips. At replication degree 1 the serving provider is always
+// the home provider (the legacy fault-free layout, liveness ignored);
+// otherwise each ref's nearest live replica serves and dead ones cost
+// a probe. A ref that cannot be served fails the batch with a
+// *MissingNodesError (the full round is still charged — the providers
+// did the lookups).
 //
 // Partial-fill contract: on error every found ref is still filled in
 // (its out entry is valid()); the missing ones stay the zero
@@ -317,6 +195,9 @@ func (m *MetaService) GetBatch(ctx *cluster.Ctx, refs []NodeRef) ([]TreeNode, er
 // every copy is down also counts as missing (and as a failed get);
 // the rest of the batch is still charged and filled.
 func (m *MetaService) GetBatchInto(ctx *cluster.Ctx, refs []NodeRef, out []TreeNode) error {
+	if len(refs) == 0 {
+		return nil
+	}
 	var down []bool // refs with no live replica (replicated mode only)
 	if m.replicas == 1 {
 		// Legacy single-home layout: per-ring-position request counts
@@ -327,14 +208,14 @@ func (m *MetaService) GetBatchInto(ctx *cluster.Ctx, refs []NodeRef, out []TreeN
 		// unconditionally, liveness ignored.
 		var inline [128]int64
 		counts := inline[:]
-		if len(m.providers) > len(inline) {
-			counts = make([]int64, len(m.providers))
+		if len(m.nodes) > len(inline) {
+			counts = make([]int64, len(m.nodes))
 		}
 		for _, ref := range refs {
-			counts[uint64(ref)%uint64(len(m.providers))]++
+			counts[m.primarySlot(ref)]++
 		}
 		// Charge per-provider batches in deterministic (provider ring) order.
-		for pi, prov := range m.providers {
+		for pi, prov := range m.nodes {
 			if c := counts[pi]; c > 0 {
 				ctx.RPC(prov, c*16, c*treeNodeWire)
 				m.Gets.Add(1)
@@ -345,7 +226,7 @@ func (m *MetaService) GetBatchInto(ctx *cluster.Ctx, refs []NodeRef, out []TreeN
 		// charge per-provider batches. The refs of one level are
 		// probed in parallel, so the batch waits once for the worst
 		// ref's dead-holder probes rather than summing them.
-		counts := make(map[cluster.NodeID]int64, len(m.providers))
+		counts := make(map[cluster.NodeID]int64, len(m.nodes))
 		maxProbes := 0
 		for i, ref := range refs {
 			prov, probes, ok := m.pickReplica(ctx.Node(), ref)
@@ -361,11 +242,8 @@ func (m *MetaService) GetBatchInto(ctx *cluster.Ctx, refs []NodeRef, out []TreeN
 			}
 			counts[prov]++
 		}
-		if maxProbes > 0 {
-			cfg := ctx.Fabric().Config()
-			ctx.Sleep(float64(maxProbes) * (cfg.RTT + cfg.ReqOverhead))
-		}
-		for _, prov := range m.providers {
+		probeWait(ctx, maxProbes)
+		for _, prov := range m.nodes {
 			if c := counts[prov]; c > 0 {
 				ctx.RPC(prov, c*16, c*treeNodeWire)
 				m.Gets.Add(1)
@@ -380,6 +258,7 @@ func (m *MetaService) GetBatchInto(ctx *cluster.Ctx, refs []NodeRef, out []TreeN
 				missing = &MissingNodesError{First: ref}
 			}
 			missing.Missing++
+			missing.noReplica = true
 			continue
 		}
 		sh := m.shard(ref)
@@ -432,46 +311,31 @@ func (m *MetaService) PutBatch(ctx *cluster.Ctx, nodes []NewNode) {
 		var degraded []degradedPut
 		store = make([]bool, len(nodes))
 		for i, nn := range nodes {
-			ring := m.Replicas(nn.Ref)
-			var deadRing []cluster.NodeID
-			stored := 0
-			for _, prov := range ring {
-				if !m.isAlive(prov) {
-					deadRing = append(deadRing, prov)
-					continue
-				}
+			live, dead, subs := m.place(nn.Ref)
+			for _, prov := range live {
 				counts[prov]++
-				stored++
 			}
-			var subs []cluster.NodeID
-			if len(deadRing) > 0 {
-				subs = m.substitutes(nn.Ref, ring, len(deadRing))
-				for _, s := range subs {
-					counts[s]++
-					stored++
-				}
+			for _, s := range subs {
+				counts[s]++
 			}
-			if stored == 0 {
+			if len(live)+len(subs) == 0 {
 				continue
 			}
 			store[i] = true
-			if len(deadRing) > 0 {
-				degraded = append(degraded, degradedPut{nn.Ref, deadRing, subs})
+			if len(dead) > 0 {
+				degraded = append(degraded, degradedPut{nn.Ref, dead, subs})
 			}
 		}
 		if len(degraded) > 0 {
-			m.repMu.Lock()
+			m.mu.Lock()
 			for _, d := range degraded {
-				m.voids[d.ref] = d.voids
-				if len(d.subs) > 0 {
-					m.repairs[d.ref] = d.subs
-				}
+				m.recordLocked(d.ref, d.voids, d.subs)
 			}
-			m.repMu.Unlock()
+			m.mu.Unlock()
 		}
 	}
 	// Charge per-provider batches in deterministic (provider ring) order.
-	for _, prov := range m.providers {
+	for _, prov := range m.nodes {
 		if c := counts[prov]; c > 0 {
 			ctx.RPC(prov, c*treeNodeWire, 16)
 			m.Puts.Add(1)
@@ -556,17 +420,16 @@ func (m *MetaService) Sweep(ctx *cluster.Ctx, upTo NodeRef, live, pending map[No
 	}
 	// Swept refs no longer need their degraded-placement records.
 	if len(dropped) > 0 {
-		m.repMu.Lock()
+		m.mu.Lock()
 		if len(m.voids) > 0 || len(m.repairs) > 0 {
 			for _, ref := range dropped {
-				delete(m.voids, ref)
-				delete(m.repairs, ref)
+				m.forgetLocked(ref)
 			}
 		}
-		m.repMu.Unlock()
+		m.mu.Unlock()
 	}
 	freed := 0
-	for _, prov := range m.providers {
+	for _, prov := range m.nodes {
 		if c := counts[prov]; c > 0 {
 			ctx.RPC(prov, c*16, 16)
 			freed += int(c)
@@ -596,4 +459,30 @@ func (m *MetaService) peek(ref NodeRef) (TreeNode, bool) {
 	defer sh.mu.RUnlock()
 	n, ok := sh.nodes[ref]
 	return n, ok
+}
+
+// LiveLocations returns the live providers currently holding a copy of
+// ref, in failover order, without charging any cost — the inspection
+// hook the chaos tests assert replication invariants with. A ref with
+// no stored node returns nil.
+func (m *MetaService) LiveLocations(ref NodeRef) []cluster.NodeID {
+	if _, ok := m.peek(ref); !ok {
+		return nil
+	}
+	return m.liveOf(m.locations(ref))
+}
+
+// Getter binds the service to an activity as the Getter of the
+// segment-tree algorithms: every GetNodes round is one GetBatchInto.
+// The client's getters put its caches in front; the collector's mark
+// phase and sync's export, which read each node once, use this.
+func (m *MetaService) Getter(ctx *cluster.Ctx) Getter { return serviceGetter{m, ctx} }
+
+type serviceGetter struct {
+	m   *MetaService
+	ctx *cluster.Ctx
+}
+
+func (g serviceGetter) GetNodes(refs []NodeRef, out []TreeNode) error {
+	return g.m.GetBatchInto(g.ctx, refs, out)
 }

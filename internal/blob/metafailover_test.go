@@ -79,7 +79,7 @@ func TestMetaFailoverNoLostNodesProperty(t *testing.T) {
 						if len(locs) == 0 {
 							t.Fatalf("step %d: ref %d lost every live location", step, ref)
 						}
-						if n, err := m.Get(ctx, ref); err != nil || n.Chunk != ChunkKey(ref) {
+						if n, err := getNode(m.Getter(ctx), ref); err != nil || n.Chunk != ChunkKey(ref) {
 							t.Fatalf("step %d: ref %d unreadable with %d live copies: (%+v, %v)",
 								step, ref, len(locs), n, err)
 						}
@@ -106,7 +106,7 @@ func TestMetaReplicaFailover(t *testing.T) {
 		m.PutBatch(ctx, []NewNode{{Ref: ref, Node: TreeNode{Lo: 7, Hi: 8, Chunk: 77}}})
 		ring := metaTestRing(t, m, ref)
 
-		if _, err := m.Get(ctx, ref); err != nil {
+		if _, err := getNode(m.Getter(ctx), ref); err != nil {
 			t.Fatalf("healthy get: %v", err)
 		}
 		if f := m.Failovers.Load(); f != 0 {
@@ -114,7 +114,7 @@ func TestMetaReplicaFailover(t *testing.T) {
 		}
 
 		m.Kill(ring[0])
-		if n, err := m.Get(ctx, ref); err != nil || n.Chunk != 77 {
+		if n, err := getNode(m.Getter(ctx), ref); err != nil || n.Chunk != 77 {
 			t.Fatalf("get with dead primary: (%+v, %v)", n, err)
 		}
 		if f := m.Failovers.Load(); f != 1 {
@@ -122,7 +122,7 @@ func TestMetaReplicaFailover(t *testing.T) {
 		}
 
 		m.Kill(ring[1])
-		if _, err := m.Get(ctx, ref); !errors.Is(err, ErrNoReplica) {
+		if _, err := getNode(m.Getter(ctx), ref); !errors.Is(err, ErrNoReplica) {
 			t.Fatalf("get with every copy down: %v, want ErrNoReplica", err)
 		}
 		if fg := m.FailedGets.Load(); fg != 1 {
@@ -130,7 +130,7 @@ func TestMetaReplicaFailover(t *testing.T) {
 		}
 
 		m.Revive(ring[1])
-		if _, err := m.Get(ctx, ref); err != nil {
+		if _, err := getNode(m.Getter(ctx), ref); err != nil {
 			t.Fatalf("get after revive: %v", err)
 		}
 
@@ -177,7 +177,7 @@ func TestMetaReReplicateRestoresDegree(t *testing.T) {
 		// and they serve.
 		lv.Kill(ctx, nodes[1])
 		for i := 0; i < 16; i++ {
-			if n, err := m.Get(ctx, NodeRef(i)); err != nil || n.Chunk != ChunkKey(i) {
+			if n, err := getNode(m.Getter(ctx), NodeRef(i)); err != nil || n.Chunk != ChunkKey(i) {
 				t.Fatalf("ref %d after double kill: (%+v, %v)", i, n, err)
 			}
 		}
@@ -221,7 +221,7 @@ func TestMetaPutBatchWriteAround(t *testing.T) {
 				t.Fatalf("void member %d serves a copy it never stored", ring[0])
 			}
 		}
-		if n, err := m.Get(ctx, probe); err != nil || n.Chunk != 33 {
+		if n, err := getNode(m.Getter(ctx), probe); err != nil || n.Chunk != 33 {
 			t.Fatalf("get after revive: (%+v, %v)", n, err)
 		}
 	})

@@ -8,8 +8,7 @@ import (
 	"blobvfs/internal/cluster"
 )
 
-// batchMapStore wraps mapStore with a GetNodes implementation, so the
-// same pure trees can drive CollectLeaves down its batched path.
+// batchMapStore is a mapStore that counts its GetNodes rounds.
 type batchMapStore struct {
 	*mapStore
 	rounds  int // GetNodes calls (descent rounds)
@@ -19,22 +18,16 @@ type batchMapStore struct {
 func (b *batchMapStore) GetNodes(refs []NodeRef, out []TreeNode) error {
 	b.rounds++
 	b.fetched += len(refs)
-	for i, ref := range refs {
-		n, ok := b.nodes[ref]
-		if !ok {
-			return notFound("node", ref)
-		}
-		out[i] = n
-	}
-	return nil
+	return b.mapStore.GetNodes(refs, out)
 }
 
-// batch returns the store as a BatchGetter with fresh counters.
+// batch returns the store as a Getter with fresh counters.
 func (m *mapStore) batch() *batchMapStore { return &batchMapStore{mapStore: m} }
 
 // TestCollectLeavesBatchEquivalence: the level-order batched descent
-// must produce exactly the node-by-node result, over full and partial
-// ranges of a shadowed two-version history, in depth-bounded rounds.
+// must produce exactly the flat model's chunk map, over full and
+// partial ranges of a shadowed two-version history, in depth-bounded
+// rounds.
 func TestCollectLeavesBatchEquivalence(t *testing.T) {
 	m := newMapStore()
 	const span = 64
@@ -44,37 +37,39 @@ func TestCollectLeavesBatchEquivalence(t *testing.T) {
 	}
 	root := buildFull(t, m, span, keys)
 	// Shadow a second version over a few scattered chunks.
-	root2, created, err := BuildVersion(m.batch(), root, span, []DirtyLeaf{
+	dirty := []DirtyLeaf{
 		{Index: 3, Chunk: 9003}, {Index: 31, Chunk: 9031}, {Index: 32, Chunk: 9032}, {Index: 63, Chunk: 9063},
-	}, m.alloc)
+	}
+	root2, created, err := BuildVersion(m.batch(), root, span, dirty, m.alloc)
 	if err != nil {
 		t.Fatalf("BuildVersion: %v", err)
 	}
 	m.commit(created)
+	keys2 := append([]ChunkKey(nil), keys...)
+	for _, d := range dirty {
+		keys2[d.Index] = d.Chunk
+	}
 
 	for _, tc := range []struct {
 		root   NodeRef
+		model  []ChunkKey
 		lo, hi int64
 	}{
-		{root, 0, span}, {root2, 0, span},
-		{root2, 0, 1}, {root2, 31, 33}, {root2, 63, 64},
-		{root2, 17, 49}, {root2, 5, 5}, {root2, span, span},
+		{root, keys, 0, span}, {root2, keys2, 0, span},
+		{root2, keys2, 0, 1}, {root2, keys2, 31, 33}, {root2, keys2, 63, 64},
+		{root2, keys2, 17, 49}, {root2, keys2, 5, 5}, {root2, keys2, span, span},
 	} {
-		plain, err := CollectLeaves(m, tc.root, span, tc.lo, tc.hi)
-		if err != nil {
-			t.Fatalf("plain CollectLeaves[%d,%d): %v", tc.lo, tc.hi, err)
-		}
 		bm := m.batch()
 		batched, err := CollectLeaves(bm, tc.root, span, tc.lo, tc.hi)
 		if err != nil {
-			t.Fatalf("batched CollectLeaves[%d,%d): %v", tc.lo, tc.hi, err)
+			t.Fatalf("CollectLeaves[%d,%d): %v", tc.lo, tc.hi, err)
 		}
-		if len(plain) != len(batched) {
-			t.Fatalf("[%d,%d): %d plain vs %d batched entries", tc.lo, tc.hi, len(plain), len(batched))
+		if int64(len(batched)) != tc.hi-tc.lo {
+			t.Fatalf("[%d,%d): %d entries", tc.lo, tc.hi, len(batched))
 		}
-		for i := range plain {
-			if plain[i] != batched[i] {
-				t.Fatalf("[%d,%d) entry %d: plain %+v != batched %+v", tc.lo, tc.hi, i, plain[i], batched[i])
+		for i, lf := range batched {
+			if want := (LeafEntry{Index: tc.lo + int64(i), Chunk: tc.model[tc.lo+int64(i)]}); lf != want {
+				t.Fatalf("[%d,%d) entry %d: %+v, model %+v", tc.lo, tc.hi, i, lf, want)
 			}
 		}
 		// Depth rounds, not node-count round trips: span 64 is depth 6,
@@ -85,9 +80,22 @@ func TestCollectLeavesBatchEquivalence(t *testing.T) {
 	}
 }
 
+// metaGetBatch is GetBatchInto resolving into a fresh slice, nil on
+// error.
+func metaGetBatch(ctx *cluster.Ctx, m *MetaService, refs []NodeRef) ([]TreeNode, error) {
+	if len(refs) == 0 {
+		return nil, m.GetBatchInto(ctx, nil, nil)
+	}
+	out := make([]TreeNode, len(refs))
+	if err := m.GetBatchInto(ctx, refs, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // TestMetaGetBatch: refs spanning multiple providers are charged one
 // service operation per distinct provider, and a missing ref fails the
-// batch with the same not-found error Get reports.
+// batch with a not-found error.
 func TestMetaGetBatch(t *testing.T) {
 	fab := cluster.NewLive(4)
 	providers := []cluster.NodeID{0, 1, 2, 3}
@@ -106,7 +114,7 @@ func TestMetaGetBatch(t *testing.T) {
 
 		// Refs 1..8 home to providers 1,2,3,0,1,2,3,0 → 4 distinct.
 		refs := []NodeRef{1, 2, 3, 4, 5, 6, 7, 8}
-		got, err := m.GetBatch(ctx, refs)
+		got, err := metaGetBatch(ctx, m, refs)
 		if err != nil {
 			t.Fatalf("GetBatch: %v", err)
 		}
@@ -128,7 +136,7 @@ func TestMetaGetBatch(t *testing.T) {
 		// A missing ref fails the whole batch with not-found; the round
 		// is still charged.
 		m.Gets.Store(0)
-		_, err = m.GetBatch(ctx, []NodeRef{2, 404, 6})
+		_, err = metaGetBatch(ctx, m, []NodeRef{2, 404, 6})
 		var nf *NotFoundError
 		if !errors.As(err, &nf) {
 			t.Fatalf("GetBatch with a missing ref: err = %v, want not-found", err)
@@ -136,7 +144,7 @@ func TestMetaGetBatch(t *testing.T) {
 		if g := m.Gets.Load(); g == 0 {
 			t.Error("failed batch charged no service operation")
 		}
-		if ns, err := m.GetBatch(ctx, nil); ns != nil || err != nil {
+		if ns, err := metaGetBatch(ctx, m, nil); ns != nil || err != nil {
 			t.Errorf("empty GetBatch = (%v, %v), want (nil, nil)", ns, err)
 		}
 	})
@@ -233,13 +241,13 @@ func TestFollowersOfABatchFlightReadTheCache(t *testing.T) {
 		})
 		single := ctx.Go("single", 1, func(cc *cluster.Ctx) {
 			cc.Sleep(1e-6)
-			if n, err := (boundGetter{c, cc}).GetNode(1); err != nil || n != nodes[0].Node {
+			if n, err := getNode(boundGetter{c, cc}, 1); err != nil || n != nodes[0].Node {
 				t.Errorf("GetNode joined the batch flight: (%+v, %v), want %+v", n, err, nodes[0].Node)
 			}
 		})
 		lost := ctx.Go("lost", 1, func(cc *cluster.Ctx) {
 			cc.Sleep(1e-6)
-			if _, err := (boundGetter{c, cc}).GetNode(missing); !errors.Is(err, ErrNotFound) {
+			if _, err := getNode(boundGetter{c, cc}, missing); !errors.Is(err, ErrNotFound) {
 				t.Errorf("GetNode joined the flight that missed its ref: %v, want not-found", err)
 			}
 		})
@@ -577,8 +585,8 @@ func TestGetBatchDeterministicOrder(t *testing.T) {
 			nodes = append(nodes, NewNode{Ref: NodeRef(i), Node: TreeNode{Lo: int64(i), Hi: int64(i) + 1}})
 		}
 		m.PutBatch(ctx, nodes)
-		a, errA := m.GetBatch(ctx, []NodeRef{1, 2, 3, 4, 5, 6})
-		b, errB := m.GetBatch(ctx, []NodeRef{6, 5, 4, 3, 2, 1})
+		a, errA := metaGetBatch(ctx, m, []NodeRef{1, 2, 3, 4, 5, 6})
+		b, errB := metaGetBatch(ctx, m, []NodeRef{6, 5, 4, 3, 2, 1})
 		if errA != nil || errB != nil {
 			t.Fatalf("GetBatch: %v / %v", errA, errB)
 		}

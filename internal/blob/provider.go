@@ -2,7 +2,6 @@ package blob
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"blobvfs/internal/cluster"
@@ -10,8 +9,11 @@ import (
 
 // ProviderSet is the data plane: chunk payloads stored on the local
 // disks of provider nodes, placed round-robin by key with an optional
-// replication degree (paper §3.1.3). Providers can be killed to test
-// fault tolerance; reads fail over to surviving replicas.
+// replication degree (paper §3.1.3). Placement, liveness, failover and
+// repair are the embedded replicaSet's (replicaset.go), whose lock mu
+// also guards the maps below; this type adds what is chunk-specific:
+// payloads, deduplication, reference counts and the cost of moving a
+// chunk.
 //
 // With deduplication enabled (§7 of the paper lists it as future
 // work), payloads carrying a content fingerprint are stored once:
@@ -21,26 +23,16 @@ import (
 // payloads are fingerprinted by hashing; synthetic payloads use their
 // Tag as the fingerprint.
 type ProviderSet struct {
-	nodes    []cluster.NodeID
-	replicas int
-	dedup    bool
-	// topo, when enabled, makes placement and reads locality-aware:
-	// Replicas spreads a chunk's copies across failure domains (zones
-	// first, then racks), and Get probes the reader's nearest live
-	// copy first. The zero topology keeps the flat ring behavior
-	// byte-identical to a set without the topology machinery.
-	topo cluster.Topology
-	// rings[s] is the replica ring of primary slot s (replicaRings).
-	rings   [][]cluster.NodeID
+	replicaSet[ChunkKey]
+	dedup   bool
 	nextKey atomic.Uint64
 
-	// mu guards the chunk/dedup/refcount maps. It is a RWMutex so the
-	// hot fetch path (Get/Peek: two map lookups) runs under a shared
-	// lock and the 16-way parallel fetchers of every client in a
-	// deployment stop serializing here; writers (PutBatch, Release) take the
-	// exclusive side. Liveness flags and per-provider read counters are
-	// atomics preallocated per node, off the lock entirely.
-	mu       sync.RWMutex
+	// The chunk/dedup/refcount maps, guarded by the replica set's mu. It
+	// is a RWMutex so the hot fetch path (Get/Peek: two map lookups)
+	// runs under a shared lock and the 16-way parallel fetchers of
+	// every client in a deployment stop serializing here; writers
+	// (PutBatch, Release) take the exclusive side. Per-provider read
+	// counters are atomics preallocated per node, off the lock entirely.
 	chunks   map[ChunkKey]Payload
 	byPrint  map[uint64]ChunkKey // content fingerprint → canonical key
 	printOf  map[ChunkKey]uint64 // canonical key → its fingerprint
@@ -48,17 +40,7 @@ type ProviderSet struct {
 	aliases  map[ChunkKey]ChunkKey
 	retained map[ChunkKey]bool // keys Put and not yet Released
 	pending  map[ChunkKey]bool // keys of in-flight, unpublished commits
-	// repairs holds the substitute replica locations created for a
-	// canonical chunk — by a repair sweep after one of its ring
-	// replicas died, or by a degraded Put that pushed a dead replica's
-	// copy to a substitute (repair.go). Reads consult them after the
-	// ring. voids lists ring replicas that never received their copy
-	// (down at Put time): they are not locations until a repair sweep
-	// backfills them, even after a revival.
-	repairs map[ChunkKey][]cluster.NodeID
-	voids   map[ChunkKey][]cluster.NodeID
 
-	alive    map[cluster.NodeID]*atomic.Bool  // provider liveness flags
 	readsBy  map[cluster.NodeID]*atomic.Int64 // chunk reads served, per provider
 	writesBy map[cluster.NodeID]*atomic.Int64 // write RPCs received, per provider
 
@@ -72,11 +54,9 @@ type ProviderSet struct {
 	// therefore the write-side batching factor, the twin of the
 	// metadata service's Gets/NodesServed.
 	PutRPCs atomic.Int64
-	// Failovers counts reads a dead primary pushed onto a surviving
-	// replica (or a repair copy); FailedReads counts reads that found
-	// no live copy at all (ErrNoReplica); Rereplicated counts chunk
-	// copies re-created on substitute providers after a node death.
-	Failovers, FailedReads, Rereplicated atomic.Int64
+	// FailedReads counts reads that found no live copy at all
+	// (ErrNoReplica); Failovers and Rereplicated are the replica set's.
+	FailedReads atomic.Int64
 	// tierReads counts chunk reads by the locality tier between the
 	// reader and the provider that served it (everything lands in
 	// TierRack on a flat topology, TierLocal when reader == provider).
@@ -92,19 +72,13 @@ func NewProviderSet(nodes []cluster.NodeID, replicas int) *ProviderSet {
 	if replicas < 1 || replicas > len(nodes) {
 		panic(fmt.Sprintf("blob: replication degree %d invalid for %d providers", replicas, len(nodes)))
 	}
-	alive := make(map[cluster.NodeID]*atomic.Bool, len(nodes))
 	readsBy := make(map[cluster.NodeID]*atomic.Int64, len(nodes))
 	writesBy := make(map[cluster.NodeID]*atomic.Int64, len(nodes))
 	for _, n := range nodes {
-		alive[n] = &atomic.Bool{}
-		alive[n].Store(true)
 		readsBy[n] = &atomic.Int64{}
 		writesBy[n] = &atomic.Int64{}
 	}
-	return &ProviderSet{
-		nodes:    nodes,
-		replicas: replicas,
-		rings:    replicaRings(nodes, replicas, cluster.Topology{}),
+	ps := &ProviderSet{
 		chunks:   make(map[ChunkKey]Payload),
 		byPrint:  make(map[uint64]ChunkKey),
 		printOf:  make(map[ChunkKey]uint64),
@@ -112,25 +86,15 @@ func NewProviderSet(nodes []cluster.NodeID, replicas int) *ProviderSet {
 		aliases:  make(map[ChunkKey]ChunkKey),
 		retained: make(map[ChunkKey]bool),
 		pending:  make(map[ChunkKey]bool),
-		repairs:  make(map[ChunkKey][]cluster.NodeID),
-		voids:    make(map[ChunkKey][]cluster.NodeID),
-		alive:    alive,
 		readsBy:  readsBy,
 		writesBy: writesBy,
 	}
+	ps.init(ps, "rereplicate", nodes, replicas)
+	return ps
 }
 
 // EnableDedup turns on content deduplication for subsequent Puts.
 func (ps *ProviderSet) EnableDedup() { ps.dedup = true }
-
-// SetTopology makes placement and reads locality-aware (see the topo
-// field). Call it right after construction, before any chunk traffic:
-// placement must not change under stored chunks, or their ring walks
-// would resolve to different replicas than the ones holding the data.
-func (ps *ProviderSet) SetTopology(t cluster.Topology) {
-	ps.topo = t
-	ps.rings = replicaRings(ps.nodes, ps.replicas, t)
-}
 
 // TierReads returns the chunk reads served per locality tier, indexed
 // by cluster.Tier — the distribution topology-aware selection shifts
@@ -220,39 +184,26 @@ func (ps *ProviderSet) PendingSnapshot() (ChunkKey, map[ChunkKey]bool) {
 	return wm, pending
 }
 
-// primarySlot returns the index into ps.nodes of a key's primary
-// replica — the single place the placement hash lives; the ring walks
-// of Replicas, ReReplicate and substitutes all start here.
-func (ps *ProviderSet) primarySlot(key ChunkKey) int {
-	return int(uint64(key) % uint64(len(ps.nodes)))
-}
-
-// Replicas returns the provider nodes responsible for a key, primary
-// first: the precomputed ring of the key's primary slot (see
-// replicaRings for the walk). The slice is shared by every key of that
-// slot; callers must not modify it.
-func (ps *ProviderSet) Replicas(key ChunkKey) []cluster.NodeID {
-	return ps.rings[ps.primarySlot(key)]
-}
-
-// Kill marks a provider as failed: it stops serving reads and accepting
-// writes. Data already replicated elsewhere stays readable.
-func (ps *ProviderSet) Kill(node cluster.NodeID) {
-	if a, ok := ps.alive[node]; ok {
-		a.Store(false)
+// storedKeys, copyBytes and chargeCopy are the chunk tier's side of a
+// repair sweep (replicaTier): every canonical chunk is a candidate, and
+// a copy is a disk read at the surviving source, the transfer over,
+// and a local write-back at the destination. A chunk whose last copy
+// is gone stays unrepaired — the cohort sharing layer is then the only
+// remaining source.
+func (ps *ProviderSet) storedKeys() []ChunkKey {
+	keys := make([]ChunkKey, 0, len(ps.chunks))
+	for key := range ps.chunks {
+		keys = append(keys, key)
 	}
+	return keys
 }
 
-// Revive brings a failed provider back (it serves its old chunks again).
-func (ps *ProviderSet) Revive(node cluster.NodeID) {
-	if a, ok := ps.alive[node]; ok {
-		a.Store(true)
-	}
-}
+func (ps *ProviderSet) copyBytes(key ChunkKey) int32 { return ps.chunks[key].Size }
 
-func (ps *ProviderSet) isAlive(node cluster.NodeID) bool {
-	a, ok := ps.alive[node]
-	return ok && a.Load()
+func (ps *ProviderSet) chargeCopy(cc *cluster.Ctx, src, dst cluster.NodeID, bytes int32) {
+	cc.DiskRead(src, int64(bytes))
+	cc.RPC(src, 32, int64(bytes))
+	cc.DiskWriteAsync(dst, int64(bytes))
 }
 
 // countPutRPC records one provider-bound write RPC.
@@ -352,20 +303,11 @@ func (ps *ProviderSet) PutBatch(ctx *cluster.Ctx, puts []ChunkPut) error {
 		}
 	}
 	for i, pt := range puts {
-		ring := ps.Replicas(pt.Key)
-		dead := 0
-		for _, prov := range ring {
-			if !ps.isAlive(prov) {
-				if deadRings == nil {
-					deadRings, subsOf = make([][]cluster.NodeID, n), make([][]cluster.NodeID, n)
-				}
-				deadRings[i] = append(deadRings[i], prov)
-				dead++
-				continue
-			}
+		live, dead, subs := ps.place(pt.Key)
+		for _, prov := range live {
 			charge(prov, pt.Payload, !dup(i))
-			stored[i]++
 		}
+		stored[i] = len(live)
 		// Write around dead replicas: push their copies to live
 		// providers outside the ring. For an aliased (dup) payload the
 		// content already lives on its canonical chunk's providers, so
@@ -374,10 +316,7 @@ func (ps *ProviderSet) PutBatch(ctx *cluster.Ctx, puts []ChunkPut) error {
 		// live holder (the node that detects the duplicate) so the
 		// zero-copy alias still succeeds.
 		if stored[i] == 0 && dup(i) {
-			ps.mu.RLock()
-			canonLocs := ps.locationsLocked(dd[i].canonical)
-			ps.mu.RUnlock()
-			for _, nd := range canonLocs {
+			for _, nd := range ps.locations(dd[i].canonical) {
 				if ps.isAlive(nd) {
 					charge(nd, pt.Payload, false)
 					stored[i]++
@@ -385,12 +324,15 @@ func (ps *ProviderSet) PutBatch(ctx *cluster.Ctx, puts []ChunkPut) error {
 				}
 			}
 		}
-		if dead > 0 && !dup(i) {
-			subsOf[i] = ps.substitutes(pt.Key, ring, dead)
-			for _, s := range subsOf[i] {
-				charge(s, pt.Payload, true)
-				stored[i]++
+		if len(dead) > 0 && !dup(i) {
+			if deadRings == nil {
+				deadRings, subsOf = make([][]cluster.NodeID, n), make([][]cluster.NodeID, n)
 			}
+			deadRings[i], subsOf[i] = dead, subs
+			for _, s := range subs {
+				charge(s, pt.Payload, true)
+			}
+			stored[i] += len(subs)
 		}
 	}
 
@@ -438,10 +380,7 @@ func (ps *ProviderSet) PutBatch(ctx *cluster.Ctx, puts []ChunkPut) error {
 			ps.chunks[pt.Key] = pt.Payload
 			ps.refs[pt.Key]++
 			if deadRings != nil && len(deadRings[i]) > 0 {
-				ps.voids[pt.Key] = deadRings[i]
-				if len(subsOf[i]) > 0 {
-					ps.repairs[pt.Key] = subsOf[i]
-				}
+				ps.recordLocked(pt.Key, deadRings[i], subsOf[i])
 			}
 		}
 		ps.retained[pt.Key] = true
@@ -449,38 +388,6 @@ func (ps *ProviderSet) PutBatch(ctx *cluster.Ctx, puts []ChunkPut) error {
 	}
 	ps.mu.Unlock()
 	return firstErr
-}
-
-// substitutes picks n live providers outside key's ring, walking the
-// node list from the key's primary slot (deterministic). Fewer than n
-// may be returned when not enough providers are up.
-func (ps *ProviderSet) substitutes(key ChunkKey, ring []cluster.NodeID, n int) []cluster.NodeID {
-	first := ps.primarySlot(key)
-	var out []cluster.NodeID
-	for i := 0; i < len(ps.nodes) && len(out) < n; i++ {
-		cand := ps.nodes[(first+i)%len(ps.nodes)]
-		if ps.isAlive(cand) && !containsProvider(ring, cand) {
-			out = append(out, cand)
-		}
-	}
-	return out
-}
-
-// locationsLocked returns the nodes holding key's payload in failover
-// order: ring replicas that actually stored it (a replica down at Put
-// time never received its copy — see voids), then the substitute
-// locations degraded writes and repair sweeps created. The caller
-// holds ps.mu (either side); key must be canonical.
-func (ps *ProviderSet) locationsLocked(key ChunkKey) []cluster.NodeID {
-	ring := ps.Replicas(key)
-	voids := ps.voids[key]
-	out := make([]cluster.NodeID, 0, len(ring)+len(ps.repairs[key]))
-	for _, r := range ring {
-		if !containsProvider(voids, r) {
-			out = append(out, r)
-		}
-	}
-	return append(out, ps.repairs[key]...)
 }
 
 // Get fetches the payload for key, charging the provider's disk read
@@ -496,45 +403,19 @@ func (ps *ProviderSet) Get(ctx *cluster.Ctx, key ChunkKey) (Payload, error) {
 		key = canon
 	}
 	p, ok := ps.chunks[key]
-	// Fast path for the fault-free common case: with no voids or
-	// repair locations anywhere, the location set IS the shared ring,
-	// and the hot read path allocates nothing for it.
-	var locs []cluster.NodeID
-	if len(ps.voids) == 0 && len(ps.repairs) == 0 {
-		ps.mu.RUnlock()
-		locs = ps.Replicas(key)
-	} else {
-		locs = ps.locationsLocked(key)
-		ps.mu.RUnlock()
-	}
+	// One shared acquisition covers the lookup and the location list —
+	// in the fault-free common case the shared ring itself, so the hot
+	// read path allocates nothing for it.
+	locs := ps.locationsLocked(key)
+	ps.mu.RUnlock()
 	if !ok {
 		return Payload{}, notFound("chunk", key)
 	}
-	// Nearest live copy first: reorder the failover list by the
-	// reader's locality tier (a no-op on the flat topology), keeping
-	// the existing order within each tier.
-	locs = nearestFirst(ps.topo, ctx.Node(), locs)
-	prov := cluster.NodeID(-1)
-	probes, failover := 0, false
-	for i, r := range locs {
-		if ps.isAlive(r) {
-			prov, failover = r, i > 0
-			break
-		}
-		probes++
-	}
-	if probes > 0 {
-		// Every dead copy probed costs the reader one timed-out
-		// request before it moves to the next candidate.
-		cfg := ctx.Fabric().Config()
-		ctx.Sleep(float64(probes) * (cfg.RTT + cfg.ReqOverhead))
-	}
-	if prov < 0 {
+	prov, probes, ok := ps.pick(ctx.Node(), locs)
+	probeWait(ctx, probes)
+	if !ok {
 		ps.FailedReads.Add(1)
 		return Payload{}, fmt.Errorf("blob: chunk %d: %w", key, ErrNoReplica)
-	}
-	if failover {
-		ps.Failovers.Add(1)
 	}
 	ctx.DiskRead(prov, int64(p.Size))
 	ctx.RPC(prov, 32, int64(p.Size))
@@ -638,8 +519,7 @@ func (ps *ProviderSet) Release(ctx *cluster.Ctx, keys []ChunkKey) (released []Ch
 		released = append(released, key)
 		if ps.refs[canon]--; ps.refs[canon] <= 0 {
 			delete(ps.refs, canon)
-			delete(ps.repairs, canon)
-			delete(ps.voids, canon)
+			ps.forgetLocked(canon)
 			if p, ok := ps.chunks[canon]; ok {
 				delete(ps.chunks, canon)
 				freedBytes += int64(p.Size)
@@ -689,4 +569,22 @@ func (ps *ProviderSet) StoredBytes() int64 {
 		total += int64(p.Size)
 	}
 	return total
+}
+
+// LiveLocations returns the providers currently able to serve key —
+// live ring replicas plus live repair copies — in failover order.
+// Aliased keys resolve to their canonical chunk. It is a zero-cost
+// inspection hook for invariant tests and diagnostics.
+func (ps *ProviderSet) LiveLocations(key ChunkKey) []cluster.NodeID {
+	ps.mu.RLock()
+	if canon, ok := ps.aliases[key]; ok {
+		key = canon
+	}
+	_, ok := ps.chunks[key]
+	locs := ps.locationsLocked(key)
+	ps.mu.RUnlock()
+	if !ok {
+		return nil
+	}
+	return ps.liveOf(locs)
 }

@@ -1,0 +1,377 @@
+package blob
+
+import (
+	"slices"
+	"sync"
+	"sync/atomic"
+
+	"blobvfs/internal/cluster"
+)
+
+// replicaSet is the placement core the chunk tier (ProviderSet, keyed
+// by ChunkKey) and the metadata tier (MetaService, keyed by NodeRef)
+// share: the paper stores both halves of an image the same way —
+// striped round-robin over a node list and replicated (§3.1.2–3.1.3) —
+// so one type owns the rings, the liveness flags, the record of where
+// copies landed when a ring member was down, failover reads, and the
+// repair sweep that follows every liveness transition
+// (cluster/faults.go). A tier embeds it and adds what differs: which
+// keys exist and how one copy is charged (replicaTier).
+type replicaSet[K ~uint64] struct {
+	nodes    []cluster.NodeID
+	replicas int
+	// topo, when enabled, makes placement and reads locality-aware:
+	// rings spread a key's copies across failure domains (zones first,
+	// then racks) and pick probes the reader's nearest live copy first.
+	// The zero topology is the flat ring.
+	topo cluster.Topology
+	// rings[s] is the replica ring of primary slot s (replicaRings).
+	rings [][]cluster.NodeID
+	alive map[cluster.NodeID]*atomic.Bool // liveness flags, off every lock
+	tier  replicaTier[K]
+	// sweepName names the puller activities of a repair sweep.
+	sweepName string
+
+	// mu guards repairs and voids; a tier may keep its own key maps
+	// under it too, so that one shared acquisition covers a key's
+	// lookup and its location list (ProviderSet does).
+	//
+	// repairs holds the substitute locations created for a key — by a
+	// repair sweep after one of its ring replicas died, or by a
+	// degraded put that pushed a dead replica's copy to a substitute.
+	// Reads consult them after the ring. voids lists ring replicas that
+	// never received their copy (down at put time): they are not
+	// locations until a sweep backfills them, even after a revival.
+	mu      sync.RWMutex
+	repairs map[K][]cluster.NodeID
+	voids   map[K][]cluster.NodeID
+
+	// Failovers counts reads a dead first choice pushed onto a
+	// surviving copy; Rereplicated counts the copies repair sweeps
+	// created.
+	Failovers, Rereplicated atomic.Int64
+}
+
+// replicaTier is what a tier tells the core about its keys.
+type replicaTier[K ~uint64] interface {
+	// storedKeys lists every key that has a stored copy, in any order.
+	// It is called with the set's lock held.
+	storedKeys() []K
+	// copyBytes is the size of one copy of key, called under the same
+	// lock acquisition that listed it.
+	copyBytes(key K) int32
+	// chargeCopy costs pulling one copy of that size from src onto dst.
+	chargeCopy(cc *cluster.Ctx, src, dst cluster.NodeID, bytes int32)
+}
+
+// init sets the core up for a tier; sweepName names the puller
+// activities of its repair sweeps.
+func (rs *replicaSet[K]) init(tier replicaTier[K], sweepName string, nodes []cluster.NodeID, replicas int) {
+	rs.tier, rs.sweepName = tier, sweepName
+	rs.nodes = nodes
+	rs.replicas = replicas
+	rs.rings = replicaRings(nodes, replicas, rs.topo)
+	rs.repairs = make(map[K][]cluster.NodeID)
+	rs.voids = make(map[K][]cluster.NodeID)
+	rs.alive = make(map[cluster.NodeID]*atomic.Bool, len(nodes))
+	for _, n := range nodes {
+		a := &atomic.Bool{}
+		a.Store(true)
+		rs.alive[n] = a
+	}
+}
+
+// SetTopology makes placement and reads locality-aware (see the topo
+// field). Call it right after construction, before any traffic:
+// placement must not change under stored keys, or their ring walks
+// would resolve to different replicas than the ones holding the data.
+func (rs *replicaSet[K]) SetTopology(t cluster.Topology) {
+	rs.topo = t
+	rs.rings = replicaRings(rs.nodes, rs.replicas, t)
+}
+
+// setDegree changes the replication degree, before any traffic.
+func (rs *replicaSet[K]) setDegree(replicas int) {
+	rs.replicas = replicas
+	rs.rings = replicaRings(rs.nodes, replicas, rs.topo)
+}
+
+// primarySlot returns the index into rs.nodes of a key's primary
+// replica — the single place the placement hash lives; every ring walk
+// starts here.
+func (rs *replicaSet[K]) primarySlot(key K) int {
+	return int(uint64(key) % uint64(len(rs.nodes)))
+}
+
+// Replicas returns the nodes responsible for a key, primary first: the
+// precomputed ring of the key's primary slot (see replicaRings for the
+// walk). The slice is shared by every key of that slot; callers must
+// not modify it.
+func (rs *replicaSet[K]) Replicas(key K) []cluster.NodeID {
+	return rs.rings[rs.primarySlot(key)]
+}
+
+// Kill marks a node as failed: it stops serving reads and accepting
+// writes. Copies already replicated elsewhere stay readable.
+func (rs *replicaSet[K]) Kill(node cluster.NodeID) {
+	if a, ok := rs.alive[node]; ok {
+		a.Store(false)
+	}
+}
+
+// Revive brings a failed node back: it serves what it held again.
+// Copies it missed while down stay voids until a sweep backfills them.
+func (rs *replicaSet[K]) Revive(node cluster.NodeID) {
+	if a, ok := rs.alive[node]; ok {
+		a.Store(true)
+	}
+}
+
+func (rs *replicaSet[K]) isAlive(node cluster.NodeID) bool {
+	a, ok := rs.alive[node]
+	return ok && a.Load()
+}
+
+// NodeChanged is the cluster liveness hook: wire it with
+// Liveness.OnChange. It flips the node's flag and runs a repair sweep —
+// after a death the keys the node held are under-replicated, and after
+// a revival the returned capacity can host copies that could not be
+// placed while too few nodes were up. The sweep registers its new
+// locations under one lock acquisition right after the transition, so
+// a read arriving after the listener ran already fails over to them;
+// the transfers are charged afterwards. Nodes outside the set are
+// ignored.
+func (rs *replicaSet[K]) NodeChanged(ctx *cluster.Ctx, node cluster.NodeID, alive bool) {
+	if _, ok := rs.alive[node]; !ok {
+		return
+	}
+	if alive {
+		rs.Revive(node)
+	} else {
+		rs.Kill(node)
+	}
+	rs.ReReplicate(ctx)
+}
+
+// locationsLocked returns the nodes holding key's copies in failover
+// order: ring replicas that actually stored it (minus voids), then the
+// substitutes degraded puts and repair sweeps created. With no voids
+// or repairs anywhere — the fault-free common case — that IS the
+// shared ring, returned without allocating. The caller holds rs.mu
+// (either side).
+func (rs *replicaSet[K]) locationsLocked(key K) []cluster.NodeID {
+	ring := rs.Replicas(key)
+	if len(rs.voids) == 0 && len(rs.repairs) == 0 {
+		return ring
+	}
+	voids, repairs := rs.voids[key], rs.repairs[key]
+	out := make([]cluster.NodeID, 0, len(ring)+len(repairs))
+	for _, r := range ring {
+		if !containsProvider(voids, r) {
+			out = append(out, r)
+		}
+	}
+	return append(out, repairs...)
+}
+
+// locations is locationsLocked taking the lock itself.
+func (rs *replicaSet[K]) locations(key K) []cluster.NodeID {
+	rs.mu.RLock()
+	defer rs.mu.RUnlock()
+	return rs.locationsLocked(key)
+}
+
+// liveOf returns the live members of a location list, in order, in a
+// slice of its own (locs may be a shared ring).
+func (rs *replicaSet[K]) liveOf(locs []cluster.NodeID) []cluster.NodeID {
+	out := make([]cluster.NodeID, 0, len(locs))
+	for _, n := range locs {
+		if rs.isAlive(n) {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// pick chooses the copy that serves reader from a location list in
+// failover order: nearest first when a topology is set, skipping dead
+// holders. Each dead holder probed costs the reader a timed-out
+// request (probes; see probeWait), and a read that got past one counts
+// as a failover. ok is false when every copy is down.
+func (rs *replicaSet[K]) pick(reader cluster.NodeID, locs []cluster.NodeID) (prov cluster.NodeID, probes int, ok bool) {
+	for _, r := range nearestFirst(rs.topo, reader, locs) {
+		if rs.isAlive(r) {
+			if probes > 0 {
+				rs.Failovers.Add(1)
+			}
+			return r, probes, true
+		}
+		probes++
+	}
+	return -1, probes, false
+}
+
+// probeWait charges the reader for the dead copies it probed: one
+// timed-out request each before it moved to the next candidate.
+func probeWait(ctx *cluster.Ctx, probes int) {
+	if probes > 0 {
+		cfg := ctx.Fabric().Config()
+		ctx.Sleep(float64(probes) * (cfg.RTT + cfg.ReqOverhead))
+	}
+}
+
+// place decides where the copies of a key being written go: the live
+// members of its ring, the dead ones (which take no copy and become
+// the key's voids) and, writing around the failure, one live
+// substitute outside the ring per dead member — fewer when not enough
+// nodes are up. With the whole ring up, live is the shared ring and
+// nothing is allocated.
+func (rs *replicaSet[K]) place(key K) (live, dead, subs []cluster.NodeID) {
+	ring := rs.Replicas(key)
+	for i, n := range ring {
+		switch {
+		case !rs.isAlive(n):
+			if dead == nil {
+				live = slices.Clone(ring[:i])
+			}
+			dead = append(dead, n)
+		case dead != nil:
+			live = append(live, n)
+		}
+	}
+	if dead == nil {
+		return ring, nil, nil
+	}
+	return live, dead, rs.substitutes(key, ring, len(dead))
+}
+
+// substitutes picks n live nodes outside key's ring, walking the node
+// list from the key's primary slot (deterministic).
+func (rs *replicaSet[K]) substitutes(key K, ring []cluster.NodeID, n int) []cluster.NodeID {
+	first := rs.primarySlot(key)
+	var out []cluster.NodeID
+	for i := 0; i < len(rs.nodes) && len(out) < n; i++ {
+		cand := rs.nodes[(first+i)%len(rs.nodes)]
+		if rs.isAlive(cand) && !containsProvider(ring, cand) {
+			out = append(out, cand)
+		}
+	}
+	return out
+}
+
+// recordLocked registers the outcome of a degraded put (place): dead
+// ring members as voids, substitutes as locations. The caller holds
+// rs.mu exclusively.
+func (rs *replicaSet[K]) recordLocked(key K, dead, subs []cluster.NodeID) {
+	rs.voids[key] = dead
+	if len(subs) > 0 {
+		rs.repairs[key] = subs
+	}
+}
+
+// forgetLocked drops a deleted key's degraded-placement records. The
+// caller holds rs.mu exclusively.
+func (rs *replicaSet[K]) forgetLocked(key K) {
+	delete(rs.repairs, key)
+	delete(rs.voids, key)
+}
+
+// repairJob is one copy a sweep creates: bytes of key pulled from src.
+type repairJob struct {
+	src   cluster.NodeID
+	bytes int32
+}
+
+// ReReplicate restores the replication degree of every stored key that
+// lost copies: walking the keys in sorted order, a key with at least
+// one live copy but fewer than the degree gains copies on live nodes
+// not already holding it, walking the node list from its primary slot
+// — a live ring member that never got its copy (a void) is backfilled
+// first, being the key's rightful home, then nodes outside the ring —
+// until the degree is restored or no eligible node remains. A key
+// whose last copy is gone cannot be repaired and is skipped. The new
+// locations are registered first, in one critical section, so reads
+// fail over to them at once; then the copies are charged, one puller
+// activity per destination in node order, each pulling its keys from
+// the first copy that was live at plan time. Sorted keys and node
+// order make the sweep deterministic regardless of map iteration.
+// Returns how many copies it created (also added to Rereplicated).
+//
+// At degree 1 there is nothing to do — a key has either no live copy
+// or its full set — and the sweep returns before listing any key.
+func (rs *replicaSet[K]) ReReplicate(ctx *cluster.Ctx) int {
+	if rs.replicas == 1 {
+		return 0
+	}
+	rs.mu.Lock()
+	keys := rs.tier.storedKeys()
+	slices.Sort(keys)
+	perDst := make(map[cluster.NodeID][]repairJob)
+	created := 0
+	n := len(rs.nodes)
+	for _, key := range keys {
+		locs := rs.locationsLocked(key)
+		live, src := 0, cluster.NodeID(-1)
+		for _, l := range locs {
+			if rs.isAlive(l) {
+				if live == 0 {
+					src = l
+				}
+				live++
+			}
+		}
+		if live == 0 || live >= rs.replicas {
+			continue
+		}
+		ring := rs.Replicas(key)
+		job := repairJob{src: src, bytes: rs.tier.copyBytes(key)}
+		first := rs.primarySlot(key)
+		for i := 0; i < n && live < rs.replicas; i++ {
+			cand := rs.nodes[(first+i)%n]
+			if !rs.isAlive(cand) || containsProvider(locs, cand) {
+				continue
+			}
+			if containsProvider(ring, cand) {
+				// A void ring member receiving its copy stops being a
+				// void — it is a ring location again.
+				voids := rs.voids[key]
+				vi := slices.Index(voids, cand)
+				if voids = slices.Delete(voids, vi, vi+1); len(voids) == 0 {
+					delete(rs.voids, key)
+				} else {
+					rs.voids[key] = voids
+				}
+			} else {
+				rs.repairs[key] = append(rs.repairs[key], cand)
+			}
+			locs = append(locs, cand)
+			live++
+			perDst[cand] = append(perDst[cand], job)
+			created++
+		}
+	}
+	rs.mu.Unlock()
+	if created == 0 {
+		return 0
+	}
+	rs.Rereplicated.Add(int64(created))
+
+	tasks := make([]cluster.Task, 0, len(perDst))
+	for _, dst := range rs.nodes {
+		jobs := perDst[dst]
+		if len(jobs) == 0 {
+			continue
+		}
+		tasks = append(tasks, ctx.Go(rs.sweepName, dst, func(cc *cluster.Ctx) {
+			for _, j := range jobs {
+				rs.tier.chargeCopy(cc, j.src, dst, j.bytes)
+			}
+		}))
+	}
+	ctx.WaitAll(tasks)
+	return created
+}
+
+func containsProvider(nodes []cluster.NodeID, n cluster.NodeID) bool {
+	return slices.Contains(nodes, n)
+}

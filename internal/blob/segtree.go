@@ -6,33 +6,22 @@ import (
 )
 
 // This file holds the pure segment-tree algorithms: collecting the
-// leaves that cover a chunk range, and building the O(D·log C) new
-// nodes of a shadowed version. They are pure so that property-based
-// tests can drive them against a flat reference model without any
-// fabric; the client wires them to the distributed metadata store.
+// leaves that cover a chunk range, building the O(D·log C) new nodes
+// of a shadowed version, and walking everything a set of roots
+// reaches. They are pure so that property-based tests can drive them
+// against a flat reference model without any fabric; the client wires
+// them to the distributed metadata store.
 
-// Getter resolves metadata node references. Implementations may fetch
-// remotely (client) or from a local map (tests).
+// Getter resolves metadata node references, a whole round at a time:
+// every algorithm here descends level by level and fetches a level in
+// one GetNodes call — depth rounds of metadata access instead of one
+// round trip per node. GetNodes fills out, which the caller sizes to
+// len(refs) and may reuse from level to level (out[i] resolves
+// refs[i]). Implementations fetch remotely (the client, behind its
+// caches; MetaService.Getter) or from a local map (tests).
 type Getter interface {
-	GetNode(ref NodeRef) (TreeNode, error)
-}
-
-// BatchGetter is a Getter that can resolve many references in one
-// round. CollectLeaves and BuildVersion use it to fetch a whole tree
-// level at once — depth rounds of metadata access instead of one round
-// per node. GetNodes fills out, which the caller sizes to len(refs) and
-// may reuse from level to level (out[i] resolves refs[i]); a ref that
-// cannot be resolved makes it return the same error GetNode would.
-type BatchGetter interface {
-	Getter
 	GetNodes(refs []NodeRef, out []TreeNode) error
 }
-
-// GetterFunc adapts a function to the Getter interface.
-type GetterFunc func(ref NodeRef) (TreeNode, error)
-
-// GetNode calls f.
-func (f GetterFunc) GetNode(ref NodeRef) (TreeNode, error) { return f(ref) }
 
 // LeafRange is a run of consecutive chunk indices sharing sparseness
 // status; for non-sparse runs the chunk keys are listed individually.
@@ -41,87 +30,96 @@ type LeafEntry struct {
 	Chunk ChunkKey // 0 = sparse
 }
 
+// treeFrame is a node awaiting its fetch: ref, expected to cover
+// chunk indices [nlo,nhi).
+type treeFrame struct {
+	ref      NodeRef
+	nlo, nhi int64
+}
+
+// descend is the one top-down tree walk CollectLeaves and
+// WalkReachable share: a level-order frontier descent from roots in
+// which every node of one tree level is resolved in a single GetNodes
+// round — so a walk costs depth rounds of metadata access instead of
+// one round trip per node, which is what keeps the distributed
+// metadata scheme off the critical path under concurrent deployment.
+// admit is asked before a non-sparse ref (roots included) joins the
+// frontier; a frame it rejects is never fetched, nor anything below
+// it. visit receives every fetched node, left to right within a level,
+// after its range was checked against its position: a tree whose nodes
+// disagree with where they hang fails with ErrCorruptTree rather than
+// yielding a wrong answer.
+func descend(g Getter, roots []treeFrame, admit func(treeFrame) bool, visit func(NodeRef, TreeNode)) error {
+	push := func(fs []treeFrame, fr treeFrame) []treeFrame {
+		if fr.ref == 0 || !admit(fr) {
+			return fs
+		}
+		return append(fs, fr)
+	}
+	frontier := make([]treeFrame, 0, 2)
+	for _, fr := range roots {
+		frontier = push(frontier, fr)
+	}
+	var next []treeFrame
+	var refs []NodeRef
+	var nodes []TreeNode
+	for len(frontier) > 0 {
+		refs = refs[:0]
+		for _, fr := range frontier {
+			refs = append(refs, fr.ref)
+		}
+		if cap(nodes) < len(refs) {
+			nodes = make([]TreeNode, len(refs))
+		}
+		nodes = nodes[:len(refs)]
+		if err := g.GetNodes(refs, nodes); err != nil {
+			return err
+		}
+		next = next[:0]
+		for fi, fr := range frontier {
+			n := nodes[fi]
+			if n.Lo != fr.nlo || n.Hi != fr.nhi {
+				return fmt.Errorf("blob: node %d covers [%d,%d), expected [%d,%d): %w", fr.ref, n.Lo, n.Hi, fr.nlo, fr.nhi, ErrCorruptTree)
+			}
+			visit(fr.ref, n)
+			if n.Leaf() {
+				continue
+			}
+			mid := (fr.nlo + fr.nhi) / 2
+			next = push(next, treeFrame{n.Left, fr.nlo, mid})
+			next = push(next, treeFrame{n.Right, mid, fr.nhi})
+		}
+		frontier, next = next, frontier
+	}
+	return nil
+}
+
 // CollectLeaves walks the tree under root and returns one entry per
 // chunk index in [lo,hi), in index order. Sparse subtrees (ref 0)
 // produce entries with Chunk 0. The root covering span [0,span) may
-// itself be 0 for a completely empty tree.
-//
-// The walk is a level-order frontier descent: every node of one tree
-// level that overlaps [lo,hi) is resolved in a single round. With a
-// BatchGetter a round is one GetNodes call — so resolving a range
-// costs depth rounds of metadata access instead of one round trip per
-// node, which is what keeps the distributed metadata scheme off the
-// critical path under concurrent deployment. A plain Getter degrades
-// to one GetNode per frontier node in deterministic left-to-right
-// order.
+// itself be 0 for a completely empty tree. Only nodes overlapping
+// [lo,hi) are fetched (see descend for the walk and its cost).
 func CollectLeaves(g Getter, root NodeRef, span, lo, hi int64) ([]LeafEntry, error) {
 	if lo < 0 || hi > span || lo > hi {
 		return nil, fmt.Errorf("blob: leaf range [%d,%d) outside span %d: %w", lo, hi, span, ErrOutOfRange)
 	}
 	// Every index in [lo,hi) is covered exactly once (by a leaf or by a
 	// sparse subtree), so the result is preallocated from span math and
-	// entries are placed at Index-lo. Sparse indices keep Chunk 0.
+	// entries are placed at Index-lo. Sparse indices, and those of
+	// subtrees outside the range, keep Chunk 0.
 	out := make([]LeafEntry, hi-lo)
 	for i := range out {
 		out[i].Index = lo + int64(i)
 	}
-
-	type frame struct {
-		ref      NodeRef
-		nlo, nhi int64
-	}
-	bg, batched := g.(BatchGetter)
-	frontier := make([]frame, 0, 2)
-	push := func(fs []frame, ref NodeRef, nlo, nhi int64) []frame {
-		if nhi <= lo || nlo >= hi || ref == 0 {
-			// Outside the range, or a sparse subtree: its indices keep
-			// the zero Chunk already in place.
-			return fs
-		}
-		return append(fs, frame{ref, nlo, nhi})
-	}
-	frontier = push(frontier, root, 0, span)
-	var next []frame
-	var refs []NodeRef
-	var nodes []TreeNode
-	for len(frontier) > 0 {
-		if batched {
-			refs = refs[:0]
-			for _, fr := range frontier {
-				refs = append(refs, fr.ref)
-			}
-			if cap(nodes) < len(refs) {
-				nodes = make([]TreeNode, len(refs))
-			}
-			nodes = nodes[:len(refs)]
-			if err := bg.GetNodes(refs, nodes); err != nil {
-				return nil, err
-			}
-		}
-		next = next[:0]
-		for fi, fr := range frontier {
-			var n TreeNode
-			if batched {
-				n = nodes[fi]
-			} else {
-				var err error
-				n, err = g.GetNode(fr.ref)
-				if err != nil {
-					return nil, err
-				}
-			}
-			if n.Lo != fr.nlo || n.Hi != fr.nhi {
-				return nil, fmt.Errorf("blob: node %d covers [%d,%d), expected [%d,%d): %w", fr.ref, n.Lo, n.Hi, fr.nlo, fr.nhi, ErrCorruptTree)
-			}
+	err := descend(g, []treeFrame{{root, 0, span}},
+		func(fr treeFrame) bool { return fr.nhi > lo && fr.nlo < hi },
+		func(_ NodeRef, n TreeNode) {
 			if n.Leaf() {
 				out[n.Lo-lo].Chunk = n.Chunk
-				continue
 			}
-			mid := (fr.nlo + fr.nhi) / 2
-			next = push(next, n.Left, fr.nlo, mid)
-			next = push(next, n.Right, mid, fr.nhi)
-		}
-		frontier, next = next, frontier
+		})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -158,7 +156,7 @@ type NewNode struct {
 // providers by ref % providers, so another order would move every
 // stored tree. referenceBuildVersion (segtree_ref_test.go) states the
 // same result recursively; FuzzBuildVersion holds the two equal.
-func BuildVersion(g BatchGetter, oldRoot NodeRef, span int64, dirty []DirtyLeaf, alloc func() NodeRef) (NodeRef, []NewNode, error) {
+func BuildVersion(g Getter, oldRoot NodeRef, span int64, dirty []DirtyLeaf, alloc func() NodeRef) (NodeRef, []NewNode, error) {
 	if len(dirty) == 0 {
 		return oldRoot, nil, nil
 	}
@@ -203,7 +201,7 @@ func pathNodes(span int64, k int) int {
 // discover is the top-down pass. The frames of one level are
 // contiguous in b.frames, so the level being walked is frames[lo:hi]
 // and the children it appends are the next one.
-func (b *versionBuild) discover(g BatchGetter, oldRoot NodeRef, span int64) error {
+func (b *versionBuild) discover(g Getter, oldRoot NodeRef, span int64) error {
 	k := len(b.dirty)
 	b.frames = make([]buildFrame, 1, pathNodes(span, k))
 	b.frames[0] = buildFrame{nlo: 0, nhi: span, dhi: int32(k), left: oldRoot}
@@ -300,10 +298,16 @@ func CloneRoot(g Getter, srcRoot NodeRef, span int64, alloc func() NodeRef) (Nod
 	if srcRoot == 0 {
 		return 0, nil, nil // cloning an empty tree is an empty tree
 	}
-	src, err := g.GetNode(srcRoot)
-	if err != nil {
+	// A one-ref round; request and reply share one allocation.
+	var round struct {
+		ref  [1]NodeRef
+		node [1]TreeNode
+	}
+	round.ref[0] = srcRoot
+	if err := g.GetNodes(round.ref[:], round.node[:]); err != nil {
 		return 0, nil, err
 	}
+	src := round.node[0]
 	if src.Lo != 0 || src.Hi != span {
 		return 0, nil, fmt.Errorf("blob: clone source root covers [%d,%d), want [0,%d): %w", src.Lo, src.Hi, span, ErrCorruptTree)
 	}
@@ -313,41 +317,31 @@ func CloneRoot(g Getter, srcRoot NodeRef, span int64, alloc func() NodeRef) (Nod
 }
 
 // WalkReachable visits every tree node and chunk key reachable from
-// root, pruning subtrees whose root the caller has already seen:
-// visitNode returns false to stop descending (the ref was reached from
-// another version's tree — shadowing and cloning share whole subtrees,
-// so a mark phase over many roots visits each node exactly once).
-// Sparse subtrees (ref 0) are skipped. This is the pure mark primitive
-// of the snapshot garbage collector; like CollectLeaves it validates
-// the range invariants as it walks, so corruption surfaces as an error
-// instead of an under- or over-mark.
-func WalkReachable(g Getter, root NodeRef, span int64, visitNode func(NodeRef) bool, visitChunk func(ChunkKey)) error {
-	var walk func(ref NodeRef, nlo, nhi int64) error
-	walk = func(ref NodeRef, nlo, nhi int64) error {
-		if ref == 0 {
-			return nil
-		}
-		if !visitNode(ref) {
-			return nil
-		}
-		n, err := g.GetNode(ref)
-		if err != nil {
-			return err
-		}
-		if n.Lo != nlo || n.Hi != nhi {
-			return fmt.Errorf("blob: node %d covers [%d,%d), expected [%d,%d): %w", ref, n.Lo, n.Hi, nlo, nhi, ErrCorruptTree)
-		}
-		if n.Leaf() {
-			if n.Chunk != 0 {
-				visitChunk(n.Chunk)
-			}
-			return nil
-		}
-		mid := (nlo + nhi) / 2
-		if err := walk(n.Left, nlo, mid); err != nil {
-			return err
-		}
-		return walk(n.Right, mid, nhi)
+// roots — the mark primitive of the snapshot garbage collector and of
+// sync's delta export. All the roots descend as one frontier (see
+// descend): the nodes of one tree level, whichever root they hang
+// from, are resolved in a single GetNodes round, so marking any number
+// of versions costs the deepest tree's depth in rounds.
+//
+// enter is asked before a ref is fetched and returns false to prune
+// it — the caller has seen the ref before, reached from another
+// version's tree or from an earlier walk (shadowing and cloning share
+// whole subtrees, so a mark over many roots fetches each node once).
+// visit, if not nil, receives every fetched node; chunk, if not nil,
+// every non-sparse leaf's key. Sparse subtrees (ref 0) are skipped.
+func WalkReachable(g Getter, roots []LiveRoot, enter func(NodeRef) bool, visit func(NodeRef, TreeNode), chunk func(ChunkKey)) error {
+	frames := make([]treeFrame, len(roots))
+	for i, r := range roots {
+		frames[i] = treeFrame{r.Root, 0, r.Span}
 	}
-	return walk(root, 0, span)
+	return descend(g, frames,
+		func(fr treeFrame) bool { return enter(fr.ref) },
+		func(ref NodeRef, n TreeNode) {
+			if visit != nil {
+				visit(ref, n)
+			}
+			if chunk != nil && n.Leaf() && n.Chunk != 0 {
+				chunk(n.Chunk)
+			}
+		})
 }

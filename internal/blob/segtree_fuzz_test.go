@@ -2,6 +2,8 @@ package blob
 
 import (
 	"bytes"
+	"errors"
+	"maps"
 	"testing"
 )
 
@@ -12,10 +14,11 @@ import (
 // step the whole stack of invariants is checked against a flat
 // reference model: CollectLeaves must reproduce the model exactly,
 // BuildVersion must create only the nodes on dirty root-to-leaf paths,
-// and WalkReachable must see exactly the model's chunks. CI runs a
-// short -fuzz smoke on both targets; the checked-in seeds keep the
-// interesting shapes (empty tree, single leaf, full span, sparse
-// holes) in the regression corpus.
+// WalkReachable must see exactly the model's chunks, and over the whole
+// forest of versions built it must agree with its recursive reference
+// (checkWalkAgainstReference). CI runs a short -fuzz smoke on both
+// targets; the checked-in seeds keep the interesting shapes (empty
+// tree, single leaf, full span, sparse holes) in the regression corpus.
 
 // fuzzSpan derives a power-of-two span in [1,16] from a byte.
 func fuzzSpan(b byte) int64 { return int64(1) << (b % 5) }
@@ -28,6 +31,7 @@ func applyFuzzVersions(t *testing.T, span int64, data []byte) (NodeRef, []ChunkK
 	m := newMapStore()
 	model := make([]ChunkKey, span)
 	var root NodeRef
+	var roots []LiveRoot // every version built, for the forest walk
 	nextKey := ChunkKey(0)
 	const maxRounds = 8
 	for r := 0; r+1 < len(data) && r/2 < maxRounds; r += 2 {
@@ -96,8 +100,9 @@ func applyFuzzVersions(t *testing.T, span int64, data []byte) (NodeRef, []ChunkK
 			}
 		}
 		reachable := make(map[ChunkKey]bool)
-		err = WalkReachable(m, root, span,
-			func(NodeRef) bool { return true },
+		roots = append(roots, LiveRoot{Root: root, Span: span})
+		err = WalkReachable(m, roots[len(roots)-1:],
+			func(NodeRef) bool { return true }, nil,
 			func(key ChunkKey) { reachable[key] = true })
 		if err != nil {
 			t.Fatalf("WalkReachable: %v", err)
@@ -117,7 +122,128 @@ func applyFuzzVersions(t *testing.T, span int64, data []byte) (NodeRef, []ChunkK
 			}
 		}
 	}
+	checkWalkAgainstReference(t, m, roots)
 	return root, model, m
+}
+
+// fetchCounter is a Getter that records how often each ref is fetched.
+type fetchCounter struct {
+	*mapStore
+	fetched map[NodeRef]int
+}
+
+func (f fetchCounter) GetNodes(refs []NodeRef, out []TreeNode) error {
+	for _, ref := range refs {
+		f.fetched[ref]++
+	}
+	return f.mapStore.GetNodes(refs, out)
+}
+
+// checkWalkAgainstReference holds WalkReachable, walking the forest of
+// all version roots as one frontier, to referenceWalkReachable walking
+// them one after the other over a shared seen set: same entered nodes,
+// same chunks, every admitted ref fetched exactly once and nothing
+// else fetched — with and without a pruned subtree — and the same
+// ErrCorruptTree on a node whose range disagrees with its position.
+// One more root of twice the span hangs the newest version under its
+// left side, so roots of different spans share a whole tree.
+func checkWalkAgainstReference(t *testing.T, m *mapStore, roots []LiveRoot) {
+	t.Helper()
+	if len(roots) == 0 {
+		return
+	}
+	newest := roots[len(roots)-1]
+	wide := m.alloc()
+	m.nodes[wide] = TreeNode{Lo: 0, Hi: 2 * newest.Span, Left: newest.Root}
+	defer delete(m.nodes, wide)
+	roots = append([]LiveRoot{{Root: wide, Span: 2 * newest.Span}}, roots...)
+
+	type marks struct {
+		nodes  map[NodeRef]bool
+		chunks map[ChunkKey]bool
+	}
+	enterInto := func(mk marks, pruned NodeRef, admitted map[NodeRef]int) func(NodeRef) bool {
+		return func(ref NodeRef) bool {
+			if ref == pruned || mk.nodes[ref] {
+				return false
+			}
+			mk.nodes[ref] = true
+			if admitted != nil {
+				admitted[ref]++
+			}
+			return true
+		}
+	}
+	reference := func(g nodeGetter, pruned NodeRef) (marks, error) {
+		mk := marks{map[NodeRef]bool{}, map[ChunkKey]bool{}}
+		for _, r := range roots {
+			err := referenceWalkReachable(g, r.Root, r.Span, enterInto(mk, pruned, nil),
+				func(key ChunkKey) { mk.chunks[key] = true })
+			if err != nil {
+				return mk, err
+			}
+		}
+		return mk, nil
+	}
+
+	// The subtree to prune: the newest version's left child, when it
+	// has one.
+	var pruned NodeRef
+	if n := m.nodes[newest.Root]; !n.Leaf() {
+		pruned = n.Left
+	}
+	for _, prune := range []NodeRef{0, pruned} {
+		want, err := reference(m, prune)
+		if err != nil {
+			t.Fatalf("referenceWalkReachable: %v", err)
+		}
+		got := marks{map[NodeRef]bool{}, map[ChunkKey]bool{}}
+		fc := fetchCounter{m, map[NodeRef]int{}}
+		admitted := map[NodeRef]int{}
+		visited := map[NodeRef]bool{}
+		err = WalkReachable(fc, roots, enterInto(got, prune, admitted),
+			func(ref NodeRef, n TreeNode) {
+				if n != m.nodes[ref] {
+					t.Fatalf("visit(%d) got %+v, stored %+v", ref, n, m.nodes[ref])
+				}
+				visited[ref] = true
+			},
+			func(key ChunkKey) { got.chunks[key] = true })
+		if err != nil {
+			t.Fatalf("WalkReachable: %v", err)
+		}
+		if !maps.Equal(got.nodes, want.nodes) {
+			t.Fatalf("prune %d: entered %d nodes, reference %d", prune, len(got.nodes), len(want.nodes))
+		}
+		if !maps.Equal(got.chunks, want.chunks) {
+			t.Fatalf("prune %d: reached %d chunks, reference %d", prune, len(got.chunks), len(want.chunks))
+		}
+		if !maps.Equal(visited, got.nodes) {
+			t.Fatalf("prune %d: visited %d nodes, entered %d", prune, len(visited), len(got.nodes))
+		}
+		for ref := range got.nodes {
+			if admitted[ref] != 1 || fc.fetched[ref] != 1 {
+				t.Fatalf("prune %d: ref %d admitted %d times, fetched %d times", prune, ref, admitted[ref], fc.fetched[ref])
+			}
+		}
+		if len(fc.fetched) != len(got.nodes) {
+			t.Fatalf("prune %d: fetched %d refs, entered %d (a pruned or unseen node was fetched)", prune, len(fc.fetched), len(got.nodes))
+		}
+	}
+
+	// A node whose range disagrees with where it hangs: both walkers
+	// must refuse the tree.
+	bad := &mapStore{nodes: maps.Clone(m.nodes)}
+	n := bad.nodes[newest.Root]
+	n.Hi++
+	bad.nodes[newest.Root] = n
+	if _, err := reference(bad, 0); !errors.Is(err, ErrCorruptTree) {
+		t.Fatalf("reference on a corrupt tree: %v, want ErrCorruptTree", err)
+	}
+	err := WalkReachable(bad, roots, func(NodeRef) bool { return true }, nil, nil)
+	if !errors.Is(err, ErrCorruptTree) {
+		t.Fatalf("WalkReachable on a corrupt tree: %v, want ErrCorruptTree", err)
+	}
 }
 
 func FuzzBuildVersion(f *testing.F) {

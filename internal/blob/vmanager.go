@@ -102,7 +102,7 @@ func (vm *VersionManager) NodeChanged(_ *cluster.Ctx, node cluster.NodeID, alive
 	}
 }
 
-func (vm *VersionManager) isAlive(node cluster.NodeID) bool {
+func (vm *VersionManager) hostUp(node cluster.NodeID) bool {
 	a, ok := vm.alive[node]
 	return ok && a.Load()
 }
@@ -114,11 +114,11 @@ func (vm *VersionManager) isAlive(node cluster.NodeID) bool {
 // and the caller's operation is doomed with the control plane gone
 // entirely, which the metadata tier's failed gets already surface.
 func (vm *VersionManager) activeHost() cluster.NodeID {
-	if len(vm.hosts) == 1 || vm.isAlive(vm.node) {
+	if len(vm.hosts) == 1 || vm.hostUp(vm.node) {
 		return vm.node
 	}
 	for _, h := range vm.hosts[1:] {
-		if vm.isAlive(h) {
+		if vm.hostUp(h) {
 			vm.Failovers.Add(1)
 			return h
 		}
@@ -140,7 +140,7 @@ func (vm *VersionManager) chargeMut(ctx *cluster.Ctx, req, resp int64) {
 	active := vm.activeHost()
 	ctx.RPC(active, req, resp)
 	for _, h := range vm.hosts {
-		if h != active && vm.isAlive(h) {
+		if h != active && vm.hostUp(h) {
 			ctx.RPC(h, 24, 16)
 		}
 	}

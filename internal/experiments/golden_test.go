@@ -44,6 +44,30 @@ var goldenScenarios = map[string]func(p Params) []*metrics.Table{
 		on := RunFlashCrowd(p, FlashCrowdConfig{Instances: 64, Sharing: true})
 		return []*metrics.Table{FlashCrowdTable([]FlashCrowdPoint{off, on})}
 	},
+	// The three fault scenarios pin pick order and sweep order of the
+	// replica sets: their failover and re-replication counters move if
+	// either tier walks its ring differently.
+	"degraded": func(p Params) []*metrics.Table {
+		dc := DegradedConfig{Instances: 64, Sharing: true}
+		healthy := RunDegraded(p, dc)
+		dc.Kill = 8
+		return []*metrics.Table{DegradedTable([]DegradedPoint{healthy, RunDegraded(p, dc)})}
+	},
+	"metaoutage": func(p Params) []*metrics.Table {
+		mc := MetaOutageConfig{Instances: 64, Sharing: true}
+		healthy := RunMetaOutage(p, mc)
+		mc.KillMeta, mc.KillRack = 8, true
+		return []*metrics.Table{MetaOutageTable([]MetaOutagePoint{healthy, RunMetaOutage(p, mc)})}
+	},
+	"crosszone": func(p Params) []*metrics.Table {
+		var pts []CrossZonePoint
+		for _, sharing := range []bool{false, true} {
+			for _, aware := range []bool{false, true} {
+				pts = append(pts, RunCrossZone(p, CrossZoneConfig{InstancesPerZone: 20, Aware: aware, Sharing: sharing}))
+			}
+		}
+		return []*metrics.Table{CrossZoneTable(pts)}
+	},
 }
 
 func TestGoldenTables(t *testing.T) {

@@ -101,22 +101,22 @@ func Export(ctx *cluster.Ctx, sys *blob.System, t *Tracker, w io.Writer, id blob
 
 	// Mark phase A: everything reachable from the base version is
 	// already on the importing side and must not ship.
+	meta := sys.Meta.Getter(ctx)
 	seen := make(map[blob.NodeRef]bool)
+	enter := func(ref blob.NodeRef) bool {
+		if seen[ref] {
+			return false
+		}
+		seen[ref] = true
+		return true
+	}
 	baseChunks := make(map[blob.ChunkKey]bool)
 	if from > 0 {
 		baseRoot, err := sys.VM.Root(ctx, id, from)
 		if err != nil {
 			return ExportStats{}, fmt.Errorf("sync: export base %d@%d: %w", id, from, err)
 		}
-		err = walkFrontier(ctx, sys.Meta, baseRoot, info.Span,
-			func(ref blob.NodeRef) bool {
-				if seen[ref] {
-					return false
-				}
-				seen[ref] = true
-				return true
-			},
-			nil,
+		err = blob.WalkReachable(meta, []blob.LiveRoot{{Root: baseRoot, Span: info.Span}}, enter, nil,
 			func(key blob.ChunkKey) { baseChunks[key] = true })
 		if err != nil {
 			return ExportStats{}, err
@@ -142,14 +142,7 @@ func Export(ctx *cluster.Ctx, sys *blob.System, t *Tracker, w io.Writer, id blob
 		if err != nil {
 			return ExportStats{}, fmt.Errorf("sync: export version %d@%d: %w", id, v, err)
 		}
-		err = walkFrontier(ctx, sys.Meta, root, info.Span,
-			func(ref blob.NodeRef) bool {
-				if seen[ref] {
-					return false
-				}
-				seen[ref] = true
-				return true
-			},
+		err = blob.WalkReachable(meta, []blob.LiveRoot{{Root: root, Span: info.Span}}, enter,
 			func(ref blob.NodeRef, n blob.TreeNode) {
 				nodes = append(nodes, NodeRecord{Ref: ref, Node: n})
 			},
@@ -200,61 +193,4 @@ func Export(ctx *cluster.Ctx, sys *blob.System, t *Tracker, w io.Writer, id blob
 	stats.ArchiveBytes = n
 	t.commitExportSeq(id, seq)
 	return stats, nil
-}
-
-// walkFrontier is the batched twin of blob.WalkReachable: a
-// level-order frontier descent that resolves each tree level in one
-// MetaService.GetBatch round (the PR 7 read path), prunes subtrees
-// whose root enter rejects, validates the range invariants as it
-// goes, and reports every visited node and every reachable chunk.
-func walkFrontier(ctx *cluster.Ctx, meta *blob.MetaService, root blob.NodeRef, span int64,
-	enter func(blob.NodeRef) bool,
-	visit func(blob.NodeRef, blob.TreeNode),
-	chunk func(blob.ChunkKey)) error {
-
-	type frame struct {
-		ref      blob.NodeRef
-		nlo, nhi int64
-	}
-	var frontier, next []frame
-	push := func(fs []frame, ref blob.NodeRef, nlo, nhi int64) []frame {
-		if ref == 0 || !enter(ref) {
-			return fs
-		}
-		return append(fs, frame{ref, nlo, nhi})
-	}
-	frontier = push(frontier, root, 0, span)
-	var refs []blob.NodeRef
-	for len(frontier) > 0 {
-		refs = refs[:0]
-		for _, fr := range frontier {
-			refs = append(refs, fr.ref)
-		}
-		nodes, err := meta.GetBatch(ctx, refs)
-		if err != nil {
-			return err
-		}
-		next = next[:0]
-		for fi, fr := range frontier {
-			n := nodes[fi]
-			if n.Lo != fr.nlo || n.Hi != fr.nhi {
-				return fmt.Errorf("blob: node %d covers [%d,%d), expected [%d,%d): %w",
-					fr.ref, n.Lo, n.Hi, fr.nlo, fr.nhi, blob.ErrCorruptTree)
-			}
-			if visit != nil {
-				visit(fr.ref, n)
-			}
-			if n.Leaf() {
-				if n.Chunk != 0 && chunk != nil {
-					chunk(n.Chunk)
-				}
-				continue
-			}
-			mid := (fr.nlo + fr.nhi) / 2
-			next = push(next, n.Left, fr.nlo, mid)
-			next = push(next, n.Right, mid, fr.nhi)
-		}
-		frontier, next = next, frontier
-	}
-	return nil
 }

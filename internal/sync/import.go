@@ -260,6 +260,10 @@ type resolver struct {
 
 	resolved  map[blob.NodeRef][2]int64 // archive refs already rewritten → their range
 	rewritten []blob.NewNode
+
+	// One-ref request and reply of descend's path walk.
+	pathRef  [1]blob.NodeRef
+	pathNode [1]blob.TreeNode
 }
 
 // resolve returns the local ref for a foreign ref expected to cover
@@ -365,10 +369,11 @@ func (r *resolver) descend(lo, hi int64) (blob.NodeRef, blob.TreeNode, error) {
 		if ref == 0 {
 			return 0, blob.TreeNode{}, corrupt("subtree [%d,%d) not shipped and sparse in local base", lo, hi)
 		}
-		n, err := r.meta.Get(r.ctx, ref)
-		if err != nil {
+		r.pathRef[0] = ref
+		if err := r.meta.GetBatchInto(r.ctx, r.pathRef[:], r.pathNode[:]); err != nil {
 			return 0, blob.TreeNode{}, err
 		}
+		n := r.pathNode[0]
 		if n.Lo != clo || n.Hi != chi {
 			return 0, blob.TreeNode{}, fmt.Errorf("blob: node %d covers [%d,%d), expected [%d,%d): %w",
 				ref, n.Lo, n.Hi, clo, chi, blob.ErrCorruptTree)

@@ -96,10 +96,7 @@ func leafKeys(t *testing.T, ctx *blobvfs.Ctx, r *blobvfs.Repo, id blobvfs.ImageI
 	if err != nil {
 		t.Fatal(err)
 	}
-	getter := blob.GetterFunc(func(ref blob.NodeRef) (blob.TreeNode, error) {
-		return sys.Meta.Get(ctx, ref)
-	})
-	leaves, err := blob.CollectLeaves(getter, root, info.Span, 0, info.Span)
+	leaves, err := blob.CollectLeaves(sys.Meta.Getter(ctx), root, info.Span, 0, info.Span)
 	if err != nil {
 		t.Fatal(err)
 	}
