@@ -3,7 +3,7 @@
 # green pipeline — except the staticcheck job, which needs the tool
 # installed (see the staticcheck target below).
 
-.PHONY: build test race check fmt vet bench bench-check rebaseline fuzz examples staticcheck
+.PHONY: build test race check fmt vet bench bench-check rebaseline fuzz examples staticcheck loc
 
 build:
 	go build ./...
@@ -60,6 +60,13 @@ bench-check:
 # reason in CHANGES.md.
 rebaseline:
 	go test ./internal/experiments -run TestGoldenTables -update
+
+# loc prints the size every CHANGES.md entry quotes: non-test Go
+# outside bench/. CI fails when it exceeds .github/loc-budget.txt
+# (ROADMAP item 4's line gate); a PR that shrinks the tree lowers the
+# budget to its own count.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs wc -l | tail -1 | awk '{print $$1}'
 
 fuzz:
 	go test -run '^$$' -fuzz FuzzBuildVersion -fuzztime 20s ./internal/blob

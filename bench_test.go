@@ -173,7 +173,7 @@ func BenchmarkFlashCrowd256(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			p := experiments.Quick()
-			var pt experiments.FlashCrowdPoint
+			var pt experiments.CrowdPoint
 			for i := 0; i < b.N; i++ {
 				pt = experiments.RunFlashCrowd(p, experiments.FlashCrowdConfig{
 					Instances: 256,
@@ -219,7 +219,7 @@ func BenchmarkFlashCrowd10k(b *testing.B) {
 
 func benchFlashCrowdScale(b *testing.B, instances int) {
 	p := experiments.Quick()
-	var pt experiments.FlashCrowdPoint
+	var pt experiments.CrowdPoint
 	for i := 0; i < b.N; i++ {
 		pt = experiments.RunFlashCrowd(p, experiments.FlashCrowdConfig{
 			Instances: instances,
@@ -256,7 +256,7 @@ func BenchmarkFlashCrowdDegraded(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			p := experiments.Quick()
-			var pt experiments.DegradedPoint
+			var pt experiments.CrowdPoint
 			for i := 0; i < b.N; i++ {
 				pt = experiments.RunDegraded(p, experiments.DegradedConfig{
 					Instances: 256,
@@ -284,14 +284,14 @@ func BenchmarkFlashCrowdDegraded(b *testing.B) {
 // fails the benchmark if it ever regresses below that.
 func BenchmarkFlashCrowdCrossZone(b *testing.B) {
 	const perZone = 64
-	run := func(aware bool) experiments.CrossZonePoint {
+	run := func(aware bool) experiments.CrowdPoint {
 		return experiments.RunCrossZone(experiments.Quick(), experiments.CrossZoneConfig{
 			InstancesPerZone: perZone,
 			Aware:            aware,
 			Sharing:          true,
 		})
 	}
-	var flat, awarePt experiments.CrossZonePoint
+	var flat, awarePt experiments.CrowdPoint
 	for _, aware := range []bool{false, true} {
 		aware := aware
 		name := "flat"
@@ -299,7 +299,7 @@ func BenchmarkFlashCrowdCrossZone(b *testing.B) {
 			name = "aware"
 		}
 		b.Run(name, func(b *testing.B) {
-			var pt experiments.CrossZonePoint
+			var pt experiments.CrowdPoint
 			for i := 0; i < b.N; i++ {
 				pt = run(aware)
 			}
@@ -336,7 +336,7 @@ func BenchmarkFlashCrowdCrossZone(b *testing.B) {
 // arms.
 func BenchmarkFlashCrowdMetaOutage(b *testing.B) {
 	const instances = 256
-	run := func(outage bool) experiments.MetaOutagePoint {
+	run := func(outage bool) experiments.CrowdPoint {
 		mc := experiments.MetaOutageConfig{Instances: instances, Sharing: true}
 		if outage {
 			mc.KillMeta = 8
@@ -344,7 +344,7 @@ func BenchmarkFlashCrowdMetaOutage(b *testing.B) {
 		}
 		return experiments.RunMetaOutage(experiments.Quick(), mc)
 	}
-	var healthy, hit experiments.MetaOutagePoint
+	var healthy, hit experiments.CrowdPoint
 	for _, outage := range []bool{false, true} {
 		outage := outage
 		name := "healthy"
@@ -352,7 +352,7 @@ func BenchmarkFlashCrowdMetaOutage(b *testing.B) {
 			name = "outage"
 		}
 		b.Run(name, func(b *testing.B) {
-			var pt experiments.MetaOutagePoint
+			var pt experiments.CrowdPoint
 			for i := 0; i < b.N; i++ {
 				pt = run(outage)
 			}

@@ -1,0 +1,57 @@
+package main
+
+import (
+	"strings"
+	"testing"
+)
+
+// TestParseRejectsBadFlags: every out-of-range flag value is refused
+// before a scenario runs, whichever scenario was asked for.
+func TestParseRejectsBadFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string // substring of the error
+	}{
+		{[]string{"-quick", "-cycles", "0", "churn"}, "cycles"},
+		{[]string{"-quick", "-keep", "-1", "churn"}, "retention window -1"},
+		{[]string{"-quick", "-instances", "-4", "flash"}, "-instances -4"},
+		{[]string{"-quick", "-kill", "16", "degraded"}, "kill count 16 out of range [0,16)"},
+		{[]string{"-quick", "-kill", "-1", "fig4"}, "kill count -1"},
+		{[]string{"-sweep", "1,x", "fig4"}, `bad sweep entry "x"`},
+	} {
+		_, _, run, err := parse(tc.args)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("parse(%q) = %v, want an error naming %q", tc.args, err, tc.want)
+		}
+		if len(run) != 0 {
+			t.Errorf("parse(%q) selected %d scenarios beside its error", tc.args, len(run))
+		}
+	}
+}
+
+// TestParseSelectsScenarios: a figure panel selects its figure, `all`
+// the whole suite, and the flags land in the sizes.
+func TestParseSelectsScenarios(t *testing.T) {
+	for target, want := range map[string]string{
+		"fig4a": "fig4", "fig5b": "fig5", "fig6": "fig67", "fig7": "fig67", "fig67": "fig67", "sync": "sync",
+	} {
+		_, _, run, err := parse([]string{"-quick", target})
+		if err != nil || len(run) != 1 || run[0].Name != want {
+			t.Errorf("parse(%q) selected %v (err %v), want %s", target, run, err, want)
+		}
+	}
+	p, sz, run, err := parse([]string{"-quick", "-seed", "7", "-instances", "10", "-kill", "3", "-sweep", "2, 4", "all"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(run) != 12 || run[0].Name != "fig4" || run[11].Name != "sync" {
+		t.Errorf("all selected %d scenarios", len(run))
+	}
+	if p.Seed != 7 || p.MaxInstances != 24 {
+		t.Errorf("seed %d, max instances %d, want 7 and 24", p.Seed, p.MaxInstances)
+	}
+	if sz.Crowd != 10 || sz.Fig8 != 10 || sz.PerZone != 4 || sz.Ablations != 16 || sz.Kill != 3 ||
+		len(sz.Sweep) != 2 || sz.Sweep[1] != 4 {
+		t.Errorf("sizes = %+v", sz)
+	}
+}

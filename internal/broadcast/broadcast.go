@@ -8,8 +8,8 @@ import (
 )
 
 // DefaultEffRate is the calibrated per-hop effective throughput in
-// bytes/s (see DESIGN.md §6; reproduces the paper's ~750 s broadcast
-// of a 2 GB image to 110 nodes).
+// bytes/s: the value that reproduces the paper's ~750 s broadcast of a
+// 2 GB image to 110 nodes (§5.2).
 const DefaultEffRate = 30e6
 
 // Result reports one target's completion.

@@ -5,7 +5,7 @@
 // it to its children, one child at a time, as taktuk's adaptive trees
 // effectively do for bulk file distribution.
 //
-// The per-hop effective rate is a calibrated constant (see DESIGN.md
-// §6): measured taktuk deployments interleave TCP chain forwarding
-// with local disk write-back and reach well below NIC line rate.
+// The per-hop effective rate is a calibrated constant (DefaultEffRate):
+// measured taktuk deployments interleave TCP chain forwarding with
+// local disk write-back and reach well below NIC line rate.
 package broadcast

@@ -10,8 +10,10 @@ import (
 type NodeID int
 
 // Config carries the physical constants of the modeled cluster. The
-// defaults (see DefaultConfig) come from §5.1 of the paper; a few are
-// calibrated, as documented in DESIGN.md §6.
+// defaults (see DefaultConfig) are the NIC bandwidth, latency and disk
+// speed §5.1 of the paper states; the costs it does not state
+// (ReqOverhead, LocalRPC, DiskSeek, WriteBuffer) are calibrated, and
+// each field's comment says what it stands for.
 type Config struct {
 	// Nodes is the number of compute nodes.
 	Nodes int

@@ -6,7 +6,6 @@ import (
 	"blobvfs/internal/blob"
 	"blobvfs/internal/cluster"
 	"blobvfs/internal/metrics"
-	"blobvfs/internal/middleware"
 )
 
 // This file implements the ablations for the design choices the paper
@@ -18,12 +17,11 @@ import (
 //   - replication: "a high degree of replication raises availability
 //     ... at the expense of higher storage space requirements".
 
-// ChunkSizePoint is one chunk-size ablation measurement.
+// ChunkSizePoint is one chunk-size ablation measurement: the Fig. 4
+// point of our approach at that chunk size.
 type ChunkSizePoint struct {
-	ChunkSize  int
-	AvgBoot    float64
-	Completion float64
-	TrafficGB  float64
+	ChunkSize int
+	Fig4Point
 }
 
 // RunChunkSizeAblation deploys n instances under our approach for each
@@ -35,13 +33,7 @@ func RunChunkSizeAblation(p Params, n int, sizes []int) []ChunkSizePoint {
 	for _, cs := range sizes {
 		pc := p
 		pc.ChunkSize = cs
-		pt := runFig4Point(pc, n, OurApproach)
-		out = append(out, ChunkSizePoint{
-			ChunkSize:  cs,
-			AvgBoot:    pt.AvgBoot,
-			Completion: pt.Completion,
-			TrafficGB:  pt.TrafficGB,
-		})
+		out = append(out, ChunkSizePoint{cs, runFig4Point(pc, n, OurApproach)})
 	}
 	return out
 }
@@ -81,26 +73,18 @@ func RunReplicationAblation(p Params, n int, degrees []int) []ReplicationPoint {
 		pr := p
 		pr.Replicas = r
 		env := NewEnv(pr, n, OurApproach)
-		mb := env.Backend.(*middleware.MirrorBackend)
-		var point ReplicationPoint
-		point.Replicas = r
-		env.Run(func(ctx *cluster.Ctx) {
-			dep, err := env.Orch.Deploy(ctx)
-			if err != nil {
-				panic(err)
-			}
-			point.Completion = dep.Completion
-		})
-		point.StorageGB = float64(mb.Repo.System().Providers.StoredBytes()) * float64(r) / 1e9
+		point := ReplicationPoint{Replicas: r}
+		env.Run(func(ctx *cluster.Ctx) { point.Completion = env.deploy(ctx).Completion })
+		point.StorageGB = float64(env.Sys.Providers.StoredBytes()) * float64(r) / 1e9
 		// Fault injection: kill provider 0, then try to read a window of
 		// the image from a fresh client on another node. With a single
 		// replica, chunks homed on the dead provider are lost.
-		mb.Repo.System().Providers.Kill(env.Nodes[0])
+		env.Sys.Providers.Kill(env.Nodes[0])
 		point.SurvivesOne = true
 		env.Run(func(ctx *cluster.Ctx) {
 			done := ctx.Go("probe", env.Nodes[1%len(env.Nodes)], func(cc *cluster.Ctx) {
-				c := blob.NewClient(mb.Repo.System())
-				if _, err := c.FetchChunks(cc, mb.Base.Image, mb.Base.Version, 0, minI64(256, imageChunks(pr))); err != nil {
+				c := blob.NewClient(env.Sys)
+				if _, err := c.FetchChunks(cc, env.Base.Image, env.Base.Version, 0, min(256, imageChunks(pr))); err != nil {
 					point.SurvivesOne = false
 				}
 			})
@@ -118,20 +102,9 @@ func ReplicationTable(points []ReplicationPoint) *metrics.Table {
 		Columns: []string{"replicas", "deploy completion (s)", "raw storage (GB)", "survives provider loss"},
 	}
 	for _, pt := range points {
-		surv := "no"
-		if pt.SurvivesOne {
-			surv = "yes"
-		}
-		t.AddRow(itoa(pt.Replicas), ftoa(pt.Completion), fmt.Sprintf("%.3f", pt.StorageGB), surv)
+		t.AddRow(itoa(pt.Replicas), ftoa(pt.Completion), fmt.Sprintf("%.3f", pt.StorageGB), yesNo(pt.SurvivesOne))
 	}
 	return t
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func imageChunks(p Params) int64 {

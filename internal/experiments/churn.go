@@ -6,7 +6,6 @@ import (
 	"blobvfs/internal/cluster"
 	"blobvfs/internal/metrics"
 	"blobvfs/internal/middleware"
-	"blobvfs/internal/p2p"
 	"blobvfs/internal/sim"
 )
 
@@ -29,20 +28,6 @@ type ChurnConfig struct {
 	// KeepLast is the retention window per instance (≥1). 0 disables
 	// retention and GC, showing the unbounded baseline.
 	KeepLast int
-	// Providers is the dedicated provider pool size (default 8).
-	Providers int
-	// Sharing toggles the p2p chunk-sharing layer; reclaimed chunks are
-	// then also retracted from the cohort's location maps.
-	Sharing bool
-	// DiffBytes is the per-instance local modification size per cycle
-	// (default Params.SnapshotDiff).
-	DiffBytes int64
-	// HotBytes confines each cycle's writes to the first HotBytes of
-	// the image (default 4×DiffBytes): a VM's churn concentrates on a
-	// working set — logs, spool, configuration — that is rewritten
-	// cycle after cycle, which is exactly what makes old snapshots'
-	// chunks unreachable and reclaimable. 0 < HotBytes ≤ image size.
-	HotBytes int64
 }
 
 // ChurnCycle samples the storage footprint after one cycle's
@@ -61,7 +46,6 @@ type ChurnPoint struct {
 	Instances int
 	Cycles    int
 	KeepLast  int
-	Sharing   bool
 
 	PeakChunks      int   // highest post-cycle chunk count
 	FinalChunks     int   // chunk count after the last cycle
@@ -74,9 +58,10 @@ type ChurnPoint struct {
 	PerCycle []ChurnCycle
 }
 
-// RunChurn deploys cc.Instances instances against a dedicated
-// cc.Providers-node pool, then runs cc.Cycles rounds of local
-// modifications + concurrent snapshots under the keep-last-K retention
+// RunChurn deploys cc.Instances instances against the flash crowd's
+// dedicated pool (p2p sharing off), then runs cc.Cycles rounds of local
+// modifications (Params.SnapshotDiff per instance, confined to the hot
+// window) + concurrent snapshots under the keep-last-K retention
 // policy, collecting garbage after every round. The image upload is
 // excluded from the measurements, as in the other experiments.
 func RunChurn(p Params, cc ChurnConfig) ChurnPoint {
@@ -86,33 +71,18 @@ func RunChurn(p Params, cc ChurnConfig) ChurnPoint {
 	if cc.Cycles < 1 {
 		panic("experiments: churn needs at least one cycle")
 	}
-	if cc.Providers <= 0 {
-		cc.Providers = 8
-	}
-	if cc.DiffBytes <= 0 {
-		cc.DiffBytes = p.SnapshotDiff
-	}
-	if cc.HotBytes <= 0 {
-		cc.HotBytes = 4 * cc.DiffBytes
-	}
-	if cc.HotBytes > p.ImageSize {
-		cc.HotBytes = p.ImageSize
-	}
 
-	sp := newSmallPool(p, cc.Instances, cc.Providers, cc.Sharing, p2p.DefaultConfig(), cluster.Topology{})
-	sys := sp.Sys
+	env := newEnv(p, dedicatedLayout(cc.Instances, flashProviders, cluster.Topology{}), OurApproach)
+	sys := env.Sys
 	if cc.KeepLast > 0 {
-		sp.Orch.Retention = middleware.RetentionPolicy{KeepLast: cc.KeepLast}
-		// The repo's collector retracts reclaimed chunks from the
-		// sharing cohorts when p2p is on.
-		sp.Orch.Collector = sp.Repo.Collector()
+		env.Orch.Retention = middleware.RetentionPolicy{KeepLast: cc.KeepLast}
+		env.Orch.Collector = env.Repo.Collector()
 	}
 
 	pt := ChurnPoint{
 		Instances: cc.Instances,
 		Cycles:    cc.Cycles,
 		KeepLast:  cc.KeepLast,
-		Sharing:   cc.Sharing,
 	}
 	sample := func(cycle, retired int) {
 		s := ChurnCycle{
@@ -130,20 +100,17 @@ func RunChurn(p Params, cc ChurnConfig) ChurnPoint {
 	}
 
 	wrRNG := sim.NewRNG(p.Seed + 7)
-	sp.Fab.Run(func(ctx *cluster.Ctx) {
-		dep, err := sp.Orch.Deploy(ctx)
-		if err != nil {
-			panic(err)
-		}
+	env.Fab.Run(func(ctx *cluster.Ctx) {
+		dep := env.deploy(ctx)
 		sample(0, 0)
 		for cycle := 1; cycle <= cc.Cycles; cycle++ {
-			err := sp.Orch.RunOnAll(ctx, dep.Instances, func(icc *cluster.Ctx, inst *middleware.Instance) error {
-				return SnapshotWritesIn(icc, inst.Disk, cc.DiffBytes, int64(p.ChunkSize), cc.HotBytes, wrRNG.Fork())
+			err := env.Orch.RunOnAll(ctx, dep.Instances, func(icc *cluster.Ctx, inst *middleware.Instance) error {
+				return SnapshotWritesIn(icc, inst.Disk, p.SnapshotDiff, int64(p.ChunkSize), p.hotWindow(), wrRNG.Fork())
 			})
 			if err != nil {
 				panic(err)
 			}
-			snap, err := sp.Orch.SnapshotAll(ctx, dep.Instances)
+			snap, err := env.Orch.SnapshotAll(ctx, dep.Instances)
 			if err != nil {
 				panic(err)
 			}
@@ -163,8 +130,8 @@ func RunChurn(p Params, cc ChurnConfig) ChurnPoint {
 // ChurnTable renders a churn run as a per-cycle footprint trace.
 func ChurnTable(pt ChurnPoint) *metrics.Table {
 	title := fmt.Sprintf(
-		"Churn: %d instances × %d snapshot cycles, keep-last-%d retention (p2p sharing %s)",
-		pt.Instances, pt.Cycles, pt.KeepLast, onOff(pt.Sharing))
+		"Churn: %d instances × %d snapshot cycles, keep-last-%d retention (p2p sharing off)",
+		pt.Instances, pt.Cycles, pt.KeepLast)
 	if pt.KeepLast == 0 {
 		title = fmt.Sprintf(
 			"Churn: %d instances × %d snapshot cycles, no retention (unbounded baseline)",
@@ -183,16 +150,9 @@ func ChurnTable(pt ChurnPoint) *metrics.Table {
 			itoa(s.Chunks),
 			ftoa(s.StoredMB),
 			itoa(s.MetaNodes),
-			fmt.Sprintf("%d", s.Reclaimed),
+			i64(s.Reclaimed),
 			itoa(s.Retired),
 		)
 	}
 	return t
-}
-
-func onOff(b bool) string {
-	if b {
-		return "on"
-	}
-	return "off"
 }

@@ -1,15 +1,9 @@
 package experiments
 
 import (
-	"fmt"
-
 	"blobvfs"
 	"blobvfs/internal/cluster"
 	"blobvfs/internal/metrics"
-	"blobvfs/internal/middleware"
-	"blobvfs/internal/p2p"
-	"blobvfs/internal/sim"
-	"blobvfs/internal/vmmodel"
 )
 
 // This file implements the cross-zone flash-crowd scenario: the same
@@ -17,7 +11,7 @@ import (
 // connected by scarce interconnects. The paper's cluster is a flat
 // Gigabit switch (§5.1), but the IaaS clouds it targets span failure
 // domains whose cross-domain bytes are the expensive ones. The
-// scenario deploys one image to Zones × InstancesPerZone instances
+// scenario deploys one image to zones × InstancesPerZone instances
 // over a provider pool with members in every zone, and measures where
 // the bytes went — per locality tier, with the zone-interconnect
 // traffic (Sim.CrossZoneBytes) as the headline. Run it twice, flat
@@ -27,222 +21,55 @@ import (
 // p2p exchanges rack- or zone-local, so the interconnect carries only
 // the first seeding of each zone instead of two thirds of the crowd.
 
-// crossZoneNodesPerRack picks the rack size for a zone of the given
-// node count: the largest of the standard sizes that divides it
-// evenly, so the topology always covers the cluster exactly.
-func crossZoneNodesPerRack(zoneSize int) int {
-	for _, n := range []int{8, 4, 2} {
-		if zoneSize%n == 0 {
-			return n
-		}
-	}
-	return 1
-}
-
-// CrossZoneTopology returns the scenario's fabric arrangement for the
-// given shape: zones of zoneSize nodes in racks of up to 8, rack
-// uplinks at 4× the node NIC (a 2:1 oversubscribed top-of-rack
-// switch), and zone interconnects at 2× the node NIC — the scarce
-// resource a whole zone's external traffic squeezes through — with
-// 50µs extra RTT across racks and 1ms across zones.
-func CrossZoneTopology(zones, zoneSize int) cluster.Topology {
-	nic := cluster.DefaultConfig(1).NICBandwidth
-	perRack := crossZoneNodesPerRack(zoneSize)
-	return cluster.Topology{
-		Zones:         zones,
-		RacksPerZone:  zoneSize / perRack,
-		NodesPerRack:  perRack,
-		RackBandwidth: 4 * nic,
-		RackLatency:   5e-5,
-		ZoneBandwidth: 2 * nic,
-		ZoneLatency:   1e-3,
-	}
-}
+// The cross-zone scenario's fixed shape: 3 availability zones, each
+// with a 3-node share of the storage pool (the pool spans all zones),
+// and one chunk replica per zone, so aware placement can pin a copy in
+// every zone.
+const (
+	crossZones            = 3
+	crossProvidersPerZone = 3
+	crossReplicas         = crossZones
+)
 
 // CrossZoneConfig parameterizes one cross-zone run.
 type CrossZoneConfig struct {
-	// Zones is the number of availability zones (default 3).
-	Zones int
 	// InstancesPerZone is the per-zone deployment fan-out.
 	InstancesPerZone int
-	// ProvidersPerZone is the per-zone share of the storage pool
-	// (default 3); the pool spans all zones.
-	ProvidersPerZone int
-	// Replicas is the chunk replication degree (default Zones, so
-	// aware placement can pin one copy in every zone).
-	Replicas int
 	// Aware turns on topology-aware placement, replica selection and
 	// peer selection (blobvfs.WithTopology). Off is the flat-policy
 	// baseline over the identical physical fabric.
 	Aware bool
 	// Sharing toggles the p2p chunk-sharing layer.
 	Sharing bool
-	// P2P carries the sharing protocol constants (zero value →
-	// p2p.DefaultConfig).
-	P2P p2p.Config
 }
 
-// CrossZonePoint reports one cross-zone run.
-type CrossZonePoint struct {
-	Zones            int
-	InstancesPerZone int
-	ProvidersPerZone int
-	Replicas         int
-	Aware            bool
-	Sharing          bool
-
-	AvgBoot    float64 // mean per-instance boot time (s)
-	Completion float64 // deploy start → last instance booted (s)
-	TrafficGB  float64 // total network traffic (GB)
-
-	// CrossZoneBytes is the headline: traffic that crossed a zone
-	// interconnect (== TierBytes[TierRemote]).
-	CrossZoneBytes int64
-	// TierBytes breaks all off-node traffic down by locality tier.
-	TierBytes [cluster.NumTiers]int64
-
-	ProviderReads    int64 // chunk reads served by the provider pool
-	MaxProviderReads int64 // ... by its hottest member (the hot-spot)
-	// ProviderTierReads splits provider reads by reader→provider
-	// distance. Only the aware run can attribute tiers (the flat
-	// policy has no topology), so baseline runs book everything under
-	// TierRack like the flat cluster does.
-	ProviderTierReads [cluster.NumTiers]int64
-	PeerReads         int64 // chunk reads served by cohort peers
-	P2P               p2p.Stats
-}
-
-// RunCrossZone deploys one image to cz.Zones × cz.InstancesPerZone
-// instances spread over a zoned fabric and reports the traffic per
-// locality tier. Node layout: zone z occupies the contiguous ID block
-// [z·S, (z+1)·S) with S = InstancesPerZone + ProvidersPerZone + 1 —
-// instances first, then providers, then one auxiliary node; zone 0's
-// auxiliary node runs the version manager and the p2p tracker. The
-// image upload is excluded from the measurements, as in the other
-// experiments.
-func RunCrossZone(p Params, cz CrossZoneConfig) CrossZonePoint {
-	if cz.Zones <= 0 {
-		cz.Zones = 3
-	}
+// RunCrossZone deploys one image to 3 × cz.InstancesPerZone instances
+// spread over a zoned fabric (zonedLayout) and reports the traffic per
+// locality tier.
+func RunCrossZone(p Params, cz CrossZoneConfig) CrowdPoint {
 	if cz.InstancesPerZone < 1 {
 		panic("experiments: cross-zone deployment needs at least one instance per zone")
 	}
-	if cz.ProvidersPerZone <= 0 {
-		cz.ProvidersPerZone = 3
-	}
-	if cz.Replicas <= 0 {
-		cz.Replicas = cz.Zones
-	}
-	if cz.P2P == (p2p.Config{}) {
-		cz.P2P = p2p.DefaultConfig()
-	}
-
-	zoneSize := cz.InstancesPerZone + cz.ProvidersPerZone + 1
-	topo := CrossZoneTopology(cz.Zones, zoneSize)
-
 	// The physical fabric is identical for both policies: tier links
 	// and per-tier accounting are always on. Only the repo's placement
 	// and selection policy switches with cz.Aware.
-	cfg := cluster.DefaultConfig(cz.Zones * zoneSize)
-	if p.WriteBuffer > 0 {
-		cfg.WriteBuffer = p.WriteBuffer
-	}
-	cfg.Topology = topo
-	fab := cluster.NewSim(cfg)
-
-	var instNodes, provNodes []cluster.NodeID
-	for z := 0; z < cz.Zones; z++ {
-		base := z * zoneSize
-		for i := 0; i < cz.InstancesPerZone; i++ {
-			instNodes = append(instNodes, cluster.NodeID(base+i))
-		}
-		for i := 0; i < cz.ProvidersPerZone; i++ {
-			provNodes = append(provNodes, cluster.NodeID(base+cz.InstancesPerZone+i))
-		}
-	}
-	service := cluster.NodeID(cz.InstancesPerZone + cz.ProvidersPerZone) // zone 0's auxiliary node
-
-	opts := []blobvfs.Option{
-		blobvfs.WithProviders(provNodes...),
-		blobvfs.WithManager(service),
-		blobvfs.WithReplicas(cz.Replicas),
-		blobvfs.WithChunkSize(p.ChunkSize),
-	}
-	if cz.Sharing {
-		opts = append(opts, blobvfs.WithP2P(cz.P2P))
-	}
+	l := zonedLayout(crossZones, cz.InstancesPerZone, crossProvidersPerZone)
+	opts := append(sharingOption(cz.Sharing), blobvfs.WithReplicas(crossReplicas))
 	if cz.Aware {
-		opts = append(opts, blobvfs.WithTopology(topo))
+		opts = append(opts, blobvfs.WithTopology(l.topo))
 	}
-	repo, err := blobvfs.Open(fab, opts...)
-	if err != nil {
-		panic(err)
-	}
-	sys := repo.System()
-
-	var base blobvfs.Snapshot
-	var backend *middleware.MirrorBackend
-	fab.Run(func(ctx *cluster.Ctx) {
-		b, err := repo.CreateSynthetic(ctx, "base", p.ImageSize)
-		if err != nil {
-			panic(err)
-		}
-		base = b
-		backend = middleware.NewMirrorBackend(repo, base)
-	})
-	fab.ResetTraffic()
-
-	baseOps := p.baseTrace()
-	traceRNG := sim.NewRNG(p.Seed + 1)
-	jitRNG := sim.NewRNG(p.Seed + 2)
-	orch := &middleware.Orchestrator{
-		Backend: backend,
-		Nodes:   instNodes,
-		TraceFor: func(i int) []vmmodel.TraceOp {
-			return vmmodel.WithThinkJitter(baseOps, traceRNG.Fork(), p.Boot.TotalThink)
-		},
-		StartJitter: func(i int) float64 {
-			return jitRNG.Uniform(p.JitterMin, p.JitterMax)
-		},
-	}
-
-	var dep *middleware.DeployResult
-	fab.Run(func(ctx *cluster.Ctx) {
-		var err error
-		dep, err = orch.Deploy(ctx)
-		if err != nil {
-			panic(err)
-		}
-	})
-
-	pt := CrossZonePoint{
-		Zones:            cz.Zones,
-		InstancesPerZone: cz.InstancesPerZone,
-		ProvidersPerZone: cz.ProvidersPerZone,
-		Replicas:         cz.Replicas,
-		Aware:            cz.Aware,
-		Sharing:          cz.Sharing,
-		AvgBoot:          metrics.Summarize(dep.BootTimes()).Mean,
-		Completion:       dep.Completion,
-		TrafficGB:        float64(fab.NetTraffic()) / 1e9,
-		CrossZoneBytes:   fab.CrossZoneBytes(),
-	}
-	for t := 0; t < cluster.NumTiers; t++ {
-		pt.TierBytes[t] = fab.TierTraffic(cluster.Tier(t))
-	}
-	pt.ProviderReads = sys.Providers.Reads.Load()
-	pt.MaxProviderReads = sys.Providers.MaxNodeReads()
-	pt.ProviderTierReads = sys.Providers.TierReads()
-	if st, ok := repo.SharingStats(base.Image); ok {
-		pt.P2P = st
-		pt.PeerReads = st.PeerHits
-	}
-	return pt
+	return deployCrowd(newEnv(p, l, OurApproach, opts...), CrowdPoint{
+		Instances: len(l.inst),
+		Providers: len(l.pool),
+		Zones:     crossZones,
+		Aware:     cz.Aware,
+		Sharing:   cz.Sharing,
+	}, nil)
 }
 
 // CrossZoneTable renders a flat-vs-aware comparison; the cross-zone
 // column is the headline.
-func CrossZoneTable(points []CrossZonePoint) *metrics.Table {
+func CrossZoneTable(points []CrowdPoint) *metrics.Table {
 	t := &metrics.Table{
 		Title: "Cross-zone flash crowd: one image deployed over " +
 			"zoned fabric, flat policy vs topology-aware",
@@ -253,29 +80,19 @@ func CrossZoneTable(points []CrossZonePoint) *metrics.Table {
 		},
 	}
 	for _, pt := range points {
-		aware, sharing := "off", "off"
-		if pt.Aware {
-			aware = "on"
-		}
-		if pt.Sharing {
-			sharing = "on"
-		}
 		t.AddRow(
 			itoa(pt.Zones),
-			itoa(pt.InstancesPerZone),
-			aware,
-			sharing,
+			itoa(pt.Instances/pt.Zones),
+			onOff(pt.Aware),
+			onOff(pt.Sharing),
 			ftoa(pt.Completion),
 			gbs(pt.CrossZoneBytes),
 			gbs(pt.TierBytes[cluster.TierZone]),
 			gbs(pt.TierBytes[cluster.TierRack]),
-			fmt.Sprintf("%d", pt.ProviderReads),
-			fmt.Sprintf("%d", pt.MaxProviderReads),
-			fmt.Sprintf("%d", pt.PeerReads),
+			i64(pt.ProviderReads),
+			i64(pt.MaxProviderReads),
+			i64(pt.PeerReads),
 		)
 	}
 	return t
 }
-
-// gbs renders a byte count as GB with table precision.
-func gbs(b int64) string { return ftoa(float64(b) / 1e9) }

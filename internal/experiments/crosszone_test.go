@@ -29,7 +29,7 @@ func TestCrossZoneAwarenessCutsInterconnectTraffic(t *testing.T) {
 				sharing, flat.CrossZoneBytes, aware.CrossZoneBytes)
 		}
 		// The per-tier counters must decompose the fabric total.
-		for _, pt := range []CrossZonePoint{flat, aware} {
+		for _, pt := range []CrowdPoint{flat, aware} {
 			var sum int64
 			for _, b := range pt.TierBytes {
 				sum += b

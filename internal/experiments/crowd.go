@@ -1,0 +1,144 @@
+package experiments
+
+import (
+	"blobvfs"
+	"blobvfs/internal/cluster"
+	"blobvfs/internal/metrics"
+	"blobvfs/internal/middleware"
+	"blobvfs/internal/p2p"
+	"blobvfs/internal/sim"
+)
+
+// CrowdPoint reports one crowd deployment — the flash crowd and its
+// degraded, cross-zone and metadata-outage variants. The scenario
+// fills the configuration half; deployCrowd fills everything measured,
+// and each scenario's table selects its columns.
+type CrowdPoint struct {
+	Instances    int // the crowd size (all zones together)
+	Providers    int // storage pool size (all zones together)
+	Zones        int // availability zones the crowd spans (0: one flat cluster)
+	MetaReplicas int // metadata replication degree
+	Killed       int // providers the fault plan killed
+	RackKilled   bool
+	Aware        bool // topology-aware placement and selection
+	Sharing      bool // p2p chunk sharing
+
+	Booted     int     // instances that completed their boot (must be all)
+	AvgBoot    float64 // mean per-instance boot time (s)
+	Completion float64 // deploy start → last instance booted (s)
+	TrafficGB  float64 // total network traffic (GB)
+	Steps      int64   // simulator events executed by the deployment
+
+	// CrossZoneBytes is the traffic that crossed a zone interconnect
+	// (== TierBytes[TierRemote]); TierBytes breaks all off-node traffic
+	// down by locality tier.
+	CrossZoneBytes int64
+	TierBytes      [cluster.NumTiers]int64
+
+	ProviderReads    int64 // chunk reads served by the provider pool
+	MaxProviderReads int64 // ... by its hottest member (the hot-spot)
+	// ProviderTierReads splits provider reads by reader→provider
+	// distance. Only a topology-aware repo can attribute tiers, so
+	// flat-policy runs book everything under TierRack like the flat
+	// cluster does.
+	ProviderTierReads [cluster.NumTiers]int64
+	PeerReads         int64 // chunk reads served by cohort peers
+	MetaGets          int64 // metadata service operations (after batching)
+	MetaNodes         int64 // tree nodes served (MetaNodes/MetaGets = batching factor)
+	P2P               p2p.Stats
+
+	Failovers     int64 // reads a dead primary pushed onto another copy
+	Rereplicated  int64 // chunk copies re-created after a death
+	FailedFetches int64 // reads that found no live provider copy
+	FetchRetries  int64 // mirror fetches re-attempted after a failure
+	DeadDropped   int64 // cohort location records dropped for dead peers
+
+	MetaFailovers    int64 // metadata gets a dead replica pushed onto a survivor
+	MetaRereplicated int64 // tree-node copies restored by repair sweeps
+	FailedDescents   int64 // metadata gets with no live replica (must be 0)
+	VMFailovers      int64 // manager ops served by a journal standby
+}
+
+// sharingOption turns the p2p chunk-sharing layer on with the protocol
+// defaults, or returns nothing.
+func sharingOption(on bool) []blobvfs.Option {
+	if !on {
+		return nil
+	}
+	return []blobvfs.Option{blobvfs.WithP2P(p2p.DefaultConfig())}
+}
+
+// staggeredKills plans the death of n members of pool, one every
+// `every` seconds from `start`. Which members is drawn from the seed —
+// a shuffled pool order, first n entries lose — so runs are bit-for-bit
+// repeatable. Kills are sequential so re-replication can restore the
+// replication degree between failures.
+func staggeredKills(seed int64, pool []cluster.NodeID, n int, start, every float64) []blobvfs.FaultEvent {
+	plan := make([]blobvfs.FaultEvent, n)
+	for i, v := range sim.NewRNG(seed).Perm(len(pool))[:n] {
+		plan[i] = blobvfs.KillAt(start+float64(i)*every, pool[v])
+	}
+	return plan
+}
+
+// armFunc starts a repo's fault plan from inside the deployment:
+// (*blobvfs.Repo).ArmFaults or ArmFaultsRebased, nil for a healthy run.
+type armFunc func(*blobvfs.Repo, *cluster.Ctx) error
+
+// deployCrowd is the measured phase every crowd scenario shares: arm
+// the fault plan if there is one, launch the whole crowd through the
+// middleware, and read every counter once into pt. The image upload
+// happened in newEnv and is excluded, as in the other experiments.
+func deployCrowd(env *Env, pt CrowdPoint, arm armFunc) CrowdPoint {
+	sys := env.Sys
+	gets0, nodes0 := sys.Meta.Gets.Load(), sys.Meta.NodesServed.Load()
+	steps0 := env.Fab.Env().Steps()
+
+	var dep *middleware.DeployResult
+	env.Run(func(ctx *cluster.Ctx) {
+		if arm != nil {
+			if err := arm(env.Repo, ctx); err != nil {
+				panic(err)
+			}
+		}
+		dep = env.deploy(ctx)
+	})
+
+	pt.AvgBoot = metrics.Summarize(dep.BootTimes()).Mean
+	pt.Completion = dep.Completion
+	pt.TrafficGB = float64(env.Fab.NetTraffic()) / 1e9
+	pt.Steps = env.Fab.Env().Steps() - steps0
+	for _, inst := range dep.Instances {
+		if inst == nil {
+			continue
+		}
+		if inst.BootDoneAt > 0 {
+			pt.Booted++
+		}
+		if d, ok := inst.Disk.(*blobvfs.Disk); ok {
+			pt.FetchRetries += d.Stats().FetchRetries
+		}
+	}
+	pt.CrossZoneBytes = env.Fab.CrossZoneBytes()
+	for t := range pt.TierBytes {
+		pt.TierBytes[t] = env.Fab.TierTraffic(cluster.Tier(t))
+	}
+	pt.ProviderReads = sys.Providers.Reads.Load()
+	pt.MaxProviderReads = sys.Providers.MaxNodeReads()
+	pt.ProviderTierReads = sys.Providers.TierReads()
+	pt.MetaGets = sys.Meta.Gets.Load() - gets0
+	pt.MetaNodes = sys.Meta.NodesServed.Load() - nodes0
+	if st, ok := env.Repo.SharingStats(env.Base.Image); ok {
+		pt.P2P = st
+		pt.PeerReads = st.PeerHits
+		pt.DeadDropped = st.DeadDropped
+	}
+	pt.Failovers = sys.Providers.Failovers.Load()
+	pt.Rereplicated = sys.Providers.Rereplicated.Load()
+	pt.FailedFetches = sys.Providers.FailedReads.Load()
+	pt.MetaFailovers = sys.Meta.Failovers.Load()
+	pt.MetaRereplicated = sys.Meta.Rereplicated.Load()
+	pt.FailedDescents = sys.Meta.FailedGets.Load()
+	pt.VMFailovers = sys.VM.Failovers.Load()
+	return pt
+}

@@ -6,9 +6,6 @@ import (
 	"blobvfs"
 	"blobvfs/internal/cluster"
 	"blobvfs/internal/metrics"
-	"blobvfs/internal/middleware"
-	"blobvfs/internal/p2p"
-	"blobvfs/internal/sim"
 )
 
 // This file implements the degraded-deployment scenario: the
@@ -23,6 +20,16 @@ import (
 // and retraction of any sharing-cohort state. The p2p layer doubles as
 // the last-resort source for chunks whose every provider copy is gone.
 
+// The degraded scenario's fixed shape: the pool size and replication
+// degree it defaults to, and the kill schedule — the first death at
+// 2 s, well inside the boot phase, then one per second.
+const (
+	degradedProviders = 16
+	degradedReplicas  = 2
+	degradedKillStart = 2.0
+	degradedKillEvery = 1.0
+)
+
 // DegradedConfig parameterizes one degraded run.
 type DegradedConfig struct {
 	// Instances is the deployment fan-out (the crowd size).
@@ -32,46 +39,13 @@ type DegradedConfig struct {
 	// Replicas is the chunk replication degree (default 2 — a pool
 	// that loses nodes needs redundancy to lose no data).
 	Replicas int
-	// Kill is how many providers the fault plan kills (default
-	// Providers/2). Which ones is drawn from the seed.
+	// Kill is how many providers the fault plan kills. Which ones is
+	// drawn from the seed.
 	Kill int
-	// KillStart is the virtual time of the first kill in seconds
-	// (default 2.0, well inside the boot phase).
-	KillStart float64
-	// KillEvery is the spacing between kills in seconds (default 1.0).
-	// Kills are sequential so re-replication can restore the
-	// replication degree between failures.
-	KillEvery float64
 	// Sharing toggles the p2p chunk-sharing layer. Degraded runs
 	// normally keep it on: cohort peers are the only source for a
 	// chunk whose every provider copy died.
 	Sharing bool
-	// P2P carries the sharing protocol constants (zero value →
-	// p2p.DefaultConfig).
-	P2P p2p.Config
-}
-
-// DegradedPoint reports one degraded run.
-type DegradedPoint struct {
-	Instances int
-	Providers int
-	Replicas  int
-	Killed    int
-	Sharing   bool
-
-	Booted     int     // instances that completed their boot (must be all)
-	AvgBoot    float64 // mean per-instance boot time (s)
-	Completion float64 // deploy start → last instance booted (s)
-	TrafficGB  float64 // total network traffic (GB)
-
-	ProviderReads    int64 // chunk reads served by the provider pool
-	MaxProviderReads int64 // ... by its hottest member
-	PeerReads        int64 // chunk reads served by cohort peers
-	Failovers        int64 // reads a dead primary pushed onto another copy
-	Rereplicated     int64 // chunk copies re-created after a death
-	FailedFetches    int64 // reads that found no live provider copy
-	FetchRetries     int64 // mirror fetches re-attempted after a failure
-	DeadDropped      int64 // cohort location records dropped for dead peers
 }
 
 // RunDegraded deploys dc.Instances concurrent instances of one image
@@ -79,95 +53,38 @@ type DegradedPoint struct {
 // mid-deployment, and reports whether (and at what cost) the
 // deployment still completed. With dc.Kill = 0 the scenario degenerates
 // to the healthy flash crowd — same costs, byte-identical outputs.
-func RunDegraded(p Params, dc DegradedConfig) DegradedPoint {
+func RunDegraded(p Params, dc DegradedConfig) CrowdPoint {
 	if dc.Instances < 1 {
 		panic("experiments: degraded deployment needs at least one instance")
 	}
 	if dc.Providers <= 0 {
-		dc.Providers = 16
+		dc.Providers = degradedProviders
 	}
 	if dc.Replicas <= 0 {
-		dc.Replicas = 2
+		dc.Replicas = degradedReplicas
 	}
 	if dc.Kill < 0 || dc.Kill >= dc.Providers {
 		panic(fmt.Sprintf("experiments: cannot kill %d of %d providers", dc.Kill, dc.Providers))
 	}
-	if dc.KillStart <= 0 {
-		dc.KillStart = 2.0
-	}
-	if dc.KillEvery <= 0 {
-		dc.KillEvery = 1.0
-	}
-	if dc.P2P == (p2p.Config{}) {
-		dc.P2P = p2p.DefaultConfig()
-	}
 
-	// The victims are drawn from the experiment seed: a shuffled
-	// provider order, first Kill entries lose. Provider node IDs start
-	// after the instance nodes (see newSmallPool).
-	var extra []blobvfs.Option
+	l := dedicatedLayout(dc.Instances, dc.Providers, cluster.Topology{})
+	opts := append(sharingOption(dc.Sharing), blobvfs.WithReplicas(dc.Replicas))
+	var arm armFunc
 	if dc.Kill > 0 {
-		victims := sim.NewRNG(p.Seed + 7).Perm(dc.Providers)[:dc.Kill]
-		plan := make([]blobvfs.FaultEvent, len(victims))
-		for i, v := range victims {
-			node := blobvfs.NodeID(dc.Instances + v)
-			plan[i] = blobvfs.KillAt(dc.KillStart+float64(i)*dc.KillEvery, node)
-		}
-		extra = append(extra, blobvfs.WithFaultPlan(plan...))
+		plan := staggeredKills(p.Seed+7, l.pool, dc.Kill, degradedKillStart, degradedKillEvery)
+		opts = append(opts, blobvfs.WithFaultPlan(plan...))
+		arm = (*blobvfs.Repo).ArmFaults
 	}
-	extra = append(extra, blobvfs.WithReplicas(dc.Replicas))
-
-	sp := newSmallPool(p, dc.Instances, dc.Providers, dc.Sharing, dc.P2P, cluster.Topology{}, extra...)
-
-	var dep *middleware.DeployResult
-	sp.Fab.Run(func(ctx *cluster.Ctx) {
-		if dc.Kill > 0 {
-			if err := sp.Repo.ArmFaults(ctx); err != nil {
-				panic(err)
-			}
-		}
-		var err error
-		dep, err = sp.Orch.Deploy(ctx)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: degraded deployment failed: %v", err))
-		}
-	})
-
-	pt := DegradedPoint{
-		Instances:  dc.Instances,
-		Providers:  dc.Providers,
-		Replicas:   dc.Replicas,
-		Killed:     dc.Kill,
-		Sharing:    dc.Sharing,
-		AvgBoot:    metrics.Summarize(dep.BootTimes()).Mean,
-		Completion: dep.Completion,
-		TrafficGB:  float64(sp.Fab.NetTraffic()) / 1e9,
-	}
-	for _, inst := range dep.Instances {
-		if inst == nil {
-			continue
-		}
-		if inst.BootDoneAt > 0 {
-			pt.Booted++
-		}
-		if d, ok := inst.Disk.(*blobvfs.Disk); ok {
-			pt.FetchRetries += d.Stats().FetchRetries
-		}
-	}
-	pt.ProviderReads = sp.Sys.Providers.Reads.Load()
-	pt.MaxProviderReads = sp.Sys.Providers.MaxNodeReads()
-	pt.Failovers = sp.Sys.Providers.Failovers.Load()
-	pt.Rereplicated = sp.Sys.Providers.Rereplicated.Load()
-	pt.FailedFetches = sp.Sys.Providers.FailedReads.Load()
-	if st, ok := sp.Repo.SharingStats(sp.Base.Image); ok {
-		pt.PeerReads = st.PeerHits
-		pt.DeadDropped = st.DeadDropped
-	}
-	return pt
+	return deployCrowd(newEnv(p, l, OurApproach, opts...), CrowdPoint{
+		Instances: dc.Instances,
+		Providers: dc.Providers,
+		Killed:    dc.Kill,
+		Sharing:   dc.Sharing,
+	}, arm)
 }
 
 // DegradedTable renders a healthy-vs-degraded comparison.
-func DegradedTable(points []DegradedPoint) *metrics.Table {
+func DegradedTable(points []CrowdPoint) *metrics.Table {
 	t := &metrics.Table{
 		Title: "Degraded deployment: flash crowd while providers fail mid-run",
 		Columns: []string{
@@ -182,10 +99,10 @@ func DegradedTable(points []DegradedPoint) *metrics.Table {
 			itoa(pt.Killed),
 			itoa(pt.Booted),
 			ftoa(pt.Completion),
-			fmt.Sprintf("%d", pt.Failovers),
-			fmt.Sprintf("%d", pt.Rereplicated),
-			fmt.Sprintf("%d", pt.FailedFetches),
-			fmt.Sprintf("%d", pt.PeerReads),
+			i64(pt.Failovers),
+			i64(pt.Rereplicated),
+			i64(pt.FailedFetches),
+			i64(pt.PeerReads),
 		)
 	}
 	return t

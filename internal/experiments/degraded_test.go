@@ -10,7 +10,7 @@ func TestDegradedAllInstancesComplete(t *testing.T) {
 	healthy := RunDegraded(p, DegradedConfig{Instances: 48, Sharing: true})
 	hit := RunDegraded(p, DegradedConfig{Instances: 48, Sharing: true, Kill: 8})
 
-	for _, pt := range []DegradedPoint{healthy, hit} {
+	for _, pt := range []CrowdPoint{healthy, hit} {
 		if pt.Booted != pt.Instances {
 			t.Fatalf("killed=%d: %d of %d instances booted", pt.Killed, pt.Booted, pt.Instances)
 		}

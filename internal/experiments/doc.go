@@ -1,8 +1,18 @@
-// Package experiments reproduces every figure of the paper's
-// evaluation (§5) on the simulated cluster: Fig. 4 (multideployment),
-// Fig. 5 (multisnapshotting), Fig. 6/7 (local Bonnie++), Fig. 8
-// (Monte Carlo application). Each RunFigN function regenerates the
-// corresponding figure's data series as a printable table; the
-// per-experiment index in DESIGN.md maps figures to the modules
-// exercised here.
+// Package experiments reproduces the paper's evaluation (§5) and the
+// scenarios grown from its future-work section (§7) on the simulated
+// cluster. Every experiment is the same shape at a different size:
+// prime a repository with one base image, reset the counters, launch
+// n staggered instances through the middleware, read the clocks and
+// the traffic. The package is built in that order:
+//
+//   - a layout (layout.go) declares where a scenario's nodes sit — the
+//     paper's aggregated pool, a dedicated pool, per-zone blocks, racks;
+//   - newEnv (env.go) turns a layout and an Approach into a primed
+//     simulation with an orchestrator (NewEnv is the paper's setup);
+//   - a scenario (RunFig4 … RunSync) is defaults → layout → options →
+//     run; the crowd scenarios share one measured phase and one report
+//     (deployCrowd and CrowdPoint, crowd.go) and differ in the columns
+//     their tables select;
+//   - Suite (suite.go) lists the scenarios with the tables each prints;
+//     cmd/vmdeploy runs it and testdata/golden pins it.
 package experiments

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"blobvfs"
+	"blobvfs/internal/blob"
 	"blobvfs/internal/cluster"
 	"blobvfs/internal/middleware"
 	"blobvfs/internal/nfs"
@@ -36,72 +37,60 @@ func (a Approach) String() string {
 	}
 }
 
-// Env is one configured simulation, mirroring the paper's setup: a
-// cluster of MaxInstances compute nodes (the full Nancy cluster) plus
-// one dedicated service node (NFS server / version manager host). The
-// storage service is always deployed over ALL compute nodes (§3.1.1:
-// the pool aggregates every local disk), while only the first n nodes
-// host VM instances — so per-provider read pressure grows with n,
-// which is the contention the paper measures. Setup costs are
-// excluded: the traffic counter is reset and times are deltas.
+// Env is one configured simulation: a fabric laid out as the scenario
+// declared, the storage backend of the chosen approach primed with one
+// base image, and an orchestrator ready to launch one instance per
+// Nodes entry. Setup costs are excluded: the traffic counter is reset
+// and times are deltas.
 type Env struct {
 	P       Params
 	Fab     *cluster.Sim
-	All     []cluster.NodeID // all compute nodes (storage pool)
-	Nodes   []cluster.NodeID // nodes hosting VM instances (first n)
-	Service cluster.NodeID   // dedicated service node
+	Nodes   []cluster.NodeID // nodes hosting VM instances, in launch order
 	Backend middleware.Backend
 	Orch    *middleware.Orchestrator
-	// Repo and Base are set for OurApproach runs (the other backends
-	// have no repository).
-	Repo     *blobvfs.Repo
-	Base     blobvfs.Snapshot
-	baseOps  []vmmodel.TraceOp
-	traceRNG *sim.RNG
-	jitRNG   *sim.RNG
+	// Repo, Base and Sys are set for OurApproach runs (the other
+	// backends have no repository).
+	Repo *blobvfs.Repo
+	Base blobvfs.Snapshot
+	Sys  *blob.System
 }
 
-// NewEnv builds the simulation for n instances under the given
-// approach. The heavy lifting (image upload or PVFS/NFS priming) runs
-// inside the simulation before the environment is handed back.
+// NewEnv builds the paper's setup for n instances under the given
+// approach: storage aggregated over max(p.MaxInstances, n) compute
+// nodes (the full Nancy cluster), instances on the first n.
 func NewEnv(p Params, n int, a Approach) *Env {
 	if n < 1 {
 		panic("experiments: need at least one instance")
 	}
-	total := p.MaxInstances
-	if n > total {
-		total = n
-	}
-	cfg := cluster.DefaultConfig(total + 1)
+	return newEnv(p, aggregatedLayout(max(p.MaxInstances, n), n), a)
+}
+
+// newEnv builds the simulation for one layout under the given
+// approach. The heavy lifting (image upload or PVFS/NFS priming) runs
+// inside the simulation before the environment is handed back. opts
+// (replication overrides, sharing, topology awareness, fault plans)
+// are applied after the base options, so they win; only OurApproach
+// consults them.
+func newEnv(p Params, l layout, a Approach, opts ...blobvfs.Option) *Env {
+	cfg := cluster.DefaultConfig(l.size)
 	if p.WriteBuffer > 0 {
 		cfg.WriteBuffer = p.WriteBuffer
 	}
+	cfg.Topology = l.topo
 	fab := cluster.NewSim(cfg)
-	env := &Env{
-		P:        p,
-		Fab:      fab,
-		Service:  cluster.NodeID(total),
-		baseOps:  p.baseTrace(),
-		traceRNG: sim.NewRNG(p.Seed + 1),
-		jitRNG:   sim.NewRNG(p.Seed + 2),
-	}
-	for i := 0; i < total; i++ {
-		env.All = append(env.All, cluster.NodeID(i))
-	}
-	for i := 0; i < n; i++ {
-		env.Nodes = append(env.Nodes, cluster.NodeID(i))
-	}
+	env := &Env{P: p, Fab: fab, Nodes: l.inst}
 
 	if a == OurApproach {
-		repo, err := blobvfs.Open(fab,
-			blobvfs.WithProviders(env.All...),
-			blobvfs.WithManager(env.Service),
+		repo, err := blobvfs.Open(fab, append([]blobvfs.Option{
+			blobvfs.WithProviders(l.pool...),
+			blobvfs.WithManager(l.service),
 			blobvfs.WithReplicas(p.Replicas),
-			blobvfs.WithChunkSize(p.ChunkSize))
+			blobvfs.WithChunkSize(p.ChunkSize),
+		}, opts...)...)
 		if err != nil {
 			panic(err)
 		}
-		env.Repo = repo
+		env.Repo, env.Sys = repo, repo.System()
 	}
 
 	fab.Run(func(ctx *cluster.Ctx) {
@@ -114,13 +103,13 @@ func NewEnv(p Params, n int, a Approach) *Env {
 			env.Base = base
 			env.Backend = middleware.NewMirrorBackend(env.Repo, base)
 		case QcowOverPVFS:
-			fs := pvfs.New(env.All, p.ChunkSize)
+			fs := pvfs.New(l.pool, p.ChunkSize)
 			if _, err := fs.Create(ctx, "base.raw", p.ImageSize, false); err != nil {
 				panic(err)
 			}
 			env.Backend = middleware.NewQcowBackend(fs, "base.raw")
 		case TaktukPreprop:
-			srv := nfs.NewServer(env.Service)
+			srv := nfs.NewServer(l.service)
 			if err := srv.Put(ctx, "base.raw", p.ImageSize, nil); err != nil {
 				panic(err)
 			}
@@ -131,14 +120,19 @@ func NewEnv(p Params, n int, a Approach) *Env {
 	})
 	fab.ResetTraffic()
 
+	// All instances boot the same OS image: one shared access pattern,
+	// per-instance think-time jitter forked in launch order.
+	baseOps := vmmodel.GenBootTrace(sim.NewRNG(p.Seed), p.Boot)
+	traceRNG := sim.NewRNG(p.Seed + 1)
+	jitRNG := sim.NewRNG(p.Seed + 2)
 	env.Orch = &middleware.Orchestrator{
 		Backend: env.Backend,
 		Nodes:   env.Nodes,
 		TraceFor: func(i int) []vmmodel.TraceOp {
-			return vmmodel.WithThinkJitter(env.baseOps, env.traceRNG.Fork(), p.Boot.TotalThink)
+			return vmmodel.WithThinkJitter(baseOps, traceRNG.Fork(), p.Boot.TotalThink)
 		},
 		StartJitter: func(i int) float64 {
-			return env.jitRNG.Uniform(p.JitterMin, p.JitterMax)
+			return jitRNG.Uniform(p.JitterMin, p.JitterMax)
 		},
 	}
 	return env
@@ -146,6 +140,45 @@ func NewEnv(p Params, n int, a Approach) *Env {
 
 // Run executes fn as the root activity of the environment's simulation.
 func (e *Env) Run(fn func(ctx *cluster.Ctx)) { e.Fab.Run(fn) }
+
+// deploy launches one instance per Nodes entry through the middleware.
+// A scenario has no way to go on without its deployment, so a failure
+// panics.
+func (e *Env) deploy(ctx *cluster.Ctx) *middleware.DeployResult {
+	dep, err := e.Orch.Deploy(ctx)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: deployment failed: %v", err))
+	}
+	return dep
+}
+
+// provisionAll provisions one disk per instance node concurrently,
+// without booting it — the set-up of the snapshot experiments, never
+// part of a measured time. With a non-nil wr every instance then
+// applies the §5.3 local modifications (Params.SnapshotDiff) from its
+// own stream, forked off wr in instance order.
+func (e *Env) provisionAll(ctx *cluster.Ctx, wr *sim.RNG) []*middleware.Instance {
+	instances := make([]*middleware.Instance, len(e.Nodes))
+	var rngs []*sim.RNG
+	for i, node := range e.Nodes {
+		instances[i] = &middleware.Instance{Index: i, Node: node}
+		if wr != nil {
+			rngs = append(rngs, wr.Fork())
+		}
+	}
+	err := e.Orch.RunOnAll(ctx, instances, func(cc *cluster.Ctx, inst *middleware.Instance) error {
+		var err error
+		inst.Disk, err = e.Backend.Provision(cc, inst.Index, inst.Node)
+		if err != nil || wr == nil {
+			return err
+		}
+		return SnapshotWrites(cc, inst.Disk, e.P.SnapshotDiff, int64(e.P.ChunkSize), rngs[inst.Index])
+	})
+	if err != nil {
+		panic(err)
+	}
+	return instances
+}
 
 // SnapshotWrites applies the §5.3 local-modification pattern to a
 // disk: ~diff bytes of configuration files and contextualization
@@ -157,6 +190,13 @@ func (e *Env) Run(fn func(ctx *cluster.Ctx)) { e.Fab.Run(fn) }
 func SnapshotWrites(ctx *cluster.Ctx, disk vmmodel.VirtualDisk, diff int64, runLen int64, rng *sim.RNG) error {
 	return SnapshotWritesIn(ctx, disk, diff, runLen, disk.Size(), rng)
 }
+
+// hotWindow is the working set the churn and sync scenarios confine
+// their rewrites to, the first 4×SnapshotDiff bytes of the image: a
+// VM's churn concentrates on logs, spool and configuration that are
+// rewritten cycle after cycle, which is exactly what makes old
+// snapshots' chunks unreachable and reclaimable.
+func (p Params) hotWindow() int64 { return min(4*p.SnapshotDiff, p.ImageSize) }
 
 // SnapshotWritesIn is SnapshotWrites confined to the first window
 // bytes of the disk — the churn scenario's hot working set: writes

@@ -36,13 +36,7 @@ func RunFig4(p Params, sweep []int) *Fig4Result {
 func runFig4Point(p Params, n int, a Approach) Fig4Point {
 	env := NewEnv(p, n, a)
 	var dep *middleware.DeployResult
-	env.Run(func(ctx *cluster.Ctx) {
-		var err error
-		dep, err = env.Orch.Deploy(ctx)
-		if err != nil {
-			panic(err)
-		}
-	})
+	env.Run(func(ctx *cluster.Ctx) { dep = env.deploy(ctx) })
 	return Fig4Point{
 		Instances:  n,
 		AvgBoot:    metrics.Summarize(dep.BootTimes()).Mean,

@@ -43,30 +43,7 @@ func runFig5Point(p Params, n int, a Approach) Fig5Point {
 	env.Run(func(ctx *cluster.Ctx) {
 		// Provision all instances and apply the local modifications;
 		// this phase is not part of the measured snapshot time.
-		instances := make([]*middleware.Instance, n)
-		errs := make([]error, n)
-		var tasks []cluster.Task
-		wrRNG := sim.NewRNG(p.Seed + 7)
-		for i := 0; i < n; i++ {
-			i := i
-			rng := wrRNG.Fork()
-			node := env.Nodes[i]
-			tasks = append(tasks, ctx.Go("prep", node, func(cc *cluster.Ctx) {
-				disk, err := env.Backend.Provision(cc, i, node)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				errs[i] = SnapshotWrites(cc, disk, p.SnapshotDiff, int64(p.ChunkSize), rng)
-				instances[i] = &middleware.Instance{Index: i, Node: node, Disk: disk}
-			}))
-		}
-		ctx.WaitAll(tasks)
-		for _, err := range errs {
-			if err != nil {
-				panic(err)
-			}
-		}
+		instances := env.provisionAll(ctx, sim.NewRNG(p.Seed+7))
 		var err error
 		snap, err = env.Orch.SnapshotAll(ctx, instances)
 		if err != nil {

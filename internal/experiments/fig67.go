@@ -42,5 +42,3 @@ func (r *Fig67Result) Tables() []*metrics.Table {
 	fig7.AddRow("DelF", i64(r.Local.DeletesPerSec), i64(r.Ours.DeletesPerSec))
 	return []*metrics.Table{fig6, fig7}
 }
-
-func i64(v int64) string { return itoa(int(v)) }

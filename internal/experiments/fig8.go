@@ -62,11 +62,8 @@ func runFig8Uninterrupted(p Params, n int, a Approach) float64 {
 	var completion float64
 	env.Run(func(ctx *cluster.Ctx) {
 		start := ctx.Now()
-		dep, err := env.Orch.Deploy(ctx)
-		if err != nil {
-			panic(err)
-		}
-		err = env.Orch.RunOnAll(ctx, dep.Instances, func(cc *cluster.Ctx, inst *middleware.Instance) error {
+		dep := env.deploy(ctx)
+		err := env.Orch.RunOnAll(ctx, dep.Instances, func(cc *cluster.Ctx, inst *middleware.Instance) error {
 			return workloads.RunMonteCarloPhase(cc, inst.Disk, p.MonteCarlo, p.MonteCarlo.ComputeSeconds)
 		})
 		if err != nil {
@@ -83,12 +80,9 @@ func runFig8SuspendResume(p Params, n int, a Approach) float64 {
 	var completion float64
 	env.Run(func(ctx *cluster.Ctx) {
 		start := ctx.Now()
-		dep, err := env.Orch.Deploy(ctx)
-		if err != nil {
-			panic(err)
-		}
+		dep := env.deploy(ctx)
 		// First half of the computation.
-		err = env.Orch.RunOnAll(ctx, dep.Instances, func(cc *cluster.Ctx, inst *middleware.Instance) error {
+		err := env.Orch.RunOnAll(ctx, dep.Instances, func(cc *cluster.Ctx, inst *middleware.Instance) error {
 			return workloads.RunMonteCarloPhase(cc, inst.Disk, p.MonteCarlo, half)
 		})
 		if err != nil {

@@ -1,12 +1,9 @@
 package experiments
 
 import (
-	"fmt"
-
+	"blobvfs"
 	"blobvfs/internal/cluster"
 	"blobvfs/internal/metrics"
-	"blobvfs/internal/middleware"
-	"blobvfs/internal/p2p"
 )
 
 // This file implements the flash-crowd scenario §7 of the paper points
@@ -22,6 +19,10 @@ import (
 // with it enabled, provider reads per chunk drop to the first few
 // fetches that seed the cohort.
 
+// flashProviders is the flash crowd's default dedicated pool size; the
+// churn scenario runs on the same pool.
+const flashProviders = 8
+
 // FlashCrowdConfig parameterizes one flash-crowd run.
 type FlashCrowdConfig struct {
 	// Instances is the deployment fan-out (the crowd size).
@@ -30,93 +31,40 @@ type FlashCrowdConfig struct {
 	Providers int
 	// Sharing toggles the p2p chunk-sharing layer.
 	Sharing bool
-	// P2P carries the sharing protocol constants (zero value →
-	// p2p.DefaultConfig).
-	P2P p2p.Config
 	// Topology optionally arranges the cluster into zones and racks
 	// (fabric tier links + topology-aware placement and peer
-	// selection). The zero value keeps the historical flat cluster; a
-	// single-zone, single-rack topology reproduces it byte-identically.
+	// selection — the two sides always move together here; the
+	// cross-zone scenario splits them). The zero value keeps the
+	// historical flat cluster; a single-zone, single-rack topology
+	// reproduces it byte-identically.
 	Topology cluster.Topology
-}
-
-// FlashCrowdPoint reports one flash-crowd run.
-type FlashCrowdPoint struct {
-	Instances int
-	Providers int
-	Sharing   bool
-
-	AvgBoot    float64 // mean per-instance boot time (s)
-	Completion float64 // deploy start → last instance booted (s)
-	TrafficGB  float64 // total network traffic (GB)
-
-	Booted int   // instances that completed their boot (must be all)
-	Steps  int64 // simulator events executed by the deployment
-
-	ProviderReads    int64 // chunk reads served by the provider pool
-	MaxProviderReads int64 // ... by its hottest member (the hot-spot)
-	PeerReads        int64 // chunk reads served by cohort peers
-	MetaGets         int64 // metadata service operations (after batching)
-	MetaNodes        int64 // tree nodes served (MetaNodes/MetaGets = batching factor)
-	P2P              p2p.Stats
 }
 
 // RunFlashCrowd deploys fc.Instances concurrent instances of the same
 // image over a cluster with a dedicated fc.Providers-node storage pool
 // and one service node (version manager + p2p tracker), and reports
-// where the chunk traffic landed. The image upload is excluded from
-// the measurements, as in the other experiments.
-func RunFlashCrowd(p Params, fc FlashCrowdConfig) FlashCrowdPoint {
+// where the chunk traffic landed.
+func RunFlashCrowd(p Params, fc FlashCrowdConfig) CrowdPoint {
 	if fc.Instances < 1 {
 		panic("experiments: flash crowd needs at least one instance")
 	}
 	if fc.Providers <= 0 {
-		fc.Providers = 8
+		fc.Providers = flashProviders
 	}
-	if fc.P2P == (p2p.Config{}) {
-		fc.P2P = p2p.DefaultConfig()
+	opts := sharingOption(fc.Sharing)
+	if fc.Topology.Enabled() {
+		opts = append(opts, blobvfs.WithTopology(fc.Topology))
 	}
-
-	sp := newSmallPool(p, fc.Instances, fc.Providers, fc.Sharing, fc.P2P, fc.Topology)
-	gets0, nodes0 := sp.Sys.Meta.Gets.Load(), sp.Sys.Meta.NodesServed.Load()
-	steps0 := sp.Fab.Env().Steps()
-
-	var dep *middleware.DeployResult
-	sp.Fab.Run(func(ctx *cluster.Ctx) {
-		var err error
-		dep, err = sp.Orch.Deploy(ctx)
-		if err != nil {
-			panic(err)
-		}
-	})
-
-	pt := FlashCrowdPoint{
-		Instances:  fc.Instances,
-		Providers:  fc.Providers,
-		Sharing:    fc.Sharing,
-		AvgBoot:    metrics.Summarize(dep.BootTimes()).Mean,
-		Completion: dep.Completion,
-		TrafficGB:  float64(sp.Fab.NetTraffic()) / 1e9,
-	}
-	pt.Steps = sp.Fab.Env().Steps() - steps0
-	for _, inst := range dep.Instances {
-		if inst != nil && inst.BootDoneAt > 0 {
-			pt.Booted++
-		}
-	}
-	pt.ProviderReads = sp.Sys.Providers.Reads.Load()
-	pt.MaxProviderReads = sp.Sys.Providers.MaxNodeReads()
-	pt.MetaGets = sp.Sys.Meta.Gets.Load() - gets0
-	pt.MetaNodes = sp.Sys.Meta.NodesServed.Load() - nodes0
-	if st, ok := sp.Repo.SharingStats(sp.Base.Image); ok {
-		pt.P2P = st
-		pt.PeerReads = st.PeerHits
-	}
-	return pt
+	env := newEnv(p, dedicatedLayout(fc.Instances, fc.Providers, fc.Topology), OurApproach, opts...)
+	return deployCrowd(env, CrowdPoint{
+		Instances: fc.Instances,
+		Providers: fc.Providers,
+		Sharing:   fc.Sharing,
+	}, nil)
 }
 
 // FlashCrowdTable renders a sharing-off/sharing-on comparison.
-func FlashCrowdTable(points []FlashCrowdPoint) *metrics.Table {
+func FlashCrowdTable(points []CrowdPoint) *metrics.Table {
 	t := &metrics.Table{
 		Title: "Flash crowd: concurrent multideployment against a small provider pool",
 		Columns: []string{
@@ -125,18 +73,14 @@ func FlashCrowdTable(points []FlashCrowdPoint) *metrics.Table {
 		},
 	}
 	for _, pt := range points {
-		sharing := "off"
-		if pt.Sharing {
-			sharing = "on"
-		}
 		t.AddRow(
 			itoa(pt.Instances),
 			itoa(pt.Providers),
-			sharing,
+			onOff(pt.Sharing),
 			ftoa(pt.Completion),
-			fmt.Sprintf("%d", pt.ProviderReads),
-			fmt.Sprintf("%d", pt.MaxProviderReads),
-			fmt.Sprintf("%d", pt.PeerReads),
+			i64(pt.ProviderReads),
+			i64(pt.MaxProviderReads),
+			i64(pt.PeerReads),
 		)
 	}
 	return t

@@ -4,16 +4,15 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
-
-	"blobvfs/internal/metrics"
 )
 
 // Versioned goldens (ROADMAP 4, "Goldens first"): the tables
-// `vmdeploy -quick <scenario>` prints, for the scenarios whose numbers
-// a write-path or lifecycle change moves, are pinned in
-// testdata/golden/<scenario>.txt. Every column is modelled — the sim is
+// `vmdeploy -quick all` prints — every Suite entry rendered with
+// Quick() at MaxInstances 24 and QuickSizes() — are pinned in
+// testdata/golden/<name>.txt. Every column is modelled — the sim is
 // deterministic — so the comparison is exact; the wall-clock
 // "completed in" line vmdeploy appends is not part of a golden. A
 // change that moves a number on purpose re-baselines with
@@ -22,79 +21,82 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/golden/*.txt from this run")
 
-// goldenScenarios renders each pinned scenario with the parameters
-// `vmdeploy -quick` uses for it.
-var goldenScenarios = map[string]func(p Params) []*metrics.Table{
-	"fig5": func(p Params) []*metrics.Table {
-		return RunFig5(p, []int{1, 4, 8, 16, 24}).Tables()
-	},
-	"multisnap": func(p Params) []*metrics.Table {
-		return []*metrics.Table{MultisnapshotTable(RunMultisnapshot(p, MultisnapshotConfig{Instances: 64}))}
-	},
-	"churn": func(p Params) []*metrics.Table {
-		kept := RunChurn(p, ChurnConfig{Instances: 8, Cycles: 8, KeepLast: 2})
-		unbounded := RunChurn(p, ChurnConfig{Instances: 8, Cycles: 8})
-		return []*metrics.Table{ChurnTable(kept), ChurnTable(unbounded)}
-	},
-	"sync": func(p Params) []*metrics.Table {
-		return []*metrics.Table{SyncTable(RunSync(p, SyncConfig{}))}
-	},
-	"flash": func(p Params) []*metrics.Table {
-		off := RunFlashCrowd(p, FlashCrowdConfig{Instances: 64})
-		on := RunFlashCrowd(p, FlashCrowdConfig{Instances: 64, Sharing: true})
-		return []*metrics.Table{FlashCrowdTable([]FlashCrowdPoint{off, on})}
-	},
-	// The three fault scenarios pin pick order and sweep order of the
-	// replica sets: their failover and re-replication counters move if
-	// either tier walks its ring differently.
-	"degraded": func(p Params) []*metrics.Table {
-		dc := DegradedConfig{Instances: 64, Sharing: true}
-		healthy := RunDegraded(p, dc)
-		dc.Kill = 8
-		return []*metrics.Table{DegradedTable([]DegradedPoint{healthy, RunDegraded(p, dc)})}
-	},
-	"metaoutage": func(p Params) []*metrics.Table {
-		mc := MetaOutageConfig{Instances: 64, Sharing: true}
-		healthy := RunMetaOutage(p, mc)
-		mc.KillMeta, mc.KillRack = 8, true
-		return []*metrics.Table{MetaOutageTable([]MetaOutagePoint{healthy, RunMetaOutage(p, mc)})}
-	},
-	"crosszone": func(p Params) []*metrics.Table {
-		var pts []CrossZonePoint
-		for _, sharing := range []bool{false, true} {
-			for _, aware := range []bool{false, true} {
-				pts = append(pts, RunCrossZone(p, CrossZoneConfig{InstancesPerZone: 20, Aware: aware, Sharing: sharing}))
-			}
-		}
-		return []*metrics.Table{CrossZoneTable(pts)}
-	},
-}
+func goldenPath(name string) string { return filepath.Join("testdata", "golden", name+".txt") }
 
 func TestGoldenTables(t *testing.T) {
 	p := Quick()
 	p.MaxInstances = 24
-	for name, render := range goldenScenarios {
-		t.Run(name, func(t *testing.T) {
+	for _, sc := range Suite {
+		t.Run(sc.Name, func(t *testing.T) {
 			var b strings.Builder
-			for _, tab := range render(p) {
+			for _, tab := range sc.Tables(p, QuickSizes()) {
 				tab.Fprint(&b)
 				b.WriteByte('\n')
 			}
 			got := b.String()
-			path := filepath.Join("testdata", "golden", name+".txt")
 			if *update {
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+				if err := os.WriteFile(goldenPath(sc.Name), []byte(got), 0o644); err != nil {
 					t.Fatal(err)
 				}
 				return
 			}
-			want, err := os.ReadFile(path)
+			want, err := os.ReadFile(goldenPath(sc.Name))
 			if err != nil {
 				t.Fatalf("%v (create it with `make rebaseline`)", err)
 			}
 			if got != string(want) {
-				t.Errorf("%s moved; if that is intended, run `make rebaseline` and put the before/after with its reason in CHANGES.md\n--- want\n%s--- got\n%s", name, want, got)
+				t.Errorf("%s moved; if that is intended, run `make rebaseline` and put the before/after with its reason in CHANGES.md\n--- want\n%s--- got\n%s", sc.Name, want, got)
 			}
 		})
+	}
+}
+
+// TestSuiteAndGoldensAgree: the suite and the golden directory cannot
+// drift apart — one golden per Suite name, no golden without an entry —
+// and the two size sets are the ones vmdeploy has always run.
+func TestSuiteAndGoldensAgree(t *testing.T) {
+	names := map[string]bool{}
+	for _, sc := range Suite {
+		if names[sc.Name] {
+			t.Errorf("Suite lists %q twice", sc.Name)
+		}
+		names[sc.Name] = true
+		if _, err := os.Stat(goldenPath(sc.Name)); err != nil {
+			t.Errorf("Suite entry %q has no golden: %v", sc.Name, err)
+		}
+	}
+	files, err := filepath.Glob(goldenPath("*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if name := strings.TrimSuffix(filepath.Base(f), ".txt"); !names[name] {
+			t.Errorf("golden %s has no Suite entry", f)
+		}
+	}
+
+	wantQuick := Sizes{
+		Sweep: []int{1, 4, 8, 16, 24},
+		Fig8:  16, Crowd: 64, PerZone: 20, Churn: 8, Multisnap: 64, Ablations: 16,
+		Cycles: 8, Keep: 2, Kill: 8,
+	}
+	wantDefault := Sizes{
+		Sweep: []int{1, 10, 30, 50, 70, 90, 110},
+		Fig8:  100, Crowd: 256, PerZone: 60, Churn: 32, Multisnap: 256, Ablations: 50,
+		Cycles: 8, Keep: 2, Kill: 8,
+	}
+	if got := QuickSizes(); !reflect.DeepEqual(got, wantQuick) {
+		t.Errorf("QuickSizes() = %+v, want %+v", got, wantQuick)
+	}
+	if got := DefaultSizes(); !reflect.DeepEqual(got, wantDefault) {
+		t.Errorf("DefaultSizes() = %+v, want %+v", got, wantDefault)
+	}
+	for _, s := range []Sizes{wantQuick, wantDefault, wantQuick.WithInstances(4)} {
+		if err := s.Validate(); err != nil {
+			t.Errorf("%+v rejected: %v", s, err)
+		}
+	}
+	if got := wantQuick.WithInstances(64).PerZone; got != 22 {
+		t.Errorf("a crowd of 64 puts %d instances in each of the 3 zones, want 22", got)
 	}
 }

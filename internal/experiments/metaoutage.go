@@ -4,12 +4,7 @@ import (
 	"fmt"
 
 	"blobvfs"
-	"blobvfs/internal/cluster"
 	"blobvfs/internal/metrics"
-	"blobvfs/internal/middleware"
-	"blobvfs/internal/p2p"
-	"blobvfs/internal/sim"
-	"blobvfs/internal/vmmodel"
 )
 
 // This file implements the metadata-outage scenario: the flash-crowd
@@ -26,71 +21,25 @@ import (
 // replication) is the completion-time baseline the outage is judged
 // against.
 
-// metaOutageNodesPerRack is the rack size of the scenario's fabric.
-const metaOutageNodesPerRack = 8
-
-// metaOutageLayout is the node arrangement of one run: instance racks
-// first, then provider racks, then one auxiliary rack whose first node
-// hosts the version manager and the p2p tracker; idle racks pad the
-// total to a multiple of the zone count so the topology covers the
-// cluster exactly.
-type metaOutageLayout struct {
-	topo      cluster.Topology
-	instNodes []cluster.NodeID
-	provNodes []cluster.NodeID
-	service   cluster.NodeID
-	instRacks int
-}
-
-// metaOutageLayoutFor arranges instances and providers on the
-// scenario's fabric: racks of metaOutageNodesPerRack with the
-// cross-zone link constants (rack uplinks at 4× the node NIC with 50µs
-// extra RTT, zone interconnects at 2× with 1ms), grouped into 4 zones.
-func metaOutageLayoutFor(instances, providers int) metaOutageLayout {
-	per := metaOutageNodesPerRack
-	instRacks := (instances + per - 1) / per
-	provRacks := (providers + per - 1) / per
-	racks := instRacks + provRacks + 1 // one auxiliary rack
-	const zones = 4
-	for racks%zones != 0 {
-		racks++ // idle pad racks
-	}
-	nic := cluster.DefaultConfig(1).NICBandwidth
-	l := metaOutageLayout{
-		topo: cluster.Topology{
-			Zones:         zones,
-			RacksPerZone:  racks / zones,
-			NodesPerRack:  per,
-			RackBandwidth: 4 * nic,
-			RackLatency:   5e-5,
-			ZoneBandwidth: 2 * nic,
-			ZoneLatency:   1e-3,
-		},
-		instRacks: instRacks,
-	}
-	for i := 0; i < instances; i++ {
-		l.instNodes = append(l.instNodes, cluster.NodeID(i))
-	}
-	provBase := instRacks * per
-	for i := 0; i < providers; i++ {
-		l.provNodes = append(l.provNodes, cluster.NodeID(provBase+i))
-	}
-	l.service = cluster.NodeID((instRacks + provRacks) * per)
-	return l
-}
+// The metadata-outage scenario's fixed shape: one pool stores chunks
+// AND hosts the metadata tier, both replicated twice (the version
+// manager gets MetaReplicas-1 journal standbys as well). The first
+// provider kill lands at 0.4 s — inside the disk-open wave, where the
+// batched metadata descents happen, so reads actually race the outage —
+// the rest follow every 0.15 s, and the rack kill falls between them.
+const (
+	metaOutageProviders    = 16
+	metaOutageReplicas     = 2
+	metaOutageMetaReplicas = 2
+	metaOutageKillStart    = 0.4
+	metaOutageKillEvery    = 0.15
+	metaOutageRackKillAt   = metaOutageKillStart + 0.3
+)
 
 // MetaOutageConfig parameterizes one metadata-outage run.
 type MetaOutageConfig struct {
 	// Instances is the deployment fan-out (the crowd size).
 	Instances int
-	// Providers is the pool that stores chunks AND hosts the metadata
-	// tier (default 16).
-	Providers int
-	// Replicas is the chunk replication degree (default 2).
-	Replicas int
-	// MetaReplicas is the metadata replication degree (default 2; the
-	// version manager gets MetaReplicas-1 journal standbys as well).
-	MetaReplicas int
 	// KillMeta is how many providers the fault plan kills, staggered
 	// (which ones is drawn from the seed). 0 together with
 	// KillRack=false is the healthy baseline.
@@ -98,43 +47,8 @@ type MetaOutageConfig struct {
 	// KillRack additionally fails one full compute rack — the middle
 	// instance rack — as a single rack-scoped plan entry.
 	KillRack bool
-	// KillStart is the virtual time of the first provider kill in
-	// seconds (default 0.4: inside the disk-open wave, where the batched
-	// metadata descents happen, so reads actually race the outage);
-	// KillEvery is the spacing (default 0.15).
-	KillStart float64
-	KillEvery float64
-	// RackKillAt is the virtual time of the rack kill (default
-	// KillStart + 0.3, between the provider kills).
-	RackKillAt float64
 	// Sharing toggles the p2p chunk-sharing layer.
 	Sharing bool
-	// P2P carries the sharing protocol constants (zero value →
-	// p2p.DefaultConfig).
-	P2P p2p.Config
-}
-
-// MetaOutagePoint reports one metadata-outage run.
-type MetaOutagePoint struct {
-	Instances    int
-	Providers    int
-	MetaReplicas int
-	KilledMeta   int
-	RackKilled   bool
-
-	Booted     int     // instances that completed their boot (must be all)
-	AvgBoot    float64 // mean per-instance boot time (s)
-	Completion float64 // deploy start → last instance booted (s)
-
-	MetaFailovers    int64 // metadata gets a dead replica pushed onto a survivor
-	MetaRereplicated int64 // tree-node copies restored by repair sweeps
-	FailedDescents   int64 // metadata gets with no live replica (must be 0)
-	VMFailovers      int64 // manager ops served by a journal standby
-
-	Failovers     int64 // chunk-path failovers (for context)
-	Rereplicated  int64 // chunk copies re-created after a death
-	FailedFetches int64 // chunk reads with no live provider copy
-	PeerReads     int64 // chunk reads served by cohort peers
 }
 
 // RunMetaOutage deploys mc.Instances concurrent instances of one image
@@ -144,153 +58,50 @@ type MetaOutagePoint struct {
 // descents must stay zero while every instance completes. With no
 // kills the scenario is the healthy baseline at the same replication
 // degrees.
-func RunMetaOutage(p Params, mc MetaOutageConfig) MetaOutagePoint {
+func RunMetaOutage(p Params, mc MetaOutageConfig) CrowdPoint {
 	if mc.Instances < 1 {
 		panic("experiments: metadata-outage deployment needs at least one instance")
 	}
-	if mc.Providers <= 0 {
-		mc.Providers = 16
+	if mc.KillMeta < 0 || mc.KillMeta >= metaOutageProviders {
+		panic(fmt.Sprintf("experiments: cannot kill %d of %d metadata providers", mc.KillMeta, metaOutageProviders))
 	}
-	if mc.Replicas <= 0 {
-		mc.Replicas = 2
-	}
-	if mc.MetaReplicas <= 0 {
-		mc.MetaReplicas = 2
-	}
-	if mc.KillMeta < 0 || mc.KillMeta >= mc.Providers {
-		panic(fmt.Sprintf("experiments: cannot kill %d of %d metadata providers", mc.KillMeta, mc.Providers))
-	}
-	if mc.KillStart <= 0 {
-		mc.KillStart = 0.4
-	}
-	if mc.KillEvery <= 0 {
-		mc.KillEvery = 0.15
-	}
-	if mc.RackKillAt <= 0 {
-		mc.RackKillAt = mc.KillStart + 0.3
-	}
-	if mc.P2P == (p2p.Config{}) {
-		mc.P2P = p2p.DefaultConfig()
-	}
-
-	l := metaOutageLayoutFor(mc.Instances, mc.Providers)
-	cfg := cluster.DefaultConfig(l.topo.Zones * l.topo.RacksPerZone * l.topo.NodesPerRack)
-	if p.WriteBuffer > 0 {
-		cfg.WriteBuffer = p.WriteBuffer
-	}
-	cfg.Topology = l.topo
-	fab := cluster.NewSim(cfg)
 
 	// The victims are drawn from the experiment seed, like the degraded
 	// scenario's; the rack kill is one scoped plan entry the topology
 	// expands — deliberately a compute rack (the middle instance rack),
 	// so the metadata tier loses exactly the KillMeta staggered members
 	// and the rack loss stresses the data and sharing paths.
-	var plan []blobvfs.FaultEvent
-	if mc.KillMeta > 0 {
-		victims := sim.NewRNG(p.Seed + 11).Perm(mc.Providers)[:mc.KillMeta]
-		for i, v := range victims {
-			plan = append(plan, blobvfs.KillAt(mc.KillStart+float64(i)*mc.KillEvery, l.provNodes[v]))
-		}
-	}
+	l := rackedLayout(mc.Instances, metaOutageProviders)
+	plan := staggeredKills(p.Seed+11, l.pool, mc.KillMeta, metaOutageKillStart, metaOutageKillEvery)
 	if mc.KillRack {
-		plan = append(plan, blobvfs.KillRackAt(mc.RackKillAt, l.instRacks/2))
+		plan = append(plan, blobvfs.KillRackAt(metaOutageRackKillAt, racksFor(mc.Instances)/2))
 	}
-
-	opts := []blobvfs.Option{
-		blobvfs.WithProviders(l.provNodes...),
-		blobvfs.WithManager(l.service),
-		blobvfs.WithReplicas(mc.Replicas),
-		blobvfs.WithMetaReplicas(mc.MetaReplicas),
-		blobvfs.WithChunkSize(p.ChunkSize),
-		blobvfs.WithTopology(l.topo),
-	}
-	if mc.Sharing {
-		opts = append(opts, blobvfs.WithP2P(mc.P2P))
-	}
+	opts := append(sharingOption(mc.Sharing),
+		blobvfs.WithReplicas(metaOutageReplicas),
+		blobvfs.WithMetaReplicas(metaOutageMetaReplicas),
+		blobvfs.WithTopology(l.topo))
+	// Rebased arming: image population already consumed virtual
+	// seconds, and the kill schedule must land inside the deployment's
+	// disk-open wave (where the metadata descents happen), not before
+	// it.
+	var arm armFunc
 	if len(plan) > 0 {
 		opts = append(opts, blobvfs.WithFaultPlan(plan...))
+		arm = (*blobvfs.Repo).ArmFaultsRebased
 	}
-	repo, err := blobvfs.Open(fab, opts...)
-	if err != nil {
-		panic(err)
-	}
-	sys := repo.System()
-
-	var base blobvfs.Snapshot
-	var backend *middleware.MirrorBackend
-	fab.Run(func(ctx *cluster.Ctx) {
-		b, err := repo.CreateSynthetic(ctx, "base", p.ImageSize)
-		if err != nil {
-			panic(err)
-		}
-		base = b
-		backend = middleware.NewMirrorBackend(repo, base)
-	})
-	fab.ResetTraffic()
-
-	baseOps := p.baseTrace()
-	traceRNG := sim.NewRNG(p.Seed + 1)
-	jitRNG := sim.NewRNG(p.Seed + 2)
-	orch := &middleware.Orchestrator{
-		Backend: backend,
-		Nodes:   l.instNodes,
-		TraceFor: func(i int) []vmmodel.TraceOp {
-			return vmmodel.WithThinkJitter(baseOps, traceRNG.Fork(), p.Boot.TotalThink)
-		},
-		StartJitter: func(i int) float64 {
-			return jitRNG.Uniform(p.JitterMin, p.JitterMax)
-		},
-	}
-
-	var dep *middleware.DeployResult
-	fab.Run(func(ctx *cluster.Ctx) {
-		// Rebased arming: image population already consumed virtual
-		// seconds, and the kill schedule must land inside the
-		// deployment's disk-open wave (where the metadata descents
-		// happen), not before it.
-		if len(plan) > 0 {
-			if err := repo.ArmFaultsRebased(ctx); err != nil {
-				panic(err)
-			}
-		}
-		var err error
-		dep, err = orch.Deploy(ctx)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: metadata-outage deployment failed: %v", err))
-		}
-	})
-
-	pt := MetaOutagePoint{
+	return deployCrowd(newEnv(p, l, OurApproach, opts...), CrowdPoint{
 		Instances:    mc.Instances,
-		Providers:    mc.Providers,
-		MetaReplicas: mc.MetaReplicas,
-		KilledMeta:   mc.KillMeta,
+		Providers:    metaOutageProviders,
+		MetaReplicas: metaOutageMetaReplicas,
+		Killed:       mc.KillMeta,
 		RackKilled:   mc.KillRack,
-		AvgBoot:      metrics.Summarize(dep.BootTimes()).Mean,
-		Completion:   dep.Completion,
-	}
-	for _, inst := range dep.Instances {
-		if inst != nil && inst.BootDoneAt > 0 {
-			pt.Booted++
-		}
-	}
-	pt.MetaFailovers = sys.Meta.Failovers.Load()
-	pt.MetaRereplicated = sys.Meta.Rereplicated.Load()
-	pt.FailedDescents = sys.Meta.FailedGets.Load()
-	pt.VMFailovers = sys.VM.Failovers.Load()
-	pt.Failovers = sys.Providers.Failovers.Load()
-	pt.Rereplicated = sys.Providers.Rereplicated.Load()
-	pt.FailedFetches = sys.Providers.FailedReads.Load()
-	if st, ok := repo.SharingStats(base.Image); ok {
-		pt.PeerReads = st.PeerHits
-	}
-	return pt
+		Sharing:      mc.Sharing,
+	}, arm)
 }
 
 // MetaOutageTable renders a healthy-vs-outage comparison; the first
 // row is the healthy baseline the delta column is computed against.
-func MetaOutageTable(points []MetaOutagePoint) *metrics.Table {
+func MetaOutageTable(points []CrowdPoint) *metrics.Table {
 	t := &metrics.Table{
 		Title: "Metadata outage: flash crowd with replicated metadata " +
 			"while metadata providers and a rack fail",
@@ -300,26 +111,18 @@ func MetaOutageTable(points []MetaOutagePoint) *metrics.Table {
 			"failed descents",
 		},
 	}
-	base := 0.0
-	for i, pt := range points {
-		if i == 0 {
-			base = pt.Completion
-		}
-		rack := "no"
-		if pt.RackKilled {
-			rack = "yes"
-		}
+	for _, pt := range points {
 		t.AddRow(
 			itoa(pt.Instances),
 			itoa(pt.MetaReplicas),
-			itoa(pt.KilledMeta),
-			rack,
+			itoa(pt.Killed),
+			yesNo(pt.RackKilled),
 			itoa(pt.Booted),
 			ftoa(pt.Completion),
-			ftoa(pt.Completion-base),
-			fmt.Sprintf("%d", pt.MetaFailovers),
-			fmt.Sprintf("%d", pt.MetaRereplicated),
-			fmt.Sprintf("%d", pt.FailedDescents),
+			ftoa(pt.Completion-points[0].Completion),
+			i64(pt.MetaFailovers),
+			i64(pt.MetaRereplicated),
+			i64(pt.FailedDescents),
 		)
 	}
 	return t

@@ -16,12 +16,12 @@ func TestMetaOutageAllInstancesComplete(t *testing.T) {
 	healthy := RunMetaOutage(p, MetaOutageConfig{Instances: 24})
 	outage := RunMetaOutage(p, MetaOutageConfig{Instances: 24, KillMeta: 8, KillRack: true})
 
-	for _, pt := range []MetaOutagePoint{healthy, outage} {
+	for _, pt := range []CrowdPoint{healthy, outage} {
 		if pt.Booted != pt.Instances {
-			t.Fatalf("killed=%d: %d of %d instances booted", pt.KilledMeta, pt.Booted, pt.Instances)
+			t.Fatalf("killed=%d: %d of %d instances booted", pt.Killed, pt.Booted, pt.Instances)
 		}
 		if pt.FailedDescents != 0 {
-			t.Fatalf("killed=%d: %d metadata descents found no live replica", pt.KilledMeta, pt.FailedDescents)
+			t.Fatalf("killed=%d: %d metadata descents found no live replica", pt.Killed, pt.FailedDescents)
 		}
 	}
 	if healthy.MetaFailovers != 0 || healthy.MetaRereplicated != 0 || healthy.Failovers != 0 {
@@ -39,7 +39,7 @@ func TestMetaOutageAllInstancesComplete(t *testing.T) {
 			outage.Completion, healthy.Completion)
 	}
 
-	tab := MetaOutageTable([]MetaOutagePoint{healthy, outage}).String()
+	tab := MetaOutageTable([]CrowdPoint{healthy, outage}).String()
 	for _, want := range []string{"failed descents", "meta failovers", "yes", "no"} {
 		if !strings.Contains(tab, want) {
 			t.Errorf("table missing %q:\n%s", want, tab)

@@ -6,7 +6,6 @@ import (
 	"blobvfs/internal/cluster"
 	"blobvfs/internal/metrics"
 	"blobvfs/internal/middleware"
-	"blobvfs/internal/p2p"
 	"blobvfs/internal/sim"
 )
 
@@ -27,21 +26,21 @@ type MultisnapshotConfig struct {
 	Instances int
 	// Providers is the dedicated provider pool size (default 4).
 	Providers int
-	// Rounds is how many write→snapshot-all cycles run (default 2;
-	// the first round CLONEs, later rounds only COMMIT).
-	Rounds int
 	// DiffBytes overrides the per-instance local modification size per
 	// round (default Params.SnapshotDiff).
 	DiffBytes int64
 }
 
+// multisnapshotRounds is how many write→snapshot-all cycles a run
+// makes: the first round CLONEs, the second only COMMITs.
+const multisnapshotRounds = 2
+
 // MultisnapshotPoint reports one run. RPC counts are per commit round,
-// averaged over the configured rounds and measured from the provider
-// and metadata service counters (setup excluded).
+// averaged over the rounds and measured from the provider and metadata
+// service counters (setup excluded).
 type MultisnapshotPoint struct {
 	Instances int
 	Providers int
-	Rounds    int
 
 	ChunkWrites  float64 // logical chunk writes published per round
 	ChunkPutRPCs float64 // provider chunk-put RPCs per round
@@ -53,7 +52,7 @@ type MultisnapshotPoint struct {
 
 // RunMultisnapshot provisions mc.Instances synthetic disks from one
 // base image, applies the §5.3 modification pattern, and snapshots all
-// instances concurrently for mc.Rounds rounds, reporting the provider
+// instances concurrently for two rounds, reporting the provider
 // write-RPC cost per round. The base upload is excluded from the
 // counters, as in the other experiments.
 func RunMultisnapshot(p Params, mc MultisnapshotConfig) MultisnapshotPoint {
@@ -63,75 +62,40 @@ func RunMultisnapshot(p Params, mc MultisnapshotConfig) MultisnapshotPoint {
 	if mc.Providers <= 0 {
 		mc.Providers = 4
 	}
-	if mc.Rounds <= 0 {
-		mc.Rounds = 2
-	}
 	diff := p.SnapshotDiff
 	if mc.DiffBytes > 0 {
 		diff = mc.DiffBytes
 	}
-	sp := newSmallPool(p, mc.Instances, mc.Providers, false, p2p.Config{}, cluster.Topology{})
+	env := newEnv(p, dedicatedLayout(mc.Instances, mc.Providers, cluster.Topology{}), OurApproach)
 
-	writes0 := sp.Sys.Providers.Writes.Load()
-	puts0 := sp.Sys.Providers.PutRPCs.Load()
-	metaPuts0 := sp.Sys.Meta.Puts.Load()
+	writes0 := env.Sys.Providers.Writes.Load()
+	puts0 := env.Sys.Providers.PutRPCs.Load()
+	metaPuts0 := env.Sys.Meta.Puts.Load()
 
 	var snap *middleware.SnapshotResult
-	sp.Fab.Run(func(ctx *cluster.Ctx) {
-		instances := make([]*middleware.Instance, mc.Instances)
-		errs := make([]error, mc.Instances)
-		var tasks []cluster.Task
-		for i := 0; i < mc.Instances; i++ {
-			i := i
-			node := sp.InstNodes[i]
-			tasks = append(tasks, ctx.Go("prep", node, func(cc *cluster.Ctx) {
-				disk, err := sp.Backend.Provision(cc, i, node)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				instances[i] = &middleware.Instance{Index: i, Node: node, Disk: disk}
-			}))
-		}
-		ctx.WaitAll(tasks)
-		for _, err := range errs {
+	env.Fab.Run(func(ctx *cluster.Ctx) {
+		instances := env.provisionAll(ctx, nil)
+		wrRNG := sim.NewRNG(p.Seed + 7)
+		for round := 0; round < multisnapshotRounds; round++ {
+			err := env.Orch.RunOnAll(ctx, instances, func(cc *cluster.Ctx, inst *middleware.Instance) error {
+				return SnapshotWrites(cc, inst.Disk, diff, int64(p.ChunkSize), wrRNG.Fork())
+			})
 			if err != nil {
 				panic(err)
 			}
-		}
-		wrRNG := sim.NewRNG(p.Seed + 7)
-		for round := 0; round < mc.Rounds; round++ {
-			tasks = tasks[:0]
-			for i := 0; i < mc.Instances; i++ {
-				i := i
-				rng := wrRNG.Fork()
-				inst := instances[i]
-				tasks = append(tasks, ctx.Go("dirty", inst.Node, func(cc *cluster.Ctx) {
-					errs[i] = SnapshotWrites(cc, inst.Disk, diff, int64(p.ChunkSize), rng)
-				}))
-			}
-			ctx.WaitAll(tasks)
-			for _, err := range errs {
-				if err != nil {
-					panic(err)
-				}
-			}
-			var err error
-			snap, err = sp.Orch.SnapshotAll(ctx, instances)
+			snap, err = env.Orch.SnapshotAll(ctx, instances)
 			if err != nil {
 				panic(err)
 			}
 		}
 	})
 
-	rounds := float64(mc.Rounds)
 	pt := MultisnapshotPoint{
 		Instances:    mc.Instances,
 		Providers:    mc.Providers,
-		Rounds:       mc.Rounds,
-		ChunkWrites:  float64(sp.Sys.Providers.Writes.Load()-writes0) / rounds,
-		ChunkPutRPCs: float64(sp.Sys.Providers.PutRPCs.Load()-puts0) / rounds,
-		MetaPutRPCs:  float64(sp.Sys.Meta.Puts.Load()-metaPuts0) / rounds,
+		ChunkWrites:  float64(env.Sys.Providers.Writes.Load()-writes0) / multisnapshotRounds,
+		ChunkPutRPCs: float64(env.Sys.Providers.PutRPCs.Load()-puts0) / multisnapshotRounds,
+		MetaPutRPCs:  float64(env.Sys.Meta.Puts.Load()-metaPuts0) / multisnapshotRounds,
 		Completion:   snap.Completion,
 	}
 	pt.WriteRPCs = pt.ChunkPutRPCs + pt.MetaPutRPCs

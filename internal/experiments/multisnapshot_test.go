@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"blobvfs/internal/cluster"
-	"blobvfs/internal/middleware"
-	"blobvfs/internal/p2p"
 	"blobvfs/internal/sim"
 )
 
@@ -15,35 +13,12 @@ import (
 // for counter inspection and the most simulated processes that were
 // alive at once during the commit round, sampled every 50 µs of
 // virtual time.
-func herdCommit(t *testing.T, p Params, instances, providers int) (*smallPool, int) {
+func herdCommit(t *testing.T, p Params, instances, providers int) (*Env, int) {
 	t.Helper()
-	sp := newSmallPool(p, instances, providers, false, p2p.Config{}, cluster.Topology{})
+	sp := newEnv(p, dedicatedLayout(instances, providers, cluster.Topology{}), OurApproach)
 	peak := 0
 	sp.Fab.Run(func(ctx *cluster.Ctx) {
-		insts := make([]*middleware.Instance, instances)
-		errs := make([]error, instances)
-		var tasks []cluster.Task
-		wrRNG := sim.NewRNG(p.Seed + 7)
-		for i := 0; i < instances; i++ {
-			i := i
-			rng := wrRNG.Fork()
-			node := sp.InstNodes[i]
-			tasks = append(tasks, ctx.Go("prep", node, func(cc *cluster.Ctx) {
-				disk, err := sp.Backend.Provision(cc, i, node)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				errs[i] = SnapshotWrites(cc, disk, p.SnapshotDiff, int64(p.ChunkSize), rng)
-				insts[i] = &middleware.Instance{Index: i, Node: node, Disk: disk}
-			}))
-		}
-		ctx.WaitAll(tasks)
-		for _, err := range errs {
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
+		insts := sp.provisionAll(ctx, sim.NewRNG(p.Seed+7))
 		committed := false
 		sampler := ctx.Go("sampler", ctx.Node(), func(cc *cluster.Ctx) {
 			for !committed {
@@ -71,7 +46,7 @@ func TestHerdCommitPerProviderRPCs(t *testing.T) {
 	// instance's diff spans every ring member — a commit's keys are
 	// consecutive and there are at least as many as providers — so the
 	// counts are even.
-	perProvider := func(t *testing.T, sp *smallPool, instances, providers int) {
+	perProvider := func(t *testing.T, sp *Env, instances, providers int) {
 		t.Helper()
 		per := sp.Sys.Providers.NodePutRPCs()
 		if len(per) != providers {

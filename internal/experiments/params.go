@@ -2,14 +2,14 @@ package experiments
 
 import (
 	"blobvfs/internal/broadcast"
-	"blobvfs/internal/sim"
 	"blobvfs/internal/vmmodel"
 	"blobvfs/internal/workloads"
 )
 
-// Params bundles every calibrated constant of the evaluation. All
-// values come from §5.1 of the paper unless flagged as calibrated in
-// DESIGN.md §6.
+// Params bundles every constant of the evaluation. All values come
+// from §5.1–5.5 of the paper except BcastRate (calibrated, see
+// broadcast.DefaultEffRate) and WriteBuffer and the launch jitter,
+// which the paper describes (§5.3, §3.1.3) but does not quantify.
 type Params struct {
 	// MaxInstances is the largest sweep point (one VM per node).
 	MaxInstances int
@@ -82,13 +82,4 @@ func Quick() Params {
 	p.MonteCarlo.SaveBytes = 2 << 20
 	p.MonteCarlo.SaveOffset = 128 << 20
 	return p
-}
-
-// DefaultSweep returns the instance counts of the figures' x axes.
-func DefaultSweep() []int { return []int{1, 10, 30, 50, 70, 90, 110} }
-
-// baseTrace generates the shared boot access pattern for a parameter
-// set (all instances boot the same OS image).
-func (p Params) baseTrace() []vmmodel.TraceOp {
-	return vmmodel.GenBootTrace(sim.NewRNG(p.Seed), p.Boot)
 }

@@ -1,0 +1,168 @@
+package experiments
+
+import (
+	"fmt"
+	"strconv"
+
+	"blobvfs/internal/metrics"
+	"blobvfs/internal/workloads"
+)
+
+// Sizes holds what a run of the suite may vary besides Params: the
+// instance counts of each scenario and the churn and fault knobs
+// vmdeploy exposes as flags.
+type Sizes struct {
+	Sweep     []int // fig4, fig5: the instance counts of the x axis
+	Fig8      int
+	Crowd     int // flash, degraded, metaoutage
+	PerZone   int // crosszone: instances in each zone
+	Churn     int
+	Multisnap int
+	Ablations int
+
+	Cycles int // churn: snapshot cycles
+	Keep   int // churn: keep-last-K retention window (0 = no retention)
+	Kill   int // degraded, metaoutage: providers killed mid-run
+}
+
+// DefaultSizes returns the paper-scale sizes (use with Default).
+func DefaultSizes() Sizes {
+	return Sizes{
+		Sweep: []int{1, 10, 30, 50, 70, 90, 110},
+		Fig8:  100, Crowd: 256, PerZone: 60, Churn: 32, Multisnap: 256, Ablations: 50,
+		Cycles: 8, Keep: 2, Kill: 8,
+	}
+}
+
+// QuickSizes returns the scaled-down sizes `vmdeploy -quick` runs and
+// the goldens pin (use with Quick and MaxInstances 24).
+func QuickSizes() Sizes {
+	return Sizes{
+		Sweep: []int{1, 4, 8, 16, 24},
+		Fig8:  16, Crowd: 64, PerZone: 20, Churn: 8, Multisnap: 64, Ablations: 16,
+		Cycles: 8, Keep: 2, Kill: 8,
+	}
+}
+
+// WithInstances returns s with every single-size scenario but the
+// ablations set to a crowd of n; crosszone splits n over its zones,
+// rounding up.
+func (s Sizes) WithInstances(n int) Sizes {
+	s.Fig8, s.Crowd, s.Churn, s.Multisnap = n, n, n, n
+	s.PerZone = (n + crossZones - 1) / crossZones
+	return s
+}
+
+// Validate rejects sizes a scenario would panic on, checked against
+// the constants the scenarios own.
+func (s Sizes) Validate() error {
+	for _, n := range append([]int{s.Fig8, s.Crowd, s.PerZone, s.Churn, s.Multisnap, s.Ablations}, s.Sweep...) {
+		if n < 1 {
+			return fmt.Errorf("instance count %d: need at least one", n)
+		}
+	}
+	if s.Cycles < 1 {
+		return fmt.Errorf("%d churn cycles: need at least one", s.Cycles)
+	}
+	if s.Keep < 0 {
+		return fmt.Errorf("retention window %d: need 0 (off) or more", s.Keep)
+	}
+	if pool := min(degradedProviders, metaOutageProviders); s.Kill < 0 || s.Kill >= pool {
+		return fmt.Errorf("kill count %d out of range [0,%d)", s.Kill, pool)
+	}
+	return nil
+}
+
+// Scenario is one entry of the suite: a name and the tables it prints.
+type Scenario struct {
+	Name   string
+	Tables func(p Params, s Sizes) []*metrics.Table
+}
+
+// Suite lists every scenario in the order `vmdeploy all` prints them.
+// vmdeploy selects from it by name and the goldens
+// (testdata/golden/<name>.txt) pin each entry's tables at QuickSizes.
+var Suite = []Scenario{
+	{"fig4", func(p Params, s Sizes) []*metrics.Table { return RunFig4(p, s.Sweep).Tables() }},
+	{"fig5", func(p Params, s Sizes) []*metrics.Table { return RunFig5(p, s.Sweep).Tables() }},
+	{"fig67", func(Params, Sizes) []*metrics.Table {
+		return RunFig67(workloads.DefaultBonnieConfig()).Tables()
+	}},
+	{"fig8", func(p Params, s Sizes) []*metrics.Table {
+		return []*metrics.Table{RunFig8(p, s.Fig8).Table()}
+	}},
+	{"flash", func(p Params, s Sizes) []*metrics.Table {
+		return []*metrics.Table{FlashCrowdTable([]CrowdPoint{
+			RunFlashCrowd(p, FlashCrowdConfig{Instances: s.Crowd}),
+			RunFlashCrowd(p, FlashCrowdConfig{Instances: s.Crowd, Sharing: true}),
+		})}
+	}},
+	{"churn", func(p Params, s Sizes) []*metrics.Table {
+		cc := ChurnConfig{Instances: s.Churn, Cycles: s.Cycles, KeepLast: s.Keep}
+		tables := []*metrics.Table{ChurnTable(RunChurn(p, cc))}
+		if s.Keep > 0 {
+			// The unbounded baseline for contrast: same churn, no
+			// retention, nothing ever reclaimed.
+			cc.KeepLast = 0
+			tables = append(tables, ChurnTable(RunChurn(p, cc)))
+		}
+		return tables
+	}},
+	{"degraded", func(p Params, s Sizes) []*metrics.Table {
+		return []*metrics.Table{DegradedTable([]CrowdPoint{
+			RunDegraded(p, DegradedConfig{Instances: s.Crowd, Sharing: true}),
+			RunDegraded(p, DegradedConfig{Instances: s.Crowd, Sharing: true, Kill: s.Kill}),
+		})}
+	}},
+	{"crosszone", func(p Params, s Sizes) []*metrics.Table {
+		var pts []CrowdPoint
+		for _, sharing := range []bool{false, true} {
+			for _, aware := range []bool{false, true} {
+				pts = append(pts, RunCrossZone(p, CrossZoneConfig{InstancesPerZone: s.PerZone, Aware: aware, Sharing: sharing}))
+			}
+		}
+		return []*metrics.Table{CrossZoneTable(pts)}
+	}},
+	{"ablations", func(p Params, s Sizes) []*metrics.Table {
+		cs := RunChunkSizeAblation(p, s.Ablations, []int{64 << 10, 256 << 10, 1 << 20, 4 << 20})
+		rep := RunReplicationAblation(p, s.Ablations, []int{1, 2, 3})
+		return []*metrics.Table{ChunkSizeTable(cs), ReplicationTable(rep)}
+	}},
+	{"multisnap", func(p Params, s Sizes) []*metrics.Table {
+		return []*metrics.Table{MultisnapshotTable(RunMultisnapshot(p, MultisnapshotConfig{Instances: s.Multisnap}))}
+	}},
+	{"metaoutage", func(p Params, s Sizes) []*metrics.Table {
+		return []*metrics.Table{MetaOutageTable([]CrowdPoint{
+			RunMetaOutage(p, MetaOutageConfig{Instances: s.Crowd, Sharing: true}),
+			RunMetaOutage(p, MetaOutageConfig{Instances: s.Crowd, Sharing: true, KillMeta: s.Kill, KillRack: true}),
+		})}
+	}},
+	{"sync", func(p Params, s Sizes) []*metrics.Table {
+		return []*metrics.Table{SyncTable(RunSync(p, SyncConfig{}))}
+	}},
+}
+
+// Table cell helpers shared by every scenario's table.
+
+func itoa(v int) string { return strconv.Itoa(v) }
+
+func i64(v int64) string { return strconv.FormatInt(v, 10) }
+
+func ftoa(v float64) string { return strconv.FormatFloat(v, 'f', 2, 64) }
+
+// gbs renders a byte count as GB with table precision.
+func gbs(b int64) string { return ftoa(float64(b) / 1e9) }
+
+func onOff(b bool) string {
+	if b {
+		return "on"
+	}
+	return "off"
+}
+
+func yesNo(b bool) string {
+	if b {
+		return "yes"
+	}
+	return "no"
+}

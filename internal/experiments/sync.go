@@ -28,13 +28,6 @@ type SyncConfig struct {
 	Rounds int
 	// Providers is the provider pool size per repository (default 4).
 	Providers int
-	// DiffBytes is the per-round local modification size (default
-	// Params.SnapshotDiff).
-	DiffBytes int64
-	// HotBytes confines each round's writes to the first HotBytes of
-	// the image (default 4×DiffBytes), the churn scenario's working-set
-	// model: rewrites land on the same spots round after round.
-	HotBytes int64
 }
 
 // SyncRound reports one shipped archive.
@@ -66,7 +59,9 @@ type SyncPoint struct {
 
 // RunSync deploys an upstream and a downstream repository on disjoint
 // provider pools of one fabric, ships the base image as a full archive,
-// then runs sc.Rounds modification→commit→delta-sync cycles, verifying
+// then runs sc.Rounds modification→commit→delta-sync cycles (the churn
+// scenario's write model: Params.SnapshotDiff per round, confined to
+// the hot window, so rewrites land on the same spots), verifying
 // after the last round that the downstream can read the newest version
 // end to end.
 func RunSync(p Params, sc SyncConfig) SyncPoint {
@@ -75,15 +70,6 @@ func RunSync(p Params, sc SyncConfig) SyncPoint {
 	}
 	if sc.Providers <= 0 {
 		sc.Providers = 4
-	}
-	if sc.DiffBytes <= 0 {
-		sc.DiffBytes = p.SnapshotDiff
-	}
-	if sc.HotBytes <= 0 {
-		sc.HotBytes = 4 * sc.DiffBytes
-	}
-	if sc.HotBytes > p.ImageSize {
-		sc.HotBytes = p.ImageSize
 	}
 
 	fab := cluster.NewSim(cluster.DefaultConfig(2 * sc.Providers))
@@ -158,7 +144,7 @@ func RunSync(p Params, sc SyncConfig) SyncPoint {
 		}
 		cur := base.Version
 		for round := 1; round <= sc.Rounds; round++ {
-			if err := SnapshotWritesIn(ctx, disk, sc.DiffBytes, int64(p.ChunkSize), sc.HotBytes, wrRNG.Fork()); err != nil {
+			if err := SnapshotWritesIn(ctx, disk, p.SnapshotDiff, int64(p.ChunkSize), p.hotWindow(), wrRNG.Fork()); err != nil {
 				panic(err)
 			}
 			snap, err := disk.Commit(ctx)
