@@ -240,6 +240,12 @@ func (c *Client) getNodes(ctx *cluster.Ctx, refs []NodeRef, out []TreeNode) erro
 
 // cacheNew primes the cache with nodes this client just created.
 func (c *Client) cacheNew(nodes []NewNode) {
+	for i := range c.nodeCache {
+		sh := &c.nodeCache[i]
+		sh.mu.Lock()
+		sh.m = presized(sh.m, len(nodes)/nodeCacheShards+1)
+		sh.mu.Unlock()
+	}
 	for _, nn := range nodes {
 		c.storeNode(nn.Ref, nn.Node)
 	}
@@ -506,8 +512,27 @@ func (c *Client) resolveLeaves(ctx *cluster.Ctx, id ID, v Version, span, lo, hi 
 type leanGetter struct{ boundGetter }
 
 func (g leanGetter) GetNodes(refs []NodeRef, out []TreeNode) error {
-	var missIdx []int
-	var misses []NodeRef
+	hits := 0
+	for i, ref := range refs {
+		if n, ok := g.c.cachedNode(ref); ok {
+			out[i] = n
+			hits++
+		}
+	}
+	switch hits {
+	case len(refs):
+		return nil
+	case 0:
+		// Nothing cached (the normal case mid-prefetch): resolve
+		// straight into the aligned result.
+		return g.c.sys.Meta.GetBatchInto(g.ctx, refs, out)
+	}
+	// Some hit: only now is it worth building the list of the misses.
+	// The cache is asked again, and believed again: a node another
+	// activity stored in between is a hit here and must not be left out
+	// of both passes.
+	missIdx := make([]int, 0, len(refs)-hits)
+	misses := make([]NodeRef, 0, len(refs)-hits)
 	for i, ref := range refs {
 		if n, ok := g.c.cachedNode(ref); ok {
 			out[i] = n
@@ -515,14 +540,6 @@ func (g leanGetter) GetNodes(refs []NodeRef, out []TreeNode) error {
 			missIdx = append(missIdx, i)
 			misses = append(misses, ref)
 		}
-	}
-	if len(misses) == 0 {
-		return nil
-	}
-	if len(misses) == len(refs) {
-		// Nothing cached (the normal case mid-prefetch): resolve
-		// straight into the aligned result.
-		return g.c.sys.Meta.GetBatchInto(g.ctx, refs, out)
 	}
 	nodes := make([]TreeNode, len(misses))
 	if err := g.c.sys.Meta.GetBatchInto(g.ctx, misses, nodes); err != nil {
@@ -571,9 +588,22 @@ func (c *Client) PrefetchExtents(ctx *cluster.Ctx, id ID, v Version) error {
 // FetchChunks retrieves the chunks covering indices [lo,hi) of (id,v),
 // fetching distinct chunks in parallel. Each chunk comes from a cohort
 // peer when the client has a ChunkSharer and a peer holds it, and from
-// its home providers otherwise. This is the primitive the mirroring
-// module's remote reads are built on.
+// its home providers otherwise.
 func (c *Client) FetchChunks(ctx *cluster.Ctx, id ID, v Version, lo, hi int64) ([]FetchedChunk, error) {
+	return c.fetchChunks(ctx, id, v, lo, hi, false)
+}
+
+// FetchChunksShared is FetchChunks for a caller that keeps the chunks
+// and tells the client's ChunkSharer so: every distinct non-sparse
+// chunk is fetched through ChunkSharer.Fetching, and on success the
+// caller owes the sharer one Announce or Abandon of each. On an error
+// the client has abandoned them all. This is the primitive the
+// mirroring module's remote reads are built on.
+func (c *Client) FetchChunksShared(ctx *cluster.Ctx, id ID, v Version, lo, hi int64) ([]FetchedChunk, error) {
+	return c.fetchChunks(ctx, id, v, lo, hi, c.sharer != nil)
+}
+
+func (c *Client) fetchChunks(ctx *cluster.Ctx, id ID, v Version, lo, hi int64, keep bool) ([]FetchedChunk, error) {
 	inf, err := c.Info(ctx, id)
 	if err != nil {
 		return nil, err
@@ -607,11 +637,18 @@ func (c *Client) FetchChunks(ctx *cluster.Ctx, id ID, v Version, lo, hi int64) (
 	fetchErrs := make([]error, len(fetchIdx))
 	forEachParallel(ctx, "get-chunk", len(fetchIdx), func(cc *cluster.Ctx, j int) {
 		i := fetchIdx[j]
-		p, err := c.getChunk(cc, out[i].Key)
+		p, err := c.getChunk(cc, out[i].Key, keep)
 		fetchErrs[j] = err
 		out[i].Payload = p
 	})
 	if err := firstError(fetchErrs); err != nil {
+		if keep {
+			keys := make([]ChunkKey, len(fetchIdx))
+			for j, i := range fetchIdx {
+				keys[j] = out[i].Key
+			}
+			c.sharer.Abandon(ctx, keys)
+		}
 		return nil, err
 	}
 	for i := range out {
@@ -740,6 +777,17 @@ func (c *Client) chunkLen(inf Info, ci int64) int {
 		l = 0
 	}
 	return int(l)
+}
+
+// presized returns m, or when m is empty a map with room for n entries:
+// a bulk load into an empty store (the upload of a base image) then
+// grows no table on the way, which was a fifth of its host time and a
+// quarter of its allocation.
+func presized[K comparable, V any](m map[K]V, n int) map[K]V {
+	if len(m) == 0 {
+		return make(map[K]V, n)
+	}
+	return m
 }
 
 // firstError returns the first non-nil error in errs.

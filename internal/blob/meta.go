@@ -341,6 +341,12 @@ func (m *MetaService) PutBatch(ctx *cluster.Ctx, nodes []NewNode) {
 			m.Puts.Add(1)
 		}
 	}
+	for i := range m.shards {
+		sh := &m.shards[i]
+		sh.mu.Lock()
+		sh.nodes = presized(sh.nodes, len(nodes)/metaShards+1)
+		sh.mu.Unlock()
+	}
 	for i, nn := range nodes {
 		if store != nil && !store[i] {
 			continue

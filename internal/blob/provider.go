@@ -355,6 +355,7 @@ func (ps *ProviderSet) PutBatch(ctx *cluster.Ctx, puts []ChunkPut) error {
 
 	var firstErr error
 	ps.mu.Lock()
+	ps.chunks, ps.refs, ps.retained = presized(ps.chunks, n), presized(ps.refs, n), presized(ps.retained, n)
 	for i, pt := range puts {
 		if stored[i] == 0 {
 			// Nothing could take a copy (or, for an alias, even record

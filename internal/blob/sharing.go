@@ -17,12 +17,22 @@ import (
 // client stays free of a dependency on the sharing layer; p2p.Cohort
 // is the production implementation.
 type ChunkSharer interface {
-	// Locate returns a peer node currently holding the chunk that is
-	// willing to serve it, or ok=false to fall back to the providers.
-	// The caller must invoke release once the transfer is finished so
-	// the peer's upload slot is freed. The requesting node (ctx.Node())
-	// is never returned as its own peer.
+	// Locate returns a peer node holding the chunk that is willing to
+	// serve it, or ok=false to fall back to the providers. It may wait
+	// for a peer whose own fetch of the chunk is in flight. The caller
+	// must invoke release once the transfer is finished so the peer's
+	// upload slot is freed. The requesting node (ctx.Node()) is never
+	// returned as its own peer. A Locate leaves no state behind.
 	Locate(ctx *cluster.Ctx, key ChunkKey) (peer cluster.NodeID, release func(), ok bool)
+	// Fetching is Locate for a caller that brings the chunk in to keep
+	// it: whatever the answer, ctx.Node() is on record as fetching the
+	// chunk, and siblings may be made to wait for the outcome. The
+	// caller owes exactly one Announce (a clean copy landed) or Abandon
+	// (anything else) of the chunk.
+	Fetching(ctx *cluster.Ctx, key ChunkKey) (peer cluster.NodeID, release func(), ok bool)
+	// Abandon ends ctx.Node()'s fetches of the chunks that will not be
+	// announced. It withdraws nothing the node holds.
+	Abandon(ctx *cluster.Ctx, keys []ChunkKey)
 	// Announce registers ctx.Node() as a holder of the given chunks.
 	// Implementations must deduplicate (node, key) pairs so that a
 	// chunk announced twice — e.g. once by a prefetch and once by a
@@ -45,20 +55,22 @@ func (c *Client) SetSharer(s ChunkSharer) { c.sharer = s }
 // the chunk's home providers. The payload itself always comes from the
 // authoritative store (peers mirror published content verbatim); what
 // the peer path changes is where the disk read and the transfer are
-// charged — and therefore where the load lands.
+// charged — and therefore where the load lands. With keep set the fetch
+// is on record with the sharer (ChunkSharer.Fetching), to be settled by
+// the caller.
 //
 // The fetch does not propagate the first failure: when the providers
 // report every replica dead (ErrNoReplica), the cohort is consulted
 // once more — a sibling that mirrored the chunk before the failure is
 // a fully valid alternate source, and the first Locate may have missed
 // only because every holder's upload slot was taken.
-func (c *Client) getChunk(ctx *cluster.Ctx, key ChunkKey) (Payload, error) {
-	if p, ok := c.fromPeer(ctx, key); ok {
+func (c *Client) getChunk(ctx *cluster.Ctx, key ChunkKey, keep bool) (Payload, error) {
+	if p, ok := c.fromPeer(ctx, key, keep); ok {
 		return p, nil
 	}
 	p, err := c.sys.Providers.Get(ctx, key)
 	if err != nil && errors.Is(err, ErrNoReplica) {
-		if p, ok := c.fromPeer(ctx, key); ok {
+		if p, ok := c.fromPeer(ctx, key, false); ok {
 			return p, nil
 		}
 	}
@@ -69,11 +81,18 @@ func (c *Client) getChunk(ctx *cluster.Ctx, key ChunkKey) (Payload, error) {
 // holder, then read from its local mirror. ok=false sends the caller
 // to the providers (no sharer, no willing holder, or the chunk was
 // reclaimed under a stale location record).
-func (c *Client) fromPeer(ctx *cluster.Ctx, key ChunkKey) (Payload, bool) {
+func (c *Client) fromPeer(ctx *cluster.Ctx, key ChunkKey, keep bool) (Payload, bool) {
 	if c.sharer == nil {
 		return Payload{}, false
 	}
-	peer, release, ok := c.sharer.Locate(ctx, key)
+	var peer cluster.NodeID
+	var release func()
+	var ok bool
+	if keep {
+		peer, release, ok = c.sharer.Fetching(ctx, key)
+	} else {
+		peer, release, ok = c.sharer.Locate(ctx, key)
+	}
 	if !ok {
 		return Payload{}, false
 	}

@@ -18,6 +18,8 @@ type fakeSharer struct {
 	served    int
 	released  int
 	announced []ChunkKey
+	fetching  []ChunkKey // keys registered through Fetching
+	abandoned []ChunkKey
 }
 
 func (f *fakeSharer) Locate(ctx *cluster.Ctx, key ChunkKey) (cluster.NodeID, func(), bool) {
@@ -42,6 +44,19 @@ func (f *fakeSharer) Announce(ctx *cluster.Ctx, keys []ChunkKey) {
 }
 
 func (f *fakeSharer) Retract(ctx *cluster.Ctx, keys []ChunkKey) {}
+
+func (f *fakeSharer) Fetching(ctx *cluster.Ctx, key ChunkKey) (cluster.NodeID, func(), bool) {
+	f.mu.Lock()
+	f.fetching = append(f.fetching, key)
+	f.mu.Unlock()
+	return f.Locate(ctx, key)
+}
+
+func (f *fakeSharer) Abandon(ctx *cluster.Ctx, keys []ChunkKey) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.abandoned = append(f.abandoned, keys...)
+}
 
 // newShareRig uploads a 4-chunk blob and returns a reader client with
 // the sharer attached.
@@ -140,4 +155,41 @@ func TestWriteChunksAnnouncesWrittenKeys(t *testing.T) {
 	if len(s.announced) != 2 {
 		t.Errorf("announced %d keys, want 2", len(s.announced))
 	}
+}
+
+// TestOnlySharedFetchesGoOnRecord: FetchChunksShared puts every chunk it
+// fetches on record with the sharer (Fetching) and leaves settling them
+// to its caller when it succeeds; when it fails it abandons them all
+// itself. A plain FetchChunks, whose caller settles nothing, only
+// locates.
+func TestOnlySharedFetchesGoOnRecord(t *testing.T) {
+	s := &fakeSharer{peer: 2, has: map[ChunkKey]bool{}}
+	fab, sys, c, id, v := newShareRig(t, s)
+	fab.Run(func(ctx *cluster.Ctx) {
+		if _, err := c.FetchChunks(ctx, id, v, 0, 4); err != nil {
+			t.Fatal(err)
+		}
+		if len(s.fetching) != 0 {
+			t.Fatalf("a plain fetch put %d chunks on record", len(s.fetching))
+		}
+		if _, err := c.FetchChunksShared(ctx, id, v, 0, 4); err != nil {
+			t.Fatal(err)
+		}
+		if len(s.fetching) != 4 || len(s.abandoned) != 0 {
+			t.Fatalf("a shared fetch: %d chunks on record, %d abandoned; want 4 and 0 (the caller settles)", len(s.fetching), len(s.abandoned))
+		}
+		for n := cluster.NodeID(0); n < 4; n++ {
+			sys.Providers.Kill(n)
+		}
+		if _, err := c.FetchChunksShared(ctx, id, v, 0, 4); err == nil {
+			t.Fatal("fetch with every provider dead succeeded")
+		}
+		if len(s.fetching) != 8 || len(s.abandoned) != 4 {
+			t.Fatalf("a failed shared fetch: %d chunks on record in all, %d abandoned; want 8 and 4", len(s.fetching), len(s.abandoned))
+		}
+		// The second consultation after ErrNoReplica is a plain Locate.
+		if s.locates != 4+4+2*4 {
+			t.Fatalf("sharer saw %d locates, want 16", s.locates)
+		}
+	})
 }

@@ -507,16 +507,22 @@ const (
 // but it is counted and announced to the sharing cohort exactly once,
 // and recorded in the access profile exactly once (by the demand side,
 // even when the prefetch's merge won the race).
+//
+// With a sharing cohort every fetch is on record there while it runs
+// (blob.Client.FetchChunksShared) and siblings may be waiting for it, so
+// each chunk is settled here exactly once: announced if it landed clean
+// and is to be shared, abandoned if not (dirty, a lost merge race, a gap
+// fill). A failed fetch was abandoned by the client.
 func (im *Image) fetchChunks(ctx *cluster.Ctx, lo, hi int64, mode fetchMode) error {
 	prefetch := mode == fetchPrefetch
-	sharing := im.mod.sharer != nil && mode != fetchNoAnnounce
+	sharer := im.mod.sharer
 	im.mu.Lock()
 	id, v := im.blobID, im.version
 	for ci := lo; ci < hi; ci++ {
 		im.inflight[ci]++
 	}
 	im.mu.Unlock()
-	fetched, err := im.mod.client.FetchChunks(ctx, id, v, lo, hi)
+	fetched, err := im.mod.client.FetchChunksShared(ctx, id, v, lo, hi)
 	// Retry-with-backoff instead of propagating the first failure: a
 	// fetch that lost the race with a provider death (every replica of
 	// some chunk down) is re-attempted after RetryDelay — by then
@@ -527,7 +533,7 @@ func (im *Image) fetchChunks(ctx *cluster.Ctx, lo, hi int64, mode fetchMode) err
 		im.stats.FetchRetries++
 		im.mu.Unlock()
 		ctx.Sleep(im.mod.cfg.RetryDelay)
-		fetched, err = im.mod.client.FetchChunks(ctx, id, v, lo, hi)
+		fetched, err = im.mod.client.FetchChunksShared(ctx, id, v, lo, hi)
 	}
 	im.mu.Lock()
 	for ci := lo; ci < hi; ci++ {
@@ -545,6 +551,7 @@ func (im *Image) fetchChunks(ctx *cluster.Ctx, lo, hi int64, mode fetchMode) err
 	}
 	cs := int64(im.info.ChunkSize)
 	var announce []announced
+	var abandon []blob.ChunkKey
 	var bytes int64
 	for _, fc := range fetched {
 		st := &im.chunks[fc.Index]
@@ -556,6 +563,9 @@ func (im *Image) fetchChunks(ctx *cluster.Ctx, lo, hi int64, mode fetchMode) err
 			im.stats.DuplicateFetches++
 			if mode == fetchDemand {
 				im.accessOrder = append(im.accessOrder, fc.Index)
+			}
+			if sharer != nil && fc.Key != 0 {
+				abandon = append(abandon, fc.Key)
 			}
 			continue
 		}
@@ -571,20 +581,27 @@ func (im *Image) fetchChunks(ctx *cluster.Ctx, lo, hi int64, mode fetchMode) err
 		} else {
 			im.accessOrder = append(im.accessOrder, fc.Index)
 		}
-		if sharing && fc.Key != 0 && !st.dirty() {
-			announce = append(announce, announced{fc.Index, fc.Key})
-			im.announced[fc.Index] = fc.Key
+		if sharer != nil && fc.Key != 0 {
+			if mode != fetchNoAnnounce && !st.dirty() {
+				announce = append(announce, announced{fc.Index, fc.Key})
+				im.announced[fc.Index] = fc.Key
+			} else {
+				abandon = append(abandon, fc.Key)
+			}
 		}
 		bytes += int64(fc.Payload.Size)
 	}
 	im.mu.Unlock()
 	ctxDiskWriteAsync(ctx, im.mod.node, bytes)
+	if len(abandon) > 0 {
+		sharer.Abandon(ctx, abandon)
+	}
 	if len(announce) > 0 {
 		keys := make([]blob.ChunkKey, len(announce))
 		for i, a := range announce {
 			keys[i] = a.key
 		}
-		im.mod.sharer.Announce(ctx, keys)
+		sharer.Announce(ctx, keys)
 		// A write may have dirtied one of these chunks between the
 		// merge above and the announcement reaching the cohort: its
 		// Retract found nothing to withdraw yet and deleted the
@@ -598,7 +615,7 @@ func (im *Image) fetchChunks(ctx *cluster.Ctx, lo, hi int64, mode fetchMode) err
 		}
 		im.mu.Unlock()
 		if len(late) > 0 {
-			im.mod.sharer.Retract(ctx, late)
+			sharer.Retract(ctx, late)
 		}
 	}
 	return nil

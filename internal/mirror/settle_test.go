@@ -1,0 +1,137 @@
+package mirror
+
+import (
+	"errors"
+	"testing"
+
+	"blobvfs/internal/blob"
+	"blobvfs/internal/cluster"
+	"blobvfs/internal/p2p"
+)
+
+// TestFetchSettlesWhatItPutOnRecord: with a cohort, a fetch is on record
+// at the tracker while it runs and siblings may be parked on it, so
+// fetchChunks must settle it on every exit. Node 0 leads: its fetch of
+// chunk 0 starts first and goes to the providers. Node 1 follows half a
+// millisecond later and is attached to that fetch in flight. However the
+// leader's fetch ends, the follower's read must end too (the sim fabric
+// panics on a deadlock), with the chunk from the leader when the leader
+// shares it and from the providers when not, and nothing may stay on
+// record.
+func TestFetchSettlesWhatItPutOnRecord(t *testing.T) {
+	const cs = 256 << 10
+	for _, tc := range []struct {
+		name string
+		// lead is what node 0 does with its image.
+		lead func(t *testing.T, cc *cluster.Ctx, im *Image, sys *blob.System)
+		// peerHits and providerReads are the cohort's and the providers'
+		// counts afterwards; failed says the follower's read must fail.
+		peerHits, providerReads int64
+		failed                  bool
+	}{
+		{name: "landed", peerHits: 1, providerReads: 1,
+			lead: func(t *testing.T, cc *cluster.Ctx, im *Image, _ *blob.System) {
+				if err := im.Read(cc, 0, cs); err != nil {
+					t.Error(err)
+				}
+			}},
+		{name: "dirty", providerReads: 2,
+			lead: func(t *testing.T, cc *cluster.Ctx, im *Image, _ *blob.System) {
+				// A write first: the chunk is fetched around it and never
+				// shared.
+				if err := im.Write(cc, 0, 100); err != nil {
+					t.Error(err)
+				}
+				if err := im.Read(cc, 0, cs); err != nil {
+					t.Error(err)
+				}
+			}},
+		{name: "gap fill", providerReads: 2,
+			lead: func(t *testing.T, cc *cluster.Ctx, im *Image, _ *blob.System) {
+				if err := im.Write(cc, 0, 100); err != nil {
+					t.Error(err)
+				}
+				// Not adjacent: the chunk is fetched whole in no-announce
+				// mode to keep one mirrored region.
+				if err := im.Write(cc, 1000, 100); err != nil {
+					t.Error(err)
+				}
+			}},
+		{name: "lost merge race", peerHits: 1, providerReads: 2,
+			lead: func(t *testing.T, cc *cluster.Ctx, im *Image, _ *blob.System) {
+				// A prefetch and a demand read fetch the chunk at once;
+				// the second to come back finds it merged.
+				pre := cc.Go("prefetch", 0, func(c1 *cluster.Ctx) {
+					if err := im.fetchChunks(c1, 0, 1, fetchPrefetch); err != nil {
+						t.Error(err)
+					}
+				})
+				if err := im.Read(cc, 0, cs); err != nil {
+					t.Error(err)
+				}
+				cc.Wait(pre)
+				if st := im.Stats(); st.DuplicateFetches != 1 {
+					t.Errorf("DuplicateFetches = %d, want 1", st.DuplicateFetches)
+				}
+			}},
+		{name: "error", failed: true,
+			lead: func(t *testing.T, cc *cluster.Ctx, im *Image, sys *blob.System) {
+				sys.Providers.Kill(2)
+				sys.Providers.Kill(3)
+				if err := im.Read(cc, 0, cs); !errors.Is(err, blob.ErrNoReplica) {
+					t.Errorf("read with every provider dead = %v, want ErrNoReplica", err)
+				}
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fab := cluster.NewSim(cluster.DefaultConfig(5))
+			sys := blob.NewSystem([]cluster.NodeID{2, 3}, 4, 1)
+			reg := p2p.NewRegistry(4, p2p.DefaultConfig())
+			var co *p2p.Cohort
+			fab.Run(func(ctx *cluster.Ctx) {
+				c := blob.NewClient(sys)
+				id, err := c.Create(ctx, 4*cs, cs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				v, err := c.WriteFull(ctx, id, 0, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				co = reg.Register(ctx, id, []cluster.NodeID{0, 1})
+				sys.Providers.Reads.Store(0)
+				member := func(node cluster.NodeID, start float64, do func(cc *cluster.Ctx, im *Image)) cluster.Task {
+					return ctx.Go("member", node, func(cc *cluster.Ctx) {
+						mod := NewModule(node, blob.NewClient(sys), DefaultConfig())
+						mod.SetSharer(co)
+						im, err := mod.Open(cc, id, v, false)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						cc.Sleep(start - cc.Now())
+						do(cc, im)
+						im.Close(cc)
+					})
+				}
+				ctx.WaitAll([]cluster.Task{
+					member(0, 1, func(cc *cluster.Ctx, im *Image) { tc.lead(t, cc, im, sys) }),
+					member(1, 1.0005, func(cc *cluster.Ctx, im *Image) {
+						if err := im.Read(cc, 0, cs); (err != nil) != tc.failed {
+							t.Errorf("follower's read = %v, want failure %v", err, tc.failed)
+						}
+					}),
+				})
+			})
+			if n := co.InFlight(); n != 0 {
+				t.Errorf("%d fetches still on record", n)
+			}
+			if st := co.Stats(); st.PeerHits != tc.peerHits {
+				t.Errorf("PeerHits = %d, want %d (stats %+v)", st.PeerHits, tc.peerHits, st)
+			}
+			if got := sys.Providers.Reads.Load(); got != tc.providerReads {
+				t.Errorf("provider reads = %d, want %d", got, tc.providerReads)
+			}
+		})
+	}
+}

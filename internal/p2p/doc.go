@@ -29,12 +29,32 @@
 //     that lookups could be answered locally; at 512 members that cost
 //     420 k control RPCs to save 44.5 k lookups and made the crowd
 //     quadratic. docs/p2p.md has the measurement.)
-//   - Locate picks the least-loaded holder (all nodes are equidistant
-//     behind the non-blocking switch, so "nearest" degenerates to
-//     least-loaded) and reserves one of its Config.MaxUploads upload
-//     slots. If every holder is saturated the caller falls back to the
-//     providers — hot peers shed load instead of becoming the new
-//     hot-spot.
+//   - Locate picks a published holder with a free upload slot, the
+//     nearest first and then the least loaded, and holds one of its
+//     Config.MaxUploads slots for the transfer.
+//   - A chunk in flight is a source too. A fetch that will keep the
+//     chunk asks with Fetching instead of Locate, which puts the member
+//     on the chunk's in-flight record whatever the answer. A requester
+//     that finds no holder with a free slot (or only one farther away
+//     than a fetcher) is attached to the earliest fetcher on that record
+//     with a free slot, holds the slot, and waits for the fetch to
+//     settle. MaxUploads is thereby the fan-out of a distribution tree
+//     that forms per chunk, in arrival order: one provider read seeds a
+//     chunk for a whole cohort that wants it in the same instant. Only
+//     when no holder and no fetcher has a free slot does the caller fall
+//     back to the providers — hot peers shed load instead of becoming
+//     the new hot-spot.
+//   - Every entry of the record is settled exactly once: by the
+//     fetcher's Announce (the copy landed clean; waiters are released
+//     before the tracker RPC) or Abandon (dirty, a lost merge race, a
+//     gap fill, a failed fetch), by its death, or by the chunk's
+//     reclamation. A released waiter reads from its parent only if the
+//     parent is alive and holds the chunk at that moment; otherwise it
+//     goes to the providers. A bare Locate never goes on record, so
+//     nobody can be left waiting for a caller that settles nothing.
+//   - A member settles a batch of chunks at a time, so waits are ordered
+//     by epoch (pickFetcherLocked): they only ever go from a newer run
+//     of fetches to an older one and cannot form a cycle.
 //   - A member whose local copy diverges from the published content
 //     (a mirrored chunk dirtied by a guest write) retracts itself.
 //

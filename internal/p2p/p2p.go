@@ -1,6 +1,8 @@
 package p2p
 
 import (
+	"cmp"
+	"math"
 	"slices"
 	"sync"
 
@@ -31,12 +33,10 @@ type Stats struct {
 	Reclaimed   int64 // locations dropped because GC freed the chunk
 	DeadDropped int64 // locations dropped because their holder died
 	PeerHits    int64 // Locate calls answered with a peer
-	Misses      int64 // fell back to providers: no sibling holds it
-	Saturated   int64 // fell back: every holder at MaxUploads
-	// DigestHits and DigestPushes counted the cohort-wide location
-	// digest, which is gone (members keep no location state; see
-	// doc.go). Both always read 0; the fields stay because the repo's
-	// benchmark (bench/simrun.go) reads them.
+	Misses      int64 // fell back to providers: no sibling holds or fetches it
+	Saturated   int64 // fell back: every holder and fetcher at MaxUploads
+	// DigestHits and DigestPushes always read 0; the fields stay because
+	// the repo's benchmark (bench/simrun.go) reads them.
 	DigestHits, DigestPushes int64
 
 	// TierHits breaks PeerHits down by the locality tier between the
@@ -85,38 +85,45 @@ func (r *Registry) peerAlive(n cluster.NodeID) bool {
 
 // NodeChanged is the cluster liveness hook: wire it with
 // Liveness.OnChange. A death retracts every location record the dead
-// member held across all cohorts — the tracker must never steer a
-// reader to a dead uploader. The drop is tracker-local: members keep no
-// location state, so there is nobody to inform. A revival needs no
+// member held across all cohorts and settles every fetch it had in
+// flight — the tracker must never steer a reader to a dead uploader,
+// nor leave one waiting on it. The drop is tracker-local: members keep
+// no location state, so there is nobody to inform. A revival needs no
 // tracker action: the records are already gone, and the peer
 // re-announces whatever it still mirrors on its next fetches (the
 // (member, chunk) dedup pairs were cleared with the records).
-func (r *Registry) NodeChanged(_ *cluster.Ctx, node cluster.NodeID, alive bool) {
+func (r *Registry) NodeChanged(ctx *cluster.Ctx, node cluster.NodeID, alive bool) {
 	if alive {
 		return
 	}
-	r.eachCohort(func(co *Cohort) { co.dropDeadMember(node) })
+	r.eachCohort(func(co *Cohort) { co.dropDeadMember(ctx, node) })
 }
 
-// eachCohort runs fn on every cohort, in map order. That order is
-// unobservable as long as fn only edits the cohort's own tracker-local
-// state and charges nothing to the fabric, which holds for both
-// callers now that record drops are not broadcast (anything that
-// charges RPCs per cohort would have to sort by image first: the
-// determinism convention).
+// eachCohort runs fn on every cohort in image order: fn may wake
+// waiters, and the order of wake-ups is observable in the simulation
+// (the determinism convention).
 func (r *Registry) eachCohort(fn func(*Cohort)) {
 	r.mu.RLock()
-	defer r.mu.RUnlock()
+	cohorts := make([]*Cohort, 0, len(r.cohorts))
 	for _, co := range r.cohorts {
+		cohorts = append(cohorts, co)
+	}
+	r.mu.RUnlock()
+	slices.SortFunc(cohorts, func(a, b *Cohort) int { return cmp.Compare(a.image, b.image) })
+	for _, co := range cohorts {
 		fn(co)
 	}
 }
 
 // dropDeadMember withdraws every location record node holds in the
-// cohort, published or still reserved by an announce in flight.
-func (co *Cohort) dropDeadMember(node cluster.NodeID) {
+// cohort, published or still reserved by an announce in flight, and
+// settles its fetches in flight (in key order, see eachCohort).
+func (co *Cohort) dropDeadMember(ctx *cluster.Ctx, node cluster.NodeID) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
+	if !co.members[node] {
+		return
+	}
 	for key, who := range co.held {
 		if !who[node] {
 			continue
@@ -124,6 +131,19 @@ func (co *Cohort) dropDeadMember(node cluster.NodeID) {
 		delete(who, node)
 		co.holders[key] = removeNode(co.holders[key], node)
 		co.stats.DeadDropped++
+	}
+	keys := make([]blob.ChunkKey, 0, len(co.flights))
+	for key := range co.flights {
+		keys = append(keys, key)
+	}
+	slices.Sort(keys)
+	for _, key := range keys {
+		fl := co.flights[key]
+		for i := fl.head; i < len(fl.fetches); i++ {
+			if fl.fetches[i].node == node {
+				co.settleLocked(ctx, fl, i)
+			}
+		}
 	}
 }
 
@@ -155,7 +175,7 @@ func (r *Registry) Register(ctx *cluster.Ctx, image blob.ID, members []cluster.N
 			members: make(map[cluster.NodeID]bool),
 			holders: make(map[blob.ChunkKey][]cluster.NodeID),
 			held:    make(map[blob.ChunkKey]map[cluster.NodeID]bool),
-			uploads: make(map[cluster.NodeID]int),
+			flights: make(map[blob.ChunkKey]*flight),
 		}
 		r.cohorts[image] = co
 	}
@@ -168,6 +188,14 @@ func (r *Registry) Register(ctx *cluster.Ctx, image blob.ID, members []cluster.N
 			co.members[m] = true
 			co.order = append(co.order, m)
 			added++
+			for int(m) >= len(co.state) {
+				co.state = append(co.state, memberState{})
+			}
+			co.state[m].release = func() {
+				co.mu.Lock()
+				co.state[m].uploads--
+				co.mu.Unlock()
+			}
 		}
 	}
 	targets := append([]cluster.NodeID(nil), co.order...)
@@ -196,16 +224,18 @@ func (r *Registry) Cohort(image blob.ID) *Cohort {
 // A Locate in flight during the drop can still steer a reader to a
 // stale holder; the reader's provider fall-back (blob.Client.getChunk)
 // absorbs exactly that race.
-func (r *Registry) ChunksReclaimed(_ *cluster.Ctx, keys []blob.ChunkKey) {
-	r.eachCohort(func(co *Cohort) { co.dropReclaimed(keys) })
+func (r *Registry) ChunksReclaimed(ctx *cluster.Ctx, keys []blob.ChunkKey) {
+	r.eachCohort(func(co *Cohort) { co.dropReclaimed(ctx, keys) })
 }
 
 // dropReclaimed removes every location record of the given keys from
 // the cohort. Dropping a key's held set also cancels the phase-1
 // reservations of announces still in flight: their phase 2 finds the
-// pair gone and leaves the freed chunk unpublished. The cost is O(keys),
-// whatever the cohort size.
-func (co *Cohort) dropReclaimed(keys []blob.ChunkKey) {
+// pair gone and leaves the freed chunk unpublished. Fetches of the key
+// still in flight are settled, which sends their waiters to the
+// providers. The cost is O(keys) plus the waiters released, whatever
+// the cohort size.
+func (co *Cohort) dropReclaimed(ctx *cluster.Ctx, keys []blob.ChunkKey) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	for _, key := range keys {
@@ -214,6 +244,11 @@ func (co *Cohort) dropReclaimed(keys []blob.ChunkKey) {
 		}
 		delete(co.held, key)
 		delete(co.holders, key)
+		if fl := co.flights[key]; fl != nil {
+			for fl.head < len(fl.fetches) {
+				co.settleLocked(ctx, fl, fl.head)
+			}
+		}
 	}
 }
 
@@ -247,9 +282,76 @@ type Cohort struct {
 	// held is the (member, chunk) dedup set, by chunk: every published
 	// record plus the phase-1 reservations of announces whose RPC is
 	// still in flight.
-	held    map[blob.ChunkKey]map[cluster.NodeID]bool
-	uploads map[cluster.NodeID]int
+	held map[blob.ChunkKey]map[cluster.NodeID]bool
+	// flights is the in-flight record, by chunk. A record is kept once
+	// its fetches have settled and reused by the next ones.
+	flights map[blob.ChunkKey]*flight
+	state   []memberState // by member
+	epochs  uint64        // the last memberState.epoch handed out
 	stats   Stats
+}
+
+// memberState is what the tracker keeps per member beside its records.
+type memberState struct {
+	uploads int    // upload slots taken
+	release func() // frees one; what Locate hands out
+	fetches int    // fetches on record, over all chunks
+	epoch   uint64 // numbers the current run of fetches: set when fetches leaves 0
+}
+
+// flight is the in-flight record of one chunk: the members whose own
+// fetch of it is under way, in arrival order. A requester that finds no
+// published holder with a free slot is attached to the earliest of them
+// that has one and waits on its gate, so MaxUploads is the fan-out of a
+// distribution tree that forms as the requests arrive. An entry is
+// settled exactly once, by the fetcher's Announce or Abandon, its death
+// or the chunk's reclamation; whether the wait ended well is not in the
+// record but in held, which the waiter checks when it wakes.
+type flight struct {
+	fetches []fetch
+	head    int // the first entry not settled
+	next    int // where a pick starts: entries before it were settled or saturated
+}
+
+type fetch struct {
+	node  cluster.NodeID // noNode once settled
+	epoch uint64         // node's epoch when it went on record
+	gate  *cluster.Gate  // what node's children wait on; nil until one attaches
+}
+
+// noNode marks a settled entry of a flight.
+const noNode cluster.NodeID = -1
+
+// settleLocked closes entry i of fl, releases its waiters and, once
+// every entry is settled, empties the record for reuse.
+func (co *Cohort) settleLocked(ctx *cluster.Ctx, fl *flight, i int) {
+	f := &fl.fetches[i]
+	co.state[f.node].fetches--
+	if f.gate != nil {
+		f.gate.Open(ctx)
+	}
+	*f = fetch{node: noNode}
+	for fl.head < len(fl.fetches) && fl.fetches[fl.head].node == noNode {
+		fl.head++
+	}
+	if fl.head == len(fl.fetches) {
+		*fl = flight{fetches: fl.fetches[:0]}
+	}
+}
+
+// settleFetchLocked settles member's earliest fetch of key on record,
+// if any. A member's waiters always sit on its earliest entry (the pick
+// meets that one first), so whichever of its fetches ends first
+// releases them.
+func (co *Cohort) settleFetchLocked(ctx *cluster.Ctx, key blob.ChunkKey, member cluster.NodeID) {
+	if fl := co.flights[key]; fl != nil {
+		for i := fl.head; i < len(fl.fetches); i++ {
+			if fl.fetches[i].node == member {
+				co.settleLocked(ctx, fl, i)
+				return
+			}
+		}
+	}
 }
 
 // Image returns the blob this cohort shares.
@@ -269,6 +371,18 @@ func (co *Cohort) Stats() Stats {
 	return co.stats
 }
 
+// InFlight returns the number of fetches on record that have not been
+// settled yet. It is 0 whenever no member is fetching.
+func (co *Cohort) InFlight() int {
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	n := 0
+	for _, st := range co.state {
+		n += st.fetches
+	}
+	return n
+}
+
 // Announce implements blob.ChunkSharer: it registers ctx.Node() as a
 // holder of the given chunks with one small RPC to the tracker.
 // Already-known (member, chunk) pairs are filtered out first — the
@@ -277,23 +391,26 @@ func (co *Cohort) Stats() Stats {
 // all-duplicate announcement costs nothing. The new locations become
 // visible to Locate only after the RPC completes: a sibling cannot be
 // steered to a holder before the announcement could physically have
-// reached the tracker.
+// reached the tracker. Siblings already waiting on the member's fetch
+// of a chunk are released at once: they learn it from the member, not
+// from the tracker.
 func (co *Cohort) Announce(ctx *cluster.Ctx, keys []blob.ChunkKey) {
 	member := ctx.Node()
-	if !co.reg.peerAlive(member) {
-		return // a dead node must not (re)register as an uploader
-	}
 	co.mu.Lock()
-	if !co.members[member] {
-		co.mu.Unlock()
-		return
-	}
+	// A dead node must not (re)register as an uploader; its fetches are
+	// settled all the same.
+	uploader := co.members[member] && co.reg.peerAlive(member)
 	// Phase 1: reserve the fresh pairs (exact dedup against concurrent
 	// announcers) without publishing them yet.
 	var fresh []blob.ChunkKey
 	for _, key := range keys {
 		if key == 0 {
 			continue // sparse chunks have no payload to share
+		}
+		// The waiters released here look at held once this lock is theirs.
+		co.settleFetchLocked(ctx, key, member)
+		if !uploader {
+			continue
 		}
 		who := co.held[key]
 		if who[member] {
@@ -329,6 +446,19 @@ func (co *Cohort) Announce(ctx *cluster.Ctx, keys []blob.ChunkKey) {
 	co.mu.Unlock()
 }
 
+// Abandon implements blob.ChunkSharer: ctx.Node()'s fetches of the given
+// chunks ended with nothing new to share, and whoever waits on them is
+// sent on. It is said to the waiters, not to the tracker, and costs
+// nothing.
+func (co *Cohort) Abandon(ctx *cluster.Ctx, keys []blob.ChunkKey) {
+	member := ctx.Node()
+	co.mu.Lock()
+	for _, key := range keys {
+		co.settleFetchLocked(ctx, key, member)
+	}
+	co.mu.Unlock()
+}
+
 // Retract implements blob.ChunkSharer: ctx.Node() withdraws itself as
 // a holder of the given chunks, with one small RPC to the tracker for
 // the whole batch. Pairs the tracker does not know are ignored.
@@ -352,14 +482,29 @@ func (co *Cohort) Retract(ctx *cluster.Ctx, keys []blob.ChunkKey) {
 	}
 }
 
-// Locate implements blob.ChunkSharer: it returns the least-loaded
-// cohort peer holding the chunk, reserving one of its upload slots.
-// Every lookup pays one small RPC to query the tracker's live map —
-// members keep no location state of their own — so the answer is never
-// staler than that round trip. ok=false sends the caller to the
-// providers (nobody has the chunk, or every holder is at its upload
-// cap).
+// Locate implements blob.ChunkSharer: it returns a cohort peer to read
+// the chunk from, holding one of its upload slots until release. A
+// published holder with a free slot comes first (the nearest, then the
+// least loaded); where there is none, or only farther away, the earliest
+// member of the nearest tier whose own fetch of the chunk is in flight
+// and has a free slot, and then Locate returns only once that fetch has
+// settled. Every lookup pays one small RPC to query the tracker's live
+// map — members keep no location state of their own — so the answer is
+// never staler than that round trip. ok=false sends the caller to the
+// providers: nobody has or fetches the chunk, every slot is taken, or
+// the fetch waited on ended without a copy to read. A Locate leaves
+// nothing behind that another caller could wait on.
 func (co *Cohort) Locate(ctx *cluster.Ctx, key blob.ChunkKey) (cluster.NodeID, func(), bool) {
+	return co.locate(ctx, key, false)
+}
+
+// Fetching implements blob.ChunkSharer: Locate, and ctx.Node() goes on
+// record as fetching the chunk, whatever the answer.
+func (co *Cohort) Fetching(ctx *cluster.Ctx, key blob.ChunkKey) (cluster.NodeID, func(), bool) {
+	return co.locate(ctx, key, true)
+}
+
+func (co *Cohort) locate(ctx *cluster.Ctx, key blob.ChunkKey, fetching bool) (cluster.NodeID, func(), bool) {
 	req := ctx.Node()
 	co.mu.Lock()
 	member := co.members[req]
@@ -369,26 +514,103 @@ func (co *Cohort) Locate(ctx *cluster.Ctx, key blob.ChunkKey) (cluster.NodeID, f
 	}
 	ctx.RPC(co.reg.tracker, 32, 32)
 	co.mu.Lock()
-	peer, any, found := co.pickLocked(co.holders[key], req)
-	if !found {
-		if any {
-			co.stats.Saturated++
-		} else {
-			co.stats.Misses++
+	defer co.mu.Unlock()
+	var gate *cluster.Gate
+	peer, tier, any, found := co.pickLocked(co.holders[key], req)
+	fl := co.flights[key]
+	if fl != nil && len(fl.fetches) > 0 && (!found || tier > cluster.TierRack) {
+		any = true
+		if !found {
+			tier = cluster.TierRemote
 		}
-		co.mu.Unlock()
-		return 0, nil, false
+		if f := co.pickFetcherLocked(fl, req, tier); f != nil {
+			if f.gate == nil {
+				f.gate = cluster.NewGate()
+			}
+			peer, gate, found = f.node, f.gate, true
+		}
 	}
-	co.uploads[peer]++
-	co.stats.PeerHits++
-	co.stats.TierHits[co.reg.topo.Tier(req, peer)]++
-	co.mu.Unlock()
-	release := func() {
+	if found {
+		co.state[peer].uploads++
+	}
+	if fetching {
+		if fl == nil {
+			fl = &flight{}
+			co.flights[key] = fl
+		}
+		st := &co.state[req]
+		if st.fetches == 0 {
+			co.epochs++
+			st.epoch = co.epochs
+		}
+		st.fetches++
+		fl.fetches = append(fl.fetches, fetch{node: req, epoch: st.epoch})
+	}
+	if gate != nil {
+		co.mu.Unlock()
+		gate.Wait(ctx)
 		co.mu.Lock()
-		co.uploads[peer]--
-		co.mu.Unlock()
+		// The fetch waited on has settled. Only a copy that landed clean
+		// and is still there counts: the pair is reserved by the parent's
+		// Announce and gone again after a Retract, a death or a
+		// reclamation.
+		if !co.held[key][peer] || !co.reg.peerAlive(peer) {
+			co.state[peer].uploads--
+			found, any = false, false
+		}
 	}
-	return peer, release, true
+	switch {
+	case found:
+		co.stats.PeerHits++
+		co.stats.TierHits[co.reg.topo.Tier(req, peer)]++
+		return peer, co.state[peer].release, true
+	case any:
+		co.stats.Saturated++
+	default:
+		co.stats.Misses++
+	}
+	return 0, nil, false
+}
+
+// saturated reports whether member n has every upload slot taken.
+func (co *Cohort) saturated(n cluster.NodeID) bool {
+	return co.reg.cfg.MaxUploads > 0 && co.state[n].uploads >= co.reg.cfg.MaxUploads
+}
+
+// pickFetcherLocked chooses the entry of fl that req waits on, or nil:
+// the earliest live fetcher with a free upload slot, the nearest tier
+// first, so that late arrivals hang below early ones. The tier must be
+// nearer than below, which is that of the holder already found, or
+// TierRemote: a fetch in another zone is not worth waiting for, the
+// providers are as near and have the chunk now.
+//
+// Only a fetcher of an older epoch than req's is eligible. A member
+// settles its fetches a batch at a time (one FetchChunksShared), so a
+// wait for one chunk holds up the settling of others, and two members
+// fetching overlapping ranges could wait on each other for ever. Epochs
+// rule that out: a member's entries all carry the epoch of its current
+// run of fetches, every wait goes to a strictly older epoch, and so no
+// chain of waits can return to where it began.
+func (co *Cohort) pickFetcherLocked(fl *flight, req cluster.NodeID, below cluster.Tier) *fetch {
+	for fl.next < len(fl.fetches) && (fl.fetches[fl.next].node == noNode || co.saturated(fl.fetches[fl.next].node)) {
+		fl.next++
+	}
+	mine := uint64(math.MaxUint64) // a first fetch gets the newest epoch yet
+	if st := co.state[req]; st.fetches > 0 {
+		mine = st.epoch
+	}
+	var best *fetch
+	for i := fl.next; i < len(fl.fetches) && below > cluster.TierRack; i++ {
+		f := &fl.fetches[i]
+		// An entry of req itself has req's epoch.
+		if f.node == noNode || f.epoch >= mine || co.saturated(f.node) || !co.reg.peerAlive(f.node) {
+			continue
+		}
+		if tier := co.reg.topo.Tier(req, f.node); tier < below {
+			best, below = f, tier
+		}
+	}
+	return best
 }
 
 // pickLocked chooses the eligible holder by locality first, load
@@ -401,19 +623,17 @@ func (co *Cohort) Locate(ctx *cluster.Ctx, key blob.ChunkKey) (cluster.NodeID, f
 // together guarantee a dead uploader is never selected, even in the
 // window before the drop ran. any reports whether a non-self holder
 // existed at all, so the caller can distinguish miss from saturation.
-func (co *Cohort) pickLocked(holders []cluster.NodeID, req cluster.NodeID) (best cluster.NodeID, any, found bool) {
-	maxUp := co.reg.cfg.MaxUploads
-	var bestTier cluster.Tier
+func (co *Cohort) pickLocked(holders []cluster.NodeID, req cluster.NodeID) (best cluster.NodeID, bestTier cluster.Tier, any, found bool) {
 	var bestLoad int
 	for _, h := range holders {
 		if h == req || !co.reg.peerAlive(h) {
 			continue
 		}
 		any = true
-		load := co.uploads[h]
-		if maxUp > 0 && load >= maxUp {
+		if co.saturated(h) {
 			continue
 		}
+		load := co.state[h].uploads
 		tier := co.reg.topo.Tier(req, h)
 		if !found || tier < bestTier || (tier == bestTier && load < bestLoad) {
 			best, bestTier, bestLoad, found = h, tier, load, true
@@ -428,7 +648,7 @@ func (co *Cohort) pickLocked(holders []cluster.NodeID, req cluster.NodeID) (best
 			break
 		}
 	}
-	return best, any, found
+	return best, bestTier, any, found
 }
 
 // removeNode deletes the first occurrence of n, in place.

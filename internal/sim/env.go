@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"os"
 	"time"
-
-	"container/heap"
 )
 
 // debugSlowEvents enables wall-clock timing of every event dispatch;
@@ -20,7 +18,6 @@ type Env struct {
 	seq    int64
 	steps  int64
 	events eventHeap
-	parked chan struct{}
 	procs  int // number of live (started, not finished) processes
 
 	// free recycles fired and canceled events: a 10k-instance flash
@@ -28,17 +25,15 @@ type Env struct {
 	// one fresh made Env.At the single largest allocation site of the
 	// large simulations.
 	free []*Event
-	// freeWorkers recycles the goroutines behind finished processes
-	// (see Env.Go); freeBatches recycles the waiter slices handed to
-	// batch resume events (see Cond.Broadcast).
-	freeWorkers []*worker
+	// freeBatches recycles the waiter slices handed to batch resume
+	// events (see Cond.Broadcast).
 	freeBatches [][]*Proc
 }
 
-// New returns an empty environment with the clock at zero.
-func New() *Env {
-	return &Env{parked: make(chan struct{})}
-}
+// New returns an empty environment with the clock at zero. There is
+// nothing to close: the goroutines behind its processes belong to the
+// process-wide pool (see worker).
+func New() *Env { return &Env{} }
 
 // Now returns the current virtual time in seconds.
 func (e *Env) Now() float64 { return e.now }
@@ -59,11 +54,11 @@ func (e *Env) Steps() int64 { return e.steps }
 // unordered; a diagnostic aid.
 func (e *Env) PendingTimes(max int) []float64 {
 	out := make([]float64, 0, max)
-	for _, ev := range e.events {
+	for _, ent := range e.events {
 		if len(out) == max {
 			break
 		}
-		out = append(out, ev.t)
+		out = append(out, ent.t)
 	}
 	return out
 }
@@ -86,7 +81,7 @@ func (e *Env) newEvent(t float64) *Event {
 	ev.t = t
 	ev.seq = e.seq
 	e.seq++
-	heap.Push(&e.events, ev)
+	e.events.push(ev)
 	return ev
 }
 
@@ -166,7 +161,7 @@ func (e *Env) Cancel(ev *Event) {
 		return
 	}
 	ev.canceled = true
-	heap.Remove(&e.events, ev.index)
+	e.events.remove(ev.index)
 	e.recycle(ev)
 }
 
@@ -197,11 +192,10 @@ func (e *Env) Run() { e.RunUntil(-1) }
 // limit if that is later.
 func (e *Env) RunUntil(limit float64) {
 	for len(e.events) > 0 {
-		next := e.events[0]
-		if limit >= 0 && next.t > limit {
+		if limit >= 0 && e.events[0].t > limit {
 			break
 		}
-		heap.Pop(&e.events)
+		next := e.events.remove(0)
 		if next.canceled {
 			e.recycle(next)
 			continue

@@ -1,7 +1,5 @@
 package sim
 
-import "container/heap"
-
 // Event is a scheduled callback in the simulation. Events are ordered by
 // (time, sequence number): ties in virtual time are broken by scheduling
 // order, which makes every run fully deterministic.
@@ -35,38 +33,81 @@ func (ev *Event) Time() float64 { return ev.t }
 // Canceled reports whether the event has been canceled.
 func (ev *Event) Canceled() bool { return ev.canceled }
 
-// eventHeap is a min-heap of events keyed by (t, seq).
-type eventHeap []*Event
+// eventHeap is a binary min-heap of events keyed by (t, seq). An entry
+// carries its key inline, so sifting compares without dereferencing the
+// events and without an interface call; the event only learns its index
+// (for Cancel) when an entry comes to rest.
+type eventHeap []heapEntry
 
-func (h eventHeap) Len() int { return len(h) }
+type heapEntry struct {
+	t   float64
+	seq int64
+	ev  *Event
+}
 
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
+func (a heapEntry) before(b heapEntry) bool {
+	if a.t != b.t {
+		return a.t < b.t
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
 
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+func (h *eventHeap) push(ev *Event) {
+	*h = append(*h, heapEntry{})
+	h.up(len(*h)-1, heapEntry{ev.t, ev.seq, ev})
 }
 
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-
-func (h *eventHeap) Pop() any {
+// remove takes the entry at index i out of the heap and returns its
+// event; remove(0) pops the minimum.
+func (h *eventHeap) remove(i int) *Event {
 	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
+	n := len(old) - 1
+	ev, last := old[i].ev, old[n]
 	ev.index = -1
-	*h = old[:n-1]
+	old[n] = heapEntry{}
+	*h = old[:n]
+	switch {
+	case i == n:
+	case i > 0 && last.before(old[(i-1)/2]):
+		h.up(i, last)
+	default:
+		h.down(i, last)
+	}
 	return ev
 }
 
-var _ heap.Interface = (*eventHeap)(nil)
+// up puts x into the hole at i or above it, moving parents down.
+func (h eventHeap) up(i int, x heapEntry) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !x.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].ev.index = i
+		i = p
+	}
+	h[i] = x
+	x.ev.index = i
+}
+
+// down puts x into the hole at i or below it, moving children up.
+func (h eventHeap) down(i int, x heapEntry) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(x) {
+			break
+		}
+		h[i] = h[c]
+		h[i].ev.index = i
+		i = c
+	}
+	h[i] = x
+	x.ev.index = i
+}

@@ -1,8 +1,13 @@
 package sim
 
-import "time"
+import (
+	"fmt"
+	"iter"
+	"runtime/debug"
+	"sync"
+)
 
-// Proc is a simulated process: a goroutine that runs cooperatively under
+// Proc is a simulated process: a coroutine that runs cooperatively under
 // the environment's scheduler. At most one process executes at a time;
 // a process gives up control by sleeping, waiting on a Cond, or using a
 // resource, and the scheduler resumes it when the corresponding virtual
@@ -12,21 +17,37 @@ import "time"
 type Proc struct {
 	env      *Env
 	name     string
-	resume   chan struct{}
+	w        *worker
 	parked   bool // blocked in yield (or at startup), awaiting resume
 	finished bool
 	done     Cond
 }
 
-// worker is a reusable goroutine that runs processes one after another.
+// worker is a reusable coroutine (iter.Pull) that runs processes one
+// after another. The scheduler resumes it with next and it parks with
+// yield: the runtime switches between the two goroutines directly, on
+// the thread they are on. A handoff over channels costs five times as
+// much, and every resume makes a goroutine runnable, for which the
+// runtime wakes a second OS thread: the host time of a run then depends
+// on how the machine schedules the two (docs/perf.md has the numbers).
+//
 // A 10k-instance flash crowd starts millions of short-lived activities
-// (chunk fetchers, write-backs, broadcast hops); spawning a fresh OS
-// goroutine plus resume channel for each made Env.Go the second-largest
-// allocation site of the large simulations. Workers park on their job
-// channel between processes and are recycled through Env.freeWorkers.
+// (chunk fetchers, write-backs, broadcast hops), and a coroutine costs
+// 13 allocations to create, so workers are recycled through idle, a
+// free list of the whole process: one that has finished its process
+// references no environment (the job carried it) and serves whichever
+// asks next. Environments therefore need no Close and leave nothing
+// behind that grows with their number; what stays is at most maxIdle
+// parked goroutines.
+//
+// The runtime requires next's caller and the worker to agree on their
+// LockOSThread state, so a program may not run simulations from locked
+// and from unlocked goroutines both.
 type worker struct {
-	resume chan struct{}
-	jobs   chan workerJob
+	next  func() (bool, bool) // run until the worker parks; true: its process finished
+	stop  func()
+	yield func(free bool) bool
+	job   workerJob
 }
 
 type workerJob struct {
@@ -34,39 +55,83 @@ type workerJob struct {
 	fn func(p *Proc)
 }
 
-func newWorker(e *Env) *worker {
-	w := &worker{resume: make(chan struct{}), jobs: make(chan workerJob, 1)}
-	go func() {
-		for j := range w.jobs {
-			w.run(e, j)
+// maxIdle bounds the free list: a parked goroutine keeps its stack, and
+// the peak of one huge simulation should not stay resident for the life
+// of the process.
+const maxIdle = 1 << 14
+
+var idle struct {
+	sync.Mutex
+	free []*worker
+}
+
+func getWorker() *worker {
+	idle.Lock()
+	defer idle.Unlock()
+	n := len(idle.free)
+	if n == 0 {
+		return newWorker()
+	}
+	w := idle.free[n-1]
+	idle.free[n-1] = nil
+	idle.free = idle.free[:n-1]
+	return w
+}
+
+// putWorker takes back a worker that has parked between two processes.
+func putWorker(w *worker) {
+	idle.Lock()
+	keep := len(idle.free) < maxIdle
+	if keep {
+		idle.free = append(idle.free, w)
+	}
+	idle.Unlock()
+	if !keep {
+		w.stop()
+	}
+}
+
+func newWorker() *worker {
+	w := &worker{}
+	w.next, w.stop = iter.Pull(func(yield func(bool) bool) {
+		w.yield = yield
+		for {
+			j := w.job
+			w.job = workerJob{}
+			w.run(j)
+			if !yield(true) {
+				return
+			}
 		}
-	}()
+	})
 	return w
 }
 
 // run executes one process on the worker.
 //
-// The completion handshake runs in a defer so that a process exiting
-// abnormally — a panic unwinding, or runtime.Goexit as called by
-// t.Fatal inside simulation tests — still returns control to the
-// scheduler instead of wedging the whole simulation. An abnormal exit
-// kills the worker goroutine with it, so only cleanly-finished workers
-// return to the free pool (the append is ordered before the parked
-// handshake, which is what makes it visible to the scheduler without a
-// lock).
-func (w *worker) run(e *Env, j workerJob) {
+// The completion bookkeeping runs in a defer so that a process exiting
+// through runtime.Goexit — as t.Fatal inside a simulation test does —
+// still counts as finished and releases its joiners. iter.Pull would
+// carry the Goexit over to the scheduler's goroutine and end the whole
+// simulation; the worker parks for good inside the defer instead, so
+// the simulation goes on and only cleanly finished workers are reused.
+// A panic does continue on the scheduler's goroutine, in whoever called
+// Env.Run, and takes the process's stack along in its value.
+func (w *worker) run(j workerJob) {
 	normal := false
 	defer func() {
-		p := j.p
+		p, e := j.p, j.p.env
 		p.finished = true
 		e.procs--
 		p.done.Broadcast(e)
 		if normal {
-			e.freeWorkers = append(e.freeWorkers, w)
+			return
 		}
-		e.parked <- struct{}{}
+		if r := recover(); r != nil {
+			panic(fmt.Sprintf("sim: process %s panicked: %v\n%s", p.name, r, debug.Stack()))
+		}
+		w.yield(false)
 	}()
-	<-w.resume
 	j.fn(j.p)
 	normal = true
 }
@@ -74,24 +139,17 @@ func (w *worker) run(e *Env, j workerJob) {
 // Go starts fn as a new process at the current virtual time. The name is
 // used only for diagnostics.
 func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
-	var w *worker
-	if n := len(e.freeWorkers); n > 0 {
-		w = e.freeWorkers[n-1]
-		e.freeWorkers[n-1] = nil
-		e.freeWorkers = e.freeWorkers[:n-1]
-	} else {
-		w = newWorker(e)
-	}
-	p := &Proc{env: e, name: name, resume: w.resume, parked: true}
+	w := getWorker()
+	p := &Proc{env: e, name: name, w: w, parked: true}
 	e.procs++
-	w.jobs <- workerJob{p: p, fn: fn}
+	w.job = workerJob{p: p, fn: fn}
 	e.resumeAt(e.now, p)
 	return p
 }
 
 // GoLite runs fn once at the current virtual time as a lightweight
 // activity: a single scheduled callback with no goroutine and no
-// channel handoffs. fn must not call blocking Proc APIs — it finishes
+// switch. fn must not call blocking Proc APIs — it finishes
 // within its callback, or continues by scheduling further events or by
 // using the callback-completion resource APIs (PSPool.UseAsync,
 // flownet.Net.StartFunc). This is the state-machine path the
@@ -118,16 +176,11 @@ func (e *Env) handoff(p *Proc) {
 		panic("sim: double resume of process " + p.name)
 	}
 	p.parked = false
-	p.resume <- struct{}{}
-	if debugSlowEvents {
-		select {
-		case <-e.parked:
-		case <-time.After(10 * time.Second):
-			panic("sim: process " + p.name + " was resumed but never parked back")
-		}
-		return
+	w := p.w
+	if free, _ := w.next(); free {
+		p.w = nil
+		putWorker(w)
 	}
-	<-e.parked
 }
 
 // yield parks the process and returns control to the scheduler. The
@@ -135,8 +188,7 @@ func (e *Env) handoff(p *Proc) {
 // event to resume it, or it will sleep forever.
 func (p *Proc) yield() {
 	p.parked = true
-	p.env.parked <- struct{}{}
-	<-p.resume
+	p.w.yield(false)
 }
 
 // Env returns the environment the process runs in.
