@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"blobvfs"
+	"blobvfs/internal/cluster"
 )
 
 // TestWithFaultPlanEndToEnd: the façade surface of the fault
@@ -207,4 +208,72 @@ func TestFaultPlanValidationAndArming(t *testing.T) {
 			t.Fatalf("arming a closed repo: %v, want ErrClosed", err)
 		}
 	})
+}
+
+// TestDeadProviderServesNoRead: there is one record of which nodes are
+// up, so a provider is dead for every service in the instant the fault
+// plan kills it. With replicated metadata the kill is followed by a
+// metadata repair sweep that takes virtual time (about a thousand small
+// copies here), and then by the chunk sweep; a reader that goes through
+// the image chunk by chunk the whole time must not be served a single
+// chunk by the killed provider once the repo reports it dead. (The
+// provider set used to keep a flag of its own, flipped only when its
+// listener's turn came, after the metadata sweep.)
+func TestDeadProviderServesNoRead(t *testing.T) {
+	const victim, reader, chunk, chunks = 1, 4, 4 << 10, 1024
+	fab := cluster.NewSim(cluster.DefaultConfig(5))
+	repo, err := blobvfs.Open(fab,
+		blobvfs.WithProviders(0, 1, 2, 3),
+		blobvfs.WithChunkSize(chunk),
+		blobvfs.WithReplicas(2),
+		blobvfs.WithMetaReplicas(2),
+		blobvfs.WithFaultPlan(blobvfs.KillAt(0.05, victim)),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := func() int64 { return repo.System().Providers.NodeReads()[victim] }
+	var afterDeath, whileSweeping int
+	fab.Run(func(ctx *blobvfs.Ctx) {
+		ref, err := repo.CreateSynthetic(ctx, "img", chunks*chunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx.Wait(ctx.Go("reader", reader, func(cc *blobvfs.Ctx) {
+			disk, err := repo.OpenDisk(cc, reader, ref)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer disk.Close(cc)
+			if err := repo.ArmFaultsRebased(cc); err != nil {
+				t.Error(err)
+				return
+			}
+			for i := int64(0); i < chunks; i++ {
+				dead, before := !repo.NodeAlive(victim), served()
+				sweeping := dead && repo.Stats().Rereplicated == 0
+				if err := disk.Read(cc, i*chunk, chunk); err != nil {
+					t.Errorf("read of chunk %d: %v", i, err)
+					return
+				}
+				if !dead {
+					continue
+				}
+				afterDeath++
+				if sweeping {
+					whileSweeping++
+				}
+				if served() != before {
+					t.Errorf("t=%.4f: chunk %d was served by provider %d, which the repo reports dead", cc.Now(), i, victim)
+				}
+			}
+		}))
+	})
+	if st := repo.Stats(); st.MetaRereplicated == 0 || st.Rereplicated == 0 {
+		t.Fatalf("the sweeps did not run: %+v", st)
+	}
+	if whileSweeping == 0 || afterDeath == whileSweeping {
+		t.Fatalf("%d reads after the death, %d of them before the chunk sweep began: the test needs some of both", afterDeath, whileSweeping)
+	}
 }

@@ -135,7 +135,7 @@ func runLifecycleDirect(t *testing.T) lifecycleCounters {
 		for n := 0; n < lcNodes; n++ {
 			node := cluster.NodeID(n)
 			tasks = append(tasks, ctx.Go("vm", node, func(cc *cluster.Ctx) {
-				mod := mirror.NewModule(node, blob.NewClient(sys), mirror.DefaultConfig())
+				mod := mirror.NewModule(node, blob.NewClient(sys))
 				im, err := mod.Open(cc, baseID, baseV, false)
 				if err != nil {
 					t.Error(err)

@@ -284,6 +284,8 @@ func TestVersionTotalOrderUnderConcurrentCommits(t *testing.T) {
 
 func TestReplicationSurvivesProviderFailure(t *testing.T) {
 	fab, sys := liveSystem(4, 2)
+	lv := cluster.NewLiveness(4)
+	sys.Providers.SetLiveness(lv)
 	fab.Run(func(ctx *cluster.Ctx) {
 		c := NewClient(sys)
 		id, _ := c.Create(ctx, 1<<20, 64<<10)
@@ -294,8 +296,8 @@ func TestReplicationSurvivesProviderFailure(t *testing.T) {
 		}
 		// Kill two non-adjacent providers; every chunk keeps >= 1 replica
 		// because replicas land on consecutive nodes.
-		sys.Providers.Kill(0)
-		sys.Providers.Kill(2)
+		lv.Kill(ctx, 0)
+		lv.Kill(ctx, 2)
 		got := make([]byte, 1<<20)
 		if err := c.ReadAt(ctx, id, v, got, 0); err != nil {
 			t.Fatalf("read after failures: %v", err)
@@ -308,18 +310,20 @@ func TestReplicationSurvivesProviderFailure(t *testing.T) {
 
 func TestNoReplicationFailsAfterProviderLoss(t *testing.T) {
 	fab, sys := liveSystem(2, 1)
+	lv := cluster.NewLiveness(2)
+	sys.Providers.SetLiveness(lv)
 	fab.Run(func(ctx *cluster.Ctx) {
 		c := NewClient(sys)
 		id, _ := c.Create(ctx, 200, 100)
 		v, _ := c.WriteAt(ctx, id, 0, pattern(200, 1), 0)
-		sys.Providers.Kill(0)
-		sys.Providers.Kill(1)
+		lv.Kill(ctx, 0)
+		lv.Kill(ctx, 1)
 		buf := make([]byte, 200)
 		if err := c.ReadAt(ctx, id, v, buf, 0); err == nil {
 			t.Fatal("read succeeded with all providers dead")
 		}
-		sys.Providers.Revive(0)
-		sys.Providers.Revive(1)
+		lv.Revive(ctx, 0)
+		lv.Revive(ctx, 1)
 		if err := c.ReadAt(ctx, id, v, buf, 0); err != nil {
 			t.Fatalf("read after revival: %v", err)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"blobvfs/internal/cluster"
 )
@@ -58,7 +59,8 @@ type Client struct {
 	sys    *System
 	sharer ChunkSharer // optional p2p chunk source (see sharing.go)
 
-	nodeCache [nodeCacheShards]nodeCacheShard
+	nodeCache   [nodeCacheShards]nodeCacheShard
+	nodesCached atomic.Bool // the cache holds something; it never shrinks
 
 	infoMu sync.RWMutex
 	infos  map[ID]Info
@@ -111,6 +113,7 @@ func (c *Client) storeNode(ref NodeRef, n TreeNode) {
 	sh.mu.Lock()
 	sh.m[ref] = n
 	sh.mu.Unlock()
+	c.nodesCached.Store(true)
 }
 
 // Info returns blob geometry, cached after the first fetch. Concurrent
@@ -512,6 +515,9 @@ func (c *Client) resolveLeaves(ctx *cluster.Ctx, id ID, v Version, span, lo, hi 
 type leanGetter struct{ boundGetter }
 
 func (g leanGetter) GetNodes(refs []NodeRef, out []TreeNode) error {
+	if !g.c.nodesCached.Load() { // a crowd's first descent: nothing to look up
+		return g.c.sys.Meta.GetBatchInto(g.ctx, refs, out)
+	}
 	hits := 0
 	for i, ref := range refs {
 		if n, ok := g.c.cachedNode(ref); ok {
@@ -595,10 +601,10 @@ func (c *Client) FetchChunks(ctx *cluster.Ctx, id ID, v Version, lo, hi int64) (
 
 // FetchChunksShared is FetchChunks for a caller that keeps the chunks
 // and tells the client's ChunkSharer so: every distinct non-sparse
-// chunk is fetched through ChunkSharer.Fetching, and on success the
-// caller owes the sharer one Announce or Abandon of each. On an error
-// the client has abandoned them all. This is the primitive the
-// mirroring module's remote reads are built on.
+// chunk is on record there (ChunkSharer.Fetching) from the start of its
+// read to its end, and siblings that asked meanwhile read it from this
+// node. Announcing what it keeps is the caller's business. This is the
+// primitive the mirroring module's remote reads are built on.
 func (c *Client) FetchChunksShared(ctx *cluster.Ctx, id ID, v Version, lo, hi int64) ([]FetchedChunk, error) {
 	return c.fetchChunks(ctx, id, v, lo, hi, c.sharer != nil)
 }
@@ -642,13 +648,6 @@ func (c *Client) fetchChunks(ctx *cluster.Ctx, id ID, v Version, lo, hi int64, k
 		out[i].Payload = p
 	})
 	if err := firstError(fetchErrs); err != nil {
-		if keep {
-			keys := make([]ChunkKey, len(fetchIdx))
-			for j, i := range fetchIdx {
-				keys[j] = out[i].Key
-			}
-			c.sharer.Abandon(ctx, keys)
-		}
 		return nil, err
 	}
 	for i := range out {

@@ -27,7 +27,7 @@ import (
 
 // defaultExtentVersions bounds how many (blob, version) extent maps a
 // client keeps. A mirroring module reads from a handful of snapshots
-// at a time, so the default is generous; SetExtentCacheCap tunes it.
+// at a time, so the bound is generous.
 const defaultExtentVersions = 128
 
 type extentKey struct {
@@ -70,17 +70,6 @@ func newExtentCache() *extentCache {
 		entries: make(map[extentKey]*extentEntry),
 		cap:     defaultExtentVersions,
 	}
-}
-
-// setCap rebounds the cache, evicting down if needed. cap < 1 disables
-// the cache entirely.
-func (ec *extentCache) setCap(n int) {
-	ec.mu.Lock()
-	ec.cap = n
-	for len(ec.entries) > ec.cap && ec.tail != nil {
-		ec.evictTailLocked()
-	}
-	ec.mu.Unlock()
 }
 
 func (ec *extentCache) unlinkLocked(e *extentEntry) {
@@ -163,7 +152,7 @@ func (ec *extentCache) lookup(id ID, v Version, lo, hi int64, epoch uint64, live
 // and the next lookup revalidates it against the version manager
 // before serving it.
 func (ec *extentCache) insert(id ID, v Version, lo, hi int64, leaves []LeafEntry, epoch uint64) {
-	if lo >= hi || ec.cap < 1 {
+	if lo >= hi {
 		return
 	}
 	ec.mu.Lock()
@@ -240,11 +229,4 @@ func (c *Client) ExtentStats() ExtentCacheStats {
 		Misses:   c.extents.misses.Load(),
 		Versions: n,
 	}
-}
-
-// SetExtentCacheCap bounds the extent cache to n (blob, version)
-// entries, evicting least-recently-used entries beyond it. n < 1
-// disables extent caching. The default is defaultExtentVersions.
-func (c *Client) SetExtentCacheCap(n int) {
-	c.extents.setCap(n)
 }

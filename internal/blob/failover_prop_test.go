@@ -46,6 +46,7 @@ func TestFailoverNoLostChunksProperty(t *testing.T) {
 			}
 			ps := NewProviderSet(nodes, replicas)
 			lv := cluster.NewLiveness(nProv + 1)
+			ps.SetLiveness(lv)
 			lv.OnChange(ps.NodeChanged)
 
 			fab.Run(func(ctx *cluster.Ctx) {
@@ -96,6 +97,8 @@ func TestFailoverCounters(t *testing.T) {
 	fab := cluster.NewSim(cluster.DefaultConfig(4))
 	nodes := []cluster.NodeID{0, 1, 2, 3}
 	ps := NewProviderSet(nodes, 2)
+	lv := cluster.NewLiveness(4) // no listeners: a transition runs no repair
+	ps.SetLiveness(lv)
 	fab.Run(func(ctx *cluster.Ctx) {
 		key := ps.AllocKey()
 		if err := putOne(ctx, ps, key, SyntheticPayload(1024, 7)); err != nil {
@@ -104,7 +107,7 @@ func TestFailoverCounters(t *testing.T) {
 		ring := ps.Replicas(key)
 		// Kill the primary without repair: the read fails over to the
 		// second ring replica and costs a probe.
-		ps.Kill(ring[0])
+		lv.Kill(ctx, ring[0])
 		before := fab.Now()
 		if _, err := ps.Get(ctx, key); err != nil {
 			t.Fatalf("read with one live replica: %v", err)
@@ -118,7 +121,7 @@ func TestFailoverCounters(t *testing.T) {
 		}
 		// Kill the second replica too (still no repair): now every copy
 		// is gone.
-		ps.Kill(ring[1])
+		lv.Kill(ctx, ring[1])
 		if _, err := ps.Get(ctx, key); !errors.Is(err, ErrNoReplica) {
 			t.Fatalf("read with all replicas dead = %v, want ErrNoReplica", err)
 		}
@@ -127,7 +130,7 @@ func TestFailoverCounters(t *testing.T) {
 		}
 		// Revive the primary and run the repair sweep: the chunk is at
 		// degree 1 (only the revived primary), so one copy is created.
-		ps.Revive(ring[0])
+		lv.Revive(ctx, ring[0])
 		created := ps.ReReplicate(ctx)
 		if created != 1 {
 			t.Fatalf("ReReplicate created %d copies, want 1", created)
@@ -140,7 +143,7 @@ func TestFailoverCounters(t *testing.T) {
 		}
 		// The repair must survive the repaired node dying later: kill
 		// the revived primary again, the repair copy serves.
-		ps.Kill(ring[0])
+		lv.Kill(ctx, ring[0])
 		if _, err := ps.Get(ctx, key); err != nil {
 			t.Fatalf("read from repair copy: %v", err)
 		}
@@ -156,12 +159,14 @@ func TestDegradedPutWritesAroundFailure(t *testing.T) {
 	fab := cluster.NewSim(cluster.DefaultConfig(4))
 	nodes := []cluster.NodeID{0, 1, 2, 3}
 	ps := NewProviderSet(nodes, 2)
+	lv := cluster.NewLiveness(4) // no listeners: a transition runs no repair
+	ps.SetLiveness(lv)
 	fab.Run(func(ctx *cluster.Ctx) {
 		key := ps.AllocKey()
 		ring := ps.Replicas(key)
 		// Primary down at write time: the writer pushes the second copy
 		// to a substitute outside the ring.
-		ps.Kill(ring[0])
+		lv.Kill(ctx, ring[0])
 		if err := putOne(ctx, ps, key, SyntheticPayload(2048, 3)); err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +179,7 @@ func TestDegradedPutWritesAroundFailure(t *testing.T) {
 		}
 		// Reviving the primary must not resurrect the copy it never
 		// received: it stays a void until a repair sweep backfills it.
-		ps.Revive(ring[0])
+		lv.Revive(ctx, ring[0])
 		if locs := ps.LiveLocations(key); containsProvider(locs, ring[0]) {
 			t.Fatalf("revived primary %d counted as holder without a backfill (locs %v)", ring[0], locs)
 		}
@@ -185,14 +190,14 @@ func TestDegradedPutWritesAroundFailure(t *testing.T) {
 		}
 		// The sweep backfills the void ring member first (it is the
 		// chunk's rightful home), making it a holder again.
-		ps.Kill(ring[1]) // drops the chunk to one live copy (the substitute)
+		lv.Kill(ctx, ring[1]) // drops the chunk to one live copy (the substitute)
 		if created := ps.ReReplicate(ctx); created == 0 {
 			t.Fatal("sweep created no copies with a void ring member available")
 		}
 		if locs := ps.LiveLocations(key); !containsProvider(locs, ring[0]) {
 			t.Fatalf("void primary not backfilled by the sweep (locs %v)", locs)
 		}
-		ps.Revive(ring[1])
+		lv.Revive(ctx, ring[1])
 	})
 }
 
@@ -207,19 +212,21 @@ func TestDedupUnderFailure(t *testing.T) {
 	nodes := []cluster.NodeID{0, 1, 2, 3}
 	ps := NewProviderSet(nodes, 1)
 	ps.EnableDedup()
+	lv := cluster.NewLiveness(4)
+	ps.SetLiveness(lv)
 	fab.Run(func(ctx *cluster.Ctx) {
 		payload := SyntheticPayload(2048, 42)
 		// Total outage: the first write of this content fails, and its
 		// fingerprint claim must be rolled back.
 		for _, n := range nodes {
-			ps.Kill(n)
+			lv.Kill(ctx, n)
 		}
 		k1 := ps.AllocKey()
 		if err := putOne(ctx, ps, k1, payload); !errors.Is(err, ErrNoReplica) {
 			t.Fatalf("put with all providers dead = %v, want ErrNoReplica", err)
 		}
 		for _, n := range nodes {
-			ps.Revive(n)
+			lv.Revive(ctx, n)
 		}
 		// The same content stored after the outage must become a real
 		// canonical chunk, not an alias to the failed key.
@@ -242,7 +249,7 @@ func TestDedupUnderFailure(t *testing.T) {
 				break
 			}
 		}
-		ps.Kill(ps.Replicas(k3)[0])
+		lv.Kill(ctx, ps.Replicas(k3)[0])
 		if err := putOne(ctx, ps, k3, payload); err != nil {
 			t.Fatalf("aliasing put with its ring dead = %v, want success via canonical holder", err)
 		}
@@ -252,7 +259,7 @@ func TestDedupUnderFailure(t *testing.T) {
 		if _, err := ps.Get(ctx, k3); err != nil {
 			t.Fatalf("read through the alias: %v", err)
 		}
-		ps.Revive(ps.Replicas(k3)[0])
+		lv.Revive(ctx, ps.Replicas(k3)[0])
 	})
 }
 
@@ -270,6 +277,7 @@ func TestGCNeverReclaimsReachableDuringFailover(t *testing.T) {
 		Providers: NewProviderSet(provs, 2),
 	}
 	lv := cluster.NewLiveness(6)
+	sys.Providers.SetLiveness(lv)
 	lv.OnChange(sys.Providers.NodeChanged)
 	col := NewCollector(sys)
 	c := NewClient(sys)
@@ -325,6 +333,7 @@ func TestDegreeOneSweepDoesNoWork(t *testing.T) {
 	nodes := []cluster.NodeID{1, 2, 3, 4}
 	ps := NewProviderSet(nodes, 1)
 	lv := cluster.NewLiveness(5)
+	ps.SetLiveness(lv)
 	lv.OnChange(ps.NodeChanged)
 	fab.Run(func(ctx *cluster.Ctx) {
 		keys := make([]ChunkKey, 64)

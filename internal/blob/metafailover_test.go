@@ -51,6 +51,7 @@ func TestMetaFailoverNoLostNodesProperty(t *testing.T) {
 			m := NewMetaService(nodes)
 			m.SetReplication(replicas)
 			lv := cluster.NewLiveness(nProv + 1)
+			m.SetLiveness(lv)
 			lv.OnChange(m.NodeChanged)
 
 			fab.Run(func(ctx *cluster.Ctx) {
@@ -100,6 +101,8 @@ func TestMetaReplicaFailover(t *testing.T) {
 	nodes := []cluster.NodeID{1, 2, 3, 4}
 	m := NewMetaService(nodes)
 	m.SetReplication(2)
+	lv := cluster.NewLiveness(5) // no listeners: a transition runs no repair
+	m.SetLiveness(lv)
 
 	fab.Run(func(ctx *cluster.Ctx) {
 		const ref = NodeRef(7)
@@ -113,7 +116,7 @@ func TestMetaReplicaFailover(t *testing.T) {
 			t.Fatalf("healthy get counted %d failovers", f)
 		}
 
-		m.Kill(ring[0])
+		lv.Kill(ctx, ring[0])
 		if n, err := getNode(m.Getter(ctx), ref); err != nil || n.Chunk != 77 {
 			t.Fatalf("get with dead primary: (%+v, %v)", n, err)
 		}
@@ -121,7 +124,7 @@ func TestMetaReplicaFailover(t *testing.T) {
 			t.Fatalf("Failovers = %d after one failed-over get, want 1", f)
 		}
 
-		m.Kill(ring[1])
+		lv.Kill(ctx, ring[1])
 		if _, err := getNode(m.Getter(ctx), ref); !errors.Is(err, ErrNoReplica) {
 			t.Fatalf("get with every copy down: %v, want ErrNoReplica", err)
 		}
@@ -129,7 +132,7 @@ func TestMetaReplicaFailover(t *testing.T) {
 			t.Fatalf("FailedGets = %d, want 1", fg)
 		}
 
-		m.Revive(ring[1])
+		lv.Revive(ctx, ring[1])
 		if _, err := getNode(m.Getter(ctx), ref); err != nil {
 			t.Fatalf("get after revive: %v", err)
 		}
@@ -154,6 +157,7 @@ func TestMetaReReplicateRestoresDegree(t *testing.T) {
 	m := NewMetaService(nodes)
 	m.SetReplication(2)
 	lv := cluster.NewLiveness(5)
+	m.SetLiveness(lv)
 	lv.OnChange(m.NodeChanged)
 
 	fab.Run(func(ctx *cluster.Ctx) {
@@ -196,11 +200,13 @@ func TestMetaPutBatchWriteAround(t *testing.T) {
 	nodes := []cluster.NodeID{1, 2, 3, 4}
 	m := NewMetaService(nodes)
 	m.SetReplication(2)
+	lv := cluster.NewLiveness(5)
+	m.SetLiveness(lv)
 
 	fab.Run(func(ctx *cluster.Ctx) {
 		const probe = NodeRef(3)
 		ring := metaTestRing(t, m, probe)
-		m.Kill(ring[0])
+		lv.Kill(ctx, ring[0])
 
 		m.PutBatch(ctx, []NewNode{{Ref: probe, Node: TreeNode{Lo: 3, Hi: 4, Chunk: 33}}})
 		locs := m.LiveLocations(probe)
@@ -215,7 +221,7 @@ func TestMetaPutBatchWriteAround(t *testing.T) {
 
 		// Reviving the void member must not resurrect a copy it never
 		// received.
-		m.Revive(ring[0])
+		lv.Revive(ctx, ring[0])
 		for _, l := range m.LiveLocations(probe) {
 			if l == ring[0] {
 				t.Fatalf("void member %d serves a copy it never stored", ring[0])
@@ -277,12 +283,14 @@ func TestMetaGetBatchIntoMissingCount(t *testing.T) {
 		fab.Run(func(ctx *cluster.Ctx) {
 			m := NewMetaService(nodes)
 			m.SetReplication(2)
+			lv := cluster.NewLiveness(fab.Nodes())
+			m.SetLiveness(lv)
 			check(t, m, ctx)
 
 			// A stored ref with every copy down also counts as missing —
 			// and as a failed get — while the rest of the batch fills.
 			for _, prov := range m.Replicas(1) {
-				m.Kill(prov)
+				lv.Kill(ctx, prov)
 			}
 			out := make([]TreeNode, 2)
 			err := m.GetBatchInto(ctx, []NodeRef{1, 2}, out)
@@ -316,7 +324,7 @@ func TestVersionManagerJournalFailover(t *testing.T) {
 		t.Fatalf("Standbys() = %v, want [2 3]", sb)
 	}
 	lv := cluster.NewLiveness(4)
-	lv.OnChange(vm.NodeChanged)
+	vm.SetLiveness(lv)
 
 	fab.Run(func(ctx *cluster.Ctx) {
 		id, err := vm.CreateBlob(ctx, 1<<20, 1<<16)

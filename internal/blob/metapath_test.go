@@ -400,7 +400,7 @@ func TestExtentCacheLRU(t *testing.T) {
 		}
 
 		c := NewClient(sys)
-		c.SetExtentCacheCap(2)
+		c.extents.cap = 2
 		read := func(v Version) {
 			if _, err := c.FetchChunks(ctx, id, v, 0, 4); err != nil {
 				t.Fatalf("FetchChunks v%d: %v", v, err)

@@ -317,7 +317,7 @@ func (ps *ProviderSet) PutBatch(ctx *cluster.Ctx, puts []ChunkPut) error {
 		// zero-copy alias still succeeds.
 		if stored[i] == 0 && dup(i) {
 			for _, nd := range ps.locations(dd[i].canonical) {
-				if ps.isAlive(nd) {
+				if ps.lv.Alive(nd) {
 					charge(nd, pt.Payload, false)
 					stored[i]++
 					break
@@ -541,7 +541,7 @@ func (ps *ProviderSet) Release(ctx *cluster.Ctx, keys []ChunkKey) (released []Ch
 	ps.mu.Unlock()
 	// Charge per-provider deletion batches in deterministic ring order.
 	for _, prov := range ps.nodes {
-		if c := perNode[prov]; c > 0 && ps.isAlive(prov) {
+		if c := perNode[prov]; c > 0 && ps.lv.Alive(prov) {
 			ctx.RPC(prov, c*24, 16)
 		}
 	}

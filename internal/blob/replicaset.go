@@ -12,11 +12,11 @@ import (
 // by ChunkKey) and the metadata tier (MetaService, keyed by NodeRef)
 // share: the paper stores both halves of an image the same way —
 // striped round-robin over a node list and replicated (§3.1.2–3.1.3) —
-// so one type owns the rings, the liveness flags, the record of where
-// copies landed when a ring member was down, failover reads, and the
-// repair sweep that follows every liveness transition
-// (cluster/faults.go). A tier embeds it and adds what differs: which
-// keys exist and how one copy is charged (replicaTier).
+// so one type owns the rings, the record of where copies landed when a
+// ring member was down, failover reads, and the repair sweep that
+// follows every liveness transition (cluster/faults.go). A tier embeds
+// it and adds what differs: which keys exist and how one copy is charged
+// (replicaTier).
 type replicaSet[K ~uint64] struct {
 	nodes    []cluster.NodeID
 	replicas int
@@ -27,8 +27,11 @@ type replicaSet[K ~uint64] struct {
 	topo cluster.Topology
 	// rings[s] is the replica ring of primary slot s (replicaRings).
 	rings [][]cluster.NodeID
-	alive map[cluster.NodeID]*atomic.Bool // liveness flags, off every lock
-	tier  replicaTier[K]
+	// lv is the cluster's liveness registry, the one record of which
+	// nodes are up: a dead node serves no read and takes no copy. Nil
+	// (no fault injection) has every node up.
+	lv   *cluster.Liveness
+	tier replicaTier[K]
 	// sweepName names the puller activities of a repair sweep.
 	sweepName string
 
@@ -73,13 +76,12 @@ func (rs *replicaSet[K]) init(tier replicaTier[K], sweepName string, nodes []clu
 	rs.rings = replicaRings(nodes, replicas, rs.topo)
 	rs.repairs = make(map[K][]cluster.NodeID)
 	rs.voids = make(map[K][]cluster.NodeID)
-	rs.alive = make(map[cluster.NodeID]*atomic.Bool, len(nodes))
-	for _, n := range nodes {
-		a := &atomic.Bool{}
-		a.Store(true)
-		rs.alive[n] = a
-	}
 }
+
+// SetLiveness attaches the cluster liveness registry (see the lv field).
+// Call it before any traffic, and wire NodeChanged as its OnChange
+// listener so that a transition is followed by a repair sweep.
+func (rs *replicaSet[K]) SetLiveness(lv *cluster.Liveness) { rs.lv = lv }
 
 // SetTopology makes placement and reads locality-aware (see the topo
 // field). Call it right after construction, before any traffic:
@@ -111,46 +113,18 @@ func (rs *replicaSet[K]) Replicas(key K) []cluster.NodeID {
 	return rs.rings[rs.primarySlot(key)]
 }
 
-// Kill marks a node as failed: it stops serving reads and accepting
-// writes. Copies already replicated elsewhere stay readable.
-func (rs *replicaSet[K]) Kill(node cluster.NodeID) {
-	if a, ok := rs.alive[node]; ok {
-		a.Store(false)
-	}
-}
-
-// Revive brings a failed node back: it serves what it held again.
-// Copies it missed while down stay voids until a sweep backfills them.
-func (rs *replicaSet[K]) Revive(node cluster.NodeID) {
-	if a, ok := rs.alive[node]; ok {
-		a.Store(true)
-	}
-}
-
-func (rs *replicaSet[K]) isAlive(node cluster.NodeID) bool {
-	a, ok := rs.alive[node]
-	return ok && a.Load()
-}
-
 // NodeChanged is the cluster liveness hook: wire it with
-// Liveness.OnChange. It flips the node's flag and runs a repair sweep —
-// after a death the keys the node held are under-replicated, and after
-// a revival the returned capacity can host copies that could not be
-// placed while too few nodes were up. The sweep registers its new
-// locations under one lock acquisition right after the transition, so
-// a read arriving after the listener ran already fails over to them;
-// the transfers are charged afterwards. Nodes outside the set are
-// ignored.
-func (rs *replicaSet[K]) NodeChanged(ctx *cluster.Ctx, node cluster.NodeID, alive bool) {
-	if _, ok := rs.alive[node]; !ok {
-		return
+// Liveness.OnChange. It runs a repair sweep — after a death the keys the
+// node held are under-replicated, and after a revival the returned
+// capacity can host copies that could not be placed while too few nodes
+// were up. The sweep registers its new locations under one lock
+// acquisition right after the transition, so a read arriving after the
+// listener ran already fails over to them; the transfers are charged
+// afterwards. Nodes outside the set are ignored.
+func (rs *replicaSet[K]) NodeChanged(ctx *cluster.Ctx, node cluster.NodeID, _ bool) {
+	if slices.Contains(rs.nodes, node) {
+		rs.ReReplicate(ctx)
 	}
-	if alive {
-		rs.Revive(node)
-	} else {
-		rs.Kill(node)
-	}
-	rs.ReReplicate(ctx)
 }
 
 // locationsLocked returns the nodes holding key's copies in failover
@@ -186,7 +160,7 @@ func (rs *replicaSet[K]) locations(key K) []cluster.NodeID {
 func (rs *replicaSet[K]) liveOf(locs []cluster.NodeID) []cluster.NodeID {
 	out := make([]cluster.NodeID, 0, len(locs))
 	for _, n := range locs {
-		if rs.isAlive(n) {
+		if rs.lv.Alive(n) {
 			out = append(out, n)
 		}
 	}
@@ -200,7 +174,7 @@ func (rs *replicaSet[K]) liveOf(locs []cluster.NodeID) []cluster.NodeID {
 // as a failover. ok is false when every copy is down.
 func (rs *replicaSet[K]) pick(reader cluster.NodeID, locs []cluster.NodeID) (prov cluster.NodeID, probes int, ok bool) {
 	for _, r := range nearestFirst(rs.topo, reader, locs) {
-		if rs.isAlive(r) {
+		if rs.lv.Alive(r) {
 			if probes > 0 {
 				rs.Failovers.Add(1)
 			}
@@ -230,7 +204,7 @@ func (rs *replicaSet[K]) place(key K) (live, dead, subs []cluster.NodeID) {
 	ring := rs.Replicas(key)
 	for i, n := range ring {
 		switch {
-		case !rs.isAlive(n):
+		case !rs.lv.Alive(n):
 			if dead == nil {
 				live = slices.Clone(ring[:i])
 			}
@@ -252,7 +226,7 @@ func (rs *replicaSet[K]) substitutes(key K, ring []cluster.NodeID, n int) []clus
 	var out []cluster.NodeID
 	for i := 0; i < len(rs.nodes) && len(out) < n; i++ {
 		cand := rs.nodes[(first+i)%len(rs.nodes)]
-		if rs.isAlive(cand) && !containsProvider(ring, cand) {
+		if rs.lv.Alive(cand) && !containsProvider(ring, cand) {
 			out = append(out, cand)
 		}
 	}
@@ -313,7 +287,7 @@ func (rs *replicaSet[K]) ReReplicate(ctx *cluster.Ctx) int {
 		locs := rs.locationsLocked(key)
 		live, src := 0, cluster.NodeID(-1)
 		for _, l := range locs {
-			if rs.isAlive(l) {
+			if rs.lv.Alive(l) {
 				if live == 0 {
 					src = l
 				}
@@ -328,7 +302,7 @@ func (rs *replicaSet[K]) ReReplicate(ctx *cluster.Ctx) int {
 		first := rs.primarySlot(key)
 		for i := 0; i < n && live < rs.replicas; i++ {
 			cand := rs.nodes[(first+i)%n]
-			if !rs.isAlive(cand) || containsProvider(locs, cand) {
+			if !rs.lv.Alive(cand) || containsProvider(locs, cand) {
 				continue
 			}
 			if containsProvider(ring, cand) {

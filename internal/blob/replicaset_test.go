@@ -26,7 +26,9 @@ func TestTiersPlaceAlike(t *testing.T) {
 		m.SetReplication(degree)
 		m.SetTopology(topo)
 		lv := cluster.NewLiveness(nNodes + 1)
+		ps.SetLiveness(lv)
 		lv.OnChange(ps.NodeChanged)
+		m.SetLiveness(lv)
 		lv.OnChange(m.NodeChanged)
 
 		fab.Run(func(ctx *cluster.Ctx) {

@@ -48,8 +48,10 @@ type treeFrame struct {
 // it. visit receives every fetched node, left to right within a level,
 // after its range was checked against its position: a tree whose nodes
 // disagree with where they hang fails with ErrCorruptTree rather than
-// yielding a wrong answer.
-func descend(g Getter, roots []treeFrame, admit func(treeFrame) bool, visit func(NodeRef, TreeNode)) error {
+// yielding a wrong answer. width, if known, is the most frames a level
+// can hold: the buffers then grow in few exact steps, never past it nor
+// far ahead of the level at hand (appending doubled what they cost).
+func descend(g Getter, roots []treeFrame, width int, admit func(treeFrame) bool, visit func(NodeRef, TreeNode)) error {
 	push := func(fs []treeFrame, fr treeFrame) []treeFrame {
 		if fr.ref == 0 || !admit(fr) {
 			return fs
@@ -64,18 +66,20 @@ func descend(g Getter, roots []treeFrame, admit func(treeFrame) bool, visit func
 	var refs []NodeRef
 	var nodes []TreeNode
 	for len(frontier) > 0 {
+		if n := len(frontier); cap(refs) < n {
+			c := min(4*n, max(n, width))
+			refs, nodes = make([]NodeRef, 0, c), make([]TreeNode, c)
+		}
 		refs = refs[:0]
 		for _, fr := range frontier {
 			refs = append(refs, fr.ref)
-		}
-		if cap(nodes) < len(refs) {
-			nodes = make([]TreeNode, len(refs))
 		}
 		nodes = nodes[:len(refs)]
 		if err := g.GetNodes(refs, nodes); err != nil {
 			return err
 		}
 		next = next[:0]
+		room := min(2*len(frontier), width)
 		for fi, fr := range frontier {
 			n := nodes[fi]
 			if n.Lo != fr.nlo || n.Hi != fr.nhi {
@@ -84,6 +88,9 @@ func descend(g Getter, roots []treeFrame, admit func(treeFrame) bool, visit func
 			visit(fr.ref, n)
 			if n.Leaf() {
 				continue
+			}
+			if cap(next) < room {
+				next = make([]treeFrame, 0, room)
 			}
 			mid := (fr.nlo + fr.nhi) / 2
 			next = push(next, treeFrame{n.Left, fr.nlo, mid})
@@ -111,7 +118,7 @@ func CollectLeaves(g Getter, root NodeRef, span, lo, hi int64) ([]LeafEntry, err
 	for i := range out {
 		out[i].Index = lo + int64(i)
 	}
-	err := descend(g, []treeFrame{{root, 0, span}},
+	err := descend(g, []treeFrame{{root, 0, span}}, int(hi-lo),
 		func(fr treeFrame) bool { return fr.nhi > lo && fr.nlo < hi },
 		func(_ NodeRef, n TreeNode) {
 			if n.Leaf() {
@@ -334,7 +341,7 @@ func WalkReachable(g Getter, roots []LiveRoot, enter func(NodeRef) bool, visit f
 	for i, r := range roots {
 		frames[i] = treeFrame{r.Root, 0, r.Span}
 	}
-	return descend(g, frames,
+	return descend(g, frames, 0,
 		func(fr treeFrame) bool { return enter(fr.ref) },
 		func(ref NodeRef, n TreeNode) {
 			if visit != nil {

@@ -27,12 +27,12 @@ type ChunkSharer interface {
 	// Fetching is Locate for a caller that brings the chunk in to keep
 	// it: whatever the answer, ctx.Node() is on record as fetching the
 	// chunk, and siblings may be made to wait for the outcome. The
-	// caller owes exactly one Announce (a clean copy landed) or Abandon
-	// (anything else) of the chunk.
+	// caller owes exactly one Landed of the chunk.
 	Fetching(ctx *cluster.Ctx, key ChunkKey) (peer cluster.NodeID, release func(), ok bool)
-	// Abandon ends ctx.Node()'s fetches of the chunks that will not be
-	// announced. It withdraws nothing the node holds.
-	Abandon(ctx *cluster.Ctx, keys []ChunkKey)
+	// Landed ends ctx.Node()'s fetch of the chunk: ok says whether the
+	// payload is in hand, and a sibling that waited reads it from this
+	// node if so. It announces nothing.
+	Landed(ctx *cluster.Ctx, key ChunkKey, ok bool)
 	// Announce registers ctx.Node() as a holder of the given chunks.
 	// Implementations must deduplicate (node, key) pairs so that a
 	// chunk announced twice — e.g. once by a prefetch and once by a
@@ -56,19 +56,22 @@ func (c *Client) SetSharer(s ChunkSharer) { c.sharer = s }
 // authoritative store (peers mirror published content verbatim); what
 // the peer path changes is where the disk read and the transfer are
 // charged — and therefore where the load lands. With keep set the fetch
-// is on record with the sharer (ChunkSharer.Fetching), to be settled by
-// the caller.
+// is on record with the sharer (ChunkSharer.Fetching) while it runs and
+// taken off it here, the one settle point, however it ends.
 //
 // The fetch does not propagate the first failure: when the providers
 // report every replica dead (ErrNoReplica), the cohort is consulted
 // once more — a sibling that mirrored the chunk before the failure is
 // a fully valid alternate source, and the first Locate may have missed
 // only because every holder's upload slot was taken.
-func (c *Client) getChunk(ctx *cluster.Ctx, key ChunkKey, keep bool) (Payload, error) {
+func (c *Client) getChunk(ctx *cluster.Ctx, key ChunkKey, keep bool) (p Payload, err error) {
+	if keep {
+		defer func() { c.sharer.Landed(ctx, key, err == nil) }()
+	}
 	if p, ok := c.fromPeer(ctx, key, keep); ok {
 		return p, nil
 	}
-	p, err := c.sys.Providers.Get(ctx, key)
+	p, err = c.sys.Providers.Get(ctx, key)
 	if err != nil && errors.Is(err, ErrNoReplica) {
 		if p, ok := c.fromPeer(ctx, key, false); ok {
 			return p, nil

@@ -19,7 +19,8 @@ type fakeSharer struct {
 	released  int
 	announced []ChunkKey
 	fetching  []ChunkKey // keys registered through Fetching
-	abandoned []ChunkKey
+	landed    []ChunkKey // keys settled through Landed with ok
+	failed    []ChunkKey // and without
 }
 
 func (f *fakeSharer) Locate(ctx *cluster.Ctx, key ChunkKey) (cluster.NodeID, func(), bool) {
@@ -52,10 +53,14 @@ func (f *fakeSharer) Fetching(ctx *cluster.Ctx, key ChunkKey) (cluster.NodeID, f
 	return f.Locate(ctx, key)
 }
 
-func (f *fakeSharer) Abandon(ctx *cluster.Ctx, keys []ChunkKey) {
+func (f *fakeSharer) Landed(ctx *cluster.Ctx, key ChunkKey, ok bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.abandoned = append(f.abandoned, keys...)
+	if ok {
+		f.landed = append(f.landed, key)
+	} else {
+		f.failed = append(f.failed, key)
+	}
 }
 
 // newShareRig uploads a 4-chunk blob and returns a reader client with
@@ -158,34 +163,35 @@ func TestWriteChunksAnnouncesWrittenKeys(t *testing.T) {
 }
 
 // TestOnlySharedFetchesGoOnRecord: FetchChunksShared puts every chunk it
-// fetches on record with the sharer (Fetching) and leaves settling them
-// to its caller when it succeeds; when it fails it abandons them all
-// itself. A plain FetchChunks, whose caller settles nothing, only
-// locates.
+// fetches on record with the sharer (Fetching) and takes each off again
+// (Landed) exactly once, saying whether the read got the payload. A plain
+// FetchChunks only locates.
 func TestOnlySharedFetchesGoOnRecord(t *testing.T) {
 	s := &fakeSharer{peer: 2, has: map[ChunkKey]bool{}}
 	fab, sys, c, id, v := newShareRig(t, s)
+	lv := cluster.NewLiveness(4)
+	sys.Providers.SetLiveness(lv)
 	fab.Run(func(ctx *cluster.Ctx) {
 		if _, err := c.FetchChunks(ctx, id, v, 0, 4); err != nil {
 			t.Fatal(err)
 		}
-		if len(s.fetching) != 0 {
-			t.Fatalf("a plain fetch put %d chunks on record", len(s.fetching))
+		if len(s.fetching) != 0 || len(s.landed)+len(s.failed) != 0 {
+			t.Fatalf("a plain fetch put %d chunks on record and settled %d", len(s.fetching), len(s.landed)+len(s.failed))
 		}
 		if _, err := c.FetchChunksShared(ctx, id, v, 0, 4); err != nil {
 			t.Fatal(err)
 		}
-		if len(s.fetching) != 4 || len(s.abandoned) != 0 {
-			t.Fatalf("a shared fetch: %d chunks on record, %d abandoned; want 4 and 0 (the caller settles)", len(s.fetching), len(s.abandoned))
+		if len(s.fetching) != 4 || len(s.landed) != 4 || len(s.failed) != 0 {
+			t.Fatalf("a shared fetch: %d chunks on record, %d landed, %d failed; want 4, 4 and 0", len(s.fetching), len(s.landed), len(s.failed))
 		}
 		for n := cluster.NodeID(0); n < 4; n++ {
-			sys.Providers.Kill(n)
+			lv.Kill(ctx, n)
 		}
 		if _, err := c.FetchChunksShared(ctx, id, v, 0, 4); err == nil {
 			t.Fatal("fetch with every provider dead succeeded")
 		}
-		if len(s.fetching) != 8 || len(s.abandoned) != 4 {
-			t.Fatalf("a failed shared fetch: %d chunks on record in all, %d abandoned; want 8 and 4", len(s.fetching), len(s.abandoned))
+		if len(s.fetching) != 8 || len(s.landed) != 4 || len(s.failed) != 4 {
+			t.Fatalf("a failed shared fetch: %d chunks on record in all, %d landed, %d failed; want 8, 4 and 4", len(s.fetching), len(s.landed), len(s.failed))
 		}
 		// The second consultation after ErrNoReplica is a plain Locate.
 		if s.locates != 4+4+2*4 {

@@ -148,6 +148,8 @@ func TestGetPrefersNearestReplicaAndCountsTiers(t *testing.T) {
 	fab := cluster.NewLive(9)
 	ps := NewProviderSet(allNodes(9), 3)
 	ps.SetTopology(topo3z())
+	lv := cluster.NewLiveness(9)
+	ps.SetLiveness(lv)
 	fab.Run(func(ctx *cluster.Ctx) {
 		key := ps.AllocKey()
 		if err := putOne(ctx, ps, key, SyntheticPayload(4096, 1)); err != nil {
@@ -174,7 +176,7 @@ func TestGetPrefersNearestReplicaAndCountsTiers(t *testing.T) {
 		// zone and books under the remote tier.
 		z := topo3z().Zone(reader)
 		for n := 3 * z; n < 3*z+3; n++ {
-			ps.Kill(cluster.NodeID(n))
+			lv.Kill(ctx, cluster.NodeID(n))
 		}
 		done = ctx.Go("failover", reader, func(rctx *cluster.Ctx) {
 			if _, err := ps.Get(rctx, key); err != nil {

@@ -2,6 +2,7 @@ package blob
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -28,7 +29,8 @@ type VersionManager struct {
 	// hosts is the journal group: the manager's own node followed by
 	// the configured standbys.
 	hosts []cluster.NodeID
-	alive map[cluster.NodeID]*atomic.Bool // journal-member liveness flags
+	// lv is the cluster's liveness registry; nil has every host up.
+	lv *cluster.Liveness
 
 	// retireEpoch counts retirement events. Versions are immutable and
 	// only ever disappear through retirement, so a client-side cache of
@@ -58,16 +60,11 @@ type blobState struct {
 
 // NewVersionManager creates a version manager hosted on the given node.
 func NewVersionManager(node cluster.NodeID) *VersionManager {
-	vm := &VersionManager{
+	return &VersionManager{
 		node:  node,
 		hosts: []cluster.NodeID{node},
-		alive: make(map[cluster.NodeID]*atomic.Bool),
+		blobs: make(map[ID]*blobState),
 	}
-	vm.blobs = make(map[ID]*blobState)
-	up := &atomic.Bool{}
-	up.Store(true)
-	vm.alive[node] = up
-	return vm
 }
 
 // Node returns the node hosting the manager.
@@ -77,35 +74,22 @@ func (vm *VersionManager) Node() cluster.NodeID { return vm.node }
 // traffic; the manager's own node and duplicates are skipped.
 func (vm *VersionManager) SetStandbys(nodes []cluster.NodeID) {
 	for _, n := range nodes {
-		if _, ok := vm.alive[n]; ok {
-			continue
+		if !slices.Contains(vm.hosts, n) {
+			vm.hosts = append(vm.hosts, n)
 		}
-		up := &atomic.Bool{}
-		up.Store(true)
-		vm.alive[n] = up
-		vm.hosts = append(vm.hosts, n)
 	}
 }
 
 // Standbys returns the configured journal standby nodes.
 func (vm *VersionManager) Standbys() []cluster.NodeID { return vm.hosts[1:] }
 
-// NodeChanged is the cluster.Liveness listener for the journal group:
-// it records the member's transition (transitions for other nodes are
-// ignored). The journal needs no repair sweep — every live member
-// already holds the full record stream, and a revived member is
-// deterministically caught up by replaying it, which the model treats
-// as free against the mutation costs already charged.
-func (vm *VersionManager) NodeChanged(_ *cluster.Ctx, node cluster.NodeID, alive bool) {
-	if a, ok := vm.alive[node]; ok {
-		a.Store(alive)
-	}
-}
-
-func (vm *VersionManager) hostUp(node cluster.NodeID) bool {
-	a, ok := vm.alive[node]
-	return ok && a.Load()
-}
+// SetLiveness attaches the cluster liveness registry the journal group
+// reads its members' state from. The journal needs no listener and no
+// repair sweep — every live member already holds the full record stream,
+// and a revived member is deterministically caught up by replaying it,
+// which the model treats as free against the mutation costs already
+// charged.
+func (vm *VersionManager) SetLiveness(lv *cluster.Liveness) { vm.lv = lv }
 
 // activeHost returns the journal member currently serving manager
 // operations: the manager's own node while it is up, else the first
@@ -114,11 +98,11 @@ func (vm *VersionManager) hostUp(node cluster.NodeID) bool {
 // and the caller's operation is doomed with the control plane gone
 // entirely, which the metadata tier's failed gets already surface.
 func (vm *VersionManager) activeHost() cluster.NodeID {
-	if len(vm.hosts) == 1 || vm.hostUp(vm.node) {
+	if len(vm.hosts) == 1 || vm.lv.Alive(vm.node) {
 		return vm.node
 	}
 	for _, h := range vm.hosts[1:] {
-		if vm.hostUp(h) {
+		if vm.lv.Alive(h) {
 			vm.Failovers.Add(1)
 			return h
 		}
@@ -140,7 +124,7 @@ func (vm *VersionManager) chargeMut(ctx *cluster.Ctx, req, resp int64) {
 	active := vm.activeHost()
 	ctx.RPC(active, req, resp)
 	for _, h := range vm.hosts {
-		if h != active && vm.hostUp(h) {
+		if h != active && vm.lv.Alive(h) {
 			ctx.RPC(h, 24, 16)
 		}
 	}

@@ -249,12 +249,13 @@ func NewLiveness(nodes int) *Liveness {
 	return l
 }
 
-// Nodes returns the cluster size the registry covers.
-func (l *Liveness) Nodes() int { return len(l.alive) }
-
 // Alive reports whether node is up. Nodes outside the registry are
-// reported down.
+// reported down. A nil registry — a service no fault injection is wired
+// to — has every node up.
 func (l *Liveness) Alive(node NodeID) bool {
+	if l == nil {
+		return true
+	}
 	return int(node) >= 0 && int(node) < len(l.alive) && l.alive[node].Load()
 }
 

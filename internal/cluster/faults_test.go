@@ -177,8 +177,8 @@ func TestExpandFaults(t *testing.T) {
 	// The expanded plan executes like any other: the whole rack dies.
 	fab := NewSim(DefaultConfig(8))
 	lv := NewLiveness(8)
-	if lv.Nodes() != 8 {
-		t.Fatalf("Nodes() = %d, want 8", lv.Nodes())
+	if len(lv.alive) != 8 {
+		t.Fatalf("registry covers %d nodes, want 8", len(lv.alive))
 	}
 	fab.Run(func(ctx *Ctx) {
 		ctx.Wait(lv.Execute(ctx, ExpandFaults([]FaultEvent{KillRackAt(1, 1)}, topo)))

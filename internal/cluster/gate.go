@@ -9,18 +9,17 @@ import (
 // Gate is a one-shot latch usable from both fabrics: activities Wait
 // until some other activity Opens it. On the live fabric it is a closed
 // channel; on the sim fabric it is a condition variable in virtual
-// time. Opening an already-open gate is a no-op.
+// time. Opening an already-open gate is a no-op. The zero value is a
+// closed gate; a Gate must not be copied after first use.
 type Gate struct {
 	mu   sync.Mutex
 	open bool
-	ch   chan struct{}
+	ch   chan struct{} // made by the first live waiter
 	cond sim.Cond
 }
 
 // NewGate returns a closed gate.
-func NewGate() *Gate {
-	return &Gate{ch: make(chan struct{})}
-}
+func NewGate() *Gate { return new(Gate) }
 
 // Opened reports whether the gate has been opened.
 func (g *Gate) Opened() bool {
@@ -44,6 +43,9 @@ func (g *Gate) Wait(ctx *Ctx) {
 		g.mu.Unlock()
 		return
 	}
+	if g.ch == nil {
+		g.ch = make(chan struct{})
+	}
 	ch := g.ch
 	g.mu.Unlock()
 	<-ch
@@ -57,7 +59,9 @@ func (g *Gate) Open(ctx *Ctx) {
 		return
 	}
 	g.open = true
-	close(g.ch)
+	if g.ch != nil {
+		close(g.ch)
+	}
 	g.mu.Unlock()
 	if ctx.Proc != nil {
 		g.cond.Broadcast(ctx.Proc.Env())

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"os"
 	"strconv"
 
 	"blobvfs/internal/sim"
@@ -105,9 +104,6 @@ func (f *Sim) Net() *flownet.Net { return f.net }
 // Uplink returns node n's NIC uplink.
 func (f *Sim) Uplink(n NodeID) *flownet.Link { return f.up[n] }
 
-// Downlink returns node n's NIC downlink.
-func (f *Sim) Downlink(n NodeID) *flownet.Link { return f.down[n] }
-
 // Disk returns node n's disk pool.
 func (f *Sim) Disk(n NodeID) *sim.PSPool { return f.disks[n] }
 
@@ -150,22 +146,12 @@ func (f *Sim) ResetTraffic() {
 }
 
 // Run executes fn as the root activity on node 0 and drives the
-// simulation until the event queue drains. Setting BLOBVFS_SIM_DEBUG
-// makes Run log virtual-time progress to stderr, which helps diagnose
-// event storms in models.
+// simulation until the event queue drains.
 func (f *Sim) Run(fn func(*Ctx)) {
 	f.env.Go("main", func(p *sim.Proc) {
 		fn(&Ctx{fab: f, node: 0, Proc: p})
 	})
-	if os.Getenv("BLOBVFS_SIM_DEBUG") != "" {
-		for f.env.Pending() > 0 {
-			f.env.RunUntil(f.env.Now() + 5)
-			fmt.Fprintf(os.Stderr, "sim: now=%10.3f pending=%8d procs=%6d steps=%12d next=%v\n",
-				f.env.Now(), f.env.Pending(), f.env.Procs(), f.env.Steps(), f.env.PendingTimes(6))
-		}
-	} else {
-		f.env.Run()
-	}
+	f.env.Run()
 	if n := f.env.Procs(); n != 0 {
 		panic(fmt.Sprintf("cluster: simulation deadlock, %d processes still blocked", n))
 	}
@@ -314,12 +300,13 @@ func (f *Sim) diskWrite(ctx *Ctx, node NodeID, bytes int64, async bool) {
 		return
 	}
 	buf.Acquire(ctx.Proc, bytes)
-	// The drainer is a GoLite state machine, not a process: a flash
-	// crowd issues one write-back per committed chunk, and parking a
-	// goroutine for each made this the hottest spawn site in the tree.
-	// The async completion fires at the same event position the blocked
+	// The drainer is a callback chain, not a process: a flash crowd
+	// issues one write-back per committed chunk, and parking a goroutine
+	// for each made this the hottest spawn site in the tree. It starts
+	// in an event of its own, where a spawned drainer would have, and
+	// the async completion fires at the event position the blocked
 	// drainer would have resumed at, so schedules are unchanged.
-	f.env.GoLite("write-back", func() {
+	f.env.At(f.env.Now(), func() {
 		disk.UseAsync(work, func() { buf.Release(bytes) })
 	})
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"blobvfs"
 	"blobvfs/internal/blob"
 	"blobvfs/internal/cluster"
 	"blobvfs/internal/metrics"
@@ -72,16 +73,20 @@ func RunReplicationAblation(p Params, n int, degrees []int) []ReplicationPoint {
 	for _, r := range degrees {
 		pr := p
 		pr.Replicas = r
-		env := NewEnv(pr, n, OurApproach)
+		l := aggregatedLayout(max(pr.MaxInstances, n), n)
+		env := newEnv(pr, l, OurApproach, blobvfs.WithFaultPlan(blobvfs.KillAt(0, l.pool[0])))
 		point := ReplicationPoint{Replicas: r}
 		env.Run(func(ctx *cluster.Ctx) { point.Completion = env.deploy(ctx).Completion })
 		point.StorageGB = float64(env.Sys.Providers.StoredBytes()) * float64(r) / 1e9
-		// Fault injection: kill provider 0, then try to read a window of
-		// the image from a fresh client on another node. With a single
-		// replica, chunks homed on the dead provider are lost.
-		env.Sys.Providers.Kill(env.Nodes[0])
+		// Fault injection: kill provider 0 (the plan's event is overdue
+		// and fires at once), then try to read a window of the image from
+		// a fresh client on another node. With a single replica, chunks
+		// homed on the dead provider are lost.
 		point.SurvivesOne = true
 		env.Run(func(ctx *cluster.Ctx) {
+			if err := env.Repo.ArmFaults(ctx); err != nil {
+				panic(err)
+			}
 			done := ctx.Go("probe", env.Nodes[1%len(env.Nodes)], func(cc *cluster.Ctx) {
 				c := blob.NewClient(env.Sys)
 				if _, err := c.FetchChunks(cc, env.Base.Image, env.Base.Version, 0, min(256, imageChunks(pr))); err != nil {

@@ -46,7 +46,7 @@ func TestMirrorAndQcow2AreContentEquivalent(t *testing.T) {
 				ok = false
 				return
 			}
-			mod := mirror.NewModule(0, blob.NewClient(sys), mirror.DefaultConfig())
+			mod := mirror.NewModule(0, blob.NewClient(sys))
 			mi, err := mod.Open(ctx, id, v, true)
 			if err != nil {
 				ok = false
@@ -152,7 +152,7 @@ func TestSuspendResumeCycleWithRealBytes(t *testing.T) {
 		}
 		mods := map[cluster.NodeID]*mirror.Module{}
 		for _, n := range nodes {
-			mods[n] = mirror.NewModule(n, blob.NewClient(sys), mirror.DefaultConfig())
+			mods[n] = mirror.NewModule(n, blob.NewClient(sys))
 		}
 		// Phase 1 on node 1: compute and save intermediate state.
 		var snapID blob.ID

@@ -31,7 +31,7 @@ func newSimRig(t *testing.T, nodes int, size int64, chunkSize int) *simRig {
 	sys := blob.NewSystem(provs, 0, 1)
 	rig := &simRig{fab: fab, sys: sys}
 	for i := 0; i < nodes; i++ {
-		rig.modules = append(rig.modules, NewModule(cluster.NodeID(i), blob.NewClient(sys), DefaultConfig()))
+		rig.modules = append(rig.modules, NewModule(cluster.NodeID(i), blob.NewClient(sys)))
 	}
 	rig.base = make([]byte, size)
 	for i := range rig.base {
@@ -223,9 +223,11 @@ func TestCommitSurvivesProviderDeathMidCommit(t *testing.T) {
 	sys := blob.NewSystem(provs, 0, 2)
 	sys.Meta.SetReplication(2)
 	lv := cluster.NewLiveness(nodes)
+	sys.Meta.SetLiveness(lv)
 	lv.OnChange(sys.Meta.NodeChanged)
+	sys.Providers.SetLiveness(lv)
 	lv.OnChange(sys.Providers.NodeChanged)
-	mod := NewModule(0, blob.NewClient(sys), DefaultConfig())
+	mod := NewModule(0, blob.NewClient(sys))
 
 	fab.Run(func(ctx *cluster.Ctx) {
 		c := blob.NewClient(sys)
@@ -308,7 +310,7 @@ func TestSyntheticCommitTagsDistinctPerChunk(t *testing.T) {
 	fab := cluster.NewLive(2)
 	sys := blob.NewSystem([]cluster.NodeID{0, 1}, 0, 1)
 	sys.Providers.EnableDedup()
-	mod := NewModule(0, blob.NewClient(sys), DefaultConfig())
+	mod := NewModule(0, blob.NewClient(sys))
 	fab.Run(func(ctx *cluster.Ctx) {
 		c := blob.NewClient(sys)
 		id, err := c.Create(ctx, 16<<10, 4<<10)
@@ -366,7 +368,7 @@ func TestSyntheticForkTagsDistinctPerInstance(t *testing.T) {
 		chunks0 := sys.Providers.ChunkCount()
 		var tasks []cluster.Task
 		for node := cluster.NodeID(0); node < 2; node++ {
-			mod := NewModule(node, blob.NewClient(sys), DefaultConfig())
+			mod := NewModule(node, blob.NewClient(sys))
 			tasks = append(tasks, ctx.Go("instance", node, func(cc *cluster.Ctx) {
 				im, err := mod.Open(cc, id, v, false)
 				if err != nil {

@@ -19,7 +19,9 @@ func TestFetchRetryAfterOutage(t *testing.T) {
 	fab := cluster.NewSim(cluster.DefaultConfig(3))
 	provs := []cluster.NodeID{1, 2}
 	sys := blob.NewSystem(provs, 0, 1)
-	mod := NewModule(0, blob.NewClient(sys), DefaultConfig())
+	lv := cluster.NewLiveness(3)
+	sys.Providers.SetLiveness(lv)
+	mod := NewModule(0, blob.NewClient(sys))
 	fab.Run(func(ctx *cluster.Ctx) {
 		c := blob.NewClient(sys)
 		id, err := c.Create(ctx, 64<<10, 8<<10)
@@ -37,12 +39,12 @@ func TestFetchRetryAfterOutage(t *testing.T) {
 		ctx.Sleep(1.0)
 		// Total outage: both providers die, shorter than the retry
 		// backoff; nothing can repair (no survivor to copy from).
-		sys.Providers.Kill(1)
-		sys.Providers.Kill(2)
+		lv.Kill(ctx, 1)
+		lv.Kill(ctx, 2)
 		rev := ctx.Go("revive", 0, func(cc *cluster.Ctx) {
 			cc.Sleep(0.03)
-			sys.Providers.Revive(1)
-			sys.Providers.Revive(2)
+			lv.Revive(cc, 1)
+			lv.Revive(cc, 2)
 		})
 		if err := im.Read(ctx, 0, 8<<10); err != nil {
 			t.Fatalf("read during outage = %v, want retried success", err)
@@ -57,13 +59,13 @@ func TestFetchRetryAfterOutage(t *testing.T) {
 		}
 		// With retries exhausted while the outage persists, the error
 		// does propagate (and is ErrNoReplica end to end).
-		sys.Providers.Kill(1)
-		sys.Providers.Kill(2)
+		lv.Kill(ctx, 1)
+		lv.Kill(ctx, 2)
 		if err := im.Read(ctx, 8<<10, 8<<10); err == nil {
 			t.Fatal("read with permanent outage succeeded")
 		}
-		sys.Providers.Revive(1)
-		sys.Providers.Revive(2)
+		lv.Revive(ctx, 1)
+		lv.Revive(ctx, 2)
 	})
 }
 
@@ -78,6 +80,7 @@ func TestMirrorFailoverRace(t *testing.T) {
 	provs := []cluster.NodeID{1, 2, 3, 4}
 	sys := blob.NewSystem(provs, 0, 2)
 	lv := cluster.NewLiveness(6)
+	sys.Providers.SetLiveness(lv)
 	lv.OnChange(sys.Providers.NodeChanged)
 
 	base := make([]byte, size)
@@ -114,7 +117,7 @@ func TestMirrorFailoverRace(t *testing.T) {
 			wg.Add(1)
 			ctx.Go("reader", node, func(cc *cluster.Ctx) {
 				defer wg.Done()
-				mod := NewModule(node, blob.NewClient(sys), DefaultConfig())
+				mod := NewModule(node, blob.NewClient(sys))
 				im, err := mod.Open(cc, id, v, true)
 				if err != nil {
 					t.Errorf("open on %d: %v", node, err)

@@ -73,7 +73,7 @@ func TestGCConcurrentFetchAnnounceRetract(t *testing.T) {
 			tasks = append(tasks, ctx.Go("member", cluster.NodeID(w), func(cc *cluster.Ctx) {
 				defer wg.Done()
 				rng := rand.New(rand.NewSource(int64(31 + w)))
-				mod := NewModule(cluster.NodeID(w), blob.NewClient(sys), DefaultConfig())
+				mod := NewModule(cluster.NodeID(w), blob.NewClient(sys))
 				mod.SetSharer(cohort)
 				im, err := mod.Open(cc, baseID, baseV, true)
 				if err != nil {
@@ -190,7 +190,7 @@ func TestGCConcurrentFetchAnnounceRetract(t *testing.T) {
 	fab.Run(func(ctx *cluster.Ctx) {
 		cohort := reg.Cohort(baseID)
 		task := ctx.Go("migrate", 0, func(cc *cluster.Ctx) {
-			mod := NewModule(0, blob.NewClient(sys), DefaultConfig())
+			mod := NewModule(0, blob.NewClient(sys))
 			mod.SetSharer(cohort)
 			im, err := mod.Open(cc, finalID[1], finalV[1], false)
 			if err != nil {
@@ -223,7 +223,7 @@ func TestReopenRetractsStaleAnnouncement(t *testing.T) {
 	fab := cluster.NewSim(cluster.DefaultConfig(4))
 	sys := blob.NewSystem([]cluster.NodeID{1, 2}, 3, 1)
 	reg := p2p.NewRegistry(3, p2p.DefaultConfig())
-	mod := NewModule(0, blob.NewClient(sys), DefaultConfig())
+	mod := NewModule(0, blob.NewClient(sys))
 
 	fab.Run(func(ctx *cluster.Ctx) {
 		c := blob.NewClient(sys)

@@ -86,7 +86,7 @@ func BenchmarkMirrorColdRead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rig.fab.Run(func(ctx *cluster.Ctx) {
 			// A module of its own: no mirror state from the last pass.
-			mod := NewModule(0, blob.NewClient(rig.sys), DefaultConfig())
+			mod := NewModule(0, blob.NewClient(rig.sys))
 			im, err := mod.Open(ctx, rig.imageID, rig.imageV, true)
 			if err != nil {
 				b.Fatal(err)

@@ -9,35 +9,21 @@ import (
 	"blobvfs/internal/cluster"
 )
 
-// Config carries the module's modeling constants.
-type Config struct {
-	// OpOverhead is the per-operation user/kernel crossing cost of the
-	// FUSE layer in seconds (context switches, §4.1 of the paper).
-	OpOverhead float64
-	// MetadataPrefetch resolves the mirrored snapshot's complete chunk
-	// map in one batched level-order descent at Open. The whole segment
-	// tree of even a 2 GB image is ~1 MB of 64-byte nodes, so paying
-	// depth rounds once lets every demand fetch afterwards skip tree
-	// descent (and its metadata RPCs) entirely — the metadata analogue
-	// of the paper's "fetch the full minimal chunk set" strategy 1.
-	MetadataPrefetch bool
-	// FetchRetries is how many times a remote chunk fetch that failed
+// The module's modeling constants.
+const (
+	// opOverhead is the per-operation user/kernel crossing cost of the
+	// FUSE layer in seconds (context switches, §4.1 of the paper),
+	// calibrated.
+	opOverhead = 20e-6
+	// fetchRetries is how many times a remote chunk fetch that failed
 	// because every replica was down (blob.ErrNoReplica) is retried
 	// before the error propagates to the hypervisor. Between attempts
-	// the module backs off RetryDelay seconds — the window in which
-	// re-replication restores a copy or a cohort sibling announces
-	// one. 0 propagates the first failure.
-	FetchRetries int
-	// RetryDelay is the backoff between fetch retries in seconds.
-	RetryDelay float64
-}
-
-// DefaultConfig returns the calibrated FUSE crossing cost, with
-// metadata prefetch at open enabled and two fetch retries 50 ms apart
-// (enough for one synchronous re-replication round to land).
-func DefaultConfig() Config {
-	return Config{OpOverhead: 20e-6, MetadataPrefetch: true, FetchRetries: 2, RetryDelay: 0.05}
-}
+	// the module backs off retryDelay seconds — the window in which
+	// re-replication restores a copy or a cohort sibling announces one;
+	// 50 ms is enough for one synchronous re-replication round to land.
+	fetchRetries = 2
+	retryDelay   = 0.05
+)
 
 // Module is the per-node mirroring module. It owns the node's local
 // mirror files and their persisted modification metadata, so an image
@@ -47,7 +33,6 @@ func DefaultConfig() Config {
 type Module struct {
 	node   cluster.NodeID
 	client *blob.Client
-	cfg    Config
 	sharer blob.ChunkSharer // optional p2p cohort; set before opening images
 
 	// pinHook is a test seam: Clone's pin of the fresh clone (normally
@@ -81,11 +66,10 @@ func (cs chunkState) dirty() bool    { return cs.DirtyHi > cs.DirtyLo }
 
 // NewModule creates the mirroring module for a node, attached to the
 // blob storage service through client.
-func NewModule(node cluster.NodeID, client *blob.Client, cfg Config) *Module {
+func NewModule(node cluster.NodeID, client *blob.Client) *Module {
 	return &Module{
 		node:   node,
 		client: client,
-		cfg:    cfg,
 		closed: make(map[blob.ID]*localState),
 	}
 }
@@ -178,11 +162,13 @@ func (m *Module) Open(ctx *cluster.Ctx, id blob.ID, v blob.Version, real bool) (
 	if err := m.client.PinVersion(id, v); err != nil {
 		return nil, err
 	}
-	if m.cfg.MetadataPrefetch {
-		if err := m.client.PrefetchExtents(ctx, id, v); err != nil {
-			m.client.UnpinVersion(id, v)
-			return nil, err
-		}
+	// Resolve the snapshot's complete chunk map once, so that every
+	// demand fetch afterwards skips tree descent and its metadata RPCs —
+	// the metadata analogue of the paper's "fetch the full minimal chunk
+	// set" strategy 1.
+	if err := m.client.PrefetchExtents(ctx, id, v); err != nil {
+		m.client.UnpinVersion(id, v)
+		return nil, err
 	}
 	im := &Image{
 		mod: m, blobID: id, version: v, info: inf, open: true,
@@ -350,7 +336,7 @@ func (im *Image) access(ctx *cluster.Ctx, off, n int64, p []byte, write bool) er
 		im.stats.Reads++
 	}
 	im.mu.Unlock()
-	ctx.Sleep(im.mod.cfg.OpOverhead)
+	ctx.Sleep(opOverhead)
 
 	cs := int64(im.info.ChunkSize)
 	lo, hi := off/cs, (off+n+cs-1)/cs
@@ -400,9 +386,7 @@ func (im *Image) access(ctx *cluster.Ctx, off, n int64, p []byte, write bool) er
 		}
 		im.mu.Unlock()
 		if gapFill {
-			// The chunk is dirtied right below, so don't offer it to
-			// the cohort just to retract it again.
-			if err := im.fetchChunks(ctx, ci, ci+1, fetchNoAnnounce); err != nil {
+			if err := im.fetchChunks(ctx, ci, ci+1, false); err != nil {
 				return err
 			}
 		}
@@ -465,7 +449,7 @@ func (im *Image) ensureMirrored(ctx *cluster.Ctx, lo, hi int64) error {
 			runStart = ci
 		}
 		if !missing && runStart >= 0 {
-			if err := im.fetchChunks(ctx, runStart, ci, fetchDemand); err != nil {
+			if err := im.fetchChunks(ctx, runStart, ci, false); err != nil {
 				return err
 			}
 			runStart = -1
@@ -485,17 +469,6 @@ func (im *Image) fullyMirroredLocked(ci int64) bool {
 	return st.MirLo == 0 && st.MirHi == im.chunkLen(ci)
 }
 
-// fetchMode says on whose behalf fetchChunks runs: a demand access, a
-// Prefetch, or a write-path gap fill (which suppresses the cohort
-// announcement — the chunk is dirtied immediately after the fetch).
-type fetchMode int
-
-const (
-	fetchDemand fetchMode = iota
-	fetchPrefetch
-	fetchNoAnnounce
-)
-
 // fetchChunks fetches whole chunks [lo,hi) from the repository and
 // merges them into the local mirror, preserving dirty bytes. After the
 // merge each chunk is fully mirrored. Fetched content is persisted on
@@ -508,13 +481,10 @@ const (
 // and recorded in the access profile exactly once (by the demand side,
 // even when the prefetch's merge won the race).
 //
-// With a sharing cohort every fetch is on record there while it runs
-// (blob.Client.FetchChunksShared) and siblings may be waiting for it, so
-// each chunk is settled here exactly once: announced if it landed clean
-// and is to be shared, abandoned if not (dirty, a lost merge race, a gap
-// fill). A failed fetch was abandoned by the client.
-func (im *Image) fetchChunks(ctx *cluster.Ctx, lo, hi int64, mode fetchMode) error {
-	prefetch := mode == fetchPrefetch
+// With a sharing cohort a chunk that landed on clean bytes is announced:
+// the local copy is the published content. One that landed around dirty
+// bytes (a gap fill, a read of a chunk written first) is not.
+func (im *Image) fetchChunks(ctx *cluster.Ctx, lo, hi int64, prefetch bool) error {
 	sharer := im.mod.sharer
 	im.mu.Lock()
 	id, v := im.blobID, im.version
@@ -525,14 +495,14 @@ func (im *Image) fetchChunks(ctx *cluster.Ctx, lo, hi int64, mode fetchMode) err
 	fetched, err := im.mod.client.FetchChunksShared(ctx, id, v, lo, hi)
 	// Retry-with-backoff instead of propagating the first failure: a
 	// fetch that lost the race with a provider death (every replica of
-	// some chunk down) is re-attempted after RetryDelay — by then
+	// some chunk down) is re-attempted after retryDelay — by then
 	// re-replication has restored a copy, or a cohort sibling's
 	// announcement offers an alternate source.
-	for attempt := 0; err != nil && attempt < im.mod.cfg.FetchRetries && errors.Is(err, blob.ErrNoReplica); attempt++ {
+	for attempt := 0; err != nil && attempt < fetchRetries && errors.Is(err, blob.ErrNoReplica); attempt++ {
 		im.mu.Lock()
 		im.stats.FetchRetries++
 		im.mu.Unlock()
-		ctx.Sleep(im.mod.cfg.RetryDelay)
+		ctx.Sleep(retryDelay)
 		fetched, err = im.mod.client.FetchChunksShared(ctx, id, v, lo, hi)
 	}
 	im.mu.Lock()
@@ -551,7 +521,6 @@ func (im *Image) fetchChunks(ctx *cluster.Ctx, lo, hi int64, mode fetchMode) err
 	}
 	cs := int64(im.info.ChunkSize)
 	var announce []announced
-	var abandon []blob.ChunkKey
 	var bytes int64
 	for _, fc := range fetched {
 		st := &im.chunks[fc.Index]
@@ -561,11 +530,8 @@ func (im *Image) fetchChunks(ctx *cluster.Ctx, lo, hi int64, mode fetchMode) err
 			// count the chunk once. A demand access still belongs in
 			// the access profile even when the prefetch's merge won.
 			im.stats.DuplicateFetches++
-			if mode == fetchDemand {
+			if !prefetch {
 				im.accessOrder = append(im.accessOrder, fc.Index)
-			}
-			if sharer != nil && fc.Key != 0 {
-				abandon = append(abandon, fc.Key)
 			}
 			continue
 		}
@@ -581,21 +547,14 @@ func (im *Image) fetchChunks(ctx *cluster.Ctx, lo, hi int64, mode fetchMode) err
 		} else {
 			im.accessOrder = append(im.accessOrder, fc.Index)
 		}
-		if sharer != nil && fc.Key != 0 {
-			if mode != fetchNoAnnounce && !st.dirty() {
-				announce = append(announce, announced{fc.Index, fc.Key})
-				im.announced[fc.Index] = fc.Key
-			} else {
-				abandon = append(abandon, fc.Key)
-			}
+		if sharer != nil && fc.Key != 0 && !st.dirty() {
+			announce = append(announce, announced{fc.Index, fc.Key})
+			im.announced[fc.Index] = fc.Key
 		}
 		bytes += int64(fc.Payload.Size)
 	}
 	im.mu.Unlock()
 	ctxDiskWriteAsync(ctx, im.mod.node, bytes)
-	if len(abandon) > 0 {
-		sharer.Abandon(ctx, abandon)
-	}
 	if len(announce) > 0 {
 		keys := make([]blob.ChunkKey, len(announce))
 		for i, a := range announce {
@@ -669,7 +628,7 @@ func (im *Image) Prefetch(ctx *cluster.Ctx, profile []int64) error {
 		if skip {
 			continue
 		}
-		if err := im.fetchChunks(ctx, ci, ci+1, fetchPrefetch); err != nil {
+		if err := im.fetchChunks(ctx, ci, ci+1, true); err != nil {
 			return err
 		}
 	}
@@ -771,7 +730,7 @@ func (im *Image) prepareCommit(ctx *cluster.Ctx) (*commitPlan, error) {
 			continue
 		}
 		im.mu.Unlock()
-		if err := im.fetchChunks(ctx, ci, ci+1, fetchNoAnnounce); err != nil {
+		if err := im.fetchChunks(ctx, ci, ci+1, false); err != nil {
 			return nil, err
 		}
 	}

@@ -30,7 +30,7 @@ func newRig(t testing.TB, nodes int, size int64, chunkSize int) *testRig {
 	sys := blob.NewSystem(provs, 0, 1)
 	rig := &testRig{fab: fab, sys: sys}
 	for i := 0; i < nodes; i++ {
-		rig.modules = append(rig.modules, NewModule(cluster.NodeID(i), blob.NewClient(sys), DefaultConfig()))
+		rig.modules = append(rig.modules, NewModule(cluster.NodeID(i), blob.NewClient(sys)))
 	}
 	rig.base = make([]byte, size)
 	for i := range rig.base {

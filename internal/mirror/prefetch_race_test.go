@@ -22,7 +22,7 @@ func TestConcurrentPrefetchAndDemandCountOnce(t *testing.T) {
 	fab := cluster.NewSim(cluster.DefaultConfig(4))
 	sys := blob.NewSystem([]cluster.NodeID{1, 2}, 3, 1)
 	reg := p2p.NewRegistry(3, p2p.DefaultConfig())
-	mod := NewModule(0, blob.NewClient(sys), DefaultConfig())
+	mod := NewModule(0, blob.NewClient(sys))
 
 	var im *Image
 	fab.Run(func(ctx *cluster.Ctx) {
@@ -90,7 +90,7 @@ func TestConcurrentPrefetchAndDemandCountOnce(t *testing.T) {
 func TestPrefetchSkipsInflightDemandFetch(t *testing.T) {
 	fab := cluster.NewSim(cluster.DefaultConfig(4))
 	sys := blob.NewSystem([]cluster.NodeID{1, 2}, 3, 1)
-	mod := NewModule(0, blob.NewClient(sys), DefaultConfig())
+	mod := NewModule(0, blob.NewClient(sys))
 
 	var im *Image
 	fab.Run(func(ctx *cluster.Ctx) {

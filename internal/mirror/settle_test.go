@@ -10,13 +10,14 @@ import (
 )
 
 // TestFetchSettlesWhatItPutOnRecord: with a cohort, a fetch is on record
-// at the tracker while it runs and siblings may be parked on it, so
-// fetchChunks must settle it on every exit. Node 0 leads: its fetch of
-// chunk 0 starts first and goes to the providers. Node 1 follows half a
+// at the tracker while it runs and siblings may be parked on it, so the
+// blob client settles it the moment the chunk's read ends, whatever the
+// mirror then does with the payload. Node 0 leads: its fetch of chunk 0
+// starts first and goes to the providers. Node 1 follows half a
 // millisecond later and is attached to that fetch in flight. However the
 // leader's fetch ends, the follower's read must end too (the sim fabric
 // panics on a deadlock), with the chunk from the leader when the leader
-// shares it and from the providers when not, and nothing may stay on
+// got it and from the providers when not, and nothing may stay on
 // record.
 func TestFetchSettlesWhatItPutOnRecord(t *testing.T) {
 	const cs = 256 << 10
@@ -35,10 +36,11 @@ func TestFetchSettlesWhatItPutOnRecord(t *testing.T) {
 					t.Error(err)
 				}
 			}},
-		{name: "dirty", providerReads: 2,
+		{name: "dirty", peerHits: 1, providerReads: 1,
 			lead: func(t *testing.T, cc *cluster.Ctx, im *Image, _ *blob.System) {
 				// A write first: the chunk is fetched around it and never
-				// shared.
+				// announced, but the payload in the fetch buffer is the
+				// published one.
 				if err := im.Write(cc, 0, 100); err != nil {
 					t.Error(err)
 				}
@@ -46,13 +48,13 @@ func TestFetchSettlesWhatItPutOnRecord(t *testing.T) {
 					t.Error(err)
 				}
 			}},
-		{name: "gap fill", providerReads: 2,
+		{name: "gap fill", peerHits: 1, providerReads: 1,
 			lead: func(t *testing.T, cc *cluster.Ctx, im *Image, _ *blob.System) {
 				if err := im.Write(cc, 0, 100); err != nil {
 					t.Error(err)
 				}
-				// Not adjacent: the chunk is fetched whole in no-announce
-				// mode to keep one mirrored region.
+				// Not adjacent: the chunk is fetched whole to keep one
+				// mirrored region.
 				if err := im.Write(cc, 1000, 100); err != nil {
 					t.Error(err)
 				}
@@ -62,7 +64,7 @@ func TestFetchSettlesWhatItPutOnRecord(t *testing.T) {
 				// A prefetch and a demand read fetch the chunk at once;
 				// the second to come back finds it merged.
 				pre := cc.Go("prefetch", 0, func(c1 *cluster.Ctx) {
-					if err := im.fetchChunks(c1, 0, 1, fetchPrefetch); err != nil {
+					if err := im.fetchChunks(c1, 0, 1, true); err != nil {
 						t.Error(err)
 					}
 				})
@@ -74,10 +76,16 @@ func TestFetchSettlesWhatItPutOnRecord(t *testing.T) {
 					t.Errorf("DuplicateFetches = %d, want 1", st.DuplicateFetches)
 				}
 			}},
+		// After ErrNoReplica the leader consults the cohort once more, and
+		// finds its own follower fetching the chunk. Attached to it, the two
+		// would wait for each other: the pick must stop at the leader's own
+		// entry.
 		{name: "error", failed: true,
 			lead: func(t *testing.T, cc *cluster.Ctx, im *Image, sys *blob.System) {
-				sys.Providers.Kill(2)
-				sys.Providers.Kill(3)
+				lv := cluster.NewLiveness(5)
+				sys.Providers.SetLiveness(lv)
+				lv.Kill(cc, 2)
+				lv.Kill(cc, 3)
 				if err := im.Read(cc, 0, cs); !errors.Is(err, blob.ErrNoReplica) {
 					t.Errorf("read with every provider dead = %v, want ErrNoReplica", err)
 				}
@@ -102,7 +110,7 @@ func TestFetchSettlesWhatItPutOnRecord(t *testing.T) {
 				sys.Providers.Reads.Store(0)
 				member := func(node cluster.NodeID, start float64, do func(cc *cluster.Ctx, im *Image)) cluster.Task {
 					return ctx.Go("member", node, func(cc *cluster.Ctx) {
-						mod := NewModule(node, blob.NewClient(sys), DefaultConfig())
+						mod := NewModule(node, blob.NewClient(sys))
 						mod.SetSharer(co)
 						im, err := mod.Open(cc, id, v, false)
 						if err != nil {

@@ -44,17 +44,18 @@
 //     when no holder and no fetcher has a free slot does the caller fall
 //     back to the providers — hot peers shed load instead of becoming
 //     the new hot-spot.
-//   - Every entry of the record is settled exactly once: by the
-//     fetcher's Announce (the copy landed clean; waiters are released
-//     before the tracker RPC) or Abandon (dirty, a lost merge race, a
-//     gap fill, a failed fetch), by its death, or by the chunk's
-//     reclamation. A released waiter reads from its parent only if the
-//     parent is alive and holds the chunk at that moment; otherwise it
-//     goes to the providers. A bare Locate never goes on record, so
-//     nobody can be left waiting for a caller that settles nothing.
-//   - A member settles a batch of chunks at a time, so waits are ordered
-//     by epoch (pickFetcherLocked): they only ever go from a newer run
-//     of fetches to an older one and cannot form a cycle.
+//   - Every entry of the record is settled exactly once, by the
+//     fetcher's Landed the moment its read of the chunk ends (the blob
+//     client's getChunk, the one call site), or before that by its death
+//     or the chunk's reclamation. Landed says whether the payload is in
+//     hand; a released waiter reads from its parent if it is and the
+//     parent is alive, whatever the parent's mirror then does with the
+//     chunk, and goes to the providers otherwise. A bare Locate never
+//     goes on record, so nobody can be left waiting for a caller that
+//     settles nothing.
+//   - Waits cannot form a cycle: a requester is only ever attached to an
+//     entry that went on the chunk's record before any entry of its own
+//     (pickFetcherLocked), and an entry settles when its own read ends.
 //   - A member whose local copy diverges from the published content
 //     (a mirrored chunk dirtied by a guest write) retracts itself.
 //

@@ -13,8 +13,8 @@ import (
 )
 
 // quiescent fails the test if the cohort still has state that only a
-// running fetch may own: a fetch on record, a gate, a taken upload
-// slot.
+// running fetch may own: a fetch on record, a wait record, a taken
+// upload slot.
 func quiescent(t *testing.T, co *Cohort) {
 	t.Helper()
 	if n := co.InFlight(); n != 0 {
@@ -36,15 +36,16 @@ func quiescent(t *testing.T, co *Cohort) {
 
 // TestInFlightInterleavings drives seeded random interleavings of
 // everything that touches the in-flight record: members fetching
-// batches of chunks in parallel (the batch is settled as a whole, like
-// mirror.fetchChunks does: announced, abandoned as dirty, or abandoned
-// after a failure), bare Locates that never announce, retractions,
-// member deaths and revivals, and reclamations. Every run must end (the
-// sim fabric panics on a deadlock, the live one hangs into the test
-// timeout), leave no in-flight state behind, and on the sim fabric,
-// where nothing can change between a call's return and the check, never
-// hand a caller a peer that is dead or does not hold the chunk, nor
-// more children to a member than it has upload slots.
+// batches of chunks in parallel, each chunk settled with Landed the
+// moment its read ends like blob.Client's getChunk does (well, or badly
+// after a failed provider read and a second look at the cohort), the
+// batch announced afterwards like mirror.fetchChunks does; bare Locates that never go on record, retractions, member deaths
+// and revivals, and reclamations. Every run must end (the sim fabric
+// panics on a deadlock, the live one hangs into the test timeout), leave
+// no in-flight state behind, and on the sim fabric, where nothing can
+// change between a call's return and the check, never hand a waiter a
+// parent that did not say ok or is dead, nor more children to a member
+// than it has upload slots.
 func TestInFlightInterleavings(t *testing.T) {
 	const (
 		members = 12
@@ -71,18 +72,34 @@ func TestInFlightInterleavings(t *testing.T) {
 				lv.OnChange(reg.NodeChanged)
 				var co *Cohort
 				var waited atomic.Int64
-				// check is called right after Locate or Fetching returned peer.
+				// saidOK[key][m] is when member m last said Landed(key, true).
+				// A waiter resumes in that very instant of virtual time.
+				var mu sync.Mutex
+				saidOK := make(map[blob.ChunkKey]map[cluster.NodeID]float64)
+				say := func(cc *cluster.Ctx, key blob.ChunkKey) {
+					mu.Lock()
+					if saidOK[key] == nil {
+						saidOK[key] = make(map[cluster.NodeID]float64)
+					}
+					saidOK[key][cc.Node()] = cc.Now()
+					mu.Unlock()
+				}
+				// check is called right after Locate or Fetching returned peer:
+				// a published holder, or a parent that has just said ok.
 				check := func(cc *cluster.Ctx, key blob.ChunkKey, peer cluster.NodeID) {
 					if !exact {
 						return
 					}
-					co.mu.Lock()
-					defer co.mu.Unlock()
+					mu.Lock()
+					at, said := saidOK[key][peer]
+					mu.Unlock()
 					if !lv.Alive(peer) {
 						t.Errorf("t=%v: node %d was handed dead peer %d for chunk %d", cc.Now(), cc.Node(), peer, key)
 					}
-					if !co.held[key][peer] {
-						t.Errorf("t=%v: node %d was handed peer %d, which does not hold chunk %d", cc.Now(), cc.Node(), peer, key)
+					co.mu.Lock()
+					defer co.mu.Unlock()
+					if !co.held[key][peer] && !(said && at == cc.Now()) {
+						t.Errorf("t=%v: node %d was handed peer %d, which neither holds chunk %d nor has just said ok", cc.Now(), cc.Node(), peer, key)
 					}
 					if up := co.state[peer].uploads; up > cfg.MaxUploads {
 						t.Errorf("member %d serves %d at once, cap %d", peer, up, cfg.MaxUploads)
@@ -109,9 +126,10 @@ func TestInFlightInterleavings(t *testing.T) {
 								for _, k := range rng.Perm(keys)[:1+rng.Intn(4)] {
 									batch = append(batch, blob.ChunkKey(k+1))
 								}
+								landed := make([]bool, len(batch))
 								var one []cluster.Task
-								for _, key := range batch {
-									d, lag := rng.Uniform(0.001, 0.01), rng.Uniform(0, 0.0003)
+								for i, key := range batch {
+									d, lag, fails := rng.Uniform(0.001, 0.01), rng.Uniform(0, 0.0003), rng.Intn(5) == 0
 									one = append(one, cc.Go("get-chunk", m, func(c1 *cluster.Ctx) {
 										c1.Sleep(lag)
 										before := c1.Now()
@@ -123,22 +141,29 @@ func TestInFlightInterleavings(t *testing.T) {
 											check(c1, key, peer)
 											c1.Sleep(d / 4)
 											release()
+										} else if c1.Sleep(d); fails {
+											// The providers had no replica: the cohort is
+											// asked once more, from within the fetch.
+											if peer, release, ok = co.Locate(c1, key); ok {
+												check(c1, key, peer)
+												release()
+											}
 										} else {
-											c1.Sleep(d)
+											ok = true
 										}
+										if landed[i] = ok; ok {
+											say(c1, key)
+										}
+										co.Landed(c1, key, landed[i])
 									}))
 								}
 								cc.WaitAll(one)
-								var announce, abandon []blob.ChunkKey
-								failed := rng.Intn(6) == 0
-								for _, key := range batch {
-									if failed || rng.Intn(4) == 0 {
-										abandon = append(abandon, key)
-									} else {
+								var announce []blob.ChunkKey
+								for i, key := range batch {
+									if landed[i] && rng.Intn(4) != 0 {
 										announce = append(announce, key)
 									}
 								}
-								co.Abandon(cc, abandon)
 								co.Announce(cc, announce)
 								if len(announce) > 0 && rng.Intn(3) == 0 {
 									cc.Sleep(rng.Exp(0.002))
@@ -228,6 +253,7 @@ func TestHerdReadsTheProvidersOnce(t *testing.T) {
 					mu.Unlock()
 					release()
 				}
+				co.Landed(cc, 7, true)
 				co.Announce(cc, []blob.ChunkKey{7})
 			}))
 		}
@@ -276,6 +302,7 @@ func TestChildAttachesToNearestFetcher(t *testing.T) {
 				from[node] = p
 				cc.Sleep(0.05)
 				release()
+				co.Landed(cc, key, true)
 				co.Announce(cc, []blob.ChunkKey{key})
 			})
 		}
@@ -292,12 +319,12 @@ func TestChildAttachesToNearestFetcher(t *testing.T) {
 	quiescent(t, co)
 }
 
-// TestOverlappingBatchesDoNotWaitInACycle: a member settles a batch of
-// chunks as a whole, so a wait for one chunk holds up the settling of
-// the others. Nodes 1 and 2 fetch the same two chunks in opposite order,
-// each being first at one of them. If both were attached to the other's
-// fetch in flight, neither batch could ever end; the epoch rule lets
-// only the later batch wait for the earlier one.
+// TestOverlappingBatchesDoNotWaitInACycle: nodes 1 and 2 fetch the same
+// two chunks in opposite order, each being first at one of them, and each
+// is attached to the other's fetch in flight. A chunk is settled when its
+// own read ends, not with the batch it was asked for in, so both waits
+// end: each node reads one chunk from the providers and one from the
+// other.
 func TestOverlappingBatchesDoNotWaitInACycle(t *testing.T) {
 	fab := cluster.NewSim(cluster.DefaultConfig(3))
 	reg := NewRegistry(0, DefaultConfig())
@@ -317,6 +344,7 @@ func TestOverlappingBatchesDoNotWaitInACycle(t *testing.T) {
 						} else {
 							c1.Sleep(0.05)
 						}
+						co.Landed(c1, key, true)
 					})
 				}
 				cc.WaitAll([]cluster.Task{get(first, 0), get(second, 0.01)})
@@ -325,8 +353,8 @@ func TestOverlappingBatchesDoNotWaitInACycle(t *testing.T) {
 		}
 		ctx.WaitAll([]cluster.Task{batch(1, 0, 7, 8), batch(2, 0.001, 8, 7)})
 	})
-	if hits[1] != 0 || hits[2] != 1 {
-		t.Errorf("peer hits by node: %v, want none for node 1 (the older batch) and chunk 7 for node 2", hits)
+	if hits[1] != 1 || hits[2] != 1 {
+		t.Errorf("peer hits by node: %v, want one each", hits)
 	}
 	quiescent(t, co)
 }

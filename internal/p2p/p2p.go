@@ -2,7 +2,6 @@ package p2p
 
 import (
 	"cmp"
-	"math"
 	"slices"
 	"sync"
 
@@ -51,10 +50,11 @@ type Stats struct {
 type Registry struct {
 	tracker cluster.NodeID
 	cfg     Config
-	// lv, when set, is the cluster liveness registry: Locate never
-	// returns a holder it reports dead, and announcements from dead
-	// members are ignored. Wire NodeChanged as its OnChange listener
-	// so a death also drops the member's location records.
+	// lv is the cluster liveness registry: Locate never returns a
+	// holder it reports dead, and announcements from dead members are
+	// ignored. Nil (no fault injection) has every node up. Wire
+	// NodeChanged as its OnChange listener so a death also drops the
+	// member's location records.
 	lv *cluster.Liveness
 	// topo, when enabled, makes Locate's pick locality-first: among
 	// live holders with free upload slots, the nearest tier wins and
@@ -76,12 +76,6 @@ func (r *Registry) SetLiveness(lv *cluster.Liveness) { r.lv = lv }
 // SetTopology attaches the cluster topology (see Registry.topo). Call
 // it before any cohort traffic.
 func (r *Registry) SetTopology(t cluster.Topology) { r.topo = t }
-
-// peerAlive reports whether a node may serve or announce chunks: true
-// without a liveness registry (no fault injection configured).
-func (r *Registry) peerAlive(n cluster.NodeID) bool {
-	return r.lv == nil || r.lv.Alive(n)
-}
 
 // NodeChanged is the cluster liveness hook: wire it with
 // Liveness.OnChange. A death retracts every location record the dead
@@ -117,7 +111,8 @@ func (r *Registry) eachCohort(fn func(*Cohort)) {
 
 // dropDeadMember withdraws every location record node holds in the
 // cohort, published or still reserved by an announce in flight, and
-// settles its fetches in flight (in key order, see eachCohort).
+// settles its fetches in flight as failed, in the order they went on
+// record (wake-ups are observable, see eachCohort).
 func (co *Cohort) dropDeadMember(ctx *cluster.Ctx, node cluster.NodeID) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
@@ -132,18 +127,9 @@ func (co *Cohort) dropDeadMember(ctx *cluster.Ctx, node cluster.NodeID) {
 		co.holders[key] = removeNode(co.holders[key], node)
 		co.stats.DeadDropped++
 	}
-	keys := make([]blob.ChunkKey, 0, len(co.flights))
-	for key := range co.flights {
-		keys = append(keys, key)
-	}
-	slices.Sort(keys)
-	for _, key := range keys {
-		fl := co.flights[key]
-		for i := fl.head; i < len(fl.fetches); i++ {
-			if fl.fetches[i].node == node {
-				co.settleLocked(ctx, fl, i)
-			}
-		}
+	for st := &co.state[node]; len(st.fetching) > 0; {
+		r := st.fetching[0]
+		co.settleLocked(ctx, r.key, co.flights[r.key], r.at, false)
 	}
 }
 
@@ -151,9 +137,6 @@ func (co *Cohort) dropDeadMember(ctx *cluster.Ctx, node cluster.NodeID) {
 func NewRegistry(tracker cluster.NodeID, cfg Config) *Registry {
 	return &Registry{tracker: tracker, cfg: cfg, cohorts: make(map[blob.ID]*Cohort)}
 }
-
-// Tracker returns the node hosting the registry.
-func (r *Registry) Tracker() cluster.NodeID { return r.tracker }
 
 // Register creates (or extends) the cohort for an image and
 // disseminates the membership to all members along the broadcast tree.
@@ -232,8 +215,8 @@ func (r *Registry) ChunksReclaimed(ctx *cluster.Ctx, keys []blob.ChunkKey) {
 // the cohort. Dropping a key's held set also cancels the phase-1
 // reservations of announces still in flight: their phase 2 finds the
 // pair gone and leaves the freed chunk unpublished. Fetches of the key
-// still in flight are settled, which sends their waiters to the
-// providers. The cost is O(keys) plus the waiters released, whatever
+// still in flight are settled as failed, which sends their waiters to
+// the providers. The cost is O(keys) plus the waiters released, whatever
 // the cohort size.
 func (co *Cohort) dropReclaimed(ctx *cluster.Ctx, keys []blob.ChunkKey) {
 	co.mu.Lock()
@@ -246,7 +229,7 @@ func (co *Cohort) dropReclaimed(ctx *cluster.Ctx, keys []blob.ChunkKey) {
 		delete(co.holders, key)
 		if fl := co.flights[key]; fl != nil {
 			for fl.head < len(fl.fetches) {
-				co.settleLocked(ctx, fl, fl.head)
+				co.settleLocked(ctx, key, fl, fl.head, false)
 			}
 		}
 	}
@@ -287,7 +270,6 @@ type Cohort struct {
 	// its fetches have settled and reused by the next ones.
 	flights map[blob.ChunkKey]*flight
 	state   []memberState // by member
-	epochs  uint64        // the last memberState.epoch handed out
 	stats   Stats
 }
 
@@ -295,18 +277,36 @@ type Cohort struct {
 type memberState struct {
 	uploads int    // upload slots taken
 	release func() // frees one; what Locate hands out
-	fetches int    // fetches on record, over all chunks
-	epoch   uint64 // numbers the current run of fetches: set when fetches leaves 0
+	// fetching lists the member's fetches on record, in the order they
+	// went there: at most its connection pool and a prefetch.
+	fetching []onRecord
+}
+
+// onRecord names one entry of a chunk's in-flight record. An entry keeps
+// its index until the record is emptied, which takes it settled.
+type onRecord struct {
+	key blob.ChunkKey
+	at  int
+}
+
+// earliestLocked returns the index in key's record of member's earliest
+// entry there, if it has one.
+func (co *Cohort) earliestLocked(member cluster.NodeID, key blob.ChunkKey) (int, bool) {
+	for _, r := range co.state[member].fetching {
+		if r.key == key {
+			return r.at, true
+		}
+	}
+	return 0, false
 }
 
 // flight is the in-flight record of one chunk: the members whose own
 // fetch of it is under way, in arrival order. A requester that finds no
 // published holder with a free slot is attached to the earliest of them
-// that has one and waits on its gate, so MaxUploads is the fan-out of a
+// that has one and waits for it, so MaxUploads is the fan-out of a
 // distribution tree that forms as the requests arrive. An entry is
-// settled exactly once, by the fetcher's Announce or Abandon, its death
-// or the chunk's reclamation; whether the wait ended well is not in the
-// record but in held, which the waiter checks when it wakes.
+// settled exactly once: by the fetcher's Landed when its read of the
+// chunk ends, or before that by its death or the chunk's reclamation.
 type flight struct {
 	fetches []fetch
 	head    int // the first entry not settled
@@ -314,21 +314,32 @@ type flight struct {
 }
 
 type fetch struct {
-	node  cluster.NodeID // noNode once settled
-	epoch uint64         // node's epoch when it went on record
-	gate  *cluster.Gate  // what node's children wait on; nil until one attaches
+	node cluster.NodeID // noNode once settled
+	wait *wait          // what node's children hold; nil until one attaches
+}
+
+// wait is what the children of one fetch block on. The record outlives
+// the entry, which is cleared when it settles: ok is how the fetch ended,
+// written before the gate opens and read once it has.
+type wait struct {
+	gate cluster.Gate
+	ok   bool
 }
 
 // noNode marks a settled entry of a flight.
 const noNode cluster.NodeID = -1
 
-// settleLocked closes entry i of fl, releases its waiters and, once
-// every entry is settled, empties the record for reuse.
-func (co *Cohort) settleLocked(ctx *cluster.Ctx, fl *flight, i int) {
+// settleLocked closes entry i of key's record fl with the outcome ok,
+// releases its waiters and, once every entry is settled, empties the
+// record for reuse.
+func (co *Cohort) settleLocked(ctx *cluster.Ctx, key blob.ChunkKey, fl *flight, i int, ok bool) {
 	f := &fl.fetches[i]
-	co.state[f.node].fetches--
-	if f.gate != nil {
-		f.gate.Open(ctx)
+	st := &co.state[f.node]
+	at := slices.Index(st.fetching, onRecord{key, i})
+	st.fetching = slices.Delete(st.fetching, at, at+1)
+	if f.wait != nil {
+		f.wait.ok = ok
+		f.wait.gate.Open(ctx)
 	}
 	*f = fetch{node: noNode}
 	for fl.head < len(fl.fetches) && fl.fetches[fl.head].node == noNode {
@@ -338,24 +349,6 @@ func (co *Cohort) settleLocked(ctx *cluster.Ctx, fl *flight, i int) {
 		*fl = flight{fetches: fl.fetches[:0]}
 	}
 }
-
-// settleFetchLocked settles member's earliest fetch of key on record,
-// if any. A member's waiters always sit on its earliest entry (the pick
-// meets that one first), so whichever of its fetches ends first
-// releases them.
-func (co *Cohort) settleFetchLocked(ctx *cluster.Ctx, key blob.ChunkKey, member cluster.NodeID) {
-	if fl := co.flights[key]; fl != nil {
-		for i := fl.head; i < len(fl.fetches); i++ {
-			if fl.fetches[i].node == member {
-				co.settleLocked(ctx, fl, i)
-				return
-			}
-		}
-	}
-}
-
-// Image returns the blob this cohort shares.
-func (co *Cohort) Image() blob.ID { return co.image }
 
 // Members returns the cohort membership in registration order.
 func (co *Cohort) Members() []cluster.NodeID {
@@ -378,7 +371,7 @@ func (co *Cohort) InFlight() int {
 	defer co.mu.Unlock()
 	n := 0
 	for _, st := range co.state {
-		n += st.fetches
+		n += len(st.fetching)
 	}
 	return n
 }
@@ -391,26 +384,23 @@ func (co *Cohort) InFlight() int {
 // all-duplicate announcement costs nothing. The new locations become
 // visible to Locate only after the RPC completes: a sibling cannot be
 // steered to a holder before the announcement could physically have
-// reached the tracker. Siblings already waiting on the member's fetch
-// of a chunk are released at once: they learn it from the member, not
-// from the tracker.
+// reached the tracker.
 func (co *Cohort) Announce(ctx *cluster.Ctx, keys []blob.ChunkKey) {
 	member := ctx.Node()
+	if !co.reg.lv.Alive(member) {
+		return // a dead node must not (re)register as an uploader
+	}
 	co.mu.Lock()
-	// A dead node must not (re)register as an uploader; its fetches are
-	// settled all the same.
-	uploader := co.members[member] && co.reg.peerAlive(member)
+	if !co.members[member] {
+		co.mu.Unlock()
+		return
+	}
 	// Phase 1: reserve the fresh pairs (exact dedup against concurrent
 	// announcers) without publishing them yet.
 	var fresh []blob.ChunkKey
 	for _, key := range keys {
 		if key == 0 {
 			continue // sparse chunks have no payload to share
-		}
-		// The waiters released here look at held once this lock is theirs.
-		co.settleFetchLocked(ctx, key, member)
-		if !uploader {
-			continue
 		}
 		who := co.held[key]
 		if who[member] {
@@ -446,17 +436,25 @@ func (co *Cohort) Announce(ctx *cluster.Ctx, keys []blob.ChunkKey) {
 	co.mu.Unlock()
 }
 
-// Abandon implements blob.ChunkSharer: ctx.Node()'s fetches of the given
-// chunks ended with nothing new to share, and whoever waits on them is
-// sent on. It is said to the waiters, not to the tracker, and costs
-// nothing.
-func (co *Cohort) Abandon(ctx *cluster.Ctx, keys []blob.ChunkKey) {
+// Landed implements blob.ChunkSharer: ctx.Node()'s read of the chunk,
+// put on record by Fetching, has ended, with the payload in hand (ok) or
+// without. Whoever waits on it is released and reads from the member or,
+// after a failure, from the providers. It is said to the waiters, not to
+// the tracker, and costs nothing.
+//
+// It settles the member's earliest fetch of the chunk on record, if any.
+// A member's waiters always sit on its earliest entry (the pick meets
+// that one first), so whichever of its fetches ends first releases them.
+func (co *Cohort) Landed(ctx *cluster.Ctx, key blob.ChunkKey, ok bool) {
 	member := ctx.Node()
 	co.mu.Lock()
-	for _, key := range keys {
-		co.settleFetchLocked(ctx, key, member)
+	defer co.mu.Unlock()
+	if !co.members[member] {
+		return
 	}
-	co.mu.Unlock()
+	if at, found := co.earliestLocked(member, key); found {
+		co.settleLocked(ctx, key, co.flights[key], at, ok)
+	}
 }
 
 // Retract implements blob.ChunkSharer: ctx.Node() withdraws itself as
@@ -492,14 +490,14 @@ func (co *Cohort) Retract(ctx *cluster.Ctx, keys []blob.ChunkKey) {
 // map — members keep no location state of their own — so the answer is
 // never staler than that round trip. ok=false sends the caller to the
 // providers: nobody has or fetches the chunk, every slot is taken, or
-// the fetch waited on ended without a copy to read. A Locate leaves
-// nothing behind that another caller could wait on.
+// the fetch waited on ended without the chunk. A Locate leaves nothing
+// behind that another caller could wait on.
 func (co *Cohort) Locate(ctx *cluster.Ctx, key blob.ChunkKey) (cluster.NodeID, func(), bool) {
 	return co.locate(ctx, key, false)
 }
 
 // Fetching implements blob.ChunkSharer: Locate, and ctx.Node() goes on
-// record as fetching the chunk, whatever the answer.
+// record as fetching the chunk, whatever the answer, until its Landed.
 func (co *Cohort) Fetching(ctx *cluster.Ctx, key blob.ChunkKey) (cluster.NodeID, func(), bool) {
 	return co.locate(ctx, key, true)
 }
@@ -515,7 +513,7 @@ func (co *Cohort) locate(ctx *cluster.Ctx, key blob.ChunkKey, fetching bool) (cl
 	ctx.RPC(co.reg.tracker, 32, 32)
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	var gate *cluster.Gate
+	var w *wait
 	peer, tier, any, found := co.pickLocked(co.holders[key], req)
 	fl := co.flights[key]
 	if fl != nil && len(fl.fetches) > 0 && (!found || tier > cluster.TierRack) {
@@ -523,11 +521,11 @@ func (co *Cohort) locate(ctx *cluster.Ctx, key blob.ChunkKey, fetching bool) (cl
 		if !found {
 			tier = cluster.TierRemote
 		}
-		if f := co.pickFetcherLocked(fl, req, tier); f != nil {
-			if f.gate == nil {
-				f.gate = cluster.NewGate()
+		if f := co.pickFetcherLocked(key, fl, req, tier); f != nil {
+			if f.wait == nil {
+				f.wait = new(wait)
 			}
-			peer, gate, found = f.node, f.gate, true
+			peer, w, found = f.node, f.wait, true
 		}
 	}
 	if found {
@@ -538,23 +536,16 @@ func (co *Cohort) locate(ctx *cluster.Ctx, key blob.ChunkKey, fetching bool) (cl
 			fl = &flight{}
 			co.flights[key] = fl
 		}
-		st := &co.state[req]
-		if st.fetches == 0 {
-			co.epochs++
-			st.epoch = co.epochs
-		}
-		st.fetches++
-		fl.fetches = append(fl.fetches, fetch{node: req, epoch: st.epoch})
+		co.state[req].fetching = append(co.state[req].fetching, onRecord{key, len(fl.fetches)})
+		fl.fetches = append(fl.fetches, fetch{node: req})
 	}
-	if gate != nil {
+	if w != nil {
 		co.mu.Unlock()
-		gate.Wait(ctx)
+		w.gate.Wait(ctx)
 		co.mu.Lock()
-		// The fetch waited on has settled. Only a copy that landed clean
-		// and is still there counts: the pair is reserved by the parent's
-		// Announce and gone again after a Retract, a death or a
-		// reclamation.
-		if !co.held[key][peer] || !co.reg.peerAlive(peer) {
+		// The fetch waited on has settled. If it landed, the parent has
+		// the published payload in hand, whatever its mirror does with it.
+		if !w.ok || !co.reg.lv.Alive(peer) {
 			co.state[peer].uploads--
 			found, any = false, false
 		}
@@ -577,33 +568,30 @@ func (co *Cohort) saturated(n cluster.NodeID) bool {
 	return co.reg.cfg.MaxUploads > 0 && co.state[n].uploads >= co.reg.cfg.MaxUploads
 }
 
-// pickFetcherLocked chooses the entry of fl that req waits on, or nil:
-// the earliest live fetcher with a free upload slot, the nearest tier
-// first, so that late arrivals hang below early ones. The tier must be
-// nearer than below, which is that of the holder already found, or
-// TierRemote: a fetch in another zone is not worth waiting for, the
-// providers are as near and have the chunk now.
+// pickFetcherLocked chooses the entry of key's record fl that req waits
+// on, or nil: the earliest live fetcher with a free upload slot, the
+// nearest tier first, so that late arrivals hang below early ones. The
+// tier must be nearer than below, which is that of the holder already
+// found, or TierRemote: a fetch in another zone is not worth waiting for,
+// the providers are as near and have the chunk now.
 //
-// Only a fetcher of an older epoch than req's is eligible. A member
-// settles its fetches a batch at a time (one FetchChunksShared), so a
-// wait for one chunk holds up the settling of others, and two members
-// fetching overlapping ranges could wait on each other for ever. Epochs
-// rule that out: a member's entries all carry the epoch of its current
-// run of fetches, every wait goes to a strictly older epoch, and so no
-// chain of waits can return to where it began.
-func (co *Cohort) pickFetcherLocked(fl *flight, req cluster.NodeID, below cluster.Tier) *fetch {
+// The search stops at req's own earliest entry. Every wait therefore goes
+// to an entry that went on record earlier than any of the requester's,
+// and an entry settles when its own read ends, which waits for nothing
+// but such a wait: no chain of waits can return to where it began.
+func (co *Cohort) pickFetcherLocked(key blob.ChunkKey, fl *flight, req cluster.NodeID, below cluster.Tier) *fetch {
 	for fl.next < len(fl.fetches) && (fl.fetches[fl.next].node == noNode || co.saturated(fl.fetches[fl.next].node)) {
 		fl.next++
 	}
-	mine := uint64(math.MaxUint64) // a first fetch gets the newest epoch yet
-	if st := co.state[req]; st.fetches > 0 {
-		mine = st.epoch
+	// stop may lie before next: req's upload slots were all taken then.
+	stop, own := co.earliestLocked(req, key)
+	if !own {
+		stop = len(fl.fetches)
 	}
 	var best *fetch
-	for i := fl.next; i < len(fl.fetches) && below > cluster.TierRack; i++ {
+	for i := fl.next; i < stop && below > cluster.TierRack; i++ {
 		f := &fl.fetches[i]
-		// An entry of req itself has req's epoch.
-		if f.node == noNode || f.epoch >= mine || co.saturated(f.node) || !co.reg.peerAlive(f.node) {
+		if f.node == noNode || co.saturated(f.node) || !co.reg.lv.Alive(f.node) {
 			continue
 		}
 		if tier := co.reg.topo.Tier(req, f.node); tier < below {
@@ -626,7 +614,7 @@ func (co *Cohort) pickFetcherLocked(fl *flight, req cluster.NodeID, below cluste
 func (co *Cohort) pickLocked(holders []cluster.NodeID, req cluster.NodeID) (best cluster.NodeID, bestTier cluster.Tier, any, found bool) {
 	var bestLoad int
 	for _, h := range holders {
-		if h == req || !co.reg.peerAlive(h) {
+		if h == req || !co.reg.lv.Alive(h) {
 			continue
 		}
 		any = true
@@ -634,7 +622,10 @@ func (co *Cohort) pickLocked(holders []cluster.NodeID, req cluster.NodeID) (best
 			continue
 		}
 		load := co.state[h].uploads
-		tier := co.reg.topo.Tier(req, h)
+		tier := cluster.TierRack // on the flat cluster, whoever it is
+		if co.reg.topo.Enabled() {
+			tier = co.reg.topo.Tier(req, h)
+		}
 		if !found || tier < bestTier || (tier == bestTier && load < bestLoad) {
 			best, bestTier, bestLoad, found = h, tier, load, true
 		}

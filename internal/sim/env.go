@@ -1,15 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"os"
-	"time"
-)
-
-// debugSlowEvents enables wall-clock timing of every event dispatch;
-// events slower than 20ms real time are reported on stderr. Controlled
-// by the BLOBVFS_SIM_DEBUG environment variable.
-var debugSlowEvents = os.Getenv("BLOBVFS_SIM_DEBUG") != ""
+import "fmt"
 
 // Env is a simulation environment: a virtual clock plus an event queue.
 // The zero value is not usable; create environments with New.
@@ -18,7 +9,13 @@ type Env struct {
 	seq    int64
 	steps  int64
 	events eventHeap
-	procs  int // number of live (started, not finished) processes
+	// due holds, in scheduling order, the events scheduled for the time
+	// it already was (a quarter of a flash crowd's), sparing them the heap.
+	// What the heap holds for this instant was scheduled before the clock
+	// got here, so it fires first and the order stays (t, seq).
+	due   []*Event
+	head  int // the first entry of due not yet fired
+	procs int // number of live (started, not finished) processes
 
 	// free recycles fired and canceled events: a 10k-instance flash
 	// crowd schedules tens of millions of events, and allocating each
@@ -44,24 +41,11 @@ func (e *Env) Now() float64 { return e.now }
 func (e *Env) Procs() int { return e.procs }
 
 // Pending returns the number of events currently queued.
-func (e *Env) Pending() int { return len(e.events) }
+func (e *Env) Pending() int { return len(e.events) + len(e.due) - e.head }
 
 // Steps returns the total number of events executed so far; useful for
 // diagnosing event storms.
 func (e *Env) Steps() int64 { return e.steps }
-
-// PendingTimes returns the scheduled times of up to max queued events,
-// unordered; a diagnostic aid.
-func (e *Env) PendingTimes(max int) []float64 {
-	out := make([]float64, 0, max)
-	for _, ent := range e.events {
-		if len(out) == max {
-			break
-		}
-		out = append(out, ent.t)
-	}
-	return out
-}
 
 // newEvent takes an event from the free list (or allocates one) and
 // schedules it at absolute time t.
@@ -81,7 +65,12 @@ func (e *Env) newEvent(t float64) *Event {
 	ev.t = t
 	ev.seq = e.seq
 	e.seq++
-	e.events.push(ev)
+	if t == e.now {
+		ev.index = -1 // Cancel marks it; the dispatcher recycles it
+		e.due = append(e.due, ev)
+	} else {
+		e.events.push(ev)
+	}
 	return ev
 }
 
@@ -128,7 +117,6 @@ func (e *Env) resumeAt(t float64, p *Proc) *Event {
 func (e *Env) resumeBatch(ws []*Proc) {
 	ev := e.newEvent(e.now)
 	ev.batch = ws
-	ev.fn = nil
 }
 
 // getBatch takes a waiter-slice buffer from the batch pool.
@@ -191,26 +179,29 @@ func (e *Env) Run() { e.RunUntil(-1) }
 // the limit. The clock is left at the last executed event's time, or at
 // limit if that is later.
 func (e *Env) RunUntil(limit float64) {
-	for len(e.events) > 0 {
-		if limit >= 0 && e.events[0].t > limit {
+	for limit < 0 || limit >= e.now {
+		var next *Event
+		switch {
+		case len(e.events) > 0 && e.events[0].t == e.now:
+			next = e.events.remove(0)
+		case e.head < len(e.due):
+			next, e.due[e.head] = e.due[e.head], nil
+			if e.head++; e.head == len(e.due) {
+				e.due, e.head = e.due[:0], 0
+			}
+		case len(e.events) > 0 && (limit < 0 || e.events[0].t <= limit):
+			next = e.events.remove(0)
+		}
+		if next == nil {
 			break
 		}
-		next := e.events.remove(0)
 		if next.canceled {
 			e.recycle(next)
 			continue
 		}
 		e.now = next.t
 		e.steps++
-		if debugSlowEvents {
-			start := time.Now()
-			e.dispatch(next)
-			if d := time.Since(start); d > 20*time.Millisecond {
-				fmt.Fprintf(os.Stderr, "sim: SLOW event t=%v seq=%d took %v\n", next.t, next.seq, d)
-			}
-		} else {
-			e.dispatch(next)
-		}
+		e.dispatch(next)
 		e.recycle(next)
 	}
 	if limit >= 0 && e.now < limit {

@@ -24,7 +24,7 @@ type Event struct {
 	batch []*Proc
 
 	canceled bool
-	index    int // heap index; -1 once popped or canceled
+	index    int // heap index; -1 off the heap: due now, popped or canceled
 }
 
 // Time returns the virtual time at which the event is scheduled to fire.

@@ -147,7 +147,7 @@ func TestRatesBitEqualToReferenceUnderChurn(t *testing.T) {
 		e.Go("driver", func(p *sim.Proc) {
 			for i := 0; i < 400; i++ {
 				p.Sleep(rng.Exp(0.02))
-				n.StartFunc(rng.Uniform(1e5, 5e7), func() {}, randomPath(rng, links)...)
+				n.Start(rng.Uniform(1e5, 5e7), randomPath(rng, links)...)
 				got := make([]uint64, len(n.flows))
 				for j, f := range n.flows {
 					got[j] = math.Float64bits(f.rate)

@@ -44,10 +44,8 @@ type Flow struct {
 	done      sim.Cond
 	finished  bool
 
-	// fn, when set, is the completion callback of a StartFunc flow.
-	fn func()
-	// pooled flows (Transfer/StartFunc — their handles never escape)
-	// recycle onto the net's free list at completion.
+	// pooled flows (Transfer's — their handles never escape) recycle
+	// onto the net's free list at completion.
 	pooled bool
 }
 
@@ -111,7 +109,7 @@ func (n *Net) Active() int { return len(n.flows) }
 // flow completes under max-min fair sharing with all concurrent flows.
 // A transfer with no links or zero bytes returns immediately.
 func (n *Net) Transfer(p *sim.Proc, bytes float64, links ...*Link) {
-	f := n.start(bytes, true, nil, links)
+	f := n.start(bytes, true, links)
 	if f == nil {
 		return
 	}
@@ -121,20 +119,7 @@ func (n *Net) Transfer(p *sim.Proc, bytes float64, links ...*Link) {
 // Start begins an asynchronous transfer and returns its Flow handle, or
 // nil if there is nothing to do. Use WaitFlow to join it.
 func (n *Net) Start(bytes float64, links ...*Link) *Flow {
-	return n.start(bytes, false, nil, links)
-}
-
-// StartFunc begins a transfer that runs done (as a zero-delay event)
-// when it completes, without occupying a process — the GoLite-compatible
-// form of Transfer. The callback fires at exactly the virtual time — and
-// event position — at which a blocked Transfer would have been resumed.
-// A transfer with no links or zero bytes completes immediately.
-func (n *Net) StartFunc(bytes float64, done func(), links ...*Link) {
-	if bytes <= 0 || len(links) == 0 {
-		n.env.At(n.env.Now(), done)
-		return
-	}
-	n.start(bytes, true, done, links)
+	return n.start(bytes, false, links)
 }
 
 func (n *Net) getFlow(pooled bool) *Flow {
@@ -150,7 +135,7 @@ func (n *Net) getFlow(pooled bool) *Flow {
 	return &Flow{pooled: true}
 }
 
-func (n *Net) start(bytes float64, pooled bool, fn func(), links []*Link) *Flow {
+func (n *Net) start(bytes float64, pooled bool, links []*Link) *Flow {
 	if bytes <= 0 || len(links) == 0 {
 		return nil
 	}
@@ -158,7 +143,6 @@ func (n *Net) start(bytes float64, pooled bool, fn func(), links []*Link) *Flow 
 	f := n.getFlow(pooled)
 	f.links = links
 	f.remaining = bytes
-	f.fn = fn
 	n.flows = append(n.flows, f)
 	for _, l := range links {
 		l.TotalBytes += bytes
@@ -407,12 +391,7 @@ func (n *Net) complete() {
 		f.remaining = 0
 		n.Completed++
 		n.markLinks(f.links)
-		if f.fn != nil {
-			n.env.At(n.env.Now(), f.fn)
-			f.fn = nil
-		} else {
-			f.done.Broadcast(n.env)
-		}
+		f.done.Broadcast(n.env)
 		if f.pooled {
 			f.links = nil
 			f.rate = 0

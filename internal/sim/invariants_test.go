@@ -118,17 +118,3 @@ func TestTinyResidualTimerTerminates(t *testing.T) {
 		t.Fatalf("tiny-residual job took %d events (zero-delay loop)", e.Steps()-steps0)
 	}
 }
-
-// TestPendingTimes exposes the diagnostic helper.
-func TestPendingTimes(t *testing.T) {
-	e := New()
-	e.At(3, func() {})
-	e.At(1, func() {})
-	ts := e.PendingTimes(10)
-	if len(ts) != 2 {
-		t.Fatalf("PendingTimes = %v", ts)
-	}
-	if got := e.PendingTimes(1); len(got) != 1 {
-		t.Fatalf("PendingTimes(1) = %v", got)
-	}
-}

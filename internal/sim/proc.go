@@ -147,19 +147,6 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// GoLite runs fn once at the current virtual time as a lightweight
-// activity: a single scheduled callback with no goroutine and no
-// switch. fn must not call blocking Proc APIs — it finishes
-// within its callback, or continues by scheduling further events or by
-// using the callback-completion resource APIs (PSPool.UseAsync,
-// flownet.Net.StartFunc). This is the state-machine path the
-// experiments' hot inner loops use so a 10k-instance herd does not
-// mean 10k parked goroutines per fire-and-forget activity.
-func (e *Env) GoLite(name string, fn func()) {
-	_ = name // diagnostic parity with Go; not retained
-	e.At(e.now, fn)
-}
-
 // handoff transfers control from the scheduler to p and blocks until p
 // parks again (by yielding or finishing). It must only be called from
 // the scheduler's goroutine, i.e. from inside an event function.

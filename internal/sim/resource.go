@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"math"
-	"os"
-)
+import "math"
 
 // Semaphore is a counting semaphore measured in arbitrary units (bytes,
 // slots, ...). Acquisition is FIFO: a large request at the head of the
@@ -200,36 +196,36 @@ func (pool *PSPool) getJob() *psJob {
 	return &psJob{}
 }
 
+// insert adds a job of amount units. When it completes, fn runs (as a
+// zero-delay event) if set, and whoever waits on the job's done is
+// resumed if not: one event either way.
+func (pool *PSPool) insert(amount float64, fn func()) *psJob {
+	pool.advance()
+	job := pool.getJob()
+	job.remaining, job.fn = amount, fn
+	pool.jobs = append(pool.jobs, job)
+	pool.reschedule()
+	return job
+}
+
 // Use blocks p while `amount` units of work are serviced by the pool,
 // sharing capacity equally with all concurrent jobs.
 func (pool *PSPool) Use(p *Proc, amount float64) {
-	if amount <= 0 {
-		return
+	if amount > 0 {
+		pool.insert(amount, nil).done.Wait(p)
 	}
-	pool.advance()
-	job := pool.getJob()
-	job.remaining = amount
-	pool.jobs = append(pool.jobs, job)
-	pool.reschedule()
-	job.done.Wait(p)
 }
 
 // UseAsync services `amount` units of work and runs done (as a
-// zero-delay event) when they complete, without occupying a process.
-// This is the GoLite-compatible form of Use: the callback fires at
-// exactly the virtual time — and event position — at which a blocked
-// Use call would have been resumed.
+// zero-delay event) when they complete, without occupying a process:
+// the callback fires at exactly the virtual time — and event position —
+// at which a blocked Use call would have been resumed.
 func (pool *PSPool) UseAsync(amount float64, done func()) {
 	if amount <= 0 {
 		pool.env.At(pool.env.now, done)
 		return
 	}
-	pool.advance()
-	job := pool.getJob()
-	job.remaining = amount
-	job.fn = done
-	pool.jobs = append(pool.jobs, job)
-	pool.reschedule()
+	pool.insert(amount, done)
 }
 
 // advance applies elapsed virtual time to every active job's remaining
@@ -298,10 +294,8 @@ func (pool *PSPool) complete() {
 		}
 	}
 	kept := pool.jobs[:0]
-	finished := 0
 	for _, j := range pool.jobs {
 		if j.remaining <= eps {
-			finished++
 			if j.fn != nil {
 				pool.env.At(pool.env.now, j.fn)
 				j.fn = nil
@@ -314,17 +308,6 @@ func (pool *PSPool) complete() {
 			kept = append(kept, j)
 		}
 	}
-	if debugPools && finished == 0 {
-		rems := make([]float64, 0, 4)
-		for _, j := range pool.jobs {
-			if len(rems) == 4 {
-				break
-			}
-			rems = append(rems, j.remaining)
-		}
-		fmt.Fprintf(os.Stderr, "pspool %s: barren complete now=%.17g jobs=%d last=%.17g rems=%v\n",
-			pool.name, pool.env.now, len(pool.jobs), pool.last, rems)
-	}
 	// Zero the tail so finished jobs are not retained by the backing array.
 	for i := len(kept); i < len(pool.jobs); i++ {
 		pool.jobs[i] = nil
@@ -332,6 +315,3 @@ func (pool *PSPool) complete() {
 	pool.jobs = kept
 	pool.reschedule()
 }
-
-// debugPools enables barren-completion diagnostics on stderr.
-var debugPools = os.Getenv("BLOBVFS_SIM_DEBUG") != ""

@@ -2,7 +2,6 @@ package vmmodel
 
 import (
 	"fmt"
-	"sort"
 
 	"blobvfs/internal/cluster"
 	"blobvfs/internal/sim"
@@ -217,12 +216,4 @@ func (vm *VM) Boot(ctx *cluster.Ctx, trace []TraceOp) error {
 		}
 	}
 	return nil
-}
-
-// SortOpsByOffset returns a copy of ops ordered by offset; useful in
-// tests that verify extent disjointness.
-func SortOpsByOffset(ops []TraceOp) []TraceOp {
-	out := append([]TraceOp(nil), ops...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Off < out[j].Off })
-	return out
 }

@@ -31,12 +31,12 @@ type Repo struct {
 	sys     *blob.System
 	sharing *p2p.Registry     // nil without WithP2P
 	syncer  *reposync.Tracker // disconnected-sync identity + sequence state
-	// liveness is the repo's node up/down registry: the provider set
-	// (failover + re-replication), the metadata service and version
-	// manager (with WithMetaReplicas), and the sharing tracker
-	// (dead-peer retraction) subscribe to it at Open; ArmFaults feeds
-	// it the WithFaultPlan schedule, expanding rack- and zone-scoped
-	// events to their member nodes first.
+	// liveness is the repo's node up/down registry, the one record every
+	// service reads: the provider set (failover + re-replication), the
+	// metadata service and version manager (with WithMetaReplicas), and
+	// the sharing tracker (dead-peer retraction) are attached to it at
+	// Open; ArmFaults feeds it the WithFaultPlan schedule, expanding
+	// rack- and zone-scoped events to their member nodes first.
 	liveness *cluster.Liveness
 
 	closed      atomic.Bool
@@ -65,7 +65,6 @@ func Open(fab Fabric, opts ...Option) (*Repo, error) {
 		replicas:     1,
 		metaReplicas: 1,
 		chunkSize:    256 << 10,
-		mirror:       mirror.DefaultConfig(),
 	}
 	for _, opt := range opts {
 		opt(&cfg)
@@ -97,17 +96,12 @@ func Open(fab Fabric, opts ...Option) (*Repo, error) {
 		r.sys.Providers.SetTopology(cfg.topo)
 	}
 	r.liveness = cluster.NewLiveness(fab.Nodes())
-	// The control-plane listeners register before the provider set's:
-	// listeners run in registration order and block the injector, and
-	// a chunk re-replication sweep can take virtual seconds — the
-	// metadata and version-manager flags must flip (and the cheap
-	// metadata sweep run) before that, or reads issued right after a
-	// kill would still be routed to the dead control-plane replica.
 	if cfg.metaReplicas > 1 {
 		r.sys.Meta.SetReplication(cfg.metaReplicas)
 		if cfg.topo.Enabled() {
 			r.sys.Meta.SetTopology(cfg.topo)
 		}
+		r.sys.Meta.SetLiveness(r.liveness)
 		r.liveness.OnChange(r.sys.Meta.NodeChanged)
 		// The version manager's journal standbys: the first r-1
 		// providers distinct from its own host.
@@ -122,8 +116,9 @@ func Open(fab Fabric, opts ...Option) (*Repo, error) {
 			}
 		}
 		r.sys.VM.SetStandbys(standbys)
-		r.liveness.OnChange(r.sys.VM.NodeChanged)
+		r.sys.VM.SetLiveness(r.liveness)
 	}
+	r.sys.Providers.SetLiveness(r.liveness)
 	r.liveness.OnChange(r.sys.Providers.NodeChanged)
 	if cfg.p2p != nil {
 		r.sharing = p2p.NewRegistry(cfg.manager, *cfg.p2p)
@@ -186,11 +181,7 @@ func (r *Repo) module(node NodeID) *mirror.Module {
 	defer r.mu.Unlock()
 	m, ok := r.modules[node]
 	if !ok {
-		c := blob.NewClient(r.sys)
-		if r.cfg.extentCap > 0 {
-			c.SetExtentCacheCap(r.cfg.extentCap)
-		}
-		m = mirror.NewModule(node, c, r.cfg.mirror)
+		m = mirror.NewModule(node, blob.NewClient(r.sys))
 		if r.cohort != nil {
 			m.SetSharer(r.cohort)
 		}
