@@ -28,9 +28,8 @@ func Synthetic() DiskOption {
 // Disk is an open mirrored image: the raw file the hypervisor sees on
 // one node. Content is fetched lazily from the repository (or cohort
 // peers) on first access; writes stay in the local mirror until
-// Commit. Hypervisor-facing methods must be called from the owning
-// activity, with one sanctioned exception: Prefetch may run from a
-// concurrent activity to overlap with a boot.
+// Commit. Guest I/O must come from the owning activity; a Commit or
+// Repo.Snapshot may overlap it from another.
 type Disk struct {
 	repo   *Repo
 	im     *mirror.Image
@@ -95,20 +94,6 @@ func (d *Disk) Commit(ctx *Ctx) (Snapshot, error) {
 	}
 	return Snapshot{Image: d.im.BlobID(), Version: v}, nil
 }
-
-// Prefetch walks an access profile (chunk indices in first-access
-// order, as returned by AccessOrder) and fetches every not-yet-local
-// chunk, so a boot following the same pattern finds its working set
-// already mirrored. Run it from a concurrent activity to overlap with
-// the boot.
-func (d *Disk) Prefetch(ctx *Ctx, profile []int64) error {
-	return d.im.Prefetch(ctx, profile)
-}
-
-// AccessOrder returns the chunk indices this disk fetched on demand,
-// in first-access order — a reusable profile for Prefetch on later
-// deployments of the same image.
-func (d *Disk) AccessOrder() []int64 { return d.im.AccessOrder() }
 
 // Close releases the disk: its local modification metadata is
 // persisted on the node (a later OpenDisk of the same snapshot there

@@ -34,9 +34,9 @@ func NewSystem(providers []cluster.NodeID, vmNode cluster.NodeID, replicas int) 
 const clientParallel = 16
 
 // nodeCacheShards stripes the client's tree-node cache so the
-// clientParallel concurrent fetchers (plus a prefetcher) it feeds
-// never serialize on one mutex. Power of two; refs are sequential, so
-// masking spreads them evenly.
+// clientParallel concurrent fetchers it feeds never serialize on one
+// mutex. Power of two; refs are sequential, so masking spreads them
+// evenly.
 const nodeCacheShards = 16
 
 type nodeCacheShard struct {

@@ -363,14 +363,6 @@ func (m *MetaService) PutBatch(ctx *cluster.Ctx, nodes []NewNode) {
 	}
 }
 
-// RefWatermark returns the highest node reference allocated so far.
-// Like ProviderSet.KeyWatermark, the garbage collector snapshots it
-// before marking so nodes of in-flight versions are exempt from the
-// sweep.
-func (m *MetaService) RefWatermark() NodeRef {
-	return NodeRef(m.nextRef.Load())
-}
-
 // AllocPendingRef returns a fresh globally unique node reference for
 // a version being built (refs are client-generated in BlobSeer as
 // well, so no RPC is charged): the ref is atomically registered as

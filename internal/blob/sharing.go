@@ -35,8 +35,8 @@ type ChunkSharer interface {
 	Landed(ctx *cluster.Ctx, key ChunkKey, ok bool)
 	// Announce registers ctx.Node() as a holder of the given chunks.
 	// Implementations must deduplicate (node, key) pairs so that a
-	// chunk announced twice — e.g. once by a prefetch and once by a
-	// concurrent demand fetch — is only counted and charged once.
+	// chunk announced twice — e.g. once by a guest read and once by a
+	// concurrent commit's gap fill — is only counted and charged once.
 	Announce(ctx *cluster.Ctx, keys []ChunkKey)
 	// Retract withdraws ctx.Node() as a holder of the chunks (the
 	// local copies diverged from the published content, e.g. mirrored

@@ -55,7 +55,7 @@ func newSimRig(t *testing.T, nodes int, size int64, chunkSize int) *simRig {
 // TestCommitDoesNotLoseConcurrentWrites is the regression test for the
 // commit-path lost update: a WriteAt landing between Commit's payload
 // capture and its publish completion used to be wiped from the dirty
-// map (Commit unconditionally zeroed DirtyLo/DirtyHi), so the write was
+// map (Commit unconditionally emptied the dirty range), so the write was
 // never published by any later commit — the local mirror silently
 // diverged from every snapshot. The interleaving is deterministic: the
 // commit captures its payloads synchronously before its first fabric
@@ -156,11 +156,11 @@ func TestCommitRemarksOnlyBytesWrittenDuringPublish(t *testing.T) {
 		im.mu.Lock()
 		st := im.chunks[0]
 		im.mu.Unlock()
-		if st.DirtyLo != 4096 || st.DirtyHi != 4100 {
-			t.Fatalf("dirty range after commit = [%d,%d), want [4096,4100) (only the in-window write)", st.DirtyLo, st.DirtyHi)
+		if want := (span{4096, 4100}); st.Dirty != want {
+			t.Fatalf("dirty range after commit = %v, want %v (only the in-window write)", st.Dirty, want)
 		}
-		if len(im.publishing) != 0 || len(im.during) != 0 {
-			t.Fatalf("publish window not closed: publishing=%v during=%v", im.publishing, im.during)
+		if len(im.during) != 0 {
+			t.Fatalf("publish window not closed: during=%v", im.during)
 		}
 	})
 }

@@ -17,7 +17,7 @@
 //
 // When the module is attached to a peer-to-peer sharing cohort
 // (SetSharer), an image announces every chunk it mirrors — demand
-// fetch, prefetch or commit — so cohort siblings can fetch it from
-// this node instead of the providers, and retracts chunks whose local
-// copy diverges from the published content (guest writes).
+// fetch or commit — so cohort siblings can fetch it from this node
+// instead of the providers, and retracts chunks whose local copy
+// diverges from the published content (guest writes).
 package mirror

@@ -64,7 +64,7 @@ func TestMergeFetchedMatchesByteLoop(t *testing.T) {
 		}
 		got := random(clen) // what the mirror held, dirty bytes included
 		want := bytes.Clone(got)
-		mergeFetched(got, p, int32(lo), int32(hi))
+		mergeFetched(got, p, span{int32(lo), int32(hi)})
 		mergeFetchedRef(want, p, int32(lo), int32(hi))
 		if !bytes.Equal(got, want) {
 			t.Fatalf("case %d: chunk of %d, dirty [%d,%d), payload %d bytes (real %v):\n got %v\nwant %v",

@@ -52,17 +52,30 @@ type localState struct {
 	announced map[int64]blob.ChunkKey
 }
 
-// chunkState is the local modification manager's record for one chunk:
-// at most one contiguous mirrored byte range [MirLo,MirHi) and one
-// contiguous dirty byte range [DirtyLo,DirtyHi), both chunk-relative.
-// Dirty is always contained in mirrored.
-type chunkState struct {
-	MirLo, MirHi     int32
-	DirtyLo, DirtyHi int32
+// span is a chunk-relative [Lo,Hi) byte hull.
+type span struct {
+	Lo, Hi int32
 }
 
-func (cs chunkState) mirrored() bool { return cs.MirHi > cs.MirLo }
-func (cs chunkState) dirty() bool    { return cs.DirtyHi > cs.DirtyLo }
+func (s span) empty() bool { return s.Hi <= s.Lo }
+
+// cover returns s extended to contain [lo,hi).
+func (s span) cover(lo, hi int32) span {
+	if s.empty() {
+		return span{lo, hi}
+	}
+	return span{min(s.Lo, lo), max(s.Hi, hi)}
+}
+
+// chunkState is the local modification manager's record for one chunk:
+// at most one contiguous mirrored byte range and one contiguous dirty
+// byte range. Dirty is always contained in mirrored.
+type chunkState struct {
+	Mir, Dirty span
+}
+
+func (cs chunkState) mirrored() bool { return !cs.Mir.empty() }
+func (cs chunkState) dirty() bool    { return !cs.Dirty.empty() }
 
 // NewModule creates the mirroring module for a node, attached to the
 // blob storage service through client.
@@ -87,26 +100,20 @@ func (m *Module) SetSharer(s blob.ChunkSharer) {
 
 // Stats aggregates an image's access accounting.
 type Stats struct {
-	Reads, Writes      int64 // hypervisor-issued operations
 	RemoteChunkFetches int64 // chunks fetched from the repository
 	RemoteBytesFetched int64 // payload bytes fetched
-	LocalReads         int64 // reads served entirely from the mirror
 	GapFills           int64 // writes that forced a remote gap fill
-	Commits, Clones    int64
 	CommittedChunks    int64
-	CommittedBytes     int64
-	PrefetchedChunks   int64 // chunks brought in by Prefetch, not demand
 	DuplicateFetches   int64 // concurrent fetches of the same chunk, counted once
 	FetchRetries       int64 // remote fetches re-attempted after ErrNoReplica
 }
 
 // Image is an open mirrored image: the raw file the hypervisor sees.
-// Hypervisor-facing methods must be called from the owning activity (a
-// VM's virtual disk has one queue here, like the paper's
-// one-FUSE-mount-per-VM deployment), with one sanctioned exception:
-// Prefetch may run from a concurrent activity to overlap with the
-// boot. The mutable state below is therefore guarded by mu, which is
-// never held across fabric operations.
+// Guest I/O must come from the owning activity (a VM's virtual disk has
+// one queue here, like the paper's one-FUSE-mount-per-VM deployment); a
+// Commit or Snapshot may overlap it from another. The mutable state
+// below is therefore guarded by mu, which is never held across fabric
+// operations.
 type Image struct {
 	mod  *Module
 	info blob.Info
@@ -119,27 +126,16 @@ type Image struct {
 	open    bool
 	stats   Stats
 
-	// accessOrder records the chunk indices fetched on demand, in
-	// order — the access profile of §7's proposed prefetching scheme.
-	accessOrder []int64
 	// announced maps chunk index → the key this image announced to its
 	// sharing cohort, so a dirtying write can retract it.
 	announced map[int64]blob.ChunkKey
-	// inflight counts remote fetches currently running per chunk, so a
-	// prefetch skips chunks a demand fetch is already bringing in.
-	inflight map[int64]int
-	// publishing marks chunk indices whose captured payload a commit is
-	// currently pushing to the fabric; during records the dirty hull of
-	// writes landing on those chunks inside that window, so commit
-	// completion re-marks exactly the bytes the published snapshot does
-	// not contain instead of wiping them from the dirty map.
-	publishing map[int64]bool
-	during     map[int64]dirtyRange
-}
-
-// dirtyRange is a chunk-relative [Lo,Hi) byte hull.
-type dirtyRange struct {
-	Lo, Hi int32
+	// during has an entry for each chunk whose captured payload a commit
+	// is currently pushing to the fabric: the dirty hull of the writes
+	// that landed on it inside that window, empty until one does. Commit
+	// completion re-marks exactly those bytes, which the published
+	// snapshot does not contain, instead of wiping them from the dirty
+	// map.
+	during map[int64]span
 }
 
 // Open mirrors snapshot (id, v) as a local raw image file. If the
@@ -172,17 +168,22 @@ func (m *Module) Open(ctx *cluster.Ctx, id blob.ID, v blob.Version, real bool) (
 	}
 	im := &Image{
 		mod: m, blobID: id, version: v, info: inf, open: true,
-		announced:  make(map[int64]blob.ChunkKey),
-		inflight:   make(map[int64]int),
-		publishing: make(map[int64]bool),
-		during:     make(map[int64]dirtyRange),
+		announced: make(map[int64]blob.ChunkKey),
+		during:    make(map[int64]span),
 	}
 	m.mu.Lock()
 	st := m.closed[id]
-	if st != nil && st.version == v {
-		delete(m.closed, id)
-	} else {
+	switch {
+	case st == nil || st.version != v:
 		st = nil
+	case real && st.local == nil:
+		// Refused before the state is taken: a later synthetic reopen
+		// still finds the node's dirty map.
+		m.mu.Unlock()
+		m.client.UnpinVersion(id, v)
+		return nil, fmt.Errorf("mirror: image %d was closed synthetic, cannot reopen real: %w", id, ErrSynthetic)
+	default:
+		delete(m.closed, id)
 	}
 	m.mu.Unlock()
 	if st != nil {
@@ -198,10 +199,6 @@ func (m *Module) Open(ctx *cluster.Ctx, id blob.ID, v blob.Version, real bool) (
 		// Re-reading the persisted modification metadata costs one
 		// local-disk access.
 		ctx.DiskRead(m.node, int64(len(st.chunks))*16)
-		if real && im.local == nil {
-			m.client.UnpinVersion(id, v)
-			return nil, fmt.Errorf("mirror: image %d was closed synthetic, cannot reopen real: %w", id, ErrSynthetic)
-		}
 		return im, nil
 	}
 	im.chunks = make([]chunkState, inf.Chunks())
@@ -330,11 +327,6 @@ func (im *Image) access(ctx *cluster.Ctx, off, n int64, p []byte, write bool) er
 		im.mu.Unlock()
 		return fmt.Errorf("mirror: data access: %w", ErrSynthetic)
 	}
-	if write {
-		im.stats.Writes++
-	} else {
-		im.stats.Reads++
-	}
 	im.mu.Unlock()
 	ctx.Sleep(opOverhead)
 
@@ -348,12 +340,11 @@ func (im *Image) access(ctx *cluster.Ctx, off, n int64, p []byte, write bool) er
 		if err := im.ensureMirrored(ctx, lo, hi); err != nil {
 			return err
 		}
-		im.mu.Lock()
-		im.stats.LocalReads++ // now served locally
 		if p != nil {
+			im.mu.Lock()
 			copy(p, im.local[off:off+n])
+			im.mu.Unlock()
 		}
-		im.mu.Unlock()
 		return nil
 	}
 	// Write path: per chunk, keep the mirrored region contiguous. A
@@ -367,18 +358,11 @@ func (im *Image) access(ctx *cluster.Ctx, off, n int64, p []byte, write bool) er
 		im.mu.Lock()
 		st := &im.chunks[ci]
 		gapFill := false
-		switch {
-		case !st.mirrored():
-			st.MirLo, st.MirHi = wlo, whi
-		case wlo <= st.MirHi && whi >= st.MirLo:
-			// Overlaps or adjoins: extend the contiguous region.
-			if wlo < st.MirLo {
-				st.MirLo = wlo
-			}
-			if whi > st.MirHi {
-				st.MirHi = whi
-			}
-		default:
+		if !st.mirrored() || (wlo <= st.Mir.Hi && whi >= st.Mir.Lo) {
+			// Nothing mirrored yet, or the write overlaps or adjoins the
+			// contiguous region: extend it.
+			st.Mir = st.Mir.cover(wlo, whi)
+		} else {
 			// Strategy 2: the write would fragment the mirrored region;
 			// fill the gap by fetching the whole chunk remotely first.
 			im.stats.GapFills++
@@ -386,38 +370,19 @@ func (im *Image) access(ctx *cluster.Ctx, off, n int64, p []byte, write bool) er
 		}
 		im.mu.Unlock()
 		if gapFill {
-			if err := im.fetchChunks(ctx, ci, ci+1, false); err != nil {
+			if err := im.fetchChunks(ctx, ci, ci+1); err != nil {
 				return err
 			}
 		}
 		im.mu.Lock()
 		st = &im.chunks[ci]
 		// Track the dirty hull (contained in the mirrored region).
-		if !st.dirty() {
-			st.DirtyLo, st.DirtyHi = wlo, whi
-		} else {
-			if wlo < st.DirtyLo {
-				st.DirtyLo = wlo
-			}
-			if whi > st.DirtyHi {
-				st.DirtyHi = whi
-			}
-		}
-		if im.publishing[ci] {
-			// A commit captured this chunk and is publishing it right
+		st.Dirty = st.Dirty.cover(wlo, whi)
+		if d, open := im.during[ci]; open {
+			// A commit captured this chunk and is pushing it out right
 			// now: record the write separately so completion re-marks
 			// it dirty instead of wiping it with the committed range.
-			if d, ok := im.during[ci]; ok {
-				if wlo < d.Lo {
-					d.Lo = wlo
-				}
-				if whi > d.Hi {
-					d.Hi = whi
-				}
-				im.during[ci] = d
-			} else {
-				im.during[ci] = dirtyRange{Lo: wlo, Hi: whi}
-			}
+			im.during[ci] = d.cover(wlo, whi)
 		}
 		if key, ok := im.announced[ci]; ok {
 			retract = append(retract, key)
@@ -449,7 +414,7 @@ func (im *Image) ensureMirrored(ctx *cluster.Ctx, lo, hi int64) error {
 			runStart = ci
 		}
 		if !missing && runStart >= 0 {
-			if err := im.fetchChunks(ctx, runStart, ci, false); err != nil {
+			if err := im.fetchChunks(ctx, runStart, ci); err != nil {
 				return err
 			}
 			runStart = -1
@@ -465,8 +430,7 @@ func (im *Image) fullyMirrored(ci int64) bool {
 }
 
 func (im *Image) fullyMirroredLocked(ci int64) bool {
-	st := im.chunks[ci]
-	return st.MirLo == 0 && st.MirHi == im.chunkLen(ci)
+	return im.chunks[ci].Mir == span{0, im.chunkLen(ci)}
 }
 
 // fetchChunks fetches whole chunks [lo,hi) from the repository and
@@ -474,23 +438,19 @@ func (im *Image) fullyMirroredLocked(ci int64) bool {
 // merge each chunk is fully mirrored. Fetched content is persisted on
 // the local disk by the kernel's asynchronous write-back.
 //
-// A chunk that a concurrent fetch (demand vs. prefetch racing) already
-// merged while this one was in flight is skipped: its payload was
-// transferred twice — the wasted transfer is charged, as in reality —
-// but it is counted and announced to the sharing cohort exactly once,
-// and recorded in the access profile exactly once (by the demand side,
-// even when the prefetch's merge won the race).
+// A chunk that a concurrent fetch (a guest read racing a commit's gap
+// fill) already merged while this one was in flight is skipped: its
+// payload was transferred twice — the wasted transfer is charged, as in
+// reality — but it is counted and announced to the sharing cohort
+// exactly once.
 //
 // With a sharing cohort a chunk that landed on clean bytes is announced:
 // the local copy is the published content. One that landed around dirty
 // bytes (a gap fill, a read of a chunk written first) is not.
-func (im *Image) fetchChunks(ctx *cluster.Ctx, lo, hi int64, prefetch bool) error {
+func (im *Image) fetchChunks(ctx *cluster.Ctx, lo, hi int64) error {
 	sharer := im.mod.sharer
 	im.mu.Lock()
 	id, v := im.blobID, im.version
-	for ci := lo; ci < hi; ci++ {
-		im.inflight[ci]++
-	}
 	im.mu.Unlock()
 	fetched, err := im.mod.client.FetchChunksShared(ctx, id, v, lo, hi)
 	// Retry-with-backoff instead of propagating the first failure: a
@@ -505,14 +465,7 @@ func (im *Image) fetchChunks(ctx *cluster.Ctx, lo, hi int64, prefetch bool) erro
 		ctx.Sleep(retryDelay)
 		fetched, err = im.mod.client.FetchChunksShared(ctx, id, v, lo, hi)
 	}
-	im.mu.Lock()
-	for ci := lo; ci < hi; ci++ {
-		if im.inflight[ci]--; im.inflight[ci] == 0 {
-			delete(im.inflight, ci)
-		}
-	}
 	if err != nil {
-		im.mu.Unlock()
 		return err
 	}
 	type announced struct {
@@ -522,31 +475,24 @@ func (im *Image) fetchChunks(ctx *cluster.Ctx, lo, hi int64, prefetch bool) erro
 	cs := int64(im.info.ChunkSize)
 	var announce []announced
 	var bytes int64
+	im.mu.Lock()
 	for _, fc := range fetched {
 		st := &im.chunks[fc.Index]
 		clen := im.chunkLen(fc.Index)
-		if st.MirLo == 0 && st.MirHi == clen {
+		whole := span{0, clen}
+		if st.Mir == whole {
 			// A concurrent fetch of this chunk won the merge race;
-			// count the chunk once. A demand access still belongs in
-			// the access profile even when the prefetch's merge won.
+			// count the chunk once.
 			im.stats.DuplicateFetches++
-			if !prefetch {
-				im.accessOrder = append(im.accessOrder, fc.Index)
-			}
 			continue
 		}
 		if im.local != nil {
 			cstart := fc.Index * cs
-			mergeFetched(im.local[cstart:cstart+int64(clen)], fc.Payload, st.DirtyLo, st.DirtyHi)
+			mergeFetched(im.local[cstart:cstart+int64(clen)], fc.Payload, st.Dirty)
 		}
-		st.MirLo, st.MirHi = 0, clen
+		st.Mir = whole
 		im.stats.RemoteChunkFetches++
 		im.stats.RemoteBytesFetched += int64(fc.Payload.Size)
-		if prefetch {
-			im.stats.PrefetchedChunks++
-		} else {
-			im.accessOrder = append(im.accessOrder, fc.Index)
-		}
 		if sharer != nil && fc.Key != 0 && !st.dirty() {
 			announce = append(announce, announced{fc.Index, fc.Key})
 			im.announced[fc.Index] = fc.Key
@@ -581,58 +527,14 @@ func (im *Image) fetchChunks(ctx *cluster.Ctx, lo, hi int64, prefetch bool) erro
 }
 
 // mergeFetched fills dst, one chunk of the local mirror, from the
-// fetched payload around the chunk's dirty range [dirtyLo,dirtyHi),
-// which it leaves alone: local modification wins.
-func mergeFetched(dst []byte, p blob.Payload, dirtyLo, dirtyHi int32) {
-	if dirtyHi <= dirtyLo { // clean
-		dirtyLo, dirtyHi = 0, 0
+// fetched payload around the chunk's dirty range, which it leaves
+// alone: local modification wins.
+func mergeFetched(dst []byte, p blob.Payload, dirty span) {
+	if dirty.empty() { // clean
+		dirty = span{}
 	}
-	p.CopyTo(dst[:dirtyLo], 0)
-	p.CopyTo(dst[dirtyHi:], int64(dirtyHi))
-}
-
-// AccessOrder returns the chunk indices this image fetched on demand,
-// in first-access order — a reusable access profile for deployments
-// of the same image (§7's "prefetching scheme based on previous
-// experience with the access pattern").
-func (im *Image) AccessOrder() []int64 {
-	im.mu.Lock()
-	defer im.mu.Unlock()
-	return append([]int64(nil), im.accessOrder...)
-}
-
-// Prefetch walks an access profile and fetches every not-yet-mirrored
-// chunk in profile order, so that a boot following the same pattern
-// finds its working set already local. Call it from a concurrent
-// activity to overlap with the boot, or beforehand for a warm start.
-// Chunks fetched here are counted as PrefetchedChunks, not demand
-// fetches, and do not pollute the image's own access profile.
-//
-// Chunks the boot is concurrently demand-fetching (in flight at the
-// time Prefetch considers them) are skipped, and a lost merge race is
-// resolved by fetchChunks, so no chunk is ever double-counted or
-// double-announced.
-func (im *Image) Prefetch(ctx *cluster.Ctx, profile []int64) error {
-	for _, ci := range profile {
-		im.mu.Lock()
-		if !im.open {
-			im.mu.Unlock()
-			return fmt.Errorf("mirror: prefetch: %w", ErrClosed)
-		}
-		if ci < 0 || ci >= int64(len(im.chunks)) {
-			im.mu.Unlock()
-			return fmt.Errorf("mirror: prefetch chunk %d outside image: %w", ci, blob.ErrOutOfRange)
-		}
-		skip := im.fullyMirroredLocked(ci) || im.inflight[ci] > 0
-		im.mu.Unlock()
-		if skip {
-			continue
-		}
-		if err := im.fetchChunks(ctx, ci, ci+1, true); err != nil {
-			return err
-		}
-	}
-	return nil
+	p.CopyTo(dst[:dirty.Lo], 0)
+	p.CopyTo(dst[dirty.Hi:], int64(dirty.Hi))
 }
 
 // Clone redirects the image to a fresh blob that logically duplicates
@@ -668,7 +570,6 @@ func (im *Image) Clone(ctx *cluster.Ctx) error {
 	im.mu.Lock()
 	im.blobID = clone
 	im.version = 1
-	im.stats.Clones++
 	im.mu.Unlock()
 	return nil
 }
@@ -695,7 +596,7 @@ type commitPlan struct {
 
 // prepareCommit is COMMIT's local half: gap-fill dirty chunks that lack
 // full content, then capture their payloads and open the publish window
-// (mark them publishing). A nil plan means nothing was dirty. Every
+// (an entry in during). A nil plan means nothing was dirty. Every
 // fabric operation it performs reads; it never publishes, so it can
 // safely overlap a concurrent Clone (a forking Snapshot). For the same
 // reason it stamps nothing with the image's identity, which the Clone
@@ -723,20 +624,20 @@ func (im *Image) prepareCommit(ctx *cluster.Ctx) (*commitPlan, error) {
 			im.mu.Unlock()
 			continue
 		}
-		if st := im.chunks[ci]; st.DirtyLo == 0 && st.DirtyHi == im.chunkLen(ci) {
+		if whole := (span{0, im.chunkLen(ci)}); im.chunks[ci].Dirty == whole {
 			// Entirely dirty: nothing to fill.
-			im.chunks[ci].MirLo, im.chunks[ci].MirHi = 0, im.chunkLen(ci)
+			im.chunks[ci].Mir = whole
 			im.mu.Unlock()
 			continue
 		}
 		im.mu.Unlock()
-		if err := im.fetchChunks(ctx, ci, ci+1, false); err != nil {
+		if err := im.fetchChunks(ctx, ci, ci+1); err != nil {
 			return nil, err
 		}
 	}
 	// Reading the dirty content back from the local mirror (page cache
 	// makes this cheap; charge the disk for the cold fraction). Payload
-	// capture and the publishing mark happen under one lock acquisition:
+	// capture and the window's opening happen under one lock acquisition:
 	// from here until completion, a concurrent write on a captured chunk
 	// is recorded in `during` as well as in the dirty hull.
 	cs := int64(im.info.ChunkSize)
@@ -752,8 +653,7 @@ func (im *Image) prepareCommit(ctx *cluster.Ctx) (*commitPlan, error) {
 			payload = blob.RealPayload(data)
 		}
 		writes = append(writes, blob.ChunkWrite{Index: ci, Payload: payload})
-		im.stats.CommittedBytes += int64(clen)
-		im.publishing[ci] = true
+		im.during[ci] = span{}
 	}
 	im.mu.Unlock()
 	return &commitPlan{writes: writes, dirtyIdx: dirtyIdx}, nil
@@ -798,28 +698,24 @@ func (im *Image) publishCommit(ctx *cluster.Ctx, plan *commitPlan) (blob.Version
 	var retract []blob.ChunkKey
 	im.mu.Lock()
 	im.version = v
-	im.stats.Commits++
 	im.stats.CommittedChunks += int64(len(plan.writes))
 	for _, ci := range plan.dirtyIdx {
-		delete(im.publishing, ci)
-		if d, wrote := im.during[ci]; wrote {
-			// A write landed between payload capture and publication:
-			// the published snapshot does not contain it. Keep exactly
-			// those bytes dirty for the next commit instead of wiping
-			// the record, and withdraw this node as a holder of the
-			// committed key — the local chunk already diverged from it.
-			delete(im.during, ci)
-			im.chunks[ci].DirtyLo, im.chunks[ci].DirtyHi = d.Lo, d.Hi
-			if sharing {
-				retract = append(retract, keyOf[ci])
-			}
-			continue
-		}
-		im.chunks[ci].DirtyLo, im.chunks[ci].DirtyHi = 0, 0
-		if sharing {
+		// What was written between payload capture and publication the
+		// published snapshot does not contain: exactly those bytes stay
+		// dirty for the next commit, and none when no write landed.
+		d := im.during[ci]
+		delete(im.during, ci)
+		im.chunks[ci].Dirty = d
+		switch {
+		case !sharing:
+		case d.empty():
 			// The client announced the committed keys; record them so
 			// a later dirtying write retracts this node as a holder.
 			im.announced[ci] = keyOf[ci]
+		default:
+			// Withdraw this node as a holder of the committed key — the
+			// local chunk already diverged from it.
+			retract = append(retract, keyOf[ci])
 		}
 	}
 	im.mu.Unlock()
@@ -836,7 +732,6 @@ func (im *Image) publishCommit(ctx *cluster.Ctx, plan *commitPlan) (blob.Version
 func (im *Image) closeWindow(dirtyIdx []int64) {
 	im.mu.Lock()
 	for _, ci := range dirtyIdx {
-		delete(im.publishing, ci)
 		delete(im.during, ci)
 	}
 	im.mu.Unlock()

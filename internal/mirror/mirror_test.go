@@ -2,6 +2,7 @@ package mirror
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -361,6 +362,37 @@ func TestCloseReopenRestoresLocalState(t *testing.T) {
 	})
 }
 
+// TestRefusedReopenKeepsLocalState: a disk closed synthetic cannot be
+// reopened real, and the refusal must leave the node's persisted dirty
+// map where the next synthetic open finds it.
+func TestRefusedReopenKeepsLocalState(t *testing.T) {
+	rig := newRig(t, 2, 32<<10, 8<<10)
+	rig.run(t, func(ctx *cluster.Ctx) {
+		mod := rig.modules[0]
+		im, err := mod.Open(ctx, rig.imageID, rig.imageV, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := im.Write(ctx, 1234, 9); err != nil {
+			t.Fatal(err)
+		}
+		im.Close(ctx)
+		if _, err := mod.Open(ctx, rig.imageID, rig.imageV, true); !errors.Is(err, ErrSynthetic) {
+			t.Fatalf("real reopen of a disk closed synthetic = %v, want ErrSynthetic", err)
+		}
+		im2, err := mod.Open(ctx, rig.imageID, rig.imageV, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !im2.Dirty() {
+			t.Fatal("the refused reopen threw the dirty map away")
+		}
+		if v, err := im2.Commit(ctx); err != nil || v == rig.imageV {
+			t.Fatalf("commit after the refused reopen = (%d, %v), want a new version", v, err)
+		}
+	})
+}
+
 func TestOpenOnWrongNodeFails(t *testing.T) {
 	rig := newRig(t, 2, 16<<10, 8<<10)
 	rig.run(t, func(ctx *cluster.Ctx) {
@@ -459,11 +491,11 @@ func TestMirrorMatchesFlatFile(t *testing.T) {
 				for ci := range im.chunks {
 					st := im.chunks[ci]
 					clen := im.chunkLen(int64(ci))
-					if st.MirLo < 0 || st.MirHi > clen || st.MirLo > st.MirHi {
+					if st.Mir.Lo < 0 || st.Mir.Hi > clen || st.Mir.Lo > st.Mir.Hi {
 						ok = false
 						return
 					}
-					if st.dirty() && (st.DirtyLo < st.MirLo || st.DirtyHi > st.MirHi) {
+					if st.dirty() && (st.Dirty.Lo < st.Mir.Lo || st.Dirty.Hi > st.Mir.Hi) {
 						ok = false
 						return
 					}

@@ -25,18 +25,19 @@ func TestFetchSettlesWhatItPutOnRecord(t *testing.T) {
 		name string
 		// lead is what node 0 does with its image.
 		lead func(t *testing.T, cc *cluster.Ctx, im *Image, sys *blob.System)
-		// peerHits and providerReads are the cohort's and the providers'
-		// counts afterwards; failed says the follower's read must fail.
-		peerHits, providerReads int64
-		failed                  bool
+		// peerHits, announced and providerReads are the cohort's and the
+		// providers' counts afterwards; failed says the follower's read
+		// must fail.
+		peerHits, announced, providerReads int64
+		failed                             bool
 	}{
-		{name: "landed", peerHits: 1, providerReads: 1,
+		{name: "landed", peerHits: 1, announced: 2, providerReads: 1,
 			lead: func(t *testing.T, cc *cluster.Ctx, im *Image, _ *blob.System) {
 				if err := im.Read(cc, 0, cs); err != nil {
 					t.Error(err)
 				}
 			}},
-		{name: "dirty", peerHits: 1, providerReads: 1,
+		{name: "dirty", peerHits: 1, announced: 1, providerReads: 1,
 			lead: func(t *testing.T, cc *cluster.Ctx, im *Image, _ *blob.System) {
 				// A write first: the chunk is fetched around it and never
 				// announced, but the payload in the fetch buffer is the
@@ -48,7 +49,7 @@ func TestFetchSettlesWhatItPutOnRecord(t *testing.T) {
 					t.Error(err)
 				}
 			}},
-		{name: "gap fill", peerHits: 1, providerReads: 1,
+		{name: "gap fill", peerHits: 1, announced: 1, providerReads: 1,
 			lead: func(t *testing.T, cc *cluster.Ctx, im *Image, _ *blob.System) {
 				if err := im.Write(cc, 0, 100); err != nil {
 					t.Error(err)
@@ -59,21 +60,26 @@ func TestFetchSettlesWhatItPutOnRecord(t *testing.T) {
 					t.Error(err)
 				}
 			}},
-		{name: "lost merge race", peerHits: 1, providerReads: 2,
+		// The follower announces the chunk it read; the leader, whose copy
+		// is dirty, announces only the one it committed.
+		{name: "lost merge race", peerHits: 1, announced: 2, providerReads: 2,
 			lead: func(t *testing.T, cc *cluster.Ctx, im *Image, _ *blob.System) {
-				// A prefetch and a demand read fetch the chunk at once;
-				// the second to come back finds it merged.
-				pre := cc.Go("prefetch", 0, func(c1 *cluster.Ctx) {
-					if err := im.fetchChunks(c1, 0, 1, true); err != nil {
+				// A commit's gap fill and a guest read fetch a partly dirty
+				// chunk at once; the second to come back finds it merged.
+				if err := im.Write(cc, 0, 100); err != nil {
+					t.Error(err)
+				}
+				commit := cc.Go("commit", 0, func(c1 *cluster.Ctx) {
+					if _, err := im.Commit(c1); err != nil {
 						t.Error(err)
 					}
 				})
 				if err := im.Read(cc, 0, cs); err != nil {
 					t.Error(err)
 				}
-				cc.Wait(pre)
-				if st := im.Stats(); st.DuplicateFetches != 1 {
-					t.Errorf("DuplicateFetches = %d, want 1", st.DuplicateFetches)
+				cc.Wait(commit)
+				if st := im.Stats(); st.DuplicateFetches != 1 || st.RemoteChunkFetches != 1 {
+					t.Errorf("stats = %+v, want the chunk fetched once and one duplicate", st)
 				}
 			}},
 		// After ErrNoReplica the leader consults the cohort once more, and
@@ -134,8 +140,9 @@ func TestFetchSettlesWhatItPutOnRecord(t *testing.T) {
 			if n := co.InFlight(); n != 0 {
 				t.Errorf("%d fetches still on record", n)
 			}
-			if st := co.Stats(); st.PeerHits != tc.peerHits {
-				t.Errorf("PeerHits = %d, want %d (stats %+v)", st.PeerHits, tc.peerHits, st)
+			if st := co.Stats(); st.PeerHits != tc.peerHits || st.Announced != tc.announced || st.Duplicates != 0 {
+				t.Errorf("PeerHits = %d, Announced = %d, want %d and %d with no duplicate (stats %+v)",
+					st.PeerHits, st.Announced, tc.peerHits, tc.announced, st)
 			}
 			if got := sys.Providers.Reads.Load(); got != tc.providerReads {
 				t.Errorf("provider reads = %d, want %d", got, tc.providerReads)

@@ -5,11 +5,11 @@
 //
 // Without sharing, every demand fetch of a hot chunk lands on the same
 // small replica set, so per-provider load scales linearly with N. With
-// sharing, a module that has already mirrored a chunk (by demand fetch,
-// prefetch or commit) becomes an alternate source for its cohort
-// siblings, and provider load per chunk drops to O(1): the first few
-// fetches seed the cohort, everything after is peer traffic spread over
-// the deployment's own NICs and disks.
+// sharing, a module that has already mirrored a chunk (by demand fetch
+// or commit) becomes an alternate source for its cohort siblings, and
+// provider load per chunk drops to O(1): the first few fetches seed the
+// cohort, everything after is peer traffic spread over the deployment's
+// own NICs and disks.
 //
 // The design is tracker-based, like a registry-scale mirror fan-out
 // (cf. oc-mirror's mirror-to-disk-then-redistribute flow):

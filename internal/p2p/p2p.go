@@ -278,7 +278,7 @@ type memberState struct {
 	uploads int    // upload slots taken
 	release func() // frees one; what Locate hands out
 	// fetching lists the member's fetches on record, in the order they
-	// went there: at most its connection pool and a prefetch.
+	// went there: at most its connection pool and a commit's gap fill.
 	fetching []onRecord
 }
 
@@ -379,8 +379,8 @@ func (co *Cohort) InFlight() int {
 // Announce implements blob.ChunkSharer: it registers ctx.Node() as a
 // holder of the given chunks with one small RPC to the tracker.
 // Already-known (member, chunk) pairs are filtered out first — the
-// guard that keeps a chunk announced both by a prefetch and by a
-// concurrent demand fetch from being double-counted — and an
+// guard that keeps a chunk announced both by a guest read and by a
+// concurrent commit's gap fill from being double-counted — and an
 // all-duplicate announcement costs nothing. The new locations become
 // visible to Locate only after the RPC completes: a sibling cannot be
 // steered to a holder before the announcement could physically have

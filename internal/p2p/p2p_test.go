@@ -64,7 +64,8 @@ func TestLocateNeverReturnsSelf(t *testing.T) {
 }
 
 // TestAnnounceDeduplicates: the same (member, chunk) pair announced
-// twice — e.g. by a prefetch racing a demand fetch — is recorded once.
+// twice — e.g. by a guest read racing a commit's gap fill — is recorded
+// once.
 func TestAnnounceDeduplicates(t *testing.T) {
 	fab := cluster.NewLive(4)
 	_, co := newCohort(t, fab, DefaultConfig(), []cluster.NodeID{0, 1, 2})

@@ -40,6 +40,3 @@ func (g *RNG) Normal(mu, sigma float64) float64 { return mu + sigma*g.r.NormFloa
 
 // Perm returns a random permutation of [0,n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
-
-// Shuffle randomizes the order of n elements using swap.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
