@@ -20,15 +20,18 @@ type ChunkSharer interface {
 	// Locate returns a peer node holding the chunk that is willing to
 	// serve it, or ok=false to fall back to the providers. It may wait
 	// for a peer whose own fetch of the chunk is in flight. The caller
-	// must invoke release once the transfer is finished so the peer's
-	// upload slot is freed. The requesting node (ctx.Node()) is never
-	// returned as its own peer. A Locate leaves no state behind.
+	// owes the sharer nothing afterwards: the copy is counted against
+	// the peer when it is promised. The requesting node (ctx.Node()) is
+	// never returned as its own peer. A Locate leaves no state behind.
+	// release does nothing and is not called; it stays because the
+	// benchmark calls p2p.Cohort.Locate by this shape (bench/probes.go)
+	// and only a benchmark change may edit that.
 	Locate(ctx *cluster.Ctx, key ChunkKey) (peer cluster.NodeID, release func(), ok bool)
 	// Fetching is Locate for a caller that brings the chunk in to keep
 	// it: whatever the answer, ctx.Node() is on record as fetching the
 	// chunk, and siblings may be made to wait for the outcome. The
 	// caller owes exactly one Landed of the chunk.
-	Fetching(ctx *cluster.Ctx, key ChunkKey) (peer cluster.NodeID, release func(), ok bool)
+	Fetching(ctx *cluster.Ctx, key ChunkKey) (peer cluster.NodeID, ok bool)
 	// Landed ends ctx.Node()'s fetch of the chunk: ok says whether the
 	// payload is in hand, and a sibling that waited reads it from this
 	// node if so. It announces nothing.
@@ -63,7 +66,7 @@ func (c *Client) SetSharer(s ChunkSharer) { c.sharer = s }
 // report every replica dead (ErrNoReplica), the cohort is consulted
 // once more — a sibling that mirrored the chunk before the failure is
 // a fully valid alternate source, and the first Locate may have missed
-// only because every holder's upload slot was taken.
+// only because every copy the holders had to give was spoken for.
 func (c *Client) getChunk(ctx *cluster.Ctx, key ChunkKey, keep bool) (p Payload, err error) {
 	if keep {
 		defer func() { c.sharer.Landed(ctx, key, err == nil) }()
@@ -89,28 +92,25 @@ func (c *Client) fromPeer(ctx *cluster.Ctx, key ChunkKey, keep bool) (Payload, b
 		return Payload{}, false
 	}
 	var peer cluster.NodeID
-	var release func()
 	var ok bool
 	if keep {
-		peer, release, ok = c.sharer.Fetching(ctx, key)
+		peer, ok = c.sharer.Fetching(ctx, key)
 	} else {
-		peer, release, ok = c.sharer.Locate(ctx, key)
+		peer, _, ok = c.sharer.Locate(ctx, key)
 	}
 	if !ok {
 		return Payload{}, false
 	}
-	if p, found := c.sys.Providers.Peek(key); found {
+	// When the tracker knew a holder but the store has no such chunk, a
+	// garbage-collection sweep (gc.go) freed it after the holder was
+	// located: the tracker-side retraction (ReclaimListener) is
+	// asynchronous with respect to lookups in flight. The caller falls back
+	// to the providers' error path, and the copy counted against the peer
+	// goes with the chunk's record when that retraction lands.
+	p, found := c.sys.Providers.Peek(key)
+	if found {
 		ctx.DiskRead(peer, int64(p.Size))
 		ctx.RPC(peer, 32, int64(p.Size))
-		release()
-		return p, true
 	}
-	// The tracker knew a holder but the store has no such chunk: a
-	// garbage-collection sweep (gc.go) freed it after the holder was
-	// located but before this read — the tracker-side retraction
-	// (ReclaimListener) is asynchronous with respect to in-flight
-	// lookups. Release the slot and fall back to the providers' error
-	// path.
-	release()
-	return Payload{}, false
+	return p, found
 }

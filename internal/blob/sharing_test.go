@@ -16,7 +16,6 @@ type fakeSharer struct {
 	has       map[ChunkKey]bool
 	locates   int
 	served    int
-	released  int
 	announced []ChunkKey
 	fetching  []ChunkKey // keys registered through Fetching
 	landed    []ChunkKey // keys settled through Landed with ok
@@ -31,11 +30,7 @@ func (f *fakeSharer) Locate(ctx *cluster.Ctx, key ChunkKey) (cluster.NodeID, fun
 		return 0, nil, false
 	}
 	f.served++
-	return f.peer, func() {
-		f.mu.Lock()
-		f.released++
-		f.mu.Unlock()
-	}, true
+	return f.peer, nil, true
 }
 
 func (f *fakeSharer) Announce(ctx *cluster.Ctx, keys []ChunkKey) {
@@ -46,11 +41,12 @@ func (f *fakeSharer) Announce(ctx *cluster.Ctx, keys []ChunkKey) {
 
 func (f *fakeSharer) Retract(ctx *cluster.Ctx, keys []ChunkKey) {}
 
-func (f *fakeSharer) Fetching(ctx *cluster.Ctx, key ChunkKey) (cluster.NodeID, func(), bool) {
+func (f *fakeSharer) Fetching(ctx *cluster.Ctx, key ChunkKey) (cluster.NodeID, bool) {
 	f.mu.Lock()
 	f.fetching = append(f.fetching, key)
 	f.mu.Unlock()
-	return f.Locate(ctx, key)
+	peer, _, ok := f.Locate(ctx, key)
+	return peer, ok
 }
 
 func (f *fakeSharer) Landed(ctx *cluster.Ctx, key ChunkKey, ok bool) {
@@ -111,9 +107,10 @@ func TestFetchFallsBackToProvidersWithoutPeer(t *testing.T) {
 	}
 }
 
-// TestFetchPrefersPeerAndReleasesSlot: chunks a peer holds are served
-// by the peer (no provider read), and the upload slot is released.
-func TestFetchPrefersPeerAndReleasesSlot(t *testing.T) {
+// TestFetchPrefersPeer: chunks a peer holds are served by the peer (no
+// provider read), and the client owes the sharer nothing afterwards: the
+// fake's Locate returns a nil func, which nobody may call.
+func TestFetchPrefersPeer(t *testing.T) {
 	s := &fakeSharer{peer: 2, has: map[ChunkKey]bool{}}
 	fab, sys, c, id, v := newShareRig(t, s)
 	// Mark every stored chunk as peer-held.
@@ -138,8 +135,8 @@ func TestFetchPrefersPeerAndReleasesSlot(t *testing.T) {
 	if got := sys.Providers.Reads.Load() - before; got != 0 {
 		t.Errorf("provider reads = %d, want 0 (all peer-served)", got)
 	}
-	if s.served != 4 || s.released != 4 {
-		t.Errorf("served %d, released %d; want 4 and 4", s.served, s.released)
+	if s.served != 4 {
+		t.Errorf("served %d, want 4", s.served)
 	}
 }
 

@@ -27,9 +27,14 @@ func TestDegradedAllInstancesComplete(t *testing.T) {
 	if hit.DeadDropped != 0 {
 		t.Errorf("provider kills dropped %d cohort records (providers are not cohort members)", hit.DeadDropped)
 	}
-	// Failure costs time, but must not cost completeness.
-	if hit.Completion <= healthy.Completion {
-		t.Errorf("killing providers did not slow completion: %.2f vs %.2f",
+	if hit.FailedFetches != 0 {
+		t.Errorf("degraded run failed %d fetches for good", hit.FailedFetches)
+	}
+	// Failure may cost time, within bounds, but no direction is asserted:
+	// the kills also thin the convoy on the surviving disks, and the run
+	// can end sooner for it.
+	if hit.Completion > 1.5*healthy.Completion {
+		t.Errorf("killing providers slowed completion beyond 1.5x: %.2f vs %.2f",
 			hit.Completion, healthy.Completion)
 	}
 }

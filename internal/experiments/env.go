@@ -57,12 +57,12 @@ type Env struct {
 
 // NewEnv builds the paper's setup for n instances under the given
 // approach: storage aggregated over max(p.MaxInstances, n) compute
-// nodes (the full Nancy cluster), instances on the first n.
-func NewEnv(p Params, n int, a Approach) *Env {
+// nodes (the full Nancy cluster), instances on the first n; opts as newEnv.
+func NewEnv(p Params, n int, a Approach, opts ...blobvfs.Option) *Env {
 	if n < 1 {
 		panic("experiments: need at least one instance")
 	}
-	return newEnv(p, aggregatedLayout(max(p.MaxInstances, n), n), a)
+	return newEnv(p, aggregatedLayout(max(p.MaxInstances, n), n), a, opts...)
 }
 
 // newEnv builds the simulation for one layout under the given

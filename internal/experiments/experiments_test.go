@@ -52,6 +52,11 @@ func TestFig4ShapesQuick(t *testing.T) {
 	if ours[1].AvgBoot <= ours[0].AvgBoot {
 		t.Errorf("ours avg boot did not grow with contention: %.2f -> %.2f", ours[0].AvgBoot, ours[1].AvgBoot)
 	}
+	// The sharing-on series: at the contended end of the sweep the swarm
+	// beats the providers alone.
+	if got := res.Shared[1].Completion; got >= ours[1].Completion {
+		t.Errorf("n=%d: completion with p2p sharing %.2f >= %.2f without", sweep[1], got, ours[1].Completion)
+	}
 	// Fig 4(c): the speedup table renders and speedups exceed 1.
 	tables := res.Tables()
 	if len(tables) != 4 {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"blobvfs"
 	"blobvfs/internal/cluster"
 	"blobvfs/internal/metrics"
 	"blobvfs/internal/middleware"
@@ -19,10 +20,11 @@ type Fig4Point struct {
 type Fig4Result struct {
 	Sweep  []int
 	Series map[Approach][]Fig4Point
+	Shared []Fig4Point // OurApproach with p2p sharing on (§7 in §5.2's terms)
 }
 
 // RunFig4 executes the multideployment experiment of §5.2 over the
-// sweep for all three approaches.
+// sweep for all three approaches, and for ours with sharing on.
 func RunFig4(p Params, sweep []int) *Fig4Result {
 	res := &Fig4Result{Sweep: sweep, Series: make(map[Approach][]Fig4Point)}
 	for _, a := range []Approach{TaktukPreprop, QcowOverPVFS, OurApproach} {
@@ -30,11 +32,14 @@ func RunFig4(p Params, sweep []int) *Fig4Result {
 			res.Series[a] = append(res.Series[a], runFig4Point(p, n, a))
 		}
 	}
+	for _, n := range sweep {
+		res.Shared = append(res.Shared, runFig4Point(p, n, OurApproach, sharingOption(true)...))
+	}
 	return res
 }
 
-func runFig4Point(p Params, n int, a Approach) Fig4Point {
-	env := NewEnv(p, n, a)
+func runFig4Point(p Params, n int, a Approach, opts ...blobvfs.Option) Fig4Point {
+	env := NewEnv(p, n, a, opts...)
 	var dep *middleware.DeployResult
 	env.Run(func(ctx *cluster.Ctx) { dep = env.deploy(ctx) })
 	return Fig4Point{
@@ -49,13 +54,17 @@ func runFig4Point(p Params, n int, a Approach) Fig4Point {
 func (r *Fig4Result) Tables() []*metrics.Table {
 	mk := func(title string, f func(pt Fig4Point) float64, format string) *metrics.Table {
 		var series []*metrics.Series
-		for _, a := range []Approach{TaktukPreprop, QcowOverPVFS, OurApproach} {
-			s := &metrics.Series{Name: a.String()}
-			for _, pt := range r.Series[a] {
+		add := func(name string, pts []Fig4Point) {
+			s := &metrics.Series{Name: name}
+			for _, pt := range pts {
 				s.Add(float64(pt.Instances), f(pt))
 			}
 			series = append(series, s)
 		}
+		for _, a := range []Approach{TaktukPreprop, QcowOverPVFS, OurApproach} {
+			add(a.String(), r.Series[a])
+		}
+		add("our approach, p2p sharing", r.Shared)
 		return metrics.FromSeries(title, "instances", format, series...)
 	}
 	avg := mk("Fig 4(a): average time to boot per instance (s)",

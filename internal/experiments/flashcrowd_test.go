@@ -130,3 +130,36 @@ func TestFlashCrowdScalesFlat(t *testing.T) {
 			r, mb128, mb1k)
 	}
 }
+
+// TestFlashCrowdCompletionGrowsWithLogOfCrowd pins what the per-chunk
+// binary tree buys: a member passes a chunk on twice however large the
+// crowd, so a 16× larger crowd costs four more hops per chunk and no more
+// disk time per member, and the providers seed each chunk about once.
+// Under the upload slots this replaced, the member that ran ahead served
+// every chunk as often as slots came free and the crowd moved at its
+// disk's pace (9.79 s at 1,024 against 5.29 s at 64, 2,441 provider
+// reads).
+func TestFlashCrowdCompletionGrowsWithLogOfCrowd(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1024-instance flash crowd skipped in -short mode")
+	}
+	p := Quick()
+	run := func(n int) CrowdPoint {
+		pt := RunFlashCrowd(p, FlashCrowdConfig{Instances: n, Providers: 8, Sharing: true})
+		if pt.Booted != n {
+			t.Fatalf("%d of %d instances booted", pt.Booted, n)
+		}
+		// Every demand fetch is served once, by a provider or a peer.
+		bootChunks := (pt.ProviderReads + pt.PeerReads) / int64(n)
+		if pt.ProviderReads > 2*bootChunks {
+			t.Errorf("%d instances: %d provider reads for %d boot chunks, want at most two a chunk",
+				n, pt.ProviderReads, bootChunks)
+		}
+		return pt
+	}
+	small, large := run(64), run(1024)
+	if large.Completion > 1.25*small.Completion {
+		t.Errorf("completion grew from %.2f s at 64 instances to %.2f s at 1024, want <= 1.25x",
+			small.Completion, large.Completion)
+	}
+}

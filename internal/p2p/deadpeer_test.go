@@ -61,14 +61,9 @@ func TestLocateNeverSelectsDeadPeer(t *testing.T) {
 					m := m
 					ctx.Wait(ctx.Go("locate", m, func(cc *cluster.Ctx) {
 						for _, k := range keys {
-							peer, release, ok := co.Locate(cc, k)
-							if !ok {
-								continue
-							}
-							if !lv.Alive(peer) {
+							if peer, _, ok := co.Locate(cc, k); ok && !lv.Alive(peer) {
 								t.Errorf("Locate(%d) from %d returned dead peer %d", k, m, peer)
 							}
-							release()
 						}
 					}))
 				}
@@ -83,7 +78,7 @@ func TestLocateNeverSelectsDeadPeer(t *testing.T) {
 					co.Announce(cc, victimKeys)
 				}))
 				for _, k := range victimKeys {
-					for _, h := range co.holders[k] {
+					for _, h := range holdersOf(co, k) {
 						if h == victim {
 							t.Fatalf("dead member %d re-registered as holder of %d", victim, k)
 						}
@@ -97,7 +92,7 @@ func TestLocateNeverSelectsDeadPeer(t *testing.T) {
 				co.Announce(cc, keys[:1])
 			}))
 			found := false
-			for _, h := range co.holders[keys[0]] {
+			for _, h := range holdersOf(co, keys[0]) {
 				if h == revived {
 					found = true
 				}
@@ -107,6 +102,16 @@ func TestLocateNeverSelectsDeadPeer(t *testing.T) {
 			}
 		})
 	}
+}
+
+// holdersOf returns the published holders of key.
+func holdersOf(co *Cohort, key blob.ChunkKey) []cluster.NodeID {
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	if ck := co.chunks[key]; ck != nil {
+		return ck.holders
+	}
+	return nil
 }
 
 // simCohort registers members 1..n of a sim fabric (node 0 is the
@@ -119,12 +124,8 @@ func simCohort(t *testing.T, n int, fn func(ctx *cluster.Ctx, reg *Registry, co 
 	lv := cluster.NewLiveness(n + 1)
 	reg.SetLiveness(lv)
 	lv.OnChange(reg.NodeChanged)
-	members := make([]cluster.NodeID, n)
-	for i := range members {
-		members[i] = cluster.NodeID(i + 1)
-	}
 	fab.Run(func(ctx *cluster.Ctx) {
-		fn(ctx, reg, reg.Register(ctx, 1, members), lv)
+		fn(ctx, reg, reg.Register(ctx, 1, nodeRange(1, n)), lv)
 	})
 }
 
@@ -136,7 +137,7 @@ func on(ctx *cluster.Ctx, node cluster.NodeID, fn func(cc *cluster.Ctx)) {
 // withdrawals are the three ways a location record leaves the tracker,
 // each run from an activity on the holder, node 1. The death is
 // followed by a revival, so that what keeps the node from being picked
-// afterwards is the dropped record and not pickLocked's liveness check.
+// afterwards is the dropped record and not pickHolderLocked's liveness check.
 var withdrawals = []struct {
 	name string
 	do   func(cc *cluster.Ctx, reg *Registry, co *Cohort, lv *cluster.Liveness, key blob.ChunkKey)
@@ -166,11 +167,9 @@ func TestLocateAfterWithdrawalNeverReturnsHolder(t *testing.T) {
 				// Member 2 has seen node 1 serve the chunk: the old
 				// protocol would have left that in its digest.
 				on(ctx, 2, func(cc *cluster.Ctx) {
-					peer, release, ok := co.Locate(cc, key)
-					if !ok || peer != 1 {
+					if peer, _, ok := co.Locate(cc, key); !ok || peer != 1 {
 						t.Fatalf("Locate before withdrawal = (%d, %v), want node 1", peer, ok)
 					}
-					release()
 				})
 				on(ctx, 1, func(cc *cluster.Ctx) { w.do(cc, reg, co, lv, key) })
 				for _, m := range []cluster.NodeID{2, 3} {
@@ -199,9 +198,9 @@ func TestWithdrawalDuringAnnounceStaysUnpublished(t *testing.T) {
 				// Half a round trip in: the pair is reserved, not published.
 				on(ctx, 1, func(cc *cluster.Ctx) {
 					cc.Sleep(cc.Fabric().Config().RTT / 2)
-					if !co.held[key][1] || len(co.holders[key]) != 0 {
+					if ck := co.chunks[key]; !ck.held[1] || len(ck.holders) != 0 {
 						t.Fatalf("mid-RPC: reserved = %v, holders = %v; want reserved and unpublished",
-							co.held[key][1], co.holders[key])
+							ck.held[1], ck.holders)
 					}
 					w.do(cc, reg, co, lv, key)
 				})
@@ -212,11 +211,7 @@ func TestWithdrawalDuringAnnounceStaysUnpublished(t *testing.T) {
 					}
 					// The rest of the batch is published, unless its
 					// member died: a death withdraws all it holds.
-					_, release, ok := co.Locate(cc, other)
-					if ok {
-						release()
-					}
-					if ok == (w.name == "death") {
+					if _, _, ok := co.Locate(cc, other); ok == (w.name == "death") {
 						t.Errorf("Locate(other) ok = %v after %s", ok, w.name)
 					}
 				})

@@ -3,13 +3,8 @@
 // avoiding provider hot-spots when N mirroring modules deploy the same
 // image at once.
 //
-// Without sharing, every demand fetch of a hot chunk lands on the same
-// small replica set, so per-provider load scales linearly with N. With
-// sharing, a module that has already mirrored a chunk (by demand fetch
-// or commit) becomes an alternate source for its cohort siblings, and
-// provider load per chunk drops to O(1): the first few fetches seed the
-// cohort, everything after is peer traffic spread over the deployment's
-// own NICs and disks.
+// A module that has mirrored a chunk becomes an alternate source for its
+// cohort siblings, so provider load per chunk drops from O(N) to O(1).
 //
 // The design is tracker-based, like a registry-scale mirror fan-out
 // (cf. oc-mirror's mirror-to-disk-then-redistribute flow):
@@ -24,38 +19,32 @@
 //     RPC to the tracker and is answered from its live map, so a record
 //     withdrawn by a death, a Retract or the garbage collector is gone
 //     for the very next lookup and nothing has to converge. Control
-//     traffic is O(members × chunks). (An earlier protocol pushed a
-//     location digest to the whole cohort every 64 announcements so
-//     that lookups could be answered locally; at 512 members that cost
-//     420 k control RPCs to save 44.5 k lookups and made the crowd
-//     quadratic. docs/p2p.md has the measurement.)
-//   - Locate picks a published holder with a free upload slot, the
-//     nearest first and then the least loaded, and holds one of its
-//     Config.MaxUploads slots for the transfer.
+//     traffic is O(members × chunks).
+//   - A member passes one chunk on fanOut = 2 times: the tracker
+//     counts, per (member, chunk), the copies promised. Locate picks a
+//     published holder that has a copy left to give, the nearest first,
+//     then one that has given none.
 //   - A chunk in flight is a source too. A fetch that will keep the
-//     chunk asks with Fetching instead of Locate, which puts the member
-//     on the chunk's in-flight record whatever the answer. A requester
-//     that finds no holder with a free slot (or only one farther away
-//     than a fetcher) is attached to the earliest fetcher on that record
-//     with a free slot, holds the slot, and waits for the fetch to
-//     settle. MaxUploads is thereby the fan-out of a distribution tree
-//     that forms per chunk, in arrival order: one provider read seeds a
-//     chunk for a whole cohort that wants it in the same instant. Only
-//     when no holder and no fetcher has a free slot does the caller fall
-//     back to the providers — hot peers shed load instead of becoming
-//     the new hot-spot.
+//     chunk asks with Fetching, which puts the member on the chunk's
+//     in-flight record whatever the answer. A requester that finds no
+//     holder with a copy left (or only one farther away than a fetcher)
+//     is attached to the earliest fetcher on that record that has one,
+//     and waits for the fetch to settle. The children below a fetch and
+//     the reads served as a holder are one count, so one binary tree
+//     forms per chunk, in arrival order: one provider read seeds a chunk
+//     for a whole cohort, and no member's disk serves it more than
+//     twice. Only when every copy is spoken for does the caller fall
+//     back to the providers.
+//   - A promise that is not kept is handed back: when the fetch waited
+//     on ends without the chunk its children's copies come off its
+//     count, and a count goes with the member's record when it retracts,
+//     dies, or the chunk is reclaimed.
 //   - Every entry of the record is settled exactly once, by the
-//     fetcher's Landed the moment its read of the chunk ends (the blob
-//     client's getChunk, the one call site), or before that by its death
-//     or the chunk's reclamation. Landed says whether the payload is in
-//     hand; a released waiter reads from its parent if it is and the
-//     parent is alive, whatever the parent's mirror then does with the
-//     chunk, and goes to the providers otherwise. A bare Locate never
-//     goes on record, so nobody can be left waiting for a caller that
-//     settles nothing.
-//   - Waits cannot form a cycle: a requester is only ever attached to an
-//     entry that went on the chunk's record before any entry of its own
-//     (pickFetcherLocked), and an entry settles when its own read ends.
+//     fetcher's Landed the moment its read of the chunk ends, or before
+//     that by its death or the chunk's reclamation; a released waiter
+//     reads from its parent if that has the payload and is alive. A bare
+//     Locate never goes on record, and waits cannot form a cycle
+//     (pickFetcherLocked). docs/p2p.md, "Settling", has the cases.
 //   - A member whose local copy diverges from the published content
 //     (a mirrored chunk dirtied by a guest write) retracts itself.
 //

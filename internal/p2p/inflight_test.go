@@ -3,6 +3,7 @@ package p2p
 import (
 	"fmt"
 	"maps"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,8 +14,8 @@ import (
 )
 
 // quiescent fails the test if the cohort still has state that only a
-// running fetch may own: a fetch on record, a wait record, a taken
-// upload slot.
+// running fetch may own (a fetch on record, a wait record), or if a
+// member has promised more copies of a chunk than fanOut.
 func quiescent(t *testing.T, co *Cohort) {
 	t.Helper()
 	if n := co.InFlight(); n != 0 {
@@ -22,14 +23,23 @@ func quiescent(t *testing.T, co *Cohort) {
 	}
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	for key, fl := range co.flights {
-		if len(fl.fetches) != 0 || fl.head != 0 || fl.next != 0 {
-			t.Errorf("in-flight record of chunk %d survives: %+v", key, *fl)
+	for key, ck := range co.chunks {
+		if fl := ck.fl; len(fl.fetches) != 0 || fl.head != 0 || fl.next != 0 {
+			t.Errorf("in-flight record of chunk %d survives: %+v", key, fl)
 		}
 	}
-	for m, st := range co.state {
-		if st.uploads != 0 {
-			t.Errorf("member %d still has %d upload slots taken", m, st.uploads)
+	overGivenLocked(t, co)
+}
+
+// overGivenLocked fails the test if any (member, chunk) has promised more
+// than fanOut copies.
+func overGivenLocked(t *testing.T, co *Cohort) {
+	t.Helper()
+	for key, ck := range co.chunks {
+		for m, n := range ck.given {
+			if n > fanOut {
+				t.Errorf("member %d has given %d copies of chunk %d, cap %d", m, n, key, fanOut)
+			}
 		}
 	}
 }
@@ -39,19 +49,24 @@ func quiescent(t *testing.T, co *Cohort) {
 // batches of chunks in parallel, each chunk settled with Landed the
 // moment its read ends like blob.Client's getChunk does (well, or badly
 // after a failed provider read and a second look at the cohort), the
-// batch announced afterwards like mirror.fetchChunks does; bare Locates that never go on record, retractions, member deaths
-// and revivals, and reclamations. Every run must end (the sim fabric
-// panics on a deadlock, the live one hangs into the test timeout), leave
-// no in-flight state behind, and on the sim fabric, where nothing can
-// change between a call's return and the check, never hand a waiter a
-// parent that did not say ok or is dead, nor more children to a member
-// than it has upload slots.
+// batch announced afterwards like mirror.fetchChunks does; bare Locates
+// that never go on record, retractions, member deaths and revivals, and
+// reclamations. Every run must end (the sim fabric panics on a deadlock,
+// the live one hangs into the test timeout), leave no in-flight state
+// behind, and never have a member promise more than fanOut copies of a
+// chunk. On the sim fabric, where nothing can change between a call's
+// return and the check, a waiter is never handed a parent that did not
+// say ok or is dead, and the books balance: at the end every (member,
+// chunk) count equals the copies read from that member since its record
+// was last dropped, so a promise that was not kept has been handed back.
 func TestInFlightInterleavings(t *testing.T) {
 	const (
 		members = 12
 		rounds  = 8
 	)
-	cfg := Config{AnnounceBytes: 24, MaxUploads: 2}
+	// sentAway counts the waits that ended without the chunk, over all
+	// runs: each is a promised copy that was not delivered.
+	var sentAway atomic.Int64
 	fabrics := []struct {
 		name  string
 		seeds int
@@ -66,7 +81,7 @@ func TestInFlightInterleavings(t *testing.T) {
 				keys := 4 + seed%8 // few chunks: much waiting; many: much overlap between batches
 				fab := f.make()
 				exact := f.name == "sim"
-				reg := NewRegistry(0, cfg)
+				reg := NewRegistry(0, DefaultConfig())
 				lv := cluster.NewLiveness(members + 1)
 				reg.SetLiveness(lv)
 				lv.OnChange(reg.NodeChanged)
@@ -74,8 +89,11 @@ func TestInFlightInterleavings(t *testing.T) {
 				var waited atomic.Int64
 				// saidOK[key][m] is when member m last said Landed(key, true).
 				// A waiter resumes in that very instant of virtual time.
+				// read[key][m] counts the copies read from m since the
+				// tracker last dropped m's record of the chunk.
 				var mu sync.Mutex
 				saidOK := make(map[blob.ChunkKey]map[cluster.NodeID]float64)
+				read := make(map[blob.ChunkKey]map[cluster.NodeID]uint8)
 				say := func(cc *cluster.Ctx, key blob.ChunkKey) {
 					mu.Lock()
 					if saidOK[key] == nil {
@@ -84,32 +102,46 @@ func TestInFlightInterleavings(t *testing.T) {
 					saidOK[key][cc.Node()] = cc.Now()
 					mu.Unlock()
 				}
-				// check is called right after Locate or Fetching returned peer:
-				// a published holder, or a parent that has just said ok.
+				// check is called right after Locate or Fetching returned peer,
+				// a published holder or a parent that has just said ok, and
+				// stands for the read from it.
 				check := func(cc *cluster.Ctx, key blob.ChunkKey, peer cluster.NodeID) {
+					co.mu.Lock()
+					defer co.mu.Unlock()
+					overGivenLocked(t, co)
 					if !exact {
 						return
 					}
 					mu.Lock()
 					at, said := saidOK[key][peer]
+					if read[key] == nil {
+						read[key] = make(map[cluster.NodeID]uint8)
+					}
+					read[key][peer]++
 					mu.Unlock()
 					if !lv.Alive(peer) {
 						t.Errorf("t=%v: node %d was handed dead peer %d for chunk %d", cc.Now(), cc.Node(), peer, key)
 					}
-					co.mu.Lock()
-					defer co.mu.Unlock()
-					if !co.held[key][peer] && !(said && at == cc.Now()) {
+					if !co.chunks[key].held[peer] && !(said && at == cc.Now()) {
 						t.Errorf("t=%v: node %d was handed peer %d, which neither holds chunk %d nor has just said ok", cc.Now(), cc.Node(), peer, key)
 					}
-					if up := co.state[peer].uploads; up > cfg.MaxUploads {
-						t.Errorf("member %d serves %d at once, cap %d", peer, up, cfg.MaxUploads)
+				}
+				// retract is Retract, and the test's books follow the tracker's:
+				// a pair it knows loses its count with its record.
+				retract := func(cc *cluster.Ctx, key blob.ChunkKey) {
+					co.mu.Lock()
+					ck := co.chunks[key]
+					known := ck != nil && ck.held[cc.Node()]
+					co.mu.Unlock()
+					if known {
+						mu.Lock()
+						delete(read[key], cc.Node())
+						mu.Unlock()
 					}
+					co.Retract(cc, []blob.ChunkKey{key})
 				}
 				fab.Run(func(ctx *cluster.Ctx) {
-					nodes := make([]cluster.NodeID, members)
-					for i := range nodes {
-						nodes[i] = cluster.NodeID(i + 1)
-					}
+					nodes := nodeRange(1, members)
 					co = reg.Register(ctx, 1, nodes)
 					root := sim.NewRNG(int64(1000 + seed))
 					var tasks []cluster.Task
@@ -133,20 +165,21 @@ func TestInFlightInterleavings(t *testing.T) {
 									one = append(one, cc.Go("get-chunk", m, func(c1 *cluster.Ctx) {
 										c1.Sleep(lag)
 										before := c1.Now()
-										peer, release, ok := co.Fetching(c1, key)
+										peer, ok := co.Fetching(c1, key)
 										if c1.Now() > before+0.001 {
 											waited.Add(1)
+											if !ok {
+												sentAway.Add(1)
+											}
 										}
 										if ok {
 											check(c1, key, peer)
 											c1.Sleep(d / 4)
-											release()
 										} else if c1.Sleep(d); fails {
 											// The providers had no replica: the cohort is
 											// asked once more, from within the fetch.
-											if peer, release, ok = co.Locate(c1, key); ok {
+											if peer, _, ok = co.Locate(c1, key); ok {
 												check(c1, key, peer)
-												release()
 											}
 										} else {
 											ok = true
@@ -167,7 +200,7 @@ func TestInFlightInterleavings(t *testing.T) {
 								co.Announce(cc, announce)
 								if len(announce) > 0 && rng.Intn(3) == 0 {
 									cc.Sleep(rng.Exp(0.002))
-									co.Retract(cc, announce[:1])
+									retract(cc, announce[0])
 								}
 							}
 						}))
@@ -176,9 +209,8 @@ func TestInFlightInterleavings(t *testing.T) {
 							for r := 0; r < rounds; r++ {
 								cc.Sleep(rng2.Exp(0.01))
 								key := blob.ChunkKey(1 + rng2.Intn(keys))
-								if peer, release, ok := co.Locate(cc, key); ok {
+								if peer, _, ok := co.Locate(cc, key); ok {
 									check(cc, key, peer)
-									release()
 								}
 							}
 						}))
@@ -189,6 +221,11 @@ func TestInFlightInterleavings(t *testing.T) {
 							cc.Sleep(rng.Exp(0.01))
 							victim := nodes[rng.Intn(members)]
 							lv.Kill(cc, victim)
+							mu.Lock()
+							for _, by := range read {
+								delete(by, victim)
+							}
+							mu.Unlock()
 							cc.Sleep(rng.Exp(0.005))
 							lv.Revive(cc, victim)
 						}
@@ -197,62 +234,76 @@ func TestInFlightInterleavings(t *testing.T) {
 					tasks = append(tasks, ctx.Go("gc", 0, func(cc *cluster.Ctx) {
 						for r := 0; r < rounds; r++ {
 							cc.Sleep(rng3.Exp(0.02))
-							reg.ChunksReclaimed(cc, []blob.ChunkKey{blob.ChunkKey(1 + rng3.Intn(keys)), blob.ChunkKey(1 + rng3.Intn(keys))})
+							freed := []blob.ChunkKey{blob.ChunkKey(1 + rng3.Intn(keys)), blob.ChunkKey(1 + rng3.Intn(keys))}
+							reg.ChunksReclaimed(cc, freed)
+							mu.Lock()
+							for _, key := range freed {
+								delete(read, key)
+							}
+							mu.Unlock()
 						}
 					}))
 					ctx.WaitAll(tasks)
 				})
 				quiescent(t, co)
-				if st := co.Stats(); exact && (waited.Load() == 0 || st.PeerHits == 0 || st.DeadDropped == 0 || st.Reclaimed == 0 || st.Retracted == 0) {
+				if !exact {
+					return
+				}
+				for key, ck := range co.chunks {
+					for m, n := range ck.given {
+						if got := read[key][cluster.NodeID(m)]; n != got {
+							t.Errorf("member %d has %d copies of chunk %d on its count, %d were read from it", m, n, key, got)
+						}
+					}
+				}
+				for key, by := range read {
+					for m, n := range by {
+						if co.chunks[key] == nil && n > 0 {
+							t.Errorf("%d copies of chunk %d were read from member %d, and the tracker has no record of the chunk", n, key, m)
+						}
+					}
+				}
+				if st := co.Stats(); waited.Load() == 0 || st.PeerHits == 0 || st.DeadDropped == 0 || st.Reclaimed == 0 || st.Retracted == 0 {
 					t.Errorf("the run exercised too little: %d waits, stats %+v", waited.Load(), st)
 				}
 			})
 		}
+	}
+	if sentAway.Load() == 0 {
+		t.Error("no waiter was ever sent away: no promised copy had to be handed back")
 	}
 }
 
 // TestHerdReadsTheProvidersOnce: 64 members ask for the same chunk in
 // the same instant. The first goes to the providers; everybody else is
 // attached below a member whose fetch is in flight, so one provider read
-// seeds the whole cohort, and no member ever has more than MaxUploads
-// children, waiting or reading.
+// seeds the whole cohort, no member passes the chunk on more than fanOut
+// times, and the tree that forms is as shallow as a binary tree of 64
+// can be.
 func TestHerdReadsTheProvidersOnce(t *testing.T) {
 	const members = 64
-	cfg := DefaultConfig()
 	fab := cluster.NewSim(cluster.DefaultConfig(members + 1))
-	reg := NewRegistry(0, cfg)
+	reg := NewRegistry(0, DefaultConfig())
 	var co *Cohort
-	var mu sync.Mutex
-	providerReads, maxChildren := 0, 0
-	reading := make(map[cluster.NodeID]int)
+	providerReads, deepest := 0, 0
+	children := make(map[cluster.NodeID]int)
+	depth := make(map[cluster.NodeID]int) // hops from the providers
 	fab.Run(func(ctx *cluster.Ctx) {
-		nodes := make([]cluster.NodeID, members)
-		for i := range nodes {
-			nodes[i] = cluster.NodeID(i + 1)
-		}
-		co = reg.Register(ctx, 1, nodes)
+		co = reg.Register(ctx, 1, nodeRange(1, members))
 		var tasks []cluster.Task
-		for _, m := range nodes {
+		for _, m := range co.Members() {
 			tasks = append(tasks, ctx.Go("boot", m, func(cc *cluster.Ctx) {
-				peer, release, ok := co.Fetching(cc, 7)
+				peer, ok := co.Fetching(cc, 7)
 				if !ok {
-					mu.Lock()
 					providerReads++
-					mu.Unlock()
+					depth[m] = 1
 					cc.Sleep(0.012) // a provider's disk and the transfer
 				} else {
-					mu.Lock()
-					reading[peer]++
-					co.mu.Lock()
-					maxChildren = max(maxChildren, reading[peer], co.state[peer].uploads)
-					co.mu.Unlock()
-					mu.Unlock()
+					children[peer]++
+					depth[m] = depth[peer] + 1
 					cc.Sleep(0.003)
-					mu.Lock()
-					reading[peer]--
-					mu.Unlock()
-					release()
 				}
+				deepest = max(deepest, depth[m])
 				co.Landed(cc, 7, true)
 				co.Announce(cc, []blob.ChunkKey{7})
 			}))
@@ -262,8 +313,13 @@ func TestHerdReadsTheProvidersOnce(t *testing.T) {
 	if providerReads != 1 {
 		t.Errorf("%d of %d members read the providers, want 1", providerReads, members)
 	}
-	if maxChildren > cfg.MaxUploads {
-		t.Errorf("a member had %d children at once, cap %d", maxChildren, cfg.MaxUploads)
+	for m, n := range children {
+		if n > fanOut {
+			t.Errorf("member %d passed the chunk on %d times, cap %d", m, n, fanOut)
+		}
+	}
+	if limit := bits.Len(members-1) + 1; deepest > limit { // ⌈log₂ n⌉ + 1
+		t.Errorf("the deepest member is %d hops from the providers, want at most %d", deepest, limit)
 	}
 	if st := co.Stats(); st.PeerHits != members-1 || st.Announced != members {
 		t.Errorf("stats %+v, want %d peer hits and %d announced", st, members-1, members)
@@ -295,13 +351,12 @@ func TestChildAttachesToNearestFetcher(t *testing.T) {
 		fetch := func(node cluster.NodeID, key blob.ChunkKey, start float64) cluster.Task {
 			return ctx.Go("fetch", node, func(cc *cluster.Ctx) {
 				cc.Sleep(start)
-				p, release, ok := co.Fetching(cc, key)
+				p, ok := co.Fetching(cc, key)
 				if !ok {
-					p, release = provider, func() {}
+					p = provider
 				}
 				from[node] = p
 				cc.Sleep(0.05)
-				release()
 				co.Landed(cc, key, true)
 				co.Announce(cc, []blob.ChunkKey{key})
 			})
@@ -338,9 +393,8 @@ func TestOverlappingBatchesDoNotWaitInACycle(t *testing.T) {
 				get := func(key blob.ChunkKey, lag float64) cluster.Task {
 					return cc.Go("get-chunk", node, func(c1 *cluster.Ctx) {
 						c1.Sleep(lag)
-						if _, release, ok := co.Fetching(c1, key); ok {
+						if _, ok := co.Fetching(c1, key); ok {
 							hits[node]++
-							release()
 						} else {
 							c1.Sleep(0.05)
 						}
@@ -357,4 +411,45 @@ func TestOverlappingBatchesDoNotWaitInACycle(t *testing.T) {
 		t.Errorf("peer hits by node: %v, want one each", hits)
 	}
 	quiescent(t, co)
+}
+
+// TestRetractKeepsTheChildrenOfAFetchInFlight: node 3 is attached below
+// node 1's fetch in flight; node 1 announces the chunk (a second fetch of
+// it has merged) and retracts it before the first has ended. The copy
+// promised to node 3 stays on node 1's count, so that the count is right
+// whether the fetch lands (one copy given) or fails (the promise handed
+// back: none given, and nothing below zero).
+func TestRetractKeepsTheChildrenOfAFetchInFlight(t *testing.T) {
+	const key = blob.ChunkKey(7)
+	for _, lands := range []bool{true, false} {
+		simCohort(t, 3, func(ctx *cluster.Ctx, _ *Registry, co *Cohort, _ *cluster.Liveness) {
+			fetch := ctx.Go("fetch", 1, func(cc *cluster.Ctx) {
+				co.Fetching(cc, key)
+				cc.Sleep(0.01)
+				on(cc, 1, func(c1 *cluster.Ctx) {
+					co.Announce(c1, []blob.ChunkKey{key})
+					co.Retract(c1, []blob.ChunkKey{key})
+				})
+				if got := co.chunks[key].given[1]; got != 1 {
+					t.Errorf("lands=%v: after Retract node 1 has %d copies on its count, want the 1 promised below its fetch", lands, got)
+				}
+				co.Landed(cc, key, lands)
+			})
+			child := ctx.Go("child", 3, func(cc *cluster.Ctx) {
+				cc.Sleep(0.005)
+				if peer, ok := co.Fetching(cc, key); ok != lands || (ok && peer != 1) {
+					t.Errorf("lands=%v: node 3 got (%d, %v)", lands, peer, ok)
+				}
+				co.Landed(cc, key, true)
+			})
+			ctx.WaitAll([]cluster.Task{fetch, child})
+			if got, want := co.chunks[key].given[1], map[bool]uint8{true: 1, false: 0}[lands]; got != want {
+				t.Errorf("lands=%v: node 1 ends with %d copies on its count, want %d", lands, got, want)
+			}
+			if st := co.Stats(); st.Retracted != 1 {
+				t.Errorf("lands=%v: %d retracted, want 1", lands, st.Retracted)
+			}
+			quiescent(t, co)
+		})
+	}
 }

@@ -14,15 +14,23 @@ import (
 type Config struct {
 	// AnnounceBytes is the wire size of one chunk-location record.
 	AnnounceBytes int64
-	// MaxUploads caps a member's concurrent uploads to siblings; a
-	// saturated holder is skipped. 0 means unlimited.
-	MaxUploads int
 }
 
 // DefaultConfig returns the calibrated protocol constants.
-func DefaultConfig() Config {
-	return Config{AnnounceBytes: 24, MaxUploads: 4}
-}
+func DefaultConfig() Config { return Config{AnnounceBytes: 24} }
+
+// fanOut is how many copies of one chunk one member passes on, children
+// below its fetch in flight and reads served as a published holder counted
+// together. Every copy costs the uploader a seek and a chunk of disk time,
+// and a crowd moves at the pace of its busiest disk:
+//
+//	completion ≈ chunks × (1 + fanOut) × upload cost + log_fanOut(n) × hop.
+//
+// The first term dwarfs the second for any image of more than a handful
+// of chunks, so the smallest fan-out that still makes a tree wins: 1 is a
+// chain as deep as the crowd, 3 costs a third more disk per member
+// (docs/p2p.md, "The distribution tree", has them measured).
+const fanOut = 2
 
 // Stats aggregates a cohort's protocol counters.
 type Stats struct {
@@ -33,16 +41,14 @@ type Stats struct {
 	DeadDropped int64 // locations dropped because their holder died
 	PeerHits    int64 // Locate calls answered with a peer
 	Misses      int64 // fell back to providers: no sibling holds or fetches it
-	Saturated   int64 // fell back: every holder and fetcher at MaxUploads
+	Saturated   int64 // fell back: every copy of the chunk is spoken for
 	// DigestHits and DigestPushes always read 0; the fields stay because
 	// the repo's benchmark (bench/simrun.go) reads them.
 	DigestHits, DigestPushes int64
 
 	// TierHits breaks PeerHits down by the locality tier between the
 	// requester and the chosen uploader (indexed by cluster.Tier).
-	// Without a topology every hit lands in cluster.TierRack —
-	// locality-aware selection is what moves mass toward the low
-	// tiers.
+	// Without a topology every hit lands in cluster.TierRack.
 	TierHits [cluster.NumTiers]int64
 }
 
@@ -56,10 +62,9 @@ type Registry struct {
 	// NodeChanged as its OnChange listener so a death also drops the
 	// member's location records.
 	lv *cluster.Liveness
-	// topo, when enabled, makes Locate's pick locality-first: among
-	// live holders with free upload slots, the nearest tier wins and
-	// load only breaks ties within a tier. The zero topology keeps
-	// the pure least-loaded pick byte-identical.
+	// topo, when enabled, makes Locate's pick locality-first: the copies
+	// given only break ties within a tier. Under the zero topology
+	// everybody is one tier.
 	topo cluster.Topology
 
 	// mu is an RWMutex: cohort lookup sits on every module's fetch
@@ -78,14 +83,12 @@ func (r *Registry) SetLiveness(lv *cluster.Liveness) { r.lv = lv }
 func (r *Registry) SetTopology(t cluster.Topology) { r.topo = t }
 
 // NodeChanged is the cluster liveness hook: wire it with
-// Liveness.OnChange. A death retracts every location record the dead
-// member held across all cohorts and settles every fetch it had in
-// flight — the tracker must never steer a reader to a dead uploader,
-// nor leave one waiting on it. The drop is tracker-local: members keep
-// no location state, so there is nobody to inform. A revival needs no
-// tracker action: the records are already gone, and the peer
-// re-announces whatever it still mirrors on its next fetches (the
-// (member, chunk) dedup pairs were cleared with the records).
+// Liveness.OnChange. A death drops the member from every cohort
+// (dropDeadMember) — the tracker must never steer a reader to a dead
+// uploader, nor leave one waiting on it. The drop is tracker-local:
+// members keep no location state, so there is nobody to inform. A revival
+// needs no tracker action: the records are already gone, and the peer
+// re-announces whatever it still mirrors on its next fetches.
 func (r *Registry) NodeChanged(ctx *cluster.Ctx, node cluster.NodeID, alive bool) {
 	if alive {
 		return
@@ -109,27 +112,27 @@ func (r *Registry) eachCohort(fn func(*Cohort)) {
 	}
 }
 
-// dropDeadMember withdraws every location record node holds in the
-// cohort, published or still reserved by an announce in flight, and
-// settles its fetches in flight as failed, in the order they went on
-// record (wake-ups are observable, see eachCohort).
+// dropDeadMember settles node's fetches in flight as failed, in the order
+// they went on record (wake-ups are observable, see eachCohort), and
+// withdraws every location record it holds in the cohort, published or
+// still reserved by an announce in flight, with the copies it gave.
 func (co *Cohort) dropDeadMember(ctx *cluster.Ctx, node cluster.NodeID) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	if !co.members[node] {
 		return
 	}
-	for key, who := range co.held {
-		if !who[node] {
-			continue
-		}
-		delete(who, node)
-		co.holders[key] = removeNode(co.holders[key], node)
-		co.stats.DeadDropped++
+	for fetching := &co.fetching[node]; len(*fetching) > 0; {
+		r := (*fetching)[0]
+		co.settleLocked(ctx, r.key, co.chunks[r.key], r.at, false)
 	}
-	for st := &co.state[node]; len(st.fetching) > 0; {
-		r := st.fetching[0]
-		co.settleLocked(ctx, r.key, co.flights[r.key], r.at, false)
+	for _, ck := range co.chunks {
+		if ck.held[node] {
+			delete(ck.held, node)
+			ck.removeHolder(node)
+			co.stats.DeadDropped++
+		}
+		ck.given[node] = 0
 	}
 }
 
@@ -152,14 +155,7 @@ func (r *Registry) Register(ctx *cluster.Ctx, image blob.ID, members []cluster.N
 	r.mu.Lock()
 	co, ok := r.cohorts[image]
 	if !ok {
-		co = &Cohort{
-			reg:     r,
-			image:   image,
-			members: make(map[cluster.NodeID]bool),
-			holders: make(map[blob.ChunkKey][]cluster.NodeID),
-			held:    make(map[blob.ChunkKey]map[cluster.NodeID]bool),
-			flights: make(map[blob.ChunkKey]*flight),
-		}
+		co = &Cohort{reg: r, image: image, members: make(map[cluster.NodeID]bool), chunks: make(map[blob.ChunkKey]*chunk)}
 		r.cohorts[image] = co
 	}
 	r.mu.Unlock()
@@ -171,21 +167,18 @@ func (r *Registry) Register(ctx *cluster.Ctx, image blob.ID, members []cluster.N
 			co.members[m] = true
 			co.order = append(co.order, m)
 			added++
-			for int(m) >= len(co.state) {
-				co.state = append(co.state, memberState{})
-			}
-			co.state[m].release = func() {
-				co.mu.Lock()
-				co.state[m].uploads--
-				co.mu.Unlock()
+			for int(m) >= len(co.fetching) {
+				co.fetching = append(co.fetching, nil)
 			}
 		}
+	}
+	for _, ck := range co.chunks {
+		ck.given = append(ck.given, make([]uint8, len(co.fetching)-len(ck.given))...)
 	}
 	targets := append([]cluster.NodeID(nil), co.order...)
 	co.mu.Unlock()
 
-	if added > 0 {
-		// Membership rides the binomial control tree from the tracker.
+	if added > 0 { // membership rides the binomial control tree from the tracker
 		r.fromTracker(ctx, targets, int64(added)*r.cfg.AnnounceBytes)
 	}
 	return co
@@ -200,38 +193,35 @@ func (r *Registry) Cohort(image blob.ID) *Cohort {
 
 // ChunksReclaimed implements blob.ReclaimListener: the garbage
 // collector reports the chunk keys it released, and the tracker drops
-// every location record for them across all cohorts — a reclaimed
-// chunk must not be offered to siblings anymore. The drop is
-// tracker-local (the registry state lives on the tracker node, and
-// members keep no location state to converge), so it charges nothing.
-// A Locate in flight during the drop can still steer a reader to a
-// stale holder; the reader's provider fall-back (blob.Client.getChunk)
-// absorbs exactly that race.
+// its record of them across all cohorts — a reclaimed chunk must not be
+// offered to siblings anymore. The drop is tracker-local, so it charges
+// nothing. A Locate in flight during the drop can still steer a reader
+// to a stale holder; the reader's provider fall-back
+// (blob.Client.getChunk) absorbs exactly that race.
 func (r *Registry) ChunksReclaimed(ctx *cluster.Ctx, keys []blob.ChunkKey) {
 	r.eachCohort(func(co *Cohort) { co.dropReclaimed(ctx, keys) })
 }
 
-// dropReclaimed removes every location record of the given keys from
-// the cohort. Dropping a key's held set also cancels the phase-1
-// reservations of announces still in flight: their phase 2 finds the
-// pair gone and leaves the freed chunk unpublished. Fetches of the key
-// still in flight are settled as failed, which sends their waiters to
-// the providers. The cost is O(keys) plus the waiters released, whatever
-// the cohort size.
+// dropReclaimed removes the cohort's record of the given keys, copies
+// given included. That also cancels the phase-1 reservations of announces
+// still in flight: their phase 2 finds the pair gone and leaves the freed
+// chunk unpublished. Fetches of a key still in flight are settled as
+// failed, which sends their waiters to the providers.
 func (co *Cohort) dropReclaimed(ctx *cluster.Ctx, keys []blob.ChunkKey) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	for _, key := range keys {
-		if len(co.held[key]) > 0 {
+		ck := co.chunks[key]
+		if ck == nil {
+			continue
+		}
+		if len(ck.held) > 0 {
 			co.stats.Reclaimed++
 		}
-		delete(co.held, key)
-		delete(co.holders, key)
-		if fl := co.flights[key]; fl != nil {
-			for fl.head < len(fl.fetches) {
-				co.settleLocked(ctx, key, fl, fl.head, false)
-			}
+		for fl := &ck.fl; fl.head < len(fl.fetches); {
+			co.settleLocked(ctx, key, ck, fl.head, false)
 		}
+		delete(co.chunks, key)
 	}
 }
 
@@ -261,26 +251,56 @@ type Cohort struct {
 	mu      sync.Mutex
 	members map[cluster.NodeID]bool
 	order   []cluster.NodeID // deterministic member iteration
-	holders map[blob.ChunkKey][]cluster.NodeID
-	// held is the (member, chunk) dedup set, by chunk: every published
-	// record plus the phase-1 reservations of announces whose RPC is
-	// still in flight.
-	held map[blob.ChunkKey]map[cluster.NodeID]bool
-	// flights is the in-flight record, by chunk. A record is kept once
-	// its fetches have settled and reused by the next ones.
-	flights map[blob.ChunkKey]*flight
-	state   []memberState // by member
-	stats   Stats
+	chunks  map[blob.ChunkKey]*chunk
+	// fetching lists, by member, its fetches on record in the order they
+	// went there: at most its connection pool and a commit's gap fill.
+	fetching [][]onRecord
+	stats    Stats
 }
 
-// memberState is what the tracker keeps per member beside its records.
-type memberState struct {
-	uploads int    // upload slots taken
-	release func() // frees one; what Locate hands out
-	// fetching lists the member's fetches on record, in the order they
-	// went there: at most its connection pool and a commit's gap fill.
-	fetching []onRecord
+// chunk is what the tracker knows about one chunk.
+type chunk struct {
+	// held is the (member, chunk) dedup set: every published record plus
+	// the phase-1 reservations of announces whose RPC is still in flight.
+	held    map[cluster.NodeID]bool
+	holders []cluster.NodeID // the published records, in announce order
+	// given counts, by member, the copies of the chunk it has promised,
+	// never more than fanOut. A promise that will not be kept is handed
+	// back (settleLocked), and a count goes with the member's record: on
+	// Retract, on its death, on reclamation.
+	given []uint8
+	// Exhaustion lasts, so two cursors into holders make a pick on the
+	// flat cluster amortised O(1): every holder before fresh has given a
+	// copy, every holder before spare has given fanOut.
+	fresh, spare int
+	fl           flight // reused once its fetches have settled
 }
+
+// chunkLocked returns key's record, which it creates if there is none.
+func (co *Cohort) chunkLocked(key blob.ChunkKey) *chunk {
+	ck := co.chunks[key]
+	if ck == nil {
+		ck = &chunk{held: make(map[cluster.NodeID]bool), given: make([]uint8, len(co.fetching))}
+		co.chunks[key] = ck
+	}
+	return ck
+}
+
+// removeHolder withdraws n's published record, if it has one.
+func (ck *chunk) removeHolder(n cluster.NodeID) {
+	if i := slices.Index(ck.holders, n); i >= 0 {
+		ck.holders = slices.Delete(ck.holders, i, i+1)
+		if i < ck.fresh {
+			ck.fresh--
+		}
+		if i < ck.spare {
+			ck.spare--
+		}
+	}
+}
+
+// spent reports whether n, a member or noNode, has no copy left to give.
+func (ck *chunk) spent(n cluster.NodeID) bool { return n == noNode || ck.given[n] >= fanOut }
 
 // onRecord names one entry of a chunk's in-flight record. An entry keeps
 // its index until the record is emptied, which takes it settled.
@@ -292,7 +312,7 @@ type onRecord struct {
 // earliestLocked returns the index in key's record of member's earliest
 // entry there, if it has one.
 func (co *Cohort) earliestLocked(member cluster.NodeID, key blob.ChunkKey) (int, bool) {
-	for _, r := range co.state[member].fetching {
+	for _, r := range co.fetching[member] {
 		if r.key == key {
 			return r.at, true
 		}
@@ -301,16 +321,14 @@ func (co *Cohort) earliestLocked(member cluster.NodeID, key blob.ChunkKey) (int,
 }
 
 // flight is the in-flight record of one chunk: the members whose own
-// fetch of it is under way, in arrival order. A requester that finds no
-// published holder with a free slot is attached to the earliest of them
-// that has one and waits for it, so MaxUploads is the fan-out of a
-// distribution tree that forms as the requests arrive. An entry is
-// settled exactly once: by the fetcher's Landed when its read of the
-// chunk ends, or before that by its death or the chunk's reclamation.
+// fetch of it is under way, in arrival order, each the parent of up to
+// fanOut requesters that wait for it (pickFetcherLocked). An entry is
+// settled exactly once: by the fetcher's Landed, or before that by its
+// death or the chunk's reclamation.
 type flight struct {
 	fetches []fetch
 	head    int // the first entry not settled
-	next    int // where a pick starts: entries before it were settled or saturated
+	next    int // where a pick starts: entries before it were settled or have given fanOut
 }
 
 type fetch struct {
@@ -322,24 +340,32 @@ type fetch struct {
 // the entry, which is cleared when it settles: ok is how the fetch ended,
 // written before the gate opens and read once it has.
 type wait struct {
-	gate cluster.Gate
-	ok   bool
+	gate     cluster.Gate
+	children uint8
+	ok       bool
 }
 
 // noNode marks a settled entry of a flight.
 const noNode cluster.NodeID = -1
 
-// settleLocked closes entry i of key's record fl with the outcome ok,
-// releases its waiters and, once every entry is settled, empties the
-// record for reuse.
-func (co *Cohort) settleLocked(ctx *cluster.Ctx, key blob.ChunkKey, fl *flight, i int, ok bool) {
+// settleLocked closes entry i of key's in-flight record (in ck) with the
+// outcome ok, releases its waiters and, once every entry is settled,
+// empties the record for reuse. After a failure the waiters read nothing
+// from the member, so the copies promised them are handed back.
+func (co *Cohort) settleLocked(ctx *cluster.Ctx, key blob.ChunkKey, ck *chunk, i int, ok bool) {
+	fl := &ck.fl
 	f := &fl.fetches[i]
-	st := &co.state[f.node]
-	at := slices.Index(st.fetching, onRecord{key, i})
-	st.fetching = slices.Delete(st.fetching, at, at+1)
-	if f.wait != nil {
-		f.wait.ok = ok
-		f.wait.gate.Open(ctx)
+	fetching := &co.fetching[f.node]
+	at := slices.Index(*fetching, onRecord{key, i})
+	*fetching = slices.Delete(*fetching, at, at+1)
+	if w := f.wait; w != nil {
+		if !ok {
+			ck.given[f.node] -= w.children
+			// The member may lie behind the cursors with a copy to give again.
+			ck.fresh, ck.spare, fl.next = 0, 0, fl.head
+		}
+		w.ok = ok
+		w.gate.Open(ctx)
 	}
 	*f = fetch{node: noNode}
 	for fl.head < len(fl.fetches) && fl.fetches[fl.head].node == noNode {
@@ -364,14 +390,13 @@ func (co *Cohort) Stats() Stats {
 	return co.stats
 }
 
-// InFlight returns the number of fetches on record that have not been
-// settled yet. It is 0 whenever no member is fetching.
+// InFlight returns the number of fetches on record and not settled yet.
 func (co *Cohort) InFlight() int {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	n := 0
-	for _, st := range co.state {
-		n += len(st.fetching)
+	for _, fetching := range co.fetching {
+		n += len(fetching)
 	}
 	return n
 }
@@ -402,16 +427,12 @@ func (co *Cohort) Announce(ctx *cluster.Ctx, keys []blob.ChunkKey) {
 		if key == 0 {
 			continue // sparse chunks have no payload to share
 		}
-		who := co.held[key]
-		if who[member] {
+		ck := co.chunkLocked(key)
+		if ck.held[member] {
 			co.stats.Duplicates++
 			continue
 		}
-		if who == nil {
-			who = make(map[cluster.NodeID]bool)
-			co.held[key] = who
-		}
-		who[member] = true
+		ck.held[member] = true
 		fresh = append(fresh, key)
 	}
 	co.mu.Unlock()
@@ -427,11 +448,10 @@ func (co *Cohort) Announce(ctx *cluster.Ctx, keys []blob.ChunkKey) {
 	// unpublished.
 	co.mu.Lock()
 	for _, key := range fresh {
-		if !co.held[key][member] {
-			continue
+		if ck := co.chunks[key]; ck != nil && ck.held[member] {
+			ck.holders = append(ck.holders, member)
+			co.stats.Announced++
 		}
-		co.holders[key] = append(co.holders[key], member)
-		co.stats.Announced++
 	}
 	co.mu.Unlock()
 }
@@ -453,24 +473,28 @@ func (co *Cohort) Landed(ctx *cluster.Ctx, key blob.ChunkKey, ok bool) {
 		return
 	}
 	if at, found := co.earliestLocked(member, key); found {
-		co.settleLocked(ctx, key, co.flights[key], at, ok)
+		co.settleLocked(ctx, key, co.chunks[key], at, ok)
 	}
 }
 
-// Retract implements blob.ChunkSharer: ctx.Node() withdraws itself as
-// a holder of the given chunks, with one small RPC to the tracker for
-// the whole batch. Pairs the tracker does not know are ignored.
+// Retract implements blob.ChunkSharer: ctx.Node() withdraws itself as a
+// holder of the given chunks, with one small RPC to the tracker for the
+// batch. Pairs the tracker does not know are ignored. The copies it gave go
+// with its record, unless children wait below a fetch it has in flight again.
 func (co *Cohort) Retract(ctx *cluster.Ctx, keys []blob.ChunkKey) {
 	member := ctx.Node()
 	co.mu.Lock()
 	dropped := 0
 	for _, key := range keys {
-		who := co.held[key]
-		if !who[member] {
+		ck := co.chunks[key]
+		if ck == nil || !ck.held[member] {
 			continue
 		}
-		delete(who, member)
-		co.holders[key] = removeNode(co.holders[key], member)
+		delete(ck.held, member)
+		ck.removeHolder(member)
+		if _, fetching := co.earliestLocked(member, key); !fetching {
+			ck.given[member] = 0
+		}
 		co.stats.Retracted++
 		dropped++
 	}
@@ -481,72 +505,65 @@ func (co *Cohort) Retract(ctx *cluster.Ctx, keys []blob.ChunkKey) {
 }
 
 // Locate implements blob.ChunkSharer: it returns a cohort peer to read
-// the chunk from, holding one of its upload slots until release. A
-// published holder with a free slot comes first (the nearest, then the
-// least loaded); where there is none, or only farther away, the earliest
-// member of the nearest tier whose own fetch of the chunk is in flight
-// and has a free slot, and then Locate returns only once that fetch has
-// settled. Every lookup pays one small RPC to query the tracker's live
-// map — members keep no location state of their own — so the answer is
-// never staler than that round trip. ok=false sends the caller to the
-// providers: nobody has or fetches the chunk, every slot is taken, or
-// the fetch waited on ended without the chunk. A Locate leaves nothing
-// behind that another caller could wait on.
+// the chunk from, and counts the copy against it. A published holder with
+// a copy left to give comes first (pickHolderLocked); where there is none,
+// or only farther away, a member whose own fetch of the chunk is in flight
+// (pickFetcherLocked), and then Locate returns only once that fetch has
+// settled. ok=false sends the caller to the providers: nobody has or
+// fetches the chunk, every copy is spoken for, or the fetch waited on
+// ended without the chunk. A Locate leaves nothing behind that another
+// caller could wait on; what it returns as release does nothing (see
+// blob.ChunkSharer).
 func (co *Cohort) Locate(ctx *cluster.Ctx, key blob.ChunkKey) (cluster.NodeID, func(), bool) {
-	return co.locate(ctx, key, false)
+	peer, ok := co.locate(ctx, key, false)
+	return peer, func() {}, ok
 }
 
 // Fetching implements blob.ChunkSharer: Locate, and ctx.Node() goes on
 // record as fetching the chunk, whatever the answer, until its Landed.
-func (co *Cohort) Fetching(ctx *cluster.Ctx, key blob.ChunkKey) (cluster.NodeID, func(), bool) {
+func (co *Cohort) Fetching(ctx *cluster.Ctx, key blob.ChunkKey) (cluster.NodeID, bool) {
 	return co.locate(ctx, key, true)
 }
 
-func (co *Cohort) locate(ctx *cluster.Ctx, key blob.ChunkKey, fetching bool) (cluster.NodeID, func(), bool) {
+func (co *Cohort) locate(ctx *cluster.Ctx, key blob.ChunkKey, fetching bool) (cluster.NodeID, bool) {
 	req := ctx.Node()
 	co.mu.Lock()
 	member := co.members[req]
 	co.mu.Unlock()
 	if !member {
-		return 0, nil, false
+		return 0, false
 	}
 	ctx.RPC(co.reg.tracker, 32, 32)
 	co.mu.Lock()
 	defer co.mu.Unlock()
+	ck := co.chunkLocked(key)
+	fl := &ck.fl
 	var w *wait
-	peer, tier, any, found := co.pickLocked(co.holders[key], req)
-	fl := co.flights[key]
-	if fl != nil && len(fl.fetches) > 0 && (!found || tier > cluster.TierRack) {
+	peer, tier, any, found := co.pickHolderLocked(ck, req)
+	if len(fl.fetches) > 0 && tier > cluster.TierRack {
 		any = true
-		if !found {
-			tier = cluster.TierRemote
-		}
-		if f := co.pickFetcherLocked(key, fl, req, tier); f != nil {
+		if f := co.pickFetcherLocked(key, ck, req, tier); f != nil {
 			if f.wait == nil {
 				f.wait = new(wait)
 			}
+			f.wait.children++
 			peer, w, found = f.node, f.wait, true
 		}
 	}
 	if found {
-		co.state[peer].uploads++
+		ck.given[peer]++
 	}
 	if fetching {
-		if fl == nil {
-			fl = &flight{}
-			co.flights[key] = fl
-		}
-		co.state[req].fetching = append(co.state[req].fetching, onRecord{key, len(fl.fetches)})
+		co.fetching[req] = append(co.fetching[req], onRecord{key, len(fl.fetches)})
 		fl.fetches = append(fl.fetches, fetch{node: req})
 	}
 	if w != nil {
 		co.mu.Unlock()
 		w.gate.Wait(ctx)
 		co.mu.Lock()
-		// The fetch waited on has settled. If it landed, the parent has
-		// the published payload in hand, whatever its mirror does with it.
+		// If the fetch waited on landed, the parent has the payload in hand,
+		// whatever its mirror does with it; if not, the count went back.
 		if !w.ok || !co.reg.lv.Alive(peer) {
-			co.state[peer].uploads--
 			found, any = false, false
 		}
 	}
@@ -554,36 +571,31 @@ func (co *Cohort) locate(ctx *cluster.Ctx, key blob.ChunkKey, fetching bool) (cl
 	case found:
 		co.stats.PeerHits++
 		co.stats.TierHits[co.reg.topo.Tier(req, peer)]++
-		return peer, co.state[peer].release, true
+		return peer, true
 	case any:
 		co.stats.Saturated++
 	default:
 		co.stats.Misses++
 	}
-	return 0, nil, false
+	return 0, false
 }
 
-// saturated reports whether member n has every upload slot taken.
-func (co *Cohort) saturated(n cluster.NodeID) bool {
-	return co.reg.cfg.MaxUploads > 0 && co.state[n].uploads >= co.reg.cfg.MaxUploads
-}
-
-// pickFetcherLocked chooses the entry of key's record fl that req waits
-// on, or nil: the earliest live fetcher with a free upload slot, the
-// nearest tier first, so that late arrivals hang below early ones. The
-// tier must be nearer than below, which is that of the holder already
-// found, or TierRemote: a fetch in another zone is not worth waiting for,
-// the providers are as near and have the chunk now.
+// pickFetcherLocked chooses the entry of key's in-flight record that req
+// waits on, or nil: the earliest live fetcher with a copy left to give,
+// so that the tree fills level by level, the nearest tier first. The tier
+// must be nearer than below, the found holder's, or TierRemote: a fetch in
+// another zone is no better than the providers, which have the chunk now.
 //
 // The search stops at req's own earliest entry. Every wait therefore goes
 // to an entry that went on record earlier than any of the requester's,
 // and an entry settles when its own read ends, which waits for nothing
 // but such a wait: no chain of waits can return to where it began.
-func (co *Cohort) pickFetcherLocked(key blob.ChunkKey, fl *flight, req cluster.NodeID, below cluster.Tier) *fetch {
-	for fl.next < len(fl.fetches) && (fl.fetches[fl.next].node == noNode || co.saturated(fl.fetches[fl.next].node)) {
+func (co *Cohort) pickFetcherLocked(key blob.ChunkKey, ck *chunk, req cluster.NodeID, below cluster.Tier) *fetch {
+	fl := &ck.fl
+	for fl.next < len(fl.fetches) && ck.spent(fl.fetches[fl.next].node) {
 		fl.next++
 	}
-	// stop may lie before next: req's upload slots were all taken then.
+	// stop may lie before next: req had given its copies away then.
 	stop, own := co.earliestLocked(req, key)
 	if !own {
 		stop = len(fl.fetches)
@@ -591,7 +603,7 @@ func (co *Cohort) pickFetcherLocked(key blob.ChunkKey, fl *flight, req cluster.N
 	var best *fetch
 	for i := fl.next; i < stop && below > cluster.TierRack; i++ {
 		f := &fl.fetches[i]
-		if f.node == noNode || co.saturated(f.node) || !co.reg.lv.Alive(f.node) {
+		if ck.spent(f.node) || !co.reg.lv.Alive(f.node) {
 			continue
 		}
 		if tier := co.reg.topo.Tier(req, f.node); tier < below {
@@ -601,51 +613,41 @@ func (co *Cohort) pickFetcherLocked(key blob.ChunkKey, fl *flight, req cluster.N
 	return best
 }
 
-// pickLocked chooses the eligible holder by locality first, load
-// second (deterministic: first-announced wins ties). With a topology
-// attached, a holder in a nearer tier always beats a farther one and
-// the load comparison only breaks ties within a tier; without one,
-// every holder is the same tier and the pick is the historical pure
-// least-loaded choice. Holders the liveness registry reports dead are
-// never eligible — the record drop of dropDeadMember and this check
-// together guarantee a dead uploader is never selected, even in the
-// window before the drop ran. any reports whether a non-self holder
-// existed at all, so the caller can distinguish miss from saturation.
-func (co *Cohort) pickLocked(holders []cluster.NodeID, req cluster.NodeID) (best cluster.NodeID, bestTier cluster.Tier, any, found bool) {
-	var bestLoad int
-	for _, h := range holders {
-		if h == req || !co.reg.lv.Alive(h) {
-			continue
-		}
-		any = true
-		if co.saturated(h) {
-			continue
-		}
-		load := co.state[h].uploads
-		tier := cluster.TierRack // on the flat cluster, whoever it is
-		if co.reg.topo.Enabled() {
-			tier = co.reg.topo.Tier(req, h)
-		}
-		if !found || tier < bestTier || (tier == bestTier && load < bestLoad) {
-			best, bestTier, bestLoad, found = h, tier, load, true
-		}
-		if bestTier == cluster.TierRack && bestLoad == 0 {
-			// Unbeatable: TierRack is the nearest tier two distinct
-			// nodes can share and no load undercuts idle, while equal
-			// (tier, load) never displaces an earlier pick. Stopping
-			// here returns exactly the full scan's choice — which is
-			// what keeps a 10k-member cohort's popular chunks (held by
-			// nearly everyone) from costing O(members) per locate.
-			break
+// pickHolderLocked chooses the published holder req reads from: the
+// nearest tier first, within it one that has given no copy before one
+// that has given one, and the first to announce among equals. A holder the
+// liveness registry reports dead is never eligible, even in the window
+// before dropDeadMember ran. any reports whether somebody other than req
+// holds the chunk at all, which tells a miss from a chunk whose copies are
+// all spoken for. A same-rack holder is unbeatable within its pass, and on
+// the flat cluster everybody is same-rack: the pick is the holder at the
+// fresh cursor, or the one at spare once everybody has given a copy, and a
+// popular chunk of a 10k-member cohort costs no scan of its holders.
+func (co *Cohort) pickHolderLocked(ck *chunk, req cluster.NodeID) (best cluster.NodeID, bestTier cluster.Tier, any, found bool) {
+	hs, bestTier := ck.holders, cluster.TierRemote // the tier to beat when nobody is found
+	for ck.fresh < len(hs) && ck.given[hs[ck.fresh]] > 0 {
+		ck.fresh++
+	}
+	for ck.spare < len(hs) && ck.spent(hs[ck.spare]) {
+		ck.spare++
+	}
+	any = ck.spare > 0
+	for given, from := 0, ck.fresh; given < fanOut; given, from = given+1, ck.spare {
+		for _, h := range hs[from:] {
+			if h == req || !co.reg.lv.Alive(h) {
+				continue
+			}
+			any = true
+			if int(ck.given[h]) != given {
+				continue
+			}
+			if tier := co.reg.topo.Tier(req, h); !found || tier < bestTier {
+				best, bestTier, found = h, tier, true
+			}
+			if bestTier == cluster.TierRack {
+				return best, bestTier, any, true
+			}
 		}
 	}
 	return best, bestTier, any, found
-}
-
-// removeNode deletes the first occurrence of n, in place.
-func removeNode(nodes []cluster.NodeID, n cluster.NodeID) []cluster.NodeID {
-	if i := slices.Index(nodes, n); i >= 0 {
-		return slices.Delete(nodes, i, i+1)
-	}
-	return nodes
 }

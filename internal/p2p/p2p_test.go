@@ -16,6 +16,15 @@ func runOn(fab *cluster.Live, node cluster.NodeID, fn func(ctx *cluster.Ctx)) {
 	})
 }
 
+// nodeRange returns the n consecutive node IDs starting at first.
+func nodeRange(first, n int) []cluster.NodeID {
+	ids := make([]cluster.NodeID, n)
+	for i := range ids {
+		ids[i] = cluster.NodeID(first + i)
+	}
+	return ids
+}
+
 func newCohort(t *testing.T, fab *cluster.Live, cfg Config, members []cluster.NodeID) (*Registry, *Cohort) {
 	t.Helper()
 	reg := NewRegistry(cluster.NodeID(fab.Nodes()-1), cfg)
@@ -53,12 +62,8 @@ func TestLocateNeverReturnsSelf(t *testing.T) {
 		}
 	})
 	runOn(fab, 1, func(ctx *cluster.Ctx) {
-		peer, release, ok := co.Locate(ctx, 7)
-		if !ok || peer != 0 {
+		if peer, _, ok := co.Locate(ctx, 7); !ok || peer != 0 {
 			t.Errorf("Locate = (%d, %v), want node 0", peer, ok)
-		}
-		if ok {
-			release()
 		}
 	})
 }
@@ -79,12 +84,9 @@ func TestAnnounceDeduplicates(t *testing.T) {
 	}
 	runOn(fab, 1, func(ctx *cluster.Ctx) {
 		for _, key := range []blob.ChunkKey{7, 8, 9} {
-			peer, release, ok := co.Locate(ctx, key)
-			if !ok || peer != 0 {
+			if peer, _, ok := co.Locate(ctx, key); !ok || peer != 0 {
 				t.Errorf("Locate(%d) = (%d, %v), want node 0", key, peer, ok)
-				continue
 			}
-			release()
 		}
 	})
 }
@@ -100,56 +102,70 @@ func TestAnnounceIgnoresNonMembersAndSparseChunks(t *testing.T) {
 	}
 }
 
-// TestUploadCapShedsToProviders: once every holder's upload slots are
-// taken, Locate reports saturation and the caller uses the providers.
+// TestUploadCapShedsToProviders: a lone holder with no fetch in flight
+// serves two askers and sends the third to the providers, counted as
+// Saturated; the two it served serve the next four, and the one after
+// those goes to the providers again.
 func TestUploadCapShedsToProviders(t *testing.T) {
-	fab := cluster.NewLive(4)
-	cfg := DefaultConfig()
-	cfg.MaxUploads = 2
-	_, co := newCohort(t, fab, cfg, []cluster.NodeID{0, 1, 2})
-	runOn(fab, 0, func(ctx *cluster.Ctx) { co.Announce(ctx, []blob.ChunkKey{7}) })
-	runOn(fab, 1, func(ctx *cluster.Ctx) {
-		var releases []func()
-		for i := 0; i < cfg.MaxUploads; i++ {
-			_, release, ok := co.Locate(ctx, 7)
-			if !ok {
-				t.Fatalf("Locate %d refused below the cap", i)
-			}
-			releases = append(releases, release)
+	fab := cluster.NewLive(9)
+	_, co := newCohort(t, fab, DefaultConfig(), nodeRange(0, 8))
+	announce := func(n cluster.NodeID) {
+		runOn(fab, n, func(ctx *cluster.Ctx) { co.Announce(ctx, []blob.ChunkKey{7}) })
+	}
+	ask := func(n cluster.NodeID) (peer cluster.NodeID, ok bool) {
+		runOn(fab, n, func(ctx *cluster.Ctx) { peer, _, ok = co.Locate(ctx, 7) })
+		return peer, ok
+	}
+	announce(0)
+	for _, n := range []cluster.NodeID{1, 2} {
+		if peer, ok := ask(n); !ok || peer != 0 {
+			t.Errorf("node %d: Locate = (%d, %v), want the lone holder 0", n, peer, ok)
 		}
-		if _, _, ok := co.Locate(ctx, 7); ok {
-			t.Error("Locate handed out an upload slot beyond MaxUploads")
+	}
+	if peer, ok := ask(3); ok {
+		t.Errorf("node 3 was handed a third copy from %d", peer)
+	}
+	if st := co.Stats(); st.Saturated != 1 || st.Misses != 0 {
+		t.Errorf("stats = %+v, want 1 saturated and no miss", st)
+	}
+	announce(1)
+	announce(2)
+	served := make(map[cluster.NodeID]int)
+	for n := cluster.NodeID(3); n < 7; n++ {
+		peer, ok := ask(n)
+		if !ok {
+			t.Fatalf("node %d found no copy although 1 and 2 have two each to give", n)
 		}
-		if st := co.Stats(); st.Saturated != 1 {
-			t.Errorf("saturated = %d, want 1", st.Saturated)
-		}
-		for _, release := range releases {
-			release()
-		}
-		if _, release, ok := co.Locate(ctx, 7); !ok {
-			t.Error("Locate refused after slots were released")
-		} else {
-			release()
-		}
-	})
+		served[peer]++
+	}
+	if served[1] != 2 || served[2] != 2 {
+		t.Errorf("copies served by holder: %v, want two each by 1 and 2", served)
+	}
+	if peer, ok := ask(7); ok {
+		t.Errorf("node 7 was handed a seventh copy from %d", peer)
+	}
+	if st := co.Stats(); st.Saturated != 2 || st.PeerHits != 6 {
+		t.Errorf("stats = %+v, want 2 saturated and 6 peer hits", st)
+	}
 }
 
-// TestLocatePrefersLeastLoadedHolder.
+// TestLocatePrefersLeastLoadedHolder: a holder that has given no copy
+// comes before one that has given one.
 func TestLocatePrefersLeastLoadedHolder(t *testing.T) {
 	fab := cluster.NewLive(5)
 	_, co := newCohort(t, fab, DefaultConfig(), []cluster.NodeID{0, 1, 2, 3})
 	runOn(fab, 0, func(ctx *cluster.Ctx) { co.Announce(ctx, []blob.ChunkKey{7}) })
 	runOn(fab, 1, func(ctx *cluster.Ctx) { co.Announce(ctx, []blob.ChunkKey{7}) })
 	runOn(fab, 2, func(ctx *cluster.Ctx) {
-		// First pick ties at load 0: the first announcer wins.
-		p1, r1, _ := co.Locate(ctx, 7)
-		// Second pick must move to the idle holder.
-		p2, r2, _ := co.Locate(ctx, 7)
-		if p1 != 0 || p2 != 1 {
-			t.Errorf("picks = %d, %d; want 0 then 1", p1, p2)
+		// Nobody has given a copy: the first announcer wins. Then the
+		// other, and only then the first again.
+		var picks [4]cluster.NodeID
+		for i := range picks {
+			picks[i], _, _ = co.Locate(ctx, 7)
 		}
-		r1()
-		r2()
+		if picks != [4]cluster.NodeID{0, 1, 0, 1} {
+			t.Errorf("picks = %v; want 0 1 0 1", picks)
+		}
 	})
 }
 
@@ -173,10 +189,8 @@ func TestRetractRemovesHolder(t *testing.T) {
 	// Re-announcing after retraction works.
 	runOn(fab, 0, func(ctx *cluster.Ctx) { co.Announce(ctx, []blob.ChunkKey{7}) })
 	runOn(fab, 1, func(ctx *cluster.Ctx) {
-		if _, release, ok := co.Locate(ctx, 7); !ok {
+		if _, _, ok := co.Locate(ctx, 7); !ok {
 			t.Error("Locate missed a re-announced chunk")
-		} else {
-			release()
 		}
 	})
 }
@@ -237,11 +251,8 @@ func TestCohortRegistryRace(t *testing.T) {
 				for i := 0; i < 200; i++ {
 					key := blob.ChunkKey(i%17 + 1)
 					co.Announce(cc, []blob.ChunkKey{key, key + 1})
-					if peer, release, ok := co.Locate(cc, key); ok {
-						if peer == cc.Node() {
-							t.Errorf("node %d located itself", peer)
-						}
-						release()
+					if peer, _, ok := co.Locate(cc, key); ok && peer == cc.Node() {
+						t.Errorf("node %d located itself", peer)
 					}
 					if i%5 == 0 {
 						co.Retract(cc, []blob.ChunkKey{key})

@@ -14,9 +14,10 @@ func topo2z() cluster.Topology {
 		RackBandwidth: 1, ZoneBandwidth: 1}
 }
 
-// TestPickPrefersNearTierOverLoad: locality outranks load — a loaded
-// same-rack holder beats an idle cross-zone one; within a tier the
-// least-loaded holder still wins.
+// TestPickPrefersNearTierOverLoad: locality outranks the copies given —
+// a same-rack holder that has given one beats a cross-zone one that has
+// given none; once it has given both, the pick falls outward, and within
+// a tier the holder that has given fewest still wins.
 func TestPickPrefersNearTierOverLoad(t *testing.T) {
 	fab := cluster.NewLive(8)
 	reg, co := newCohort(t, fab, DefaultConfig(), []cluster.NodeID{0, 1, 2, 4, 5})
@@ -27,41 +28,23 @@ func TestPickPrefersNearTierOverLoad(t *testing.T) {
 	runOn(fab, 4, func(ctx *cluster.Ctx) { co.Announce(ctx, []blob.ChunkKey{7}) })
 	runOn(fab, 5, func(ctx *cluster.Ctx) { co.Announce(ctx, []blob.ChunkKey{7}) })
 	runOn(fab, 0, func(ctx *cluster.Ctx) {
-		// Occupy 3 of node 1's 4 upload slots: it stays the pick
-		// because it is a tier closer, despite the load.
-		var releases []func()
-		for i := 0; i < 3; i++ {
-			peer, release, ok := co.Locate(ctx, 7)
-			if !ok || peer != 1 {
-				t.Fatalf("Locate #%d = (%d, %v), want same-rack node 1", i, peer, ok)
-			}
-			releases = append(releases, release)
+		var picks [5]cluster.NodeID
+		for i := range picks {
+			picks[i], _, _ = co.Locate(ctx, 7)
 		}
-		// Saturate the 4th slot: the pick falls outward to the other
-		// zone, least-loaded first.
-		_, last, ok := co.Locate(ctx, 7)
-		if !ok {
-			t.Fatal("Locate failed with free slots remaining")
-		}
-		peer, release, ok := co.Locate(ctx, 7)
-		if !ok || (peer != 4 && peer != 5) {
-			t.Fatalf("Locate past saturation = (%d, %v), want a zone-1 holder", peer, ok)
-		}
-		release()
-		last()
-		for _, r := range releases {
-			r()
+		if picks != [5]cluster.NodeID{1, 1, 4, 5, 4} {
+			t.Errorf("picks = %v, want 1 1 4 5 4", picks)
 		}
 	})
 	st := co.Stats()
-	if st.TierHits[cluster.TierRack] != 4 || st.TierHits[cluster.TierRemote] != 1 {
-		t.Errorf("TierHits = %v, want 4 rack / 1 remote", st.TierHits)
+	if st.TierHits[cluster.TierRack] != 2 || st.TierHits[cluster.TierRemote] != 3 {
+		t.Errorf("TierHits = %v, want 2 rack / 3 remote", st.TierHits)
 	}
 }
 
 // TestPickWithoutTopologyStaysLeastLoaded pins the degenerate case:
-// no topology (or one domain for everyone) keeps the historical pure
-// least-loaded pick, and every hit books under TierRack.
+// with no topology (or one domain for everyone) the copies given alone
+// decide, and every hit books under TierRack.
 func TestPickWithoutTopologyStaysLeastLoaded(t *testing.T) {
 	for _, topo := range []cluster.Topology{
 		{},
@@ -75,21 +58,19 @@ func TestPickWithoutTopologyStaysLeastLoaded(t *testing.T) {
 		runOn(fab, 1, func(ctx *cluster.Ctx) { co.Announce(ctx, []blob.ChunkKey{7}) })
 		runOn(fab, 4, func(ctx *cluster.Ctx) { co.Announce(ctx, []blob.ChunkKey{7}) })
 		runOn(fab, 0, func(ctx *cluster.Ctx) {
-			// First pick takes the first-announced holder; holding its
-			// slot makes the second pick the other, less-loaded one.
-			p1, r1, ok := co.Locate(ctx, 7)
+			// First pick takes the first-announced holder; the copy it
+			// gave makes the second pick the other one.
+			p1, _, ok := co.Locate(ctx, 7)
 			if !ok {
 				t.Fatal("Locate found no holder")
 			}
-			p2, r2, ok := co.Locate(ctx, 7)
+			p2, _, ok := co.Locate(ctx, 7)
 			if !ok {
 				t.Fatal("Locate found no second holder")
 			}
 			if p1 == p2 {
-				t.Errorf("least-loaded pick reused node %d over an idle holder", p1)
+				t.Errorf("the pick reused node %d over a holder that has given nothing", p1)
 			}
-			r1()
-			r2()
 		})
 		st := co.Stats()
 		if st.TierHits[cluster.TierRack] != 2 {

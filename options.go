@@ -97,14 +97,14 @@ func WithDedup() Option {
 // spreads a key's replicas across failure domains (distinct zones
 // first, then distinct racks), reads probe the reader's nearest live
 // copy first, and — with WithP2P — cohort peer selection prefers a
-// same-rack holder, then same-zone, then remote, with load only
-// breaking ties within a tier. The topology describes the whole
+// same-rack holder, then same-zone, then remote, with the copies a
+// holder has given only breaking ties within a tier. The topology describes the whole
 // fabric (Zones × RacksPerZone × NodesPerRack must equal the cluster
 // size) and normally mirrors the simulated fabric's cluster-config
 // topology, so the policy matches the modeled tier links.
 //
 // Awareness is deliberately opt-in: a repo opened without WithTopology
-// keeps flat round-robin placement and pure least-loaded peer picks
+// keeps flat round-robin placement and tier-blind peer picks
 // even on a fabric that models tiered links — that flat-policy
 // baseline is what the cross-zone scenario measures against. A
 // single-zone, single-rack topology is the degenerate case and
