@@ -22,7 +22,10 @@ vet:
 
 # race already executes the examples once via the root package's
 # TestExamplesBuildAndRun smoke, so check does not repeat them.
-check: vet build race
+# bench-check is CI's "bench harness" step: the frozen bench/ module
+# calls into internals (blob.NewClient, Repo.ArmFaultsRebased,
+# Cohort.Locate), and only compiling it proves they are still there.
+check: vet build race bench-check
 
 # examples builds and runs every examples/* program — executable
 # documentation of the public blobvfs API. Each must exit cleanly.

@@ -120,7 +120,8 @@ const (
 func NewLiveCluster(nodes int) *LiveCluster { return cluster.NewLive(nodes) }
 
 // KillAt returns the fault-plan event that fails node at virtual time
-// t (seconds).
+// t (seconds). Every plan time, here and below, counts from the instant
+// Repo.ArmFaults arms the plan.
 func KillAt(t float64, node NodeID) FaultEvent { return cluster.KillAt(t, node) }
 
 // ReviveAt returns the fault-plan event that brings node back at

@@ -33,91 +33,45 @@ func NewSystem(providers []cluster.NodeID, vmNode cluster.NodeID, replicas int) 
 // are deterministic.
 const clientParallel = 16
 
-// nodeCacheShards stripes the client's tree-node cache so the
-// clientParallel concurrent fetchers it feeds never serialize on one
-// mutex. Power of two; refs are sequential, so masking spreads them
-// evenly.
-const nodeCacheShards = 16
-
-type nodeCacheShard struct {
-	mu sync.RWMutex
-	m  map[NodeRef]TreeNode
-}
-
 // Client is a BlobSeer access library instance. Tree nodes and blob
 // geometry are immutable, so the client caches them without any
 // invalidation protocol; this is what makes metadata overhead drop
 // sharply after first access, as in the real system.
 //
-// The caches are built for concurrent readers: the node cache is
-// hash-striped with shared locks on the read path, cold fetches of the
-// same ref are deduplicated through singleflight, and fully resolved
-// [lo,hi) ranges are kept in a per-version extent cache (extents.go)
-// that lets repeated reads of a deployed snapshot skip tree descent
-// entirely.
+// One activity reads for an image at a time (one mirroring module per
+// node, one instance per node), so the caches are plain maps under a
+// lock each: concurrent callers are safe, and two that miss the same
+// key at once each pay the fetch. Fully resolved [lo,hi) ranges are
+// kept in a per-version extent cache (extents.go) that lets repeated
+// reads of a deployed snapshot skip tree descent entirely.
 type Client struct {
 	sys    *System
 	sharer ChunkSharer // optional p2p chunk source (see sharing.go)
 
-	nodeCache   [nodeCacheShards]nodeCacheShard
+	nodeMu      sync.RWMutex
+	nodes       map[NodeRef]TreeNode
 	nodesCached atomic.Bool // the cache holds something; it never shrinks
 
 	infoMu sync.RWMutex
 	infos  map[ID]Info
-
-	// Singleflight groups (flight.go): concurrent cold misses on the
-	// same tree node, blob info, or whole-image prefetch share one
-	// fetch instead of each paying the RPC. A node flight carries no
-	// value: its leader fills the node cache before it finishes the
-	// flight, and leader and followers alike read the node from there.
-	nodeFlights *flightGroup[NodeRef, struct{}]
-	infoFlights *flightGroup[ID, Info]
-	prefFlights *flightGroup[extentKey, struct{}]
 
 	extents *extentCache
 }
 
 // NewClient attaches a client to a system.
 func NewClient(sys *System) *Client {
-	c := &Client{
-		sys:         sys,
-		infos:       make(map[ID]Info),
-		nodeFlights: newFlightGroup[NodeRef, struct{}](),
-		infoFlights: newFlightGroup[ID, Info](),
-		prefFlights: newFlightGroup[extentKey, struct{}](),
-		extents:     newExtentCache(),
+	return &Client{
+		sys:     sys,
+		nodes:   make(map[NodeRef]TreeNode),
+		infos:   make(map[ID]Info),
+		extents: newExtentCache(),
 	}
-	for i := range c.nodeCache {
-		c.nodeCache[i].m = make(map[NodeRef]TreeNode)
-	}
-	return c
 }
 
 // System returns the system this client is attached to.
 func (c *Client) System() *System { return c.sys }
 
-func (c *Client) nodeShard(ref NodeRef) *nodeCacheShard {
-	return &c.nodeCache[uint64(ref)&(nodeCacheShards-1)]
-}
-
-func (c *Client) cachedNode(ref NodeRef) (TreeNode, bool) {
-	sh := c.nodeShard(ref)
-	sh.mu.RLock()
-	n, ok := sh.m[ref]
-	sh.mu.RUnlock()
-	return n, ok
-}
-
-func (c *Client) storeNode(ref NodeRef, n TreeNode) {
-	sh := c.nodeShard(ref)
-	sh.mu.Lock()
-	sh.m[ref] = n
-	sh.mu.Unlock()
-	c.nodesCached.Store(true)
-}
-
-// Info returns blob geometry, cached after the first fetch. Concurrent
-// first fetches of the same blob share one RPC.
+// Info returns blob geometry, cached after the first fetch.
 func (c *Client) Info(ctx *cluster.Ctx, id ID) (Info, error) {
 	c.infoMu.RLock()
 	inf, ok := c.infos[id]
@@ -125,133 +79,99 @@ func (c *Client) Info(ctx *cluster.Ctx, id ID) (Info, error) {
 	if ok {
 		return inf, nil
 	}
-	return c.infoFlights.do(ctx, id,
-		func() (Info, bool) {
-			c.infoMu.RLock()
-			inf, ok := c.infos[id]
-			c.infoMu.RUnlock()
-			return inf, ok
-		},
-		func() (Info, error) {
-			inf, err := c.sys.VM.Info(ctx, id)
-			if err == nil {
-				c.infoMu.Lock()
-				c.infos[id] = inf
-				c.infoMu.Unlock()
-			}
-			return inf, err
-		})
+	inf, err := c.sys.VM.Info(ctx, id)
+	if err == nil {
+		c.infoMu.Lock()
+		c.infos[id] = inf
+		c.infoMu.Unlock()
+	}
+	return inf, err
 }
 
-// getNodes resolves a batch of refs through the cache into out
-// (len(out) == len(refs)): cached refs are free, refs another activity
-// is already fetching are joined, and the remaining cold refs go to the
-// metadata service as one GetBatchInto (one RPC per distinct home
-// provider) under one flight. Missing refs produce a not-found error;
-// the refs that were found are still filled in.
-func (c *Client) getNodes(ctx *cluster.Ctx, refs []NodeRef, out []TreeNode) error {
-	cold := 0
-	for i, ref := range refs {
-		n, ok := c.cachedNode(ref)
-		if !ok {
-			n = TreeNode{} // out is reused: an invalid entry marks a cold ref
-			cold++
-		}
-		out[i] = n
-	}
-	if cold == 0 {
-		return nil
-	}
-
-	// Partition the cold refs under one group-lock acquisition: the ones
-	// this call leads (mine, one flight for all of them) and the ones
-	// another activity leads, joined through its gate after our own
-	// batch is out. direct says every ref so far is cold and led here —
-	// a descent into an unseen subtree — so that refs and out can go to
-	// the service as they are, with no copy or scratch beside them.
-	var theirs []*cluster.Gate
-	var mine []NodeRef
-	direct := cold == len(refs)
-	if !direct {
-		mine = make([]NodeRef, 0, cold)
-	}
-	var f *flight[struct{}]
-	c.nodeFlights.mu.Lock()
-	for i, ref := range refs {
-		if out[i].valid() {
-			continue
-		}
-		lead := false
-		if n, ok := c.cachedNode(ref); ok {
+// getNodes resolves a batch of refs through the node cache into out
+// (len(out) == len(refs)): cached refs are free and the cold ones go to
+// the metadata service as one GetBatchInto (one RPC per distinct home
+// provider). keep stores what was fetched in the cache; the whole-image
+// descent at Open leaves it clear, because its product is the extent
+// cache and every node is resolved exactly once. A ref the service
+// cannot serve fails the call with the service's own
+// *MissingNodesError; the refs that were found are still filled in, and
+// kept.
+func (c *Client) getNodes(ctx *cluster.Ctx, refs []NodeRef, out []TreeNode, keep bool) error {
+	// out is reused from level to level and the service leaves a missing
+	// ref's slot untouched: a slot is cleared before it is asked for, so
+	// that valid() afterwards means "this round found it".
+	hits := 0
+	if c.nodesCached.Load() {
+		c.nodeMu.RLock()
+		for i, ref := range refs {
+			n, ok := c.nodes[ref]
+			if ok {
+				hits++
+			}
 			out[i] = n
-		} else if of, ok := c.nodeFlights.flights[ref]; ok {
-			theirs = append(theirs, of.follow())
-		} else {
-			if f == nil {
-				f = &flight[struct{}]{}
-			}
-			c.nodeFlights.flights[ref] = f
-			lead = true
 		}
-		switch {
-		case lead && !direct:
-			mine = append(mine, ref)
-		case !lead && direct:
-			// Not all ours after all; the refs before this one were.
-			direct = false
-			mine = append(make([]NodeRef, 0, cold), refs[:i]...)
-		}
+		c.nodeMu.RUnlock()
+	} else { // a crowd's first descent: nothing to look up
+		clear(out)
 	}
-	c.nodeFlights.mu.Unlock()
-
-	if f != nil {
-		nodes := out
-		if direct {
-			mine = refs
-		} else {
-			nodes = make([]TreeNode, len(mine))
+	switch hits {
+	case len(refs):
+		return nil
+	case 0:
+		// A descent into an unseen subtree: refs and out go to the
+		// service as they are.
+		err := c.sys.Meta.GetBatchInto(ctx, refs, out)
+		if keep {
+			c.storeNodes(refs, out)
 		}
-		// Only the refs the service actually misses fail, below: a
-		// present ref — possibly a subtree shared with a live version —
-		// is not lost with a sibling that lost a GC race.
-		err := c.sys.Meta.GetBatchInto(ctx, mine, nodes)
-		for j, ref := range mine {
-			if err == nil || nodes[j].valid() {
-				c.storeNode(ref, nodes[j])
-			}
-		}
-		c.nodeFlights.finish(ctx, mine, f)
+		return err
 	}
-	for _, gate := range theirs {
-		gate.Wait(ctx)
-	}
-	// Every ref still cold was in a flight, led here or joined, that has
-	// finished: it is in the cache now, or its service missed it.
-	var firstErr error
+	// Some hit: only now is it worth building the list of the misses.
+	misses := make([]NodeRef, 0, len(refs)-hits)
 	for i, ref := range refs {
-		if out[i].valid() {
-			continue
+		if !out[i].valid() {
+			misses = append(misses, ref)
 		}
-		n, ok := c.cachedNode(ref)
-		if !ok && firstErr == nil {
-			firstErr = notFound("metadata node", ref)
-		}
-		out[i] = n
 	}
-	return firstErr
+	fetched := make([]TreeNode, len(misses))
+	err := c.sys.Meta.GetBatchInto(ctx, misses, fetched)
+	j := 0
+	for i := range out {
+		if !out[i].valid() {
+			out[i] = fetched[j]
+			j++
+		}
+	}
+	if keep {
+		c.storeNodes(misses, fetched)
+	}
+	return err
+}
+
+// storeNodes caches the nodes a fetch found. An invalid node is a ref
+// the service missed — possibly lost to GC beside a sibling a live
+// version still shares — and is left out.
+func (c *Client) storeNodes(refs []NodeRef, nodes []TreeNode) {
+	c.nodeMu.Lock()
+	for i, ref := range refs {
+		if nodes[i].valid() {
+			c.nodes[ref] = nodes[i]
+		}
+	}
+	c.nodeMu.Unlock()
+	c.nodesCached.Store(true)
 }
 
 // cacheNew primes the cache with nodes this client just created.
 func (c *Client) cacheNew(nodes []NewNode) {
-	for i := range c.nodeCache {
-		sh := &c.nodeCache[i]
-		sh.mu.Lock()
-		sh.m = presized(sh.m, len(nodes)/nodeCacheShards+1)
-		sh.mu.Unlock()
-	}
+	c.nodeMu.Lock()
+	c.nodes = presized(c.nodes, len(nodes))
 	for _, nn := range nodes {
-		c.storeNode(nn.Ref, nn.Node)
+		c.nodes[nn.Ref] = nn.Node
 	}
+	c.nodeMu.Unlock()
+	c.nodesCached.Store(true)
 }
 
 // pendingAllocator returns a node-ref allocator that registers every
@@ -270,16 +190,17 @@ func (c *Client) pendingAllocator(n int) (alloc func() NodeRef, done func()) {
 	return alloc, done
 }
 
-// boundGetter adapts the client's caches to the segment-tree Getter:
+// boundGetter adapts getNodes to the segment-tree Getter:
 // CollectLeaves, BuildVersion and CloneRoot descend level by level,
 // one batched metadata round per level.
 type boundGetter struct {
-	c   *Client
-	ctx *cluster.Ctx
+	c    *Client
+	ctx  *cluster.Ctx
+	keep bool // see getNodes
 }
 
 func (b boundGetter) GetNodes(refs []NodeRef, out []TreeNode) error {
-	return b.c.getNodes(b.ctx, refs, out)
+	return b.c.getNodes(b.ctx, refs, out, b.keep)
 }
 
 // Create registers a new blob of the given size and chunk size. The
@@ -403,7 +324,7 @@ func (c *Client) WriteChunksKeyed(ctx *cluster.Ctx, id ID, base Version, writes 
 	// The new tree nodes are pending for the same reason as the keys.
 	alloc, done := c.pendingAllocator(pathNodes(inf.Span, len(dirty)))
 	defer done()
-	root, created, err := BuildVersion(boundGetter{c, ctx}, oldRoot, inf.Span, dirty, alloc)
+	root, created, err := BuildVersion(boundGetter{c, ctx, true}, oldRoot, inf.Span, dirty, alloc)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -458,7 +379,7 @@ func (c *Client) Clone(ctx *cluster.Ctx, id ID, v Version) (ID, error) {
 	}
 	alloc, done := c.pendingAllocator(1)
 	defer done()
-	root, created, err := CloneRoot(boundGetter{c, ctx}, srcRoot, inf.Span, alloc)
+	root, created, err := CloneRoot(boundGetter{c, ctx, true}, srcRoot, inf.Span, alloc)
 	if err != nil {
 		return 0, err
 	}
@@ -496,65 +417,12 @@ func (c *Client) resolveLeaves(ctx *cluster.Ctx, id ID, v Version, span, lo, hi 
 	if err != nil {
 		return nil, err
 	}
-	leaves, err := CollectLeaves(boundGetter{c, ctx}, root, span, lo, hi)
+	leaves, err := CollectLeaves(boundGetter{c, ctx, true}, root, span, lo, hi)
 	if err != nil {
 		return nil, err
 	}
 	c.extents.insert(id, v, lo, hi, leaves, epoch)
 	return leaves, nil
-}
-
-// leanGetter is the bulk-prefetch variant of boundGetter: cache hits
-// are shared, but cold refs go straight to GetBatchInto without
-// singleflight registration and without node-cache insertion. A
-// whole-image prefetch resolves every node exactly once into the
-// extent cache — that interval map is the durable product of the
-// descent, and skipping the per-ref bookkeeping (a flight struct and a
-// cache insert per node) keeps the prefetch allocation-light. Inner
-// nodes a later partial descent might want simply refetch.
-type leanGetter struct{ boundGetter }
-
-func (g leanGetter) GetNodes(refs []NodeRef, out []TreeNode) error {
-	if !g.c.nodesCached.Load() { // a crowd's first descent: nothing to look up
-		return g.c.sys.Meta.GetBatchInto(g.ctx, refs, out)
-	}
-	hits := 0
-	for i, ref := range refs {
-		if n, ok := g.c.cachedNode(ref); ok {
-			out[i] = n
-			hits++
-		}
-	}
-	switch hits {
-	case len(refs):
-		return nil
-	case 0:
-		// Nothing cached (the normal case mid-prefetch): resolve
-		// straight into the aligned result.
-		return g.c.sys.Meta.GetBatchInto(g.ctx, refs, out)
-	}
-	// Some hit: only now is it worth building the list of the misses.
-	// The cache is asked again, and believed again: a node another
-	// activity stored in between is a hit here and must not be left out
-	// of both passes.
-	missIdx := make([]int, 0, len(refs)-hits)
-	misses := make([]NodeRef, 0, len(refs)-hits)
-	for i, ref := range refs {
-		if n, ok := g.c.cachedNode(ref); ok {
-			out[i] = n
-		} else {
-			missIdx = append(missIdx, i)
-			misses = append(misses, ref)
-		}
-	}
-	nodes := make([]TreeNode, len(misses))
-	if err := g.c.sys.Meta.GetBatchInto(g.ctx, misses, nodes); err != nil {
-		return err
-	}
-	for j, i := range missIdx {
-		out[i] = nodes[j]
-	}
-	return nil
 }
 
 // PrefetchExtents resolves the complete chunk map of snapshot (id, v)
@@ -573,22 +441,19 @@ func (c *Client) PrefetchExtents(ctx *cluster.Ctx, id ID, v Version) error {
 	if leaves := c.extents.lookup(id, v, 0, inf.Chunks(), epoch, c.sys.VM.IsLive); leaves != nil {
 		return nil
 	}
-	// Whole-image descents are the most expensive metadata operation a
-	// client performs, so concurrent prefetches of the same snapshot
-	// (two instances opening one image on a node) share one flight.
-	_, err = c.prefFlights.do(ctx, extentKey{id, v}, nil, func() (struct{}, error) {
-		root, err := c.sys.VM.Root(ctx, id, v)
-		if err != nil {
-			return struct{}{}, err
-		}
-		leaves, err := CollectLeaves(leanGetter{boundGetter{c, ctx}}, root, inf.Span, 0, inf.Chunks())
-		if err != nil {
-			return struct{}{}, err
-		}
-		c.extents.insert(id, v, 0, inf.Chunks(), leaves, epoch)
-		return struct{}{}, nil
-	})
-	return err
+	root, err := c.sys.VM.Root(ctx, id, v)
+	if err != nil {
+		return err
+	}
+	// Every node is resolved exactly once and the extent cache is the
+	// durable product, so the nodes are not kept: inner nodes a later
+	// partial descent might want simply refetch.
+	leaves, err := CollectLeaves(boundGetter{c, ctx, false}, root, inf.Span, 0, inf.Chunks())
+	if err != nil {
+		return err
+	}
+	c.extents.insert(id, v, 0, inf.Chunks(), leaves, epoch)
+	return nil
 }
 
 // FetchChunks retrieves the chunks covering indices [lo,hi) of (id,v),

@@ -76,10 +76,8 @@ type Collector struct {
 	sys     *System
 	running atomic.Bool
 
-	mu       sync.Mutex // guards listener and accumulated stats
+	mu       sync.Mutex // guards listener
 	listener ReclaimListener
-	cycles   int
-	total    GCReport
 }
 
 // NewCollector creates a collector for the system.
@@ -92,14 +90,6 @@ func (g *Collector) SetListener(l ReclaimListener) {
 	g.mu.Lock()
 	g.listener = l
 	g.mu.Unlock()
-}
-
-// Cycles returns how many collection cycles have completed and the
-// accumulated totals across them.
-func (g *Collector) Cycles() (int, GCReport) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.cycles, g.total
 }
 
 // Collect runs one mark-free cycle and reports what it reclaimed.
@@ -158,14 +148,6 @@ func (g *Collector) Collect(ctx *cluster.Ctx) (GCReport, error) {
 
 	g.mu.Lock()
 	l := g.listener
-	g.cycles++
-	g.total.LiveVersions = rep.LiveVersions
-	g.total.MarkedNodes = rep.MarkedNodes
-	g.total.MarkedChunks = rep.MarkedChunks
-	g.total.FreedNodes += rep.FreedNodes
-	g.total.FreedKeys += rep.FreedKeys
-	g.total.FreedChunks += rep.FreedChunks
-	g.total.FreedBytes += rep.FreedBytes
 	g.mu.Unlock()
 
 	if l != nil && len(released) > 0 {

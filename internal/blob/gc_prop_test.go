@@ -203,7 +203,8 @@ func TestGCRandomLifecycleInvariants(t *testing.T) {
 					for _, pb := range blobs {
 						pb.liveRefs(want)
 					}
-					got := sys.Providers.RetainedKeys(sys.Providers.KeyWatermark())
+					keyWM, _ := sys.Providers.PendingSnapshot()
+					got := sys.Providers.RetainedKeys(keyWM)
 					if len(got) != len(want) {
 						t.Fatalf("retained %d keys, model has %d live refs", len(got), len(want))
 					}

@@ -244,7 +244,7 @@ func TestGCDedupAliases(t *testing.T) {
 func TestReleaseIdempotent(t *testing.T) {
 	fab, sys := liveSystem(2, 1)
 	fab.Run(func(ctx *cluster.Ctx) {
-		key := sys.Providers.AllocKey()
+		key := sys.Providers.AllocPendingKey()
 		if err := putOne(ctx, sys.Providers, key, RealPayload(pattern(100, 1))); err != nil {
 			t.Fatal(err)
 		}
@@ -375,7 +375,8 @@ func TestGCMarkRounds(t *testing.T) {
 			}
 		}
 		wantFreed := 0
-		for _, key := range sys.Providers.RetainedKeys(sys.Providers.KeyWatermark()) {
+		keyWM, _ := sys.Providers.PendingSnapshot()
+		for _, key := range sys.Providers.RetainedKeys(keyWM) {
 			if !wantChunks[key] {
 				wantFreed++
 			}

@@ -3,6 +3,7 @@ package blob
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 
 	"blobvfs/internal/cluster"
@@ -150,123 +151,133 @@ func TestMetaGetBatch(t *testing.T) {
 	})
 }
 
-// TestClientColdFetchSingleflight is the regression test for the
-// duplicate cold-fetch bug: concurrent first accesses to the same
-// blob/refs used to each pay a full RPC. With singleflight, a
-// 16-activity thundering herd over a cold client must not fetch any
-// tree node (or the blob info) more than once.
-func TestClientColdFetchSingleflight(t *testing.T) {
-	fab, sys := liveSystem(4, 1)
-	var id ID
-	var v Version
-	fab.Run(func(ctx *cluster.Ctx) {
-		c := NewClient(sys)
-		var err error
-		id, err = c.Create(ctx, 1<<20, 64<<10) // 16 chunks
-		if err != nil {
-			t.Fatalf("Create: %v", err)
-		}
-		v, err = c.WriteAt(ctx, id, 0, pattern(1<<20, 5), 0)
-		if err != nil {
-			t.Fatalf("WriteAt: %v", err)
-		}
-	})
-
-	// Reference: a single cold reader's fetched-node count.
-	sys.Meta.NodesServed.Store(0)
-	fab.Run(func(ctx *cluster.Ctx) {
-		c := NewClient(sys)
-		if _, err := c.FetchChunks(ctx, id, v, 0, 16); err != nil {
-			t.Fatalf("FetchChunks: %v", err)
-		}
-	})
-	serial := sys.Meta.NodesServed.Load()
-	if serial == 0 {
-		t.Fatal("serial cold read fetched no nodes")
-	}
-
-	// Herd: 16 concurrent cold readers on ONE fresh client.
-	sys.Meta.NodesServed.Store(0)
-	fab.Run(func(ctx *cluster.Ctx) {
-		c := NewClient(sys)
-		tasks := make([]cluster.Task, 0, 16)
-		for w := 0; w < 16; w++ {
-			tasks = append(tasks, ctx.Go("herd", ctx.Node(), func(cc *cluster.Ctx) {
-				chunks, err := c.FetchChunks(cc, id, v, 0, 16)
+// TestConcurrentColdReadersAgree: the client's caches are plain maps
+// under a lock, with nothing that joins one cold reader to another. 16
+// activities on one fresh client — on the sim fabric, and on the live
+// fabric where -race watches them — each get exactly what a serial
+// reader gets, and the node cache they filled together holds nothing
+// but the service's own nodes.
+func TestConcurrentColdReadersAgree(t *testing.T) {
+	for name, fab := range map[string]cluster.Fabric{
+		"sim":  cluster.NewSim(cluster.DefaultConfig(4)),
+		"live": cluster.NewLive(4),
+	} {
+		t.Run(name, func(t *testing.T) {
+			sys := NewSystem([]cluster.NodeID{0, 1, 2, 3}, 0, 1)
+			var id ID
+			var v Version
+			var serial []FetchedChunk
+			fab.Run(func(ctx *cluster.Ctx) {
+				w := NewClient(sys)
+				var err error
+				id, err = w.Create(ctx, 1<<20, 64<<10) // 16 chunks
 				if err != nil {
-					t.Errorf("herd FetchChunks: %v", err)
-					return
+					t.Fatalf("Create: %v", err)
 				}
-				if len(chunks) != 16 {
-					t.Errorf("herd got %d chunks, want 16", len(chunks))
+				v1, err := w.WriteAt(ctx, id, 0, pattern(1<<20, 5), 0)
+				if err != nil {
+					t.Fatalf("WriteAt: %v", err)
 				}
-			}))
-		}
-		ctx.WaitAll(tasks)
-	})
-	herd := sys.Meta.NodesServed.Load()
-	if herd != serial {
-		t.Errorf("concurrent cold fetch resolved %d nodes, serial resolved %d — duplicate RPCs leaked", herd, serial)
+				// A second version shadowing part of the first, so the
+				// tree read has shared and new subtrees.
+				v, err = w.WriteAt(ctx, id, v1, pattern(200<<10, 9), 300<<10)
+				if err != nil {
+					t.Fatalf("WriteAt v2: %v", err)
+				}
+				serial, err = NewClient(sys).FetchChunks(ctx, id, v, 0, 16)
+				if err != nil {
+					t.Fatalf("serial FetchChunks: %v", err)
+				}
+			})
+
+			c := NewClient(sys)
+			fab.Run(func(ctx *cluster.Ctx) {
+				tasks := make([]cluster.Task, 0, 16)
+				for w := 0; w < 16; w++ {
+					lo := int64(w % 4) // overlapping ranges, some partial
+					tasks = append(tasks, ctx.Go("herd", ctx.Node(), func(cc *cluster.Ctx) {
+						got, err := c.FetchChunks(cc, id, v, lo, 16)
+						if err != nil {
+							t.Errorf("herd FetchChunks [%d,16): %v", lo, err)
+							return
+						}
+						if !reflect.DeepEqual(got, serial[lo:]) {
+							t.Errorf("herd FetchChunks [%d,16) differs from the serial reader's", lo)
+						}
+					}))
+				}
+				ctx.WaitAll(tasks)
+			})
+			if len(c.nodes) == 0 {
+				t.Fatal("the herd cached no node")
+			}
+			for ref, n := range c.nodes {
+				if stored, ok := sys.Meta.peek(ref); !ok || !n.valid() || n != stored {
+					t.Errorf("cache holds %+v under ref %d, the service has (%+v, %v)", n, ref, stored, ok)
+				}
+			}
+		})
 	}
 }
 
-// TestFollowersOfABatchFlightReadTheCache: a node flight carries no
-// value, so whoever joins one — a single GetNode or another getNodes —
-// must take the node from the cache its leader filled. The batch here
-// also misses one ref: its followers get that ref's own not-found
-// error, and the refs beside it still resolve. The sim fabric makes the
-// interleaving deterministic: the followers start while the leader's
-// RPC is in flight.
-func TestFollowersOfABatchFlightReadTheCache(t *testing.T) {
-	fab := cluster.NewSim(cluster.DefaultConfig(2))
-	sys := NewSystem([]cluster.NodeID{0, 1}, 0, 1)
+// TestGetNodesNeverStoresAStaleSlot: descend hands getNodes the same
+// result buffer level after level, and the service leaves the slot of a
+// ref it misses untouched. With keep set, the slot's previous content —
+// a valid node of the level above — must not be cached under the ref
+// lost to GC, while the refs found beside it are.
+func TestGetNodesNeverStoresAStaleSlot(t *testing.T) {
+	fab, sys := liveSystem(2, 1)
 	fab.Run(func(ctx *cluster.Ctx) {
 		nodes := []NewNode{
-			{Ref: 1, Node: TreeNode{Lo: 0, Hi: 1, Chunk: 101}},
-			{Ref: 2, Node: TreeNode{Lo: 1, Hi: 2, Chunk: 102}},
+			{Ref: 1, Node: TreeNode{Lo: 0, Hi: 4, Left: 2, Right: 3}},
+			{Ref: 2, Node: TreeNode{Lo: 0, Hi: 2, Chunk: 102}},
 			{Ref: 4, Node: TreeNode{Lo: 3, Hi: 4, Chunk: 104}},
 		}
 		sys.Meta.PutBatch(ctx, nodes)
 		const missing = NodeRef(3)
 		c := NewClient(sys)
-		refs := []NodeRef{1, 2, missing}
-		leader := ctx.Go("leader", 1, func(cc *cluster.Ctx) {
-			out := make([]TreeNode, len(refs))
-			if err := c.getNodes(cc, refs, out); !errors.Is(err, ErrNotFound) {
-				t.Errorf("leader: %v, want not-found for ref %d", err, missing)
+		buf := make([]TreeNode, 3)
+		if err := c.getNodes(ctx, []NodeRef{1}, buf[:1], true); err != nil {
+			t.Fatalf("level 0: %v", err)
+		}
+		// The next level reuses buf; slot 0 still holds node 1.
+		err := c.getNodes(ctx, []NodeRef{missing, 2, 4}, buf, true)
+		var mne *MissingNodesError
+		if !errors.As(err, &mne) || !errors.Is(err, ErrNotFound) || mne.First != missing || mne.Missing != 1 {
+			t.Fatalf("level 1: err = %v, want the service's MissingNodesError for ref %d", err, missing)
+		}
+		if buf[0].valid() || buf[1] != nodes[1].Node || buf[2] != nodes[2].Node {
+			t.Errorf("level 1 filled %+v, want a cleared slot for the missing ref beside the found ones", buf)
+		}
+		if n, ok := c.nodes[missing]; ok {
+			t.Errorf("the missing ref is cached as %+v", n)
+		}
+		for _, nn := range nodes {
+			if c.nodes[nn.Ref] != nn.Node {
+				t.Errorf("found ref %d cached as %+v, want %+v", nn.Ref, c.nodes[nn.Ref], nn.Node)
 			}
-			if out[0] != nodes[0].Node || out[1] != nodes[1].Node {
-				t.Errorf("leader: found refs not filled in beside the missing one: %+v", out)
-			}
-		})
-		single := ctx.Go("single", 1, func(cc *cluster.Ctx) {
-			cc.Sleep(1e-6)
-			if n, err := getNode(boundGetter{c, cc}, 1); err != nil || n != nodes[0].Node {
-				t.Errorf("GetNode joined the batch flight: (%+v, %v), want %+v", n, err, nodes[0].Node)
-			}
-		})
-		lost := ctx.Go("lost", 1, func(cc *cluster.Ctx) {
-			cc.Sleep(1e-6)
-			if _, err := getNode(boundGetter{c, cc}, missing); !errors.Is(err, ErrNotFound) {
-				t.Errorf("GetNode joined the flight that missed its ref: %v, want not-found", err)
-			}
-		})
-		batch := ctx.Go("batch", 1, func(cc *cluster.Ctx) {
-			cc.Sleep(1e-6)
-			// Ref 4 is cold and nobody's: this call leads it, then joins
-			// the leader's flight for the other two.
-			out := make([]TreeNode, 3)
-			err := c.getNodes(cc, []NodeRef{4, 2, 1}, out)
-			if err != nil || out[0] != nodes[2].Node || out[1] != nodes[1].Node || out[2] != nodes[0].Node {
-				t.Errorf("getNodes joined the batch flight: (%+v, %v)", out, err)
-			}
-		})
-		gets0 := sys.Meta.NodesServed.Load()
-		ctx.WaitAll([]cluster.Task{leader, single, lost, batch})
-		// Refs 1 and 2 were resolved once, by the leader's round, and
-		// ref 4 once.
-		if served := sys.Meta.NodesServed.Load() - gets0; served != 3 {
-			t.Errorf("service resolved %d nodes, want 3 (each ref once)", served)
+		}
+		// The same guard on the miss-list path (some refs cached): a
+		// second missing ref beside cached ones stays out too.
+		err = c.getNodes(ctx, []NodeRef{2, 5, 4}, buf, true)
+		if !errors.Is(err, ErrNotFound) || buf[0] != nodes[1].Node || buf[1].valid() || buf[2] != nodes[2].Node {
+			t.Errorf("mixed round: (%+v, %v)", buf, err)
+		}
+		if _, ok := c.nodes[5]; ok {
+			t.Error("the miss-list path cached a ref the service missed")
+		}
+		// A client whose cache is still empty skips the lookup; the
+		// slot is cleared all the same.
+		fresh := NewClient(sys)
+		buf[0] = nodes[0].Node
+		err = fresh.getNodes(ctx, []NodeRef{missing, 2}, buf[:2], true)
+		if _, ok := fresh.nodes[missing]; !errors.Is(err, ErrNotFound) || ok || buf[0].valid() {
+			t.Errorf("empty cache: (%+v, %v), missing ref cached: %v", buf[:2], err, ok)
+		}
+		// And without keep nothing is stored at all.
+		lean := NewClient(sys)
+		if err := lean.getNodes(ctx, []NodeRef{1, 2}, buf[:2], false); err != nil || len(lean.nodes) != 0 {
+			t.Errorf("keep clear: err %v, %d nodes cached", err, len(lean.nodes))
 		}
 	})
 }
@@ -528,7 +539,7 @@ func TestFetchChunksClampedRanges(t *testing.T) {
 			t.Error("range past chunk count must fail")
 		}
 		// CollectLeaves itself at the padded-span edge: [5,8) is sparse.
-		bg := boundGetter{c, ctx}
+		bg := boundGetter{c, ctx, true}
 		root, err := sys.VM.Root(ctx, id, v)
 		if err != nil {
 			t.Fatalf("Root: %v", err)

@@ -132,23 +132,15 @@ func fingerprint(p Payload) (uint64, bool) {
 	return p.Tag<<16 ^ uint64(p.Size), true
 }
 
-// AllocKey returns a fresh chunk key. Sequential keys give round-robin
-// placement, matching the even striping of §3.1.3. The key is NOT
-// registered as in-flight: when a garbage Collector runs concurrently,
-// chunks of a not-yet-published version must be allocated with
-// AllocPendingKey instead or a sweep may reclaim them before the
-// version's tree references them.
-func (ps *ProviderSet) AllocKey() ChunkKey {
-	return ChunkKey(ps.nextKey.Add(1))
-}
-
-// AllocPendingKey is AllocKey for a commit in flight: the key is
-// atomically registered as pending, so a garbage-collection sweep that
-// starts before the commit publishes will not reclaim it even though
-// no published tree references it yet. The writer must ClearPending
-// once the version is published (or the write aborted). Allocation and
-// registration happen under one lock so the collector's snapshot
-// (PendingSnapshot) can never observe the key allocated but untracked.
+// AllocPendingKey returns a fresh chunk key for a commit in flight.
+// Sequential keys give round-robin placement, matching the even
+// striping of §3.1.3. The key is atomically registered as pending, so
+// a garbage-collection sweep that starts before the commit publishes
+// will not reclaim it even though no published tree references it yet.
+// The writer must ClearPending once the version is published (or the
+// write aborted). Allocation and registration happen under one lock so
+// the collector's snapshot (PendingSnapshot) can never observe the key
+// allocated but untracked.
 func (ps *ProviderSet) AllocPendingKey() ChunkKey {
 	ps.mu.Lock()
 	key := ChunkKey(ps.nextKey.Add(1))
@@ -468,15 +460,6 @@ func (ps *ProviderSet) ChunkCount() int {
 	ps.mu.RLock()
 	defer ps.mu.RUnlock()
 	return len(ps.chunks)
-}
-
-// KeyWatermark returns the highest chunk key allocated so far. The
-// garbage collector snapshots it before marking: keys allocated after
-// the snapshot belong to versions still being written and are exempt
-// from the sweep, which is what lets collection run while deployments
-// and commits proceed.
-func (ps *ProviderSet) KeyWatermark() ChunkKey {
-	return ChunkKey(ps.nextKey.Load())
 }
 
 // RetainedKeys returns every key up to the watermark that still holds

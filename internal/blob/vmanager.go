@@ -441,17 +441,6 @@ func (vm *VersionManager) RetireUpTo(ctx *cluster.Ctx, id ID, upTo Version) (int
 	return retired, nil
 }
 
-// Retired returns (without cost) how many versions of id are retired.
-func (vm *VersionManager) Retired(id ID) int {
-	vm.mu.Lock()
-	defer vm.mu.Unlock()
-	st, ok := vm.blobs[id]
-	if !ok {
-		return 0
-	}
-	return len(st.retired)
-}
-
 // LiveRoot names one snapshot the garbage collector must treat as
 // reachable: a published version that is not retired, or retired but
 // still pinned (retirement of pinned versions is skipped, so the

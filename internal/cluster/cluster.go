@@ -169,17 +169,3 @@ func (c *Ctx) WaitAll(ts []Task) {
 		c.fab.wait(c, t)
 	}
 }
-
-// Parallel runs the functions as concurrent activities on this node and
-// returns when all have finished.
-func (c *Ctx) Parallel(name string, fns ...func(*Ctx)) {
-	if len(fns) == 1 {
-		fns[0](c)
-		return
-	}
-	tasks := make([]Task, 0, len(fns))
-	for _, fn := range fns {
-		tasks = append(tasks, c.Go(name, c.node, fn))
-	}
-	c.WaitAll(tasks)
-}

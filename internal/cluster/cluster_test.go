@@ -169,15 +169,15 @@ func TestSimParallelJoins(t *testing.T) {
 	f := NewSim(testConfig(2))
 	var doneAt float64
 	f.Run(func(ctx *Ctx) {
-		ctx.Parallel("p",
-			func(c *Ctx) { c.Sleep(1) },
-			func(c *Ctx) { c.Sleep(3) },
-			func(c *Ctx) { c.Sleep(2) },
-		)
+		var tasks []Task
+		for _, d := range []float64{1, 3, 2} {
+			tasks = append(tasks, ctx.Go("p", ctx.Node(), func(c *Ctx) { c.Sleep(d) }))
+		}
+		ctx.WaitAll(tasks)
 		doneAt = ctx.Now()
 	})
 	if !almostEq(doneAt, 3) {
-		t.Fatalf("Parallel returned at %v, want 3", doneAt)
+		t.Fatalf("WaitAll returned at %v, want 3", doneAt)
 	}
 }
 

@@ -78,10 +78,10 @@ func RunReplicationAblation(p Params, n int, degrees []int) []ReplicationPoint {
 		point := ReplicationPoint{Replicas: r}
 		env.Run(func(ctx *cluster.Ctx) { point.Completion = env.deploy(ctx).Completion })
 		point.StorageGB = float64(env.Sys.Providers.StoredBytes()) * float64(r) / 1e9
-		// Fault injection: kill provider 0 (the plan's event is overdue
-		// and fires at once), then try to read a window of the image from
-		// a fresh client on another node. With a single replica, chunks
-		// homed on the dead provider are lost.
+		// Fault injection: kill provider 0 (the plan's event is due on
+		// arming and fires at once), then try to read a window of the
+		// image from a fresh client on another node. With a single
+		// replica, chunks homed on the dead provider are lost.
 		point.SurvivesOne = true
 		env.Run(func(ctx *cluster.Ctx) {
 			if err := env.Repo.ArmFaults(ctx); err != nil {

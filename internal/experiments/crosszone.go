@@ -64,7 +64,7 @@ func RunCrossZone(p Params, cz CrossZoneConfig) CrowdPoint {
 		Zones:     crossZones,
 		Aware:     cz.Aware,
 		Sharing:   cz.Sharing,
-	}, nil)
+	})
 }
 
 // CrossZoneTable renders a flat-vs-aware comparison; the cross-zone

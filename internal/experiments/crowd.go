@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"errors"
+
 	"blobvfs"
 	"blobvfs/internal/cluster"
 	"blobvfs/internal/metrics"
@@ -81,25 +83,21 @@ func staggeredKills(seed int64, pool []cluster.NodeID, n int, start, every float
 	return plan
 }
 
-// armFunc starts a repo's fault plan from inside the deployment:
-// (*blobvfs.Repo).ArmFaults or ArmFaultsRebased, nil for a healthy run.
-type armFunc func(*blobvfs.Repo, *cluster.Ctx) error
-
 // deployCrowd is the measured phase every crowd scenario shares: arm
-// the fault plan if there is one, launch the whole crowd through the
-// middleware, and read every counter once into pt. The image upload
-// happened in newEnv and is excluded, as in the other experiments.
-func deployCrowd(env *Env, pt CrowdPoint, arm armFunc) CrowdPoint {
+// the fault plan if the repo was opened with one, launch the whole
+// crowd through the middleware, and read every counter once into pt.
+// The image upload happened in newEnv and is excluded, as in the other
+// experiments.
+func deployCrowd(env *Env, pt CrowdPoint) CrowdPoint {
 	sys := env.Sys
 	gets0, nodes0 := sys.Meta.Gets.Load(), sys.Meta.NodesServed.Load()
 	steps0 := env.Fab.Env().Steps()
 
 	var dep *middleware.DeployResult
 	env.Run(func(ctx *cluster.Ctx) {
-		if arm != nil {
-			if err := arm(env.Repo, ctx); err != nil {
-				panic(err)
-			}
+		// ErrNotFound is a repo without a plan: a healthy run.
+		if err := env.Repo.ArmFaults(ctx); err != nil && !errors.Is(err, blobvfs.ErrNotFound) {
+			panic(err)
 		}
 		dep = env.deploy(ctx)
 	})

@@ -21,8 +21,9 @@ import (
 // the last-resort source for chunks whose every provider copy is gone.
 
 // The degraded scenario's fixed shape: the pool size and replication
-// degree it defaults to, and the kill schedule — the first death at
-// 2 s, well inside the boot phase, then one per second.
+// degree it defaults to, and the kill schedule — the first death 2 s
+// after the deployment starts, well inside the boot phase, then one
+// per second.
 const (
 	degradedProviders = 16
 	degradedReplicas  = 2
@@ -54,6 +55,18 @@ type DegradedConfig struct {
 // deployment still completed. With dc.Kill = 0 the scenario degenerates
 // to the healthy flash crowd — same costs, byte-identical outputs.
 func RunDegraded(p Params, dc DegradedConfig) CrowdPoint {
+	env := degradedEnv(p, &dc)
+	return deployCrowd(env, CrowdPoint{
+		Instances: dc.Instances,
+		Providers: dc.Providers,
+		Killed:    dc.Kill,
+		Sharing:   dc.Sharing,
+	})
+}
+
+// degradedEnv fills in dc's defaults and builds the scenario's cluster:
+// base image uploaded, the kill plan configured and not yet armed.
+func degradedEnv(p Params, dc *DegradedConfig) *Env {
 	if dc.Instances < 1 {
 		panic("experiments: degraded deployment needs at least one instance")
 	}
@@ -69,18 +82,11 @@ func RunDegraded(p Params, dc DegradedConfig) CrowdPoint {
 
 	l := dedicatedLayout(dc.Instances, dc.Providers, cluster.Topology{})
 	opts := append(sharingOption(dc.Sharing), blobvfs.WithReplicas(dc.Replicas))
-	var arm armFunc
 	if dc.Kill > 0 {
 		plan := staggeredKills(p.Seed+7, l.pool, dc.Kill, degradedKillStart, degradedKillEvery)
 		opts = append(opts, blobvfs.WithFaultPlan(plan...))
-		arm = (*blobvfs.Repo).ArmFaults
 	}
-	return deployCrowd(newEnv(p, l, OurApproach, opts...), CrowdPoint{
-		Instances: dc.Instances,
-		Providers: dc.Providers,
-		Killed:    dc.Kill,
-		Sharing:   dc.Sharing,
-	}, arm)
+	return newEnv(p, l, OurApproach, opts...)
 }
 
 // DegradedTable renders a healthy-vs-degraded comparison.

@@ -1,6 +1,10 @@
 package experiments
 
-import "testing"
+import (
+	"testing"
+
+	"blobvfs/internal/cluster"
+)
 
 // TestDegradedAllInstancesComplete: the headline property — killing
 // half the provider pool mid-deployment must not lose a single
@@ -78,5 +82,53 @@ func TestDegradedNoFaultMatchesFlashCrowd(t *testing.T) {
 	}
 	if deg.Failovers != 0 || deg.Rereplicated != 0 || deg.FailedFetches != 0 || deg.FetchRetries != 0 {
 		t.Errorf("no-fault run touched the failure path: %+v", deg)
+	}
+}
+
+// TestDegradedKillsLandInsideTheDeployment: the kill plan counts from
+// the instant the deployment arms it, not from the start of the
+// simulation — the base-image upload in newEnv has moved the clock past
+// most of the plan by then, and kills read as absolute time all fired
+// back to back at deployment start. A watcher polls liveness beside the
+// deployment; step bounds how late it sees a death.
+func TestDegradedKillsLandInsideTheDeployment(t *testing.T) {
+	const step = 1.0 / 64
+	dc := DegradedConfig{Instances: 16, Kill: 8, Sharing: true}
+	env := degradedEnv(Quick(), &dc)
+	var start float64
+	var deaths []float64
+	env.Run(func(ctx *cluster.Ctx) {
+		start = ctx.Now()
+		if start < degradedKillStart {
+			t.Fatalf("the upload ended at %.3f s: the scenario no longer starts after its first planned kill, test something else", start)
+		}
+		if err := env.Repo.ArmFaults(ctx); err != nil {
+			t.Fatal(err)
+		}
+		watcher := ctx.Go("watcher", ctx.Node(), func(cc *cluster.Ctx) {
+			dead := make(map[int]bool)
+			for len(dead) < dc.Kill {
+				for n := 0; n < env.Fab.Nodes(); n++ {
+					if !dead[n] && !env.Repo.NodeAlive(cluster.NodeID(n)) {
+						dead[n] = true
+						deaths = append(deaths, cc.Now())
+					}
+				}
+				cc.Sleep(step)
+			}
+		})
+		env.deploy(ctx)
+		ctx.Wait(watcher)
+	})
+	if len(deaths) != dc.Kill {
+		t.Fatalf("saw %d deaths, want %d", len(deaths), dc.Kill)
+	}
+	for i, at := range deaths {
+		if i == 0 && at < start+degradedKillStart {
+			t.Errorf("first kill %.3f s after deployment start, planned %.0f s", at-start, degradedKillStart)
+		}
+		if i > 0 && at-deaths[i-1] < degradedKillEvery-2*step {
+			t.Errorf("kill %d came %.3f s after the one before, planned %.0f s", i, at-deaths[i-1], degradedKillEvery)
+		}
 	}
 }

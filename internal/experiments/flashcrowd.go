@@ -60,7 +60,7 @@ func RunFlashCrowd(p Params, fc FlashCrowdConfig) CrowdPoint {
 		Instances: fc.Instances,
 		Providers: fc.Providers,
 		Sharing:   fc.Sharing,
-	}, nil)
+	})
 }
 
 // FlashCrowdTable renders a sharing-off/sharing-on comparison.

@@ -80,14 +80,12 @@ func RunMetaOutage(p Params, mc MetaOutageConfig) CrowdPoint {
 		blobvfs.WithReplicas(metaOutageReplicas),
 		blobvfs.WithMetaReplicas(metaOutageMetaReplicas),
 		blobvfs.WithTopology(l.topo))
-	// Rebased arming: image population already consumed virtual
-	// seconds, and the kill schedule must land inside the deployment's
-	// disk-open wave (where the metadata descents happen), not before
-	// it.
-	var arm armFunc
+	// Plan times count from the arming instant, at deployment start:
+	// the kill schedule lands inside the deployment's disk-open wave
+	// (where the metadata descents happen), not in the image population
+	// before it.
 	if len(plan) > 0 {
 		opts = append(opts, blobvfs.WithFaultPlan(plan...))
-		arm = (*blobvfs.Repo).ArmFaultsRebased
 	}
 	return deployCrowd(newEnv(p, l, OurApproach, opts...), CrowdPoint{
 		Instances:    mc.Instances,
@@ -96,7 +94,7 @@ func RunMetaOutage(p Params, mc MetaOutageConfig) CrowdPoint {
 		Killed:       mc.KillMeta,
 		RackKilled:   mc.KillRack,
 		Sharing:      mc.Sharing,
-	}, arm)
+	})
 }
 
 // MetaOutageTable renders a healthy-vs-outage comparison; the first

@@ -126,10 +126,11 @@ func WithSyncUUID(uuid uint64) Option {
 }
 
 // WithFaultPlan configures a fault-injection plan: each event kills or
-// revives one node — or a whole rack or zone — at an absolute virtual
-// time (build them with KillAt/ReviveAt and, on a repo opened with
-// WithTopology, KillRackAt/ReviveRackAt/KillZoneAt/ReviveZoneAt, which
-// expand to their member nodes when the plan is armed). Open rejects
+// revives one node — or a whole rack or zone — a given number of
+// virtual seconds after arming (build them with KillAt/ReviveAt and,
+// on a repo opened with WithTopology,
+// KillRackAt/ReviveRackAt/KillZoneAt/ReviveZoneAt, which expand to
+// their member nodes when the plan is armed). Open rejects
 // plans whose events are redundant for some node — a kill of a node
 // already dead at that point, or a revive of a live one — with a typed
 // *FaultPlanError instead of silently executing the no-op.

@@ -2,6 +2,7 @@ package blobvfs
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -438,19 +439,14 @@ func (r *Repo) P2PEnabled() bool { return r.sharing != nil }
 // cohort peers are retracted from the sharing layer. Without a
 // configured plan ArmFaults fails with ErrNotFound; arming twice is a
 // no-op (the plan runs once).
-func (r *Repo) ArmFaults(ctx *Ctx) error { return r.armFaults(ctx, false) }
-
-// ArmFaultsRebased is ArmFaults with the plan's event times read as
-// offsets from the arming instant instead of absolute virtual time.
-// On a simulated fabric whose clock already advanced — image
-// population alone can consume virtual seconds — an absolute plan
-// written for "t seconds into the experiment" is often entirely in
-// the past by the time the measured phase starts, so every event
-// fires immediately back-to-back; rebasing keeps the configured
-// spacing relative to the phase the caller arms it from.
-func (r *Repo) ArmFaultsRebased(ctx *Ctx) error { return r.armFaults(ctx, true) }
-
-func (r *Repo) armFaults(ctx *Ctx, rebase bool) error {
+//
+// The plan's event times are offsets from the arming instant. On a
+// simulated fabric the clock has usually advanced by then — image
+// population alone consumes virtual seconds — and a plan read as
+// absolute time would lie entirely in the past, every event firing
+// back to back at once; offsets keep the configured spacing inside the
+// phase the caller arms it from.
+func (r *Repo) ArmFaults(ctx *Ctx) error {
 	if err := r.checkOpen(); err != nil {
 		return err
 	}
@@ -460,19 +456,19 @@ func (r *Repo) armFaults(ctx *Ctx, rebase bool) error {
 	if !r.faultsArmed.CompareAndSwap(false, true) {
 		return nil
 	}
-	plan := cluster.ExpandFaults(r.cfg.faults, r.cfg.topo)
-	if rebase {
-		now := ctx.Now()
-		shifted := make([]FaultEvent, len(plan))
-		for i, ev := range plan {
-			ev.At += now
-			shifted[i] = ev
-		}
-		plan = shifted
+	now := ctx.Now()
+	plan := slices.Clone(cluster.ExpandFaults(r.cfg.faults, r.cfg.topo))
+	for i := range plan {
+		plan[i].At += now
 	}
 	r.liveness.Execute(ctx, plan)
 	return nil
 }
+
+// ArmFaultsRebased is ArmFaults under its former name, from when
+// ArmFaults read plan times as absolute; only bench/simrun.go still
+// calls it.
+func (r *Repo) ArmFaultsRebased(ctx *Ctx) error { return r.ArmFaults(ctx) }
 
 // NodeAlive reports whether the fault subsystem currently considers a
 // node up (always true for every node unless a fault plan killed it).

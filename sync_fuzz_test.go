@@ -93,11 +93,11 @@ func captureState(t *testing.T, ctx *blobvfs.Ctx, r *blobvfs.Repo, id blobvfs.Im
 		Nodes:       sys.Meta.NodeCount(),
 		Refs:        map[blob.ChunkKey]int64{},
 	}
-	_, pk := sys.Providers.PendingSnapshot()
+	keyWM, pk := sys.Providers.PendingSnapshot()
 	_, pr := sys.Meta.PendingSnapshot()
 	st.PendingKeys = len(pk)
 	st.PendingRefs = len(pr)
-	for _, k := range sys.Providers.RetainedKeys(sys.Providers.KeyWatermark()) {
+	for _, k := range sys.Providers.RetainedKeys(keyWM) {
 		st.Refs[k] = sys.Providers.RefCount(k)
 	}
 	if id != 0 {
