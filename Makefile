@@ -74,4 +74,5 @@ loc:
 fuzz:
 	go test -run '^$$' -fuzz FuzzBuildVersion -fuzztime 20s ./internal/blob
 	go test -run '^$$' -fuzz FuzzCollectLeaves -fuzztime 20s ./internal/blob
+	go test -run '^$$' -fuzz FuzzPlacement -fuzztime 20s ./internal/blob
 	go test -run '^$$' -fuzz FuzzImportArchive -fuzztime 20s .

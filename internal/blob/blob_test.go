@@ -334,7 +334,7 @@ func TestRoundRobinPlacementSpreadsChunks(t *testing.T) {
 	ps := NewProviderSet([]cluster.NodeID{0, 1, 2, 3}, 1)
 	counts := make(map[cluster.NodeID]int)
 	for i := 0; i < 400; i++ {
-		key := ps.AllocPendingKey()
+		key := ps.AllocPendingKeys(1)
 		counts[ps.Replicas(key)[0]]++
 	}
 	for n, c := range counts {
@@ -347,7 +347,7 @@ func TestRoundRobinPlacementSpreadsChunks(t *testing.T) {
 func TestReplicasAreDistinctNodes(t *testing.T) {
 	ps := NewProviderSet([]cluster.NodeID{0, 1, 2, 3, 4}, 3)
 	for i := 0; i < 50; i++ {
-		reps := ps.Replicas(ps.AllocPendingKey())
+		reps := ps.Replicas(ps.AllocPendingKeys(1))
 		seen := map[cluster.NodeID]bool{}
 		for _, r := range reps {
 			if seen[r] {

@@ -33,6 +33,12 @@ func NewSystem(providers []cluster.NodeID, vmNode cluster.NodeID, replicas int) 
 // are deterministic.
 const clientParallel = 16
 
+// stripeRounds is how many times a stripe block of chunk keys goes
+// round a window of clientParallel providers before the window moves
+// on (replicaSet.primarySlot): 64 keys — 16 MiB of 256 KiB chunks, the
+// paper's 15 MB snapshot diff — make one block.
+const stripeRounds = 4
+
 // Client is a BlobSeer access library instance. Tree nodes and blob
 // geometry are immutable, so the client caches them without any
 // invalidation protocol; this is what makes metadata overhead drop
@@ -286,8 +292,9 @@ func (c *Client) WriteChunksKeyed(ctx *cluster.Ctx, id ID, base Version, writes 
 	keys := make([]ChunkKey, len(sorted))
 	puts := make([]ChunkPut, len(sorted))
 	keyOf := make(map[int64]ChunkKey, len(sorted))
+	first := c.sys.Providers.AllocPendingKeys(len(sorted))
 	for i, w := range sorted {
-		keys[i] = c.sys.Providers.AllocPendingKey()
+		keys[i] = first + ChunkKey(i)
 		dirty[i] = DirtyLeaf{Index: w.Index, Chunk: keys[i]}
 		puts[i] = ChunkPut{Key: keys[i], Payload: w.Payload}
 		keyOf[w.Index] = keys[i]

@@ -62,9 +62,6 @@ type MetaService struct {
 	// descents a metadata outage is judged by). It and the replica
 	// set's Failovers and Rereplicated stay zero at degree 1.
 	FailedGets atomic.Int64
-	// tierGets counts replicated gets by the locality tier of the
-	// replica that served them (meaningful only with a topology).
-	tierGets [cluster.NumTiers]atomic.Int64
 }
 
 // NewMetaService creates a metadata store over the given provider nodes.
@@ -73,7 +70,7 @@ func NewMetaService(providers []cluster.NodeID) *MetaService {
 		panic("blob: metadata service needs at least one provider")
 	}
 	m := &MetaService{pending: make(map[NodeRef]bool)}
-	m.init(m, "meta-rereplicate", providers, 1)
+	m.init(m, "meta-rereplicate", providers, 1, len(providers))
 	for i := range m.shards {
 		m.shards[i].nodes = make(map[NodeRef]TreeNode)
 	}
@@ -87,19 +84,6 @@ func (m *MetaService) SetReplication(r int) {
 		panic("blob: metadata replication degree out of range")
 	}
 	m.setDegree(r)
-}
-
-// ReplicationDegree returns the configured metadata replication degree.
-func (m *MetaService) ReplicationDegree() int { return m.replicas }
-
-// TierGets returns the per-tier counts of replicated gets, indexed by
-// cluster.Tier.
-func (m *MetaService) TierGets() [cluster.NumTiers]int64 {
-	var out [cluster.NumTiers]int64
-	for i := range m.tierGets {
-		out[i] = m.tierGets[i].Load()
-	}
-	return out
 }
 
 func (m *MetaService) shard(ref NodeRef) *metaShard {
@@ -133,20 +117,6 @@ func (m *MetaService) copyBytes(NodeRef) int32 { return treeNodeWire }
 
 func (m *MetaService) chargeCopy(cc *cluster.Ctx, src, _ cluster.NodeID, bytes int32) {
 	cc.RPC(src, 16, int64(bytes))
-}
-
-// pickReplica chooses the replica that serves a get (replicaSet.pick
-// over the ref's locations) and counts it: by the locality tier of the
-// replica that serves it, or as a failed get when every copy is down.
-// Callers charge the probes, so batches can overlap them.
-func (m *MetaService) pickReplica(reader cluster.NodeID, ref NodeRef) (prov cluster.NodeID, probes int, ok bool) {
-	prov, probes, ok = m.pick(reader, m.locations(ref))
-	if ok {
-		m.tierGets[m.topo.Tier(reader, prov)].Add(1)
-	} else {
-		m.FailedGets.Add(1)
-	}
-	return prov, probes, ok
 }
 
 // MissingNodesError reports how many refs of a batched metadata get
@@ -234,11 +204,12 @@ func (m *MetaService) GetBatchInto(ctx *cluster.Ctx, refs []NodeRef, out []TreeN
 		counts := make(map[cluster.NodeID]int64, len(m.nodes))
 		maxProbes := 0
 		for i, ref := range refs {
-			prov, probes, ok := m.pickReplica(ctx.Node(), ref)
+			prov, probes, ok := m.pick(ctx.Node(), m.locations(ref))
 			if probes > maxProbes {
 				maxProbes = probes
 			}
 			if !ok {
+				m.FailedGets.Add(1)
 				if down == nil {
 					down = make([]bool, len(refs))
 				}
@@ -368,7 +339,7 @@ func (m *MetaService) PutBatch(ctx *cluster.Ctx, nodes []NewNode) {
 // well, so no RPC is charged): the ref is atomically registered as
 // pending so a concurrent sweep will not reclaim the node before its
 // version publishes. The writer must ClearPending after publication
-// (or abort). See ProviderSet.AllocPendingKey for the
+// (or abort). See ProviderSet.AllocPendingKeys for the
 // snapshot-atomicity argument.
 func (m *MetaService) AllocPendingRef() NodeRef {
 	m.pendMu.Lock()

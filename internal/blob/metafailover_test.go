@@ -21,8 +21,8 @@ import (
 func metaTestRing(t *testing.T, m *MetaService, ref NodeRef) []cluster.NodeID {
 	t.Helper()
 	ring := m.Replicas(ref)
-	if len(ring) != m.ReplicationDegree() {
-		t.Fatalf("ref %d: ring %v, want %d members", ref, ring, m.ReplicationDegree())
+	if len(ring) != m.replicas {
+		t.Fatalf("ref %d: ring %v, want %d members", ref, ring, m.replicas)
 	}
 	return ring
 }
@@ -135,14 +135,6 @@ func TestMetaReplicaFailover(t *testing.T) {
 		lv.Revive(ctx, ring[1])
 		if _, err := getNode(m.Getter(ctx), ref); err != nil {
 			t.Fatalf("get after revive: %v", err)
-		}
-
-		var served int64
-		for _, n := range m.TierGets() {
-			served += n
-		}
-		if served != 3 {
-			t.Fatalf("TierGets sums to %d, want the 3 served gets", served)
 		}
 	})
 }

@@ -8,8 +8,10 @@ import (
 )
 
 // ProviderSet is the data plane: chunk payloads stored on the local
-// disks of provider nodes, placed round-robin by key with an optional
-// replication degree (paper §3.1.3). Placement, liveness, failover and
+// disks of provider nodes, striped by key — block-cyclic over windows
+// of clientParallel providers (replicaSet.primarySlot), which on a pool
+// no wider than that is the round-robin of paper §3.1.3 — with an
+// optional replication degree. Placement, liveness, failover and
 // repair are the embedded replicaSet's (replicaset.go), whose lock mu
 // also guards the maps below; this type adds what is chunk-specific:
 // payloads, deduplication, reference counts and the cost of moving a
@@ -89,7 +91,7 @@ func NewProviderSet(nodes []cluster.NodeID, replicas int) *ProviderSet {
 		readsBy:  readsBy,
 		writesBy: writesBy,
 	}
-	ps.init(ps, "rereplicate", nodes, replicas)
+	ps.init(ps, "rereplicate", nodes, replicas, min(clientParallel, len(nodes)))
 	return ps
 }
 
@@ -132,21 +134,35 @@ func fingerprint(p Payload) (uint64, bool) {
 	return p.Tag<<16 ^ uint64(p.Size), true
 }
 
-// AllocPendingKey returns a fresh chunk key for a commit in flight.
-// Sequential keys give round-robin placement, matching the even
-// striping of §3.1.3. The key is atomically registered as pending, so
-// a garbage-collection sweep that starts before the commit publishes
-// will not reclaim it even though no published tree references it yet.
-// The writer must ClearPending once the version is published (or the
-// write aborted). Allocation and registration happen under one lock so
-// the collector's snapshot (PendingSnapshot) can never observe the key
+// AllocPendingKeys returns the first of n fresh consecutive chunk keys
+// for a commit in flight. Consecutive keys stripe the commit evenly
+// over the providers (primarySlot), and on a pool wider than the stripe
+// window a commit that fits a stripe block but not what is left of the
+// current one starts at the next block boundary, so that it lands on
+// one window of providers, stripeRounds chunks each, and not on the
+// tails of two; the keys skipped are never stored. (On a pool of one
+// window every block starts at slot 0, and aligning would only load
+// the low slots.) The keys are registered as pending, so a
+// garbage-collection sweep that starts before the commit publishes
+// will not reclaim them even though no published tree references them
+// yet. The writer must ClearPending once the version is published (or
+// the write aborted). Allocation and registration happen under one lock
+// so the collector's snapshot (PendingSnapshot) can never observe a key
 // allocated but untracked.
-func (ps *ProviderSet) AllocPendingKey() ChunkKey {
+func (ps *ProviderSet) AllocPendingKeys(n int) ChunkKey {
 	ps.mu.Lock()
-	key := ChunkKey(ps.nextKey.Add(1))
-	ps.pending[key] = true
-	ps.mu.Unlock()
-	return key
+	defer ps.mu.Unlock()
+	next := ps.nextKey.Load() + 1
+	if block := uint64(ps.window * stripeRounds); ps.window < len(ps.nodes) && uint64(n) <= block {
+		if left := block - next%block; uint64(n) > left {
+			next += left
+		}
+	}
+	ps.nextKey.Store(next + uint64(n) - 1)
+	for i := range uint64(n) {
+		ps.pending[ChunkKey(next+i)] = true
+	}
+	return ChunkKey(next)
 }
 
 // ClearPending removes the in-flight mark from keys (idempotent). The

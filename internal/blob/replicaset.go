@@ -11,15 +11,19 @@ import (
 // replicaSet is the placement core the chunk tier (ProviderSet, keyed
 // by ChunkKey) and the metadata tier (MetaService, keyed by NodeRef)
 // share: the paper stores both halves of an image the same way —
-// striped round-robin over a node list and replicated (§3.1.2–3.1.3) —
-// so one type owns the rings, the record of where copies landed when a
-// ring member was down, failover reads, and the repair sweep that
-// follows every liveness transition (cluster/faults.go). A tier embeds
-// it and adds what differs: which keys exist and how one copy is charged
+// striped over a node list and replicated (§3.1.2–3.1.3) — so one type
+// owns the striping (primarySlot), the rings, the record of where
+// copies landed when a ring member was down, failover reads, and the
+// repair sweep that follows every liveness transition
+// (cluster/faults.go). A tier embeds it and adds what differs: how wide
+// a stripe is, which keys exist and how one copy is charged
 // (replicaTier).
 type replicaSet[K ~uint64] struct {
 	nodes    []cluster.NodeID
 	replicas int
+	// window is how many nodes one stripe block covers (primarySlot):
+	// len(nodes) is plain round-robin.
+	window int
 	// topo, when enabled, makes placement and reads locality-aware:
 	// rings spread a key's copies across failure domains (zones first,
 	// then racks) and pick probes the reader's nearest live copy first.
@@ -68,10 +72,10 @@ type replicaTier[K ~uint64] interface {
 }
 
 // init sets the core up for a tier; sweepName names the puller
-// activities of its repair sweeps.
-func (rs *replicaSet[K]) init(tier replicaTier[K], sweepName string, nodes []cluster.NodeID, replicas int) {
+// activities of its repair sweeps and window is the stripe width.
+func (rs *replicaSet[K]) init(tier replicaTier[K], sweepName string, nodes []cluster.NodeID, replicas, window int) {
 	rs.tier, rs.sweepName = tier, sweepName
-	rs.nodes = nodes
+	rs.nodes, rs.window = nodes, window
 	rs.replicas = replicas
 	rs.rings = replicaRings(nodes, replicas, rs.topo)
 	rs.repairs = make(map[K][]cluster.NodeID)
@@ -100,9 +104,20 @@ func (rs *replicaSet[K]) setDegree(replicas int) {
 
 // primarySlot returns the index into rs.nodes of a key's primary
 // replica — the single place the placement hash lives; every ring walk
-// starts here.
+// starts here. Placement is block-cyclic: a block of window·stripeRounds
+// consecutive keys goes stripeRounds times round-robin over a window of
+// nodes, and the next block over the next window. Adjacent keys never
+// share a node, any window-many consecutive keys meet that many disks,
+// and a writer whose keys fill a block leaves stripeRounds of them on
+// each of window nodes — one seek apiece (PutBatch) — instead of one
+// key on each of window·stripeRounds nodes. A window as wide as the
+// node list is the plain key mod n of §3.1.3.
 func (rs *replicaSet[K]) primarySlot(key K) int {
-	return int(uint64(key) % uint64(len(rs.nodes)))
+	k, n, w := uint64(key), uint64(len(rs.nodes)), uint64(rs.window)
+	if w < n {
+		k = k/(w*stripeRounds)*w + k%w
+	}
+	return int(k % n)
 }
 
 // Replicas returns the nodes responsible for a key, primary first: the

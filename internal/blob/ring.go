@@ -14,13 +14,14 @@ import (
 // traffic) and hand the same slices to every lookup; callers must not
 // write to them.
 //
-// Without a topology the ring is walked consecutively (§3.1.3
-// round-robin striping). With one, the walk spreads the copies across
-// failure domains: the first pass only takes nodes in zones no earlier
-// replica occupies, the second pass fresh racks, and the final pass
-// fills any remainder in plain ring order — so data at replication
-// degree z survives z-1 zone losses, and the degenerate single-domain
-// topology reproduces the flat ring walk exactly.
+// Without a topology the ring is the primary slot and the slots after
+// it (which slot is primary is the stripe's business: primarySlot).
+// With one, the walk spreads the copies across failure domains: the
+// first pass only takes nodes in zones no earlier replica occupies, the
+// second pass fresh racks, and the final pass fills any remainder in
+// plain ring order — so data at replication degree z survives z-1 zone
+// losses, and the degenerate single-domain topology reproduces the
+// flat ring walk exactly.
 func replicaRings(nodes []cluster.NodeID, replicas int, topo cluster.Topology) [][]cluster.NodeID {
 	n := len(nodes)
 	rings := make([][]cluster.NodeID, n)

@@ -635,11 +635,12 @@ func (im *Image) prepareCommit(ctx *cluster.Ctx) (*commitPlan, error) {
 			return nil, err
 		}
 	}
-	// Reading the dirty content back from the local mirror (page cache
-	// makes this cheap; charge the disk for the cold fraction). Payload
-	// capture and the window's opening happen under one lock acquisition:
-	// from here until completion, a concurrent write on a captured chunk
-	// is recorded in `during` as well as in the dirty hull.
+	// The dirty content is read back from the local mirror; the model
+	// charges nothing for it (it was just written, so the page cache
+	// holds it). Payload capture and the window's opening happen under
+	// one lock acquisition: from here until completion, a concurrent
+	// write on a captured chunk is recorded in `during` as well as in
+	// the dirty hull.
 	cs := int64(im.info.ChunkSize)
 	writes := make([]blob.ChunkWrite, 0, len(dirtyIdx))
 	im.mu.Lock()

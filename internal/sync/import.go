@@ -122,17 +122,19 @@ func Import(ctx *cluster.Ctx, sys *blob.System, t *Tracker, src io.Reader) (Impo
 	defer sys.Meta.ClearPending(pendingRefs)
 
 	keyMap := make(map[blob.ChunkKey]blob.ChunkKey, len(a.Chunks))
-	pendingKeys := make([]blob.ChunkKey, 0, len(a.Chunks))
+	pendingKeys := make([]blob.ChunkKey, len(a.Chunks))
+	firstKey := sys.Providers.AllocPendingKeys(len(a.Chunks))
+	for i := range pendingKeys {
+		pendingKeys[i] = firstKey + blob.ChunkKey(i)
+	}
+	defer sys.Providers.ClearPending(pendingKeys)
 	for i := range a.Chunks {
 		rec := &a.Chunks[i]
 		if _, dup := keyMap[rec.Key]; dup {
 			return ImportStats{}, corrupt("duplicate chunk key %d", rec.Key)
 		}
-		local := sys.Providers.AllocPendingKey()
-		keyMap[rec.Key] = local
-		pendingKeys = append(pendingKeys, local)
+		keyMap[rec.Key] = pendingKeys[i]
 	}
-	defer sys.Providers.ClearPending(pendingKeys)
 
 	res := &resolver{
 		ctx: ctx, meta: sys.Meta,

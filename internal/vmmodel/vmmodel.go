@@ -168,30 +168,6 @@ func WithThinkJitter(ops []TraceOp, rng *sim.RNG, totalThink float64) []TraceOp 
 	return out
 }
 
-// TraceBytes sums the bytes read (and separately written) by a trace.
-func TraceBytes(ops []TraceOp) (read, written int64) {
-	for _, op := range ops {
-		if op.Write {
-			written += op.Len
-		} else {
-			read += op.Len
-		}
-	}
-	return
-}
-
-// TraceChunks counts the distinct chunkSize-aligned chunks a trace
-// touches, i.e. the chunks a lazy mirror would fetch.
-func TraceChunks(ops []TraceOp, chunkSize int64) int {
-	touched := make(map[int64]bool)
-	for _, op := range ops {
-		for c := op.Off / chunkSize; c <= (op.Off+op.Len-1)/chunkSize; c++ {
-			touched[c] = true
-		}
-	}
-	return len(touched)
-}
-
 // VM drives a virtual disk through traces and application phases.
 type VM struct {
 	Node cluster.NodeID

@@ -104,7 +104,7 @@ func WithDedup() Option {
 // topology, so the policy matches the modeled tier links.
 //
 // Awareness is deliberately opt-in: a repo opened without WithTopology
-// keeps flat round-robin placement and tier-blind peer picks
+// keeps flat, domain-blind replica placement and tier-blind peer picks
 // even on a fabric that models tiered links — that flat-policy
 // baseline is what the cross-zone scenario measures against. A
 // single-zone, single-rack topology is the degenerate case and

@@ -367,3 +367,165 @@ func TestExportPinsAgainstConcurrentGC(t *testing.T) {
 		}
 	})
 }
+
+// TestAlignedKeysAreNeverStored covers the holes block-aligned key
+// allocation leaves in the key space of a pool wider than one stripe
+// window (blob.ProviderSet.AllocPendingKeys): a skipped key is neither
+// pending nor retained, so the collector has nothing to say about it; a
+// collection racing aligned commits frees nothing; and a lineage whose
+// keys have holes exports and imports like any other, the import
+// aligning its own batches.
+func TestAlignedKeysAreNeverStored(t *testing.T) {
+	const (
+		providers = 20 // one stripe window is 16
+		chunks    = 40
+		diff      = 30 // chunks a commit rewrites: two never fit one 64-key block
+	)
+	fab := blobvfs.NewLiveCluster(providers)
+	open := func(uuid uint64) *blobvfs.Repo {
+		r, err := blobvfs.Open(fab, blobvfs.WithChunkSize(syncChunk), blobvfs.WithSyncUUID(uuid))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	up, down := open(0xA), open(0xB)
+
+	// commitRounds rewrites diff chunks of the disk three times over,
+	// committing each, and returns the contents per version published.
+	commitRounds := func(ctx *blobvfs.Ctx, r *blobvfs.Repo, disk *blobvfs.Disk, cur []byte, seed byte, fork bool) (blobvfs.Snapshot, map[blobvfs.Version][]byte) {
+		want := make(map[blobvfs.Version][]byte)
+		var snap blobvfs.Snapshot
+		for round := 0; round < 3; round++ {
+			patch, off := img(diff*syncChunk, seed+byte(round)), int64(round*5*syncChunk)
+			if _, err := disk.WriteAt(ctx, patch, off); err != nil {
+				t.Error(err)
+			}
+			var err error
+			if snap, err = r.Snapshot(ctx, disk, fork && round == 0); err != nil {
+				t.Error(err)
+			}
+			copy(cur[off:], patch)
+			want[snap.Version] = append([]byte(nil), cur...)
+		}
+		return snap, want
+	}
+	// stored checks a quiescent repository: nothing pending, and the
+	// retained keys are exactly the keys the given versions reference.
+	// It returns how many keys up to the watermark were never stored.
+	stored := func(ctx *blobvfs.Ctx, r *blobvfs.Repo, id blobvfs.ImageID, versions map[blobvfs.Version][]byte) int {
+		ps := r.System().Providers
+		wm, pending := ps.PendingSnapshot()
+		if len(pending) != 0 {
+			t.Fatalf("%d keys pending on a quiescent repository", len(pending))
+		}
+		referenced := make(map[blob.ChunkKey]bool)
+		for v := range versions {
+			for _, k := range leafKeys(t, ctx, r, id, v) {
+				if k != 0 { // beyond the image's end the tree is sparse
+					referenced[k] = true
+				}
+			}
+		}
+		retained := ps.RetainedKeys(wm)
+		if len(retained) != len(referenced) {
+			t.Fatalf("%d keys retained, %d referenced", len(retained), len(referenced))
+		}
+		for _, k := range retained {
+			if !referenced[k] {
+				t.Fatalf("key %d retained but referenced by no version", k)
+			}
+		}
+		return int(wm) - len(retained)
+	}
+
+	fab.Run(func(ctx *blobvfs.Ctx) {
+		base := img(chunks*syncChunk, 1)
+		ref, err := up.Create(ctx, "", base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		disk, err := up.OpenDisk(ctx, ctx.Node(), ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, want := commitRounds(ctx, up, disk, append([]byte(nil), base...), 10, false)
+		want[1] = base
+		if err := disk.Close(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if holes := stored(ctx, up, ref.Image, want); holes == 0 {
+			t.Fatal("no key was skipped: the commits were not block-aligned")
+		}
+
+		// Writers fork the image and commit on while a collector runs
+		// cycle after cycle: nothing is retired, so a cycle that frees
+		// anything has freed a key in flight.
+		var wg sync.WaitGroup
+		done := make(chan struct{})
+		forks := make([]blobvfs.Snapshot, 3)
+		forkWant := make([][]byte, len(forks))
+		for w := range forks {
+			wg.Add(1)
+			ctx.Go("writer", blobvfs.NodeID(1+w), func(cc *blobvfs.Ctx) {
+				defer wg.Done()
+				d, err := up.OpenDisk(cc, cc.Node(), ref)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				snap, got := commitRounds(cc, up, d, append([]byte(nil), base...), byte(40+10*w), true)
+				forks[w], forkWant[w] = snap, got[snap.Version]
+				if err := d.Close(cc); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+		collector := ctx.Go("gc", 0, func(cc *blobvfs.Ctx) {
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				rep, err := up.GC(cc)
+				if err != nil || rep.FreedKeys != 0 || rep.FreedNodes != 0 {
+					t.Errorf("collection beside aligned commits: %+v, %v", rep, err)
+					return
+				}
+			}
+		})
+		wg.Wait()
+		close(done)
+		ctx.Wait(collector)
+		buf := make([]byte, len(base))
+		for w, snap := range forks {
+			if err := up.Download(ctx, snap, buf); err != nil || !bytes.Equal(buf, forkWant[w]) {
+				t.Fatalf("fork %d differs after the collections: %v", w, err)
+			}
+		}
+
+		// The holed lineage ships as a full archive and a delta; the
+		// delta's 60 chunks are a batch the importer aligns.
+		var localID blobvfs.ImageID
+		for _, r := range [][2]blobvfs.Version{{0, 2}, {2, 4}} {
+			var ar bytes.Buffer
+			if _, err := up.Export(ctx, &ar, ref.Image, r[0], r[1]); err != nil {
+				t.Fatal(err)
+			}
+			ist, err := down.Import(ctx, &ar)
+			if err != nil {
+				t.Fatal(err)
+			}
+			localID = ist.Image
+		}
+		for v, data := range want {
+			if err := down.Download(ctx, blobvfs.Snapshot{Image: localID, Version: v}, buf); err != nil || !bytes.Equal(buf, data) {
+				t.Fatalf("v%d differs after import: %v", v, err)
+			}
+		}
+		if holes := stored(ctx, down, localID, want); holes == 0 {
+			t.Fatal("no key was skipped downstream: the import was not block-aligned")
+		}
+	})
+}
