@@ -312,8 +312,8 @@ func TestVersionManagerJournalFailover(t *testing.T) {
 	if vm.Node() != 1 {
 		t.Fatalf("Node() = %d, want 1", vm.Node())
 	}
-	if sb := vm.Standbys(); len(sb) != 2 || sb[0] != 2 || sb[1] != 3 {
-		t.Fatalf("Standbys() = %v, want [2 3]", sb)
+	if sb := vm.hosts[1:]; len(sb) != 2 || sb[0] != 2 || sb[1] != 3 {
+		t.Fatalf("standbys = %v, want [2 3]", sb)
 	}
 	lv := cluster.NewLiveness(4)
 	vm.SetLiveness(lv)

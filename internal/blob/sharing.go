@@ -30,8 +30,10 @@ type ChunkSharer interface {
 	// Fetching is Locate for a caller that brings the chunk in to keep
 	// it: whatever the answer, ctx.Node() is on record as fetching the
 	// chunk, and siblings may be made to wait for the outcome. The
-	// caller owes exactly one Landed of the chunk.
-	Fetching(ctx *cluster.Ctx, key ChunkKey) (peer cluster.NodeID, ok bool)
+	// caller owes exactly one Landed of the chunk. inHand says the peer
+	// is a parent whose fetch the caller waited on and which has just
+	// landed the chunk: it serves the payload from memory, not its disk.
+	Fetching(ctx *cluster.Ctx, key ChunkKey) (peer cluster.NodeID, inHand, ok bool)
 	// Landed ends ctx.Node()'s fetch of the chunk: ok says whether the
 	// payload is in hand, and a sibling that waited reads it from this
 	// node if so. It announces nothing.
@@ -84,17 +86,18 @@ func (c *Client) getChunk(ctx *cluster.Ctx, key ChunkKey, keep bool) (p Payload,
 }
 
 // fromPeer tries to serve key from a cohort peer: locate a live
-// holder, then read from its local mirror. ok=false sends the caller
-// to the providers (no sharer, no willing holder, or the chunk was
-// reclaimed under a stale location record).
+// holder, then read from its local mirror, or from its memory when the
+// peer has the payload in hand. ok=false sends the caller to the
+// providers (no sharer, no willing holder, or the chunk was reclaimed
+// under a stale location record).
 func (c *Client) fromPeer(ctx *cluster.Ctx, key ChunkKey, keep bool) (Payload, bool) {
 	if c.sharer == nil {
 		return Payload{}, false
 	}
 	var peer cluster.NodeID
-	var ok bool
+	var inHand, ok bool
 	if keep {
-		peer, ok = c.sharer.Fetching(ctx, key)
+		peer, inHand, ok = c.sharer.Fetching(ctx, key)
 	} else {
 		peer, _, ok = c.sharer.Locate(ctx, key)
 	}
@@ -109,7 +112,9 @@ func (c *Client) fromPeer(ctx *cluster.Ctx, key ChunkKey, keep bool) (Payload, b
 	// goes with the chunk's record when that retraction lands.
 	p, found := c.sys.Providers.Peek(key)
 	if found {
-		ctx.DiskRead(peer, int64(p.Size))
+		if !inHand {
+			ctx.DiskRead(peer, int64(p.Size))
+		}
 		ctx.RPC(peer, 32, int64(p.Size))
 	}
 	return p, found

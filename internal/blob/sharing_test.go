@@ -10,7 +10,8 @@ import (
 // fakeSharer scripts the peer-selection policy for client tests: it
 // serves the configured keys from a fixed peer and records calls.
 type fakeSharer struct {
-	peer cluster.NodeID
+	peer   cluster.NodeID
+	inHand bool // what Fetching says of every peer it names
 
 	mu        sync.Mutex
 	has       map[ChunkKey]bool
@@ -41,12 +42,12 @@ func (f *fakeSharer) Announce(ctx *cluster.Ctx, keys []ChunkKey) {
 
 func (f *fakeSharer) Retract(ctx *cluster.Ctx, keys []ChunkKey) {}
 
-func (f *fakeSharer) Fetching(ctx *cluster.Ctx, key ChunkKey) (cluster.NodeID, bool) {
+func (f *fakeSharer) Fetching(ctx *cluster.Ctx, key ChunkKey) (cluster.NodeID, bool, bool) {
 	f.mu.Lock()
 	f.fetching = append(f.fetching, key)
 	f.mu.Unlock()
 	peer, _, ok := f.Locate(ctx, key)
-	return peer, ok
+	return peer, ok && f.inHand, ok
 }
 
 func (f *fakeSharer) Landed(ctx *cluster.Ctx, key ChunkKey, ok bool) {
@@ -195,4 +196,44 @@ func TestOnlySharedFetchesGoOnRecord(t *testing.T) {
 			t.Fatalf("sharer saw %d locates, want 16", s.locates)
 		}
 	})
+}
+
+// TestInHandCopyCostsThePeerNoDisk: a copy Fetching says is in hand is
+// charged to the peer's NIC alone; any other peer copy costs the peer one
+// disk op, a seek and the chunk.
+func TestInHandCopyCostsThePeerNoDisk(t *testing.T) {
+	const peer = cluster.NodeID(4)
+	for _, inHand := range []bool{true, false} {
+		cfg := cluster.DefaultConfig(5)
+		fab := cluster.NewSim(cfg)
+		sys := NewSystem([]cluster.NodeID{0, 1, 2, 3}, 0, 1)
+		s := &fakeSharer{peer: peer, inHand: inHand, has: map[ChunkKey]bool{}}
+		c := NewClient(sys)
+		fab.Run(func(ctx *cluster.Ctx) {
+			id, err := c.Create(ctx, 32<<10, 8<<10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, err := c.WriteFull(ctx, id, 0, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fetched, err := c.FetchChunks(ctx, id, v, 0, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.has[fetched[0].Key] = true
+			c.SetSharer(s)
+			if _, err := c.FetchChunksShared(ctx, id, v, 0, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+		want := 0.0
+		if !inHand {
+			want = 8<<10 + cfg.DiskSeek*cfg.DiskBandwidth
+		}
+		if got := fab.Disk(peer).Served; s.served != 1 || got != want {
+			t.Errorf("inHand=%v: %d peer copies cost the peer's disk %v units, want 1 and %v", inHand, s.served, got, want)
+		}
+	}
 }

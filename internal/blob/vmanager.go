@@ -80,9 +80,6 @@ func (vm *VersionManager) SetStandbys(nodes []cluster.NodeID) {
 	}
 }
 
-// Standbys returns the configured journal standby nodes.
-func (vm *VersionManager) Standbys() []cluster.NodeID { return vm.hosts[1:] }
-
 // SetLiveness attaches the cluster liveness registry the journal group
 // reads its members' state from. The journal needs no listener and no
 // repair sweep — every live member already holds the full record stream,

@@ -21,12 +21,9 @@ type Gate struct {
 // NewGate returns a closed gate.
 func NewGate() *Gate { return new(Gate) }
 
-// Opened reports whether the gate has been opened.
-func (g *Gate) Opened() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.open
-}
+// Reset closes an opened gate again for reuse, keeping the room its
+// waiters took. Nobody may wait on the gate or be about to.
+func (g *Gate) Reset() { g.open, g.ch = false, nil }
 
 // Wait blocks the activity until the gate opens.
 func (g *Gate) Wait(ctx *Ctx) {

@@ -23,7 +23,7 @@ func TestGateSimFabric(t *testing.T) {
 	if wakeAt != 3 {
 		t.Fatalf("waiter woke at %v, want 3", wakeAt)
 	}
-	if !g.Opened() {
+	if !g.open {
 		t.Fatal("gate not opened")
 	}
 }

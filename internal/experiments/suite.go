@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"blobvfs/internal/metrics"
@@ -148,7 +149,12 @@ func itoa(v int) string { return strconv.Itoa(v) }
 
 func i64(v int64) string { return strconv.FormatInt(v, 10) }
 
-func ftoa(v float64) string { return strconv.FormatFloat(v, 'f', 2, 64) }
+func ftoa(v float64) string {
+	if math.Round(v*100) == 0 {
+		v = 0 // what rounds to zero prints 0.00, never -0.00
+	}
+	return strconv.FormatFloat(v, 'f', 2, 64)
+}
 
 // gbs renders a byte count as GB with table precision.
 func gbs(b int64) string { return ftoa(float64(b) / 1e9) }

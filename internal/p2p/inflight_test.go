@@ -59,6 +59,9 @@ func overGivenLocked(t *testing.T, co *Cohort) {
 // say ok or is dead, and the books balance: at the end every (member,
 // chunk) count equals the copies read from that member since its record
 // was last dropped, so a promise that was not kept has been handed back.
+// A copy read in hand comes from a live parent that said ok in that very
+// instant, and no landing hands out more than fanOut of them; a bare
+// Locate cannot say in hand at all.
 func TestInFlightInterleavings(t *testing.T) {
 	const (
 		members = 12
@@ -67,6 +70,9 @@ func TestInFlightInterleavings(t *testing.T) {
 	// sentAway counts the waits that ended without the chunk, over all
 	// runs: each is a promised copy that was not delivered.
 	var sentAway atomic.Int64
+	// inHand counts the copies read from a parent's memory over the sim
+	// runs.
+	var inHand atomic.Int64
 	fabrics := []struct {
 		name  string
 		seeds int
@@ -105,6 +111,33 @@ func TestInFlightInterleavings(t *testing.T) {
 				// check is called right after Locate or Fetching returned peer,
 				// a published holder or a parent that has just said ok, and
 				// stands for the read from it.
+				// landing names one Landed(ok): the member, the chunk, the instant.
+				type landing struct {
+					peer cluster.NodeID
+					key  blob.ChunkKey
+					at   float64
+				}
+				fromHand := make(map[landing]int)
+				// handed is check's counterpart for a copy Fetching said is
+				// in hand.
+				handed := func(cc *cluster.Ctx, key blob.ChunkKey, peer cluster.NodeID) {
+					if !exact {
+						return
+					}
+					inHand.Add(1)
+					mu.Lock()
+					at, said := saidOK[key][peer]
+					l := landing{peer, key, at}
+					fromHand[l]++
+					n := fromHand[l]
+					mu.Unlock()
+					if !said || at != cc.Now() || !lv.Alive(peer) {
+						t.Errorf("t=%v: node %d reads chunk %d in hand from peer %d, which has not just landed it alive", cc.Now(), cc.Node(), key, peer)
+					}
+					if n > fanOut {
+						t.Errorf("t=%v: peer %d handed chunk %d from memory %d times in one landing, cap %d", cc.Now(), peer, key, n, fanOut)
+					}
+				}
 				check := func(cc *cluster.Ctx, key blob.ChunkKey, peer cluster.NodeID) {
 					co.mu.Lock()
 					defer co.mu.Unlock()
@@ -165,15 +198,21 @@ func TestInFlightInterleavings(t *testing.T) {
 									one = append(one, cc.Go("get-chunk", m, func(c1 *cluster.Ctx) {
 										c1.Sleep(lag)
 										before := c1.Now()
-										peer, ok := co.Fetching(c1, key)
+										peer, inHand, ok := co.Fetching(c1, key)
 										if c1.Now() > before+0.001 {
 											waited.Add(1)
 											if !ok {
 												sentAway.Add(1)
 											}
 										}
+										if inHand && !ok {
+											t.Errorf("node %d was told chunk %d is in hand and sent to the providers", c1.Node(), key)
+										}
 										if ok {
 											check(c1, key, peer)
+											if inHand {
+												handed(c1, key, peer)
+											}
 											c1.Sleep(d / 4)
 										} else if c1.Sleep(d); fails {
 											// The providers had no replica: the cohort is
@@ -272,6 +311,9 @@ func TestInFlightInterleavings(t *testing.T) {
 	if sentAway.Load() == 0 {
 		t.Error("no waiter was ever sent away: no promised copy had to be handed back")
 	}
+	if inHand.Load() == 0 {
+		t.Error("no copy was ever read in hand")
+	}
 }
 
 // TestHerdReadsTheProvidersOnce: 64 members ask for the same chunk in
@@ -279,21 +321,25 @@ func TestInFlightInterleavings(t *testing.T) {
 // attached below a member whose fetch is in flight, so one provider read
 // seeds the whole cohort, no member passes the chunk on more than fanOut
 // times, and the tree that forms is as shallow as a binary tree of 64
-// can be.
+// can be. Every child waited on its parent's fetch and reads the chunk
+// from the parent's memory.
 func TestHerdReadsTheProvidersOnce(t *testing.T) {
 	const members = 64
 	fab := cluster.NewSim(cluster.DefaultConfig(members + 1))
 	reg := NewRegistry(0, DefaultConfig())
 	var co *Cohort
-	providerReads, deepest := 0, 0
+	providerReads, deepest, inHand := 0, 0, 0
 	children := make(map[cluster.NodeID]int)
 	depth := make(map[cluster.NodeID]int) // hops from the providers
 	fab.Run(func(ctx *cluster.Ctx) {
 		co = reg.Register(ctx, 1, nodeRange(1, members))
 		var tasks []cluster.Task
-		for _, m := range co.Members() {
+		for _, m := range co.order {
 			tasks = append(tasks, ctx.Go("boot", m, func(cc *cluster.Ctx) {
-				peer, ok := co.Fetching(cc, 7)
+				peer, hand, ok := co.Fetching(cc, 7)
+				if hand {
+					inHand++
+				}
 				if !ok {
 					providerReads++
 					depth[m] = 1
@@ -312,6 +358,9 @@ func TestHerdReadsTheProvidersOnce(t *testing.T) {
 	})
 	if providerReads != 1 {
 		t.Errorf("%d of %d members read the providers, want 1", providerReads, members)
+	}
+	if inHand != members-1 {
+		t.Errorf("%d of %d children read the chunk in hand, want all", inHand, members-1)
 	}
 	for m, n := range children {
 		if n > fanOut {
@@ -335,7 +384,8 @@ func TestHerdReadsTheProvidersOnce(t *testing.T) {
 // has free slots; node 8 (zone 1) waits for nobody, a fetch in another
 // zone being no better than the providers. For chunk 9, node 8 is a
 // published holder with free slots, yet node 2 is attached to its
-// rack-mate 1 while that one still reads the chunk from 8.
+// rack-mate 1 while that one still reads the chunk from 8. A child reads
+// its parent's payload in hand; node 1, picking the holder 8, does not.
 func TestChildAttachesToNearestFetcher(t *testing.T) {
 	topo := cluster.Topology{Zones: 2, RacksPerZone: 2, NodesPerRack: 4, RackBandwidth: 1e9, ZoneBandwidth: 1e9}
 	cfg := cluster.DefaultConfig(16)
@@ -345,17 +395,18 @@ func TestChildAttachesToNearestFetcher(t *testing.T) {
 	reg.SetTopology(topo)
 	const provider = cluster.NodeID(-1)
 	from := make(map[cluster.NodeID]cluster.NodeID)
+	hand := make(map[cluster.NodeID]bool)
 	var co *Cohort
 	fab.Run(func(ctx *cluster.Ctx) {
 		co = reg.Register(ctx, 1, []cluster.NodeID{1, 2, 5, 8})
 		fetch := func(node cluster.NodeID, key blob.ChunkKey, start float64) cluster.Task {
 			return ctx.Go("fetch", node, func(cc *cluster.Ctx) {
 				cc.Sleep(start)
-				p, ok := co.Fetching(cc, key)
+				p, inHand, ok := co.Fetching(cc, key)
 				if !ok {
 					p = provider
 				}
-				from[node] = p
+				from[node], hand[node] = p, inHand
 				cc.Sleep(0.05)
 				co.Landed(cc, key, true)
 				co.Announce(cc, []blob.ChunkKey{key})
@@ -365,10 +416,16 @@ func TestChildAttachesToNearestFetcher(t *testing.T) {
 		if want := map[cluster.NodeID]cluster.NodeID{5: provider, 1: 5, 2: 1, 8: provider}; !maps.Equal(from, want) {
 			t.Errorf("chunk 7 came from %v, want %v", from, want)
 		}
+		if want := map[cluster.NodeID]bool{5: false, 1: true, 2: true, 8: false}; !maps.Equal(hand, want) {
+			t.Errorf("chunk 7 in hand by node: %v, want %v", hand, want)
+		}
 		on(ctx, 8, func(cc *cluster.Ctx) { co.Announce(cc, []blob.ChunkKey{9}) })
 		ctx.WaitAll([]cluster.Task{fetch(1, 9, 0), fetch(2, 9, 0.01)})
 		if from[1] != 8 || from[2] != 1 {
 			t.Errorf("chunk 9 came to node 1 from %d and to node 2 from %d, want 8 and 1", from[1], from[2])
+		}
+		if hand[1] || !hand[2] {
+			t.Errorf("chunk 9 in hand: node 1 %v, node 2 %v; want false (a holder's disk) and true", hand[1], hand[2])
 		}
 	})
 	quiescent(t, co)
@@ -393,7 +450,7 @@ func TestOverlappingBatchesDoNotWaitInACycle(t *testing.T) {
 				get := func(key blob.ChunkKey, lag float64) cluster.Task {
 					return cc.Go("get-chunk", node, func(c1 *cluster.Ctx) {
 						c1.Sleep(lag)
-						if _, ok := co.Fetching(c1, key); ok {
+						if _, _, ok := co.Fetching(c1, key); ok {
 							hits[node]++
 						} else {
 							c1.Sleep(0.05)
@@ -437,7 +494,7 @@ func TestRetractKeepsTheChildrenOfAFetchInFlight(t *testing.T) {
 			})
 			child := ctx.Go("child", 3, func(cc *cluster.Ctx) {
 				cc.Sleep(0.005)
-				if peer, ok := co.Fetching(cc, key); ok != lands || (ok && peer != 1) {
+				if peer, _, ok := co.Fetching(cc, key); ok != lands || (ok && peer != 1) {
 					t.Errorf("lands=%v: node 3 got (%d, %v)", lands, peer, ok)
 				}
 				co.Landed(cc, key, true)

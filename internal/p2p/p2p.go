@@ -20,16 +20,16 @@ type Config struct {
 func DefaultConfig() Config { return Config{AnnounceBytes: 24} }
 
 // fanOut is how many copies of one chunk one member passes on, children
-// below its fetch in flight and reads served as a published holder counted
-// together. Every copy costs the uploader a seek and a chunk of disk time,
-// and a crowd moves at the pace of its busiest disk:
+// released by its fetch's Landed(ok), who read the payload in hand, and
+// late children, served as a published holder, counted together. Only a
+// late child costs the uploader a seek and a chunk of disk time:
 //
-//	completion ≈ chunks × (1 + fanOut) × upload cost + log_fanOut(n) × hop.
+//	completion ≈ chunks × (1 + late) × upload cost + log_fanOut(n) × hop,
 //
-// The first term dwarfs the second for any image of more than a handful
-// of chunks, so the smallest fan-out that still makes a tree wins: 1 is a
-// chain as deep as the crowd, 3 costs a third more disk per member
-// (docs/p2p.md, "The distribution tree", has them measured).
+// late ≤ fanOut per chunk. The first term dwarfs the second for any image
+// of more than a handful of chunks, so the smallest fan-out that still
+// makes a tree wins: 1 is a chain as deep as the crowd, 3 costs more disk
+// per member (docs/p2p.md, "The distribution tree", has them measured).
 const fanOut = 2
 
 // Stats aggregates a cohort's protocol counters.
@@ -255,6 +255,7 @@ type Cohort struct {
 	// fetching lists, by member, its fetches on record in the order they
 	// went there: at most its connection pool and a commit's gap fill.
 	fetching [][]onRecord
+	waits    []*wait // wait records handed back by their last child
 	stats    Stats
 }
 
@@ -338,7 +339,8 @@ type fetch struct {
 
 // wait is what the children of one fetch block on. The record outlives
 // the entry, which is cleared when it settles: ok is how the fetch ended,
-// written before the gate opens and read once it has.
+// written before the gate opens and read once it has. The last child to
+// read it hands the record back to the cohort (Cohort.waits).
 type wait struct {
 	gate     cluster.Gate
 	children uint8
@@ -374,13 +376,6 @@ func (co *Cohort) settleLocked(ctx *cluster.Ctx, key blob.ChunkKey, ck *chunk, i
 	if fl.head == len(fl.fetches) {
 		*fl = flight{fetches: fl.fetches[:0]}
 	}
-}
-
-// Members returns the cohort membership in registration order.
-func (co *Cohort) Members() []cluster.NodeID {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	return append([]cluster.NodeID(nil), co.order...)
 }
 
 // Stats returns a snapshot of the protocol counters.
@@ -515,23 +510,24 @@ func (co *Cohort) Retract(ctx *cluster.Ctx, keys []blob.ChunkKey) {
 // caller could wait on; what it returns as release does nothing (see
 // blob.ChunkSharer).
 func (co *Cohort) Locate(ctx *cluster.Ctx, key blob.ChunkKey) (cluster.NodeID, func(), bool) {
-	peer, ok := co.locate(ctx, key, false)
+	peer, _, ok := co.locate(ctx, key, false)
 	return peer, func() {}, ok
 }
 
 // Fetching implements blob.ChunkSharer: Locate, and ctx.Node() goes on
 // record as fetching the chunk, whatever the answer, until its Landed.
-func (co *Cohort) Fetching(ctx *cluster.Ctx, key blob.ChunkKey) (cluster.NodeID, bool) {
+// inHand reports a parent that landed the fetch this caller waited on.
+func (co *Cohort) Fetching(ctx *cluster.Ctx, key blob.ChunkKey) (peer cluster.NodeID, inHand, ok bool) {
 	return co.locate(ctx, key, true)
 }
 
-func (co *Cohort) locate(ctx *cluster.Ctx, key blob.ChunkKey, fetching bool) (cluster.NodeID, bool) {
+func (co *Cohort) locate(ctx *cluster.Ctx, key blob.ChunkKey, fetching bool) (peer cluster.NodeID, inHand, found bool) {
 	req := ctx.Node()
 	co.mu.Lock()
 	member := co.members[req]
 	co.mu.Unlock()
 	if !member {
-		return 0, false
+		return 0, false, false
 	}
 	ctx.RPC(co.reg.tracker, 32, 32)
 	co.mu.Lock()
@@ -543,7 +539,9 @@ func (co *Cohort) locate(ctx *cluster.Ctx, key blob.ChunkKey, fetching bool) (cl
 	if len(fl.fetches) > 0 && tier > cluster.TierRack {
 		any = true
 		if f := co.pickFetcherLocked(key, ck, req, tier); f != nil {
-			if f.wait == nil {
+			if n := len(co.waits); f.wait == nil && n > 0 {
+				f.wait, co.waits = co.waits[n-1], co.waits[:n-1]
+			} else if f.wait == nil {
 				f.wait = new(wait)
 			}
 			f.wait.children++
@@ -563,21 +561,24 @@ func (co *Cohort) locate(ctx *cluster.Ctx, key blob.ChunkKey, fetching bool) (cl
 		co.mu.Lock()
 		// If the fetch waited on landed, the parent has the payload in hand,
 		// whatever its mirror does with it; if not, the count went back.
-		if !w.ok || !co.reg.lv.Alive(peer) {
-			found, any = false, false
+		inHand = w.ok && co.reg.lv.Alive(peer)
+		found, any = inHand, inHand
+		if w.children--; w.children == 0 { // settleLocked sets ok anew
+			w.gate.Reset()
+			co.waits = append(co.waits, w)
 		}
 	}
 	switch {
 	case found:
 		co.stats.PeerHits++
 		co.stats.TierHits[co.reg.topo.Tier(req, peer)]++
-		return peer, true
+		return peer, inHand && fetching, true
 	case any:
 		co.stats.Saturated++
 	default:
 		co.stats.Misses++
 	}
-	return 0, false
+	return 0, false, false
 }
 
 // pickFetcherLocked chooses the entry of key's in-flight record that req

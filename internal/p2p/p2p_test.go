@@ -205,7 +205,7 @@ func TestRegisterIsIdempotentAndIncremental(t *testing.T) {
 		if a != b {
 			t.Error("Register created two cohorts for one image")
 		}
-		if got := len(a.Members()); got != 3 {
+		if got := len(a.order); got != 3 {
 			t.Errorf("members = %d, want 3", got)
 		}
 		if reg.Cohort(1) != a {
@@ -218,7 +218,7 @@ func TestRegisterIsIdempotentAndIncremental(t *testing.T) {
 	// The tracker itself is never enrolled as a member.
 	fab.Run(func(ctx *cluster.Ctx) {
 		co := reg.Register(ctx, 1, []cluster.NodeID{5})
-		for _, m := range co.Members() {
+		for _, m := range co.order {
 			if m == 5 {
 				t.Error("tracker enrolled as a cohort member")
 			}

@@ -36,9 +36,6 @@ func New(servers []cluster.NodeID, stripe int) *FS {
 	return &FS{servers: servers, stripe: int64(stripe), files: make(map[string]*fileMeta)}
 }
 
-// Stripe returns the stripe size in bytes.
-func (fs *FS) Stripe() int { return int(fs.stripe) }
-
 // metaServer returns the node handling a file's metadata (distributed
 // by name hash).
 func (fs *FS) metaServer(name string) cluster.NodeID {

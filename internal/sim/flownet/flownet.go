@@ -52,9 +52,6 @@ type Flow struct {
 // Rate returns the flow's current allocated rate in bytes/s.
 func (f *Flow) Rate() float64 { return f.rate }
 
-// Remaining returns the bytes left to transfer.
-func (f *Flow) Remaining() float64 { return f.remaining }
-
 // Finished reports whether the flow has completed.
 func (f *Flow) Finished() bool { return f.finished }
 

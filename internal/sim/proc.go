@@ -225,8 +225,12 @@ type Cond struct {
 	waiters []*Proc
 }
 
-// Wait parks p until the condition is signaled.
+// Wait parks p until the condition is signaled. The first wait makes room
+// for two waiters, the common pair, so that it does not grow twice.
 func (c *Cond) Wait(p *Proc) {
+	if c.waiters == nil {
+		c.waiters = make([]*Proc, 0, 2)
+	}
 	c.waiters = append(c.waiters, p)
 	p.yield()
 }

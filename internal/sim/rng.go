@@ -34,9 +34,5 @@ func (g *RNG) Exp(mean float64) float64 { return g.r.ExpFloat64() * mean }
 // Uniform returns a uniform value in [lo,hi).
 func (g *RNG) Uniform(lo, hi float64) float64 { return lo + (hi-lo)*g.r.Float64() }
 
-// Normal returns a normally distributed value with mean mu and standard
-// deviation sigma.
-func (g *RNG) Normal(mu, sigma float64) float64 { return mu + sigma*g.r.NormFloat64() }
-
 // Perm returns a random permutation of [0,n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
