@@ -23,8 +23,6 @@ var (
 	// ErrVersionPinned reports a retirement blocked by an open holder
 	// (a mounted disk, or an in-flight commit building on the version).
 	ErrVersionPinned = blob.ErrVersionPinned
-	// ErrAlreadyPublished reports a duplicate version publication.
-	ErrAlreadyPublished = blob.ErrAlreadyPublished
 	// ErrCorruptTree reports a metadata segment-tree invariant
 	// violation.
 	ErrCorruptTree = blob.ErrCorruptTree

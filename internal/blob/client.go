@@ -303,20 +303,21 @@ func (c *Client) WriteChunksKeyed(ctx *cluster.Ctx, id ID, base Version, writes 
 
 	// The whole round goes to the providers as one PutBatch — one RPC
 	// per distinct provider — running as its own activity so the
-	// transfer overlaps the metadata build of phase 2.
-	var pubErr error
-	pub := []cluster.Task{ctx.Go("put-chunks", ctx.Node(), func(cc *cluster.Ctx) {
-		pubErr = c.sys.Providers.PutBatch(cc, puts)
+	// transfer overlaps the metadata build and store of phase 2.
+	var putErr error
+	put := []cluster.Task{ctx.Go("put-chunks", ctx.Node(), func(cc *cluster.Ctx) {
+		putErr = c.sys.Providers.PutBatch(cc, puts)
 	})}
-	// Error unwinds must not leave the publish activity running against
+	// Error unwinds must not leave the put activity running against
 	// keys whose pending marks are about to clear (joining twice is
 	// harmless).
-	defer ctx.WaitAll(pub)
+	defer ctx.WaitAll(put)
 
-	// Phase 2: shadowed metadata, ticket, publication. The base version
-	// is pinned for the duration of the build so a concurrent retention
-	// sweep cannot retire it (and the garbage collector cannot reclaim
-	// the subtrees the new version is about to share).
+	// Phase 2: shadowed metadata, built and stored beside the chunk
+	// put. The base version is pinned for the duration of the build so
+	// a concurrent retention sweep cannot retire it (and the garbage
+	// collector cannot reclaim the subtrees the new version is about
+	// to share).
 	var oldRoot NodeRef
 	if base > 0 {
 		if err := c.sys.VM.Pin(id, base); err != nil {
@@ -329,37 +330,35 @@ func (c *Client) WriteChunksKeyed(ctx *cluster.Ctx, id ID, base Version, writes 
 		}
 	}
 	// The new tree nodes are pending for the same reason as the keys.
+	// Storing them before the chunk put is known to have succeeded is
+	// safe: nothing references them until the version publishes, so a
+	// failed commit leaves them to the next collection.
 	alloc, done := c.pendingAllocator(pathNodes(inf.Span, len(dirty)))
 	defer done()
 	root, created, err := BuildVersion(boundGetter{c, ctx, true}, oldRoot, inf.Span, dirty, alloc)
 	if err != nil {
 		return 0, nil, err
 	}
-	// Join the chunk publish before the version becomes visible: a
-	// published snapshot must never reference in-flight chunks, and the
-	// cohort announcement must wait for the content to exist.
-	ctx.WaitAll(pub)
-	if pubErr != nil {
-		return 0, nil, pubErr
+	c.sys.Meta.PutBatch(ctx, created)
+	c.cacheNew(created)
+
+	// Phase 3: join the chunk put, then publish. A published snapshot
+	// must never reference in-flight chunks, and the cohort
+	// announcement must wait for the content to exist.
+	ctx.WaitAll(put)
+	if putErr != nil {
+		return 0, nil, putErr
 	}
 	// The writer holds the full content of every chunk it just pushed,
 	// so it can serve siblings as an alternate source from now on.
 	if c.sharer != nil {
 		c.sharer.Announce(ctx, keys)
 	}
-	// The ticket is drawn only now, when nothing but the manager itself
-	// can still fail: a ticket that is never published stalls the blob's
-	// version sequence for every later writer.
-	ticket, err := c.sys.VM.Ticket(ctx, id)
+	v, err := c.sys.VM.Publish(ctx, id, root)
 	if err != nil {
 		return 0, nil, err
 	}
-	c.sys.Meta.PutBatch(ctx, created)
-	c.cacheNew(created)
-	if err := c.sys.VM.Publish(ctx, id, ticket, root); err != nil {
-		return 0, nil, err
-	}
-	return ticket, keyOf, nil
+	return v, keyOf, nil
 }
 
 // Clone duplicates snapshot (id, v) as a new blob that shares all
@@ -392,11 +391,7 @@ func (c *Client) Clone(ctx *cluster.Ctx, id ID, v Version) (ID, error) {
 	}
 	c.sys.Meta.PutBatch(ctx, created)
 	c.cacheNew(created)
-	ticket, err := c.sys.VM.Ticket(ctx, clone)
-	if err != nil {
-		return 0, err
-	}
-	if err := c.sys.VM.Publish(ctx, clone, ticket, root); err != nil {
+	if _, err := c.sys.VM.Publish(ctx, clone, root); err != nil {
 		return 0, err
 	}
 	return clone, nil

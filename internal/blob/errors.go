@@ -28,10 +28,6 @@ var (
 	// still holds open. Structured detail rides along as *PinnedError.
 	ErrVersionPinned = errors.New("version pinned")
 
-	// ErrAlreadyPublished reports a publication of a version number that
-	// is already visible.
-	ErrAlreadyPublished = errors.New("already published")
-
 	// ErrCorruptTree reports a segment-tree invariant violation — a node
 	// whose recorded range disagrees with its position, or a leaf where
 	// an inner node must be.

@@ -323,11 +323,8 @@ func TestVersionManagerJournalFailover(t *testing.T) {
 		if err != nil {
 			t.Fatalf("CreateBlob: %v", err)
 		}
-		v1, err := vm.Ticket(ctx, id)
+		v1, err := vm.Publish(ctx, id, 42)
 		if err != nil {
-			t.Fatalf("Ticket: %v", err)
-		}
-		if err := vm.Publish(ctx, id, v1, 42); err != nil {
 			t.Fatalf("Publish: %v", err)
 		}
 
@@ -340,11 +337,8 @@ func TestVersionManagerJournalFailover(t *testing.T) {
 		}
 		// Mutations keep working against the standby, and their state
 		// survives.
-		v2, err := vm.Ticket(ctx, id)
+		v2, err := vm.Publish(ctx, id, 43)
 		if err != nil {
-			t.Fatalf("Ticket with dead host: %v", err)
-		}
-		if err := vm.Publish(ctx, id, v2, 43); err != nil {
 			t.Fatalf("Publish with dead host: %v", err)
 		}
 

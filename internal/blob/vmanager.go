@@ -9,12 +9,14 @@ import (
 	"blobvfs/internal/cluster"
 )
 
-// VersionManager is BlobSeer's serialization point: it registers blobs,
-// hands out version tickets, and publishes snapshot roots in strict
-// total order per blob. A snapshot becomes visible only when every
-// earlier ticket of the same blob has been published, which is what
-// lets writers push chunks and metadata concurrently and out of order
-// (the decoupled publication that makes COMMIT cheap, paper §4.2).
+// VersionManager is BlobSeer's serialization point: it registers blobs
+// and publishes snapshot roots in strict total order per blob. A writer
+// pushes its chunks and metadata first, concurrently with every other
+// writer, and only then publishes: Publish appends the root as the
+// blob's next version and returns its number, in one round trip. The
+// version order is therefore the order in which commits finish, and no
+// writer ever waits on another's (the decoupled publication that makes
+// COMMIT cheap, paper §4.2).
 //
 // The manager runs on a single designated node; every operation is a
 // small RPC. SetStandbys extends it to a replicated journal group:
@@ -50,10 +52,7 @@ type VersionManager struct {
 
 type blobState struct {
 	info      Info
-	published []NodeRef           // published roots; index = version-1
-	tickets   Version             // highest ticket handed out
-	pending   map[Version]NodeRef // out-of-order completed commits
-	gates     map[Version]*cluster.Gate
+	published []NodeRef        // published roots; index = version-1
 	retired   map[Version]bool // logically deleted versions
 	pins      map[Version]int  // open-reference counts (mirrors, in-flight commits)
 }
@@ -141,8 +140,6 @@ func (vm *VersionManager) CreateBlob(ctx *cluster.Ctx, size int64, chunkSize int
 	chunks := (size + int64(chunkSize) - 1) / int64(chunkSize)
 	vm.blobs[id] = &blobState{
 		info:    Info{ID: id, Size: size, ChunkSize: chunkSize, Span: span2(chunks)},
-		pending: make(map[Version]NodeRef),
-		gates:   make(map[Version]*cluster.Gate),
 		retired: make(map[Version]bool),
 		pins:    make(map[Version]int),
 	}
@@ -223,71 +220,19 @@ func (vm *VersionManager) Root(ctx *cluster.Ctx, id ID, v Version) (NodeRef, err
 	return st.published[v-1], nil
 }
 
-// Ticket reserves the next version number of the blob. The caller must
-// eventually Publish it or the blob's version sequence stalls.
-func (vm *VersionManager) Ticket(ctx *cluster.Ctx, id ID) (Version, error) {
-	vm.chargeMut(ctx, 16, 16)
+// Publish appends root, a snapshot whose chunks and metadata are
+// already durable, as the next version of blob id and returns its
+// number.
+func (vm *VersionManager) Publish(ctx *cluster.Ctx, id ID, root NodeRef) (Version, error) {
+	vm.chargeMut(ctx, 40, 16)
 	vm.mu.Lock()
 	defer vm.mu.Unlock()
 	st, ok := vm.blobs[id]
 	if !ok {
 		return 0, notFound("blob", id)
 	}
-	st.tickets++
-	return st.tickets, nil
-}
-
-// Publish reports that the snapshot for ticket v of blob id is complete
-// (chunks and metadata durable) with the given root, and blocks until
-// the version becomes visible, i.e. all earlier tickets are published.
-func (vm *VersionManager) Publish(ctx *cluster.Ctx, id ID, v Version, root NodeRef) error {
-	vm.chargeMut(ctx, 40, 16)
-	vm.mu.Lock()
-	st, ok := vm.blobs[id]
-	if !ok {
-		vm.mu.Unlock()
-		return notFound("blob", id)
-	}
-	if v < 1 || v > st.tickets {
-		vm.mu.Unlock()
-		return fmt.Errorf("blob: publish of unticketed version %d@%d: %w", id, v, ErrOutOfRange)
-	}
-	if int(v) <= len(st.published) {
-		vm.mu.Unlock()
-		return fmt.Errorf("blob: version %d@%d: %w", id, v, ErrAlreadyPublished)
-	}
-	st.pending[v] = root
-	// Fold any now-contiguous pending versions into the published list.
-	var released []*cluster.Gate
-	for {
-		nextV := Version(len(st.published) + 1)
-		r, ok := st.pending[nextV]
-		if !ok {
-			break
-		}
-		delete(st.pending, nextV)
-		st.published = append(st.published, r)
-		if g, ok := st.gates[nextV]; ok {
-			released = append(released, g)
-			delete(st.gates, nextV)
-		}
-	}
-	var wait *cluster.Gate
-	if int(v) > len(st.published) {
-		wait = st.gates[v]
-		if wait == nil {
-			wait = cluster.NewGate()
-			st.gates[v] = wait
-		}
-	}
-	vm.mu.Unlock()
-	for _, g := range released {
-		g.Open(ctx)
-	}
-	if wait != nil {
-		wait.Wait(ctx)
-	}
-	return nil
+	st.published = append(st.published, root)
+	return Version(len(st.published)), nil
 }
 
 // Published returns (without cost) how many versions of id are visible.
@@ -323,7 +268,7 @@ func (e *PinnedError) Unwrap() error { return ErrVersionPinned }
 // unpublished version fails. Pins nest; every Pin needs one Unpin.
 //
 // The pin piggybacks on the RPC its caller is already making to the
-// manager (Info/Root/Ticket), so no separate cost is charged.
+// manager (Info/Root/Publish), so no separate cost is charged.
 func (vm *VersionManager) Pin(id ID, v Version) error {
 	vm.mu.Lock()
 	defer vm.mu.Unlock()

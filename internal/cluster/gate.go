@@ -18,9 +18,6 @@ type Gate struct {
 	cond sim.Cond
 }
 
-// NewGate returns a closed gate.
-func NewGate() *Gate { return new(Gate) }
-
 // Reset closes an opened gate again for reuse, keeping the room its
 // waiters took. Nobody may wait on the gate or be about to.
 func (g *Gate) Reset() { g.open, g.ch = false, nil }

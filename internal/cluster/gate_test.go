@@ -4,7 +4,7 @@ import "testing"
 
 func TestGateSimFabric(t *testing.T) {
 	fab := NewSim(DefaultConfig(2))
-	g := NewGate()
+	g := new(Gate)
 	var wakeAt float64
 	fab.Run(func(ctx *Ctx) {
 		w := ctx.Go("waiter", 0, func(cc *Ctx) {
@@ -30,7 +30,7 @@ func TestGateSimFabric(t *testing.T) {
 
 func TestGateLiveFabric(t *testing.T) {
 	fab := NewLive(2)
-	g := NewGate()
+	g := new(Gate)
 	order := make(chan string, 2)
 	fab.Run(func(ctx *Ctx) {
 		w := ctx.Go("waiter", 0, func(cc *Ctx) {

@@ -46,8 +46,9 @@ type ImportStats struct {
 // imports reproduce the source's tree structure, so the subtree
 // covering a range is the same on both sides. Chunks publish through
 // the batched PutBatch path and dedup against content already
-// present; versions then ticket and publish in order (placeholders
-// for source-retired versions publish and immediately retire), so
+// present; versions then publish in order, each one a single call that
+// returns the number the manager assigned (placeholders for
+// source-retired versions publish and immediately retire), so
 // OpenDisk, retention and GC see the imported lineage exactly as if
 // it had been committed locally.
 func Import(ctx *cluster.Ctx, sys *blob.System, t *Tracker, src io.Reader) (ImportStats, error) {
@@ -195,15 +196,18 @@ func Import(ctx *cluster.Ctx, sys *blob.System, t *Tracker, src io.Reader) (Impo
 	}
 
 	for i, vr := range a.Versions {
-		tv, err := sys.VM.Ticket(ctx, localID)
+		v, err := sys.VM.Publish(ctx, localID, roots[i])
 		if err != nil {
 			return stats, err
 		}
-		if tv != vr.Version {
-			return stats, fmt.Errorf("sync: local image %d issued ticket %d for archive version %d (concurrent writer?): %w",
-				localID, tv, vr.Version, ErrSequenceGap)
-		}
-		if err := sys.VM.Publish(ctx, localID, vr.Version, roots[i]); err != nil {
+		if v != vr.Version {
+			// A concurrent writer took the archive's number: what was
+			// just published is not the source's version, so withdraw it.
+			err := fmt.Errorf("sync: local image %d published archive version %d as %d (concurrent writer?): %w",
+				localID, vr.Version, v, ErrSequenceGap)
+			if rerr := sys.VM.Retire(ctx, localID, v); rerr != nil {
+				err = fmt.Errorf("%w; withdrawing v%d: %v", err, v, rerr)
+			}
 			return stats, err
 		}
 		if vr.Retired {
