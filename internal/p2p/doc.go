@@ -22,19 +22,18 @@
 //     traffic is O(members × chunks).
 //   - A member passes one chunk on fanOut = 2 times: the tracker
 //     counts, per (member, chunk), the copies promised. Locate picks a
-//     published holder that has a copy left to give, the nearest first,
-//     then one that has given none.
+//     source that has a copy left to give, the nearest tier first.
 //   - A chunk in flight is a source too. A fetch that will keep the
 //     chunk asks with Fetching, which puts the member on the chunk's
-//     in-flight record whatever the answer. A requester that finds no
-//     holder with a copy left (or only one farther away than a fetcher)
-//     is attached to the earliest fetcher on that record that has one,
-//     and waits for the fetch to settle. The children below a fetch and
-//     the reads served as a holder are one count, so one binary tree
-//     forms per chunk, in arrival order: one provider read seeds a chunk
-//     for a whole cohort, and no member's disk serves it more than
-//     twice. Only when every copy is spoken for does the caller fall
-//     back to the providers.
+//     in-flight record whatever the answer. Within a tier a requester is
+//     attached to the earliest fetcher on that record that has a copy
+//     left and waits for the fetch to settle; a published holder, and
+//     its disk, serves only where no such fetch exists. The children
+//     below a fetch and the reads served as a holder are one count, so
+//     one binary tree forms per chunk, in arrival order: one provider
+//     read seeds a chunk for a whole cohort, and no member serves it
+//     more than twice. Only when every copy is spoken for does the
+//     caller fall back to the providers.
 //   - A promise that is not kept is handed back: when the fetch waited
 //     on ends without the chunk its children's copies come off its
 //     count, and a count goes with the member's record when it retracts,

@@ -44,6 +44,26 @@ func overGivenLocked(t *testing.T, co *Cohort) {
 	}
 }
 
+// fetchFirstLocked fails the test if req has just been handed peer, a
+// published holder of key, while a live entry on the chunk's in-flight
+// record, before req's own earliest entry there and at peer's tier or
+// nearer, had a copy left to give: within a tier a fetch in flight comes
+// first.
+func fetchFirstLocked(t *testing.T, co *Cohort, req cluster.NodeID, key blob.ChunkKey, peer cluster.NodeID) {
+	t.Helper()
+	ck := co.chunks[key]
+	stop, own := co.earliestLocked(req, key)
+	if !own {
+		stop = len(ck.fl.fetches)
+	}
+	tier := co.reg.topo.Tier(req, peer)
+	for _, f := range ck.fl.fetches[:stop] {
+		if f.node != noNode && !ck.spent(f.node) && co.reg.lv.Alive(f.node) && co.reg.topo.Tier(req, f.node) <= tier {
+			t.Errorf("node %d was handed holder %d of chunk %d while node %d's fetch of it, as near and in flight, had a copy left", req, peer, key, f.node)
+		}
+	}
+}
+
 // TestInFlightInterleavings drives seeded random interleavings of
 // everything that touches the in-flight record: members fetching
 // batches of chunks in parallel, each chunk settled with Landed the
@@ -155,9 +175,13 @@ func TestInFlightInterleavings(t *testing.T) {
 					if !lv.Alive(peer) {
 						t.Errorf("t=%v: node %d was handed dead peer %d for chunk %d", cc.Now(), cc.Node(), peer, key)
 					}
-					if !co.chunks[key].held[peer] && !(said && at == cc.Now()) {
+					if said && at == cc.Now() {
+						return // a parent released by its Landed(ok)
+					}
+					if !co.chunks[key].held[peer] {
 						t.Errorf("t=%v: node %d was handed peer %d, which neither holds chunk %d nor has just said ok", cc.Now(), cc.Node(), peer, key)
 					}
+					fetchFirstLocked(t, co, cc.Node(), key, peer)
 				}
 				// retract is Retract, and the test's books follow the tracker's:
 				// a pair it knows loses its count with its record.
@@ -429,6 +453,92 @@ func TestChildAttachesToNearestFetcher(t *testing.T) {
 		}
 	})
 	quiescent(t, co)
+}
+
+// TestLateChildWaitsOnFetchInFlight: within a tier a fetch in flight beats
+// a published holder, whose copy costs a seek on its disk. Node 0 holds
+// chunk 7 with both copies left while node 1's fetch of it is in flight:
+// nodes 2 and 3 are attached below 1 and read the payload in hand. Once 1
+// has given its fanOut copies and nothing is in flight, node 4 is sent to
+// holder 0. With a topology the tier still comes first: a same-rack holder
+// beats a cross-rack fetcher, and nobody waits on a fetch in another zone,
+// not even in place of a holder there, nor in place of the providers.
+func TestLateChildWaitsOnFetchInFlight(t *testing.T) {
+	const provider = cluster.NodeID(-1)
+	type asked struct {
+		node cluster.NodeID
+		key  blob.ChunkKey
+	}
+	type told struct {
+		peer   cluster.NodeID
+		inHand bool
+		at     float64
+	}
+	// deploy registers members on a sim fabric whose last node is the
+	// tracker and runs fn; fetch starts node's fetch of key at start, holds
+	// it in flight for hold, then lands and announces it, and got records
+	// what Fetching told the node, and when.
+	deploy := func(cfg cluster.Config, members []cluster.NodeID, fn func(ctx *cluster.Ctx, co *Cohort, fetch func(node cluster.NodeID, key blob.ChunkKey, start, hold float64) cluster.Task)) map[asked]told {
+		reg := NewRegistry(cluster.NodeID(cfg.Nodes-1), DefaultConfig())
+		reg.SetTopology(cfg.Topology)
+		got := make(map[asked]told)
+		var co *Cohort
+		cluster.NewSim(cfg).Run(func(ctx *cluster.Ctx) {
+			co = reg.Register(ctx, 1, members)
+			fn(ctx, co, func(node cluster.NodeID, key blob.ChunkKey, start, hold float64) cluster.Task {
+				return ctx.Go("fetch", node, func(cc *cluster.Ctx) {
+					cc.Sleep(start)
+					p, inHand, ok := co.Fetching(cc, key)
+					if !ok {
+						p = provider
+					}
+					got[asked{node, key}] = told{p, inHand, cc.Now()}
+					cc.Sleep(hold)
+					co.Landed(cc, key, true)
+					co.Announce(cc, []blob.ChunkKey{key})
+				})
+			})
+		})
+		quiescent(t, co)
+		return got
+	}
+	announce := func(ctx *cluster.Ctx, co *Cohort, node cluster.NodeID, key blob.ChunkKey, start float64) cluster.Task {
+		return ctx.Go("announce", node, func(cc *cluster.Ctx) {
+			cc.Sleep(start)
+			co.Announce(cc, []blob.ChunkKey{key})
+		})
+	}
+	expect := func(got map[asked]told, want map[asked]cluster.NodeID, inHand map[asked]bool) {
+		t.Helper()
+		for a, peer := range want {
+			if g := got[a]; g.peer != peer || g.inHand != inHand[a] {
+				t.Errorf("node %d was told chunk %d is at %d (in hand %v), want %d (in hand %v)", a.node, a.key, g.peer, g.inHand, peer, inHand[a])
+			}
+		}
+	}
+
+	got := deploy(cluster.DefaultConfig(6), nodeRange(0, 5), func(ctx *cluster.Ctx, co *Cohort, fetch func(cluster.NodeID, blob.ChunkKey, float64, float64) cluster.Task) {
+		ctx.WaitAll([]cluster.Task{fetch(1, 7, 0, 0.05), announce(ctx, co, 0, 7, 0.005), fetch(2, 7, 0.01, 0.001), fetch(3, 7, 0.02, 0.001)})
+		ctx.WaitAll([]cluster.Task{fetch(4, 7, 0, 0.001)})
+	})
+	expect(got, map[asked]cluster.NodeID{{1, 7}: provider, {2, 7}: 1, {3, 7}: 1, {4, 7}: 0},
+		map[asked]bool{{2, 7}: true, {3, 7}: true})
+
+	// Racks of 4 nodes, 2 racks a zone: 1 and 2 share rack 0, 5 is in
+	// rack 1 of zone 0, 8 and 12 are in zone 1.
+	cfg := cluster.DefaultConfig(16)
+	cfg.Topology = cluster.Topology{Zones: 2, RacksPerZone: 2, NodesPerRack: 4, RackBandwidth: 1e9, ZoneBandwidth: 1e9}
+	got = deploy(cfg, []cluster.NodeID{1, 2, 5, 8, 12}, func(ctx *cluster.Ctx, co *Cohort, fetch func(cluster.NodeID, blob.ChunkKey, float64, float64) cluster.Task) {
+		ctx.WaitAll([]cluster.Task{
+			fetch(5, 9, 0, 0.05), announce(ctx, co, 1, 9, 0.005), fetch(2, 9, 0.01, 0.001),
+			fetch(8, 11, 0, 0.05), announce(ctx, co, 12, 11, 0.005), fetch(2, 11, 0.01, 0.001),
+			fetch(8, 13, 0, 0.05), fetch(1, 13, 0.01, 0.001),
+		})
+	})
+	expect(got, map[asked]cluster.NodeID{{2, 9}: 1, {2, 11}: 12, {1, 13}: provider}, nil)
+	if at := got[asked{1, 13}].at; at > 0.05 {
+		t.Errorf("node 1 was sent to the providers for chunk 13 at t=%v, after node 8's fetch in another zone had landed", at)
+	}
 }
 
 // TestOverlappingBatchesDoNotWaitInACycle: nodes 1 and 2 fetch the same

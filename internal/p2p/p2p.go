@@ -26,8 +26,9 @@ func DefaultConfig() Config { return Config{AnnounceBytes: 24} }
 //
 //	completion ≈ chunks × (1 + late) × upload cost + log_fanOut(n) × hop,
 //
-// late ≤ fanOut per chunk. The first term dwarfs the second for any image
-// of more than a handful of chunks, so the smallest fan-out that still
+// late ≤ fanOut per chunk, made only while no fetch in flight at the
+// holder's tier has a copy left. The first term dwarfs the second for any
+// image of more than a handful of chunks, so the smallest fan-out that
 // makes a tree wins: 1 is a chain as deep as the crowd, 3 costs more disk
 // per member (docs/p2p.md, "The distribution tree", has them measured).
 const fanOut = 2
@@ -500,11 +501,11 @@ func (co *Cohort) Retract(ctx *cluster.Ctx, keys []blob.ChunkKey) {
 }
 
 // Locate implements blob.ChunkSharer: it returns a cohort peer to read
-// the chunk from, and counts the copy against it. A published holder with
-// a copy left to give comes first (pickHolderLocked); where there is none,
-// or only farther away, a member whose own fetch of the chunk is in flight
-// (pickFetcherLocked), and then Locate returns only once that fetch has
-// settled. ok=false sends the caller to the providers: nobody has or
+// the chunk from, and counts the copy against it. The nearest tier comes
+// first, and within it a member whose own fetch of the chunk is in flight
+// with a copy left (pickFetcherLocked; Locate returns once the fetch has
+// settled) before a published holder with one (pickHolderLocked).
+// ok=false sends the caller to the providers: nobody has or
 // fetches the chunk, every copy is spoken for, or the fetch waited on
 // ended without the chunk. A Locate leaves nothing behind that another
 // caller could wait on; what it returns as release does nothing (see
@@ -536,9 +537,9 @@ func (co *Cohort) locate(ctx *cluster.Ctx, key blob.ChunkKey, fetching bool) (pe
 	fl := &ck.fl
 	var w *wait
 	peer, tier, any, found := co.pickHolderLocked(ck, req)
-	if len(fl.fetches) > 0 && tier > cluster.TierRack {
+	if len(fl.fetches) > 0 {
 		any = true
-		if f := co.pickFetcherLocked(key, ck, req, tier); f != nil {
+		if f := co.pickFetcherLocked(key, ck, req, min(tier+1, cluster.TierRemote)); f != nil {
 			if n := len(co.waits); f.wait == nil && n > 0 {
 				f.wait, co.waits = co.waits[n-1], co.waits[:n-1]
 			} else if f.wait == nil {
@@ -584,8 +585,8 @@ func (co *Cohort) locate(ctx *cluster.Ctx, key blob.ChunkKey, fetching bool) (pe
 // pickFetcherLocked chooses the entry of key's in-flight record that req
 // waits on, or nil: the earliest live fetcher with a copy left to give,
 // so that the tree fills level by level, the nearest tier first. The tier
-// must be nearer than below, the found holder's, or TierRemote: a fetch in
-// another zone is no better than the providers, which have the chunk now.
+// must be nearer than below, one past the found holder's or TierRemote: a
+// fetch in another zone is no better than the providers, which have it now.
 //
 // The search stops at req's own earliest entry. Every wait therefore goes
 // to an entry that went on record earlier than any of the requester's,
