@@ -68,7 +68,7 @@ rebaseline:
 
 # loc prints the size every CHANGES.md entry quotes: non-test Go
 # outside bench/. CI fails when it exceeds .github/loc-budget.txt
-# (ROADMAP item 7's line gate); a PR that shrinks the tree lowers the
+# (ROADMAP item 9's line gate); a PR that shrinks the tree lowers the
 # budget to its own count.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs wc -l | tail -1 | awk '{print $$1}'

@@ -136,7 +136,13 @@ type Image struct {
 	// snapshot does not contain, instead of wiping them from the dirty
 	// map.
 	during map[int64]span
+	// run is the fetched payload the kernel has not yet written back: a
+	// contiguous extent of chunks ending before chunk end.
+	run struct{ end, bytes int64 }
 }
+
+// diskWriteAsync charges the write-back of a run; tests count through it.
+var diskWriteAsync = (*cluster.Ctx).DiskWriteAsync
 
 // Open mirrors snapshot (id, v) as a local raw image file. If the
 // module holds persisted local state for this blob (from a previous
@@ -187,15 +193,11 @@ func (m *Module) Open(ctx *cluster.Ctx, id blob.ID, v blob.Version, real bool) (
 	}
 	m.mu.Unlock()
 	if st != nil {
-		im.chunks = st.chunks
-		im.local = st.local
-		if st.announced != nil {
-			// The node is still registered as a holder of everything it
-			// announced before closing (the local mirror file survived),
-			// so the map must survive too: a post-reopen dirtying write
-			// has to retract the stale location record.
-			im.announced = st.announced
-		}
+		// The node is still registered as a holder of everything it
+		// announced before closing (the local mirror file survived), so
+		// the announced map survives too: a post-reopen dirtying write
+		// has to retract the stale location record.
+		im.chunks, im.local, im.announced = st.chunks, st.local, st.announced
 		// Re-reading the persisted modification metadata costs one
 		// local-disk access.
 		ctx.DiskRead(m.node, int64(len(st.chunks))*16)
@@ -220,9 +222,11 @@ func (im *Image) Close(ctx *cluster.Ctx) {
 	im.open = false
 	id, v := im.blobID, im.version
 	st := &localState{version: im.version, chunks: im.chunks, local: im.local, announced: im.announced}
-	n := int64(len(im.chunks)) * 16
+	n, tail := int64(len(im.chunks))*16, im.run.bytes
+	im.run.bytes = 0
 	im.mu.Unlock()
-	// Writing the modification metadata next to the local file.
+	// Write back the pending run, then the metadata next to the file.
+	diskWriteAsync(ctx, im.mod.node, tail)
 	ctx.DiskWrite(im.mod.node, n)
 	im.mod.mu.Lock()
 	im.mod.closed[id] = st
@@ -400,7 +404,7 @@ func (im *Image) access(ctx *cluster.Ctx, off, n int64, p []byte, write bool) er
 	}
 	// The mmap'd local file absorbs the write; the kernel writes back
 	// asynchronously (§4.2).
-	ctxDiskWriteAsync(ctx, im.mod.node, n)
+	ctx.DiskWriteAsync(im.mod.node, n)
 	return nil
 }
 
@@ -409,7 +413,9 @@ func (im *Image) access(ctx *cluster.Ctx, off, n int64, p []byte, write bool) er
 func (im *Image) ensureMirrored(ctx *cluster.Ctx, lo, hi int64) error {
 	runStart := int64(-1)
 	for ci := lo; ci <= hi; ci++ {
-		missing := ci < hi && !im.fullyMirrored(ci)
+		im.mu.Lock()
+		missing := ci < hi && !im.fullyMirroredLocked(ci)
+		im.mu.Unlock()
 		if missing && runStart < 0 {
 			runStart = ci
 		}
@@ -423,12 +429,6 @@ func (im *Image) ensureMirrored(ctx *cluster.Ctx, lo, hi int64) error {
 	return nil
 }
 
-func (im *Image) fullyMirrored(ci int64) bool {
-	im.mu.Lock()
-	defer im.mu.Unlock()
-	return im.fullyMirroredLocked(ci)
-}
-
 func (im *Image) fullyMirroredLocked(ci int64) bool {
 	return im.chunks[ci].Mir == span{0, im.chunkLen(ci)}
 }
@@ -436,7 +436,11 @@ func (im *Image) fullyMirroredLocked(ci int64) bool {
 // fetchChunks fetches whole chunks [lo,hi) from the repository and
 // merges them into the local mirror, preserving dirty bytes. After the
 // merge each chunk is fully mirrored. Fetched content is persisted on
-// the local disk by the kernel's asynchronous write-back.
+// the local disk by the kernel's asynchronous write-back, which writes
+// contiguous dirty pages of the mmap'd file as one request (§4.2): a
+// fetch that starts where the pending run ends extends it; any other
+// writes the run back first, one seek per run. A run stays within half
+// the write buffer, so its write-back never waits on a drained buffer.
 //
 // A chunk that a concurrent fetch (a guest read racing a commit's gap
 // fill) already merged while this one was in flight is skipped: its
@@ -468,12 +472,9 @@ func (im *Image) fetchChunks(ctx *cluster.Ctx, lo, hi int64) error {
 	if err != nil {
 		return err
 	}
-	type announced struct {
-		index int64
-		key   blob.ChunkKey
-	}
 	cs := int64(im.info.ChunkSize)
-	var announce []announced
+	var keys []blob.ChunkKey // announced, for chunks idx
+	var idx []int64
 	var bytes int64
 	im.mu.Lock()
 	for _, fc := range fetched {
@@ -494,18 +495,23 @@ func (im *Image) fetchChunks(ctx *cluster.Ctx, lo, hi int64) error {
 		im.stats.RemoteChunkFetches++
 		im.stats.RemoteBytesFetched += int64(fc.Payload.Size)
 		if sharer != nil && fc.Key != 0 && !st.dirty() {
-			announce = append(announce, announced{fc.Index, fc.Key})
+			keys, idx = append(keys, fc.Key), append(idx, fc.Index)
 			im.announced[fc.Index] = fc.Key
 		}
 		bytes += int64(fc.Payload.Size)
 	}
+	var flush, tail int64
+	if lo != im.run.end || im.run.bytes+bytes > ctx.Fabric().Config().WriteBuffer/2 {
+		flush, im.run.bytes = im.run.bytes, 0
+	}
+	im.run.end, im.run.bytes = hi, im.run.bytes+bytes
+	if !im.open { // Close already wrote its run back
+		tail, im.run.bytes = im.run.bytes, 0
+	}
 	im.mu.Unlock()
-	ctxDiskWriteAsync(ctx, im.mod.node, bytes)
-	if len(announce) > 0 {
-		keys := make([]blob.ChunkKey, len(announce))
-		for i, a := range announce {
-			keys[i] = a.key
-		}
+	diskWriteAsync(ctx, im.mod.node, flush)
+	diskWriteAsync(ctx, im.mod.node, tail)
+	if len(keys) > 0 {
 		sharer.Announce(ctx, keys)
 		// A write may have dirtied one of these chunks between the
 		// merge above and the announcement reaching the cohort: its
@@ -513,9 +519,9 @@ func (im *Image) fetchChunks(ctx *cluster.Ctx, lo, hi int64) error {
 		// announced entry, so re-check and retract those now.
 		im.mu.Lock()
 		var late []blob.ChunkKey
-		for _, a := range announce {
-			if im.announced[a.index] != a.key {
-				late = append(late, a.key)
+		for i, ci := range idx {
+			if im.announced[ci] != keys[i] {
+				late = append(late, keys[i])
 			}
 		}
 		im.mu.Unlock()
@@ -781,12 +787,4 @@ func (im *Image) Snapshot(ctx *cluster.Ctx, fork bool) (blob.ID, blob.Version, e
 		return 0, 0, err
 	}
 	return im.BlobID(), v, nil
-}
-
-// ctxDiskWriteAsync charges an asynchronous local write, skipping
-// no-ops.
-func ctxDiskWriteAsync(ctx *cluster.Ctx, node cluster.NodeID, n int64) {
-	if n > 0 {
-		ctx.DiskWriteAsync(node, n)
-	}
 }

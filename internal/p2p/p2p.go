@@ -27,10 +27,10 @@ func DefaultConfig() Config { return Config{AnnounceBytes: 24} }
 //	completion ≈ chunks × (1 + late) × upload cost + log_fanOut(n) × hop,
 //
 // late ≤ fanOut per chunk, made only while no fetch in flight at the
-// holder's tier has a copy left. The first term dwarfs the second for any
-// image of more than a handful of chunks, so the smallest fan-out that
-// makes a tree wins: 1 is a chain as deep as the crowd, 3 costs more disk
-// per member (docs/p2p.md, "The distribution tree", has them measured).
+// holder's tier has a copy left. 1 is a chain as deep as the crowd; past 2
+// completion barely moves, as nearly every copy is in hand and costs no
+// disk (docs/p2p.md, "The distribution tree"). 2 holds the least memory:
+// a fetch keeps its payload until its children have read it.
 const fanOut = 2
 
 // Stats aggregates a cohort's protocol counters.
