@@ -469,9 +469,9 @@ func (c *Client) FetchChunks(ctx *cluster.Ctx, id ID, v Version, lo, hi int64) (
 // FetchChunksShared is FetchChunks for a caller that keeps the chunks
 // and tells the client's ChunkSharer so: every distinct non-sparse
 // chunk is on record there (ChunkSharer.Fetching) from the start of its
-// read to its end, and siblings that asked meanwhile read it from this
-// node. Announcing what it keeps is the caller's business. This is the
-// primitive the mirroring module's remote reads are built on.
+// read to its end, siblings that asked meanwhile read it from this node,
+// and one that landed leaves this node its holder. This is the primitive
+// the mirroring module's remote reads are built on.
 func (c *Client) FetchChunksShared(ctx *cluster.Ctx, id ID, v Version, lo, hi int64) ([]FetchedChunk, error) {
 	return c.fetchChunks(ctx, id, v, lo, hi, c.sharer != nil)
 }
@@ -515,6 +515,17 @@ func (c *Client) fetchChunks(ctx *cluster.Ctx, id ID, v Version, lo, hi int64, k
 		out[i].Payload = p
 	})
 	if err := firstError(fetchErrs); err != nil {
+		// A chunk that landed became held at its Landed(ok), and the
+		// caller keeps none of them.
+		var landed []ChunkKey
+		for j, err := range fetchErrs {
+			if keep && err == nil {
+				landed = append(landed, out[fetchIdx[j]].Key)
+			}
+		}
+		if len(landed) > 0 {
+			c.sharer.Retract(ctx, landed)
+		}
 		return nil, err
 	}
 	for i := range out {

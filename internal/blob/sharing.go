@@ -35,13 +35,11 @@ type ChunkSharer interface {
 	// landed the chunk: it serves the payload from memory, not its disk.
 	Fetching(ctx *cluster.Ctx, key ChunkKey) (peer cluster.NodeID, inHand, ok bool)
 	// Landed ends ctx.Node()'s fetch of the chunk: ok says whether the
-	// payload is in hand, and a sibling that waited reads it from this
-	// node if so. It announces nothing.
+	// payload is in hand, and if so a sibling that waited reads it from
+	// this node, which holds the chunk from now on.
 	Landed(ctx *cluster.Ctx, key ChunkKey, ok bool)
-	// Announce registers ctx.Node() as a holder of the given chunks.
-	// Implementations must deduplicate (node, key) pairs so that a
-	// chunk announced twice — e.g. once by a guest read and once by a
-	// concurrent commit's gap fill — is only counted and charged once.
+	// Announce registers ctx.Node() as a holder of chunks it wrote
+	// itself (a commit). (node, key) pairs it already holds cost nothing.
 	Announce(ctx *cluster.Ctx, keys []ChunkKey)
 	// Retract withdraws ctx.Node() as a holder of the chunks (the
 	// local copies diverged from the published content, e.g. mirrored

@@ -16,8 +16,8 @@
 // the Image.Clone and Image.Commit methods.
 //
 // When the module is attached to a peer-to-peer sharing cohort
-// (SetSharer), an image announces every chunk it mirrors — demand
-// fetch or commit — so cohort siblings can fetch it from this node
-// instead of the providers, and retracts chunks whose local copy
-// diverges from the published content (guest writes).
+// (SetSharer), its node holds every chunk it mirrors clean — from the
+// fetch's landing, or the commit — so cohort siblings can fetch it from
+// this node instead of the providers; an image retracts chunks whose
+// local copy diverges from the published content (guest writes).
 package mirror

@@ -19,7 +19,7 @@ const (
 	// because every replica was down (blob.ErrNoReplica) is retried
 	// before the error propagates to the hypervisor. Between attempts
 	// the module backs off retryDelay seconds — the window in which
-	// re-replication restores a copy or a cohort sibling announces one;
+	// re-replication restores a copy or a cohort sibling lands one;
 	// 50 ms is enough for one synchronous re-replication round to land.
 	fetchRetries = 2
 	retryDelay   = 0.05
@@ -91,7 +91,7 @@ func NewModule(node cluster.NodeID, client *blob.Client) *Module {
 func (m *Module) Node() cluster.NodeID { return m.node }
 
 // SetSharer attaches the module (and its blob client) to a p2p sharing
-// cohort: subsequent image opens announce mirrored chunks and consult
+// cohort: subsequent image opens hold what they mirror clean and consult
 // cohort peers on demand misses. Call it before opening images.
 func (m *Module) SetSharer(s blob.ChunkSharer) {
 	m.sharer = s
@@ -126,8 +126,8 @@ type Image struct {
 	open    bool
 	stats   Stats
 
-	// announced maps chunk index → the key this image announced to its
-	// sharing cohort, so a dirtying write can retract it.
+	// announced maps chunk index → the key this node holds clean in its
+	// sharing cohort (landed or committed), so a dirtying write retracts it.
 	announced map[int64]blob.ChunkKey
 	// during has an entry for each chunk whose captured payload a commit
 	// is currently pushing to the fabric: the dirty hull of the writes
@@ -194,7 +194,7 @@ func (m *Module) Open(ctx *cluster.Ctx, id blob.ID, v blob.Version, real bool) (
 	m.mu.Unlock()
 	if st != nil {
 		// The node is still registered as a holder of everything it
-		// announced before closing (the local mirror file survived), so
+		// held before closing (the local mirror file survived), so
 		// the announced map survives too: a post-reopen dirtying write
 		// has to retract the stale location record.
 		im.chunks, im.local, im.announced = st.chunks, st.local, st.announced
@@ -444,13 +444,12 @@ func (im *Image) fullyMirroredLocked(ci int64) bool {
 //
 // A chunk that a concurrent fetch (a guest read racing a commit's gap
 // fill) already merged while this one was in flight is skipped: its
-// payload was transferred twice — the wasted transfer is charged, as in
-// reality — but it is counted and announced to the sharing cohort
-// exactly once.
+// payload was transferred twice (the waste is charged) but counted once.
 //
-// With a sharing cohort a chunk that landed on clean bytes is announced:
-// the local copy is the published content. One that landed around dirty
-// bytes (a gap fill, a read of a chunk written first) is not.
+// With a sharing cohort the node holds each chunk from its Landed(ok) on.
+// One that merged onto clean bytes goes in announced, for a later write
+// to withdraw; any other (merged around dirty bytes, or a duplicate whose
+// key the local copy no longer is) is withdrawn here, one Retract a fetch.
 func (im *Image) fetchChunks(ctx *cluster.Ctx, lo, hi int64) error {
 	sharer := im.mod.sharer
 	im.mu.Lock()
@@ -460,8 +459,8 @@ func (im *Image) fetchChunks(ctx *cluster.Ctx, lo, hi int64) error {
 	// Retry-with-backoff instead of propagating the first failure: a
 	// fetch that lost the race with a provider death (every replica of
 	// some chunk down) is re-attempted after retryDelay — by then
-	// re-replication has restored a copy, or a cohort sibling's
-	// announcement offers an alternate source.
+	// re-replication has restored a copy, or a cohort sibling that
+	// landed the chunk offers an alternate source.
 	for attempt := 0; err != nil && attempt < fetchRetries && errors.Is(err, blob.ErrNoReplica); attempt++ {
 		im.mu.Lock()
 		im.stats.FetchRetries++
@@ -473,32 +472,31 @@ func (im *Image) fetchChunks(ctx *cluster.Ctx, lo, hi int64) error {
 		return err
 	}
 	cs := int64(im.info.ChunkSize)
-	var keys []blob.ChunkKey // announced, for chunks idx
-	var idx []int64
+	var retract []blob.ChunkKey
 	var bytes int64
 	im.mu.Lock()
 	for _, fc := range fetched {
 		st := &im.chunks[fc.Index]
 		clen := im.chunkLen(fc.Index)
-		whole := span{0, clen}
-		if st.Mir == whole {
-			// A concurrent fetch of this chunk won the merge race;
-			// count the chunk once.
-			im.stats.DuplicateFetches++
-			continue
+		shared := sharer != nil && fc.Key != 0
+		if whole := (span{0, clen}); st.Mir != whole {
+			if im.local != nil {
+				cstart := fc.Index * cs
+				mergeFetched(im.local[cstart:cstart+int64(clen)], fc.Payload, st.Dirty)
+			}
+			st.Mir = whole
+			im.stats.RemoteChunkFetches++
+			im.stats.RemoteBytesFetched += int64(fc.Payload.Size)
+			bytes += int64(fc.Payload.Size)
+			if shared && !st.dirty() {
+				im.announced[fc.Index] = fc.Key
+			}
+		} else {
+			im.stats.DuplicateFetches++ // a concurrent fetch won the merge race
 		}
-		if im.local != nil {
-			cstart := fc.Index * cs
-			mergeFetched(im.local[cstart:cstart+int64(clen)], fc.Payload, st.Dirty)
+		if shared && im.announced[fc.Index] != fc.Key {
+			retract = append(retract, fc.Key)
 		}
-		st.Mir = whole
-		im.stats.RemoteChunkFetches++
-		im.stats.RemoteBytesFetched += int64(fc.Payload.Size)
-		if sharer != nil && fc.Key != 0 && !st.dirty() {
-			keys, idx = append(keys, fc.Key), append(idx, fc.Index)
-			im.announced[fc.Index] = fc.Key
-		}
-		bytes += int64(fc.Payload.Size)
 	}
 	var flush, tail int64
 	if lo != im.run.end || im.run.bytes+bytes > ctx.Fabric().Config().WriteBuffer/2 {
@@ -511,23 +509,8 @@ func (im *Image) fetchChunks(ctx *cluster.Ctx, lo, hi int64) error {
 	im.mu.Unlock()
 	diskWriteAsync(ctx, im.mod.node, flush)
 	diskWriteAsync(ctx, im.mod.node, tail)
-	if len(keys) > 0 {
-		sharer.Announce(ctx, keys)
-		// A write may have dirtied one of these chunks between the
-		// merge above and the announcement reaching the cohort: its
-		// Retract found nothing to withdraw yet and deleted the
-		// announced entry, so re-check and retract those now.
-		im.mu.Lock()
-		var late []blob.ChunkKey
-		for i, ci := range idx {
-			if im.announced[ci] != keys[i] {
-				late = append(late, keys[i])
-			}
-		}
-		im.mu.Unlock()
-		if len(late) > 0 {
-			sharer.Retract(ctx, late)
-		}
+	if len(retract) > 0 {
+		sharer.Retract(ctx, retract)
 	}
 	return nil
 }

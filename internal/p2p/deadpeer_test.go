@@ -1,6 +1,7 @@
 package p2p
 
 import (
+	"slices"
 	"testing"
 
 	"blobvfs/internal/blob"
@@ -218,4 +219,49 @@ func TestWithdrawalDuringAnnounceStaysUnpublished(t *testing.T) {
 			})
 		})
 	}
+}
+
+// TestLandedPublishesWhatIsOnRecord: a Landed(ok) makes a live member
+// the chunk's holder, at no cost, unless the member's fetch has left the
+// record: its death settled it (the revival does not bring it back), or
+// the chunk's reclamation did. A Retract withdraws a record, not a fetch.
+// A member that fetched and landed while dead publishes nothing either.
+func TestLandedPublishesWhatIsOnRecord(t *testing.T) {
+	const key = blob.ChunkKey(7)
+	run := func(name string, want bool, fetch func(cc *cluster.Ctx, reg *Registry, co *Cohort, lv *cluster.Liveness)) {
+		t.Run(name, func(t *testing.T) {
+			simCohort(t, 2, func(ctx *cluster.Ctx, reg *Registry, co *Cohort, lv *cluster.Liveness) {
+				on(ctx, 1, func(cc *cluster.Ctx) {
+					fetch(cc, reg, co, lv)
+					at := cc.Now()
+					co.Landed(cc, key, true)
+					if cc.Now() != at {
+						t.Errorf("Landed took %v s", cc.Now()-at)
+					}
+				})
+				lv.Revive(ctx, 1)
+				if got := slices.Contains(holdersOf(co, key), 1); got != want {
+					t.Errorf("node 1 published = %v, want %v", got, want)
+				}
+				if st, n := co.Stats(), map[bool]int64{true: 1}[want]; st.Announced != n {
+					t.Errorf("Announced = %d, want %d", st.Announced, n)
+				}
+				on(ctx, 2, func(cc *cluster.Ctx) {
+					if peer, _, ok := co.Locate(cc, key); ok != want {
+						t.Errorf("Locate = (%d, %v), want found %v", peer, ok, want)
+					}
+				})
+			})
+		})
+	}
+	for _, w := range withdrawals {
+		run(w.name, w.name == "retract", func(cc *cluster.Ctx, reg *Registry, co *Cohort, lv *cluster.Liveness) {
+			co.Fetching(cc, key)
+			w.do(cc, reg, co, lv, key)
+		})
+	}
+	run("dead throughout", false, func(cc *cluster.Ctx, _ *Registry, co *Cohort, lv *cluster.Liveness) {
+		lv.Kill(cc, 1)
+		co.Fetching(cc, key)
+	})
 }

@@ -12,9 +12,9 @@
 //   - A Registry lives on a tracker node (the version-manager/service
 //     node in the experiments). Per deployed image it keeps a Cohort:
 //     the member nodes plus a chunk-key → holders location map.
-//   - Members announce freshly mirrored chunks with one small RPC to
-//     the tracker. Announcements are deduplicated per (member, chunk),
-//     so a chunk fetched twice concurrently is only recorded once.
+//   - A fetch that lands (Landed(ok)) publishes its member as a holder
+//     at no cost; chunks a member commits it announces with one small
+//     RPC. Records are deduplicated per (member, chunk).
 //   - Members keep no location state. Every Locate pays one 32+32-byte
 //     RPC to the tracker and is answered from its live map, so a record
 //     withdrawn by a death, a Retract or the garbage collector is gone
@@ -45,10 +45,10 @@
 //     Locate never goes on record, and waits cannot form a cycle
 //     (pickFetcherLocked). docs/p2p.md, "Settling", has the cases.
 //   - A member whose local copy diverges from the published content
-//     (a mirrored chunk dirtied by a guest write) retracts itself.
+//     (a chunk dirtied by a guest write, or kept around one) retracts.
 //
 // Cohort implements blob.ChunkSharer; the blob client consults it on
-// every chunk read and mirror modules announce through it. State is
+// every chunk read and mirror modules retract through it. State is
 // shared memory guarded by a mutex that is never held across fabric
 // operations, so the same code runs on the live fabric (real
 // goroutines) and the discrete-event simulation.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -68,20 +69,23 @@ func fetchFirstLocked(t *testing.T, co *Cohort, req cluster.NodeID, key blob.Chu
 // everything that touches the in-flight record: members fetching
 // batches of chunks in parallel, each chunk settled with Landed the
 // moment its read ends like blob.Client's getChunk does (well, or badly
-// after a failed provider read and a second look at the cohort), the
-// batch announced afterwards like mirror.fetchChunks does; bare Locates
-// that never go on record, retractions, member deaths and revivals, and
-// reclamations. Every run must end (the sim fabric panics on a deadlock,
-// the live one hangs into the test timeout), leave no in-flight state
-// behind, and never have a member promise more than fanOut copies of a
-// chunk. On the sim fabric, where nothing can change between a call's
+// after a failed provider read and a second look at the cohort), part of
+// the batch announced afterwards like a commit announces what it wrote;
+// bare Locates that never go on record, retractions, member deaths and
+// revivals, and reclamations. Every run must end (the sim fabric panics
+// on a deadlock, the live one hangs into the test timeout), leave no
+// in-flight state behind, and never have a member promise more than
+// fanOut copies of a chunk. On the sim fabric, where nothing can change between a call's
 // return and the check, a waiter is never handed a parent that did not
 // say ok or is dead, and the books balance: at the end every (member,
 // chunk) count equals the copies read from that member since its record
 // was last dropped, so a promise that was not kept has been handed back.
 // A copy read in hand comes from a live parent that said ok in that very
 // instant, and no landing hands out more than fanOut of them; a bare
-// Locate cannot say in hand at all.
+// Locate cannot say in hand at all. At the end each chunk's published
+// holders are exactly the live members whose fetch of it landed ok, or
+// who announced it, and who have not withdrawn it since, nor lost it to
+// their death or its reclamation.
 func TestInFlightInterleavings(t *testing.T) {
 	const (
 		members = 12
@@ -120,6 +124,18 @@ func TestInFlightInterleavings(t *testing.T) {
 				var mu sync.Mutex
 				saidOK := make(map[blob.ChunkKey]map[cluster.NodeID]float64)
 				read := make(map[blob.ChunkKey]map[cluster.NodeID]uint8)
+				// holds[key] is the set of members the chunk's published
+				// holders must be; deaths[m] and reclaims[key] count the
+				// drops, to tell whether one came during an announce RPC.
+				holds := make(map[blob.ChunkKey]map[cluster.NodeID]bool)
+				deaths := make(map[cluster.NodeID]int)
+				reclaims := make(map[blob.ChunkKey]int)
+				hold := func(key blob.ChunkKey, m cluster.NodeID) {
+					if holds[key] == nil {
+						holds[key] = make(map[cluster.NodeID]bool)
+					}
+					holds[key][m] = true
+				}
 				say := func(cc *cluster.Ctx, key blob.ChunkKey) {
 					mu.Lock()
 					if saidOK[key] == nil {
@@ -190,12 +206,48 @@ func TestInFlightInterleavings(t *testing.T) {
 					ck := co.chunks[key]
 					known := ck != nil && ck.held[cc.Node()]
 					co.mu.Unlock()
+					mu.Lock()
 					if known {
-						mu.Lock()
 						delete(read[key], cc.Node())
+					}
+					delete(holds[key], cc.Node())
+					mu.Unlock()
+					co.Retract(cc, []blob.ChunkKey{key})
+				}
+				// land is Landed: a fetch still on record that lands ok makes
+				// its live member a holder. Nothing runs between the look at
+				// the record and the call on the sim fabric.
+				land := func(cc *cluster.Ctx, key blob.ChunkKey, ok bool) {
+					co.mu.Lock()
+					_, onRecord := co.earliestLocked(cc.Node(), key)
+					co.mu.Unlock()
+					if ok && onRecord && lv.Alive(cc.Node()) {
+						mu.Lock()
+						hold(key, cc.Node())
 						mu.Unlock()
 					}
-					co.Retract(cc, []blob.ChunkKey{key})
+					co.Landed(cc, key, ok)
+				}
+				// announce is Announce: the pairs of a live member are
+				// published when the RPC is through, unless the member died
+				// or the chunk was reclaimed while it was in flight.
+				announce := func(cc *cluster.Ctx, keys []blob.ChunkKey) {
+					m := cc.Node()
+					alive := lv.Alive(m)
+					mu.Lock()
+					died, gens := deaths[m], make([]int, len(keys))
+					for i, key := range keys {
+						gens[i] = reclaims[key]
+					}
+					mu.Unlock()
+					co.Announce(cc, keys)
+					mu.Lock()
+					for i, key := range keys {
+						if alive && deaths[m] == died && reclaims[key] == gens[i] {
+							hold(key, m)
+						}
+					}
+					mu.Unlock()
 				}
 				fab.Run(func(ctx *cluster.Ctx) {
 					nodes := nodeRange(1, members)
@@ -250,20 +302,14 @@ func TestInFlightInterleavings(t *testing.T) {
 										if landed[i] = ok; ok {
 											say(c1, key)
 										}
-										co.Landed(c1, key, landed[i])
+										land(c1, key, landed[i])
 									}))
 								}
 								cc.WaitAll(one)
-								var announce []blob.ChunkKey
-								for i, key := range batch {
-									if landed[i] && rng.Intn(4) != 0 {
-										announce = append(announce, key)
-									}
-								}
-								co.Announce(cc, announce)
-								if len(announce) > 0 && rng.Intn(3) == 0 {
+								announce(cc, batch[:rng.Intn(len(batch)+1)])
+								if rng.Intn(3) == 0 {
 									cc.Sleep(rng.Exp(0.002))
-									retract(cc, announce[0])
+									retract(cc, batch[0])
 								}
 							}
 						}))
@@ -288,6 +334,10 @@ func TestInFlightInterleavings(t *testing.T) {
 							for _, by := range read {
 								delete(by, victim)
 							}
+							for _, by := range holds {
+								delete(by, victim)
+							}
+							deaths[victim]++
 							mu.Unlock()
 							cc.Sleep(rng.Exp(0.005))
 							lv.Revive(cc, victim)
@@ -302,6 +352,8 @@ func TestInFlightInterleavings(t *testing.T) {
 							mu.Lock()
 							for _, key := range freed {
 								delete(read, key)
+								delete(holds, key)
+								reclaims[key]++
 							}
 							mu.Unlock()
 						}
@@ -324,6 +376,20 @@ func TestInFlightInterleavings(t *testing.T) {
 						if co.chunks[key] == nil && n > 0 {
 							t.Errorf("%d copies of chunk %d were read from member %d, and the tracker has no record of the chunk", n, key, m)
 						}
+					}
+				}
+				for key := range keys {
+					key := blob.ChunkKey(key + 1)
+					var published, held []cluster.NodeID
+					if ck := co.chunks[key]; ck != nil {
+						published, held = ck.holders, slices.Collect(maps.Keys(ck.held))
+					}
+					want := slices.Sorted(maps.Keys(holds[key]))
+					if got := slices.Sorted(slices.Values(published)); !slices.Equal(got, want) {
+						t.Errorf("chunk %d is published at %v, want %v", key, got, want)
+					}
+					if slices.Sort(held); !slices.Equal(held, want) {
+						t.Errorf("chunk %d is held by %v, want %v", key, held, want)
 					}
 				}
 				if st := co.Stats(); waited.Load() == 0 || st.PeerHits == 0 || st.DeadDropped == 0 || st.Reclaimed == 0 || st.Retracted == 0 {
@@ -375,7 +441,6 @@ func TestHerdReadsTheProvidersOnce(t *testing.T) {
 				}
 				deepest = max(deepest, depth[m])
 				co.Landed(cc, 7, true)
-				co.Announce(cc, []blob.ChunkKey{7})
 			}))
 		}
 		ctx.WaitAll(tasks)
@@ -433,7 +498,6 @@ func TestChildAttachesToNearestFetcher(t *testing.T) {
 				from[node], hand[node] = p, inHand
 				cc.Sleep(0.05)
 				co.Landed(cc, key, true)
-				co.Announce(cc, []blob.ChunkKey{key})
 			})
 		}
 		ctx.WaitAll([]cluster.Task{fetch(5, 7, 0), fetch(1, 7, 0.01), fetch(2, 7, 0.02), fetch(8, 7, 0.03)})
@@ -476,7 +540,7 @@ func TestLateChildWaitsOnFetchInFlight(t *testing.T) {
 	}
 	// deploy registers members on a sim fabric whose last node is the
 	// tracker and runs fn; fetch starts node's fetch of key at start, holds
-	// it in flight for hold, then lands and announces it, and got records
+	// it in flight for hold, then lands it, and got records
 	// what Fetching told the node, and when.
 	deploy := func(cfg cluster.Config, members []cluster.NodeID, fn func(ctx *cluster.Ctx, co *Cohort, fetch func(node cluster.NodeID, key blob.ChunkKey, start, hold float64) cluster.Task)) map[asked]told {
 		reg := NewRegistry(cluster.NodeID(cfg.Nodes-1), DefaultConfig())
@@ -495,7 +559,6 @@ func TestLateChildWaitsOnFetchInFlight(t *testing.T) {
 					got[asked{node, key}] = told{p, inHand, cc.Now()}
 					cc.Sleep(hold)
 					co.Landed(cc, key, true)
-					co.Announce(cc, []blob.ChunkKey{key})
 				})
 			})
 		})
@@ -569,7 +632,6 @@ func TestOverlappingBatchesDoNotWaitInACycle(t *testing.T) {
 					})
 				}
 				cc.WaitAll([]cluster.Task{get(first, 0), get(second, 0.01)})
-				co.Announce(cc, []blob.ChunkKey{first, second})
 			})
 		}
 		ctx.WaitAll([]cluster.Task{batch(1, 0, 7, 8), batch(2, 0.001, 8, 7)})
@@ -582,7 +644,7 @@ func TestOverlappingBatchesDoNotWaitInACycle(t *testing.T) {
 
 // TestRetractKeepsTheChildrenOfAFetchInFlight: node 3 is attached below
 // node 1's fetch in flight; node 1 announces the chunk (a second fetch of
-// it has merged) and retracts it before the first has ended. The copy
+// it has landed) and retracts it before the first has ended. The copy
 // promised to node 3 stays on node 1's count, so that the count is right
 // whether the fetch lands (one copy given) or fails (the promise handed
 // back: none given, and nothing below zero).

@@ -89,7 +89,7 @@ func (r *Registry) SetTopology(t cluster.Topology) { r.topo = t }
 // uploader, nor leave one waiting on it. The drop is tracker-local:
 // members keep no location state, so there is nobody to inform. A revival
 // needs no tracker action: the records are already gone, and the peer
-// re-announces whatever it still mirrors on its next fetches.
+// holds only what it fetches or commits again.
 func (r *Registry) NodeChanged(ctx *cluster.Ctx, node cluster.NodeID, alive bool) {
 	if alive {
 		return
@@ -265,7 +265,7 @@ type chunk struct {
 	// held is the (member, chunk) dedup set: every published record plus
 	// the phase-1 reservations of announces whose RPC is still in flight.
 	held    map[cluster.NodeID]bool
-	holders []cluster.NodeID // the published records, in announce order
+	holders []cluster.NodeID // the published records, in publication order
 	// given counts, by member, the copies of the chunk it has promised,
 	// never more than fanOut. A promise that will not be kept is handed
 	// back (settleLocked), and a count goes with the member's record: on
@@ -399,10 +399,9 @@ func (co *Cohort) InFlight() int {
 
 // Announce implements blob.ChunkSharer: it registers ctx.Node() as a
 // holder of the given chunks with one small RPC to the tracker.
-// Already-known (member, chunk) pairs are filtered out first — the
-// guard that keeps a chunk announced both by a guest read and by a
-// concurrent commit's gap fill from being double-counted — and an
-// all-duplicate announcement costs nothing. The new locations become
+// Already-known (member, chunk) pairs — a chunk the member landed or
+// announced before — are filtered out first, and an all-duplicate
+// announcement costs nothing. The new locations become
 // visible to Locate only after the RPC completes: a sibling cannot be
 // steered to a holder before the announcement could physically have
 // reached the tracker.
@@ -455,12 +454,15 @@ func (co *Cohort) Announce(ctx *cluster.Ctx, keys []blob.ChunkKey) {
 // Landed implements blob.ChunkSharer: ctx.Node()'s read of the chunk,
 // put on record by Fetching, has ended, with the payload in hand (ok) or
 // without. Whoever waits on it is released and reads from the member or,
-// after a failure, from the providers. It is said to the waiters, not to
-// the tracker, and costs nothing.
+// after a failure, from the providers. A live member that landed the
+// chunk is published as its holder, unless it is one already. It costs
+// nothing: the tracker learned of the fetch at Fetching, with an RPC.
 //
 // It settles the member's earliest fetch of the chunk on record, if any.
 // A member's waiters always sit on its earliest entry (the pick meets
 // that one first), so whichever of its fetches ends first releases them.
+// An entry that is gone, settled by the member's death or the chunk's
+// reclamation, publishes nothing.
 func (co *Cohort) Landed(ctx *cluster.Ctx, key blob.ChunkKey, ok bool) {
 	member := ctx.Node()
 	co.mu.Lock()
@@ -469,7 +471,13 @@ func (co *Cohort) Landed(ctx *cluster.Ctx, key blob.ChunkKey, ok bool) {
 		return
 	}
 	if at, found := co.earliestLocked(member, key); found {
-		co.settleLocked(ctx, key, co.chunks[key], at, ok)
+		ck := co.chunks[key]
+		co.settleLocked(ctx, key, ck, at, ok)
+		if ok && !ck.held[member] && co.reg.lv.Alive(member) {
+			ck.held[member] = true
+			ck.holders = append(ck.holders, member)
+			co.stats.Announced++
+		}
 	}
 }
 
@@ -617,7 +625,7 @@ func (co *Cohort) pickFetcherLocked(key blob.ChunkKey, ck *chunk, req cluster.No
 
 // pickHolderLocked chooses the published holder req reads from: the
 // nearest tier first, within it one that has given no copy before one
-// that has given one, and the first to announce among equals. A holder the
+// that has given one, and the first published among equals. A holder the
 // liveness registry reports dead is never eligible, even in the window
 // before dropDeadMember ran. any reports whether somebody other than req
 // holds the chunk at all, which tells a miss from a chunk whose copies are
