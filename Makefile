@@ -1,9 +1,10 @@
 # Developer entry points. CI runs the same commands (see
 # .github/workflows/ci.yml), so a green `make check` locally means a
 # green pipeline — except the staticcheck job, which needs the tool
-# installed (see the staticcheck target below).
+# installed (see the staticcheck target below), and CI's coverage gate
+# and fuzz smoke (`make fuzz`).
 
-.PHONY: build test race check fmt vet bench bench-check rebaseline fuzz examples staticcheck loc
+.PHONY: build test race check fmt vet bench bench-check rebaseline fuzz examples staticcheck loc loc-budget
 
 build:
 	go build ./...
@@ -16,8 +17,9 @@ test:
 race:
 	go test -race -timeout 20m ./...
 
+# fmt fails on any file gofmt would change, as CI's gofmt step does.
 fmt:
-	gofmt -l .
+	@out="$$(gofmt -l .)"; [ -z "$$out" ] || { echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; }
 
 vet:
 	go vet ./...
@@ -27,7 +29,7 @@ vet:
 # bench-check is CI's "bench harness" step: the frozen bench/ module
 # calls into internals (blob.NewClient, Repo.ArmFaultsRebased,
 # Cohort.Locate), and only compiling it proves they are still there.
-check: vet build race bench-check
+check: fmt vet build race bench-check loc-budget
 
 # examples builds and runs every examples/* program — executable
 # documentation of the public blobvfs API. Each must exit cleanly.
@@ -72,6 +74,12 @@ rebaseline:
 # budget to its own count.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs wc -l | tail -1 | awk '{print $$1}'
+
+# loc-budget is CI's line budget step: it fails when loc exceeds the
+# budget.
+loc-budget:
+	@loc=$$($(MAKE) -s loc); budget=$$(cat .github/loc-budget.txt); \
+	echo "non-test Go outside bench/: $$loc lines (budget $$budget)"; [ "$$loc" -le "$$budget" ]
 
 fuzz:
 	go test -run '^$$' -fuzz FuzzBuildVersion -fuzztime 20s ./internal/blob

@@ -35,7 +35,8 @@ type Config struct {
 	// WriteBuffer is the per-node asynchronous write-back buffer in
 	// bytes. Writers reserve buffer space and a background drainer pays
 	// the disk cost, which is the mechanism behind BlobSeer's fast
-	// asynchronous COMMIT acknowledgements (paper §5.3).
+	// asynchronous COMMIT acknowledgements (paper §5.3). Both classes of
+	// write-back share it; only a clean copy may wait for an idle disk.
 	WriteBuffer int64
 	// Topology optionally arranges the nodes into zones and racks with
 	// tiered links (see Topology). The zero value keeps the flat
@@ -104,8 +105,17 @@ type Fabric interface {
 	compute(ctx *Ctx, d float64)
 	rpc(ctx *Ctx, from, to NodeID, reqBytes, respBytes int64)
 	diskRead(ctx *Ctx, node NodeID, bytes int64)
-	diskWrite(ctx *Ctx, node NodeID, bytes int64, async bool)
+	diskWrite(ctx *Ctx, node NodeID, bytes int64, mode writeMode)
 }
+
+// writeMode is how a disk write reaches the platters.
+type writeMode uint8
+
+const (
+	writeSync writeMode = iota // the writer waits for the disk
+	writeBack                  // buffered, drained beside reads
+	writeIdle                  // buffered, drained while the disk is otherwise idle
+)
 
 // Ctx is the context of one activity (a simulated thread of control):
 // it knows which node it runs on and charges costs through its fabric.
@@ -147,13 +157,20 @@ func (c *Ctx) RPC(to NodeID, reqBytes, respBytes int64) {
 func (c *Ctx) DiskRead(node NodeID, bytes int64) { c.fab.diskRead(c, node, bytes) }
 
 // DiskWrite charges a synchronous write on node's local disk.
-func (c *Ctx) DiskWrite(node NodeID, bytes int64) { c.fab.diskWrite(c, node, bytes, false) }
+func (c *Ctx) DiskWrite(node NodeID, bytes int64) { c.fab.diskWrite(c, node, bytes, writeSync) }
 
 // DiskWriteAsync buffers a write in node's write-back buffer. The call
 // blocks only while the buffer is full; draining to disk proceeds in
-// the background. This models the asynchronous write strategy BlobSeer
-// uses to acknowledge COMMIT before data reaches the platters.
-func (c *Ctx) DiskWriteAsync(node NodeID, bytes int64) { c.fab.diskWrite(c, node, bytes, true) }
+// the background, sharing the disk equally with reads. This models the
+// asynchronous write strategy BlobSeer uses to acknowledge COMMIT
+// before data reaches the platters. It is for dirty data: the buffer
+// holds the only copy, which must not wait behind reads.
+func (c *Ctx) DiskWriteAsync(node NodeID, bytes int64) { c.fab.diskWrite(c, node, bytes, writeBack) }
+
+// DiskWriteIdle is DiskWriteAsync at idle priority (IOPRIO_CLASS_IDLE):
+// it drains only while node's disk has nothing else to serve. It is for
+// a clean copy of data stored elsewhere, which loses nothing by waiting.
+func (c *Ctx) DiskWriteIdle(node NodeID, bytes int64) { c.fab.diskWrite(c, node, bytes, writeIdle) }
 
 // Go spawns a new activity running fn on the given node.
 func (c *Ctx) Go(name string, node NodeID, fn func(*Ctx)) Task {

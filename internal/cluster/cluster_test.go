@@ -125,6 +125,50 @@ func TestSimAsyncWriteBackpressure(t *testing.T) {
 	}
 }
 
+// TestSimWriteBackPriority: ordinary write-back shares the disk with a
+// read; idle write-back leaves it to the read and drains after it, with
+// the same bytes and seek charged.
+func TestSimWriteBackPriority(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		write       func(*Ctx)
+		read, drain float64
+	}{
+		{"write-back shares", func(c *Ctx) { c.DiskWriteAsync(0, 50e6) }, 2.02, 2.02},
+		{"idle write-back waits", func(c *Ctx) { c.DiskWriteIdle(0, 50e6) }, 1.01, 2.02},
+	} {
+		f := NewSim(testConfig(2))
+		var read float64
+		f.Run(func(ctx *Ctx) {
+			tc.write(ctx)
+			ctx.DiskRead(0, 50e6)
+			read = ctx.Now()
+		})
+		if !almostEq(read, tc.read) || !almostEq(f.Now(), tc.drain) {
+			t.Errorf("%s: read done at %v, drain at %v; want %v, %v", tc.name, read, f.Now(), tc.read, tc.drain)
+		}
+	}
+}
+
+// TestSimIdleWriteOversized: an idle write larger than the buffer
+// bypasses it, and its caller waits for it at idle priority, not as a
+// foreground job that would slow a concurrent read.
+func TestSimIdleWriteOversized(t *testing.T) {
+	cfg := testConfig(2)
+	cfg.WriteBuffer = 10e6
+	f := NewSim(cfg)
+	var read, write float64
+	f.Run(func(ctx *Ctx) {
+		r := ctx.Go("read", 0, func(c *Ctx) { c.DiskRead(0, 50e6); read = c.Now() })
+		ctx.DiskWriteIdle(0, 20e6)
+		write = ctx.Now()
+		ctx.Wait(r)
+	})
+	if !almostEq(read, 1.01) || !almostEq(write, 1.42) {
+		t.Fatalf("read done at %v, write at %v; want 1.01, 1.42", read, write)
+	}
+}
+
 func TestSimDiskSharing(t *testing.T) {
 	f := NewSim(testConfig(2))
 	var d1, d2 float64

@@ -79,8 +79,8 @@ func (f *Live) rpc(_ *Ctx, from, to NodeID, reqBytes, respBytes int64) {
 	}
 }
 
-func (f *Live) diskRead(_ *Ctx, node NodeID, bytes int64)           { f.checkNode(node) }
-func (f *Live) diskWrite(_ *Ctx, node NodeID, bytes int64, _a bool) { f.checkNode(node) }
+func (f *Live) diskRead(_ *Ctx, node NodeID, bytes int64)               { f.checkNode(node) }
+func (f *Live) diskWrite(_ *Ctx, node NodeID, bytes int64, _ writeMode) { f.checkNode(node) }
 
 func (f *Live) checkNode(n NodeID) {
 	if n < 0 || int(n) >= f.cfg.Nodes {

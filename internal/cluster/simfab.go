@@ -20,7 +20,10 @@ import (
 //
 // Asynchronous writes: each node has a bounded write-back buffer drained
 // to disk in the background, giving the fast-then-degrading COMMIT
-// latencies the paper observes for BlobSeer (§5.3).
+// latencies the paper observes for BlobSeer (§5.3). Dirty data, whose
+// only copy is the buffer's, drains beside reads. A clean copy (a
+// mirror's fetched chunks) drains only while the disk is otherwise idle,
+// so a provider's reads on that disk (§3.1.1) do not queue behind it.
 type Sim struct {
 	cfg     Config
 	env     *sim.Env
@@ -280,25 +283,25 @@ func (f *Sim) diskRead(ctx *Ctx, node NodeID, bytes int64) {
 	f.disks[node].Use(ctx.Proc, float64(bytes)+f.seekCost())
 }
 
-func (f *Sim) diskWrite(ctx *Ctx, node NodeID, bytes int64, async bool) {
+func (f *Sim) diskWrite(ctx *Ctx, node NodeID, bytes int64, mode writeMode) {
 	f.checkNode(node)
 	if bytes <= 0 {
 		return
 	}
-	if !async {
-		f.disks[node].Use(ctx.Proc, float64(bytes)+f.seekCost())
+	buf := f.wbuf[node]
+	disk := f.disks[node]
+	work := float64(bytes) + f.seekCost()
+	if mode == writeSync || bytes > buf.Capacity() {
+		// Sync and oversized writes go straight to disk, at their own priority.
+		if mode == writeIdle {
+			disk.UseIdle(ctx.Proc, work)
+		} else {
+			disk.Use(ctx.Proc, work)
+		}
 		return
 	}
 	// Reserve buffer space (blocking only under backpressure), then
 	// drain to disk in the background and release the reservation.
-	buf := f.wbuf[node]
-	disk := f.disks[node]
-	work := float64(bytes) + f.seekCost()
-	if bytes > buf.Capacity() {
-		// Oversized writes bypass the buffer and go straight to disk.
-		disk.Use(ctx.Proc, work)
-		return
-	}
 	buf.Acquire(ctx.Proc, bytes)
 	// The drainer is a callback chain, not a process: a flash crowd
 	// issues one write-back per committed chunk, and parking a goroutine
@@ -307,7 +310,11 @@ func (f *Sim) diskWrite(ctx *Ctx, node NodeID, bytes int64, async bool) {
 	// the async completion fires at the event position the blocked
 	// drainer would have resumed at, so schedules are unchanged.
 	f.env.At(f.env.Now(), func() {
-		disk.UseAsync(work, func() { buf.Release(bytes) })
+		if mode == writeIdle {
+			disk.UseIdleAsync(work, func() { buf.Release(bytes) })
+		} else {
+			disk.UseAsync(work, func() { buf.Release(bytes) })
+		}
 	})
 }
 

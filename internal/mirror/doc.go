@@ -15,6 +15,10 @@
 // The control primitives CLONE and COMMIT — ioctls in the paper — are
 // the Image.Clone and Image.Commit methods.
 //
+// Guest writes are the only copy of their bytes until COMMIT, so their
+// write-back shares the disk with reads. Fetched chunks are a clean copy
+// of stored data, so theirs waits for an idle disk (DiskWriteIdle).
+//
 // When the module is attached to a peer-to-peer sharing cohort
 // (SetSharer), its node holds every chunk it mirrors clean — from the
 // fetch's landing, or the commit — so cohort siblings can fetch it from

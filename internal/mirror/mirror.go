@@ -141,8 +141,8 @@ type Image struct {
 	run struct{ end, bytes int64 }
 }
 
-// diskWriteAsync charges the write-back of a run; tests count through it.
-var diskWriteAsync = (*cluster.Ctx).DiskWriteAsync
+// diskWriteIdle charges the write-back of a run; tests count through it.
+var diskWriteIdle = (*cluster.Ctx).DiskWriteIdle
 
 // Open mirrors snapshot (id, v) as a local raw image file. If the
 // module holds persisted local state for this blob (from a previous
@@ -226,7 +226,7 @@ func (im *Image) Close(ctx *cluster.Ctx) {
 	im.run.bytes = 0
 	im.mu.Unlock()
 	// Write back the pending run, then the metadata next to the file.
-	diskWriteAsync(ctx, im.mod.node, tail)
+	diskWriteIdle(ctx, im.mod.node, tail)
 	ctx.DiskWrite(im.mod.node, n)
 	im.mod.mu.Lock()
 	im.mod.closed[id] = st
@@ -403,7 +403,7 @@ func (im *Image) access(ctx *cluster.Ctx, off, n int64, p []byte, write bool) er
 		s.Retract(ctx, retract)
 	}
 	// The mmap'd local file absorbs the write; the kernel writes back
-	// asynchronously (§4.2).
+	// asynchronously (§4.2), beside reads: until COMMIT this is the only copy.
 	ctx.DiskWriteAsync(im.mod.node, n)
 	return nil
 }
@@ -441,6 +441,9 @@ func (im *Image) fullyMirroredLocked(ci int64) bool {
 // fetch that starts where the pending run ends extends it; any other
 // writes the run back first, one seek per run. A run stays within half
 // the write buffer, so its write-back never waits on a drained buffer.
+// The run is a clean copy of chunks the repository holds, so it is
+// written back at idle priority and the disk serves reads first; dirty
+// bytes keep the guest write's own, normal-priority write-back.
 //
 // A chunk that a concurrent fetch (a guest read racing a commit's gap
 // fill) already merged while this one was in flight is skipped: its
@@ -507,8 +510,8 @@ func (im *Image) fetchChunks(ctx *cluster.Ctx, lo, hi int64) error {
 		tail, im.run.bytes = im.run.bytes, 0
 	}
 	im.mu.Unlock()
-	diskWriteAsync(ctx, im.mod.node, flush)
-	diskWriteAsync(ctx, im.mod.node, tail)
+	diskWriteIdle(ctx, im.mod.node, flush)
+	diskWriteIdle(ctx, im.mod.node, tail)
 	if len(retract) > 0 {
 		sharer.Retract(ctx, retract)
 	}

@@ -135,12 +135,12 @@ func newWriteBackRig(t *testing.T, cfg cluster.Config, size int64, chunk int) (*
 func TestWriteBehindRunsRace(t *testing.T) {
 	const size, chunk = 128 << 10, 4 << 10
 	var written atomic.Int64
-	orig := diskWriteAsync
-	diskWriteAsync = func(ctx *cluster.Ctx, node cluster.NodeID, n int64) {
+	orig := diskWriteIdle
+	diskWriteIdle = func(ctx *cluster.Ctx, node cluster.NodeID, n int64) {
 		written.Add(n)
 		orig(ctx, node, n)
 	}
-	t.Cleanup(func() { diskWriteAsync = orig })
+	t.Cleanup(func() { diskWriteIdle = orig })
 	for round := 0; round < 20; round++ {
 		rig := newRig(t, 4, size, chunk)
 		written.Store(0)
@@ -176,6 +176,56 @@ func TestWriteBehindRunsRace(t *testing.T) {
 			im.Close(ctx)
 			if w := written.Load(); w != st.RemoteBytesFetched {
 				t.Fatalf("round %d: wrote back %d bytes, fetched %d", round, w, st.RemoteBytesFetched)
+			}
+		})
+	}
+}
+
+// TestWriteBackPriority pins which write-back a read on the mirror's
+// node waits behind. A fetched run is a clean copy of what the
+// repository stores, so its write-back yields the disk: a read of one
+// chunk there, as a provider co-located with the mirror serves it, takes
+// one seek plus one chunk. A guest write is the only copy of its bytes,
+// so its write-back shares the disk with that read.
+func TestWriteBackPriority(t *testing.T) {
+	const chunk = 64 << 10
+	cfg := cluster.DefaultConfig(3)
+	alone := cfg.DiskSeek + chunk/cfg.DiskBandwidth
+	for _, tc := range []struct {
+		name string
+		load func(*cluster.Ctx, *Image) error
+		want float64
+	}{
+		{"a fetched run waits", func(ctx *cluster.Ctx, im *Image) error {
+			// The second fetch is not adjacent: it writes the first
+			// run, four chunks, back.
+			if err := im.Read(ctx, 0, 4*chunk); err != nil {
+				return err
+			}
+			return im.Read(ctx, 8*chunk, chunk)
+		}, alone},
+		{"a guest write shares", func(ctx *cluster.Ctx, im *Image) error {
+			return im.Write(ctx, 0, 4*chunk)
+		}, 2 * alone},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fab, mod, id, v := newWriteBackRig(t, cfg, 16*chunk, chunk)
+			var took float64
+			fab.Run(func(ctx *cluster.Ctx) {
+				im, err := mod.Open(ctx, id, v, false)
+				if err != nil {
+					t.Fatalf("open: %v", err)
+				}
+				if err := tc.load(ctx, im); err != nil {
+					t.Fatal(err)
+				}
+				start := ctx.Now()
+				ctx.DiskRead(0, chunk)
+				took = ctx.Now() - start
+				im.Close(ctx)
+			})
+			if math.Abs(took-tc.want) > 1e-9 {
+				t.Fatalf("read of one chunk took %.6f s, want %.6f", took, tc.want)
 			}
 		})
 	}

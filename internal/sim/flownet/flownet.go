@@ -99,9 +99,6 @@ func (n *Net) NewLink(name string, capacity float64) *Link {
 	return l
 }
 
-// Active returns the number of in-flight flows.
-func (n *Net) Active() int { return len(n.flows) }
-
 // Transfer moves bytes across the given links, blocking p until the
 // flow completes under max-min fair sharing with all concurrent flows.
 // A transfer with no links or zero bytes returns immediately.

@@ -128,11 +128,11 @@ func TestSemaphoreFIFONoBypass(t *testing.T) {
 		if admitted != ticket {
 			t.Errorf("seed %d: %d waiters queued but only %d admitted", seed, ticket, admitted)
 		}
-		if s.InUse() != 0 {
-			t.Errorf("seed %d: %d units still held after drain", seed, s.InUse())
+		if s.used != 0 {
+			t.Errorf("seed %d: %d units still held after drain", seed, s.used)
 		}
-		if s.Waiting() != 0 {
-			t.Errorf("seed %d: %d waiters still queued after drain", seed, s.Waiting())
+		if s.count != 0 {
+			t.Errorf("seed %d: %d waiters still queued after drain", seed, s.count)
 		}
 	}
 }

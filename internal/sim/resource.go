@@ -53,12 +53,6 @@ func NewSemaphore(env *Env, capacity int64) *Semaphore {
 // Capacity returns the total capacity.
 func (s *Semaphore) Capacity() int64 { return s.capacity }
 
-// InUse returns the number of units currently held.
-func (s *Semaphore) InUse() int64 { return s.used }
-
-// Waiting returns the number of queued processes.
-func (s *Semaphore) Waiting() int { return s.count }
-
 func (s *Semaphore) pushWaiter(w semWait) {
 	if s.count == len(s.waiters) {
 		grown := make([]semWait, 2*s.count+8)
@@ -139,12 +133,20 @@ func (s *Semaphore) Release(n int64) {
 // fair-sharing behaviour of an OS block layer or a NIC under many
 // streams far better than FCFS does, and is what shapes the contention
 // curves of the paper's figures.
+//
+// Background jobs (UseIdle, UseIdleAsync) share the capacity likewise,
+// but only while no foreground job (Use, UseAsync) is active: strict
+// priority, the block layer's idle I/O class. It suits work nothing is
+// lost by delaying, such as writing back a clean copy of data stored
+// elsewhere; dirty data, whose only copy waits, stays in the foreground.
+// The pool is work-conserving: it idles only with no job of either class.
 type PSPool struct {
 	env      *Env
 	name     string
 	capacity float64
-	jobs     []*psJob
-	last     float64 // virtual time of last remaining-work update
+	jobs     []*psJob // foreground, served whenever present
+	idle     []*psJob // background, served only while jobs is empty
+	last     float64  // virtual time of last remaining-work update
 	timer    *Event
 
 	// completeFn is the timer callback, bound once: taking the method
@@ -164,7 +166,7 @@ type PSPool struct {
 type psJob struct {
 	remaining float64
 	done      Cond
-	// fn, when set, is the completion callback of a UseAsync job; such
+	// fn, when set, is the completion callback of an async job; such
 	// jobs have no waiting process and signal through an event instead.
 	fn func()
 }
@@ -183,9 +185,6 @@ func NewPSPool(env *Env, name string, capacity float64) *PSPool {
 // Capacity returns the pool's total service rate.
 func (pool *PSPool) Capacity() float64 { return pool.capacity }
 
-// Active returns the number of in-progress jobs.
-func (pool *PSPool) Active() int { return len(pool.jobs) }
-
 func (pool *PSPool) getJob() *psJob {
 	if n := len(pool.freeJobs); n > 0 {
 		j := pool.freeJobs[n-1]
@@ -196,23 +195,42 @@ func (pool *PSPool) getJob() *psJob {
 	return &psJob{}
 }
 
-// insert adds a job of amount units. When it completes, fn runs (as a
-// zero-delay event) if set, and whoever waits on the job's done is
-// resumed if not: one event either way.
-func (pool *PSPool) insert(amount float64, fn func()) *psJob {
+// serving returns the class the pool serves now: the foreground jobs if
+// there are any, else the background ones.
+func (pool *PSPool) serving() *[]*psJob {
+	if len(pool.jobs) > 0 {
+		return &pool.jobs
+	}
+	return &pool.idle
+}
+
+// insert adds a job of amount units to the foreground class, or to the
+// background one if idle. When it completes, fn runs (as a zero-delay
+// event) if set, and whoever waits on the job's done is resumed if not:
+// one event either way.
+func (pool *PSPool) insert(amount float64, fn func(), idle bool) *psJob {
 	pool.advance()
 	job := pool.getJob()
 	job.remaining, job.fn = amount, fn
-	pool.jobs = append(pool.jobs, job)
+	if !idle {
+		pool.jobs = append(pool.jobs, job)
+	} else if pool.idle = append(pool.idle, job); len(pool.jobs) > 0 {
+		return job // not served until the foreground drains: the timer stands
+	}
 	pool.reschedule()
 	return job
 }
 
 // Use blocks p while `amount` units of work are serviced by the pool,
-// sharing capacity equally with all concurrent jobs.
-func (pool *PSPool) Use(p *Proc, amount float64) {
+// sharing capacity equally with all concurrent foreground jobs.
+func (pool *PSPool) Use(p *Proc, amount float64) { pool.use(p, amount, false) }
+
+// UseIdle is Use in the background class.
+func (pool *PSPool) UseIdle(p *Proc, amount float64) { pool.use(p, amount, true) }
+
+func (pool *PSPool) use(p *Proc, amount float64, idle bool) {
 	if amount > 0 {
-		pool.insert(amount, nil).done.Wait(p)
+		pool.insert(amount, nil, idle).done.Wait(p)
 	}
 }
 
@@ -220,26 +238,32 @@ func (pool *PSPool) Use(p *Proc, amount float64) {
 // zero-delay event) when they complete, without occupying a process:
 // the callback fires at exactly the virtual time — and event position —
 // at which a blocked Use call would have been resumed.
-func (pool *PSPool) UseAsync(amount float64, done func()) {
+func (pool *PSPool) UseAsync(amount float64, done func()) { pool.useAsync(amount, done, false) }
+
+// UseIdleAsync is UseAsync in the background class.
+func (pool *PSPool) UseIdleAsync(amount float64, done func()) { pool.useAsync(amount, done, true) }
+
+func (pool *PSPool) useAsync(amount float64, done func(), idle bool) {
 	if amount <= 0 {
 		pool.env.At(pool.env.now, done)
 		return
 	}
-	pool.insert(amount, done)
+	pool.insert(amount, done, idle)
 }
 
-// advance applies elapsed virtual time to every active job's remaining
+// advance applies elapsed virtual time to every served job's remaining
 // work at the rate in force since the last update.
 func (pool *PSPool) advance() {
 	now := pool.env.now
 	dt := now - pool.last
 	pool.last = now
-	if dt <= 0 || len(pool.jobs) == 0 {
+	jobs := *pool.serving()
+	if dt <= 0 || len(jobs) == 0 {
 		return
 	}
 	pool.BusyTime += dt
-	rate := pool.capacity / float64(len(pool.jobs))
-	for _, j := range pool.jobs {
+	rate := pool.capacity / float64(len(jobs))
+	for _, j := range jobs {
 		d := rate * dt
 		if d > j.remaining {
 			d = j.remaining
@@ -250,7 +274,8 @@ func (pool *PSPool) advance() {
 }
 
 // reschedule cancels any pending completion timer and schedules one for
-// the earliest job completion under the current sharing rate.
+// the earliest completion among the served jobs at the current sharing
+// rate.
 //
 // The completion instant is forced to be strictly after the current
 // time: with a large clock value and a tiny residual, now+dt can round
@@ -261,16 +286,17 @@ func (pool *PSPool) reschedule() {
 		pool.env.Cancel(pool.timer)
 		pool.timer = nil
 	}
-	if len(pool.jobs) == 0 {
+	jobs := *pool.serving()
+	if len(jobs) == 0 {
 		return
 	}
-	minRem := pool.jobs[0].remaining
-	for _, j := range pool.jobs[1:] {
+	minRem := jobs[0].remaining
+	for _, j := range jobs[1:] {
 		if j.remaining < minRem {
 			minRem = j.remaining
 		}
 	}
-	rate := pool.capacity / float64(len(pool.jobs))
+	rate := pool.capacity / float64(len(jobs))
 	target := pool.env.now + minRem/rate
 	if target <= pool.env.now {
 		target = math.Nextafter(pool.env.now, math.Inf(1))
@@ -278,23 +304,26 @@ func (pool *PSPool) reschedule() {
 	pool.timer = pool.env.At(target, pool.completeFn)
 }
 
-// complete fires when the earliest job should finish: it settles
-// remaining work, releases every finished job, and rearms the timer.
+// complete fires when the earliest served job should finish: it settles
+// remaining work, releases every finished job of the served class, and
+// rearms the timer.
 func (pool *PSPool) complete() {
 	pool.timer = nil
 	pool.advance()
+	served := pool.serving()
+	jobs := *served
 	// A job is done when its residual is float noise: below an absolute
 	// sub-unit bound, or below what one nanosecond of service at the
 	// current per-job rate would clear (residuals smaller than that are
 	// rounding artifacts of repeated advance() subtraction).
 	eps := 1e-6
-	if len(pool.jobs) > 0 {
-		if rateEps := pool.capacity / float64(len(pool.jobs)) * 1e-9; rateEps > eps {
+	if len(jobs) > 0 {
+		if rateEps := pool.capacity / float64(len(jobs)) * 1e-9; rateEps > eps {
 			eps = rateEps
 		}
 	}
-	kept := pool.jobs[:0]
-	for _, j := range pool.jobs {
+	kept := jobs[:0]
+	for _, j := range jobs {
 		if j.remaining <= eps {
 			if j.fn != nil {
 				pool.env.At(pool.env.now, j.fn)
@@ -309,9 +338,9 @@ func (pool *PSPool) complete() {
 		}
 	}
 	// Zero the tail so finished jobs are not retained by the backing array.
-	for i := len(kept); i < len(pool.jobs); i++ {
-		pool.jobs[i] = nil
+	for i := len(kept); i < len(jobs); i++ {
+		jobs[i] = nil
 	}
-	pool.jobs = kept
+	*served = kept
 	pool.reschedule()
 }

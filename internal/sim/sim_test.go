@@ -352,12 +352,12 @@ func TestSemaphoreTryAcquire(t *testing.T) {
 	if s.TryAcquire(3) {
 		t.Fatal("TryAcquire(3) with 3/5 used succeeded")
 	}
-	if s.InUse() != 3 {
-		t.Fatalf("InUse() = %d, want 3", s.InUse())
+	if s.used != 3 {
+		t.Fatalf("used = %d, want 3", s.used)
 	}
 	s.Release(3)
-	if s.InUse() != 0 {
-		t.Fatalf("InUse() = %d, want 0", s.InUse())
+	if s.used != 0 {
+		t.Fatalf("used = %d, want 0", s.used)
 	}
 }
 
