@@ -124,10 +124,7 @@ func main() {
 	}
 	for _, sc := range run {
 		start := time.Now()
-		for _, t := range sc.Tables(p, sz) {
-			t.Fprint(os.Stdout)
-			fmt.Println()
-		}
+		sc.Fprint(os.Stdout, p, sz)
 		fmt.Printf("(%s completed in %s)\n\n", sc.Name, time.Since(start).Round(time.Millisecond))
 	}
 }

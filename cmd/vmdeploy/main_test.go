@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -53,5 +55,27 @@ func TestParseSelectsScenarios(t *testing.T) {
 	if sz.Crowd != 10 || sz.Fig8 != 10 || sz.PerZone != 4 || sz.Ablations != 16 || sz.Kill != 3 ||
 		len(sz.Sweep) != 2 || sz.Sweep[1] != 4 {
 		t.Errorf("sizes = %+v", sz)
+	}
+}
+
+// TestQuickPrintsTheGoldens: vmdeploy prints a scenario through the
+// same Scenario.Fprint the goldens are pinned with, so `vmdeploy -quick
+// <name>` is testdata/golden/<name>.txt byte for byte, "completed in"
+// line aside. sync and fig67 are the two that take milliseconds.
+func TestQuickPrintsTheGoldens(t *testing.T) {
+	for _, name := range []string{"sync", "fig67"} {
+		p, sz, run, err := parse([]string{"-quick", name})
+		if err != nil || len(run) != 1 {
+			t.Fatalf("parse(-quick %s) selected %d scenarios (err %v)", name, len(run), err)
+		}
+		var b strings.Builder
+		run[0].Fprint(&b, p, sz)
+		want, err := os.ReadFile(filepath.Join("..", "..", "internal", "experiments", "testdata", "golden", name+".txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := b.String(); got != string(want) {
+			t.Errorf("vmdeploy -quick %s differs from its golden\n--- want\n%s--- got\n%s", name, want, got)
+		}
 	}
 }

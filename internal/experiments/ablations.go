@@ -41,19 +41,12 @@ func RunChunkSizeAblation(p Params, n int, sizes []int) []ChunkSizePoint {
 
 // ChunkSizeTable renders the ablation.
 func ChunkSizeTable(points []ChunkSizePoint) *metrics.Table {
-	t := &metrics.Table{
-		Title:   "Ablation: chunk size trade-off (§3.1.3), our approach",
-		Columns: []string{"chunk size (KB)", "avg boot (s)", "completion (s)", "traffic (GB)"},
-	}
-	for _, pt := range points {
-		t.AddRow(
-			itoa(pt.ChunkSize>>10),
-			ftoa(pt.AvgBoot),
-			ftoa(pt.Completion),
-			fmt.Sprintf("%.3f", pt.TrafficGB),
-		)
-	}
-	return t
+	return table("Ablation: chunk size trade-off (§3.1.3), our approach", points,
+		col[ChunkSizePoint]{"chunk size (KB)", func(pt ChunkSizePoint) string { return itoa(pt.ChunkSize >> 10) }},
+		col[ChunkSizePoint]{"avg boot (s)", func(pt ChunkSizePoint) string { return ftoa(pt.AvgBoot) }},
+		col[ChunkSizePoint]{"completion (s)", func(pt ChunkSizePoint) string { return ftoa(pt.Completion) }},
+		col[ChunkSizePoint]{"traffic (GB)", func(pt ChunkSizePoint) string { return fmt.Sprintf("%.3f", pt.TrafficGB) }},
+	)
 }
 
 // ReplicationPoint is one replication-degree ablation measurement.
@@ -83,13 +76,14 @@ func RunReplicationAblation(p Params, n int, degrees []int) []ReplicationPoint {
 		// image from a fresh client on another node. With a single
 		// replica, chunks homed on the dead provider are lost.
 		point.SurvivesOne = true
+		probe := min(256, (pr.ImageSize+int64(pr.ChunkSize)-1)/int64(pr.ChunkSize)) // chunks, from the image's start
 		env.Run(func(ctx *cluster.Ctx) {
 			if err := env.Repo.ArmFaults(ctx); err != nil {
 				panic(err)
 			}
 			done := ctx.Go("probe", env.Nodes[1%len(env.Nodes)], func(cc *cluster.Ctx) {
 				c := blob.NewClient(env.Sys)
-				if _, err := c.FetchChunks(cc, env.Base.Image, env.Base.Version, 0, min(256, imageChunks(pr))); err != nil {
+				if _, err := c.FetchChunks(cc, env.Base.Image, env.Base.Version, 0, probe); err != nil {
 					point.SurvivesOne = false
 				}
 			})
@@ -102,16 +96,10 @@ func RunReplicationAblation(p Params, n int, degrees []int) []ReplicationPoint {
 
 // ReplicationTable renders the ablation.
 func ReplicationTable(points []ReplicationPoint) *metrics.Table {
-	t := &metrics.Table{
-		Title:   "Ablation: replication degree (§3.1.3), our approach",
-		Columns: []string{"replicas", "deploy completion (s)", "raw storage (GB)", "survives provider loss"},
-	}
-	for _, pt := range points {
-		t.AddRow(itoa(pt.Replicas), ftoa(pt.Completion), fmt.Sprintf("%.3f", pt.StorageGB), yesNo(pt.SurvivesOne))
-	}
-	return t
-}
-
-func imageChunks(p Params) int64 {
-	return (p.ImageSize + int64(p.ChunkSize) - 1) / int64(p.ChunkSize)
+	return table("Ablation: replication degree (§3.1.3), our approach", points,
+		col[ReplicationPoint]{"replicas", func(pt ReplicationPoint) string { return itoa(pt.Replicas) }},
+		col[ReplicationPoint]{"deploy completion (s)", func(pt ReplicationPoint) string { return ftoa(pt.Completion) }},
+		col[ReplicationPoint]{"raw storage (GB)", func(pt ReplicationPoint) string { return fmt.Sprintf("%.3f", pt.StorageGB) }},
+		col[ReplicationPoint]{"survives provider loss", func(pt ReplicationPoint) string { return yesNo(pt.SurvivesOne) }},
+	)
 }

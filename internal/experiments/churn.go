@@ -129,30 +129,16 @@ func RunChurn(p Params, cc ChurnConfig) ChurnPoint {
 
 // ChurnTable renders a churn run as a per-cycle footprint trace.
 func ChurnTable(pt ChurnPoint) *metrics.Table {
-	title := fmt.Sprintf(
-		"Churn: %d instances × %d snapshot cycles, keep-last-%d retention (p2p sharing off)",
-		pt.Instances, pt.Cycles, pt.KeepLast)
+	retention := fmt.Sprintf("keep-last-%d retention (p2p sharing off)", pt.KeepLast)
 	if pt.KeepLast == 0 {
-		title = fmt.Sprintf(
-			"Churn: %d instances × %d snapshot cycles, no retention (unbounded baseline)",
-			pt.Instances, pt.Cycles)
+		retention = "no retention (unbounded baseline)"
 	}
-	t := &metrics.Table{
-		Title: title,
-		Columns: []string{
-			"cycle", "live chunks", "stored (MB)", "meta nodes",
-			"reclaimed chunks (cum)", "retired versions",
-		},
-	}
-	for _, s := range pt.PerCycle {
-		t.AddRow(
-			itoa(s.Cycle),
-			itoa(s.Chunks),
-			ftoa(s.StoredMB),
-			itoa(s.MetaNodes),
-			i64(s.Reclaimed),
-			itoa(s.Retired),
-		)
-	}
-	return t
+	return table(fmt.Sprintf("Churn: %d instances × %d snapshot cycles, %s", pt.Instances, pt.Cycles, retention), pt.PerCycle,
+		col[ChurnCycle]{"cycle", func(c ChurnCycle) string { return itoa(c.Cycle) }},
+		col[ChurnCycle]{"live chunks", func(c ChurnCycle) string { return itoa(c.Chunks) }},
+		col[ChurnCycle]{"stored (MB)", func(c ChurnCycle) string { return ftoa(c.StoredMB) }},
+		col[ChurnCycle]{"meta nodes", func(c ChurnCycle) string { return itoa(c.MetaNodes) }},
+		col[ChurnCycle]{"reclaimed chunks (cum)", func(c ChurnCycle) string { return i64(c.Reclaimed) }},
+		col[ChurnCycle]{"retired versions", func(c ChurnCycle) string { return itoa(c.Retired) }},
+	)
 }

@@ -70,29 +70,17 @@ func RunCrossZone(p Params, cz CrossZoneConfig) CrowdPoint {
 // CrossZoneTable renders a flat-vs-aware comparison; the cross-zone
 // column is the headline.
 func CrossZoneTable(points []CrowdPoint) *metrics.Table {
-	t := &metrics.Table{
-		Title: "Cross-zone flash crowd: one image deployed over " +
-			"zoned fabric, flat policy vs topology-aware",
-		Columns: []string{
-			"zones", "inst/zone", "aware", "p2p sharing", "completion (s)",
-			"cross-zone (GB)", "zone-local (GB)", "rack-local (GB)",
-			"provider reads", "hottest provider", "peer reads",
-		},
-	}
-	for _, pt := range points {
-		t.AddRow(
-			itoa(pt.Zones),
-			itoa(pt.Instances/pt.Zones),
-			onOff(pt.Aware),
-			onOff(pt.Sharing),
-			ftoa(pt.Completion),
-			gbs(pt.CrossZoneBytes),
-			gbs(pt.TierBytes[cluster.TierZone]),
-			gbs(pt.TierBytes[cluster.TierRack]),
-			i64(pt.ProviderReads),
-			i64(pt.MaxProviderReads),
-			i64(pt.PeerReads),
-		)
-	}
-	return t
+	return table("Cross-zone flash crowd: one image deployed over zoned fabric, flat policy vs topology-aware", points,
+		col[CrowdPoint]{"zones", func(pt CrowdPoint) string { return itoa(pt.Zones) }},
+		col[CrowdPoint]{"inst/zone", func(pt CrowdPoint) string { return itoa(pt.Instances / pt.Zones) }},
+		col[CrowdPoint]{"aware", func(pt CrowdPoint) string { return onOff(pt.Aware) }},
+		crowdSharing,
+		crowdCompletion,
+		col[CrowdPoint]{"cross-zone (GB)", func(pt CrowdPoint) string { return gbs(pt.CrossZoneBytes) }},
+		col[CrowdPoint]{"zone-local (GB)", func(pt CrowdPoint) string { return gbs(pt.TierBytes[cluster.TierZone]) }},
+		col[CrowdPoint]{"rack-local (GB)", func(pt CrowdPoint) string { return gbs(pt.TierBytes[cluster.TierRack]) }},
+		crowdProviderReads,
+		crowdHottest,
+		crowdPeerReads,
+	)
 }

@@ -47,7 +47,6 @@ type CrowdPoint struct {
 	PeerReads         int64 // chunk reads served by cohort peers
 	MetaGets          int64 // metadata service operations (after batching)
 	MetaNodes         int64 // tree nodes served (MetaNodes/MetaGets = batching factor)
-	P2P               p2p.Stats
 
 	Failovers     int64 // reads a dead primary pushed onto another copy
 	Rereplicated  int64 // chunk copies re-created after a death
@@ -58,8 +57,21 @@ type CrowdPoint struct {
 	MetaFailovers    int64 // metadata gets a dead replica pushed onto a survivor
 	MetaRereplicated int64 // tree-node copies restored by repair sweeps
 	FailedDescents   int64 // metadata gets with no live replica (must be 0)
-	VMFailovers      int64 // manager ops served by a journal standby
 }
+
+// The crowd columns two or more crowd tables show. Each crowd table
+// selects from them; a column only one table shows sits in that
+// table's list.
+var (
+	crowdInstances     = col[CrowdPoint]{"instances", func(pt CrowdPoint) string { return itoa(pt.Instances) }}
+	crowdProviders     = col[CrowdPoint]{"providers", func(pt CrowdPoint) string { return itoa(pt.Providers) }}
+	crowdSharing       = col[CrowdPoint]{"p2p sharing", func(pt CrowdPoint) string { return onOff(pt.Sharing) }}
+	crowdBooted        = col[CrowdPoint]{"booted", func(pt CrowdPoint) string { return itoa(pt.Booted) }}
+	crowdCompletion    = col[CrowdPoint]{"completion (s)", func(pt CrowdPoint) string { return ftoa(pt.Completion) }}
+	crowdProviderReads = col[CrowdPoint]{"provider reads", func(pt CrowdPoint) string { return i64(pt.ProviderReads) }}
+	crowdHottest       = col[CrowdPoint]{"hottest provider", func(pt CrowdPoint) string { return i64(pt.MaxProviderReads) }}
+	crowdPeerReads     = col[CrowdPoint]{"peer reads", func(pt CrowdPoint) string { return i64(pt.PeerReads) }}
+)
 
 // sharingOption turns the p2p chunk-sharing layer on with the protocol
 // defaults, or returns nothing.
@@ -127,7 +139,6 @@ func deployCrowd(env *Env, pt CrowdPoint) CrowdPoint {
 	pt.MetaGets = sys.Meta.Gets.Load() - gets0
 	pt.MetaNodes = sys.Meta.NodesServed.Load() - nodes0
 	if st, ok := env.Repo.SharingStats(env.Base.Image); ok {
-		pt.P2P = st
 		pt.PeerReads = st.PeerHits
 		pt.DeadDropped = st.DeadDropped
 	}
@@ -137,6 +148,5 @@ func deployCrowd(env *Env, pt CrowdPoint) CrowdPoint {
 	pt.MetaFailovers = sys.Meta.Failovers.Load()
 	pt.MetaRereplicated = sys.Meta.Rereplicated.Load()
 	pt.FailedDescents = sys.Meta.FailedGets.Load()
-	pt.VMFailovers = sys.VM.Failovers.Load()
 	return pt
 }

@@ -91,25 +91,15 @@ func degradedEnv(p Params, dc *DegradedConfig) *Env {
 
 // DegradedTable renders a healthy-vs-degraded comparison.
 func DegradedTable(points []CrowdPoint) *metrics.Table {
-	t := &metrics.Table{
-		Title: "Degraded deployment: flash crowd while providers fail mid-run",
-		Columns: []string{
-			"instances", "providers", "killed", "booted", "completion (s)",
-			"failovers", "re-replicated", "failed fetches", "peer reads",
-		},
-	}
-	for _, pt := range points {
-		t.AddRow(
-			itoa(pt.Instances),
-			itoa(pt.Providers),
-			itoa(pt.Killed),
-			itoa(pt.Booted),
-			ftoa(pt.Completion),
-			i64(pt.Failovers),
-			i64(pt.Rereplicated),
-			i64(pt.FailedFetches),
-			i64(pt.PeerReads),
-		)
-	}
-	return t
+	return table("Degraded deployment: flash crowd while providers fail mid-run", points,
+		crowdInstances,
+		crowdProviders,
+		col[CrowdPoint]{"killed", func(pt CrowdPoint) string { return itoa(pt.Killed) }},
+		crowdBooted,
+		crowdCompletion,
+		col[CrowdPoint]{"failovers", func(pt CrowdPoint) string { return i64(pt.Failovers) }},
+		col[CrowdPoint]{"re-replicated", func(pt CrowdPoint) string { return i64(pt.Rereplicated) }},
+		col[CrowdPoint]{"failed fetches", func(pt CrowdPoint) string { return i64(pt.FailedFetches) }},
+		crowdPeerReads,
+	)
 }

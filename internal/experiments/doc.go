@@ -11,8 +11,12 @@
 //     simulation with an orchestrator (NewEnv is the paper's setup);
 //   - a scenario (RunFig4 … RunSync) is defaults → layout → options →
 //     run; the crowd scenarios share one measured phase and one report
-//     (deployCrowd and CrowdPoint, crowd.go) and differ in the columns
-//     their tables select;
-//   - Suite (suite.go) lists the scenarios with the tables each prints;
-//     cmd/vmdeploy runs it and testdata/golden pins it.
+//     (deployCrowd and CrowdPoint, crowd.go);
+//   - a scenario's table is a list of columns, each a header and the
+//     func that renders one record's cell (col), and table (suite.go)
+//     renders any such list: the columns the crowd tables share sit
+//     beside CrowdPoint, and sweepPanel lays out Fig. 4 and Fig. 5;
+//   - Suite (suite.go) lists the scenarios with the tables each prints,
+//     and Scenario.Fprint prints them: cmd/vmdeploy runs it and
+//     testdata/golden pins it.
 package experiments

@@ -172,23 +172,12 @@ func (e *Env) provisionAll(ctx *cluster.Ctx, wr *sim.RNG) []*middleware.Instance
 		if err != nil || wr == nil {
 			return err
 		}
-		return SnapshotWrites(cc, inst.Disk, e.P.SnapshotDiff, int64(e.P.ChunkSize), rngs[inst.Index])
+		return SnapshotWritesIn(cc, inst.Disk, e.P.SnapshotDiff, int64(e.P.ChunkSize), 0, rngs[inst.Index])
 	})
 	if err != nil {
 		panic(err)
 	}
 	return instances
-}
-
-// SnapshotWrites applies the §5.3 local-modification pattern to a
-// disk: ~diff bytes of configuration files and contextualization
-// state, written as run-sized sequential bursts at scattered spots.
-// Bursts are aligned to the run length: the guest writes whole small
-// files, so by snapshot time the dirty chunks are fully local and the
-// measured snapshot cost is shipping the diff, exactly as in the
-// paper's experiment.
-func SnapshotWrites(ctx *cluster.Ctx, disk vmmodel.VirtualDisk, diff int64, runLen int64, rng *sim.RNG) error {
-	return SnapshotWritesIn(ctx, disk, diff, runLen, disk.Size(), rng)
 }
 
 // hotWindow is the working set the churn and sync scenarios confine
@@ -198,10 +187,16 @@ func SnapshotWrites(ctx *cluster.Ctx, disk vmmodel.VirtualDisk, diff int64, runL
 // snapshots' chunks unreachable and reclaimable.
 func (p Params) hotWindow() int64 { return min(4*p.SnapshotDiff, p.ImageSize) }
 
-// SnapshotWritesIn is SnapshotWrites confined to the first window
-// bytes of the disk — the churn scenario's hot working set: writes
-// that land on the same spots cycle after cycle are what make old
-// snapshots' chunks unreachable once retention retires them.
+// SnapshotWritesIn applies the §5.3 local-modification pattern to the
+// first window bytes of a disk (window 0: the whole disk): ~diff bytes
+// of configuration files and contextualization state, written as
+// run-sized sequential bursts at scattered spots. Bursts are aligned to
+// the run length: the guest writes whole small files, so by snapshot
+// time the dirty chunks are fully local and the measured snapshot cost
+// is shipping the diff, exactly as in the paper's experiment. The churn
+// and sync scenarios confine it to their hot window: writes that land
+// on the same spots cycle after cycle are what make old snapshots'
+// chunks unreachable once retention retires them.
 func SnapshotWritesIn(ctx *cluster.Ctx, disk vmmodel.VirtualDisk, diff int64, runLen int64, window int64, rng *sim.RNG) error {
 	if runLen <= 0 {
 		runLen = 256 << 10

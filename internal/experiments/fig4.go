@@ -52,42 +52,27 @@ func runFig4Point(p Params, n int, a Approach, opts ...blobvfs.Option) Fig4Point
 
 // Tables renders the paper's four panels from the sweep.
 func (r *Fig4Result) Tables() []*metrics.Table {
-	mk := func(title string, f func(pt Fig4Point) float64, format string) *metrics.Table {
-		var series []*metrics.Series
-		add := func(name string, pts []Fig4Point) {
-			s := &metrics.Series{Name: name}
-			for _, pt := range pts {
-				s.Add(float64(pt.Instances), f(pt))
-			}
-			series = append(series, s)
-		}
-		for _, a := range []Approach{TaktukPreprop, QcowOverPVFS, OurApproach} {
-			add(a.String(), r.Series[a])
-		}
-		add("our approach, p2p sharing", r.Shared)
-		return metrics.FromSeries(title, "instances", format, series...)
-	}
-	avg := mk("Fig 4(a): average time to boot per instance (s)",
-		func(pt Fig4Point) float64 { return pt.AvgBoot }, "%.2f")
-	total := mk("Fig 4(b): completion time to boot all instances (s)",
-		func(pt Fig4Point) float64 { return pt.Completion }, "%.2f")
-	traffic := mk("Fig 4(d): total network traffic (GB)",
-		func(pt Fig4Point) float64 { return pt.TrafficGB }, "%.2f")
-
-	// Fig. 4(c): speedup of our approach's completion time.
-	speedup := &metrics.Table{
-		Title:   "Fig 4(c): speedup of completion time for our approach",
-		Columns: []string{"instances", "speedup vs. taktuk", "speedup vs. qcow2 over PVFS"},
-	}
-	for i := range r.Sweep {
-		ours := r.Series[OurApproach][i].Completion
-		vsT := r.Series[TaktukPreprop][i].Completion / ours
-		vsQ := r.Series[QcowOverPVFS][i].Completion / ours
-		speedup.AddRow(
-			itoa(r.Sweep[i]),
-			ftoa(vsT),
-			ftoa(vsQ),
+	panel := func(title string, cell func(Fig4Point) string) *metrics.Table {
+		return sweepPanel(title, r.Sweep,
+			seriesCol(TaktukPreprop.String(), r.Series[TaktukPreprop], cell),
+			seriesCol(QcowOverPVFS.String(), r.Series[QcowOverPVFS], cell),
+			seriesCol(OurApproach.String(), r.Series[OurApproach], cell),
+			seriesCol("our approach, p2p sharing", r.Shared, cell),
 		)
 	}
-	return []*metrics.Table{avg, total, speedup, traffic}
+	// Fig. 4(c): the speedup of our approach's completion time over a.
+	speedup := func(name string, a Approach) col[int] {
+		return col[int]{name, func(i int) string {
+			return ftoa(r.Series[a][i].Completion / r.Series[OurApproach][i].Completion)
+		}}
+	}
+	return []*metrics.Table{
+		panel("Fig 4(a): average time to boot per instance (s)", func(pt Fig4Point) string { return ftoa(pt.AvgBoot) }),
+		panel("Fig 4(b): completion time to boot all instances (s)", func(pt Fig4Point) string { return ftoa(pt.Completion) }),
+		sweepPanel("Fig 4(c): speedup of completion time for our approach", r.Sweep,
+			speedup("speedup vs. taktuk", TaktukPreprop),
+			speedup("speedup vs. qcow2 over PVFS", QcowOverPVFS),
+		),
+		panel("Fig 4(d): total network traffic (GB)", func(pt Fig4Point) string { return ftoa(pt.TrafficGB) }),
+	}
 }

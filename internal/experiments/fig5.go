@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+
 	"blobvfs/internal/cluster"
 	"blobvfs/internal/metrics"
 	"blobvfs/internal/middleware"
@@ -59,19 +61,14 @@ func runFig5Point(p Params, n int, a Approach) Fig5Point {
 
 // Tables renders the two panels of Fig. 5.
 func (r *Fig5Result) Tables() []*metrics.Table {
-	mk := func(title string, f func(pt Fig5Point) float64) *metrics.Table {
-		var series []*metrics.Series
-		for _, a := range []Approach{QcowOverPVFS, OurApproach} {
-			s := &metrics.Series{Name: a.String()}
-			for _, pt := range r.Series[a] {
-				s.Add(float64(pt.Instances), f(pt))
-			}
-			series = append(series, s)
-		}
-		return metrics.FromSeries(title, "instances", "%.3f", series...)
+	panel := func(title string, cell func(Fig5Point) string) *metrics.Table {
+		return sweepPanel(title, r.Sweep,
+			seriesCol(QcowOverPVFS.String(), r.Series[QcowOverPVFS], cell),
+			seriesCol(OurApproach.String(), r.Series[OurApproach], cell),
+		)
 	}
 	return []*metrics.Table{
-		mk("Fig 5(a): average time to snapshot an instance (s)", func(pt Fig5Point) float64 { return pt.AvgTime }),
-		mk("Fig 5(b): completion time to snapshot all instances (s)", func(pt Fig5Point) float64 { return pt.Completion }),
+		panel("Fig 5(a): average time to snapshot an instance (s)", func(pt Fig5Point) string { return fmt.Sprintf("%.3f", pt.AvgTime) }),
+		panel("Fig 5(b): completion time to snapshot all instances (s)", func(pt Fig5Point) string { return fmt.Sprintf("%.3f", pt.Completion) }),
 	}
 }

@@ -23,22 +23,33 @@ func RunFig67(cfg workloads.BonnieConfig) *Fig67Result {
 	}
 }
 
+// bonnieRow is one bar pair of Fig. 6 or Fig. 7: a Bonnie++ metric on
+// both paths.
+type bonnieRow struct {
+	name        string
+	local, ours int64
+}
+
 // Tables renders Fig. 6 (throughput) and Fig. 7 (operations/s).
 func (r *Fig67Result) Tables() []*metrics.Table {
-	fig6 := &metrics.Table{
-		Title:   "Fig 6: Bonnie++ sustained throughput (KB/s), 8K blocks",
-		Columns: []string{"access pattern", "local", "our-approach"},
+	cols := func(metric string) []col[bonnieRow] {
+		return []col[bonnieRow]{
+			{metric, func(b bonnieRow) string { return b.name }},
+			{"local", func(b bonnieRow) string { return i64(b.local) }},
+			{"our-approach", func(b bonnieRow) string { return i64(b.ours) }},
+		}
 	}
-	fig6.AddRow("BlockW", i64(r.Local.BlockWriteKBps), i64(r.Ours.BlockWriteKBps))
-	fig6.AddRow("BlockR", i64(r.Local.BlockReadKBps), i64(r.Ours.BlockReadKBps))
-	fig6.AddRow("BlockO", i64(r.Local.BlockRewrKBps), i64(r.Ours.BlockRewrKBps))
-
-	fig7 := &metrics.Table{
-		Title:   "Fig 7: Bonnie++ operations per second",
-		Columns: []string{"operation type", "local", "our-approach"},
+	l, o := r.Local, r.Ours
+	return []*metrics.Table{
+		table("Fig 6: Bonnie++ sustained throughput (KB/s), 8K blocks", []bonnieRow{
+			{"BlockW", l.BlockWriteKBps, o.BlockWriteKBps},
+			{"BlockR", l.BlockReadKBps, o.BlockReadKBps},
+			{"BlockO", l.BlockRewrKBps, o.BlockRewrKBps},
+		}, cols("access pattern")...),
+		table("Fig 7: Bonnie++ operations per second", []bonnieRow{
+			{"RndSeek", l.SeeksPerSec, o.SeeksPerSec},
+			{"CreatF", l.CreatesPerSec, o.CreatesPerSec},
+			{"DelF", l.DeletesPerSec, o.DeletesPerSec},
+		}, cols("operation type")...),
 	}
-	fig7.AddRow("RndSeek", i64(r.Local.SeeksPerSec), i64(r.Ours.SeeksPerSec))
-	fig7.AddRow("CreatF", i64(r.Local.CreatesPerSec), i64(r.Ours.CreatesPerSec))
-	fig7.AddRow("DelF", i64(r.Local.DeletesPerSec), i64(r.Ours.DeletesPerSec))
-	return []*metrics.Table{fig6, fig7}
 }

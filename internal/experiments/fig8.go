@@ -49,66 +49,56 @@ func RunFig8(p Params, instances int) *Fig8Result {
 		Completion: map[Fig8Setting]map[Approach]float64{Uninterrupted: {}, SuspendResume: {}},
 	}
 	for _, a := range []Approach{TaktukPreprop, QcowOverPVFS, OurApproach} {
-		res.Completion[Uninterrupted][a] = runFig8Uninterrupted(p, instances, a)
+		res.Completion[Uninterrupted][a] = runFig8(p, instances, a, false)
 	}
 	for _, a := range []Approach{QcowOverPVFS, OurApproach} {
-		res.Completion[SuspendResume][a] = runFig8SuspendResume(p, instances, a)
+		res.Completion[SuspendResume][a] = runFig8(p, instances, a, true)
 	}
 	return res
 }
 
-func runFig8Uninterrupted(p Params, n int, a Approach) float64 {
+// runFig8 deploys n instances under a and runs the Monte Carlo
+// computation on all of them, returning the deployment's completion
+// time. With suspend, the deployment computes half, is snapshotted and
+// terminated, and every instance resumes on the next node over for the
+// other half.
+func runFig8(p Params, n int, a Approach, suspend bool) float64 {
 	env := NewEnv(p, n, a)
+	compute := p.MonteCarlo.ComputeSeconds
+	if suspend {
+		compute /= 2
+	}
 	var completion float64
 	env.Run(func(ctx *cluster.Ctx) {
 		start := ctx.Now()
 		dep := env.deploy(ctx)
 		err := env.Orch.RunOnAll(ctx, dep.Instances, func(cc *cluster.Ctx, inst *middleware.Instance) error {
-			return workloads.RunMonteCarloPhase(cc, inst.Disk, p.MonteCarlo, p.MonteCarlo.ComputeSeconds)
+			return workloads.RunMonteCarloPhase(cc, inst.Disk, p.MonteCarlo, compute)
 		})
 		if err != nil {
 			panic(err)
 		}
-		completion = ctx.Now() - start
-	})
-	return completion
-}
-
-func runFig8SuspendResume(p Params, n int, a Approach) float64 {
-	env := NewEnv(p, n, a)
-	half := p.MonteCarlo.ComputeSeconds / 2
-	var completion float64
-	env.Run(func(ctx *cluster.Ctx) {
-		start := ctx.Now()
-		dep := env.deploy(ctx)
-		// First half of the computation.
-		err := env.Orch.RunOnAll(ctx, dep.Instances, func(cc *cluster.Ctx, inst *middleware.Instance) error {
-			return workloads.RunMonteCarloPhase(cc, inst.Disk, p.MonteCarlo, half)
-		})
-		if err != nil {
-			panic(err)
-		}
-		// Snapshot everything, then terminate.
-		if _, err := env.Orch.SnapshotAll(ctx, dep.Instances); err != nil {
-			panic(err)
-		}
-		// Resume every instance on the next node over (fresh caches:
-		// nothing of the image is local there), reboot, re-read the
-		// saved state, and finish the computation.
-		errs := make([]error, n)
-		var tasks []cluster.Task
-		for i := range dep.Instances {
-			i := i
-			inst := dep.Instances[i]
-			newNode := env.Nodes[(i+1)%len(env.Nodes)]
-			tasks = append(tasks, ctx.Go("resume", newNode, func(cc *cluster.Ctx) {
-				errs[i] = resumeInstance(cc, env, inst, newNode, i, half)
-			}))
-		}
-		ctx.WaitAll(tasks)
-		for _, err := range errs {
-			if err != nil {
+		if suspend {
+			// Snapshot everything, then terminate.
+			if _, err := env.Orch.SnapshotAll(ctx, dep.Instances); err != nil {
 				panic(err)
+			}
+			// Resume every instance on the next node over (fresh caches:
+			// nothing of the image is local there), reboot, re-read the
+			// saved state, and finish the computation.
+			errs := make([]error, n)
+			var tasks []cluster.Task
+			for i, inst := range dep.Instances {
+				newNode := env.Nodes[(i+1)%len(env.Nodes)]
+				tasks = append(tasks, ctx.Go("resume", newNode, func(cc *cluster.Ctx) {
+					errs[i] = resumeInstance(cc, env, inst, newNode, i, compute)
+				}))
+			}
+			ctx.WaitAll(tasks)
+			for _, err := range errs {
+				if err != nil {
+					panic(err)
+				}
 			}
 		}
 		completion = ctx.Now() - start
@@ -119,74 +109,63 @@ func runFig8SuspendResume(p Params, n int, a Approach) float64 {
 // resumeInstance restores one instance from its snapshot on a fresh
 // node and runs the remaining computation.
 func resumeInstance(cc *cluster.Ctx, env *Env, inst *middleware.Instance, node cluster.NodeID, i int, remaining float64) error {
-	p := env.P
+	mc := env.P.MonteCarlo
 	var disk vmmodel.VirtualDisk
+	var restore func() error // reads the intermediate results back
 	switch b := env.Backend.(type) {
 	case *middleware.MirrorBackend:
-		d := inst.Disk.(*blobvfs.Disk)
 		// The committed snapshot is a standalone raw image: mirror it.
-		reopened, err := b.OpenOn(cc, node, d.Current())
+		reopened, err := b.OpenOn(cc, node, inst.Disk.(*blobvfs.Disk).Current())
 		if err != nil {
 			return err
 		}
 		disk = reopened
+		restore = func() error { return disk.Read(cc, mc.SaveOffset, mc.SaveBytes) }
 	case *middleware.QcowBackend:
 		// A fresh CoW image over the base; the instance's saved state
-		// lives in its snapshot file on PVFS and is read back below.
+		// lives in its snapshot file on PVFS.
 		nd, err := b.Provision(cc, i, node)
 		if err != nil {
 			return err
 		}
 		disk = nd
+		restore = func() error {
+			snap := b.LastSnapshot(i)
+			if snap == "" {
+				return fmt.Errorf("experiments: instance %d has no snapshot to resume from", i)
+			}
+			f, err := b.FS.Open(cc, snap)
+			if err != nil {
+				return err
+			}
+			return f.ReadAt(cc, nil, 0, min(mc.SaveBytes, f.Size()))
+		}
 	default:
 		return fmt.Errorf("experiments: resume unsupported for backend %T", env.Backend)
 	}
-	// Reboot the instance on the fresh node.
+	// Reboot the instance on the fresh node, then recover the
+	// intermediate results.
 	vm := &vmmodel.VM{Node: node, Disk: disk}
-	trace := env.Orch.TraceFor(i)
-	if err := vm.Boot(cc, trace); err != nil {
+	if err := vm.Boot(cc, env.Orch.TraceFor(i)); err != nil {
 		return err
 	}
-	// Recover the intermediate results.
-	switch b := env.Backend.(type) {
-	case *middleware.MirrorBackend:
-		if err := disk.Read(cc, p.MonteCarlo.SaveOffset, p.MonteCarlo.SaveBytes); err != nil {
-			return err
-		}
-	case *middleware.QcowBackend:
-		snap := b.LastSnapshot(i)
-		if snap == "" {
-			return fmt.Errorf("experiments: instance %d has no snapshot to resume from", i)
-		}
-		f, err := b.FS.Open(cc, snap)
-		if err != nil {
-			return err
-		}
-		if err := f.ReadAt(cc, nil, 0, min(p.MonteCarlo.SaveBytes, f.Size())); err != nil {
-			return err
-		}
+	if err := restore(); err != nil {
+		return err
 	}
-	return workloads.RunMonteCarloPhase(cc, disk, p.MonteCarlo, remaining)
+	return workloads.RunMonteCarloPhase(cc, disk, mc, remaining)
 }
 
-// Table renders Fig. 8.
+// Table renders Fig. 8; prepropagation has no suspend/resume bar.
 func (r *Fig8Result) Table() *metrics.Table {
-	t := &metrics.Table{
-		Title:   fmt.Sprintf("Fig 8: Monte Carlo completion time (s), %d instances", r.Instances),
-		Columns: []string{"setting", TaktukPreprop.String(), QcowOverPVFS.String(), OurApproach.String()},
-	}
-	row := func(s Fig8Setting) {
-		cells := []string{s.String()}
-		for _, a := range []Approach{TaktukPreprop, QcowOverPVFS, OurApproach} {
+	cols := []col[Fig8Setting]{{"setting", Fig8Setting.String}}
+	for _, a := range []Approach{TaktukPreprop, QcowOverPVFS, OurApproach} {
+		cols = append(cols, col[Fig8Setting]{a.String(), func(s Fig8Setting) string {
 			if v, ok := r.Completion[s][a]; ok {
-				cells = append(cells, ftoa(v))
-			} else {
-				cells = append(cells, "-")
+				return ftoa(v)
 			}
-		}
-		t.AddRow(cells...)
+			return "-"
+		}})
 	}
-	row(Uninterrupted)
-	row(SuspendResume)
-	return t
+	return table(fmt.Sprintf("Fig 8: Monte Carlo completion time (s), %d instances", r.Instances),
+		[]Fig8Setting{Uninterrupted, SuspendResume}, cols...)
 }

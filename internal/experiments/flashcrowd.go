@@ -65,23 +65,13 @@ func RunFlashCrowd(p Params, fc FlashCrowdConfig) CrowdPoint {
 
 // FlashCrowdTable renders a sharing-off/sharing-on comparison.
 func FlashCrowdTable(points []CrowdPoint) *metrics.Table {
-	t := &metrics.Table{
-		Title: "Flash crowd: concurrent multideployment against a small provider pool",
-		Columns: []string{
-			"instances", "providers", "p2p sharing", "completion (s)",
-			"provider reads", "hottest provider", "peer reads",
-		},
-	}
-	for _, pt := range points {
-		t.AddRow(
-			itoa(pt.Instances),
-			itoa(pt.Providers),
-			onOff(pt.Sharing),
-			ftoa(pt.Completion),
-			i64(pt.ProviderReads),
-			i64(pt.MaxProviderReads),
-			i64(pt.PeerReads),
-		)
-	}
-	return t
+	return table("Flash crowd: concurrent multideployment against a small provider pool", points,
+		crowdInstances,
+		crowdProviders,
+		crowdSharing,
+		crowdCompletion,
+		crowdProviderReads,
+		crowdHottest,
+		crowdPeerReads,
+	)
 }

@@ -29,10 +29,7 @@ func TestGoldenTables(t *testing.T) {
 	for _, sc := range Suite {
 		t.Run(sc.Name, func(t *testing.T) {
 			var b strings.Builder
-			for _, tab := range sc.Tables(p, QuickSizes()) {
-				tab.Fprint(&b)
-				b.WriteByte('\n')
-			}
+			sc.Fprint(&b, p, QuickSizes())
 			got := b.String()
 			if *update {
 				if err := os.WriteFile(goldenPath(sc.Name), []byte(got), 0o644); err != nil {

@@ -100,28 +100,16 @@ func RunMetaOutage(p Params, mc MetaOutageConfig) CrowdPoint {
 // MetaOutageTable renders a healthy-vs-outage comparison; the first
 // row is the healthy baseline the delta column is computed against.
 func MetaOutageTable(points []CrowdPoint) *metrics.Table {
-	t := &metrics.Table{
-		Title: "Metadata outage: flash crowd with replicated metadata " +
-			"while metadata providers and a rack fail",
-		Columns: []string{
-			"instances", "meta replicas", "killed meta", "rack killed", "booted",
-			"completion (s)", "delta (s)", "meta failovers", "meta re-replicated",
-			"failed descents",
-		},
-	}
-	for _, pt := range points {
-		t.AddRow(
-			itoa(pt.Instances),
-			itoa(pt.MetaReplicas),
-			itoa(pt.Killed),
-			yesNo(pt.RackKilled),
-			itoa(pt.Booted),
-			ftoa(pt.Completion),
-			ftoa(pt.Completion-points[0].Completion),
-			i64(pt.MetaFailovers),
-			i64(pt.MetaRereplicated),
-			i64(pt.FailedDescents),
-		)
-	}
-	return t
+	return table("Metadata outage: flash crowd with replicated metadata while metadata providers and a rack fail", points,
+		crowdInstances,
+		col[CrowdPoint]{"meta replicas", func(pt CrowdPoint) string { return itoa(pt.MetaReplicas) }},
+		col[CrowdPoint]{"killed meta", func(pt CrowdPoint) string { return itoa(pt.Killed) }},
+		col[CrowdPoint]{"rack killed", func(pt CrowdPoint) string { return yesNo(pt.RackKilled) }},
+		crowdBooted,
+		crowdCompletion,
+		col[CrowdPoint]{"delta (s)", func(pt CrowdPoint) string { return ftoa(pt.Completion - points[0].Completion) }},
+		col[CrowdPoint]{"meta failovers", func(pt CrowdPoint) string { return i64(pt.MetaFailovers) }},
+		col[CrowdPoint]{"meta re-replicated", func(pt CrowdPoint) string { return i64(pt.MetaRereplicated) }},
+		col[CrowdPoint]{"failed descents", func(pt CrowdPoint) string { return i64(pt.FailedDescents) }},
+	)
 }

@@ -78,7 +78,7 @@ func RunMultisnapshot(p Params, mc MultisnapshotConfig) MultisnapshotPoint {
 		wrRNG := sim.NewRNG(p.Seed + 7)
 		for round := 0; round < multisnapshotRounds; round++ {
 			err := env.Orch.RunOnAll(ctx, instances, func(cc *cluster.Ctx, inst *middleware.Instance) error {
-				return SnapshotWrites(cc, inst.Disk, diff, int64(p.ChunkSize), wrRNG.Fork())
+				return SnapshotWritesIn(cc, inst.Disk, diff, int64(p.ChunkSize), 0, wrRNG.Fork())
 			})
 			if err != nil {
 				panic(err)
@@ -104,21 +104,14 @@ func RunMultisnapshot(p Params, mc MultisnapshotConfig) MultisnapshotPoint {
 
 // MultisnapshotTable renders a run's write-RPC cost per commit round.
 func MultisnapshotTable(pt MultisnapshotPoint) *metrics.Table {
-	t := &metrics.Table{
-		Title: "Multisnapshot write path: provider write RPCs per commit round",
-		Columns: []string{
-			"instances", "providers", "chunk writes",
-			"chunk-put RPCs", "meta-put RPCs", "write RPCs", "completion (s)",
-		},
-	}
-	t.AddRow(
-		itoa(pt.Instances),
-		itoa(pt.Providers),
-		fmt.Sprintf("%.0f", pt.ChunkWrites),
-		fmt.Sprintf("%.0f", pt.ChunkPutRPCs),
-		fmt.Sprintf("%.0f", pt.MetaPutRPCs),
-		fmt.Sprintf("%.0f", pt.WriteRPCs),
-		ftoa(pt.Completion),
+	rpcs := func(v float64) string { return fmt.Sprintf("%.0f", v) }
+	return table("Multisnapshot write path: provider write RPCs per commit round", []MultisnapshotPoint{pt},
+		col[MultisnapshotPoint]{"instances", func(m MultisnapshotPoint) string { return itoa(m.Instances) }},
+		col[MultisnapshotPoint]{"providers", func(m MultisnapshotPoint) string { return itoa(m.Providers) }},
+		col[MultisnapshotPoint]{"chunk writes", func(m MultisnapshotPoint) string { return rpcs(m.ChunkWrites) }},
+		col[MultisnapshotPoint]{"chunk-put RPCs", func(m MultisnapshotPoint) string { return rpcs(m.ChunkPutRPCs) }},
+		col[MultisnapshotPoint]{"meta-put RPCs", func(m MultisnapshotPoint) string { return rpcs(m.MetaPutRPCs) }},
+		col[MultisnapshotPoint]{"write RPCs", func(m MultisnapshotPoint) string { return rpcs(m.WriteRPCs) }},
+		col[MultisnapshotPoint]{"completion (s)", func(m MultisnapshotPoint) string { return ftoa(m.Completion) }},
 	)
-	return t
 }

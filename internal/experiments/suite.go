@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"strconv"
 
@@ -80,6 +81,15 @@ type Scenario struct {
 	Tables func(p Params, s Sizes) []*metrics.Table
 }
 
+// Fprint runs the scenario and prints each of its tables to w, each
+// followed by a blank line: what vmdeploy prints and the goldens pin.
+func (sc Scenario) Fprint(w io.Writer, p Params, s Sizes) {
+	for _, t := range sc.Tables(p, s) {
+		t.Fprint(w)
+		fmt.Fprintln(w)
+	}
+}
+
 // Suite lists every scenario in the order `vmdeploy all` prints them.
 // vmdeploy selects from it by name and the goldens
 // (testdata/golden/<name>.txt) pin each entry's tables at QuickSizes.
@@ -141,6 +151,48 @@ var Suite = []Scenario{
 	{"sync", func(p Params, s Sizes) []*metrics.Table {
 		return []*metrics.Table{SyncTable(RunSync(p, SyncConfig{}))}
 	}},
+}
+
+// col is one column of a scenario table: its header and how one row
+// renders in it.
+type col[T any] struct {
+	name string
+	cell func(T) string
+}
+
+// table renders one row per element of rows under cols. It is the one
+// place the package builds a metrics.Table: a scenario's table is the
+// column list it passes here.
+func table[T any](title string, rows []T, cols ...col[T]) *metrics.Table {
+	t := &metrics.Table{Title: title}
+	for _, c := range cols {
+		t.Columns = append(t.Columns, c.name)
+	}
+	for _, r := range rows {
+		cells := make([]string, len(cols))
+		for i, c := range cols {
+			cells[i] = c.cell(r)
+		}
+		t.AddRow(cells...)
+	}
+	return t
+}
+
+// sweepPanel renders one panel of a sweep figure (Fig. 4, Fig. 5): one
+// row per sweep point, an instances column, then one column per
+// series, each of which renders sweep point i.
+func sweepPanel(title string, sweep []int, series ...col[int]) *metrics.Table {
+	points := make([]int, len(sweep))
+	for i := range points {
+		points[i] = i
+	}
+	instances := col[int]{"instances", func(i int) string { return itoa(sweep[i]) }}
+	return table(title, points, append([]col[int]{instances}, series...)...)
+}
+
+// seriesCol is one series of a sweep panel: row i renders pts[i].
+func seriesCol[P any](name string, pts []P, cell func(P) string) col[int] {
+	return col[int]{name, func(i int) string { return cell(pts[i]) }}
 }
 
 // Table cell helpers shared by every scenario's table.

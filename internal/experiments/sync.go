@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"blobvfs"
 	"blobvfs/internal/cluster"
@@ -73,11 +74,7 @@ func RunSync(p Params, sc SyncConfig) SyncPoint {
 	}
 
 	fab := cluster.NewSim(cluster.DefaultConfig(2 * sc.Providers))
-	var upNodes, downNodes []cluster.NodeID
-	for i := 0; i < sc.Providers; i++ {
-		upNodes = append(upNodes, cluster.NodeID(i))
-		downNodes = append(downNodes, cluster.NodeID(sc.Providers+i))
-	}
+	upNodes, downNodes := nodeRange(0, sc.Providers), nodeRange(sc.Providers, sc.Providers)
 	open := func(nodes []cluster.NodeID, uuid uint64) *blobvfs.Repo {
 		r, err := blobvfs.Open(fab,
 			blobvfs.WithProviders(nodes...),
@@ -189,35 +186,33 @@ func RunSync(p Params, sc SyncConfig) SyncPoint {
 	return pt
 }
 
-// SyncTable renders a sync run as a per-round shipping trace.
+// SyncTable renders a sync run as a per-round shipping trace, closed
+// by the average delta round when there was one.
 func SyncTable(pt SyncPoint) *metrics.Table {
-	t := &metrics.Table{
-		Title: fmt.Sprintf(
-			"Differential sync: %.0f MB image, %d delta rounds, disjoint %d-provider pools",
-			pt.ImageMB, pt.Rounds, pt.Providers),
-		Columns: []string{
-			"stage", "versions", "chunks shipped", "chunks deduped",
-			"shipped (MB)", "full ship (MB)", "reduction",
-		},
-	}
-	for _, r := range pt.PerRound {
-		red := ""
-		if r.Stage != "full" && r.Reduction > 0 {
-			red = fmt.Sprintf("%.1fx", r.Reduction)
-		}
-		t.AddRow(
-			r.Stage,
-			itoa(r.Versions),
-			itoa(r.Chunks),
-			itoa(r.Deduped),
-			ftoa(r.ShippedMB),
-			ftoa(r.FullMB),
-			red,
-		)
-	}
+	rows := pt.PerRound
 	if pt.Reduction > 0 {
-		t.AddRow("avg delta", "", itoa(pt.ShippedChunks), itoa(pt.DedupedChunks),
-			ftoa(pt.AvgDeltaMB), ftoa(pt.FullMB), fmt.Sprintf("%.1fx", pt.Reduction))
+		rows = append(slices.Clip(rows), SyncRound{Stage: "avg delta", Chunks: pt.ShippedChunks,
+			Deduped: pt.DedupedChunks, ShippedMB: pt.AvgDeltaMB, FullMB: pt.FullMB, Reduction: pt.Reduction})
 	}
-	return t
+	return table(fmt.Sprintf(
+		"Differential sync: %.0f MB image, %d delta rounds, disjoint %d-provider pools",
+		pt.ImageMB, pt.Rounds, pt.Providers), rows,
+		col[SyncRound]{"stage", func(r SyncRound) string { return r.Stage }},
+		col[SyncRound]{"versions", func(r SyncRound) string {
+			if r.Versions == 0 {
+				return "" // the average row: no archive of its own
+			}
+			return itoa(r.Versions)
+		}},
+		col[SyncRound]{"chunks shipped", func(r SyncRound) string { return itoa(r.Chunks) }},
+		col[SyncRound]{"chunks deduped", func(r SyncRound) string { return itoa(r.Deduped) }},
+		col[SyncRound]{"shipped (MB)", func(r SyncRound) string { return ftoa(r.ShippedMB) }},
+		col[SyncRound]{"full ship (MB)", func(r SyncRound) string { return ftoa(r.FullMB) }},
+		col[SyncRound]{"reduction", func(r SyncRound) string {
+			if r.Stage == "full" || r.Reduction <= 0 {
+				return ""
+			}
+			return fmt.Sprintf("%.1fx", r.Reduction)
+		}},
+	)
 }

@@ -1,4 +1,4 @@
 // Package metrics provides the small statistics and table-formatting
 // helpers the experiment harness uses to print the paper's figures as
-// text series.
+// text tables.
 package metrics

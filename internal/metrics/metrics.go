@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -41,40 +40,6 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-// Percentile returns the p-th percentile (0..100) of xs using nearest-
-// rank on a sorted copy.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := int(math.Ceil(p/100*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return sorted[rank]
-}
-
-// Series is one plotted line of a figure: y = f(x).
-type Series struct {
-	Name string
-	X    []float64
-	Y    []float64
-}
-
-// Add appends a point.
-func (s *Series) Add(x, y float64) {
-	s.X = append(s.X, x)
-	s.Y = append(s.Y, y)
-}
-
 // Table is a printable experiment result.
 type Table struct {
 	Title   string
@@ -85,30 +50,6 @@ type Table struct {
 // AddRow appends a formatted row.
 func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
-}
-
-// FromSeries builds a table with one x column and one column per
-// series, aligned by x (series must share their X grid).
-func FromSeries(title, xName string, format string, series ...*Series) *Table {
-	t := &Table{Title: title, Columns: []string{xName}}
-	for _, s := range series {
-		t.Columns = append(t.Columns, s.Name)
-	}
-	if len(series) == 0 {
-		return t
-	}
-	for i := range series[0].X {
-		row := []string{fmt.Sprintf("%g", series[0].X[i])}
-		for _, s := range series {
-			if i < len(s.Y) {
-				row = append(row, fmt.Sprintf(format, s.Y[i]))
-			} else {
-				row = append(row, "-")
-			}
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t
 }
 
 // Fprint renders the table with aligned columns.

@@ -39,62 +39,6 @@ func TestSummarizeProperties(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	if got := Percentile(xs, 0); got != 1 {
-		t.Fatalf("P0 = %v", got)
-	}
-	if got := Percentile(xs, 100); got != 5 {
-		t.Fatalf("P100 = %v", got)
-	}
-	if got := Percentile(xs, 50); got != 3 {
-		t.Fatalf("P50 = %v", got)
-	}
-	if !math.IsNaN(Percentile(nil, 50)) {
-		t.Fatal("Percentile(nil) not NaN")
-	}
-	// Input must not be reordered.
-	if xs[0] != 5 {
-		t.Fatal("Percentile mutated its input")
-	}
-}
-
-func TestSeriesAndTable(t *testing.T) {
-	a := &Series{Name: "a"}
-	b := &Series{Name: "b"}
-	for i := 1; i <= 3; i++ {
-		a.Add(float64(i), float64(i*10))
-		b.Add(float64(i), float64(i*100))
-	}
-	tb := FromSeries("title", "x", "%.1f", a, b)
-	out := tb.String()
-	if !strings.Contains(out, "# title") {
-		t.Fatalf("missing title:\n%s", out)
-	}
-	if !strings.Contains(out, "x") || !strings.Contains(out, "a") || !strings.Contains(out, "b") {
-		t.Fatalf("missing columns:\n%s", out)
-	}
-	if !strings.Contains(out, "30.0") || !strings.Contains(out, "300.0") {
-		t.Fatalf("missing values:\n%s", out)
-	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 5 { // title + header + 3 rows
-		t.Fatalf("got %d lines, want 5:\n%s", len(lines), out)
-	}
-}
-
-func TestTableMismatchedSeriesLengths(t *testing.T) {
-	a := &Series{Name: "a"}
-	a.Add(1, 10)
-	a.Add(2, 20)
-	b := &Series{Name: "b"}
-	b.Add(1, 1)
-	tb := FromSeries("t", "x", "%.0f", a, b)
-	if !strings.Contains(tb.String(), "-") {
-		t.Fatalf("missing placeholder for short series:\n%s", tb.String())
-	}
-}
-
 func TestAddRowAlignment(t *testing.T) {
 	tb := &Table{Columns: []string{"col", "value"}}
 	tb.AddRow("x", "1")
