@@ -27,8 +27,9 @@ vet:
 # race already executes the examples once via the root package's
 # TestExamplesBuildAndRun smoke, so check does not repeat them.
 # bench-check is CI's "bench harness" step: the frozen bench/ module
-# calls into internals (blob.NewClient, Repo.ArmFaultsRebased,
-# Cohort.Locate), and only compiling it proves they are still there.
+# calls into internals (blob.NewClient, Client.PrefetchExtents,
+# Repo.ArmFaultsRebased, Cohort.Locate), and only compiling it proves
+# they are still there.
 check: fmt vet build race bench-check loc-budget
 
 # examples builds and runs every examples/* program — executable

@@ -516,54 +516,8 @@ func BenchmarkCommitDataStructures(b *testing.B) {
 	b.ReportMetric(float64(sys.Meta.NodeCount())/float64(b.N), "metadata-nodes/op")
 }
 
-// BenchmarkMetadataHotPath measures the client's warm metadata read
-// path under real goroutine parallelism (run with -cpu 1,8 to see the
-// contention win of the sharded caches): concurrent FetchChunks over a
-// fully cached snapshot of a 2 GB image resolve their leaf sets from
-// the extent cache with no RPCs — the pure lock/lookup cost the 16-way
-// chunk fetchers of every mirroring module pay on every read.
-func BenchmarkMetadataHotPath(b *testing.B) {
-	fab := cluster.NewLive(8)
-	sys := blob.NewSystem([]cluster.NodeID{0, 1, 2, 3, 4, 5, 6, 7}, 0, 1)
-	var id blob.ID
-	var v blob.Version
-	c := blob.NewClient(sys)
-	fab.Run(func(ctx *cluster.Ctx) {
-		var err error
-		id, err = c.Create(ctx, 2<<30, 256<<10) // 8192 chunks
-		if err != nil {
-			b.Fatal(err)
-		}
-		v, err = c.WriteFull(ctx, id, 0, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := c.PrefetchExtents(ctx, id, v); err != nil {
-			b.Fatal(err)
-		}
-	})
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		// Each parallel worker drives the shared client from its own
-		// live fabric (fabrics are stateless execution scaffolding; the
-		// system and client are what is contended).
-		wfab := cluster.NewLive(8)
-		wfab.Run(func(ctx *cluster.Ctx) {
-			var lo int64
-			for pb.Next() {
-				hi := lo + 8
-				if _, err := c.FetchChunks(ctx, id, v, lo, hi); err != nil {
-					b.Error(err)
-					return
-				}
-				lo = (lo + 127) % (8192 - 8)
-			}
-		})
-	})
-}
-
-// BenchmarkMetadataColdDescent measures a cold client's first
-// resolution of a whole 2 GB image — the open-time prefetch path: one
+// BenchmarkMetadataColdDescent measures a cold client's resolution of
+// a whole 2 GB image's chunk map — what an image pays at Open: one
 // level-order batched descent over 16383 tree nodes.
 func BenchmarkMetadataColdDescent(b *testing.B) {
 	fab := cluster.NewLive(8)
@@ -585,8 +539,7 @@ func BenchmarkMetadataColdDescent(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fab.Run(func(ctx *cluster.Ctx) {
-			c := blob.NewClient(sys)
-			if err := c.PrefetchExtents(ctx, id, v); err != nil {
+			if _, err := blob.NewClient(sys).ChunkMap(ctx, id, v); err != nil {
 				b.Fatal(err)
 			}
 		})

@@ -47,9 +47,10 @@ const stripeRounds = 4
 // One activity reads for an image at a time (one mirroring module per
 // node, one instance per node), so the caches are plain maps under a
 // lock each: concurrent callers are safe, and two that miss the same
-// key at once each pay the fetch. Fully resolved [lo,hi) ranges are
-// kept in a per-version extent cache (extents.go) that lets repeated
-// reads of a deployed snapshot skip tree descent entirely.
+// key at once each pay the fetch. A long-lived reader resolves a
+// snapshot's whole chunk map once (ChunkMap) and fetches by key from it
+// (FetchKeyed); ReadAt and FetchChunks resolve through the version
+// manager and the node cache on every call.
 type Client struct {
 	sys    *System
 	sharer ChunkSharer // optional p2p chunk source (see sharing.go)
@@ -60,17 +61,14 @@ type Client struct {
 
 	infoMu sync.RWMutex
 	infos  map[ID]Info
-
-	extents *extentCache
 }
 
 // NewClient attaches a client to a system.
 func NewClient(sys *System) *Client {
 	return &Client{
-		sys:     sys,
-		nodes:   make(map[NodeRef]TreeNode),
-		infos:   make(map[ID]Info),
-		extents: newExtentCache(),
+		sys:   sys,
+		nodes: make(map[NodeRef]TreeNode),
+		infos: make(map[ID]Info),
 	}
 }
 
@@ -97,9 +95,9 @@ func (c *Client) Info(ctx *cluster.Ctx, id ID) (Info, error) {
 // getNodes resolves a batch of refs through the node cache into out
 // (len(out) == len(refs)): cached refs are free and the cold ones go to
 // the metadata service as one GetBatchInto (one RPC per distinct home
-// provider). keep stores what was fetched in the cache; the whole-image
-// descent at Open leaves it clear, because its product is the extent
-// cache and every node is resolved exactly once. A ref the service
+// provider). keep stores what was fetched in the cache; ChunkMap's
+// whole-image descent leaves it clear, because its product is the map
+// and every node is resolved exactly once. A ref the service
 // cannot serve fails the call with the service's own
 // *MissingNodesError; the refs that were found are still filled in, and
 // kept.
@@ -259,7 +257,8 @@ func (c *Client) WriteChunks(ctx *cluster.Ctx, id ID, base Version, writes []Chu
 
 // WriteChunksKeyed is WriteChunks, additionally reporting the provider
 // key allocated for each written chunk index. The mirroring module
-// uses the keys to retract-track the chunks it announces at COMMIT.
+// writes the keys into the chunk map it holds, and retract-tracks the
+// chunks it announces at COMMIT by them.
 func (c *Client) WriteChunksKeyed(ctx *cluster.Ctx, id ID, base Version, writes []ChunkWrite) (Version, map[int64]ChunkKey, error) {
 	if len(writes) == 0 {
 		return 0, nil, fmt.Errorf("blob: WriteChunks with no chunks: %w", ErrInvalidWrite)
@@ -405,57 +404,33 @@ type FetchedChunk struct {
 	Payload Payload
 }
 
-// resolveLeaves returns the leaf entries covering [lo,hi) of (id, v):
-// from the extent cache when the range was fully resolved before
-// (skipping the root lookup and the whole tree descent — versions are
-// immutable), and by a batched level-order descent otherwise, priming
-// the extent cache for the next reader.
-func (c *Client) resolveLeaves(ctx *cluster.Ctx, id ID, v Version, span, lo, hi int64) ([]LeafEntry, error) {
-	epoch := c.sys.VM.RetireEpoch()
-	if leaves := c.extents.lookup(id, v, lo, hi, epoch, c.sys.VM.IsLive); leaves != nil {
-		return leaves, nil
-	}
-	root, err := c.sys.VM.Root(ctx, id, v)
-	if err != nil {
-		return nil, err
-	}
-	leaves, err := CollectLeaves(boundGetter{c, ctx, true}, root, span, lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	c.extents.insert(id, v, lo, hi, leaves, epoch)
-	return leaves, nil
-}
-
-// PrefetchExtents resolves the complete chunk map of snapshot (id, v)
-// — every leaf of its segment tree — in one batched level-order
-// descent, priming the extent cache. Total metadata for even a large
+// ChunkMap resolves the complete chunk map of snapshot (id, v) — every
+// leaf of its segment tree, entry i for chunk i — in one root lookup
+// and one batched level-order descent. Total metadata for even a large
 // image is small (a 2 GB image at 256 KB chunks is ~16 K nodes of 64
 // bytes, ~1 MB), so a long-lived reader such as the mirroring module
-// pays depth rounds once at open and every subsequent
-// ReadAt/FetchChunks over the snapshot skips tree descent entirely.
-func (c *Client) PrefetchExtents(ctx *cluster.Ctx, id ID, v Version) error {
+// pays depth rounds once at open and fetches by key (FetchKeyed) from
+// then on. The map is the caller's.
+func (c *Client) ChunkMap(ctx *cluster.Ctx, id ID, v Version) ([]LeafEntry, error) {
 	inf, err := c.Info(ctx, id)
 	if err != nil {
-		return err
-	}
-	epoch := c.sys.VM.RetireEpoch()
-	if leaves := c.extents.lookup(id, v, 0, inf.Chunks(), epoch, c.sys.VM.IsLive); leaves != nil {
-		return nil
+		return nil, err
 	}
 	root, err := c.sys.VM.Root(ctx, id, v)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	// Every node is resolved exactly once and the extent cache is the
-	// durable product, so the nodes are not kept: inner nodes a later
-	// partial descent might want simply refetch.
-	leaves, err := CollectLeaves(boundGetter{c, ctx, false}, root, inf.Span, 0, inf.Chunks())
-	if err != nil {
-		return err
-	}
-	c.extents.insert(id, v, 0, inf.Chunks(), leaves, epoch)
-	return nil
+	// Every node is resolved exactly once and the map is the durable
+	// product, so the nodes are not kept: inner nodes a later partial
+	// descent might want simply refetch.
+	return CollectLeaves(boundGetter{c, ctx, false}, root, inf.Span, 0, inf.Chunks())
+}
+
+// PrefetchExtents resolves the chunk map of snapshot (id, v) and drops
+// it: the cost of a cold open-time descent, for benchmarks.
+func (c *Client) PrefetchExtents(ctx *cluster.Ctx, id ID, v Version) error {
+	_, err := c.ChunkMap(ctx, id, v)
+	return err
 }
 
 // FetchChunks retrieves the chunks covering indices [lo,hi) of (id,v),
@@ -463,20 +438,6 @@ func (c *Client) PrefetchExtents(ctx *cluster.Ctx, id ID, v Version) error {
 // peer when the client has a ChunkSharer and a peer holds it, and from
 // its home providers otherwise.
 func (c *Client) FetchChunks(ctx *cluster.Ctx, id ID, v Version, lo, hi int64) ([]FetchedChunk, error) {
-	return c.fetchChunks(ctx, id, v, lo, hi, false)
-}
-
-// FetchChunksShared is FetchChunks for a caller that keeps the chunks
-// and tells the client's ChunkSharer so: every distinct non-sparse
-// chunk is on record there (ChunkSharer.Fetching) from the start of its
-// read to its end, siblings that asked meanwhile read it from this node,
-// and one that landed leaves this node its holder. This is the primitive
-// the mirroring module's remote reads are built on.
-func (c *Client) FetchChunksShared(ctx *cluster.Ctx, id ID, v Version, lo, hi int64) ([]FetchedChunk, error) {
-	return c.fetchChunks(ctx, id, v, lo, hi, c.sharer != nil)
-}
-
-func (c *Client) fetchChunks(ctx *cluster.Ctx, id ID, v Version, lo, hi int64, keep bool) ([]FetchedChunk, error) {
 	inf, err := c.Info(ctx, id)
 	if err != nil {
 		return nil, err
@@ -486,24 +447,53 @@ func (c *Client) fetchChunks(ctx *cluster.Ctx, id ID, v Version, lo, hi int64, k
 		return nil, fmt.Errorf("blob: chunk range [%d,%d) outside blob of %d chunks: %w", lo, hi, nchunks, ErrOutOfRange)
 	}
 	// Empty ranges flow through resolution too: the version-existence
-	// check (extent-cache liveness or VM.Root) must not be skipped.
-	leaves, err := c.resolveLeaves(ctx, id, v, inf.Span, lo, hi)
+	// check in VM.Root must not be skipped.
+	root, err := c.sys.VM.Root(ctx, id, v)
+	if err != nil {
+		return nil, err
+	}
+	leaves, err := CollectLeaves(boundGetter{c, ctx, true}, root, inf.Span, lo, hi)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]FetchedChunk, len(leaves))
-	// Fetch each distinct key once; duplicate keys (shared chunks at
-	// multiple indices) reuse the first fetch.
-	firstAt := make(map[ChunkKey]int, len(leaves))
-	fetchIdx := make([]int, 0, len(leaves))
 	for i, lf := range leaves {
 		out[i] = FetchedChunk{Index: lf.Index, Key: lf.Chunk}
 		if lf.Chunk == 0 {
 			out[i].Payload = Payload{Size: int32(c.chunkLen(inf, lf.Index))}
+		}
+	}
+	if err := c.fetchPayloads(ctx, out, false); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// FetchKeyed fills in the payload of every non-sparse chunk of chunks,
+// whose keys the caller took from a chunk map it holds (ChunkMap): no
+// version lookup and no descent. A sparse chunk (Key 0) is left as the
+// caller sized it. With a ChunkSharer every distinct chunk is on record
+// there (ChunkSharer.Fetching) from the start of its read to its end,
+// siblings that asked meanwhile read it from this node, and one that
+// landed leaves this node its holder. This is the primitive the
+// mirroring module's remote reads are built on.
+func (c *Client) FetchKeyed(ctx *cluster.Ctx, chunks []FetchedChunk) error {
+	return c.fetchPayloads(ctx, chunks, c.sharer != nil)
+}
+
+// fetchPayloads fetches the payloads of the non-sparse chunks of out in
+// parallel, each distinct key once; duplicate keys (shared chunks at
+// multiple indices) reuse the first fetch. keep puts every fetch on
+// record with the sharer.
+func (c *Client) fetchPayloads(ctx *cluster.Ctx, out []FetchedChunk, keep bool) error {
+	firstAt := make(map[ChunkKey]int, len(out))
+	fetchIdx := make([]int, 0, len(out))
+	for i, fc := range out {
+		if fc.Key == 0 {
 			continue
 		}
-		if _, seen := firstAt[lf.Chunk]; !seen {
-			firstAt[lf.Chunk] = i
+		if _, seen := firstAt[fc.Key]; !seen {
+			firstAt[fc.Key] = i
 			fetchIdx = append(fetchIdx, i)
 		}
 	}
@@ -526,14 +516,14 @@ func (c *Client) fetchChunks(ctx *cluster.Ctx, id ID, v Version, lo, hi int64, k
 		if len(landed) > 0 {
 			c.sharer.Retract(ctx, landed)
 		}
-		return nil, err
+		return err
 	}
 	for i := range out {
 		if out[i].Key != 0 {
 			out[i].Payload = out[firstAt[out[i].Key]].Payload
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // ReadAt reads len(buf) bytes at offset off from snapshot (id, v) into

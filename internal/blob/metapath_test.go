@@ -282,10 +282,11 @@ func TestGetNodesNeverStoresAStaleSlot(t *testing.T) {
 	})
 }
 
-// TestExtentCacheSkipsDescent: a repeated FetchChunks over the same
-// snapshot range must not touch the metadata service again, and must
-// return identical leaves.
-func TestExtentCacheSkipsDescent(t *testing.T) {
+// TestRepeatFetchHitsNodeCache: a repeated FetchChunks over the same
+// snapshot range, or a sub-range of it, finds every tree node in the
+// client's node cache, pays no metadata operation, and returns
+// identical leaves.
+func TestRepeatFetchHitsNodeCache(t *testing.T) {
 	fab, sys := liveSystem(4, 1)
 	fab.Run(func(ctx *cluster.Ctx) {
 		c := NewClient(sys)
@@ -308,7 +309,6 @@ func TestExtentCacheSkipsDescent(t *testing.T) {
 		if g := sys.Meta.Gets.Load(); g != gets {
 			t.Errorf("repeat fetch paid %d extra metadata ops", g-gets)
 		}
-		// Sub-ranges of a resolved interval hit too.
 		if _, err := c2.FetchChunks(ctx, id, v, 4, 8); err != nil {
 			t.Fatalf("sub-range FetchChunks: %v", err)
 		}
@@ -317,20 +317,17 @@ func TestExtentCacheSkipsDescent(t *testing.T) {
 		}
 		for i := range first {
 			if first[i].Index != second[i].Index || first[i].Key != second[i].Key {
-				t.Fatalf("chunk %d differs across cached fetches: %+v vs %+v", i, first[i], second[i])
+				t.Fatalf("chunk %d differs across fetches: %+v vs %+v", i, first[i], second[i])
 			}
-		}
-		st := c2.ExtentStats()
-		if st.Hits < 2 || st.Versions != 1 {
-			t.Errorf("extent stats = %+v, want >=2 hits over 1 version", st)
 		}
 	})
 }
 
-// TestExtentCacheVersionBoundaries: the cache must keep Clone and
-// Commit version boundaries apart — a clone's chunk map is its own
-// entry, and a new committed version must not serve the base's leaves.
-func TestExtentCacheVersionBoundaries(t *testing.T) {
+// TestChunkMapVersionBoundaries: a snapshot's chunk map is its own. A
+// commit's map differs from its base's exactly at the written index, by
+// the key WriteChunksKeyed reports; a clone's map is its source's; and
+// FetchChunks reads what the maps say.
+func TestChunkMapVersionBoundaries(t *testing.T) {
 	fab, sys := liveSystem(4, 1)
 	fab.Run(func(ctx *cluster.Ctx) {
 		c := NewClient(sys)
@@ -339,109 +336,66 @@ func TestExtentCacheVersionBoundaries(t *testing.T) {
 		if err != nil {
 			t.Fatalf("WriteAt: %v", err)
 		}
-		// Resolve and cache v1's extents.
-		base, err := c.FetchChunks(ctx, id, v1, 0, 8)
-		if err != nil {
-			t.Fatalf("FetchChunks v1: %v", err)
+		m1, err := c.ChunkMap(ctx, id, v1)
+		if err != nil || len(m1) != 8 {
+			t.Fatalf("ChunkMap v1: %d entries, %v", len(m1), err)
 		}
-
-		// Commit v2 over chunk 3; v2 must serve the new key, v1 the old.
-		v2, err := c.WriteChunks(ctx, id, v1, []ChunkWrite{
+		v2, keyOf, err := c.WriteChunksKeyed(ctx, id, v1, []ChunkWrite{
 			{Index: 3, Payload: RealPayload(pattern(64<<10, 77))},
 		})
 		if err != nil {
-			t.Fatalf("WriteChunks: %v", err)
+			t.Fatalf("WriteChunksKeyed: %v", err)
+		}
+		m2, err := c.ChunkMap(ctx, id, v2)
+		if err != nil {
+			t.Fatalf("ChunkMap v2: %v", err)
+		}
+		clone, err := c.Clone(ctx, id, v1)
+		if err != nil {
+			t.Fatalf("Clone: %v", err)
+		}
+		mc, err := c.ChunkMap(ctx, clone, 1)
+		if err != nil {
+			t.Fatalf("ChunkMap clone: %v", err)
+		}
+		if keyOf[3] == m1[3].Chunk {
+			t.Fatal("the commit reused v1's key for chunk 3")
+		}
+		for i, lf := range m1 {
+			want := lf
+			if i == 3 {
+				want.Chunk = keyOf[3]
+			}
+			if lf.Index != int64(i) || m2[i] != want || mc[i] != lf {
+				t.Errorf("chunk %d: v1 %+v, v2 %+v (want %+v), clone %+v", i, lf, m2[i], want, mc[i])
+			}
 		}
 		after, err := c.FetchChunks(ctx, id, v2, 0, 8)
 		if err != nil {
 			t.Fatalf("FetchChunks v2: %v", err)
 		}
-		for i := range after {
-			if i == 3 {
-				if after[i].Key == base[i].Key {
-					t.Error("v2 chunk 3 still serves v1's key")
-				}
-				if !bytes.Equal(after[i].Payload.Data, pattern(64<<10, 77)) {
-					t.Error("v2 chunk 3 payload wrong")
-				}
-			} else if after[i].Key != base[i].Key {
-				t.Errorf("v2 chunk %d does not share v1's key", i)
+		for i, fc := range after {
+			if fc.Key != m2[i].Chunk {
+				t.Errorf("v2 chunk %d read key %d, map says %d", i, fc.Key, m2[i].Chunk)
 			}
 		}
-		again, err := c.FetchChunks(ctx, id, v1, 0, 8)
+		if !bytes.Equal(after[3].Payload.Data, pattern(64<<10, 77)) {
+			t.Error("v2 chunk 3 payload wrong")
+		}
+		again, err := c.FetchChunks(ctx, id, v1, 3, 4)
 		if err != nil {
 			t.Fatalf("re-fetch v1: %v", err)
 		}
-		if again[3].Key != base[3].Key {
+		if again[0].Key != m1[3].Chunk {
 			t.Error("v1 chunk 3 changed after commit — version boundary leaked")
 		}
-
-		// Clone: its (id', 1) map must alias v1's keys under its own entry.
-		clone, err := c.Clone(ctx, id, v1)
-		if err != nil {
-			t.Fatalf("Clone: %v", err)
-		}
-		cl, err := c.FetchChunks(ctx, clone, 1, 0, 8)
-		if err != nil {
-			t.Fatalf("FetchChunks clone: %v", err)
-		}
-		for i := range cl {
-			if cl[i].Key != base[i].Key {
-				t.Errorf("clone chunk %d key %d != source %d", i, cl[i].Key, base[i].Key)
-			}
-		}
 	})
 }
 
-// TestExtentCacheLRU: with the cap lowered, reading more versions than
-// fit evicts the least-recently-used one, whose next read pays a
-// descent again; cached versions stay free.
-func TestExtentCacheLRU(t *testing.T) {
-	fab, sys := liveSystem(2, 1)
-	fab.Run(func(ctx *cluster.Ctx) {
-		w := NewClient(sys)
-		id, _ := w.Create(ctx, 256<<10, 64<<10) // 4 chunks
-		var vs []Version
-		for i := 0; i < 3; i++ {
-			v, err := w.WriteAt(ctx, id, Version(i), pattern(256<<10, byte(i)), 0)
-			if err != nil {
-				t.Fatalf("WriteAt %d: %v", i, err)
-			}
-			vs = append(vs, v)
-		}
-
-		c := NewClient(sys)
-		c.extents.cap = 2
-		read := func(v Version) {
-			if _, err := c.FetchChunks(ctx, id, v, 0, 4); err != nil {
-				t.Fatalf("FetchChunks v%d: %v", v, err)
-			}
-		}
-		read(vs[0])
-		read(vs[1])
-		if st := c.ExtentStats(); st.Versions != 2 {
-			t.Fatalf("cached versions = %d, want 2", st.Versions)
-		}
-		read(vs[2]) // evicts vs[0]
-		if st := c.ExtentStats(); st.Versions != 2 {
-			t.Fatalf("cached versions after eviction = %d, want 2", st.Versions)
-		}
-		misses := c.ExtentStats().Misses
-		read(vs[1]) // still cached: extent hit
-		if st := c.ExtentStats(); st.Misses != misses {
-			t.Errorf("cached version missed the extent cache %d times", st.Misses-misses)
-		}
-		read(vs[0]) // evicted: must re-resolve (extent miss)
-		if st := c.ExtentStats(); st.Misses == misses {
-			t.Error("evicted version hit the extent cache — LRU did not evict")
-		}
-	})
-}
-
-// TestExtentCacheRetirementFlush: retiring a version must invalidate
-// cached extents — a cached snapshot that is retired afterwards reads
-// as not-found again, not from stale cache.
-func TestExtentCacheRetirementFlush(t *testing.T) {
+// TestFetchOfRetiredVersionFails: a version read before its retirement,
+// its tree nodes in the client's node cache, reads as retired after it,
+// through FetchChunks and ChunkMap alike; the live version still reads.
+func TestFetchOfRetiredVersionFails(t *testing.T) {
 	fab, sys := liveSystem(2, 1)
 	fab.Run(func(ctx *cluster.Ctx) {
 		c := NewClient(sys)
@@ -457,47 +411,14 @@ func TestExtentCacheRetirementFlush(t *testing.T) {
 		if err := sys.VM.Retire(ctx, id, v1); err != nil {
 			t.Fatalf("Retire: %v", err)
 		}
-		_, err = c.FetchChunks(ctx, id, v1, 0, 4)
-		if !errors.Is(err, ErrVersionRetired) {
-			t.Errorf("read of retired cached version: err = %v, want ErrVersionRetired", err)
+		if _, err = c.FetchChunks(ctx, id, v1, 0, 4); !errors.Is(err, ErrVersionRetired) {
+			t.Errorf("read of retired version: err = %v, want ErrVersionRetired", err)
+		}
+		if _, err = c.ChunkMap(ctx, id, v1); !errors.Is(err, ErrVersionRetired) {
+			t.Errorf("chunk map of retired version: err = %v, want ErrVersionRetired", err)
 		}
 		if _, err := c.FetchChunks(ctx, id, v2, 0, 2); err != nil {
-			t.Errorf("live version after flush: %v", err)
-		}
-	})
-}
-
-// TestExtentCacheSurvivesUnrelatedRetirement: retiring a version of
-// one blob must not invalidate cached extents of other live
-// snapshots — the entry is revalidated once against the version
-// manager and stays hot.
-func TestExtentCacheSurvivesUnrelatedRetirement(t *testing.T) {
-	fab, sys := liveSystem(2, 1)
-	fab.Run(func(ctx *cluster.Ctx) {
-		c := NewClient(sys)
-		a, _ := c.Create(ctx, 256<<10, 64<<10)
-		av, _ := c.WriteAt(ctx, a, 0, pattern(256<<10, 1), 0)
-		b, _ := c.Create(ctx, 256<<10, 64<<10)
-		bv1, _ := c.WriteAt(ctx, b, 0, pattern(256<<10, 2), 0)
-		if _, err := c.WriteAt(ctx, b, bv1, pattern(128<<10, 3), 0); err != nil {
-			t.Fatalf("WriteAt: %v", err)
-		}
-		if _, err := c.FetchChunks(ctx, a, av, 0, 4); err != nil {
-			t.Fatalf("FetchChunks a: %v", err)
-		}
-		if err := sys.VM.Retire(ctx, b, bv1); err != nil {
-			t.Fatalf("Retire: %v", err)
-		}
-		gets := sys.Meta.Gets.Load()
-		hits := c.ExtentStats().Hits
-		if _, err := c.FetchChunks(ctx, a, av, 0, 4); err != nil {
-			t.Fatalf("re-fetch a after unrelated retirement: %v", err)
-		}
-		if g := sys.Meta.Gets.Load(); g != gets {
-			t.Errorf("unrelated retirement forced %d metadata ops on a live snapshot", g-gets)
-		}
-		if h := c.ExtentStats().Hits; h != hits+1 {
-			t.Errorf("extent hit count %d, want %d — entry was evicted by unrelated retirement", h, hits+1)
+			t.Errorf("live version after retirement: %v", err)
 		}
 	})
 }
@@ -556,9 +477,9 @@ func TestFetchChunksClampedRanges(t *testing.T) {
 	})
 }
 
-// TestPrefetchExtents: after one full-span prefetch, arbitrary reads
-// over the snapshot cost zero metadata operations, and the prefetch
-// itself completes in depth rounds per provider.
+// TestPrefetchExtents: the open-time descent pays exactly the metadata
+// gets of resolving the whole chunk map, and keeps none of the nodes it
+// fetched, so a later read descends again.
 func TestPrefetchExtents(t *testing.T) {
 	fab, sys := liveSystem(4, 1)
 	fab.Run(func(ctx *cluster.Ctx) {
@@ -568,19 +489,26 @@ func TestPrefetchExtents(t *testing.T) {
 		if err != nil {
 			t.Fatalf("WriteAt: %v", err)
 		}
+		gets := sys.Meta.Gets.Load()
+		m, err := NewClient(sys).ChunkMap(ctx, id, v)
+		if err != nil || len(m) != 16 {
+			t.Fatalf("ChunkMap: %d entries, %v", len(m), err)
+		}
+		mapGets := sys.Meta.Gets.Load() - gets
 		c := NewClient(sys)
+		gets = sys.Meta.Gets.Load()
 		if err := c.PrefetchExtents(ctx, id, v); err != nil {
 			t.Fatalf("PrefetchExtents: %v", err)
 		}
-		gets := sys.Meta.Gets.Load()
-		for lo := int64(0); lo < 16; lo += 3 {
-			hi := min(lo+3, 16)
-			if _, err := c.FetchChunks(ctx, id, v, lo, hi); err != nil {
-				t.Fatalf("FetchChunks [%d,%d): %v", lo, hi, err)
-			}
+		if g := sys.Meta.Gets.Load() - gets; g != mapGets || g == 0 {
+			t.Errorf("PrefetchExtents paid %d metadata gets, ChunkMap %d", g, mapGets)
 		}
-		if g := sys.Meta.Gets.Load(); g != gets {
-			t.Errorf("reads after prefetch paid %d metadata ops", g-gets)
+		gets = sys.Meta.Gets.Load()
+		if _, err := c.FetchChunks(ctx, id, v, 0, 16); err != nil {
+			t.Fatalf("FetchChunks: %v", err)
+		}
+		if sys.Meta.Gets.Load() == gets {
+			t.Error("a read after PrefetchExtents found its nodes cached")
 		}
 	})
 }

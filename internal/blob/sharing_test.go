@@ -160,9 +160,9 @@ func TestWriteChunksAnnouncesWrittenKeys(t *testing.T) {
 	}
 }
 
-// TestOnlySharedFetchesGoOnRecord: FetchChunksShared puts every chunk it
-// fetches on record with the sharer (Fetching) and takes each off again
-// (Landed) exactly once, saying whether the read got the payload. A plain
+// TestOnlySharedFetchesGoOnRecord: FetchKeyed puts every chunk it fetches
+// on record with the sharer (Fetching) and takes each off again (Landed)
+// exactly once, saying whether the read got the payload. A plain
 // FetchChunks only locates.
 func TestOnlySharedFetchesGoOnRecord(t *testing.T) {
 	s := &fakeSharer{peer: 2, has: map[ChunkKey]bool{}}
@@ -170,13 +170,14 @@ func TestOnlySharedFetchesGoOnRecord(t *testing.T) {
 	lv := cluster.NewLiveness(4)
 	sys.Providers.SetLiveness(lv)
 	fab.Run(func(ctx *cluster.Ctx) {
-		if _, err := c.FetchChunks(ctx, id, v, 0, 4); err != nil {
+		plain, err := c.FetchChunks(ctx, id, v, 0, 4)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if len(s.fetching) != 0 || len(s.landed)+len(s.failed) != 0 {
 			t.Fatalf("a plain fetch put %d chunks on record and settled %d", len(s.fetching), len(s.landed)+len(s.failed))
 		}
-		if _, err := c.FetchChunksShared(ctx, id, v, 0, 4); err != nil {
+		if err := c.FetchKeyed(ctx, plain); err != nil {
 			t.Fatal(err)
 		}
 		if len(s.fetching) != 4 || len(s.landed) != 4 || len(s.failed) != 0 {
@@ -185,7 +186,7 @@ func TestOnlySharedFetchesGoOnRecord(t *testing.T) {
 		for n := cluster.NodeID(0); n < 4; n++ {
 			lv.Kill(ctx, n)
 		}
-		if _, err := c.FetchChunksShared(ctx, id, v, 0, 4); err == nil {
+		if err := c.FetchKeyed(ctx, plain); err == nil {
 			t.Fatal("fetch with every provider dead succeeded")
 		}
 		if len(s.fetching) != 8 || len(s.landed) != 4 || len(s.failed) != 4 {
@@ -224,7 +225,7 @@ func TestInHandCopyCostsThePeerNoDisk(t *testing.T) {
 			}
 			s.has[fetched[0].Key] = true
 			c.SetSharer(s)
-			if _, err := c.FetchChunksShared(ctx, id, v, 0, 1); err != nil {
+			if err := c.FetchKeyed(ctx, fetched); err != nil {
 				t.Fatal(err)
 			}
 		})

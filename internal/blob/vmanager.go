@@ -34,13 +34,6 @@ type VersionManager struct {
 	// lv is the cluster's liveness registry; nil has every host up.
 	lv *cluster.Liveness
 
-	// retireEpoch counts retirement events. Versions are immutable and
-	// only ever disappear through retirement, so a client-side cache of
-	// resolved version metadata (Client's extent cache) stays valid for
-	// exactly as long as this counter does not move; checking it is one
-	// atomic load, off the manager's mutex.
-	retireEpoch atomic.Uint64
-
 	// Failovers counts operations a dead manager host pushed onto a
 	// journal standby. Zero without standbys.
 	Failovers atomic.Int64
@@ -334,25 +327,7 @@ func (vm *VersionManager) Retire(ctx *cluster.Ctx, id ID, v Version) error {
 		return &PinnedError{ID: id, V: v}
 	}
 	st.retired[v] = true
-	vm.retireEpoch.Add(1)
 	return nil
-}
-
-// RetireEpoch returns (without cost) the retirement event counter. See
-// the field comment: snapshot-resolution caches are valid as long as
-// the epoch they were filled under is still current.
-func (vm *VersionManager) RetireEpoch() uint64 {
-	return vm.retireEpoch.Load()
-}
-
-// IsLive reports (without cost) whether (id, v) is published and not
-// retired. Snapshot-resolution caches use it as ground truth when the
-// retirement epoch has moved since an entry was validated.
-func (vm *VersionManager) IsLive(id ID, v Version) bool {
-	vm.mu.Lock()
-	defer vm.mu.Unlock()
-	st, ok := vm.blobs[id]
-	return ok && v >= 1 && int(v) <= len(st.published) && !st.retired[v]
 }
 
 // RetireUpTo retires every published, unpinned version of id up to and
@@ -376,9 +351,6 @@ func (vm *VersionManager) RetireUpTo(ctx *cluster.Ctx, id ID, upTo Version) (int
 			st.retired[v] = true
 			retired++
 		}
-	}
-	if retired > 0 {
-		vm.retireEpoch.Add(1)
 	}
 	return retired, nil
 }

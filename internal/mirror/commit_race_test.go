@@ -192,8 +192,8 @@ func TestCloneCleansUpOnPinFailure(t *testing.T) {
 		if got := im.BlobID(); got != rig.imageID {
 			t.Fatalf("image redirected to %d despite failed pin", got)
 		}
-		if rig.sys.VM.IsLive(cloneID, 1) {
-			t.Fatalf("clone blob %d still live after failed pin: leaked", cloneID)
+		if vs, err := rig.sys.VM.LiveVersions(ctx, cloneID); err != nil || len(vs) != 0 {
+			t.Fatalf("clone blob %d has live versions %v (%v) after failed pin: leaked", cloneID, vs, err)
 		}
 		// The image still works against the base lineage.
 		buf := make([]byte, 16)

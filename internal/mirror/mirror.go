@@ -47,6 +47,7 @@ type Module struct {
 
 type localState struct {
 	version   blob.Version
+	leaves    []blob.LeafEntry
 	chunks    []chunkState
 	local     []byte
 	announced map[int64]blob.ChunkKey
@@ -126,6 +127,12 @@ type Image struct {
 	open    bool
 	stats   Stats
 
+	// leaves is the chunk map of the mirrored snapshot, entry i for
+	// chunk i: resolved once at Open, unchanged by Clone (a clone has
+	// the same content), and overwritten in place at the indices a
+	// Commit publishes. Remote reads fetch by its keys.
+	leaves []blob.LeafEntry
+
 	// announced maps chunk index → the key this node holds clean in its
 	// sharing cohort (landed or committed), so a dirtying write retracts it.
 	announced map[int64]blob.ChunkKey
@@ -164,14 +171,6 @@ func (m *Module) Open(ctx *cluster.Ctx, id blob.ID, v blob.Version, real bool) (
 	if err := m.client.PinVersion(id, v); err != nil {
 		return nil, err
 	}
-	// Resolve the snapshot's complete chunk map once, so that every
-	// demand fetch afterwards skips tree descent and its metadata RPCs —
-	// the metadata analogue of the paper's "fetch the full minimal chunk
-	// set" strategy 1.
-	if err := m.client.PrefetchExtents(ctx, id, v); err != nil {
-		m.client.UnpinVersion(id, v)
-		return nil, err
-	}
 	im := &Image{
 		mod: m, blobID: id, version: v, info: inf, open: true,
 		announced: make(map[int64]blob.ChunkKey),
@@ -197,11 +196,19 @@ func (m *Module) Open(ctx *cluster.Ctx, id blob.ID, v blob.Version, real bool) (
 		// held before closing (the local mirror file survived), so
 		// the announced map survives too: a post-reopen dirtying write
 		// has to retract the stale location record.
-		im.chunks, im.local, im.announced = st.chunks, st.local, st.announced
+		im.leaves, im.chunks, im.local, im.announced = st.leaves, st.chunks, st.local, st.announced
 		// Re-reading the persisted modification metadata costs one
 		// local-disk access.
 		ctx.DiskRead(m.node, int64(len(st.chunks))*16)
 		return im, nil
+	}
+	// Resolve the snapshot's complete chunk map once, so that no demand
+	// fetch afterwards descends the tree or pays its metadata RPCs — the
+	// metadata analogue of the paper's "fetch the full minimal chunk
+	// set" strategy 1.
+	if im.leaves, err = m.client.ChunkMap(ctx, id, v); err != nil {
+		m.client.UnpinVersion(id, v)
+		return nil, err
 	}
 	im.chunks = make([]chunkState, inf.Chunks())
 	if real {
@@ -221,7 +228,7 @@ func (im *Image) Close(ctx *cluster.Ctx) {
 	}
 	im.open = false
 	id, v := im.blobID, im.version
-	st := &localState{version: im.version, chunks: im.chunks, local: im.local, announced: im.announced}
+	st := &localState{version: im.version, leaves: im.leaves, chunks: im.chunks, local: im.local, announced: im.announced}
 	n, tail := int64(len(im.chunks))*16, im.run.bytes
 	im.run.bytes = 0
 	im.mu.Unlock()
@@ -455,10 +462,16 @@ func (im *Image) fullyMirroredLocked(ci int64) bool {
 // key the local copy no longer is) is withdrawn here, one Retract a fetch.
 func (im *Image) fetchChunks(ctx *cluster.Ctx, lo, hi int64) error {
 	sharer := im.mod.sharer
+	fetched := make([]blob.FetchedChunk, hi-lo)
 	im.mu.Lock()
-	id, v := im.blobID, im.version
+	for i, lf := range im.leaves[lo:hi] {
+		fetched[i] = blob.FetchedChunk{Index: lf.Index, Key: lf.Chunk}
+		if lf.Chunk == 0 {
+			fetched[i].Payload = blob.Payload{Size: im.chunkLen(lf.Index)}
+		}
+	}
 	im.mu.Unlock()
-	fetched, err := im.mod.client.FetchChunksShared(ctx, id, v, lo, hi)
+	err := im.mod.client.FetchKeyed(ctx, fetched)
 	// Retry-with-backoff instead of propagating the first failure: a
 	// fetch that lost the race with a provider death (every replica of
 	// some chunk down) is re-attempted after retryDelay — by then
@@ -469,7 +482,7 @@ func (im *Image) fetchChunks(ctx *cluster.Ctx, lo, hi int64) error {
 		im.stats.FetchRetries++
 		im.mu.Unlock()
 		ctx.Sleep(retryDelay)
-		fetched, err = im.mod.client.FetchChunksShared(ctx, id, v, lo, hi)
+		err = im.mod.client.FetchKeyed(ctx, fetched)
 	}
 	if err != nil {
 		return err
@@ -693,6 +706,7 @@ func (im *Image) publishCommit(ctx *cluster.Ctx, plan *commitPlan) (blob.Version
 	im.version = v
 	im.stats.CommittedChunks += int64(len(plan.writes))
 	for _, ci := range plan.dirtyIdx {
+		im.leaves[ci].Chunk = keyOf[ci]
 		// What was written between payload capture and publication the
 		// published snapshot does not contain: exactly those bytes stay
 		// dirty for the next commit, and none when no write landed.

@@ -362,6 +362,81 @@ func TestCloseReopenRestoresLocalState(t *testing.T) {
 	})
 }
 
+// TestOpenImageNeverDescends: an open image fetches by the chunk map it
+// resolved at Open. Reads of never-mirrored chunks after a commit, after
+// a forking snapshot, and across a close and reopen pay no metadata get
+// and no version-manager call. The manager's host is down, so every
+// manager call fails over to its standby and counts in VM.Failovers.
+func TestOpenImageNeverDescends(t *testing.T) {
+	const cs = 4 << 10
+	fab := cluster.NewLive(6)
+	sys := blob.NewSystem([]cluster.NodeID{0, 1, 2, 3}, 4, 1)
+	sys.VM.SetStandbys([]cluster.NodeID{5})
+	lv := cluster.NewLiveness(6)
+	sys.VM.SetLiveness(lv)
+	mod := NewModule(0, blob.NewClient(sys))
+	base := make([]byte, 32*cs)
+	for i := range base {
+		base[i] = byte(i*13 + 7)
+	}
+	fab.Run(func(ctx *cluster.Ctx) {
+		c := blob.NewClient(sys)
+		id, err := c.Create(ctx, int64(len(base)), cs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := c.WriteAt(ctx, id, 0, base, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lv.Kill(ctx, 4)
+		im, err := mod.Open(ctx, id, v, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// quiet runs step, which ends in a read of the never-mirrored
+		// chunks [ci,ci+4), and checks what the read returned and cost.
+		quiet := func(what string, ci int64, step func()) {
+			t.Helper()
+			gets, calls := sys.Meta.Gets.Load(), sys.VM.Failovers.Load()
+			step()
+			got := make([]byte, 4*cs)
+			if _, err := im.ReadAt(ctx, got, ci*cs); err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			if !bytes.Equal(got, base[ci*cs:(ci+4)*cs]) {
+				t.Fatalf("%s: read wrong data", what)
+			}
+			if g, n := sys.Meta.Gets.Load()-gets, sys.VM.Failovers.Load()-calls; g != 0 || n != 0 {
+				t.Errorf("%s: %d metadata gets and %d manager calls", what, g, n)
+			}
+		}
+		write := func(ci int64) {
+			if _, err := im.WriteAt(ctx, []byte("dirty"), ci*cs+9); err != nil {
+				t.Fatal(err)
+			}
+		}
+		quiet("first read", 0, func() {})
+		write(4)
+		if _, err := im.Commit(ctx); err != nil {
+			t.Fatal(err)
+		}
+		quiet("read after commit", 8, func() {})
+		write(5)
+		if _, _, err := im.Snapshot(ctx, true); err != nil {
+			t.Fatal(err)
+		}
+		quiet("read after fork", 12, func() {})
+		quiet("reopen and read", 16, func() {
+			cur, cv := im.BlobID(), im.Version()
+			im.Close(ctx)
+			if im, err = mod.Open(ctx, cur, cv, true); err != nil {
+				t.Fatal(err)
+			}
+		})
+	})
+}
+
 // TestRefusedReopenKeepsLocalState: a disk closed synthetic cannot be
 // reopened real, and the refusal must leave the node's persisted dirty
 // map where the next synthetic open finds it.

@@ -127,11 +127,15 @@ func newWriteBackRig(t *testing.T, cfg cluster.Config, size int64, chunk int) (*
 	return fab, NewModule(0, blob.NewClient(sys)), id, v
 }
 
-// TestWriteBehindRunsRace races a commit's gap fills against guest reads
-// of the same image on the live fabric, where both activities extend and
-// write back the one pending run. Under -race it checks that the run is
-// handed over under the image lock: after Close, the bytes written back
-// equal the bytes fetched, so no run was lost or written back twice.
+// TestWriteBehindRunsRace races a commit against guest reads of the same
+// image on the live fabric. In even rounds the commit gap-fills, and both
+// activities extend and write back the one pending run; in odd rounds the
+// dirty chunks are whole, so the commit publishes at once and overwrites
+// the image's chunk map while the guest fetches the chunks between them
+// by it. Under -race it checks that the run and the map are handed over
+// under the image lock: the guest reads what it wrote and the base
+// elsewhere, and after Close the bytes written back equal the bytes
+// fetched, so no run was lost or written back twice.
 func TestWriteBehindRunsRace(t *testing.T) {
 	const size, chunk = 128 << 10, 4 << 10
 	var written atomic.Int64
@@ -148,10 +152,14 @@ func TestWriteBehindRunsRace(t *testing.T) {
 		rig.run(t, func(ctx *cluster.Ctx) {
 			im := rig.open(t, ctx, 0)
 			// A few bytes in the middle of every third chunk leave it
-			// dirty but not mirrored, so the commit gap-fills it.
-			mark := []byte{0xEE, 0xEE}
+			// dirty but not mirrored, so the commit gap-fills it; in odd
+			// rounds the whole chunk is written.
+			mark, at := []byte{0xEE, 0xEE}, int64(chunk/2)
+			if round%2 == 1 {
+				mark, at = bytes.Repeat([]byte{0xEE}, chunk), 0
+			}
 			for ci := int64(round % 3); ci < size/chunk; ci += 3 {
-				off := ci*chunk + chunk/2
+				off := ci*chunk + at
 				if _, err := im.WriteAt(ctx, mark, off); err != nil {
 					t.Fatal(err)
 				}

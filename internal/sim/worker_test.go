@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // sleepers runs n processes that overlap in time on a new environment.
@@ -31,12 +32,25 @@ func TestWorkersOutliveTheirEnv(t *testing.T) {
 	if n := idleWorkers(); n < 32 {
 		t.Fatalf("%d idle workers after 32 concurrent processes", n)
 	}
+	// The testing package starts a test as soon as the one before it
+	// signals its end, so that test's goroutine may still be exiting:
+	// base is counted once no goroutine has ended for a millisecond.
 	base, parked := runtime.NumGoroutine(), idleWorkers()
+	for {
+		time.Sleep(time.Millisecond)
+		n := runtime.NumGoroutine()
+		if n == base {
+			break
+		}
+		base = n
+	}
 	for i := 0; i < 10; i++ {
 		sleepers(32)
 	}
 	if n := runtime.NumGoroutine(); n != base {
-		t.Errorf("%d goroutines after ten more environments, %d after the first", n, base)
+		buf := make([]byte, 1<<20)
+		buf = buf[:runtime.Stack(buf, true)]
+		t.Errorf("%d goroutines after ten more environments, %d after the first:\n%s", n, base, buf)
 	}
 	if n := idleWorkers(); n != parked {
 		t.Errorf("%d idle workers after ten more environments, %d after the first", n, parked)

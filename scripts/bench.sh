@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # bench.sh runs the repository's key benchmarks — the paper-scale
-# figure regenerations plus the metadata hot-path microbenchmarks —
+# figure regenerations plus the metadata cold-descent microbenchmark —
 # with allocation reporting, and writes the raw output to bench.txt
 # (the artifact CI uploads, and the input `benchstat old.txt new.txt`
 # compares across commits). It then distills the families via
@@ -30,7 +30,7 @@ exjson="${5:-BENCH_export.json}"
 scjson="${6:-BENCH_scale.json}"
 
 go test -run '^$' \
-  -bench 'BenchmarkFig4PaperScale|BenchmarkFlashCrowd256|BenchmarkFlashCrowdDegraded|BenchmarkFlashCrowdCrossZone|BenchmarkFlashCrowdMetaOutage|BenchmarkFlashCrowdScale|BenchmarkMultisnapshot1024|BenchmarkChurn|BenchmarkExportImport|BenchmarkCommitDataStructures|BenchmarkMetadataHotPath|BenchmarkMetadataColdDescent' \
+  -bench 'BenchmarkFig4PaperScale|BenchmarkFlashCrowd256|BenchmarkFlashCrowdDegraded|BenchmarkFlashCrowdCrossZone|BenchmarkFlashCrowdMetaOutage|BenchmarkFlashCrowdScale|BenchmarkMultisnapshot1024|BenchmarkChurn|BenchmarkExportImport|BenchmarkCommitDataStructures|BenchmarkMetadataColdDescent' \
   -benchmem -count=1 -cpu 1,8 -timeout 30m . | tee "$out"
 
 # The 10k point runs in its own invocation, once and at -cpu 1: the
