@@ -3,33 +3,22 @@
 //
 // Usage:
 //
-//	vmdeploy [-quick] [-seed N] [-sweep 1,10,30,...] <scenario>|all
+//	vmdeploy [-quick] [-seed N] [-sweep 1,10,30,...] [-cpuprofile FILE] [-memprofile FILE] <scenario>|all
 //
 // The scenarios are the entries of experiments.Suite, in the order
-// `all` prints them: fig4 (all four panels of the multideployment
-// figure), fig5 (both multisnapshotting panels), fig67 (the Bonnie++
-// comparison), fig8 (the Monte Carlo application), flash (the flash
-// crowd with p2p sharing off/on), churn (the snapshot lifecycle:
-// keep-last-K retention + garbage collection; see -cycles and -keep),
-// degraded (the flash crowd while -kill providers fail mid-deployment,
-// healthy baseline row included), crosszone (the flash crowd over 3
-// availability zones, flat vs topology-aware policy;
-// docs/topology.md), ablations (chunk size and replication degree),
-// multisnap (the concurrent commit of all instances against a small
-// pool, with its provider write RPCs per round; docs/perf.md),
-// metaoutage (the flash crowd with replicated metadata while -kill
-// metadata providers and one compute rack fail, against a healthy
-// baseline; docs/faults.md), sync (an upstream lineage shipped to a
-// disjoint downstream pool as one full archive plus per-commit
-// deltas; docs/sync.md). A figure panel (fig4a, fig5b, fig6, fig7)
-// selects its figure. -quick runs the scaled-down parameter set
-// (shapes preserved, absolute values not comparable to the paper).
+// `all` prints them (README.md says what each runs); a figure panel
+// (fig4a, fig5b, fig6, fig7) selects its figure. -quick runs the
+// scaled-down parameters: shapes hold, absolute values are not the
+// paper's. -cpuprofile and -memprofile profile the scenario runs.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -44,10 +33,13 @@ var panels = map[string]string{
 	"fig6": "fig67", "fig7": "fig67",
 }
 
-// parse turns the command line into the parameters, the sizes and the
-// scenarios to run. Every flag value is checked here, before any
-// scenario runs.
-func parse(args []string) (experiments.Params, experiments.Sizes, []experiments.Scenario, error) {
+// profiles names the host profile files to write; empty writes none.
+type profiles struct{ cpu, mem string }
+
+// parse turns the command line into the parameters, the sizes, the
+// scenarios to run and the profiles to write. Every flag value is
+// checked here, before any scenario runs.
+func parse(args []string) (experiments.Params, experiments.Sizes, []experiments.Scenario, profiles, error) {
 	fs := flag.NewFlagSet("vmdeploy", flag.ExitOnError)
 	quick := fs.Bool("quick", false, "scaled-down parameters (fast; shapes only)")
 	seed := fs.Int64("seed", 0, "override the experiment seed")
@@ -56,6 +48,9 @@ func parse(args []string) (experiments.Params, experiments.Sizes, []experiments.
 	cycles := fs.Int("cycles", 8, "snapshot cycles for churn")
 	keep := fs.Int("keep", 2, "keep-last-K retention window for churn (0 = no retention)")
 	kill := fs.Int("kill", 8, "providers killed mid-run for degraded and metaoutage")
+	var prof profiles
+	fs.StringVar(&prof.cpu, "cpuprofile", "", "write a CPU profile of the scenario runs to `file`")
+	fs.StringVar(&prof.mem, "memprofile", "", "write an allocation profile, taken after the scenario runs, to `file`")
 	fs.Usage = func() {
 		names := make([]string, len(experiments.Suite))
 		for i, sc := range experiments.Suite {
@@ -75,7 +70,7 @@ func parse(args []string) (experiments.Params, experiments.Sizes, []experiments.
 		p.Seed = *seed
 	}
 	if *instances < 0 {
-		return p, sz, nil, fmt.Errorf("-instances %d: need 0 (the defaults) or more", *instances)
+		return p, sz, nil, prof, fmt.Errorf("-instances %d: need 0 (the defaults) or more", *instances)
 	}
 	if *instances > 0 {
 		sz = sz.WithInstances(*instances)
@@ -85,19 +80,19 @@ func parse(args []string) (experiments.Params, experiments.Sizes, []experiments.
 		for _, s := range strings.Split(*sweepArg, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(s))
 			if err != nil {
-				return p, sz, nil, fmt.Errorf("bad sweep entry %q", s)
+				return p, sz, nil, prof, fmt.Errorf("bad sweep entry %q", s)
 			}
 			sz.Sweep = append(sz.Sweep, n)
 		}
 	}
 	sz.Cycles, sz.Keep, sz.Kill = *cycles, *keep, *kill
 	if err := sz.Validate(); err != nil {
-		return p, sz, nil, err
+		return p, sz, nil, prof, err
 	}
 
 	if fs.NArg() != 1 {
 		fs.Usage()
-		return p, sz, nil, fmt.Errorf("need exactly one scenario, got %d", fs.NArg())
+		return p, sz, nil, prof, fmt.Errorf("need exactly one scenario, got %d", fs.NArg())
 	}
 	target := fs.Arg(0)
 	if name, ok := panels[target]; ok {
@@ -111,20 +106,58 @@ func parse(args []string) (experiments.Params, experiments.Sizes, []experiments.
 	}
 	if len(run) == 0 {
 		fs.Usage()
-		return p, sz, nil, fmt.Errorf("unknown scenario %q", target)
+		return p, sz, nil, prof, fmt.Errorf("unknown scenario %q", target)
 	}
-	return p, sz, run, nil
+	return p, sz, run, prof, nil
+}
+
+// runAll prints every scenario of run to w. The CPU profile covers the
+// scenario runs only, and the allocation profile is written after them.
+func runAll(w io.Writer, p experiments.Params, sz experiments.Sizes, run []experiments.Scenario, prof profiles) (err error) {
+	if prof.cpu != "" {
+		f, ferr := os.Create(prof.cpu)
+		if ferr != nil {
+			return ferr
+		}
+		if err = pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return err
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}()
+	}
+	for _, sc := range run {
+		start := time.Now()
+		sc.Fprint(w, p, sz)
+		fmt.Fprintf(w, "(%s completed in %s)\n\n", sc.Name, time.Since(start).Round(time.Millisecond))
+	}
+	if prof.mem == "" {
+		return nil
+	}
+	f, err := os.Create(prof.mem)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // the profile counts allocations up to the last collection
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func main() {
-	p, sz, run, err := parse(os.Args[1:])
+	p, sz, run, prof, err := parse(os.Args[1:])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vmdeploy:", err)
 		os.Exit(2)
 	}
-	for _, sc := range run {
-		start := time.Now()
-		sc.Fprint(os.Stdout, p, sz)
-		fmt.Printf("(%s completed in %s)\n\n", sc.Name, time.Since(start).Round(time.Millisecond))
+	if err := runAll(os.Stdout, p, sz, run, prof); err != nil {
+		fmt.Fprintln(os.Stderr, "vmdeploy:", err)
+		os.Exit(1)
 	}
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -21,7 +22,7 @@ func TestParseRejectsBadFlags(t *testing.T) {
 		{[]string{"-quick", "-kill", "-1", "fig4"}, "kill count -1"},
 		{[]string{"-sweep", "1,x", "fig4"}, `bad sweep entry "x"`},
 	} {
-		_, _, run, err := parse(tc.args)
+		_, _, run, _, err := parse(tc.args)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("parse(%q) = %v, want an error naming %q", tc.args, err, tc.want)
 		}
@@ -37,12 +38,12 @@ func TestParseSelectsScenarios(t *testing.T) {
 	for target, want := range map[string]string{
 		"fig4a": "fig4", "fig5b": "fig5", "fig6": "fig67", "fig7": "fig67", "fig67": "fig67", "sync": "sync",
 	} {
-		_, _, run, err := parse([]string{"-quick", target})
+		_, _, run, _, err := parse([]string{"-quick", target})
 		if err != nil || len(run) != 1 || run[0].Name != want {
 			t.Errorf("parse(%q) selected %v (err %v), want %s", target, run, err, want)
 		}
 	}
-	p, sz, run, err := parse([]string{"-quick", "-seed", "7", "-instances", "10", "-kill", "3", "-sweep", "2, 4", "all"})
+	p, sz, run, _, err := parse([]string{"-quick", "-seed", "7", "-instances", "10", "-kill", "3", "-sweep", "2, 4", "all"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestParseSelectsScenarios(t *testing.T) {
 // line aside. sync and fig67 are the two that take milliseconds.
 func TestQuickPrintsTheGoldens(t *testing.T) {
 	for _, name := range []string{"sync", "fig67"} {
-		p, sz, run, err := parse([]string{"-quick", name})
+		p, sz, run, _, err := parse([]string{"-quick", name})
 		if err != nil || len(run) != 1 {
 			t.Fatalf("parse(-quick %s) selected %d scenarios (err %v)", name, len(run), err)
 		}
@@ -77,5 +78,33 @@ func TestQuickPrintsTheGoldens(t *testing.T) {
 		if got := b.String(); got != string(want) {
 			t.Errorf("vmdeploy -quick %s differs from its golden\n--- want\n%s--- got\n%s", name, want, got)
 		}
+	}
+}
+
+// TestProfilesCoverTheRun: -cpuprofile and -memprofile write non-empty
+// profiles of the scenario run, and a profile that cannot be created
+// is an error.
+func TestProfilesCoverTheRun(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	p, sz, run, prof, err := parse([]string{"-quick", "-cpuprofile", cpu, "-memprofile", mem, "multisnap"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := runAll(io.Discard, p, sz, run, prof); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{cpu, mem} {
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Size() == 0 {
+			t.Errorf("%s is empty, want a profile", filepath.Base(path))
+		}
+	}
+	prof.cpu = filepath.Join(dir, "missing", "cpu.prof")
+	if err := runAll(io.Discard, p, sz, run, prof); err == nil {
+		t.Error("a CPU profile in a missing directory was not an error")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -510,5 +511,32 @@ func TestSimFabricSmokeTest(t *testing.T) {
 	}
 	if fab.Now() <= 0 {
 		t.Fatal(fmt.Sprintf("virtual clock = %v, want > 0", fab.Now()))
+	}
+}
+
+// TestHerdSharesAppendToTheProviderLog: sixteen committers each put a
+// 1 MiB share on one provider at the same instant. The shares land in
+// the provider's log back to back, so its disk serves their bytes and
+// a single seek, not a seek per share.
+func TestHerdSharesAppendToTheProviderLog(t *testing.T) {
+	const committers, share = 16, 1 << 20
+	cfg := cluster.DefaultConfig(committers + 1)
+	fab := cluster.NewSim(cfg)
+	ps := NewProviderSet([]cluster.NodeID{0}, 1)
+	fab.Run(func(ctx *cluster.Ctx) {
+		var tasks []cluster.Task
+		for i := 1; i <= committers; i++ {
+			key := ChunkKey(i)
+			tasks = append(tasks, ctx.Go("committer", cluster.NodeID(i), func(cc *cluster.Ctx) {
+				if err := putOne(cc, ps, key, SyntheticPayload(share, uint64(key))); err != nil {
+					t.Errorf("chunk %d: %v", key, err)
+				}
+			}))
+		}
+		ctx.WaitAll(tasks)
+	})
+	want := float64(committers*share) + cfg.DiskSeek*cfg.DiskBandwidth
+	if got := fab.Disk(0).Served; math.Abs(got-want) > 1 {
+		t.Fatalf("provider disk served %.0f units, want %.0f (16 MiB and one seek)", got, want)
 	}
 }

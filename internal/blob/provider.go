@@ -243,15 +243,15 @@ type ChunkPut struct {
 // PutBatch stores a whole commit round of chunks, every key on all of
 // its replicas, and charges the network per provider instead of per
 // chunk: every payload bound for one provider travels in a single RPC
-// (the write-side twin of MetaService.PutBatch), followed by an
-// asynchronous local-disk write there (BlobSeer acknowledges once the
-// data is in the provider's write-back buffer; see paper §5.3). The
-// shares go out over at most clientParallel concurrent activities, the
-// client's connection pool: up to that many providers all receive
-// theirs at once and the round takes as long as its slowest provider,
-// while a pool of a hundred aggregated disks is served sixteen at a
-// time instead of holding a simulated process per provider per
-// committing instance.
+// (the write-side twin of MetaService.PutBatch), followed by an append
+// to that provider's log (Ctx.DiskAppend; BlobSeer acknowledges once
+// the data is in the write-back buffer, paper §5.3). The shares go out
+// over at most clientParallel concurrent activities, the client's
+// connection pool: up to that many providers all receive theirs at
+// once and the round takes as long as its slowest provider, while a
+// pool of a hundred aggregated disks is served sixteen at a time
+// instead of holding a simulated process per provider per committing
+// instance.
 //
 // A ring replica that is down takes no copy — the writer records it as
 // a void and pushes the missing copy to a live substitute instead
@@ -357,7 +357,7 @@ func (ps *ProviderSet) PutBatch(ctx *cluster.Ctx, puts []ChunkPut) error {
 		prov := targets[t]
 		cc.RPC(prov, bytesTo[prov], 16)
 		if d := diskTo[prov]; d > 0 {
-			cc.DiskWriteAsync(prov, d)
+			cc.DiskAppend(prov, d)
 		}
 	})
 

@@ -145,18 +145,18 @@ func (rs *replicaSet[K]) NodeChanged(ctx *cluster.Ctx, node cluster.NodeID, _ bo
 // locationsLocked returns the nodes holding key's copies in failover
 // order: ring replicas that actually stored it (minus voids), then the
 // substitutes degraded puts and repair sweeps created. With no voids
-// or repairs anywhere — the fault-free common case — that IS the
-// shared ring, returned without allocating. The caller holds rs.mu
-// (either side).
+// or repairs for the key — every key of a fault-free run, and most
+// keys of a faulty one — that IS the shared ring, returned without
+// allocating. The caller holds rs.mu (either side).
 func (rs *replicaSet[K]) locationsLocked(key K) []cluster.NodeID {
 	ring := rs.Replicas(key)
-	if len(rs.voids) == 0 && len(rs.repairs) == 0 {
+	voids, repairs := rs.voids[key], rs.repairs[key]
+	if len(voids) == 0 && len(repairs) == 0 {
 		return ring
 	}
-	voids, repairs := rs.voids[key], rs.repairs[key]
 	out := make([]cluster.NodeID, 0, len(ring)+len(repairs))
 	for _, r := range ring {
-		if !containsProvider(voids, r) {
+		if !slices.Contains(voids, r) {
 			out = append(out, r)
 		}
 	}
@@ -241,7 +241,7 @@ func (rs *replicaSet[K]) substitutes(key K, ring []cluster.NodeID, n int) []clus
 	var out []cluster.NodeID
 	for i := 0; i < len(rs.nodes) && len(out) < n; i++ {
 		cand := rs.nodes[(first+i)%len(rs.nodes)]
-		if rs.lv.Alive(cand) && !containsProvider(ring, cand) {
+		if rs.lv.Alive(cand) && !slices.Contains(ring, cand) {
 			out = append(out, cand)
 		}
 	}
@@ -317,10 +317,10 @@ func (rs *replicaSet[K]) ReReplicate(ctx *cluster.Ctx) int {
 		first := rs.primarySlot(key)
 		for i := 0; i < n && live < rs.replicas; i++ {
 			cand := rs.nodes[(first+i)%n]
-			if !rs.lv.Alive(cand) || containsProvider(locs, cand) {
+			if !rs.lv.Alive(cand) || slices.Contains(locs, cand) {
 				continue
 			}
-			if containsProvider(ring, cand) {
+			if slices.Contains(ring, cand) {
 				// A void ring member receiving its copy stops being a
 				// void — it is a ring location again.
 				voids := rs.voids[key]
@@ -359,8 +359,4 @@ func (rs *replicaSet[K]) ReReplicate(ctx *cluster.Ctx) int {
 	}
 	ctx.WaitAll(tasks)
 	return created
-}
-
-func containsProvider(nodes []cluster.NodeID, n cluster.NodeID) bool {
-	return slices.Contains(nodes, n)
 }

@@ -67,3 +67,20 @@ func TestTiersPlaceAlike(t *testing.T) {
 		})
 	}
 }
+
+// TestUnrepairedKeyLocationsAllocateNothing: a repair recorded for one
+// key leaves every other key's location list the shared ring, so the
+// read path of a faulty run allocates only for the keys that moved.
+func TestUnrepairedKeyLocationsAllocateNothing(t *testing.T) {
+	ps := NewProviderSet(allNodes(4), 2)
+	repaired, other := ChunkKey(1), ChunkKey(2)
+	ps.mu.Lock()
+	ps.repairs[repaired] = []cluster.NodeID{3}
+	ps.mu.Unlock()
+	if locs := ps.locations(repaired); !slices.Contains(locs, 3) {
+		t.Fatalf("repaired key at %v, want its substitute 3 listed", locs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { ps.locations(other) }); allocs != 0 {
+		t.Fatalf("locations of an unrepaired key allocates %v times, want 0", allocs)
+	}
+}

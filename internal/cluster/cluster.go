@@ -74,6 +74,12 @@ func (c Config) validate() error {
 	return nil
 }
 
+func (c Config) checkNode(n NodeID) {
+	if n < 0 || int(n) >= c.Nodes {
+		panic(fmt.Sprintf("cluster: node %d out of range [0,%d)", n, c.Nodes))
+	}
+}
+
 // Task is a handle to an activity spawned with Ctx.Go; join it with
 // Ctx.Wait.
 type Task interface {
@@ -112,9 +118,10 @@ type Fabric interface {
 type writeMode uint8
 
 const (
-	writeSync writeMode = iota // the writer waits for the disk
-	writeBack                  // buffered, drained beside reads
-	writeIdle                  // buffered, drained while the disk is otherwise idle
+	writeSync   writeMode = iota // the writer waits for the disk
+	writeBack                    // buffered, drained beside reads
+	writeIdle                    // buffered, drained while the disk is otherwise idle
+	writeAppend                  // buffered, drained in arrival order through the node's log
 )
 
 // Ctx is the context of one activity (a simulated thread of control):
@@ -171,6 +178,12 @@ func (c *Ctx) DiskWriteAsync(node NodeID, bytes int64) { c.fab.diskWrite(c, node
 // it drains only while node's disk has nothing else to serve. It is for
 // a clean copy of data stored elsewhere, which loses nothing by waiting.
 func (c *Ctx) DiskWriteIdle(node NodeID, bytes int64) { c.fab.diskWrite(c, node, bytes, writeIdle) }
+
+// DiskAppend is DiskWriteAsync onto node's log, for data never
+// rewritten in place (the chunks a provider stores): node's appends
+// drain one at a time in arrival order, each freeing its buffer space
+// as it lands, and only one that finds the log idle pays a seek.
+func (c *Ctx) DiskAppend(node NodeID, bytes int64) { c.fab.diskWrite(c, node, bytes, writeAppend) }
 
 // Go spawns a new activity running fn on the given node.
 func (c *Ctx) Go(name string, node NodeID, fn func(*Ctx)) Task {

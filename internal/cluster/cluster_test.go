@@ -169,6 +169,66 @@ func TestSimIdleWriteOversized(t *testing.T) {
 	}
 }
 
+// TestSimDiskAppend: a node's appends drain one at a time in arrival
+// order, and only one that finds the log idle pays a seek. Each frees
+// its buffer space as its own bytes land, which is when a writer held
+// back by a full buffer gets in. An append larger than the buffer goes
+// straight to disk; the live fabric charges nothing. With testConfig a
+// 10 MB append is 0.2 s of disk and a seek 0.01 s.
+func TestSimDiskAppend(t *testing.T) {
+	appendAcks := func(c *Ctx, n int, bytes int64) []float64 {
+		acks := make([]float64, n)
+		for i := range acks {
+			c.DiskAppend(0, bytes)
+			acks[i] = c.Now()
+		}
+		return acks
+	}
+	for _, tc := range []struct {
+		name   string
+		buffer int64
+		run    func(*Ctx) []float64 // the writer's ack times
+		acks   []float64
+		end    float64
+	}{
+		{"appends together pay one seek", 100e6,
+			func(c *Ctx) []float64 { return appendAcks(c, 3, 10e6) },
+			[]float64{0, 0, 0}, 0.61},
+		{"space frees in arrival order", 30e6,
+			func(c *Ctx) []float64 { return appendAcks(c, 6, 10e6) },
+			[]float64{0, 0, 0, 0.21, 0.41, 0.61}, 1.21},
+		{"an append after the log drained seeks again", 100e6,
+			func(c *Ctx) []float64 {
+				c.DiskAppend(0, 10e6)
+				c.Sleep(1)
+				return appendAcks(c, 1, 10e6)
+			},
+			[]float64{1}, 1.21},
+		{"an oversized append goes straight to disk", 10e6,
+			func(c *Ctx) []float64 { return appendAcks(c, 1, 20e6) },
+			[]float64{0.41}, 0.41},
+	} {
+		cfg := testConfig(2)
+		cfg.WriteBuffer = tc.buffer
+		f := NewSim(cfg)
+		var acks []float64
+		f.Run(func(ctx *Ctx) { acks = tc.run(ctx) })
+		for i, want := range tc.acks {
+			if !almostEq(acks[i], want) {
+				t.Errorf("%s: append %d acked at %v, want %v", tc.name, i, acks[i], want)
+			}
+		}
+		if !almostEq(f.Now(), tc.end) {
+			t.Errorf("%s: log drained at %v, want %v", tc.name, f.Now(), tc.end)
+		}
+	}
+	live := NewLive(2)
+	live.Run(func(ctx *Ctx) { ctx.DiskAppend(1, 10e6) })
+	if live.Now() != 0 {
+		t.Errorf("live append took %v, want no time", live.Now())
+	}
+}
+
 func TestSimDiskSharing(t *testing.T) {
 	f := NewSim(testConfig(2))
 	var d1, d2 float64

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -55,7 +54,7 @@ type liveTask struct {
 func (*liveTask) isTask() {}
 
 func (f *Live) spawn(name string, node NodeID, _ *Ctx, fn func(*Ctx)) Task {
-	f.checkNode(node)
+	f.cfg.checkNode(node)
 	t := &liveTask{done: make(chan struct{})}
 	f.wg.Add(1)
 	go func() {
@@ -72,18 +71,12 @@ func (f *Live) sleep(_ *Ctx, d float64)   {}
 func (f *Live) compute(_ *Ctx, d float64) {}
 
 func (f *Live) rpc(_ *Ctx, from, to NodeID, reqBytes, respBytes int64) {
-	f.checkNode(from)
-	f.checkNode(to)
+	f.cfg.checkNode(from)
+	f.cfg.checkNode(to)
 	if from != to {
 		f.traffic.Add(reqBytes + respBytes)
 	}
 }
 
-func (f *Live) diskRead(_ *Ctx, node NodeID, bytes int64)               { f.checkNode(node) }
-func (f *Live) diskWrite(_ *Ctx, node NodeID, bytes int64, _ writeMode) { f.checkNode(node) }
-
-func (f *Live) checkNode(n NodeID) {
-	if n < 0 || int(n) >= f.cfg.Nodes {
-		panic(fmt.Sprintf("cluster: node %d out of range [0,%d)", n, f.cfg.Nodes))
-	}
-}
+func (f *Live) diskRead(_ *Ctx, node NodeID, bytes int64)               { f.cfg.checkNode(node) }
+func (f *Live) diskWrite(_ *Ctx, node NodeID, bytes int64, _ writeMode) { f.cfg.checkNode(node) }

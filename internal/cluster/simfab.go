@@ -24,6 +24,9 @@ import (
 // only copy is the buffer's, drains beside reads. A clean copy (a
 // mirror's fetched chunks) drains only while the disk is otherwise idle,
 // so a provider's reads on that disk (§3.1.1) do not queue behind it.
+// Appends (the immutable chunks a provider stores) drain through the
+// node's log instead: one at a time, in arrival order, each freeing its
+// space as it lands, and only one that finds the log idle seeks.
 type Sim struct {
 	cfg     Config
 	env     *sim.Env
@@ -32,6 +35,7 @@ type Sim struct {
 	down    []*flownet.Link
 	disks   []*sim.PSPool
 	wbuf    []*sim.Semaphore
+	logs    []appendLog
 	traffic int64
 
 	// Tier links of the configured topology (nil slices on the flat
@@ -68,6 +72,7 @@ func NewSim(cfg Config) *Sim {
 		down:  make([]*flownet.Link, cfg.Nodes),
 		disks: make([]*sim.PSPool, cfg.Nodes),
 		wbuf:  make([]*sim.Semaphore, cfg.Nodes),
+		logs:  make([]appendLog, cfg.Nodes),
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		f.up[i] = f.net.NewLink(linkName("n", i, ".up"), cfg.NICBandwidth)
@@ -134,14 +139,6 @@ func (f *Sim) TierTraffic(t Tier) int64 { return f.tierBytes[t] }
 // shorthand for TierTraffic(TierRemote).
 func (f *Sim) CrossZoneBytes() int64 { return f.tierBytes[TierRemote] }
 
-// RackUplink returns rack r's uplink (nil without a topology); its
-// TotalBytes is the per-rack egress, indexed in sorted rack order.
-func (f *Sim) RackUplink(r int) *flownet.Link { return f.rackUp[r] }
-
-// ZoneUplink returns zone z's interconnect uplink (nil without a
-// topology).
-func (f *Sim) ZoneUplink(z int) *flownet.Link { return f.zoneUp[z] }
-
 // ResetTraffic zeroes the traffic counters (total and per-tier).
 func (f *Sim) ResetTraffic() {
 	f.traffic = 0
@@ -167,7 +164,7 @@ type simTask struct {
 func (*simTask) isTask() {}
 
 func (f *Sim) spawn(name string, node NodeID, _ *Ctx, fn func(*Ctx)) Task {
-	f.checkNode(node)
+	f.cfg.checkNode(node)
 	p := f.env.Go(name, func(p *sim.Proc) {
 		fn(&Ctx{fab: f, node: node, Proc: p})
 	})
@@ -190,8 +187,8 @@ func (f *Sim) compute(ctx *Ctx, d float64) { ctx.Proc.Sleep(d) }
 const smallPayload = 8 << 10
 
 func (f *Sim) rpc(ctx *Ctx, from, to NodeID, reqBytes, respBytes int64) {
-	f.checkNode(from)
-	f.checkNode(to)
+	f.cfg.checkNode(from)
+	f.cfg.checkNode(to)
 	p := ctx.Proc
 	if from == to {
 		p.Sleep(f.cfg.LocalRPC)
@@ -259,8 +256,8 @@ func (f *Sim) pathLinks(src, dst NodeID, tier Tier, extra []*flownet.Link) []*fl
 // Ctx.RPC instead; this entry point exists for transport models such as
 // the prepropagation broadcast tree.
 func (f *Sim) TransferVia(ctx *Ctx, from, to NodeID, bytes int64, extra ...*flownet.Link) {
-	f.checkNode(from)
-	f.checkNode(to)
+	f.cfg.checkNode(from)
+	f.cfg.checkNode(to)
 	if bytes <= 0 || from == to {
 		return
 	}
@@ -276,7 +273,7 @@ func (f *Sim) TransferVia(ctx *Ctx, from, to NodeID, bytes int64, extra ...*flow
 func (f *Sim) seekCost() float64 { return f.cfg.DiskSeek * f.cfg.DiskBandwidth }
 
 func (f *Sim) diskRead(ctx *Ctx, node NodeID, bytes int64) {
-	f.checkNode(node)
+	f.cfg.checkNode(node)
 	if bytes <= 0 {
 		return
 	}
@@ -284,7 +281,7 @@ func (f *Sim) diskRead(ctx *Ctx, node NodeID, bytes int64) {
 }
 
 func (f *Sim) diskWrite(ctx *Ctx, node NodeID, bytes int64, mode writeMode) {
-	f.checkNode(node)
+	f.cfg.checkNode(node)
 	if bytes <= 0 {
 		return
 	}
@@ -310,16 +307,37 @@ func (f *Sim) diskWrite(ctx *Ctx, node NodeID, bytes int64, mode writeMode) {
 	// the async completion fires at the event position the blocked
 	// drainer would have resumed at, so schedules are unchanged.
 	f.env.At(f.env.Now(), func() {
-		if mode == writeIdle {
+		switch mode {
+		case writeAppend:
+			lg := &f.logs[node]
+			if lg.queue = append(lg.queue, bytes); len(lg.queue)-lg.head == 1 {
+				f.drainAppend(node, work)
+			}
+		case writeIdle:
 			disk.UseIdleAsync(work, func() { buf.Release(bytes) })
-		} else {
+		default:
 			disk.UseAsync(work, func() { buf.Release(bytes) })
 		}
 	})
 }
 
-func (f *Sim) checkNode(n NodeID) {
-	if n < 0 || int(n) >= f.cfg.Nodes {
-		panic(fmt.Sprintf("cluster: node %d out of range [0,%d)", n, f.cfg.Nodes))
-	}
+// appendLog is a node's log: queue[head] is on disk, the rest wait in
+// arrival order, and an emptied queue rewinds to reuse its array.
+type appendLog struct {
+	queue []int64
+	head  int
+}
+
+// drainAppend writes the head of node's log, frees its buffer space as
+// it lands, and starts the next one without a seek: they are contiguous.
+func (f *Sim) drainAppend(node NodeID, work float64) {
+	f.disks[node].UseAsync(work, func() {
+		lg := &f.logs[node]
+		f.wbuf[node].Release(lg.queue[lg.head])
+		if lg.head++; lg.head == len(lg.queue) {
+			lg.queue, lg.head = lg.queue[:0], 0
+		} else {
+			f.drainAppend(node, float64(lg.queue[lg.head]))
+		}
+	})
 }

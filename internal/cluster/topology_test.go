@@ -185,11 +185,11 @@ func TestSimRackUplinkBottleneck(t *testing.T) {
 	}
 	// The 10 MB flowed as the response, node 2 -> node 0: out through
 	// rack 1's uplink, in through rack 0's downlink.
-	if f.RackUplink(1).TotalBytes != 10e6 {
-		t.Errorf("rack 1 uplink carried %v, want 10e6", f.RackUplink(1).TotalBytes)
+	if f.rackUp[1].TotalBytes != 10e6 {
+		t.Errorf("rack 1 uplink carried %v, want 10e6", f.rackUp[1].TotalBytes)
 	}
-	if f.ZoneUplink(0).TotalBytes != 0 {
-		t.Errorf("zone 0 uplink carried %v, want 0", f.ZoneUplink(0).TotalBytes)
+	if f.zoneUp[0].TotalBytes != 0 {
+		t.Errorf("zone 0 uplink carried %v, want 0", f.zoneUp[0].TotalBytes)
 	}
 }
 
