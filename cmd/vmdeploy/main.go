@@ -33,6 +33,12 @@ var panels = map[string]string{
 	"fig6": "fig67", "fig7": "fig67",
 }
 
+// instancesUsage is the -instances help. It names every scenario
+// Sizes.WithInstances resizes.
+const instancesUsage = "instance count for fig8/flash/churn/degraded/metaoutage/multisnap, " +
+	"and crosszone's total over its 3 zones (defaults 100/256/32/256/256/256 and 3×60, " +
+	"or 16/64/8/64/64/64 and 3×20 with -quick)"
+
 // profiles names the host profile files to write; empty writes none.
 type profiles struct{ cpu, mem string }
 
@@ -44,7 +50,7 @@ func parse(args []string) (experiments.Params, experiments.Sizes, []experiments.
 	quick := fs.Bool("quick", false, "scaled-down parameters (fast; shapes only)")
 	seed := fs.Int64("seed", 0, "override the experiment seed")
 	sweepArg := fs.String("sweep", "", "comma-separated instance counts (default 1,10,30,50,70,90,110)")
-	instances := fs.Int("instances", 0, "instance count for fig8/flash/churn/degraded (defaults 100/256/32/256, or 16/64/8/64 with -quick)")
+	instances := fs.Int("instances", 0, instancesUsage)
 	cycles := fs.Int("cycles", 8, "snapshot cycles for churn")
 	keep := fs.Int("keep", 2, "keep-last-K retention window for churn (0 = no retention)")
 	kill := fs.Int("kill", 8, "providers killed mid-run for degraded and metaoutage")

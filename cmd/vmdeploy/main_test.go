@@ -53,9 +53,23 @@ func TestParseSelectsScenarios(t *testing.T) {
 	if p.Seed != 7 || p.MaxInstances != 24 {
 		t.Errorf("seed %d, max instances %d, want 7 and 24", p.Seed, p.MaxInstances)
 	}
-	if sz.Crowd != 10 || sz.Fig8 != 10 || sz.PerZone != 4 || sz.Ablations != 16 || sz.Kill != 3 ||
-		len(sz.Sweep) != 2 || sz.Sweep[1] != 4 {
+	if sz.Crowd != 10 || sz.Fig8 != 10 || sz.Churn != 10 || sz.Multisnap != 10 || sz.PerZone != 4 ||
+		sz.Ablations != 16 || sz.Kill != 3 || len(sz.Sweep) != 2 || sz.Sweep[1] != 4 {
 		t.Errorf("sizes = %+v", sz)
+	}
+}
+
+// TestInstancesHelpNamesEveryResizedScenario: -instances resizes every
+// single-size scenario but the ablations (Sizes.WithInstances), and its
+// help says so.
+func TestInstancesHelpNamesEveryResizedScenario(t *testing.T) {
+	for _, name := range []string{"fig8", "flash", "churn", "degraded", "metaoutage", "multisnap", "crosszone"} {
+		if !strings.Contains(instancesUsage, name) {
+			t.Errorf("-instances help %q does not name %s", instancesUsage, name)
+		}
+	}
+	if strings.Contains(instancesUsage, "ablations") {
+		t.Errorf("-instances help %q names the ablations, which keep their size", instancesUsage)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"blobvfs/internal/cluster"
 )
@@ -39,25 +38,17 @@ const clientParallel = 16
 // paper's 15 MB snapshot diff — make one block.
 const stripeRounds = 4
 
-// Client is a BlobSeer access library instance. Tree nodes and blob
-// geometry are immutable, so the client caches them without any
-// invalidation protocol; this is what makes metadata overhead drop
-// sharply after first access, as in the real system.
-//
-// One activity reads for an image at a time (one mirroring module per
-// node, one instance per node), so the caches are plain maps under a
-// lock each: concurrent callers are safe, and two that miss the same
-// key at once each pay the fetch. A long-lived reader resolves a
-// snapshot's whole chunk map once (ChunkMap) and fetches by key from it
-// (FetchKeyed); ReadAt and FetchChunks resolve through the version
-// manager and the node cache on every call.
+// Client is a BlobSeer access library instance. Blob geometry is
+// immutable, so the client caches it without any invalidation protocol.
+// Tree nodes are immutable too, but the client keeps none: a long-lived
+// reader resolves a snapshot's whole chunk map once (ChunkMap) and
+// fetches by key from it (FetchKeyed), so every descent the client
+// still makes — a commit's path nodes, ReadAt, FetchChunks — reads the
+// metadata service through MetaService.Getter. Concurrent callers are
+// safe.
 type Client struct {
 	sys    *System
 	sharer ChunkSharer // optional p2p chunk source (see sharing.go)
-
-	nodeMu      sync.RWMutex
-	nodes       map[NodeRef]TreeNode
-	nodesCached atomic.Bool // the cache holds something; it never shrinks
 
 	infoMu sync.RWMutex
 	infos  map[ID]Info
@@ -67,7 +58,6 @@ type Client struct {
 func NewClient(sys *System) *Client {
 	return &Client{
 		sys:   sys,
-		nodes: make(map[NodeRef]TreeNode),
 		infos: make(map[ID]Info),
 	}
 }
@@ -92,92 +82,6 @@ func (c *Client) Info(ctx *cluster.Ctx, id ID) (Info, error) {
 	return inf, err
 }
 
-// getNodes resolves a batch of refs through the node cache into out
-// (len(out) == len(refs)): cached refs are free and the cold ones go to
-// the metadata service as one GetBatchInto (one RPC per distinct home
-// provider). keep stores what was fetched in the cache; ChunkMap's
-// whole-image descent leaves it clear, because its product is the map
-// and every node is resolved exactly once. A ref the service
-// cannot serve fails the call with the service's own
-// *MissingNodesError; the refs that were found are still filled in, and
-// kept.
-func (c *Client) getNodes(ctx *cluster.Ctx, refs []NodeRef, out []TreeNode, keep bool) error {
-	// out is reused from level to level and the service leaves a missing
-	// ref's slot untouched: a slot is cleared before it is asked for, so
-	// that valid() afterwards means "this round found it".
-	hits := 0
-	if c.nodesCached.Load() {
-		c.nodeMu.RLock()
-		for i, ref := range refs {
-			n, ok := c.nodes[ref]
-			if ok {
-				hits++
-			}
-			out[i] = n
-		}
-		c.nodeMu.RUnlock()
-	} else { // a crowd's first descent: nothing to look up
-		clear(out)
-	}
-	switch hits {
-	case len(refs):
-		return nil
-	case 0:
-		// A descent into an unseen subtree: refs and out go to the
-		// service as they are.
-		err := c.sys.Meta.GetBatchInto(ctx, refs, out)
-		if keep {
-			c.storeNodes(refs, out)
-		}
-		return err
-	}
-	// Some hit: only now is it worth building the list of the misses.
-	misses := make([]NodeRef, 0, len(refs)-hits)
-	for i, ref := range refs {
-		if !out[i].valid() {
-			misses = append(misses, ref)
-		}
-	}
-	fetched := make([]TreeNode, len(misses))
-	err := c.sys.Meta.GetBatchInto(ctx, misses, fetched)
-	j := 0
-	for i := range out {
-		if !out[i].valid() {
-			out[i] = fetched[j]
-			j++
-		}
-	}
-	if keep {
-		c.storeNodes(misses, fetched)
-	}
-	return err
-}
-
-// storeNodes caches the nodes a fetch found. An invalid node is a ref
-// the service missed — possibly lost to GC beside a sibling a live
-// version still shares — and is left out.
-func (c *Client) storeNodes(refs []NodeRef, nodes []TreeNode) {
-	c.nodeMu.Lock()
-	for i, ref := range refs {
-		if nodes[i].valid() {
-			c.nodes[ref] = nodes[i]
-		}
-	}
-	c.nodeMu.Unlock()
-	c.nodesCached.Store(true)
-}
-
-// cacheNew primes the cache with nodes this client just created.
-func (c *Client) cacheNew(nodes []NewNode) {
-	c.nodeMu.Lock()
-	c.nodes = presized(c.nodes, len(nodes))
-	for _, nn := range nodes {
-		c.nodes[nn.Ref] = nn.Node
-	}
-	c.nodeMu.Unlock()
-	c.nodesCached.Store(true)
-}
-
 // pendingAllocator returns a node-ref allocator that registers every
 // ref as pending (exempt from GC sweeps while the version is in
 // flight) and a done function that clears the marks once the version
@@ -192,19 +96,6 @@ func (c *Client) pendingAllocator(n int) (alloc func() NodeRef, done func()) {
 	}
 	done = func() { c.sys.Meta.ClearPending(refs) }
 	return alloc, done
-}
-
-// boundGetter adapts getNodes to the segment-tree Getter:
-// CollectLeaves, BuildVersion and CloneRoot descend level by level,
-// one batched metadata round per level.
-type boundGetter struct {
-	c    *Client
-	ctx  *cluster.Ctx
-	keep bool // see getNodes
-}
-
-func (b boundGetter) GetNodes(refs []NodeRef, out []TreeNode) error {
-	return b.c.getNodes(b.ctx, refs, out, b.keep)
 }
 
 // Create registers a new blob of the given size and chunk size. The
@@ -334,12 +225,11 @@ func (c *Client) WriteChunksKeyed(ctx *cluster.Ctx, id ID, base Version, writes 
 	// failed commit leaves them to the next collection.
 	alloc, done := c.pendingAllocator(pathNodes(inf.Span, len(dirty)))
 	defer done()
-	root, created, err := BuildVersion(boundGetter{c, ctx, true}, oldRoot, inf.Span, dirty, alloc)
+	root, created, err := BuildVersion(c.sys.Meta.Getter(ctx), oldRoot, inf.Span, dirty, alloc)
 	if err != nil {
 		return 0, nil, err
 	}
 	c.sys.Meta.PutBatch(ctx, created)
-	c.cacheNew(created)
 
 	// Phase 3: join the chunk put, then publish. A published snapshot
 	// must never reference in-flight chunks, and the cohort
@@ -384,12 +274,11 @@ func (c *Client) Clone(ctx *cluster.Ctx, id ID, v Version) (ID, error) {
 	}
 	alloc, done := c.pendingAllocator(1)
 	defer done()
-	root, created, err := CloneRoot(boundGetter{c, ctx, true}, srcRoot, inf.Span, alloc)
+	root, created, err := CloneRoot(c.sys.Meta.Getter(ctx), srcRoot, inf.Span, alloc)
 	if err != nil {
 		return 0, err
 	}
 	c.sys.Meta.PutBatch(ctx, created)
-	c.cacheNew(created)
 	if _, err := c.sys.VM.Publish(ctx, clone, root); err != nil {
 		return 0, err
 	}
@@ -420,10 +309,7 @@ func (c *Client) ChunkMap(ctx *cluster.Ctx, id ID, v Version) ([]LeafEntry, erro
 	if err != nil {
 		return nil, err
 	}
-	// Every node is resolved exactly once and the map is the durable
-	// product, so the nodes are not kept: inner nodes a later partial
-	// descent might want simply refetch.
-	return CollectLeaves(boundGetter{c, ctx, false}, root, inf.Span, 0, inf.Chunks())
+	return CollectLeaves(c.sys.Meta.Getter(ctx), root, inf.Span, 0, inf.Chunks())
 }
 
 // PrefetchExtents resolves the chunk map of snapshot (id, v) and drops
@@ -452,7 +338,7 @@ func (c *Client) FetchChunks(ctx *cluster.Ctx, id ID, v Version, lo, hi int64) (
 	if err != nil {
 		return nil, err
 	}
-	leaves, err := CollectLeaves(boundGetter{c, ctx, true}, root, inf.Span, lo, hi)
+	leaves, err := CollectLeaves(c.sys.Meta.Getter(ctx), root, inf.Span, lo, hi)
 	if err != nil {
 		return nil, err
 	}

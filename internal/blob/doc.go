@@ -20,8 +20,8 @@
 //   - the version manager (vmanager.go): assigns version numbers and
 //     publishes snapshots in total order per blob;
 //   - the client (client.go): striped reads, atomic multi-chunk writes
-//     (the COMMIT data path), CLONE, and a node cache exploiting tree
-//     immutability.
+//     (the COMMIT data path), CLONE, and whole-snapshot chunk maps for
+//     long-lived readers.
 //
 // All cost-bearing operations take a *cluster.Ctx, so the same code is
 // exercised at zero cost by unit tests (live fabric) and with full

@@ -21,8 +21,9 @@ type metaShard struct {
 
 // MetaService is the distributed metadata store: immutable segment-tree
 // nodes spread over a set of metadata provider nodes by reference hash,
-// as in BlobSeer's metadata DHT. Because nodes are immutable, clients
-// cache them freely (see Client); the service itself never invalidates.
+// as in BlobSeer's metadata DHT. Nodes are immutable, so a reader may
+// hold what it resolved (the mirror's chunk map); the service itself
+// never invalidates.
 //
 // The in-memory store is hash-striped (metaShards segments, RWMutex
 // each): nodes are written once and read many times, so the hot read
@@ -43,7 +44,8 @@ type metaShard struct {
 // The degree-1 arms of GetBatchInto and PutBatch are kept on a
 // measurement, not for the recorded outputs: one path at every degree
 // reproduces all of them and costs paper-deploy 8–17 % of its host time
-// (the read serves ~1.8 M refs per rep there; ROADMAP 4).
+// (the read serves ~1.8 M refs per rep there). The ROADMAP's standing
+// rules record it: do not fold MetaService's degree-1 arm.
 type MetaService struct {
 	replicaSet[NodeRef]
 	nextRef atomic.Uint64
@@ -448,8 +450,8 @@ func (m *MetaService) LiveLocations(ref NodeRef) []cluster.NodeID {
 
 // Getter binds the service to an activity as the Getter of the
 // segment-tree algorithms: every GetNodes round is one GetBatchInto.
-// The client's getters put its caches in front; the collector's mark
-// phase and sync's export, which read each node once, use this.
+// It is the one metadata read path: the client's descents, the
+// collector's mark phase and sync's export all read through it.
 func (m *MetaService) Getter(ctx *cluster.Ctx) Getter { return serviceGetter{m, ctx} }
 
 type serviceGetter struct {

@@ -151,12 +151,10 @@ func TestMetaGetBatch(t *testing.T) {
 	})
 }
 
-// TestConcurrentColdReadersAgree: the client's caches are plain maps
-// under a lock, with nothing that joins one cold reader to another. 16
-// activities on one fresh client — on the sim fabric, and on the live
-// fabric where -race watches them — each get exactly what a serial
-// reader gets, and the node cache they filled together holds nothing
-// but the service's own nodes.
+// TestConcurrentColdReadersAgree: nothing joins one cold reader to
+// another. 16 activities on one fresh client — on the sim fabric, and
+// on the live fabric where -race watches them — each get exactly what a
+// serial reader gets.
 func TestConcurrentColdReadersAgree(t *testing.T) {
 	for name, fab := range map[string]cluster.Fabric{
 		"sim":  cluster.NewSim(cluster.DefaultConfig(4)),
@@ -208,119 +206,8 @@ func TestConcurrentColdReadersAgree(t *testing.T) {
 				}
 				ctx.WaitAll(tasks)
 			})
-			if len(c.nodes) == 0 {
-				t.Fatal("the herd cached no node")
-			}
-			for ref, n := range c.nodes {
-				if stored, ok := sys.Meta.peek(ref); !ok || !n.valid() || n != stored {
-					t.Errorf("cache holds %+v under ref %d, the service has (%+v, %v)", n, ref, stored, ok)
-				}
-			}
 		})
 	}
-}
-
-// TestGetNodesNeverStoresAStaleSlot: descend hands getNodes the same
-// result buffer level after level, and the service leaves the slot of a
-// ref it misses untouched. With keep set, the slot's previous content —
-// a valid node of the level above — must not be cached under the ref
-// lost to GC, while the refs found beside it are.
-func TestGetNodesNeverStoresAStaleSlot(t *testing.T) {
-	fab, sys := liveSystem(2, 1)
-	fab.Run(func(ctx *cluster.Ctx) {
-		nodes := []NewNode{
-			{Ref: 1, Node: TreeNode{Lo: 0, Hi: 4, Left: 2, Right: 3}},
-			{Ref: 2, Node: TreeNode{Lo: 0, Hi: 2, Chunk: 102}},
-			{Ref: 4, Node: TreeNode{Lo: 3, Hi: 4, Chunk: 104}},
-		}
-		sys.Meta.PutBatch(ctx, nodes)
-		const missing = NodeRef(3)
-		c := NewClient(sys)
-		buf := make([]TreeNode, 3)
-		if err := c.getNodes(ctx, []NodeRef{1}, buf[:1], true); err != nil {
-			t.Fatalf("level 0: %v", err)
-		}
-		// The next level reuses buf; slot 0 still holds node 1.
-		err := c.getNodes(ctx, []NodeRef{missing, 2, 4}, buf, true)
-		var mne *MissingNodesError
-		if !errors.As(err, &mne) || !errors.Is(err, ErrNotFound) || mne.First != missing || mne.Missing != 1 {
-			t.Fatalf("level 1: err = %v, want the service's MissingNodesError for ref %d", err, missing)
-		}
-		if buf[0].valid() || buf[1] != nodes[1].Node || buf[2] != nodes[2].Node {
-			t.Errorf("level 1 filled %+v, want a cleared slot for the missing ref beside the found ones", buf)
-		}
-		if n, ok := c.nodes[missing]; ok {
-			t.Errorf("the missing ref is cached as %+v", n)
-		}
-		for _, nn := range nodes {
-			if c.nodes[nn.Ref] != nn.Node {
-				t.Errorf("found ref %d cached as %+v, want %+v", nn.Ref, c.nodes[nn.Ref], nn.Node)
-			}
-		}
-		// The same guard on the miss-list path (some refs cached): a
-		// second missing ref beside cached ones stays out too.
-		err = c.getNodes(ctx, []NodeRef{2, 5, 4}, buf, true)
-		if !errors.Is(err, ErrNotFound) || buf[0] != nodes[1].Node || buf[1].valid() || buf[2] != nodes[2].Node {
-			t.Errorf("mixed round: (%+v, %v)", buf, err)
-		}
-		if _, ok := c.nodes[5]; ok {
-			t.Error("the miss-list path cached a ref the service missed")
-		}
-		// A client whose cache is still empty skips the lookup; the
-		// slot is cleared all the same.
-		fresh := NewClient(sys)
-		buf[0] = nodes[0].Node
-		err = fresh.getNodes(ctx, []NodeRef{missing, 2}, buf[:2], true)
-		if _, ok := fresh.nodes[missing]; !errors.Is(err, ErrNotFound) || ok || buf[0].valid() {
-			t.Errorf("empty cache: (%+v, %v), missing ref cached: %v", buf[:2], err, ok)
-		}
-		// And without keep nothing is stored at all.
-		lean := NewClient(sys)
-		if err := lean.getNodes(ctx, []NodeRef{1, 2}, buf[:2], false); err != nil || len(lean.nodes) != 0 {
-			t.Errorf("keep clear: err %v, %d nodes cached", err, len(lean.nodes))
-		}
-	})
-}
-
-// TestRepeatFetchHitsNodeCache: a repeated FetchChunks over the same
-// snapshot range, or a sub-range of it, finds every tree node in the
-// client's node cache, pays no metadata operation, and returns
-// identical leaves.
-func TestRepeatFetchHitsNodeCache(t *testing.T) {
-	fab, sys := liveSystem(4, 1)
-	fab.Run(func(ctx *cluster.Ctx) {
-		c := NewClient(sys)
-		id, _ := c.Create(ctx, 1<<20, 64<<10)
-		v, err := c.WriteAt(ctx, id, 0, pattern(1<<20, 9), 0)
-		if err != nil {
-			t.Fatalf("WriteAt: %v", err)
-		}
-
-		c2 := NewClient(sys)
-		first, err := c2.FetchChunks(ctx, id, v, 2, 11)
-		if err != nil {
-			t.Fatalf("FetchChunks: %v", err)
-		}
-		gets := sys.Meta.Gets.Load()
-		second, err := c2.FetchChunks(ctx, id, v, 2, 11)
-		if err != nil {
-			t.Fatalf("repeat FetchChunks: %v", err)
-		}
-		if g := sys.Meta.Gets.Load(); g != gets {
-			t.Errorf("repeat fetch paid %d extra metadata ops", g-gets)
-		}
-		if _, err := c2.FetchChunks(ctx, id, v, 4, 8); err != nil {
-			t.Fatalf("sub-range FetchChunks: %v", err)
-		}
-		if g := sys.Meta.Gets.Load(); g != gets {
-			t.Errorf("sub-range fetch paid %d extra metadata ops", g-gets)
-		}
-		for i := range first {
-			if first[i].Index != second[i].Index || first[i].Key != second[i].Key {
-				t.Fatalf("chunk %d differs across fetches: %+v vs %+v", i, first[i], second[i])
-			}
-		}
-	})
 }
 
 // TestChunkMapVersionBoundaries: a snapshot's chunk map is its own. A
@@ -392,8 +279,8 @@ func TestChunkMapVersionBoundaries(t *testing.T) {
 	})
 }
 
-// TestFetchOfRetiredVersionFails: a version read before its retirement,
-// its tree nodes in the client's node cache, reads as retired after it,
+// TestFetchOfRetiredVersionFails: a version the same client read before
+// its retirement reads as retired after it,
 // through FetchChunks and ChunkMap alike; the live version still reads.
 func TestFetchOfRetiredVersionFails(t *testing.T) {
 	fab, sys := liveSystem(2, 1)
@@ -460,12 +347,11 @@ func TestFetchChunksClampedRanges(t *testing.T) {
 			t.Error("range past chunk count must fail")
 		}
 		// CollectLeaves itself at the padded-span edge: [5,8) is sparse.
-		bg := boundGetter{c, ctx, true}
 		root, err := sys.VM.Root(ctx, id, v)
 		if err != nil {
 			t.Fatalf("Root: %v", err)
 		}
-		leaves, err := CollectLeaves(bg, root, 8, 5, 8)
+		leaves, err := CollectLeaves(sys.Meta.Getter(ctx), root, 8, 5, 8)
 		if err != nil {
 			t.Fatalf("CollectLeaves at span edge: %v", err)
 		}

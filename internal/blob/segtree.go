@@ -17,8 +17,8 @@ import (
 // one GetNodes call — depth rounds of metadata access instead of one
 // round trip per node. GetNodes fills out, which the caller sizes to
 // len(refs) and may reuse from level to level (out[i] resolves
-// refs[i]). Implementations fetch remotely (the client, behind its
-// caches; MetaService.Getter) or from a local map (tests).
+// refs[i]). Implementations fetch remotely (MetaService.Getter) or from
+// a local map (tests).
 type Getter interface {
 	GetNodes(refs []NodeRef, out []TreeNode) error
 }
@@ -105,10 +105,14 @@ func descend(g Getter, roots []treeFrame, width int, admit func(treeFrame) bool,
 // chunk index in [lo,hi), in index order. Sparse subtrees (ref 0)
 // produce entries with Chunk 0. The root covering span [0,span) may
 // itself be 0 for a completely empty tree. Only nodes overlapping
-// [lo,hi) are fetched (see descend for the walk and its cost).
+// [lo,hi) are fetched (see descend for the walk and its cost), so an
+// empty range fetches nothing, not even the root.
 func CollectLeaves(g Getter, root NodeRef, span, lo, hi int64) ([]LeafEntry, error) {
 	if lo < 0 || hi > span || lo > hi {
 		return nil, fmt.Errorf("blob: leaf range [%d,%d) outside span %d: %w", lo, hi, span, ErrOutOfRange)
+	}
+	if lo == hi {
+		return []LeafEntry{}, nil
 	}
 	// Every index in [lo,hi) is covered exactly once (by a leaf or by a
 	// sparse subtree), so the result is preallocated from span math and

@@ -150,6 +150,24 @@ func TestCollectLeavesEmptyTree(t *testing.T) {
 	}
 }
 
+// failingGetter fails every round it is asked for.
+type failingGetter struct{}
+
+func (failingGetter) GetNodes([]NodeRef, []TreeNode) error { return ErrNotFound }
+
+// TestCollectLeavesEmptyRangeFetchesNothing: an empty range is resolved
+// without a round, not even for the root, so a getter that fails every
+// call still yields an empty result.
+func TestCollectLeavesEmptyRangeFetchesNothing(t *testing.T) {
+	const span = 8
+	for _, at := range []int64{0, 3, span} {
+		ls, err := CollectLeaves(failingGetter{}, 1, span, at, at)
+		if err != nil || len(ls) != 0 {
+			t.Errorf("empty range at %d = (%+v, %v), want no leaves and no error", at, ls, err)
+		}
+	}
+}
+
 func TestCollectLeavesRangeValidation(t *testing.T) {
 	m := newMapStore()
 	if _, err := CollectLeaves(m, 0, 8, -1, 4); err == nil {

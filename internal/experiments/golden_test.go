@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-// Versioned goldens (ROADMAP 4, "Goldens first"): the tables
+// Versioned goldens (a standing rule of the ROADMAP): the tables
 // `vmdeploy -quick all` prints — every Suite entry rendered with
 // Quick() at MaxInstances 24 and QuickSizes() — are pinned in
 // testdata/golden/<name>.txt. Every column is modelled — the sim is

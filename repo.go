@@ -168,14 +168,14 @@ func (r *Repo) checkOpen() error {
 
 // client returns a fresh lifecycle client for one repo-level call.
 // Lifecycle operations run from arbitrary nodes, so they must not
-// share a client: its metadata caches would physically span machines
-// and under-charge the modeled RPCs. Caching is per node, and lives in
-// the per-node modules (see module).
+// share a client: its blob-geometry (Info) cache would physically span
+// machines and under-charge the modeled RPCs. Caching is per node, and
+// lives in the per-node modules (see module).
 func (r *Repo) client() *blob.Client { return blob.NewClient(r.sys) }
 
 // module returns (creating on first use) the mirroring module of a
-// node. Each module owns a blob client, hence its own metadata cache —
-// caching is per node, as in the real deployment. Modules created
+// node. Each module owns a blob client, hence its own blob-geometry
+// (Info) cache — caching is per node, as in the real deployment. Modules created
 // after Share attach to the deployment's sharing cohort.
 func (r *Repo) module(node NodeID) *mirror.Module {
 	r.mu.Lock()
