@@ -1,8 +1,10 @@
 # Developer entry points. CI runs the same commands (see
-# .github/workflows/ci.yml), so a green `make check` locally means a
-# green pipeline — except the staticcheck job, which needs the tool
-# installed (see the staticcheck target below), and CI's coverage gate
-# and fuzz smoke (`make fuzz`).
+# .github/workflows/ci.yml): its gofmt, line-budget and fuzz-smoke steps
+# are `make fmt`, `make loc-budget` and `make fuzz`, so each check is
+# defined here once. A green `make check` locally means a green
+# pipeline — except the staticcheck job, which needs the tool installed
+# (see the staticcheck target below), and CI's coverage gate and fuzz
+# smoke (`make fuzz`).
 
 .PHONY: build test race check fmt vet bench bench-check rebaseline fuzz examples staticcheck loc loc-budget
 
@@ -17,7 +19,7 @@ test:
 race:
 	go test -race -timeout 20m ./...
 
-# fmt fails on any file gofmt would change, as CI's gofmt step does.
+# fmt fails on any file gofmt would change (CI's gofmt step).
 fmt:
 	@out="$$(gofmt -l .)"; [ -z "$$out" ] || { echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; }
 
@@ -82,6 +84,7 @@ loc-budget:
 	@loc=$$($(MAKE) -s loc); budget=$$(cat .github/loc-budget.txt); \
 	echo "non-test Go outside bench/: $$loc lines (budget $$budget)"; [ "$$loc" -le "$$budget" ]
 
+# fuzz is CI's fuzz smoke: 20 s of each fuzz target.
 fuzz:
 	go test -run '^$$' -fuzz FuzzBuildVersion -fuzztime 20s ./internal/blob
 	go test -run '^$$' -fuzz FuzzCollectLeaves -fuzztime 20s ./internal/blob

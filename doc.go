@@ -99,8 +99,6 @@ type (
 	DiskStats = mirror.Stats
 	// GCReport summarizes one garbage-collection cycle.
 	GCReport = blob.GCReport
-	// P2PConfig carries the cohort sharing protocol constants.
-	P2PConfig = p2p.Config
 	// P2PStats is a sharing cohort's hit/traffic accounting.
 	P2PStats = p2p.Stats
 )

@@ -65,9 +65,9 @@ func (n TreeNode) Leaf() bool { return n.Hi-n.Lo == 1 }
 // not resolve) does not.
 func (n TreeNode) valid() bool { return n.Hi > n.Lo }
 
-// treeNodeWire is the modeled on-wire size of a metadata node in bytes,
-// used for RPC costing.
-const treeNodeWire = 64
+// TreeNodeWire is the modeled on-wire size of a metadata node in bytes,
+// used for RPC costing and by sync to price shipped tree nodes.
+const TreeNodeWire = 64
 
 // Info describes a blob as registered with the version manager.
 type Info struct {
@@ -80,6 +80,13 @@ type Info struct {
 // Chunks returns the number of chunks the blob's size occupies.
 func (inf Info) Chunks() int64 {
 	return (inf.Size + int64(inf.ChunkSize) - 1) / int64(inf.ChunkSize)
+}
+
+// ChunkLen returns the length of chunk ci < Chunks(): the chunk size,
+// or less for a last chunk the blob's size cuts short.
+func (inf Info) ChunkLen(ci int64) int32 {
+	cs := int64(inf.ChunkSize)
+	return int32(min(cs, inf.Size-ci*cs))
 }
 
 // span2 returns the smallest power of two ≥ n (and ≥ 1).

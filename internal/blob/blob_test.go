@@ -335,7 +335,7 @@ func TestRoundRobinPlacementSpreadsChunks(t *testing.T) {
 	ps := NewProviderSet([]cluster.NodeID{0, 1, 2, 3}, 1)
 	counts := make(map[cluster.NodeID]int)
 	for i := 0; i < 400; i++ {
-		key := ps.AllocPendingKeys(1)
+		key := ps.AllocPending(1)
 		counts[ps.Replicas(key)[0]]++
 	}
 	for n, c := range counts {
@@ -348,7 +348,7 @@ func TestRoundRobinPlacementSpreadsChunks(t *testing.T) {
 func TestReplicasAreDistinctNodes(t *testing.T) {
 	ps := NewProviderSet([]cluster.NodeID{0, 1, 2, 3, 4}, 3)
 	for i := 0; i < 50; i++ {
-		reps := ps.Replicas(ps.AllocPendingKeys(1))
+		reps := ps.Replicas(ps.AllocPending(1))
 		seen := map[cluster.NodeID]bool{}
 		for _, r := range reps {
 			if seen[r] {

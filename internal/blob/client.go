@@ -90,7 +90,7 @@ func (c *Client) Info(ctx *cluster.Ctx, id ID) (Info, error) {
 func (c *Client) pendingAllocator(n int) (alloc func() NodeRef, done func()) {
 	refs := make([]NodeRef, 0, n)
 	alloc = func() NodeRef {
-		r := c.sys.Meta.AllocPendingRef()
+		r := c.sys.Meta.AllocPending(1)
 		refs = append(refs, r)
 		return r
 	}
@@ -182,7 +182,7 @@ func (c *Client) WriteChunksKeyed(ctx *cluster.Ctx, id ID, base Version, writes 
 	keys := make([]ChunkKey, len(sorted))
 	puts := make([]ChunkPut, len(sorted))
 	keyOf := make(map[int64]ChunkKey, len(sorted))
-	first := c.sys.Providers.AllocPendingKeys(len(sorted))
+	first := c.sys.Providers.AllocPending(len(sorted))
 	for i, w := range sorted {
 		keys[i] = first + ChunkKey(i)
 		dirty[i] = DirtyLeaf{Index: w.Index, Chunk: keys[i]}
@@ -346,7 +346,7 @@ func (c *Client) FetchChunks(ctx *cluster.Ctx, id ID, v Version, lo, hi int64) (
 	for i, lf := range leaves {
 		out[i] = FetchedChunk{Index: lf.Index, Key: lf.Chunk}
 		if lf.Chunk == 0 {
-			out[i].Payload = Payload{Size: int32(c.chunkLen(inf, lf.Index))}
+			out[i].Payload = Payload{Size: inf.ChunkLen(lf.Index)}
 		}
 	}
 	if err := c.fetchPayloads(ctx, out, false); err != nil {
@@ -487,7 +487,7 @@ func (c *Client) WriteAt(ctx *cluster.Ctx, id ID, base Version, buf []byte, off 
 
 	writes := make([]ChunkWrite, 0, hiC-loC)
 	for ci := loC; ci < hiC; ci++ {
-		clen := c.chunkLen(inf, ci)
+		clen := inf.ChunkLen(ci)
 		data := make([]byte, clen)
 		if old := oldData(ci); old != nil {
 			copy(data, old)
@@ -513,23 +513,10 @@ func (c *Client) WriteFull(ctx *cluster.Ctx, id ID, base Version, tag uint64) (V
 	for i := range writes {
 		writes[i] = ChunkWrite{
 			Index:   int64(i),
-			Payload: SyntheticPayload(int32(c.chunkLen(inf, int64(i))), tag),
+			Payload: SyntheticPayload(inf.ChunkLen(int64(i)), tag),
 		}
 	}
 	return c.WriteChunks(ctx, id, base, writes)
-}
-
-// chunkLen returns the length of chunk ci (the last chunk may be short).
-func (c *Client) chunkLen(inf Info, ci int64) int {
-	cs := int64(inf.ChunkSize)
-	if (ci+1)*cs <= inf.Size {
-		return inf.ChunkSize
-	}
-	l := inf.Size - ci*cs
-	if l < 0 {
-		l = 0
-	}
-	return int(l)
 }
 
 // presized returns m, or when m is empty a map with room for n entries:

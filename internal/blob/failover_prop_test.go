@@ -52,7 +52,7 @@ func TestFailoverNoLostChunksProperty(t *testing.T) {
 			fab.Run(func(ctx *cluster.Ctx) {
 				keys := make([]ChunkKey, nChunks)
 				for i := range keys {
-					keys[i] = ps.AllocPendingKeys(1)
+					keys[i] = ps.AllocPending(1)
 					if err := putOne(ctx, ps, keys[i], SyntheticPayload(4096, uint64(i+1))); err != nil {
 						t.Fatalf("put %d: %v", i, err)
 					}
@@ -68,7 +68,7 @@ func TestFailoverNoLostChunksProperty(t *testing.T) {
 					} else {
 						lv.Revive(ctx, victim)
 					}
-					k := ps.AllocPendingKeys(1)
+					k := ps.AllocPending(1)
 					if err := putOne(ctx, ps, k, SyntheticPayload(4096, uint64(1000+step))); err != nil {
 						t.Fatalf("step %d: degraded put: %v", step, err)
 					}
@@ -100,7 +100,7 @@ func TestFailoverCounters(t *testing.T) {
 	lv := cluster.NewLiveness(4) // no listeners: a transition runs no repair
 	ps.SetLiveness(lv)
 	fab.Run(func(ctx *cluster.Ctx) {
-		key := ps.AllocPendingKeys(1)
+		key := ps.AllocPending(1)
 		if err := putOne(ctx, ps, key, SyntheticPayload(1024, 7)); err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +162,7 @@ func TestDegradedPutWritesAroundFailure(t *testing.T) {
 	lv := cluster.NewLiveness(4) // no listeners: a transition runs no repair
 	ps.SetLiveness(lv)
 	fab.Run(func(ctx *cluster.Ctx) {
-		key := ps.AllocPendingKeys(1)
+		key := ps.AllocPending(1)
 		ring := ps.Replicas(key)
 		// Primary down at write time: the writer pushes the second copy
 		// to a substitute outside the ring.
@@ -221,7 +221,7 @@ func TestDedupUnderFailure(t *testing.T) {
 		for _, n := range nodes {
 			lv.Kill(ctx, n)
 		}
-		k1 := ps.AllocPendingKeys(1)
+		k1 := ps.AllocPending(1)
 		if err := putOne(ctx, ps, k1, payload); !errors.Is(err, ErrNoReplica) {
 			t.Fatalf("put with all providers dead = %v, want ErrNoReplica", err)
 		}
@@ -230,7 +230,7 @@ func TestDedupUnderFailure(t *testing.T) {
 		}
 		// The same content stored after the outage must become a real
 		// canonical chunk, not an alias to the failed key.
-		k2 := ps.AllocPendingKeys(1)
+		k2 := ps.AllocPending(1)
 		if err := putOne(ctx, ps, k2, payload); err != nil {
 			t.Fatal(err)
 		}
@@ -244,7 +244,7 @@ func TestDedupUnderFailure(t *testing.T) {
 		// succeeds: the transfer lands on the canonical chunk's holder.
 		var k3 ChunkKey
 		for {
-			k3 = ps.AllocPendingKeys(1)
+			k3 = ps.AllocPending(1)
 			if ps.Replicas(k3)[0] != ps.Replicas(k2)[0] {
 				break
 			}
@@ -338,7 +338,7 @@ func TestDegreeOneSweepDoesNoWork(t *testing.T) {
 	fab.Run(func(ctx *cluster.Ctx) {
 		keys := make([]ChunkKey, 64)
 		for i := range keys {
-			keys[i] = ps.AllocPendingKeys(1)
+			keys[i] = ps.AllocPending(1)
 			if err := putOne(ctx, ps, keys[i], SyntheticPayload(4096, uint64(i+1))); err != nil {
 				t.Fatal(err)
 			}

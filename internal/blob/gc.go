@@ -24,7 +24,7 @@ import (
 //     this cycle's sweep. Keys and refs allocated *before* the
 //     snapshot whose commit has not published yet are registered as
 //     pending at allocation time (atomically with the counter, see
-//     AllocPendingKeys/AllocPendingRef) and equally exempt — they are
+//     replicaSet.AllocPending) and equally exempt — they are
 //     unreachable from any root only because their version is still
 //     in flight.
 //   - Mark. The live snapshot roots (published, not retired, plus

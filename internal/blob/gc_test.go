@@ -244,7 +244,7 @@ func TestGCDedupAliases(t *testing.T) {
 func TestReleaseIdempotent(t *testing.T) {
 	fab, sys := liveSystem(2, 1)
 	fab.Run(func(ctx *cluster.Ctx) {
-		key := sys.Providers.AllocPendingKeys(1)
+		key := sys.Providers.AllocPending(1)
 		if err := putOne(ctx, sys.Providers, key, RealPayload(pattern(100, 1))); err != nil {
 			t.Fatal(err)
 		}

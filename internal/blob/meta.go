@@ -2,22 +2,12 @@ package blob
 
 import (
 	"fmt"
-	"sync"
+	"maps"
+	"slices"
 	"sync/atomic"
 
 	"blobvfs/internal/cluster"
 )
-
-// metaShards stripes the node store so concurrent readers (the 16-way
-// parallel fetchers of every client, times the number of clients in a
-// deployment) do not serialize on one map mutex. Power of two; node
-// refs are allocated sequentially, so masking spreads them evenly.
-const metaShards = 16
-
-type metaShard struct {
-	mu    sync.RWMutex
-	nodes map[NodeRef]TreeNode
-}
 
 // MetaService is the distributed metadata store: immutable segment-tree
 // nodes spread over a set of metadata provider nodes by reference hash,
@@ -25,9 +15,9 @@ type metaShard struct {
 // hold what it resolved (the mirror's chunk map); the service itself
 // never invalidates.
 //
-// The in-memory store is hash-striped (metaShards segments, RWMutex
-// each): nodes are written once and read many times, so the hot read
-// path takes only a shared lock on one stripe.
+// The nodes live in one map under the embedded replicaSet's lock, as
+// ProviderSet keeps its chunks: nodes are written once and read many
+// times, so a batched read takes the shared side once per batch.
 //
 // At replication degree 1 (the default) every ref lives on exactly one
 // home provider and the control plane is assumed fault-free — the
@@ -48,12 +38,7 @@ type metaShard struct {
 // rules record it: do not fold MetaService's degree-1 arm.
 type MetaService struct {
 	replicaSet[NodeRef]
-	nextRef atomic.Uint64
-
-	shards [metaShards]metaShard
-
-	pendMu  sync.Mutex
-	pending map[NodeRef]bool // refs of in-flight, unpublished versions
+	tree map[NodeRef]TreeNode // guarded by the replica set's mu
 
 	// Puts and Gets count service operations (after batching);
 	// NodesServed counts individual tree nodes returned by GetBatchInto
@@ -71,11 +56,8 @@ func NewMetaService(providers []cluster.NodeID) *MetaService {
 	if len(providers) == 0 {
 		panic("blob: metadata service needs at least one provider")
 	}
-	m := &MetaService{pending: make(map[NodeRef]bool)}
+	m := &MetaService{tree: make(map[NodeRef]TreeNode)}
 	m.init(m, "meta-rereplicate", providers, 1, len(providers))
-	for i := range m.shards {
-		m.shards[i].nodes = make(map[NodeRef]TreeNode)
-	}
 	return m
 }
 
@@ -86,10 +68,6 @@ func (m *MetaService) SetReplication(r int) {
 		panic("blob: metadata replication degree out of range")
 	}
 	m.setDegree(r)
-}
-
-func (m *MetaService) shard(ref NodeRef) *metaShard {
-	return &m.shards[uint64(ref)&(metaShards-1)]
 }
 
 // Home returns the metadata provider primarily responsible for a
@@ -103,19 +81,10 @@ func (m *MetaService) Home(ref NodeRef) cluster.NodeID {
 // since tree nodes live in provider memory a copy is one small RPC
 // from the source — no disk legs, unlike chunk repair.
 func (m *MetaService) storedKeys() []NodeRef {
-	refs := make([]NodeRef, 0, m.NodeCount())
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.RLock()
-		for ref := range sh.nodes {
-			refs = append(refs, ref)
-		}
-		sh.mu.RUnlock()
-	}
-	return refs
+	return slices.AppendSeq(make([]NodeRef, 0, len(m.tree)), maps.Keys(m.tree))
 }
 
-func (m *MetaService) copyBytes(NodeRef) int32 { return treeNodeWire }
+func (m *MetaService) copyBytes(NodeRef) int32 { return TreeNodeWire }
 
 func (m *MetaService) chargeCopy(cc *cluster.Ctx, src, _ cluster.NodeID, bytes int32) {
 	cc.RPC(src, 16, int64(bytes))
@@ -194,7 +163,7 @@ func (m *MetaService) GetBatchInto(ctx *cluster.Ctx, refs []NodeRef, out []TreeN
 		// Charge per-provider batches in deterministic (provider ring) order.
 		for pi, prov := range m.nodes {
 			if c := counts[pi]; c > 0 {
-				ctx.RPC(prov, c*16, c*treeNodeWire)
+				ctx.RPC(prov, c*16, c*TreeNodeWire)
 				m.Gets.Add(1)
 			}
 		}
@@ -205,8 +174,9 @@ func (m *MetaService) GetBatchInto(ctx *cluster.Ctx, refs []NodeRef, out []TreeN
 		// ref's dead-holder probes rather than summing them.
 		counts := make(map[cluster.NodeID]int64, len(m.nodes))
 		maxProbes := 0
+		m.mu.RLock()
 		for i, ref := range refs {
-			prov, probes, ok := m.pick(ctx.Node(), m.locations(ref))
+			prov, probes, ok := m.pick(ctx.Node(), m.locationsLocked(ref))
 			if probes > maxProbes {
 				maxProbes = probes
 			}
@@ -220,16 +190,18 @@ func (m *MetaService) GetBatchInto(ctx *cluster.Ctx, refs []NodeRef, out []TreeN
 			}
 			counts[prov]++
 		}
+		m.mu.RUnlock()
 		probeWait(ctx, maxProbes)
 		for _, prov := range m.nodes {
 			if c := counts[prov]; c > 0 {
-				ctx.RPC(prov, c*16, c*treeNodeWire)
+				ctx.RPC(prov, c*16, c*TreeNodeWire)
 				m.Gets.Add(1)
 			}
 		}
 	}
 	var missing *MissingNodesError
 	served := int64(0)
+	m.mu.RLock()
 	for i, ref := range refs {
 		if down != nil && down[i] {
 			if missing == nil {
@@ -239,10 +211,7 @@ func (m *MetaService) GetBatchInto(ctx *cluster.Ctx, refs []NodeRef, out []TreeN
 			missing.noReplica = true
 			continue
 		}
-		sh := m.shard(ref)
-		sh.mu.RLock()
-		n, ok := sh.nodes[ref]
-		sh.mu.RUnlock()
+		n, ok := m.tree[ref]
 		if !ok {
 			if missing == nil {
 				missing = &MissingNodesError{First: ref}
@@ -253,6 +222,7 @@ func (m *MetaService) GetBatchInto(ctx *cluster.Ctx, refs []NodeRef, out []TreeN
 		out[i] = n
 		served++
 	}
+	m.mu.RUnlock()
 	m.NodesServed.Add(served)
 	if missing == nil {
 		return nil
@@ -315,62 +285,18 @@ func (m *MetaService) PutBatch(ctx *cluster.Ctx, nodes []NewNode) {
 	// Charge per-provider batches in deterministic (provider ring) order.
 	for _, prov := range m.nodes {
 		if c := counts[prov]; c > 0 {
-			ctx.RPC(prov, c*treeNodeWire, 16)
+			ctx.RPC(prov, c*TreeNodeWire, 16)
 			m.Puts.Add(1)
 		}
 	}
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		sh.nodes = presized(sh.nodes, len(nodes)/metaShards+1)
-		sh.mu.Unlock()
-	}
+	m.mu.Lock()
+	m.tree = presized(m.tree, len(nodes))
 	for i, nn := range nodes {
-		if store != nil && !store[i] {
-			continue
+		if store == nil || store[i] {
+			m.tree[nn.Ref] = nn.Node
 		}
-		sh := m.shard(nn.Ref)
-		sh.mu.Lock()
-		sh.nodes[nn.Ref] = nn.Node
-		sh.mu.Unlock()
 	}
-}
-
-// AllocPendingRef returns a fresh globally unique node reference for
-// a version being built (refs are client-generated in BlobSeer as
-// well, so no RPC is charged): the ref is atomically registered as
-// pending so a concurrent sweep will not reclaim the node before its
-// version publishes. The writer must ClearPending after publication
-// (or abort). See ProviderSet.AllocPendingKeys for the
-// snapshot-atomicity argument.
-func (m *MetaService) AllocPendingRef() NodeRef {
-	m.pendMu.Lock()
-	ref := NodeRef(m.nextRef.Add(1))
-	m.pending[ref] = true
-	m.pendMu.Unlock()
-	return ref
-}
-
-// ClearPending removes the in-flight mark from refs (idempotent).
-func (m *MetaService) ClearPending(refs []NodeRef) {
-	m.pendMu.Lock()
-	for _, r := range refs {
-		delete(m.pending, r)
-	}
-	m.pendMu.Unlock()
-}
-
-// PendingSnapshot atomically samples the ref watermark and the set of
-// in-flight refs, taken at the start of a collection cycle.
-func (m *MetaService) PendingSnapshot() (NodeRef, map[NodeRef]bool) {
-	m.pendMu.Lock()
-	defer m.pendMu.Unlock()
-	wm := NodeRef(m.nextRef.Load())
-	pending := make(map[NodeRef]bool, len(m.pending))
-	for r := range m.pending {
-		pending[r] = true
-	}
-	return wm, pending
+	m.mu.Unlock()
 }
 
 // Sweep deletes every stored node up to the watermark that is neither
@@ -381,29 +307,16 @@ func (m *MetaService) PendingSnapshot() (NodeRef, map[NodeRef]bool) {
 // snapshot root.
 func (m *MetaService) Sweep(ctx *cluster.Ctx, upTo NodeRef, live, pending map[NodeRef]bool) int {
 	counts := make(map[cluster.NodeID]int64)
-	var dropped []NodeRef
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		for ref := range sh.nodes {
-			if ref <= upTo && !live[ref] && !pending[ref] {
-				delete(sh.nodes, ref)
-				counts[m.Home(ref)]++
-				dropped = append(dropped, ref)
-			}
+	m.mu.Lock()
+	for ref := range m.tree {
+		if ref <= upTo && !live[ref] && !pending[ref] {
+			delete(m.tree, ref)
+			counts[m.Home(ref)]++
+			// A swept ref no longer needs its degraded-placement records.
+			m.forgetLocked(ref)
 		}
-		sh.mu.Unlock()
 	}
-	// Swept refs no longer need their degraded-placement records.
-	if len(dropped) > 0 {
-		m.mu.Lock()
-		if len(m.voids) > 0 || len(m.repairs) > 0 {
-			for _, ref := range dropped {
-				m.forgetLocked(ref)
-			}
-		}
-		m.mu.Unlock()
-	}
+	m.mu.Unlock()
 	freed := 0
 	for _, prov := range m.nodes {
 		if c := counts[prov]; c > 0 {
@@ -417,23 +330,17 @@ func (m *MetaService) Sweep(ctx *cluster.Ctx, upTo NodeRef, live, pending map[No
 
 // NodeCount returns the number of stored tree nodes (metadata footprint).
 func (m *MetaService) NodeCount() int {
-	total := 0
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.RLock()
-		total += len(sh.nodes)
-		sh.mu.RUnlock()
-	}
-	return total
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return len(m.tree)
 }
 
 // peek returns a node without charging any cost; used by in-process
 // verification and tests.
 func (m *MetaService) peek(ref NodeRef) (TreeNode, bool) {
-	sh := m.shard(ref)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	n, ok := sh.nodes[ref]
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	n, ok := m.tree[ref]
 	return n, ok
 }
 

@@ -121,11 +121,13 @@ func FuzzPlacement(f *testing.F) {
 	})
 }
 
-// TestAllocPendingKeysAlignment pins the allocator's alignment rule: on
-// a pool wider than the stripe window a batch that fits a block but not
-// the rest of the current one starts on the next block, and on a pool
-// of one window keys are handed out back to back.
-func TestAllocPendingKeysAlignment(t *testing.T) {
+// TestAllocPendingAlignment pins the allocator's alignment rule: on a
+// chunk pool wider than the stripe window a batch that fits a block but
+// not the rest of the current one starts on the next block, and on a
+// pool of one window keys are handed out back to back. The metadata
+// tier's window is its whole pool, so its refs stay back to back on a
+// pool of any width, and tree placement never moves.
+func TestAllocPendingAlignment(t *testing.T) {
 	const block = clientParallel * stripeRounds
 	wide := NewProviderSet(allNodes(2*clientParallel), 1)
 	for _, step := range []struct {
@@ -141,7 +143,7 @@ func TestAllocPendingKeysAlignment(t *testing.T) {
 		{5, 4*block + 1},
 		{block - 2, 5 * block},
 	} {
-		if got := wide.AllocPendingKeys(step.n); got != step.want {
+		if got := wide.AllocPending(step.n); got != step.want {
 			t.Fatalf("wide pool: batch of %d starts at key %d, want %d", step.n, got, step.want)
 		}
 	}
@@ -153,9 +155,21 @@ func TestAllocPendingKeysAlignment(t *testing.T) {
 	narrow := NewProviderSet(allNodes(clientParallel), 1)
 	next := ChunkKey(1)
 	for _, n := range []int{40, 40, 1, block, 7} {
-		if got := narrow.AllocPendingKeys(n); got != next {
+		if got := narrow.AllocPending(n); got != next {
 			t.Fatalf("pool of one window: batch of %d starts at key %d, want %d", n, got, next)
 		}
 		next += ChunkKey(n)
+	}
+
+	meta := NewMetaService(allNodes(2 * clientParallel))
+	ref := NodeRef(1)
+	for _, n := range []int{1, 40, 1, 23, block, 1, block - 2, 1} {
+		if got := meta.AllocPending(n); got != ref {
+			t.Fatalf("metadata pool of two windows: batch of %d starts at ref %d, want %d", n, got, ref)
+		}
+		ref += NodeRef(n)
+	}
+	if wm, pending := meta.PendingSnapshot(); wm != ref-1 || len(pending) != int(ref-1) {
+		t.Fatalf("metadata pool: watermark %d with %d refs pending, want %d with %d", wm, len(pending), ref-1, ref-1)
 	}
 }

@@ -26,8 +26,7 @@ import (
 // Tag as the fingerprint.
 type ProviderSet struct {
 	replicaSet[ChunkKey]
-	dedup   bool
-	nextKey atomic.Uint64
+	dedup bool
 
 	// The chunk/dedup/refcount maps, guarded by the replica set's mu. It
 	// is a RWMutex so the hot fetch path (Get/Peek: two map lookups)
@@ -41,7 +40,6 @@ type ProviderSet struct {
 	refs     map[ChunkKey]int64  // content references: canonical self + aliases
 	aliases  map[ChunkKey]ChunkKey
 	retained map[ChunkKey]bool // keys Put and not yet Released
-	pending  map[ChunkKey]bool // keys of in-flight, unpublished commits
 
 	readsBy  map[cluster.NodeID]*atomic.Int64 // chunk reads served, per provider
 	writesBy map[cluster.NodeID]*atomic.Int64 // write RPCs received, per provider
@@ -87,7 +85,6 @@ func NewProviderSet(nodes []cluster.NodeID, replicas int) *ProviderSet {
 		refs:     make(map[ChunkKey]int64),
 		aliases:  make(map[ChunkKey]ChunkKey),
 		retained: make(map[ChunkKey]bool),
-		pending:  make(map[ChunkKey]bool),
 		readsBy:  readsBy,
 		writesBy: writesBy,
 	}
@@ -132,64 +129,6 @@ func fingerprint(p Payload) (uint64, bool) {
 		return 0, false
 	}
 	return p.Tag<<16 ^ uint64(p.Size), true
-}
-
-// AllocPendingKeys returns the first of n fresh consecutive chunk keys
-// for a commit in flight. Consecutive keys stripe the commit evenly
-// over the providers (primarySlot), and on a pool wider than the stripe
-// window a commit that fits a stripe block but not what is left of the
-// current one starts at the next block boundary, so that it lands on
-// one window of providers, stripeRounds chunks each, and not on the
-// tails of two; the keys skipped are never stored. (On a pool of one
-// window every block starts at slot 0, and aligning would only load
-// the low slots.) The keys are registered as pending, so a
-// garbage-collection sweep that starts before the commit publishes
-// will not reclaim them even though no published tree references them
-// yet. The writer must ClearPending once the version is published (or
-// the write aborted). Allocation and registration happen under one lock
-// so the collector's snapshot (PendingSnapshot) can never observe a key
-// allocated but untracked.
-func (ps *ProviderSet) AllocPendingKeys(n int) ChunkKey {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	next := ps.nextKey.Load() + 1
-	if block := uint64(ps.window * stripeRounds); ps.window < len(ps.nodes) && uint64(n) <= block {
-		if left := block - next%block; uint64(n) > left {
-			next += left
-		}
-	}
-	ps.nextKey.Store(next + uint64(n) - 1)
-	for i := range uint64(n) {
-		ps.pending[ChunkKey(next+i)] = true
-	}
-	return ChunkKey(next)
-}
-
-// ClearPending removes the in-flight mark from keys (idempotent). The
-// chunks become ordinary sweep candidates: reachable from the version
-// just published, or garbage of an aborted write for the next cycle.
-func (ps *ProviderSet) ClearPending(keys []ChunkKey) {
-	ps.mu.Lock()
-	for _, k := range keys {
-		delete(ps.pending, k)
-	}
-	ps.mu.Unlock()
-}
-
-// PendingSnapshot atomically samples the key watermark and the set of
-// in-flight keys. Taken at the start of a collection cycle, it makes
-// the exemption airtight: a key at or below the watermark was either
-// pending at the snapshot (exempt) or its commit had already
-// published (so the mark phase reaches it through the version's root).
-func (ps *ProviderSet) PendingSnapshot() (ChunkKey, map[ChunkKey]bool) {
-	ps.mu.RLock()
-	defer ps.mu.RUnlock()
-	wm := ChunkKey(ps.nextKey.Load())
-	pending := make(map[ChunkKey]bool, len(ps.pending))
-	for k := range ps.pending {
-		pending[k] = true
-	}
-	return wm, pending
 }
 
 // storedKeys, copyBytes and chargeCopy are the chunk tier's side of a

@@ -1,6 +1,7 @@
 package blob
 
 import (
+	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -12,7 +13,8 @@ import (
 // by ChunkKey) and the metadata tier (MetaService, keyed by NodeRef)
 // share: the paper stores both halves of an image the same way —
 // striped over a node list and replicated (§3.1.2–3.1.3) — so one type
-// owns the striping (primarySlot), the rings, the record of where
+// owns the striping (primarySlot), key allocation with the pending set
+// a collection spares (AllocPending), the rings, the record of where
 // copies landed when a ring member was down, failover reads, and the
 // repair sweep that follows every liveness transition
 // (cluster/faults.go). A tier embeds it and adds what differs: how wide
@@ -39,9 +41,10 @@ type replicaSet[K ~uint64] struct {
 	// sweepName names the puller activities of a repair sweep.
 	sweepName string
 
-	// mu guards repairs and voids; a tier may keep its own key maps
-	// under it too, so that one shared acquisition covers a key's
-	// lookup and its location list (ProviderSet does).
+	// mu guards repairs, voids and the pending keys; a tier keeps its
+	// own key maps under it too (ProviderSet its chunks, MetaService its
+	// tree nodes), so that one shared acquisition covers a key's lookup
+	// and its location list.
 	//
 	// repairs holds the substitute locations created for a key — by a
 	// repair sweep after one of its ring replicas died, or by a
@@ -49,9 +52,14 @@ type replicaSet[K ~uint64] struct {
 	// Reads consult them after the ring. voids lists ring replicas that
 	// never received their copy (down at put time): they are not
 	// locations until a sweep backfills them, even after a revival.
+	//
+	// next is the key watermark, the last key AllocPending handed out,
+	// and pending holds the keys of writes in flight (AllocPending).
 	mu      sync.RWMutex
 	repairs map[K][]cluster.NodeID
 	voids   map[K][]cluster.NodeID
+	next    uint64
+	pending map[K]bool
 
 	// Failovers counts reads a dead first choice pushed onto a
 	// surviving copy; Rereplicated counts the copies repair sweeps
@@ -80,6 +88,7 @@ func (rs *replicaSet[K]) init(tier replicaTier[K], sweepName string, nodes []clu
 	rs.rings = replicaRings(nodes, replicas, rs.topo)
 	rs.repairs = make(map[K][]cluster.NodeID)
 	rs.voids = make(map[K][]cluster.NodeID)
+	rs.pending = make(map[K]bool)
 }
 
 // SetLiveness attaches the cluster liveness registry (see the lv field).
@@ -126,6 +135,60 @@ func (rs *replicaSet[K]) primarySlot(key K) int {
 // not modify it.
 func (rs *replicaSet[K]) Replicas(key K) []cluster.NodeID {
 	return rs.rings[rs.primarySlot(key)]
+}
+
+// AllocPending returns the first of n fresh consecutive keys for a
+// write in flight: a commit's chunks, or its tree nodes one at a time.
+// Consecutive keys stripe the write evenly over the nodes
+// (primarySlot), and on a pool wider than the stripe window a write
+// that fits a stripe block but not what is left of the current one
+// starts at the next block boundary, so that it lands on one window of
+// nodes, stripeRounds keys each, and not on the tails of two; the keys
+// skipped are never stored. (On a pool of one window — the metadata
+// tier's is the whole pool — every block starts at slot 0, aligning
+// would only load the low slots, and keys stay back to back.) The keys
+// are registered as pending, so a garbage-collection sweep that starts
+// before the write publishes will not reclaim them even though no
+// published tree references them yet. The writer must ClearPending once
+// the version is published (or the write aborted). Allocation and
+// registration happen under one lock, so the collector's snapshot
+// (PendingSnapshot) can never observe a key allocated but untracked.
+func (rs *replicaSet[K]) AllocPending(n int) K {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	next := rs.next + 1
+	if block := uint64(rs.window * stripeRounds); rs.window < len(rs.nodes) && uint64(n) <= block {
+		if left := block - next%block; uint64(n) > left {
+			next += left
+		}
+	}
+	rs.next = next + uint64(n) - 1
+	for i := range uint64(n) {
+		rs.pending[K(next+i)] = true
+	}
+	return K(next)
+}
+
+// ClearPending removes the in-flight mark from keys (idempotent). They
+// become ordinary sweep candidates: reachable from the version just
+// published, or garbage of an aborted write for the next cycle.
+func (rs *replicaSet[K]) ClearPending(keys []K) {
+	rs.mu.Lock()
+	for _, k := range keys {
+		delete(rs.pending, k)
+	}
+	rs.mu.Unlock()
+}
+
+// PendingSnapshot atomically samples the key watermark and the set of
+// in-flight keys. Taken at the start of a collection cycle, it makes
+// the exemption airtight: a key at or below the watermark was either
+// pending at the snapshot (exempt) or its write had already published
+// (so the mark phase reaches it through the version's root).
+func (rs *replicaSet[K]) PendingSnapshot() (K, map[K]bool) {
+	rs.mu.RLock()
+	defer rs.mu.RUnlock()
+	return K(rs.next), maps.Clone(rs.pending)
 }
 
 // NodeChanged is the cluster liveness hook: wire it with

@@ -118,7 +118,7 @@ func TestReplicasSharedRingSurvivesReads(t *testing.T) {
 	ps.SetTopology(topo3z())
 	fab.Run(func(ctx *cluster.Ctx) {
 		for i := 0; i < 18; i++ {
-			key := ps.AllocPendingKeys(1)
+			key := ps.AllocPending(1)
 			before := slices.Clone(ps.Replicas(key))
 			if err := putOne(ctx, ps, key, Payload{Size: 1024, Tag: uint64(100 + i)}); err != nil {
 				t.Fatal(err)
@@ -151,7 +151,7 @@ func TestGetPrefersNearestReplicaAndCountsTiers(t *testing.T) {
 	lv := cluster.NewLiveness(9)
 	ps.SetLiveness(lv)
 	fab.Run(func(ctx *cluster.Ctx) {
-		key := ps.AllocPendingKeys(1)
+		key := ps.AllocPending(1)
 		if err := putOne(ctx, ps, key, SyntheticPayload(4096, 1)); err != nil {
 			t.Fatal(err)
 		}

@@ -7,7 +7,6 @@ import (
 	"blobvfs/internal/cluster"
 	"blobvfs/internal/metrics"
 	"blobvfs/internal/middleware"
-	"blobvfs/internal/p2p"
 	"blobvfs/internal/sim"
 )
 
@@ -79,7 +78,7 @@ func sharingOption(on bool) []blobvfs.Option {
 	if !on {
 		return nil
 	}
-	return []blobvfs.Option{blobvfs.WithP2P(p2p.DefaultConfig())}
+	return []blobvfs.Option{blobvfs.WithP2P()}
 }
 
 // staggeredKills plans the death of n members of pool, one every

@@ -7,6 +7,7 @@ import (
 
 	"blobvfs/internal/blob"
 	"blobvfs/internal/cluster"
+	"blobvfs/internal/p2p"
 )
 
 // simRig is the deterministic twin of testRig: storage + modules on the
@@ -163,6 +164,69 @@ func TestCommitRemarksOnlyBytesWrittenDuringPublish(t *testing.T) {
 			t.Fatalf("publish window not closed: during=%v", im.during)
 		}
 	})
+}
+
+// TestCommitHolderRule pins the commit rows of the sharing holder rule
+// (Image.heldLocked): a clean commit leaves the node holding the
+// committed key, and a later write withdraws it once; a write inside
+// the publish window withdraws the committed key at commit, and a later
+// write withdraws nothing more.
+func TestCommitHolderRule(t *testing.T) {
+	const chunk = 256 << 10
+	for _, tc := range []struct {
+		name     string
+		inWindow bool
+		held     bool  // a sibling locates the committed key at node 0
+		atCommit int64 // Retracted once the commit returned
+	}{
+		{name: "clean commit", held: true},
+		{name: "write in publish window", inWindow: true, atCommit: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rig := newSimRig(t, 3, 2*chunk, chunk)
+			reg := p2p.NewRegistry(2, p2p.DefaultConfig())
+			rig.fab.Run(func(ctx *cluster.Ctx) {
+				co := reg.Register(ctx, rig.imageID, []cluster.NodeID{0, 1})
+				rig.modules[0].SetSharer(co)
+				im, err := rig.modules[0].Open(ctx, rig.imageID, rig.imageV, false)
+				if err != nil {
+					t.Fatalf("open: %v", err)
+				}
+				if err := im.Write(ctx, 0, chunk); err != nil { // chunk 0 whole and dirty
+					t.Fatal(err)
+				}
+				tasks := []cluster.Task{ctx.Go("commit", 0, func(cc *cluster.Ctx) {
+					if _, err := im.Commit(cc); err != nil {
+						t.Errorf("commit: %v", err)
+					}
+				})}
+				if tc.inWindow {
+					tasks = append(tasks, ctx.Go("writer", 0, func(cc *cluster.Ctx) {
+						cc.Sleep(1e-4)
+						if err := im.Write(cc, 4096, 4); err != nil {
+							t.Errorf("write: %v", err)
+						}
+					}))
+				}
+				ctx.WaitAll(tasks)
+				if st := co.Stats(); st.Announced != 1 || st.Retracted != tc.atCommit {
+					t.Fatalf("after commit: announced %d, retracted %d; want 1 and %d", st.Announced, st.Retracted, tc.atCommit)
+				}
+				key := im.leaves[0].Chunk
+				ctx.Wait(ctx.Go("sibling", 1, func(cc *cluster.Ctx) {
+					if peer, _, ok := co.Locate(cc, key); ok != tc.held || (ok && peer != 0) {
+						t.Errorf("sibling locates committed key %d at %d (ok %v), want held by node 0: %v", key, peer, ok, tc.held)
+					}
+				}))
+				if err := im.Write(ctx, 8192, 4); err != nil {
+					t.Fatal(err)
+				}
+				if st := co.Stats(); st.Retracted != 1 {
+					t.Fatalf("after a later write: retracted %d, want 1", st.Retracted)
+				}
+			})
+		})
+	}
 }
 
 // TestCloneCleansUpOnPinFailure: a Clone whose pin of the fresh clone

@@ -46,11 +46,10 @@ type Module struct {
 }
 
 type localState struct {
-	version   blob.Version
-	leaves    []blob.LeafEntry
-	chunks    []chunkState
-	local     []byte
-	announced map[int64]blob.ChunkKey
+	version blob.Version
+	leaves  []blob.LeafEntry
+	chunks  []chunkState
+	local   []byte
 }
 
 // span is a chunk-relative [Lo,Hi) byte hull.
@@ -133,9 +132,6 @@ type Image struct {
 	// Commit publishes. Remote reads fetch by its keys.
 	leaves []blob.LeafEntry
 
-	// announced maps chunk index → the key this node holds clean in its
-	// sharing cohort (landed or committed), so a dirtying write retracts it.
-	announced map[int64]blob.ChunkKey
 	// during has an entry for each chunk whose captured payload a commit
 	// is currently pushing to the fabric: the dirty hull of the writes
 	// that landed on it inside that window, empty until one does. Commit
@@ -173,8 +169,7 @@ func (m *Module) Open(ctx *cluster.Ctx, id blob.ID, v blob.Version, real bool) (
 	}
 	im := &Image{
 		mod: m, blobID: id, version: v, info: inf, open: true,
-		announced: make(map[int64]blob.ChunkKey),
-		during:    make(map[int64]span),
+		during: make(map[int64]span),
 	}
 	m.mu.Lock()
 	st := m.closed[id]
@@ -193,10 +188,10 @@ func (m *Module) Open(ctx *cluster.Ctx, id blob.ID, v blob.Version, real bool) (
 	m.mu.Unlock()
 	if st != nil {
 		// The node is still registered as a holder of everything it
-		// held before closing (the local mirror file survived), so
-		// the announced map survives too: a post-reopen dirtying write
-		// has to retract the stale location record.
-		im.leaves, im.chunks, im.local, im.announced = st.leaves, st.chunks, st.local, st.announced
+		// held before closing (the local mirror file survived), and the
+		// restored state says which (heldLocked): a post-reopen dirtying
+		// write has to retract the stale location record.
+		im.leaves, im.chunks, im.local = st.leaves, st.chunks, st.local
 		// Re-reading the persisted modification metadata costs one
 		// local-disk access.
 		ctx.DiskRead(m.node, int64(len(st.chunks))*16)
@@ -228,7 +223,7 @@ func (im *Image) Close(ctx *cluster.Ctx) {
 	}
 	im.open = false
 	id, v := im.blobID, im.version
-	st := &localState{version: im.version, leaves: im.leaves, chunks: im.chunks, local: im.local, announced: im.announced}
+	st := &localState{version: im.version, leaves: im.leaves, chunks: im.chunks, local: im.local}
 	n, tail := int64(len(im.chunks))*16, im.run.bytes
 	im.run.bytes = 0
 	im.mu.Unlock()
@@ -280,15 +275,6 @@ func (im *Image) Dirty() bool {
 		}
 	}
 	return false
-}
-
-// chunkLen returns the length of chunk ci (last chunk may be short).
-func (im *Image) chunkLen(ci int64) int32 {
-	cs := int64(im.info.ChunkSize)
-	if (ci+1)*cs <= im.info.Size {
-		return int32(cs)
-	}
-	return int32(im.info.Size - ci*cs)
 }
 
 // ReadAt implements the hypervisor read path on a real image.
@@ -359,45 +345,37 @@ func (im *Image) access(ctx *cluster.Ctx, off, n int64, p []byte, write bool) er
 		return nil
 	}
 	// Write path: per chunk, keep the mirrored region contiguous. A
-	// write onto an announced chunk diverges the local copy from the
-	// published content, so the cohort announcement is retracted.
+	// write onto a held chunk diverges the local copy from the published
+	// content, so the node withdraws as its holder.
 	var retract []blob.ChunkKey
 	for ci := lo; ci < hi; ci++ {
 		cstart := ci * cs
 		wlo := int32(max(off, cstart) - cstart)
-		whi := int32(min(off+n, cstart+int64(im.chunkLen(ci))) - cstart)
+		whi := int32(min(off+n, cstart+int64(im.info.ChunkLen(ci))) - cstart)
 		im.mu.Lock()
 		st := &im.chunks[ci]
-		gapFill := false
-		if !st.mirrored() || (wlo <= st.Mir.Hi && whi >= st.Mir.Lo) {
-			// Nothing mirrored yet, or the write overlaps or adjoins the
-			// contiguous region: extend it.
-			st.Mir = st.Mir.cover(wlo, whi)
-		} else {
+		if st.mirrored() && (wlo > st.Mir.Hi || whi < st.Mir.Lo) {
 			// Strategy 2: the write would fragment the mirrored region;
 			// fill the gap by fetching the whole chunk remotely first.
 			im.stats.GapFills++
-			gapFill = true
-		}
-		im.mu.Unlock()
-		if gapFill {
+			im.mu.Unlock()
 			if err := im.fetchChunks(ctx, ci, ci+1); err != nil {
 				return err
 			}
+			im.mu.Lock()
 		}
-		im.mu.Lock()
-		st = &im.chunks[ci]
-		// Track the dirty hull (contained in the mirrored region).
+		if im.heldLocked(ci) {
+			retract = append(retract, im.leaves[ci].Chunk)
+		}
+		// Extend the contiguous mirrored region and track the dirty
+		// hull inside it.
+		st.Mir = st.Mir.cover(wlo, whi)
 		st.Dirty = st.Dirty.cover(wlo, whi)
 		if d, open := im.during[ci]; open {
 			// A commit captured this chunk and is pushing it out right
 			// now: record the write separately so completion re-marks
 			// it dirty instead of wiping it with the committed range.
 			im.during[ci] = d.cover(wlo, whi)
-		}
-		if key, ok := im.announced[ci]; ok {
-			retract = append(retract, key)
-			delete(im.announced, ci)
 		}
 		im.mu.Unlock()
 	}
@@ -437,7 +415,16 @@ func (im *Image) ensureMirrored(ctx *cluster.Ctx, lo, hi int64) error {
 }
 
 func (im *Image) fullyMirroredLocked(ci int64) bool {
-	return im.chunks[ci].Mir == span{0, im.chunkLen(ci)}
+	return im.chunks[ci].Mir == span{0, im.info.ChunkLen(ci)}
+}
+
+// heldLocked reports whether this node holds chunk ci in its sharing
+// cohort: it shares, and its copy is the whole, clean content of a
+// stored chunk. The fetch that landed the chunk, or the commit that
+// wrote it, published the node as its holder; a write that dirties it
+// withdraws the node again.
+func (im *Image) heldLocked(ci int64) bool {
+	return im.mod.sharer != nil && im.fullyMirroredLocked(ci) && !im.chunks[ci].dirty() && im.leaves[ci].Chunk != 0
 }
 
 // fetchChunks fetches whole chunks [lo,hi) from the repository and
@@ -457,9 +444,10 @@ func (im *Image) fullyMirroredLocked(ci int64) bool {
 // payload was transferred twice (the waste is charged) but counted once.
 //
 // With a sharing cohort the node holds each chunk from its Landed(ok) on.
-// One that merged onto clean bytes goes in announced, for a later write
-// to withdraw; any other (merged around dirty bytes, or a duplicate whose
-// key the local copy no longer is) is withdrawn here, one Retract a fetch.
+// One that merged onto clean bytes stays held (heldLocked), for a later
+// write to withdraw; any other (merged around dirty bytes, or a duplicate
+// whose key the local copy no longer is) is withdrawn here, one Retract a
+// fetch.
 func (im *Image) fetchChunks(ctx *cluster.Ctx, lo, hi int64) error {
 	sharer := im.mod.sharer
 	fetched := make([]blob.FetchedChunk, hi-lo)
@@ -467,7 +455,7 @@ func (im *Image) fetchChunks(ctx *cluster.Ctx, lo, hi int64) error {
 	for i, lf := range im.leaves[lo:hi] {
 		fetched[i] = blob.FetchedChunk{Index: lf.Index, Key: lf.Chunk}
 		if lf.Chunk == 0 {
-			fetched[i].Payload = blob.Payload{Size: im.chunkLen(lf.Index)}
+			fetched[i].Payload = blob.Payload{Size: im.info.ChunkLen(lf.Index)}
 		}
 	}
 	im.mu.Unlock()
@@ -493,8 +481,7 @@ func (im *Image) fetchChunks(ctx *cluster.Ctx, lo, hi int64) error {
 	im.mu.Lock()
 	for _, fc := range fetched {
 		st := &im.chunks[fc.Index]
-		clen := im.chunkLen(fc.Index)
-		shared := sharer != nil && fc.Key != 0
+		clen := im.info.ChunkLen(fc.Index)
 		if whole := (span{0, clen}); st.Mir != whole {
 			if im.local != nil {
 				cstart := fc.Index * cs
@@ -504,13 +491,10 @@ func (im *Image) fetchChunks(ctx *cluster.Ctx, lo, hi int64) error {
 			im.stats.RemoteChunkFetches++
 			im.stats.RemoteBytesFetched += int64(fc.Payload.Size)
 			bytes += int64(fc.Payload.Size)
-			if shared && !st.dirty() {
-				im.announced[fc.Index] = fc.Key
-			}
 		} else {
 			im.stats.DuplicateFetches++ // a concurrent fetch won the merge race
 		}
-		if shared && im.announced[fc.Index] != fc.Key {
+		if sharer != nil && fc.Key != 0 && !(im.heldLocked(fc.Index) && im.leaves[fc.Index].Chunk == fc.Key) {
 			retract = append(retract, fc.Key)
 		}
 	}
@@ -629,7 +613,7 @@ func (im *Image) prepareCommit(ctx *cluster.Ctx) (*commitPlan, error) {
 			im.mu.Unlock()
 			continue
 		}
-		if whole := (span{0, im.chunkLen(ci)}); im.chunks[ci].Dirty == whole {
+		if whole := (span{0, im.info.ChunkLen(ci)}); im.chunks[ci].Dirty == whole {
 			// Entirely dirty: nothing to fill.
 			im.chunks[ci].Mir = whole
 			im.mu.Unlock()
@@ -650,7 +634,7 @@ func (im *Image) prepareCommit(ctx *cluster.Ctx) (*commitPlan, error) {
 	writes := make([]blob.ChunkWrite, 0, len(dirtyIdx))
 	im.mu.Lock()
 	for _, ci := range dirtyIdx {
-		clen := im.chunkLen(ci)
+		clen := im.info.ChunkLen(ci)
 		payload := blob.SyntheticPayload(clen, 0)
 		if im.local != nil {
 			cstart := ci * cs
@@ -700,7 +684,6 @@ func (im *Image) publishCommit(ctx *cluster.Ctx, plan *commitPlan) (blob.Version
 		return 0, err
 	}
 	im.mod.client.UnpinVersion(id, base)
-	sharing := im.mod.sharer != nil
 	var retract []blob.ChunkKey
 	im.mu.Lock()
 	im.version = v
@@ -713,15 +696,11 @@ func (im *Image) publishCommit(ctx *cluster.Ctx, plan *commitPlan) (blob.Version
 		d := im.during[ci]
 		delete(im.during, ci)
 		im.chunks[ci].Dirty = d
-		switch {
-		case !sharing:
-		case d.empty():
-			// The client announced the committed keys; record them so
-			// a later dirtying write retracts this node as a holder.
-			im.announced[ci] = keyOf[ci]
-		default:
-			// Withdraw this node as a holder of the committed key — the
-			// local chunk already diverged from it.
+		// The client announced the committed keys. A clean chunk stays
+		// held, for a later dirtying write to withdraw; on one a write
+		// landed on meanwhile the local copy already diverged from the
+		// committed key, so the node withdraws as its holder now.
+		if im.mod.sharer != nil && !im.heldLocked(ci) {
 			retract = append(retract, keyOf[ci])
 		}
 	}

@@ -565,7 +565,7 @@ func TestMirrorMatchesFlatFile(t *testing.T) {
 				// LMM invariants.
 				for ci := range im.chunks {
 					st := im.chunks[ci]
-					clen := im.chunkLen(int64(ci))
+					clen := im.info.ChunkLen(int64(ci))
 					if st.Mir.Lo < 0 || st.Mir.Hi > clen || st.Mir.Lo > st.Mir.Hi {
 						ok = false
 						return

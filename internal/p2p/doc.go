@@ -10,8 +10,9 @@
 // (cf. oc-mirror's mirror-to-disk-then-redistribute flow):
 //
 //   - A Registry lives on a tracker node (the version-manager/service
-//     node in the experiments). Per deployed image it keeps a Cohort:
-//     the member nodes plus a chunk-key → holders location map.
+//     node in the experiments). It keeps one Cohort, for the one image
+//     its repository shares: the member nodes plus a chunk-key →
+//     holders location map.
 //   - A fetch that lands (Landed(ok)) publishes its member as a holder
 //     at no cost; chunks a member commits it announces with one small
 //     RPC. Records are deduplicated per (member, chunk).

@@ -1,9 +1,9 @@
 package p2p
 
 import (
-	"cmp"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"blobvfs/internal/blob"
 	"blobvfs/internal/broadcast"
@@ -53,7 +53,10 @@ type Stats struct {
 	TierHits [cluster.NumTiers]int64
 }
 
-// Registry is the tracker-side sharing state: one Cohort per image.
+// Registry is the tracker-side sharing state of a repository: the
+// Cohort of the one image it shares. A node's mirroring module attaches
+// to a single sharing group, so a registry holds one cohort, and a
+// deployment that shares several images runs a registry for each.
 type Registry struct {
 	tracker cluster.NodeID
 	cfg     Config
@@ -68,11 +71,7 @@ type Registry struct {
 	// everybody is one tier.
 	topo cluster.Topology
 
-	// mu is an RWMutex: cohort lookup sits on every module's fetch
-	// path, while registration and reclamation are rare, so readers
-	// share the lock.
-	mu      sync.RWMutex
-	cohorts map[blob.ID]*Cohort
+	cohort atomic.Pointer[Cohort] // nil until the first Register
 }
 
 // SetLiveness attaches the cluster liveness registry (see Registry.lv).
@@ -84,37 +83,20 @@ func (r *Registry) SetLiveness(lv *cluster.Liveness) { r.lv = lv }
 func (r *Registry) SetTopology(t cluster.Topology) { r.topo = t }
 
 // NodeChanged is the cluster liveness hook: wire it with
-// Liveness.OnChange. A death drops the member from every cohort
+// Liveness.OnChange. A death drops the member from the cohort
 // (dropDeadMember) — the tracker must never steer a reader to a dead
 // uploader, nor leave one waiting on it. The drop is tracker-local:
 // members keep no location state, so there is nobody to inform. A revival
 // needs no tracker action: the records are already gone, and the peer
 // holds only what it fetches or commits again.
 func (r *Registry) NodeChanged(ctx *cluster.Ctx, node cluster.NodeID, alive bool) {
-	if alive {
-		return
-	}
-	r.eachCohort(func(co *Cohort) { co.dropDeadMember(ctx, node) })
-}
-
-// eachCohort runs fn on every cohort in image order: fn may wake
-// waiters, and the order of wake-ups is observable in the simulation
-// (the determinism convention).
-func (r *Registry) eachCohort(fn func(*Cohort)) {
-	r.mu.RLock()
-	cohorts := make([]*Cohort, 0, len(r.cohorts))
-	for _, co := range r.cohorts {
-		cohorts = append(cohorts, co)
-	}
-	r.mu.RUnlock()
-	slices.SortFunc(cohorts, func(a, b *Cohort) int { return cmp.Compare(a.image, b.image) })
-	for _, co := range cohorts {
-		fn(co)
+	if co := r.cohort.Load(); !alive && co != nil {
+		co.dropDeadMember(ctx, node)
 	}
 }
 
 // dropDeadMember settles node's fetches in flight as failed, in the order
-// they went on record (wake-ups are observable, see eachCohort), and
+// they went on record (wake-ups are observable in the simulation), and
 // withdraws every location record it holds in the cohort, published or
 // still reserved by an announce in flight, with the copies it gave.
 func (co *Cohort) dropDeadMember(ctx *cluster.Ctx, node cluster.NodeID) {
@@ -139,11 +121,14 @@ func (co *Cohort) dropDeadMember(ctx *cluster.Ctx, node cluster.NodeID) {
 
 // NewRegistry creates a registry hosted on the tracker node.
 func NewRegistry(tracker cluster.NodeID, cfg Config) *Registry {
-	return &Registry{tracker: tracker, cfg: cfg, cohorts: make(map[blob.ID]*Cohort)}
+	return &Registry{tracker: tracker, cfg: cfg}
 }
 
 // Register creates (or extends) the cohort for an image and
 // disseminates the membership to all members along the broadcast tree.
+// The first Register names the registry's one image: a Register for
+// another image returns nil, charges nothing and leaves the cohort as
+// it was.
 // It is how the middleware's orchestrator enrolls a deployment: every
 // node about to provision the image becomes a potential chunk source
 // for its siblings. Register is idempotent per member. Membership is
@@ -153,13 +138,13 @@ func NewRegistry(tracker cluster.NodeID, cfg Config) *Registry {
 // returns — the orchestrator guarantees this by registering in
 // Prepare, before any instance is provisioned.
 func (r *Registry) Register(ctx *cluster.Ctx, image blob.ID, members []cluster.NodeID) *Cohort {
-	r.mu.Lock()
-	co, ok := r.cohorts[image]
-	if !ok {
-		co = &Cohort{reg: r, image: image, members: make(map[cluster.NodeID]bool), chunks: make(map[blob.ChunkKey]*chunk)}
-		r.cohorts[image] = co
+	if r.cohort.Load() == nil {
+		r.cohort.CompareAndSwap(nil, &Cohort{reg: r, image: image, members: make(map[cluster.NodeID]bool), chunks: make(map[blob.ChunkKey]*chunk)})
 	}
-	r.mu.Unlock()
+	co := r.cohort.Load()
+	if co.image != image {
+		return nil
+	}
 
 	co.mu.Lock()
 	added := 0
@@ -187,20 +172,23 @@ func (r *Registry) Register(ctx *cluster.Ctx, image blob.ID, members []cluster.N
 
 // Cohort returns the cohort registered for an image, or nil.
 func (r *Registry) Cohort(image blob.ID) *Cohort {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.cohorts[image]
+	if co := r.cohort.Load(); co != nil && co.image == image {
+		return co
+	}
+	return nil
 }
 
 // ChunksReclaimed implements blob.ReclaimListener: the garbage
 // collector reports the chunk keys it released, and the tracker drops
-// its record of them across all cohorts — a reclaimed chunk must not be
+// its record of them from the cohort — a reclaimed chunk must not be
 // offered to siblings anymore. The drop is tracker-local, so it charges
 // nothing. A Locate in flight during the drop can still steer a reader
 // to a stale holder; the reader's provider fall-back
 // (blob.Client.getChunk) absorbs exactly that race.
 func (r *Registry) ChunksReclaimed(ctx *cluster.Ctx, keys []blob.ChunkKey) {
-	r.eachCohort(func(co *Cohort) { co.dropReclaimed(ctx, keys) })
+	if co := r.cohort.Load(); co != nil {
+		co.dropReclaimed(ctx, keys)
+	}
 }
 
 // dropReclaimed removes the cohort's record of the given keys, copies

@@ -1,6 +1,7 @@
 package p2p
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -222,6 +223,31 @@ func TestRegisterIsIdempotentAndIncremental(t *testing.T) {
 			if m == 5 {
 				t.Error("tracker enrolled as a cohort member")
 			}
+		}
+	})
+}
+
+// TestRegisterRefusesASecondImage: a registry holds one cohort. A
+// Register for another image returns nil, charges nothing, and leaves
+// the registered cohort's members and counters as they were.
+func TestRegisterRefusesASecondImage(t *testing.T) {
+	fab := cluster.NewSim(cluster.DefaultConfig(6))
+	reg := NewRegistry(5, DefaultConfig())
+	fab.Run(func(ctx *cluster.Ctx) {
+		co := reg.Register(ctx, 1, []cluster.NodeID{0, 1})
+		ctx.Wait(ctx.Go("member", 0, func(cc *cluster.Ctx) { co.Announce(cc, []blob.ChunkKey{7}) }))
+		stats, traffic, now := co.Stats(), fab.NetTraffic(), ctx.Now()
+		if other := reg.Register(ctx, 2, []cluster.NodeID{2, 3}); other != nil {
+			t.Fatal("Register made a second cohort")
+		}
+		if fab.NetTraffic() != traffic || ctx.Now() != now {
+			t.Errorf("refused Register charged %d bytes and %g s", fab.NetTraffic()-traffic, ctx.Now()-now)
+		}
+		if !slices.Equal(co.order, []cluster.NodeID{0, 1}) || co.Stats() != stats {
+			t.Errorf("refused Register changed the cohort: members %v, stats %+v, want [0 1] and %+v", co.order, co.Stats(), stats)
+		}
+		if reg.Cohort(1) != co || reg.Cohort(2) != nil {
+			t.Error("Cohort lookup does not answer for the registered image alone")
 		}
 	})
 }

@@ -68,10 +68,6 @@ const (
 	// not against bytes received, so a longer section grows its slice
 	// as the records arrive.
 	recordsAhead = 4096
-
-	// nodeWire mirrors the blob package's modeled on-wire size of a
-	// metadata node; stats use it to price shipped tree nodes.
-	nodeWire = 64
 )
 
 var (

@@ -188,7 +188,7 @@ func Export(ctx *cluster.Ctx, sys *blob.System, t *Tracker, w io.Writer, id blob
 	stats.From, stats.To, stats.Seq = from, to, seq
 	stats.Nodes = len(nodes)
 	stats.Chunks = len(chunks)
-	stats.NodeBytes = int64(len(nodes)) * nodeWire
+	stats.NodeBytes = int64(len(nodes)) * blob.TreeNodeWire
 	stats.FullBytes = info.Size
 	stats.ArchiveBytes = n
 	t.commitExportSeq(id, seq)

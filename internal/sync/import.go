@@ -116,7 +116,7 @@ func Import(ctx *cluster.Ctx, sys *blob.System, t *Tracker, src io.Reader) (Impo
 			return ImportStats{}, corrupt("duplicate node ref %d", rec.Ref)
 		}
 		nodeByRef[rec.Ref] = rec
-		local := sys.Meta.AllocPendingRef()
+		local := sys.Meta.AllocPending(1)
 		refMap[rec.Ref] = local
 		pendingRefs = append(pendingRefs, local)
 	}
@@ -124,7 +124,7 @@ func Import(ctx *cluster.Ctx, sys *blob.System, t *Tracker, src io.Reader) (Impo
 
 	keyMap := make(map[blob.ChunkKey]blob.ChunkKey, len(a.Chunks))
 	pendingKeys := make([]blob.ChunkKey, len(a.Chunks))
-	firstKey := sys.Providers.AllocPendingKeys(len(a.Chunks))
+	firstKey := sys.Providers.AllocPending(len(a.Chunks))
 	for i := range pendingKeys {
 		pendingKeys[i] = firstKey + blob.ChunkKey(i)
 	}

@@ -15,7 +15,7 @@ type config struct {
 	replicas     int
 	metaReplicas int
 	chunkSize    int
-	p2p          *P2PConfig
+	p2p          bool
 	retainLast   int // 0 disables the repo-level retention default
 	dedup        bool
 	faults       []FaultEvent
@@ -65,19 +65,12 @@ func WithChunkSize(bytes int) Option {
 	return func(c *config) { c.chunkSize = bytes }
 }
 
-// WithP2P enables peer-to-peer chunk sharing: deployment cohorts
-// registered with Repo.Share serve each other's demand fetches before
-// falling back to the providers. At most one P2PConfig may be given;
-// omitted, the protocol defaults apply. The tracker runs on the
-// manager node.
-func WithP2P(cfg ...P2PConfig) Option {
-	return func(c *config) {
-		p := defaultP2PConfig()
-		if len(cfg) > 0 {
-			p = cfg[0]
-		}
-		c.p2p = &p
-	}
+// WithP2P enables peer-to-peer chunk sharing: the deployment cohort
+// registered with Repo.Share serves each other's demand fetches before
+// falling back to the providers, with the protocol defaults. The
+// tracker runs on the manager node.
+func WithP2P() Option {
+	return func(c *config) { c.p2p = true }
 }
 
 // WithRetention sets the repo's default keep-last-K retention window:

@@ -45,13 +45,11 @@ type Repo struct {
 
 	mu      sync.Mutex
 	modules map[NodeID]*mirror.Module
-	// The repo's single sharing cohort (see Share): shareImage claims
-	// the slot before the registration RPCs run; cohort is attached to
-	// every module created afterwards.
-	shareImage ImageID
-	cohort     *p2p.Cohort
-	names      map[string]Snapshot
-	collector  *blob.Collector
+	// cohort is the repo's one sharing cohort (see Share), attached to
+	// every module created after it registered.
+	cohort    *p2p.Cohort
+	names     map[string]Snapshot
+	collector *blob.Collector
 }
 
 // Open deploys a Repo on a fabric. The zero-option call aggregates
@@ -121,8 +119,8 @@ func Open(fab Fabric, opts ...Option) (*Repo, error) {
 	}
 	r.sys.Providers.SetLiveness(r.liveness)
 	r.liveness.OnChange(r.sys.Providers.NodeChanged)
-	if cfg.p2p != nil {
-		r.sharing = p2p.NewRegistry(cfg.manager, *cfg.p2p)
+	if cfg.p2p {
+		r.sharing = p2p.NewRegistry(cfg.manager, p2p.DefaultConfig())
 		r.sharing.SetLiveness(r.liveness)
 		if cfg.topo.Enabled() {
 			r.sharing.SetTopology(cfg.topo)
@@ -136,9 +134,6 @@ func Open(fab Fabric, opts ...Option) (*Repo, error) {
 // WithSyncUUID: unique within the process, which is all the identity
 // is compared against.
 var nextSyncUUID atomic.Uint64
-
-// defaultP2PConfig returns the sharing protocol defaults (see WithP2P).
-func defaultP2PConfig() P2PConfig { return p2p.DefaultConfig() }
 
 // Fabric returns the cluster the repo is deployed on.
 func (r *Repo) Fabric() Fabric { return r.fab }
@@ -482,28 +477,22 @@ func (r *Repo) NodeAlive(node NodeID) bool { return r.liveness.Alive(node) }
 // node keep their previous attachment.
 //
 // A repo carries at most one cohort: a node's mirroring module (and
-// its chunk fetch path) attaches to a single sharing group, so a
-// Share for a second image is refused rather than silently cross-
-// wiring the first cohort's location maps. Deployments that share
-// several images each open their own Repo, as the experiment
-// scenarios do.
+// its chunk fetch path) attaches to a single sharing group, so the
+// registry refuses a Share for a second image rather than silently
+// cross-wiring the first cohort's location maps. Deployments that
+// share several images each open their own Repo, as the experiment
+// scenarios do. Re-Shares of the registered image register again: the
+// tracker merges the new members into the cohort, so a later
+// deployment wave of the same image joins rather than hammering the
+// providers.
 func (r *Repo) Share(ctx *Ctx, image ImageID, nodes []NodeID) bool {
 	if r.sharing == nil {
 		return false
 	}
-	// Claim the repo's cohort slot before the registration RPCs run
-	// (the lock must not be held across fabric operations). Re-Shares
-	// of the claimed image register again: the tracker merges the new
-	// members into the cohort, so a later deployment wave of the same
-	// image joins rather than hammering the providers.
-	r.mu.Lock()
-	if r.shareImage != 0 && r.shareImage != image {
-		r.mu.Unlock()
+	co := r.sharing.Register(ctx, image, nodes)
+	if co == nil {
 		return false
 	}
-	r.shareImage = image
-	r.mu.Unlock()
-	co := r.sharing.Register(ctx, image, nodes)
 	r.mu.Lock()
 	r.cohort = co
 	r.mu.Unlock()
@@ -513,11 +502,11 @@ func (r *Repo) Share(ctx *Ctx, image ImageID, nodes []NodeID) bool {
 // SharingStats returns the accounting of the cohort registered for an
 // image (false when sharing is off or Share never registered it).
 func (r *Repo) SharingStats(image ImageID) (P2PStats, bool) {
-	r.mu.Lock()
-	co := r.cohort
-	mine := r.shareImage == image
-	r.mu.Unlock()
-	if co == nil || !mine {
+	if r.sharing == nil {
+		return P2PStats{}, false
+	}
+	co := r.sharing.Cohort(image)
+	if co == nil {
 		return P2PStats{}, false
 	}
 	return co.Stats(), true
@@ -525,7 +514,7 @@ func (r *Repo) SharingStats(image ImageID) (P2PStats, bool) {
 
 // Collector returns the repo's garbage collector, creating it on first
 // use. With sharing enabled, reclaimed chunks are retracted from the
-// cohorts' location maps. The experiment harness hands this to its
+// cohort's location maps. The experiment harness hands this to its
 // orchestrator; application code normally just calls GC.
 func (r *Repo) Collector() *blob.Collector {
 	r.mu.Lock()

@@ -370,7 +370,7 @@ func TestExportPinsAgainstConcurrentGC(t *testing.T) {
 
 // TestAlignedKeysAreNeverStored covers the holes block-aligned key
 // allocation leaves in the key space of a pool wider than one stripe
-// window (blob.ProviderSet.AllocPendingKeys): a skipped key is neither
+// window (blob.ProviderSet.AllocPending): a skipped key is neither
 // pending nor retained, so the collector has nothing to say about it; a
 // collection racing aligned commits frees nothing; and a lineage whose
 // keys have holes exports and imports like any other, the import
