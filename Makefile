@@ -1,12 +1,12 @@
 # Developer entry points. CI runs the same commands (see
-# .github/workflows/ci.yml): its gofmt, line-budget and fuzz-smoke steps
-# are `make fmt`, `make loc-budget` and `make fuzz`, so each check is
-# defined here once. A green `make check` locally means a green
-# pipeline — except the staticcheck job, which needs the tool installed
-# (see the staticcheck target below), and CI's coverage gate and fuzz
-# smoke (`make fuzz`).
+# .github/workflows/ci.yml): its gofmt, repeat, line-budget and
+# fuzz-smoke steps are `make fmt`, `make repeat`, `make loc-budget` and
+# `make fuzz`, so each check is defined here once. A green `make check`
+# locally means a green pipeline — except the staticcheck job, which
+# needs the tool installed (see the staticcheck target below), and CI's
+# coverage gate and fuzz smoke (`make fuzz`).
 
-.PHONY: build test race check fmt vet bench bench-check rebaseline fuzz examples staticcheck loc loc-budget
+.PHONY: build test race repeat check fmt vet bench bench-check rebaseline fuzz examples staticcheck loc loc-budget
 
 build:
 	go build ./...
@@ -18,6 +18,12 @@ test:
 # close enough to go test's 10-minute default to have hit it once.
 race:
 	go test -race -timeout 20m ./...
+
+# repeat runs the simulator core's tests forty times in one process: the
+# worker-pool tests sample goroutines, and a sample that drifts from
+# one iteration to the next shows up here (a few seconds).
+repeat:
+	go test -count=40 ./internal/sim
 
 # fmt fails on any file gofmt would change (CI's gofmt step).
 fmt:
@@ -32,7 +38,7 @@ vet:
 # calls into internals (blob.NewClient, Client.PrefetchExtents,
 # Repo.ArmFaultsRebased, Cohort.Locate), and only compiling it proves
 # they are still there.
-check: fmt vet build race bench-check loc-budget
+check: fmt vet build race repeat bench-check loc-budget
 
 # examples builds and runs every examples/* program — executable
 # documentation of the public blobvfs API. Each must exit cleanly.

@@ -455,7 +455,6 @@ func BenchmarkExportImport(b *testing.B) {
 	b.ReportMetric(pt.FullMB, "full-MB")
 	b.ReportMetric(pt.Reduction, "reduction-x")
 	b.ReportMetric(float64(pt.ShippedChunks), "shipped-chunks")
-	b.ReportMetric(float64(pt.DedupedChunks), "deduped-chunks")
 	if pt.Reduction < 5 {
 		b.Fatalf("delta sync shipped only %.2fx less than full re-ships (full %.2f MB, avg delta %.2f MB), want >= 5x",
 			pt.Reduction, pt.FullMB, pt.AvgDeltaMB)

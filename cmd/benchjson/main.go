@@ -17,7 +17,7 @@
 //   - family export → BENCH_export.json: the differential-sync
 //     benchmark line, plus an export summary with the average delta
 //     and full-image byte counts, the reduction factor, and the
-//     shipped and import-side-deduplicated chunk counts.
+//     shipped chunk count.
 //   - family scale → BENCH_scale.json: the flash-crowd scale sweep
 //     (BenchmarkFlashCrowdScale plus BenchmarkFlashCrowd10k), with a
 //     scale summary charting instances vs wall-clock ns/op and
@@ -60,14 +60,12 @@ type crossZone struct {
 // exportSummary is the headline summary of the differential-sync
 // subsystem: bytes an average delta round ships vs re-shipping the
 // full image, the reduction factor (gated at 5x by the benchmark
-// itself), and how many shipped chunks the importing side deduplicated
-// into storage it already had.
+// itself), and how many chunks the deltas shipped.
 type exportSummary struct {
 	DeltaBytes    float64 `json:"delta_bytes"`
 	FullBytes     float64 `json:"full_bytes"`
 	ReductionX    float64 `json:"reduction_x"`
 	ShippedChunks float64 `json:"shipped_chunks"`
-	DedupedChunks float64 `json:"deduped_chunks"`
 }
 
 // scalePoint is one instance-count point of the flash-crowd scale
@@ -185,7 +183,6 @@ func main() {
 			FullBytes:     exp.Metrics["full-MB"] * 1e6,
 			ReductionX:    exp.Metrics["reduction-x"],
 			ShippedChunks: exp.Metrics["shipped-chunks"],
-			DedupedChunks: exp.Metrics["deduped-chunks"],
 		}
 	}
 	if *family == "scale" {

@@ -201,65 +201,40 @@ func TestDegradedPutWritesAroundFailure(t *testing.T) {
 	})
 }
 
-// TestDedupUnderFailure: the dedup bookkeeping must stay consistent
-// across failed and degraded writes — a Put that failed with every
-// provider down must not leave its fingerprint behind (a later
-// identical write would alias to a never-stored chunk), and an
-// aliasing Put whose own ring is dead must still succeed via the
-// canonical chunk's live holders.
-func TestDedupUnderFailure(t *testing.T) {
+// TestPutWithEveryProviderDead: a put that finds every provider down
+// fails with ErrNoReplica and stores nothing; once the providers are
+// back, the same put stores the chunk and it reads back.
+func TestPutWithEveryProviderDead(t *testing.T) {
 	fab := cluster.NewSim(cluster.DefaultConfig(4))
 	nodes := []cluster.NodeID{0, 1, 2, 3}
 	ps := NewProviderSet(nodes, 1)
-	ps.EnableDedup()
 	lv := cluster.NewLiveness(4)
 	ps.SetLiveness(lv)
 	fab.Run(func(ctx *cluster.Ctx) {
 		payload := SyntheticPayload(2048, 42)
-		// Total outage: the first write of this content fails, and its
-		// fingerprint claim must be rolled back.
 		for _, n := range nodes {
 			lv.Kill(ctx, n)
 		}
-		k1 := ps.AllocPending(1)
-		if err := putOne(ctx, ps, k1, payload); !errors.Is(err, ErrNoReplica) {
+		key := ps.AllocPending(1)
+		if err := putOne(ctx, ps, key, payload); !errors.Is(err, ErrNoReplica) {
 			t.Fatalf("put with all providers dead = %v, want ErrNoReplica", err)
+		}
+		if _, ok := ps.Peek(key); ok || ps.ChunkCount() != 0 || ps.Writes.Load() != 0 {
+			t.Fatalf("failed put stored something: %d chunks, %d writes", ps.ChunkCount(), ps.Writes.Load())
 		}
 		for _, n := range nodes {
 			lv.Revive(ctx, n)
 		}
-		// The same content stored after the outage must become a real
-		// canonical chunk, not an alias to the failed key.
-		k2 := ps.AllocPending(1)
-		if err := putOne(ctx, ps, k2, payload); err != nil {
+		if err := putOne(ctx, ps, key, payload); err != nil {
 			t.Fatal(err)
 		}
-		if ps.DedupHits.Load() != 0 {
-			t.Fatal("second write aliased to the failed put's phantom chunk")
+		got, err := ps.Get(ctx, key)
+		if err != nil {
+			t.Fatalf("read after revival: %v", err)
 		}
-		if _, err := ps.Get(ctx, k2); err != nil {
-			t.Fatalf("read of re-stored content: %v", err)
+		if got.Size != payload.Size || got.Tag != payload.Tag {
+			t.Fatalf("read back %+v, want %+v", got, payload)
 		}
-		// An aliasing write whose own ring is entirely dead still
-		// succeeds: the transfer lands on the canonical chunk's holder.
-		var k3 ChunkKey
-		for {
-			k3 = ps.AllocPending(1)
-			if ps.Replicas(k3)[0] != ps.Replicas(k2)[0] {
-				break
-			}
-		}
-		lv.Kill(ctx, ps.Replicas(k3)[0])
-		if err := putOne(ctx, ps, k3, payload); err != nil {
-			t.Fatalf("aliasing put with its ring dead = %v, want success via canonical holder", err)
-		}
-		if ps.DedupHits.Load() != 1 {
-			t.Fatalf("DedupHits = %d, want 1", ps.DedupHits.Load())
-		}
-		if _, err := ps.Get(ctx, k3); err != nil {
-			t.Fatalf("read through the alias: %v", err)
-		}
-		lv.Revive(ctx, ps.Replicas(k3)[0])
 	})
 }
 

@@ -35,9 +35,8 @@ import (
 //     shadowing means most of a version's tree belongs to its
 //     ancestors.
 //   - Sweep. Unmarked tree nodes at or below the watermark are dropped
-//     from the metadata providers; unmarked chunk keys give up their
-//     content reference, and chunks whose reference count reaches zero
-//     are physically freed (dedup aliases keep shared content alive).
+//     from the metadata providers; unmarked chunk keys at or below it
+//     are released, and a stored key is freed on its first release.
 //
 // Safety against concurrent activity rests on two invariants: new
 // allocations are above the watermark or pending at the snapshot, and
@@ -60,7 +59,6 @@ type GCReport struct {
 	MarkedNodes  int   // tree nodes reachable from live roots
 	MarkedChunks int   // distinct chunk keys reachable
 	FreedNodes   int   // tree nodes swept
-	FreedKeys    int   // chunk keys released (incl. dedup aliases)
 	FreedChunks  int64 // chunk payloads physically freed
 	FreedBytes   int64 // payload bytes physically freed
 }
@@ -140,10 +138,8 @@ func (g *Collector) Collect(ctx *cluster.Ctx) (GCReport, error) {
 			dead = append(dead, key)
 		}
 	}
-	beforeChunks := g.sys.Providers.Reclaimed.Load()
 	released, freedBytes := g.sys.Providers.Release(ctx, dead)
-	rep.FreedKeys = len(released)
-	rep.FreedChunks = g.sys.Providers.Reclaimed.Load() - beforeChunks
+	rep.FreedChunks = int64(len(released))
 	rep.FreedBytes = freedBytes
 
 	g.mu.Lock()

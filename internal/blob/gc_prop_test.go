@@ -114,9 +114,6 @@ func TestGCRandomLifecycleInvariants(t *testing.T) {
 		t.Run(fmt.Sprintf("trial-%d", trial), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(1000 + trial)))
 			fab, sys := liveSystem(4, 1)
-			if trial%2 == 1 {
-				sys.Providers.EnableDedup()
-			}
 			gc := NewCollector(sys)
 			fab.Run(func(ctx *cluster.Ctx) {
 				c := NewClient(sys)
@@ -142,7 +139,6 @@ func TestGCRandomLifecycleInvariants(t *testing.T) {
 					perm := rng.Perm(chunks)[:n]
 					writes := make([]ChunkWrite, n)
 					for i, ci := range perm {
-						// Small payload pool so dedup trials alias often.
 						writes[i] = ChunkWrite{
 							Index:   int64(ci),
 							Payload: RealPayload(pattern(csize, byte(rng.Intn(4)))),

@@ -204,8 +204,8 @@ func TestFailedChunkPutLeavesNoVersion(t *testing.T) {
 		if rep.FreedNodes != orphans || rep.MarkedNodes != liveNodes {
 			t.Fatalf("GC freed %d nodes and marked %d, want %d orphans freed and %d marked", rep.FreedNodes, rep.MarkedNodes, orphans, liveNodes)
 		}
-		if rep.FreedKeys != 0 {
-			t.Fatalf("GC released %d chunk keys, want 0", rep.FreedKeys)
+		if rep.FreedChunks != 0 {
+			t.Fatalf("GC released %d chunks, want 0", rep.FreedChunks)
 		}
 
 		lv.Revive(ctx, 3)

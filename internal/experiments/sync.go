@@ -19,8 +19,7 @@ import (
 // modification pattern, and after every commit a delta archive carries
 // exactly the chunks the downstream lacks. The headline is the delta
 // size against the full-image ship a naive mirror would repeat each
-// round, plus how many shipped chunks the importing side deduplicated
-// into storage it already had.
+// round.
 
 // SyncConfig parameterizes one sync run.
 type SyncConfig struct {
@@ -36,7 +35,6 @@ type SyncRound struct {
 	Stage     string  // "full" or "delta N"
 	Versions  int     // versions carried by the archive
 	Chunks    int     // chunk payloads shipped
-	Deduped   int     // shipped chunks the importer already stored
 	ShippedMB float64 // logical payload+metadata bytes shipped
 	FullMB    float64 // what a full-image ship would carry
 	Reduction float64 // FullMB / ShippedMB
@@ -53,7 +51,6 @@ type SyncPoint struct {
 	Reduction  float64 // FullMB / AvgDeltaMB — the headline
 
 	ShippedChunks int // total chunks shipped over all rounds
-	DedupedChunks int // total import-side dedup hits
 
 	PerRound []SyncRound
 }
@@ -80,7 +77,6 @@ func RunSync(p Params, sc SyncConfig) SyncPoint {
 			blobvfs.WithProviders(nodes...),
 			blobvfs.WithManager(nodes[0]),
 			blobvfs.WithChunkSize(p.ChunkSize),
-			blobvfs.WithDedup(),
 			blobvfs.WithSyncUUID(uuid))
 		if err != nil {
 			panic(err)
@@ -95,12 +91,11 @@ func RunSync(p Params, sc SyncConfig) SyncPoint {
 		Providers: sc.Providers,
 		ImageMB:   float64(p.ImageSize) / (1 << 20),
 	}
-	record := func(stage string, est blobvfs.ExportStats, ist blobvfs.ImportStats) {
+	record := func(stage string, est blobvfs.ExportStats) {
 		r := SyncRound{
 			Stage:     stage,
 			Versions:  est.Versions,
 			Chunks:    est.Chunks,
-			Deduped:   ist.DedupedChunks,
 			ShippedMB: float64(est.DeltaBytes()) / (1 << 20),
 			FullMB:    float64(est.FullBytes) / (1 << 20),
 		}
@@ -109,7 +104,6 @@ func RunSync(p Params, sc SyncConfig) SyncPoint {
 		}
 		pt.PerRound = append(pt.PerRound, r)
 		pt.ShippedChunks += r.Chunks
-		pt.DedupedChunks += r.Deduped
 	}
 
 	wrRNG := sim.NewRNG(p.Seed + 11)
@@ -131,7 +125,7 @@ func RunSync(p Params, sc SyncConfig) SyncPoint {
 				panic(err)
 			}
 			localID = ist.Image
-			record(stage, est, ist)
+			record(stage, est)
 		}
 		ship("full", 0, base.Version)
 
@@ -192,7 +186,7 @@ func SyncTable(pt SyncPoint) *metrics.Table {
 	rows := pt.PerRound
 	if pt.Reduction > 0 {
 		rows = append(slices.Clip(rows), SyncRound{Stage: "avg delta", Chunks: pt.ShippedChunks,
-			Deduped: pt.DedupedChunks, ShippedMB: pt.AvgDeltaMB, FullMB: pt.FullMB, Reduction: pt.Reduction})
+			ShippedMB: pt.AvgDeltaMB, FullMB: pt.FullMB, Reduction: pt.Reduction})
 	}
 	return table(fmt.Sprintf(
 		"Differential sync: %.0f MB image, %d delta rounds, disjoint %d-provider pools",
@@ -205,7 +199,6 @@ func SyncTable(pt SyncPoint) *metrics.Table {
 			return itoa(r.Versions)
 		}},
 		col[SyncRound]{"chunks shipped", func(r SyncRound) string { return itoa(r.Chunks) }},
-		col[SyncRound]{"chunks deduped", func(r SyncRound) string { return itoa(r.Deduped) }},
 		col[SyncRound]{"shipped (MB)", func(r SyncRound) string { return ftoa(r.ShippedMB) }},
 		col[SyncRound]{"full ship (MB)", func(r SyncRound) string { return ftoa(r.FullMB) }},
 		col[SyncRound]{"reduction", func(r SyncRound) string {

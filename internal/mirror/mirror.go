@@ -587,9 +587,7 @@ type commitPlan struct {
 // full content, then capture their payloads and open the publish window
 // (an entry in during). A nil plan means nothing was dirty. Every
 // fabric operation it performs reads; it never publishes, so it can
-// safely overlap a concurrent Clone (a forking Snapshot). For the same
-// reason it stamps nothing with the image's identity, which the Clone
-// is changing: a synthetic payload gets its tag in publishCommit.
+// safely overlap a concurrent Clone (a forking Snapshot).
 func (im *Image) prepareCommit(ctx *cluster.Ctx) (*commitPlan, error) {
 	im.mu.Lock()
 	if !im.open {
@@ -657,20 +655,7 @@ func (im *Image) prepareCommit(ctx *cluster.Ctx) (*commitPlan, error) {
 func (im *Image) publishCommit(ctx *cluster.Ctx, plan *commitPlan) (blob.Version, error) {
 	im.mu.Lock()
 	id, base := im.blobID, im.version
-	synthetic := im.local == nil
 	im.mu.Unlock()
-	if synthetic {
-		// A synthetic payload's tag stands in for its content identity:
-		// the blob and version the publish lands on (after a fork, the
-		// clone's) and the chunk index, mixed. Without the index every
-		// synthetic chunk of the round would alias under deduplication;
-		// with the fork source's identity, chunk ci of every instance
-		// forking from one base.
-		for i := range plan.writes {
-			w := &plan.writes[i]
-			w.Payload.Tag = uint64(id)<<44 | (uint64(base)+1)<<24 | uint64(w.Index)
-		}
-	}
 	v, keyOf, err := im.mod.client.WriteChunksKeyed(ctx, id, base, plan.writes)
 	if err != nil {
 		im.closeWindow(plan.dirtyIdx)

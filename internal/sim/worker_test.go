@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // sleepers runs n processes that overlap in time on a new environment.
@@ -23,6 +22,47 @@ func idleWorkers() int {
 	return len(idle.free)
 }
 
+// workerGoroutines counts the goroutines behind live workers, read from
+// a goroutine profile by the functions on their stacks. It leaves out
+// the rest of the test binary, whose goroutines come and go with the
+// tests around it, and workers whose process exited through
+// runtime.Goexit: those park for good inside run's deferred call
+// (proc.go) and are never reused.
+func workerGoroutines() int {
+	n, _ := runtime.GoroutineProfile(nil)
+	recs := make([]runtime.StackRecord, n+64)
+	for {
+		var ok bool
+		if n, ok = runtime.GoroutineProfile(recs); ok {
+			break
+		}
+		recs = make([]runtime.StackRecord, 2*n)
+	}
+	// Parked workers share one stack, so each distinct stack is
+	// classified once.
+	live := make(map[[32]uintptr]bool)
+	count := 0
+	for _, r := range recs[:n] {
+		is, seen := live[r.Stack0]
+		if !seen {
+			worker, exited := false, false
+			frames := runtime.CallersFrames(r.Stack())
+			for more := true; more; {
+				var f runtime.Frame
+				f, more = frames.Next()
+				worker = worker || strings.HasSuffix(f.Function, "sim.newWorker.func1")
+				exited = exited || strings.HasSuffix(f.Function, "sim.(*worker).run.func1")
+			}
+			is = worker && !exited
+			live[r.Stack0] = is
+		}
+		if is {
+			count++
+		}
+	}
+	return count
+}
+
 // TestWorkersOutliveTheirEnv: the goroutines behind finished processes
 // are parked in the process-wide list and run the next environment's
 // processes, so environments leave nothing behind that grows with
@@ -32,25 +72,12 @@ func TestWorkersOutliveTheirEnv(t *testing.T) {
 	if n := idleWorkers(); n < 32 {
 		t.Fatalf("%d idle workers after 32 concurrent processes", n)
 	}
-	// The testing package starts a test as soon as the one before it
-	// signals its end, so that test's goroutine may still be exiting:
-	// base is counted once no goroutine has ended for a millisecond.
-	base, parked := runtime.NumGoroutine(), idleWorkers()
-	for {
-		time.Sleep(time.Millisecond)
-		n := runtime.NumGoroutine()
-		if n == base {
-			break
-		}
-		base = n
-	}
+	base, parked := workerGoroutines(), idleWorkers()
 	for i := 0; i < 10; i++ {
 		sleepers(32)
 	}
-	if n := runtime.NumGoroutine(); n != base {
-		buf := make([]byte, 1<<20)
-		buf = buf[:runtime.Stack(buf, true)]
-		t.Errorf("%d goroutines after ten more environments, %d after the first:\n%s", n, base, buf)
+	if n := workerGoroutines(); n != base {
+		t.Errorf("%d worker goroutines after ten more environments, %d after the first", n, base)
 	}
 	if n := idleWorkers(); n != parked {
 		t.Errorf("%d idle workers after ten more environments, %d after the first", n, parked)
@@ -88,8 +115,12 @@ func TestIdleWorkersAreBounded(t *testing.T) {
 	if n := idleWorkers(); n != maxIdle {
 		t.Fatalf("%d idle workers, want the bound %d", n, maxIdle)
 	}
-	if n := runtime.NumGoroutine(); n > maxIdle+50 {
-		t.Fatalf("%d goroutines with %d idle workers: the others did not end", n, maxIdle)
+	n := workerGoroutines()
+	if n < maxIdle {
+		t.Fatalf("%d worker goroutines counted with %d idle workers: the count misses workers", n, maxIdle)
+	}
+	if n > maxIdle+50 {
+		t.Fatalf("%d worker goroutines with %d idle workers: the others did not end", n, maxIdle)
 	}
 }
 

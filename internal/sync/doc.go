@@ -2,7 +2,7 @@
 // disconnected-repository counterpart of the multisnapshotting design.
 //
 // Within one repository, successive versions of an image share almost
-// all of their chunks and tree nodes through shadowing and dedup
+// all of their chunks and tree nodes through shadowing and cloning
 // (Fig. 3 of the paper). This package makes those deltas portable: an
 // export walks the segment trees of a version range (from, to] with
 // the garbage collector's reachability marking and serializes exactly

@@ -21,9 +21,8 @@ type ImportStats struct {
 	Nodes    int // tree nodes ingested
 	Chunks   int // chunk records in the archive
 
-	// DedupedChunks counts shipped chunks whose content an identical
-	// stored chunk already covered — they cost zero provider disk
-	// writes, riding the dedup/refcount machinery.
+	// DedupedChunks is always 0: every shipped chunk is stored. The
+	// benchmark harness (bench/liverun.go) still reads it.
 	DedupedChunks int
 
 	ChunkBytes   int64 // logical bytes of the shipped chunks
@@ -36,8 +35,8 @@ type ImportStats struct {
 // sequence state, and its trees fully resolved against the local base
 // version — all with read-only metadata access — before the first
 // provider write. A rejected archive therefore leaves the repository
-// byte-identical: no chunk refcount moves, no node is stored, no
-// version appears.
+// byte-identical: no chunk is stored, no node is stored, no version
+// appears.
 //
 // Applying remaps every shipped ref and key into this repository's
 // space: archive nodes get freshly allocated (pending-marked) refs,
@@ -45,8 +44,8 @@ type ImportStats struct {
 // with the base resolve by range-descent of the local base tree —
 // imports reproduce the source's tree structure, so the subtree
 // covering a range is the same on both sides. Chunks publish through
-// the batched PutBatch path and dedup against content already
-// present; versions then publish in order, each one a single call that
+// the batched PutBatch path, each under its own fresh key; versions
+// then publish in order, each one a single call that
 // returns the number the manager assigned (placeholders for
 // source-retired versions publish and immediately retire), so
 // OpenDisk, retention and GC see the imported lineage exactly as if
@@ -171,7 +170,6 @@ func Import(ctx *cluster.Ctx, sys *blob.System, t *Tracker, src io.Reader) (Impo
 		}
 	}
 
-	dedupBefore := sys.Providers.DedupHits.Load()
 	if len(a.Chunks) > 0 {
 		puts := make([]blob.ChunkPut, len(a.Chunks))
 		for i, rec := range a.Chunks {
@@ -186,10 +184,9 @@ func Import(ctx *cluster.Ctx, sys *blob.System, t *Tracker, src io.Reader) (Impo
 	stats := ImportStats{
 		Image: localID, Source: h.Image,
 		From: h.From, To: h.To, Seq: h.Seq,
-		Nodes:         len(a.Nodes),
-		Chunks:        len(a.Chunks),
-		DedupedChunks: int(sys.Providers.DedupHits.Load() - dedupBefore),
-		ArchiveBytes:  a.Size,
+		Nodes:        len(a.Nodes),
+		Chunks:       len(a.Chunks),
+		ArchiveBytes: a.Size,
 	}
 	for _, rec := range a.Chunks {
 		stats.ChunkBytes += int64(rec.Payload.Size)

@@ -17,7 +17,6 @@ type config struct {
 	chunkSize    int
 	p2p          bool
 	retainLast   int // 0 disables the repo-level retention default
-	dedup        bool
 	faults       []FaultEvent
 	topo         Topology
 	syncUUID     uint64 // 0 auto-assigns a process-unique identity
@@ -78,12 +77,6 @@ func WithP2P() Option {
 // default) means no implicit retention.
 func WithRetention(keepLast int) Option {
 	return func(c *config) { c.retainLast = keepLast }
-}
-
-// WithDedup enables content deduplication on the provider set:
-// identical chunk payloads are stored once and aliased.
-func WithDedup() Option {
-	return func(c *config) { c.dedup = true }
 }
 
 // WithTopology makes the repository topology-aware: chunk placement

@@ -88,9 +88,6 @@ func Open(fab Fabric, opts ...Option) (*Repo, error) {
 		modules: make(map[NodeID]*mirror.Module),
 		names:   make(map[string]Snapshot),
 	}
-	if cfg.dedup {
-		r.sys.Providers.EnableDedup()
-	}
 	if cfg.topo.Enabled() {
 		r.sys.Providers.SetTopology(cfg.topo)
 	}
@@ -546,7 +543,6 @@ type RepoStats struct {
 	MetaNodes       int   // segment-tree nodes stored
 	ReclaimedChunks int64 // chunk payloads freed by GC so far
 	ReclaimedBytes  int64
-	DedupHits       int64 // writes absorbed by an identical stored chunk
 
 	// FailedFetches counts chunk reads that found no live copy at all
 	// (before any retry through the sharing cohort); Failovers counts
@@ -580,7 +576,6 @@ func (r *Repo) Stats() RepoStats {
 		MetaNodes:       r.sys.Meta.NodeCount(),
 		ReclaimedChunks: r.sys.Providers.Reclaimed.Load(),
 		ReclaimedBytes:  r.sys.Providers.ReclaimedBytes.Load(),
-		DedupHits:       r.sys.Providers.DedupHits.Load(),
 		FailedFetches:   r.sys.Providers.FailedReads.Load(),
 		Failovers:       r.sys.Providers.Failovers.Load(),
 		Rereplicated:    r.sys.Providers.Rereplicated.Load(),

@@ -10,8 +10,8 @@ import (
 // (chunks, tree nodes, logical bytes) versus the full-image baseline.
 type ExportStats = reposync.ExportStats
 
-// ImportStats summarizes an applied archive, including how many
-// shipped chunks deduplicated against content already present.
+// ImportStats summarizes an applied archive: the versions, tree nodes
+// and chunks it stored.
 type ImportStats = reposync.ImportStats
 
 // SyncUUID returns the identity this repository stamps into exported
@@ -42,11 +42,10 @@ func (r *Repo) Export(ctx *Ctx, w io.Writer, id ImageID, from, to Version) (Expo
 // ErrSequenceGap, ErrBaseMissing) leaves the repository untouched. A
 // full archive (base 0) creates a new image; a delta must be the
 // exact successor of the last archive applied for that image, and its
-// base version must still be live here. Shipped chunks dedup against
-// content already present (zero provider writes for shared content,
-// with WithDedup), everything publishes through the batched write
-// path, and the imported versions register with the version manager —
-// OpenDisk, retention and GC treat them exactly like local commits.
+// base version must still be live here. Every shipped chunk is stored
+// under a fresh key through the batched write path, and the imported
+// versions register with the version manager — OpenDisk, retention and
+// GC treat them exactly like local commits.
 func (r *Repo) Import(ctx *Ctx, src io.Reader) (ImportStats, error) {
 	if err := r.checkOpen(); err != nil {
 		return ImportStats{}, err

@@ -16,7 +16,6 @@ func TestImportTypedErrors(t *testing.T) {
 	fab := blobvfs.NewLiveCluster(4)
 	common := []blobvfs.Option{
 		blobvfs.WithChunkSize(syncChunk),
-		blobvfs.WithDedup(),
 	}
 	up, err := blobvfs.Open(fab, append(common[:len(common):len(common)], blobvfs.WithSyncUUID(0xA))...)
 	if err != nil {

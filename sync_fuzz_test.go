@@ -22,7 +22,6 @@ func buildSyncSeeds(f *testing.F) (full, delta []byte) {
 	fab := blobvfs.NewLiveCluster(2)
 	up, err := blobvfs.Open(fab,
 		blobvfs.WithChunkSize(fuzzChunk),
-		blobvfs.WithDedup(),
 		blobvfs.WithSyncUUID(0xA))
 	if err != nil {
 		f.Fatal(err)
@@ -72,15 +71,15 @@ func halveChunkSize(archive []byte) []byte {
 }
 
 // repoState captures everything an import may mutate: stored chunks
-// and their refcounts, metadata nodes, pending allocations, and the
-// live version set.
+// and their keys, metadata nodes, pending allocations, and the live
+// version set.
 type repoState struct {
 	Chunks      int
 	StoredBytes int64
 	Nodes       int
 	PendingKeys int
 	PendingRefs int
-	Refs        map[blob.ChunkKey]int64
+	Stored      map[blob.ChunkKey]bool
 	Versions    []blobvfs.Version
 }
 
@@ -91,15 +90,12 @@ func captureState(t *testing.T, ctx *blobvfs.Ctx, r *blobvfs.Repo, id blobvfs.Im
 		Chunks:      sys.Providers.ChunkCount(),
 		StoredBytes: sys.Providers.StoredBytes(),
 		Nodes:       sys.Meta.NodeCount(),
-		Refs:        map[blob.ChunkKey]int64{},
+		Stored:      storedKeys(r),
 	}
-	keyWM, pk := sys.Providers.PendingSnapshot()
+	_, pk := sys.Providers.PendingSnapshot()
 	_, pr := sys.Meta.PendingSnapshot()
 	st.PendingKeys = len(pk)
 	st.PendingRefs = len(pr)
-	for _, k := range sys.Providers.RetainedKeys(keyWM) {
-		st.Refs[k] = sys.Providers.RefCount(k)
-	}
 	if id != 0 {
 		vs, err := r.Versions(ctx, id)
 		if err != nil {
@@ -113,7 +109,7 @@ func captureState(t *testing.T, ctx *blobvfs.Ctx, r *blobvfs.Repo, id blobvfs.Im
 // FuzzImportArchive feeds arbitrary bytes to Repo.Import on a
 // downstream that has already imported one valid full archive. The
 // importer must never panic, and a rejected archive must leave the
-// repository byte-identical: same chunks, same refcounts, same tree
+// repository byte-identical: same chunks, same stored keys, same tree
 // nodes, no leaked pending allocations, same version set.
 func FuzzImportArchive(f *testing.F) {
 	full, delta := buildSyncSeeds(f)
@@ -129,7 +125,6 @@ func FuzzImportArchive(f *testing.F) {
 		fab := blobvfs.NewLiveCluster(2)
 		down, err := blobvfs.Open(fab,
 			blobvfs.WithChunkSize(fuzzChunk),
-			blobvfs.WithDedup(),
 			blobvfs.WithSyncUUID(0xB))
 		if err != nil {
 			t.Fatal(err)
