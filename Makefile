@@ -19,11 +19,12 @@ test:
 race:
 	go test -race -timeout 20m ./...
 
-# repeat runs the simulator core's tests forty times in one process: the
-# worker-pool tests sample goroutines, and a sample that drifts from
-# one iteration to the next shows up here (a few seconds).
+# repeat runs the simulator core's tests, flownet's included, forty
+# times in one process: a test whose outcome drifts from one iteration
+# to the next (the worker-pool tests sample goroutines) fails here (a
+# few seconds).
 repeat:
-	go test -count=40 ./internal/sim
+	go test -count=40 ./internal/sim/...
 
 # fmt fails on any file gofmt would change (CI's gofmt step).
 fmt:

@@ -566,9 +566,10 @@ func BenchmarkMaxMinRecompute(b *testing.B) {
 	env.RunUntil(0.001)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Each Start triggers one full recomputation over ~110 flows.
-		f := net.Start(1e12, up[i%111], down[(i*53+7)%111])
-		_ = f
+		// Each Start arms a settle at the current instant, which runs
+		// one full recomputation over ~110 flows.
+		net.Start(1e12, up[i%111], down[(i*53+7)%111])
+		env.RunUntil(env.Now())
 	}
 }
 

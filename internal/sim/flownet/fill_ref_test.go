@@ -135,8 +135,9 @@ func TestFillBitEqualToReference(t *testing.T) {
 // TestRatesBitEqualToReferenceUnderChurn drives a live net: flows join
 // at random instants and leave as they complete, so rates come out of
 // the incremental path (recomputeDirty over one component at a time,
-// after arrivals and after departures). At every arrival the rates in
-// force must be bit-equal to a reference fill of the whole net.
+// after arrivals and after departures). Once each arrival's instant has
+// settled, the rates in force must be bit-equal to a reference fill of
+// the whole net.
 func TestRatesBitEqualToReferenceUnderChurn(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		e := sim.New()
@@ -148,6 +149,7 @@ func TestRatesBitEqualToReferenceUnderChurn(t *testing.T) {
 			for i := 0; i < 400; i++ {
 				p.Sleep(rng.Exp(0.02))
 				n.Start(rng.Uniform(1e5, 5e7), randomPath(rng, links)...)
+				p.Sleep(0)
 				got := make([]uint64, len(n.flows))
 				for j, f := range n.flows {
 					got[j] = math.Float64bits(f.rate)
@@ -169,6 +171,85 @@ func TestRatesBitEqualToReferenceUnderChurn(t *testing.T) {
 		}
 		if n.Completed != 400 || checked < 2000 {
 			t.Fatalf("seed %d: %d flows completed, %d rates compared; the net never got busy", seed, n.Completed, checked)
+		}
+	}
+}
+
+// TestBurstRatesBitEqualToReference: workers start flows together, all
+// released by one clock tick or by the completion that ends their last
+// flow, so an instant sees several arrivals and some arrive at the
+// instant of a departure. Once the instant has settled — one refill of
+// every component its arrivals touched — every rate in force must be
+// bit-equal to a reference fill of the whole net.
+func TestBurstRatesBitEqualToReference(t *testing.T) {
+	const workers, rounds = 8, 40
+	for seed := int64(1); seed <= 5; seed++ {
+		e := sim.New()
+		n := New(e)
+		rng := sim.NewRNG(seed)
+		links := randomLinks(n, rng, 16)
+		// Four groups of four links: paths stay inside one, so a burst
+		// touches several components at once.
+		path := func() []*Link {
+			g := 4 * rng.Intn(4)
+			return randomPath(rng, links[g:g+4])
+		}
+		var tick sim.Cond
+		left := workers
+		arrivals := map[float64]int{}
+		settled := func(p *sim.Proc) bool {
+			p.Sleep(0) // queued behind the instant's settle
+			got := make([]uint64, len(n.flows))
+			for j, f := range n.flows {
+				got[j] = math.Float64bits(f.rate)
+			}
+			fillReference(n.flows, links)
+			for j, f := range n.flows {
+				if want := math.Float64bits(f.rate); got[j] != want {
+					t.Errorf("seed %d at %.4f (%d arrivals): flow %d of %d has rate bits %x, reference %x",
+						seed, p.Now(), arrivals[p.Now()], j, len(n.flows), got[j], want)
+					return false
+				}
+			}
+			return true
+		}
+		e.Go("clock", func(p *sim.Proc) {
+			for left > 0 {
+				p.Sleep(0.01)
+				tick.Broadcast(e)
+			}
+		})
+		for w := 0; w < workers; w++ {
+			e.Go("worker", func(p *sim.Proc) {
+				defer func() { left-- }()
+				for i := 0; i < rounds; i++ {
+					tick.Wait(p)
+					f := n.Start(rng.Uniform(1e5, 1e6), path()...)
+					arrivals[p.Now()]++
+					if !settled(p) {
+						return
+					}
+					n.WaitFlow(p, f)
+					n.Start(rng.Uniform(1e5, 5e6), path()...)
+					arrivals[p.Now()]++
+					if !settled(p) {
+						return
+					}
+				}
+			})
+		}
+		e.Run()
+		if t.Failed() {
+			return
+		}
+		bursts := 0
+		for _, k := range arrivals {
+			if k > 1 {
+				bursts++
+			}
+		}
+		if n.Completed != 2*workers*rounds || bursts < 60 {
+			t.Fatalf("seed %d: %d flows completed, %d instants with several arrivals", seed, n.Completed, bursts)
 		}
 	}
 }

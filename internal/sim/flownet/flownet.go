@@ -49,7 +49,8 @@ type Flow struct {
 	pooled bool
 }
 
-// Rate returns the flow's current allocated rate in bytes/s.
+// Rate returns the flow's allocated rate in bytes/s. Read in the
+// instant of a Start, before the net settles, it predates that Start.
 func (f *Flow) Rate() float64 { return f.rate }
 
 // Finished reports whether the flow has completed.
@@ -57,17 +58,18 @@ func (f *Flow) Finished() bool { return f.finished }
 
 // Net manages the active flow set and completion scheduling.
 type Net struct {
-	env    *sim.Env
-	flows  []*Flow // insertion order; order preserved on removal
-	last   float64
-	timer  *sim.Event
-	nextID int
-	gen    int
+	env      *sim.Env
+	flows    []*Flow // insertion order; order preserved on removal
+	last     float64
+	timer    *sim.Event
+	nextID   int
+	gen      int
+	settling bool // from an instant's first arrival until its settle runs
 
-	// completeFn is the timer callback, bound once: the method value
-	// n.complete allocates a closure on every rearm otherwise, and the
-	// net rearms on every flow arrival and departure.
-	completeFn func()
+	// completeFn and settleFn are the event callbacks, bound once: a
+	// method value allocates a closure on every use otherwise, and the
+	// net schedules one of them at every arrival instant and departure.
+	completeFn, settleFn func()
 
 	// Scratch storage reused across recomputes so the steady-state flow
 	// churn of a large simulation allocates nothing.
@@ -86,6 +88,7 @@ type Net struct {
 func New(env *sim.Env) *Net {
 	n := &Net{env: env}
 	n.completeFn = n.complete
+	n.settleFn = n.settle
 	return n
 }
 
@@ -111,7 +114,8 @@ func (n *Net) Transfer(p *sim.Proc, bytes float64, links ...*Link) {
 }
 
 // Start begins an asynchronous transfer and returns its Flow handle, or
-// nil if there is nothing to do. Use WaitFlow to join it.
+// nil if there is nothing to do. Use WaitFlow to join it. A rate read
+// in the instant of a Start, before the net settles, predates it.
 func (n *Net) Start(bytes float64, links ...*Link) *Flow {
 	return n.start(bytes, false, links)
 }
@@ -142,11 +146,27 @@ func (n *Net) start(bytes float64, pooled bool, links []*Link) *Flow {
 		l.TotalBytes += bytes
 	}
 	n.TotalBytes += bytes
-	n.beginDirty()
+	if !n.settling {
+		// The instant's first arrival: a flow due now must not
+		// complete before the settle rearms the timer past now.
+		n.settling = true
+		n.env.Cancel(n.timer)
+		n.timer = nil
+		n.beginDirty()
+		n.env.At(n.env.Now(), n.settleFn)
+	}
 	n.markLinks(links)
+	return f
+}
+
+// settle refills, once, every component an instant's arrivals touched,
+// and rearms the timer. Rates between two arrivals of one instant carry
+// no bytes (advance credits dt = 0), and a union of components fills
+// as each does alone, so the rates are bit-equal to one fill per arrival.
+func (n *Net) settle() {
+	n.settling = false
 	n.recomputeDirty()
 	n.reschedule()
-	return f
 }
 
 // WaitFlow blocks p until f completes. Waiting on a nil or finished

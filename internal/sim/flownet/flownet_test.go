@@ -306,3 +306,29 @@ func TestDeterminism(t *testing.T) {
 		t.Fatalf("nondeterministic: (%v,%v) vs (%v,%v)", s1, t1, s2, t2)
 	}
 }
+
+// TestFlowDueAtAnArrivalFinishesPastIt: flow a is due at exactly t = 1,
+// the instant b arrives on its link, and b's arrival runs before a's
+// timer. The arrival disarms that timer, and the settle rearms it one
+// ULP past the instant, where a finishes; an armed timer left in place
+// would finish a at 1 itself, before the settle.
+func TestFlowDueAtAnArrivalFinishesPastIt(t *testing.T) {
+	e := sim.New()
+	n := New(e)
+	l := n.NewLink("l", 100)
+	var doneA, doneB float64
+	e.Go("b", func(p *sim.Proc) {
+		p.Sleep(1) // scheduled before a's timer, so it resumes first
+		n.Transfer(p, 100, l)
+		doneB = p.Now()
+	})
+	e.Go("a", func(p *sim.Proc) {
+		n.Transfer(p, 100, l)
+		doneA = p.Now()
+	})
+	e.Run()
+	// Both values are what a recompute at every arrival gives.
+	if doneA != 1.0000000000000002 || doneB != 2 {
+		t.Fatalf("a done at %v, b at %v; want 1.0000000000000002 and 2", doneA, doneB)
+	}
+}
