@@ -82,22 +82,6 @@ func (c *Client) Info(ctx *cluster.Ctx, id ID) (Info, error) {
 	return inf, err
 }
 
-// pendingAllocator returns a node-ref allocator that registers every
-// ref as pending (exempt from GC sweeps while the version is in
-// flight) and a done function that clears the marks once the version
-// is published or the operation abandoned. n is how many refs the
-// caller expects to allocate at most.
-func (c *Client) pendingAllocator(n int) (alloc func() NodeRef, done func()) {
-	refs := make([]NodeRef, 0, n)
-	alloc = func() NodeRef {
-		r := c.sys.Meta.AllocPending(1)
-		refs = append(refs, r)
-		return r
-	}
-	done = func() { c.sys.Meta.ClearPending(refs) }
-	return alloc, done
-}
-
 // Create registers a new blob of the given size and chunk size. The
 // blob has no published versions until the first WriteChunks.
 func (c *Client) Create(ctx *cluster.Ctx, size int64, chunkSize int) (ID, error) {
@@ -189,7 +173,7 @@ func (c *Client) WriteChunksKeyed(ctx *cluster.Ctx, id ID, base Version, writes 
 		puts[i] = ChunkPut{Key: keys[i], Payload: w.Payload}
 		keyOf[w.Index] = keys[i]
 	}
-	defer c.sys.Providers.ClearPending(keys)
+	defer c.sys.Providers.ClearPending(first)
 
 	// The whole round goes to the providers as one PutBatch — one RPC
 	// per distinct provider — running as its own activity so the
@@ -223,9 +207,12 @@ func (c *Client) WriteChunksKeyed(ctx *cluster.Ctx, id ID, base Version, writes 
 	// Storing them before the chunk put is known to have succeeded is
 	// safe: nothing references them until the version publishes, so a
 	// failed commit leaves them to the next collection.
-	alloc, done := c.pendingAllocator(pathNodes(inf.Span, len(dirty)))
-	defer done()
-	root, created, err := BuildVersion(c.sys.Meta.Getter(ctx), oldRoot, inf.Span, dirty, alloc)
+	var firstRef NodeRef
+	defer func() { c.sys.Meta.ClearPending(firstRef) }()
+	root, created, err := BuildVersion(c.sys.Meta.Getter(ctx), oldRoot, inf.Span, dirty, func(n int) NodeRef {
+		firstRef = c.sys.Meta.AllocPending(n)
+		return firstRef
+	})
 	if err != nil {
 		return 0, nil, err
 	}
@@ -272,9 +259,12 @@ func (c *Client) Clone(ctx *cluster.Ctx, id ID, v Version) (ID, error) {
 	if err != nil {
 		return 0, err
 	}
-	alloc, done := c.pendingAllocator(1)
-	defer done()
-	root, created, err := CloneRoot(c.sys.Meta.Getter(ctx), srcRoot, inf.Span, alloc)
+	var firstRef NodeRef
+	defer func() { c.sys.Meta.ClearPending(firstRef) }()
+	root, created, err := CloneRoot(c.sys.Meta.Getter(ctx), srcRoot, inf.Span, func(n int) NodeRef {
+		firstRef = c.sys.Meta.AllocPending(n)
+		return firstRef
+	})
 	if err != nil {
 		return 0, err
 	}

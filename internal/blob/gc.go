@@ -18,15 +18,15 @@ import (
 //
 // The collector is a concurrent mark-free design:
 //
-//   - Watermarks + pending sets. Chunk keys and node refs are
+//   - Watermarks + pending ranges. Chunk keys and node refs are
 //     allocated from monotonic counters, so the collector snapshots
 //     both counters first; anything allocated later is exempt from
 //     this cycle's sweep. Keys and refs allocated *before* the
 //     snapshot whose commit has not published yet are registered as
-//     pending at allocation time (atomically with the counter, see
-//     replicaSet.AllocPending) and equally exempt — they are
-//     unreachable from any root only because their version is still
-//     in flight.
+//     pending at allocation time, one range per write (atomically
+//     with the counter, see replicaSet.AllocPending), and equally
+//     exempt — they are unreachable from any root only because their
+//     version is still in flight.
 //   - Mark. The live snapshot roots (published, not retired, plus
 //     anything pinned) are fetched from the version manager, and their
 //     trees are walked through the metadata service, all of them as
@@ -134,7 +134,7 @@ func (g *Collector) Collect(ctx *cluster.Ctx) (GCReport, error) {
 
 	var dead []ChunkKey
 	for _, key := range g.sys.Providers.RetainedKeys(keyWM) {
-		if !liveChunks[key] && !pendingKeys[key] {
+		if !liveChunks[key] && !pendingKeys.Has(key) {
 			dead = append(dead, key)
 		}
 	}

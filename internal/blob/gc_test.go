@@ -1,6 +1,7 @@
 package blob
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -138,6 +139,85 @@ func TestGCReclaimsRetiredVersions(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("surviving version corrupted at byte %d", i)
 			}
+		}
+	})
+}
+
+// collectingSharer runs one collection at Announce: the point of a
+// commit after its chunk and tree-node puts and before its Publish,
+// where every key and ref the commit wrote is stored, reachable from
+// no root, and kept only by its pending range. The commit path calls
+// nothing else of a sharer.
+type collectingSharer struct {
+	ChunkSharer
+	gc  *Collector
+	rep GCReport
+	err error
+}
+
+func (s *collectingSharer) Announce(ctx *cluster.Ctx, _ []ChunkKey) {
+	s.rep, s.err = s.gc.Collect(ctx)
+}
+
+// TestCollectBeforePublishSparesTheWrite: a collection that runs
+// between a commit's puts and its Publish frees the garbage of a
+// retired version but none of the commit's chunk keys or tree-node
+// refs, on either tier; the version then reads back intact.
+func TestCollectBeforePublishSparesTheWrite(t *testing.T) {
+	fab, sys := liveSystem(4, 1)
+	fab.Run(func(ctx *cluster.Ctx) {
+		c := NewClient(sys)
+		id, _ := c.Create(ctx, 800, 100) // 8 chunks
+		want := pattern(800, 1)
+		v1, _ := c.WriteAt(ctx, id, 0, want, 0)
+		v2, err := c.WriteAt(ctx, id, v1, pattern(100, 2), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(want, pattern(100, 2))
+		if err := sys.VM.Retire(ctx, id, v1); err != nil {
+			t.Fatal(err)
+		}
+
+		sharer := &collectingSharer{gc: NewCollector(sys)}
+		c.SetSharer(sharer)
+		refWM, _ := sys.Meta.PendingSnapshot()
+		writes := []ChunkWrite{
+			{Index: 2, Payload: RealPayload(pattern(100, 3))},
+			{Index: 5, Payload: RealPayload(pattern(100, 4))},
+			{Index: 6, Payload: RealPayload(pattern(100, 5))},
+		}
+		v3, keyOf, err := c.WriteChunksKeyed(ctx, id, v2, writes)
+		c.SetSharer(nil)
+		if err != nil || sharer.err != nil {
+			t.Fatalf("commit: %v; collection inside it: %v", err, sharer.err)
+		}
+		for _, w := range writes {
+			copy(want[w.Index*100:], w.Payload.Data)
+		}
+		if rep := sharer.rep; rep.FreedChunks != 1 || rep.FreedNodes == 0 {
+			t.Errorf("collection freed %d chunks and %d nodes, want v1's overwritten chunk and its path nodes", rep.FreedChunks, rep.FreedNodes)
+		}
+		for idx, key := range keyOf {
+			if _, ok := sys.Providers.Peek(key); !ok {
+				t.Errorf("chunk %d's key %d was freed before its version published", idx, key)
+			}
+		}
+		newWM, _ := sys.Meta.PendingSnapshot()
+		if newWM == refWM {
+			t.Fatal("the commit allocated no tree refs")
+		}
+		for ref := refWM + 1; ref <= newWM; ref++ {
+			if _, ok := sys.Meta.peek(ref); !ok {
+				t.Errorf("tree ref %d was freed before its version published", ref)
+			}
+		}
+		got := make([]byte, 800)
+		if err := c.ReadAt(ctx, id, v3, got, 0); err != nil {
+			t.Fatalf("read of v%d: %v", v3, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("v%d reads back wrong", v3)
 		}
 	})
 }

@@ -2,7 +2,6 @@ package blob
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"sync/atomic"
 
@@ -15,9 +14,15 @@ import (
 // hold what it resolved (the mirror's chunk map); the service itself
 // never invalidates.
 //
-// The nodes live in one map under the embedded replicaSet's lock, as
-// ProviderSet keeps its chunks: nodes are written once and read many
-// times, so a batched read takes the shared side once per batch.
+// The nodes live in a table indexed by ref, under the embedded
+// replicaSet's lock: refs are handed out by a counter
+// (AllocPending), so they are dense, and node ref r sits at slot
+// r%nodePage of page r/nodePage. A zero TreeNode is an absent ref.
+// Pages rather than one slice, so that growing the table never copies
+// it and a sweep can drop a page once its last node is gone: memory
+// follows the live refs, not the watermark. Nodes are written once and
+// read many times, so a batched read takes the shared side once per
+// batch.
 //
 // At replication degree 1 (the default) every ref lives on exactly one
 // home provider and the control plane is assumed fault-free — the
@@ -38,7 +43,10 @@ import (
 // rules record it: do not fold MetaService's degree-1 arm.
 type MetaService struct {
 	replicaSet[NodeRef]
-	tree map[NodeRef]TreeNode // guarded by the replica set's mu
+	// pages is the node table and stored the number of nodes in it,
+	// both guarded by the replica set's mu. A nil page holds no node.
+	pages  [][]TreeNode
+	stored int
 
 	// Puts and Gets count service operations (after batching);
 	// NodesServed counts individual tree nodes returned by GetBatchInto
@@ -51,12 +59,15 @@ type MetaService struct {
 	FailedGets atomic.Int64
 }
 
+// nodePage is how many tree nodes one page of the node table holds.
+const nodePage = 1024
+
 // NewMetaService creates a metadata store over the given provider nodes.
 func NewMetaService(providers []cluster.NodeID) *MetaService {
 	if len(providers) == 0 {
 		panic("blob: metadata service needs at least one provider")
 	}
-	m := &MetaService{tree: make(map[NodeRef]TreeNode)}
+	m := &MetaService{}
 	m.init(m, "meta-rereplicate", providers, 1, len(providers))
 	return m
 }
@@ -79,9 +90,30 @@ func (m *MetaService) Home(ref NodeRef) cluster.NodeID {
 // storedKeys, copyBytes and chargeCopy are the metadata tier's side of
 // a repair sweep (replicaTier): every stored ref is a candidate, and
 // since tree nodes live in provider memory a copy is one small RPC
-// from the source — no disk legs, unlike chunk repair.
+// from the source — no disk legs, unlike chunk repair. The keys come
+// in ref order.
 func (m *MetaService) storedKeys() []NodeRef {
-	return slices.AppendSeq(make([]NodeRef, 0, len(m.tree)), maps.Keys(m.tree))
+	keys := make([]NodeRef, 0, m.stored)
+	for pi, page := range m.pages {
+		for i, n := range page {
+			if n.valid() {
+				keys = append(keys, NodeRef(pi*nodePage+i))
+			}
+		}
+	}
+	return keys
+}
+
+// lookupLocked returns the node stored under ref; a ref past the table
+// or in a dropped page reads as absent. The caller holds mu.
+func (m *MetaService) lookupLocked(ref NodeRef) (TreeNode, bool) {
+	if pi := ref / nodePage; pi < NodeRef(len(m.pages)) {
+		if page := m.pages[pi]; page != nil {
+			n := page[ref%nodePage]
+			return n, n.valid()
+		}
+	}
+	return TreeNode{}, false
 }
 
 func (m *MetaService) copyBytes(NodeRef) int32 { return TreeNodeWire }
@@ -171,16 +203,38 @@ func (m *MetaService) GetBatchInto(ctx *cluster.Ctx, refs []NodeRef, out []TreeN
 		// Replicated layout: pick each ref's serving replica, then
 		// charge per-provider batches. The refs of one level are
 		// probed in parallel, so the batch waits once for the worst
-		// ref's dead-holder probes rather than summing them.
+		// ref's dead-holder probes rather than summing them. A ref
+		// with no degraded-placement record is read from its primary
+		// slot's shared ring, so its pick depends on the slot alone:
+		// each such slot is picked once per batch (slots, on the stack
+		// for pools of up to 128 providers) and its refs reuse the
+		// pick, while a degraded ref picks from its own locations.
+		// Failovers and failed gets still count per ref.
+		var inline [128]slotPick
+		slots := inline[:]
+		if len(m.nodes) > len(inline) {
+			slots = make([]slotPick, len(m.nodes))
+		}
 		counts := make(map[cluster.NodeID]int64, len(m.nodes))
 		maxProbes := 0
+		reader := ctx.Node()
 		m.mu.RLock()
+		degraded := len(m.voids) > 0 || len(m.repairs) > 0
 		for i, ref := range refs {
-			prov, probes, ok := m.pick(ctx.Node(), m.locationsLocked(ref))
-			if probes > maxProbes {
-				maxProbes = probes
+			var sp slotPick
+			if degraded && (len(m.voids[ref]) > 0 || len(m.repairs[ref]) > 0) {
+				sp = m.pickFrom(reader, m.locationsLocked(ref))
+			} else if slot := m.primarySlot(ref); slots[slot].picked {
+				sp = slots[slot]
+				if sp.ok && sp.probes > 0 {
+					m.Failovers.Add(1) // the pick counted the slot's first ref
+				}
+			} else {
+				sp = m.pickFrom(reader, m.rings[slot])
+				slots[slot] = sp
 			}
-			if !ok {
+			maxProbes = max(maxProbes, sp.probes)
+			if !sp.ok {
 				m.FailedGets.Add(1)
 				if down == nil {
 					down = make([]bool, len(refs))
@@ -188,7 +242,7 @@ func (m *MetaService) GetBatchInto(ctx *cluster.Ctx, refs []NodeRef, out []TreeN
 				down[i] = true
 				continue
 			}
-			counts[prov]++
+			counts[sp.prov]++
 		}
 		m.mu.RUnlock()
 		probeWait(ctx, maxProbes)
@@ -211,7 +265,7 @@ func (m *MetaService) GetBatchInto(ctx *cluster.Ctx, refs []NodeRef, out []TreeN
 			missing.noReplica = true
 			continue
 		}
-		n, ok := m.tree[ref]
+		n, ok := m.lookupLocked(ref)
 		if !ok {
 			if missing == nil {
 				missing = &MissingNodesError{First: ref}
@@ -230,6 +284,19 @@ func (m *MetaService) GetBatchInto(ctx *cluster.Ctx, refs []NodeRef, out []TreeN
 	return missing
 }
 
+// slotPick is one replica pick of a replicated metadata read.
+type slotPick struct {
+	prov       cluster.NodeID
+	probes     int
+	ok, picked bool
+}
+
+// pickFrom is pick with its outcome as a slotPick.
+func (m *MetaService) pickFrom(reader cluster.NodeID, locs []cluster.NodeID) slotPick {
+	prov, probes, ok := m.pick(reader, locs)
+	return slotPick{prov, probes, ok, true}
+}
+
 // PutBatch stores freshly built nodes, batching the RPCs per provider
 // (one request per distinct provider). This is what a BlobSeer client
 // library does when it writes the new subtree of a version. With
@@ -239,6 +306,7 @@ func (m *MetaService) GetBatchInto(ctx *cluster.Ctx, refs []NodeRef, out []TreeN
 // around the failure), so nodes are born at full degree whenever
 // enough providers are up. A node with every provider down cannot be
 // placed and is dropped (its later gets fail, and count as failed).
+// Refs are AllocPending's: the node table grows to the largest one.
 func (m *MetaService) PutBatch(ctx *cluster.Ctx, nodes []NewNode) {
 	if len(nodes) == 0 {
 		return
@@ -290,11 +358,22 @@ func (m *MetaService) PutBatch(ctx *cluster.Ctx, nodes []NewNode) {
 		}
 	}
 	m.mu.Lock()
-	m.tree = presized(m.tree, len(nodes))
 	for i, nn := range nodes {
-		if store == nil || store[i] {
-			m.tree[nn.Ref] = nn.Node
+		if store != nil && !store[i] {
+			continue
 		}
+		pi := int(nn.Ref / nodePage)
+		if pi >= len(m.pages) {
+			m.pages = append(m.pages, make([][]TreeNode, pi+1-len(m.pages))...)
+		}
+		if m.pages[pi] == nil {
+			m.pages[pi] = make([]TreeNode, nodePage)
+		}
+		slot := &m.pages[pi][nn.Ref%nodePage]
+		if !slot.valid() {
+			m.stored++
+		}
+		*slot = nn.Node
 	}
 	m.mu.Unlock()
 }
@@ -302,18 +381,29 @@ func (m *MetaService) PutBatch(ctx *cluster.Ctx, nodes []NewNode) {
 // Sweep deletes every stored node up to the watermark that is neither
 // in the live set nor in the pending snapshot, and returns how many it
 // removed, charging one batched RPC per affected home provider
-// (immutable nodes need no further coordination to drop). The caller
-// guarantees the live set covers every node reachable from a live
-// snapshot root.
-func (m *MetaService) Sweep(ctx *cluster.Ctx, upTo NodeRef, live, pending map[NodeRef]bool) int {
+// (immutable nodes need no further coordination to drop). A page left
+// with no node is dropped. The caller guarantees the live set covers
+// every node reachable from a live snapshot root.
+func (m *MetaService) Sweep(ctx *cluster.Ctx, upTo NodeRef, live map[NodeRef]bool, pending PendingSet[NodeRef]) int {
 	counts := make(map[cluster.NodeID]int64)
 	m.mu.Lock()
-	for ref := range m.tree {
-		if ref <= upTo && !live[ref] && !pending[ref] {
-			delete(m.tree, ref)
+	for pi, page := range m.pages {
+		if NodeRef(pi*nodePage) > upTo {
+			break
+		}
+		for i := range page {
+			ref := NodeRef(pi*nodePage + i)
+			if !page[i].valid() || ref > upTo || live[ref] || pending.Has(ref) {
+				continue
+			}
+			page[i] = TreeNode{}
+			m.stored--
 			counts[m.Home(ref)]++
 			// A swept ref no longer needs its degraded-placement records.
 			m.forgetLocked(ref)
+		}
+		if !slices.ContainsFunc(page, TreeNode.valid) {
+			m.pages[pi] = nil
 		}
 	}
 	m.mu.Unlock()
@@ -332,7 +422,7 @@ func (m *MetaService) Sweep(ctx *cluster.Ctx, upTo NodeRef, live, pending map[No
 func (m *MetaService) NodeCount() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return len(m.tree)
+	return m.stored
 }
 
 // peek returns a node without charging any cost; used by in-process
@@ -340,8 +430,7 @@ func (m *MetaService) NodeCount() int {
 func (m *MetaService) peek(ref NodeRef) (TreeNode, bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	n, ok := m.tree[ref]
-	return n, ok
+	return m.lookupLocked(ref)
 }
 
 // LiveLocations returns the live providers currently holding a copy of

@@ -41,7 +41,7 @@ func TestCollectLeavesBatchEquivalence(t *testing.T) {
 	dirty := []DirtyLeaf{
 		{Index: 3, Chunk: 9003}, {Index: 31, Chunk: 9031}, {Index: 32, Chunk: 9032}, {Index: 63, Chunk: 9063},
 	}
-	root2, created, err := BuildVersion(m.batch(), root, span, dirty, m.alloc)
+	root2, created, err := BuildVersion(m.batch(), root, span, dirty, m.allocN)
 	if err != nil {
 		t.Fatalf("BuildVersion: %v", err)
 	}
@@ -418,6 +418,84 @@ func TestGetBatchDeterministicOrder(t *testing.T) {
 		for i := range a {
 			if a[i] != b[len(b)-1-i] {
 				t.Fatalf("batch results differ at %d: %+v vs %+v", i, a[i], b[len(b)-1-i])
+			}
+		}
+	})
+}
+
+// TestNodeTableWithHoles: after a sweep that empties a whole page of
+// the node table and part of another, NodeCount, storedKeys, peek and
+// GetBatchInto agree on which refs are stored, and a ref in the dropped
+// page or past the table fails the batch with *MissingNodesError.
+func TestNodeTableWithHoles(t *testing.T) {
+	fab := cluster.NewLive(2)
+	m := NewMetaService([]cluster.NodeID{0, 1})
+	const total = 2*nodePage + 452 // refs 1..total: three pages
+	node := func(ref NodeRef) TreeNode { return TreeNode{Lo: int64(ref), Hi: int64(ref) + 1, Chunk: ChunkKey(ref)} }
+	fab.Run(func(ctx *cluster.Ctx) {
+		m.ClearPending(m.AllocPending(total - 300))
+		m.AllocPending(300) // the last 300 refs are a write in flight
+		nodes := make([]NewNode, total)
+		for i := range nodes {
+			ref := NodeRef(i + 1)
+			nodes[i] = NewNode{Ref: ref, Node: node(ref)}
+		}
+		m.PutBatch(ctx, nodes)
+
+		// Page 0 live, page 1 all garbage, page 2 live from 2100 to
+		// 2150, garbage around that, pending from total-299.
+		live := make(map[NodeRef]bool)
+		for ref := NodeRef(1); ref < nodePage; ref++ {
+			live[ref] = true
+		}
+		for ref := NodeRef(2100); ref <= 2150; ref++ {
+			live[ref] = true
+		}
+		wm, pending := m.PendingSnapshot()
+		if freed := m.Sweep(ctx, wm, live, pending); freed != nodePage+52+50 {
+			t.Fatalf("swept %d nodes, want %d", freed, nodePage+52+50)
+		}
+		if m.pages[1] != nil {
+			t.Error("the emptied page is still allocated")
+		}
+		stored := func(ref NodeRef) bool {
+			return ref >= 1 && ref <= total && (live[ref] || pending.Has(ref))
+		}
+		var want []NodeRef
+		for ref := NodeRef(0); ref <= total+nodePage; ref++ {
+			if stored(ref) {
+				want = append(want, ref)
+			}
+			n, ok := m.peek(ref)
+			if ok != stored(ref) || (ok && n != node(ref)) {
+				t.Fatalf("peek(%d) = %+v, %v; stored: %v", ref, n, ok, stored(ref))
+			}
+		}
+		if got := m.NodeCount(); got != len(want) {
+			t.Fatalf("NodeCount = %d, want %d", got, len(want))
+		}
+		if got := m.storedKeys(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("storedKeys lists %d refs, want the %d stored in ascending order", len(got), len(want))
+		}
+		out := make([]TreeNode, len(want))
+		if err := m.GetBatchInto(ctx, want, out); err != nil {
+			t.Fatalf("batch of every stored ref: %v", err)
+		}
+		for i, ref := range want {
+			if out[i] != node(ref) {
+				t.Fatalf("batch served %+v for ref %d", out[i], ref)
+			}
+		}
+		for _, ref := range []NodeRef{nodePage + 5, 2099, total + 1, 1 << 40} {
+			refs := []NodeRef{want[0], ref}
+			out := make([]TreeNode, 2)
+			var missing *MissingNodesError
+			err := m.GetBatchInto(ctx, refs, out)
+			if !errors.As(err, &missing) || missing.Missing != 1 || missing.First != ref {
+				t.Fatalf("batch with absent ref %d: %v", ref, err)
+			}
+			if out[0] != node(want[0]) || out[1].valid() {
+				t.Fatalf("batch with absent ref %d filled %+v", ref, out)
 			}
 		}
 	})

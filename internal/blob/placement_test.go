@@ -148,8 +148,8 @@ func TestAllocPendingAlignment(t *testing.T) {
 		}
 	}
 	wm, pending := wide.PendingSnapshot()
-	if want := 40 + 23 + 1 + block + block + 1 + 5 + block - 2; wm != 6*block-3 || len(pending) != want {
-		t.Fatalf("wide pool: watermark %d with %d keys pending, want %d with %d", wm, len(pending), 6*block-3, want)
+	if want := 40 + 23 + 1 + block + block + 1 + 5 + block - 2; wm != 6*block-3 || pending.Len() != want {
+		t.Fatalf("wide pool: watermark %d with %d keys pending, want %d with %d", wm, pending.Len(), 6*block-3, want)
 	}
 
 	narrow := NewProviderSet(allNodes(clientParallel), 1)
@@ -169,7 +169,7 @@ func TestAllocPendingAlignment(t *testing.T) {
 		}
 		ref += NodeRef(n)
 	}
-	if wm, pending := meta.PendingSnapshot(); wm != ref-1 || len(pending) != int(ref-1) {
-		t.Fatalf("metadata pool: watermark %d with %d refs pending, want %d with %d", wm, len(pending), ref-1, ref-1)
+	if wm, pending := meta.PendingSnapshot(); wm != ref-1 || pending.Len() != int(ref-1) {
+		t.Fatalf("metadata pool: watermark %d with %d refs pending, want %d with %d", wm, pending.Len(), ref-1, ref-1)
 	}
 }

@@ -186,11 +186,11 @@ func TestFailedChunkPutLeavesNoVersion(t *testing.T) {
 		if pub := sys.VM.Published(id); pub != int(v1) {
 			t.Fatalf("published = %d after the failed commit, want %d", pub, v1)
 		}
-		if _, pending := sys.Meta.PendingSnapshot(); len(pending) != 0 {
-			t.Fatalf("%d tree refs still pending after the failed commit", len(pending))
+		if _, pending := sys.Meta.PendingSnapshot(); pending.Len() != 0 {
+			t.Fatalf("%d tree refs still pending after the failed commit", pending.Len())
 		}
-		if _, pending := sys.Providers.PendingSnapshot(); len(pending) != 0 {
-			t.Fatalf("%d chunk keys still pending after the failed commit", len(pending))
+		if _, pending := sys.Providers.PendingSnapshot(); pending.Len() != 0 {
+			t.Fatalf("%d chunk keys still pending after the failed commit", pending.Len())
 		}
 		orphans := sys.Meta.NodeCount() - liveNodes
 		if orphans == 0 {

@@ -1,8 +1,9 @@
 package blob
 
 import (
-	"maps"
+	"cmp"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -13,10 +14,10 @@ import (
 // by ChunkKey) and the metadata tier (MetaService, keyed by NodeRef)
 // share: the paper stores both halves of an image the same way —
 // striped over a node list and replicated (§3.1.2–3.1.3) — so one type
-// owns the striping (primarySlot), key allocation with the pending set
-// a collection spares (AllocPending), the rings, the record of where
-// copies landed when a ring member was down, failover reads, and the
-// repair sweep that follows every liveness transition
+// owns the striping (primarySlot), key allocation with the pending
+// ranges a collection spares (AllocPending), the rings, the record of
+// where copies landed when a ring member was down, failover reads, and
+// the repair sweep that follows every liveness transition
 // (cluster/faults.go). A tier embeds it and adds what differs: how wide
 // a stripe is, which keys exist and how one copy is charged
 // (replicaTier).
@@ -41,10 +42,10 @@ type replicaSet[K ~uint64] struct {
 	// sweepName names the puller activities of a repair sweep.
 	sweepName string
 
-	// mu guards repairs, voids and the pending keys; a tier keeps its
-	// own key maps under it too (ProviderSet its chunks, MetaService its
-	// tree nodes), so that one shared acquisition covers a key's lookup
-	// and its location list.
+	// mu guards repairs, voids and the pending ranges; a tier keeps its
+	// own key records under it too (ProviderSet its chunk map,
+	// MetaService its node table), so that one shared acquisition
+	// covers a key's lookup and its location list.
 	//
 	// repairs holds the substitute locations created for a key — by a
 	// repair sweep after one of its ring replicas died, or by a
@@ -54,12 +55,13 @@ type replicaSet[K ~uint64] struct {
 	// locations until a sweep backfills them, even after a revival.
 	//
 	// next is the key watermark, the last key AllocPending handed out,
-	// and pending holds the keys of writes in flight (AllocPending).
+	// and pending holds the key range of every write in flight, one
+	// range per AllocPending call, in allocation (so key) order.
 	mu      sync.RWMutex
 	repairs map[K][]cluster.NodeID
 	voids   map[K][]cluster.NodeID
 	next    uint64
-	pending map[K]bool
+	pending []keyRange[K]
 
 	// Failovers counts reads a dead first choice pushed onto a
 	// surviving copy; Rereplicated counts the copies repair sweeps
@@ -88,7 +90,6 @@ func (rs *replicaSet[K]) init(tier replicaTier[K], sweepName string, nodes []clu
 	rs.rings = replicaRings(nodes, replicas, rs.topo)
 	rs.repairs = make(map[K][]cluster.NodeID)
 	rs.voids = make(map[K][]cluster.NodeID)
-	rs.pending = make(map[K]bool)
 }
 
 // SetLiveness attaches the cluster liveness registry (see the lv field).
@@ -138,7 +139,7 @@ func (rs *replicaSet[K]) Replicas(key K) []cluster.NodeID {
 }
 
 // AllocPending returns the first of n fresh consecutive keys for a
-// write in flight: a commit's chunks, or its tree nodes one at a time.
+// write in flight: a commit's chunks, or the tree nodes it builds.
 // Consecutive keys stripe the write evenly over the nodes
 // (primarySlot), and on a pool wider than the stripe window a write
 // that fits a stripe block but not what is left of the current one
@@ -147,12 +148,14 @@ func (rs *replicaSet[K]) Replicas(key K) []cluster.NodeID {
 // skipped are never stored. (On a pool of one window — the metadata
 // tier's is the whole pool — every block starts at slot 0, aligning
 // would only load the low slots, and keys stay back to back.) The keys
-// are registered as pending, so a garbage-collection sweep that starts
-// before the write publishes will not reclaim them even though no
-// published tree references them yet. The writer must ClearPending once
-// the version is published (or the write aborted). Allocation and
-// registration happen under one lock, so the collector's snapshot
-// (PendingSnapshot) can never observe a key allocated but untracked.
+// are registered as one pending range, so a garbage-collection sweep
+// that starts before the write publishes will not reclaim them even
+// though no published tree references them yet. The writer of n ≥ 1
+// keys must ClearPending(first) once the version is published (or the
+// write aborted); a write of no keys registers nothing and clears
+// nothing. Allocation and registration happen under one lock, so the
+// collector's snapshot (PendingSnapshot) can never observe a key
+// allocated but untracked.
 func (rs *replicaSet[K]) AllocPending(n int) K {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
@@ -163,32 +166,58 @@ func (rs *replicaSet[K]) AllocPending(n int) K {
 		}
 	}
 	rs.next = next + uint64(n) - 1
-	for i := range uint64(n) {
-		rs.pending[K(next+i)] = true
+	if n > 0 {
+		rs.pending = append(rs.pending, keyRange[K]{K(next), K(rs.next + 1)})
 	}
 	return K(next)
 }
 
-// ClearPending removes the in-flight mark from keys (idempotent). They
+// ClearPending removes the in-flight mark from the write whose keys
+// start at first (idempotent; 0, never a key, clears nothing). Its keys
 // become ordinary sweep candidates: reachable from the version just
 // published, or garbage of an aborted write for the next cycle.
-func (rs *replicaSet[K]) ClearPending(keys []K) {
+func (rs *replicaSet[K]) ClearPending(first K) {
 	rs.mu.Lock()
-	for _, k := range keys {
-		delete(rs.pending, k)
+	if i, ok := slices.BinarySearchFunc(rs.pending, first, func(r keyRange[K], k K) int { return cmp.Compare(r.first, k) }); ok {
+		rs.pending = slices.Delete(rs.pending, i, i+1)
 	}
 	rs.mu.Unlock()
 }
 
-// PendingSnapshot atomically samples the key watermark and the set of
-// in-flight keys. Taken at the start of a collection cycle, it makes
-// the exemption airtight: a key at or below the watermark was either
-// pending at the snapshot (exempt) or its write had already published
-// (so the mark phase reaches it through the version's root).
-func (rs *replicaSet[K]) PendingSnapshot() (K, map[K]bool) {
+// PendingSnapshot atomically samples the key watermark and the keys of
+// the writes in flight. Taken at the start of a collection cycle, it
+// makes the exemption airtight: a key at or below the watermark was
+// either pending at the snapshot (exempt) or its write had already
+// published (so the mark phase reaches it through the version's root).
+func (rs *replicaSet[K]) PendingSnapshot() (K, PendingSet[K]) {
 	rs.mu.RLock()
 	defer rs.mu.RUnlock()
-	return K(rs.next), maps.Clone(rs.pending)
+	return K(rs.next), PendingSet[K]{slices.Clone(rs.pending)}
+}
+
+// keyRange is the keys [first, end) of one write in flight.
+type keyRange[K ~uint64] struct{ first, end K }
+
+// PendingSet is the keys of the writes in flight at a PendingSnapshot:
+// one disjoint range per write, sorted by key, so a collection asks
+// about a key with a binary search over the writes, not a hash over
+// their keys.
+type PendingSet[K ~uint64] struct{ ranges []keyRange[K] }
+
+// Has reports whether key k is pending: whether the first range ending
+// past k starts at or before it.
+func (p PendingSet[K]) Has(k K) bool {
+	i := sort.Search(len(p.ranges), func(i int) bool { return p.ranges[i].end > k })
+	return i < len(p.ranges) && p.ranges[i].first <= k
+}
+
+// Len returns the number of pending keys.
+func (p PendingSet[K]) Len() int {
+	n := 0
+	for _, r := range p.ranges {
+		n += int(r.end - r.first)
+	}
+	return n
 }
 
 // NodeChanged is the cluster liveness hook: wire it with

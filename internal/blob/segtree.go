@@ -153,31 +153,34 @@ type NewNode struct {
 // nodes on root-to-leaf paths that contain a dirty index are created;
 // this is the mechanism of Fig. 3(c) in the paper.
 //
-// alloc must return fresh unique refs. The returned slice lists every
-// created node (the last entry is the new root). dirty must be sorted
-// by index, without duplicates, all within [0,span).
+// alloc(n) must return the first of n fresh consecutive refs; it is
+// called once per build, with the number of nodes the build creates,
+// between the two passes below. The returned slice lists every created
+// node (the last entry is the new root). dirty must be sorted by index,
+// without duplicates, all within [0,span).
 //
 // Two passes. discover walks the old tree top-down, one GetNodes round
 // per level — the write-side twin of CollectLeaves' frontier descent,
 // depth rounds of metadata access instead of one round trip per shared
 // inner node — and records every position whose range holds a dirty
-// index as a frame. emit then runs in memory over the frames,
-// allocating refs in pre-order and listing created nodes in
-// post-order. That order is part of the contract: refs map to metadata
-// providers by ref % providers, so another order would move every
-// stored tree. referenceBuildVersion (segtree_ref_test.go) states the
+// index as a frame: one created node each. emit then runs in memory
+// over the frames, numbering the allocated refs in pre-order and
+// listing created nodes in post-order. That order is part of the
+// contract: refs map to metadata providers by ref % providers, so
+// another order would move every stored tree. referenceBuildVersion (segtree_ref_test.go) states the
 // same result recursively; FuzzBuildVersion holds the two equal.
-func BuildVersion(g Getter, oldRoot NodeRef, span int64, dirty []DirtyLeaf, alloc func() NodeRef) (NodeRef, []NewNode, error) {
+func BuildVersion(g Getter, oldRoot NodeRef, span int64, dirty []DirtyLeaf, alloc func(n int) NodeRef) (NodeRef, []NewNode, error) {
 	if len(dirty) == 0 {
 		return oldRoot, nil, nil
 	}
 	if err := validateDirty(span, dirty); err != nil {
 		return 0, nil, err
 	}
-	b := versionBuild{dirty: dirty, alloc: alloc}
+	b := versionBuild{dirty: dirty}
 	if err := b.discover(g, oldRoot, span); err != nil {
 		return 0, nil, err
 	}
+	b.next = alloc(len(b.frames))
 	b.created = make([]NewNode, 0, len(b.frames))
 	root := b.emit(0)
 	return root, b.created, nil
@@ -195,7 +198,7 @@ type buildFrame struct {
 
 type versionBuild struct {
 	dirty   []DirtyLeaf
-	alloc   func() NodeRef
+	next    NodeRef // the ref emit hands out next
 	frames  []buildFrame
 	created []NewNode
 }
@@ -268,11 +271,12 @@ func (b *versionBuild) discover(g Getter, oldRoot NodeRef, span int64) error {
 }
 
 // emit is the in-memory pass: it returns the ref of frame fi's subtree
-// in the new version, allocating on the way down and listing created
-// nodes on the way up.
+// in the new version, numbering refs on the way down and listing
+// created nodes on the way up.
 func (b *versionBuild) emit(fi int32) NodeRef {
 	fr := &b.frames[fi]
-	ref := b.alloc()
+	ref := b.next
+	b.next++
 	if fr.nhi-fr.nlo == 1 {
 		b.created = append(b.created, NewNode{Ref: ref, Node: TreeNode{Lo: fr.nlo, Hi: fr.nhi, Chunk: b.dirty[fr.dlo].Chunk}})
 		return ref
@@ -305,7 +309,9 @@ func validateDirty(span int64, dirty []DirtyLeaf) error {
 // CloneRoot builds the single new node that makes blob B version 1 an
 // alias of blob A's snapshot under srcRoot — Fig. 3(b) of the paper.
 // For a leaf-rooted (single chunk) tree the clone shares the chunk key.
-func CloneRoot(g Getter, srcRoot NodeRef, span int64, alloc func() NodeRef) (NodeRef, []NewNode, error) {
+// alloc is BuildVersion's: CloneRoot calls alloc(1) once, after reading
+// the source root.
+func CloneRoot(g Getter, srcRoot NodeRef, span int64, alloc func(n int) NodeRef) (NodeRef, []NewNode, error) {
 	if srcRoot == 0 {
 		return 0, nil, nil // cloning an empty tree is an empty tree
 	}
@@ -322,7 +328,7 @@ func CloneRoot(g Getter, srcRoot NodeRef, span int64, alloc func() NodeRef) (Nod
 	if src.Lo != 0 || src.Hi != span {
 		return 0, nil, fmt.Errorf("blob: clone source root covers [%d,%d), want [0,%d): %w", src.Lo, src.Hi, span, ErrCorruptTree)
 	}
-	ref := alloc()
+	ref := alloc(1)
 	n := TreeNode{Lo: 0, Hi: span, Left: src.Left, Right: src.Right, Chunk: src.Chunk}
 	return ref, []NewNode{{Ref: ref, Node: n}}, nil
 }

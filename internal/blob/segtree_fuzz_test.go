@@ -51,7 +51,7 @@ func applyFuzzVersions(t *testing.T, span int64, data []byte) (NodeRef, []ChunkK
 		next0 := m.next
 		refRoot, refCreated, refErr := referenceBuildVersion(m, root, span, dirty, m.alloc)
 		m.next = next0
-		newRoot, created, err := BuildVersion(m.batch(), root, span, dirty, m.alloc)
+		newRoot, created, err := BuildVersion(m.batch(), root, span, dirty, m.allocN)
 		if err != nil {
 			t.Fatalf("BuildVersion(span=%d, %d dirty): %v", span, len(dirty), err)
 		}

@@ -49,6 +49,16 @@ func (m *mapStore) alloc() NodeRef {
 	return m.next
 }
 
+// allocN is BuildVersion's allocator: the first of n consecutive refs.
+// The recursive references allocate one ref at a time (alloc), so a
+// build that equals its reference proves the one-call allocation
+// yields the same refs.
+func (m *mapStore) allocN(n int) NodeRef {
+	first := m.next + 1
+	m.next += NodeRef(n)
+	return first
+}
+
 func (m *mapStore) commit(nodes []NewNode) {
 	for _, nn := range nodes {
 		m.nodes[nn.Ref] = nn.Node
@@ -63,7 +73,7 @@ func buildFull(t *testing.T, m *mapStore, span int64, keys []ChunkKey) NodeRef {
 	for i, k := range keys {
 		dirty[i] = DirtyLeaf{Index: int64(i), Chunk: k}
 	}
-	root, created, err := BuildVersion(m.batch(), 0, span, dirty, m.alloc)
+	root, created, err := BuildVersion(m.batch(), 0, span, dirty, m.allocN)
 	if err != nil {
 		t.Fatalf("BuildVersion: %v", err)
 	}
@@ -111,7 +121,7 @@ func TestBuildAndCollectFullTree(t *testing.T) {
 func TestCollectSubrangeAndSparse(t *testing.T) {
 	m := newMapStore()
 	// Only chunk 2 written in a span of 8.
-	root, created, err := BuildVersion(m.batch(), 0, 8, []DirtyLeaf{{Index: 2, Chunk: 42}}, m.alloc)
+	root, created, err := BuildVersion(m.batch(), 0, 8, []DirtyLeaf{{Index: 2, Chunk: 42}}, m.allocN)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,16 +193,16 @@ func TestCollectLeavesRangeValidation(t *testing.T) {
 
 func TestBuildVersionValidation(t *testing.T) {
 	m := newMapStore()
-	if _, _, err := BuildVersion(m.batch(), 0, 4, []DirtyLeaf{{Index: 4, Chunk: 1}}, m.alloc); err == nil {
+	if _, _, err := BuildVersion(m.batch(), 0, 4, []DirtyLeaf{{Index: 4, Chunk: 1}}, m.allocN); err == nil {
 		t.Error("out-of-span dirty index accepted")
 	}
-	if _, _, err := BuildVersion(m.batch(), 0, 4, []DirtyLeaf{{Index: 1, Chunk: 1}, {Index: 1, Chunk: 2}}, m.alloc); err == nil {
+	if _, _, err := BuildVersion(m.batch(), 0, 4, []DirtyLeaf{{Index: 1, Chunk: 1}, {Index: 1, Chunk: 2}}, m.allocN); err == nil {
 		t.Error("duplicate dirty index accepted")
 	}
-	if _, _, err := BuildVersion(m.batch(), 0, 4, []DirtyLeaf{{Index: 2, Chunk: 1}, {Index: 1, Chunk: 2}}, m.alloc); err == nil {
+	if _, _, err := BuildVersion(m.batch(), 0, 4, []DirtyLeaf{{Index: 2, Chunk: 1}, {Index: 1, Chunk: 2}}, m.allocN); err == nil {
 		t.Error("unsorted dirty indices accepted")
 	}
-	root, created, err := BuildVersion(m.batch(), 77, 4, nil, m.alloc)
+	root, created, err := BuildVersion(m.batch(), 77, 4, nil, m.allocN)
 	if err != nil || root != 77 || created != nil {
 		t.Errorf("empty dirty set: got (%d,%v,%v), want (77,nil,nil)", root, created, err)
 	}
@@ -206,7 +216,7 @@ func TestFig3Shadowing(t *testing.T) {
 	rootA := buildFull(t, m, 4, []ChunkKey{1, 2, 3, 4})
 	before := len(m.nodes)
 
-	rootA2, created, err := BuildVersion(m.batch(), rootA, 4, []DirtyLeaf{{Index: 1, Chunk: 22}}, m.alloc)
+	rootA2, created, err := BuildVersion(m.batch(), rootA, 4, []DirtyLeaf{{Index: 1, Chunk: 22}}, m.allocN)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +258,7 @@ func TestFig3Clone(t *testing.T) {
 	rootA := buildFull(t, m, 4, []ChunkKey{1, 2, 3, 4})
 	before := len(m.nodes)
 
-	rootB, created, err := CloneRoot(m, rootA, 4, m.alloc)
+	rootB, created, err := CloneRoot(m, rootA, 4, m.allocN)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +283,7 @@ func TestFig3Clone(t *testing.T) {
 
 func TestCloneEmptyTree(t *testing.T) {
 	m := newMapStore()
-	root, created, err := CloneRoot(m, 0, 8, m.alloc)
+	root, created, err := CloneRoot(m, 0, 8, m.allocN)
 	if err != nil || root != 0 || created != nil {
 		t.Fatalf("clone of empty tree: got (%d,%v,%v), want (0,nil,nil)", root, created, err)
 	}
@@ -284,17 +294,17 @@ func TestCloneThenDivergence(t *testing.T) {
 	// untouched and B's second commit shares B's first commit's nodes.
 	m := newMapStore()
 	rootA := buildFull(t, m, 4, []ChunkKey{1, 2, 3, 4})
-	rootB1, created, err := CloneRoot(m, rootA, 4, m.alloc)
+	rootB1, created, err := CloneRoot(m, rootA, 4, m.allocN)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.commit(created)
-	rootB2, created, err := BuildVersion(m.batch(), rootB1, 4, []DirtyLeaf{{Index: 1, Chunk: 22}, {Index: 2, Chunk: 33}}, m.alloc)
+	rootB2, created, err := BuildVersion(m.batch(), rootB1, 4, []DirtyLeaf{{Index: 1, Chunk: 22}, {Index: 2, Chunk: 33}}, m.allocN)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.commit(created)
-	rootB3, created, err := BuildVersion(m.batch(), rootB2, 4, []DirtyLeaf{{Index: 3, Chunk: 44}}, m.alloc)
+	rootB3, created, err := BuildVersion(m.batch(), rootB2, 4, []DirtyLeaf{{Index: 3, Chunk: 44}}, m.allocN)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +363,7 @@ func TestTreeMatchesFlatModel(t *testing.T) {
 				newCur[idx] = nextKey
 			}
 			sortDirty(dirty)
-			newRoot, created, err := BuildVersion(m.batch(), root, span, dirty, m.alloc)
+			newRoot, created, err := BuildVersion(m.batch(), root, span, dirty, m.allocN)
 			if err != nil {
 				return false
 			}
@@ -400,7 +410,7 @@ func TestMetadataSharingIsLogarithmic(t *testing.T) {
 		keys[i] = ChunkKey(i + 1)
 	}
 	root := buildFull(t, m, span, keys)
-	_, created, err := BuildVersion(m.batch(), root, span, []DirtyLeaf{{Index: 4096, Chunk: 99999}}, m.alloc)
+	_, created, err := BuildVersion(m.batch(), root, span, []DirtyLeaf{{Index: 4096, Chunk: 99999}}, m.allocN)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +444,7 @@ func TestBuildVersionRoundsAndReference(t *testing.T) {
 	}
 	m.next = next0
 	g := m.batch()
-	gotRoot, created, err := BuildVersion(g, root, span, dirty, m.alloc)
+	gotRoot, created, err := BuildVersion(g, root, span, dirty, m.allocN)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,10 +136,13 @@ func (t Topology) Tier(a, b NodeID) Tier {
 	if !t.Enabled() {
 		return TierRack
 	}
-	if t.Rack(a) == t.Rack(b) {
+	// Two divisions, not four: a node's zone is its rack's over
+	// RacksPerZone (Zone and Rack, for non-negative ids).
+	ra, rb := int(a)/t.NodesPerRack, int(b)/t.NodesPerRack
+	if ra == rb {
 		return TierRack
 	}
-	if t.Zone(a) == t.Zone(b) {
+	if ra/t.RacksPerZone == rb/t.RacksPerZone {
 		return TierZone
 	}
 	return TierRemote

@@ -82,6 +82,25 @@ func TestTopologyAddressing(t *testing.T) {
 			t.Errorf("Tier(%d, %d) = %v, want %v (symmetry)", tc.b, tc.a, got, tc.want)
 		}
 	}
+	// Every pair of a zoned topology whose racks, zones and nodes per
+	// rack all differ in number: Tier agrees with Rack and Zone.
+	odd := Topology{Zones: 3, RacksPerZone: 2, NodesPerRack: 3}
+	for a := NodeID(0); a < 18; a++ {
+		for b := NodeID(0); b < 18; b++ {
+			want := TierRemote
+			switch {
+			case a == b:
+				want = TierLocal
+			case odd.Rack(a) == odd.Rack(b):
+				want = TierRack
+			case odd.Zone(a) == odd.Zone(b):
+				want = TierZone
+			}
+			if got := odd.Tier(a, b); got != want {
+				t.Errorf("3z×2r×3n: Tier(%d, %d) = %v, want %v", a, b, got, want)
+			}
+		}
+	}
 	// The flat cluster: same node is local, everything else one hop.
 	var flat Topology
 	if flat.Tier(3, 3) != TierLocal || flat.Tier(0, 7) != TierRack {

@@ -106,8 +106,6 @@ func Import(ctx *cluster.Ctx, sys *blob.System, t *Tracker, src io.Reader) (Impo
 	// pending-marked so a concurrent GC cycle exempts them, and the
 	// deferred clears make a failed import leave no trace beyond the
 	// advanced counters.
-	refMap := make(map[blob.NodeRef]blob.NodeRef, len(a.Nodes))
-	pendingRefs := make([]blob.NodeRef, 0, len(a.Nodes))
 	nodeByRef := make(map[blob.NodeRef]*NodeRecord, len(a.Nodes))
 	for i := range a.Nodes {
 		rec := &a.Nodes[i]
@@ -115,25 +113,27 @@ func Import(ctx *cluster.Ctx, sys *blob.System, t *Tracker, src io.Reader) (Impo
 			return ImportStats{}, corrupt("duplicate node ref %d", rec.Ref)
 		}
 		nodeByRef[rec.Ref] = rec
-		local := sys.Meta.AllocPending(1)
-		refMap[rec.Ref] = local
-		pendingRefs = append(pendingRefs, local)
 	}
-	defer sys.Meta.ClearPending(pendingRefs)
+	refMap := make(map[blob.NodeRef]blob.NodeRef, len(a.Nodes))
+	if len(a.Nodes) > 0 {
+		firstRef := sys.Meta.AllocPending(len(a.Nodes))
+		defer sys.Meta.ClearPending(firstRef)
+		for i := range a.Nodes {
+			refMap[a.Nodes[i].Ref] = firstRef + blob.NodeRef(i)
+		}
+	}
 
 	keyMap := make(map[blob.ChunkKey]blob.ChunkKey, len(a.Chunks))
-	pendingKeys := make([]blob.ChunkKey, len(a.Chunks))
 	firstKey := sys.Providers.AllocPending(len(a.Chunks))
-	for i := range pendingKeys {
-		pendingKeys[i] = firstKey + blob.ChunkKey(i)
+	if len(a.Chunks) > 0 {
+		defer sys.Providers.ClearPending(firstKey)
 	}
-	defer sys.Providers.ClearPending(pendingKeys)
 	for i := range a.Chunks {
 		rec := &a.Chunks[i]
 		if _, dup := keyMap[rec.Key]; dup {
 			return ImportStats{}, corrupt("duplicate chunk key %d", rec.Key)
 		}
-		keyMap[rec.Key] = pendingKeys[i]
+		keyMap[rec.Key] = firstKey + blob.ChunkKey(i)
 	}
 
 	res := &resolver{

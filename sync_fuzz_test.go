@@ -94,8 +94,8 @@ func captureState(t *testing.T, ctx *blobvfs.Ctx, r *blobvfs.Repo, id blobvfs.Im
 	}
 	_, pk := sys.Providers.PendingSnapshot()
 	_, pr := sys.Meta.PendingSnapshot()
-	st.PendingKeys = len(pk)
-	st.PendingRefs = len(pr)
+	st.PendingKeys = pk.Len()
+	st.PendingRefs = pr.Len()
 	if id != 0 {
 		vs, err := r.Versions(ctx, id)
 		if err != nil {

@@ -419,8 +419,8 @@ func TestAlignedKeysAreNeverStored(t *testing.T) {
 	stored := func(ctx *blobvfs.Ctx, r *blobvfs.Repo, id blobvfs.ImageID, versions map[blobvfs.Version][]byte) int {
 		ps := r.System().Providers
 		wm, pending := ps.PendingSnapshot()
-		if len(pending) != 0 {
-			t.Fatalf("%d keys pending on a quiescent repository", len(pending))
+		if pending.Len() != 0 {
+			t.Fatalf("%d keys pending on a quiescent repository", pending.Len())
 		}
 		referenced := make(map[blob.ChunkKey]bool)
 		for v := range versions {
