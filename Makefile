@@ -58,12 +58,35 @@ staticcheck:
 		echo "staticcheck not installed; go install honnef.co/go/tools/cmd/staticcheck@latest"; exit 1; }
 	staticcheck ./...
 
-# bench records the perf trajectory: paper-scale figure regenerations
-# plus the metadata hot-path microbenchmarks, with -cpu 1,8 so lock
-# contention regressions show up. Output lands in bench.txt; compare
-# two runs with `benchstat old.txt new.txt`.
+# bench records the perf trajectory in bench.txt; compare two runs with
+# `benchstat old.txt new.txt`. The simulated benchmarks (paper-scale
+# figures, flash crowds up to 10k instances, multisnapshot, churn,
+# export) and the real-byte layer benchmarks of internal/sync and
+# internal/mirror run at -cpu 1: the simulation is single-threaded and
+# deterministic and the layer benchmarks are single-threaded copies, so
+# a -cpu 8 row would only repeat the -cpu 1 row. The two metadata
+# microbenchmarks run on the live fabric, where activities are
+# goroutines, so they run at -cpu 1,8 and lock contention shows up.
+# bench fails when a benchmark fails or prints no result row; bench_re
+# turns a list of names into one anchored -bench regex.
+BENCH_CPU1 := Fig4PaperScale FlashCrowd256 FlashCrowdDegraded FlashCrowdCrossZone \
+	FlashCrowdMetaOutage FlashCrowdScale FlashCrowd10k Multisnapshot1024 Churn \
+	ExportImport ArchiveEncode ArchiveDecode MirrorColdRead
+BENCH_LIVE := CommitDataStructures MetadataColdDescent
+empty :=
+bench_re = ^Benchmark($(subst $(empty) $(empty),|,$(strip $(1))))$$
+
+bench: SHELL := bash
+bench: .SHELLFLAGS := -o pipefail -ec
 bench:
-	sh scripts/bench.sh
+	go test -run '^$$' -bench '$(call bench_re,$(BENCH_CPU1))' -benchmem -count=1 -cpu 1 \
+		-timeout 30m . ./internal/sync ./internal/mirror | tee bench.txt
+	go test -run '^$$' -bench '$(call bench_re,$(BENCH_LIVE))' -benchmem -count=1 -cpu 1,8 \
+		-timeout 10m . | tee -a bench.txt
+	@missing=0; for b in $(BENCH_CPU1) $(BENCH_LIVE); do \
+		grep -Eq "^Benchmark$$b([/-][^[:space:]]*)?[[:space:]]+[0-9]+[[:space:]]" bench.txt || \
+			{ echo "bench: Benchmark$$b printed no result row" >&2; missing=1; }; \
+	done; exit $$missing
 
 # bench-check vets and tests the benchmark harness. bench/ is a module
 # of its own (blobvfs/bench), so the root's `go vet ./...` and

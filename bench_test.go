@@ -193,7 +193,7 @@ func BenchmarkFlashCrowd256(b *testing.B) {
 
 // BenchmarkFlashCrowdScale sweeps the flash crowd across instance
 // counts toward the ROADMAP's paper-scale ×100 target. Together with
-// BenchmarkFlashCrowd10k it feeds the BENCH_scale.json trajectory:
+// BenchmarkFlashCrowd10k its bench.txt rows are the scale trajectory:
 // instances vs wall-clock ns/op and allocs/op, the curve that shows
 // whether the simulator itself scales. Every point runs with p2p
 // sharing on — the churn-heavy path — and fails the benchmark if any
@@ -209,7 +209,7 @@ func BenchmarkFlashCrowdScale(b *testing.B) {
 
 // BenchmarkFlashCrowd10k is the paper-scale ×100 point: a 10k-instance
 // flash crowd against the same 8-provider pool, about two minutes of
-// wall clock. Skipped under -short; scripts/bench.sh always runs it.
+// wall clock. Skipped under -short; make bench always runs it.
 func BenchmarkFlashCrowd10k(b *testing.B) {
 	if testing.Short() {
 		b.Skip("skipping 10k flash crowd in -short mode")

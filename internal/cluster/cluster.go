@@ -87,7 +87,7 @@ type Task interface {
 }
 
 // Fabric is the execution substrate: it spawns activities on nodes,
-// charges time for network, disk and CPU use, and accounts traffic.
+// charges time for network, disk and waiting, and accounts traffic.
 type Fabric interface {
 	// Nodes returns the cluster size.
 	Nodes() int
@@ -108,17 +108,16 @@ type Fabric interface {
 	spawn(name string, node NodeID, parent *Ctx, fn func(*Ctx)) Task
 	wait(ctx *Ctx, t Task)
 	sleep(ctx *Ctx, d float64)
-	compute(ctx *Ctx, d float64)
 	rpc(ctx *Ctx, from, to NodeID, reqBytes, respBytes int64)
-	diskRead(ctx *Ctx, node NodeID, bytes int64)
-	diskWrite(ctx *Ctx, node NodeID, bytes int64, mode writeMode)
+	disk(ctx *Ctx, node NodeID, bytes int64, mode writeMode)
 }
 
-// writeMode is how a disk write reaches the platters.
+// writeMode is how a disk transfer reaches the platters. A read is
+// writeSync: the caller waits for the disk at normal priority.
 type writeMode uint8
 
 const (
-	writeSync   writeMode = iota // the writer waits for the disk
+	writeSync   writeMode = iota // the caller waits for the disk
 	writeBack                    // buffered, drained beside reads
 	writeIdle                    // buffered, drained while the disk is otherwise idle
 	writeAppend                  // buffered, drained in arrival order through the node's log
@@ -148,9 +147,6 @@ func (c *Ctx) Now() float64 { return c.fab.Now() }
 // Sleep suspends the activity for d seconds of virtual time.
 func (c *Ctx) Sleep(d float64) { c.fab.sleep(c, d) }
 
-// Compute charges d seconds of CPU work on the activity's node.
-func (c *Ctx) Compute(d float64) { c.fab.compute(c, d) }
-
 // RPC charges a request/response exchange from this activity's node to
 // `to`, with the given payload sizes in each direction. The charge
 // covers latency, fixed per-request overhead, and fair-shared bandwidth
@@ -161,10 +157,10 @@ func (c *Ctx) RPC(to NodeID, reqBytes, respBytes int64) {
 }
 
 // DiskRead charges a read of the given size on node's local disk.
-func (c *Ctx) DiskRead(node NodeID, bytes int64) { c.fab.diskRead(c, node, bytes) }
+func (c *Ctx) DiskRead(node NodeID, bytes int64) { c.fab.disk(c, node, bytes, writeSync) }
 
 // DiskWrite charges a synchronous write on node's local disk.
-func (c *Ctx) DiskWrite(node NodeID, bytes int64) { c.fab.diskWrite(c, node, bytes, writeSync) }
+func (c *Ctx) DiskWrite(node NodeID, bytes int64) { c.fab.disk(c, node, bytes, writeSync) }
 
 // DiskWriteAsync buffers a write in node's write-back buffer. The call
 // blocks only while the buffer is full; draining to disk proceeds in
@@ -172,18 +168,18 @@ func (c *Ctx) DiskWrite(node NodeID, bytes int64) { c.fab.diskWrite(c, node, byt
 // asynchronous write strategy BlobSeer uses to acknowledge COMMIT
 // before data reaches the platters. It is for dirty data: the buffer
 // holds the only copy, which must not wait behind reads.
-func (c *Ctx) DiskWriteAsync(node NodeID, bytes int64) { c.fab.diskWrite(c, node, bytes, writeBack) }
+func (c *Ctx) DiskWriteAsync(node NodeID, bytes int64) { c.fab.disk(c, node, bytes, writeBack) }
 
 // DiskWriteIdle is DiskWriteAsync at idle priority (IOPRIO_CLASS_IDLE):
 // it drains only while node's disk has nothing else to serve. It is for
 // a clean copy of data stored elsewhere, which loses nothing by waiting.
-func (c *Ctx) DiskWriteIdle(node NodeID, bytes int64) { c.fab.diskWrite(c, node, bytes, writeIdle) }
+func (c *Ctx) DiskWriteIdle(node NodeID, bytes int64) { c.fab.disk(c, node, bytes, writeIdle) }
 
 // DiskAppend is DiskWriteAsync onto node's log, for data never
 // rewritten in place (the chunks a provider stores): node's appends
 // drain one at a time in arrival order, each freeing its buffer space
 // as it lands, and only one that finds the log idle pays a seek.
-func (c *Ctx) DiskAppend(node NodeID, bytes int64) { c.fab.diskWrite(c, node, bytes, writeAppend) }
+func (c *Ctx) DiskAppend(node NodeID, bytes int64) { c.fab.disk(c, node, bytes, writeAppend) }
 
 // Go spawns a new activity running fn on the given node.
 func (c *Ctx) Go(name string, node NodeID, fn func(*Ctx)) Task {

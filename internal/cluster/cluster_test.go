@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -348,12 +350,34 @@ func TestLiveTrafficReset(t *testing.T) {
 	}
 }
 
+// TestNodeRangeChecks: every disk op on either fabric panics on a node
+// outside the cluster, and the panic names the node.
 func TestNodeRangeChecks(t *testing.T) {
-	f := NewLive(2)
-	defer func() {
-		if recover() == nil {
-			t.Error("out-of-range node did not panic")
+	ops := map[string]func(*Ctx, NodeID, int64){
+		"DiskRead":       (*Ctx).DiskRead,
+		"DiskWrite":      (*Ctx).DiskWrite,
+		"DiskWriteAsync": (*Ctx).DiskWriteAsync,
+		"DiskWriteIdle":  (*Ctx).DiskWriteIdle,
+		"DiskAppend":     (*Ctx).DiskAppend,
+	}
+	fabrics := map[string]func() Fabric{
+		"live": func() Fabric { return NewLive(2) },
+		"sim":  func() Fabric { return NewSim(testConfig(2)) },
+	}
+	for fname, newFab := range fabrics {
+		for oname, op := range ops {
+			t.Run(fname+"/"+oname, func(t *testing.T) {
+				defer func() {
+					r := recover()
+					if r == nil {
+						t.Fatal("out-of-range node did not panic")
+					}
+					if msg := fmt.Sprint(r); !strings.Contains(msg, "node 5 out of range") {
+						t.Fatalf("panic %q does not name the node", msg)
+					}
+				}()
+				newFab().Run(func(ctx *Ctx) { op(ctx, 5, 10) })
+			})
 		}
-	}()
-	f.Run(func(ctx *Ctx) { ctx.DiskRead(5, 10) })
+	}
 }

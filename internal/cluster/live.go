@@ -67,8 +67,7 @@ func (f *Live) spawn(name string, node NodeID, _ *Ctx, fn func(*Ctx)) Task {
 
 func (f *Live) wait(_ *Ctx, t Task) { <-t.(*liveTask).done }
 
-func (f *Live) sleep(_ *Ctx, d float64)   {}
-func (f *Live) compute(_ *Ctx, d float64) {}
+func (f *Live) sleep(_ *Ctx, d float64) {}
 
 func (f *Live) rpc(_ *Ctx, from, to NodeID, reqBytes, respBytes int64) {
 	f.cfg.checkNode(from)
@@ -78,5 +77,4 @@ func (f *Live) rpc(_ *Ctx, from, to NodeID, reqBytes, respBytes int64) {
 	}
 }
 
-func (f *Live) diskRead(_ *Ctx, node NodeID, bytes int64)               { f.cfg.checkNode(node) }
-func (f *Live) diskWrite(_ *Ctx, node NodeID, bytes int64, _ writeMode) { f.cfg.checkNode(node) }
+func (f *Live) disk(_ *Ctx, node NodeID, bytes int64, _ writeMode) { f.cfg.checkNode(node) }

@@ -175,8 +175,7 @@ func (f *Sim) wait(ctx *Ctx, t Task) {
 	ctx.Proc.Join(t.(*simTask).proc)
 }
 
-func (f *Sim) sleep(ctx *Ctx, d float64)   { ctx.Proc.Sleep(d) }
-func (f *Sim) compute(ctx *Ctx, d float64) { ctx.Proc.Sleep(d) }
+func (f *Sim) sleep(ctx *Ctx, d float64) { ctx.Proc.Sleep(d) }
 
 // smallPayload is the cutoff below which an RPC payload is charged as
 // serialization delay instead of occupying the flow network: a message
@@ -272,15 +271,7 @@ func (f *Sim) TransferVia(ctx *Ctx, from, to NodeID, bytes int64, extra ...*flow
 // seeks occupy the disk alongside streaming transfers.
 func (f *Sim) seekCost() float64 { return f.cfg.DiskSeek * f.cfg.DiskBandwidth }
 
-func (f *Sim) diskRead(ctx *Ctx, node NodeID, bytes int64) {
-	f.cfg.checkNode(node)
-	if bytes <= 0 {
-		return
-	}
-	f.disks[node].Use(ctx.Proc, float64(bytes)+f.seekCost())
-}
-
-func (f *Sim) diskWrite(ctx *Ctx, node NodeID, bytes int64, mode writeMode) {
+func (f *Sim) disk(ctx *Ctx, node NodeID, bytes int64, mode writeMode) {
 	f.cfg.checkNode(node)
 	if bytes <= 0 {
 		return
@@ -289,7 +280,7 @@ func (f *Sim) diskWrite(ctx *Ctx, node NodeID, bytes int64, mode writeMode) {
 	disk := f.disks[node]
 	work := float64(bytes) + f.seekCost()
 	if mode == writeSync || bytes > buf.Capacity() {
-		// Sync and oversized writes go straight to disk, at their own priority.
+		// Reads, sync and oversized writes go straight to disk, at their own priority.
 		if mode == writeIdle {
 			disk.UseIdle(ctx.Proc, work)
 		} else {

@@ -179,7 +179,7 @@ type VM struct {
 func (vm *VM) Boot(ctx *cluster.Ctx, trace []TraceOp) error {
 	for _, op := range trace {
 		if op.Think > 0 {
-			ctx.Compute(op.Think)
+			ctx.Sleep(op.Think)
 		}
 		var err error
 		if op.Write {

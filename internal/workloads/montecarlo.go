@@ -41,7 +41,7 @@ func RunMonteCarloPhase(ctx *cluster.Ctx, disk vmmodel.VirtualDisk, cfg MonteCar
 		if done+step > seconds {
 			step = seconds - done
 		}
-		ctx.Compute(step)
+		ctx.Sleep(step)
 		done += step
 		if err := disk.Write(ctx, cfg.SaveOffset, cfg.SaveBytes); err != nil {
 			return err
