@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"blobvfs"
 	"blobvfs/internal/cluster"
 	"blobvfs/internal/metrics"
 	"blobvfs/internal/middleware"
@@ -72,12 +73,8 @@ func RunChurn(p Params, cc ChurnConfig) ChurnPoint {
 		panic("experiments: churn needs at least one cycle")
 	}
 
-	env := newEnv(p, dedicatedLayout(cc.Instances, flashProviders, cluster.Topology{}), OurApproach)
+	env := newEnv(p, dedicatedLayout(cc.Instances, flashProviders), OurApproach)
 	sys := env.Sys
-	if cc.KeepLast > 0 {
-		env.Orch.Retention = middleware.RetentionPolicy{KeepLast: cc.KeepLast}
-		env.Orch.Collector = env.Repo.Collector()
-	}
 
 	pt := ChurnPoint{
 		Instances: cc.Instances,
@@ -110,12 +107,33 @@ func RunChurn(p Params, cc ChurnConfig) ChurnPoint {
 			if err != nil {
 				panic(err)
 			}
-			snap, err := env.Orch.SnapshotAll(ctx, dep.Instances)
+			// Each instance snapshots and then retires its own lineage's
+			// old versions on its own node: a blob's "last K" is per
+			// instance, so a fast instance's retirement needs no barrier
+			// and overlaps the slow ones' commits. Collection reclaims
+			// shared chunks, so it waits for the whole round.
+			retired := make([]int, len(dep.Instances))
+			err = env.Orch.RunOnAll(ctx, dep.Instances, func(icc *cluster.Ctx, inst *middleware.Instance) error {
+				err := env.Backend.Snapshot(icc, inst.Index, inst.Node, inst.Disk)
+				if err == nil && cc.KeepLast > 0 {
+					retired[inst.Index], err = env.Repo.RetireOld(icc, inst.Disk.(*blobvfs.Disk), cc.KeepLast)
+				}
+				return err
+			})
 			if err != nil {
 				panic(err)
 			}
-			pt.RetiredVersions += snap.Retired
-			sample(cycle, snap.Retired)
+			n := 0
+			for _, r := range retired {
+				n += r
+			}
+			if cc.KeepLast > 0 {
+				if _, err := env.Repo.GC(ctx); err != nil {
+					panic(err)
+				}
+			}
+			pt.RetiredVersions += n
+			sample(cycle, n)
 		}
 		pt.Completion = ctx.Now()
 	})

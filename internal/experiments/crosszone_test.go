@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"blobvfs"
 	"blobvfs/internal/cluster"
 )
 
@@ -75,11 +76,14 @@ func TestFlashCrowdSingleZoneTopologyMatchesFlat(t *testing.T) {
 	nic := cluster.DefaultConfig(1).NICBandwidth
 	fc := FlashCrowdConfig{Instances: 16, Providers: 4, Sharing: true}
 	flat := RunFlashCrowd(p, fc)
-	fc.Topology = cluster.Topology{
+	topo := cluster.Topology{
 		Zones: 1, RacksPerZone: 1, NodesPerRack: fc.Instances + fc.Providers + 1,
 		RackBandwidth: nic, ZoneBandwidth: nic,
 	}
-	single := RunFlashCrowd(p, fc)
+	l := dedicatedLayout(fc.Instances, fc.Providers)
+	l.topo = topo
+	env := newEnv(p, l, OurApproach, blobvfs.WithP2P(), blobvfs.WithTopology(topo))
+	single := deployCrowd(env, CrowdPoint{Instances: fc.Instances, Providers: fc.Providers, Sharing: true})
 	// Topology is not part of the point; everything measured must be.
 	if flat != single {
 		t.Errorf("single-zone topology diverged from flat flash crowd:\n  flat:   %+v\n  single: %+v",

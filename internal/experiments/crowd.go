@@ -118,9 +118,6 @@ func deployCrowd(env *Env, pt CrowdPoint) CrowdPoint {
 	pt.TrafficGB = float64(env.Fab.NetTraffic()) / 1e9
 	pt.Steps = env.Fab.Env().Steps() - steps0
 	for _, inst := range dep.Instances {
-		if inst == nil {
-			continue
-		}
 		if inst.BootDoneAt > 0 {
 			pt.Booted++
 		}

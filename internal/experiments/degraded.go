@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"blobvfs"
-	"blobvfs/internal/cluster"
 	"blobvfs/internal/metrics"
 )
 
@@ -80,7 +79,7 @@ func degradedEnv(p Params, dc *DegradedConfig) *Env {
 		panic(fmt.Sprintf("experiments: cannot kill %d of %d providers", dc.Kill, dc.Providers))
 	}
 
-	l := dedicatedLayout(dc.Instances, dc.Providers, cluster.Topology{})
+	l := dedicatedLayout(dc.Instances, dc.Providers)
 	opts := append(sharingOption(dc.Sharing), blobvfs.WithReplicas(dc.Replicas))
 	if dc.Kill > 0 {
 		plan := staggeredKills(p.Seed+7, l.pool, dc.Kill, degradedKillStart, degradedKillEvery)

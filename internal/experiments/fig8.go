@@ -86,19 +86,15 @@ func runFig8(p Params, n int, a Approach, suspend bool) float64 {
 			// Resume every instance on the next node over (fresh caches:
 			// nothing of the image is local there), reboot, re-read the
 			// saved state, and finish the computation.
-			errs := make([]error, n)
-			var tasks []cluster.Task
+			resumed := make([]*middleware.Instance, n)
 			for i, inst := range dep.Instances {
-				newNode := env.Nodes[(i+1)%len(env.Nodes)]
-				tasks = append(tasks, ctx.Go("resume", newNode, func(cc *cluster.Ctx) {
-					errs[i] = resumeInstance(cc, env, inst, newNode, i, compute)
-				}))
+				resumed[i] = &middleware.Instance{Index: i, Node: env.Nodes[(i+1)%len(env.Nodes)], Disk: inst.Disk}
 			}
-			ctx.WaitAll(tasks)
-			for _, err := range errs {
-				if err != nil {
-					panic(err)
-				}
+			err := env.Orch.RunOnAll(ctx, resumed, func(cc *cluster.Ctx, inst *middleware.Instance) error {
+				return resumeInstance(cc, env, inst, compute)
+			})
+			if err != nil {
+				panic(err)
 			}
 		}
 		completion = ctx.Now() - start
@@ -106,16 +102,18 @@ func runFig8(p Params, n int, a Approach, suspend bool) float64 {
 	return completion
 }
 
-// resumeInstance restores one instance from its snapshot on a fresh
-// node and runs the remaining computation.
-func resumeInstance(cc *cluster.Ctx, env *Env, inst *middleware.Instance, node cluster.NodeID, i int, remaining float64) error {
+// resumeInstance restores one instance on its fresh node inst.Node,
+// from the snapshot of the disk inst.Disk it ran on before, and runs
+// the remaining computation.
+func resumeInstance(cc *cluster.Ctx, env *Env, inst *middleware.Instance, remaining float64) error {
 	mc := env.P.MonteCarlo
+	i, node := inst.Index, inst.Node
 	var disk vmmodel.VirtualDisk
 	var restore func() error // reads the intermediate results back
 	switch b := env.Backend.(type) {
 	case *middleware.MirrorBackend:
 		// The committed snapshot is a standalone raw image: mirror it.
-		reopened, err := b.OpenOn(cc, node, inst.Disk.(*blobvfs.Disk).Current())
+		reopened, err := env.Repo.OpenDisk(cc, node, inst.Disk.(*blobvfs.Disk).Current(), blobvfs.Synthetic())
 		if err != nil {
 			return err
 		}

@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"blobvfs"
-	"blobvfs/internal/cluster"
-	"blobvfs/internal/metrics"
-)
+import "blobvfs/internal/metrics"
 
 // This file implements the flash-crowd scenario §7 of the paper points
 // at: a very large number of instances of the same image deployed
@@ -31,13 +27,6 @@ type FlashCrowdConfig struct {
 	Providers int
 	// Sharing toggles the p2p chunk-sharing layer.
 	Sharing bool
-	// Topology optionally arranges the cluster into zones and racks
-	// (fabric tier links + topology-aware placement and peer
-	// selection — the two sides always move together here; the
-	// cross-zone scenario splits them). The zero value keeps the
-	// historical flat cluster; a single-zone, single-rack topology
-	// reproduces it byte-identically.
-	Topology cluster.Topology
 }
 
 // RunFlashCrowd deploys fc.Instances concurrent instances of the same
@@ -51,11 +40,7 @@ func RunFlashCrowd(p Params, fc FlashCrowdConfig) CrowdPoint {
 	if fc.Providers <= 0 {
 		fc.Providers = flashProviders
 	}
-	opts := sharingOption(fc.Sharing)
-	if fc.Topology.Enabled() {
-		opts = append(opts, blobvfs.WithTopology(fc.Topology))
-	}
-	env := newEnv(p, dedicatedLayout(fc.Instances, fc.Providers, fc.Topology), OurApproach, opts...)
+	env := newEnv(p, dedicatedLayout(fc.Instances, fc.Providers), OurApproach, sharingOption(fc.Sharing)...)
 	return deployCrowd(env, CrowdPoint{
 		Instances: fc.Instances,
 		Providers: fc.Providers,

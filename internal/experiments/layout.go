@@ -39,15 +39,13 @@ func aggregatedLayout(total, n int) layout {
 // dedicatedLayout is the arrangement of the dedicated-pool scenarios
 // (flash crowd, degraded, churn, multisnapshot): instances compute
 // nodes, then a small providers-node storage pool that does not grow
-// with the deployment, then one service node. A non-zero topo arranges
-// the fabric's nodes into tiers.
-func dedicatedLayout(instances, providers int, topo cluster.Topology) layout {
+// with the deployment, then one service node, on a flat fabric.
+func dedicatedLayout(instances, providers int) layout {
 	return layout{
 		size:    instances + providers + 1,
 		inst:    nodeRange(0, instances),
 		pool:    nodeRange(instances, providers),
 		service: cluster.NodeID(instances + providers),
-		topo:    topo,
 	}
 }
 

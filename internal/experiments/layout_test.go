@@ -72,7 +72,7 @@ func TestLayouts(t *testing.T) {
 
 		for _, providers := range []int{4, 8, 16} {
 			what = fmt.Sprintf("dedicated(%d,%d)", n, providers)
-			l = dedicatedLayout(n, providers, cluster.Topology{})
+			l = dedicatedLayout(n, providers)
 			checkLayout(t, what, l)
 			disjoint(t, what, l)
 			if len(l.inst) != n || len(l.pool) != providers || l.size != n+providers+1 {

@@ -66,7 +66,7 @@ func RunMultisnapshot(p Params, mc MultisnapshotConfig) MultisnapshotPoint {
 	if mc.DiffBytes > 0 {
 		diff = mc.DiffBytes
 	}
-	env := newEnv(p, dedicatedLayout(mc.Instances, mc.Providers, cluster.Topology{}), OurApproach)
+	env := newEnv(p, dedicatedLayout(mc.Instances, mc.Providers), OurApproach)
 
 	writes0 := env.Sys.Providers.Writes.Load()
 	puts0 := env.Sys.Providers.PutRPCs.Load()

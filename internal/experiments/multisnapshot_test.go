@@ -73,7 +73,7 @@ func TestHerdCommitPerProviderRPCs(t *testing.T) {
 	// commit plus the base upload.
 	t.Run("4 providers", func(t *testing.T) {
 		const instances, providers = 64, 4
-		sp, _, _ := herdCommit(t, Quick(), dedicatedLayout(instances, providers, cluster.Topology{}))
+		sp, _, _ := herdCommit(t, Quick(), dedicatedLayout(instances, providers))
 		perProvider(t, sp, providers, instances+1)
 	})
 
@@ -89,7 +89,7 @@ func TestHerdCommitPerProviderRPCs(t *testing.T) {
 		const instances, providers, window = 4, 32, 16
 		p := Quick()
 		p.SnapshotDiff = 16 << 20
-		sp, peak, chunks := herdCommit(t, p, dedicatedLayout(instances, providers, cluster.Topology{}))
+		sp, peak, chunks := herdCommit(t, p, dedicatedLayout(instances, providers))
 		perProvider(t, sp, providers, 1+instances*window/providers)
 		if chunks > instances*window*4 || chunks <= instances*window*3 {
 			t.Fatalf("%d chunks in %d commits: not 16 shares of 3–4 chunks each", chunks, instances)

@@ -16,8 +16,6 @@ import (
 // Backend abstracts how an instance's image is provisioned and
 // snapshotted.
 type Backend interface {
-	// Name identifies the backend in results ("our-approach", ...).
-	Name() string
 	// Prepare runs the global initialization phase before any instance
 	// starts (the broadcast for prepropagation; a no-op for the lazy
 	// schemes).
@@ -33,7 +31,7 @@ type Backend interface {
 // MirrorBackend is the paper's approach: lazy mirroring over the
 // versioning blob store, CLONE+COMMIT snapshotting. It consumes only
 // the public blobvfs façade — the repository wiring (per-node modules,
-// sharing cohorts, retention primitives) lives behind blobvfs.Repo.
+// sharing cohorts) lives behind blobvfs.Repo.
 type MirrorBackend struct {
 	Repo *blobvfs.Repo
 	// Base is the shared image every instance deploys from.
@@ -45,9 +43,6 @@ type MirrorBackend struct {
 func NewMirrorBackend(repo *blobvfs.Repo, base blobvfs.Snapshot) *MirrorBackend {
 	return &MirrorBackend{Repo: repo, Base: base}
 }
-
-// Name implements Backend.
-func (b *MirrorBackend) Name() string { return "our-approach" }
 
 // Prepare implements Backend: the lazy scheme itself needs no
 // initialization; with p2p sharing enabled on the repo, the
@@ -83,45 +78,6 @@ func (b *MirrorBackend) Snapshot(ctx *cluster.Ctx, i int, node cluster.NodeID, d
 	}
 	_, err := b.Repo.Snapshot(ctx, d, d.Image() == b.Base.Image)
 	return err
-}
-
-// OpenOn mirrors an arbitrary snapshot on an arbitrary node: this is
-// how a terminated instance resumes on a fresh node from the
-// standalone image its CLONE+COMMIT produced (§5.5's suspend/resume
-// setting, and the migration scenario of §3.2).
-func (b *MirrorBackend) OpenOn(ctx *cluster.Ctx, node cluster.NodeID, s blobvfs.Snapshot) (*blobvfs.Disk, error) {
-	return b.Repo.OpenDisk(ctx, node, s, blobvfs.Synthetic())
-}
-
-// RetireOld implements VersionRetirer for the orchestrator's retention
-// policy: it retires every unpinned snapshot of the disk's lineage
-// older than the newest keep versions. The version the disk currently
-// mirrors is pinned for as long as it is open, so it can never retire
-// out from under the instance even if keep is 1 and later commits have
-// advanced the lineage. The base image (shared by every instance
-// before its first CLONE) is never touched: retention starts once an
-// instance has its own lineage.
-func (b *MirrorBackend) RetireOld(ctx *cluster.Ctx, disk vmmodel.VirtualDisk, keep int) (int, error) {
-	d, ok := disk.(*blobvfs.Disk)
-	if !ok {
-		return 0, fmt.Errorf("middleware: retention on foreign disk %T", disk)
-	}
-	if keep < 1 {
-		return 0, fmt.Errorf("middleware: retention must keep at least 1 version, got %d", keep)
-	}
-	if d.Image() == b.Base.Image {
-		return 0, nil // not snapshotted yet; still on the shared base
-	}
-	// The backend knows every non-base lineage is privately owned by
-	// its instance (CLONE+COMMIT created it), so it uses the raw
-	// primitive: retention must keep working on a disk that was
-	// resumed directly onto its own lineage (OpenOn), which the
-	// façade's forked-lineage guard in RetireOld would exempt.
-	upTo := d.Version() - blobvfs.Version(keep)
-	if upTo < 1 {
-		return 0, nil
-	}
-	return b.Repo.RetireUpTo(ctx, d.Image(), upTo)
 }
 
 // QcowBackend is the qcow2-over-PVFS baseline: the raw base image is
@@ -164,9 +120,6 @@ func (b *QcowBackend) LastSnapshot(i int) string {
 	}
 	return b.SnapName(i, b.rounds[i])
 }
-
-// Name implements Backend.
-func (b *QcowBackend) Name() string { return "qcow2-over-pvfs" }
 
 // Prepare implements Backend: creating qcow2 files is per-instance and
 // cheap, so there is no global phase.
@@ -223,9 +176,6 @@ type PrepropBackend struct {
 func NewPrepropBackend(srv *nfs.Server, name string, size int64) *PrepropBackend {
 	return &PrepropBackend{Server: srv, ImageName: name, ImageSize: size, EffRate: broadcast.DefaultEffRate}
 }
-
-// Name implements Backend.
-func (b *PrepropBackend) Name() string { return "taktuk-preprop" }
 
 // Prepare implements Backend: the full broadcast.
 func (b *PrepropBackend) Prepare(ctx *cluster.Ctx, nodes []cluster.NodeID) error {

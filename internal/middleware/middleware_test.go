@@ -1,6 +1,7 @@
 package middleware
 
 import (
+	"errors"
 	"testing"
 
 	"blobvfs"
@@ -243,7 +244,7 @@ func TestSnapshotRejectsForeignDisk(t *testing.T) {
 	})
 }
 
-func TestMirrorBackendOpenOnFreshNode(t *testing.T) {
+func TestMirrorBackendResumeOnFreshNode(t *testing.T) {
 	fab, nodes, trace := simCluster()
 	b := mirrorBackend(t, fab, nodes)
 	orch := orchFor(b, nodes[:1], trace)
@@ -262,9 +263,9 @@ func TestMirrorBackendOpenOnFreshNode(t *testing.T) {
 		d := inst.Disk.(*blobvfs.Disk)
 		// Resume the snapshot on a different node (migration, §3.2).
 		done := ctx.Go("resume", nodes[3], func(cc *cluster.Ctx) {
-			re, err := b.OpenOn(cc, nodes[3], d.Current())
+			re, err := b.Repo.OpenDisk(cc, nodes[3], d.Current(), blobvfs.Synthetic())
 			if err != nil {
-				t.Errorf("OpenOn: %v", err)
+				t.Errorf("OpenDisk: %v", err)
 				return
 			}
 			if err := re.Read(cc, 0, 1<<20); err != nil {
@@ -273,4 +274,74 @@ func TestMirrorBackendOpenOnFreshNode(t *testing.T) {
 		})
 		ctx.Wait(done)
 	})
+}
+
+// stubBackend fails instance fail in phase failIn at once; every other
+// instance i's call in that phase takes i+1 simulated seconds, so the
+// instances after the failed one finish last, and then marks the
+// instance done.
+type stubBackend struct {
+	fail   int
+	failIn string // "provision", "snapshot" or "run"
+	done   []bool
+}
+
+var errStub = errors.New("stub: instance failed")
+
+func (b *stubBackend) act(ctx *cluster.Ctx, i int, phase string) error {
+	if phase == b.failIn && i == b.fail {
+		return errStub
+	}
+	ctx.Sleep(float64(i + 1))
+	b.done[i] = true
+	return nil
+}
+
+func (b *stubBackend) Prepare(*cluster.Ctx, []cluster.NodeID) error { return nil }
+
+func (b *stubBackend) Provision(ctx *cluster.Ctx, i int, node cluster.NodeID) (vmmodel.VirtualDisk, error) {
+	if err := b.act(ctx, i, "provision"); err != nil {
+		return nil, err
+	}
+	return &vmmodel.LocalRaw{NodeID: node, Bytes: 1 << 20}, nil
+}
+
+func (b *stubBackend) Snapshot(ctx *cluster.Ctx, i int, _ cluster.NodeID, _ vmmodel.VirtualDisk) error {
+	return b.act(ctx, i, "snapshot")
+}
+
+// TestFanOutJoinsEveryInstanceBeforeReturningTheError fails instance 3
+// in Provision, in Snapshot and in a RunOnAll function in turn: Deploy,
+// SnapshotAll and RunOnAll must each return that error, and only once
+// every other instance's activity has finished.
+func TestFanOutJoinsEveryInstanceBeforeReturningTheError(t *testing.T) {
+	fab, nodes, _ := simCluster()
+	for _, phase := range []string{"provision", "snapshot", "run"} {
+		b := &stubBackend{fail: 3, failIn: phase, done: make([]bool, len(nodes))}
+		orch := &Orchestrator{Backend: b, Nodes: nodes, TraceFor: func(int) []vmmodel.TraceOp { return nil }}
+		fab.Run(func(ctx *cluster.Ctx) {
+			dep, err := orch.Deploy(ctx)
+			if phase != "provision" {
+				if err != nil {
+					t.Fatalf("%s: deploy: %v", phase, err)
+				}
+				clear(b.done)
+				if phase == "snapshot" {
+					_, err = orch.SnapshotAll(ctx, dep.Instances)
+				} else {
+					err = orch.RunOnAll(ctx, dep.Instances, func(cc *cluster.Ctx, inst *Instance) error {
+						return b.act(cc, inst.Index, "run")
+					})
+				}
+			}
+			if !errors.Is(err, errStub) {
+				t.Fatalf("%s: err = %v, want the failed instance's error", phase, err)
+			}
+			for i, done := range b.done {
+				if done != (i != b.fail) {
+					t.Errorf("%s: instance %d done = %v", phase, i, done)
+				}
+			}
+		})
+	}
 }

@@ -336,11 +336,10 @@ func (r *Repo) RetireOld(ctx *Ctx, d *Disk, keep int) (int, error) {
 // to and including upTo, skipping pinned ones (they retire on a later
 // sweep, once their holders close), and returns how many it retired.
 // This is the raw primitive behind RetireOld, without its forked-
-// lineage guard: callers that know a lineage is privately owned — the
-// deployment middleware tracks the shared base image explicitly, so a
-// resumed instance's own lineage keeps its retention — use it
-// directly. On a lineage other users still deploy from it deletes
-// their history; prefer RetireOld when in doubt.
+// lineage guard: callers that know a lineage is privately owned — a
+// disk reopened directly on its own lineage, which RetireOld exempts —
+// use it directly. On a lineage other users still deploy from it
+// deletes their history; prefer RetireOld when in doubt.
 func (r *Repo) RetireUpTo(ctx *Ctx, id ImageID, upTo Version) (int, error) {
 	if err := r.checkOpen(); err != nil {
 		return 0, err
@@ -509,30 +508,25 @@ func (r *Repo) SharingStats(image ImageID) (P2PStats, bool) {
 	return co.Stats(), true
 }
 
-// Collector returns the repo's garbage collector, creating it on first
-// use. With sharing enabled, reclaimed chunks are retracted from the
-// cohort's location maps. The experiment harness hands this to its
-// orchestrator; application code normally just calls GC.
-func (r *Repo) Collector() *blob.Collector {
+// GC runs one garbage-collection cycle: a concurrent mark over every
+// live snapshot root, then a sweep of the chunks and metadata nodes
+// nothing references anymore (retired versions' exclusive storage).
+// The collector is created on first use; with sharing enabled,
+// reclaimed chunks are retracted from the cohort's location maps.
+func (r *Repo) GC(ctx *Ctx) (GCReport, error) {
+	if err := r.checkOpen(); err != nil {
+		return GCReport{}, err
+	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.collector == nil {
 		r.collector = blob.NewCollector(r.sys)
 		if r.sharing != nil {
 			r.collector.SetListener(r.sharing)
 		}
 	}
-	return r.collector
-}
-
-// GC runs one garbage-collection cycle: a concurrent mark over every
-// live snapshot root, then a sweep of the chunks and metadata nodes
-// nothing references anymore (retired versions' exclusive storage).
-func (r *Repo) GC(ctx *Ctx) (GCReport, error) {
-	if err := r.checkOpen(); err != nil {
-		return GCReport{}, err
-	}
-	return r.Collector().Collect(ctx)
+	g := r.collector
+	r.mu.Unlock()
+	return g.Collect(ctx)
 }
 
 // RepoStats samples the repository's storage footprint and its
