@@ -30,11 +30,11 @@ import (
 // scenario. SetReplication(r) switches each ref to an r-replica ring
 // over the providers through the same placement core as the chunk
 // plane (the embedded replicaSet, replicaset.go): writes fan out to
-// every live ring member and write around dead ones (voids +
-// substitutes), reads probe the nearest live replica first and fail
-// over down the ring, and a liveness-driven repair sweep restores the
-// degree after every transition. The degraded-placement records stay
-// empty, and the sweep does nothing, at degree 1.
+// every live ring member and write around dead ones onto substitutes,
+// recording where the copies went off the ring; reads probe the nearest
+// live replica first and fail over down the ring, and a liveness-driven
+// repair sweep restores the degree after every transition. The off-ring
+// records stay empty, and the sweep does nothing, at degree 1.
 //
 // The degree-1 arms of GetBatchInto and PutBatch are kept on a
 // measurement, not for the recorded outputs: one path at every degree
@@ -87,11 +87,11 @@ func (m *MetaService) Home(ref NodeRef) cluster.NodeID {
 	return m.nodes[m.primarySlot(ref)]
 }
 
-// storedKeys, copyBytes and chargeCopy are the metadata tier's side of
-// a repair sweep (replicaTier): every stored ref is a candidate, and
-// since tree nodes live in provider memory a copy is one small RPC
-// from the source — no disk legs, unlike chunk repair. The keys come
-// in ref order.
+// storedKeys, has, copyBytes and chargeCopy are the metadata tier's
+// side of a repair sweep (replicaTier): every stored ref is a
+// candidate, and since tree nodes live in provider memory a copy is one
+// small RPC from the source — no disk legs, unlike chunk repair. The
+// keys come in ref order.
 func (m *MetaService) storedKeys() []NodeRef {
 	keys := make([]NodeRef, 0, m.stored)
 	for pi, page := range m.pages {
@@ -115,6 +115,8 @@ func (m *MetaService) lookupLocked(ref NodeRef) (TreeNode, bool) {
 	}
 	return TreeNode{}, false
 }
+
+func (m *MetaService) has(ref NodeRef) bool { _, ok := m.lookupLocked(ref); return ok }
 
 func (m *MetaService) copyBytes(NodeRef) int32 { return TreeNodeWire }
 
@@ -204,12 +206,12 @@ func (m *MetaService) GetBatchInto(ctx *cluster.Ctx, refs []NodeRef, out []TreeN
 		// charge per-provider batches. The refs of one level are
 		// probed in parallel, so the batch waits once for the worst
 		// ref's dead-holder probes rather than summing them. A ref
-		// with no degraded-placement record is read from its primary
-		// slot's shared ring, so its pick depends on the slot alone:
-		// each such slot is picked once per batch (slots, on the stack
-		// for pools of up to 128 providers) and its refs reuse the
-		// pick, while a degraded ref picks from its own locations.
-		// Failovers and failed gets still count per ref.
+		// with no off-ring record is read from its primary slot's
+		// shared ring, so its pick depends on the slot alone: each such
+		// slot is picked once per batch (slots, on the stack for pools
+		// of up to 128 providers) and its refs reuse the pick, while a
+		// ref with a record picks from its own locations. Failovers and
+		// failed gets still count per ref.
 		var inline [128]slotPick
 		slots := inline[:]
 		if len(m.nodes) > len(inline) {
@@ -219,11 +221,10 @@ func (m *MetaService) GetBatchInto(ctx *cluster.Ctx, refs []NodeRef, out []TreeN
 		maxProbes := 0
 		reader := ctx.Node()
 		m.mu.RLock()
-		degraded := len(m.voids) > 0 || len(m.repairs) > 0
 		for i, ref := range refs {
 			var sp slotPick
-			if degraded && (len(m.voids[ref]) > 0 || len(m.repairs[ref]) > 0) {
-				sp = m.pickFrom(reader, m.locationsLocked(ref))
+			if locs, ok := m.off[ref]; ok {
+				sp = m.pickFrom(reader, locs)
 			} else if slot := m.primarySlot(ref); slots[slot].picked {
 				sp = slots[slot]
 				if sp.ok && sp.probes > 0 {
@@ -301,18 +302,24 @@ func (m *MetaService) pickFrom(reader cluster.NodeID, locs []cluster.NodeID) slo
 // (one request per distinct provider). This is what a BlobSeer client
 // library does when it writes the new subtree of a version. With
 // replication each node fans out to every live ring member; a ring
-// member that is down takes no copy — the writer records it as a void
-// and pushes the missing copy to a live substitute instead (writing
-// around the failure), so nodes are born at full degree whenever
-// enough providers are up. A node with every provider down cannot be
-// placed and is dropped (its later gets fail, and count as failed).
-// Refs are AllocPending's: the node table grows to the largest one.
+// member that is down takes no copy — the writer pushes the missing
+// copy to a live substitute instead (writing around the failure) and
+// records the ref's holders as its off-ring record, so nodes are born
+// at full degree whenever enough providers are up. A node with every
+// provider down cannot be placed and is dropped (its later gets fail,
+// and count as failed). Refs are AllocPending's: the node table grows
+// to the largest one.
 func (m *MetaService) PutBatch(ctx *cluster.Ctx, nodes []NewNode) {
 	if len(nodes) == 0 {
 		return
 	}
 	counts := make(map[cluster.NodeID]int64)
 	var store []bool
+	type offPut struct {
+		ref  NodeRef
+		locs []cluster.NodeID
+	}
+	var offs []offPut
 	if m.replicas == 1 {
 		// Legacy layout: one copy on the home provider, liveness
 		// ignored (the fault-free control-plane assumption).
@@ -320,34 +327,16 @@ func (m *MetaService) PutBatch(ctx *cluster.Ctx, nodes []NewNode) {
 			counts[m.Home(nn.Ref)]++
 		}
 	} else {
-		type degradedPut struct {
-			ref         NodeRef
-			voids, subs []cluster.NodeID
-		}
-		var degraded []degradedPut
 		store = make([]bool, len(nodes))
 		for i, nn := range nodes {
-			live, dead, subs := m.place(nn.Ref)
-			for _, prov := range live {
+			locs, off := m.place(nn.Ref)
+			for _, prov := range locs {
 				counts[prov]++
 			}
-			for _, s := range subs {
-				counts[s]++
+			store[i] = len(locs) > 0
+			if off && store[i] {
+				offs = append(offs, offPut{nn.Ref, locs})
 			}
-			if len(live)+len(subs) == 0 {
-				continue
-			}
-			store[i] = true
-			if len(dead) > 0 {
-				degraded = append(degraded, degradedPut{nn.Ref, dead, subs})
-			}
-		}
-		if len(degraded) > 0 {
-			m.mu.Lock()
-			for _, d := range degraded {
-				m.recordLocked(d.ref, d.voids, d.subs)
-			}
-			m.mu.Unlock()
 		}
 	}
 	// Charge per-provider batches in deterministic (provider ring) order.
@@ -358,6 +347,9 @@ func (m *MetaService) PutBatch(ctx *cluster.Ctx, nodes []NewNode) {
 		}
 	}
 	m.mu.Lock()
+	for _, o := range offs {
+		m.off[o.ref] = o.locs
+	}
 	for i, nn := range nodes {
 		if store != nil && !store[i] {
 			continue
@@ -399,8 +391,7 @@ func (m *MetaService) Sweep(ctx *cluster.Ctx, upTo NodeRef, live map[NodeRef]boo
 			page[i] = TreeNode{}
 			m.stored--
 			counts[m.Home(ref)]++
-			// A swept ref no longer needs its degraded-placement records.
-			m.forgetLocked(ref)
+			delete(m.off, ref)
 		}
 		if !slices.ContainsFunc(page, TreeNode.valid) {
 			m.pages[pi] = nil

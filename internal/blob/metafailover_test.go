@@ -184,9 +184,9 @@ func TestMetaReReplicateRestoresDegree(t *testing.T) {
 }
 
 // TestMetaPutBatchWriteAround: a put whose ring contains a dead member
-// writes around it — the copy lands on a live substitute, the dead
-// member is recorded as a void (it holds nothing, so it never serves
-// that ref, even after reviving).
+// writes around it — the copy lands on a live substitute, and the dead
+// member is left out of the ref's off-ring record (it holds nothing, so
+// it never serves that ref, even after reviving).
 func TestMetaPutBatchWriteAround(t *testing.T) {
 	fab := cluster.NewSim(cluster.DefaultConfig(5))
 	nodes := []cluster.NodeID{1, 2, 3, 4}

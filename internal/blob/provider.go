@@ -87,9 +87,9 @@ func (ps *ProviderSet) TierReads() [cluster.NumTiers]int64 {
 	return out
 }
 
-// storedKeys, copyBytes and chargeCopy are the chunk tier's side of a
-// repair sweep (replicaTier): every stored chunk is a candidate, and
-// a copy is a disk read at the surviving source, the transfer over,
+// storedKeys, has, copyBytes and chargeCopy are the chunk tier's side
+// of a repair sweep (replicaTier): every stored chunk is a candidate,
+// and a copy is a disk read at the surviving source, the transfer over,
 // and a local write-back at the destination. A chunk whose last copy
 // is gone stays unrepaired — the cohort sharing layer is then the only
 // remaining source.
@@ -100,6 +100,8 @@ func (ps *ProviderSet) storedKeys() []ChunkKey {
 	}
 	return keys
 }
+
+func (ps *ProviderSet) has(key ChunkKey) bool { _, ok := ps.chunks[key]; return ok }
 
 func (ps *ProviderSet) copyBytes(key ChunkKey) int32 { return ps.chunks[key].Size }
 
@@ -148,12 +150,12 @@ type ChunkPut struct {
 // instead of holding a simulated process per provider per committing
 // instance.
 //
-// A ring replica that is down takes no copy — the writer records it as
-// a void and pushes the missing copy to a live substitute instead
-// (writing around the failure), so the chunk is born at full
-// replication degree whenever enough providers are up. Keys that could
-// not be placed anywhere fail with ErrNoReplica (first error
-// returned); the rest of the round commits regardless.
+// A ring replica that is down takes no copy — the writer pushes the
+// missing copy to a live substitute instead (writing around the
+// failure) and records the key's holders as its off-ring record, so the
+// chunk is born at full replication degree whenever enough providers
+// are up. Keys that could not be placed anywhere fail with ErrNoReplica
+// (first error returned); the rest of the round commits regardless.
 func (ps *ProviderSet) PutBatch(ctx *cluster.Ctx, puts []ChunkPut) error {
 	if len(puts) == 0 {
 		return nil
@@ -164,30 +166,21 @@ func (ps *ProviderSet) PutBatch(ctx *cluster.Ctx, puts []ChunkPut) error {
 	bytesTo := make(map[cluster.NodeID]int64)
 	diskTo := make(map[cluster.NodeID]int64)
 	stored := make([]int, n)
-	// Dead ring members and their substitutes, per put; allocated when
-	// the first dead member shows up.
-	var deadRings, subsOf [][]cluster.NodeID
-	charge := func(prov cluster.NodeID, p Payload) {
-		bytesTo[prov] += int64(p.Size) + 32
-		diskTo[prov] += int64(p.Size)
-	}
+	// The off-ring records of the round, per put; allocated when the
+	// first dead ring member shows up.
+	var offOf [][]cluster.NodeID
 	for i, pt := range puts {
-		live, dead, subs := ps.place(pt.Key)
-		for _, prov := range live {
-			charge(prov, pt.Payload)
+		locs, off := ps.place(pt.Key)
+		for _, prov := range locs {
+			bytesTo[prov] += int64(pt.Payload.Size) + 32
+			diskTo[prov] += int64(pt.Payload.Size)
 		}
-		stored[i] = len(live)
-		// Write around dead replicas: push their copies to live
-		// providers outside the ring.
-		if len(dead) > 0 {
-			if deadRings == nil {
-				deadRings, subsOf = make([][]cluster.NodeID, n), make([][]cluster.NodeID, n)
+		stored[i] = len(locs)
+		if off {
+			if offOf == nil {
+				offOf = make([][]cluster.NodeID, n)
 			}
-			deadRings[i], subsOf[i] = dead, subs
-			for _, s := range subs {
-				charge(s, pt.Payload)
-			}
-			stored[i] += len(subs)
+			offOf[i] = locs
 		}
 	}
 
@@ -219,8 +212,8 @@ func (ps *ProviderSet) PutBatch(ctx *cluster.Ctx, puts []ChunkPut) error {
 			continue
 		}
 		ps.chunks[pt.Key] = pt.Payload
-		if deadRings != nil && len(deadRings[i]) > 0 {
-			ps.recordLocked(pt.Key, deadRings[i], subsOf[i])
+		if offOf != nil && offOf[i] != nil {
+			ps.off[pt.Key] = offOf[i]
 		}
 		ps.Writes.Add(1)
 	}
@@ -314,8 +307,8 @@ func (ps *ProviderSet) RetainedKeys(upTo ChunkKey) []ChunkKey {
 	return out
 }
 
-// Release frees each stored key: its payload, its repair copies' record
-// and its replicas' disk space. Keys already released or never stored
+// Release frees each stored key: its payload, its off-ring record and
+// its replicas' disk space. Keys already released or never stored
 // are ignored, so Release is idempotent per key. It returns the keys
 // actually released and the payload bytes freed, and charges one small
 // batched RPC per replica provider of the released keys — deletion is
@@ -329,7 +322,7 @@ func (ps *ProviderSet) Release(ctx *cluster.Ctx, keys []ChunkKey) (released []Ch
 			continue
 		}
 		delete(ps.chunks, key)
-		ps.forgetLocked(key)
+		delete(ps.off, key)
 		released = append(released, key)
 		freedBytes += int64(p.Size)
 		ps.Reclaimed.Add(1)
@@ -361,8 +354,9 @@ func (ps *ProviderSet) StoredBytes() int64 {
 }
 
 // LiveLocations returns the providers currently able to serve key —
-// live ring replicas plus live repair copies — in failover order. It
-// is a zero-cost inspection hook for invariant tests and diagnostics.
+// the live members of its ring or of its off-ring record — in failover
+// order. It is a zero-cost inspection hook for invariant tests and
+// diagnostics.
 func (ps *ProviderSet) LiveLocations(key ChunkKey) []cluster.NodeID {
 	ps.mu.RLock()
 	_, ok := ps.chunks[key]

@@ -16,7 +16,7 @@ import (
 // striped over a node list and replicated (§3.1.2–3.1.3) — so one type
 // owns the striping (primarySlot), key allocation with the pending
 // ranges a collection spares (AllocPending), the rings, the record of
-// where copies landed when a ring member was down, failover reads, and
+// where a key's copies are once they left its ring, failover reads, and
 // the repair sweep that follows every liveness transition
 // (cluster/faults.go). A tier embeds it and adds what differs: how wide
 // a stripe is, which keys exist and how one copy is charged
@@ -42,38 +42,40 @@ type replicaSet[K ~uint64] struct {
 	// sweepName names the puller activities of a repair sweep.
 	sweepName string
 
-	// mu guards repairs, voids and the pending ranges; a tier keeps its
-	// own key records under it too (ProviderSet its chunk map,
-	// MetaService its node table), so that one shared acquisition
-	// covers a key's lookup and its location list.
+	// mu guards off and the pending ranges; a tier keeps its own key
+	// records under it too (ProviderSet its chunk map, MetaService its
+	// node table), so that one shared acquisition covers a key's lookup
+	// and its location list.
 	//
-	// repairs holds the substitute locations created for a key — by a
-	// repair sweep after one of its ring replicas died, or by a
-	// degraded put that pushed a dead replica's copy to a substitute.
-	// Reads consult them after the ring. voids lists ring replicas that
-	// never received their copy (down at put time): they are not
-	// locations until a sweep backfills them, even after a revival.
+	// off holds, for a key whose copies left its ring, the nodes that
+	// hold one, in read order: the ring members that stored it and the
+	// substitutes of a degraded put (place), then each copy a repair
+	// sweep landed. A key without an entry is held by its ring. A ring
+	// member down at put time is not listed, so it serves nothing even
+	// after a revival until a sweep backfills it; a sweep's copy is
+	// listed only once its bytes have landed.
 	//
 	// next is the key watermark, the last key AllocPending handed out,
 	// and pending holds the key range of every write in flight, one
 	// range per AllocPending call, in allocation (so key) order.
 	mu      sync.RWMutex
-	repairs map[K][]cluster.NodeID
-	voids   map[K][]cluster.NodeID
+	off     map[K][]cluster.NodeID
 	next    uint64
 	pending []keyRange[K]
 
 	// Failovers counts reads a dead first choice pushed onto a
 	// surviving copy; Rereplicated counts the copies repair sweeps
-	// created.
+	// landed as locations.
 	Failovers, Rereplicated atomic.Int64
 }
 
 // replicaTier is what a tier tells the core about its keys.
 type replicaTier[K ~uint64] interface {
-	// storedKeys lists every key that has a stored copy, in any order.
-	// It is called with the set's lock held.
+	// storedKeys lists every key that has a stored copy, in any order,
+	// and has reports whether key still does. Both are called with the
+	// set's lock held.
 	storedKeys() []K
+	has(key K) bool
 	// copyBytes is the size of one copy of key, called under the same
 	// lock acquisition that listed it.
 	copyBytes(key K) int32
@@ -88,8 +90,7 @@ func (rs *replicaSet[K]) init(tier replicaTier[K], sweepName string, nodes []clu
 	rs.nodes, rs.window = nodes, window
 	rs.replicas = replicas
 	rs.rings = replicaRings(nodes, replicas, rs.topo)
-	rs.repairs = make(map[K][]cluster.NodeID)
-	rs.voids = make(map[K][]cluster.NodeID)
+	rs.off = make(map[K][]cluster.NodeID)
 }
 
 // SetLiveness attaches the cluster liveness registry (see the lv field).
@@ -224,10 +225,9 @@ func (p PendingSet[K]) Len() int {
 // Liveness.OnChange. It runs a repair sweep — after a death the keys the
 // node held are under-replicated, and after a revival the returned
 // capacity can host copies that could not be placed while too few nodes
-// were up. The sweep registers its new locations under one lock
-// acquisition right after the transition, so a read arriving after the
-// listener ran already fails over to them; the transfers are charged
-// afterwards. Nodes outside the set are ignored.
+// were up. The listener returns once the sweep's copies have landed,
+// each listed as a location as it lands. Nodes outside the set are
+// ignored.
 func (rs *replicaSet[K]) NodeChanged(ctx *cluster.Ctx, node cluster.NodeID, _ bool) {
 	if slices.Contains(rs.nodes, node) {
 		rs.ReReplicate(ctx)
@@ -235,24 +235,14 @@ func (rs *replicaSet[K]) NodeChanged(ctx *cluster.Ctx, node cluster.NodeID, _ bo
 }
 
 // locationsLocked returns the nodes holding key's copies in failover
-// order: ring replicas that actually stored it (minus voids), then the
-// substitutes degraded puts and repair sweeps created. With no voids
-// or repairs for the key — every key of a fault-free run, and most
-// keys of a faulty one — that IS the shared ring, returned without
-// allocating. The caller holds rs.mu (either side).
+// order: its off-ring record if it has one, else its ring. Either is a
+// shared slice, returned without allocating; callers must not modify
+// it. The caller holds rs.mu (either side).
 func (rs *replicaSet[K]) locationsLocked(key K) []cluster.NodeID {
-	ring := rs.Replicas(key)
-	voids, repairs := rs.voids[key], rs.repairs[key]
-	if len(voids) == 0 && len(repairs) == 0 {
-		return ring
+	if locs, ok := rs.off[key]; ok {
+		return locs
 	}
-	out := make([]cluster.NodeID, 0, len(ring)+len(repairs))
-	for _, r := range ring {
-		if !slices.Contains(voids, r) {
-			out = append(out, r)
-		}
-	}
-	return append(out, repairs...)
+	return rs.Replicas(key)
 }
 
 // locations is locationsLocked taking the lock itself.
@@ -302,63 +292,41 @@ func probeWait(ctx *cluster.Ctx, probes int) {
 }
 
 // place decides where the copies of a key being written go: the live
-// members of its ring, the dead ones (which take no copy and become
-// the key's voids) and, writing around the failure, one live
+// members of its ring and, writing around the failure, one live
 // substitute outside the ring per dead member — fewer when not enough
-// nodes are up. With the whole ring up, live is the shared ring and
-// nothing is allocated.
-func (rs *replicaSet[K]) place(key K) (live, dead, subs []cluster.NodeID) {
+// nodes are up. off reports that a ring member was dead, so locs is the
+// key's off-ring record. With the whole ring up, locs is the shared ring
+// and nothing is allocated.
+func (rs *replicaSet[K]) place(key K) (locs []cluster.NodeID, off bool) {
 	ring := rs.Replicas(key)
 	for i, n := range ring {
 		switch {
 		case !rs.lv.Alive(n):
-			if dead == nil {
-				live = slices.Clone(ring[:i])
+			if !off {
+				locs, off = append(make([]cluster.NodeID, 0, len(ring)), ring[:i]...), true
 			}
-			dead = append(dead, n)
-		case dead != nil:
-			live = append(live, n)
+		case off:
+			locs = append(locs, n)
 		}
 	}
-	if dead == nil {
-		return ring, nil, nil
+	if !off {
+		return ring, false
 	}
-	return live, dead, rs.substitutes(key, ring, len(dead))
-}
-
-// substitutes picks n live nodes outside key's ring, walking the node
-// list from the key's primary slot (deterministic).
-func (rs *replicaSet[K]) substitutes(key K, ring []cluster.NodeID, n int) []cluster.NodeID {
+	// Substitutes walk the node list from the key's primary slot
+	// (deterministic).
 	first := rs.primarySlot(key)
-	var out []cluster.NodeID
-	for i := 0; i < len(rs.nodes) && len(out) < n; i++ {
+	for i := 0; i < len(rs.nodes) && len(locs) < len(ring); i++ {
 		cand := rs.nodes[(first+i)%len(rs.nodes)]
 		if rs.lv.Alive(cand) && !slices.Contains(ring, cand) {
-			out = append(out, cand)
+			locs = append(locs, cand)
 		}
 	}
-	return out
+	return locs, true
 }
 
-// recordLocked registers the outcome of a degraded put (place): dead
-// ring members as voids, substitutes as locations. The caller holds
-// rs.mu exclusively.
-func (rs *replicaSet[K]) recordLocked(key K, dead, subs []cluster.NodeID) {
-	rs.voids[key] = dead
-	if len(subs) > 0 {
-		rs.repairs[key] = subs
-	}
-}
-
-// forgetLocked drops a deleted key's degraded-placement records. The
-// caller holds rs.mu exclusively.
-func (rs *replicaSet[K]) forgetLocked(key K) {
-	delete(rs.repairs, key)
-	delete(rs.voids, key)
-}
-
-// repairJob is one copy a sweep creates: bytes of key pulled from src.
-type repairJob struct {
+// repairJob is one copy a sweep makes: bytes of key pulled from src.
+type repairJob[K ~uint64] struct {
+	key   K
 	src   cluster.NodeID
 	bytes int32
 }
@@ -366,17 +334,20 @@ type repairJob struct {
 // ReReplicate restores the replication degree of every stored key that
 // lost copies: walking the keys in sorted order, a key with at least
 // one live copy but fewer than the degree gains copies on live nodes
-// not already holding it, walking the node list from its primary slot
-// — a live ring member that never got its copy (a void) is backfilled
-// first, being the key's rightful home, then nodes outside the ring —
+// not already holding it, walking the node list from its primary slot,
 // until the degree is restored or no eligible node remains. A key
-// whose last copy is gone cannot be repaired and is skipped. The new
-// locations are registered first, in one critical section, so reads
-// fail over to them at once; then the copies are charged, one puller
-// activity per destination in node order, each pulling its keys from
-// the first copy that was live at plan time. Sorted keys and node
-// order make the sweep deterministic regardless of map iteration.
-// Returns how many copies it created (also added to Rereplicated).
+// whose last copy is gone cannot be repaired and is skipped. The plan
+// is made under the shared lock and writes nothing; the copies are then
+// charged, one puller activity per destination in node order, each
+// pulling its keys from the first copy that was live at plan time.
+// After each copy the puller appends itself to the key's off-ring
+// record, but only if the source is still up and the key still stored:
+// a copy whose source died under it is no location, and the sweep the
+// death triggered (or a later one) plans it again. Appending is
+// idempotent, so overlapping sweeps cost a duplicate transfer, never a
+// duplicate location. Sorted keys and node order make the sweep
+// deterministic regardless of map iteration. Returns how many copies
+// became locations (also added to Rereplicated).
 //
 // At degree 1 there is nothing to do — a key has either no live copy
 // or its full set — and the sweep returns before listing any key.
@@ -384,11 +355,10 @@ func (rs *replicaSet[K]) ReReplicate(ctx *cluster.Ctx) int {
 	if rs.replicas == 1 {
 		return 0
 	}
-	rs.mu.Lock()
+	rs.mu.RLock()
 	keys := rs.tier.storedKeys()
 	slices.Sort(keys)
-	perDst := make(map[cluster.NodeID][]repairJob)
-	created := 0
+	perDst := make(map[cluster.NodeID][]repairJob[K])
 	n := len(rs.nodes)
 	for _, key := range keys {
 		locs := rs.locationsLocked(key)
@@ -404,39 +374,21 @@ func (rs *replicaSet[K]) ReReplicate(ctx *cluster.Ctx) int {
 		if live == 0 || live >= rs.replicas {
 			continue
 		}
-		ring := rs.Replicas(key)
-		job := repairJob{src: src, bytes: rs.tier.copyBytes(key)}
+		job := repairJob[K]{key: key, src: src, bytes: rs.tier.copyBytes(key)}
 		first := rs.primarySlot(key)
 		for i := 0; i < n && live < rs.replicas; i++ {
-			cand := rs.nodes[(first+i)%n]
-			if !rs.lv.Alive(cand) || slices.Contains(locs, cand) {
-				continue
+			if cand := rs.nodes[(first+i)%n]; rs.lv.Alive(cand) && !slices.Contains(locs, cand) {
+				perDst[cand] = append(perDst[cand], job)
+				live++
 			}
-			if slices.Contains(ring, cand) {
-				// A void ring member receiving its copy stops being a
-				// void — it is a ring location again.
-				voids := rs.voids[key]
-				vi := slices.Index(voids, cand)
-				if voids = slices.Delete(voids, vi, vi+1); len(voids) == 0 {
-					delete(rs.voids, key)
-				} else {
-					rs.voids[key] = voids
-				}
-			} else {
-				rs.repairs[key] = append(rs.repairs[key], cand)
-			}
-			locs = append(locs, cand)
-			live++
-			perDst[cand] = append(perDst[cand], job)
-			created++
 		}
 	}
-	rs.mu.Unlock()
-	if created == 0 {
+	rs.mu.RUnlock()
+	if len(perDst) == 0 {
 		return 0
 	}
-	rs.Rereplicated.Add(int64(created))
 
+	created := 0
 	tasks := make([]cluster.Task, 0, len(perDst))
 	for _, dst := range rs.nodes {
 		jobs := perDst[dst]
@@ -446,6 +398,13 @@ func (rs *replicaSet[K]) ReReplicate(ctx *cluster.Ctx) int {
 		tasks = append(tasks, ctx.Go(rs.sweepName, dst, func(cc *cluster.Ctx) {
 			for _, j := range jobs {
 				rs.tier.chargeCopy(cc, j.src, dst, j.bytes)
+				rs.mu.Lock()
+				if locs := rs.locationsLocked(j.key); rs.lv.Alive(j.src) && rs.tier.has(j.key) && !slices.Contains(locs, dst) {
+					rs.off[j.key] = append(slices.Clip(locs), dst)
+					rs.Rereplicated.Add(1)
+					created++
+				}
+				rs.mu.Unlock()
 			}
 		}))
 	}

@@ -68,19 +68,22 @@ func TestTiersPlaceAlike(t *testing.T) {
 	}
 }
 
-// TestUnrepairedKeyLocationsAllocateNothing: a repair recorded for one
-// key leaves every other key's location list the shared ring, so the
-// read path of a faulty run allocates only for the keys that moved.
+// TestUnrepairedKeyLocationsAllocateNothing: an off-ring record for one
+// key leaves every other key's location list the shared ring, and the
+// recorded key reads its record as is, so reading locations allocates
+// nothing for either.
 func TestUnrepairedKeyLocationsAllocateNothing(t *testing.T) {
 	ps := NewProviderSet(allNodes(4), 2)
 	repaired, other := ChunkKey(1), ChunkKey(2)
 	ps.mu.Lock()
-	ps.repairs[repaired] = []cluster.NodeID{3}
+	ps.off[repaired] = []cluster.NodeID{2, 3}
 	ps.mu.Unlock()
-	if locs := ps.locations(repaired); !slices.Contains(locs, 3) {
-		t.Fatalf("repaired key at %v, want its substitute 3 listed", locs)
+	if locs := ps.locations(repaired); !slices.Equal(locs, []cluster.NodeID{2, 3}) {
+		t.Fatalf("repaired key at %v, want its record [2 3]", locs)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { ps.locations(other) }); allocs != 0 {
-		t.Fatalf("locations of an unrepaired key allocates %v times, want 0", allocs)
+	for _, key := range []ChunkKey{repaired, other} {
+		if allocs := testing.AllocsPerRun(100, func() { ps.locations(key) }); allocs != 0 {
+			t.Fatalf("locations of key %d allocates %v times, want 0", key, allocs)
+		}
 	}
 }
