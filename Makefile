@@ -1,10 +1,11 @@
 # Developer entry points. CI runs the same commands (see
-# .github/workflows/ci.yml): its gofmt, repeat, line-budget and
-# fuzz-smoke steps are `make fmt`, `make repeat`, `make loc-budget` and
-# `make fuzz`, so each check is defined here once. A green `make check`
-# locally means a green pipeline — except the staticcheck job, which
-# needs the tool installed (see the staticcheck target below), and CI's
-# coverage gate and fuzz smoke (`make fuzz`).
+# .github/workflows/ci.yml): its gofmt, vet, build, repeat, bench
+# harness, line-budget and fuzz-smoke steps are `make fmt`, `make vet`,
+# `make build`, `make repeat`, `make bench-check`, `make loc-budget`
+# and `make fuzz`, so each check is defined here once. A green
+# `make check` locally means a green pipeline — except the staticcheck
+# job, which needs the tool installed (see the staticcheck target
+# below), and CI's coverage gate and fuzz smoke (`make fuzz`).
 
 .PHONY: build test race repeat check fmt vet bench bench-check rebaseline fuzz examples staticcheck loc loc-budget
 
@@ -37,8 +38,9 @@ vet:
 # TestExamplesBuildAndRun smoke, so check does not repeat them.
 # bench-check is CI's "bench harness" step: the frozen bench/ module
 # calls into internals (blob.NewClient, Client.PrefetchExtents,
-# Repo.ArmFaultsRebased, Cohort.Locate), and only compiling it proves
-# they are still there.
+# Repo.ArmFaultsRebased, Cohort.Locate, experiments.NewEnv,
+# experiments.RunFig5), and only compiling it proves they are still
+# there.
 check: fmt vet build race repeat bench-check loc-budget
 
 # examples builds and runs every examples/* program — executable

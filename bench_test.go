@@ -175,7 +175,7 @@ func BenchmarkFlashCrowd256(b *testing.B) {
 			p := experiments.Quick()
 			var pt experiments.CrowdPoint
 			for i := 0; i < b.N; i++ {
-				pt = experiments.RunFlashCrowd(p, experiments.FlashCrowdConfig{
+				pt = experiments.RunFlashCrowd(p, experiments.Crowd{
 					Instances: 256,
 					Providers: 8,
 					Sharing:   sharing,
@@ -221,7 +221,7 @@ func benchFlashCrowdScale(b *testing.B, instances int) {
 	p := experiments.Quick()
 	var pt experiments.CrowdPoint
 	for i := 0; i < b.N; i++ {
-		pt = experiments.RunFlashCrowd(p, experiments.FlashCrowdConfig{
+		pt = experiments.RunFlashCrowd(p, experiments.Crowd{
 			Instances: instances,
 			Providers: 8,
 			Sharing:   true,
@@ -258,7 +258,7 @@ func BenchmarkFlashCrowdDegraded(b *testing.B) {
 			p := experiments.Quick()
 			var pt experiments.CrowdPoint
 			for i := 0; i < b.N; i++ {
-				pt = experiments.RunDegraded(p, experiments.DegradedConfig{
+				pt = experiments.RunDegraded(p, experiments.Crowd{
 					Instances: 256,
 					Sharing:   true,
 					Kill:      kill,
@@ -285,10 +285,10 @@ func BenchmarkFlashCrowdDegraded(b *testing.B) {
 func BenchmarkFlashCrowdCrossZone(b *testing.B) {
 	const perZone = 64
 	run := func(aware bool) experiments.CrowdPoint {
-		return experiments.RunCrossZone(experiments.Quick(), experiments.CrossZoneConfig{
-			InstancesPerZone: perZone,
-			Aware:            aware,
-			Sharing:          true,
+		return experiments.RunCrossZone(experiments.Quick(), experiments.Crowd{
+			Instances: 3 * perZone,
+			Aware:     aware,
+			Sharing:   true,
 		})
 	}
 	// The comparison is reported on the aware row: go test prints no
@@ -337,9 +337,9 @@ func BenchmarkFlashCrowdCrossZone(b *testing.B) {
 func BenchmarkFlashCrowdMetaOutage(b *testing.B) {
 	const instances = 256
 	run := func(outage bool) experiments.CrowdPoint {
-		mc := experiments.MetaOutageConfig{Instances: instances, Sharing: true}
+		mc := experiments.Crowd{Instances: instances, Sharing: true}
 		if outage {
-			mc.KillMeta = 8
+			mc.Kill = 8
 			mc.KillRack = true
 		}
 		return experiments.RunMetaOutage(experiments.Quick(), mc)

@@ -30,11 +30,12 @@ func main() {
 	rounds := flag.Int("snapshots", 3, "global snapshot rounds")
 	keep := flag.Int("keep", 1, "keep-last-K retention window applied at the end")
 	flag.Parse()
+	if *keep < 0 {
+		log.Fatalf("-keep %d: the retention window cannot be negative", *keep)
+	}
 
 	fab := blobvfs.NewLiveCluster(*servers)
-	repo, err := blobvfs.Open(fab,
-		blobvfs.WithChunkSize(32<<10),
-		blobvfs.WithRetention(*keep))
+	repo, err := blobvfs.Open(fab, blobvfs.WithChunkSize(32<<10))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func main() {
 		// mirror) and reclaim the storage only those rounds referenced.
 		retiredTotal := 0
 		for _, disk := range disks {
-			n, err := repo.RetireOld(ctx, disk, 0) // 0 → the WithRetention default
+			n, err := repo.RetireOld(ctx, disk, *keep)
 			if err != nil {
 				log.Fatal(err)
 			}

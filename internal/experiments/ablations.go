@@ -1,12 +1,9 @@
 package experiments
 
 import (
-	"fmt"
-
 	"blobvfs"
 	"blobvfs/internal/blob"
 	"blobvfs/internal/cluster"
-	"blobvfs/internal/metrics"
 )
 
 // This file implements the ablations for the design choices the paper
@@ -37,16 +34,6 @@ func RunChunkSizeAblation(p Params, n int, sizes []int) []ChunkSizePoint {
 		out = append(out, ChunkSizePoint{cs, runFig4Point(pc, n, OurApproach)})
 	}
 	return out
-}
-
-// ChunkSizeTable renders the ablation.
-func ChunkSizeTable(points []ChunkSizePoint) *metrics.Table {
-	return table("Ablation: chunk size trade-off (§3.1.3), our approach", points,
-		col[ChunkSizePoint]{"chunk size (KB)", func(pt ChunkSizePoint) string { return itoa(pt.ChunkSize >> 10) }},
-		col[ChunkSizePoint]{"avg boot (s)", func(pt ChunkSizePoint) string { return ftoa(pt.AvgBoot) }},
-		col[ChunkSizePoint]{"completion (s)", func(pt ChunkSizePoint) string { return ftoa(pt.Completion) }},
-		col[ChunkSizePoint]{"traffic (GB)", func(pt ChunkSizePoint) string { return fmt.Sprintf("%.3f", pt.TrafficGB) }},
-	)
 }
 
 // ReplicationPoint is one replication-degree ablation measurement.
@@ -92,14 +79,4 @@ func RunReplicationAblation(p Params, n int, degrees []int) []ReplicationPoint {
 		out = append(out, point)
 	}
 	return out
-}
-
-// ReplicationTable renders the ablation.
-func ReplicationTable(points []ReplicationPoint) *metrics.Table {
-	return table("Ablation: replication degree (§3.1.3), our approach", points,
-		col[ReplicationPoint]{"replicas", func(pt ReplicationPoint) string { return itoa(pt.Replicas) }},
-		col[ReplicationPoint]{"deploy completion (s)", func(pt ReplicationPoint) string { return ftoa(pt.Completion) }},
-		col[ReplicationPoint]{"raw storage (GB)", func(pt ReplicationPoint) string { return fmt.Sprintf("%.3f", pt.StorageGB) }},
-		col[ReplicationPoint]{"survives provider loss", func(pt ReplicationPoint) string { return yesNo(pt.SurvivesOne) }},
-	)
 }

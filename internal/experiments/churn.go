@@ -1,11 +1,8 @@
 package experiments
 
 import (
-	"fmt"
-
 	"blobvfs"
 	"blobvfs/internal/cluster"
-	"blobvfs/internal/metrics"
 	"blobvfs/internal/middleware"
 	"blobvfs/internal/sim"
 )
@@ -42,11 +39,10 @@ type ChurnCycle struct {
 	Retired   int     // versions retired this cycle
 }
 
-// ChurnPoint reports one churn run.
+// ChurnPoint reports one churn run: the ChurnConfig it ran, and what
+// it measured.
 type ChurnPoint struct {
-	Instances int
-	Cycles    int
-	KeepLast  int
+	ChurnConfig
 
 	PeakChunks      int   // highest post-cycle chunk count
 	FinalChunks     int   // chunk count after the last cycle
@@ -76,11 +72,7 @@ func RunChurn(p Params, cc ChurnConfig) ChurnPoint {
 	env := newEnv(p, dedicatedLayout(cc.Instances, flashProviders), OurApproach)
 	sys := env.Sys
 
-	pt := ChurnPoint{
-		Instances: cc.Instances,
-		Cycles:    cc.Cycles,
-		KeepLast:  cc.KeepLast,
-	}
+	pt := ChurnPoint{ChurnConfig: cc}
 	sample := func(cycle, retired int) {
 		s := ChurnCycle{
 			Cycle:     cycle,
@@ -143,20 +135,4 @@ func RunChurn(p Params, cc ChurnConfig) ChurnPoint {
 	pt.ReclaimedBytes = sys.Providers.ReclaimedBytes.Load()
 	pt.FreedNodes = sys.Meta.Freed.Load()
 	return pt
-}
-
-// ChurnTable renders a churn run as a per-cycle footprint trace.
-func ChurnTable(pt ChurnPoint) *metrics.Table {
-	retention := fmt.Sprintf("keep-last-%d retention (p2p sharing off)", pt.KeepLast)
-	if pt.KeepLast == 0 {
-		retention = "no retention (unbounded baseline)"
-	}
-	return table(fmt.Sprintf("Churn: %d instances × %d snapshot cycles, %s", pt.Instances, pt.Cycles, retention), pt.PerCycle,
-		col[ChurnCycle]{"cycle", func(c ChurnCycle) string { return itoa(c.Cycle) }},
-		col[ChurnCycle]{"live chunks", func(c ChurnCycle) string { return itoa(c.Chunks) }},
-		col[ChurnCycle]{"stored (MB)", func(c ChurnCycle) string { return ftoa(c.StoredMB) }},
-		col[ChurnCycle]{"meta nodes", func(c ChurnCycle) string { return itoa(c.MetaNodes) }},
-		col[ChurnCycle]{"reclaimed chunks (cum)", func(c ChurnCycle) string { return i64(c.Reclaimed) }},
-		col[ChurnCycle]{"retired versions", func(c ChurnCycle) string { return itoa(c.Retired) }},
-	)
 }

@@ -1,17 +1,13 @@
 package experiments
 
-import (
-	"blobvfs"
-	"blobvfs/internal/cluster"
-	"blobvfs/internal/metrics"
-)
+import "fmt"
 
 // This file implements the cross-zone flash-crowd scenario: the same
 // image deployed simultaneously across several availability zones
 // connected by scarce interconnects. The paper's cluster is a flat
 // Gigabit switch (§5.1), but the IaaS clouds it targets span failure
 // domains whose cross-domain bytes are the expensive ones. The
-// scenario deploys one image to zones × InstancesPerZone instances
+// scenario deploys one image to a crowd split evenly over the zones
 // over a provider pool with members in every zone, and measures where
 // the bytes went — per locality tier, with the zone-interconnect
 // traffic (Sim.CrossZoneBytes) as the headline. Run it twice, flat
@@ -28,59 +24,24 @@ import (
 const (
 	crossZones            = 3
 	crossProvidersPerZone = 3
-	crossReplicas         = crossZones
 )
 
-// CrossZoneConfig parameterizes one cross-zone run.
-type CrossZoneConfig struct {
-	// InstancesPerZone is the per-zone deployment fan-out.
-	InstancesPerZone int
-	// Aware turns on topology-aware placement, replica selection and
-	// peer selection (blobvfs.WithTopology). Off is the flat-policy
-	// baseline over the identical physical fabric.
-	Aware bool
-	// Sharing toggles the p2p chunk-sharing layer.
-	Sharing bool
-}
+var crossZoneCrowd = Crowd{Zones: crossZones, Providers: crossZones * crossProvidersPerZone, Replicas: crossZones, MetaReplicas: 1}
 
-// RunCrossZone deploys one image to 3 × cz.InstancesPerZone instances
-// spread over a zoned fabric (zonedLayout) and reports the traffic per
-// locality tier.
-func RunCrossZone(p Params, cz CrossZoneConfig) CrowdPoint {
-	if cz.InstancesPerZone < 1 {
-		panic("experiments: cross-zone deployment needs at least one instance per zone")
+// RunCrossZone deploys one image to c.Instances instances spread
+// evenly over c.Zones zones of a zoned fabric (zonedLayout), so
+// c.Instances must be a positive multiple of the zone count. c.Aware turns on topology-aware placement,
+// replica selection and peer selection (blobvfs.WithTopology); off is
+// the flat-policy baseline over the identical physical fabric. It
+// kills nothing, and reports the traffic per locality tier.
+func RunCrossZone(p Params, c Crowd) CrowdPoint {
+	c = c.shaped(crossZoneCrowd, Crowd{Instances: c.Instances, Aware: c.Aware, Sharing: c.Sharing})
+	if c.Instances%c.Zones != 0 {
+		panic(fmt.Sprintf("experiments: %d instances do not split over %d zones", c.Instances, c.Zones))
 	}
 	// The physical fabric is identical for both policies: tier links
 	// and per-tier accounting are always on. Only the repo's placement
-	// and selection policy switches with cz.Aware.
-	l := zonedLayout(crossZones, cz.InstancesPerZone, crossProvidersPerZone)
-	opts := append(sharingOption(cz.Sharing), blobvfs.WithReplicas(crossReplicas))
-	if cz.Aware {
-		opts = append(opts, blobvfs.WithTopology(l.topo))
-	}
-	return deployCrowd(newEnv(p, l, OurApproach, opts...), CrowdPoint{
-		Instances: len(l.inst),
-		Providers: len(l.pool),
-		Zones:     crossZones,
-		Aware:     cz.Aware,
-		Sharing:   cz.Sharing,
-	})
-}
-
-// CrossZoneTable renders a flat-vs-aware comparison; the cross-zone
-// column is the headline.
-func CrossZoneTable(points []CrowdPoint) *metrics.Table {
-	return table("Cross-zone flash crowd: one image deployed over zoned fabric, flat policy vs topology-aware", points,
-		col[CrowdPoint]{"zones", func(pt CrowdPoint) string { return itoa(pt.Zones) }},
-		col[CrowdPoint]{"inst/zone", func(pt CrowdPoint) string { return itoa(pt.Instances / pt.Zones) }},
-		col[CrowdPoint]{"aware", func(pt CrowdPoint) string { return onOff(pt.Aware) }},
-		crowdSharing,
-		crowdCompletion,
-		col[CrowdPoint]{"cross-zone (GB)", func(pt CrowdPoint) string { return gbs(pt.CrossZoneBytes) }},
-		col[CrowdPoint]{"zone-local (GB)", func(pt CrowdPoint) string { return gbs(pt.TierBytes[cluster.TierZone]) }},
-		col[CrowdPoint]{"rack-local (GB)", func(pt CrowdPoint) string { return gbs(pt.TierBytes[cluster.TierRack]) }},
-		crowdProviderReads,
-		crowdHottest,
-		crowdPeerReads,
-	)
+	// and selection policy switches with c.Aware.
+	l := zonedLayout(c.Zones, c.Instances/c.Zones, c.Providers/c.Zones)
+	return deployCrowd(crowdEnv(p, c, l, nil), c)
 }

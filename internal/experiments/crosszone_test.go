@@ -17,7 +17,7 @@ import (
 func TestCrossZoneAwarenessCutsInterconnectTraffic(t *testing.T) {
 	p := Quick()
 	for _, sharing := range []bool{false, true} {
-		cz := CrossZoneConfig{InstancesPerZone: 16, Sharing: sharing}
+		cz := Crowd{Instances: 48, Sharing: sharing}
 		flat := RunCrossZone(p, cz)
 		cz.Aware = true
 		aware := RunCrossZone(p, cz)
@@ -56,7 +56,7 @@ func TestCrossZoneAwarenessCutsInterconnectTraffic(t *testing.T) {
 func TestCrossZoneDeterministic(t *testing.T) {
 	p := Quick()
 	for _, aware := range []bool{false, true} {
-		cz := CrossZoneConfig{InstancesPerZone: 8, Aware: aware, Sharing: true}
+		cz := Crowd{Instances: 24, Aware: aware, Sharing: true}
 		a := RunCrossZone(p, cz)
 		b := RunCrossZone(p, cz)
 		if a != b {
@@ -74,7 +74,7 @@ func TestCrossZoneDeterministic(t *testing.T) {
 func TestFlashCrowdSingleZoneTopologyMatchesFlat(t *testing.T) {
 	p := Quick()
 	nic := cluster.DefaultConfig(1).NICBandwidth
-	fc := FlashCrowdConfig{Instances: 16, Providers: 4, Sharing: true}
+	fc := Crowd{Instances: 16, Providers: 4, Sharing: true}
 	flat := RunFlashCrowd(p, fc)
 	topo := cluster.Topology{
 		Zones: 1, RacksPerZone: 1, NodesPerRack: fc.Instances + fc.Providers + 1,
@@ -83,10 +83,32 @@ func TestFlashCrowdSingleZoneTopologyMatchesFlat(t *testing.T) {
 	l := dedicatedLayout(fc.Instances, fc.Providers)
 	l.topo = topo
 	env := newEnv(p, l, OurApproach, blobvfs.WithP2P(), blobvfs.WithTopology(topo))
-	single := deployCrowd(env, CrowdPoint{Instances: fc.Instances, Providers: fc.Providers, Sharing: true})
+	single := deployCrowd(env, flat.Crowd)
 	// Topology is not part of the point; everything measured must be.
 	if flat != single {
 		t.Errorf("single-zone topology diverged from flat flash crowd:\n  flat:   %+v\n  single: %+v",
 			flat, single)
+	}
+}
+
+// TestCrossZoneInstancesAreTheCrowdTotal: Crowd.Instances is the whole
+// crowd, which must split evenly over the zones; and the scenario,
+// which has no kill schedule, rejects a kill.
+func TestCrossZoneInstancesAreTheCrowdTotal(t *testing.T) {
+	p := Quick()
+	for _, c := range []Crowd{{Instances: 0}, {Instances: 4}, {Instances: 7}, {Instances: 6, Kill: 1}, {Instances: 6, KillRack: true}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("RunCrossZone accepted %+v over %d zones", c, crossZones)
+				}
+			}()
+			RunCrossZone(p, c)
+		}()
+	}
+	pt := RunCrossZone(p, Crowd{Instances: 6})
+	if pt.Instances != 6 || pt.Zones != crossZones || pt.Booted != 6 {
+		t.Errorf("6 instances over %d zones: recorded %d instances over %d zones, %d booted",
+			crossZones, pt.Instances, pt.Zones, pt.Booted)
 	}
 }

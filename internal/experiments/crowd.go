@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"cmp"
 	"errors"
+	"fmt"
 
 	"blobvfs"
 	"blobvfs/internal/cluster"
@@ -10,19 +12,44 @@ import (
 	"blobvfs/internal/sim"
 )
 
-// CrowdPoint reports one crowd deployment — the flash crowd and its
-// degraded, cross-zone and metadata-outage variants. The scenario
-// fills the configuration half; deployCrowd fills everything measured,
-// and each scenario's table selects its columns.
-type CrowdPoint struct {
-	Instances    int // the crowd size (all zones together)
-	Providers    int // storage pool size (all zones together)
-	Zones        int // availability zones the crowd spans (0: one flat cluster)
-	MetaReplicas int // metadata replication degree
-	Killed       int // providers the fault plan killed
-	RackKilled   bool
+// Crowd is the configuration of one crowd deployment — the flash crowd
+// and its degraded, cross-zone and metadata-outage variants. A caller
+// sets Instances, Sharing and the few fields its scenario lets it
+// choose; the scenario fills in the rest (shaped) and reports the
+// result as the Crowd of its CrowdPoint, so a record carries the
+// configuration it ran.
+type Crowd struct {
+	Instances    int  // the crowd size (all zones together)
+	Providers    int  // storage pool size (all zones together)
+	Replicas     int  // chunk replication degree
+	Zones        int  // availability zones of the fabric (0: one flat cluster)
+	MetaReplicas int  // metadata replication degree
+	Kill         int  // providers the fault plan kills mid-run
+	KillRack     bool // the fault plan also kills one compute rack
 	Aware        bool // topology-aware placement and selection
 	Sharing      bool // p2p chunk sharing
+}
+
+// shaped returns the crowd a scenario runs for the caller's c: the
+// scenario's shape with every field c sets laid over it, a zero size
+// keeping the shape's. settable is c with each field the scenario fixes
+// zeroed, so shaped panics if c sets one of those, or has no instance.
+func (c Crowd) shaped(shape, settable Crowd) Crowd {
+	if c != settable || c.Instances < 1 {
+		panic(fmt.Sprintf("experiments: the scenario cannot run the crowd %+v", c))
+	}
+	shape.Instances, shape.Kill, shape.KillRack, shape.Sharing = c.Instances, c.Kill, c.KillRack, c.Sharing
+	shape.Providers = cmp.Or(c.Providers, shape.Providers)
+	shape.Replicas = cmp.Or(c.Replicas, shape.Replicas)
+	shape.Aware = shape.Aware || c.Aware
+	return shape
+}
+
+// CrowdPoint reports one crowd deployment: the Crowd it ran, and
+// everything deployCrowd measured. Each scenario's table selects its
+// columns.
+type CrowdPoint struct {
+	Crowd
 
 	Booted     int     // instances that completed their boot (must be all)
 	AvgBoot    float64 // mean per-instance boot time (s)
@@ -85,8 +112,12 @@ func sharingOption(on bool) []blobvfs.Option {
 // `every` seconds from `start`. Which members is drawn from the seed —
 // a shuffled pool order, first n entries lose — so runs are bit-for-bit
 // repeatable. Kills are sequential so re-replication can restore the
-// replication degree between failures.
+// replication degree between failures. It panics unless some member
+// survives.
 func staggeredKills(seed int64, pool []cluster.NodeID, n int, start, every float64) []blobvfs.FaultEvent {
+	if n < 0 || n >= len(pool) {
+		panic(fmt.Sprintf("experiments: cannot kill %d of %d providers", n, len(pool)))
+	}
 	plan := make([]blobvfs.FaultEvent, n)
 	for i, v := range sim.NewRNG(seed).Perm(len(pool))[:n] {
 		plan[i] = blobvfs.KillAt(start+float64(i)*every, pool[v])
@@ -94,12 +125,27 @@ func staggeredKills(seed int64, pool []cluster.NodeID, n int, start, every float
 	return plan
 }
 
+// crowdEnv opens the repository c describes over layout l — sharing,
+// replication degrees, topology awareness and the fault plan, armed
+// later by deployCrowd — and uploads the base image.
+func crowdEnv(p Params, c Crowd, l layout, plan []blobvfs.FaultEvent) *Env {
+	opts := append(sharingOption(c.Sharing), blobvfs.WithReplicas(c.Replicas), blobvfs.WithMetaReplicas(c.MetaReplicas))
+	if c.Aware {
+		opts = append(opts, blobvfs.WithTopology(l.topo))
+	}
+	if len(plan) > 0 {
+		opts = append(opts, blobvfs.WithFaultPlan(plan...))
+	}
+	return newEnv(p, l, OurApproach, opts...)
+}
+
 // deployCrowd is the measured phase every crowd scenario shares: arm
 // the fault plan if the repo was opened with one, launch the whole
-// crowd through the middleware, and read every counter once into pt.
-// The image upload happened in newEnv and is excluded, as in the other
-// experiments.
-func deployCrowd(env *Env, pt CrowdPoint) CrowdPoint {
+// crowd through the middleware, and read every counter once into the
+// point of c. The image upload happened in newEnv and is excluded, as
+// in the other experiments.
+func deployCrowd(env *Env, c Crowd) CrowdPoint {
+	pt := CrowdPoint{Crowd: c}
 	sys := env.Sys
 	gets0, nodes0 := sys.Meta.Gets.Load(), sys.Meta.NodesServed.Load()
 	steps0 := env.Fab.Env().Steps()

@@ -11,12 +11,12 @@ import (
 // instance, and the resilience machinery must actually have engaged.
 func TestDegradedAllInstancesComplete(t *testing.T) {
 	p := Quick()
-	healthy := RunDegraded(p, DegradedConfig{Instances: 48, Sharing: true})
-	hit := RunDegraded(p, DegradedConfig{Instances: 48, Sharing: true, Kill: 8})
+	healthy := RunDegraded(p, Crowd{Instances: 48, Sharing: true})
+	hit := RunDegraded(p, Crowd{Instances: 48, Sharing: true, Kill: 8})
 
 	for _, pt := range []CrowdPoint{healthy, hit} {
 		if pt.Booted != pt.Instances {
-			t.Fatalf("killed=%d: %d of %d instances booted", pt.Killed, pt.Booted, pt.Instances)
+			t.Fatalf("killed=%d: %d of %d instances booted", pt.Kill, pt.Booted, pt.Instances)
 		}
 	}
 	if healthy.Failovers != 0 || healthy.Rereplicated != 0 || healthy.FailedFetches != 0 {
@@ -47,7 +47,7 @@ func TestDegradedAllInstancesComplete(t *testing.T) {
 // same seed, same kills, same counters — fault injection included.
 func TestDegradedDeterministic(t *testing.T) {
 	p := Quick()
-	dc := DegradedConfig{Instances: 16, Providers: 8, Kill: 3, Sharing: true}
+	dc := Crowd{Instances: 16, Providers: 8, Kill: 3, Sharing: true}
 	a := RunDegraded(p, dc)
 	b := RunDegraded(p, dc)
 	if a != b {
@@ -61,10 +61,10 @@ func TestDegradedDeterministic(t *testing.T) {
 // subsystem: a healthy run pays nothing for the failover machinery.
 func TestDegradedNoFaultMatchesFlashCrowd(t *testing.T) {
 	p := Quick()
-	deg := RunDegraded(p, DegradedConfig{
+	deg := RunDegraded(p, Crowd{
 		Instances: 32, Providers: 8, Replicas: 1, Sharing: true,
 	})
-	fc := RunFlashCrowd(p, FlashCrowdConfig{
+	fc := RunFlashCrowd(p, Crowd{
 		Instances: 32, Providers: 8, Sharing: true,
 	})
 	if deg.Booted != deg.Instances {
@@ -93,8 +93,9 @@ func TestDegradedNoFaultMatchesFlashCrowd(t *testing.T) {
 // deployment; step bounds how late it sees a death.
 func TestDegradedKillsLandInsideTheDeployment(t *testing.T) {
 	const step = 1.0 / 64
-	dc := DegradedConfig{Instances: 16, Kill: 8, Sharing: true}
-	env := degradedEnv(Quick(), &dc)
+	dc := degradedCrowd
+	dc.Instances, dc.Kill, dc.Sharing = 16, 8, true
+	env := dedicatedEnv(Quick(), dc)
 	var start float64
 	var deaths []float64
 	env.Run(func(ctx *cluster.Ctx) {
@@ -130,5 +131,60 @@ func TestDegradedKillsLandInsideTheDeployment(t *testing.T) {
 		if i > 0 && at-deaths[i-1] < degradedKillEvery-2*step {
 			t.Errorf("kill %d came %.3f s after the one before, planned %.0f s", i, at-deaths[i-1], degradedKillEvery)
 		}
+	}
+}
+
+// TestCrowdPointRecordsItsDefaults: a crowd point carries the
+// configuration the scenario ran, the sizes it filled in included.
+func TestCrowdPointRecordsItsDefaults(t *testing.T) {
+	p := Quick()
+	for _, tc := range []struct {
+		name string
+		got  Crowd
+		want Crowd
+	}{
+		{"flash", RunFlashCrowd(p, Crowd{Instances: 8}).Crowd,
+			Crowd{Instances: 8, Providers: 8, Replicas: 1, MetaReplicas: 1}},
+		{"degraded", RunDegraded(p, Crowd{Instances: 8, Sharing: true}).Crowd,
+			Crowd{Instances: 8, Providers: 16, Replicas: 2, MetaReplicas: 1, Sharing: true}},
+		{"metaoutage", RunMetaOutage(p, Crowd{Instances: 8}).Crowd,
+			Crowd{Instances: 8, Providers: 16, Replicas: 2, Zones: rackedZones, MetaReplicas: 2, Aware: true}},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s recorded %+v, want %+v", tc.name, tc.got, tc.want)
+		}
+	}
+}
+
+// TestCrowdRejectsWhatItsScenarioFixes: a caller sets only the fields
+// its scenario lets it choose. A field the scenario fixes is rejected,
+// not recorded as run: a flash crowd has no kill schedule, a dedicated
+// pool no topology, and the metadata outage and the cross-zone crowd
+// run one fixed pool.
+func TestCrowdRejectsWhatItsScenarioFixes(t *testing.T) {
+	p := Quick()
+	for _, tc := range []struct {
+		name string
+		run  func(Params, Crowd) CrowdPoint
+		c    Crowd
+	}{
+		{"flash", RunFlashCrowd, Crowd{Instances: 8, Kill: 1}},
+		{"flash", RunFlashCrowd, Crowd{Instances: 8, Replicas: 2}},
+		{"flash", RunFlashCrowd, Crowd{Instances: 8, Aware: true}},
+		{"degraded", RunDegraded, Crowd{Instances: 8, Zones: 2}},
+		{"degraded", RunDegraded, Crowd{Instances: 8, KillRack: true}},
+		{"degraded", RunDegraded, Crowd{Instances: 8, Kill: 16}},
+		{"metaoutage", RunMetaOutage, Crowd{Instances: 8, Providers: 8}},
+		{"metaoutage", RunMetaOutage, Crowd{Instances: 8, MetaReplicas: 3}},
+		{"crosszone", RunCrossZone, Crowd{Instances: 6, Providers: 6}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted %+v", tc.name, tc.c)
+				}
+			}()
+			tc.run(p, tc.c)
+		}()
 	}
 }

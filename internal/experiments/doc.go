@@ -10,13 +10,21 @@
 //   - newEnv (env.go) turns a layout and an Approach into a primed
 //     simulation with an orchestrator (NewEnv is the paper's setup);
 //   - a scenario (RunFig4 … RunSync) is defaults → layout → options →
-//     run; the crowd scenarios share one measured phase and one report
-//     (deployCrowd and CrowdPoint, crowd.go);
+//     run. Each scenario family takes one configuration value (Crowd,
+//     ChurnConfig, MultisnapshotConfig, SyncConfig), fills in its
+//     defaults in one place, and embeds the filled value in the record
+//     it returns, so a record carries the configuration it ran. A crowd
+//     scenario also fixes the fields a caller may not set (Crowd.shaped)
+//     and rejects a crowd that sets one. The
+//     four crowd scenarios share that value, one environment builder,
+//     one measured phase and one record (Crowd, crowdEnv, deployCrowd
+//     and CrowdPoint, crowd.go);
 //   - a scenario's table is a list of columns, each a header and the
 //     func that renders one record's cell (col), and table (suite.go)
 //     renders any such list: the columns the crowd tables share sit
 //     beside CrowdPoint, and sweepPanel lays out Fig. 4 and Fig. 5;
 //   - Suite (suite.go) lists the scenarios with the tables each prints,
-//     and Scenario.Fprint prints them: cmd/vmdeploy runs it and
+//     each table a title, the records and a column list passed to
+//     table; Scenario.Fprint prints them: cmd/vmdeploy runs it and
 //     testdata/golden pins it.
 package experiments

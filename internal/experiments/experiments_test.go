@@ -218,7 +218,7 @@ func TestDeterministicExperiments(t *testing.T) {
 	}
 	// The degraded scenario must be deterministic fault injection and
 	// all: same seed, same victims, same kill times, same counters.
-	dc := DegradedConfig{Instances: 8, Providers: 6, Kill: 2, Sharing: true}
+	dc := Crowd{Instances: 8, Providers: 6, Kill: 2, Sharing: true}
 	da := RunDegraded(p, dc)
 	db := RunDegraded(p, dc)
 	if da != db {

@@ -8,7 +8,7 @@ import "testing"
 // the difference served by cohort peers.
 func TestFlashCrowdSharingKillsProviderHotSpot(t *testing.T) {
 	p := Quick()
-	fc := FlashCrowdConfig{Instances: 48, Providers: 4}
+	fc := Crowd{Instances: 48, Providers: 4}
 	off := RunFlashCrowd(p, fc)
 	fc.Sharing = true
 	on := RunFlashCrowd(p, fc)
@@ -46,7 +46,7 @@ func TestFlashCrowd256(t *testing.T) {
 		t.Skip("256-instance flash crowd skipped in -short mode")
 	}
 	p := Quick()
-	fc := FlashCrowdConfig{Instances: 256, Providers: 8}
+	fc := Crowd{Instances: 256, Providers: 8}
 	off := RunFlashCrowd(p, fc)
 	fc.Sharing = true
 	on := RunFlashCrowd(p, fc)
@@ -73,7 +73,7 @@ func TestFlashCrowd256(t *testing.T) {
 // provider fan-out instead of scaling with tree-node count.
 func TestFlashCrowdMetadataBatching(t *testing.T) {
 	p := Quick()
-	pt := RunFlashCrowd(p, FlashCrowdConfig{Instances: 48, Providers: 4})
+	pt := RunFlashCrowd(p, Crowd{Instances: 48, Providers: 4})
 	if pt.MetaGets == 0 || pt.MetaNodes == 0 {
 		t.Fatalf("no metadata traffic recorded: %+v", pt)
 	}
@@ -93,7 +93,7 @@ func TestFlashCrowdMetadataBatching(t *testing.T) {
 // p2p layer included.
 func TestFlashCrowdDeterministic(t *testing.T) {
 	p := Quick()
-	fc := FlashCrowdConfig{Instances: 16, Providers: 4, Sharing: true}
+	fc := Crowd{Instances: 16, Providers: 4, Sharing: true}
 	a := RunFlashCrowd(p, fc)
 	b := RunFlashCrowd(p, fc)
 	if a != b {
@@ -113,7 +113,7 @@ func TestFlashCrowdScalesFlat(t *testing.T) {
 	}
 	p := Quick()
 	perInstance := func(n int) (steps, trafficMB float64) {
-		pt := RunFlashCrowd(p, FlashCrowdConfig{Instances: n, Providers: 8, Sharing: true})
+		pt := RunFlashCrowd(p, Crowd{Instances: n, Providers: 8, Sharing: true})
 		if pt.Booted != n {
 			t.Fatalf("%d of %d instances booted", pt.Booted, n)
 		}
@@ -145,7 +145,7 @@ func TestFlashCrowdCompletionGrowsWithLogOfCrowd(t *testing.T) {
 	}
 	p := Quick()
 	run := func(n int) CrowdPoint {
-		pt := RunFlashCrowd(p, FlashCrowdConfig{Instances: n, Providers: 8, Sharing: true})
+		pt := RunFlashCrowd(p, Crowd{Instances: n, Providers: 8, Sharing: true})
 		if pt.Booted != n {
 			t.Fatalf("%d of %d instances booted", pt.Booted, n)
 		}

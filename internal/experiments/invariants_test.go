@@ -14,7 +14,7 @@ func TestFlashCrowdDeterministicUnderPooling(t *testing.T) {
 		instances = 192
 	}
 	p := Quick()
-	fc := FlashCrowdConfig{Instances: instances, Providers: 8, Sharing: true}
+	fc := Crowd{Instances: instances, Providers: 8, Sharing: true}
 	a := RunFlashCrowd(p, fc)
 	b := RunFlashCrowd(p, fc)
 	if a.Booted != instances {

@@ -95,8 +95,11 @@ func zonedLayout(zones, instPerZone, provPerZone int) layout {
 	return l
 }
 
-// rackedNodesPerRack is the rack size of the metadata-outage fabric.
-const rackedNodesPerRack = 8
+// The metadata-outage fabric's rack size and zone count.
+const (
+	rackedNodesPerRack = 8
+	rackedZones        = 4
+)
 
 // racksFor returns how many racks n nodes of one role occupy.
 func racksFor(n int) int { return (n + rackedNodesPerRack - 1) / rackedNodesPerRack }
@@ -104,13 +107,12 @@ func racksFor(n int) int { return (n + rackedNodesPerRack - 1) / rackedNodesPerR
 // rackedLayout is the metadata-outage arrangement: instance racks
 // first, then provider racks, then one auxiliary rack whose first node
 // runs the services, so a rack-scoped fault takes out nodes of one
-// role only. Idle racks pad the total to a multiple of the 4 zones so
+// role only. Idle racks pad the total to a multiple of rackedZones so
 // the topology covers the cluster exactly.
 func rackedLayout(instances, providers int) layout {
-	const zones = 4
 	instRacks, provRacks := racksFor(instances), racksFor(providers)
 	racks := instRacks + provRacks + 1 // one auxiliary rack
-	for racks%zones != 0 {
+	for racks%rackedZones != 0 {
 		racks++ // idle pad racks
 	}
 	return layout{
@@ -118,6 +120,6 @@ func rackedLayout(instances, providers int) layout {
 		inst:    nodeRange(0, instances),
 		pool:    nodeRange(instRacks*rackedNodesPerRack, providers),
 		service: cluster.NodeID((instRacks + provRacks) * rackedNodesPerRack),
-		topo:    tieredTopology(zones, racks/zones, rackedNodesPerRack),
+		topo:    tieredTopology(rackedZones, racks/rackedZones, rackedNodesPerRack),
 	}
 }

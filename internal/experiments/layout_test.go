@@ -108,11 +108,11 @@ func TestLayouts(t *testing.T) {
 			t.Fatalf("%s: services in zone %d, want 0", what, l.topo.Zone(l.service))
 		}
 
-		what = fmt.Sprintf("racked(%d,%d)", n, metaOutageProviders)
-		l = rackedLayout(n, metaOutageProviders)
+		what = fmt.Sprintf("racked(%d,%d)", n, metaOutageCrowd.Providers)
+		l = rackedLayout(n, metaOutageCrowd.Providers)
 		checkLayout(t, what, l)
 		disjoint(t, what, l)
-		padRacks[l.topo.Racks()-racksFor(n)-racksFor(metaOutageProviders)-1] = true
+		padRacks[l.topo.Racks()-racksFor(n)-racksFor(metaOutageCrowd.Providers)-1] = true
 		// No rack mixes roles, and the rack the outage kills (the
 		// middle instance rack) holds instances only.
 		roles := map[int]string{l.topo.Rack(l.service): "service"}

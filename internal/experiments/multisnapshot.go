@@ -1,10 +1,7 @@
 package experiments
 
 import (
-	"fmt"
-
 	"blobvfs/internal/cluster"
-	"blobvfs/internal/metrics"
 	"blobvfs/internal/middleware"
 	"blobvfs/internal/sim"
 )
@@ -35,12 +32,12 @@ type MultisnapshotConfig struct {
 // makes: the first round CLONEs, the second only COMMITs.
 const multisnapshotRounds = 2
 
-// MultisnapshotPoint reports one run. RPC counts are per commit round,
-// averaged over the rounds and measured from the provider and metadata
-// service counters (setup excluded).
+// MultisnapshotPoint reports one run: the MultisnapshotConfig it ran,
+// defaults filled in, and what it measured. RPC counts are per commit
+// round, averaged over the rounds and measured from the provider and
+// metadata service counters (setup excluded).
 type MultisnapshotPoint struct {
-	Instances int
-	Providers int
+	MultisnapshotConfig
 
 	ChunkWrites  float64 // logical chunk writes published per round
 	ChunkPutRPCs float64 // provider chunk-put RPCs per round
@@ -62,9 +59,8 @@ func RunMultisnapshot(p Params, mc MultisnapshotConfig) MultisnapshotPoint {
 	if mc.Providers <= 0 {
 		mc.Providers = 4
 	}
-	diff := p.SnapshotDiff
-	if mc.DiffBytes > 0 {
-		diff = mc.DiffBytes
+	if mc.DiffBytes <= 0 {
+		mc.DiffBytes = p.SnapshotDiff
 	}
 	env := newEnv(p, dedicatedLayout(mc.Instances, mc.Providers), OurApproach)
 
@@ -78,7 +74,7 @@ func RunMultisnapshot(p Params, mc MultisnapshotConfig) MultisnapshotPoint {
 		wrRNG := sim.NewRNG(p.Seed + 7)
 		for round := 0; round < multisnapshotRounds; round++ {
 			err := env.Orch.RunOnAll(ctx, instances, func(cc *cluster.Ctx, inst *middleware.Instance) error {
-				return SnapshotWritesIn(cc, inst.Disk, diff, int64(p.ChunkSize), 0, wrRNG.Fork())
+				return SnapshotWritesIn(cc, inst.Disk, mc.DiffBytes, int64(p.ChunkSize), 0, wrRNG.Fork())
 			})
 			if err != nil {
 				panic(err)
@@ -91,27 +87,12 @@ func RunMultisnapshot(p Params, mc MultisnapshotConfig) MultisnapshotPoint {
 	})
 
 	pt := MultisnapshotPoint{
-		Instances:    mc.Instances,
-		Providers:    mc.Providers,
-		ChunkWrites:  float64(env.Sys.Providers.Writes.Load()-writes0) / multisnapshotRounds,
-		ChunkPutRPCs: float64(env.Sys.Providers.PutRPCs.Load()-puts0) / multisnapshotRounds,
-		MetaPutRPCs:  float64(env.Sys.Meta.Puts.Load()-metaPuts0) / multisnapshotRounds,
-		Completion:   snap.Completion,
+		MultisnapshotConfig: mc,
+		ChunkWrites:         float64(env.Sys.Providers.Writes.Load()-writes0) / multisnapshotRounds,
+		ChunkPutRPCs:        float64(env.Sys.Providers.PutRPCs.Load()-puts0) / multisnapshotRounds,
+		MetaPutRPCs:         float64(env.Sys.Meta.Puts.Load()-metaPuts0) / multisnapshotRounds,
+		Completion:          snap.Completion,
 	}
 	pt.WriteRPCs = pt.ChunkPutRPCs + pt.MetaPutRPCs
 	return pt
-}
-
-// MultisnapshotTable renders a run's write-RPC cost per commit round.
-func MultisnapshotTable(pt MultisnapshotPoint) *metrics.Table {
-	rpcs := func(v float64) string { return fmt.Sprintf("%.0f", v) }
-	return table("Multisnapshot write path: provider write RPCs per commit round", []MultisnapshotPoint{pt},
-		col[MultisnapshotPoint]{"instances", func(m MultisnapshotPoint) string { return itoa(m.Instances) }},
-		col[MultisnapshotPoint]{"providers", func(m MultisnapshotPoint) string { return itoa(m.Providers) }},
-		col[MultisnapshotPoint]{"chunk writes", func(m MultisnapshotPoint) string { return rpcs(m.ChunkWrites) }},
-		col[MultisnapshotPoint]{"chunk-put RPCs", func(m MultisnapshotPoint) string { return rpcs(m.ChunkPutRPCs) }},
-		col[MultisnapshotPoint]{"meta-put RPCs", func(m MultisnapshotPoint) string { return rpcs(m.MetaPutRPCs) }},
-		col[MultisnapshotPoint]{"write RPCs", func(m MultisnapshotPoint) string { return rpcs(m.WriteRPCs) }},
-		col[MultisnapshotPoint]{"completion (s)", func(m MultisnapshotPoint) string { return ftoa(m.Completion) }},
-	)
 }

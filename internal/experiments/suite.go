@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 
+	"blobvfs/internal/cluster"
 	"blobvfs/internal/metrics"
 	"blobvfs/internal/workloads"
 )
@@ -69,7 +71,7 @@ func (s Sizes) Validate() error {
 	if s.Keep < 0 {
 		return fmt.Errorf("retention window %d: need 0 (off) or more", s.Keep)
 	}
-	if pool := min(degradedProviders, metaOutageProviders); s.Kill < 0 || s.Kill >= pool {
+	if pool := min(degradedCrowd.Providers, metaOutageCrowd.Providers); s.Kill < 0 || s.Kill >= pool {
 		return fmt.Errorf("kill count %d out of range [0,%d)", s.Kill, pool)
 	}
 	return nil
@@ -103,53 +105,155 @@ var Suite = []Scenario{
 		return []*metrics.Table{RunFig8(p, s.Fig8).Table()}
 	}},
 	{"flash", func(p Params, s Sizes) []*metrics.Table {
-		return []*metrics.Table{FlashCrowdTable([]CrowdPoint{
-			RunFlashCrowd(p, FlashCrowdConfig{Instances: s.Crowd}),
-			RunFlashCrowd(p, FlashCrowdConfig{Instances: s.Crowd, Sharing: true}),
-		})}
+		return []*metrics.Table{table("Flash crowd: concurrent multideployment against a small provider pool", []CrowdPoint{
+			RunFlashCrowd(p, Crowd{Instances: s.Crowd}),
+			RunFlashCrowd(p, Crowd{Instances: s.Crowd, Sharing: true}),
+		}, crowdInstances, crowdProviders, crowdSharing, crowdCompletion, crowdProviderReads, crowdHottest, crowdPeerReads)}
 	}},
 	{"churn", func(p Params, s Sizes) []*metrics.Table {
+		churnTable := func(pt ChurnPoint) *metrics.Table {
+			retention := fmt.Sprintf("keep-last-%d retention (p2p sharing off)", pt.KeepLast)
+			if pt.KeepLast == 0 {
+				retention = "no retention (unbounded baseline)"
+			}
+			return table(fmt.Sprintf("Churn: %d instances × %d snapshot cycles, %s", pt.Instances, pt.Cycles, retention), pt.PerCycle,
+				col[ChurnCycle]{"cycle", func(c ChurnCycle) string { return itoa(c.Cycle) }},
+				col[ChurnCycle]{"live chunks", func(c ChurnCycle) string { return itoa(c.Chunks) }},
+				col[ChurnCycle]{"stored (MB)", func(c ChurnCycle) string { return ftoa(c.StoredMB) }},
+				col[ChurnCycle]{"meta nodes", func(c ChurnCycle) string { return itoa(c.MetaNodes) }},
+				col[ChurnCycle]{"reclaimed chunks (cum)", func(c ChurnCycle) string { return i64(c.Reclaimed) }},
+				col[ChurnCycle]{"retired versions", func(c ChurnCycle) string { return itoa(c.Retired) }},
+			)
+		}
 		cc := ChurnConfig{Instances: s.Churn, Cycles: s.Cycles, KeepLast: s.Keep}
-		tables := []*metrics.Table{ChurnTable(RunChurn(p, cc))}
+		tables := []*metrics.Table{churnTable(RunChurn(p, cc))}
 		if s.Keep > 0 {
 			// The unbounded baseline for contrast: same churn, no
 			// retention, nothing ever reclaimed.
 			cc.KeepLast = 0
-			tables = append(tables, ChurnTable(RunChurn(p, cc)))
+			tables = append(tables, churnTable(RunChurn(p, cc)))
 		}
 		return tables
 	}},
 	{"degraded", func(p Params, s Sizes) []*metrics.Table {
-		return []*metrics.Table{DegradedTable([]CrowdPoint{
-			RunDegraded(p, DegradedConfig{Instances: s.Crowd, Sharing: true}),
-			RunDegraded(p, DegradedConfig{Instances: s.Crowd, Sharing: true, Kill: s.Kill}),
-		})}
+		return []*metrics.Table{table("Degraded deployment: flash crowd while providers fail mid-run", []CrowdPoint{
+			RunDegraded(p, Crowd{Instances: s.Crowd, Sharing: true}),
+			RunDegraded(p, Crowd{Instances: s.Crowd, Sharing: true, Kill: s.Kill}),
+		},
+			crowdInstances,
+			crowdProviders,
+			col[CrowdPoint]{"killed", func(pt CrowdPoint) string { return itoa(pt.Kill) }},
+			crowdBooted,
+			crowdCompletion,
+			col[CrowdPoint]{"failovers", func(pt CrowdPoint) string { return i64(pt.Failovers) }},
+			col[CrowdPoint]{"re-replicated", func(pt CrowdPoint) string { return i64(pt.Rereplicated) }},
+			col[CrowdPoint]{"failed fetches", func(pt CrowdPoint) string { return i64(pt.FailedFetches) }},
+			crowdPeerReads,
+		)}
 	}},
 	{"crosszone", func(p Params, s Sizes) []*metrics.Table {
 		var pts []CrowdPoint
 		for _, sharing := range []bool{false, true} {
 			for _, aware := range []bool{false, true} {
-				pts = append(pts, RunCrossZone(p, CrossZoneConfig{InstancesPerZone: s.PerZone, Aware: aware, Sharing: sharing}))
+				pts = append(pts, RunCrossZone(p, Crowd{Instances: crossZones * s.PerZone, Aware: aware, Sharing: sharing}))
 			}
 		}
-		return []*metrics.Table{CrossZoneTable(pts)}
+		// Flat vs aware over the same fabric; the cross-zone column is
+		// the headline.
+		return []*metrics.Table{table("Cross-zone flash crowd: one image deployed over zoned fabric, flat policy vs topology-aware", pts,
+			col[CrowdPoint]{"zones", func(pt CrowdPoint) string { return itoa(pt.Zones) }},
+			col[CrowdPoint]{"inst/zone", func(pt CrowdPoint) string { return itoa(pt.Instances / pt.Zones) }},
+			col[CrowdPoint]{"aware", func(pt CrowdPoint) string { return onOff(pt.Aware) }},
+			crowdSharing,
+			crowdCompletion,
+			col[CrowdPoint]{"cross-zone (GB)", func(pt CrowdPoint) string { return gbs(pt.CrossZoneBytes) }},
+			col[CrowdPoint]{"zone-local (GB)", func(pt CrowdPoint) string { return gbs(pt.TierBytes[cluster.TierZone]) }},
+			col[CrowdPoint]{"rack-local (GB)", func(pt CrowdPoint) string { return gbs(pt.TierBytes[cluster.TierRack]) }},
+			crowdProviderReads,
+			crowdHottest,
+			crowdPeerReads,
+		)}
 	}},
 	{"ablations", func(p Params, s Sizes) []*metrics.Table {
 		cs := RunChunkSizeAblation(p, s.Ablations, []int{64 << 10, 256 << 10, 1 << 20, 4 << 20})
 		rep := RunReplicationAblation(p, s.Ablations, []int{1, 2, 3})
-		return []*metrics.Table{ChunkSizeTable(cs), ReplicationTable(rep)}
+		return []*metrics.Table{
+			table("Ablation: chunk size trade-off (§3.1.3), our approach", cs,
+				col[ChunkSizePoint]{"chunk size (KB)", func(pt ChunkSizePoint) string { return itoa(pt.ChunkSize >> 10) }},
+				col[ChunkSizePoint]{"avg boot (s)", func(pt ChunkSizePoint) string { return ftoa(pt.AvgBoot) }},
+				col[ChunkSizePoint]{"completion (s)", func(pt ChunkSizePoint) string { return ftoa(pt.Completion) }},
+				col[ChunkSizePoint]{"traffic (GB)", func(pt ChunkSizePoint) string { return fmt.Sprintf("%.3f", pt.TrafficGB) }},
+			),
+			table("Ablation: replication degree (§3.1.3), our approach", rep,
+				col[ReplicationPoint]{"replicas", func(pt ReplicationPoint) string { return itoa(pt.Replicas) }},
+				col[ReplicationPoint]{"deploy completion (s)", func(pt ReplicationPoint) string { return ftoa(pt.Completion) }},
+				col[ReplicationPoint]{"raw storage (GB)", func(pt ReplicationPoint) string { return fmt.Sprintf("%.3f", pt.StorageGB) }},
+				col[ReplicationPoint]{"survives provider loss", func(pt ReplicationPoint) string { return yesNo(pt.SurvivesOne) }},
+			),
+		}
 	}},
 	{"multisnap", func(p Params, s Sizes) []*metrics.Table {
-		return []*metrics.Table{MultisnapshotTable(RunMultisnapshot(p, MultisnapshotConfig{Instances: s.Multisnap}))}
+		rpcs := func(v float64) string { return fmt.Sprintf("%.0f", v) }
+		pt := RunMultisnapshot(p, MultisnapshotConfig{Instances: s.Multisnap})
+		return []*metrics.Table{table("Multisnapshot write path: provider write RPCs per commit round", []MultisnapshotPoint{pt},
+			col[MultisnapshotPoint]{"instances", func(m MultisnapshotPoint) string { return itoa(m.Instances) }},
+			col[MultisnapshotPoint]{"providers", func(m MultisnapshotPoint) string { return itoa(m.Providers) }},
+			col[MultisnapshotPoint]{"chunk writes", func(m MultisnapshotPoint) string { return rpcs(m.ChunkWrites) }},
+			col[MultisnapshotPoint]{"chunk-put RPCs", func(m MultisnapshotPoint) string { return rpcs(m.ChunkPutRPCs) }},
+			col[MultisnapshotPoint]{"meta-put RPCs", func(m MultisnapshotPoint) string { return rpcs(m.MetaPutRPCs) }},
+			col[MultisnapshotPoint]{"write RPCs", func(m MultisnapshotPoint) string { return rpcs(m.WriteRPCs) }},
+			col[MultisnapshotPoint]{"completion (s)", func(m MultisnapshotPoint) string { return ftoa(m.Completion) }},
+		)}
 	}},
 	{"metaoutage", func(p Params, s Sizes) []*metrics.Table {
-		return []*metrics.Table{MetaOutageTable([]CrowdPoint{
-			RunMetaOutage(p, MetaOutageConfig{Instances: s.Crowd, Sharing: true}),
-			RunMetaOutage(p, MetaOutageConfig{Instances: s.Crowd, Sharing: true, KillMeta: s.Kill, KillRack: true}),
-		})}
+		pts := []CrowdPoint{
+			RunMetaOutage(p, Crowd{Instances: s.Crowd, Sharing: true}),
+			RunMetaOutage(p, Crowd{Instances: s.Crowd, Sharing: true, Kill: s.Kill, KillRack: true}),
+		}
+		// The first row is the healthy baseline the delta column is
+		// computed against.
+		return []*metrics.Table{table("Metadata outage: flash crowd with replicated metadata while metadata providers and a rack fail", pts,
+			crowdInstances,
+			col[CrowdPoint]{"meta replicas", func(pt CrowdPoint) string { return itoa(pt.MetaReplicas) }},
+			col[CrowdPoint]{"killed meta", func(pt CrowdPoint) string { return itoa(pt.Kill) }},
+			col[CrowdPoint]{"rack killed", func(pt CrowdPoint) string { return yesNo(pt.KillRack) }},
+			crowdBooted,
+			crowdCompletion,
+			col[CrowdPoint]{"delta (s)", func(pt CrowdPoint) string { return ftoa(pt.Completion - pts[0].Completion) }},
+			col[CrowdPoint]{"meta failovers", func(pt CrowdPoint) string { return i64(pt.MetaFailovers) }},
+			col[CrowdPoint]{"meta re-replicated", func(pt CrowdPoint) string { return i64(pt.MetaRereplicated) }},
+			col[CrowdPoint]{"failed descents", func(pt CrowdPoint) string { return i64(pt.FailedDescents) }},
+		)}
 	}},
 	{"sync", func(p Params, s Sizes) []*metrics.Table {
-		return []*metrics.Table{SyncTable(RunSync(p, SyncConfig{}))}
+		pt := RunSync(p, SyncConfig{})
+		// The per-round shipping trace, closed by the average delta
+		// round when there was one.
+		rows := pt.PerRound
+		if pt.Reduction > 0 {
+			rows = append(slices.Clip(rows), SyncRound{Stage: "avg delta", Chunks: pt.ShippedChunks,
+				ShippedMB: pt.AvgDeltaMB, FullMB: pt.FullMB, Reduction: pt.Reduction})
+		}
+		return []*metrics.Table{table(fmt.Sprintf(
+			"Differential sync: %.0f MB image, %d delta rounds, disjoint %d-provider pools",
+			pt.ImageMB, pt.Rounds, pt.Providers), rows,
+			col[SyncRound]{"stage", func(r SyncRound) string { return r.Stage }},
+			col[SyncRound]{"versions", func(r SyncRound) string {
+				if r.Versions == 0 {
+					return "" // the average row: no archive of its own
+				}
+				return itoa(r.Versions)
+			}},
+			col[SyncRound]{"chunks shipped", func(r SyncRound) string { return itoa(r.Chunks) }},
+			col[SyncRound]{"shipped (MB)", func(r SyncRound) string { return ftoa(r.ShippedMB) }},
+			col[SyncRound]{"full ship (MB)", func(r SyncRound) string { return ftoa(r.FullMB) }},
+			col[SyncRound]{"reduction", func(r SyncRound) string {
+				if r.Stage == "full" || r.Reduction <= 0 {
+					return ""
+				}
+				return fmt.Sprintf("%.1fx", r.Reduction)
+			}},
+		)}
 	}},
 }
 

@@ -3,11 +3,9 @@ package experiments
 import (
 	"bytes"
 	"fmt"
-	"slices"
 
 	"blobvfs"
 	"blobvfs/internal/cluster"
-	"blobvfs/internal/metrics"
 	"blobvfs/internal/sim"
 )
 
@@ -40,11 +38,11 @@ type SyncRound struct {
 	Reduction float64 // FullMB / ShippedMB
 }
 
-// SyncPoint reports one sync run.
+// SyncPoint reports one sync run: the SyncConfig it ran, defaults
+// filled in, and what it measured.
 type SyncPoint struct {
-	Rounds    int
-	Providers int
-	ImageMB   float64
+	SyncConfig
+	ImageMB float64
 
 	FullMB     float64 // the initial full ship
 	AvgDeltaMB float64 // mean delta round size
@@ -86,11 +84,7 @@ func RunSync(p Params, sc SyncConfig) SyncPoint {
 	up := open(upNodes, 1)
 	down := open(downNodes, 2)
 
-	pt := SyncPoint{
-		Rounds:    sc.Rounds,
-		Providers: sc.Providers,
-		ImageMB:   float64(p.ImageSize) / (1 << 20),
-	}
+	pt := SyncPoint{SyncConfig: sc, ImageMB: float64(p.ImageSize) / (1 << 20)}
 	record := func(stage string, est blobvfs.ExportStats) {
 		r := SyncRound{
 			Stage:     stage,
@@ -171,41 +165,9 @@ func RunSync(p Params, sc SyncConfig) SyncPoint {
 	for _, r := range pt.PerRound[1:] {
 		deltaSum += r.ShippedMB
 	}
-	if sc.Rounds > 0 {
-		pt.AvgDeltaMB = deltaSum / float64(sc.Rounds)
-	}
+	pt.AvgDeltaMB = deltaSum / float64(sc.Rounds)
 	if pt.AvgDeltaMB > 0 {
 		pt.Reduction = pt.PerRound[0].FullMB / pt.AvgDeltaMB
 	}
 	return pt
-}
-
-// SyncTable renders a sync run as a per-round shipping trace, closed
-// by the average delta round when there was one.
-func SyncTable(pt SyncPoint) *metrics.Table {
-	rows := pt.PerRound
-	if pt.Reduction > 0 {
-		rows = append(slices.Clip(rows), SyncRound{Stage: "avg delta", Chunks: pt.ShippedChunks,
-			ShippedMB: pt.AvgDeltaMB, FullMB: pt.FullMB, Reduction: pt.Reduction})
-	}
-	return table(fmt.Sprintf(
-		"Differential sync: %.0f MB image, %d delta rounds, disjoint %d-provider pools",
-		pt.ImageMB, pt.Rounds, pt.Providers), rows,
-		col[SyncRound]{"stage", func(r SyncRound) string { return r.Stage }},
-		col[SyncRound]{"versions", func(r SyncRound) string {
-			if r.Versions == 0 {
-				return "" // the average row: no archive of its own
-			}
-			return itoa(r.Versions)
-		}},
-		col[SyncRound]{"chunks shipped", func(r SyncRound) string { return itoa(r.Chunks) }},
-		col[SyncRound]{"shipped (MB)", func(r SyncRound) string { return ftoa(r.ShippedMB) }},
-		col[SyncRound]{"full ship (MB)", func(r SyncRound) string { return ftoa(r.FullMB) }},
-		col[SyncRound]{"reduction", func(r SyncRound) string {
-			if r.Stage == "full" || r.Reduction <= 0 {
-				return ""
-			}
-			return fmt.Sprintf("%.1fx", r.Reduction)
-		}},
-	)
 }

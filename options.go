@@ -16,7 +16,6 @@ type config struct {
 	metaReplicas int
 	chunkSize    int
 	p2p          bool
-	retainLast   int // 0 disables the repo-level retention default
 	faults       []FaultEvent
 	topo         Topology
 	syncUUID     uint64 // 0 auto-assigns a process-unique identity
@@ -70,13 +69,6 @@ func WithChunkSize(bytes int) Option {
 // tracker runs on the manager node.
 func WithP2P() Option {
 	return func(c *config) { c.p2p = true }
-}
-
-// WithRetention sets the repo's default keep-last-K retention window:
-// Repo.RetireOld calls with keep <= 0 fall back to it. 0 (the
-// default) means no implicit retention.
-func WithRetention(keepLast int) Option {
-	return func(c *config) { c.retainLast = keepLast }
 }
 
 // WithTopology makes the repository topology-aware: chunk placement
@@ -159,9 +151,6 @@ func (c *config) validate(nodes int) error {
 	if c.metaReplicas < 1 || c.metaReplicas > len(c.providers) {
 		return fmt.Errorf("blobvfs: metadata replication degree %d invalid for %d providers: %w",
 			c.metaReplicas, len(c.providers), ErrOutOfRange)
-	}
-	if c.retainLast < 0 {
-		return fmt.Errorf("blobvfs: retention window %d: %w", c.retainLast, ErrOutOfRange)
 	}
 	// The topology validates first: fault validation needs it to
 	// resolve rack- and zone-scoped events.

@@ -300,9 +300,8 @@ func (r *Repo) Retire(ctx *Ctx, s Snapshot) error {
 
 // RetireOld applies keep-last-K retention to a disk's lineage: every
 // unpinned version older than the newest keep is retired (pinned ones
-// retire on a later sweep, once their holders close). keep <= 0 falls
-// back to the WithRetention default; if that is unset too, RetireOld
-// is a no-op. It returns how many versions it retired.
+// retire on a later sweep, once their holders close). keep <= 0 is a
+// no-op. It returns how many versions it retired.
 //
 // Retention only ever touches a lineage the disk forked into (a
 // Repo.Snapshot with fork true): while the disk still mirrors the
@@ -315,9 +314,6 @@ func (r *Repo) RetireOld(ctx *Ctx, d *Disk, keep int) (int, error) {
 	}
 	if err := r.owns(d); err != nil {
 		return 0, err
-	}
-	if keep <= 0 {
-		keep = r.cfg.retainLast
 	}
 	if keep <= 0 {
 		return 0, nil

@@ -178,7 +178,6 @@ func TestOpenValidation(t *testing.T) {
 		{"bad replicas", []blobvfs.Option{blobvfs.WithReplicas(9)}},
 		{"provider outside cluster", []blobvfs.Option{blobvfs.WithProviders(7)}},
 		{"manager outside cluster", []blobvfs.Option{blobvfs.WithManager(11)}},
-		{"negative retention", []blobvfs.Option{blobvfs.WithRetention(-1)}},
 		{"topology not covering cluster", []blobvfs.Option{blobvfs.WithTopology(
 			blobvfs.Topology{Zones: 2, RacksPerZone: 1, NodesPerRack: 3,
 				RackBandwidth: 1, ZoneBandwidth: 1})}},
@@ -329,7 +328,7 @@ func TestTypedErrorsEndToEnd(t *testing.T) {
 // TestVersionsAndRetention: Versions lists live versions only, and
 // RetireOld applies the keep-last-K window to a disk's lineage.
 func TestVersionsAndRetention(t *testing.T) {
-	fab, repo := newRepo(t, 2, blobvfs.WithRetention(2))
+	fab, repo := newRepo(t, 2)
 	fab.Run(func(ctx *blobvfs.Ctx) {
 		ref, _ := repo.Create(ctx, "a", img(16<<10, 5))
 		disk, err := repo.OpenDisk(ctx, ctx.Node(), ref)
@@ -356,9 +355,8 @@ func TestVersionsAndRetention(t *testing.T) {
 		if err != nil || len(vs) != 4 {
 			t.Fatalf("Versions = %v, %v; want 4 live", vs, err)
 		}
-		// keep <= 0 falls back to WithRetention(2): of v1..v4, v3 and v4
-		// stay, v1 and v2 retire.
-		n, err := repo.RetireOld(ctx, disk, 0)
+		// Keep the last 2: of v1..v4, v3 and v4 stay, v1 and v2 retire.
+		n, err := repo.RetireOld(ctx, disk, 2)
 		if err != nil || n != 2 {
 			t.Fatalf("RetireOld = %d, %v; want 2", n, err)
 		}
