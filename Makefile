@@ -67,8 +67,9 @@ staticcheck:
 # internal/mirror run at -cpu 1: the simulation is single-threaded and
 # deterministic and the layer benchmarks are single-threaded copies, so
 # a -cpu 8 row would only repeat the -cpu 1 row. The two metadata
-# microbenchmarks run on the live fabric, where activities are
-# goroutines, so they run at -cpu 1,8 and lock contention shows up.
+# microbenchmarks run on the live fabric (but MetadataColdDescent's
+# wave-110 row), where activities are goroutines, so they run at
+# -cpu 1,8 and lock contention shows up.
 # bench fails when a benchmark fails or prints no result row; bench_re
 # turns a list of names into one anchored -bench regex.
 BENCH_CPU1 := Fig4PaperScale FlashCrowd256 FlashCrowdDegraded FlashCrowdCrossZone \

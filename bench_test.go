@@ -515,11 +515,55 @@ func BenchmarkCommitDataStructures(b *testing.B) {
 	b.ReportMetric(float64(sys.Meta.NodeCount())/float64(b.N), "metadata-nodes/op")
 }
 
-// BenchmarkMetadataColdDescent measures a cold client's resolution of
-// a whole 2 GB image's chunk map — what an image pays at Open: one
-// level-order batched descent over 16383 tree nodes.
+// BenchmarkMetadataColdDescent measures the resolution of a whole 2 GB
+// image's chunk map — what an image pays at Open: one level-order
+// batched descent over 16383 tree nodes. cold is one cold client's
+// descent on the live fabric. wave-110 is what paper-deploy's opens
+// do: 110 concurrent ChunkMaps of one version on the sim fabric, which
+// share one host-side walk of the tree (walks/op) and each replay its
+// descent.
 func BenchmarkMetadataColdDescent(b *testing.B) {
-	fab := cluster.NewLive(8)
+	b.Run("cold", func(b *testing.B) {
+		fab := cluster.NewLive(8)
+		sys, id, v := coldDescentImage(b, fab)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			fab.Run(func(ctx *cluster.Ctx) {
+				if _, err := blob.NewClient(sys).ChunkMap(ctx, id, v); err != nil {
+					b.Fatal(err)
+				}
+			})
+		}
+		b.ReportMetric(float64(sys.Meta.Gets.Load())/float64(b.N), "meta-gets/op")
+	})
+	b.Run("wave-110", func(b *testing.B) {
+		const wave = 110
+		fab := cluster.NewSim(cluster.DefaultConfig(8 + wave))
+		sys, id, v := coldDescentImage(b, fab)
+		walks := sys.Meta.Walks.Load()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			fab.Run(func(ctx *cluster.Ctx) {
+				tasks := make([]cluster.Task, wave)
+				for n := range tasks {
+					tasks[n] = ctx.Go("open", cluster.NodeID(8+n), func(cc *cluster.Ctx) {
+						if _, err := blob.NewClient(sys).ChunkMap(cc, id, v); err != nil {
+							b.Error(err)
+						}
+					})
+				}
+				ctx.WaitAll(tasks)
+			})
+		}
+		b.ReportMetric(float64(sys.Meta.Walks.Load()-walks)/float64(b.N), "walks/op")
+	})
+}
+
+// coldDescentImage stores one fully written 2 GB image of 256 KB
+// chunks on providers 0–7 of fab, with the version manager on node 0.
+func coldDescentImage(b *testing.B, fab cluster.Fabric) (*blob.System, blob.ID, blob.Version) {
+	b.Helper()
 	sys := blob.NewSystem([]cluster.NodeID{0, 1, 2, 3, 4, 5, 6, 7}, 0, 1)
 	var id blob.ID
 	var v blob.Version
@@ -535,15 +579,7 @@ func BenchmarkMetadataColdDescent(b *testing.B) {
 			b.Fatal(err)
 		}
 	})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fab.Run(func(ctx *cluster.Ctx) {
-			if _, err := blob.NewClient(sys).ChunkMap(ctx, id, v); err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
-	b.ReportMetric(float64(sys.Meta.Gets.Load())/float64(b.N), "meta-gets/op")
+	return sys, id, v
 }
 
 // BenchmarkMaxMinRecompute measures the flow network's rate

@@ -10,6 +10,8 @@
 // (fig4a, fig5b, fig6, fig7) selects its figure. -quick runs the
 // scaled-down parameters: shapes hold, absolute values are not the
 // paper's. -cpuprofile and -memprofile profile the scenario runs.
+// Each scenario ends with a line giving its wall time and, on Linux,
+// the process's peak resident set so far.
 package main
 
 import (
@@ -139,7 +141,7 @@ func runAll(w io.Writer, p experiments.Params, sz experiments.Sizes, run []exper
 	for _, sc := range run {
 		start := time.Now()
 		sc.Fprint(w, p, sz)
-		fmt.Fprintf(w, "(%s completed in %s)\n\n", sc.Name, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(w, "(%s completed in %s%s)\n\n", sc.Name, time.Since(start).Round(time.Millisecond), peakRSS())
 	}
 	if prof.mem == "" {
 		return nil

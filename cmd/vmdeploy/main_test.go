@@ -1,9 +1,11 @@
 package main
 
 import (
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -120,5 +122,28 @@ func TestProfilesCoverTheRun(t *testing.T) {
 	prof.cpu = filepath.Join(dir, "missing", "cpu.prof")
 	if err := runAll(io.Discard, p, sz, run, prof); err == nil {
 		t.Error("a CPU profile in a missing directory was not an error")
+	}
+}
+
+// TestCompletionLineHasPeakRSS: each scenario's closing line gives its
+// wall time and, on Linux, a nonzero peak resident set.
+func TestCompletionLineHasPeakRSS(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("the peak resident set is read on Linux only")
+	}
+	p, sz, run, prof, err := parse([]string{"-quick", "sync"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	if err := runAll(&b, p, sz, run, prof); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
+	last := lines[len(lines)-1]
+	_, tail, ok := strings.Cut(last, ", peak RSS ")
+	var rss float64
+	if _, err := fmt.Sscanf(tail, "%f MB)", &rss); !ok || !strings.HasPrefix(last, "(sync completed in ") || err != nil || rss <= 0 {
+		t.Fatalf("closing line %q: want the wall time and a peak RSS", last)
 	}
 }

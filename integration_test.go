@@ -198,3 +198,66 @@ func TestFacadeMatchesDirectWiring(t *testing.T) {
 		t.Fatalf("scenario fetched nothing: %+v", facade)
 	}
 }
+
+// TestOpenWaveWalksOnce: disks opened on one snapshot at once share
+// one host-side walk of its chunk map, and each still pays a full
+// descent, so a wave of opens costs its size times one lone open's
+// metadata gets and nodes. Opens one after another each walk: no walk
+// outlives the opens that replay it.
+func TestOpenWaveWalksOnce(t *testing.T) {
+	const wave = 8
+	const lone, first = blobvfs.NodeID(5), 6 // instance nodes; 0–3 provide, 4 manages
+	fab := cluster.NewSim(cluster.DefaultConfig(first + 2*wave))
+	repo, err := blobvfs.Open(fab,
+		blobvfs.WithProviders(0, 1, 2, 3),
+		blobvfs.WithManager(4),
+		blobvfs.WithChunkSize(64<<10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := repo.System().Meta
+	fab.Run(func(ctx *blobvfs.Ctx) {
+		base, err := repo.CreateSynthetic(ctx, "base", 16<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		openAll := func(nodes ...blobvfs.NodeID) {
+			var tasks []blobvfs.Task
+			for _, node := range nodes {
+				tasks = append(tasks, ctx.Go("vm", node, func(cc *blobvfs.Ctx) {
+					if _, err := repo.OpenDisk(cc, node, base, blobvfs.Synthetic()); err != nil {
+						t.Error(err)
+					}
+				}))
+			}
+			ctx.WaitAll(tasks)
+		}
+		walks, gets, served := repo.Stats().ChunkMapWalks, meta.Gets.Load(), meta.NodesServed.Load()
+		openAll(lone)
+		oneGets, oneServed := meta.Gets.Load()-gets, meta.NodesServed.Load()-served
+		if w := repo.Stats().ChunkMapWalks - walks; w != 1 || oneServed == 0 {
+			t.Fatalf("a lone open walked %d times and was served %d nodes", w, oneServed)
+		}
+
+		var nodes []blobvfs.NodeID
+		for i := range wave {
+			nodes = append(nodes, blobvfs.NodeID(first+i))
+		}
+		walks, gets, served = repo.Stats().ChunkMapWalks, meta.Gets.Load(), meta.NodesServed.Load()
+		openAll(nodes...)
+		if w := repo.Stats().ChunkMapWalks - walks; w != 1 {
+			t.Fatalf("a wave of %d opens walked %d times, want 1", wave, w)
+		}
+		if g, s := meta.Gets.Load()-gets, meta.NodesServed.Load()-served; g != wave*oneGets || s != wave*oneServed {
+			t.Fatalf("a wave of %d opens cost %d gets and %d nodes, want %d × (%d, %d)", wave, g, s, wave, oneGets, oneServed)
+		}
+
+		walks = repo.Stats().ChunkMapWalks
+		for i := range wave {
+			openAll(blobvfs.NodeID(first + wave + i))
+		}
+		if w := repo.Stats().ChunkMapWalks - walks; w != wave {
+			t.Fatalf("%d opens one after another walked %d times, want %d", wave, w, wave)
+		}
+	})
+}

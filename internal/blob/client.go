@@ -289,7 +289,9 @@ type FetchedChunk struct {
 // image is small (a 2 GB image at 256 KB chunks is ~16 K nodes of 64
 // bytes, ~1 MB), so a long-lived reader such as the mirroring module
 // pays depth rounds once at open and fetches by key (FetchKeyed) from
-// then on. The map is the caller's.
+// then on. Concurrent calls for one snapshot each pay their own
+// descent but share one host-side walk of the tree
+// (MetaService.chunkMap). The map is the caller's.
 func (c *Client) ChunkMap(ctx *cluster.Ctx, id ID, v Version) ([]LeafEntry, error) {
 	inf, err := c.Info(ctx, id)
 	if err != nil {
@@ -299,7 +301,7 @@ func (c *Client) ChunkMap(ctx *cluster.Ctx, id ID, v Version) ([]LeafEntry, erro
 	if err != nil {
 		return nil, err
 	}
-	return CollectLeaves(c.sys.Meta.Getter(ctx), root, inf.Span, 0, inf.Chunks())
+	return c.sys.Meta.chunkMap(ctx, root, inf.Span, inf.Chunks())
 }
 
 // PrefetchExtents resolves the chunk map of snapshot (id, v) and drops

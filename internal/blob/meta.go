@@ -41,12 +41,19 @@ import (
 // reproduces all of them and costs paper-deploy 8–17 % of its host time
 // (the read serves ~1.8 M refs per rep there). The ROADMAP's standing
 // rules record it: do not fold MetaService's degree-1 arm.
+//
+// A whole chunk map (Client.ChunkMap) is a host-side walk of the node
+// table, shared by the descents of one root in flight together, and a
+// replay per descent through GetBatchInto with a nil out (chunkMap).
 type MetaService struct {
 	replicaSet[NodeRef]
 	// pages is the node table and stored the number of nodes in it,
 	// both guarded by the replica set's mu. A nil page holds no node.
 	pages  [][]TreeNode
 	stored int
+	// walks holds, under mu, the walk of every tree whose chunk map a
+	// descent is replaying, by root.
+	walks map[NodeRef]*leafWalk
 
 	// Puts and Gets count service operations (after batching);
 	// NodesServed counts individual tree nodes returned by GetBatchInto
@@ -57,6 +64,9 @@ type MetaService struct {
 	// descents a metadata outage is judged by). It and the replica
 	// set's Failovers and Rereplicated stay zero at degree 1.
 	FailedGets atomic.Int64
+	// Walks counts host-side chunk-map walks: one per tree per wave of
+	// ChunkMap descents in flight together.
+	Walks atomic.Int64
 }
 
 // nodePage is how many tree nodes one page of the node table holds.
@@ -67,7 +77,7 @@ func NewMetaService(providers []cluster.NodeID) *MetaService {
 	if len(providers) == 0 {
 		panic("blob: metadata service needs at least one provider")
 	}
-	m := &MetaService{}
+	m := &MetaService{walks: make(map[NodeRef]*leafWalk)}
 	m.init(m, "meta-rereplicate", providers, 1, len(providers))
 	return m
 }
@@ -174,6 +184,10 @@ func (e *MissingNodesError) Unwrap() []error {
 // failed and the first failing ref. With replication a ref whose
 // every copy is down also counts as missing (and as a failed get);
 // the rest of the batch is still charged and filled.
+//
+// A nil out charges, picks, probes, counts and checks existence
+// exactly as above, but copies nothing: a chunk-map replay already
+// holds the nodes from its walk.
 func (m *MetaService) GetBatchInto(ctx *cluster.Ctx, refs []NodeRef, out []TreeNode) error {
 	if len(refs) == 0 {
 		return nil
@@ -274,7 +288,9 @@ func (m *MetaService) GetBatchInto(ctx *cluster.Ctx, refs []NodeRef, out []TreeN
 			missing.Missing++
 			continue
 		}
-		out[i] = n
+		if out != nil {
+			out[i] = n
+		}
 		served++
 	}
 	m.mu.RUnlock()
@@ -283,6 +299,117 @@ func (m *MetaService) GetBatchInto(ctx *cluster.Ctx, refs []NodeRef, out []TreeN
 		return nil
 	}
 	return missing
+}
+
+// leafWalk is one host-side walk of a chunk map: the refs of each
+// level in the order the descent fetches them (level i is
+// refs[ends[i-1]:ends[i]]), the leaves, and the error the walk stopped
+// at. users counts the descents replaying it, under mu; the rest is
+// read-only once the walk returns.
+type leafWalk struct {
+	refs   []NodeRef
+	ends   []int
+	leaves []LeafEntry
+	err    error
+	users  int
+}
+
+// chunkMap resolves the leaves [0,n) of the tree under root, which
+// covers [0,span): Client.ChunkMap's descent. The tree is immutable,
+// so the descents of one root in flight together share one walk: the
+// first runs CollectLeaves over the node table under mu, charging
+// nothing, and records each level's refs. Every descent then replays
+// the levels through GetBatchInto with a nil out, so it charges,
+// probes and counts what its own descent would have, and fails at the
+// same level; a walk that found a corrupt node fails after its level.
+//
+// The record lives while a replay of it is in flight (kept longer, it
+// holds one per root a reopen touches). The last replay drops it and
+// keeps the walk's leaves; the others copy them, so each caller owns
+// its map. A stored root is one blob's (builds and clones store fresh
+// roots), so it fixes span and n; the empty tree, ref 0, has nothing
+// to walk.
+func (m *MetaService) chunkMap(ctx *cluster.Ctx, root NodeRef, span, n int64) ([]LeafEntry, error) {
+	if root == 0 {
+		return CollectLeaves(nil, 0, span, 0, n)
+	}
+	m.mu.Lock()
+	w := m.walks[root]
+	if w == nil {
+		w = m.walkLocked(root, span, n)
+		m.walks[root] = w
+	}
+	w.users++
+	m.mu.Unlock()
+	err := w.replay(ctx, m)
+	// Copy under mu: once the last replay has the walk's slice, its
+	// caller may update it.
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	w.users--
+	last := w.users == 0
+	if last {
+		delete(m.walks, root)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if last {
+		return w.leaves, nil
+	}
+	return slices.Clone(w.leaves), nil
+}
+
+// walkLocked walks the chunk map of root's tree over the node table.
+// The record is sized once from the range: level k of a full tree
+// holds ceil(n/w) nodes of width w = span>>k. The caller holds mu.
+func (m *MetaService) walkLocked(root NodeRef, span, n int64) *leafWalk {
+	m.Walks.Add(1)
+	var refs int64
+	levels := 0
+	for wd := span; wd >= 1; wd /= 2 {
+		refs += (n + wd - 1) / wd
+		levels++
+	}
+	w := &leafWalk{refs: make([]NodeRef, 0, refs), ends: make([]int, 0, levels)}
+	w.leaves, w.err = CollectLeaves(walkGetter{m, w}, root, span, 0, n)
+	return w
+}
+
+// replay charges the walk's levels in order, as the descent that
+// fetched them would have, and returns the first error: a level's own,
+// or else the walk's.
+func (w *leafWalk) replay(ctx *cluster.Ctx, m *MetaService) error {
+	lo := 0
+	for _, hi := range w.ends {
+		if err := m.GetBatchInto(ctx, w.refs[lo:hi], nil); err != nil {
+			return err
+		}
+		lo = hi
+	}
+	return w.err
+}
+
+// walkGetter is a walk's Getter: it records each level's refs and
+// resolves them from the node table, charging nothing. Its caller
+// holds mu. An absent ref stops the walk; the replay of that level
+// fails with GetBatchInto's own error before the walk's is returned.
+type walkGetter struct {
+	m *MetaService
+	w *leafWalk
+}
+
+func (g walkGetter) GetNodes(refs []NodeRef, out []TreeNode) error {
+	g.w.refs = append(g.w.refs, refs...)
+	g.w.ends = append(g.w.ends, len(g.w.refs))
+	for i, ref := range refs {
+		n, ok := g.m.lookupLocked(ref)
+		if !ok {
+			return &NotFoundError{Kind: "metadata node", What: ref}
+		}
+		out[i] = n
+	}
+	return nil
 }
 
 // slotPick is one replica pick of a replicated metadata read.

@@ -556,6 +556,12 @@ type RepoStats struct {
 	MetaFailovers    int64
 	MetaRereplicated int64
 	VMFailovers      int64
+
+	// ChunkMapWalks counts host-side walks of a snapshot's chunk map.
+	// Disks opened on one snapshot at once share one walk, and each
+	// still pays its own modelled descent, so a wave of opens counts
+	// one walk and one-at-a-time opens count one each.
+	ChunkMapWalks int64
 }
 
 // Stats samples the repository's current storage footprint.
@@ -574,6 +580,8 @@ func (r *Repo) Stats() RepoStats {
 		MetaFailovers:    r.sys.Meta.Failovers.Load(),
 		MetaRereplicated: r.sys.Meta.Rereplicated.Load(),
 		VMFailovers:      r.sys.VM.Failovers.Load(),
+
+		ChunkMapWalks: r.sys.Meta.Walks.Load(),
 	}
 }
 
