@@ -7,7 +7,7 @@
 # job, which needs the tool installed (see the staticcheck target
 # below), and CI's coverage gate and fuzz smoke (`make fuzz`).
 
-.PHONY: build test race repeat check fmt vet bench bench-check rebaseline fuzz examples staticcheck loc loc-budget
+.PHONY: build test race repeat check fmt vet bench bench-check crowd10k rebaseline fuzz examples staticcheck loc loc-budget
 
 build:
 	go build ./...
@@ -90,6 +90,12 @@ bench:
 		grep -Eq "^Benchmark$$b([/-][^[:space:]]*)?[[:space:]]+[0-9]+[[:space:]]" bench.txt || \
 			{ echo "bench: Benchmark$$b printed no result row" >&2; missing=1; }; \
 	done; exit $$missing
+
+# crowd10k runs the 10k flash crowd alone, once, in a process of its
+# own, so its peak-rss-MB row is its own peak (ROADMAP item 16's
+# memory gate; about a minute). CI does not run it.
+crowd10k:
+	go test -run '^$$' -bench '^BenchmarkFlashCrowd10k$$' -benchmem -count=1 -cpu 1 -benchtime 1x -timeout 30m .
 
 # bench-check vets and tests the benchmark harness. bench/ is a module
 # of its own (blobvfs/bench), so the root's `go vet ./...` and

@@ -208,8 +208,9 @@ func BenchmarkFlashCrowdScale(b *testing.B) {
 }
 
 // BenchmarkFlashCrowd10k is the paper-scale ×100 point: a 10k-instance
-// flash crowd against the same 8-provider pool, about two minutes of
-// wall clock. Skipped under -short; make bench always runs it.
+// flash crowd against the same 8-provider pool, about a minute of wall
+// clock. Skipped under -short; make bench always runs it, and make
+// crowd10k runs it alone, so its peak-rss-MB is its own.
 func BenchmarkFlashCrowd10k(b *testing.B) {
 	if testing.Short() {
 		b.Skip("skipping 10k flash crowd in -short mode")
@@ -237,6 +238,9 @@ func benchFlashCrowdScale(b *testing.B, instances int) {
 	b.ReportMetric(float64(pt.ProviderReads), "provider-reads")
 	b.ReportMetric(float64(pt.PeerReads), "peer-reads")
 	b.ReportMetric(pt.TrafficGB*1e3, "traffic-MB")
+	if mb, ok := peakRSSMB(); ok {
+		b.ReportMetric(mb, "peak-rss-MB")
+	}
 }
 
 // BenchmarkFlashCrowdDegraded reruns the 256-instance flash crowd

@@ -291,7 +291,8 @@ type FetchedChunk struct {
 // pays depth rounds once at open and fetches by key (FetchKeyed) from
 // then on. Concurrent calls for one snapshot each pay their own
 // descent but share one host-side walk of the tree
-// (MetaService.chunkMap). The map is the caller's.
+// (MetaService.chunkMap), and get the same map: it is shared and
+// read-only.
 func (c *Client) ChunkMap(ctx *cluster.Ctx, id ID, v Version) ([]LeafEntry, error) {
 	inf, err := c.Info(ctx, id)
 	if err != nil {
@@ -362,8 +363,17 @@ func (c *Client) FetchKeyed(ctx *cluster.Ctx, chunks []FetchedChunk) error {
 // fetchPayloads fetches the payloads of the non-sparse chunks of out in
 // parallel, each distinct key once; duplicate keys (shared chunks at
 // multiple indices) reuse the first fetch. keep puts every fetch on
-// record with the sharer.
+// record with the sharer. A single chunk is fetched in place, with no
+// bookkeeping around its read.
 func (c *Client) fetchPayloads(ctx *cluster.Ctx, out []FetchedChunk, keep bool) error {
+	if len(out) == 1 {
+		if out[0].Key == 0 {
+			return nil
+		}
+		var err error
+		out[0].Payload, err = c.getChunk(ctx, out[0].Key, keep)
+		return err
+	}
 	firstAt := make(map[ChunkKey]int, len(out))
 	fetchIdx := make([]int, 0, len(out))
 	for i, fc := range out {

@@ -324,11 +324,11 @@ type leafWalk struct {
 // same level; a walk that found a corrupt node fails after its level.
 //
 // The record lives while a replay of it is in flight (kept longer, it
-// holds one per root a reopen touches). The last replay drops it and
-// keeps the walk's leaves; the others copy them, so each caller owns
-// its map. A stored root is one blob's (builds and clones store fresh
-// roots), so it fixes span and n; the empty tree, ref 0, has nothing
-// to walk.
+// holds one per root a reopen touches), and the last replay drops it.
+// Every replay returns the walk's leaves: one map, shared read-only by
+// the whole wave. A stored root is one blob's (builds and clones store
+// fresh roots), so it fixes span and n; the empty tree, ref 0, has
+// nothing to walk.
 func (m *MetaService) chunkMap(ctx *cluster.Ctx, root NodeRef, span, n int64) ([]LeafEntry, error) {
 	if root == 0 {
 		return CollectLeaves(nil, 0, span, 0, n)
@@ -342,22 +342,15 @@ func (m *MetaService) chunkMap(ctx *cluster.Ctx, root NodeRef, span, n int64) ([
 	w.users++
 	m.mu.Unlock()
 	err := w.replay(ctx, m)
-	// Copy under mu: once the last replay has the walk's slice, its
-	// caller may update it.
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	w.users--
-	last := w.users == 0
-	if last {
+	if w.users--; w.users == 0 {
 		delete(m.walks, root)
 	}
+	m.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	if last {
-		return w.leaves, nil
-	}
-	return slices.Clone(w.leaves), nil
+	return w.leaves, nil
 }
 
 // walkLocked walks the chunk map of root's tree over the node table.

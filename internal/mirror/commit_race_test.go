@@ -212,7 +212,9 @@ func TestCommitHolderRule(t *testing.T) {
 				if st := co.Stats(); st.Announced != 1 || st.Retracted != tc.atCommit {
 					t.Fatalf("after commit: announced %d, retracted %d; want 1 and %d", st.Announced, st.Retracted, tc.atCommit)
 				}
-				key := im.leaves[0].Chunk
+				im.mu.Lock()
+				key := im.keyLocked(0)
+				im.mu.Unlock()
 				ctx.Wait(ctx.Go("sibling", 1, func(cc *cluster.Ctx) {
 					if peer, _, ok := co.Locate(cc, key); ok != tc.held || (ok && peer != 0) {
 						t.Errorf("sibling locates committed key %d at %d (ok %v), want held by node 0: %v", key, peer, ok, tc.held)
@@ -233,6 +235,115 @@ func TestCommitHolderRule(t *testing.T) {
 // fails must retire the clone it just published — otherwise the image
 // keeps pointing at the base while a zombie blob survives retention and
 // GC forever.
+// TestCommitLeavesTheSharedMap: two images that open one snapshot
+// together hold its one chunk map. One writes chunk 0 whole, commits,
+// closes and reopens its new version: the sibling still fetches the
+// chunk's base key, and the committer fetches by the key it committed.
+func TestCommitLeavesTheSharedMap(t *testing.T) {
+	const chunk = 1 << 16
+	rig := newSimRig(t, 2, 4*chunk, chunk)
+	rig.fab.Run(func(ctx *cluster.Ctx) {
+		ims := make([]*Image, 2)
+		var tasks []cluster.Task
+		for i := range ims {
+			tasks = append(tasks, ctx.Go("open", cluster.NodeID(i), func(cc *cluster.Ctx) {
+				var err error
+				if ims[i], err = rig.modules[i].Open(cc, rig.imageID, rig.imageV, true); err != nil {
+					t.Error(err)
+				}
+			}))
+		}
+		ctx.WaitAll(tasks)
+		if t.Failed() {
+			return
+		}
+		sib := ims[1]
+		if &ims[0].leaves[0] != &sib.leaves[0] {
+			t.Error("images opened together hold maps of their own, want one shared map")
+			return
+		}
+		ctx.Wait(ctx.Go("committer", 0, func(cc *cluster.Ctx) {
+			im := ims[0]
+			if _, err := im.WriteAt(cc, bytes.Repeat([]byte{0xab}, chunk), 0); err != nil {
+				t.Error(err)
+				return
+			}
+			v, err := im.Commit(cc)
+			if err == nil {
+				im.Close(cc)
+				im, err = rig.modules[0].Open(cc, rig.imageID, v, true)
+			}
+			var published []blob.LeafEntry
+			if err == nil {
+				published, err = blob.NewClient(rig.sys).ChunkMap(cc, rig.imageID, v)
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			im.mu.Lock()
+			key := im.keyLocked(0)
+			im.mu.Unlock()
+			if base := sib.leaves[0].Chunk; key != published[0].Chunk || key == base {
+				t.Errorf("the reopened committer fetches chunk 0 by key %d, want the committed %d (base %d)", key, published[0].Chunk, base)
+			}
+		}))
+		ctx.Wait(ctx.Go("sibling", 1, func(cc *cluster.Ctx) {
+			got := make([]byte, chunk)
+			if _, err := sib.ReadAt(cc, got, 0); err != nil {
+				t.Error(err)
+			} else if !bytes.Equal(got, rig.base[:chunk]) {
+				t.Error("the sibling fetched a key other than the snapshot's it opened")
+			}
+		}))
+	})
+}
+
+// TestCommittedKeysAreThePublishedMap: after each of several commits
+// over overlapping chunk sets, the image's key for every chunk is the
+// one in the published version's own chunk map, and the image keeps
+// one entry per chunk it ever committed.
+func TestCommittedKeysAreThePublishedMap(t *testing.T) {
+	const chunk = 1 << 16
+	rig := newSimRig(t, 2, 8*chunk, chunk)
+	rig.fab.Run(func(ctx *cluster.Ctx) {
+		im, err := rig.modules[0].Open(ctx, rig.imageID, rig.imageV, false)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		ever := map[int64]bool{}
+		for _, dirty := range [][]int64{{0, 2}, {1, 2, 5}, {7}, {0, 3, 7}} {
+			for _, ci := range dirty {
+				ever[ci] = true
+				if err := im.Write(ctx, ci*chunk+10, 100); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			v, err := im.Commit(ctx)
+			var published []blob.LeafEntry
+			if err == nil {
+				published, err = blob.NewClient(rig.sys).ChunkMap(ctx, rig.imageID, v)
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			im.mu.Lock()
+			for _, lf := range published {
+				if key := im.keyLocked(lf.Index); key != lf.Chunk {
+					t.Errorf("after committing %v: chunk %d has key %d, version %d has %d", dirty, lf.Index, key, v, lf.Chunk)
+				}
+			}
+			if len(im.committed) != len(ever) {
+				t.Errorf("after committing %v: %d committed entries, want %d", dirty, len(im.committed), len(ever))
+			}
+			im.mu.Unlock()
+		}
+	})
+}
+
 func TestCloneCleansUpOnPinFailure(t *testing.T) {
 	rig := newRig(t, 2, 32<<10, 4<<10)
 	boom := errors.New("forced pin failure")

@@ -1,8 +1,10 @@
 package mirror
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"blobvfs/internal/blob"
@@ -46,10 +48,11 @@ type Module struct {
 }
 
 type localState struct {
-	version blob.Version
-	leaves  []blob.LeafEntry
-	chunks  []chunkState
-	local   []byte
+	version   blob.Version
+	leaves    []blob.LeafEntry
+	committed []blob.LeafEntry
+	chunks    []chunkState
+	local     []byte
 }
 
 // span is a chunk-relative [Lo,Hi) byte hull.
@@ -126,11 +129,14 @@ type Image struct {
 	open    bool
 	stats   Stats
 
-	// leaves is the chunk map of the mirrored snapshot, entry i for
-	// chunk i: resolved once at Open, unchanged by Clone (a clone has
-	// the same content), and overwritten in place at the indices a
-	// Commit publishes. Remote reads fetch by its keys.
-	leaves []blob.LeafEntry
+	// leaves is the chunk map of the snapshot the image opened, entry
+	// i for chunk i: resolved once at Open and shared read-only with
+	// every other open of that snapshot (Client.ChunkMap), so it is
+	// never written. committed holds the keys the image's own commits
+	// published, sorted by Index; Clone changes neither (a clone has
+	// the same content). Remote reads fetch by keyLocked.
+	leaves    []blob.LeafEntry
+	committed []blob.LeafEntry
 
 	// during has an entry for each chunk whose captured payload a commit
 	// is currently pushing to the fabric: the dirty hull of the writes
@@ -191,7 +197,7 @@ func (m *Module) Open(ctx *cluster.Ctx, id blob.ID, v blob.Version, real bool) (
 		// held before closing (the local mirror file survived), and the
 		// restored state says which (heldLocked): a post-reopen dirtying
 		// write has to retract the stale location record.
-		im.leaves, im.chunks, im.local = st.leaves, st.chunks, st.local
+		im.leaves, im.committed, im.chunks, im.local = st.leaves, st.committed, st.chunks, st.local
 		// Re-reading the persisted modification metadata costs one
 		// local-disk access.
 		ctx.DiskRead(m.node, int64(len(st.chunks))*16)
@@ -223,7 +229,7 @@ func (im *Image) Close(ctx *cluster.Ctx) {
 	}
 	im.open = false
 	id, v := im.blobID, im.version
-	st := &localState{version: im.version, leaves: im.leaves, chunks: im.chunks, local: im.local}
+	st := &localState{version: im.version, leaves: im.leaves, committed: im.committed, chunks: im.chunks, local: im.local}
 	n, tail := int64(len(im.chunks))*16, im.run.bytes
 	im.run.bytes = 0
 	im.mu.Unlock()
@@ -365,7 +371,7 @@ func (im *Image) access(ctx *cluster.Ctx, off, n int64, p []byte, write bool) er
 			im.mu.Lock()
 		}
 		if im.heldLocked(ci) {
-			retract = append(retract, im.leaves[ci].Chunk)
+			retract = append(retract, im.keyLocked(ci))
 		}
 		// Extend the contiguous mirrored region and track the dirty
 		// hull inside it.
@@ -424,8 +430,19 @@ func (im *Image) fullyMirroredLocked(ci int64) bool {
 // wrote it, published the node as its holder; a write that dirties it
 // withdraws the node again.
 func (im *Image) heldLocked(ci int64) bool {
-	return im.mod.sharer != nil && im.fullyMirroredLocked(ci) && !im.chunks[ci].dirty() && im.leaves[ci].Chunk != 0
+	return im.mod.sharer != nil && im.fullyMirroredLocked(ci) && !im.chunks[ci].dirty() && im.keyLocked(ci) != 0
 }
+
+// keyLocked is chunk ci's key in the mirrored snapshot: the one the
+// image last committed for it, or else the opened snapshot's.
+func (im *Image) keyLocked(ci int64) blob.ChunkKey {
+	if i, ok := slices.BinarySearchFunc(im.committed, ci, byIndex); ok {
+		return im.committed[i].Chunk
+	}
+	return im.leaves[ci].Chunk
+}
+
+func byIndex(lf blob.LeafEntry, ci int64) int { return cmp.Compare(lf.Index, ci) }
 
 // fetchChunks fetches whole chunks [lo,hi) from the repository and
 // merges them into the local mirror, preserving dirty bytes. After the
@@ -452,10 +469,11 @@ func (im *Image) fetchChunks(ctx *cluster.Ctx, lo, hi int64) error {
 	sharer := im.mod.sharer
 	fetched := make([]blob.FetchedChunk, hi-lo)
 	im.mu.Lock()
-	for i, lf := range im.leaves[lo:hi] {
-		fetched[i] = blob.FetchedChunk{Index: lf.Index, Key: lf.Chunk}
-		if lf.Chunk == 0 {
-			fetched[i].Payload = blob.Payload{Size: im.info.ChunkLen(lf.Index)}
+	for i := range fetched {
+		ci := lo + int64(i)
+		fetched[i] = blob.FetchedChunk{Index: ci, Key: im.keyLocked(ci)}
+		if fetched[i].Key == 0 {
+			fetched[i].Payload = blob.Payload{Size: im.info.ChunkLen(ci)}
 		}
 	}
 	im.mu.Unlock()
@@ -494,7 +512,7 @@ func (im *Image) fetchChunks(ctx *cluster.Ctx, lo, hi int64) error {
 		} else {
 			im.stats.DuplicateFetches++ // a concurrent fetch won the merge race
 		}
-		if sharer != nil && fc.Key != 0 && !(im.heldLocked(fc.Index) && im.leaves[fc.Index].Chunk == fc.Key) {
+		if sharer != nil && fc.Key != 0 && !(im.heldLocked(fc.Index) && im.keyLocked(fc.Index) == fc.Key) {
 			retract = append(retract, fc.Key)
 		}
 	}
@@ -673,8 +691,8 @@ func (im *Image) publishCommit(ctx *cluster.Ctx, plan *commitPlan) (blob.Version
 	im.mu.Lock()
 	im.version = v
 	im.stats.CommittedChunks += int64(len(plan.writes))
+	im.committed = mergeCommitted(im.committed, plan.dirtyIdx, keyOf)
 	for _, ci := range plan.dirtyIdx {
-		im.leaves[ci].Chunk = keyOf[ci]
 		// What was written between payload capture and publication the
 		// published snapshot does not contain: exactly those bytes stay
 		// dirty for the next commit, and none when no write landed.
@@ -694,6 +712,23 @@ func (im *Image) publishCommit(ctx *cluster.Ctx, plan *commitPlan) (blob.Version
 		im.mod.sharer.Retract(ctx, retract)
 	}
 	return v, nil
+}
+
+// mergeCommitted returns the image's committed keys with those of a
+// commit laid over them: a fresh slice, sorted by Index, in one pass
+// over both sorted lists. idx is the commit's ascending chunk indices.
+func mergeCommitted(old []blob.LeafEntry, idx []int64, keyOf map[int64]blob.ChunkKey) []blob.LeafEntry {
+	out := make([]blob.LeafEntry, 0, len(old)+len(idx))
+	for _, ci := range idx {
+		for len(old) > 0 && old[0].Index < ci {
+			out, old = append(out, old[0]), old[1:]
+		}
+		if len(old) > 0 && old[0].Index == ci {
+			old = old[1:]
+		}
+		out = append(out, blob.LeafEntry{Index: ci, Chunk: keyOf[ci]})
+	}
+	return append(out, old...)
 }
 
 // closeWindow abandons an open publish window after a failed commit:
