@@ -37,10 +37,21 @@ vet:
 # race already executes the examples once via the root package's
 # TestExamplesBuildAndRun smoke, so check does not repeat them.
 # bench-check is CI's "bench harness" step: the frozen bench/ module
-# calls into internals (blob.NewClient, Client.PrefetchExtents,
-# Repo.ArmFaultsRebased, Cohort.Locate, experiments.NewEnv,
-# experiments.RunFig5), and only compiling it proves they are still
-# there.
+# calls into internals, and only compiling it proves they are still
+# there. A simplification must keep every one of them:
+#   - blob: NewClient, and Client.PrefetchExtents, FetchChunks and
+#     WriteChunks; the counters it reads on blob.System (Repo.System):
+#     Meta.{Gets,NodesServed,Puts,Failovers,Rereplicated,FailedGets},
+#     Providers.{Reads,Writes,PutRPCs,MaxNodeReads,Failovers,
+#     Rereplicated,FailedReads} and VM.Failovers;
+#   - p2p: NewRegistry, DefaultConfig, Cohort.Announce and Cohort.Locate;
+#   - sim: NewPSPool with PSPool.Use; flownet: Net.Start, Transfer and
+#     NewLink;
+#   - vmmodel: GenBootTrace and WithThinkJitter;
+#   - middleware: NewMirrorBackend and Orchestrator;
+#   - experiments: Default, NewEnv, RunFig5 and OurApproach;
+#   - the façade: Repo.ArmFaultsRebased, P2PStats.DigestHits and
+#     DigestPushes, and ImportStats.DedupedChunks.
 check: fmt vet build race repeat bench-check loc-budget
 
 # examples builds and runs every examples/* program — executable
@@ -129,3 +140,4 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzCollectLeaves -fuzztime 20s ./internal/blob
 	go test -run '^$$' -fuzz FuzzPlacement -fuzztime 20s ./internal/blob
 	go test -run '^$$' -fuzz FuzzImportArchive -fuzztime 20s .
+	go test -run '^$$' -fuzz FuzzArchiveRoundTrip -fuzztime 20s ./internal/sync

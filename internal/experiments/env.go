@@ -37,6 +37,11 @@ func (a Approach) String() string {
 	}
 }
 
+// jitterMin and jitterMax bound instance launch staggering in seconds
+// (hypervisor initialization skew, §3.1.3, which the paper describes
+// but does not quantify).
+const jitterMin, jitterMax = 0.1, 0.6
+
 // Env is one configured simulation: a fabric laid out as the scenario
 // declared, the storage backend of the chosen approach primed with one
 // base image, and an orchestrator ready to launch one instance per
@@ -113,9 +118,7 @@ func newEnv(p Params, l layout, a Approach, opts ...blobvfs.Option) *Env {
 			if err := srv.Put(ctx, "base.raw", p.ImageSize, nil); err != nil {
 				panic(err)
 			}
-			b := middleware.NewPrepropBackend(srv, "base.raw", p.ImageSize)
-			b.EffRate = p.BcastRate
-			env.Backend = b
+			env.Backend = middleware.NewPrepropBackend(srv, "base.raw", p.ImageSize)
 		}
 	})
 	fab.ResetTraffic()
@@ -132,7 +135,7 @@ func newEnv(p Params, l layout, a Approach, opts ...blobvfs.Option) *Env {
 			return vmmodel.WithThinkJitter(baseOps, traceRNG.Fork(), p.Boot.TotalThink)
 		},
 		StartJitter: func(i int) float64 {
-			return jitRNG.Uniform(p.JitterMin, p.JitterMax)
+			return jitRNG.Uniform(jitterMin, jitterMax)
 		},
 	}
 	return env

@@ -1,15 +1,15 @@
 package experiments
 
 import (
-	"blobvfs/internal/broadcast"
 	"blobvfs/internal/vmmodel"
 	"blobvfs/internal/workloads"
 )
 
 // Params bundles every constant of the evaluation. All values come
-// from §5.1–5.5 of the paper except BcastRate (calibrated, see
-// broadcast.DefaultEffRate) and WriteBuffer and the launch jitter,
-// which the paper describes (§5.3, §3.1.3) but does not quantify.
+// from §5.1–5.5 of the paper except WriteBuffer, which the paper
+// describes (§5.3) but does not quantify. taktuk's per-hop rate
+// (broadcast.DefaultEffRate) and the launch jitter (jitterMin,
+// jitterMax) are constants, not parameters.
 type Params struct {
 	// MaxInstances is the largest sweep point (one VM per node).
 	MaxInstances int
@@ -28,16 +28,11 @@ type Params struct {
 	// SnapshotDiff is the per-instance local modification size for the
 	// multisnapshotting experiment (15 MB, §5.3).
 	SnapshotDiff int64
-	// BcastRate is taktuk's calibrated effective per-hop rate.
-	BcastRate float64
 	// WriteBuffer is the per-provider asynchronous write-back buffer.
 	// BlobSeer acknowledges writes once buffered (§5.3); the bound is
 	// what makes average snapshot time degrade gently as concurrent
 	// write pressure grows.
 	WriteBuffer int64
-	// Jitter bounds instance launch staggering (hypervisor
-	// initialization skew, §3.1.3).
-	JitterMin, JitterMax float64
 	// MonteCarlo is the application model of §5.5.
 	MonteCarlo workloads.MonteCarloConfig
 }
@@ -53,10 +48,7 @@ func Default() Params {
 		Seed:         42,
 		Boot:         vmmodel.DefaultBootConfig(imageSize),
 		SnapshotDiff: 15 << 20,
-		BcastRate:    broadcast.DefaultEffRate,
 		WriteBuffer:  4 << 20,
-		JitterMin:    0.1,
-		JitterMax:    0.6,
 		MonteCarlo:   workloads.DefaultMonteCarloConfig(),
 	}
 }

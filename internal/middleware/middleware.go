@@ -166,7 +166,6 @@ type PrepropBackend struct {
 	Server    *nfs.Server
 	ImageName string
 	ImageSize int64
-	EffRate   float64
 
 	mu       sync.Mutex
 	snapshot int
@@ -174,10 +173,11 @@ type PrepropBackend struct {
 
 // NewPrepropBackend creates the baseline for an image stored on srv.
 func NewPrepropBackend(srv *nfs.Server, name string, size int64) *PrepropBackend {
-	return &PrepropBackend{Server: srv, ImageName: name, ImageSize: size, EffRate: broadcast.DefaultEffRate}
+	return &PrepropBackend{Server: srv, ImageName: name, ImageSize: size}
 }
 
-// Prepare implements Backend: the full broadcast.
+// Prepare implements Backend: the full broadcast, at taktuk's
+// calibrated per-hop rate (broadcast.DefaultEffRate).
 func (b *PrepropBackend) Prepare(ctx *cluster.Ctx, nodes []cluster.NodeID) error {
 	targets := make([]cluster.NodeID, 0, len(nodes))
 	for _, n := range nodes {
@@ -185,7 +185,7 @@ func (b *PrepropBackend) Prepare(ctx *cluster.Ctx, nodes []cluster.NodeID) error
 			targets = append(targets, n)
 		}
 	}
-	broadcast.Binomial(ctx, b.Server.Node(), targets, b.ImageSize, b.EffRate)
+	broadcast.Binomial(ctx, b.Server.Node(), targets, b.ImageSize, broadcast.DefaultEffRate)
 	return nil
 }
 

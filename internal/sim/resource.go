@@ -11,15 +11,11 @@ import "math"
 //   - Acquire with n <= 0 returns immediately without queuing and
 //     without checking the waiter queue. A zero-sized request holds no
 //     units, so admitting it ahead of the queue cannot starve anyone.
-//   - TryAcquire never bypasses queued waiters: while any process is
-//     queued, TryAcquire fails even if enough units are free — free
-//     units belong to the queue head. Callers spinning on TryAcquire
-//     therefore cannot starve the queue.
 //   - Release admits queued waiters strictly FIFO, stopping at the
 //     first waiter that does not fit.
 //
 // TestSemaphoreFIFONoBypass pins this contract under random
-// interleavings of all three operations.
+// interleavings of both operations.
 //
 // Release may be called from any simulation context (process or event
 // callback); Acquire must be called from a process.
@@ -90,20 +86,6 @@ func (s *Semaphore) Acquire(p *Proc, n int64) {
 	}
 	s.pushWaiter(semWait{p, n})
 	p.yield()
-}
-
-// TryAcquire takes n units if immediately available, reporting success.
-// It fails whenever processes are queued, even if n units are free:
-// those units belong to the queue head (see the type comment).
-func (s *Semaphore) TryAcquire(n int64) bool {
-	if n <= 0 {
-		return true
-	}
-	if s.count == 0 && s.used+n <= s.capacity {
-		s.used += n
-		return true
-	}
-	return false
 }
 
 // Release returns n units and admits queued waiters in FIFO order.

@@ -343,24 +343,6 @@ func TestSemaphoreFIFOPreventsStarvation(t *testing.T) {
 	}
 }
 
-func TestSemaphoreTryAcquire(t *testing.T) {
-	e := New()
-	s := NewSemaphore(e, 5)
-	if !s.TryAcquire(3) {
-		t.Fatal("TryAcquire(3) on empty semaphore failed")
-	}
-	if s.TryAcquire(3) {
-		t.Fatal("TryAcquire(3) with 3/5 used succeeded")
-	}
-	if s.used != 3 {
-		t.Fatalf("used = %d, want 3", s.used)
-	}
-	s.Release(3)
-	if s.used != 0 {
-		t.Fatalf("used = %d, want 0", s.used)
-	}
-}
-
 func TestSemaphoreOverRelease(t *testing.T) {
 	e := New()
 	s := NewSemaphore(e, 5)

@@ -27,10 +27,16 @@ import (
 // archiveSum covers every byte before the trailer — so a flipped bit
 // anywhere in the stream is caught before any record is acted on.
 //
-// Both directions are one pass over the bytes. The writer sends chunk
-// records straight to the io.Writer under running sums; the decoder
-// reads the io.Reader front to back, each payload directly into the
-// slice the importer stores. The decoder never trusts a declared
+// Both directions are one pass over the bytes, through one codec.
+// Each record type states its layout once: a put that writes its
+// fixed part, and beside it a get that reads the part back and checks
+// it. writeSection and readSection carry every section's envelope,
+// count, records and checksum. writeArchive writes every section record
+// by record, a real chunk's payload straight from its slice, under
+// running sums; Export calls it once every payload has been fetched,
+// so a failed export writes nothing. DecodeArchive reads the io.Reader
+// front to back, each payload directly into the slice the importer
+// stores. The decoder never trusts a declared
 // length before the bytes arrive: section bodies are length-prefixed,
 // every count is bounded against its section length, every record
 // against what is left of its section, and memory is taken in steps
@@ -73,6 +79,7 @@ const (
 var (
 	magic      = [8]byte{'B', 'V', 'F', 'S', 'Y', 'N', 'C', '1'}
 	castagnoli = crc32.MakeTable(crc32.Castagnoli)
+	le         = binary.LittleEndian
 )
 
 // Header is the archive's self-description: which source repository,
@@ -134,30 +141,169 @@ func payloadDigest(p blob.Payload) uint64 {
 		return uint64(crc32.Checksum(p.Data, castagnoli))
 	}
 	var buf [12]byte
-	binary.LittleEndian.PutUint64(buf[0:], p.Tag)
-	binary.LittleEndian.PutUint32(buf[8:], uint32(p.Size))
+	le.PutUint64(buf[0:], p.Tag)
+	le.PutUint32(buf[8:], uint32(p.Size))
 	return uint64(crc32.Checksum(buf[:], castagnoli))
 }
 
-// archiveWriter serializes an archive incrementally — header first,
-// then one section at a time — keeping the running section and
-// whole-archive checksums as the bytes go out.
+// flag is a record's one-byte boolean.
+func flag(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// Each record's layout is stated once per direction, side by side:
+// put writes the fixed part into b, get reads it back from b and
+// checks it. A get reports a bad record as ErrArchiveCorrupt under its
+// index i in the section.
+
+func (h Header) put(b []byte) {
+	copy(b, magic[:])
+	le.PutUint32(b[8:], formatVersion)
+	le.PutUint64(b[12:], h.SourceUUID)
+	le.PutUint32(b[20:], uint32(h.Image))
+	le.PutUint32(b[24:], uint32(h.From))
+	le.PutUint32(b[28:], uint32(h.To))
+	le.PutUint64(b[32:], h.Seq)
+	le.PutUint32(b[40:], uint32(h.ChunkSize))
+	le.PutUint64(b[44:], uint64(h.ImageSize))
+	le.PutUint64(b[52:], uint64(h.Span))
+}
+
+// get checks the magic, then the format version, so a stream of
+// another version is named for what it is before its checksum is.
+func (h *Header) get(b []byte) error {
+	if !bytes.Equal(b[:len(magic)], magic[:]) {
+		return corrupt("bad magic %q", b[:len(magic)])
+	}
+	if ver := le.Uint32(b[8:]); ver != formatVersion {
+		return corrupt("unsupported format version %d", ver)
+	}
+	*h = Header{
+		SourceUUID: le.Uint64(b[12:]),
+		Image:      blob.ID(le.Uint32(b[20:])),
+		From:       blob.Version(le.Uint32(b[24:])),
+		To:         blob.Version(le.Uint32(b[28:])),
+		Seq:        le.Uint64(b[32:]),
+		ChunkSize:  int32(le.Uint32(b[40:])),
+		ImageSize:  int64(le.Uint64(b[44:])),
+		Span:       int64(le.Uint64(b[52:])),
+	}
+	return nil
+}
+
+func (r VersionRecord) put(b []byte) {
+	le.PutUint32(b[0:], uint32(r.Version))
+	b[4] = flag(r.Retired)
+	le.PutUint64(b[5:], uint64(r.Root))
+}
+
+func (r *VersionRecord) get(b []byte, i int, _ *archiveReader) error {
+	if b[4] > 1 {
+		return corrupt("version record %d: unknown flags %#x", i, b[4])
+	}
+	*r = VersionRecord{
+		Version: blob.Version(le.Uint32(b[0:])),
+		Retired: b[4] == 1,
+		Root:    blob.NodeRef(le.Uint64(b[5:])),
+	}
+	if r.Retired && r.Root != 0 {
+		return corrupt("retired version %d carries a root", r.Version)
+	}
+	return nil
+}
+
+func (r NodeRecord) put(b []byte) {
+	le.PutUint64(b[0:], uint64(r.Ref))
+	le.PutUint64(b[8:], uint64(r.Node.Lo))
+	le.PutUint64(b[16:], uint64(r.Node.Hi))
+	le.PutUint64(b[24:], uint64(r.Node.Left))
+	le.PutUint64(b[32:], uint64(r.Node.Right))
+	le.PutUint64(b[40:], uint64(r.Node.Chunk))
+}
+
+func (r *NodeRecord) get(b []byte, i int, _ *archiveReader) error {
+	n := blob.TreeNode{
+		Lo: int64(le.Uint64(b[8:])), Hi: int64(le.Uint64(b[16:])),
+		Left: blob.NodeRef(le.Uint64(b[24:])), Right: blob.NodeRef(le.Uint64(b[32:])),
+		Chunk: blob.ChunkKey(le.Uint64(b[40:])),
+	}
+	*r = NodeRecord{Ref: blob.NodeRef(le.Uint64(b[0:])), Node: n}
+	if r.Ref == 0 || n.Lo < 0 || n.Hi <= n.Lo {
+		return corrupt("node record %d: invalid ref %d or range [%d,%d)", i, r.Ref, n.Lo, n.Hi)
+	}
+	if n.Leaf() && (n.Left != 0 || n.Right != 0) {
+		return corrupt("node record %d: leaf with children", i)
+	}
+	if !n.Leaf() && n.Chunk != 0 {
+		return corrupt("node record %d: inner node with chunk", i)
+	}
+	return nil
+}
+
+// put writes a chunk record's fixed part; a real payload's bytes
+// follow it on the wire.
+func (r ChunkRecord) put(b []byte) {
+	le.PutUint64(b[0:], uint64(r.Key))
+	le.PutUint32(b[8:], uint32(r.Payload.Size))
+	le.PutUint64(b[12:], r.Payload.Tag)
+	b[20] = flag(r.Payload.Real())
+	le.PutUint64(b[21:], r.Digest)
+}
+
+// get reads a chunk record's fixed part, then its payload if it is
+// real. A size beyond the header's chunk size, or beyond what is left
+// of the section, is rejected before any memory is taken for it.
+func (r *ChunkRecord) get(b []byte, i int, ar *archiveReader) error {
+	size, flags := int32(le.Uint32(b[8:])), b[20]
+	*r = ChunkRecord{
+		Key:     blob.ChunkKey(le.Uint64(b[0:])),
+		Payload: blob.Payload{Size: size, Tag: le.Uint64(b[12:])},
+		Digest:  le.Uint64(b[21:]),
+	}
+	if flags > 1 {
+		return corrupt("chunk record %d: unknown flags %#x", i, flags)
+	}
+	if r.Key == 0 || size < 0 || size > ar.chunkSize {
+		return corrupt("chunk record %d: invalid key %d or size %d (chunk size %d)", i, r.Key, size, ar.chunkSize)
+	}
+	if flags == 1 {
+		// The fixed parts of the records still to come are spoken for
+		// (readSection checked they fit, and every payload since has
+		// left them room); the rest of the section is the most payload
+		// it can still hold.
+		room := ar.body.N - int64(ar.left)*chunkRecLen
+		if int64(size) > room {
+			return corrupt("chunk record %d: payload of %d bytes, its section has room for %d", i, size, room)
+		}
+		var err error
+		if r.Payload.Data, err = ar.payload(int(size), room); err != nil {
+			return err
+		}
+	}
+	if payloadDigest(r.Payload) != r.Digest {
+		return corrupt("chunk record %d (key %d): payload digest mismatch", i, r.Key)
+	}
+	return nil
+}
+
+// archiveWriter sends the archive's bytes to w, keeping the running
+// section and whole-archive checksums as they go out.
 type archiveWriter struct {
 	w    io.Writer
 	arch uint32 // CRC-32C of every byte written
 	sect uint32 // CRC-32C of the open section's body so far
 	n    int64
 	err  error
-}
-
-func newArchiveWriter(w io.Writer) *archiveWriter {
-	return &archiveWriter{w: w}
+	buf  [headerLen]byte // the fixed part or field on its way out
 }
 
 // write sends raw bytes to the underlying writer and the running
 // checksums; errors stick.
 func (aw *archiveWriter) write(b []byte) {
-	if aw.err != nil {
+	if aw.err != nil || len(b) == 0 {
 		return
 	}
 	aw.arch = crc32.Update(aw.arch, castagnoli, b)
@@ -167,122 +313,51 @@ func (aw *archiveWriter) write(b []byte) {
 	aw.err = err
 }
 
-func (aw *archiveWriter) writeU64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	aw.write(b[:])
+// sum writes a u64 checksum field.
+func (aw *archiveWriter) sum(s uint32) {
+	le.PutUint64(aw.buf[:], uint64(s))
+	aw.write(aw.buf[:8])
 }
 
-func (aw *archiveWriter) writeHeader(h Header) {
-	var buf bytes.Buffer
-	buf.Write(magic[:])
-	putU32(&buf, formatVersion)
-	putU64(&buf, h.SourceUUID)
-	putU32(&buf, uint32(h.Image))
-	putU32(&buf, uint32(h.From))
-	putU32(&buf, uint32(h.To))
-	putU64(&buf, h.Seq)
-	putU32(&buf, uint32(h.ChunkSize))
-	putU64(&buf, uint64(h.ImageSize))
-	putU64(&buf, uint64(h.Span))
-	putU64(&buf, uint64(crc32.Checksum(buf.Bytes(), castagnoli)))
-	aw.write(buf.Bytes())
-}
-
-// beginSection writes a section's envelope. The body length goes out
-// before the body, so the caller must know it up front.
-func (aw *archiveWriter) beginSection(kind uint32, length uint64) {
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[0:], kind)
-	binary.LittleEndian.PutUint64(hdr[4:], length)
-	aw.write(hdr[:])
+// writeSection writes one section: its envelope (kind and body
+// length), then the body — the record count, and each record's fixed
+// part of recLen bytes followed by its tail, if any (a real chunk's
+// payload, straight from its slice) — then the body's checksum.
+func writeSection[R any](aw *archiveWriter, kind uint32, recLen int, recs []R, put func(R, []byte), tail func(R) []byte) {
+	length := 4 + len(recs)*recLen
+	for i := 0; tail != nil && i < len(recs); i++ {
+		length += len(tail(recs[i]))
+	}
+	le.PutUint32(aw.buf[0:], kind)
+	le.PutUint64(aw.buf[4:], uint64(length))
+	aw.write(aw.buf[:12])
 	aw.sect = 0
-}
-
-func (aw *archiveWriter) endSection() {
-	aw.writeU64(uint64(aw.sect))
-}
-
-func (aw *archiveWriter) writeSection(kind uint32, body []byte) {
-	aw.beginSection(kind, uint64(len(body)))
-	aw.write(body)
-	aw.endSection()
-}
-
-// writeChunks streams the chunk section: each record's fixed part and
-// then its payload, straight from the slice the provider returned.
-func (aw *archiveWriter) writeChunks(recs []ChunkRecord) {
-	length := uint64(4)
+	le.PutUint32(aw.buf[:], uint32(len(recs)))
+	aw.write(aw.buf[:4])
 	for _, r := range recs {
-		length += chunkRecLen + uint64(len(r.Payload.Data))
-	}
-	aw.beginSection(sectionChunks, length)
-	var rec [chunkRecLen]byte
-	binary.LittleEndian.PutUint32(rec[:], uint32(len(recs)))
-	aw.write(rec[:4])
-	for _, r := range recs {
-		binary.LittleEndian.PutUint64(rec[0:], uint64(r.Key))
-		binary.LittleEndian.PutUint32(rec[8:], uint32(r.Payload.Size))
-		binary.LittleEndian.PutUint64(rec[12:], r.Payload.Tag)
-		rec[20] = 0
-		if r.Payload.Real() {
-			rec[20] = 1
-		}
-		binary.LittleEndian.PutUint64(rec[21:], r.Digest)
-		aw.write(rec[:])
-		if r.Payload.Real() {
-			aw.write(r.Payload.Data)
+		put(r, aw.buf[:recLen])
+		aw.write(aw.buf[:recLen])
+		if tail != nil {
+			aw.write(tail(r))
 		}
 	}
-	aw.endSection()
+	aw.sum(aw.sect)
 }
 
-// finish writes the whole-archive checksum trailer and returns the
-// total byte count.
-func (aw *archiveWriter) finish() (int64, error) {
-	aw.writeU64(uint64(aw.arch))
+// writeArchive encodes a into w, the twin of DecodeArchive, and
+// returns the bytes written. a.Size is not read.
+func writeArchive(w io.Writer, a *Archive) (int64, error) {
+	aw := &archiveWriter{w: w}
+	a.Header.put(aw.buf[:])
+	aw.write(aw.buf[:])
+	// The header opens the stream, so the archive sum so far is its sum.
+	aw.sum(aw.arch)
+	writeSection(aw, sectionVersions, versionRecLen, a.Versions, VersionRecord.put, nil)
+	writeSection(aw, sectionNodes, nodeRecLen, a.Nodes, NodeRecord.put, nil)
+	writeSection(aw, sectionChunks, chunkRecLen, a.Chunks, ChunkRecord.put,
+		func(r ChunkRecord) []byte { return r.Payload.Data })
+	aw.sum(aw.arch)
 	return aw.n, aw.err
-}
-
-func putU32(b *bytes.Buffer, v uint32) {
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], v)
-	b.Write(tmp[:])
-}
-
-func putU64(b *bytes.Buffer, v uint64) {
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], v)
-	b.Write(tmp[:])
-}
-
-func encodeVersions(recs []VersionRecord) []byte {
-	var b bytes.Buffer
-	putU32(&b, uint32(len(recs)))
-	for _, r := range recs {
-		putU32(&b, uint32(r.Version))
-		flags := byte(0)
-		if r.Retired {
-			flags = 1
-		}
-		b.WriteByte(flags)
-		putU64(&b, uint64(r.Root))
-	}
-	return b.Bytes()
-}
-
-func encodeNodes(recs []NodeRecord) []byte {
-	var b bytes.Buffer
-	putU32(&b, uint32(len(recs)))
-	for _, r := range recs {
-		putU64(&b, uint64(r.Ref))
-		putU64(&b, uint64(r.Node.Lo))
-		putU64(&b, uint64(r.Node.Hi))
-		putU64(&b, uint64(r.Node.Left))
-		putU64(&b, uint64(r.Node.Right))
-		putU64(&b, uint64(r.Node.Chunk))
-	}
-	return b.Bytes()
 }
 
 // corrupt builds an ErrArchiveCorrupt with positional context.
@@ -301,6 +376,10 @@ type archiveReader struct {
 	sect uint32           // CRC-32C of the open section's body so far
 	n    int64
 	slab []byte // unused rest of the current payload slab
+
+	chunkSize int32 // the header's: no chunk record may be larger
+	left      int   // records of the open section after the one being read
+	buf       [headerLen]byte
 }
 
 // read fills p from src, or from the open section's body. A stream or
@@ -321,54 +400,34 @@ func (ar *archiveReader) read(from io.Reader, p []byte) error {
 // running sum as the caller saw it before the field itself went
 // through the checksums.
 func (ar *archiveReader) sum(want uint32, what string) error {
-	var b [8]byte
-	if err := ar.read(ar.src, b[:]); err != nil {
+	if err := ar.read(ar.src, ar.buf[:8]); err != nil {
 		return err
 	}
-	if binary.LittleEndian.Uint64(b[:]) != uint64(want) {
+	if le.Uint64(ar.buf[:]) != uint64(want) {
 		return corrupt("%s checksum mismatch at offset %d", what, ar.n-8)
 	}
 	return nil
 }
 
+// header reads the header and its checksum, and checks its geometry
+// before any section is read: the chunk section is bounded by it.
 func (ar *archiveReader) header() (Header, error) {
-	var b [headerLen]byte
-	if err := ar.read(ar.src, b[:len(magic)]); err != nil {
-		return Header{}, err
+	var h Header
+	if err := ar.read(ar.src, ar.buf[:]); err != nil {
+		return h, err
 	}
-	if !bytes.Equal(b[:len(magic)], magic[:]) {
-		return Header{}, corrupt("bad magic %q", b[:len(magic)])
+	if err := h.get(ar.buf[:]); err != nil {
+		return h, err
 	}
-	if err := ar.read(ar.src, b[8:12]); err != nil {
-		return Header{}, err
-	}
-	if ver := binary.LittleEndian.Uint32(b[8:]); ver != formatVersion {
-		return Header{}, corrupt("unsupported format version %d", ver)
-	}
-	if err := ar.read(ar.src, b[12:]); err != nil {
-		return Header{}, err
-	}
-	le := binary.LittleEndian
-	h := Header{
-		SourceUUID: le.Uint64(b[12:]),
-		Image:      blob.ID(le.Uint32(b[20:])),
-		From:       blob.Version(le.Uint32(b[24:])),
-		To:         blob.Version(le.Uint32(b[28:])),
-		Seq:        le.Uint64(b[32:]),
-		ChunkSize:  int32(le.Uint32(b[40:])),
-		ImageSize:  int64(le.Uint64(b[44:])),
-		Span:       int64(le.Uint64(b[52:])),
-	}
-	// The header opens the stream, so the archive sum so far is its sum.
 	if err := ar.sum(ar.arch, "header"); err != nil {
-		return Header{}, err
+		return h, err
 	}
+	ar.chunkSize = h.ChunkSize
 	return h, validateHeader(h)
 }
 
 // validateHeader checks the header's internal consistency: geometry
-// and version range. The chunk section is bounded by ChunkSize, so
-// this runs before any section is read.
+// and version range.
 func validateHeader(h Header) error {
 	if h.ChunkSize <= 0 || h.ImageSize < 0 || h.From < 0 || h.To <= h.From {
 		return corrupt("header geometry/range (size %d, chunk %d, range (%d,%d])",
@@ -385,146 +444,48 @@ func validateHeader(h Header) error {
 	return nil
 }
 
-// beginSection reads one section's envelope and record count, and
-// bounds the count: the section must be long enough for count records
-// of recLen bytes (for a chunk record, the fixed part).
-func (ar *archiveReader) beginSection(kind uint32, recLen int64) (int, error) {
-	var b [12]byte
-	if err := ar.read(ar.src, b[:]); err != nil {
-		return 0, err
+// readSection reads one section: its envelope, the record count —
+// which the declared length must hold at recLen bytes a record (for a
+// chunk, its fixed part) — each record's fixed part through get, and
+// the end of the section. The records must use up the declared length
+// exactly (which is also what makes the counts of the fixed-size
+// sections exact), and the body must match its checksum.
+func readSection[R any](ar *archiveReader, kind uint32, recLen int, get func(*R, []byte, int, *archiveReader) error) ([]R, error) {
+	b := ar.buf[:12]
+	if err := ar.read(ar.src, b); err != nil {
+		return nil, err
 	}
-	if got := binary.LittleEndian.Uint32(b[0:]); got != kind {
-		return 0, corrupt("section kind %d, expected %d", got, kind)
+	if got := le.Uint32(b[0:]); got != kind {
+		return nil, corrupt("section kind %d, expected %d", got, kind)
 	}
-	length := binary.LittleEndian.Uint64(b[4:])
+	length := le.Uint64(b[4:])
 	if length > maxSectionLen {
-		return 0, corrupt("section %d length %d exceeds limit", kind, length)
+		return nil, corrupt("section %d length %d exceeds limit", kind, length)
 	}
 	ar.body.N, ar.sect = int64(length), 0
 	if err := ar.read(&ar.body, b[:4]); err != nil {
-		return 0, err
+		return nil, err
 	}
-	count := int64(binary.LittleEndian.Uint32(b[:]))
-	if count*recLen > ar.body.N {
-		return 0, corrupt("section %d: count %d disagrees with section length %d", kind, count, length)
+	count := int(le.Uint32(b))
+	if int64(count)*int64(recLen) > ar.body.N {
+		return nil, corrupt("section %d: count %d disagrees with section length %d", kind, count, length)
 	}
-	return int(count), nil
-}
-
-// endSection closes a section after its last record: the records must
-// have used up the declared length exactly (which is also what makes
-// the counts of the fixed-size sections exact), and the body must
-// match its checksum.
-func (ar *archiveReader) endSection(kind uint32) error {
+	recs := make([]R, 0, min(count, recordsAhead))
+	var zero R
+	for i := 0; i < count; i++ {
+		if err := ar.read(&ar.body, ar.buf[:recLen]); err != nil {
+			return nil, err
+		}
+		ar.left = count - i - 1
+		recs = append(recs, zero)
+		if err := get(&recs[i], ar.buf[:recLen], i, ar); err != nil {
+			return nil, err
+		}
+	}
 	if ar.body.N != 0 {
-		return corrupt("%d bytes of section %d left after its last record", ar.body.N, kind)
+		return nil, corrupt("%d bytes of section %d left after its last record", ar.body.N, kind)
 	}
-	return ar.sum(ar.sect, "section")
-}
-
-func (ar *archiveReader) versions() ([]VersionRecord, error) {
-	count, err := ar.beginSection(sectionVersions, versionRecLen)
-	if err != nil {
-		return nil, err
-	}
-	recs := make([]VersionRecord, 0, min(count, recordsAhead))
-	var b [versionRecLen]byte
-	for i := 0; i < count; i++ {
-		if err := ar.read(&ar.body, b[:]); err != nil {
-			return nil, err
-		}
-		flags := b[4]
-		if flags > 1 {
-			return nil, corrupt("version record %d: unknown flags %#x", i, flags)
-		}
-		rec := VersionRecord{
-			Version: blob.Version(binary.LittleEndian.Uint32(b[0:])),
-			Retired: flags == 1,
-			Root:    blob.NodeRef(binary.LittleEndian.Uint64(b[5:])),
-		}
-		if rec.Retired && rec.Root != 0 {
-			return nil, corrupt("retired version %d carries a root", rec.Version)
-		}
-		recs = append(recs, rec)
-	}
-	return recs, ar.endSection(sectionVersions)
-}
-
-func (ar *archiveReader) nodes() ([]NodeRecord, error) {
-	count, err := ar.beginSection(sectionNodes, nodeRecLen)
-	if err != nil {
-		return nil, err
-	}
-	recs := make([]NodeRecord, 0, min(count, recordsAhead))
-	var b [nodeRecLen]byte
-	for i := 0; i < count; i++ {
-		if err := ar.read(&ar.body, b[:]); err != nil {
-			return nil, err
-		}
-		le := binary.LittleEndian
-		ref := le.Uint64(b[0:])
-		n := blob.TreeNode{
-			Lo: int64(le.Uint64(b[8:])), Hi: int64(le.Uint64(b[16:])),
-			Left: blob.NodeRef(le.Uint64(b[24:])), Right: blob.NodeRef(le.Uint64(b[32:])),
-			Chunk: blob.ChunkKey(le.Uint64(b[40:])),
-		}
-		if ref == 0 || n.Lo < 0 || n.Hi <= n.Lo {
-			return nil, corrupt("node record %d: invalid ref %d or range [%d,%d)", i, ref, n.Lo, n.Hi)
-		}
-		if n.Leaf() && (n.Left != 0 || n.Right != 0) {
-			return nil, corrupt("node record %d: leaf with children", i)
-		}
-		if !n.Leaf() && n.Chunk != 0 {
-			return nil, corrupt("node record %d: inner node with chunk", i)
-		}
-		recs = append(recs, NodeRecord{Ref: blob.NodeRef(ref), Node: n})
-	}
-	return recs, ar.endSection(sectionNodes)
-}
-
-// chunks decodes the chunk section one record at a time. A record
-// whose size exceeds the header's chunk size is rejected when its
-// fixed part is read, before any memory is taken for its payload.
-func (ar *archiveReader) chunks(chunkSize int32) ([]ChunkRecord, error) {
-	count, err := ar.beginSection(sectionChunks, chunkRecLen)
-	if err != nil {
-		return nil, err
-	}
-	recs := make([]ChunkRecord, 0, min(count, recordsAhead))
-	var b [chunkRecLen]byte
-	for i := 0; i < count; i++ {
-		if err := ar.read(&ar.body, b[:]); err != nil {
-			return nil, err
-		}
-		le := binary.LittleEndian
-		key, size, flags := le.Uint64(b[0:]), int32(le.Uint32(b[8:])), b[20]
-		p := blob.Payload{Size: size, Tag: le.Uint64(b[12:])}
-		digest := le.Uint64(b[21:])
-		if flags > 1 {
-			return nil, corrupt("chunk record %d: unknown flags %#x", i, flags)
-		}
-		if key == 0 || size < 0 || size > chunkSize {
-			return nil, corrupt("chunk record %d: invalid key %d or size %d (chunk size %d)", i, key, size, chunkSize)
-		}
-		if flags == 1 {
-			// The fixed parts of the records still to come are spoken
-			// for (beginSection checked they fit, and every payload
-			// since has left them room); the rest of the section is
-			// the most payload it can still hold.
-			room := ar.body.N - int64(count-i-1)*chunkRecLen
-			if int64(size) > room {
-				return nil, corrupt("chunk record %d: payload of %d bytes, its section has room for %d", i, size, room)
-			}
-			if p.Data, err = ar.payload(int(size), room); err != nil {
-				return nil, err
-			}
-		}
-		if payloadDigest(p) != digest {
-			return nil, corrupt("chunk record %d (key %d): payload digest mismatch", i, key)
-		}
-		recs = append(recs, ChunkRecord{Key: blob.ChunkKey(key), Payload: p, Digest: digest})
-	}
-	return recs, ar.endSection(sectionChunks)
+	return recs, ar.sum(ar.sect, "section")
 }
 
 // payload reads a real payload of n bytes into memory of its own: a
@@ -572,13 +533,13 @@ func DecodeArchive(src io.Reader) (*Archive, error) {
 	if a.Header, err = ar.header(); err != nil {
 		return nil, err
 	}
-	if a.Versions, err = ar.versions(); err != nil {
+	if a.Versions, err = readSection(ar, sectionVersions, versionRecLen, (*VersionRecord).get); err != nil {
 		return nil, err
 	}
-	if a.Nodes, err = ar.nodes(); err != nil {
+	if a.Nodes, err = readSection(ar, sectionNodes, nodeRecLen, (*NodeRecord).get); err != nil {
 		return nil, err
 	}
-	if a.Chunks, err = ar.chunks(a.Header.ChunkSize); err != nil {
+	if a.Chunks, err = readSection(ar, sectionChunks, chunkRecLen, (*ChunkRecord).get); err != nil {
 		return nil, err
 	}
 	if err := ar.sum(ar.arch, "archive"); err != nil {

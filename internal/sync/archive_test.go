@@ -2,8 +2,11 @@ package sync
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"reflect"
@@ -19,19 +22,10 @@ import (
 // tests that need the bytes without a fabric.
 func encodeArchive(a *Archive) []byte {
 	var buf bytes.Buffer
-	writeArchive(&buf, a)
-	return buf.Bytes()
-}
-
-func writeArchive(buf *bytes.Buffer, a *Archive) {
-	aw := newArchiveWriter(buf)
-	aw.writeHeader(a.Header)
-	aw.writeSection(sectionVersions, encodeVersions(a.Versions))
-	aw.writeSection(sectionNodes, encodeNodes(a.Nodes))
-	aw.writeChunks(a.Chunks)
-	if _, err := aw.finish(); err != nil {
+	if _, err := writeArchive(&buf, a); err != nil {
 		panic(err)
 	}
+	return buf.Bytes()
 }
 
 func chunkRecord(key blob.ChunkKey, p blob.Payload) ChunkRecord {
@@ -99,6 +93,105 @@ func TestArchiveRoundTrip(t *testing.T) {
 			t.Fatalf("%s: round trip mismatch:\n got %+v\nwant %+v", name, got, a)
 		}
 	}
+}
+
+// TestArchiveFormatPinned pins the encoding byte for byte. A change to
+// the wire format changes these on purpose, with formatVersion.
+func TestArchiveFormatPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		a    *Archive
+		size int
+		sum  string
+	}{
+		{"sample", sampleArchive(), 376, "c7e706064246b058dfd2a7eb90c347b9330b1f9519bec7767b0a059f09b5d0d7"},
+		{"slabs", slabArchive(), 11_534_928, "c8615bf78c95360f0832e20b6a3b439eb1c49100973e931beb749cb95e877367"},
+	} {
+		raw := encodeArchive(tc.a)
+		sum := sha256.Sum256(raw)
+		if len(raw) != tc.size || hex.EncodeToString(sum[:]) != tc.sum {
+			t.Errorf("%s: %d bytes, SHA-256 %x; want %d bytes, %s", tc.name, len(raw), sum, tc.size, tc.sum)
+		}
+	}
+}
+
+// archiveFrom builds an archive the decoder accepts from arbitrary
+// bytes: every field the decoder checks is brought into range, every
+// other field is taken from in as it comes.
+func archiveFrom(in []byte) *Archive {
+	// next takes the next n <= 8 bytes of in, little-endian, zero past
+	// its end.
+	next := func(n int) uint64 {
+		var b [8]byte
+		in = in[copy(b[:n], in):]
+		return le.Uint64(b[:])
+	}
+	h := Header{
+		SourceUUID: next(8),
+		Image:      blob.ID(next(4)),
+		From:       blob.Version(next(1)),
+		Seq:        next(8),
+		ChunkSize:  1 + int32(next(2)),
+		ImageSize:  int64(next(3)),
+	}
+	h.To = h.From + 1 + blob.Version(next(1))
+	for h.Span = 1; h.Span*int64(h.ChunkSize) < h.ImageSize; h.Span <<= 1 {
+	}
+	a := &Archive{Header: h, Versions: []VersionRecord{}, Nodes: []NodeRecord{}, Chunks: []ChunkRecord{}}
+	for len(in) > 0 {
+		switch next(1) % 3 {
+		case 0:
+			r := VersionRecord{Version: blob.Version(next(4)), Retired: next(1)%2 == 1}
+			if !r.Retired {
+				r.Root = blob.NodeRef(next(8))
+			}
+			a.Versions = append(a.Versions, r)
+		case 1:
+			r := NodeRecord{Ref: blob.NodeRef(max(1, next(8))), Node: blob.TreeNode{Lo: int64(next(7))}}
+			r.Node.Hi = r.Node.Lo + 1 + int64(next(2))
+			if r.Node.Leaf() {
+				r.Node.Chunk = blob.ChunkKey(next(8))
+			} else {
+				r.Node.Left, r.Node.Right = blob.NodeRef(next(8)), blob.NodeRef(next(8))
+			}
+			a.Nodes = append(a.Nodes, r)
+		case 2:
+			key, size := blob.ChunkKey(max(1, next(8))), int32(next(2))%(h.ChunkSize+1)
+			p := blob.SyntheticPayload(size, next(8))
+			if next(1)%2 == 1 {
+				data := make([]byte, size)
+				in = in[copy(data, in):]
+				p.Data = data
+			}
+			a.Chunks = append(a.Chunks, chunkRecord(key, p))
+		}
+	}
+	return a
+}
+
+// FuzzArchiveRoundTrip: whatever valid archive the input describes,
+// DecodeArchive returns exactly what writeArchive encoded.
+func FuzzArchiveRoundTrip(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(encodeArchive(sampleArchive()))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		a := archiveFrom(in)
+		var buf bytes.Buffer
+		n, err := writeArchive(&buf, a)
+		if err != nil || n != int64(buf.Len()) {
+			t.Fatalf("writeArchive: %d bytes reported, %d written, err %v", n, buf.Len(), err)
+		}
+		got, err := DecodeArchive(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Size = n
+		// DeepEqual tells a nil Data from an empty one, and a nil
+		// section from an empty one.
+		if !reflect.DeepEqual(got, a) {
+			t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, a)
+		}
+	})
 }
 
 // TestDecodeFromAwkwardReaders decodes through readers that deliver
@@ -205,12 +298,15 @@ func TestDecodeChecksHeaderBeforeSections(t *testing.T) {
 // TestDecodeRejectsSectionWithoutCount: a section too short for its
 // own record count.
 func TestDecodeRejectsSectionWithoutCount(t *testing.T) {
+	header := encodeArchive(sampleArchive())[:headerLen+8]
 	for length := 0; length < 4; length++ {
-		var buf bytes.Buffer
-		aw := newArchiveWriter(&buf)
-		aw.writeHeader(sampleArchive().Header)
-		aw.writeSection(sectionVersions, make([]byte, length))
-		if _, err := DecodeArchive(&buf); !errors.Is(err, ErrArchiveCorrupt) {
+		body := make([]byte, length)
+		raw := append([]byte(nil), header...)
+		raw = le.AppendUint32(raw, sectionVersions)
+		raw = le.AppendUint64(raw, uint64(length))
+		raw = append(raw, body...)
+		raw = le.AppendUint64(raw, uint64(crc32.Checksum(body, castagnoli)))
+		if _, err := DecodeArchive(bytes.NewReader(raw)); !errors.Is(err, ErrArchiveCorrupt) {
 			t.Errorf("versions section of %d bytes: err = %v, want ErrArchiveCorrupt", length, err)
 		}
 	}
@@ -246,26 +342,27 @@ func TestDecodeRejectsOversizedChunk(t *testing.T) {
 // bytes received, not the promise.
 func TestDecodeLyingLengthsAllocateLittle(t *testing.T) {
 	a := sampleArchive()
-	prefix := func(h Header, upTo uint32) *archiveWriter {
-		aw := newArchiveWriter(new(bytes.Buffer))
-		aw.writeHeader(h)
+	// prefix is the stream up to section upTo, cut from a whole
+	// archive under header h: the header and the sections before it.
+	prefix := func(h Header, upTo uint32) []byte {
+		b := *a
+		b.Header = h
+		n := headerLen + 8
 		if upTo > sectionVersions {
-			aw.writeSection(sectionVersions, encodeVersions(a.Versions))
+			n += 12 + 4 + len(a.Versions)*versionRecLen + 8
 		}
 		if upTo > sectionNodes {
-			aw.writeSection(sectionNodes, encodeNodes(a.Nodes))
+			n += 12 + 4 + len(a.Nodes)*nodeRecLen + 8
 		}
-		return aw
+		return encodeArchive(&b)[:n]
 	}
 	// open begins a section of the largest admissible length, holding
 	// as many records as fit, and cuts the stream after extra.
-	open := func(aw *archiveWriter, kind uint32, recLen int, extra []byte) []byte {
-		aw.beginSection(kind, maxSectionLen)
-		var count [4]byte
-		binary.LittleEndian.PutUint32(count[:], uint32((maxSectionLen-4)/recLen))
-		aw.write(count[:])
-		aw.write(extra)
-		return aw.w.(*bytes.Buffer).Bytes()
+	open := func(raw []byte, kind uint32, recLen int, extra []byte) []byte {
+		raw = le.AppendUint32(raw, kind)
+		raw = le.AppendUint64(raw, maxSectionLen)
+		raw = le.AppendUint32(raw, uint32((maxSectionLen-4)/recLen))
+		return append(raw, extra...)
 	}
 	chunkRec := func(size uint32) []byte {
 		rec := make([]byte, chunkRecLen)

@@ -43,8 +43,10 @@ func (s ExportStats) DeltaBytes() int64 { return s.ChunkBytes + s.NodeBytes }
 // version numbering stays aligned.
 //
 // The base and target versions (and every live intermediate) are
-// pinned for the duration of the stream, so a concurrent GC cannot
-// reclaim chunks or tree nodes the archive still needs. The image's
+// pinned for the duration of the export, so a concurrent GC cannot
+// reclaim chunks or tree nodes the archive still needs. Nothing is
+// written to w before every payload has been fetched, so an export
+// that fails while walking or fetching writes nothing. The image's
 // export sequence number is committed only after the stream completes
 // — a failed export burns no sequence number.
 func Export(ctx *cluster.Ctx, sys *blob.System, t *Tracker, w io.Writer, id blob.ID, from, to blob.Version) (ExportStats, error) {
@@ -84,20 +86,6 @@ func Export(ctx *cluster.Ctx, sys *blob.System, t *Tracker, w io.Writer, id blob
 			return ExportStats{}, fmt.Errorf("sync: export intermediate %d@%d: %w", id, v, err)
 		}
 	}
-
-	seq := t.nextExportSeq(id)
-	h := Header{
-		SourceUUID: t.uuid,
-		Image:      id,
-		From:       from,
-		To:         to,
-		Seq:        seq,
-		ChunkSize:  int32(info.ChunkSize),
-		ImageSize:  info.Size,
-		Span:       info.Span,
-	}
-	aw := newArchiveWriter(w)
-	aw.writeHeader(h)
 
 	// Mark phase A: everything reachable from the base version is
 	// already on the importing side and must not ship.
@@ -160,26 +148,35 @@ func Export(ctx *cluster.Ctx, sys *blob.System, t *Tracker, w io.Writer, id blob
 		stats.Versions++
 	}
 
-	aw.writeSection(sectionVersions, encodeVersions(versions))
-	aw.writeSection(sectionNodes, encodeNodes(nodes))
-
-	// The chunk payloads are fetched only now, after the header and
-	// tree sections are on the wire — mid-stream, which is exactly the
-	// window the pins protect against a concurrent GC. All of them are
-	// in hand before the first goes out, because the section's length
-	// precedes its body.
-	chunks := make([]ChunkRecord, 0, len(keys))
+	// The chunk payloads are fetched only now, after the walk: the
+	// pins keep a concurrent GC from reclaiming them in between.
+	// Nothing goes out before all of them are in hand, so an export
+	// that fails writes nothing to w.
+	seq := t.nextExportSeq(id)
+	a := &Archive{
+		Header: Header{
+			SourceUUID: t.uuid,
+			Image:      id,
+			From:       from,
+			To:         to,
+			Seq:        seq,
+			ChunkSize:  int32(info.ChunkSize),
+			ImageSize:  info.Size,
+			Span:       info.Span,
+		},
+		Versions: versions,
+		Nodes:    nodes,
+		Chunks:   make([]ChunkRecord, 0, len(keys)),
+	}
 	for _, key := range keys {
 		p, err := sys.Providers.Get(ctx, key)
 		if err != nil {
 			return ExportStats{}, fmt.Errorf("sync: export chunk %d: %w", key, err)
 		}
-		chunks = append(chunks, ChunkRecord{Key: key, Payload: p, Digest: payloadDigest(p)})
+		a.Chunks = append(a.Chunks, ChunkRecord{Key: key, Payload: p, Digest: payloadDigest(p)})
 		stats.ChunkBytes += int64(p.Size)
 	}
-	aw.writeChunks(chunks)
-
-	n, err := aw.finish()
+	n, err := writeArchive(w, a)
 	if err != nil {
 		return ExportStats{}, fmt.Errorf("sync: writing archive: %w", err)
 	}
@@ -187,7 +184,7 @@ func Export(ctx *cluster.Ctx, sys *blob.System, t *Tracker, w io.Writer, id blob
 	stats.Image = id
 	stats.From, stats.To, stats.Seq = from, to, seq
 	stats.Nodes = len(nodes)
-	stats.Chunks = len(chunks)
+	stats.Chunks = len(a.Chunks)
 	stats.NodeBytes = int64(len(nodes)) * blob.TreeNodeWire
 	stats.FullBytes = info.Size
 	stats.ArchiveBytes = n

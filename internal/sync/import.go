@@ -101,47 +101,41 @@ func Import(ctx *cluster.Ctx, sys *blob.System, t *Tracker, src io.Reader) (Impo
 		defer sys.VM.Unpin(localID, h.From)
 	}
 
-	// Allocate this repository's refs and keys for everything the
-	// archive ships. The allocations are local counter increments,
-	// pending-marked so a concurrent GC cycle exempts them, and the
-	// deferred clears make a failed import leave no trace beyond the
-	// advanced counters.
-	nodeByRef := make(map[blob.NodeRef]*NodeRecord, len(a.Nodes))
-	for i := range a.Nodes {
-		rec := &a.Nodes[i]
-		if _, dup := nodeByRef[rec.Ref]; dup {
-			return ImportStats{}, corrupt("duplicate node ref %d", rec.Ref)
-		}
-		nodeByRef[rec.Ref] = rec
-	}
-	refMap := make(map[blob.NodeRef]blob.NodeRef, len(a.Nodes))
-	if len(a.Nodes) > 0 {
-		firstRef := sys.Meta.AllocPending(len(a.Nodes))
-		defer sys.Meta.ClearPending(firstRef)
-		for i := range a.Nodes {
-			refMap[a.Nodes[i].Ref] = firstRef + blob.NodeRef(i)
-		}
-	}
-
-	keyMap := make(map[blob.ChunkKey]blob.ChunkKey, len(a.Chunks))
-	firstKey := sys.Providers.AllocPending(len(a.Chunks))
-	if len(a.Chunks) > 0 {
-		defer sys.Providers.ClearPending(firstKey)
-	}
-	for i := range a.Chunks {
-		rec := &a.Chunks[i]
-		if _, dup := keyMap[rec.Key]; dup {
-			return ImportStats{}, corrupt("duplicate chunk key %d", rec.Key)
-		}
-		keyMap[rec.Key] = firstKey + blob.ChunkKey(i)
-	}
-
+	// Index what the archive ships by position, refusing a ref or key
+	// shipped twice, then allocate this repository's refs and keys for
+	// it: archive node i becomes firstRef+i, chunk i firstKey+i. The
+	// allocations are local counter increments, pending-marked so a
+	// concurrent GC cycle exempts them, and the deferred clears make a
+	// failed import leave no trace beyond the advanced counters.
 	res := &resolver{
 		ctx: ctx, meta: sys.Meta,
 		baseRoot: baseRoot, span: h.Span,
-		refMap: refMap, keyMap: keyMap, nodeByRef: nodeByRef,
+		nodes:        a.Nodes,
+		nodeAt:       make(map[blob.NodeRef]int, len(a.Nodes)),
+		keyAt:        make(map[blob.ChunkKey]int, len(a.Chunks)),
+		at:           make([][2]int64, len(a.Nodes)),
 		sharedRefs:   make(map[blob.NodeRef]blob.NodeRef),
 		sharedChunks: make(map[blob.ChunkKey]blob.ChunkKey),
+	}
+	for i, rec := range a.Nodes {
+		if _, dup := res.nodeAt[rec.Ref]; dup {
+			return ImportStats{}, corrupt("duplicate node ref %d", rec.Ref)
+		}
+		res.nodeAt[rec.Ref] = i
+	}
+	for i, rec := range a.Chunks {
+		if _, dup := res.keyAt[rec.Key]; dup {
+			return ImportStats{}, corrupt("duplicate chunk key %d", rec.Key)
+		}
+		res.keyAt[rec.Key] = i
+	}
+	if len(a.Nodes) > 0 {
+		res.firstRef = sys.Meta.AllocPending(len(a.Nodes))
+		defer sys.Meta.ClearPending(res.firstRef)
+	}
+	if len(a.Chunks) > 0 {
+		res.firstKey = sys.Providers.AllocPending(len(a.Chunks))
+		defer sys.Providers.ClearPending(res.firstKey)
 	}
 
 	// Resolve every version's tree — still read-only. The walk
@@ -173,7 +167,7 @@ func Import(ctx *cluster.Ctx, sys *blob.System, t *Tracker, src io.Reader) (Impo
 	if len(a.Chunks) > 0 {
 		puts := make([]blob.ChunkPut, len(a.Chunks))
 		for i, rec := range a.Chunks {
-			puts[i] = blob.ChunkPut{Key: keyMap[rec.Key], Payload: rec.Payload}
+			puts[i] = blob.ChunkPut{Key: res.firstKey + blob.ChunkKey(i), Payload: rec.Payload}
 		}
 		if err := sys.Providers.PutBatch(ctx, puts); err != nil {
 			return ImportStats{}, fmt.Errorf("sync: storing chunks: %w", err)
@@ -241,12 +235,14 @@ func validateSemantics(a *Archive) error {
 }
 
 // resolver rewrites the archive's trees into local ref/key space.
-// Refs the archive ships map through refMap; refs it shares with the
-// base version resolve by descending the local base tree to the
-// subtree covering the same range (imports reproduce the source's
-// tree structure, so the correspondence is positional). Results are
-// memoized — shadowing shares whole subtrees across the archived
-// versions, and each is resolved once.
+// Refs and keys the archive ships map by position: the node or chunk
+// at index i of its section gets the local ref firstRef+i or key
+// firstKey+i. Refs it shares with the base version resolve by
+// descending the local base tree to the subtree covering the same
+// range (imports reproduce the source's tree structure, so the
+// correspondence is positional). Results are memoized — shadowing
+// shares whole subtrees across the archived versions, and each is
+// resolved once.
 type resolver struct {
 	ctx  *cluster.Ctx
 	meta *blob.MetaService
@@ -254,14 +250,16 @@ type resolver struct {
 	baseRoot blob.NodeRef
 	span     int64
 
-	refMap    map[blob.NodeRef]blob.NodeRef
-	keyMap    map[blob.ChunkKey]blob.ChunkKey
-	nodeByRef map[blob.NodeRef]*NodeRecord
+	nodes    []NodeRecord
+	nodeAt   map[blob.NodeRef]int  // foreign ref → its index in nodes
+	keyAt    map[blob.ChunkKey]int // foreign key → its index in the chunk section
+	firstRef blob.NodeRef
+	firstKey blob.ChunkKey
 
 	sharedRefs   map[blob.NodeRef]blob.NodeRef   // foreign shared ref → local ref
 	sharedChunks map[blob.ChunkKey]blob.ChunkKey // foreign shared key → local key
 
-	resolved  map[blob.NodeRef][2]int64 // archive refs already rewritten → their range
+	at        [][2]int64 // node i's rewritten range; zero until rewritten
 	rewritten []blob.NewNode
 
 	// One-ref request and reply of descend's path walk.
@@ -275,15 +273,12 @@ func (r *resolver) resolve(ref blob.NodeRef, lo, hi int64) (blob.NodeRef, error)
 	if ref == 0 {
 		return 0, nil
 	}
-	rec, inArchive := r.nodeByRef[ref]
+	i, inArchive := r.nodeAt[ref]
 	if !inArchive {
 		return r.resolveShared(ref, lo, hi)
 	}
-	local := r.refMap[ref]
-	if r.resolved == nil {
-		r.resolved = make(map[blob.NodeRef][2]int64)
-	}
-	if at, done := r.resolved[ref]; done {
+	local := r.firstRef + blob.NodeRef(i)
+	if at := r.at[i]; at != [2]int64{} {
 		// A node is one fixed subtree; an archive linking the same
 		// ref at two ranges is corrupt, not shared.
 		if at != [2]int64{lo, hi} {
@@ -291,8 +286,8 @@ func (r *resolver) resolve(ref blob.NodeRef, lo, hi int64) (blob.NodeRef, error)
 		}
 		return local, nil
 	}
-	r.resolved[ref] = [2]int64{lo, hi}
-	n := rec.Node
+	r.at[i] = [2]int64{lo, hi}
+	n := r.nodes[i].Node
 	if n.Lo != lo || n.Hi != hi {
 		return 0, corrupt("node %d covers [%d,%d), expected [%d,%d)", ref, n.Lo, n.Hi, lo, hi)
 	}
@@ -343,8 +338,8 @@ func (r *resolver) resolveChunk(key blob.ChunkKey, lo int64) (blob.ChunkKey, err
 	if key == 0 {
 		return 0, nil
 	}
-	if local, ok := r.keyMap[key]; ok {
-		return local, nil
+	if i, ok := r.keyAt[key]; ok {
+		return r.firstKey + blob.ChunkKey(i), nil
 	}
 	if local, ok := r.sharedChunks[key]; ok {
 		return local, nil

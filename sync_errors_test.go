@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+	"time"
 
 	"blobvfs"
 )
@@ -164,6 +165,33 @@ func TestImportTypedErrors(t *testing.T) {
 					}
 				}
 			})
+		}
+	})
+}
+
+// TestFailedExportWritesNothing: an export whose chunk fetch fails
+// leaves the writer empty. Nothing goes out before every payload is in
+// hand, so a failed export cannot leave half an archive behind.
+func TestFailedExportWritesNothing(t *testing.T) {
+	fab, repo := newRepo(t, 4, blobvfs.WithFaultPlan(blobvfs.KillAt(0, 2)))
+	fab.Run(func(ctx *blobvfs.Ctx) {
+		ref, err := repo.Create(ctx, "", img(64<<10, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := repo.ArmFaults(ctx); err != nil {
+			t.Fatal(err)
+		}
+		// The live injector runs on a goroutine of its own.
+		for repo.NodeAlive(2) {
+			time.Sleep(time.Millisecond)
+		}
+		var w bytes.Buffer
+		if _, err := repo.Export(ctx, &w, ref.Image, 0, ref.Version); !errors.Is(err, blobvfs.ErrNoReplica) {
+			t.Fatalf("export with a dead provider: err = %v, want ErrNoReplica", err)
+		}
+		if w.Len() != 0 {
+			t.Fatalf("a failed export wrote %d bytes", w.Len())
 		}
 	})
 }
