@@ -85,7 +85,7 @@ staticcheck:
 # turns a list of names into one anchored -bench regex.
 BENCH_CPU1 := Fig4PaperScale FlashCrowd256 FlashCrowdDegraded FlashCrowdCrossZone \
 	FlashCrowdMetaOutage FlashCrowdScale FlashCrowd10k Multisnapshot1024 Churn \
-	ExportImport ArchiveEncode ArchiveDecode MirrorColdRead
+	ExportImport ArchiveEncode ArchiveDecode MirrorColdRead MirrorSparseOpen
 BENCH_LIVE := CommitDataStructures MetadataColdDescent
 empty :=
 bench_re = ^Benchmark($(subst $(empty) $(empty),|,$(strip $(1))))$$

@@ -155,13 +155,13 @@ func TestCommitRemarksOnlyBytesWrittenDuringPublish(t *testing.T) {
 		})
 		ctx.WaitAll([]cluster.Task{commit, writer})
 		im.mu.Lock()
-		st := im.chunks[0]
+		st := im.stateLocked(0)
 		im.mu.Unlock()
 		if want := (span{4096, 4100}); st.Dirty != want {
 			t.Fatalf("dirty range after commit = %v, want %v (only the in-window write)", st.Dirty, want)
 		}
-		if len(im.during) != 0 {
-			t.Fatalf("publish window not closed: during=%v", im.during)
+		if err := im.check(); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

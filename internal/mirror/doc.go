@@ -9,8 +9,11 @@
 // and writes into local and remote operations; the local modification
 // manager tracks, per chunk, one contiguous mirrored region and one
 // contiguous dirty region, which bounds fragmentation metadata to
-// O(chunks) (strategy 2 of §3.3). Remote reads always fetch the full
-// minimal set of chunks covering the requested range (strategy 1).
+// O(chunks) (strategy 2 of §3.3). In memory that is one bit per chunk,
+// set when the chunk is fully mirrored, plus an entry for each chunk
+// that is partly mirrored or dirty, so an open image costs what it
+// touched. Remote reads always fetch the full minimal set of chunks
+// covering the requested range (strategy 1).
 //
 // The control primitives CLONE and COMMIT — ioctls in the paper — are
 // the Image.Clone and Image.Commit methods.

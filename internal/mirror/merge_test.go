@@ -103,3 +103,48 @@ func BenchmarkMirrorColdRead(b *testing.B) {
 		b.Fatal("last read differs from the image")
 	}
 }
+
+// BenchmarkMirrorSparseOpen opens a synthetic image of 8,192 chunks of
+// 256 KiB (2 GiB), reads one chunk in 32 (3 %), writes a few small
+// ranges and closes: a boot's footprint on an image far larger than
+// what it touches, so B/op is dominated by what an open costs per
+// chunk of the image.
+func BenchmarkMirrorSparseOpen(b *testing.B) {
+	const chunks, chunk = 8192, 256 << 10
+	fab := cluster.NewLive(4)
+	sys := blob.NewSystem([]cluster.NodeID{0, 1, 2, 3}, 0, 1)
+	var id blob.ID
+	var v blob.Version
+	fab.Run(func(ctx *cluster.Ctx) {
+		c := blob.NewClient(sys)
+		var err error
+		if id, err = c.Create(ctx, chunks*chunk, chunk); err == nil {
+			v, err = c.WriteFull(ctx, id, 0, 1)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fab.Run(func(ctx *cluster.Ctx) {
+			mod := NewModule(0, blob.NewClient(sys))
+			im, err := mod.Open(ctx, id, v, false)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for ci := int64(0); ci < chunks; ci += 32 {
+				if err := im.Read(ctx, ci*chunk+4096, 8192); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for ci := int64(5); ci < chunks; ci += 1024 {
+				if err := im.Write(ctx, ci*chunk+100, 4096); err != nil {
+					b.Fatal(err)
+				}
+			}
+			im.Close(ctx)
+		})
+	}
+}

@@ -51,7 +51,7 @@ type localState struct {
 	version   blob.Version
 	leaves    []blob.LeafEntry
 	committed []blob.LeafEntry
-	chunks    []chunkState
+	chunks    *chunkTable
 	local     []byte
 }
 
@@ -70,15 +70,34 @@ func (s span) cover(lo, hi int32) span {
 	return span{min(s.Lo, lo), max(s.Hi, hi)}
 }
 
-// chunkState is the local modification manager's record for one chunk:
-// at most one contiguous mirrored byte range and one contiguous dirty
-// byte range. Dirty is always contained in mirrored.
+// chunkState is the local modification manager's record for chunk
+// Index: at most one contiguous mirrored byte range and one contiguous
+// dirty byte range. Dirty is always contained in mirrored. Window is
+// set while a commit pushes the chunk's captured payload to the
+// fabric, and During is the dirty hull of the writes that landed on it
+// since: commit completion re-marks exactly those bytes, which the
+// published snapshot does not contain, instead of wiping them.
 type chunkState struct {
-	Mir, Dirty span
+	Index              int64
+	Mir, Dirty, During span
+	Window             bool
 }
 
 func (cs chunkState) mirrored() bool { return !cs.Mir.empty() }
 func (cs chunkState) dirty() bool    { return !cs.Dirty.empty() }
+
+// chunkTable is an image's local modification record, sized by the
+// chunks the image touched: full has one bit per chunk, set when the
+// chunk is fully mirrored, and parts holds the state of each chunk that
+// is partly mirrored or dirty, sorted by Index. A chunk in neither is
+// untouched, or whole and clean as its bit says. A chunk in a publish
+// window is dirty, so it always has an entry.
+type chunkTable struct {
+	full  []uint64
+	parts []chunkState
+}
+
+func byState(st chunkState, ci int64) int { return cmp.Compare(st.Index, ci) }
 
 // NewModule creates the mirroring module for a node, attached to the
 // blob storage service through client.
@@ -124,8 +143,8 @@ type Image struct {
 	mu      sync.Mutex
 	blobID  blob.ID      // changes on Clone
 	version blob.Version // changes on Commit
-	chunks  []chunkState
-	local   []byte // real local mirror; nil when running synthetic
+	chunks  *chunkTable  // persisted by Close, so shared with a reopen
+	local   []byte       // real local mirror; nil when running synthetic
 	open    bool
 	stats   Stats
 
@@ -138,13 +157,6 @@ type Image struct {
 	leaves    []blob.LeafEntry
 	committed []blob.LeafEntry
 
-	// during has an entry for each chunk whose captured payload a commit
-	// is currently pushing to the fabric: the dirty hull of the writes
-	// that landed on it inside that window, empty until one does. Commit
-	// completion re-marks exactly those bytes, which the published
-	// snapshot does not contain, instead of wiping them from the dirty
-	// map.
-	during map[int64]span
 	// run is the fetched payload the kernel has not yet written back: a
 	// contiguous extent of chunks ending before chunk end.
 	run struct{ end, bytes int64 }
@@ -173,10 +185,7 @@ func (m *Module) Open(ctx *cluster.Ctx, id blob.ID, v blob.Version, real bool) (
 	if err := m.client.PinVersion(id, v); err != nil {
 		return nil, err
 	}
-	im := &Image{
-		mod: m, blobID: id, version: v, info: inf, open: true,
-		during: make(map[int64]span),
-	}
+	im := &Image{mod: m, blobID: id, version: v, info: inf, open: true}
 	m.mu.Lock()
 	st := m.closed[id]
 	switch {
@@ -200,7 +209,7 @@ func (m *Module) Open(ctx *cluster.Ctx, id blob.ID, v blob.Version, real bool) (
 		im.leaves, im.committed, im.chunks, im.local = st.leaves, st.committed, st.chunks, st.local
 		// Re-reading the persisted modification metadata costs one
 		// local-disk access.
-		ctx.DiskRead(m.node, int64(len(st.chunks))*16)
+		ctx.DiskRead(m.node, inf.Chunks()*16)
 		return im, nil
 	}
 	// Resolve the snapshot's complete chunk map once, so that no demand
@@ -211,7 +220,7 @@ func (m *Module) Open(ctx *cluster.Ctx, id blob.ID, v blob.Version, real bool) (
 		m.client.UnpinVersion(id, v)
 		return nil, err
 	}
-	im.chunks = make([]chunkState, inf.Chunks())
+	im.chunks = &chunkTable{full: make([]uint64, (inf.Chunks()+63)/64)}
 	if real {
 		im.local = make([]byte, inf.Size)
 	}
@@ -230,10 +239,11 @@ func (im *Image) Close(ctx *cluster.Ctx) {
 	im.open = false
 	id, v := im.blobID, im.version
 	st := &localState{version: im.version, leaves: im.leaves, committed: im.committed, chunks: im.chunks, local: im.local}
-	n, tail := int64(len(im.chunks))*16, im.run.bytes
+	n, tail := im.info.Chunks()*16, im.run.bytes
 	im.run.bytes = 0
 	im.mu.Unlock()
-	// Write back the pending run, then the metadata next to the file.
+	// Write back the pending run, then the metadata next to the file:
+	// 16 bytes per chunk of the image, however few it touched.
 	diskWriteIdle(ctx, im.mod.node, tail)
 	ctx.DiskWrite(im.mod.node, n)
 	im.mod.mu.Lock()
@@ -275,8 +285,8 @@ func (im *Image) Stats() Stats {
 func (im *Image) Dirty() bool {
 	im.mu.Lock()
 	defer im.mu.Unlock()
-	for i := range im.chunks {
-		if im.chunks[i].dirty() {
+	for _, st := range im.chunks.parts {
+		if st.dirty() {
 			return true
 		}
 	}
@@ -359,8 +369,7 @@ func (im *Image) access(ctx *cluster.Ctx, off, n int64, p []byte, write bool) er
 		wlo := int32(max(off, cstart) - cstart)
 		whi := int32(min(off+n, cstart+int64(im.info.ChunkLen(ci))) - cstart)
 		im.mu.Lock()
-		st := &im.chunks[ci]
-		if st.mirrored() && (wlo > st.Mir.Hi || whi < st.Mir.Lo) {
+		if st := im.stateLocked(ci); st.mirrored() && (wlo > st.Mir.Hi || whi < st.Mir.Lo) {
 			// Strategy 2: the write would fragment the mirrored region;
 			// fill the gap by fetching the whole chunk remotely first.
 			im.stats.GapFills++
@@ -375,14 +384,16 @@ func (im *Image) access(ctx *cluster.Ctx, off, n int64, p []byte, write bool) er
 		}
 		// Extend the contiguous mirrored region and track the dirty
 		// hull inside it.
+		st := im.stateLocked(ci)
 		st.Mir = st.Mir.cover(wlo, whi)
 		st.Dirty = st.Dirty.cover(wlo, whi)
-		if d, open := im.during[ci]; open {
+		if st.Window {
 			// A commit captured this chunk and is pushing it out right
 			// now: record the write separately so completion re-marks
 			// it dirty instead of wiping it with the committed range.
-			im.during[ci] = d.cover(wlo, whi)
+			st.During = st.During.cover(wlo, whi)
 		}
+		im.setLocked(st)
 		im.mu.Unlock()
 	}
 	im.mu.Lock()
@@ -421,7 +432,47 @@ func (im *Image) ensureMirrored(ctx *cluster.Ctx, lo, hi int64) error {
 }
 
 func (im *Image) fullyMirroredLocked(ci int64) bool {
-	return im.chunks[ci].Mir == span{0, im.info.ChunkLen(ci)}
+	return im.chunks.full[ci>>6]&(1<<(ci&63)) != 0
+}
+
+// stateLocked returns chunk ci's record: its entry, or else the state
+// its bit implies.
+func (im *Image) stateLocked(ci int64) chunkState {
+	if i, ok := slices.BinarySearchFunc(im.chunks.parts, ci, byState); ok {
+		return im.chunks.parts[i]
+	}
+	st := chunkState{Index: ci}
+	if im.fullyMirroredLocked(ci) {
+		st.Mir = span{0, im.info.ChunkLen(ci)}
+	}
+	return st
+}
+
+// setLocked records st as its chunk's state: the chunk's bit is set
+// once Mir is whole (a mirrored range never shrinks), and its entry is
+// kept only while the chunk is partly mirrored, dirty or in a publish
+// window.
+func (im *Image) setLocked(st chunkState) {
+	t, ci := im.chunks, st.Index
+	whole := st.Mir == span{0, im.info.ChunkLen(ci)}
+	if whole {
+		t.full[ci>>6] |= 1 << (ci & 63)
+	}
+	i, ok := slices.BinarySearchFunc(t.parts, ci, byState)
+	switch keep := !whole && st.mirrored() || st.dirty() || st.Window; {
+	case keep && ok:
+		t.parts[i] = st
+	case keep:
+		if t.parts == nil {
+			// A boot leaves tens of chunks partial or dirty (9 to 67
+			// in the bench workloads): room for 16 at once saves the
+			// four growths from one.
+			t.parts = make([]chunkState, 0, 16)
+		}
+		t.parts = slices.Insert(t.parts, i, st)
+	case ok:
+		t.parts = slices.Delete(t.parts, i, i+1)
+	}
 }
 
 // heldLocked reports whether this node holds chunk ci in its sharing
@@ -430,7 +481,7 @@ func (im *Image) fullyMirroredLocked(ci int64) bool {
 // wrote it, published the node as its holder; a write that dirties it
 // withdraws the node again.
 func (im *Image) heldLocked(ci int64) bool {
-	return im.mod.sharer != nil && im.fullyMirroredLocked(ci) && !im.chunks[ci].dirty() && im.keyLocked(ci) != 0
+	return im.mod.sharer != nil && im.fullyMirroredLocked(ci) && !im.stateLocked(ci).dirty() && im.keyLocked(ci) != 0
 }
 
 // keyLocked is chunk ci's key in the mirrored snapshot: the one the
@@ -498,14 +549,15 @@ func (im *Image) fetchChunks(ctx *cluster.Ctx, lo, hi int64) error {
 	var bytes int64
 	im.mu.Lock()
 	for _, fc := range fetched {
-		st := &im.chunks[fc.Index]
-		clen := im.info.ChunkLen(fc.Index)
-		if whole := (span{0, clen}); st.Mir != whole {
+		if !im.fullyMirroredLocked(fc.Index) {
+			st := im.stateLocked(fc.Index)
+			clen := im.info.ChunkLen(fc.Index)
 			if im.local != nil {
 				cstart := fc.Index * cs
 				mergeFetched(im.local[cstart:cstart+int64(clen)], fc.Payload, st.Dirty)
 			}
-			st.Mir = whole
+			st.Mir = span{0, clen}
+			im.setLocked(st)
 			im.stats.RemoteChunkFetches++
 			im.stats.RemoteBytesFetched += int64(fc.Payload.Size)
 			bytes += int64(fc.Payload.Size)
@@ -603,7 +655,7 @@ type commitPlan struct {
 
 // prepareCommit is COMMIT's local half: gap-fill dirty chunks that lack
 // full content, then capture their payloads and open the publish window
-// (an entry in during). A nil plan means nothing was dirty. Every
+// (Window on the chunk's entry). A nil plan means nothing was dirty. Every
 // fabric operation it performs reads; it never publishes, so it can
 // safely overlap a concurrent Clone (a forking Snapshot).
 func (im *Image) prepareCommit(ctx *cluster.Ctx) (*commitPlan, error) {
@@ -613,9 +665,9 @@ func (im *Image) prepareCommit(ctx *cluster.Ctx) (*commitPlan, error) {
 		return nil, fmt.Errorf("mirror: commit: %w", ErrClosed)
 	}
 	var dirtyIdx []int64
-	for ci := range im.chunks {
-		if im.chunks[ci].dirty() {
-			dirtyIdx = append(dirtyIdx, int64(ci))
+	for _, st := range im.chunks.parts {
+		if st.dirty() {
+			dirtyIdx = append(dirtyIdx, st.Index)
 		}
 	}
 	im.mu.Unlock()
@@ -629,9 +681,10 @@ func (im *Image) prepareCommit(ctx *cluster.Ctx) (*commitPlan, error) {
 			im.mu.Unlock()
 			continue
 		}
-		if whole := (span{0, im.info.ChunkLen(ci)}); im.chunks[ci].Dirty == whole {
+		if st, whole := im.stateLocked(ci), (span{0, im.info.ChunkLen(ci)}); st.Dirty == whole {
 			// Entirely dirty: nothing to fill.
-			im.chunks[ci].Mir = whole
+			st.Mir = whole
+			im.setLocked(st)
 			im.mu.Unlock()
 			continue
 		}
@@ -644,8 +697,8 @@ func (im *Image) prepareCommit(ctx *cluster.Ctx) (*commitPlan, error) {
 	// charges nothing for it (it was just written, so the page cache
 	// holds it). Payload capture and the window's opening happen under
 	// one lock acquisition: from here until completion, a concurrent
-	// write on a captured chunk is recorded in `during` as well as in
-	// the dirty hull.
+	// write on a captured chunk is recorded in During as well as in the
+	// dirty hull.
 	cs := int64(im.info.ChunkSize)
 	writes := make([]blob.ChunkWrite, 0, len(dirtyIdx))
 	im.mu.Lock()
@@ -659,7 +712,9 @@ func (im *Image) prepareCommit(ctx *cluster.Ctx) (*commitPlan, error) {
 			payload = blob.RealPayload(data)
 		}
 		writes = append(writes, blob.ChunkWrite{Index: ci, Payload: payload})
-		im.during[ci] = span{}
+		st := im.stateLocked(ci)
+		st.Window, st.During = true, span{}
+		im.setLocked(st)
 	}
 	im.mu.Unlock()
 	return &commitPlan{writes: writes, dirtyIdx: dirtyIdx}, nil
@@ -696,9 +751,9 @@ func (im *Image) publishCommit(ctx *cluster.Ctx, plan *commitPlan) (blob.Version
 		// What was written between payload capture and publication the
 		// published snapshot does not contain: exactly those bytes stay
 		// dirty for the next commit, and none when no write landed.
-		d := im.during[ci]
-		delete(im.during, ci)
-		im.chunks[ci].Dirty = d
+		st := im.stateLocked(ci)
+		st.Dirty, st.Window, st.During = st.During, false, span{}
+		im.setLocked(st)
 		// The client announced the committed keys. A clean chunk stays
 		// held, for a later dirtying write to withdraw; on one a write
 		// landed on meanwhile the local copy already diverged from the
@@ -738,7 +793,9 @@ func mergeCommitted(old []blob.LeafEntry, idx []int64, keyOf map[int64]blob.Chun
 func (im *Image) closeWindow(dirtyIdx []int64) {
 	im.mu.Lock()
 	for _, ci := range dirtyIdx {
-		delete(im.during, ci)
+		st := im.stateLocked(ci)
+		st.Window, st.During = false, span{}
+		im.setLocked(st)
 	}
 	im.mu.Unlock()
 }
@@ -786,4 +843,46 @@ func (im *Image) Snapshot(ctx *cluster.Ctx, fork bool) (blob.ID, blob.Version, e
 		return 0, 0, err
 	}
 	return im.BlobID(), v, nil
+}
+
+// check reports the first broken invariant of the image's local
+// modification record, for tests at a point where no commit runs: each
+// chunk's dirty range lies inside its mirrored one, which lies inside
+// the chunk; a chunk's bit is set exactly when it is fully mirrored;
+// parts is sorted and unique and holds only partly mirrored or dirty
+// chunks; no publish window, nor its hull, is left; committed is
+// sorted with one entry per index.
+func (im *Image) check() error {
+	im.mu.Lock()
+	defer im.mu.Unlock()
+	n := im.info.Chunks()
+	for i, st := range im.chunks.parts {
+		ci := st.Index
+		if ci < 0 || ci >= n || i > 0 && im.chunks.parts[i-1].Index >= ci {
+			return fmt.Errorf("mirror: entry %d, chunk %d: parts not sorted and unique in [0,%d)", i, ci, n)
+		}
+		whole := span{0, im.info.ChunkLen(ci)}
+		switch {
+		case st.Mir.Lo < 0 || st.Mir.Lo > st.Mir.Hi || st.Mir.Hi > whole.Hi ||
+			st.dirty() && (st.Dirty.Lo < st.Mir.Lo || st.Dirty.Hi > st.Mir.Hi):
+			return fmt.Errorf("mirror: chunk %d: dirty %v not inside mirrored %v inside %v", ci, st.Dirty, st.Mir, whole)
+		case im.fullyMirroredLocked(ci) != (st.Mir == whole):
+			return fmt.Errorf("mirror: chunk %d: full bit %v for mirrored %v of %v", ci, im.fullyMirroredLocked(ci), st.Mir, whole)
+		case st.Window || !st.During.empty():
+			return fmt.Errorf("mirror: chunk %d: publish window open with no commit running", ci)
+		case !st.dirty() && (!st.mirrored() || st.Mir == whole):
+			return fmt.Errorf("mirror: chunk %d: entry for an untouched or whole and clean chunk", ci)
+		}
+	}
+	for ci := n; ci < int64(len(im.chunks.full))*64; ci++ {
+		if im.fullyMirroredLocked(ci) {
+			return fmt.Errorf("mirror: full bit %d set past the last chunk %d", ci, n-1)
+		}
+	}
+	for i := 1; i < len(im.committed); i++ {
+		if im.committed[i-1].Index >= im.committed[i].Index {
+			return fmt.Errorf("mirror: committed entry %d, chunk %d: committed keys not sorted and unique", i, im.committed[i].Index)
+		}
+	}
+	return nil
 }

@@ -520,7 +520,7 @@ func TestSyntheticImageRejectsDataAccess(t *testing.T) {
 // sequence of reads and writes against the mirrored image must behave
 // exactly like the same sequence against a plain in-memory file
 // initialized with the base image; and the LMM invariants must hold
-// after every operation (dirty ⊆ mirrored, both contiguous).
+// after every operation (Image.check).
 func TestMirrorMatchesFlatFile(t *testing.T) {
 	type op struct {
 		Off, Len uint16
@@ -562,18 +562,10 @@ func TestMirrorMatchesFlatFile(t *testing.T) {
 						return
 					}
 				}
-				// LMM invariants.
-				for ci := range im.chunks {
-					st := im.chunks[ci]
-					clen := im.info.ChunkLen(int64(ci))
-					if st.Mir.Lo < 0 || st.Mir.Hi > clen || st.Mir.Lo > st.Mir.Hi {
-						ok = false
-						return
-					}
-					if st.dirty() && (st.Dirty.Lo < st.Mir.Lo || st.Dirty.Hi > st.Mir.Hi) {
-						ok = false
-						return
-					}
+				if err := im.check(); err != nil {
+					t.Log(err)
+					ok = false
+					return
 				}
 			}
 			// Final: full image must equal the model.

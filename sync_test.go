@@ -292,9 +292,11 @@ func TestExportCloneSharedLineage(t *testing.T) {
 	})
 }
 
-// gateWriter runs fire exactly once, on the first Write — mid-export,
-// after the header hits the stream but before the chunk payloads are
-// fetched.
+// gateWriter runs fire exactly once, on the first Write. Export writes
+// only once every payload has been fetched, so fire runs after the
+// fetches, while the archive is written: a GC between the walk and the
+// fetches stays uncovered until a test can act at a fetch (ROADMAP
+// item 21's tap on the fabric).
 type gateWriter struct {
 	bytes.Buffer
 	once sync.Once
