@@ -49,7 +49,9 @@ vet:
 #     NewLink;
 #   - vmmodel: GenBootTrace and WithThinkJitter;
 #   - middleware: NewMirrorBackend and Orchestrator;
-#   - experiments: Default, NewEnv, RunFig5 and OurApproach;
+#   - experiments: Default; NewEnv with Env.Run, Env.Orch and Env.Fab;
+#     RunFig5(...).Series[OurApproach][i].Completion and .AvgTime, so
+#     Fig5Result keeps its Series; and OurApproach;
 #   - the façade: Repo.ArmFaultsRebased, P2PStats.DigestHits and
 #     DigestPushes, and ImportStats.DedupedChunks.
 check: fmt vet build race repeat bench-check loc-budget

@@ -147,8 +147,7 @@ func BenchmarkFig8MonteCarlo(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r = experiments.RunFig8(p, 16)
 	}
-	u := r.Completion[experiments.Uninterrupted]
-	s := r.Completion[experiments.SuspendResume]
+	u, s := r.Uninterrupted, r.SuspendResume
 	b.ReportMetric(u[experiments.TaktukPreprop], "uninterrupted-preprop-s")
 	b.ReportMetric(u[experiments.QcowOverPVFS], "uninterrupted-qcow2-s")
 	b.ReportMetric(u[experiments.OurApproach], "uninterrupted-ours-s")
@@ -435,10 +434,14 @@ func BenchmarkChurn(b *testing.B) {
 			KeepLast:  2,
 		})
 	}
-	b.ReportMetric(float64(pt.ReclaimedChunks), "reclaimed-chunks")
+	last, peak := pt.PerCycle[len(pt.PerCycle)-1], 0
+	for _, c := range pt.PerCycle {
+		peak = max(peak, c.Chunks)
+	}
+	b.ReportMetric(float64(last.Reclaimed), "reclaimed-chunks")
 	b.ReportMetric(float64(pt.ReclaimedBytes)/1e6, "reclaimed-MB")
-	b.ReportMetric(float64(pt.PeakChunks), "peak-chunks")
-	b.ReportMetric(float64(pt.FinalChunks), "final-chunks")
+	b.ReportMetric(float64(peak), "peak-chunks")
+	b.ReportMetric(float64(last.Chunks), "final-chunks")
 	b.ReportMetric(float64(pt.FreedNodes), "freed-meta-nodes")
 	b.ReportMetric(pt.Completion, "completion-s")
 }

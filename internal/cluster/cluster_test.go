@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -379,5 +380,35 @@ func TestNodeRangeChecks(t *testing.T) {
 				newFab().Run(func(ctx *Ctx) { op(ctx, 5, 10) })
 			})
 		}
+	}
+}
+
+// TestSimRPCAllocatesNothing: once the flow network is warm, a
+// simulated RPC whose response is carried as a flow allocates nothing.
+// The path is built in a buffer on the caller's stack and the pooled
+// flow copies it into the array it kept from its last transfer. The
+// per-RPC count is taken between the 100th and the 1,100th call, so a
+// one-off growth of the event heap or a scratch slice does not count.
+func TestSimRPCAllocatesNothing(t *testing.T) {
+	f := NewSim(testConfig(2))
+	mallocs := func() uint64 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.Mallocs
+	}
+	var at100, at1100 uint64
+	f.Run(func(ctx *Ctx) {
+		ctx.RPC(1, 0, 256<<10) // warm-up
+		start := mallocs()
+		for i := 1; i <= 1100; i++ {
+			ctx.RPC(1, 0, 256<<10)
+			if i == 100 {
+				at100 = mallocs() - start
+			}
+		}
+		at1100 = mallocs() - start
+	})
+	if per := float64(at1100-at100) / 1000; per != 0 {
+		t.Errorf("a warm 256 KiB RPC allocated %.3f objects, want 0 (%d over 100 calls, %d over 1,100)", per, at100, at1100)
 	}
 }

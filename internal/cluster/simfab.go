@@ -206,11 +206,12 @@ func (f *Sim) rpc(ctx *Ctx, from, to NodeID, reqBytes, respBytes int64) {
 		respBytes = 0
 	}
 	p.Sleep(delay)
+	var path [maxPath]*flownet.Link
 	if reqBytes > 0 {
-		f.net.Transfer(p, float64(reqBytes), f.pathLinks(from, to, tier, nil)...)
+		f.net.Transfer(p, float64(reqBytes), f.pathLinks(&path, from, to, tier)...)
 	}
 	if respBytes > 0 {
-		f.net.Transfer(p, float64(respBytes), f.pathLinks(to, from, tier, nil)...)
+		f.net.Transfer(p, float64(respBytes), f.pathLinks(&path, to, from, tier)...)
 	}
 }
 
@@ -227,15 +228,18 @@ func (f *Sim) tierLatency(tier Tier) float64 {
 	return 0
 }
 
-// pathLinks assembles the constraint links of a one-way transfer from
-// src to dst whose locality tier is already known: the endpoint NICs
-// always, the two rack uplinks when the path leaves a rack, and the
-// two zone interconnects when it leaves a zone. extra links (caller
-// throttles) are appended last. On the flat cluster this is exactly
-// the historical up/down pair.
-func (f *Sim) pathLinks(src, dst NodeID, tier Tier, extra []*flownet.Link) []*flownet.Link {
-	links := make([]*flownet.Link, 0, 6+len(extra))
-	links = append(links, f.up[src])
+// maxPath is the most links a one-way path crosses: two NICs, two
+// rack uplinks and two zone interconnects.
+const maxPath = 6
+
+// pathLinks assembles, in buf, the constraint links of a one-way
+// transfer from src to dst whose locality tier is already known: the
+// endpoint NICs always, the two rack uplinks when the path leaves a
+// rack, and the two zone interconnects when it leaves a zone. On the
+// flat cluster this is exactly the historical up/down pair. The flow
+// copies its path, so buf can live on the caller's stack.
+func (f *Sim) pathLinks(buf *[maxPath]*flownet.Link, src, dst NodeID, tier Tier) []*flownet.Link {
+	links := append(buf[:0], f.up[src])
 	if tier >= TierZone {
 		topo := f.cfg.Topology
 		links = append(links, f.rackUp[topo.Rack(src)])
@@ -244,8 +248,7 @@ func (f *Sim) pathLinks(src, dst NodeID, tier Tier, extra []*flownet.Link) []*fl
 		}
 		links = append(links, f.rackDown[topo.Rack(dst)])
 	}
-	links = append(links, f.down[dst])
-	return append(links, extra...)
+	return append(links, f.down[dst])
 }
 
 // TransferVia performs a raw one-way bulk transfer from one node to
@@ -264,7 +267,8 @@ func (f *Sim) TransferVia(ctx *Ctx, from, to NodeID, bytes int64, extra ...*flow
 	f.traffic += bytes
 	f.tierBytes[tier] += bytes
 	ctx.Proc.Sleep(f.cfg.RTT + f.tierLatency(tier))
-	f.net.Transfer(ctx.Proc, float64(bytes), f.pathLinks(from, to, tier, extra)...)
+	var path [maxPath]*flownet.Link
+	f.net.Transfer(ctx.Proc, float64(bytes), append(f.pathLinks(&path, from, to, tier), extra...)...)
 }
 
 // seekCost converts positioning time into equivalent bandwidth units so

@@ -44,15 +44,11 @@ type ChurnCycle struct {
 type ChurnPoint struct {
 	ChurnConfig
 
-	PeakChunks      int   // highest post-cycle chunk count
-	FinalChunks     int   // chunk count after the last cycle
-	ReclaimedChunks int64 // chunk payloads physically freed in total
-	ReclaimedBytes  int64
-	FreedNodes      int64   // tree nodes swept in total
-	RetiredVersions int     // versions retired in total
-	Completion      float64 // virtual time of the whole churn (s)
+	ReclaimedBytes int64   // chunk payload bytes freed in total
+	FreedNodes     int64   // tree nodes swept in total
+	Completion     float64 // virtual time of the whole churn (s)
 
-	PerCycle []ChurnCycle
+	PerCycle []ChurnCycle // cycle 0 is the deployment before any churn
 }
 
 // RunChurn deploys cc.Instances instances against the flash crowd's
@@ -74,18 +70,14 @@ func RunChurn(p Params, cc ChurnConfig) ChurnPoint {
 
 	pt := ChurnPoint{ChurnConfig: cc}
 	sample := func(cycle, retired int) {
-		s := ChurnCycle{
+		pt.PerCycle = append(pt.PerCycle, ChurnCycle{
 			Cycle:     cycle,
 			Chunks:    sys.Providers.ChunkCount(),
 			StoredMB:  float64(sys.Providers.StoredBytes()) / (1 << 20),
 			MetaNodes: sys.Meta.NodeCount(),
 			Reclaimed: sys.Providers.Reclaimed.Load(),
 			Retired:   retired,
-		}
-		pt.PerCycle = append(pt.PerCycle, s)
-		if s.Chunks > pt.PeakChunks {
-			pt.PeakChunks = s.Chunks
-		}
+		})
 	}
 
 	wrRNG := sim.NewRNG(p.Seed + 7)
@@ -124,14 +116,11 @@ func RunChurn(p Params, cc ChurnConfig) ChurnPoint {
 					panic(err)
 				}
 			}
-			pt.RetiredVersions += n
 			sample(cycle, n)
 		}
 		pt.Completion = ctx.Now()
 	})
 
-	pt.FinalChunks = sys.Providers.ChunkCount()
-	pt.ReclaimedChunks = sys.Providers.Reclaimed.Load()
 	pt.ReclaimedBytes = sys.Providers.ReclaimedBytes.Load()
 	pt.FreedNodes = sys.Meta.Freed.Load()
 	return pt

@@ -26,5 +26,7 @@
 //   - Suite (suite.go) lists the scenarios with the tables each prints,
 //     each table a title, the records and a column list passed to
 //     table; Scenario.Fprint prints them: cmd/vmdeploy runs it and
-//     testdata/golden pins it.
+//     testdata/golden pins it. Every scenario, the paper's figures
+//     included, declares its tables there and nowhere else: a record
+//     holds what its run measured, and no result type renders itself.
 package experiments

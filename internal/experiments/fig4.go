@@ -18,7 +18,6 @@ type Fig4Point struct {
 
 // Fig4Result holds the full multideployment sweep.
 type Fig4Result struct {
-	Sweep  []int
 	Series map[Approach][]Fig4Point
 	Shared []Fig4Point // OurApproach with p2p sharing on (§7 in §5.2's terms)
 }
@@ -26,7 +25,7 @@ type Fig4Result struct {
 // RunFig4 executes the multideployment experiment of §5.2 over the
 // sweep for all three approaches, and for ours with sharing on.
 func RunFig4(p Params, sweep []int) *Fig4Result {
-	res := &Fig4Result{Sweep: sweep, Series: make(map[Approach][]Fig4Point)}
+	res := &Fig4Result{Series: make(map[Approach][]Fig4Point)}
 	for _, a := range []Approach{TaktukPreprop, QcowOverPVFS, OurApproach} {
 		for _, n := range sweep {
 			res.Series[a] = append(res.Series[a], runFig4Point(p, n, a))
@@ -47,32 +46,5 @@ func runFig4Point(p Params, n int, a Approach, opts ...blobvfs.Option) Fig4Point
 		AvgBoot:    metrics.Summarize(dep.BootTimes()).Mean,
 		Completion: dep.Completion,
 		TrafficGB:  float64(env.Fab.NetTraffic()) / 1e9,
-	}
-}
-
-// Tables renders the paper's four panels from the sweep.
-func (r *Fig4Result) Tables() []*metrics.Table {
-	panel := func(title string, cell func(Fig4Point) string) *metrics.Table {
-		return sweepPanel(title, r.Sweep,
-			seriesCol(TaktukPreprop.String(), r.Series[TaktukPreprop], cell),
-			seriesCol(QcowOverPVFS.String(), r.Series[QcowOverPVFS], cell),
-			seriesCol(OurApproach.String(), r.Series[OurApproach], cell),
-			seriesCol("our approach, p2p sharing", r.Shared, cell),
-		)
-	}
-	// Fig. 4(c): the speedup of our approach's completion time over a.
-	speedup := func(name string, a Approach) col[int] {
-		return col[int]{name, func(i int) string {
-			return ftoa(r.Series[a][i].Completion / r.Series[OurApproach][i].Completion)
-		}}
-	}
-	return []*metrics.Table{
-		panel("Fig 4(a): average time to boot per instance (s)", func(pt Fig4Point) string { return ftoa(pt.AvgBoot) }),
-		panel("Fig 4(b): completion time to boot all instances (s)", func(pt Fig4Point) string { return ftoa(pt.Completion) }),
-		sweepPanel("Fig 4(c): speedup of completion time for our approach", r.Sweep,
-			speedup("speedup vs. taktuk", TaktukPreprop),
-			speedup("speedup vs. qcow2 over PVFS", QcowOverPVFS),
-		),
-		panel("Fig 4(d): total network traffic (GB)", func(pt Fig4Point) string { return ftoa(pt.TrafficGB) }),
 	}
 }

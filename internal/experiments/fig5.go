@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"blobvfs/internal/cluster"
 	"blobvfs/internal/metrics"
 	"blobvfs/internal/middleware"
@@ -20,7 +18,6 @@ type Fig5Point struct {
 // excluded, exactly as in the paper ("it is infeasible to copy back
 // ... the whole set of full VM images", §5.3).
 type Fig5Result struct {
-	Sweep  []int
 	Series map[Approach][]Fig5Point
 }
 
@@ -30,7 +27,7 @@ type Fig5Result struct {
 // COMMIT for our approach; concurrent qcow2 file copies to PVFS for
 // the baseline).
 func RunFig5(p Params, sweep []int) *Fig5Result {
-	res := &Fig5Result{Sweep: sweep, Series: make(map[Approach][]Fig5Point)}
+	res := &Fig5Result{Series: make(map[Approach][]Fig5Point)}
 	for _, a := range []Approach{QcowOverPVFS, OurApproach} {
 		for _, n := range sweep {
 			res.Series[a] = append(res.Series[a], runFig5Point(p, n, a))
@@ -56,19 +53,5 @@ func runFig5Point(p Params, n int, a Approach) Fig5Point {
 		Instances:  n,
 		AvgTime:    metrics.Summarize(snap.Times).Mean,
 		Completion: snap.Completion,
-	}
-}
-
-// Tables renders the two panels of Fig. 5.
-func (r *Fig5Result) Tables() []*metrics.Table {
-	panel := func(title string, cell func(Fig5Point) string) *metrics.Table {
-		return sweepPanel(title, r.Sweep,
-			seriesCol(QcowOverPVFS.String(), r.Series[QcowOverPVFS], cell),
-			seriesCol(OurApproach.String(), r.Series[OurApproach], cell),
-		)
-	}
-	return []*metrics.Table{
-		panel("Fig 5(a): average time to snapshot an instance (s)", func(pt Fig5Point) string { return fmt.Sprintf("%.3f", pt.AvgTime) }),
-		panel("Fig 5(b): completion time to snapshot all instances (s)", func(pt Fig5Point) string { return fmt.Sprintf("%.3f", pt.Completion) }),
 	}
 }

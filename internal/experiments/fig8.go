@@ -5,34 +5,16 @@ import (
 
 	"blobvfs"
 	"blobvfs/internal/cluster"
-	"blobvfs/internal/metrics"
 	"blobvfs/internal/middleware"
 	"blobvfs/internal/vmmodel"
 	"blobvfs/internal/workloads"
 )
 
-// Fig8Setting is one bar group of Fig. 8.
-type Fig8Setting int
-
-// The two settings of §5.5.
-const (
-	Uninterrupted Fig8Setting = iota
-	SuspendResume
-)
-
-// String returns the setting's label.
-func (s Fig8Setting) String() string {
-	if s == Uninterrupted {
-		return "Uninterrupted"
-	}
-	return "Suspend/Resume"
-}
-
-// Fig8Result maps (setting, approach) to the Monte Carlo deployment's
-// completion time in seconds.
+// Fig8Result holds the Monte Carlo deployment's completion time in
+// seconds per approach, in each setting of §5.5. Prepropagation has no
+// suspend/resume entry.
 type Fig8Result struct {
-	Instances  int
-	Completion map[Fig8Setting]map[Approach]float64
+	Uninterrupted, SuspendResume map[Approach]float64
 }
 
 // RunFig8 executes the real-application experiment of §5.5: a Monte
@@ -44,15 +26,12 @@ type Fig8Result struct {
 // content must be fetched remotely again. Prepropagation is compared
 // only in the first setting, as in the paper.
 func RunFig8(p Params, instances int) *Fig8Result {
-	res := &Fig8Result{
-		Instances:  instances,
-		Completion: map[Fig8Setting]map[Approach]float64{Uninterrupted: {}, SuspendResume: {}},
-	}
+	res := &Fig8Result{Uninterrupted: map[Approach]float64{}, SuspendResume: map[Approach]float64{}}
 	for _, a := range []Approach{TaktukPreprop, QcowOverPVFS, OurApproach} {
-		res.Completion[Uninterrupted][a] = runFig8(p, instances, a, false)
+		res.Uninterrupted[a] = runFig8(p, instances, a, false)
 	}
 	for _, a := range []Approach{QcowOverPVFS, OurApproach} {
-		res.Completion[SuspendResume][a] = runFig8(p, instances, a, true)
+		res.SuspendResume[a] = runFig8(p, instances, a, true)
 	}
 	return res
 }
@@ -151,19 +130,4 @@ func resumeInstance(cc *cluster.Ctx, env *Env, inst *middleware.Instance, remain
 		return err
 	}
 	return workloads.RunMonteCarloPhase(cc, disk, mc, remaining)
-}
-
-// Table renders Fig. 8; prepropagation has no suspend/resume bar.
-func (r *Fig8Result) Table() *metrics.Table {
-	cols := []col[Fig8Setting]{{"setting", Fig8Setting.String}}
-	for _, a := range []Approach{TaktukPreprop, QcowOverPVFS, OurApproach} {
-		cols = append(cols, col[Fig8Setting]{a.String(), func(s Fig8Setting) string {
-			if v, ok := r.Completion[s][a]; ok {
-				return ftoa(v)
-			}
-			return "-"
-		}})
-	}
-	return table(fmt.Sprintf("Fig 8: Monte Carlo completion time (s), %d instances", r.Instances),
-		[]Fig8Setting{Uninterrupted, SuspendResume}, cols...)
 }

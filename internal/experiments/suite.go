@@ -96,13 +96,76 @@ func (sc Scenario) Fprint(w io.Writer, p Params, s Sizes) {
 // vmdeploy selects from it by name and the goldens
 // (testdata/golden/<name>.txt) pin each entry's tables at QuickSizes.
 var Suite = []Scenario{
-	{"fig4", func(p Params, s Sizes) []*metrics.Table { return RunFig4(p, s.Sweep).Tables() }},
-	{"fig5", func(p Params, s Sizes) []*metrics.Table { return RunFig5(p, s.Sweep).Tables() }},
+	{"fig4", func(p Params, s Sizes) []*metrics.Table {
+		r := RunFig4(p, s.Sweep)
+		panel := func(title string, cell func(Fig4Point) string) *metrics.Table {
+			return sweepPanel(title, s.Sweep,
+				seriesCol(TaktukPreprop.String(), r.Series[TaktukPreprop], cell),
+				seriesCol(QcowOverPVFS.String(), r.Series[QcowOverPVFS], cell),
+				seriesCol(OurApproach.String(), r.Series[OurApproach], cell),
+				seriesCol("our approach, p2p sharing", r.Shared, cell),
+			)
+		}
+		// Fig. 4(c): the speedup of our approach's completion time over a.
+		speedup := func(name string, a Approach) col[int] {
+			return col[int]{name, func(i int) string {
+				return ftoa(r.Series[a][i].Completion / r.Series[OurApproach][i].Completion)
+			}}
+		}
+		return []*metrics.Table{
+			panel("Fig 4(a): average time to boot per instance (s)", func(pt Fig4Point) string { return ftoa(pt.AvgBoot) }),
+			panel("Fig 4(b): completion time to boot all instances (s)", func(pt Fig4Point) string { return ftoa(pt.Completion) }),
+			sweepPanel("Fig 4(c): speedup of completion time for our approach", s.Sweep,
+				speedup("speedup vs. taktuk", TaktukPreprop),
+				speedup("speedup vs. qcow2 over PVFS", QcowOverPVFS),
+			),
+			panel("Fig 4(d): total network traffic (GB)", func(pt Fig4Point) string { return ftoa(pt.TrafficGB) }),
+		}
+	}},
+	{"fig5", func(p Params, s Sizes) []*metrics.Table {
+		r := RunFig5(p, s.Sweep)
+		panel := func(title string, cell func(Fig5Point) string) *metrics.Table {
+			return sweepPanel(title, s.Sweep,
+				seriesCol(QcowOverPVFS.String(), r.Series[QcowOverPVFS], cell),
+				seriesCol(OurApproach.String(), r.Series[OurApproach], cell),
+			)
+		}
+		return []*metrics.Table{
+			panel("Fig 5(a): average time to snapshot an instance (s)", func(pt Fig5Point) string { return fmt.Sprintf("%.3f", pt.AvgTime) }),
+			panel("Fig 5(b): completion time to snapshot all instances (s)", func(pt Fig5Point) string { return fmt.Sprintf("%.3f", pt.Completion) }),
+		}
+	}},
 	{"fig67", func(Params, Sizes) []*metrics.Table {
-		return RunFig67(workloads.DefaultBonnieConfig()).Tables()
+		r := RunFig67(workloads.DefaultBonnieConfig())
+		// One row per bar pair: a Bonnie++ metric on both paths.
+		bars := func(title, metric string, names []string, local, ours []int64) *metrics.Table {
+			return table(title, []int{0, 1, 2},
+				seriesCol(metric, names, func(n string) string { return n }),
+				seriesCol("local", local, i64),
+				seriesCol("our-approach", ours, i64),
+			)
+		}
+		l, o := r.Local, r.Ours
+		return []*metrics.Table{
+			bars("Fig 6: Bonnie++ sustained throughput (KB/s), 8K blocks", "access pattern", []string{"BlockW", "BlockR", "BlockO"},
+				[]int64{l.BlockWriteKBps, l.BlockReadKBps, l.BlockRewrKBps}, []int64{o.BlockWriteKBps, o.BlockReadKBps, o.BlockRewrKBps}),
+			bars("Fig 7: Bonnie++ operations per second", "operation type", []string{"RndSeek", "CreatF", "DelF"},
+				[]int64{l.SeeksPerSec, l.CreatesPerSec, l.DeletesPerSec}, []int64{o.SeeksPerSec, o.CreatesPerSec, o.DeletesPerSec}),
+		}
 	}},
 	{"fig8", func(p Params, s Sizes) []*metrics.Table {
-		return []*metrics.Table{RunFig8(p, s.Fig8).Table()}
+		r := RunFig8(p, s.Fig8)
+		settings := []map[Approach]float64{r.Uninterrupted, r.SuspendResume}
+		cols := []col[int]{seriesCol("setting", []string{"Uninterrupted", "Suspend/Resume"}, func(n string) string { return n })}
+		for _, a := range []Approach{TaktukPreprop, QcowOverPVFS, OurApproach} {
+			cols = append(cols, seriesCol(a.String(), settings, func(c map[Approach]float64) string {
+				if v, ok := c[a]; ok {
+					return ftoa(v)
+				}
+				return "-" // prepropagation has no suspend/resume bar
+			}))
+		}
+		return []*metrics.Table{table(fmt.Sprintf("Fig 8: Monte Carlo completion time (s), %d instances", s.Fig8), []int{0, 1}, cols...)}
 	}},
 	{"flash", func(p Params, s Sizes) []*metrics.Table {
 		return []*metrics.Table{table("Flash crowd: concurrent multideployment against a small provider pool", []CrowdPoint{

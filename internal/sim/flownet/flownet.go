@@ -139,7 +139,9 @@ func (n *Net) start(bytes float64, pooled bool, links []*Link) *Flow {
 	}
 	n.advance()
 	f := n.getFlow(pooled)
-	f.links = links
+	// The flow owns its path: a caller may build links in a buffer of
+	// its own, and a pooled flow reuses the array of its last path.
+	f.links = append(f.links[:0], links...)
 	f.remaining = bytes
 	n.flows = append(n.flows, f)
 	for _, l := range links {
@@ -407,7 +409,7 @@ func (n *Net) complete() {
 		n.markLinks(f.links)
 		f.done.Broadcast(n.env)
 		if f.pooled {
-			f.links = nil
+			f.links = f.links[:0]
 			f.rate = 0
 			f.assigned = false
 			f.finished = false

@@ -29,7 +29,8 @@ type Proc struct {
 // the thread they are on. A handoff over channels costs five times as
 // much, and every resume makes a goroutine runnable, for which the
 // runtime wakes a second OS thread: the host time of a run then depends
-// on how the machine schedules the two (docs/perf.md has the numbers).
+// on how the machine schedules the two (docs/perf.md, "Host time of the
+// sim workloads: one thread, not two", has the numbers).
 //
 // A 10k-instance flash crowd starts millions of short-lived activities
 // (chunk fetchers, write-backs, broadcast hops), and a coroutine costs
