@@ -23,9 +23,12 @@ race:
 # repeat runs the simulator core's tests, flownet's included, forty
 # times in one process: a test whose outcome drifts from one iteration
 # to the next (the worker-pool tests sample goroutines) fails here (a
-# few seconds).
+# few seconds). It also runs the p2p tracker's tests ten times under
+# -race: their live-fabric runs interleave real goroutines on the
+# cohort's lock, a different schedule each time (about 10 s).
 repeat:
 	go test -count=40 ./internal/sim/...
+	go test -race -count=10 ./internal/p2p
 
 # fmt fails on any file gofmt would change (CI's gofmt step).
 fmt:
@@ -44,7 +47,8 @@ vet:
 #     Meta.{Gets,NodesServed,Puts,Failovers,Rereplicated,FailedGets},
 #     Providers.{Reads,Writes,PutRPCs,MaxNodeReads,Failovers,
 #     Rereplicated,FailedReads} and VM.Failovers;
-#   - p2p: NewRegistry, DefaultConfig, Cohort.Announce and Cohort.Locate;
+#   - p2p: NewRegistry (which returns the *Cohort), DefaultConfig,
+#     Cohort.Register, Cohort.Announce and Cohort.Locate;
 #   - sim: NewPSPool with PSPool.Use; flownet: Net.Start, Transfer and
 #     NewLink;
 #   - vmmodel: GenBootTrace and WithThinkJitter;
@@ -76,10 +80,11 @@ staticcheck:
 # bench records the perf trajectory in bench.txt; compare two runs with
 # `benchstat old.txt new.txt`. The simulated benchmarks (paper-scale
 # figures, flash crowds up to 10k instances, multisnapshot, churn,
-# export) and the real-byte layer benchmarks of internal/sync and
-# internal/mirror run at -cpu 1: the simulation is single-threaded and
-# deterministic and the layer benchmarks are single-threaded copies, so
-# a -cpu 8 row would only repeat the -cpu 1 row. The two metadata
+# export), the p2p tracker's CohortLanded and the real-byte layer
+# benchmarks of internal/sync and internal/mirror run at -cpu 1: the
+# simulation is single-threaded and deterministic and the layer
+# benchmarks are single-threaded copies, so a -cpu 8 row would only
+# repeat the -cpu 1 row. The two metadata
 # microbenchmarks run on the live fabric (but MetadataColdDescent's
 # wave-110 row), where activities are goroutines, so they run at
 # -cpu 1,8 and lock contention shows up.
@@ -87,7 +92,8 @@ staticcheck:
 # turns a list of names into one anchored -bench regex.
 BENCH_CPU1 := Fig4PaperScale FlashCrowd256 FlashCrowdDegraded FlashCrowdCrossZone \
 	FlashCrowdMetaOutage FlashCrowdScale FlashCrowd10k Multisnapshot1024 Churn \
-	ExportImport ArchiveEncode ArchiveDecode MirrorColdRead MirrorSparseOpen
+	ExportImport ArchiveEncode ArchiveDecode MirrorColdRead MirrorSparseOpen \
+	CohortLanded
 BENCH_LIVE := CommitDataStructures MetadataColdDescent
 empty :=
 bench_re = ^Benchmark($(subst $(empty) $(empty),|,$(strip $(1))))$$
@@ -96,7 +102,7 @@ bench: SHELL := bash
 bench: .SHELLFLAGS := -o pipefail -ec
 bench:
 	go test -run '^$$' -bench '$(call bench_re,$(BENCH_CPU1))' -benchmem -count=1 -cpu 1 \
-		-timeout 30m . ./internal/sync ./internal/mirror | tee bench.txt
+		-timeout 30m . ./internal/sync ./internal/mirror ./internal/p2p | tee bench.txt
 	go test -run '^$$' -bench '$(call bench_re,$(BENCH_LIVE))' -benchmem -count=1 -cpu 1,8 \
 		-timeout 10m . | tee -a bench.txt
 	@missing=0; for b in $(BENCH_CPU1) $(BENCH_LIVE); do \

@@ -118,15 +118,15 @@ func holdersOf(co *Cohort, key blob.ChunkKey) []cluster.NodeID {
 // simCohort registers members 1..n of a sim fabric (node 0 is the
 // tracker) with a liveness registry attached, and runs fn inside the
 // simulation.
-func simCohort(t *testing.T, n int, fn func(ctx *cluster.Ctx, reg *Registry, co *Cohort, lv *cluster.Liveness)) {
+func simCohort(t *testing.T, n int, fn func(ctx *cluster.Ctx, co *Cohort, lv *cluster.Liveness)) {
 	t.Helper()
 	fab := cluster.NewSim(cluster.DefaultConfig(n + 1))
-	reg := NewRegistry(0, DefaultConfig())
+	co := NewRegistry(0, DefaultConfig())
 	lv := cluster.NewLiveness(n + 1)
-	reg.SetLiveness(lv)
-	lv.OnChange(reg.NodeChanged)
+	co.SetLiveness(lv)
+	lv.OnChange(co.NodeChanged)
 	fab.Run(func(ctx *cluster.Ctx) {
-		fn(ctx, reg, reg.Register(ctx, 1, nodeRange(1, n)), lv)
+		fn(ctx, co.Register(ctx, 1, nodeRange(1, n)), lv)
 	})
 }
 
@@ -141,17 +141,17 @@ func on(ctx *cluster.Ctx, node cluster.NodeID, fn func(cc *cluster.Ctx)) {
 // afterwards is the dropped record and not pickHolderLocked's liveness check.
 var withdrawals = []struct {
 	name string
-	do   func(cc *cluster.Ctx, reg *Registry, co *Cohort, lv *cluster.Liveness, key blob.ChunkKey)
+	do   func(cc *cluster.Ctx, co *Cohort, lv *cluster.Liveness, key blob.ChunkKey)
 }{
-	{"death", func(cc *cluster.Ctx, _ *Registry, _ *Cohort, lv *cluster.Liveness, _ blob.ChunkKey) {
+	{"death", func(cc *cluster.Ctx, _ *Cohort, lv *cluster.Liveness, _ blob.ChunkKey) {
 		lv.Kill(cc, 1)
 		lv.Revive(cc, 1)
 	}},
-	{"retract", func(cc *cluster.Ctx, _ *Registry, co *Cohort, _ *cluster.Liveness, key blob.ChunkKey) {
+	{"retract", func(cc *cluster.Ctx, co *Cohort, _ *cluster.Liveness, key blob.ChunkKey) {
 		co.Retract(cc, []blob.ChunkKey{key})
 	}},
-	{"reclaim", func(cc *cluster.Ctx, reg *Registry, _ *Cohort, _ *cluster.Liveness, key blob.ChunkKey) {
-		reg.ChunksReclaimed(cc, []blob.ChunkKey{key})
+	{"reclaim", func(cc *cluster.Ctx, co *Cohort, _ *cluster.Liveness, key blob.ChunkKey) {
+		co.ChunksReclaimed(cc, []blob.ChunkKey{key})
 	}},
 }
 
@@ -163,7 +163,7 @@ func TestLocateAfterWithdrawalNeverReturnsHolder(t *testing.T) {
 	const key = blob.ChunkKey(7)
 	for _, w := range withdrawals {
 		t.Run(w.name, func(t *testing.T) {
-			simCohort(t, 3, func(ctx *cluster.Ctx, reg *Registry, co *Cohort, lv *cluster.Liveness) {
+			simCohort(t, 3, func(ctx *cluster.Ctx, co *Cohort, lv *cluster.Liveness) {
 				on(ctx, 1, func(cc *cluster.Ctx) { co.Announce(cc, []blob.ChunkKey{key}) })
 				// Member 2 has seen node 1 serve the chunk: the old
 				// protocol would have left that in its digest.
@@ -172,7 +172,7 @@ func TestLocateAfterWithdrawalNeverReturnsHolder(t *testing.T) {
 						t.Fatalf("Locate before withdrawal = (%d, %v), want node 1", peer, ok)
 					}
 				})
-				on(ctx, 1, func(cc *cluster.Ctx) { w.do(cc, reg, co, lv, key) })
+				on(ctx, 1, func(cc *cluster.Ctx) { w.do(cc, co, lv, key) })
 				for _, m := range []cluster.NodeID{2, 3} {
 					on(ctx, m, func(cc *cluster.Ctx) {
 						if peer, _, ok := co.Locate(cc, key); ok {
@@ -192,18 +192,18 @@ func TestWithdrawalDuringAnnounceStaysUnpublished(t *testing.T) {
 	const key, other = blob.ChunkKey(7), blob.ChunkKey(8)
 	for _, w := range withdrawals {
 		t.Run(w.name, func(t *testing.T) {
-			simCohort(t, 2, func(ctx *cluster.Ctx, reg *Registry, co *Cohort, lv *cluster.Liveness) {
+			simCohort(t, 2, func(ctx *cluster.Ctx, co *Cohort, lv *cluster.Liveness) {
 				announce := ctx.Go("announce", 1, func(cc *cluster.Ctx) {
 					co.Announce(cc, []blob.ChunkKey{key, other})
 				})
 				// Half a round trip in: the pair is reserved, not published.
 				on(ctx, 1, func(cc *cluster.Ctx) {
 					cc.Sleep(cc.Fabric().Config().RTT / 2)
-					if ck := co.chunks[key]; !ck.held[1] || len(ck.holders) != 0 {
+					if ck := co.chunks[key]; !ck.of[1].held || len(ck.holders) != 0 {
 						t.Fatalf("mid-RPC: reserved = %v, holders = %v; want reserved and unpublished",
-							ck.held[1], ck.holders)
+							ck.of[1].held, ck.holders)
 					}
-					w.do(cc, reg, co, lv, key)
+					w.do(cc, co, lv, key)
 				})
 				ctx.Wait(announce)
 				on(ctx, 2, func(cc *cluster.Ctx) {
@@ -228,11 +228,11 @@ func TestWithdrawalDuringAnnounceStaysUnpublished(t *testing.T) {
 // A member that fetched and landed while dead publishes nothing either.
 func TestLandedPublishesWhatIsOnRecord(t *testing.T) {
 	const key = blob.ChunkKey(7)
-	run := func(name string, want bool, fetch func(cc *cluster.Ctx, reg *Registry, co *Cohort, lv *cluster.Liveness)) {
+	run := func(name string, want bool, fetch func(cc *cluster.Ctx, co *Cohort, lv *cluster.Liveness)) {
 		t.Run(name, func(t *testing.T) {
-			simCohort(t, 2, func(ctx *cluster.Ctx, reg *Registry, co *Cohort, lv *cluster.Liveness) {
+			simCohort(t, 2, func(ctx *cluster.Ctx, co *Cohort, lv *cluster.Liveness) {
 				on(ctx, 1, func(cc *cluster.Ctx) {
-					fetch(cc, reg, co, lv)
+					fetch(cc, co, lv)
 					at := cc.Now()
 					co.Landed(cc, key, true)
 					if cc.Now() != at {
@@ -255,12 +255,12 @@ func TestLandedPublishesWhatIsOnRecord(t *testing.T) {
 		})
 	}
 	for _, w := range withdrawals {
-		run(w.name, w.name == "retract", func(cc *cluster.Ctx, reg *Registry, co *Cohort, lv *cluster.Liveness) {
+		run(w.name, w.name == "retract", func(cc *cluster.Ctx, co *Cohort, lv *cluster.Liveness) {
 			co.Fetching(cc, key)
-			w.do(cc, reg, co, lv, key)
+			w.do(cc, co, lv, key)
 		})
 	}
-	run("dead throughout", false, func(cc *cluster.Ctx, _ *Registry, co *Cohort, lv *cluster.Liveness) {
+	run("dead throughout", false, func(cc *cluster.Ctx, co *Cohort, lv *cluster.Liveness) {
 		lv.Kill(cc, 1)
 		co.Fetching(cc, key)
 	})

@@ -9,10 +9,11 @@
 // The design is tracker-based, like a registry-scale mirror fan-out
 // (cf. oc-mirror's mirror-to-disk-then-redistribute flow):
 //
-//   - A Registry lives on a tracker node (the version-manager/service
-//     node in the experiments). It keeps one Cohort, for the one image
-//     its repository shares: the member nodes plus a chunk-key →
-//     holders location map.
+//   - One Cohort lives on a tracker node (the version-manager/service
+//     node in the experiments), for the one image its repository
+//     shares: the member nodes plus, per chunk, its holders and one
+//     record per member. NewRegistry creates it; the first Register
+//     names its image.
 //   - A fetch that lands (Landed(ok)) publishes its member as a holder
 //     at no cost; chunks a member commits it announces with one small
 //     RPC. Records are deduplicated per (member, chunk).

@@ -37,8 +37,8 @@ func quiescent(t *testing.T, co *Cohort) {
 func overGivenLocked(t *testing.T, co *Cohort) {
 	t.Helper()
 	for key, ck := range co.chunks {
-		for m, n := range ck.given {
-			if n > fanOut {
+		for m, r := range ck.of {
+			if n := r.given; n > fanOut {
 				t.Errorf("member %d has given %d copies of chunk %d, cap %d", m, n, key, fanOut)
 			}
 		}
@@ -57,9 +57,9 @@ func fetchFirstLocked(t *testing.T, co *Cohort, req cluster.NodeID, key blob.Chu
 	if !own {
 		stop = len(ck.fl.fetches)
 	}
-	tier := co.reg.topo.Tier(req, peer)
+	tier := co.topo.Tier(req, peer)
 	for _, f := range ck.fl.fetches[:stop] {
-		if f.node != noNode && !ck.spent(f.node) && co.reg.lv.Alive(f.node) && co.reg.topo.Tier(req, f.node) <= tier {
+		if f.node != noNode && !ck.spent(f.node) && co.lv.Alive(f.node) && co.topo.Tier(req, f.node) <= tier {
 			t.Errorf("node %d was handed holder %d of chunk %d while node %d's fetch of it, as near and in flight, had a copy left", req, peer, key, f.node)
 		}
 	}
@@ -194,7 +194,7 @@ func TestInFlightInterleavings(t *testing.T) {
 					if said && at == cc.Now() {
 						return // a parent released by its Landed(ok)
 					}
-					if !co.chunks[key].held[peer] {
+					if !co.chunks[key].of[peer].held {
 						t.Errorf("t=%v: node %d was handed peer %d, which neither holds chunk %d nor has just said ok", cc.Now(), cc.Node(), peer, key)
 					}
 					fetchFirstLocked(t, co, cc.Node(), key, peer)
@@ -204,7 +204,7 @@ func TestInFlightInterleavings(t *testing.T) {
 				retract := func(cc *cluster.Ctx, key blob.ChunkKey) {
 					co.mu.Lock()
 					ck := co.chunks[key]
-					known := ck != nil && ck.held[cc.Node()]
+					known := ck != nil && ck.of[cc.Node()].held
 					co.mu.Unlock()
 					mu.Lock()
 					if known {
@@ -365,8 +365,8 @@ func TestInFlightInterleavings(t *testing.T) {
 					return
 				}
 				for key, ck := range co.chunks {
-					for m, n := range ck.given {
-						if got := read[key][cluster.NodeID(m)]; n != got {
+					for m, r := range ck.of {
+						if n, got := r.given, read[key][cluster.NodeID(m)]; n != got {
 							t.Errorf("member %d has %d copies of chunk %d on its count, %d were read from it", m, n, key, got)
 						}
 					}
@@ -382,7 +382,12 @@ func TestInFlightInterleavings(t *testing.T) {
 					key := blob.ChunkKey(key + 1)
 					var published, held []cluster.NodeID
 					if ck := co.chunks[key]; ck != nil {
-						published, held = ck.holders, slices.Collect(maps.Keys(ck.held))
+						published = ck.holders
+						for m, r := range ck.of {
+							if r.held {
+								held = append(held, cluster.NodeID(m))
+							}
+						}
 					}
 					want := slices.Sorted(maps.Keys(holds[key]))
 					if got := slices.Sorted(slices.Values(published)); !slices.Equal(got, want) {
@@ -651,7 +656,7 @@ func TestOverlappingBatchesDoNotWaitInACycle(t *testing.T) {
 func TestRetractKeepsTheChildrenOfAFetchInFlight(t *testing.T) {
 	const key = blob.ChunkKey(7)
 	for _, lands := range []bool{true, false} {
-		simCohort(t, 3, func(ctx *cluster.Ctx, _ *Registry, co *Cohort, _ *cluster.Liveness) {
+		simCohort(t, 3, func(ctx *cluster.Ctx, co *Cohort, _ *cluster.Liveness) {
 			fetch := ctx.Go("fetch", 1, func(cc *cluster.Ctx) {
 				co.Fetching(cc, key)
 				cc.Sleep(0.01)
@@ -659,7 +664,7 @@ func TestRetractKeepsTheChildrenOfAFetchInFlight(t *testing.T) {
 					co.Announce(c1, []blob.ChunkKey{key})
 					co.Retract(c1, []blob.ChunkKey{key})
 				})
-				if got := co.chunks[key].given[1]; got != 1 {
+				if got := co.chunks[key].of[1].given; got != 1 {
 					t.Errorf("lands=%v: after Retract node 1 has %d copies on its count, want the 1 promised below its fetch", lands, got)
 				}
 				co.Landed(cc, key, lands)
@@ -672,7 +677,7 @@ func TestRetractKeepsTheChildrenOfAFetchInFlight(t *testing.T) {
 				co.Landed(cc, key, true)
 			})
 			ctx.WaitAll([]cluster.Task{fetch, child})
-			if got, want := co.chunks[key].given[1], map[bool]uint8{true: 1, false: 0}[lands]; got != want {
+			if got, want := co.chunks[key].of[1].given, map[bool]uint8{true: 1, false: 0}[lands]; got != want {
 				t.Errorf("lands=%v: node 1 ends with %d copies on its count, want %d", lands, got, want)
 			}
 			if st := co.Stats(); st.Retracted != 1 {

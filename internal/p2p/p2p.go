@@ -3,7 +3,6 @@ package p2p
 import (
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"blobvfs/internal/blob"
 	"blobvfs/internal/broadcast"
@@ -53,11 +52,14 @@ type Stats struct {
 	TierHits [cluster.NumTiers]int64
 }
 
-// Registry is the tracker-side sharing state of a repository: the
-// Cohort of the one image it shares. A node's mirroring module attaches
-// to a single sharing group, so a registry holds one cohort, and a
-// deployment that shares several images runs a registry for each.
-type Registry struct {
+// Cohort is the tracker-side sharing state of a repository: the members
+// of the one image it shares and what the tracker knows of its chunks.
+// A node's mirroring module attaches to a single sharing group, so a
+// repository shares one image, and a deployment that shares several runs
+// a cohort for each. Cohort implements blob.ChunkSharer, each call
+// taking the calling activity's node for its member, and
+// blob.ReclaimListener.
+type Cohort struct {
 	tracker cluster.NodeID
 	cfg     Config
 	// lv is the cluster liveness registry: Locate never returns a
@@ -71,38 +73,46 @@ type Registry struct {
 	// everybody is one tier.
 	topo cluster.Topology
 
-	cohort atomic.Pointer[Cohort] // nil until the first Register
+	mu      sync.Mutex
+	image   blob.ID // 0 until the first Register names it (blob IDs start at 1)
+	members map[cluster.NodeID]bool
+	order   []cluster.NodeID // deterministic member iteration
+	chunks  map[blob.ChunkKey]*chunk
+	// fetching lists, by member, its fetches on record in the order they
+	// went there: at most its connection pool and a commit's gap fill.
+	fetching [][]onRecord
+	waits    []*wait // wait records handed back by their last child
+	stats    Stats
 }
 
-// SetLiveness attaches the cluster liveness registry (see Registry.lv).
-// Call it before any cohort traffic.
-func (r *Registry) SetLiveness(lv *cluster.Liveness) { r.lv = lv }
+// NewRegistry creates the sharing state of a repository, hosted on the
+// tracker node. Its image is named by the first Register.
+func NewRegistry(tracker cluster.NodeID, cfg Config) *Cohort {
+	return &Cohort{tracker: tracker, cfg: cfg, members: make(map[cluster.NodeID]bool), chunks: make(map[blob.ChunkKey]*chunk)}
+}
 
-// SetTopology attaches the cluster topology (see Registry.topo). Call
+// SetLiveness attaches the cluster liveness registry (see Cohort.lv).
+// Call it before any cohort traffic.
+func (co *Cohort) SetLiveness(lv *cluster.Liveness) { co.lv = lv }
+
+// SetTopology attaches the cluster topology (see Cohort.topo). Call
 // it before any cohort traffic.
-func (r *Registry) SetTopology(t cluster.Topology) { r.topo = t }
+func (co *Cohort) SetTopology(t cluster.Topology) { co.topo = t }
 
 // NodeChanged is the cluster liveness hook: wire it with
-// Liveness.OnChange. A death drops the member from the cohort
-// (dropDeadMember) — the tracker must never steer a reader to a dead
-// uploader, nor leave one waiting on it. The drop is tracker-local:
-// members keep no location state, so there is nobody to inform. A revival
-// needs no tracker action: the records are already gone, and the peer
-// holds only what it fetches or commits again.
-func (r *Registry) NodeChanged(ctx *cluster.Ctx, node cluster.NodeID, alive bool) {
-	if co := r.cohort.Load(); !alive && co != nil {
-		co.dropDeadMember(ctx, node)
-	}
-}
-
-// dropDeadMember settles node's fetches in flight as failed, in the order
-// they went on record (wake-ups are observable in the simulation), and
-// withdraws every location record it holds in the cohort, published or
-// still reserved by an announce in flight, with the copies it gave.
-func (co *Cohort) dropDeadMember(ctx *cluster.Ctx, node cluster.NodeID) {
+// Liveness.OnChange. A death settles the member's fetches in flight as
+// failed, in the order they went on record (wake-ups are observable in
+// the simulation), and withdraws every location record it holds,
+// published or still reserved by an announce in flight, with the copies
+// it gave — the tracker must never steer a reader to a dead uploader,
+// nor leave one waiting on it. The drop is tracker-local: members keep
+// no location state, so there is nobody to inform. A revival needs no
+// tracker action: the records are already gone, and the peer holds only
+// what it fetches or commits again.
+func (co *Cohort) NodeChanged(ctx *cluster.Ctx, node cluster.NodeID, alive bool) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	if !co.members[node] {
+	if alive || !co.members[node] {
 		return
 	}
 	for fetching := &co.fetching[node]; len(*fetching) > 0; {
@@ -110,25 +120,18 @@ func (co *Cohort) dropDeadMember(ctx *cluster.Ctx, node cluster.NodeID) {
 		co.settleLocked(ctx, r.key, co.chunks[r.key], r.at, false)
 	}
 	for _, ck := range co.chunks {
-		if ck.held[node] {
-			delete(ck.held, node)
+		if ck.of[node].held {
 			ck.removeHolder(node)
 			co.stats.DeadDropped++
 		}
-		ck.given[node] = 0
+		ck.of[node] = memberRec{}
 	}
 }
 
-// NewRegistry creates a registry hosted on the tracker node.
-func NewRegistry(tracker cluster.NodeID, cfg Config) *Registry {
-	return &Registry{tracker: tracker, cfg: cfg}
-}
-
-// Register creates (or extends) the cohort for an image and
-// disseminates the membership to all members along the broadcast tree.
-// The first Register names the registry's one image: a Register for
-// another image returns nil, charges nothing and leaves the cohort as
-// it was.
+// Register names the cohort's image, on the first call, and enrolls
+// members, disseminating the membership to all of them along the
+// broadcast tree. A Register for another image than the first returns
+// nil, charges nothing and leaves the cohort as it was.
 // It is how the middleware's orchestrator enrolls a deployment: every
 // node about to provision the image becomes a potential chunk source
 // for its siblings. Register is idempotent per member. Membership is
@@ -137,19 +140,18 @@ func NewRegistry(tracker cluster.NodeID, cfg Config) *Registry {
 // and callers must not let members use the cohort before Register
 // returns — the orchestrator guarantees this by registering in
 // Prepare, before any instance is provisioned.
-func (r *Registry) Register(ctx *cluster.Ctx, image blob.ID, members []cluster.NodeID) *Cohort {
-	if r.cohort.Load() == nil {
-		r.cohort.CompareAndSwap(nil, &Cohort{reg: r, image: image, members: make(map[cluster.NodeID]bool), chunks: make(map[blob.ChunkKey]*chunk)})
+func (co *Cohort) Register(ctx *cluster.Ctx, image blob.ID, members []cluster.NodeID) *Cohort {
+	co.mu.Lock()
+	if co.image == 0 {
+		co.image = image
 	}
-	co := r.cohort.Load()
 	if co.image != image {
+		co.mu.Unlock()
 		return nil
 	}
-
-	co.mu.Lock()
 	added := 0
 	for _, m := range members {
-		if m != r.tracker && !co.members[m] {
+		if m != co.tracker && !co.members[m] {
 			co.members[m] = true
 			co.order = append(co.order, m)
 			added++
@@ -159,44 +161,39 @@ func (r *Registry) Register(ctx *cluster.Ctx, image blob.ID, members []cluster.N
 		}
 	}
 	for _, ck := range co.chunks {
-		ck.given = append(ck.given, make([]uint8, len(co.fetching)-len(ck.given))...)
+		ck.of = append(ck.of, make([]memberRec, len(co.fetching)-len(ck.of))...)
 	}
 	targets := append([]cluster.NodeID(nil), co.order...)
 	co.mu.Unlock()
 
 	if added > 0 { // membership rides the binomial control tree from the tracker
-		r.fromTracker(ctx, targets, int64(added)*r.cfg.AnnounceBytes)
+		co.fromTracker(ctx, targets, int64(added)*co.cfg.AnnounceBytes)
 	}
 	return co
 }
 
-// Cohort returns the cohort registered for an image, or nil.
-func (r *Registry) Cohort(image blob.ID) *Cohort {
-	if co := r.cohort.Load(); co != nil && co.image == image {
-		return co
+// Cohort returns co if it was registered for image, or nil.
+func (co *Cohort) Cohort(image blob.ID) *Cohort {
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	if co.image != image {
+		return nil
 	}
-	return nil
+	return co
 }
 
 // ChunksReclaimed implements blob.ReclaimListener: the garbage
 // collector reports the chunk keys it released, and the tracker drops
-// its record of them from the cohort — a reclaimed chunk must not be
-// offered to siblings anymore. The drop is tracker-local, so it charges
-// nothing. A Locate in flight during the drop can still steer a reader
-// to a stale holder; the reader's provider fall-back
-// (blob.Client.getChunk) absorbs exactly that race.
-func (r *Registry) ChunksReclaimed(ctx *cluster.Ctx, keys []blob.ChunkKey) {
-	if co := r.cohort.Load(); co != nil {
-		co.dropReclaimed(ctx, keys)
-	}
-}
-
-// dropReclaimed removes the cohort's record of the given keys, copies
-// given included. That also cancels the phase-1 reservations of announces
-// still in flight: their phase 2 finds the pair gone and leaves the freed
-// chunk unpublished. Fetches of a key still in flight are settled as
-// failed, which sends their waiters to the providers.
-func (co *Cohort) dropReclaimed(ctx *cluster.Ctx, keys []blob.ChunkKey) {
+// its record of them, copies given included — a reclaimed chunk must not
+// be offered to siblings anymore. That also cancels the phase-1
+// reservations of announces still in flight: their phase 2 finds the pair
+// gone and leaves the freed chunk unpublished. Fetches of a key still in
+// flight are settled as failed, which sends their waiters to the
+// providers. The drop is tracker-local, so it charges nothing. A Locate
+// in flight during the drop can still steer a reader to a stale holder;
+// the reader's provider fall-back (blob.Client.getChunk) absorbs exactly
+// that race.
+func (co *Cohort) ChunksReclaimed(ctx *cluster.Ctx, keys []blob.ChunkKey) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	for _, key := range keys {
@@ -204,7 +201,7 @@ func (co *Cohort) dropReclaimed(ctx *cluster.Ctx, keys []blob.ChunkKey) {
 		if ck == nil {
 			continue
 		}
-		if len(ck.held) > 0 {
+		if slices.ContainsFunc(ck.of, func(r memberRec) bool { return r.held }) {
 			co.stats.Reclaimed++
 		}
 		for fl := &ck.fl; fl.head < len(fl.fetches); {
@@ -216,49 +213,26 @@ func (co *Cohort) dropReclaimed(ctx *cluster.Ctx, keys []blob.ChunkKey) {
 
 // fromTracker runs a control broadcast rooted at the tracker node,
 // spawning onto it first when the calling activity lives elsewhere.
-func (r *Registry) fromTracker(ctx *cluster.Ctx, targets []cluster.NodeID, bytes int64) {
+func (co *Cohort) fromTracker(ctx *cluster.Ctx, targets []cluster.NodeID, bytes int64) {
 	if len(targets) == 0 || bytes <= 0 {
 		return
 	}
-	if ctx.Node() == r.tracker {
-		broadcast.Control(ctx, r.tracker, targets, bytes)
+	if ctx.Node() == co.tracker {
+		broadcast.Control(ctx, co.tracker, targets, bytes)
 		return
 	}
-	t := ctx.Go("p2p-control", r.tracker, func(cc *cluster.Ctx) {
-		broadcast.Control(cc, r.tracker, targets, bytes)
+	t := ctx.Go("p2p-control", co.tracker, func(cc *cluster.Ctx) {
+		broadcast.Control(cc, co.tracker, targets, bytes)
 	})
 	ctx.Wait(t)
 }
 
-// Cohort is the sharing state of one deployed image. It implements
-// blob.ChunkSharer; the member identity of every call is the calling
-// activity's node.
-type Cohort struct {
-	reg   *Registry
-	image blob.ID
-
-	mu      sync.Mutex
-	members map[cluster.NodeID]bool
-	order   []cluster.NodeID // deterministic member iteration
-	chunks  map[blob.ChunkKey]*chunk
-	// fetching lists, by member, its fetches on record in the order they
-	// went there: at most its connection pool and a commit's gap fill.
-	fetching [][]onRecord
-	waits    []*wait // wait records handed back by their last child
-	stats    Stats
-}
-
 // chunk is what the tracker knows about one chunk.
 type chunk struct {
-	// held is the (member, chunk) dedup set: every published record plus
-	// the phase-1 reservations of announces whose RPC is still in flight.
-	held    map[cluster.NodeID]bool
+	// of holds, by member, what the tracker knows of the member and the
+	// chunk; Register grows it with the membership.
+	of      []memberRec
 	holders []cluster.NodeID // the published records, in publication order
-	// given counts, by member, the copies of the chunk it has promised,
-	// never more than fanOut. A promise that will not be kept is handed
-	// back (settleLocked), and a count goes with the member's record: on
-	// Retract, on its death, on reclamation.
-	given []uint8
 	// Exhaustion lasts, so two cursors into holders make a pick on the
 	// flat cluster amortised O(1): every holder before fresh has given a
 	// copy, every holder before spare has given fanOut.
@@ -266,11 +240,24 @@ type chunk struct {
 	fl           flight // reused once its fetches have settled
 }
 
+// memberRec is one member's record of one chunk.
+type memberRec struct {
+	// held marks the (member, chunk) pair for dedup: a published record,
+	// or the phase-1 reservation of an announce whose RPC is still in
+	// flight.
+	held bool
+	// given counts the copies of the chunk the member has promised, never
+	// more than fanOut. A promise that will not be kept is handed back
+	// (settleLocked), and the count goes with the member's record: on
+	// Retract, on its death, on reclamation.
+	given uint8
+}
+
 // chunkLocked returns key's record, which it creates if there is none.
 func (co *Cohort) chunkLocked(key blob.ChunkKey) *chunk {
 	ck := co.chunks[key]
 	if ck == nil {
-		ck = &chunk{held: make(map[cluster.NodeID]bool), given: make([]uint8, len(co.fetching))}
+		ck = &chunk{of: make([]memberRec, len(co.fetching))}
 		co.chunks[key] = ck
 	}
 	return ck
@@ -290,7 +277,7 @@ func (ck *chunk) removeHolder(n cluster.NodeID) {
 }
 
 // spent reports whether n, a member or noNode, has no copy left to give.
-func (ck *chunk) spent(n cluster.NodeID) bool { return n == noNode || ck.given[n] >= fanOut }
+func (ck *chunk) spent(n cluster.NodeID) bool { return n == noNode || ck.of[n].given >= fanOut }
 
 // onRecord names one entry of a chunk's in-flight record. An entry keeps
 // its index until the record is emptied, which takes it settled.
@@ -351,7 +338,7 @@ func (co *Cohort) settleLocked(ctx *cluster.Ctx, key blob.ChunkKey, ck *chunk, i
 	*fetching = slices.Delete(*fetching, at, at+1)
 	if w := f.wait; w != nil {
 		if !ok {
-			ck.given[f.node] -= w.children
+			ck.of[f.node].given -= w.children
 			// The member may lie behind the cursors with a copy to give again.
 			ck.fresh, ck.spare, fl.next = 0, 0, fl.head
 		}
@@ -395,7 +382,7 @@ func (co *Cohort) InFlight() int {
 // reached the tracker.
 func (co *Cohort) Announce(ctx *cluster.Ctx, keys []blob.ChunkKey) {
 	member := ctx.Node()
-	if !co.reg.lv.Alive(member) {
+	if !co.lv.Alive(member) {
 		return // a dead node must not (re)register as an uploader
 	}
 	co.mu.Lock()
@@ -411,11 +398,11 @@ func (co *Cohort) Announce(ctx *cluster.Ctx, keys []blob.ChunkKey) {
 			continue // sparse chunks have no payload to share
 		}
 		ck := co.chunkLocked(key)
-		if ck.held[member] {
+		if ck.of[member].held {
 			co.stats.Duplicates++
 			continue
 		}
-		ck.held[member] = true
+		ck.of[member].held = true
 		fresh = append(fresh, key)
 	}
 	co.mu.Unlock()
@@ -423,7 +410,7 @@ func (co *Cohort) Announce(ctx *cluster.Ctx, keys []blob.ChunkKey) {
 		return
 	}
 
-	ctx.RPC(co.reg.tracker, int64(len(fresh))*co.reg.cfg.AnnounceBytes, 16)
+	ctx.RPC(co.tracker, int64(len(fresh))*co.cfg.AnnounceBytes, 16)
 
 	// Phase 2: the announcement has reached the tracker; publish the
 	// locations. A pair retracted or reclaimed, or whose member died,
@@ -431,7 +418,7 @@ func (co *Cohort) Announce(ctx *cluster.Ctx, keys []blob.ChunkKey) {
 	// unpublished.
 	co.mu.Lock()
 	for _, key := range fresh {
-		if ck := co.chunks[key]; ck != nil && ck.held[member] {
+		if ck := co.chunks[key]; ck != nil && ck.of[member].held {
 			ck.holders = append(ck.holders, member)
 			co.stats.Announced++
 		}
@@ -461,8 +448,8 @@ func (co *Cohort) Landed(ctx *cluster.Ctx, key blob.ChunkKey, ok bool) {
 	if at, found := co.earliestLocked(member, key); found {
 		ck := co.chunks[key]
 		co.settleLocked(ctx, key, ck, at, ok)
-		if ok && !ck.held[member] && co.reg.lv.Alive(member) {
-			ck.held[member] = true
+		if ok && !ck.of[member].held && co.lv.Alive(member) {
+			ck.of[member].held = true
 			ck.holders = append(ck.holders, member)
 			co.stats.Announced++
 		}
@@ -479,20 +466,20 @@ func (co *Cohort) Retract(ctx *cluster.Ctx, keys []blob.ChunkKey) {
 	dropped := 0
 	for _, key := range keys {
 		ck := co.chunks[key]
-		if ck == nil || !ck.held[member] {
-			continue
+		if ck == nil || !co.members[member] || !ck.of[member].held {
+			continue // a non-member holds nothing, and has no record
 		}
-		delete(ck.held, member)
+		ck.of[member].held = false
 		ck.removeHolder(member)
 		if _, fetching := co.earliestLocked(member, key); !fetching {
-			ck.given[member] = 0
+			ck.of[member].given = 0
 		}
 		co.stats.Retracted++
 		dropped++
 	}
 	co.mu.Unlock()
 	if dropped > 0 {
-		ctx.RPC(co.reg.tracker, int64(dropped)*co.reg.cfg.AnnounceBytes, 16)
+		ctx.RPC(co.tracker, int64(dropped)*co.cfg.AnnounceBytes, 16)
 	}
 }
 
@@ -526,7 +513,7 @@ func (co *Cohort) locate(ctx *cluster.Ctx, key blob.ChunkKey, fetching bool) (pe
 	if !member {
 		return 0, false, false
 	}
-	ctx.RPC(co.reg.tracker, 32, 32)
+	ctx.RPC(co.tracker, 32, 32)
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	ck := co.chunkLocked(key)
@@ -546,7 +533,7 @@ func (co *Cohort) locate(ctx *cluster.Ctx, key blob.ChunkKey, fetching bool) (pe
 		}
 	}
 	if found {
-		ck.given[peer]++
+		ck.of[peer].given++
 	}
 	if fetching {
 		co.fetching[req] = append(co.fetching[req], onRecord{key, len(fl.fetches)})
@@ -558,7 +545,7 @@ func (co *Cohort) locate(ctx *cluster.Ctx, key blob.ChunkKey, fetching bool) (pe
 		co.mu.Lock()
 		// If the fetch waited on landed, the parent has the payload in hand,
 		// whatever its mirror does with it; if not, the count went back.
-		inHand = w.ok && co.reg.lv.Alive(peer)
+		inHand = w.ok && co.lv.Alive(peer)
 		found, any = inHand, inHand
 		if w.children--; w.children == 0 { // settleLocked sets ok anew
 			w.gate.Reset()
@@ -568,7 +555,7 @@ func (co *Cohort) locate(ctx *cluster.Ctx, key blob.ChunkKey, fetching bool) (pe
 	switch {
 	case found:
 		co.stats.PeerHits++
-		co.stats.TierHits[co.reg.topo.Tier(req, peer)]++
+		co.stats.TierHits[co.topo.Tier(req, peer)]++
 		return peer, inHand && fetching, true
 	case any:
 		co.stats.Saturated++
@@ -601,10 +588,10 @@ func (co *Cohort) pickFetcherLocked(key blob.ChunkKey, ck *chunk, req cluster.No
 	var best *fetch
 	for i := fl.next; i < stop && below > cluster.TierRack; i++ {
 		f := &fl.fetches[i]
-		if ck.spent(f.node) || !co.reg.lv.Alive(f.node) {
+		if ck.spent(f.node) || !co.lv.Alive(f.node) {
 			continue
 		}
-		if tier := co.reg.topo.Tier(req, f.node); tier < below {
+		if tier := co.topo.Tier(req, f.node); tier < below {
 			best, below = f, tier
 		}
 	}
@@ -623,7 +610,7 @@ func (co *Cohort) pickFetcherLocked(key blob.ChunkKey, ck *chunk, req cluster.No
 // popular chunk of a 10k-member cohort costs no scan of its holders.
 func (co *Cohort) pickHolderLocked(ck *chunk, req cluster.NodeID) (best cluster.NodeID, bestTier cluster.Tier, any, found bool) {
 	hs, bestTier := ck.holders, cluster.TierRemote // the tier to beat when nobody is found
-	for ck.fresh < len(hs) && ck.given[hs[ck.fresh]] > 0 {
+	for ck.fresh < len(hs) && ck.of[hs[ck.fresh]].given > 0 {
 		ck.fresh++
 	}
 	for ck.spare < len(hs) && ck.spent(hs[ck.spare]) {
@@ -632,14 +619,14 @@ func (co *Cohort) pickHolderLocked(ck *chunk, req cluster.NodeID) (best cluster.
 	any = ck.spare > 0
 	for given, from := 0, ck.fresh; given < fanOut; given, from = given+1, ck.spare {
 		for _, h := range hs[from:] {
-			if h == req || !co.reg.lv.Alive(h) {
+			if h == req || !co.lv.Alive(h) {
 				continue
 			}
 			any = true
-			if int(ck.given[h]) != given {
+			if int(ck.of[h].given) != given {
 				continue
 			}
-			if tier := co.reg.topo.Tier(req, h); !found || tier < bestTier {
+			if tier := co.topo.Tier(req, h); !found || tier < bestTier {
 				best, bestTier, found = h, tier, true
 			}
 			if bestTier == cluster.TierRack {

@@ -26,21 +26,18 @@ func nodeRange(first, n int) []cluster.NodeID {
 	return ids
 }
 
-func newCohort(t *testing.T, fab *cluster.Live, cfg Config, members []cluster.NodeID) (*Registry, *Cohort) {
+func newCohort(t *testing.T, fab *cluster.Live, cfg Config, members []cluster.NodeID) *Cohort {
 	t.Helper()
-	reg := NewRegistry(cluster.NodeID(fab.Nodes()-1), cfg)
-	var co *Cohort
-	fab.Run(func(ctx *cluster.Ctx) {
-		co = reg.Register(ctx, 1, members)
-	})
-	return reg, co
+	co := NewRegistry(cluster.NodeID(fab.Nodes()-1), cfg)
+	fab.Run(func(ctx *cluster.Ctx) { co.Register(ctx, 1, members) })
+	return co
 }
 
 // TestLocateFallsBackToProvidersWhenNoPeer: a chunk nobody announced
 // must miss, sending the caller to the providers.
 func TestLocateFallsBackToProvidersWhenNoPeer(t *testing.T) {
 	fab := cluster.NewLive(4)
-	_, co := newCohort(t, fab, DefaultConfig(), []cluster.NodeID{0, 1, 2})
+	co := newCohort(t, fab, DefaultConfig(), []cluster.NodeID{0, 1, 2})
 	runOn(fab, 1, func(ctx *cluster.Ctx) {
 		if _, _, ok := co.Locate(ctx, 7); ok {
 			t.Error("Locate found a peer for a never-announced chunk")
@@ -55,7 +52,7 @@ func TestLocateFallsBackToProvidersWhenNoPeer(t *testing.T) {
 // offered to itself; it falls back to the providers instead.
 func TestLocateNeverReturnsSelf(t *testing.T) {
 	fab := cluster.NewLive(4)
-	_, co := newCohort(t, fab, DefaultConfig(), []cluster.NodeID{0, 1, 2})
+	co := newCohort(t, fab, DefaultConfig(), []cluster.NodeID{0, 1, 2})
 	runOn(fab, 0, func(ctx *cluster.Ctx) { co.Announce(ctx, []blob.ChunkKey{7}) })
 	runOn(fab, 0, func(ctx *cluster.Ctx) {
 		if _, _, ok := co.Locate(ctx, 7); ok {
@@ -74,7 +71,7 @@ func TestLocateNeverReturnsSelf(t *testing.T) {
 // once.
 func TestAnnounceDeduplicates(t *testing.T) {
 	fab := cluster.NewLive(4)
-	_, co := newCohort(t, fab, DefaultConfig(), []cluster.NodeID{0, 1, 2})
+	co := newCohort(t, fab, DefaultConfig(), []cluster.NodeID{0, 1, 2})
 	runOn(fab, 0, func(ctx *cluster.Ctx) {
 		co.Announce(ctx, []blob.ChunkKey{7, 8})
 		co.Announce(ctx, []blob.ChunkKey{8, 9})
@@ -95,12 +92,30 @@ func TestAnnounceDeduplicates(t *testing.T) {
 // TestAnnounceIgnoresNonMembersAndSparseChunks.
 func TestAnnounceIgnoresNonMembersAndSparseChunks(t *testing.T) {
 	fab := cluster.NewLive(4)
-	_, co := newCohort(t, fab, DefaultConfig(), []cluster.NodeID{0, 1})
+	co := newCohort(t, fab, DefaultConfig(), []cluster.NodeID{0, 1})
 	runOn(fab, 2, func(ctx *cluster.Ctx) { co.Announce(ctx, []blob.ChunkKey{7}) }) // not a member
 	runOn(fab, 0, func(ctx *cluster.Ctx) { co.Announce(ctx, []blob.ChunkKey{0}) }) // sparse
 	if st := co.Stats(); st.Announced != 0 {
 		t.Errorf("announced = %d, want 0", st.Announced)
 	}
+}
+
+// TestRetractIgnoresNonMembers: a node outside the cohort holds nothing,
+// so its Retract withdraws nothing and charges nothing.
+func TestRetractIgnoresNonMembers(t *testing.T) {
+	fab := cluster.NewLive(4)
+	co := newCohort(t, fab, DefaultConfig(), []cluster.NodeID{0, 1})
+	runOn(fab, 0, func(ctx *cluster.Ctx) { co.Announce(ctx, []blob.ChunkKey{7}) })
+	traffic := fab.NetTraffic()
+	runOn(fab, 2, func(ctx *cluster.Ctx) { co.Retract(ctx, []blob.ChunkKey{7}) })
+	if st := co.Stats(); st.Retracted != 0 || fab.NetTraffic() != traffic {
+		t.Errorf("non-member Retract: %d retracted, %d bytes; want none", st.Retracted, fab.NetTraffic()-traffic)
+	}
+	runOn(fab, 1, func(ctx *cluster.Ctx) {
+		if peer, _, ok := co.Locate(ctx, 7); !ok || peer != 0 {
+			t.Errorf("Locate = (%d, %v), want node 0", peer, ok)
+		}
+	})
 }
 
 // TestUploadCapShedsToProviders: a lone holder with no fetch in flight
@@ -109,7 +124,7 @@ func TestAnnounceIgnoresNonMembersAndSparseChunks(t *testing.T) {
 // those goes to the providers again.
 func TestUploadCapShedsToProviders(t *testing.T) {
 	fab := cluster.NewLive(9)
-	_, co := newCohort(t, fab, DefaultConfig(), nodeRange(0, 8))
+	co := newCohort(t, fab, DefaultConfig(), nodeRange(0, 8))
 	announce := func(n cluster.NodeID) {
 		runOn(fab, n, func(ctx *cluster.Ctx) { co.Announce(ctx, []blob.ChunkKey{7}) })
 	}
@@ -154,7 +169,7 @@ func TestUploadCapShedsToProviders(t *testing.T) {
 // comes before one that has given one.
 func TestLocatePrefersLeastLoadedHolder(t *testing.T) {
 	fab := cluster.NewLive(5)
-	_, co := newCohort(t, fab, DefaultConfig(), []cluster.NodeID{0, 1, 2, 3})
+	co := newCohort(t, fab, DefaultConfig(), []cluster.NodeID{0, 1, 2, 3})
 	runOn(fab, 0, func(ctx *cluster.Ctx) { co.Announce(ctx, []blob.ChunkKey{7}) })
 	runOn(fab, 1, func(ctx *cluster.Ctx) { co.Announce(ctx, []blob.ChunkKey{7}) })
 	runOn(fab, 2, func(ctx *cluster.Ctx) {
@@ -174,7 +189,7 @@ func TestLocatePrefersLeastLoadedHolder(t *testing.T) {
 // the retracting member.
 func TestRetractRemovesHolder(t *testing.T) {
 	fab := cluster.NewLive(4)
-	_, co := newCohort(t, fab, DefaultConfig(), []cluster.NodeID{0, 1, 2})
+	co := newCohort(t, fab, DefaultConfig(), []cluster.NodeID{0, 1, 2})
 	runOn(fab, 0, func(ctx *cluster.Ctx) {
 		co.Announce(ctx, []blob.ChunkKey{7})
 		co.Retract(ctx, []blob.ChunkKey{7})
@@ -250,6 +265,57 @@ func TestRegisterRefusesASecondImage(t *testing.T) {
 			t.Error("Cohort lookup does not answer for the registered image alone")
 		}
 	})
+}
+
+// TestCohortBeforeRegister: until the first Register names its image, a
+// cohort has no members. A member's death and a reclamation find nothing
+// to drop and charge nothing, and Cohort answers for no image. Registered
+// afterwards, it answers Announce and Locate as a fresh cohort does, at
+// the same cost.
+func TestCohortBeforeRegister(t *testing.T) {
+	type outcome struct {
+		peer    cluster.NodeID
+		found   bool
+		stats   Stats
+		traffic int64
+		now     float64
+	}
+	deploy := func(early bool) outcome {
+		fab := cluster.NewSim(cluster.DefaultConfig(4))
+		co := NewRegistry(3, DefaultConfig())
+		lv := cluster.NewLiveness(4)
+		co.SetLiveness(lv)
+		lv.OnChange(co.NodeChanged)
+		var out outcome
+		fab.Run(func(ctx *cluster.Ctx) {
+			if early {
+				lv.Kill(ctx, 1)
+				lv.Revive(ctx, 1)
+				co.ChunksReclaimed(ctx, []blob.ChunkKey{7})
+				if st := co.Stats(); st != (Stats{}) || fab.NetTraffic() != 0 || ctx.Now() != 0 {
+					t.Errorf("before Register: stats %+v, %d bytes, %g s; want nothing", st, fab.NetTraffic(), ctx.Now())
+				}
+				if co.Cohort(1) != nil {
+					t.Error("Cohort answered for an image before Register named one")
+				}
+			}
+			if co.Register(ctx, 1, []cluster.NodeID{0, 1, 2}) != co || co.Cohort(1) != co {
+				t.Error("Register did not name the cohort's image")
+			}
+			on(ctx, 0, func(cc *cluster.Ctx) { co.Announce(cc, []blob.ChunkKey{7}) })
+			on(ctx, 1, func(cc *cluster.Ctx) { out.peer, _, out.found = co.Locate(cc, 7) })
+			out.now = ctx.Now()
+		})
+		out.stats, out.traffic = co.Stats(), fab.NetTraffic()
+		return out
+	}
+	fresh, late := deploy(false), deploy(true)
+	if !fresh.found || fresh.peer != 0 {
+		t.Fatalf("fresh cohort: Locate = (%d, %v), want node 0", fresh.peer, fresh.found)
+	}
+	if late != fresh {
+		t.Errorf("registered after a death and a reclamation: %+v, want %+v as on a fresh cohort", late, fresh)
+	}
 }
 
 // TestCohortRegistryRace hammers one cohort from many concurrent

@@ -20,8 +20,8 @@ func topo2z() cluster.Topology {
 // a tier the holder that has given fewest still wins.
 func TestPickPrefersNearTierOverLoad(t *testing.T) {
 	fab := cluster.NewLive(8)
-	reg, co := newCohort(t, fab, DefaultConfig(), []cluster.NodeID{0, 1, 2, 4, 5})
-	reg.SetTopology(topo2z())
+	co := newCohort(t, fab, DefaultConfig(), []cluster.NodeID{0, 1, 2, 4, 5})
+	co.SetTopology(topo2z())
 	// Holders: node 1 (same rack as requester 0), nodes 4 and 5
 	// (other zone).
 	runOn(fab, 1, func(ctx *cluster.Ctx) { co.Announce(ctx, []blob.ChunkKey{7}) })
@@ -51,9 +51,9 @@ func TestPickWithoutTopologyStaysLeastLoaded(t *testing.T) {
 		{Zones: 1, RacksPerZone: 1, NodesPerRack: 8, RackBandwidth: 1, ZoneBandwidth: 1},
 	} {
 		fab := cluster.NewLive(8)
-		reg, co := newCohort(t, fab, DefaultConfig(), []cluster.NodeID{0, 1, 2, 4, 5})
+		co := newCohort(t, fab, DefaultConfig(), []cluster.NodeID{0, 1, 2, 4, 5})
 		if topo.Enabled() {
-			reg.SetTopology(topo)
+			co.SetTopology(topo)
 		}
 		runOn(fab, 1, func(ctx *cluster.Ctx) { co.Announce(ctx, []blob.ChunkKey{7}) })
 		runOn(fab, 4, func(ctx *cluster.Ctx) { co.Announce(ctx, []blob.ChunkKey{7}) })

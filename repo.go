@@ -30,7 +30,7 @@ type Repo struct {
 	fab     Fabric
 	cfg     config
 	sys     *blob.System
-	sharing *p2p.Registry     // nil without WithP2P
+	sharing *p2p.Cohort       // nil without WithP2P
 	syncer  *reposync.Tracker // disconnected-sync identity + sequence state
 	// liveness is the repo's node up/down registry, the one record every
 	// service reads: the provider set (failover + re-replication), the
@@ -45,9 +45,9 @@ type Repo struct {
 
 	mu      sync.Mutex
 	modules map[NodeID]*mirror.Module
-	// cohort is the repo's one sharing cohort (see Share), attached to
-	// every module created after it registered.
-	cohort    *p2p.Cohort
+	// shared is set once Share registered the sharing cohort: every
+	// module created after that attaches to it.
+	shared    bool
 	names     map[string]Snapshot
 	collector *blob.Collector
 }
@@ -175,8 +175,8 @@ func (r *Repo) module(node NodeID) *mirror.Module {
 	m, ok := r.modules[node]
 	if !ok {
 		m = mirror.NewModule(node, blob.NewClient(r.sys))
-		if r.cohort != nil {
-			m.SetSharer(r.cohort)
+		if r.shared {
+			m.SetSharer(r.sharing)
 		}
 		r.modules[node] = m
 	}
@@ -470,7 +470,7 @@ func (r *Repo) NodeAlive(node NodeID) bool { return r.liveness.Alive(node) }
 //
 // A repo carries at most one cohort: a node's mirroring module (and
 // its chunk fetch path) attaches to a single sharing group, so the
-// registry refuses a Share for a second image rather than silently
+// cohort refuses a Share for a second image rather than silently
 // cross-wiring the first cohort's location maps. Deployments that
 // share several images each open their own Repo, as the experiment
 // scenarios do. Re-Shares of the registered image register again: the
@@ -481,12 +481,11 @@ func (r *Repo) Share(ctx *Ctx, image ImageID, nodes []NodeID) bool {
 	if r.sharing == nil {
 		return false
 	}
-	co := r.sharing.Register(ctx, image, nodes)
-	if co == nil {
+	if r.sharing.Register(ctx, image, nodes) == nil {
 		return false
 	}
 	r.mu.Lock()
-	r.cohort = co
+	r.shared = true
 	r.mu.Unlock()
 	return true
 }
