@@ -142,10 +142,15 @@ loc-budget:
 	@loc=$$($(MAKE) -s loc); budget=$$(cat .github/loc-budget.txt); \
 	echo "non-test Go outside bench/: $$loc lines (budget $$budget)"; [ "$$loc" -le "$$budget" ]
 
-# fuzz is CI's fuzz smoke: 20 s of each fuzz target.
+# fuzz is CI's fuzz smoke: 20 s of each fuzz target. In internal/blob:
+# the version build and the leaf walk against their references, chunk
+# placement, and the record table both storage tiers keep (against a
+# map); the archive decoder at the root and its round trip in
+# internal/sync.
 fuzz:
 	go test -run '^$$' -fuzz FuzzBuildVersion -fuzztime 20s ./internal/blob
 	go test -run '^$$' -fuzz FuzzCollectLeaves -fuzztime 20s ./internal/blob
 	go test -run '^$$' -fuzz FuzzPlacement -fuzztime 20s ./internal/blob
+	go test -run '^$$' -fuzz FuzzKeyTable -fuzztime 20s ./internal/blob
 	go test -run '^$$' -fuzz FuzzImportArchive -fuzztime 20s .
 	go test -run '^$$' -fuzz FuzzArchiveRoundTrip -fuzztime 20s ./internal/sync

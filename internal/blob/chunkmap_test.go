@@ -54,11 +54,9 @@ func (f cmFixture) node(t *testing.T, lo, hi int64) NodeRef {
 	m := f.sys.Meta
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	for pi, page := range m.pages {
-		for i, n := range page {
-			if n.Lo == lo && n.Hi == hi {
-				return NodeRef(pi*nodePage + i)
-			}
+	for ref, n := range m.recs.all {
+		if n.Lo == lo && n.Hi == hi {
+			return ref
 		}
 	}
 	t.Fatalf("no node covers [%d,%d)", lo, hi)
@@ -69,7 +67,11 @@ func (f cmFixture) node(t *testing.T, lo, hi int64) NodeRef {
 func (f cmFixture) set(ref NodeRef, n TreeNode) {
 	m := f.sys.Meta
 	m.mu.Lock()
-	m.pages[ref/nodePage][ref%nodePage] = n
+	if n.valid() {
+		m.recs.put(ref, n)
+	} else {
+		m.recs.del(ref)
+	}
 	m.mu.Unlock()
 }
 

@@ -521,17 +521,6 @@ func (c *Client) WriteFull(ctx *cluster.Ctx, id ID, base Version, tag uint64) (V
 	return c.WriteChunks(ctx, id, base, writes)
 }
 
-// presized returns m, or when m is empty a map with room for n entries:
-// a bulk load into an empty store (the upload of a base image) then
-// grows no table on the way, which was a fifth of its host time and a
-// quarter of its allocation.
-func presized[K comparable, V any](m map[K]V, n int) map[K]V {
-	if len(m) == 0 {
-		return make(map[K]V, n)
-	}
-	return m
-}
-
 // firstError returns the first non-nil error in errs.
 func firstError(errs []error) error {
 	for _, err := range errs {

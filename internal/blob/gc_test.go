@@ -3,6 +3,7 @@ package blob
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"blobvfs/internal/cluster"
@@ -208,7 +209,7 @@ func TestCollectBeforePublishSparesTheWrite(t *testing.T) {
 			t.Fatal("the commit allocated no tree refs")
 		}
 		for ref := refWM + 1; ref <= newWM; ref++ {
-			if _, ok := sys.Meta.peek(ref); !ok {
+			if _, ok := sys.Meta.Peek(ref); !ok {
 				t.Errorf("tree ref %d was freed before its version published", ref)
 			}
 		}
@@ -311,7 +312,7 @@ func TestCollectorSkipsOverlappingCycle(t *testing.T) {
 type peekGetter struct{ m *MetaService }
 
 func (g peekGetter) GetNode(ref NodeRef) (TreeNode, error) {
-	n, ok := g.m.peek(ref)
+	n, ok := g.m.Peek(ref)
 	if !ok {
 		return TreeNode{}, notFound("metadata node", ref)
 	}
@@ -430,6 +431,117 @@ func TestGCMarkRounds(t *testing.T) {
 		}
 		if rep.FreedChunks != int64(wantFreed) {
 			t.Errorf("freed %d chunks, reference %d", rep.FreedChunks, wantFreed)
+		}
+	})
+}
+
+// reclaimRecorder is a ReclaimListener that keeps every batch of keys
+// it is handed.
+type reclaimRecorder struct{ batches [][]ChunkKey }
+
+func (r *reclaimRecorder) ChunksReclaimed(_ *cluster.Ctx, keys []ChunkKey) {
+	r.batches = append(r.batches, slices.Clone(keys))
+}
+
+// TestReclaimOrderIsKeyOrder: the collector's candidates come in key
+// order, and so do the keys it hands the reclaim listener, whose
+// cohorts settle each key's in-flight fetches in the order given. Each
+// of several cycles overwrites 20 chunks, retires the version before
+// and frees the 20 chunks it held.
+func TestReclaimOrderIsKeyOrder(t *testing.T) {
+	fab, sys := liveSystem(4, 1)
+	fab.Run(func(ctx *cluster.Ctx) {
+		c := NewClient(sys)
+		gc := NewCollector(sys)
+		rec := &reclaimRecorder{}
+		gc.SetListener(rec)
+		id, _ := c.Create(ctx, 6400, 100) // 64 chunks
+		v, err := c.WriteAt(ctx, id, 0, pattern(6400, 1), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const cycles = 4
+		for cycle := range cycles {
+			next, err := c.WriteAt(ctx, id, v, pattern(2000, byte(cycle+2)), 1000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Retire(ctx, id, v); err != nil {
+				t.Fatal(err)
+			}
+			v = next
+			if keys := sys.Providers.RetainedKeys(^ChunkKey(0)); !slices.IsSorted(keys) {
+				t.Fatalf("cycle %d: RetainedKeys not in key order: %v", cycle, keys)
+			}
+			if rep, err := gc.Collect(ctx); err != nil || rep.FreedChunks != 20 {
+				t.Fatalf("cycle %d: freed %d chunks (%v), want 20", cycle, rep.FreedChunks, err)
+			}
+		}
+		if len(rec.batches) != cycles {
+			t.Fatalf("listener called %d times, want %d", len(rec.batches), cycles)
+		}
+		for i, keys := range rec.batches {
+			if !slices.IsSorted(keys) {
+				t.Fatalf("cycle %d: listener handed keys out of key order: %v", i, keys)
+			}
+		}
+	})
+}
+
+// TestReleaseChargesTheHolders: a key put while a ring member was down
+// is held by its other ring member and a substitute, and deleting it
+// is charged to both of them, not to the dead member of its ring.
+func TestReleaseChargesTheHolders(t *testing.T) {
+	fab := cluster.NewSim(cluster.DefaultConfig(5))
+	nodes := []cluster.NodeID{1, 2, 3, 4}
+	ps := NewProviderSet(nodes, 2)
+	lv := cluster.NewLiveness(5) // no listeners: no repair sweep runs
+	ps.SetLiveness(lv)
+	fab.Run(func(ctx *cluster.Ctx) {
+		key := ps.AllocPending(1)
+		ring := ps.Replicas(key)
+		lv.Kill(ctx, ring[0])
+		if err := putOne(ctx, ps, key, SyntheticPayload(4096, 1)); err != nil {
+			t.Fatal(err)
+		}
+		holders := ps.LiveLocations(key)
+		if len(holders) != 2 || holders[0] != ring[1] || slices.Contains(ring, holders[1]) {
+			t.Fatalf("key held by %v, want %d and a substitute off the ring %v", holders, ring[1], ring)
+		}
+		before := fab.NetTraffic()
+		if released, _ := ps.Release(ctx, []ChunkKey{key}); len(released) != 1 {
+			t.Fatalf("released %v, want the key", released)
+		}
+		if got, want := fab.NetTraffic()-before, int64(2*(24+16)); got != want {
+			t.Fatalf("release moved %d bytes, want %d: one deletion RPC to each holder", got, want)
+		}
+	})
+}
+
+// TestZeroSizeChunkIsARecord: a chunk of no bytes (Import stores one
+// for an archive's 0-byte chunk record) is a stored record like any
+// other: Peek finds it, ChunkCount counts it, and a collection frees it.
+func TestZeroSizeChunkIsARecord(t *testing.T) {
+	fab, sys := liveSystem(2, 1)
+	fab.Run(func(ctx *cluster.Ctx) {
+		ps := sys.Providers
+		key := ps.AllocPending(1)
+		if err := putOne(ctx, ps, key, RealPayload([]byte{})); err != nil {
+			t.Fatal(err)
+		}
+		ps.ClearPending(key)
+		if p, ok := ps.Peek(key); !ok || p.Size != 0 {
+			t.Fatalf("Peek = %+v, %v; want the 0-byte chunk", p, ok)
+		}
+		if n := ps.ChunkCount(); n != 1 {
+			t.Fatalf("ChunkCount = %d, want 1", n)
+		}
+		rep, err := NewCollector(sys).Collect(ctx)
+		if err != nil || rep.FreedChunks != 1 || rep.FreedBytes != 0 {
+			t.Fatalf("collection freed %d chunks, %d bytes (%v); want the one 0-byte chunk", rep.FreedChunks, rep.FreedBytes, err)
+		}
+		if _, ok := ps.Peek(key); ok || ps.ChunkCount() != 0 {
+			t.Fatalf("0-byte chunk still stored after its collection")
 		}
 	})
 }

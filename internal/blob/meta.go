@@ -2,7 +2,6 @@ package blob
 
 import (
 	"fmt"
-	"slices"
 	"sync/atomic"
 
 	"blobvfs/internal/cluster"
@@ -14,15 +13,9 @@ import (
 // hold what it resolved (the mirror's chunk map); the service itself
 // never invalidates.
 //
-// The nodes live in a table indexed by ref, under the embedded
-// replicaSet's lock: refs are handed out by a counter
-// (AllocPending), so they are dense, and node ref r sits at slot
-// r%nodePage of page r/nodePage. A zero TreeNode is an absent ref.
-// Pages rather than one slice, so that growing the table never copies
-// it and a sweep can drop a page once its last node is gone: memory
-// follows the live refs, not the watermark. Nodes are written once and
-// read many times, so a batched read takes the shared side once per
-// batch.
+// The nodes live in the embedded replicaSet's record table, indexed by
+// ref (keyTable). Nodes are written once and read many times, so a
+// batched read takes the shared side of its lock once per batch.
 //
 // At replication degree 1 (the default) every ref lives on exactly one
 // home provider and the control plane is assumed fault-free — the
@@ -46,11 +39,7 @@ import (
 // table, shared by the descents of one root in flight together, and a
 // replay per descent through GetBatchInto with a nil out (chunkMap).
 type MetaService struct {
-	replicaSet[NodeRef]
-	// pages is the node table and stored the number of nodes in it,
-	// both guarded by the replica set's mu. A nil page holds no node.
-	pages  [][]TreeNode
-	stored int
+	replicaSet[NodeRef, TreeNode]
 	// walks holds, under mu, the walk of every tree whose chunk map a
 	// descent is replaying, by root.
 	walks map[NodeRef]*leafWalk
@@ -69,9 +58,6 @@ type MetaService struct {
 	Walks atomic.Int64
 }
 
-// nodePage is how many tree nodes one page of the node table holds.
-const nodePage = 1024
-
 // NewMetaService creates a metadata store over the given provider nodes.
 func NewMetaService(providers []cluster.NodeID) *MetaService {
 	if len(providers) == 0 {
@@ -88,7 +74,8 @@ func (m *MetaService) SetReplication(r int) {
 	if r < 1 || r > len(m.nodes) {
 		panic("blob: metadata replication degree out of range")
 	}
-	m.setDegree(r)
+	m.replicas = r
+	m.rings = replicaRings(m.nodes, r, m.topo)
 }
 
 // Home returns the metadata provider primarily responsible for a
@@ -97,38 +84,10 @@ func (m *MetaService) Home(ref NodeRef) cluster.NodeID {
 	return m.nodes[m.primarySlot(ref)]
 }
 
-// storedKeys, has, copyBytes and chargeCopy are the metadata tier's
-// side of a repair sweep (replicaTier): every stored ref is a
-// candidate, and since tree nodes live in provider memory a copy is one
-// small RPC from the source — no disk legs, unlike chunk repair. The
-// keys come in ref order.
-func (m *MetaService) storedKeys() []NodeRef {
-	keys := make([]NodeRef, 0, m.stored)
-	for pi, page := range m.pages {
-		for i, n := range page {
-			if n.valid() {
-				keys = append(keys, NodeRef(pi*nodePage+i))
-			}
-		}
-	}
-	return keys
-}
-
-// lookupLocked returns the node stored under ref; a ref past the table
-// or in a dropped page reads as absent. The caller holds mu.
-func (m *MetaService) lookupLocked(ref NodeRef) (TreeNode, bool) {
-	if pi := ref / nodePage; pi < NodeRef(len(m.pages)) {
-		if page := m.pages[pi]; page != nil {
-			n := page[ref%nodePage]
-			return n, n.valid()
-		}
-	}
-	return TreeNode{}, false
-}
-
-func (m *MetaService) has(ref NodeRef) bool { _, ok := m.lookupLocked(ref); return ok }
-
-func (m *MetaService) copyBytes(NodeRef) int32 { return TreeNodeWire }
+// copyBytes and chargeCopy are the metadata tier's side of a repair
+// sweep (replicaTier): since tree nodes live in provider memory a copy
+// is one small RPC from the source — no disk legs, unlike chunk repair.
+func (m *MetaService) copyBytes(TreeNode) int32 { return TreeNodeWire }
 
 func (m *MetaService) chargeCopy(cc *cluster.Ctx, src, _ cluster.NodeID, bytes int32) {
 	cc.RPC(src, 16, int64(bytes))
@@ -280,7 +239,7 @@ func (m *MetaService) GetBatchInto(ctx *cluster.Ctx, refs []NodeRef, out []TreeN
 			missing.noReplica = true
 			continue
 		}
-		n, ok := m.lookupLocked(ref)
+		n, ok := m.recs.get(ref)
 		if !ok {
 			if missing == nil {
 				missing = &MissingNodesError{First: ref}
@@ -396,7 +355,7 @@ func (g walkGetter) GetNodes(refs []NodeRef, out []TreeNode) error {
 	g.w.refs = append(g.w.refs, refs...)
 	g.w.ends = append(g.w.ends, len(g.w.refs))
 	for i, ref := range refs {
-		n, ok := g.m.lookupLocked(ref)
+		n, ok := g.m.recs.get(ref)
 		if !ok {
 			return &NotFoundError{Kind: "metadata node", What: ref}
 		}
@@ -427,8 +386,7 @@ func (m *MetaService) pickFrom(reader cluster.NodeID, locs []cluster.NodeID) slo
 // records the ref's holders as its off-ring record, so nodes are born
 // at full degree whenever enough providers are up. A node with every
 // provider down cannot be placed and is dropped (its later gets fail,
-// and count as failed). Refs are AllocPending's: the node table grows
-// to the largest one.
+// and count as failed).
 func (m *MetaService) PutBatch(ctx *cluster.Ctx, nodes []NewNode) {
 	if len(nodes) == 0 {
 		return
@@ -474,18 +432,7 @@ func (m *MetaService) PutBatch(ctx *cluster.Ctx, nodes []NewNode) {
 		if store != nil && !store[i] {
 			continue
 		}
-		pi := int(nn.Ref / nodePage)
-		if pi >= len(m.pages) {
-			m.pages = append(m.pages, make([][]TreeNode, pi+1-len(m.pages))...)
-		}
-		if m.pages[pi] == nil {
-			m.pages[pi] = make([]TreeNode, nodePage)
-		}
-		slot := &m.pages[pi][nn.Ref%nodePage]
-		if !slot.valid() {
-			m.stored++
-		}
-		*slot = nn.Node
+		m.recs.put(nn.Ref, nn.Node)
 	}
 	m.mu.Unlock()
 }
@@ -493,30 +440,23 @@ func (m *MetaService) PutBatch(ctx *cluster.Ctx, nodes []NewNode) {
 // Sweep deletes every stored node up to the watermark that is neither
 // in the live set nor in the pending snapshot, and returns how many it
 // removed, charging one batched RPC per affected home provider
-// (immutable nodes need no further coordination to drop). A page left
-// with no node is dropped. The caller guarantees the live set covers
-// every node reachable from a live snapshot root.
+// (immutable nodes need no further coordination to drop). The caller
+// guarantees the live set covers every node reachable from a live
+// snapshot root.
 func (m *MetaService) Sweep(ctx *cluster.Ctx, upTo NodeRef, live map[NodeRef]bool, pending PendingSet[NodeRef]) int {
 	counts := make(map[cluster.NodeID]int64)
 	m.mu.Lock()
-	for pi, page := range m.pages {
-		if NodeRef(pi*nodePage) > upTo {
-			break
+	m.recs.all(func(ref NodeRef, _ TreeNode) bool {
+		if ref > upTo {
+			return false
 		}
-		for i := range page {
-			ref := NodeRef(pi*nodePage + i)
-			if !page[i].valid() || ref > upTo || live[ref] || pending.Has(ref) {
-				continue
-			}
-			page[i] = TreeNode{}
-			m.stored--
+		if !live[ref] && !pending.Has(ref) {
+			m.recs.del(ref)
 			counts[m.Home(ref)]++
 			delete(m.off, ref)
 		}
-		if !slices.ContainsFunc(page, TreeNode.valid) {
-			m.pages[pi] = nil
-		}
-	}
+		return true
+	})
 	m.mu.Unlock()
 	freed := 0
 	for _, prov := range m.nodes {
@@ -530,30 +470,7 @@ func (m *MetaService) Sweep(ctx *cluster.Ctx, upTo NodeRef, live map[NodeRef]boo
 }
 
 // NodeCount returns the number of stored tree nodes (metadata footprint).
-func (m *MetaService) NodeCount() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.stored
-}
-
-// peek returns a node without charging any cost; used by in-process
-// verification and tests.
-func (m *MetaService) peek(ref NodeRef) (TreeNode, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.lookupLocked(ref)
-}
-
-// LiveLocations returns the live providers currently holding a copy of
-// ref, in failover order, without charging any cost — the inspection
-// hook the chaos tests assert replication invariants with. A ref with
-// no stored node returns nil.
-func (m *MetaService) LiveLocations(ref NodeRef) []cluster.NodeID {
-	if _, ok := m.peek(ref); !ok {
-		return nil
-	}
-	return m.liveOf(m.locations(ref))
-}
+func (m *MetaService) NodeCount() int { return m.count() }
 
 // Getter binds the service to an activity as the Getter of the
 // segment-tree algorithms: every GetNodes round is one GetBatchInto.

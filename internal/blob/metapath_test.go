@@ -424,13 +424,13 @@ func TestGetBatchDeterministicOrder(t *testing.T) {
 }
 
 // TestNodeTableWithHoles: after a sweep that empties a whole page of
-// the node table and part of another, NodeCount, storedKeys, peek and
+// the node table and part of another, NodeCount, RetainedKeys, Peek and
 // GetBatchInto agree on which refs are stored, and a ref in the dropped
 // page or past the table fails the batch with *MissingNodesError.
 func TestNodeTableWithHoles(t *testing.T) {
 	fab := cluster.NewLive(2)
 	m := NewMetaService([]cluster.NodeID{0, 1})
-	const total = 2*nodePage + 452 // refs 1..total: three pages
+	const total = 2*pageKeys + 452 // refs 1..total: three pages
 	node := func(ref NodeRef) TreeNode { return TreeNode{Lo: int64(ref), Hi: int64(ref) + 1, Chunk: ChunkKey(ref)} }
 	fab.Run(func(ctx *cluster.Ctx) {
 		m.ClearPending(m.AllocPending(total - 300))
@@ -445,37 +445,40 @@ func TestNodeTableWithHoles(t *testing.T) {
 		// Page 0 live, page 1 all garbage, page 2 live from 2100 to
 		// 2150, garbage around that, pending from total-299.
 		live := make(map[NodeRef]bool)
-		for ref := NodeRef(1); ref < nodePage; ref++ {
+		for ref := NodeRef(1); ref < pageKeys; ref++ {
 			live[ref] = true
 		}
 		for ref := NodeRef(2100); ref <= 2150; ref++ {
 			live[ref] = true
 		}
 		wm, pending := m.PendingSnapshot()
-		if freed := m.Sweep(ctx, wm, live, pending); freed != nodePage+52+50 {
-			t.Fatalf("swept %d nodes, want %d", freed, nodePage+52+50)
+		if freed := m.Sweep(ctx, wm, live, pending); freed != pageKeys+52+50 {
+			t.Fatalf("swept %d nodes, want %d", freed, pageKeys+52+50)
 		}
-		if m.pages[1] != nil {
+		if m.recs.pages[1] != nil {
 			t.Error("the emptied page is still allocated")
+		}
+		if err := m.check(); err != nil {
+			t.Fatal(err)
 		}
 		stored := func(ref NodeRef) bool {
 			return ref >= 1 && ref <= total && (live[ref] || pending.Has(ref))
 		}
 		var want []NodeRef
-		for ref := NodeRef(0); ref <= total+nodePage; ref++ {
+		for ref := NodeRef(0); ref <= total+pageKeys; ref++ {
 			if stored(ref) {
 				want = append(want, ref)
 			}
-			n, ok := m.peek(ref)
+			n, ok := m.Peek(ref)
 			if ok != stored(ref) || (ok && n != node(ref)) {
-				t.Fatalf("peek(%d) = %+v, %v; stored: %v", ref, n, ok, stored(ref))
+				t.Fatalf("Peek(%d) = %+v, %v; stored: %v", ref, n, ok, stored(ref))
 			}
 		}
 		if got := m.NodeCount(); got != len(want) {
 			t.Fatalf("NodeCount = %d, want %d", got, len(want))
 		}
-		if got := m.storedKeys(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("storedKeys lists %d refs, want the %d stored in ascending order", len(got), len(want))
+		if got := m.RetainedKeys(total + pageKeys); !reflect.DeepEqual(got, want) {
+			t.Fatalf("RetainedKeys lists %d refs, want the %d stored in ascending order", len(got), len(want))
 		}
 		out := make([]TreeNode, len(want))
 		if err := m.GetBatchInto(ctx, want, out); err != nil {
@@ -486,7 +489,7 @@ func TestNodeTableWithHoles(t *testing.T) {
 				t.Fatalf("batch served %+v for ref %d", out[i], ref)
 			}
 		}
-		for _, ref := range []NodeRef{nodePage + 5, 2099, total + 1, 1 << 40} {
+		for _, ref := range []NodeRef{pageKeys + 5, 2099, total + 1, 1 << 40} {
 			refs := []NodeRef{want[0], ref}
 			out := make([]TreeNode, 2)
 			var missing *MissingNodesError

@@ -11,25 +11,18 @@ import (
 // disks of provider nodes, striped by key — block-cyclic over windows
 // of clientParallel providers (replicaSet.primarySlot), which on a pool
 // no wider than that is the round-robin of paper §3.1.3 — with an
-// optional replication degree. Placement, liveness, failover and
-// repair are the embedded replicaSet's (replicaset.go), whose lock mu
-// also guards the map below; this type adds what is chunk-specific:
-// payloads and the cost of moving a chunk.
+// optional replication degree. The payloads, placement, liveness,
+// failover and repair are the embedded replicaSet's (replicaset.go);
+// this type adds what is chunk-specific: the cost of storing, reading,
+// moving and deleting a chunk. Per-provider counters are atomics
+// preallocated per node, off the lock entirely.
 //
 // Every key is allocated once (AllocPending) and put once, so a stored
 // key owns its payload alone and its first Release frees it. Versions
 // share unchanged chunks by shadowing and cloning (paper §3.2), not by
 // content.
 type ProviderSet struct {
-	replicaSet[ChunkKey]
-
-	// chunks is the one record of what is stored, guarded by the replica
-	// set's mu. It is a RWMutex so the hot fetch path (Get/Peek) runs
-	// under a shared lock and the 16-way parallel fetchers of every
-	// client in a deployment stop serializing here; writers (PutBatch,
-	// Release) take the exclusive side. Per-provider read counters are
-	// atomics preallocated per node, off the lock entirely.
-	chunks map[ChunkKey]Payload
+	replicaSet[ChunkKey, Payload]
 
 	readsBy  map[cluster.NodeID]*atomic.Int64 // chunk reads served, per provider
 	writesBy map[cluster.NodeID]*atomic.Int64 // write RPCs received, per provider
@@ -67,11 +60,7 @@ func NewProviderSet(nodes []cluster.NodeID, replicas int) *ProviderSet {
 		readsBy[n] = &atomic.Int64{}
 		writesBy[n] = &atomic.Int64{}
 	}
-	ps := &ProviderSet{
-		chunks:   make(map[ChunkKey]Payload),
-		readsBy:  readsBy,
-		writesBy: writesBy,
-	}
+	ps := &ProviderSet{readsBy: readsBy, writesBy: writesBy}
 	ps.init(ps, "rereplicate", nodes, replicas, min(clientParallel, len(nodes)))
 	return ps
 }
@@ -87,23 +76,12 @@ func (ps *ProviderSet) TierReads() [cluster.NumTiers]int64 {
 	return out
 }
 
-// storedKeys, has, copyBytes and chargeCopy are the chunk tier's side
-// of a repair sweep (replicaTier): every stored chunk is a candidate,
-// and a copy is a disk read at the surviving source, the transfer over,
-// and a local write-back at the destination. A chunk whose last copy
-// is gone stays unrepaired — the cohort sharing layer is then the only
-// remaining source.
-func (ps *ProviderSet) storedKeys() []ChunkKey {
-	keys := make([]ChunkKey, 0, len(ps.chunks))
-	for key := range ps.chunks {
-		keys = append(keys, key)
-	}
-	return keys
-}
-
-func (ps *ProviderSet) has(key ChunkKey) bool { _, ok := ps.chunks[key]; return ok }
-
-func (ps *ProviderSet) copyBytes(key ChunkKey) int32 { return ps.chunks[key].Size }
+// copyBytes and chargeCopy are the chunk tier's side of a repair sweep
+// (replicaTier): a copy is a disk read at the surviving source, the
+// transfer over, and a local write-back at the destination. A chunk
+// whose last copy is gone stays unrepaired — the cohort sharing layer
+// is then the only remaining source.
+func (ps *ProviderSet) copyBytes(p Payload) int32 { return p.Size }
 
 func (ps *ProviderSet) chargeCopy(cc *cluster.Ctx, src, dst cluster.NodeID, bytes int32) {
 	cc.DiskRead(src, int64(bytes))
@@ -203,7 +181,6 @@ func (ps *ProviderSet) PutBatch(ctx *cluster.Ctx, puts []ChunkPut) error {
 
 	var firstErr error
 	ps.mu.Lock()
-	ps.chunks = presized(ps.chunks, n)
 	for i, pt := range puts {
 		if stored[i] == 0 {
 			if firstErr == nil {
@@ -211,7 +188,7 @@ func (ps *ProviderSet) PutBatch(ctx *cluster.Ctx, puts []ChunkPut) error {
 			}
 			continue
 		}
-		ps.chunks[pt.Key] = pt.Payload
+		ps.recs.put(pt.Key, pt.Payload)
 		if offOf != nil && offOf[i] != nil {
 			ps.off[pt.Key] = offOf[i]
 		}
@@ -228,7 +205,7 @@ func (ps *ProviderSet) PutBatch(ctx *cluster.Ctx, puts []ChunkPut) error {
 // the read fail with ErrNoReplica.
 func (ps *ProviderSet) Get(ctx *cluster.Ctx, key ChunkKey) (Payload, error) {
 	ps.mu.RLock()
-	p, ok := ps.chunks[key]
+	p, ok := ps.recs.get(key)
 	// One shared acquisition covers the lookup and the location list —
 	// in the fault-free common case the shared ring itself, so the hot
 	// read path allocates nothing for it.
@@ -249,17 +226,6 @@ func (ps *ProviderSet) Get(ctx *cluster.Ctx, key ChunkKey) (Payload, error) {
 	ps.readsBy[prov].Add(1)
 	ps.tierReads[ps.topo.Tier(ctx.Node(), prov)].Add(1)
 	return p, nil
-}
-
-// Peek returns the stored payload for key without charging any
-// provider cost. This is the escape hatch the p2p sharing layer uses
-// to serve a chunk from a peer's local mirror: the payload bytes are
-// authoritative, only the costs move to the peer.
-func (ps *ProviderSet) Peek(key ChunkKey) (Payload, bool) {
-	ps.mu.RLock()
-	defer ps.mu.RUnlock()
-	p, ok := ps.chunks[key]
-	return p, ok
 }
 
 // NodeReads returns a copy of the per-provider chunk-read counters —
@@ -286,50 +252,32 @@ func (ps *ProviderSet) MaxNodeReads() int64 {
 }
 
 // ChunkCount returns the number of distinct chunks stored.
-func (ps *ProviderSet) ChunkCount() int {
-	ps.mu.RLock()
-	defer ps.mu.RUnlock()
-	return len(ps.chunks)
-}
-
-// RetainedKeys returns every stored key up to the watermark: the
-// sweep candidate set. Keys absent from it were never stored or
-// already released.
-func (ps *ProviderSet) RetainedKeys(upTo ChunkKey) []ChunkKey {
-	ps.mu.RLock()
-	defer ps.mu.RUnlock()
-	out := make([]ChunkKey, 0, len(ps.chunks))
-	for k := range ps.chunks {
-		if k <= upTo {
-			out = append(out, k)
-		}
-	}
-	return out
-}
+func (ps *ProviderSet) ChunkCount() int { return ps.count() }
 
 // Release frees each stored key: its payload, its off-ring record and
 // its replicas' disk space. Keys already released or never stored
 // are ignored, so Release is idempotent per key. It returns the keys
-// actually released and the payload bytes freed, and charges one small
-// batched RPC per replica provider of the released keys — deletion is
-// a metadata operation; the freed blocks are trimmed asynchronously.
+// actually released, in the order given, and the payload bytes freed,
+// and charges one small batched RPC per live provider holding a copy
+// of a released key — its off-ring record's nodes if it has one, else
+// its ring; deletion is a metadata operation, and the freed blocks are
+// trimmed asynchronously.
 func (ps *ProviderSet) Release(ctx *cluster.Ctx, keys []ChunkKey) (released []ChunkKey, freedBytes int64) {
 	perNode := make(map[cluster.NodeID]int64)
 	ps.mu.Lock()
 	for _, key := range keys {
-		p, ok := ps.chunks[key]
+		p, ok := ps.recs.del(key)
 		if !ok {
 			continue
 		}
-		delete(ps.chunks, key)
+		for _, prov := range ps.locationsLocked(key) {
+			perNode[prov]++
+		}
 		delete(ps.off, key)
 		released = append(released, key)
 		freedBytes += int64(p.Size)
 		ps.Reclaimed.Add(1)
 		ps.ReclaimedBytes.Add(int64(p.Size))
-		for _, prov := range ps.Replicas(key) {
-			perNode[prov]++
-		}
 	}
 	ps.mu.Unlock()
 	// Charge per-provider deletion batches in deterministic ring order.
@@ -347,23 +295,9 @@ func (ps *ProviderSet) StoredBytes() int64 {
 	ps.mu.RLock()
 	defer ps.mu.RUnlock()
 	var total int64
-	for _, p := range ps.chunks {
+	ps.recs.all(func(_ ChunkKey, p Payload) bool {
 		total += int64(p.Size)
-	}
+		return true
+	})
 	return total
-}
-
-// LiveLocations returns the providers currently able to serve key —
-// the live members of its ring or of its off-ring record — in failover
-// order. It is a zero-cost inspection hook for invariant tests and
-// diagnostics.
-func (ps *ProviderSet) LiveLocations(key ChunkKey) []cluster.NodeID {
-	ps.mu.RLock()
-	_, ok := ps.chunks[key]
-	locs := ps.locationsLocked(key)
-	ps.mu.RUnlock()
-	if !ok {
-		return nil
-	}
-	return ps.liveOf(locs)
 }

@@ -78,11 +78,16 @@ func TestUnrepairedKeyLocationsAllocateNothing(t *testing.T) {
 	ps.mu.Lock()
 	ps.off[repaired] = []cluster.NodeID{2, 3}
 	ps.mu.Unlock()
-	if locs := ps.locations(repaired); !slices.Equal(locs, []cluster.NodeID{2, 3}) {
+	locations := func(key ChunkKey) []cluster.NodeID {
+		ps.mu.RLock()
+		defer ps.mu.RUnlock()
+		return ps.locationsLocked(key)
+	}
+	if locs := locations(repaired); !slices.Equal(locs, []cluster.NodeID{2, 3}) {
 		t.Fatalf("repaired key at %v, want its record [2 3]", locs)
 	}
 	for _, key := range []ChunkKey{repaired, other} {
-		if allocs := testing.AllocsPerRun(100, func() { ps.locations(key) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(100, func() { locations(key) }); allocs != 0 {
 			t.Fatalf("locations of key %d allocates %v times, want 0", key, allocs)
 		}
 	}

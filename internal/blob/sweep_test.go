@@ -37,15 +37,17 @@ type sweepRig struct {
 	records func() int
 	landed  func() int64
 	copies  *int
+	// check is the tier's replicaSet.check, run after each test.
+	check func() error
 }
 
 // copyCounter counts the copies a tier is charged for.
-type copyCounter[K ~uint64] struct {
-	replicaTier[K]
+type copyCounter[V any] struct {
+	replicaTier[V]
 	n *int
 }
 
-func (c copyCounter[K]) chargeCopy(cc *cluster.Ctx, src, dst cluster.NodeID, bytes int32) {
+func (c copyCounter[V]) chargeCopy(cc *cluster.Ctx, src, dst cluster.NodeID, bytes int32) {
 	*c.n++
 	c.replicaTier.chargeCopy(cc, src, dst, bytes)
 }
@@ -63,7 +65,7 @@ func forEachTier(t *testing.T, body func(t *testing.T, ctx *cluster.Ctx, r sweep
 			ps.SetLiveness(lv)
 			lv.OnChange(ps.NodeChanged)
 			copies := new(int)
-			ps.tier = copyCounter[ChunkKey]{ps, copies}
+			ps.tier = copyCounter[Payload]{ps, copies}
 			return sweepRig{
 				lv: lv, nodes: nodes, copies: copies,
 				put: func(ctx *cluster.Ctx, k uint64) error {
@@ -80,6 +82,7 @@ func forEachTier(t *testing.T, body func(t *testing.T, ctx *cluster.Ctx, r sweep
 					return len(ps.off)
 				},
 				landed: ps.Rereplicated.Load,
+				check:  ps.check,
 			}
 		}},
 		{"metadata", func(lv *cluster.Liveness) sweepRig {
@@ -88,7 +91,7 @@ func forEachTier(t *testing.T, body func(t *testing.T, ctx *cluster.Ctx, r sweep
 			m.SetLiveness(lv)
 			lv.OnChange(m.NodeChanged)
 			copies := new(int)
-			m.tier = copyCounter[NodeRef]{m, copies}
+			m.tier = copyCounter[TreeNode]{m, copies}
 			return sweepRig{
 				lv: lv, nodes: nodes, copies: copies,
 				put: func(ctx *cluster.Ctx, k uint64) error {
@@ -106,6 +109,7 @@ func forEachTier(t *testing.T, body func(t *testing.T, ctx *cluster.Ctx, r sweep
 					return len(m.off)
 				},
 				landed: m.Rereplicated.Load,
+				check:  m.check,
 			}
 		}},
 	}
@@ -114,6 +118,9 @@ func forEachTier(t *testing.T, body func(t *testing.T, ctx *cluster.Ctx, r sweep
 			fab := cluster.NewSim(cluster.DefaultConfig(5))
 			r := rig.make(cluster.NewLiveness(5))
 			fab.Run(func(ctx *cluster.Ctx) { body(t, ctx, r) })
+			if err := r.check(); err != nil {
+				t.Fatal(err)
+			}
 		})
 	}
 }
@@ -284,5 +291,8 @@ func TestConcurrentSweepsAndReadsOnLiveFabric(t *testing.T) {
 		if chunk, node := ps.LiveLocations(ChunkKey(k)), m.LiveLocations(NodeRef(k)); len(chunk) != 2 || len(node) != 2 {
 			t.Fatalf("key %d live at %v (chunk) and %v (node), want 2 copies each", k, chunk, node)
 		}
+	}
+	if err := errors.Join(ps.check(), m.check()); err != nil {
+		t.Fatal(err)
 	}
 }
