@@ -32,7 +32,7 @@ func sampleCounters(fab *cluster.Sim, sys *blob.System) lifecycleCounters {
 		MetaGets:   sys.Meta.Gets.Load(),
 		MetaNodes:  sys.Meta.NodesServed.Load(),
 		Chunks:     sys.Providers.ChunkCount(),
-		Reclaimed:  sys.Providers.Reclaimed.Load(),
+		Reclaimed:  sys.Providers.Freed.Load(),
 		FreedNodes: sys.Meta.Freed.Load(),
 	}
 }
@@ -173,7 +173,7 @@ func runLifecycleDirect(t *testing.T) lifecycleCounters {
 			}))
 		}
 		ctx.WaitAll(tasks)
-		if _, err := blob.NewCollector(sys).Collect(ctx); err != nil {
+		if _, err := blob.NewCollector(sys, nil).Collect(ctx); err != nil {
 			t.Error(err)
 		}
 	})

@@ -13,8 +13,8 @@
 //     segment-tree nodes, read through one batched get;
 //   - the core both of those embed (replicaset.go, rings in ring.go):
 //     the record table of what a tier stores, replica rings, liveness,
-//     failover picks, degraded puts and the repair sweep, once for
-//     chunks and tree nodes alike;
+//     failover picks, degraded puts, the repair sweep and a
+//     collection's sweep, once for chunks and tree nodes alike;
 //   - the segment-tree algorithms (segtree.go): one level-order walk
 //     under CollectLeaves and WalkReachable, and the version builder;
 //   - the collector (gc.go): mark through WalkReachable, then sweep;

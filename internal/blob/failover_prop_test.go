@@ -254,7 +254,7 @@ func TestGCNeverReclaimsReachableDuringFailover(t *testing.T) {
 	lv := cluster.NewLiveness(6)
 	sys.Providers.SetLiveness(lv)
 	lv.OnChange(sys.Providers.NodeChanged)
-	col := NewCollector(sys)
+	col := NewCollector(sys, nil)
 	c := NewClient(sys)
 
 	fab.Run(func(ctx *cluster.Ctx) {

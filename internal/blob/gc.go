@@ -1,7 +1,6 @@
 package blob
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"blobvfs/internal/cluster"
@@ -35,8 +34,10 @@ import (
 //     shadowing means most of a version's tree belongs to its
 //     ancestors.
 //   - Sweep. Unmarked tree nodes at or below the watermark are dropped
-//     from the metadata providers; unmarked chunk keys at or below it
-//     are released, and a stored key is freed on its first release.
+//     from the metadata providers, then unmarked chunk keys at or below
+//     it from the data providers: both through the replica-set core's
+//     one sweep (replicaSet.Sweep), which charges each live holder of a
+//     freed record one batched deletion RPC.
 //
 // Safety against concurrent activity rests on two invariants: new
 // allocations are above the watermark or pending at the snapshot, and
@@ -46,8 +47,8 @@ import (
 // reclamation to the next cycle.
 
 // ReclaimListener is notified after a collection cycle with the chunk
-// keys that were released, so location caches can drop them — the p2p
-// sharing registry retracts reclaimed chunks from its cohorts.
+// keys it freed, in key order, so location caches can drop them — the
+// p2p sharing registry retracts reclaimed chunks from its cohorts.
 type ReclaimListener interface {
 	ChunksReclaimed(ctx *cluster.Ctx, keys []ChunkKey)
 }
@@ -71,23 +72,15 @@ type GCReport struct {
 // activity across fabric operations (which the single-threaded sim
 // fabric forbids).
 type Collector struct {
-	sys     *System
-	running atomic.Bool
-
-	mu       sync.Mutex // guards listener
+	sys      *System
 	listener ReclaimListener
+	running  atomic.Bool
 }
 
-// NewCollector creates a collector for the system.
-func NewCollector(sys *System) *Collector {
-	return &Collector{sys: sys}
-}
-
-// SetListener registers the reclaim listener (nil to remove).
-func (g *Collector) SetListener(l ReclaimListener) {
-	g.mu.Lock()
-	g.listener = l
-	g.mu.Unlock()
+// NewCollector creates a collector for the system. listener, if not
+// nil, is handed each cycle's freed chunk keys.
+func NewCollector(sys *System, listener ReclaimListener) *Collector {
+	return &Collector{sys: sys, listener: listener}
 }
 
 // Collect runs one mark-free cycle and reports what it reclaimed.
@@ -130,24 +123,14 @@ func (g *Collector) Collect(ctx *cluster.Ctx) (GCReport, error) {
 	rep.MarkedNodes = len(liveNodes)
 	rep.MarkedChunks = len(liveChunks)
 
-	rep.FreedNodes = g.sys.Meta.Sweep(ctx, refWM, liveNodes, pendingRefs)
-
-	var dead []ChunkKey
-	for _, key := range g.sys.Providers.RetainedKeys(keyWM) {
-		if !liveChunks[key] && !pendingKeys.Has(key) {
-			dead = append(dead, key)
-		}
-	}
-	released, freedBytes := g.sys.Providers.Release(ctx, dead)
-	rep.FreedChunks = int64(len(released))
-	rep.FreedBytes = freedBytes
-
-	g.mu.Lock()
-	l := g.listener
-	g.mu.Unlock()
-
-	if l != nil && len(released) > 0 {
-		l.ChunksReclaimed(ctx, released)
+	// A deletion request carries 16 bytes per tree-node ref and 24 per
+	// chunk key.
+	nodes, _ := g.sys.Meta.Sweep(ctx, refWM, liveNodes, pendingRefs, 16)
+	rep.FreedNodes = len(nodes)
+	chunks, freedBytes := g.sys.Providers.Sweep(ctx, keyWM, liveChunks, pendingKeys, 24)
+	rep.FreedChunks, rep.FreedBytes = int64(len(chunks)), freedBytes
+	if g.listener != nil && len(chunks) > 0 {
+		g.listener.ChunksReclaimed(ctx, chunks)
 	}
 	return rep, nil
 }

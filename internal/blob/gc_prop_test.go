@@ -99,8 +99,9 @@ func checkLiveVersions(t *testing.T, ctx *cluster.Ctx, c *Client, blobs []*propB
 }
 
 // TestGCRandomLifecycleInvariants drives randomized sequences of
-// write/clone/retire/collect and checks both invariants after every
-// collection.
+// write/clone/retire/collect and checks both invariants, and both
+// tiers' replicaSet.check, after every collection. Each seed runs
+// twice: with the metadata at degree 1, and replicated at degree 2.
 func TestGCRandomLifecycleInvariants(t *testing.T) {
 	const (
 		trials   = 30
@@ -109,12 +110,16 @@ func TestGCRandomLifecycleInvariants(t *testing.T) {
 		csize    = 64
 		maxBlobs = 5
 	)
-	for trial := 0; trial < trials; trial++ {
-		trial := trial
-		t.Run(fmt.Sprintf("trial-%d", trial), func(t *testing.T) {
+	for run := 0; run < 2*trials; run++ {
+		trial, name, metaDegree := run%trials, fmt.Sprintf("trial-%d", run%trials), 1+run/trials
+		if metaDegree > 1 {
+			name += "-meta-degree-2"
+		}
+		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(1000 + trial)))
 			fab, sys := liveSystem(4, 1)
-			gc := NewCollector(sys)
+			sys.Meta.SetReplication(metaDegree)
+			gc := NewCollector(sys, nil)
 			fab.Run(func(ctx *cluster.Ctx) {
 				c := NewClient(sys)
 				var blobs []*propBlob
@@ -212,6 +217,11 @@ func TestGCRandomLifecycleInvariants(t *testing.T) {
 					if n := sys.Meta.NodeCount(); n != rep.MarkedNodes {
 						t.Fatalf("%d nodes stored after GC, %d marked", n, rep.MarkedNodes)
 					}
+					for _, check := range []func() error{sys.Meta.check, sys.Providers.check} {
+						if err := check(); err != nil {
+							t.Fatal(err)
+						}
+					}
 				}
 
 				newBlob()
@@ -257,7 +267,7 @@ func TestGCConcurrentChurnInvariants(t *testing.T) {
 		csize   = 128
 	)
 	fab, sys := liveSystem(workers, 1)
-	gc := NewCollector(sys)
+	gc := NewCollector(sys, nil)
 	var wg sync.WaitGroup
 	type result struct {
 		id      ID

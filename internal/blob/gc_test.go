@@ -105,7 +105,7 @@ func TestGCReclaimsRetiredVersions(t *testing.T) {
 			t.Fatalf("chunks before GC = %d, want 10", got)
 		}
 
-		gc := NewCollector(sys)
+		gc := NewCollector(sys, nil)
 		rep, err := gc.Collect(ctx)
 		if err != nil {
 			t.Fatal(err)
@@ -180,7 +180,7 @@ func TestCollectBeforePublishSparesTheWrite(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		sharer := &collectingSharer{gc: NewCollector(sys)}
+		sharer := &collectingSharer{gc: NewCollector(sys, nil)}
 		c.SetSharer(sharer)
 		refWM, _ := sys.Meta.PendingSnapshot()
 		writes := []ChunkWrite{
@@ -240,7 +240,7 @@ func TestGCKeepsClonedShares(t *testing.T) {
 		if err := sys.VM.Retire(ctx, id, v1); err != nil {
 			t.Fatal(err)
 		}
-		gc := NewCollector(sys)
+		gc := NewCollector(sys, nil)
 		rep, err := gc.Collect(ctx)
 		if err != nil {
 			t.Fatal(err)
@@ -263,28 +263,33 @@ func TestGCKeepsClonedShares(t *testing.T) {
 	})
 }
 
-// TestReleaseIdempotent: releasing the same key twice is a no-op the
-// second time, and the first one frees the payload.
+// TestReleaseIdempotent: a sweep frees a dead key once, and a second
+// sweep with the same live set frees nothing and charges nothing.
 func TestReleaseIdempotent(t *testing.T) {
-	fab, sys := liveSystem(2, 1)
+	fab := cluster.NewSim(cluster.DefaultConfig(3))
+	ps := NewProviderSet([]cluster.NodeID{1, 2}, 1)
 	fab.Run(func(ctx *cluster.Ctx) {
-		key := sys.Providers.AllocPending(1)
-		if err := putOne(ctx, sys.Providers, key, RealPayload(pattern(100, 1))); err != nil {
-			t.Fatal(err)
+		dead, kept := ps.AllocPending(1), ps.AllocPending(1)
+		for _, key := range []ChunkKey{dead, kept} {
+			if err := putOne(ctx, ps, key, RealPayload(pattern(100, 1))); err != nil {
+				t.Fatal(err)
+			}
+			ps.ClearPending(key)
 		}
-		if _, ok := sys.Providers.Peek(key); !ok {
-			t.Fatal("stored key not found")
+		live := map[ChunkKey]bool{kept: true}
+		wm, pending := ps.PendingSnapshot()
+		if freed, bytes := ps.Sweep(ctx, wm, live, pending, 24); !slices.Equal(freed, []ChunkKey{dead}) || bytes != 100 {
+			t.Fatalf("Sweep = (%v, %d), want key %d and 100 bytes", freed, bytes, dead)
 		}
-		released, bytes := sys.Providers.Release(ctx, []ChunkKey{key})
-		if len(released) != 1 || bytes != 100 {
-			t.Fatalf("Release = (%v, %d), want 1 key, 100 bytes", released, bytes)
+		if _, ok := ps.Peek(dead); ok {
+			t.Fatal("swept key still stored")
 		}
-		if _, ok := sys.Providers.Peek(key); ok {
-			t.Fatal("released key still stored")
+		before := fab.NetTraffic()
+		if freed, bytes := ps.Sweep(ctx, wm, live, pending, 24); freed != nil || bytes != 0 || fab.NetTraffic() != before {
+			t.Fatalf("second Sweep = (%v, %d) moving %d bytes, want a no-op", freed, bytes, fab.NetTraffic()-before)
 		}
-		released, bytes = sys.Providers.Release(ctx, []ChunkKey{key})
-		if len(released) != 0 || bytes != 0 {
-			t.Fatalf("second Release = (%v, %d), want no-op", released, bytes)
+		if n, b := ps.Freed.Load(), ps.FreedBytes.Load(); n != 1 || b != 100 {
+			t.Fatalf("Freed = %d, FreedBytes = %d; want the one key's 100 bytes", n, b)
 		}
 	})
 }
@@ -293,7 +298,7 @@ func TestReleaseIdempotent(t *testing.T) {
 // Collect calls reports Skipped instead of blocking or double-freeing.
 func TestCollectorSkipsOverlappingCycle(t *testing.T) {
 	fab, sys := liveSystem(2, 1)
-	gc := NewCollector(sys)
+	gc := NewCollector(sys, nil)
 	gc.running.Store(true) // simulate a cycle in progress
 	fab.Run(func(ctx *cluster.Ctx) {
 		rep, err := gc.Collect(ctx)
@@ -413,7 +418,7 @@ func TestGCMarkRounds(t *testing.T) {
 		}
 
 		gets0, served0 := sys.Meta.Gets.Load(), sys.Meta.NodesServed.Load()
-		rep, err := NewCollector(sys).Collect(ctx)
+		rep, err := NewCollector(sys, nil).Collect(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -452,9 +457,8 @@ func TestReclaimOrderIsKeyOrder(t *testing.T) {
 	fab, sys := liveSystem(4, 1)
 	fab.Run(func(ctx *cluster.Ctx) {
 		c := NewClient(sys)
-		gc := NewCollector(sys)
 		rec := &reclaimRecorder{}
-		gc.SetListener(rec)
+		gc := NewCollector(sys, rec)
 		id, _ := c.Create(ctx, 6400, 100) // 64 chunks
 		v, err := c.WriteAt(ctx, id, 0, pattern(6400, 1), 0)
 		if err != nil {
@@ -488,34 +492,77 @@ func TestReclaimOrderIsKeyOrder(t *testing.T) {
 	})
 }
 
-// TestReleaseChargesTheHolders: a key put while a ring member was down
-// is held by its other ring member and a substitute, and deleting it
-// is charged to both of them, not to the dead member of its ring.
+// TestReleaseChargesTheHolders: a collection's sweep charges a freed
+// key's deletion to the live nodes holding it, on either tier at
+// degree 2: both holders when a ring member was down at the put (its
+// other member and a substitute), the survivor when the ring's home
+// died after it.
 func TestReleaseChargesTheHolders(t *testing.T) {
-	fab := cluster.NewSim(cluster.DefaultConfig(5))
 	nodes := []cluster.NodeID{1, 2, 3, 4}
-	ps := NewProviderSet(nodes, 2)
-	lv := cluster.NewLiveness(5) // no listeners: no repair sweep runs
-	ps.SetLiveness(lv)
+	for _, c := range []struct {
+		name      string
+		deadAtPut bool
+		holders   int64
+	}{{"dead-at-put", true, 2}, {"home-died-after", false, 1}} {
+		t.Run("chunks/"+c.name, func(t *testing.T) {
+			ps := NewProviderSet(nodes, 2)
+			sweepCharges(t, &ps.replicaSet, 24, c.deadAtPut, c.holders, func(ctx *cluster.Ctx, key ChunkKey) error {
+				return putOne(ctx, ps, key, SyntheticPayload(4096, 1))
+			})
+		})
+		t.Run("metadata/"+c.name, func(t *testing.T) {
+			m := NewMetaService(nodes)
+			m.SetReplication(2)
+			sweepCharges(t, &m.replicaSet, 16, c.deadAtPut, c.holders, func(ctx *cluster.Ctx, ref NodeRef) error {
+				m.PutBatch(ctx, []NewNode{{Ref: ref, Node: TreeNode{Lo: 0, Hi: 1, Chunk: 1}}})
+				return nil
+			})
+		})
+	}
+}
+
+// sweepCharges puts one key whose home dies before or after the put,
+// then sweeps it from node 0, outside the pool. Node 0 shares its rack
+// only with node 1 and the dying home; the holders sit across the
+// zone, so rack-tier bytes would be a charge to the dead home.
+func sweepCharges[K ~uint64, V any](t *testing.T, rs *replicaSet[K, V], req int64, deadAtPut bool, holders int64, put func(*cluster.Ctx, K) error) {
+	cfg := cluster.DefaultConfig(6)
+	topo := cluster.Topology{Zones: 2, RacksPerZone: 1, NodesPerRack: 3, RackBandwidth: 1e9, ZoneBandwidth: 1e9}
+	cfg.Topology = topo
+	fab := cluster.NewSim(cfg)
+	lv := cluster.NewLiveness(6) // no listeners: no repair sweep runs
+	rs.SetLiveness(lv)
 	fab.Run(func(ctx *cluster.Ctx) {
-		key := ps.AllocPending(1)
-		ring := ps.Replicas(key)
-		lv.Kill(ctx, ring[0])
-		if err := putOne(ctx, ps, key, SyntheticPayload(4096, 1)); err != nil {
+		key := rs.AllocPending(1)
+		home := rs.Replicas(key)[0]
+		if deadAtPut {
+			lv.Kill(ctx, home)
+		}
+		if err := put(ctx, key); err != nil {
 			t.Fatal(err)
 		}
-		holders := ps.LiveLocations(key)
-		if len(holders) != 2 || holders[0] != ring[1] || slices.Contains(ring, holders[1]) {
-			t.Fatalf("key held by %v, want %d and a substitute off the ring %v", holders, ring[1], ring)
+		if !deadAtPut {
+			lv.Kill(ctx, home)
 		}
-		before := fab.NetTraffic()
-		if released, _ := ps.Release(ctx, []ChunkKey{key}); len(released) != 1 {
-			t.Fatalf("released %v, want the key", released)
+		held := rs.LiveLocations(key)
+		near := func(n cluster.NodeID) bool { return topo.Tier(0, n) != cluster.TierRemote }
+		if int64(len(held)) != holders || topo.Tier(0, home) != cluster.TierRack || slices.ContainsFunc(held, near) {
+			t.Fatalf("key held by %v, home %d; want %d holders across the zone and the home in node 0's rack", held, home, holders)
 		}
-		if got, want := fab.NetTraffic()-before, int64(2*(24+16)); got != want {
-			t.Fatalf("release moved %d bytes, want %d: one deletion RPC to each holder", got, want)
+		rack, remote := fab.TierTraffic(cluster.TierRack), fab.TierTraffic(cluster.TierRemote)
+		if freed, _ := rs.Sweep(ctx, key, nil, PendingSet[K]{}, req); len(freed) != 1 {
+			t.Fatalf("swept %v, want the key", freed)
+		}
+		if got, want := fab.TierTraffic(cluster.TierRemote)-remote, holders*(req+16); got != want {
+			t.Errorf("sweep moved %d bytes to the holders, want %d: one deletion RPC to each", got, want)
+		}
+		if got := fab.TierTraffic(cluster.TierRack) - rack; got != 0 {
+			t.Errorf("sweep moved %d bytes to the dead home's rack, want none", got)
 		}
 	})
+	if err := rs.check(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestZeroSizeChunkIsARecord: a chunk of no bytes (Import stores one
@@ -536,7 +583,7 @@ func TestZeroSizeChunkIsARecord(t *testing.T) {
 		if n := ps.ChunkCount(); n != 1 {
 			t.Fatalf("ChunkCount = %d, want 1", n)
 		}
-		rep, err := NewCollector(sys).Collect(ctx)
+		rep, err := NewCollector(sys, nil).Collect(ctx)
 		if err != nil || rep.FreedChunks != 1 || rep.FreedBytes != 0 {
 			t.Fatalf("collection freed %d chunks, %d bytes (%v); want the one 0-byte chunk", rep.FreedChunks, rep.FreedBytes, err)
 		}

@@ -11,21 +11,28 @@ import (
 )
 
 // FuzzKeyTable drives a keyTable through puts, deletes, gets, ordered
-// listings and counts over keys spread across four pages, against a
-// map. Each op is three bytes: the op, then a little-endian key. Op 3
-// empties the key's page, which must then be dropped, and later puts
-// refill it. A zero value is a record like any other.
+// listings, counts and sweeps over keys spread across four pages,
+// against a map. Each op is three bytes: the op, then a little-endian
+// key. Op 3 empties the key's page, which must then be dropped, and
+// later puts refill it. Op 5 lists up to the key while its callee
+// deletes each record whose value has the op's parity, the pattern of
+// replicaSet.Sweep: every record up to the key must be handed over
+// once, in key order. A zero value is a record like any other.
 func FuzzKeyTable(f *testing.F) {
 	op := func(code byte, key uint16) []byte { return []byte{code, byte(key), byte(key >> 8)} }
 	var seed []byte
 	for k := uint16(pageKeys - 2); k < 2*pageKeys+3; k += 7 {
 		seed = append(seed, op(0, k)...)
 	}
+	for k := uint16(pageKeys + 1); k < 2*pageKeys; k += 9 {
+		seed = append(seed, op(6, k)...) // value 1
+	}
 	seed = append(seed, op(4, pageKeys+9)...)
 	seed = append(seed, op(3, pageKeys+5)...)
 	seed = append(seed, op(0, pageKeys+5)...)
 	seed = append(seed, op(1, 3*pageKeys)...)
 	seed = append(seed, op(2, pageKeys+5)...)
+	seed = append(seed, op(5, 2*pageKeys-1)...) // deletes the value-0 records below page 2
 	seed = append(seed, op(3, 0)...)
 	f.Add(seed)
 	f.Add(append(op(0, 0), op(1, 0)...))
@@ -54,8 +61,8 @@ func FuzzKeyTable(f *testing.F) {
 		}
 		for i := 0; i+2 < len(ops); i += 3 {
 			k := ChunkKey(binary.LittleEndian.Uint16(ops[i+1:]) % (4 * pageKeys))
-			v := ops[i] / 5
-			switch ops[i] % 5 {
+			v := ops[i] / 6
+			switch ops[i] % 6 {
 			case 0:
 				tab.put(k, v)
 				ref[k] = v
@@ -82,6 +89,26 @@ func FuzzKeyTable(f *testing.F) {
 					t.Fatalf("page %d emptied but kept", k/pageKeys)
 				}
 			case 4:
+				list()
+			case 5:
+				want := slices.Sorted(maps.Keys(ref))
+				upTo, _ := slices.BinarySearch(want, k+1)
+				want = want[:upTo]
+				var handed []ChunkKey
+				tab.all(func(key ChunkKey, val uint8) bool {
+					if key > k {
+						return false
+					}
+					handed = append(handed, key)
+					if val%2 == v%2 {
+						tab.del(key)
+						delete(ref, key)
+					}
+					return true
+				})
+				if !slices.Equal(handed, want) {
+					t.Fatalf("sweep to %d handed %v, want %v", k, handed, want)
+				}
 				list()
 			}
 		}

@@ -27,7 +27,9 @@ import (
 // recording where the copies went off the ring; reads probe the nearest
 // live replica first and fail over down the ring, and a liveness-driven
 // repair sweep restores the degree after every transition. The off-ring
-// records stay empty, and the sweep does nothing, at degree 1.
+// records stay empty, and the repair sweep does nothing, at degree 1. A
+// collection deletes through the core's sweep like the chunk plane's,
+// charging each freed ref's live holders: at degree 1, its home.
 //
 // The degree-1 arms of GetBatchInto and PutBatch are kept on a
 // measurement, not for the recorded outputs: one path at every degree
@@ -46,9 +48,9 @@ type MetaService struct {
 
 	// Puts and Gets count service operations (after batching);
 	// NodesServed counts individual tree nodes returned by GetBatchInto
-	// (so Gets/NodesServed exposes the batching factor); Freed counts
-	// tree nodes reclaimed by garbage-collection sweeps.
-	Puts, Gets, NodesServed, Freed atomic.Int64
+	// (so Gets/NodesServed exposes the batching factor). The replica
+	// set's Freed counts the tree nodes collections swept.
+	Puts, Gets, NodesServed atomic.Int64
 	// FailedGets counts gets that found no live copy (the failed
 	// descents a metadata outage is judged by). It and the replica
 	// set's Failovers and Rereplicated stay zero at degree 1.
@@ -435,38 +437,6 @@ func (m *MetaService) PutBatch(ctx *cluster.Ctx, nodes []NewNode) {
 		m.recs.put(nn.Ref, nn.Node)
 	}
 	m.mu.Unlock()
-}
-
-// Sweep deletes every stored node up to the watermark that is neither
-// in the live set nor in the pending snapshot, and returns how many it
-// removed, charging one batched RPC per affected home provider
-// (immutable nodes need no further coordination to drop). The caller
-// guarantees the live set covers every node reachable from a live
-// snapshot root.
-func (m *MetaService) Sweep(ctx *cluster.Ctx, upTo NodeRef, live map[NodeRef]bool, pending PendingSet[NodeRef]) int {
-	counts := make(map[cluster.NodeID]int64)
-	m.mu.Lock()
-	m.recs.all(func(ref NodeRef, _ TreeNode) bool {
-		if ref > upTo {
-			return false
-		}
-		if !live[ref] && !pending.Has(ref) {
-			m.recs.del(ref)
-			counts[m.Home(ref)]++
-			delete(m.off, ref)
-		}
-		return true
-	})
-	m.mu.Unlock()
-	freed := 0
-	for _, prov := range m.nodes {
-		if c := counts[prov]; c > 0 {
-			ctx.RPC(prov, c*16, 16)
-			freed += int(c)
-		}
-	}
-	m.Freed.Add(int64(freed))
-	return freed
 }
 
 // NodeCount returns the number of stored tree nodes (metadata footprint).

@@ -12,25 +12,24 @@ import (
 // of clientParallel providers (replicaSet.primarySlot), which on a pool
 // no wider than that is the round-robin of paper §3.1.3 — with an
 // optional replication degree. The payloads, placement, liveness,
-// failover and repair are the embedded replicaSet's (replicaset.go);
-// this type adds what is chunk-specific: the cost of storing, reading,
-// moving and deleting a chunk. Per-provider counters are atomics
-// preallocated per node, off the lock entirely.
+// failover, repair and deletion are the embedded replicaSet's
+// (replicaset.go); this type adds what is chunk-specific: the cost of
+// storing, reading and moving a chunk. Per-provider counters are
+// atomics preallocated per node, off the lock entirely.
 //
 // Every key is allocated once (AllocPending) and put once, so a stored
-// key owns its payload alone and its first Release frees it. Versions
-// share unchanged chunks by shadowing and cloning (paper §3.2), not by
-// content.
+// key owns its payload alone and the collection that sweeps it frees
+// it. Versions share unchanged chunks by shadowing and cloning (paper
+// §3.2), not by content.
 type ProviderSet struct {
 	replicaSet[ChunkKey, Payload]
 
 	readsBy  map[cluster.NodeID]*atomic.Int64 // chunk reads served, per provider
 	writesBy map[cluster.NodeID]*atomic.Int64 // write RPCs received, per provider
 
-	// Reads and Writes count chunk-level operations. Reclaimed and
-	// ReclaimedBytes count chunk payloads physically freed by Release.
-	Reads, Writes             atomic.Int64
-	Reclaimed, ReclaimedBytes atomic.Int64
+	// Reads and Writes count chunk-level operations; the replica
+	// set's Freed and FreedBytes count the payloads collections freed.
+	Reads, Writes atomic.Int64
 	// PutRPCs counts the provider-bound RPCs the write path issued: one
 	// per distinct provider per PutBatch round. Writes/PutRPCs is
 	// therefore the write-side batching factor, the twin of the
@@ -253,41 +252,6 @@ func (ps *ProviderSet) MaxNodeReads() int64 {
 
 // ChunkCount returns the number of distinct chunks stored.
 func (ps *ProviderSet) ChunkCount() int { return ps.count() }
-
-// Release frees each stored key: its payload, its off-ring record and
-// its replicas' disk space. Keys already released or never stored
-// are ignored, so Release is idempotent per key. It returns the keys
-// actually released, in the order given, and the payload bytes freed,
-// and charges one small batched RPC per live provider holding a copy
-// of a released key — its off-ring record's nodes if it has one, else
-// its ring; deletion is a metadata operation, and the freed blocks are
-// trimmed asynchronously.
-func (ps *ProviderSet) Release(ctx *cluster.Ctx, keys []ChunkKey) (released []ChunkKey, freedBytes int64) {
-	perNode := make(map[cluster.NodeID]int64)
-	ps.mu.Lock()
-	for _, key := range keys {
-		p, ok := ps.recs.del(key)
-		if !ok {
-			continue
-		}
-		for _, prov := range ps.locationsLocked(key) {
-			perNode[prov]++
-		}
-		delete(ps.off, key)
-		released = append(released, key)
-		freedBytes += int64(p.Size)
-		ps.Reclaimed.Add(1)
-		ps.ReclaimedBytes.Add(int64(p.Size))
-	}
-	ps.mu.Unlock()
-	// Charge per-provider deletion batches in deterministic ring order.
-	for _, prov := range ps.nodes {
-		if c := perNode[prov]; c > 0 && ps.lv.Alive(prov) {
-			ctx.RPC(prov, c*24, 16)
-		}
-	}
-	return released, freedBytes
-}
 
 // StoredBytes returns the total payload bytes stored (one copy counted
 // per chunk; multiply by the replication degree for raw usage).

@@ -197,7 +197,7 @@ func TestFailedChunkPutLeavesNoVersion(t *testing.T) {
 			t.Fatal("the failed commit stored no tree nodes; the test does not exercise the window")
 		}
 
-		rep, err := NewCollector(sys).Collect(ctx)
+		rep, err := NewCollector(sys, nil).Collect(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}

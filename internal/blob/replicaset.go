@@ -19,10 +19,11 @@ import (
 // (§3.1.2–3.1.3) — so one type owns the record table (keyTable), the
 // striping (primarySlot), key allocation with the pending ranges a
 // collection spares (AllocPending), the rings, the record of where a
-// key's copies are once they left its ring, failover reads, and the
+// key's copies are once they left its ring, failover reads, the
 // repair sweep that follows every liveness transition
-// (cluster/faults.go). A tier embeds it and adds what differs: how wide
-// a stripe is and how one copy is sized and charged (replicaTier).
+// (cluster/faults.go), and a collection's sweep. A tier embeds it and
+// adds what differs: how wide a stripe is and how one copy is sized and
+// charged (replicaTier).
 type replicaSet[K ~uint64, V any] struct {
 	nodes    []cluster.NodeID
 	replicas int
@@ -71,8 +72,10 @@ type replicaSet[K ~uint64, V any] struct {
 
 	// Failovers counts reads a dead first choice pushed onto a
 	// surviving copy; Rereplicated counts the copies repair sweeps
-	// landed as locations.
+	// landed as locations. Freed and FreedBytes count the records
+	// collections swept (Sweep) and the bytes of one copy of each.
 	Failovers, Rereplicated atomic.Int64
+	Freed, FreedBytes       atomic.Int64
 }
 
 // replicaTier is what a tier tells the core about a copy of one of its
@@ -272,8 +275,9 @@ func (rs *replicaSet[K, V]) count() int {
 }
 
 // RetainedKeys returns every stored key up to the watermark, in key
-// order: a collection's sweep candidates. Keys absent from it were
-// never stored or already deleted.
+// order, without charging any cost: the inspection hook tests compare
+// a collection's survivors with. Keys absent from it were never stored
+// or already deleted.
 func (rs *replicaSet[K, V]) RetainedKeys(upTo K) []K {
 	rs.mu.RLock()
 	defer rs.mu.RUnlock()
@@ -286,6 +290,48 @@ func (rs *replicaSet[K, V]) RetainedKeys(upTo K) []K {
 		return true
 	})
 	return out
+}
+
+// Sweep is a collection's deletion, the one of both tiers: it drops
+// every stored record up to the watermark that is neither live nor
+// pending, with its off-ring record, and returns the freed keys in key
+// order and the bytes of one copy of each (copyBytes), also added to
+// Freed and FreedBytes. Each node that held a copy of a freed key (its
+// locationsLocked) is charged, if up, one batched RPC of reqBytes per
+// key, in node order: records are immutable, so a deletion is a
+// metadata operation at each holder. The caller guarantees live covers
+// every key reachable from a live snapshot root.
+func (rs *replicaSet[K, V]) Sweep(ctx *cluster.Ctx, upTo K, live map[K]bool, pending PendingSet[K], reqBytes int64) (freed []K, bytes int64) {
+	perNode := make(map[cluster.NodeID]int64)
+	rs.mu.Lock()
+	rs.recs.all(func(key K, rec V) bool {
+		if key > upTo {
+			return false
+		}
+		if live[key] || pending.Has(key) {
+			return true
+		}
+		for _, n := range rs.locationsLocked(key) {
+			perNode[n]++
+		}
+		if freed == nil { // live keys are stored: room for every dead one
+			freed = make([]K, 0, max(rs.recs.n-len(live), 1))
+		}
+		delete(rs.off, key)
+		rs.recs.del(key)
+		freed = append(freed, key)
+		bytes += int64(rs.tier.copyBytes(rec))
+		return true
+	})
+	rs.mu.Unlock()
+	for _, n := range rs.nodes {
+		if c := perNode[n]; c > 0 && rs.lv.Alive(n) {
+			ctx.RPC(n, c*reqBytes, 16)
+		}
+	}
+	rs.Freed.Add(int64(len(freed)))
+	rs.FreedBytes.Add(bytes)
+	return freed, bytes
 }
 
 // pick chooses the copy that serves reader from a location list in

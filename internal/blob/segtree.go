@@ -23,8 +23,8 @@ type Getter interface {
 	GetNodes(refs []NodeRef, out []TreeNode) error
 }
 
-// LeafRange is a run of consecutive chunk indices sharing sparseness
-// status; for non-sparse runs the chunk keys are listed individually.
+// LeafEntry is one chunk index of a tree's leaf level and the key of
+// its chunk, 0 when the index is sparse.
 type LeafEntry struct {
 	Index int64
 	Chunk ChunkKey // 0 = sparse

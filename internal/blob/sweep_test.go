@@ -30,7 +30,7 @@ type sweepRig struct {
 	live  func(key uint64) []cluster.NodeID
 	ring  func(key uint64) []cluster.NodeID
 	slot  func(key uint64) int
-	// drop deletes the key: Release, or a collection Sweep.
+	// drop deletes the key through a collection's sweep.
 	drop func(ctx *cluster.Ctx, key uint64)
 	// records is the number of off-ring records held, landed the
 	// Rereplicated counter and copies the transfers sweeps charged.
@@ -75,7 +75,7 @@ func forEachTier(t *testing.T, body func(t *testing.T, ctx *cluster.Ctx, r sweep
 				live: func(k uint64) []cluster.NodeID { return ps.LiveLocations(ChunkKey(k)) },
 				ring: func(k uint64) []cluster.NodeID { return ps.Replicas(ChunkKey(k)) },
 				slot: func(k uint64) int { return ps.primarySlot(ChunkKey(k)) },
-				drop: func(ctx *cluster.Ctx, k uint64) { ps.Release(ctx, []ChunkKey{ChunkKey(k)}) },
+				drop: func(ctx *cluster.Ctx, k uint64) { ps.Sweep(ctx, ChunkKey(k), nil, PendingSet[ChunkKey]{}, 24) },
 				records: func() int {
 					ps.mu.RLock()
 					defer ps.mu.RUnlock()
@@ -102,7 +102,7 @@ func forEachTier(t *testing.T, body func(t *testing.T, ctx *cluster.Ctx, r sweep
 				live: func(k uint64) []cluster.NodeID { return m.LiveLocations(NodeRef(k)) },
 				ring: func(k uint64) []cluster.NodeID { return m.Replicas(NodeRef(k)) },
 				slot: func(k uint64) int { return m.primarySlot(NodeRef(k)) },
-				drop: func(ctx *cluster.Ctx, k uint64) { m.Sweep(ctx, NodeRef(k), nil, PendingSet[NodeRef]{}) },
+				drop: func(ctx *cluster.Ctx, k uint64) { m.Sweep(ctx, NodeRef(k), nil, PendingSet[NodeRef]{}, 16) },
 				records: func() int {
 					m.mu.RLock()
 					defer m.mu.RUnlock()
@@ -191,9 +191,9 @@ func TestInFlightCopyIsNoLocation(t *testing.T) {
 	})
 }
 
-// TestDeletedKeyMidSweepLeavesNoRecord: a key deleted (Release, or a
-// collection Sweep of its tree node) while its repair copy is in flight
-// gains no off-ring record when the copy lands.
+// TestDeletedKeyMidSweepLeavesNoRecord: a key a collection deletes
+// while its repair copy is in flight gains no off-ring record when the
+// copy lands.
 func TestDeletedKeyMidSweepLeavesNoRecord(t *testing.T) {
 	forEachTier(t, func(t *testing.T, ctx *cluster.Ctx, r sweepRig) {
 		const key = 1

@@ -75,7 +75,7 @@ func RunChurn(p Params, cc ChurnConfig) ChurnPoint {
 			Chunks:    sys.Providers.ChunkCount(),
 			StoredMB:  float64(sys.Providers.StoredBytes()) / (1 << 20),
 			MetaNodes: sys.Meta.NodeCount(),
-			Reclaimed: sys.Providers.Reclaimed.Load(),
+			Reclaimed: sys.Providers.Freed.Load(),
 			Retired:   retired,
 		})
 	}
@@ -121,7 +121,7 @@ func RunChurn(p Params, cc ChurnConfig) ChurnPoint {
 		pt.Completion = ctx.Now()
 	})
 
-	pt.ReclaimedBytes = sys.Providers.ReclaimedBytes.Load()
+	pt.ReclaimedBytes = sys.Providers.FreedBytes.Load()
 	pt.FreedNodes = sys.Meta.Freed.Load()
 	return pt
 }

@@ -33,8 +33,7 @@ func TestGCConcurrentFetchAnnounceRetract(t *testing.T) {
 	service := cluster.NodeID(members + 2)
 	sys := blob.NewSystem(provs, service, 1)
 	reg := p2p.NewRegistry(service, p2p.DefaultConfig())
-	gc := blob.NewCollector(sys)
-	gc.SetListener(reg)
+	gc := blob.NewCollector(sys, reg)
 
 	var baseID blob.ID
 	var baseV blob.Version
@@ -176,7 +175,7 @@ func TestGCConcurrentFetchAnnounceRetract(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if sys.Providers.Reclaimed.Load() == 0 {
+	if sys.Providers.Freed.Load() == 0 {
 		t.Fatal("churning members never made the collector reclaim a chunk")
 	}
 

@@ -183,7 +183,7 @@ func (co *Cohort) Cohort(image blob.ID) *Cohort {
 }
 
 // ChunksReclaimed implements blob.ReclaimListener: the garbage
-// collector reports the chunk keys it released, and the tracker drops
+// collector reports the chunk keys it freed, and the tracker drops
 // its record of them, copies given included — a reclaimed chunk must not
 // be offered to siblings anymore. That also cancels the phase-1
 // reservations of announces still in flight: their phase 2 finds the pair
@@ -602,7 +602,7 @@ func (co *Cohort) pickFetcherLocked(key blob.ChunkKey, ck *chunk, req cluster.No
 // nearest tier first, within it one that has given no copy before one
 // that has given one, and the first published among equals. A holder the
 // liveness registry reports dead is never eligible, even in the window
-// before dropDeadMember ran. any reports whether somebody other than req
+// before NodeChanged ran. any reports whether somebody other than req
 // holds the chunk at all, which tells a miss from a chunk whose copies are
 // all spoken for. A same-rack holder is unbeatable within its pass, and on
 // the flat cluster everybody is same-rack: the pick is the holder at the

@@ -514,10 +514,12 @@ func (r *Repo) GC(ctx *Ctx) (GCReport, error) {
 	}
 	r.mu.Lock()
 	if r.collector == nil {
-		r.collector = blob.NewCollector(r.sys)
+		// Not r.sharing itself: a nil *p2p.Cohort is a non-nil listener.
+		var l blob.ReclaimListener
 		if r.sharing != nil {
-			r.collector.SetListener(r.sharing)
+			l = r.sharing
 		}
+		r.collector = blob.NewCollector(r.sys, l)
 	}
 	g := r.collector
 	r.mu.Unlock()
@@ -569,8 +571,8 @@ func (r *Repo) Stats() RepoStats {
 		Chunks:          r.sys.Providers.ChunkCount(),
 		StoredBytes:     r.sys.Providers.StoredBytes(),
 		MetaNodes:       r.sys.Meta.NodeCount(),
-		ReclaimedChunks: r.sys.Providers.Reclaimed.Load(),
-		ReclaimedBytes:  r.sys.Providers.ReclaimedBytes.Load(),
+		ReclaimedChunks: r.sys.Providers.Freed.Load(),
+		ReclaimedBytes:  r.sys.Providers.FreedBytes.Load(),
 		FailedFetches:   r.sys.Providers.FailedReads.Load(),
 		Failovers:       r.sys.Providers.Failovers.Load(),
 		Rereplicated:    r.sys.Providers.Rereplicated.Load(),
