@@ -307,7 +307,7 @@ func BenchmarkFlashCrowdCrossZone(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				pt = run(aware)
 			}
-			b.ReportMetric(float64(pt.CrossZoneBytes)/1e6, "cross-zone-MB")
+			b.ReportMetric(float64(pt.TierBytes[cluster.TierRemote])/1e6, "cross-zone-MB")
 			b.ReportMetric(float64(pt.TierBytes[cluster.TierZone])/1e6, "zone-local-MB")
 			b.ReportMetric(float64(pt.ProviderReads), "provider-reads")
 			b.ReportMetric(float64(pt.PeerReads), "peer-reads")
@@ -316,12 +316,13 @@ func BenchmarkFlashCrowdCrossZone(b *testing.B) {
 				flat = pt
 				return
 			}
-			if flat.CrossZoneBytes > 0 && pt.CrossZoneBytes > 0 {
-				ratio := float64(flat.CrossZoneBytes) / float64(pt.CrossZoneBytes)
+			flatCross, awareCross := flat.TierBytes[cluster.TierRemote], pt.TierBytes[cluster.TierRemote]
+			if flatCross > 0 && awareCross > 0 {
+				ratio := float64(flatCross) / float64(awareCross)
 				b.ReportMetric(ratio, "cross-zone-reduction-x")
 				if ratio < 2 {
 					b.Fatalf("topology awareness cut cross-zone bytes only %.2fx (flat %d, aware %d), want >= 2x",
-						ratio, flat.CrossZoneBytes, pt.CrossZoneBytes)
+						ratio, flatCross, awareCross)
 				}
 			}
 		})
@@ -394,18 +395,12 @@ func BenchmarkFlashCrowdMetaOutage(b *testing.B) {
 // so a round may cost at most instances × providers of them, however
 // many chunks it publishes.
 func BenchmarkMultisnapshot1024(b *testing.B) {
-	const (
-		instances = 1024
-		providers = 4
-		diffBytes = 16 << 20 // 64 dirty chunks of 256 KB per instance per round
-	)
+	const instances, providers = 1024, 4
+	p := experiments.Quick()
+	p.SnapshotDiff = 16 << 20 // 64 dirty chunks of 256 KB per instance per round
 	var pt experiments.MultisnapshotPoint
 	for i := 0; i < b.N; i++ {
-		pt = experiments.RunMultisnapshot(experiments.Quick(), experiments.MultisnapshotConfig{
-			Instances: instances,
-			Providers: providers,
-			DiffBytes: diffBytes,
-		})
+		pt = experiments.RunMultisnapshot(p, instances)
 	}
 	b.ReportMetric(pt.WriteRPCs, "write-RPCs/round")
 	b.ReportMetric(pt.ChunkPutRPCs, "chunk-put-RPCs/round")
@@ -456,7 +451,7 @@ func BenchmarkExportImport(b *testing.B) {
 	p := experiments.Quick()
 	var pt experiments.SyncPoint
 	for i := 0; i < b.N; i++ {
-		pt = experiments.RunSync(p, experiments.SyncConfig{})
+		pt = experiments.RunSync(p)
 	}
 	b.ReportMetric(pt.AvgDeltaMB, "delta-MB")
 	b.ReportMetric(pt.FullMB, "full-MB")

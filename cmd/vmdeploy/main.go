@@ -74,9 +74,11 @@ func parse(args []string) (experiments.Params, experiments.Sizes, []experiments.
 		p, sz = experiments.Quick(), experiments.QuickSizes()
 		p.MaxInstances = 24
 	}
-	if *seed != 0 {
-		p.Seed = *seed
-	}
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "seed" {
+			p.Seed = *seed // -seed 0 too: any value given is the seed
+		}
+	})
 	if *instances < 0 {
 		return p, sz, nil, prof, fmt.Errorf("-instances %d: need 0 (the defaults) or more", *instances)
 	}

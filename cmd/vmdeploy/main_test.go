@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"blobvfs/internal/experiments"
 )
 
 // TestParseRejectsBadFlags: every out-of-range flag value is refused
@@ -58,6 +60,14 @@ func TestParseSelectsScenarios(t *testing.T) {
 	if sz.Crowd != 10 || sz.Fig8 != 10 || sz.Churn != 10 || sz.Multisnap != 10 || sz.PerZone != 4 ||
 		sz.Ablations != 16 || sz.Kill != 3 || len(sz.Sweep) != 2 || sz.Sweep[1] != 4 {
 		t.Errorf("sizes = %+v", sz)
+	}
+	// A seed given on the command line is the seed, 0 included; without
+	// -seed the parameters keep theirs.
+	for args, want := range map[string]int64{"-seed 0": 0, "-seed 9": 9, "": experiments.Quick().Seed} {
+		p, _, _, _, err := parse(append(append([]string{"-quick"}, strings.Fields(args)...), "sync"))
+		if err != nil || p.Seed != want {
+			t.Errorf("parse(-quick %s sync): seed %d (err %v), want %d", args, p.Seed, err, want)
+		}
 	}
 }
 

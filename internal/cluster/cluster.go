@@ -129,10 +129,9 @@ const (
 type Ctx struct {
 	fab  Fabric
 	node NodeID
-	// Proc is the underlying simulation process on the Sim fabric and
-	// nil on the Live fabric. Exposed for advanced models (e.g. custom
-	// resources); normal code should use the Ctx methods.
-	Proc *sim.Proc
+	// proc is the underlying simulation process on the Sim fabric and
+	// nil on the Live fabric: every charge goes through the fabric.
+	proc *sim.Proc
 }
 
 // Node returns the node this activity runs on.

@@ -24,12 +24,12 @@ func (g *Gate) Reset() { g.open, g.ch = false, nil }
 
 // Wait blocks the activity until the gate opens.
 func (g *Gate) Wait(ctx *Ctx) {
-	if ctx.Proc != nil {
+	if ctx.proc != nil {
 		// Simulation: single-threaded, no locking needed.
 		if g.open {
 			return
 		}
-		g.cond.Wait(ctx.Proc)
+		g.cond.Wait(ctx.proc)
 		return
 	}
 	g.mu.Lock()
@@ -57,7 +57,7 @@ func (g *Gate) Open(ctx *Ctx) {
 		close(g.ch)
 	}
 	g.mu.Unlock()
-	if ctx.Proc != nil {
-		g.cond.Broadcast(ctx.Proc.Env())
+	if ctx.proc != nil {
+		g.cond.Broadcast(ctx.proc.Env())
 	}
 }

@@ -28,15 +28,14 @@ import (
 // node's log instead: one at a time, in arrival order, each freeing its
 // space as it lands, and only one that finds the log idle seeks.
 type Sim struct {
-	cfg     Config
-	env     *sim.Env
-	net     *flownet.Net
-	up      []*flownet.Link
-	down    []*flownet.Link
-	disks   []*sim.PSPool
-	wbuf    []*sim.Semaphore
-	logs    []appendLog
-	traffic int64
+	cfg   Config
+	env   *sim.Env
+	net   *flownet.Net
+	up    []*flownet.Link
+	down  []*flownet.Link
+	disks []*sim.PSPool
+	wbuf  []*sim.Semaphore
+	logs  []appendLog
 
 	// Tier links of the configured topology (nil slices on the flat
 	// cluster): per-rack uplink/downlink pairs indexed by global rack,
@@ -124,8 +123,15 @@ func (f *Sim) Config() Config { return f.cfg }
 // Now returns the current virtual time in seconds.
 func (f *Sim) Now() float64 { return f.env.Now() }
 
-// NetTraffic returns cumulative off-node traffic in bytes.
-func (f *Sim) NetTraffic() int64 { return f.traffic }
+// NetTraffic returns cumulative off-node traffic in bytes: the sum of
+// the per-tier counts.
+func (f *Sim) NetTraffic() int64 {
+	var sum int64
+	for _, b := range f.tierBytes {
+		sum += b
+	}
+	return sum
+}
 
 // TierTraffic returns cumulative off-node traffic in bytes that
 // crossed the given locality tier: TierRack for intra-rack exchanges
@@ -134,22 +140,14 @@ func (f *Sim) NetTraffic() int64 { return f.traffic }
 // deployment.
 func (f *Sim) TierTraffic(t Tier) int64 { return f.tierBytes[t] }
 
-// CrossZoneBytes returns the cumulative traffic that crossed a zone
-// interconnect. It is the headline metric of topology-aware placement:
-// shorthand for TierTraffic(TierRemote).
-func (f *Sim) CrossZoneBytes() int64 { return f.tierBytes[TierRemote] }
-
-// ResetTraffic zeroes the traffic counters (total and per-tier).
-func (f *Sim) ResetTraffic() {
-	f.traffic = 0
-	f.tierBytes = [NumTiers]int64{}
-}
+// ResetTraffic zeroes the per-tier traffic counters.
+func (f *Sim) ResetTraffic() { f.tierBytes = [NumTiers]int64{} }
 
 // Run executes fn as the root activity on node 0 and drives the
 // simulation until the event queue drains.
 func (f *Sim) Run(fn func(*Ctx)) {
 	f.env.Go("main", func(p *sim.Proc) {
-		fn(&Ctx{fab: f, node: 0, Proc: p})
+		fn(&Ctx{fab: f, node: 0, proc: p})
 	})
 	f.env.Run()
 	if n := f.env.Procs(); n != 0 {
@@ -166,16 +164,16 @@ func (*simTask) isTask() {}
 func (f *Sim) spawn(name string, node NodeID, _ *Ctx, fn func(*Ctx)) Task {
 	f.cfg.checkNode(node)
 	p := f.env.Go(name, func(p *sim.Proc) {
-		fn(&Ctx{fab: f, node: node, Proc: p})
+		fn(&Ctx{fab: f, node: node, proc: p})
 	})
 	return &simTask{proc: p}
 }
 
 func (f *Sim) wait(ctx *Ctx, t Task) {
-	ctx.Proc.Join(t.(*simTask).proc)
+	ctx.proc.Join(t.(*simTask).proc)
 }
 
-func (f *Sim) sleep(ctx *Ctx, d float64) { ctx.Proc.Sleep(d) }
+func (f *Sim) sleep(ctx *Ctx, d float64) { ctx.proc.Sleep(d) }
 
 // smallPayload is the cutoff below which an RPC payload is charged as
 // serialization delay instead of occupying the flow network: a message
@@ -188,13 +186,12 @@ const smallPayload = 8 << 10
 func (f *Sim) rpc(ctx *Ctx, from, to NodeID, reqBytes, respBytes int64) {
 	f.cfg.checkNode(from)
 	f.cfg.checkNode(to)
-	p := ctx.Proc
+	p := ctx.proc
 	if from == to {
 		p.Sleep(f.cfg.LocalRPC)
 		return
 	}
 	tier := f.cfg.Topology.Tier(from, to)
-	f.traffic += reqBytes + respBytes
 	f.tierBytes[tier] += reqBytes + respBytes
 	delay := f.cfg.RTT + f.cfg.ReqOverhead + f.tierLatency(tier)
 	if reqBytes > 0 && reqBytes <= smallPayload {
@@ -264,11 +261,10 @@ func (f *Sim) TransferVia(ctx *Ctx, from, to NodeID, bytes int64, extra ...*flow
 		return
 	}
 	tier := f.cfg.Topology.Tier(from, to)
-	f.traffic += bytes
 	f.tierBytes[tier] += bytes
-	ctx.Proc.Sleep(f.cfg.RTT + f.tierLatency(tier))
+	ctx.proc.Sleep(f.cfg.RTT + f.tierLatency(tier))
 	var path [maxPath]*flownet.Link
-	f.net.Transfer(ctx.Proc, float64(bytes), append(f.pathLinks(&path, from, to, tier), extra...)...)
+	f.net.Transfer(ctx.proc, float64(bytes), append(f.pathLinks(&path, from, to, tier), extra...)...)
 }
 
 // seekCost converts positioning time into equivalent bandwidth units so
@@ -286,15 +282,15 @@ func (f *Sim) disk(ctx *Ctx, node NodeID, bytes int64, mode writeMode) {
 	if mode == writeSync || bytes > buf.Capacity() {
 		// Reads, sync and oversized writes go straight to disk, at their own priority.
 		if mode == writeIdle {
-			disk.UseIdle(ctx.Proc, work)
+			disk.UseIdle(ctx.proc, work)
 		} else {
-			disk.Use(ctx.Proc, work)
+			disk.Use(ctx.proc, work)
 		}
 		return
 	}
 	// Reserve buffer space (blocking only under backpressure), then
 	// drain to disk in the background and release the reservation.
-	buf.Acquire(ctx.Proc, bytes)
+	buf.Acquire(ctx.proc, bytes)
 	// The drainer is a callback chain, not a process: a flash crowd
 	// issues one write-back per committed chunk, and parking a goroutine
 	// for each made this the hottest spawn site in the tree. It starts

@@ -163,9 +163,6 @@ func TestSimTierLatencyAndAccounting(t *testing.T) {
 	if f.TierTraffic(TierLocal) != 0 {
 		t.Errorf("TierTraffic(local) = %d, want 0", f.TierTraffic(TierLocal))
 	}
-	if f.CrossZoneBytes() != 10e6 {
-		t.Errorf("CrossZoneBytes = %d, want 10e6", f.CrossZoneBytes())
-	}
 	if f.NetTraffic() != 30e6 {
 		t.Errorf("NetTraffic = %d, want 30e6", f.NetTraffic())
 	}
@@ -174,6 +171,46 @@ func TestSimTierLatencyAndAccounting(t *testing.T) {
 		if f.TierTraffic(tier) != 0 {
 			t.Errorf("after reset, TierTraffic(%v) = %d", tier, f.TierTraffic(tier))
 		}
+	}
+}
+
+// TestSimNetTrafficIsTierSum: the fabric keeps one traffic count per
+// tier and none besides, so on a zoned fabric NetTraffic is their sum.
+// Concurrent activities on every node send RPCs of small (delay-only)
+// and flow-sized payloads to every node, each tier and the node itself
+// among them, beside a TransferVia through an extra link; the sum must
+// be every off-node byte sent.
+func TestSimNetTrafficIsTierSum(t *testing.T) {
+	cfg := testConfig(8)
+	cfg.Topology = testTopo8()
+	f := NewSim(cfg)
+	throttle := f.Net().NewLink("throttle", 10e6)
+	sizes := []int64{0, 512, smallPayload, smallPayload + 1, 1 << 20}
+	var want int64
+	f.Run(func(ctx *Ctx) {
+		var tasks []Task
+		for from := NodeID(0); from < 8; from++ {
+			for to := NodeID(0); to < 8; to++ {
+				req, resp := sizes[int(from+to)%len(sizes)], sizes[int(from*to+1)%len(sizes)]
+				if from != to {
+					want += req + resp
+				}
+				tasks = append(tasks, ctx.Go("rpc", from, func(cc *Ctx) { cc.RPC(to, req, resp) }))
+			}
+		}
+		tasks = append(tasks, ctx.Go("via", 1, func(cc *Ctx) { f.TransferVia(cc, 1, 6, 3<<20, throttle) }))
+		want += 3 << 20
+		ctx.WaitAll(tasks)
+	})
+	var sum int64
+	for tier := Tier(0); tier < NumTiers; tier++ {
+		if tier != TierLocal && f.TierTraffic(tier) == 0 {
+			t.Errorf("no traffic booked under %v", tier)
+		}
+		sum += f.TierTraffic(tier)
+	}
+	if got := f.NetTraffic(); got != sum || got != want {
+		t.Errorf("NetTraffic = %d, tier sum %d, bytes sent off-node %d", got, sum, want)
 	}
 }
 

@@ -86,7 +86,7 @@ func RunChurn(p Params, cc ChurnConfig) ChurnPoint {
 		sample(0, 0)
 		for cycle := 1; cycle <= cc.Cycles; cycle++ {
 			err := env.Orch.RunOnAll(ctx, dep.Instances, func(icc *cluster.Ctx, inst *middleware.Instance) error {
-				return SnapshotWritesIn(icc, inst.Disk, p.SnapshotDiff, int64(p.ChunkSize), p.hotWindow(), wrRNG.Fork())
+				return p.snapshotWrites(icc, inst.Disk, p.hotWindow(), wrRNG.Fork())
 			})
 			if err != nil {
 				panic(err)

@@ -10,12 +10,12 @@ import "fmt"
 // scenario deploys one image to a crowd split evenly over the zones
 // over a provider pool with members in every zone, and measures where
 // the bytes went — per locality tier, with the zone-interconnect
-// traffic (Sim.CrossZoneBytes) as the headline. Run it twice, flat
-// policy vs. topology-aware (WithTopology), over the *same physical
-// fabric*: awareness spreads each chunk's replicas one-per-zone at
-// write time, serves each read from the reader's own zone, and keeps
-// p2p exchanges rack- or zone-local, so the interconnect carries only
-// the first seeding of each zone instead of two thirds of the crowd.
+// traffic (Sim.TierTraffic(TierRemote)) as the headline. Run it twice,
+// flat policy vs. topology-aware (WithTopology), over the *same
+// physical fabric*: awareness writes one replica of each chunk per
+// zone, serves each read from the reader's own zone, and keeps p2p
+// exchanges rack- or zone-local, so the interconnect carries only the
+// first seeding of each zone instead of two thirds of the crowd.
 
 // The cross-zone scenario's fixed shape: 3 availability zones, each
 // with a 3-node share of the storage pool (the pool spans all zones),

@@ -22,12 +22,13 @@ func TestCrossZoneAwarenessCutsInterconnectTraffic(t *testing.T) {
 		cz.Aware = true
 		aware := RunCrossZone(p, cz)
 
-		if flat.CrossZoneBytes == 0 {
+		flatCross, awareCross := flat.TierBytes[cluster.TierRemote], aware.TierBytes[cluster.TierRemote]
+		if flatCross == 0 {
 			t.Fatalf("sharing=%v: flat run crossed no zone boundary", sharing)
 		}
-		if aware.CrossZoneBytes*2 > flat.CrossZoneBytes {
+		if awareCross*2 > flatCross {
 			t.Errorf("sharing=%v: awareness cut cross-zone bytes only %d -> %d, want >= 2x",
-				sharing, flat.CrossZoneBytes, aware.CrossZoneBytes)
+				sharing, flatCross, awareCross)
 		}
 		// The per-tier counters must decompose the fabric total.
 		for _, pt := range []CrowdPoint{flat, aware} {

@@ -57,11 +57,9 @@ type CrowdPoint struct {
 	TrafficGB  float64 // total network traffic (GB)
 	Steps      int64   // simulator events executed by the deployment
 
-	// CrossZoneBytes is the traffic that crossed a zone interconnect
-	// (== TierBytes[TierRemote]); TierBytes breaks all off-node traffic
-	// down by locality tier.
-	CrossZoneBytes int64
-	TierBytes      [cluster.NumTiers]int64
+	// TierBytes breaks all off-node traffic down by locality tier:
+	// TierBytes[TierRemote] crossed a zone interconnect.
+	TierBytes [cluster.NumTiers]int64
 
 	ProviderReads    int64 // chunk reads served by the provider pool
 	MaxProviderReads int64 // ... by its hottest member (the hot-spot)
@@ -171,7 +169,6 @@ func deployCrowd(env *Env, c Crowd) CrowdPoint {
 			pt.FetchRetries += d.Stats().FetchRetries
 		}
 	}
-	pt.CrossZoneBytes = env.Fab.CrossZoneBytes()
 	for t := range pt.TierBytes {
 		pt.TierBytes[t] = env.Fab.TierTraffic(cluster.Tier(t))
 	}

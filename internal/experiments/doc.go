@@ -10,15 +10,18 @@
 //   - newEnv (env.go) turns a layout and an Approach into a primed
 //     simulation with an orchestrator (NewEnv is the paper's setup);
 //   - a scenario (RunFig4 … RunSync) is defaults → layout → options →
-//     run. Each scenario family takes one configuration value (Crowd,
-//     ChurnConfig, MultisnapshotConfig, SyncConfig), fills in its
-//     defaults in one place, and embeds the filled value in the record
-//     it returns, so a record carries the configuration it ran. A crowd
-//     scenario also fixes the fields a caller may not set (Crowd.shaped)
-//     and rejects a crowd that sets one. The
-//     four crowd scenarios share that value, one environment builder,
-//     one measured phase and one record (Crowd, crowdEnv, deployCrowd
-//     and CrowdPoint, crowd.go);
+//     run. A scenario takes Params and only what a caller varies: the
+//     crowd and churn families take one configuration value each (Crowd,
+//     ChurnConfig), fill in its defaults in one place, and embed the
+//     filled value in the record they return, so a record carries the
+//     configuration it ran; multisnapshot takes an instance count, and
+//     sync nothing more. What never varies is a constant of the
+//     scenario's file, and what Params holds is read from Params. A
+//     crowd scenario also fixes the fields a caller may not set
+//     (Crowd.shaped) and rejects a crowd that sets one. The four crowd
+//     scenarios share that value, one environment builder, one
+//     measured phase and one record (Crowd, crowdEnv, deployCrowd and
+//     CrowdPoint, crowd.go);
 //   - a scenario's table is a list of columns, each a header and the
 //     func that renders one record's cell (col), and table (suite.go)
 //     renders any such list: the columns the crowd tables share sit

@@ -175,7 +175,7 @@ func (e *Env) provisionAll(ctx *cluster.Ctx, wr *sim.RNG) []*middleware.Instance
 		if err != nil || wr == nil {
 			return err
 		}
-		return SnapshotWritesIn(cc, inst.Disk, e.P.SnapshotDiff, int64(e.P.ChunkSize), 0, rngs[inst.Index])
+		return e.P.snapshotWrites(cc, inst.Disk, 0, rngs[inst.Index])
 	})
 	if err != nil {
 		panic(err)
@@ -190,38 +190,27 @@ func (e *Env) provisionAll(ctx *cluster.Ctx, wr *sim.RNG) []*middleware.Instance
 // snapshots' chunks unreachable and reclaimable.
 func (p Params) hotWindow() int64 { return min(4*p.SnapshotDiff, p.ImageSize) }
 
-// SnapshotWritesIn applies the §5.3 local-modification pattern to the
-// first window bytes of a disk (window 0: the whole disk): ~diff bytes
-// of configuration files and contextualization state, written as
-// run-sized sequential bursts at scattered spots. Bursts are aligned to
-// the run length: the guest writes whole small files, so by snapshot
+// snapshotWrites applies the §5.3 local-modification pattern to the
+// first window bytes of a disk (window 0: the whole disk): SnapshotDiff
+// bytes of configuration files and contextualization state, written as
+// chunk-sized sequential bursts at scattered spots. Bursts are aligned
+// to the chunk: the guest writes whole small files, so by snapshot
 // time the dirty chunks are fully local and the measured snapshot cost
 // is shipping the diff, exactly as in the paper's experiment. The churn
 // and sync scenarios confine it to their hot window: writes that land
 // on the same spots cycle after cycle are what make old snapshots'
 // chunks unreachable once retention retires them.
-func SnapshotWritesIn(ctx *cluster.Ctx, disk vmmodel.VirtualDisk, diff int64, runLen int64, window int64, rng *sim.RNG) error {
-	if runLen <= 0 {
-		runLen = 256 << 10
-	}
+func (p Params) snapshotWrites(ctx *cluster.Ctx, disk vmmodel.VirtualDisk, window int64, rng *sim.RNG) error {
+	runLen := int64(p.ChunkSize)
 	if window <= 0 || window > disk.Size() {
 		window = disk.Size()
 	}
-	slots := window / runLen
-	if slots < 1 {
-		slots = 1
-	}
-	written := int64(0)
-	for written < diff {
-		l := runLen
-		if written+l > diff {
-			l = diff - written
-		}
-		off := rng.Int63n(slots) * runLen
-		if err := disk.Write(ctx, off, l); err != nil {
+	slots := max(window/runLen, 1)
+	for written := int64(0); written < p.SnapshotDiff; written += runLen {
+		l := min(runLen, p.SnapshotDiff-written)
+		if err := disk.Write(ctx, rng.Int63n(slots)*runLen, l); err != nil {
 			return err
 		}
-		written += l
 	}
 	return nil
 }

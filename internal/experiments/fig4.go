@@ -10,13 +10,13 @@ import (
 // Fig4Point is one sweep point of the multideployment experiment for
 // one approach.
 type Fig4Point struct {
-	Instances  int
 	AvgBoot    float64 // Fig. 4(a): mean per-instance boot time (s)
 	Completion float64 // Fig. 4(b): time to boot all instances (s)
 	TrafficGB  float64 // Fig. 4(d): total network traffic (GB)
 }
 
-// Fig4Result holds the full multideployment sweep.
+// Fig4Result holds the full multideployment sweep: point i of a
+// series ran the sweep's i-th instance count.
 type Fig4Result struct {
 	Series map[Approach][]Fig4Point
 	Shared []Fig4Point // OurApproach with p2p sharing on (§7 in §5.2's terms)
@@ -42,7 +42,6 @@ func runFig4Point(p Params, n int, a Approach, opts ...blobvfs.Option) Fig4Point
 	var dep *middleware.DeployResult
 	env.Run(func(ctx *cluster.Ctx) { dep = env.deploy(ctx) })
 	return Fig4Point{
-		Instances:  n,
 		AvgBoot:    metrics.Summarize(dep.BootTimes()).Mean,
 		Completion: dep.Completion,
 		TrafficGB:  float64(env.Fab.NetTraffic()) / 1e9,

@@ -9,14 +9,14 @@ import (
 
 // Fig5Point is one sweep point of the multisnapshotting experiment.
 type Fig5Point struct {
-	Instances  int
 	AvgTime    float64 // Fig. 5(a): mean per-instance snapshot time (s)
 	Completion float64 // Fig. 5(b): time until all snapshots done (s)
 }
 
-// Fig5Result holds the multisnapshotting sweep. Prepropagation is
-// excluded, exactly as in the paper ("it is infeasible to copy back
-// ... the whole set of full VM images", §5.3).
+// Fig5Result holds the multisnapshotting sweep, point i of a series at
+// the sweep's i-th instance count. Prepropagation is excluded, exactly
+// as in the paper ("it is infeasible to copy back ... the whole set of
+// full VM images", §5.3).
 type Fig5Result struct {
 	Series map[Approach][]Fig5Point
 }
@@ -50,7 +50,6 @@ func runFig5Point(p Params, n int, a Approach) Fig5Point {
 		}
 	})
 	return Fig5Point{
-		Instances:  n,
 		AvgTime:    metrics.Summarize(snap.Times).Mean,
 		Completion: snap.Completion,
 	}

@@ -229,7 +229,7 @@ var Suite = []Scenario{
 			col[CrowdPoint]{"aware", func(pt CrowdPoint) string { return onOff(pt.Aware) }},
 			crowdSharing,
 			crowdCompletion,
-			col[CrowdPoint]{"cross-zone (GB)", func(pt CrowdPoint) string { return gbs(pt.CrossZoneBytes) }},
+			col[CrowdPoint]{"cross-zone (GB)", func(pt CrowdPoint) string { return gbs(pt.TierBytes[cluster.TierRemote]) }},
 			col[CrowdPoint]{"zone-local (GB)", func(pt CrowdPoint) string { return gbs(pt.TierBytes[cluster.TierZone]) }},
 			col[CrowdPoint]{"rack-local (GB)", func(pt CrowdPoint) string { return gbs(pt.TierBytes[cluster.TierRack]) }},
 			crowdProviderReads,
@@ -257,10 +257,10 @@ var Suite = []Scenario{
 	}},
 	{"multisnap", func(p Params, s Sizes) []*metrics.Table {
 		rpcs := func(v float64) string { return fmt.Sprintf("%.0f", v) }
-		pt := RunMultisnapshot(p, MultisnapshotConfig{Instances: s.Multisnap})
+		pt := RunMultisnapshot(p, s.Multisnap)
 		return []*metrics.Table{table("Multisnapshot write path: provider write RPCs per commit round", []MultisnapshotPoint{pt},
 			col[MultisnapshotPoint]{"instances", func(m MultisnapshotPoint) string { return itoa(m.Instances) }},
-			col[MultisnapshotPoint]{"providers", func(m MultisnapshotPoint) string { return itoa(m.Providers) }},
+			col[MultisnapshotPoint]{"providers", func(MultisnapshotPoint) string { return itoa(multisnapshotProviders) }},
 			col[MultisnapshotPoint]{"chunk writes", func(m MultisnapshotPoint) string { return rpcs(m.ChunkWrites) }},
 			col[MultisnapshotPoint]{"chunk-put RPCs", func(m MultisnapshotPoint) string { return rpcs(m.ChunkPutRPCs) }},
 			col[MultisnapshotPoint]{"meta-put RPCs", func(m MultisnapshotPoint) string { return rpcs(m.MetaPutRPCs) }},
@@ -289,7 +289,7 @@ var Suite = []Scenario{
 		)}
 	}},
 	{"sync", func(p Params, s Sizes) []*metrics.Table {
-		pt := RunSync(p, SyncConfig{})
+		pt := RunSync(p)
 		// The per-round shipping trace, closed by the average delta
 		// round when there was one.
 		rows := pt.PerRound
@@ -299,7 +299,7 @@ var Suite = []Scenario{
 		}
 		return []*metrics.Table{table(fmt.Sprintf(
 			"Differential sync: %.0f MB image, %d delta rounds, disjoint %d-provider pools",
-			pt.ImageMB, pt.Rounds, pt.Providers), rows,
+			pt.ImageMB, syncRounds, syncProviders), rows,
 			col[SyncRound]{"stage", func(r SyncRound) string { return r.Stage }},
 			col[SyncRound]{"versions", func(r SyncRound) string {
 				if r.Versions == 0 {

@@ -19,14 +19,13 @@ import (
 // size against the full-image ship a naive mirror would repeat each
 // round.
 
-// SyncConfig parameterizes one sync run.
-type SyncConfig struct {
-	// Rounds is how many write→commit→export→import cycles follow the
-	// initial full ship (default 4).
-	Rounds int
-	// Providers is the provider pool size per repository (default 4).
-	Providers int
-}
+// The sync scenario's fixed shape: four write→commit→export→import
+// rounds follow the initial full ship, and each repository has a pool
+// of four providers.
+const (
+	syncRounds    = 4
+	syncProviders = 4
+)
 
 // SyncRound reports one shipped archive.
 type SyncRound struct {
@@ -38,10 +37,8 @@ type SyncRound struct {
 	Reduction float64 // FullMB / ShippedMB
 }
 
-// SyncPoint reports one sync run: the SyncConfig it ran, defaults
-// filled in, and what it measured.
+// SyncPoint reports what one sync run measured.
 type SyncPoint struct {
-	SyncConfig
 	ImageMB float64
 
 	FullMB     float64 // the initial full ship
@@ -55,21 +52,14 @@ type SyncPoint struct {
 
 // RunSync deploys an upstream and a downstream repository on disjoint
 // provider pools of one fabric, ships the base image as a full archive,
-// then runs sc.Rounds modification→commit→delta-sync cycles (the churn
+// then runs syncRounds modification→commit→delta-sync cycles (the churn
 // scenario's write model: Params.SnapshotDiff per round, confined to
 // the hot window, so rewrites land on the same spots), verifying
 // after the last round that the downstream can read the newest version
 // end to end.
-func RunSync(p Params, sc SyncConfig) SyncPoint {
-	if sc.Rounds <= 0 {
-		sc.Rounds = 4
-	}
-	if sc.Providers <= 0 {
-		sc.Providers = 4
-	}
-
-	fab := cluster.NewSim(cluster.DefaultConfig(2 * sc.Providers))
-	upNodes, downNodes := nodeRange(0, sc.Providers), nodeRange(sc.Providers, sc.Providers)
+func RunSync(p Params) SyncPoint {
+	fab := cluster.NewSim(cluster.DefaultConfig(2 * syncProviders))
+	upNodes, downNodes := nodeRange(0, syncProviders), nodeRange(syncProviders, syncProviders)
 	open := func(nodes []cluster.NodeID, uuid uint64) *blobvfs.Repo {
 		r, err := blobvfs.Open(fab,
 			blobvfs.WithProviders(nodes...),
@@ -84,7 +74,7 @@ func RunSync(p Params, sc SyncConfig) SyncPoint {
 	up := open(upNodes, 1)
 	down := open(downNodes, 2)
 
-	pt := SyncPoint{SyncConfig: sc, ImageMB: float64(p.ImageSize) / (1 << 20)}
+	pt := SyncPoint{ImageMB: float64(p.ImageSize) / (1 << 20)}
 	record := func(stage string, est blobvfs.ExportStats) {
 		r := SyncRound{
 			Stage:     stage,
@@ -128,8 +118,8 @@ func RunSync(p Params, sc SyncConfig) SyncPoint {
 			panic(err)
 		}
 		cur := base.Version
-		for round := 1; round <= sc.Rounds; round++ {
-			if err := SnapshotWritesIn(ctx, disk, p.SnapshotDiff, int64(p.ChunkSize), p.hotWindow(), wrRNG.Fork()); err != nil {
+		for round := 1; round <= syncRounds; round++ {
+			if err := p.snapshotWrites(ctx, disk, p.hotWindow(), wrRNG.Fork()); err != nil {
 				panic(err)
 			}
 			snap, err := disk.Commit(ctx)
@@ -165,7 +155,7 @@ func RunSync(p Params, sc SyncConfig) SyncPoint {
 	for _, r := range pt.PerRound[1:] {
 		deltaSum += r.ShippedMB
 	}
-	pt.AvgDeltaMB = deltaSum / float64(sc.Rounds)
+	pt.AvgDeltaMB = deltaSum / syncRounds
 	if pt.AvgDeltaMB > 0 {
 		pt.Reduction = pt.PerRound[0].FullMB / pt.AvgDeltaMB
 	}

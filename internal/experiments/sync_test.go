@@ -11,10 +11,10 @@ import (
 // spare.
 func TestSyncScenarioHeadline(t *testing.T) {
 	p := Quick()
-	pt := RunSync(p, SyncConfig{Rounds: 3})
+	pt := RunSync(p)
 
-	if got := len(pt.PerRound); got != pt.Rounds+1 {
-		t.Fatalf("recorded %d rounds, want full + %d deltas", got, pt.Rounds)
+	if got := len(pt.PerRound); got != syncRounds+1 {
+		t.Fatalf("recorded %d rounds, want full + %d deltas", got, syncRounds)
 	}
 	full := pt.PerRound[0]
 	if full.Stage != "full" {
@@ -41,9 +41,8 @@ func TestSyncScenarioHeadline(t *testing.T) {
 // counters — the scenario is bit-for-bit repeatable.
 func TestSyncScenarioDeterministic(t *testing.T) {
 	p := Quick()
-	sc := SyncConfig{Rounds: 2, Providers: 2}
-	a := RunSync(p, sc)
-	b := RunSync(p, sc)
+	a := RunSync(p)
+	b := RunSync(p)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("two identical runs diverged:\n%+v\n%+v", a, b)
 	}

@@ -14,8 +14,7 @@ import (
 // simulated fabric. The image lives on providers 1 and 2 and the mirror
 // on node 0, so node 0's disk does nothing but the write-back and the
 // modification metadata Close writes. Every case reads
-// Sim.Disk(0).BusyTime, which for a processor-sharing disk is exactly the
-// work charged over the disk's bandwidth.
+// Sim.Disk(0).Served, the work charged to the disk.
 func TestWriteBehindRuns(t *testing.T) {
 	const chunk = 64 << 10
 	const chunks = 16
@@ -51,7 +50,7 @@ func TestWriteBehindRuns(t *testing.T) {
 				if err != nil {
 					t.Fatalf("open: %v", err)
 				}
-				before = disk.BusyTime
+				before = disk.Served
 				for _, r := range tc.reads {
 					if err := im.Read(ctx, r[0]*chunk, (r[1]-r[0])*chunk-max(0, r[1]*chunk-im.Size())); err != nil {
 						t.Fatal(err)
@@ -62,9 +61,9 @@ func TestWriteBehindRuns(t *testing.T) {
 			})
 			seek := cfg.DiskSeek * cfg.DiskBandwidth
 			meta := float64(chunks*16) + seek // Close's metadata write
-			charged := (disk.BusyTime-before)*cfg.DiskBandwidth - meta - float64(tc.seeks)*seek
+			charged := disk.Served - before - meta - float64(tc.seeks)*seek
 			if math.Abs(charged-float64(st.RemoteBytesFetched)) > 1e-3 {
-				ops := ((disk.BusyTime-before)*cfg.DiskBandwidth - meta - float64(st.RemoteBytesFetched)) / seek
+				ops := (disk.Served - before - meta - float64(st.RemoteBytesFetched)) / seek
 				t.Fatalf("disk charged %.1f bytes beside %d seeks, want the %d bytes fetched (%.2f seeks charged)",
 					charged, tc.seeks, st.RemoteBytesFetched, ops)
 			}
@@ -81,7 +80,7 @@ func TestWriteBehindRuns(t *testing.T) {
 			if im, err = mod.Open(ctx, id, v, false); err != nil {
 				t.Fatalf("open: %v", err)
 			}
-			before = disk.BusyTime
+			before = disk.Served
 			// A write inside chunk 5 leaves it dirty but not mirrored,
 			// so the commit gap-fills it; Close lands mid-fetch.
 			if err := im.Write(ctx, 5*chunk+100, 100); err != nil {
@@ -100,7 +99,7 @@ func TestWriteBehindRuns(t *testing.T) {
 		want := float64(chunks*16) + seek + // Close's metadata write
 			100 + seek + // the guest write
 			chunk + seek // the gap fill's run, written back by the fetch itself
-		if got := (disk.BusyTime - before) * cfg.DiskBandwidth; math.Abs(got-want) > 1e-3 {
+		if got := disk.Served - before; math.Abs(got-want) > 1e-3 {
 			t.Fatalf("disk charged %.1f, want %.1f", got, want)
 		}
 	})

@@ -27,9 +27,6 @@ type Event struct {
 	index    int // heap index; -1 off the heap: due now, popped or canceled
 }
 
-// Time returns the virtual time at which the event is scheduled to fire.
-func (ev *Event) Time() float64 { return ev.t }
-
 // Canceled reports whether the event has been canceled.
 func (ev *Event) Canceled() bool { return ev.canceled }
 

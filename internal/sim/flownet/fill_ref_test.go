@@ -145,10 +145,11 @@ func TestRatesBitEqualToReferenceUnderChurn(t *testing.T) {
 		rng := sim.NewRNG(seed)
 		links := randomLinks(n, rng, 24)
 		checked := 0
+		var started []*Flow
 		e.Go("driver", func(p *sim.Proc) {
 			for i := 0; i < 400; i++ {
 				p.Sleep(rng.Exp(0.02))
-				n.Start(rng.Uniform(1e5, 5e7), randomPath(rng, links)...)
+				started = append(started, n.Start(rng.Uniform(1e5, 5e7), randomPath(rng, links)...))
 				p.Sleep(0)
 				got := make([]uint64, len(n.flows))
 				for j, f := range n.flows {
@@ -169,8 +170,8 @@ func TestRatesBitEqualToReferenceUnderChurn(t *testing.T) {
 		if t.Failed() {
 			return
 		}
-		if n.Completed != 400 || checked < 2000 {
-			t.Fatalf("seed %d: %d flows completed, %d rates compared; the net never got busy", seed, n.Completed, checked)
+		if done := finishedFlows(started); done != 400 || checked < 2000 {
+			t.Fatalf("seed %d: %d flows completed, %d rates compared; the net never got busy", seed, done, checked)
 		}
 	}
 }
@@ -195,6 +196,7 @@ func TestBurstRatesBitEqualToReference(t *testing.T) {
 			return randomPath(rng, links[g:g+4])
 		}
 		var tick sim.Cond
+		var started []*Flow
 		left := workers
 		arrivals := map[float64]int{}
 		settled := func(p *sim.Proc) bool {
@@ -225,12 +227,13 @@ func TestBurstRatesBitEqualToReference(t *testing.T) {
 				for i := 0; i < rounds; i++ {
 					tick.Wait(p)
 					f := n.Start(rng.Uniform(1e5, 1e6), path()...)
+					started = append(started, f)
 					arrivals[p.Now()]++
 					if !settled(p) {
 						return
 					}
 					n.WaitFlow(p, f)
-					n.Start(rng.Uniform(1e5, 5e6), path()...)
+					started = append(started, n.Start(rng.Uniform(1e5, 5e6), path()...))
 					arrivals[p.Now()]++
 					if !settled(p) {
 						return
@@ -248,8 +251,19 @@ func TestBurstRatesBitEqualToReference(t *testing.T) {
 				bursts++
 			}
 		}
-		if n.Completed != 2*workers*rounds || bursts < 60 {
-			t.Fatalf("seed %d: %d flows completed, %d instants with several arrivals", seed, n.Completed, bursts)
+		if done := finishedFlows(started); done != 2*workers*rounds || bursts < 60 {
+			t.Fatalf("seed %d: %d flows completed, %d instants with several arrivals", seed, done, bursts)
 		}
 	}
+}
+
+// finishedFlows counts the flows of started that have completed.
+func finishedFlows(started []*Flow) int {
+	done := 0
+	for _, f := range started {
+		if f.Finished() {
+			done++
+		}
+	}
+	return done
 }

@@ -78,10 +78,6 @@ type Net struct {
 	crossScr     []*Flow // the per-link crossing lists of one fill, back to back
 	finishedScr  []*Flow
 	freeFlows    []*Flow
-
-	// Completed counts finished flows; TotalBytes counts bytes accepted.
-	Completed  int64
-	TotalBytes float64
 }
 
 // New returns an empty flow network on env.
@@ -147,7 +143,6 @@ func (n *Net) start(bytes float64, pooled bool, links []*Link) *Flow {
 	for _, l := range links {
 		l.TotalBytes += bytes
 	}
-	n.TotalBytes += bytes
 	if !n.settling {
 		// The instant's first arrival: a flow due now must not
 		// complete before the settle rearms the timer past now.
@@ -405,7 +400,6 @@ func (n *Net) complete() {
 	for _, f := range finished {
 		f.finished = true
 		f.remaining = 0
-		n.Completed++
 		n.markLinks(f.links)
 		f.done.Broadcast(n.env)
 		if f.pooled {

@@ -17,16 +17,18 @@ func TestSingleFlowFullRate(t *testing.T) {
 	n := New(e)
 	l := n.NewLink("l", 100)
 	var done float64
+	finished := 0
 	e.Go("t", func(p *sim.Proc) {
 		n.Transfer(p, 500, l)
 		done = p.Now()
+		finished++
 	})
 	e.Run()
 	if !almostEq(done, 5) {
 		t.Fatalf("done = %v, want 5", done)
 	}
-	if n.Completed != 1 {
-		t.Fatalf("Completed = %d, want 1", n.Completed)
+	if finished != 1 || len(n.flows) != 0 {
+		t.Fatalf("%d transfers finished, %d flows left; want 1 and 0", finished, len(n.flows))
 	}
 	if !almostEq(l.TotalBytes, 500) {
 		t.Fatalf("link TotalBytes = %v, want 500", l.TotalBytes)

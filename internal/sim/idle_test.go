@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"slices"
@@ -84,17 +85,19 @@ func TestPSPoolForegroundFreezesIdle(t *testing.T) {
 
 // idleSchedule runs a seeded schedule of jobs with random sizes and
 // arrival times; with mixed, a random half of them are background jobs,
-// blocking or async. It returns the pool and each job's completion time.
-func idleSchedule(seed int64, mixed bool) (*PSPool, []float64) {
+// blocking or async. It returns the pool and each job's arrival and
+// completion times.
+func idleSchedule(seed int64, mixed bool) (pool *PSPool, arrive, done []float64) {
 	rng := rand.New(rand.NewSource(seed))
 	e := New()
-	pool := NewPSPool(e, "disk", 55)
-	done := make([]float64, 40)
+	pool = NewPSPool(e, "disk", 55)
+	arrive, done = make([]float64, 40), make([]float64, 40)
 	for i := range done {
 		at, amount := rng.Float64()*10, 1+rng.Float64()*50
 		idle, async := rng.Intn(2) == 0 && mixed, rng.Intn(2) == 0
 		e.Go("j", func(p *Proc) {
 			p.Sleep(at)
+			arrive[i] = p.Now()
 			switch {
 			case idle && async:
 				pool.UseIdleAsync(amount, func() { done[i] = e.Now() })
@@ -110,25 +113,60 @@ func idleSchedule(seed int64, mixed bool) (*PSPool, []float64) {
 		})
 	}
 	e.Run()
-	return pool, done
+	return pool, arrive, done
 }
 
 // TestPSPoolIdleWorkConserving: the disk never idles with work pending,
-// so Served and BusyTime equal the plain processor-sharing run's, and
-// the same seed gives the same schedule.
+// so the mixed schedule serves the plain processor-sharing run's work
+// and drains at the same instant, and the same seed gives the same
+// schedule.
 func TestPSPoolIdleWorkConserving(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
-		plain, _ := idleSchedule(seed, false)
-		mixed, done := idleSchedule(seed, true)
-		if math.Abs(mixed.Served-plain.Served) > 1e-6 || math.Abs(mixed.BusyTime-plain.BusyTime) > 1e-9 {
-			t.Errorf("seed %d: served %v busy %v, plain PS %v and %v",
-				seed, mixed.Served, mixed.BusyTime, plain.Served, plain.BusyTime)
+		plain, _, plainDone := idleSchedule(seed, false)
+		mixed, _, done := idleSchedule(seed, true)
+		if math.Abs(mixed.Served-plain.Served) > 1e-6 {
+			t.Errorf("seed %d: served %v, plain PS %v", seed, mixed.Served, plain.Served)
+		}
+		if drain, plainDrain := slices.Max(done), slices.Max(plainDone); math.Abs(drain-plainDrain) > 1e-9 {
+			t.Errorf("seed %d: drained at %v, plain PS at %v", seed, drain, plainDrain)
 		}
 		if len(mixed.jobs)+len(mixed.idle) != 0 {
 			t.Errorf("seed %d: jobs left after the run", seed)
 		}
-		if _, again := idleSchedule(seed, true); !slices.Equal(done, again) {
+		if _, _, again := idleSchedule(seed, true); !slices.Equal(done, again) {
 			t.Errorf("seed %d: completion times differ between runs: %v vs %v", seed, done, again)
+		}
+	}
+}
+
+// TestPSPoolServedIsBusyTime: a work-conserving pool serves at its full
+// capacity whenever some job is present and not otherwise, so
+// Served/Capacity() is the measure of the union of the jobs'
+// [arrival, completion] intervals: the busy time the pool does not
+// store.
+func TestPSPoolServedIsBusyTime(t *testing.T) {
+	for _, seed := range []int64{1, 7, 42} {
+		pool, arrive, done := idleSchedule(seed, true)
+		order := make([]int, len(arrive))
+		for i := range order {
+			order[i] = i
+		}
+		slices.SortFunc(order, func(a, b int) int { return cmp.Compare(arrive[a], arrive[b]) })
+		var busy, from, to float64
+		for k, i := range order {
+			switch {
+			case k == 0:
+				from, to = arrive[i], done[i]
+			case arrive[i] > to:
+				busy += to - from
+				from, to = arrive[i], done[i]
+			default:
+				to = max(to, done[i])
+			}
+		}
+		busy += to - from
+		if got := pool.Served / pool.Capacity(); math.Abs(got-busy) > 1e-9 {
+			t.Errorf("seed %d: Served/Capacity() = %v s, union of the jobs' intervals %v s", seed, got, busy)
 		}
 	}
 }

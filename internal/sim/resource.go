@@ -138,10 +138,8 @@ type PSPool struct {
 	// freeJobs recycles finished job records.
 	freeJobs []*psJob
 
-	// BusyTime accumulates the total virtual time during which at least
-	// one job was active; useful for utilization metrics.
-	BusyTime float64
-	// Served accumulates total units of work completed.
+	// Served accumulates total units of work completed. The pool is
+	// work-conserving, so its busy time is Served / Capacity().
 	Served float64
 }
 
@@ -243,7 +241,6 @@ func (pool *PSPool) advance() {
 	if dt <= 0 || len(jobs) == 0 {
 		return
 	}
-	pool.BusyTime += dt
 	rate := pool.capacity / float64(len(jobs))
 	for _, j := range jobs {
 		d := rate * dt

@@ -456,8 +456,8 @@ func TestPSPoolBusyTimeAndServed(t *testing.T) {
 	pool := NewPSPool(e, "disk", 10)
 	e.Go("a", func(p *Proc) { pool.Use(p, 50) })
 	e.Run()
-	if !almostEq(pool.BusyTime, 5) {
-		t.Fatalf("BusyTime = %v, want 5", pool.BusyTime)
+	if busy := pool.Served / pool.Capacity(); !almostEq(busy, 5) {
+		t.Fatalf("busy time Served/Capacity() = %v, want 5", busy)
 	}
 	if !almostEq(pool.Served, 50) {
 		t.Fatalf("Served = %v, want 50", pool.Served)
