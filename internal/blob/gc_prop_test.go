@@ -99,9 +99,10 @@ func checkLiveVersions(t *testing.T, ctx *cluster.Ctx, c *Client, blobs []*propB
 }
 
 // TestGCRandomLifecycleInvariants drives randomized sequences of
-// write/clone/retire/collect and checks both invariants, and both
-// tiers' replicaSet.check, after every collection. Each seed runs
-// twice: with the metadata at degree 1, and replicated at degree 2.
+// write/clone/retire/collect and checks both invariants, both tiers'
+// replicaSet.check and VersionManager.check after every collection.
+// Each seed runs twice: with the metadata at degree 1, and replicated
+// at degree 2.
 func TestGCRandomLifecycleInvariants(t *testing.T) {
 	const (
 		trials   = 30
@@ -217,7 +218,7 @@ func TestGCRandomLifecycleInvariants(t *testing.T) {
 					if n := sys.Meta.NodeCount(); n != rep.MarkedNodes {
 						t.Fatalf("%d nodes stored after GC, %d marked", n, rep.MarkedNodes)
 					}
-					for _, check := range []func() error{sys.Meta.check, sys.Providers.check} {
+					for _, check := range []func() error{sys.Meta.check, sys.Providers.check, sys.VM.check} {
 						if err := check(); err != nil {
 							t.Fatal(err)
 						}

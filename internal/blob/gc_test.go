@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"slices"
+	"strings"
 	"testing"
 
 	"blobvfs/internal/cluster"
@@ -83,6 +84,58 @@ func TestRetirePinnedFails(t *testing.T) {
 			t.Fatal("Pin of retired version succeeded")
 		}
 	})
+}
+
+// TestVersionCheckCatchesEachBrokenInvariant: VersionManager.check
+// passes on intact records (pinned, retired and live versions of an
+// image, and a clone) and names each seeded breakage of one of its
+// clauses.
+func TestVersionCheckCatchesEachBrokenInvariant(t *testing.T) {
+	fab, sys := liveSystem(4, 1)
+	var id ID
+	fab.Run(func(ctx *cluster.Ctx) {
+		c := NewClient(sys)
+		id, _ = c.Create(ctx, 400, 100)
+		v1, _ := c.WriteAt(ctx, id, 0, pattern(400, 1), 0)
+		v2, _ := c.WriteAt(ctx, id, v1, pattern(100, 2), 0)
+		c.WriteAt(ctx, id, v2, pattern(100, 3), 100)
+		if _, err := c.Clone(ctx, id, v2); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.VM.Retire(ctx, id, v1); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.PinVersion(id, v2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	vm := sys.VM
+	if err := vm.check(); err != nil {
+		t.Fatalf("intact records: %v", err)
+	}
+	vs := vm.blobs[id].versions
+	if len(vs) != 3 || !vs[0].retired || vs[1].pins != 1 {
+		t.Fatalf("records %+v: want v1 retired, v2 pinned once, v3 live", vs)
+	}
+	saved := slices.Clone(vs)
+	for _, tc := range []struct {
+		name, want string
+		mutate     func()
+	}{
+		{"retired while pinned", "retired while pinned", func() { vs[1].retired = true }},
+		{"negative pin count", "-1 pins", func() { vs[2].pins = -1 }},
+		{"live version without a root", "no root", func() { vs[2].root = 0 }},
+	} {
+		copy(vs, saved)
+		tc.mutate()
+		if err := vm.check(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: check = %v, want an error saying %q", tc.name, err, tc.want)
+		}
+	}
+	copy(vs, saved)
+	if err := vm.check(); err != nil {
+		t.Fatalf("restored records: %v", err)
+	}
 }
 
 // TestGCReclaimsRetiredVersions: after retiring the old version of a

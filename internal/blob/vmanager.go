@@ -44,10 +44,15 @@ type VersionManager struct {
 }
 
 type blobState struct {
-	info      Info
-	published []NodeRef        // published roots; index = version-1
-	retired   map[Version]bool // logically deleted versions
-	pins      map[Version]int  // open-reference counts (mirrors, in-flight commits)
+	info     Info
+	versions []versionState // published versions; index = version-1
+}
+
+// versionState is one published version.
+type versionState struct {
+	root    NodeRef
+	retired bool // logically deleted
+	pins    int  // open references: mirrors, in-flight commits
 }
 
 // NewVersionManager creates a version manager hosted on the given node.
@@ -131,11 +136,7 @@ func (vm *VersionManager) CreateBlob(ctx *cluster.Ctx, size int64, chunkSize int
 	vm.next++
 	id := vm.next
 	chunks := (size + int64(chunkSize) - 1) / int64(chunkSize)
-	vm.blobs[id] = &blobState{
-		info:    Info{ID: id, Size: size, ChunkSize: chunkSize, Span: span2(chunks)},
-		retired: make(map[Version]bool),
-		pins:    make(map[Version]int),
-	}
+	vm.blobs[id] = &blobState{info: Info{ID: id, Size: size, ChunkSize: chunkSize, Span: span2(chunks)}}
 	return id, nil
 }
 
@@ -164,8 +165,8 @@ func (vm *VersionManager) Latest(ctx *cluster.Ctx, id ID) (Version, error) {
 	if !ok {
 		return 0, notFound("blob", id)
 	}
-	for v := Version(len(st.published)); v >= 1; v-- {
-		if !st.retired[v] {
+	for v := Version(len(st.versions)); v >= 1; v-- {
+		if !st.versions[v-1].retired {
 			return v, nil
 		}
 	}
@@ -184,10 +185,10 @@ func (vm *VersionManager) LiveVersions(ctx *cluster.Ctx, id ID) ([]Version, erro
 	if !ok {
 		return nil, notFound("blob", id)
 	}
-	out := make([]Version, 0, len(st.published))
-	for v := Version(1); int(v) <= len(st.published); v++ {
-		if !st.retired[v] {
-			out = append(out, v)
+	out := make([]Version, 0, len(st.versions))
+	for i, vs := range st.versions {
+		if !vs.retired {
+			out = append(out, Version(i+1))
 		}
 	}
 	return out, nil
@@ -200,17 +201,27 @@ func (vm *VersionManager) Root(ctx *cluster.Ctx, id ID, v Version) (NodeRef, err
 	vm.charge(ctx, 24, 16)
 	vm.mu.Lock()
 	defer vm.mu.Unlock()
+	vs, err := vm.liveLocked(id, v)
+	if err != nil {
+		return 0, err
+	}
+	return vs.root, nil
+}
+
+// liveLocked returns the record of (id, v) if that version is
+// published and not retired. vm.mu must be held.
+func (vm *VersionManager) liveLocked(id ID, v Version) (*versionState, error) {
 	st, ok := vm.blobs[id]
 	if !ok {
-		return 0, notFound("blob", id)
+		return nil, notFound("blob", id)
 	}
-	if v < 1 || int(v) > len(st.published) {
-		return 0, notFound("version", fmt.Sprintf("%d@%d", id, v))
+	if v < 1 || int(v) > len(st.versions) {
+		return nil, notFound("version", fmt.Sprintf("%d@%d", id, v))
 	}
-	if st.retired[v] {
-		return 0, retired(id, v)
+	if vs := &st.versions[v-1]; !vs.retired {
+		return vs, nil
 	}
-	return st.published[v-1], nil
+	return nil, retired(id, v)
 }
 
 // Publish appends root, a snapshot whose chunks and metadata are
@@ -224,8 +235,8 @@ func (vm *VersionManager) Publish(ctx *cluster.Ctx, id ID, root NodeRef) (Versio
 	if !ok {
 		return 0, notFound("blob", id)
 	}
-	st.published = append(st.published, root)
-	return Version(len(st.published)), nil
+	st.versions = append(st.versions, versionState{root: root})
+	return Version(len(st.versions)), nil
 }
 
 // Published returns (without cost) how many versions of id are visible.
@@ -236,7 +247,7 @@ func (vm *VersionManager) Published(id ID) int {
 	if !ok {
 		return 0
 	}
-	return len(st.published)
+	return len(st.versions)
 }
 
 // PinnedError reports an attempt to retire a version that is still
@@ -265,18 +276,11 @@ func (e *PinnedError) Unwrap() error { return ErrVersionPinned }
 func (vm *VersionManager) Pin(id ID, v Version) error {
 	vm.mu.Lock()
 	defer vm.mu.Unlock()
-	st, ok := vm.blobs[id]
-	if !ok {
-		return notFound("blob", id)
+	vs, err := vm.liveLocked(id, v)
+	if err == nil {
+		vs.pins++
 	}
-	if v < 1 || int(v) > len(st.published) {
-		return notFound("version", fmt.Sprintf("%d@%d", id, v))
-	}
-	if st.retired[v] {
-		return retired(id, v)
-	}
-	st.pins[v]++
-	return nil
+	return err
 }
 
 // Unpin releases one pin on (id, v). Unknown pins are ignored.
@@ -284,13 +288,8 @@ func (vm *VersionManager) Unpin(id ID, v Version) {
 	vm.mu.Lock()
 	defer vm.mu.Unlock()
 	st, ok := vm.blobs[id]
-	if !ok {
-		return
-	}
-	if st.pins[v] > 0 {
-		if st.pins[v]--; st.pins[v] == 0 {
-			delete(st.pins, v)
-		}
+	if ok && v >= 1 && int(v) <= len(st.versions) && st.versions[v-1].pins > 0 {
+		st.versions[v-1].pins--
 	}
 }
 
@@ -299,10 +298,10 @@ func (vm *VersionManager) Pins(id ID, v Version) int {
 	vm.mu.Lock()
 	defer vm.mu.Unlock()
 	st, ok := vm.blobs[id]
-	if !ok {
+	if !ok || v < 1 || int(v) > len(st.versions) {
 		return 0
 	}
-	return st.pins[v]
+	return st.versions[v-1].pins
 }
 
 // Retire logically deletes version v of blob id: it disappears from
@@ -313,20 +312,14 @@ func (vm *VersionManager) Retire(ctx *cluster.Ctx, id ID, v Version) error {
 	vm.chargeMut(ctx, 24, 16)
 	vm.mu.Lock()
 	defer vm.mu.Unlock()
-	st, ok := vm.blobs[id]
-	if !ok {
-		return notFound("blob", id)
+	vs, err := vm.liveLocked(id, v)
+	if err != nil {
+		return err
 	}
-	if v < 1 || int(v) > len(st.published) {
-		return notFound("version", fmt.Sprintf("%d@%d", id, v))
-	}
-	if st.retired[v] {
-		return retired(id, v)
-	}
-	if st.pins[v] > 0 {
+	if vs.pins > 0 {
 		return &PinnedError{ID: id, V: v}
 	}
-	st.retired[v] = true
+	vs.retired = true
 	return nil
 }
 
@@ -342,13 +335,10 @@ func (vm *VersionManager) RetireUpTo(ctx *cluster.Ctx, id ID, upTo Version) (int
 	if !ok {
 		return 0, notFound("blob", id)
 	}
-	if int(upTo) > len(st.published) {
-		upTo = Version(len(st.published))
-	}
 	retired := 0
-	for v := Version(1); v <= upTo; v++ {
-		if !st.retired[v] && st.pins[v] == 0 {
-			st.retired[v] = true
+	for i := range min(int(upTo), len(st.versions)) {
+		if vs := &st.versions[i]; !vs.retired && vs.pins == 0 {
+			vs.retired = true
 			retired++
 		}
 	}
@@ -377,14 +367,37 @@ func (vm *VersionManager) LiveRoots(ctx *cluster.Ctx) []LiveRoot {
 		if !ok {
 			continue
 		}
-		for v := Version(1); int(v) <= len(st.published); v++ {
-			if st.retired[v] && st.pins[v] == 0 {
+		for i, vs := range st.versions {
+			if vs.retired && vs.pins == 0 {
 				continue
 			}
-			out = append(out, LiveRoot{ID: id, V: v, Root: st.published[v-1], Span: st.info.Span})
+			out = append(out, LiveRoot{ID: id, V: Version(i + 1), Root: vs.root, Span: st.info.Span})
 		}
 	}
 	vm.mu.Unlock()
 	vm.charge(ctx, 16, int64(len(out))*24+16)
 	return out
+}
+
+// check reports the first broken invariant of the manager's records,
+// in (blob, version) order: no version is retired while pinned, no pin
+// count is negative, and every live version of a non-empty image has a
+// root.
+func (vm *VersionManager) check() error {
+	vm.mu.Lock()
+	defer vm.mu.Unlock()
+	for id := ID(1); id <= vm.next; id++ {
+		st := vm.blobs[id]
+		for i, vs := range st.versions {
+			switch {
+			case vs.retired && vs.pins > 0:
+				return fmt.Errorf("version %d@%d is retired while pinned", id, i+1)
+			case vs.pins < 0:
+				return fmt.Errorf("version %d@%d has %d pins", id, i+1, vs.pins)
+			case !vs.retired && st.info.Size > 0 && vs.root == 0:
+				return fmt.Errorf("live version %d@%d of a non-empty image has no root", id, i+1)
+			}
+		}
+	}
+	return nil
 }

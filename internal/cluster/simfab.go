@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"strconv"
 
 	"blobvfs/internal/sim"
 	"blobvfs/internal/sim/flownet"
@@ -50,13 +49,6 @@ type Sim struct {
 	tierBytes [NumTiers]int64
 }
 
-// linkName builds a link's diagnostic name without fmt: NewSim creates
-// four named resources per node (plus tier links), and Sprintf on that
-// setup path is measurable at the 10k-node scale.
-func linkName(prefix string, i int, suffix string) string {
-	return prefix + strconv.Itoa(i) + suffix
-}
-
 // NewSim returns a simulated fabric with the given configuration.
 func NewSim(cfg Config) *Sim {
 	if err := cfg.validate(); err != nil {
@@ -74,9 +66,9 @@ func NewSim(cfg Config) *Sim {
 		logs:  make([]appendLog, cfg.Nodes),
 	}
 	for i := 0; i < cfg.Nodes; i++ {
-		f.up[i] = f.net.NewLink(linkName("n", i, ".up"), cfg.NICBandwidth)
-		f.down[i] = f.net.NewLink(linkName("n", i, ".down"), cfg.NICBandwidth)
-		f.disks[i] = sim.NewPSPool(env, linkName("n", i, ".disk"), cfg.DiskBandwidth)
+		f.up[i] = f.net.NewLink("node up", cfg.NICBandwidth)
+		f.down[i] = f.net.NewLink("node down", cfg.NICBandwidth)
+		f.disks[i] = sim.NewPSPool(env, "node disk", cfg.DiskBandwidth)
 		f.wbuf[i] = sim.NewSemaphore(env, cfg.WriteBuffer)
 	}
 	// Tier links are created after every node link, so node link
@@ -87,14 +79,14 @@ func NewSim(cfg Config) *Sim {
 		f.rackUp = make([]*flownet.Link, racks)
 		f.rackDown = make([]*flownet.Link, racks)
 		for r := 0; r < racks; r++ {
-			f.rackUp[r] = f.net.NewLink(linkName("r", r, ".up"), topo.RackBandwidth)
-			f.rackDown[r] = f.net.NewLink(linkName("r", r, ".down"), topo.RackBandwidth)
+			f.rackUp[r] = f.net.NewLink("rack up", topo.RackBandwidth)
+			f.rackDown[r] = f.net.NewLink("rack down", topo.RackBandwidth)
 		}
 		f.zoneUp = make([]*flownet.Link, topo.Zones)
 		f.zoneDown = make([]*flownet.Link, topo.Zones)
 		for z := 0; z < topo.Zones; z++ {
-			f.zoneUp[z] = f.net.NewLink(linkName("z", z, ".up"), topo.ZoneBandwidth)
-			f.zoneDown[z] = f.net.NewLink(linkName("z", z, ".down"), topo.ZoneBandwidth)
+			f.zoneUp[z] = f.net.NewLink("zone up", topo.ZoneBandwidth)
+			f.zoneDown[z] = f.net.NewLink("zone down", topo.ZoneBandwidth)
 		}
 	}
 	return f

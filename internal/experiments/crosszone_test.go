@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"math"
 	"testing"
 
 	"blobvfs"
@@ -29,17 +28,6 @@ func TestCrossZoneAwarenessCutsInterconnectTraffic(t *testing.T) {
 		if awareCross*2 > flatCross {
 			t.Errorf("sharing=%v: awareness cut cross-zone bytes only %d -> %d, want >= 2x",
 				sharing, flatCross, awareCross)
-		}
-		// The per-tier counters must decompose the fabric total.
-		for _, pt := range []CrowdPoint{flat, aware} {
-			var sum int64
-			for _, b := range pt.TierBytes {
-				sum += b
-			}
-			if total := int64(math.Round(pt.TrafficGB * 1e9)); sum != total {
-				t.Errorf("sharing=%v aware=%v: tier bytes sum %d != total traffic %d",
-					sharing, pt.Aware, sum, total)
-			}
 		}
 		// Aware placement pins one replica in every zone, so no chunk
 		// read has to leave its zone: every provider read books at

@@ -118,7 +118,7 @@ func newEnv(p Params, l layout, a Approach, opts ...blobvfs.Option) *Env {
 			if err := srv.Put(ctx, "base.raw", p.ImageSize, nil); err != nil {
 				panic(err)
 			}
-			env.Backend = middleware.NewPrepropBackend(srv, "base.raw", p.ImageSize)
+			env.Backend = middleware.NewPrepropBackend(srv, p.ImageSize)
 		}
 	})
 	fab.ResetTraffic()

@@ -158,22 +158,17 @@ func (b *QcowBackend) Snapshot(ctx *cluster.Ctx, i int, node cluster.NodeID, dis
 
 // PrepropBackend is the taktuk-prepropagation baseline: the image is
 // broadcast from a central NFS server to every node's local disk
-// before any instance starts; boots are then purely local. Snapshots
-// copy the full image back to the server — the operation the paper
-// rules out as infeasible at scale, kept here so the cost can be
-// demonstrated.
+// before any instance starts; boots are then purely local. Its
+// snapshot is refused: copying every full image back to the server is
+// the operation §5.3 rules out as infeasible at scale.
 type PrepropBackend struct {
 	Server    *nfs.Server
-	ImageName string
 	ImageSize int64
-
-	mu       sync.Mutex
-	snapshot int
 }
 
 // NewPrepropBackend creates the baseline for an image stored on srv.
-func NewPrepropBackend(srv *nfs.Server, name string, size int64) *PrepropBackend {
-	return &PrepropBackend{Server: srv, ImageName: name, ImageSize: size}
+func NewPrepropBackend(srv *nfs.Server, size int64) *PrepropBackend {
+	return &PrepropBackend{Server: srv, ImageSize: size}
 }
 
 // Prepare implements Backend: the full broadcast, at taktuk's
@@ -194,12 +189,8 @@ func (b *PrepropBackend) Provision(ctx *cluster.Ctx, i int, node cluster.NodeID)
 	return &vmmodel.LocalRaw{NodeID: node, Bytes: b.ImageSize}, nil
 }
 
-// Snapshot implements Backend: ship the whole image back.
+// Snapshot implements Backend by refusing: §5.3 rules out shipping
+// every full image back to the server.
 func (b *PrepropBackend) Snapshot(ctx *cluster.Ctx, i int, node cluster.NodeID, disk vmmodel.VirtualDisk) error {
-	ctx.DiskRead(node, b.ImageSize)
-	b.mu.Lock()
-	b.snapshot++
-	name := fmt.Sprintf("%s.snap-%d-%d", b.ImageName, i, b.snapshot)
-	b.mu.Unlock()
-	return b.Server.Put(ctx, name, b.ImageSize, nil)
+	return fmt.Errorf("middleware: prepropagation takes no snapshots (ruled out at scale, §5.3)")
 }

@@ -193,7 +193,7 @@ func TestPrepropBackendBroadcastsBeforeBoot(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	b := NewPrepropBackend(srv, "base.raw", 64<<20)
+	b := NewPrepropBackend(srv, 64<<20)
 	orch := orchFor(b, nodes, trace)
 	fab.Run(func(ctx *cluster.Ctx) {
 		start := ctx.Now()
@@ -213,6 +213,14 @@ func TestPrepropBackendBroadcastsBeforeBoot(t *testing.T) {
 		// Prepropagation moves at least n full images.
 		if got := fab.NetTraffic(); got < int64(len(nodes))*64<<20 {
 			t.Fatalf("traffic = %d, want >= %d (full prepropagation)", got, int64(len(nodes))*64<<20)
+		}
+		// §5.3 rules out its snapshot: it is refused and moves nothing.
+		before := fab.NetTraffic()
+		if err := b.Snapshot(ctx, 0, nodes[0], dep.Instances[0].Disk); err == nil {
+			t.Fatal("prepropagation snapshot succeeded")
+		}
+		if fab.NetTraffic() != before {
+			t.Fatal("refused snapshot moved bytes")
 		}
 	})
 }

@@ -6,8 +6,8 @@ package sim
 //
 // Fired and canceled events are recycled onto the environment's free
 // list, so an Event handle is only valid until the event fires or is
-// canceled: calling Cancel (or Time/Canceled) on a handle after either
-// point may observe — or, worse, cancel — an unrelated recycled event.
+// canceled: calling Cancel on a handle after either point may cancel
+// an unrelated recycled event.
 // The two in-tree retainers (PSPool and flownet timers) clear their
 // handle on fire and cancel-before-rearm, which satisfies this.
 type Event struct {
@@ -26,9 +26,6 @@ type Event struct {
 	canceled bool
 	index    int // heap index; -1 off the heap: due now, popped or canceled
 }
-
-// Canceled reports whether the event has been canceled.
-func (ev *Event) Canceled() bool { return ev.canceled }
 
 // eventHeap is a binary min-heap of events keyed by (t, seq). An entry
 // carries its key inline, so sifting compares without dereferencing the

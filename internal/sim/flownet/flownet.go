@@ -12,7 +12,6 @@ import (
 // Net.NewLink so they receive deterministic identities.
 type Link struct {
 	id       int
-	name     string
 	capacity float64
 
 	// scratch state used during recompute
@@ -27,9 +26,6 @@ type Link struct {
 	// TotalBytes accumulates all bytes ever carried by this link.
 	TotalBytes float64
 }
-
-// Name returns the diagnostic name of the link.
-func (l *Link) Name() string { return l.name }
 
 // Capacity returns the link's capacity in bytes per second.
 func (l *Link) Capacity() float64 { return l.capacity }
@@ -93,7 +89,7 @@ func (n *Net) NewLink(name string, capacity float64) *Link {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("flownet: link %q capacity must be positive", name))
 	}
-	l := &Link{id: n.nextID, name: name, capacity: capacity}
+	l := &Link{id: n.nextID, capacity: capacity}
 	n.nextID++
 	return l
 }

@@ -211,22 +211,15 @@ func (p *Proc) Join(q *Proc) {
 	q.done.Wait(p)
 }
 
-// JoinAll blocks until every process in procs has finished.
-func (p *Proc) JoinAll(procs []*Proc) {
-	for _, q := range procs {
-		p.Join(q)
-	}
-}
-
 // Cond is a waitable condition: processes park on it with Wait and are
-// released by Signal or Broadcast. Release is FIFO and takes effect as
+// released by Broadcast. Release is FIFO and takes effect as
 // zero-delay events, preserving the one-process-at-a-time invariant.
 // The zero value is ready to use.
 type Cond struct {
 	waiters []*Proc
 }
 
-// Wait parks p until the condition is signaled. The first wait makes room
+// Wait parks p until the next Broadcast. The first wait makes room
 // for two waiters, the common pair, so that it does not grow twice.
 func (c *Cond) Wait(p *Proc) {
 	if c.waiters == nil {
@@ -234,20 +227,6 @@ func (c *Cond) Wait(p *Proc) {
 	}
 	c.waiters = append(c.waiters, p)
 	p.yield()
-}
-
-// Signal releases the longest-waiting process, if any. The remaining
-// waiters shift down in place, so the backing array is retained and
-// never re-grown (re-slicing would strand the head slots forever).
-func (c *Cond) Signal(e *Env) {
-	if len(c.waiters) == 0 {
-		return
-	}
-	q := c.waiters[0]
-	n := copy(c.waiters, c.waiters[1:])
-	c.waiters[n] = nil
-	c.waiters = c.waiters[:n]
-	e.resumeAt(e.now, q)
 }
 
 // Broadcast releases all waiting processes in FIFO order. A single

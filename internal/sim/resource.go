@@ -124,7 +124,6 @@ func (s *Semaphore) Release(n int64) {
 // The pool is work-conserving: it idles only with no job of either class.
 type PSPool struct {
 	env      *Env
-	name     string
 	capacity float64
 	jobs     []*psJob // foreground, served whenever present
 	idle     []*psJob // background, served only while jobs is empty
@@ -152,12 +151,12 @@ type psJob struct {
 }
 
 // NewPSPool returns a processor-sharing pool with the given capacity in
-// units per second.
+// units per second. The name labels only its panic.
 func NewPSPool(env *Env, name string, capacity float64) *PSPool {
 	if capacity <= 0 {
-		panic("sim: PSPool capacity must be positive")
+		panic("sim: PSPool " + name + " capacity must be positive")
 	}
-	pool := &PSPool{env: env, name: name, capacity: capacity}
+	pool := &PSPool{env: env, capacity: capacity}
 	pool.completeFn = pool.complete
 	return pool
 }

@@ -82,12 +82,15 @@ func TestCancel(t *testing.T) {
 	if fired {
 		t.Fatal("canceled event fired")
 	}
-	if !ev.Canceled() {
-		t.Fatal("Canceled() = false after Cancel")
-	}
-	// Double-cancel and nil-cancel must be no-ops.
+	// Double-cancel and nil-cancel must be no-ops: neither panics, and
+	// neither touches the next event (ev's slot may be recycled for it).
 	e.Cancel(ev)
 	e.Cancel(nil)
+	e.At(2, func() { fired = true })
+	e.Run()
+	if !fired {
+		t.Fatal("an event scheduled after a double and a nil cancel never fired")
+	}
 }
 
 func TestCancelOneOfSeveral(t *testing.T) {
@@ -217,78 +220,40 @@ func TestJoin(t *testing.T) {
 	}
 }
 
-func TestJoinAll(t *testing.T) {
-	e := New()
-	var doneAt float64
-	e.Go("parent", func(p *Proc) {
-		var kids []*Proc
-		for i := 1; i <= 4; i++ {
-			d := float64(i)
-			kids = append(kids, e.Go("kid", func(c *Proc) { c.Sleep(d) }))
-		}
-		p.JoinAll(kids)
-		doneAt = p.Now()
-	})
-	e.Run()
-	if !almostEq(doneAt, 4) {
-		t.Fatalf("JoinAll returned at %v, want 4", doneAt)
-	}
-}
-
-func TestCondSignalFIFO(t *testing.T) {
-	e := New()
-	var c Cond
-	var order []int
-	for i := 0; i < 3; i++ {
-		i := i
-		e.Go("w", func(p *Proc) {
-			p.Sleep(float64(i)) // stagger arrival: 0, 1, 2
-			c.Wait(p)
-			order = append(order, i)
-		})
-	}
-	e.Go("signaler", func(p *Proc) {
-		p.Sleep(10)
-		c.Signal(e)
-		p.Sleep(1)
-		c.Signal(e)
-		p.Sleep(1)
-		c.Signal(e)
-	})
-	e.Run()
-	if len(order) != 3 {
-		t.Fatalf("order = %v, want 3 wakeups", order)
-	}
-	for i := range order {
-		if order[i] != i {
-			t.Fatalf("order = %v, want FIFO [0 1 2]", order)
-		}
-	}
-}
-
+// TestCondBroadcast checks that Broadcast wakes every waiter in the
+// order it arrived, through the plain resume (one waiter) and through
+// the batch event (several).
 func TestCondBroadcast(t *testing.T) {
-	e := New()
-	var c Cond
-	woke := 0
-	for i := 0; i < 5; i++ {
-		e.Go("w", func(p *Proc) {
-			c.Wait(p)
-			woke++
-		})
-	}
-	e.Go("b", func(p *Proc) {
-		p.Sleep(1)
-		if c.Waiters() != 5 {
-			t.Errorf("Waiters() = %d, want 5", c.Waiters())
+	for _, n := range []int{1, 5} {
+		e := New()
+		var c Cond
+		var order []int
+		for i := 0; i < n; i++ {
+			e.Go("w", func(p *Proc) {
+				p.Sleep(float64(n - i)) // staggered arrival, last-started first
+				c.Wait(p)
+				order = append(order, i)
+			})
 		}
-		c.Broadcast(e)
-	})
-	e.Run()
-	if woke != 5 {
-		t.Fatalf("woke = %d, want 5", woke)
-	}
-	if c.Waiters() != 0 {
-		t.Fatalf("Waiters() = %d after broadcast, want 0", c.Waiters())
+		e.Go("b", func(p *Proc) {
+			p.Sleep(10)
+			if c.Waiters() != n {
+				t.Errorf("n=%d: Waiters() = %d before broadcast", n, c.Waiters())
+			}
+			c.Broadcast(e)
+		})
+		e.Run()
+		if len(order) != n {
+			t.Fatalf("n=%d: woke %v", n, order)
+		}
+		for k, i := range order {
+			if i != n-1-k {
+				t.Fatalf("n=%d: wake order %v, want arrival order", n, order)
+			}
+		}
+		if c.Waiters() != 0 {
+			t.Fatalf("n=%d: Waiters() = %d after broadcast, want 0", n, c.Waiters())
+		}
 	}
 }
 

@@ -5,10 +5,11 @@ import (
 	"blobvfs/internal/vmmodel"
 )
 
-// MonteCarloConfig describes the π-estimation application of §5.5:
+// MonteCarloConfig describes the Monte Carlo application of §5.5:
 // loosely coupled workers, each alternating CPU-bound sampling with
 // saving intermediate results into a temporary file inside the VM
-// image (~10 MB per instance).
+// image (~10 MB per instance). Sampling is charged as virtual time;
+// no sample is drawn.
 type MonteCarloConfig struct {
 	// ComputeSeconds is the total CPU time each worker needs.
 	ComputeSeconds float64
@@ -48,27 +49,4 @@ func RunMonteCarloPhase(ctx *cluster.Ctx, disk vmmodel.VirtualDisk, cfg MonteCar
 		}
 	}
 	return nil
-}
-
-// EstimatePi is the actual computation the workers perform, provided
-// so the examples run a real Monte Carlo estimation rather than a
-// stub: n pseudo-random points, returning the π estimate. The sampler
-// is a small deterministic LCG so results are reproducible.
-func EstimatePi(n int, seed uint64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	state := seed*6364136223846793005 + 1442695040888963407
-	next := func() float64 {
-		state = state*6364136223846793005 + 1442695040888963407
-		return float64(state>>11) / float64(1<<53)
-	}
-	in := 0
-	for i := 0; i < n; i++ {
-		x, y := next(), next()
-		if x*x+y*y <= 1 {
-			in++
-		}
-	}
-	return 4 * float64(in) / float64(n)
 }

@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"math"
 	"testing"
 
 	"blobvfs/internal/cluster"
@@ -86,19 +85,6 @@ func TestMonteCarloPhaseResumable(t *testing.T) {
 			t.Fatalf("two halves took %v < 100 s", ctx.Now())
 		}
 	})
-}
-
-func TestEstimatePiConverges(t *testing.T) {
-	got := EstimatePi(2_000_000, 12345)
-	if math.Abs(got-math.Pi) > 0.01 {
-		t.Fatalf("EstimatePi = %v, want within 0.01 of π", got)
-	}
-	if EstimatePi(0, 1) != 0 {
-		t.Fatal("EstimatePi(0) != 0")
-	}
-	if EstimatePi(1000, 7) != EstimatePi(1000, 7) {
-		t.Fatal("EstimatePi not deterministic")
-	}
 }
 
 type fakeDisk struct {

@@ -2,6 +2,7 @@ package blobvfs
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -404,15 +405,11 @@ func (r *Repo) Resolve(name string) (Snapshot, bool) {
 	return s, ok
 }
 
-// Names returns all registered image names.
+// Names returns all registered image names, sorted.
 func (r *Repo) Names() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.names))
-	for n := range r.names {
-		out = append(out, n)
-	}
-	return out
+	return slices.Sorted(maps.Keys(r.names))
 }
 
 // P2PEnabled reports whether the repo was opened with WithP2P.

@@ -3,7 +3,9 @@ package blobvfs_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"slices"
 	"testing"
 
 	"blobvfs"
@@ -165,6 +167,17 @@ func TestNamesAndTags(t *testing.T) {
 			t.Fatal("unknown name resolved")
 		}
 		repo.Tag("x", blobvfs.Snapshot{Image: r1.Image, Version: r1.Version}) // retag is fine
+		// Names is sorted, so two calls agree whatever the map order.
+		for i := 0; i < 16; i++ {
+			repo.Tag(fmt.Sprintf("n%02d", (i*7)%16), r1)
+		}
+		first := repo.Names()
+		if !slices.IsSorted(first) || len(first) != 18 {
+			t.Fatalf("Names = %v, want 18 sorted names", first)
+		}
+		if again := repo.Names(); !slices.Equal(first, again) {
+			t.Fatalf("Names changed between calls: %v then %v", first, again)
+		}
 	})
 }
 
